@@ -1,6 +1,7 @@
 package gs2
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -43,44 +44,54 @@ func TestLayoutFront(t *testing.T) {
 func TestStridesLeftmostFastest(t *testing.T) {
 	d := Dims{X: 3, Y: 5, L: 7, E: 2, S: 2}
 	s := Layout("lxyes").strides(d)
-	if s['l'] != 1 || s['x'] != 7 || s['y'] != 21 || s['e'] != 105 || s['s'] != 210 {
-		t.Errorf("strides = %v", s)
+	want := map[byte]int{'l': 1, 'x': 7, 'y': 21, 'e': 105, 's': 210}
+	for c, st := range want {
+		if s[dimIndex(c)] != st {
+			t.Errorf("stride of %q = %d, want %d (strides %v)", string(c), s[dimIndex(c)], st, s)
+		}
 	}
 }
 
-// bruteMatrix is the O(N) reference implementation of MoveMatrix.
+// bruteMatrix is the O(N) reference implementation of MoveMatrix. It
+// shares no code with the package: place values come straight from
+// the definition (leftmost fastest) and every element is visited.
 func bruteMatrix(d Dims, home, target Layout, p int) [][]int {
+	const letters = "xyles"
+	ext := [5]int{d.X, d.Y, d.L, d.E, d.S}
+	place := func(l Layout) (w [5]int) {
+		stride := 1
+		for i := 0; i < len(l); i++ {
+			k := strings.IndexByte(letters, l[i])
+			w[k] = stride
+			stride *= ext[k]
+		}
+		return w
+	}
+	hw, tw := place(home), place(target)
 	n := d.N()
-	hs := home.strides(d)
-	ts := target.strides(d)
 	mat := make([][]int, p)
 	for i := range mat {
 		mat[i] = make([]int, p)
 	}
-	sizes := map[byte]int{'x': d.X, 'y': d.Y, 'l': d.L, 'e': d.E, 's': d.S}
-	idx := map[byte]int{}
-	letters := []byte{'x', 'y', 'l', 'e', 's'}
-	var walk func(k int)
-	walk = func(k int) {
-		if k == len(letters) {
+	var idx [5]int
+	var visit func(k int)
+	visit = func(k int) {
+		if k == len(idx) {
 			f1, f2 := 0, 0
-			for _, c := range letters {
-				f1 += idx[c] * hs[c]
-				f2 += idx[c] * ts[c]
+			for j, v := range idx {
+				f1 += v * hw[j]
+				f2 += v * tw[j]
 			}
-			o1 := f1 * p / n
-			o2 := f2 * p / n
-			if o1 != o2 {
+			if o1, o2 := f1*p/n, f2*p/n; o1 != o2 {
 				mat[o1][o2]++
 			}
 			return
 		}
-		for i := 0; i < sizes[letters[k]]; i++ {
-			idx[letters[k]] = i
-			walk(k + 1)
+		for idx[k] = 0; idx[k] < ext[k]; idx[k]++ {
+			visit(k + 1)
 		}
 	}
-	walk(0)
+	visit(0)
 	return mat
 }
 

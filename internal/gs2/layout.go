@@ -20,7 +20,6 @@ package gs2
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Layout is a permutation of the dimension letters "xyles",
@@ -90,15 +89,17 @@ func (d Dims) size(c byte) int {
 	}
 }
 
-// strides returns the flattened-index stride of each dimension letter
-// under the layout (leftmost fastest).
-func (l Layout) strides(d Dims) map[byte]int {
-	s := make(map[byte]int, 5)
+// dimIndex numbers the dimension letters for array-indexed tables.
+func dimIndex(c byte) int { return strings.IndexByte("xyles", c) }
+
+// strides returns the flattened-index stride of each dimension under
+// the layout (leftmost fastest), indexed by dimIndex.
+func (l Layout) strides(d Dims) [5]int {
+	var s [5]int
 	stride := 1
 	for i := 0; i < len(l); i++ {
-		c := l[i]
-		s[c] = stride
-		stride *= d.size(c)
+		s[dimIndex(l[i])] = stride
+		stride *= d.size(l[i])
 	}
 	return s
 }
@@ -109,9 +110,13 @@ func (l Layout) strides(d Dims) map[byte]int {
 // not counted. Both distributions split the respective flattened
 // index space contiguously: owner(flat) = flat·p/N.
 //
-// The computation walks the index space in runs along home's fastest
-// dimension; inside a run both owners are monotone step functions, so
-// each run costs O(owner changes), not O(run length).
+// The computation walks the index space in runs along the fastest
+// dimension of one of the two layouts; inside a run both owners are
+// monotone step functions, so each run costs O(owner changes), not
+// O(run length). Because moved(A→B) = moved(B→A)ᵀ either layout can
+// be the walked one: the walk takes whichever has the smaller stride
+// for its run dimension under the other layout (fewest owner changes
+// per run) and transposes the result when that is the target.
 func MoveMatrix(d Dims, home, target Layout, p int) [][]int {
 	if err := home.Validate(); err != nil {
 		panic(err)
@@ -122,55 +127,70 @@ func MoveMatrix(d Dims, home, target Layout, p int) [][]int {
 	if p <= 0 {
 		panic(fmt.Sprintf("gs2: %d ranks", p))
 	}
+	if d.N() == 0 || home == target {
+		return newMatrix(p)
+	}
+	if home.strides(d)[dimIndex(target[0])] < target.strides(d)[dimIndex(home[0])] {
+		return transpose(walk(d, target, home, p))
+	}
+	return walk(d, home, target, p)
+}
+
+// walk accumulates moved(a→b) run by run along a[0]. Runs are visited
+// in a's flat order, so a's base advances by the run length; b's base
+// is carried by an odometer over a's other four dimensions.
+func walk(d Dims, a, b Layout, p int) [][]int {
+	mat := newMatrix(p)
 	n := d.N()
-	mat := make([][]int, p)
-	for i := range mat {
-		mat[i] = make([]int, p)
+	bs := b.strides(d)
+	runLen := d.size(a[0])
+	s2 := bs[dimIndex(a[0])]
+	var size, step, idx [4]int
+	for k := range size {
+		size[k] = d.size(a[k+1])
+		step[k] = bs[dimIndex(a[k+1])]
 	}
-	if n == 0 {
-		return mat
-	}
-
-	runDim := home[0]
-	runLen := d.size(runDim)
-	hs := home.strides(d)
-	ts := target.strides(d)
-	s2 := ts[runDim]
-
-	// Enumerate the other four dimensions.
-	others := make([]byte, 0, 4)
-	for i := 1; i < len(home); i++ {
-		others = append(others, home[i])
-	}
-	idx := [4]int{}
-	for {
-		// Flat bases of this run in both orders.
-		f1, f2 := 0, 0
-		for k, c := range others {
-			f1 += idx[k] * hs[c]
-			f2 += idx[k] * ts[c]
-		}
+	f2 := 0
+	for f1 := 0; f1 < n; f1 += runLen {
 		accumulateRun(mat, f1, f2, s2, runLen, p, n)
-
-		// Odometer over the other dimensions.
-		k := 0
-		for ; k < 4; k++ {
+		for k := 0; k < 4; k++ {
 			idx[k]++
-			if idx[k] < d.size(others[k]) {
+			f2 += step[k]
+			if idx[k] < size[k] {
 				break
 			}
 			idx[k] = 0
-		}
-		if k == 4 {
-			break
+			f2 -= size[k] * step[k]
 		}
 	}
 	return mat
 }
 
+// newMatrix returns a zero p×p matrix whose rows share one backing
+// array.
+func newMatrix(p int) [][]int {
+	flat := make([]int, p*p)
+	mat := make([][]int, p)
+	for i := range mat {
+		mat[i] = flat[i*p : (i+1)*p : (i+1)*p]
+	}
+	return mat
+}
+
+// transpose returns mᵀ for a square matrix.
+func transpose(m [][]int) [][]int {
+	t := newMatrix(len(m))
+	for i, row := range m {
+		for j, v := range row {
+			t[j][i] = v
+		}
+	}
+	return t
+}
+
 // accumulateRun distributes a run of `length` elements starting at
-// home flat index f1 (stride 1) and target flat index f2 (stride s2)
-// into mat[homeOwner][targetOwner].
+// flat index f1 of the walked layout (stride 1) and f2 of the other
+// (stride s2) into mat[walkedOwner][otherOwner].
 func accumulateRun(mat [][]int, f1, f2, s2, length, p, n int) {
 	k := 0
 	for k < length {
@@ -213,28 +233,3 @@ func MovedElements(mat [][]int) int {
 	}
 	return total
 }
-
-// matrixCache memoises move matrices across runs; tuning campaigns
-// revisit the same (dims, p, layouts) combinations constantly.
-var matrixCache sync.Map // cacheKey -> [][]int
-
-type cacheKey struct {
-	d            Dims
-	home, target Layout
-	p            int
-}
-
-// CachedMoveMatrix is MoveMatrix with memoisation.
-func CachedMoveMatrix(d Dims, home, target Layout, p int) [][]int {
-	key := cacheKey{d: d, home: home, target: target, p: p}
-	if v, ok := matrixCache.Load(key); ok {
-		return v.([][]int)
-	}
-	mat := MoveMatrix(d, home, target, p)
-	matrixCache.Store(key, mat)
-	return mat
-}
-
-// ChunkSize returns the largest per-rank element count of a
-// contiguous split of n elements over p ranks: the compute load gate.
-func ChunkSize(n, p int) int { return ceilDiv(n, p) }

@@ -1,6 +1,9 @@
 package gs2
 
 import (
+	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -70,16 +73,183 @@ func TestFrontIdempotent(t *testing.T) {
 	}
 }
 
-func TestCachedMoveMatrixSameResult(t *testing.T) {
-	d := Dims{X: 5, Y: 5, L: 5, E: 4, S: 2}
-	a := CachedMoveMatrix(d, "lxyes", "xyles", 7)
-	b := CachedMoveMatrix(d, "lxyes", "xyles", 7)
-	if &a[0] != &b[0] {
-		t.Error("cache miss on identical key")
+func TestMoveMatrixBothDirectionsMatchBruteForce(t *testing.T) {
+	// Extents that divide evenly by no rank count, so owner boundaries
+	// fall inside runs. Across the layouts both branches of the
+	// direction choice are taken (lxyes→xyles walks the target order,
+	// lxyes→lexys the home order), and querying each pair both ways
+	// covers the transposition of either.
+	d := Dims{X: 27, Y: 8, L: 5, E: 10, S: 2}
+	for _, home := range Layouts() {
+		for _, dims := range []string{"xy", "le"} {
+			target := home.front(dims)
+			for _, p := range []int{1, 2, 7, 64, 128} {
+				for _, pair := range [][2]Layout{{home, target}, {target, home}} {
+					got := MoveMatrix(d, pair[0], pair[1], p)
+					if !matricesEqual(got, bruteMatrix(d, pair[0], pair[1], p)) {
+						t.Errorf("MoveMatrix(%s->%s, p=%d) differs from brute force", pair[0], pair[1], p)
+					}
+				}
+			}
+		}
 	}
-	c := MoveMatrix(d, "lxyes", "xyles", 7)
-	if !matricesEqual(a, c) {
-		t.Error("cached matrix differs from fresh computation")
+}
+
+func TestExchangePlansReverseIsTranspose(t *testing.T) {
+	// The reverse plans are derived, not walked: they must be exactly
+	// what a walk of the reverse redistribution freezes to.
+	cfg := Config{Layout: DefaultLayout, Negrid: 10, Ntheta: 27, Steps: 3, Collisions: true}
+	d := cfg.Dims()
+	for _, p := range []int{7, 64} {
+		pls := cfg.ExchangePlans(p)
+		if len(pls) != 4 {
+			t.Fatalf("p=%d: %d plans with collisions on", p, len(pls))
+		}
+		for k, dims := range []string{"xy", "le"} {
+			fwd, bwd := pls[2*k], pls[2*k+1]
+			if fwd.TotalMoved == 0 {
+				t.Fatalf("p=%d %s: forward plan moves nothing", p, dims)
+			}
+			if fwd.TotalMoved != bwd.TotalMoved || fwd.Fraction != bwd.Fraction {
+				t.Errorf("p=%d %s: totals %d/%d fractions %v/%v", p, dims,
+					fwd.TotalMoved, bwd.TotalMoved, fwd.Fraction, bwd.Fraction)
+			}
+			walked := newRedist(MoveMatrix(d, cfg.Layout.front(dims), cfg.Layout, p), bwd.Fraction)
+			if !matricesEqual(bwd.SendBytes, walked.sendBytes) {
+				t.Errorf("p=%d %s: derived reverse byte rows differ from a walked reverse plan", p, dims)
+			}
+			for i := 0; i < p; i++ {
+				if fwd.Sent[i] != bwd.Recvd[i] || fwd.Recvd[i] != bwd.Sent[i] {
+					t.Errorf("p=%d %s rank %d: sent/recvd not swapped", p, dims, i)
+				}
+				if bwd.Sent[i] != walked.sent[i] || bwd.Recvd[i] != walked.recvd[i] {
+					t.Errorf("p=%d %s rank %d: totals differ from a walked reverse plan", p, dims, i)
+				}
+				for j := 0; j < p; j++ {
+					if fwd.SendBytes[i][j] != bwd.SendBytes[j][i] {
+						t.Fatalf("p=%d %s: SendBytes[%d][%d] not transposed", p, dims, i, j)
+					}
+				}
+			}
+		}
+	}
+}
+
+// coldShape returns a configuration no other test or campaign visits
+// (odd extents are off the tuning lattice) and fails the test if its
+// plans were already built, so "first call" means what it says.
+func coldShape(t *testing.T, negrid, ntheta, p int, coll bool) Config {
+	t.Helper()
+	cfg := Config{Layout: DefaultLayout, Negrid: negrid, Ntheta: ntheta, Steps: 10, Collisions: coll}
+	key := plansKey{d: cfg.Dims(), l: cfg.Layout, coll: coll, p: p}
+	if _, warm := plansCache.Load(key); warm {
+		t.Fatalf("shape %+v on %d ranks is already cached", cfg, p)
+	}
+	t.Cleanup(func() { plansCache.Delete(key) })
+	return cfg
+}
+
+func TestPlansCacheSharesOneBuild(t *testing.T) {
+	// Workers of an asynchronous campaign meet the same cold shape at
+	// once: they must share one build, not race to store their own.
+	m := LinuxCluster(8)
+	cfg := coldShape(t, 11, 33, m.Procs(), true)
+	const workers = 8
+	var wg sync.WaitGroup
+	secs := make([]float64, workers)
+	sent := make([]*int, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s, err := Run(m, cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			secs[w] = s
+			sent[w] = &cfg.ExchangePlans(m.Procs())[0].Sent[0]
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		if secs[w] != secs[0] {
+			t.Errorf("worker %d simulated %v, worker 0 %v", w, secs[w], secs[0])
+		}
+		if sent[w] != sent[0] {
+			t.Errorf("worker %d sees a different plan backing array", w)
+		}
+	}
+}
+
+func TestRunColdEqualsWarm(t *testing.T) {
+	// The first evaluation of a shape builds its plans (one walk per
+	// phase, reverse plans derived); the second reads them back. Both
+	// must equal a run on plans frozen from four independent walks.
+	for _, c := range []struct {
+		negrid, ntheta, nodes int
+		coll                  bool
+	}{
+		{9, 17, 2, false}, {16, 27, 32, false}, {13, 41, 19, true}, {31, 79, 64, true}, {8, 21, 7, true},
+	} {
+		m := LinuxCluster(c.nodes)
+		p := m.Procs()
+		cfg := coldShape(t, c.negrid, c.ntheta, p, c.coll)
+		cfg.Steps = 3
+		cold, err := Run(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := Run(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, xy, le := cfg.Dims(), cfg.Layout.front("xy"), cfg.Layout.front("le")
+		ref := &plans{
+			toXY:   newRedist(MoveMatrix(d, cfg.Layout, xy, p), 1),
+			fromXY: newRedist(MoveMatrix(d, xy, cfg.Layout, p), 1),
+		}
+		if c.coll {
+			ref.toLE = newRedist(MoveMatrix(d, cfg.Layout, le, p), collRedistFraction)
+			ref.fromLE = newRedist(MoveMatrix(d, le, cfg.Layout, p), collRedistFraction)
+		}
+		walked, err := simulate(m, cfg, ref, cfg.Steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(cold) != math.Float64bits(warm) || math.Float64bits(cold) != math.Float64bits(walked) {
+			t.Errorf("%+v: cold %v warm %v four-walk reference %v", c, cold, warm, walked)
+		}
+	}
+}
+
+func TestPlansRetainTwoTablesPerShape(t *testing.T) {
+	// A collisionless shape keeps two dense p×p tables (the byte rows
+	// of each direction). Before the move matrices stopped being
+	// retained it kept four; the budget is 0.6 of that.
+	const (
+		shapes = 200
+		p      = 128
+		budget = 0.6 * shapes * 4 * p * p * 8
+	)
+	cfgs := make([]Config, shapes)
+	for i := range cfgs {
+		cfgs[i] = coldShape(t, 3+2*(i%10), 101+2*(i/10), p, false)
+	}
+	heap := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	before := heap()
+	for _, cfg := range cfgs {
+		cfg.ExchangePlans(p)
+	}
+	grown := heap() - before
+	t.Logf("%d shapes at p=%d retain %.1f MiB (budget %.1f MiB)", shapes, p, grown/(1<<20), budget/(1<<20))
+	if grown > budget {
+		t.Errorf("retained %.0f bytes, budget %.0f", grown, float64(budget))
 	}
 }
 
