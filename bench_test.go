@@ -83,6 +83,38 @@ func BenchmarkFig2PETScDecompositionLarge(b *testing.B) {
 	reportImprovement(b, def, tuned)
 }
 
+// BenchmarkSLESRun is one objective evaluation of the Fig. 2 large
+// case — app.Run on the even 16-way partition of the 6000-row band
+// matrix — with the app's plan cache cold (halo plan built, then the
+// cost-only CG run) and warm (the run alone): the per-evaluation cost
+// the sles-seq benchmark workload is made of.
+func BenchmarkSLESRun(b *testing.B) {
+	app := petscsim.NewBandSLESApp(6000, 16, 4, 120, 2)
+	m := cluster.Seaborg(16, 1)
+	part := app.DefaultPartition()
+	run := func(b *testing.B, app *petscsim.SLESApp) {
+		if _, err := app.Run(m, part); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("plans=cold", func(b *testing.B) {
+		// A bare literal has no plan cache: every run builds its plan.
+		cold := &petscsim.SLESApp{A: app.A, B: app.B, P: app.P, Iterations: app.Iterations}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run(b, cold)
+		}
+	})
+	b.Run("plans=warm", func(b *testing.B) {
+		run(b, app)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run(b, app)
+		}
+	})
+}
+
 // BenchmarkFig3ComputationDistribution tunes the SNES grid
 // distribution on the heterogeneous lab machine (Fig. 3(b)).
 func BenchmarkFig3ComputationDistribution(b *testing.B) {

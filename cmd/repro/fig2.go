@@ -113,17 +113,18 @@ func fig2Run(c fig2Case) (space.Point, error) {
 // printPartitionLoad shows per-rank nonzero counts before and after:
 // the load-balance mechanism of the improvement.
 func printPartitionLoad(app *petscsim.SLESApp, def, tuned sparse.Partition) {
-	dmDef, err := sparse.NewDistMatrix(app.A, def)
+	// Both plans are already in the app's cache: the campaign ran them.
+	hpDef, err := app.HaloPlan(def)
 	if err != nil {
 		return
 	}
-	dmTuned, err := sparse.NewDistMatrix(app.A, tuned)
+	hpTuned, err := app.HaloPlan(tuned)
 	if err != nil {
 		return
 	}
 	if app.P > 8 {
 		fmt.Printf("per-rank nnz: default max %d, tuned max %d (mean %d)\n",
-			dmDef.MaxLocalNNZ(), dmTuned.MaxLocalNNZ(), app.A.NNZ()/app.P)
+			hpDef.MaxLocalNNZ(), hpTuned.MaxLocalNNZ(), app.A.NNZ()/app.P)
 		return
 	}
 	fmt.Println("rank  default boundaries/nnz   tuned boundaries/nnz")
@@ -131,6 +132,6 @@ func printPartitionLoad(app *petscsim.SLESApp, def, tuned sparse.Partition) {
 		dl, dh := def.Range(r)
 		tl, th := tuned.Range(r)
 		fmt.Printf("%4d  [%4d,%4d) %8d     [%4d,%4d) %8d\n",
-			r, dl, dh, dmDef.LocalNNZ(r), tl, th, dmTuned.LocalNNZ(r))
+			r, dl, dh, hpDef.LocalNNZ(r), tl, th, hpTuned.LocalNNZ(r))
 	}
 }

@@ -47,13 +47,13 @@ func main() {
 }
 
 func printLoad(app *petscsim.SLESApp, part sparse.Partition) {
-	dm, err := sparse.NewDistMatrix(app.A, part)
+	hp, err := app.HaloPlan(part)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print("  per-rank nonzeros: ")
 	for r := 0; r < app.P; r++ {
-		fmt.Printf("%8d", dm.LocalNNZ(r))
+		fmt.Printf("%8d", hp.LocalNNZ(r))
 	}
-	fmt.Printf("   (max %d)\n", dm.MaxLocalNNZ())
+	fmt.Printf("   (max %d)\n", hp.MaxLocalNNZ())
 }

@@ -45,7 +45,6 @@ func CG(r *simmpi.Rank, a *sparse.DistMatrix, b []float64, rtol float64, maxIter
 //
 //harmonyvet:allocamortized iteration vectors are allocated once per solve; the loop reuses them and runs through the annotated allocation-free kernels (MatVecInto, Dot, Axpy)
 func CGWith(ws *sparse.Workspace, r *simmpi.Rank, a *sparse.DistMatrix, b []float64, rtol float64, maxIter int) ([]float64, Result) {
-	const tag = 101
 	n := len(b)
 	x := make([]float64, n)
 	res := append([]float64(nil), b...) // r0 = b - A·0
@@ -57,7 +56,7 @@ func CGWith(ws *sparse.Workspace, r *simmpi.Rank, a *sparse.DistMatrix, b []floa
 	}
 	out := Result{}
 	for out.Iterations = 0; out.Iterations < maxIter; out.Iterations++ {
-		ap := a.MatVecInto(ws, r, tag, p)
+		ap := a.MatVecInto(ws, r, cgTag, p)
 		pap := sparse.Dot(r, p, ap)
 		if pap == 0 {
 			break
@@ -76,11 +75,36 @@ func CGWith(ws *sparse.Workspace, r *simmpi.Rank, a *sparse.DistMatrix, b []floa
 		for i := range p {
 			p[i] = res[i] + beta*p[i]
 		}
-		r.Compute(sparse.VecFlops * float64(n))
+		sparse.VecCost(r, n)
 		rsold = rsnew
 	}
 	out.Residual = math.Sqrt(rsold)
 	return x, out
+}
+
+// cgTag is the message tag of CG's operator applications.
+const cgTag = 101
+
+// CGCost is the cost skeleton of CGWith at rtol 0: it charges rank r
+// the sends, receives, allreduces and compute of exactly iters CG
+// iterations on the partition hp describes, in CGWith's call order,
+// and computes nothing. Every virtual clock ends bit-identical to the
+// numeric solve's provided that solve runs its full budget — at rtol 0
+// CGWith leaves its loop early only when a global reduction (rs0,
+// p·Ap or ‖r‖²) is exactly 0.0.
+//
+//harmonyvet:allocfree
+func CGCost(r *simmpi.Rank, hp *sparse.HaloPlan, iters int) {
+	n := hp.LocalSize(r.ID())
+	sparse.DotCost(r, n) // rs0
+	for it := 0; it < iters; it++ {
+		hp.MatVecCost(r, cgTag)
+		sparse.DotCost(r, n) // p·Ap
+		sparse.VecCost(r, n) // x += αp
+		sparse.VecCost(r, n) // r -= αAp
+		sparse.DotCost(r, n) // ‖r‖²
+		sparse.VecCost(r, n) // p = r + βp
+	}
 }
 
 // Apply evaluates a linear operator on a rank-local vector, paying

@@ -29,9 +29,18 @@ import (
 
 // SLESApp is the parallel linear-system application of Section IV:
 // a matrix with dense sub-blocks whose decomposition boundaries are
-// tunable. A benchmarking run is a fixed number of CG iterations
-// ("representative short run"), so simulated time responds purely to
-// the data distribution.
+// tunable. A benchmarking run is, by definition, Iterations CG
+// iterations ("representative short run"), so simulated time responds
+// purely to the data distribution — and the run executes only that
+// dependence: the sends, receives, allreduces and compute charges of
+// the CG loop (ksp.CGCost over the partition's sparse.HaloPlan), not
+// its arithmetic. Every virtual clock equals the numeric
+// ksp.CGWith(..., rtol 0, Iterations) solve's bit for bit, given that
+// solve spends its whole budget: at rtol 0 it stops early only when a
+// global reduction (rs0, p·Ap or ‖r‖²) is exactly 0.0, which a
+// Laplacian-family matrix with B = 1 never reaches.
+// TestSLESSkeletonEqualsNumeric asserts that precondition on every
+// case it compares.
 type SLESApp struct {
 	// A is the system matrix.
 	A *sparse.CSR
@@ -43,9 +52,10 @@ type SLESApp struct {
 	// run.
 	Iterations int
 
-	// plans memoises the communication plans per partition: a tuning
-	// campaign revisiting a decomposition (simplex contractions, PRO
-	// reflections, restarts) pays ghost-list construction once.
+	// plans memoises the halo plan per partition: a tuning campaign
+	// revisiting a decomposition (simplex contractions, PRO
+	// reflections, restarts, a surrogate prediction before the run)
+	// walks the matrix structure once.
 	plans *sparse.PlanCache
 }
 
@@ -137,31 +147,23 @@ func (app *SLESApp) Run(m *cluster.Machine, part sparse.Partition) (float64, err
 
 // RunStats is Run exposing the full simulation statistics.
 func (app *SLESApp) RunStats(m *cluster.Machine, part sparse.Partition) (simmpi.Stats, error) {
-	dm, err := app.distFor(part)
+	hp, err := app.HaloPlan(part)
 	if err != nil {
 		return simmpi.Stats{}, err
 	}
 	return simmpi.Run(m, app.P, func(r *simmpi.Rank) {
-		// The workspace is pooled on the DistMatrix: across the
-		// thousands of evaluations of a campaign (and across the
-		// concurrent worlds of parallel workers) each rank reuses the
-		// same staging and result buffers for every CG iteration.
-		ws := dm.AcquireWorkspace(r.ID())
-		bl := dm.Scatter(r.ID(), app.B)
-		ksp.CGWith(ws, r, dm, bl, 0, app.Iterations) // fixed-work benchmarking run
-		dm.ReleaseWorkspace(r.ID(), ws)
+		ksp.CGCost(r, hp, app.Iterations) // fixed-work benchmarking run
 	})
 }
 
-// distFor returns the distributed matrix for a partition, through the
-// plan cache when the app was built by a constructor. Apps assembled
-// as bare struct literals (plans nil) fall back to direct
-// construction.
-func (app *SLESApp) distFor(part sparse.Partition) (*sparse.DistMatrix, error) {
+// HaloPlan returns the halo plan of a partition, through the plan
+// cache when the app was built by a constructor. Apps assembled as
+// bare struct literals (plans nil) fall back to direct construction.
+func (app *SLESApp) HaloPlan(part sparse.Partition) (*sparse.HaloPlan, error) {
 	if app.plans != nil {
 		return app.plans.Get(part)
 	}
-	return sparse.NewDistMatrix(app.A, part)
+	return sparse.NewHaloPlan(app.A, part)
 }
 
 // Objective adapts Run to the tuning engine for the given machine.

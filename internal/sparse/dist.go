@@ -14,48 +14,163 @@ import (
 // memory traffic folded into an effective factor.
 const FlopsPerNNZ = 8.0
 
+// HaloLeg is one leg of a halo exchange: the peer rank and how many
+// vector entries travel on it per product.
+type HaloLeg struct {
+	Peer, Count int
+}
+
+// haloRank is one rank's share of a HaloPlan.
+type haloRank struct {
+	lo, hi int
+	nnz    int
+	// nGhost is the number of distinct remote columns the rank reads.
+	nGhost int
+	// send and recv list the halo legs in increasing peer order.
+	send, recv []HaloLeg
+}
+
+// HaloPlan is the cost skeleton of a matrix under a row partition:
+// per rank the row range, the stored entries, and how many vector
+// entries it ships to and receives from every neighbour during a
+// product. That is everything the virtual clocks of a distributed
+// product depend on, in a few hundred bytes; the index lists and
+// kernel tables that move and multiply actual values are DistMatrix's.
+// A HaloPlan is immutable after construction and safe for concurrent
+// use by many simulated worlds at once.
+type HaloPlan struct {
+	ranks []haloRank
+}
+
+// NewHaloPlan builds the halo plan of a under the given partition.
+func NewHaloPlan(a *CSR, part Partition) (*HaloPlan, error) {
+	hp, _, err := newHaloPlan(a, part, false)
+	return hp, err
+}
+
+// newHaloPlan walks the CSR once. stamp[c] == r+1 marks column c as
+// already counted for rank r, so repeated references deduplicate
+// without sorting, and without clearing between ranks. With
+// wantGhosts it also returns, per rank, the distinct remote columns
+// in discovery order.
+func newHaloPlan(a *CSR, part Partition, wantGhosts bool) (*HaloPlan, [][]int, error) {
+	if err := part.Validate(a.N); err != nil {
+		return nil, nil, err
+	}
+	p := part.P()
+	hp := &HaloPlan{ranks: make([]haloRank, p)}
+	var ghosts [][]int
+	if wantGhosts {
+		ghosts = make([][]int, p)
+	}
+	stamp := make([]int32, a.N)
+	from := make([]int, p) // distinct ghosts of the current rank, by owner
+	for r := 0; r < p; r++ {
+		h := &hp.ranks[r]
+		h.lo, h.hi = part.Range(r)
+		h.nnz = a.RowNNZ(h.lo, h.hi)
+		for _, c := range a.Col[a.RowPtr[h.lo]:a.RowPtr[h.hi]] {
+			if (c >= h.lo && c < h.hi) || stamp[c] == int32(r+1) {
+				continue
+			}
+			stamp[c] = int32(r + 1)
+			from[part.OwnerOf(c)]++
+			if wantGhosts {
+				ghosts[r] = append(ghosts[r], c)
+			}
+		}
+		// Sends mirror needs; visiting receivers in increasing order
+		// keeps every send list sorted by peer too.
+		for peer, n := range from {
+			if n == 0 {
+				continue
+			}
+			h.recv = append(h.recv, HaloLeg{Peer: peer, Count: n})
+			hp.ranks[peer].send = append(hp.ranks[peer].send, HaloLeg{Peer: r, Count: n})
+			h.nGhost += n
+			from[peer] = 0
+		}
+	}
+	return hp, ghosts, nil
+}
+
+// LocalSize returns the number of rows rank owns.
+func (hp *HaloPlan) LocalSize(rank int) int {
+	return hp.ranks[rank].hi - hp.ranks[rank].lo
+}
+
+// LocalNNZ returns the stored entries in rank's rows.
+func (hp *HaloPlan) LocalNNZ(rank int) int { return hp.ranks[rank].nnz }
+
+// HaloBytes returns the total bytes rank receives per MatVec.
+func (hp *HaloPlan) HaloBytes(rank int) int {
+	return 8 * hp.ranks[rank].nGhost
+}
+
+// MaxLocalNNZ returns the largest per-rank nonzero count: the load
+// gate of every synchronised solver iteration.
+func (hp *HaloPlan) MaxLocalNNZ() int {
+	var m int
+	for r := range hp.ranks {
+		if hp.ranks[r].nnz > m {
+			m = hp.ranks[r].nnz
+		}
+	}
+	return m
+}
+
+// Legs returns rank's send and receive legs, each in increasing peer
+// order. The slices are the plan's own: read-only.
+func (hp *HaloPlan) Legs(rank int) (send, recv []HaloLeg) {
+	return hp.ranks[rank].send, hp.ranks[rank].recv
+}
+
+// MatVecCost charges rank r what one distributed product costs — the
+// sends, receives and local flops of DistMatrix.MatVecInto, in the
+// same order and of the same sizes — without carrying or multiplying
+// any values, so every virtual clock ends where the numeric product
+// would leave it.
+//
+//harmonyvet:allocfree
+func (hp *HaloPlan) MatVecCost(r *simmpi.Rank, tag int) {
+	h := &hp.ranks[r.ID()]
+	for _, leg := range h.send {
+		r.SendBytes(leg.Peer, tag, 8*leg.Count)
+	}
+	for _, leg := range h.recv {
+		r.Recv(leg.Peer, tag)
+	}
+	r.Compute(FlopsPerNNZ * float64(h.nnz))
+}
+
 // DistMatrix is a CSR matrix plus a row partition with precomputed
-// communication plans: for every rank, which vector entries it must
-// receive from (and send to) every other rank during a MatVec.
+// communication plans: the partition's HaloPlan, and on top of it, for
+// every rank, which vector entries travel on each leg and the
+// rank-local kernel tables.
 //
 // A DistMatrix is immutable after construction and safe for
-// concurrent use by many simulated worlds at once, which is what lets
-// PlanCache share one instance across the evaluations of a whole
-// tuning campaign.
+// concurrent use by many simulated worlds at once.
 type DistMatrix struct {
 	A    *CSR
 	Part Partition
+	*HaloPlan
 
 	plans []rankPlan
 	// wsPools recycles per-rank MatVec workspaces (one pool per rank,
 	// so a recycled workspace is always sized for the rank that
 	// acquires it). sync.Pool keeps the DistMatrix safe to share
-	// across the concurrent worlds of a parallel tuning campaign.
+	// across concurrently simulated worlds.
 	wsPools []sync.Pool
 }
 
-// neighbor is one leg of a halo exchange: the peer rank and the
-// global indices travelling on that leg (sorted ascending).
-type neighbor struct {
-	rank int
-	idx  []int
-	// off is the slot offset of this leg's entries in the receiving
-	// rank's ghost buffer (meaningful on recv legs only): ghosts from
-	// one peer occupy a contiguous slot range because both the ghost
-	// list and the row partition are sorted.
-	off int
-}
-
+// rankPlan is what the numeric product needs beyond the halo plan.
 type rankPlan struct {
-	lo, hi int
-	nnz    int
-	// send and recv list the halo legs in increasing peer order.
-	send []neighbor
-	recv []neighbor
-	// ghosts is the sorted list of remote global indices this rank
-	// reads; nGhost == len(ghosts).
-	ghosts []int
-	nGhost int
+	// sendIdx[i] lists the global indices travelling on send leg i,
+	// ascending (it aliases the receiver's sorted ghost list). Receive
+	// legs need no list: the ghost list and the row partition are both
+	// sorted, so the ghosts of successive legs occupy successive slot
+	// ranges of the operand's ghost section.
+	sendIdx [][]int
 	// colIdx maps each stored entry of the rank's rows (offset by the
 	// rank's first entry) to its slot in the packed operand vector:
 	// local columns map to [0, hi-lo), remote columns to hi-lo+slot.
@@ -76,82 +191,54 @@ type rankPlan struct {
 	diag []int32
 }
 
-// NewDistMatrix distributes a over the given partition. Plans are
-// built with sorted-slice set construction: per rank the remote
-// columns are collected, sorted, and deduplicated once, and because
-// the partition is contiguous the sorted ghost list splits into
-// per-peer runs without any map bookkeeping.
+// NewDistMatrix distributes a over the given partition: the halo plan,
+// plus the index lists and kernel tables of the numeric product. Each
+// rank's distinct remote columns (few, already deduplicated by the
+// plan's walk) are sorted once; because the partition is contiguous
+// the sorted list splits into per-peer runs of the plan's leg counts.
 func NewDistMatrix(a *CSR, part Partition) (*DistMatrix, error) {
-	if err := part.Validate(a.N); err != nil {
+	hp, ghosts, err := newHaloPlan(a, part, true)
+	if err != nil {
 		return nil, err
 	}
 	p := part.P()
-	dm := &DistMatrix{A: a, Part: part, plans: make([]rankPlan, p)}
-
-	// Pass 1: per rank, the sorted deduplicated remote columns.
+	dm := &DistMatrix{A: a, Part: part, HaloPlan: hp, plans: make([]rankPlan, p)}
 	for r := 0; r < p; r++ {
-		pl := &dm.plans[r]
-		lo, hi := part.Range(r)
-		pl.lo, pl.hi = lo, hi
-		pl.nnz = a.RowNNZ(lo, hi)
-		ghosts := make([]int, 0, 16)
-		for k := a.RowPtr[lo]; k < a.RowPtr[hi]; k++ {
-			if c := a.Col[k]; c < lo || c >= hi {
-				ghosts = append(ghosts, c)
-			}
-		}
-		sort.Ints(ghosts)
-		ghosts = dedupSorted(ghosts)
-		pl.ghosts = ghosts
-		pl.nGhost = len(ghosts)
-
-		// Split the sorted ghost list into per-owner runs: owners are
-		// non-decreasing along the sorted list.
-		for i := 0; i < len(ghosts); {
-			owner := part.OwnerOf(ghosts[i])
-			_, ohi := part.Range(owner)
-			j := i + 1
-			for j < len(ghosts) && ghosts[j] < ohi {
-				j++
-			}
-			pl.recv = append(pl.recv, neighbor{rank: owner, idx: ghosts[i:j], off: i})
-			i = j
+		sort.Ints(ghosts[r])
+		off := 0
+		for _, leg := range hp.ranks[r].recv {
+			pl := &dm.plans[leg.Peer]
+			pl.sendIdx = append(pl.sendIdx, ghosts[r][off:off+leg.Count])
+			off += leg.Count
 		}
 	}
-	// Pass 2: sends mirror needs. Appending in increasing receiver
-	// order keeps each send list sorted by peer.
+	// The operand index map, the compressed per-rank row offsets, and
+	// the diagonal map.
 	for r := 0; r < p; r++ {
-		for _, nb := range dm.plans[r].recv {
-			dm.plans[nb.rank].send = append(dm.plans[nb.rank].send, neighbor{rank: r, idx: nb.idx})
+		h, pl := &hp.ranks[r], &dm.plans[r]
+		nloc := h.hi - h.lo
+		if h.nnz != int(int32(h.nnz)) {
+			return nil, fmt.Errorf("sparse: rank %d holds %d entries, beyond the int32 plan offsets", r, h.nnz)
 		}
-	}
-	// Pass 3: the operand index map, the compressed per-rank row
-	// offsets, and the diagonal map.
-	for r := 0; r < p; r++ {
-		pl := &dm.plans[r]
-		nloc := pl.hi - pl.lo
-		if pl.nnz != int(int32(pl.nnz)) {
-			return nil, fmt.Errorf("sparse: rank %d holds %d entries, beyond the int32 plan offsets", r, pl.nnz)
-		}
-		pl.colIdx = make([]int32, pl.nnz)
+		pl.colIdx = make([]int32, h.nnz)
 		pl.rowOff = make([]int32, nloc+1)
 		pl.diag = make([]int32, nloc)
-		base := a.RowPtr[pl.lo]
+		base := a.RowPtr[h.lo]
 		for i := 0; i < nloc; i++ {
-			pl.rowOff[i] = int32(a.RowPtr[pl.lo+i] - base)
+			pl.rowOff[i] = int32(a.RowPtr[h.lo+i] - base)
 			pl.diag[i] = -1
 		}
-		pl.rowOff[nloc] = int32(pl.nnz)
-		for k := base; k < a.RowPtr[pl.hi]; k++ {
+		pl.rowOff[nloc] = int32(h.nnz)
+		for k := base; k < a.RowPtr[h.hi]; k++ {
 			c := a.Col[k]
-			if c >= pl.lo && c < pl.hi {
-				pl.colIdx[k-base] = int32(c - pl.lo)
+			if c >= h.lo && c < h.hi {
+				pl.colIdx[k-base] = int32(c - h.lo)
 			} else {
-				pl.colIdx[k-base] = int32(nloc + sort.SearchInts(pl.ghosts, c))
+				pl.colIdx[k-base] = int32(nloc + sort.SearchInts(ghosts[r], c))
 			}
 		}
 		for i := 0; i < nloc; i++ {
-			row := pl.lo + i
+			row := h.lo + i
 			for k := a.RowPtr[row]; k < a.RowPtr[row+1]; k++ {
 				if a.Col[k] == row {
 					pl.diag[i] = int32(k - base)
@@ -162,45 +249,6 @@ func NewDistMatrix(a *CSR, part Partition) (*DistMatrix, error) {
 	}
 	dm.wsPools = make([]sync.Pool, p)
 	return dm, nil
-}
-
-// dedupSorted removes adjacent duplicates in place.
-func dedupSorted(xs []int) []int {
-	if len(xs) == 0 {
-		return xs
-	}
-	out := xs[:1]
-	for _, x := range xs[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// LocalSize returns the number of rows rank owns.
-func (dm *DistMatrix) LocalSize(rank int) int {
-	return dm.plans[rank].hi - dm.plans[rank].lo
-}
-
-// LocalNNZ returns the stored entries in rank's rows.
-func (dm *DistMatrix) LocalNNZ(rank int) int { return dm.plans[rank].nnz }
-
-// HaloBytes returns the total bytes rank receives per MatVec.
-func (dm *DistMatrix) HaloBytes(rank int) int {
-	return 8 * dm.plans[rank].nGhost
-}
-
-// MaxLocalNNZ returns the largest per-rank nonzero count: the load
-// gate of every synchronised solver iteration.
-func (dm *DistMatrix) MaxLocalNNZ() int {
-	var m int
-	for r := range dm.plans {
-		if dm.plans[r].nnz > m {
-			m = dm.plans[r].nnz
-		}
-	}
-	return m
 }
 
 // Workspace holds one rank's MatVec scratch: the packed operand
@@ -257,8 +305,7 @@ func (dm *DistMatrix) ReleaseWorkspace(rank int, ws *Workspace) {
 // should hold a Workspace and use MatVecInto instead.
 func (dm *DistMatrix) MatVec(r *simmpi.Rank, tag int, x []float64) []float64 {
 	ws := dm.AcquireWorkspace(r.ID())
-	nloc := dm.plans[r.ID()].hi - dm.plans[r.ID()].lo
-	y := make([]float64, nloc)
+	y := make([]float64, dm.LocalSize(r.ID()))
 	dm.matVec(r, tag, x, ws, y)
 	dm.ReleaseWorkspace(r.ID(), ws)
 	return y
@@ -274,15 +321,14 @@ func (dm *DistMatrix) MatVec(r *simmpi.Rank, tag int, x []float64) []float64 {
 //
 //harmonyvet:allocfree
 func (dm *DistMatrix) MatVecInto(ws *Workspace, r *simmpi.Rank, tag int, x []float64) []float64 {
-	nloc := dm.plans[r.ID()].hi - dm.plans[r.ID()].lo
-	ws.y = grow(ws.y, nloc)
+	ws.y = grow(ws.y, dm.LocalSize(r.ID()))
 	dm.matVec(r, tag, x, ws, ws.y)
 	return ws.y
 }
 
 func (dm *DistMatrix) matVec(r *simmpi.Rank, tag int, x []float64, ws *Workspace, y []float64) {
-	plan := &dm.plans[r.ID()]
-	nloc := plan.hi - plan.lo
+	h, plan := &dm.ranks[r.ID()], &dm.plans[r.ID()]
+	nloc := h.hi - h.lo
 	if len(x) != nloc {
 		panic(fmt.Sprintf("sparse: rank %d MatVec got %d entries, owns %d", r.ID(), len(x), nloc))
 	}
@@ -290,29 +336,31 @@ func (dm *DistMatrix) matVec(r *simmpi.Rank, tag int, x []float64, ws *Workspace
 	// comes from the world's recycled-payload free lists and is handed
 	// to the machine without a defensive copy; the receiving rank
 	// donates it back once unpacked.
-	for _, nb := range plan.send {
-		vals := r.AcquireBuf(len(nb.idx))
-		for i, g := range nb.idx {
-			vals[i] = x[g-plan.lo]
+	for i, leg := range h.send {
+		vals := r.AcquireBuf(leg.Count)
+		for k, g := range plan.sendIdx[i] {
+			vals[k] = x[g-h.lo]
 		}
-		r.SendOwned(nb.rank, tag, vals)
+		r.SendOwned(leg.Peer, tag, vals)
 	}
 	// Operand vector: local entries followed by ghost slots. Ghosts
 	// from one peer land in one contiguous copy.
-	ws.xbuf = grow(ws.xbuf, nloc+plan.nGhost)
+	ws.xbuf = grow(ws.xbuf, nloc+h.nGhost)
 	xbuf := ws.xbuf
 	copy(xbuf, x)
-	for _, nb := range plan.recv {
-		vals := r.Recv(nb.rank, tag)
-		if len(vals) != len(nb.idx) {
-			panic(fmt.Sprintf("sparse: rank %d expected %d ghosts from %d, got %d", r.ID(), len(nb.idx), nb.rank, len(vals)))
+	off := nloc
+	for _, leg := range h.recv {
+		vals := r.Recv(leg.Peer, tag)
+		if len(vals) != leg.Count {
+			panic(fmt.Sprintf("sparse: rank %d expected %d ghosts from %d, got %d", r.ID(), leg.Count, leg.Peer, len(vals)))
 		}
-		copy(xbuf[nloc+nb.off:], vals)
+		copy(xbuf[off:], vals)
+		off += leg.Count
 		r.ReleaseBuf(vals)
 	}
-	base := dm.A.RowPtr[plan.lo]
-	matVecKernel(y, dm.A.Val[base:base+plan.nnz], plan.rowOff, plan.colIdx, xbuf)
-	r.Compute(FlopsPerNNZ * float64(plan.nnz))
+	base := dm.A.RowPtr[h.lo]
+	matVecKernel(y, dm.A.Val[base:base+h.nnz], plan.rowOff, plan.colIdx, xbuf)
+	r.Compute(FlopsPerNNZ * float64(h.nnz))
 }
 
 // matVecKernel is the rank-local inner product: y[i] sums row i of
@@ -381,12 +429,11 @@ func matVecKernel(y, val []float64, rowOff, ci []int32, xbuf []float64) {
 //
 //harmonyvet:allocfree
 func (dm *DistMatrix) InvDiagInto(rank int, dst []float64) []float64 {
-	plan := &dm.plans[rank]
-	nloc := plan.hi - plan.lo
-	dst = grow(dst, nloc)
-	base := dm.A.RowPtr[plan.lo]
-	val := dm.A.Val[base : base+plan.nnz]
-	for i, off := range plan.diag {
+	h := &dm.ranks[rank]
+	dst = grow(dst, h.hi-h.lo)
+	base := dm.A.RowPtr[h.lo]
+	val := dm.A.Val[base : base+h.nnz]
+	for i, off := range dm.plans[rank].diag {
 		d := 0.0
 		if off >= 0 {
 			d = val[off]
@@ -401,49 +448,49 @@ func (dm *DistMatrix) InvDiagInto(rank int, dst []float64) []float64 {
 
 // Scatter splits a global vector into the local slice for rank.
 func (dm *DistMatrix) Scatter(rank int, global []float64) []float64 {
-	plan := &dm.plans[rank]
-	return append([]float64(nil), global[plan.lo:plan.hi]...)
+	h := &dm.ranks[rank]
+	return append([]float64(nil), global[h.lo:h.hi]...)
 }
 
-// PlanCache memoises DistMatrix construction per partition for one
-// matrix: a tuning campaign that revisits a decomposition pays the
-// ghost-list/plan computation once and reuses the frozen plans for
-// every later evaluation. Safe for concurrent use.
+// PlanCache memoises halo plans per partition for one matrix: a tuning
+// campaign that revisits a decomposition (or predicts it before
+// running it) walks the CSR once and reuses the frozen plan for every
+// later evaluation. Safe for concurrent use.
 type PlanCache struct {
 	a  *CSR
 	mu sync.Mutex
-	m  map[string]*DistMatrix
+	m  map[string]*HaloPlan
 }
 
 // NewPlanCache returns an empty plan cache for matrix a.
 func NewPlanCache(a *CSR) *PlanCache {
-	return &PlanCache{a: a, m: make(map[string]*DistMatrix)}
+	return &PlanCache{a: a, m: make(map[string]*HaloPlan)}
 }
 
-// Get returns the DistMatrix for the partition, building and caching
-// it on first use.
-func (pc *PlanCache) Get(part Partition) (*DistMatrix, error) {
+// Get returns the halo plan of the partition, building and caching it
+// on first use.
+func (pc *PlanCache) Get(part Partition) (*HaloPlan, error) {
 	key := partitionKey(part)
 	pc.mu.Lock()
-	if dm, ok := pc.m[key]; ok {
+	if hp, ok := pc.m[key]; ok {
 		pc.mu.Unlock()
-		return dm, nil
+		return hp, nil
 	}
 	pc.mu.Unlock()
 	// Build outside the lock: plan construction is the expensive part
 	// and concurrent builders of the same key converge to equal plans.
-	dm, err := NewDistMatrix(pc.a, part)
+	hp, err := NewHaloPlan(pc.a, part)
 	if err != nil {
 		return nil, err
 	}
 	pc.mu.Lock()
 	if prior, ok := pc.m[key]; ok {
-		dm = prior // keep the first: identical, and callers may share
+		hp = prior // keep the first: identical, and callers may share
 	} else {
-		pc.m[key] = dm
+		pc.m[key] = hp
 	}
 	pc.mu.Unlock()
-	return dm, nil
+	return hp, nil
 }
 
 // Len reports the number of distinct partitions cached.
@@ -468,6 +515,23 @@ func partitionKey(part Partition) string {
 // VecFlops is the compute cost per element of a vector update.
 const VecFlops = 2.0
 
+// VecCost charges rank r one pass over an n-element local vector: the
+// whole cost of an axpy, and the local part of a dot product.
+//
+//harmonyvet:allocfree
+func VecCost(r *simmpi.Rank, n int) {
+	r.Compute(VecFlops * float64(n))
+}
+
+// DotCost charges rank r what Dot costs on n-element local vectors —
+// the local pass and the scalar allreduce — without the values.
+//
+//harmonyvet:allocfree
+func DotCost(r *simmpi.Rank, n int) {
+	VecCost(r, n)
+	r.Allreduce1(simmpi.Sum, 0)
+}
+
 // Dot computes the global dot product of two distributed vectors from
 // inside a rank: local partial plus an allreduce.
 //
@@ -477,7 +541,7 @@ func Dot(r *simmpi.Rank, a, b []float64) float64 {
 	for i := range a {
 		s += a[i] * b[i]
 	}
-	r.Compute(VecFlops * float64(len(a)))
+	VecCost(r, len(a))
 	return r.Allreduce1(simmpi.Sum, s)
 }
 
@@ -488,5 +552,5 @@ func Axpy(r *simmpi.Rank, alpha float64, x, y []float64) {
 	for i := range y {
 		y[i] += alpha * x[i]
 	}
-	r.Compute(VecFlops * float64(len(y)))
+	VecCost(r, len(y))
 }

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"harmony/internal/simmpi"
@@ -104,5 +105,33 @@ func TestPlanCacheReusesPlans(t *testing.T) {
 	}
 	if pc.Len() != 3 {
 		t.Errorf("Len = %d after shifted boundary, want 3", pc.Len())
+	}
+}
+
+// TestPresizedBuilderSameMatrix checks that sizing the triplet builder
+// up front changed nothing but the garbage: each generator's matrix is
+// deeply equal to the one the same emit loop produces on a builder
+// that starts empty and grows by doubling, and — the update counts
+// being exact — a sized build performs a fixed handful of allocations.
+func TestPresizedBuilderSameMatrix(t *testing.T) {
+	blocks := RandomBlocks(600, 3, 60, 11)
+	cases := []struct {
+		name           string
+		sized, unsized func() *CSR
+	}{
+		{"band-4000", func() *CSR { return VariableBandLaplacian(4000, 16, 100, 2) },
+			func() *CSR { return variableBandLaplacian(newBuilder(4000, 0), 16, 100, 2) }},
+		{"band-odd", func() *CSR { return VariableBandLaplacian(333, 2, 120, 5) },
+			func() *CSR { return variableBandLaplacian(newBuilder(333, 0), 2, 120, 5) }},
+		{"dense-600", func() *CSR { return DenseBlockLaplacian(600, blocks) },
+			func() *CSR { return denseBlockLaplacian(newBuilder(600, 0), blocks) }},
+	}
+	for _, tc := range cases {
+		if got, want := tc.sized(), tc.unsized(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: presized build differs from the unsized one", tc.name)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { tc.sized() }); allocs > 12 {
+			t.Errorf("%s: %v allocs per sized build, want <= 12 (update count too low: the triplet slices grew)", tc.name, allocs)
+		}
 	}
 }

@@ -74,8 +74,12 @@ type builder struct {
 	trips []triplet
 }
 
-func newBuilder(n int) *builder {
-	return &builder{n: n}
+// newBuilder returns a builder for an n×n matrix with room for the
+// given number of updates: generators know (or cheaply count) how many
+// they emit, and growing the triplet slices by doubling instead costs
+// several times the finished matrix in garbage.
+func newBuilder(n, updates int) *builder {
+	return &builder{n: n, rowOf: make([]int, 0, updates), trips: make([]triplet, 0, updates)}
 }
 
 func (b *builder) add(i, j int, v float64) {
@@ -141,7 +145,7 @@ func (b *builder) build() *CSR {
 // on an nx×ny grid with Dirichlet boundaries: the matrix of the
 // paper's first PETSc example (SLES on a linear system). N = nx·ny.
 func Poisson2D(nx, ny int) *CSR {
-	b := newBuilder(nx * ny)
+	b := newBuilder(nx*ny, 5*nx*ny)
 	idx := func(i, j int) int { return j*nx + i }
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
@@ -176,7 +180,15 @@ type Block struct {
 // couplings into remote references, exactly the effect shown in the
 // paper's Fig. 2(a) (boundary A versus boundary B).
 func DenseBlockLaplacian(n int, blocks []Block) *CSR {
-	b := newBuilder(n)
+	updates := 3 * n
+	for _, blk := range blocks {
+		updates += blk.Size * blk.Size
+	}
+	return denseBlockLaplacian(newBuilder(n, updates), blocks)
+}
+
+func denseBlockLaplacian(b *builder, blocks []Block) *CSR {
+	n := b.n
 	for i := 0; i < n; i++ {
 		b.set(i, i, 4)
 		if i > 0 {
@@ -217,12 +229,22 @@ func VariableBandLaplacian(n, minBand, maxBand, waves int) *CSR {
 	if minBand < 2 || maxBand < minBand || n < maxBand {
 		panic(fmt.Sprintf("sparse: bad band spec n=%d band=[%d,%d]", n, minBand, maxBand))
 	}
-	b := newBuilder(n)
-	band := func(i int) int {
-		phase := 2 * math.Pi * float64(waves) * float64(i) / float64(n)
-		w := float64(minBand) + (float64(maxBand-minBand))*(0.5+0.5*math.Sin(phase))
-		return int(w)
+	updates := n
+	for i := 0; i < n; i++ {
+		updates += 2 * min(bandAt(n, minBand, maxBand, waves, i)/2, n-1-i)
 	}
+	return variableBandLaplacian(newBuilder(n, updates), minBand, maxBand, waves)
+}
+
+// bandAt is the band width of row i of VariableBandLaplacian.
+func bandAt(n, minBand, maxBand, waves, i int) int {
+	phase := 2 * math.Pi * float64(waves) * float64(i) / float64(n)
+	w := float64(minBand) + (float64(maxBand-minBand))*(0.5+0.5*math.Sin(phase))
+	return int(w)
+}
+
+func variableBandLaplacian(b *builder, minBand, maxBand, waves int) *CSR {
+	n := b.n
 	// off accumulates each row's absolute off-diagonal mass in the
 	// order the entries are emitted: a fixed order, so the diagonal
 	// (and hence the whole matrix) is deterministic to the bit. The
@@ -230,7 +252,7 @@ func VariableBandLaplacian(n, minBand, maxBand, waves int) *CSR {
 	// bitwise-different diagonals between runs.
 	off := make([]float64, n)
 	for i := 0; i < n; i++ {
-		half := band(i) / 2
+		half := bandAt(n, minBand, maxBand, waves, i) / 2
 		for k := 1; k <= half && i+k < n; k++ {
 			v := -1.0 / float64(k)
 			b.set(i, i+k, v)

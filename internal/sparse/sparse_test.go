@@ -277,6 +277,12 @@ func TestNewDistMatrixRejectsBadPartition(t *testing.T) {
 	if _, err := NewDistMatrix(a, Partition{Starts: []int{0, 20}}); err == nil {
 		t.Error("expected error for partition not covering matrix")
 	}
+	if _, err := NewDistMatrix(a, Partition{}); err == nil {
+		t.Error("expected error for the zero partition")
+	}
+	if _, err := NewHaloPlan(a, Partition{Starts: []int{0, 8, 8, 16}}); err == nil {
+		t.Error("expected error for an empty range")
+	}
 }
 
 func TestDotAndAxpySimulated(t *testing.T) {

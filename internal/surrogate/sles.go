@@ -29,11 +29,13 @@ func cfgInt(vals map[string]string, name string) (int, bool) {
 
 // SLES predicts the Fig. 2 PETSc linear-solver objective: a fixed
 // number of CG iterations whose time is gated by the heaviest rank of
-// the tuned matrix decomposition. The model walks the CSR structure
-// of the partition — per-rank nonzeros, local rows, and distinct
-// ghost columns grouped by owner — and prices one iteration as the
-// slowest rank's matrix and vector flops plus its halo exchange, plus
-// the two scalar allreduces of the CG recurrence.
+// the tuned matrix decomposition. The model reads the partition's
+// halo plan — per-rank nonzeros, local rows, and distinct ghost
+// columns grouped by owner, from the application's plan cache, so a
+// candidate that is predicted and then kept walks the CSR once — and
+// prices one iteration as the slowest rank's matrix and vector flops
+// plus its halo exchange, plus the two scalar allreduces of the CG
+// recurrence.
 type SLES struct {
 	app   *petscsim.SLESApp
 	m     *cluster.Machine
@@ -62,48 +64,31 @@ func (s *SLES) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 			return 0, false
 		}
 	}
-	part := s.app.PartitionFor(cfg)
-	p := part.P()
-	a := s.app.A
-
-	// Distinct ghost columns per (owner, peer) pair: ghosts[r][peer]
-	// is how many remote entries rank r must receive from peer each
-	// MatVec. A stamp array deduplicates repeated column references
-	// within a rank without clearing between ranks.
-	ghosts := make([][]int, p)
-	stamp := make([]int, a.N)
-	for r := 0; r < p; r++ {
-		ghosts[r] = make([]int, p)
-		lo, hi := part.Range(r)
-		for idx := a.RowPtr[lo]; idx < a.RowPtr[hi]; idx++ {
-			c := a.Col[idx]
-			if (c >= lo && c < hi) || stamp[c] == r+1 {
-				continue
-			}
-			stamp[c] = r + 1
-			ghosts[r][part.OwnerOf(c)]++
-		}
+	hp, err := s.app.HaloPlan(s.app.PartitionFor(cfg))
+	if err != nil {
+		return 0, false
 	}
 
 	// Per iteration: MatVec (sparse flops + halo), five length-nloc
 	// vector operations (two dots, two axpys, the p-update), and two
 	// scalar allreduces. The slowest rank gates the iteration.
 	worst := 0.0
-	for r := 0; r < p; r++ {
-		lo, hi := part.Range(r)
-		nloc := float64(hi - lo)
-		nnz := float64(a.RowNNZ(lo, hi))
+	for r := 0; r < s.app.P; r++ {
+		nloc := float64(hp.LocalSize(r))
+		nnz := float64(hp.LocalNNZ(r))
 		t := (sparse.FlopsPerNNZ*nnz + 5*sparse.VecFlops*nloc) / s.m.SpeedOf(r)
-		for peer := 0; peer < p; peer++ {
-			if peer == r {
-				continue
-			}
-			if ghosts[peer][r] > 0 { // we ship owned entries to peer
-				t += s.m.LinkBetween(r, peer).Overhead
-			}
-			if n := ghosts[r][peer]; n > 0 { // we wait for our ghosts
-				link := s.m.LinkBetween(peer, r)
-				t += link.Latency + 8*float64(n)/link.Bandwidth
+		// Both leg lists are in increasing peer order; merging them
+		// (a peer's send before its receive) fixes the summation order.
+		send, recv := hp.Legs(r)
+		for len(send) > 0 || len(recv) > 0 {
+			if len(recv) == 0 || (len(send) > 0 && send[0].Peer <= recv[0].Peer) {
+				// we ship owned entries to the peer
+				t += s.m.LinkBetween(r, send[0].Peer).Overhead
+				send = send[1:]
+			} else { // we wait for our ghosts
+				link := s.m.LinkBetween(recv[0].Peer, r)
+				t += link.Latency + 8*float64(recv[0].Count)/link.Bandwidth
+				recv = recv[1:]
 			}
 		}
 		if t > worst {

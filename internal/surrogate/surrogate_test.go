@@ -2,6 +2,7 @@ package surrogate
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"harmony/internal/cluster"
@@ -9,6 +10,7 @@ import (
 	"harmony/internal/petscsim"
 	"harmony/internal/pop"
 	"harmony/internal/space"
+	"harmony/internal/sparse"
 )
 
 // decode turns a name→value map into a (Point, Config) pair of sp.
@@ -213,4 +215,79 @@ func atoi(t *testing.T, s string) int {
 		t.Fatalf("atoi %q: %v", s, err)
 	}
 	return n
+}
+
+// slesPredictByScan is the predictor as it was before it read the
+// shared halo plan: a private stamp-array walk into a dense
+// ghosts[r][peer] table, priced peer by peer. Kept as the reference
+// for the bit-equality test below.
+func slesPredictByScan(app *petscsim.SLESApp, m *cluster.Machine, cfg space.Config) float64 {
+	part := app.PartitionFor(cfg)
+	p, a := part.P(), app.A
+	ghosts := make([][]int, p)
+	stamp := make([]int, a.N)
+	for r := 0; r < p; r++ {
+		ghosts[r] = make([]int, p)
+		lo, hi := part.Range(r)
+		for idx := a.RowPtr[lo]; idx < a.RowPtr[hi]; idx++ {
+			c := a.Col[idx]
+			if (c >= lo && c < hi) || stamp[c] == r+1 {
+				continue
+			}
+			stamp[c] = r + 1
+			ghosts[r][part.OwnerOf(c)]++
+		}
+	}
+	worst := 0.0
+	for r := 0; r < p; r++ {
+		lo, hi := part.Range(r)
+		t := (sparse.FlopsPerNNZ*float64(a.RowNNZ(lo, hi)) + 5*sparse.VecFlops*float64(hi-lo)) / m.SpeedOf(r)
+		for peer := 0; peer < p; peer++ {
+			if peer == r {
+				continue
+			}
+			if ghosts[peer][r] > 0 {
+				t += m.LinkBetween(r, peer).Overhead
+			}
+			if n := ghosts[r][peer]; n > 0 {
+				link := m.LinkBetween(peer, r)
+				t += link.Latency + 8*float64(n)/link.Bandwidth
+			}
+		}
+		if t > worst {
+			worst = t
+		}
+	}
+	g := LogGP{M: m, N: app.P}
+	return float64(app.Iterations)*(worst+2*g.TreeCost(8)) + g.TreeCost(8)
+}
+
+// TestSLESPredictMatchesScanBitwise pins that pricing from the halo
+// plan changed no prediction: 50 seeded random points on the dense-
+// block matrix (on a machine with two link classes) and on the Fig. 2
+// band matrix give the same float64 bits as the scan.
+func TestSLESPredictMatchesScanBitwise(t *testing.T) {
+	cases := []struct {
+		app *petscsim.SLESApp
+		m   *cluster.Machine
+	}{
+		{petscsim.NewSLESApp(600, 4, 3, 60, 11), cluster.Seaborg(2, 2)},
+		{petscsim.NewBandSLESApp(4000, 16, 4, 100, 2), cluster.Seaborg(16, 1)},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range cases {
+		model := NewSLES(tc.app, tc.m)
+		sp := tc.app.Space()
+		for i := 0; i < 50; i++ {
+			pt := make(space.Point, tc.app.P)
+			for d := range pt {
+				pt[d] = rng.Int63n(1000)
+			}
+			cfg := sp.MustDecode(pt)
+			got, ok := model.Predict(pt, cfg)
+			if want := slesPredictByScan(tc.app, tc.m, cfg); !ok || got != want {
+				t.Fatalf("n=%d point %v: Predict = %v (ok %v), scan = %v", tc.app.A.N, pt, got, ok, want)
+			}
+		}
+	}
 }
