@@ -1,11 +1,11 @@
-// Pipelined-engine regression pins: the async engine's contract is
-// that its issue/commit trace — and therefore the whole Result — is a
-// pure function of the strategy and the pipeline depth, never of the
-// worker count. Each campaign below runs under core.TuneAsync at
-// workers 1, 4 and 8 and every fingerprint must be bit-identical to
+// Async-session regression pins: the engine's contract is that the
+// issue/commit trace — and therefore the whole Result — is a pure
+// function of the strategy and the window depth, never of the worker
+// count. Each campaign below runs under core.Tune with Options.Async
+// at workers 1, 4 and 8 and every fingerprint must be bit-identical to
 // the one golden recorded for the campaign. The simplex campaign goes
 // through the AsAsync round-buffering adapter, the ensemble campaign
-// through its native pipelined implementation, so both commit paths
+// through its native pipelined implementation, so both strategy views
 // are pinned.
 //
 // Regenerate (only when a change is *meant* to alter results) with:
@@ -87,7 +87,7 @@ func TestAsyncCampaignFingerprints(t *testing.T) {
 				t.Fatalf("no golden fingerprint recorded for %s; got %s", name, prints[1])
 			}
 			if prints[1] != want {
-				t.Errorf("campaign %s diverged from the recorded pipeline engine:\n got %s\nwant %s", name, prints[1], want)
+				t.Errorf("campaign %s diverged from the recorded Async session:\n got %s\nwant %s", name, prints[1], want)
 			}
 		})
 	}
@@ -95,12 +95,12 @@ func TestAsyncCampaignFingerprints(t *testing.T) {
 
 // TestAsyncSimplexMatchesRoundEngine pins the strongest form of the
 // accounting-parity claim: the same simplex campaign produces a
-// bit-identical Result under the round-barrier engine and under the
-// pipelined engine, because the AsAsync adapter buffers exactly one
-// round and commits it in proposal order. If this ever diverges, the
-// adapter changed observable semantics, not just scheduling.
+// bit-identical Result with Options.Async off and on, because the
+// AsAsync adapter buffers exactly one round and commits it in
+// proposal order. If this ever diverges, the adapter changed
+// observable semantics, not just scheduling.
 func TestAsyncSimplexMatchesRoundEngine(t *testing.T) {
 	if got, want := asyncGoldens["table3-async-simplex"], campaignGoldens["table3-gs2-resolution"]; got != want {
-		t.Errorf("async simplex golden diverged from the round-engine golden:\n got %s\nwant %s", got, want)
+		t.Errorf("async simplex golden diverged from the round-at-a-time golden:\n got %s\nwant %s", got, want)
 	}
 }

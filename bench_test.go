@@ -9,9 +9,7 @@ package harmony_test
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"harmony"
 	"harmony/internal/cluster"
@@ -23,7 +21,6 @@ import (
 	"harmony/internal/simmpi"
 	"harmony/internal/space"
 	"harmony/internal/sparse"
-	"harmony/internal/surrogate"
 	"harmony/internal/trace"
 )
 
@@ -271,58 +268,6 @@ func BenchmarkFig6GS2Distribution(b *testing.B) {
 	b.ReportMetric(100*frac, "%within-1.6x-of-best")
 }
 
-// BenchmarkTuneParallel measures the wall-clock benefit of the
-// parallel evaluation engine on a PRO session against the Fig. 2
-// PETSc decomposition objective. Each evaluation pays a real-time
-// job-launch latency on top of the simulated execution — the re-run
-// and warm-up costs the paper charges to tuning time — and parallel
-// workers overlap those launches. Accounting (charged runs, best
-// value) is identical at every worker count; compare ns/op across the
-// sub-benchmarks for the speedup.
-func BenchmarkTuneParallel(b *testing.B) {
-	app := petscsim.NewSLESApp(600, 4, 3, 60, 11)
-	m := cluster.Seaborg(4, 1)
-	const launch = 10 * time.Millisecond
-	base := app.Objective(m)
-	obj := func(ctx context.Context, cfg space.Config) (float64, error) {
-		select {
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		case <-time.After(launch):
-		}
-		return base(ctx, cfg)
-	}
-	counts := []int{1, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		counts = append(counts, n)
-	}
-	var runs1 int
-	var best1 float64
-	for _, workers := range counts {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				sp := app.Space()
-				var err error
-				res, err = core.Tune(context.Background(), sp,
-					search.NewPRO(sp, search.PROOptions{Seed: 11}),
-					obj, core.Options{MaxRuns: 50, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if workers == 1 {
-				runs1, best1 = res.Runs, res.BestValue
-			} else if res.Runs != runs1 || res.BestValue > best1 {
-				b.Fatalf("workers=%d: runs=%d best=%v, sequential runs=%d best=%v",
-					workers, res.Runs, res.BestValue, runs1, best1)
-			}
-			b.ReportMetric(float64(res.Runs), "runs")
-		})
-	}
-}
-
 // --- Component micro-benchmarks ---
 
 // BenchmarkSimplexProposals measures the raw proposal rate of the
@@ -556,168 +501,5 @@ func BenchmarkDistMatVecWorkspace(b *testing.B) {
 	})
 	if err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkCampaignThroughput measures end-to-end campaign throughput
-// in evaluated configurations per second at several worker counts:
-// the number the whole PR optimises for, since a tuning session's
-// real-time cost is (configs needed) / (configs per second). Two
-// campaign shapes cover the two hot paths: the Fig. 2 PETSc
-// decomposition (sparse MatVec dominated, PRO search so workers get
-// parallel proposal batches) and the Table 3 GS2 resolution sweep,
-// whose sequential simplex is the round-barrier engine's worst case.
-//
-// Each campaign runs under both engines. engine=round is the
-// per-round barrier (Tune/TuneParallel as before this PR);
-// engine=pipeline is the asynchronous issue/commit engine, with the
-// Table 3 campaign searched by the bandit ensemble — the strategy
-// built to keep the candidate queue full — instead of the one-point-
-// in-flight simplex. cmd/benchjson pairs the round and pipeline
-// numbers per campaign when it assembles the CI artifact. The
-// per-run worker-occupancy and queue-starvation counters ride along
-// as extra metrics.
-func BenchmarkCampaignThroughput(b *testing.B) {
-	type campaign struct {
-		name string
-		run  func() (*core.Result, error)
-	}
-	fig2 := func(workers int, async bool) func() (*core.Result, error) {
-		app := petscsim.NewSLESApp(600, 4, 3, 60, 11)
-		m := cluster.Seaborg(4, 1)
-		return func() (*core.Result, error) {
-			sp := app.Space()
-			return core.Tune(context.Background(), sp,
-				search.NewPRO(sp, search.PROOptions{Seed: 11}),
-				app.Objective(m), core.Options{MaxRuns: 40, Workers: workers, Async: async})
-		}
-	}
-	table3 := func(workers int, async bool) func() (*core.Result, error) {
-		base := gs2.DefaultConfig()
-		base.Steps = 10
-		return func() (*core.Result, error) {
-			sp := gs2.ResolutionSpace(64)
-			var strat search.Strategy
-			if async {
-				strat = search.NewEnsemble(sp, search.EnsembleOptions{Seed: 11, Budget: 35})
-			} else {
-				strat = search.NewSimplex(sp, search.SimplexOptions{
-					Start: gs2.ResolutionStart(sp, 16, 26, 32), StepFraction: 0.5, Restarts: 12})
-			}
-			return core.Tune(context.Background(), sp, strat,
-				gs2.ResolutionObjective(gs2.LinuxCluster, base),
-				core.Options{MaxRuns: 35, Workers: workers, Async: async})
-		}
-	}
-	engines := []struct {
-		name  string
-		async bool
-	}{{"round", false}, {"pipeline", true}}
-	for _, workers := range []int{1, 4, 8} {
-		for _, eng := range engines {
-			for _, c := range []campaign{
-				{name: "fig2", run: fig2(workers, eng.async)},
-				{name: "table3", run: table3(workers, eng.async)},
-			} {
-				c := c
-				b.Run(fmt.Sprintf("%s/engine=%s/workers=%d", c.name, eng.name, workers), func(b *testing.B) {
-					configs := 0
-					var res *core.Result
-					for i := 0; i < b.N; i++ {
-						var err error
-						res, err = c.run()
-						if err != nil {
-							b.Fatal(err)
-						}
-						configs += res.Runs
-					}
-					b.ReportMetric(float64(configs)/b.Elapsed().Seconds(), "configs/sec")
-					b.ReportMetric(100*res.WorkerOccupancy, "occupancy-pct")
-					b.ReportMetric(float64(res.QueueStarved), "starved-refills")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkSurrogateCampaign measures what the surrogate layer buys:
-// the same candidate stream tuned with and without model-guided
-// pruning, on the two campaigns where evaluations are the cost. The
-// fig2-large campaign screens a 100-candidate random pool of 16-rank
-// band-matrix decompositions — the Section IV workload whose MatVec
-// made it the motivation for this layer — with the SLES LogGP
-// predictor at an aggressive keep fraction; the table3 campaign is
-// the GS2 resolution simplex with the registry defaults. The
-// surrogate=on sub-benchmarks report sim-runs (simulated evaluations
-// actually paid for) and evals-avoided-x (the paper-facing savings
-// ratio), and fail outright if the pruned campaign's best is worse
-// than the full campaign's: the layer must save evaluations, not
-// quality. Compare ns/op between off and on for the wall-clock
-// speedup.
-func BenchmarkSurrogateCampaign(b *testing.B) {
-	type campaign struct {
-		name string
-		sur  *core.SurrogateOptions
-		run  func(sur *core.SurrogateOptions) (*core.Result, error)
-	}
-	fig2App := petscsim.NewBandSLESApp(6000, 16, 4, 120, 2)
-	fig2M := cluster.Seaborg(16, 1)
-	table3Base := gs2.DefaultConfig()
-	table3Base.Steps = 10
-	campaigns := []campaign{
-		{
-			name: "fig2-large",
-			sur: &core.SurrogateOptions{
-				Model: surrogate.NewSLES(fig2App, fig2M), Keep: 0.1, Tolerance: 0.02},
-			run: func(sur *core.SurrogateOptions) (*core.Result, error) {
-				sp := fig2App.Space()
-				return core.Tune(context.Background(), sp,
-					search.NewRandom(sp, 11, 100),
-					fig2App.Objective(fig2M), core.Options{Surrogate: sur})
-			},
-		},
-		{
-			name: "table3",
-			sur:  &core.SurrogateOptions{Model: surrogate.For("table3-gs2")},
-			run: func(sur *core.SurrogateOptions) (*core.Result, error) {
-				sp := gs2.ResolutionSpace(64)
-				return core.Tune(context.Background(), sp,
-					search.NewSimplex(sp, search.SimplexOptions{
-						Start: gs2.ResolutionStart(sp, 16, 26, 32), StepFraction: 0.5, Restarts: 12}),
-					gs2.ResolutionObjective(gs2.LinuxCluster, table3Base),
-					core.Options{MaxProposals: 200, Surrogate: sur})
-			},
-		},
-	}
-	for _, c := range campaigns {
-		c := c
-		baseline, err := c.run(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(c.name+"/surrogate=off", func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				if res, err = c.run(nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Runs), "sim-runs")
-		})
-		b.Run(c.name+"/surrogate=on", func(b *testing.B) {
-			var res *core.Result
-			for i := 0; i < b.N; i++ {
-				if res, err = c.run(c.sur); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if res.BestValue > baseline.BestValue {
-				b.Fatalf("surrogate lost quality: best %v, full campaign %v",
-					res.BestValue, baseline.BestValue)
-			}
-			b.ReportMetric(float64(res.Runs), "sim-runs")
-			b.ReportMetric(float64(res.SurrogatePruned), "pruned")
-			b.ReportMetric(float64(baseline.Runs)/float64(res.Runs), "evals-avoided-x")
-		})
 	}
 }

@@ -72,18 +72,19 @@ type Spec struct {
 	Machine  string `json:"machine"`
 	Strategy string `json:"strategy"`
 	MaxRuns  int    `json:"max_runs"`
-	// Workers is the number of benchmarking runs to keep in flight at
-	// once (distinct configurations launched concurrently). The
-	// command must tolerate concurrent invocations. 0 or 1 runs
-	// sequentially; the -workers flag overrides.
+	// Workers is the number of evaluations in flight: benchmarking
+	// runs of distinct configurations launched concurrently. The
+	// command must tolerate concurrent invocations. 0 or 1 runs one
+	// at a time; the -workers flag overrides.
 	Workers int `json:"workers"`
-	// Async selects the pipelined evaluation engine: benchmarking runs
-	// are issued from a bounded candidate queue and committed back to
-	// the strategy in issue order, so workers never wait at a round
-	// barrier. The -async flag overrides.
+	// Async bounds the window of issued configurations at AsyncDepth
+	// and lets pipelined strategies issue ahead of their outstanding
+	// results, instead of issuing one round and draining it before the
+	// next. Results are committed to the strategy in issue order
+	// either way. The -async flag overrides.
 	Async bool `json:"async"`
-	// AsyncDepth bounds the candidate queue of the pipelined engine
-	// (0 = engine default); the -async-depth flag overrides.
+	// AsyncDepth is the window bound of an Async session (0 = engine
+	// default); the -async-depth flag overrides.
 	AsyncDepth int               `json:"async_depth"`
 	Metric     string            `json:"metric"`
 	Seed       int64             `json:"seed"`
@@ -112,9 +113,9 @@ func main() {
 	flag.StringVar(&opts.historyPath, "history", "", "tuning-history file for seeding and recording")
 	flag.StringVar(&opts.cachePath, "cache", "", "persistent evaluation-cache file: repeated configurations are answered from prior sessions instead of re-run")
 	flag.StringVar(&opts.cacheNS, "cache-ns", "", "evaluation-cache namespace: campaigns in different namespaces never share measurements (empty = shared)")
-	flag.IntVar(&opts.workers, "workers", 0, "concurrent benchmarking runs (overrides the spec; 0/1 = sequential)")
-	flag.BoolVar(&opts.async, "async", false, "use the pipelined evaluation engine: runs issue from a bounded candidate queue with no per-round barrier (overrides the spec)")
-	flag.IntVar(&opts.asyncDepth, "async-depth", 0, "candidate-queue depth of the pipelined engine (overrides the spec; 0 = default)")
+	flag.IntVar(&opts.workers, "workers", 0, "evaluations in flight: benchmarking runs launched concurrently (overrides the spec; 0/1 = one at a time)")
+	flag.BoolVar(&opts.async, "async", false, "bound the window at -async-depth and let pipelined strategies issue ahead, instead of draining each round before the next (overrides the spec)")
+	flag.IntVar(&opts.asyncDepth, "async-depth", 0, "window bound under -async: issued configurations awaiting their result (overrides the spec; 0 = default)")
 	flag.DurationVar(&opts.runTimeout, "run-timeout", 0, "kill a benchmarking run exceeding this and count it failed (0 = no limit)")
 	flag.BoolVar(&opts.surrogate, "surrogate", false, "screen proposals with the analytic performance model for the spec's app: only the top-ranked fraction of each round is actually run (errors when no model covers the app)")
 	flag.Float64Var(&opts.surrogateKeep, "surrogate-keep", 0, "fraction of each proposal round the surrogate actually runs, 0 < keep <= 1 (0 = default)")
@@ -267,8 +268,8 @@ func run(specPath string, cli cliOptions) error {
 	if res.SpeculativeRuns > 0 {
 		fmt.Printf("  speculative runs: %d launched ahead of need, %d used\n", res.SpeculativeRuns, res.SpeculativeHits)
 	}
-	if spec.Async {
-		fmt.Printf("  pipeline: worker occupancy %.0f%%, %d starved refills, %d idle slots\n",
+	if spec.Workers > 1 {
+		fmt.Printf("  window: worker occupancy %.0f%%, %d starved refills, %d idle slots\n",
 			100*res.WorkerOccupancy, res.QueueStarved, res.IdleSlots)
 	}
 	if cli.surrogate {

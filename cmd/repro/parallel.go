@@ -12,13 +12,13 @@ import (
 	"harmony/internal/space"
 )
 
-// runParallel demonstrates the parallel evaluation engine: the PRO
-// algorithm was designed for many simultaneous tuning clients, so
-// every independent trial of a round can be a concurrently running
-// job. The experiment tunes the Fig. 2 PETSc matrix decomposition
-// with PRO sequentially and with a worker pool, checks the two
-// sessions produce the identical search (same runs, same best — the
-// engine's determinism guarantee), and compares wall-clock time.
+// runParallel demonstrates evaluations in flight: the PRO algorithm
+// was designed for many simultaneous tuning clients, so every
+// independent trial of a round can be a concurrently running job. The
+// experiment tunes the Fig. 2 PETSc matrix decomposition with PRO at
+// one worker and at several, checks the two sessions produce the
+// identical search (same runs, same best — the engine's determinism
+// guarantee), and compares wall-clock time.
 //
 // Each evaluation is charged a real-time job-launch latency on top of
 // the simulated execution, modelling the costs the paper insists on
@@ -84,14 +84,14 @@ func runParallel(o options) error {
 	fmt.Printf("parallel  (%d workers): %3d runs, best %.4f s at run %d, wall %.2fs\n",
 		workers, par.res.Runs, par.res.BestValue, par.res.BestAtRun, par.wall.Seconds())
 	if seq.res.Runs != par.res.Runs || seq.res.BestValue != par.res.BestValue {
-		return fmt.Errorf("parallel engine diverged from sequential: runs %d vs %d, best %v vs %v",
+		return fmt.Errorf("parallel session diverged from sequential: runs %d vs %d, best %v vs %v",
 			seq.res.Runs, par.res.Runs, seq.res.BestValue, par.res.BestValue)
 	}
 	fmt.Printf("identical search, %.2fx wall-clock speedup from overlapping job launches\n",
 		seq.wall.Seconds()/par.wall.Seconds())
 
 	// The sequential simplex cannot batch, but it can speculate: while
-	// a reflection runs, spare workers prefetch the expansion and
+	// a reflection runs, idle workers prefetch the expansion and
 	// contraction candidates that may be proposed next.
 	simplexRun := func(w int) (outcome, error) {
 		start := time.Now()

@@ -11,9 +11,8 @@
 //     Harmony kernel), coordinate descent, random, systematic
 //     sampling, and exhaustive enumeration,
 //   - the off-line iterative tuner (Tune) that drives an application
-//     objective through representative short runs, and its parallel
-//     counterpart (TuneParallel) that keeps several evaluations in
-//     flight at once,
+//     objective through representative short runs, keeping up to
+//     Options.Workers evaluations in flight at once,
 //   - the on-line client/server protocol (Server, Client) with which
 //     a running application fetches configurations and reports
 //     performance,
@@ -168,20 +167,14 @@ func SurrogateFor(app string) Surrogate { return surrogate.For(app) }
 // Tune drives a strategy against an objective: the off-line iterative
 // tuning mode the paper adds to Active Harmony. Evaluations are
 // memoised, budgets and cancellation are honoured, and the full trial
-// log is returned. Setting Options.Workers > 1 routes the session
-// through TuneParallel.
+// log is returned. Up to Options.Workers objective evaluations are in
+// flight at once: whole rounds of a BatchStrategy run concurrently and
+// sequential strategies that implement Speculator have their likely
+// follow-ups prefetched. Accounting is deterministic and identical for
+// every worker count; with Workers > 1 the objective must tolerate
+// concurrent calls.
 func Tune(ctx context.Context, sp *Space, strat Strategy, obj Objective, opt Options) (*Result, error) {
 	return core.Tune(ctx, sp, strat, obj, opt)
-}
-
-// TuneParallel is Tune with up to Options.Workers objective
-// evaluations in flight at once: whole rounds of a BatchStrategy are
-// fanned out over a worker pool and sequential strategies that
-// implement Speculator have their likely follow-ups prefetched.
-// Accounting is deterministic and identical to Tune for every worker
-// count; the objective must tolerate concurrent calls.
-func TuneParallel(ctx context.Context, sp *Space, strat Strategy, obj Objective, opt Options) (*Result, error) {
-	return core.TuneParallel(ctx, sp, strat, obj, opt)
 }
 
 // Multi-metric objectives (the paper's Section VII fidelity

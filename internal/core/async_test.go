@@ -26,10 +26,10 @@ func asyncStrategies(sp *space.Space) map[string]func() search.Strategy {
 	}
 }
 
-// TestTuneAsyncDeterministicAcrossWorkers pins the pipelined engine's
-// headline property: the issue/commit trace depends on AsyncDepth and
-// the strategy, never on Workers, so every Result field except
-// WorkerOccupancy is bit-identical for 1, 4, and 8 workers.
+// TestTuneAsyncDeterministicAcrossWorkers pins the headline property
+// of an Async session: the issue/commit trace depends on AsyncDepth
+// and the strategy, never on Workers, so the accounts, the trial log
+// and the starvation counters are identical for 1, 4, and 8 workers.
 func TestTuneAsyncDeterministicAcrossWorkers(t *testing.T) {
 	sp := parallelSpace(t)
 	for name, mk := range asyncStrategies(sp) {
@@ -38,8 +38,8 @@ func TestTuneAsyncDeterministicAcrossWorkers(t *testing.T) {
 			var fingerprints []string
 			var results []*Result
 			for _, workers := range []int{1, 4, 8} {
-				res, err := TuneAsync(context.Background(), sp, mk(), parBowl,
-					Options{MaxRuns: maxRuns, RunOverhead: 3, Workers: workers})
+				res, err := Tune(context.Background(), sp, mk(), parBowl,
+					Options{MaxRuns: maxRuns, RunOverhead: 3, Workers: workers, Async: true})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -72,20 +72,20 @@ func TestTuneAsyncDeterministicAcrossWorkers(t *testing.T) {
 
 // TestTuneAsyncMatchesSequentialTune verifies that pipelining is a
 // wall-clock optimisation, not a semantic change: for strategies
-// whose batch view replays the sequential state machine, the
-// pipelined engine reproduces Tune's accounting exactly.
+// whose batch view replays the sequential state machine, an Async
+// session reproduces the reference loop's accounting exactly.
 func TestTuneAsyncMatchesSequentialTune(t *testing.T) {
 	sp := parallelSpace(t)
 	for _, name := range []string{"simplex", "pro", "random"} {
 		mk := asyncStrategies(sp)[name]
 		t.Run(name, func(t *testing.T) {
 			opt := Options{MaxRuns: 50, RunOverhead: 1}
-			seq, err := Tune(context.Background(), sp, mk(), parBowl, opt)
+			seq, err := referenceTune(context.Background(), sp, mk(), parBowl, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt.Workers = 4
-			async, err := TuneAsync(context.Background(), sp, mk(), parBowl, opt)
+			opt.Workers, opt.Async = 4, true
+			async, err := Tune(context.Background(), sp, mk(), parBowl, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,37 +94,19 @@ func TestTuneAsyncMatchesSequentialTune(t *testing.T) {
 	}
 }
 
-// TestTuneOptionsAsyncDelegates verifies the Options.Async routing in
-// Tune.
-func TestTuneOptionsAsyncDelegates(t *testing.T) {
-	sp := parallelSpace(t)
-	mk := asyncStrategies(sp)["simplex"]
-	direct, err := TuneAsync(context.Background(), sp, mk(), parBowl,
-		Options{MaxRuns: 30, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	routed, err := Tune(context.Background(), sp, mk(), parBowl,
-		Options{MaxRuns: 30, Workers: 4, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCampaign(t, "async routing", routed, direct)
-}
-
 // TestTuneAsyncStopBelow verifies the session ends at the earliest
 // qualifying measured commit and that candidates issued beyond it are
 // discarded, not charged.
 func TestTuneAsyncStopBelow(t *testing.T) {
 	sp := parallelSpace(t)
-	opt := Options{MaxRuns: 200, StopBelow: 30, Workers: 4}
-	seq, err := Tune(context.Background(), sp,
+	opt := Options{MaxRuns: 200, StopBelow: 30, Workers: 4, Async: true}
+	seq, err := referenceTune(context.Background(), sp,
 		search.NewSimplex(sp, search.SimplexOptions{Restarts: 3}), parBowl,
 		Options{MaxRuns: 200, StopBelow: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, err := TuneAsync(context.Background(), sp,
+	async, err := Tune(context.Background(), sp,
 		search.NewSimplex(sp, search.SimplexOptions{Restarts: 3}), parBowl, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +119,7 @@ func TestTuneAsyncStopBelow(t *testing.T) {
 
 // TestTuneAsyncFailuresMemoised verifies failed runs are charged the
 // overhead, memoised, and replayed to duplicate proposals exactly as
-// in Tune.
+// in the reference loop.
 func TestTuneAsyncFailuresMemoised(t *testing.T) {
 	sp := parallelSpace(t)
 	boom := errors.New("boom")
@@ -148,35 +130,35 @@ func TestTuneAsyncFailuresMemoised(t *testing.T) {
 		return parBowl(ctx, cfg)
 	}
 	mk := func() search.Strategy { return search.NewPRO(sp, search.PROOptions{Seed: 5}) }
-	seq, err := Tune(context.Background(), sp, mk(), obj, Options{MaxRuns: 40, RunOverhead: 2})
+	seq, err := referenceTune(context.Background(), sp, mk(), obj, Options{MaxRuns: 40, RunOverhead: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, err := TuneAsync(context.Background(), sp, mk(), obj,
-		Options{MaxRuns: 40, RunOverhead: 2, Workers: 4})
+	async, err := Tune(context.Background(), sp, mk(), obj,
+		Options{MaxRuns: 40, RunOverhead: 2, Workers: 4, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if async.Failures == 0 {
-		t.Fatal("objective failures never reached the async engine")
+		t.Fatal("objective failures never reached the Async session")
 	}
 	sameCampaign(t, "failures", async, seq)
 }
 
 // TestTuneAsyncEvalCacheTransparent verifies Options.Cache changes
-// only the CacheHits/CacheMisses diagnostics under the pipelined
-// engine, exactly as PR 5 pinned for the other engines.
+// only the CacheHits/CacheMisses diagnostics of an Async session,
+// exactly as for a round-at-a-time one.
 func TestTuneAsyncEvalCacheTransparent(t *testing.T) {
 	sp := parallelSpace(t)
 	mk := func() search.Strategy { return search.NewPRO(sp, search.PROOptions{Seed: 9}) }
-	opt := Options{MaxRuns: 40, RunOverhead: 2, Workers: 4}
-	bare, err := TuneAsync(context.Background(), sp, mk(), parBowl, opt)
+	opt := Options{MaxRuns: 40, RunOverhead: 2, Workers: 4, Async: true}
+	bare, err := Tune(context.Background(), sp, mk(), parBowl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := history.NewEvalCache().Bound("bowl", "m", sp)
 	opt.Cache = cache
-	cold, err := TuneAsync(context.Background(), sp, mk(), parBowl, opt)
+	cold, err := Tune(context.Background(), sp, mk(), parBowl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +167,7 @@ func TestTuneAsyncEvalCacheTransparent(t *testing.T) {
 		calls.Add(1)
 		return parBowl(ctx, cfg)
 	}
-	warm, err := TuneAsync(context.Background(), sp, mk(), counted, opt)
+	warm, err := Tune(context.Background(), sp, mk(), counted, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +182,7 @@ func TestTuneAsyncEvalCacheTransparent(t *testing.T) {
 }
 
 // TestTuneAsyncSurrogatePerCandidate verifies the surrogate gate
-// screens every candidate of the pipeline individually: pruned
+// screens every candidate of an Async session individually: pruned
 // proposals carry the prediction in the trial log but are invisible
 // to Runs, TuningCost, Best, and the evaluation cache — the PR 8
 // invariants, per candidate instead of per round.
@@ -212,9 +194,9 @@ func TestTuneAsyncSurrogatePerCandidate(t *testing.T) {
 		return parBowl(ctx, cfg)
 	}
 	cache := history.NewEvalCache().Bound("bowl", "m", sp)
-	res, err := TuneAsync(context.Background(), sp,
+	res, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 17}), counted,
-		Options{MaxRuns: 200, MaxProposals: 200, RunOverhead: 3, Workers: 4,
+		Options{MaxRuns: 200, MaxProposals: 200, RunOverhead: 3, Workers: 4, Async: true,
 			Cache:     cache,
 			Surrogate: &SurrogateOptions{Model: perfectModel}})
 	if err != nil {
@@ -256,13 +238,13 @@ func TestTuneAsyncSurrogatePerCandidate(t *testing.T) {
 // keeps the queue fed.
 func TestTuneAsyncStarvationObservable(t *testing.T) {
 	sp := parallelSpace(t)
-	opt := Options{MaxRuns: 60, Workers: 4}
-	simplex, err := TuneAsync(context.Background(), sp,
+	opt := Options{MaxRuns: 60, Workers: 4, Async: true}
+	simplex, err := Tune(context.Background(), sp,
 		search.NewSimplex(sp, search.SimplexOptions{Restarts: 3}), parBowl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ensemble, err := TuneAsync(context.Background(), sp,
+	ensemble, err := Tune(context.Background(), sp,
 		search.NewEnsemble(sp, search.EnsembleOptions{Seed: 17, Budget: 150}), parBowl, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -285,9 +267,9 @@ func TestTuneAsyncOccupancy(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		return parBowl(ctx, cfg)
 	}
-	res, err := TuneAsync(context.Background(), sp,
+	res, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 17}), slow,
-		Options{MaxRuns: 40, Workers: 4})
+		Options{MaxRuns: 40, Workers: 4, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,21 +295,21 @@ func TestTuneAsyncContextCancel(t *testing.T) {
 		}
 		return parBowl(ctx, cfg)
 	}
-	_, err := TuneAsync(ctx, sp, search.NewPRO(sp, search.PROOptions{Seed: 17}), obj,
-		Options{MaxRuns: 500, Workers: 4})
+	_, err := Tune(ctx, sp, search.NewPRO(sp, search.PROOptions{Seed: 17}), obj,
+		Options{MaxRuns: 500, Workers: 4, Async: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// TestTuneAsyncSpeculativeSimplex verifies the pipelined engine
+// TestTuneAsyncSpeculativeSimplex verifies an Async session
 // prefetches a stalled simplex's follow-up candidates and charges a
 // consumed prefetch exactly like an on-demand run.
 func TestTuneAsyncSpeculativeSimplex(t *testing.T) {
 	sp := parallelSpace(t)
-	res, err := TuneAsync(context.Background(), sp,
+	res, err := Tune(context.Background(), sp,
 		search.NewSimplex(sp, search.SimplexOptions{Restarts: 3}), parBowl,
-		Options{MaxRuns: 60, Workers: 4})
+		Options{MaxRuns: 60, Workers: 4, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}

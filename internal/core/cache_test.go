@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -21,29 +22,34 @@ func countingBowl(calls *atomic.Int64) Objective {
 }
 
 // sameCampaign asserts that two results describe the identical
-// campaign: the cache must change only the CacheHits/CacheMisses
-// diagnostics, never the accounts the paper's cost model reports.
+// campaign, account by account and trial by trial on exact float
+// bits: caches, worker counts and Async may change only diagnostics
+// (CacheHits/CacheMisses, speculation, starvation, occupancy), never
+// the accounts the paper's cost model reports.
 func sameCampaign(t *testing.T, label string, got, want *Result) {
 	t.Helper()
-	if got.Runs != want.Runs || got.Proposals != want.Proposals || got.Failures != want.Failures {
-		t.Errorf("%s: (Runs, Proposals, Failures) = (%d, %d, %d), want (%d, %d, %d)",
-			label, got.Runs, got.Proposals, got.Failures, want.Runs, want.Proposals, want.Failures)
+	bits := math.Float64bits
+	if got.Runs != want.Runs || got.Proposals != want.Proposals || got.Failures != want.Failures || got.Converged != want.Converged {
+		t.Errorf("%s: (Runs, Proposals, Failures, Converged) = (%d, %d, %d, %t), want (%d, %d, %d, %t)",
+			label, got.Runs, got.Proposals, got.Failures, got.Converged, want.Runs, want.Proposals, want.Failures, want.Converged)
 	}
-	if !got.Best.Equal(want.Best) || got.BestValue != want.BestValue || got.BestAtRun != want.BestAtRun {
+	if !got.Best.Equal(want.Best) || bits(got.BestValue) != bits(want.BestValue) || got.BestAtRun != want.BestAtRun {
 		t.Errorf("%s: best (%v, %v, run %d), want (%v, %v, run %d)",
 			label, got.Best, got.BestValue, got.BestAtRun, want.Best, want.BestValue, want.BestAtRun)
 	}
-	if got.TuningCost != want.TuningCost {
-		t.Errorf("%s: TuningCost = %v, want %v", label, got.TuningCost, want.TuningCost)
+	if bits(got.FirstValue) != bits(want.FirstValue) || bits(got.TuningCost) != bits(want.TuningCost) {
+		t.Errorf("%s: (FirstValue, TuningCost) = (%v, %v), want (%v, %v)",
+			label, got.FirstValue, got.TuningCost, want.FirstValue, want.TuningCost)
 	}
 	if len(got.Trials) != len(want.Trials) {
 		t.Fatalf("%s: %d trials, want %d", label, len(got.Trials), len(want.Trials))
 	}
 	for i := range want.Trials {
 		g, w := got.Trials[i], want.Trials[i]
-		if !g.Point.Equal(w.Point) || g.Value != w.Value || g.Cached != w.Cached || g.Run != w.Run {
-			t.Errorf("%s: trial %d = {pt %v v %v cached %v run %d}, want {pt %v v %v cached %v run %d}",
-				label, i, g.Point, g.Value, g.Cached, g.Run, w.Point, w.Value, w.Cached, w.Run)
+		if g.Proposal != w.Proposal || g.Run != w.Run || !g.Point.Equal(w.Point) ||
+			bits(g.Value) != bits(w.Value) || g.Cached != w.Cached || (g.Err != nil) != (w.Err != nil) {
+			t.Fatalf("%s: trial %d = {proposal %d run %d pt %v v %v cached %t err %v}, want {proposal %d run %d pt %v v %v cached %t err %v}",
+				label, i, g.Proposal, g.Run, g.Point, g.Value, g.Cached, g.Err, w.Proposal, w.Run, w.Point, w.Value, w.Cached, w.Err)
 		}
 	}
 }
@@ -88,8 +94,8 @@ func TestTuneEvalCacheTransparent(t *testing.T) {
 	}
 }
 
-// TestTuneParallelEvalCacheTransparent is the same contract for the
-// parallel engine at several worker counts: the warm-cache campaign
+// TestTuneParallelEvalCacheTransparent is the same contract for
+// whole rounds at several worker counts: the warm-cache campaign
 // is identical to the uncached baseline and runs nothing.
 func TestTuneParallelEvalCacheTransparent(t *testing.T) {
 	sp := bowlSpace(t)
@@ -98,9 +104,9 @@ func TestTuneParallelEvalCacheTransparent(t *testing.T) {
 		return search.NewPRO(sp, search.PROOptions{Seed: 7})
 	}
 
-	base, err := TuneParallel(context.Background(), sp, newStrat(), bowl, opt)
+	base, err := Tune(context.Background(), sp, newStrat(), bowl, opt)
 	if err != nil {
-		t.Fatalf("TuneParallel (uncached): %v", err)
+		t.Fatalf("Tune (uncached): %v", err)
 	}
 
 	for _, workers := range []int{1, 4} {
@@ -108,9 +114,9 @@ func TestTuneParallelEvalCacheTransparent(t *testing.T) {
 		copt := opt
 		copt.Cache = cache
 		copt.Workers = workers
-		cold, err := TuneParallel(context.Background(), sp, newStrat(), bowl, copt)
+		cold, err := Tune(context.Background(), sp, newStrat(), bowl, copt)
 		if err != nil {
-			t.Fatalf("TuneParallel (cold, workers=%d): %v", workers, err)
+			t.Fatalf("Tune (cold, workers=%d): %v", workers, err)
 		}
 		sameCampaign(t, "cold", cold, base)
 		if cold.CacheHits != 0 {
@@ -118,9 +124,9 @@ func TestTuneParallelEvalCacheTransparent(t *testing.T) {
 		}
 
 		var calls atomic.Int64
-		warm, err := TuneParallel(context.Background(), sp, newStrat(), countingBowl(&calls), copt)
+		warm, err := Tune(context.Background(), sp, newStrat(), countingBowl(&calls), copt)
 		if err != nil {
-			t.Fatalf("TuneParallel (warm, workers=%d): %v", workers, err)
+			t.Fatalf("Tune (warm, workers=%d): %v", workers, err)
 		}
 		sameCampaign(t, "warm", warm, base)
 		if warm.CacheHits != warm.Runs {

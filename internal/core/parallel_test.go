@@ -38,9 +38,9 @@ func resultFingerprint(r *Result) string {
 		r.Runs, r.Proposals, r.Failures, r.BestValue, r.BestAtRun, r.FirstValue, r.TuningCost, len(r.Trials))
 }
 
-// TestTuneParallelDeterministicAcrossWorkers verifies the issue's
-// headline property: with a fixed seed, TuneParallel produces
-// identical accounting — same BestValue, same Runs, same trial
+// TestTuneParallelDeterministicAcrossWorkers verifies the engine's
+// headline property: with a fixed seed, Tune produces identical
+// accounting — same BestValue, same Runs, same trial
 // sequence — for 1 and 8 workers, for PRO and random search, and
 // never exceeds MaxRuns.
 func TestTuneParallelDeterministicAcrossWorkers(t *testing.T) {
@@ -55,7 +55,7 @@ func TestTuneParallelDeterministicAcrossWorkers(t *testing.T) {
 			var fingerprints []string
 			var trials [][]Trial
 			for _, workers := range []int{1, 8} {
-				res, err := TuneParallel(context.Background(), sp, mk(), parBowl,
+				res, err := Tune(context.Background(), sp, mk(), parBowl,
 					Options{MaxRuns: maxRuns, RunOverhead: 3, Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
@@ -80,10 +80,10 @@ func TestTuneParallelDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTuneParallelMatchesSequentialTune verifies the batch engine
-// reproduces the sequential engine's accounting exactly for natively
-// batched strategies: batching is a wall-clock optimisation, not a
-// semantic change.
+// TestTuneParallelMatchesSequentialTune verifies that issuing a whole
+// round at once reproduces the reference sequential loop's accounting
+// exactly for natively batched strategies: batching is a wall-clock
+// optimisation, not a semantic change.
 func TestTuneParallelMatchesSequentialTune(t *testing.T) {
 	sp := parallelSpace(t)
 	for _, name := range []string{"pro", "random"} {
@@ -95,12 +95,12 @@ func TestTuneParallelMatchesSequentialTune(t *testing.T) {
 				return search.NewRandom(sp, 3, 120)
 			}
 			opt := Options{MaxRuns: 50, RunOverhead: 1}
-			seq, err := Tune(context.Background(), sp, mk(), parBowl, opt)
+			seq, err := referenceTune(context.Background(), sp, mk(), parBowl, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opt.Workers = 4
-			par, err := TuneParallel(context.Background(), sp, mk(), parBowl, opt)
+			par, err := Tune(context.Background(), sp, mk(), parBowl, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestTuneParallelInFlightDedup(t *testing.T) {
 		v := float64(cfg.Int("x") - 2)
 		return v*v + 1, nil
 	}
-	res, err := TuneParallel(context.Background(), sp,
+	res, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 1}), obj,
 		Options{MaxRuns: 10, Workers: 4})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestTuneParallelStopBelow(t *testing.T) {
 	sp := parallelSpace(t)
 	var prints []string
 	for _, workers := range []int{1, 6} {
-		res, err := TuneParallel(context.Background(), sp,
+		res, err := Tune(context.Background(), sp,
 			search.NewRandom(sp, 11, 500), parBowl,
 			Options{MaxRuns: 400, StopBelow: 900, Workers: workers})
 		if err != nil {
@@ -182,20 +182,20 @@ func TestTuneParallelStopBelow(t *testing.T) {
 // TestTuneParallelSpeculativeSimplex verifies the speculative simplex
 // path: with spare workers the engine prefetches expansion and
 // contraction candidates, the search trajectory and charged accounting
-// are identical to the sequential engine, and the speculation is
-// visible in the result.
+// are identical to the reference sequential loop, and the speculation
+// is visible in the result.
 func TestTuneParallelSpeculativeSimplex(t *testing.T) {
 	sp := parallelSpace(t)
 	mk := func() search.Strategy {
 		return search.NewSimplex(sp, search.SimplexOptions{Restarts: 2})
 	}
 	opt := Options{MaxRuns: 60, RunOverhead: 2}
-	seq, err := Tune(context.Background(), sp, mk(), parBowl, opt)
+	seq, err := referenceTune(context.Background(), sp, mk(), parBowl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = 4
-	par, err := TuneParallel(context.Background(), sp, mk(), parBowl, opt)
+	par, err := Tune(context.Background(), sp, mk(), parBowl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +209,19 @@ func TestTuneParallelSpeculativeSimplex(t *testing.T) {
 	if par.SpeculativeHits == 0 {
 		t.Fatal("no speculative evaluation was ever used; the simplex always follows a reflection with expansion or contraction")
 	}
-	if seq.SpeculativeRuns != 0 || seq.SpeculativeHits != 0 {
-		t.Fatalf("sequential engine reported speculation: %d/%d", seq.SpeculativeRuns, seq.SpeculativeHits)
+	one, err := Tune(context.Background(), sp, mk(), parBowl, Options{MaxRuns: 60, RunOverhead: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.SpeculativeRuns != 0 || one.SpeculativeHits != 0 {
+		t.Fatalf("a single worker speculated: %d/%d", one.SpeculativeRuns, one.SpeculativeHits)
 	}
 }
 
 // TestTuneChargesOverheadForFailedRuns is the regression test for the
-// cost-accounting fix: failed runs still pay launch and teardown, in
-// both engines, per the paper's "all costs ... into consideration".
+// cost-accounting fix: failed runs still pay launch and teardown, at
+// every worker count, per the paper's "all costs ... into
+// consideration".
 func TestTuneChargesOverheadForFailedRuns(t *testing.T) {
 	sp := space.MustNew(space.IntParam("x", 0, 9, 1))
 	failing := errors.New("configuration crashed")
@@ -228,7 +233,7 @@ func TestTuneChargesOverheadForFailedRuns(t *testing.T) {
 	}
 	const overhead = 5.0
 	for _, workers := range []int{1, 3} {
-		res, err := TuneParallel(context.Background(), sp,
+		res, err := Tune(context.Background(), sp,
 			search.NewExhaustive(sp), obj,
 			Options{RunOverhead: overhead, Workers: workers})
 		if err != nil {
@@ -248,8 +253,7 @@ func TestTuneChargesOverheadForFailedRuns(t *testing.T) {
 			t.Fatalf("workers=%d: TuningCost=%v, want %v (failures must be charged RunOverhead)", workers, res.TuningCost, wantCost)
 		}
 	}
-	// The sequential engine path (Workers unset goes through Tune's
-	// own loop) must agree.
+	// Workers unset must agree.
 	res, err := Tune(context.Background(), sp, search.NewExhaustive(sp), obj, Options{RunOverhead: overhead})
 	if err != nil {
 		t.Fatal(err)
@@ -259,23 +263,8 @@ func TestTuneChargesOverheadForFailedRuns(t *testing.T) {
 	}
 }
 
-// TestTuneWorkersOptionDelegates verifies Options.Workers routes Tune
-// through the parallel engine.
-func TestTuneWorkersOptionDelegates(t *testing.T) {
-	sp := parallelSpace(t)
-	res, err := Tune(context.Background(), sp,
-		search.NewSimplex(sp, search.SimplexOptions{}), parBowl,
-		Options{MaxRuns: 40, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SpeculativeRuns == 0 {
-		t.Fatal("Tune with Workers=4 did not reach the speculative parallel engine")
-	}
-}
-
 // TestTuneParallelContextCancel verifies cancellation surfaces as the
-// context error, like the sequential engine.
+// context error.
 func TestTuneParallelContextCancel(t *testing.T) {
 	sp := parallelSpace(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -291,7 +280,7 @@ func TestTuneParallelContextCancel(t *testing.T) {
 		}
 		return parBowl(c, cfg)
 	}
-	_, err := TuneParallel(ctx, sp, search.NewPRO(sp, search.PROOptions{Seed: 1}), obj,
+	_, err := Tune(ctx, sp, search.NewPRO(sp, search.PROOptions{Seed: 1}), obj,
 		Options{MaxRuns: 100, Workers: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -315,7 +304,7 @@ func TestTuneParallelRaceStress(t *testing.T) {
 		concurrent.Add(-1)
 		return parBowl(c, cfg)
 	}
-	res, err := TuneParallel(context.Background(), sp,
+	res, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 5, Points: 8}), obj,
 		Options{MaxRuns: 64, Workers: 8})
 	if err != nil {
@@ -329,5 +318,25 @@ func TestTuneParallelRaceStress(t *testing.T) {
 	}
 	if peak.Load() > 8 {
 		t.Fatalf("peak concurrency %d exceeds the 8-worker pool", peak.Load())
+	}
+}
+
+// TestTuneStopBelowBeforeBudgetBoundary: when StopBelow ends the
+// session inside a round that MaxRuns also truncates, the session
+// never reaches the budget-hitting proposal, so it is not counted —
+// exactly as a loop that proposes one point at a time would report.
+func TestTuneStopBelowBeforeBudgetBoundary(t *testing.T) {
+	sp := parallelSpace(t)
+	round := []space.Point{{0, 0, 0}, {41, 13, 27}, {1, 1, 1}, {2, 2, 2}}
+	for _, workers := range []int{1, 4} {
+		res, err := Tune(context.Background(), sp, &scriptedRounds{rounds: [][]space.Point{round}}, parBowl,
+			Options{MaxRuns: 3, StopBelow: 1, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if res.Runs != 2 || res.Proposals != 2 || len(res.Trials) != 2 || res.Converged {
+			t.Fatalf("workers=%d: runs=%d proposals=%d trials=%d converged=%t, want the session to end at proposal 2",
+				workers, res.Runs, res.Proposals, len(res.Trials), res.Converged)
+		}
 	}
 }

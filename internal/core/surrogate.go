@@ -9,27 +9,28 @@ import (
 // Surrogate predicts the objective value of a configuration
 // analytically — from a closed-form performance model of the
 // application and machine — without running anything. The tuning
-// engines use the prediction only to decide *what to evaluate*: a
+// engine uses the prediction only to decide *what to evaluate*: a
 // configuration the model ranks poorly may be skipped, but every
 // value the session reports (Best, FirstValue, the measured trial
 // log, the evaluation caches) comes from a genuine objective run.
 //
 // Predictions must be deterministic pure functions of the point: the
-// engines may score the same point repeatedly and on any goroutine.
+// engine may score the same point repeatedly and on any goroutine.
 type Surrogate interface {
 	// Predict returns the model's predicted objective value for the
 	// configuration, in the objective's own units (lower is better).
 	// The prediction must be a positive finite number; returning
 	// ok=false declares the point outside the model's competence, and
-	// the engine falls back to fully simulating the round containing
-	// it.
+	// the engine falls back to fully simulating the group of
+	// proposals containing it.
 	Predict(pt space.Point, cfg space.Config) (float64, bool)
 }
 
 // SurrogateOptions attach a performance-model surrogate to a tuning
-// session (Options.Surrogate). The engine scores every proposed round
-// with the model and simulates only the fraction the model ranks
-// best; the rest are pruned — reported to the search strategy at
+// session (Options.Surrogate). The engine scores every group of
+// proposals it is about to issue — a whole round, or one candidate
+// under Options.Async — and simulates only the fraction the model
+// ranks best; the rest are pruned — reported to the search strategy at
 // their predicted value, flagged Trial.Pruned, and never charged to
 // Runs, TuningCost, Best, or the evaluation caches.
 type SurrogateOptions struct {
@@ -56,8 +57,7 @@ const (
 	DefaultSurrogateTolerance = 0.05
 )
 
-// surrogateState is the per-session pruning state shared by the
-// engines.
+// surrogateState is the per-session pruning state.
 type surrogateState struct {
 	model Surrogate
 	keep  float64
@@ -84,14 +84,25 @@ func newSurrogateState(opt *SurrogateOptions) *surrogateState {
 	return s
 }
 
+// score predicts one configuration. It returns ok=false when the
+// model declines the point or returns a non-positive or non-finite
+// score.
+func (s *surrogateState) score(pt space.Point, cfg space.Config) (float64, bool) {
+	v, ok := s.model.Predict(pt, cfg)
+	if !ok || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+		return 0, false
+	}
+	return v, true
+}
+
 // scoreBatch predicts every point of a round. It returns ok=false —
-// demanding full simulation of the round — when the model declines
-// any point or returns a non-positive or non-finite score.
+// demanding full simulation of the round — when any point has no
+// valid score.
 func (s *surrogateState) scoreBatch(pts []space.Point, cfgs []space.Config) ([]float64, bool) {
 	scores := make([]float64, len(pts))
 	for i := range pts {
-		v, ok := s.model.Predict(pts[i], cfgs[i])
-		if !ok || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+		v, ok := s.score(pts[i], cfgs[i])
+		if !ok {
 			return nil, false
 		}
 		scores[i] = v
@@ -145,10 +156,10 @@ func (s *surrogateState) committed(score float64) {
 	}
 }
 
-// SurrogateGate exposes the pruning decision rules to other engines —
-// the on-line tuning server prunes its fetch path with exactly the
-// rules TuneParallel applies to its rounds, so the off-line and
-// on-line modes skip the same configurations for the same model.
+// SurrogateGate exposes the pruning decision rules to the on-line
+// tuning server, which prunes its fetch path with exactly the rules
+// Tune applies to the groups it issues, so the off-line and on-line
+// modes skip the same configurations for the same model.
 type SurrogateGate struct {
 	st *surrogateState
 }
@@ -167,11 +178,7 @@ func NewSurrogateGate(opt *SurrogateOptions) *SurrogateGate {
 // as the engine: ok=false demands full simulation of the containing
 // round.
 func (g *SurrogateGate) Score(pt space.Point, cfg space.Config) (float64, bool) {
-	v, ok := g.st.model.Predict(pt, cfg)
-	if !ok || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-		return 0, false
-	}
-	return v, true
+	return g.st.score(pt, cfg)
 }
 
 // Keep returns the simulate/prune mask for a fully scored round: the

@@ -39,7 +39,7 @@ var invertedModel = modelFunc(func(_ space.Point, cfg space.Config) (float64, bo
 func TestSurrogatePrunesAndStaysTransparent(t *testing.T) {
 	sp := parallelSpace(t)
 	opts := Options{MaxRuns: 200, MaxProposals: 200, RunOverhead: 3}
-	full, err := TuneParallel(context.Background(), sp,
+	full, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 17}), parBowl, opts)
 	if err != nil {
 		t.Fatalf("full: %v", err)
@@ -51,7 +51,7 @@ func TestSurrogatePrunesAndStaysTransparent(t *testing.T) {
 		evals.Add(1)
 		return parBowl(ctx, cfg)
 	}
-	pruned, err := TuneParallel(context.Background(), sp,
+	pruned, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 17}), counted, opts)
 	if err != nil {
 		t.Fatalf("pruned: %v", err)
@@ -103,7 +103,7 @@ func TestSurrogateDeterministicAcrossWorkers(t *testing.T) {
 	sp := parallelSpace(t)
 	var logs []string
 	for _, workers := range []int{1, 8} {
-		res, err := TuneParallel(context.Background(), sp,
+		res, err := Tune(context.Background(), sp,
 			search.NewPRO(sp, search.PROOptions{Seed: 17}), parBowl,
 			Options{MaxRuns: 120, MaxProposals: 300, Workers: workers,
 				Surrogate: &SurrogateOptions{Model: perfectModel}})
@@ -123,7 +123,7 @@ func TestSurrogateDeterministicAcrossWorkers(t *testing.T) {
 func TestSurrogateConstantModelSimulatesEverything(t *testing.T) {
 	sp := parallelSpace(t)
 	run := func(sur *SurrogateOptions) *Result {
-		res, err := TuneParallel(context.Background(), sp,
+		res, err := Tune(context.Background(), sp,
 			search.NewPRO(sp, search.PROOptions{Seed: 5}), parBowl,
 			Options{MaxRuns: 60, RunOverhead: 1, Surrogate: sur})
 		if err != nil {
@@ -146,7 +146,7 @@ func TestSurrogateConstantModelSimulatesEverything(t *testing.T) {
 // measurement, and Best is the best of what was measured.
 func TestSurrogateWrongModelNeverCorruptsBest(t *testing.T) {
 	sp := parallelSpace(t)
-	res, err := TuneParallel(context.Background(), sp,
+	res, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 17}), parBowl,
 		Options{MaxRuns: 120, MaxProposals: 300,
 			Surrogate: &SurrogateOptions{Model: invertedModel}})
@@ -177,7 +177,7 @@ func TestSurrogateFallbackOnDecline(t *testing.T) {
 	sp := parallelSpace(t)
 	declining := modelFunc(func(space.Point, space.Config) (float64, bool) { return 0, false })
 	run := func(sur *SurrogateOptions) *Result {
-		res, err := TuneParallel(context.Background(), sp,
+		res, err := Tune(context.Background(), sp,
 			search.NewPRO(sp, search.PROOptions{Seed: 5}), parBowl,
 			Options{MaxRuns: 40, Surrogate: sur})
 		if err != nil {
@@ -199,7 +199,7 @@ func TestSurrogateFallbackOnDecline(t *testing.T) {
 }
 
 // TestSurrogateSequentialSimplexPrunes covers the rounds-of-one path:
-// Tune with a surrogate routes through the parallel engine and the
+// a sequential strategy's gate group is one proposal, and the
 // single-proposal rule prunes points the model ranks confidently
 // worse than the committed best.
 func TestSurrogateSequentialSimplexPrunes(t *testing.T) {
@@ -216,5 +216,68 @@ func TestSurrogateSequentialSimplexPrunes(t *testing.T) {
 	}
 	if want, _ := parBowl(context.Background(), res.BestConfig); want != res.BestValue {
 		t.Fatalf("BestValue %v is not a measurement (%v)", res.BestValue, want)
+	}
+}
+
+// scriptedRounds is a BatchStrategy that proposes fixed rounds.
+type scriptedRounds struct {
+	rounds   [][]space.Point
+	reported []float64
+}
+
+func (s *scriptedRounds) Name() string                       { return "scripted" }
+func (s *scriptedRounds) Next() (space.Point, bool)          { return nil, false }
+func (s *scriptedRounds) Report(space.Point, float64)        {}
+func (s *scriptedRounds) Best() (space.Point, float64, bool) { return nil, 0, false }
+
+func (s *scriptedRounds) NextBatch() []space.Point {
+	if len(s.rounds) == 0 {
+		return nil
+	}
+	return s.rounds[0]
+}
+
+func (s *scriptedRounds) ReportBatch(_ []space.Point, values []float64) {
+	s.rounds = s.rounds[1:]
+	s.reported = append(s.reported, values...)
+}
+
+// TestSurrogateInRoundDuplicateOfPrunedPoint: a proposal that repeats
+// a point pruned earlier in the same round is pruned at the same
+// score and never charged, while a repeat of a kept point is an
+// ordinary memo hit.
+func TestSurrogateInRoundDuplicateOfPrunedPoint(t *testing.T) {
+	sp := parallelSpace(t)
+	good, bad, worse := space.Point{41, 13, 27}, space.Point{0, 0, 0}, space.Point{60, 60, 60}
+	var evals atomic.Int64
+	counted := func(ctx context.Context, cfg space.Config) (float64, error) {
+		evals.Add(1)
+		return parBowl(ctx, cfg)
+	}
+	for _, workers := range []int{1, 4} {
+		evals.Store(0)
+		strat := &scriptedRounds{rounds: [][]space.Point{{good, bad, bad, worse, good}}}
+		res, err := Tune(context.Background(), sp, strat, counted,
+			Options{Workers: workers, RunOverhead: 3, Surrogate: &SurrogateOptions{Model: perfectModel}})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if res.Runs != 1 || evals.Load() != 1 || res.SurrogatePruned != 3 || !res.Converged {
+			t.Fatalf("workers=%d: runs=%d evals=%d pruned=%d converged=%t, want 1 run, 1 evaluation, 3 pruned, converged",
+				workers, res.Runs, evals.Load(), res.SurrogatePruned, res.Converged)
+		}
+		first, dup, memo := res.Trials[1], res.Trials[2], res.Trials[4]
+		if !first.Pruned || !dup.Pruned || dup.Value != first.Value || dup.Run != 0 || dup.Cached {
+			t.Fatalf("workers=%d: duplicate of a pruned point = %+v, want pruned at %v, uncharged", workers, dup, first.Value)
+		}
+		if memo.Pruned || !memo.Cached || memo.Value != res.Trials[0].Value {
+			t.Fatalf("workers=%d: duplicate of the kept point = %+v, want a memo hit", workers, memo)
+		}
+		if res.TuningCost != res.Trials[0].Value+3 {
+			t.Fatalf("workers=%d: TuningCost = %v, want the one measured run %v", workers, res.TuningCost, res.Trials[0].Value+3)
+		}
+		if len(strat.reported) != 5 || strat.reported[2] != first.Value {
+			t.Fatalf("workers=%d: strategy saw %v, want the prediction at position 2", workers, strat.reported)
+		}
 	}
 }

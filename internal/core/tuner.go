@@ -14,10 +14,8 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 
-	"harmony/internal/search"
 	"harmony/internal/space"
 )
 
@@ -62,50 +60,48 @@ type Options struct {
 	// by every session that proposes it.
 	Cache PointCache
 	// Surrogate, if non-nil with a Model, turns on model-guided
-	// evaluation pruning: every proposed round is scored analytically
-	// and only the fraction the model ranks best is simulated. Pruned
-	// proposals are answered to the search strategy at their predicted
-	// value and recorded as Trial.Pruned, but are never charged to
-	// Runs or TuningCost, never stored in any cache, and never
-	// eligible for Best, FirstValue, or StopBelow: the surrogate
-	// chooses what to evaluate, never what to report. Sessions with a
-	// surrogate always run on the parallel engine (at Workers=1 when
-	// unset), so pruning decisions are identical for every worker
-	// count.
+	// evaluation pruning: every group of proposals the engine is about
+	// to issue (a whole round; one candidate under Async) is scored
+	// analytically and only the fraction the model ranks best is
+	// simulated. Pruned proposals are answered to the search strategy
+	// at their predicted value and recorded as Trial.Pruned, but are
+	// never charged to Runs or TuningCost, never stored in any cache,
+	// and never eligible for Best, FirstValue, or StopBelow: the
+	// surrogate chooses what to evaluate, never what to report.
+	// Pruning decisions are identical for every worker count.
 	Surrogate *SurrogateOptions
-	// Workers is the number of objective evaluations the engine may
-	// have in flight at once. 0 or 1 select the sequential engine;
-	// larger values route the session through TuneParallel, which
-	// fans each independent round of a BatchStrategy (PRO, random,
-	// systematic, exhaustive) over a worker pool and speculatively
-	// prefetches the follow-up candidates of a sequential simplex
-	// step. Result accounting (Runs, Trials, TuningCost, BestAtRun)
-	// is identical regardless of worker count.
+	// Workers is the number of objective evaluations that may run at
+	// once (0 means 1). The engine issues each independent round of a
+	// BatchStrategy (PRO, random, systematic, exhaustive) as a whole,
+	// so up to Workers of its evaluations overlap, and with more than
+	// one worker it speculatively prefetches the follow-up candidates
+	// of a sequential simplex step. Result accounting (Runs, Trials,
+	// TuningCost, BestAtRun) is identical regardless of worker count.
 	Workers int
-	// Async routes the session through TuneAsync, the pipelined
-	// issue/commit engine: instead of fanning out one round and
-	// waiting at its barrier, the engine keeps a bounded pipeline of
-	// candidates in flight and commits results to the strategy in
-	// issue order. Accounting stays deterministic — it depends on
-	// AsyncDepth and the strategy, never on Workers or completion
-	// timing.
+	// Async drives the strategy through its issue/commit view instead
+	// of its round view: rather than issuing one round and draining it
+	// before the next, the engine keeps a window of up to AsyncDepth
+	// candidates in flight, so a pipelined strategy (the ensemble)
+	// proposes ahead of its outstanding values. Results are still
+	// committed to the strategy in issue order, and accounting stays
+	// deterministic — it depends on AsyncDepth and the strategy, never
+	// on Workers or completion timing.
 	Async bool
-	// AsyncDepth is the pipelined engine's candidate-pipeline
-	// capacity: how many issued-but-uncommitted candidates it may
-	// hold. 0 selects DefaultAsyncDepth. The depth is deliberately
-	// independent of Workers (set it at least as large to keep every
-	// worker busy): the issue/commit trace is a pure function of
-	// depth and the strategy, so changing only Workers can never
-	// change the result.
+	// AsyncDepth bounds the window of an Async session: how many
+	// issued-but-uncommitted candidates it may hold. 0 selects
+	// DefaultAsyncDepth. The depth is deliberately independent of
+	// Workers (set it at least as large to keep every worker busy):
+	// the issue/commit trace is a pure function of depth and the
+	// strategy, so changing only Workers can never change the result.
 	AsyncDepth int
 	// Logf, if non-nil, receives one line per evaluation.
 	Logf func(format string, args ...any)
 }
 
 // PointCache is a cross-session evaluation cache consulted by the
-// tuning engines. Implementations must be safe for concurrent use
-// (the parallel engine looks points up from its coordinating
-// goroutine but servers may share one cache across sessions) and must
+// tuning engine. Implementations must be safe for concurrent use
+// (the engine looks points up from its coordinating goroutine but
+// servers may share one cache across sessions) and must
 // only answer for the exact (application, machine, space) identity
 // they were bound to — see history.EvalCache.
 type PointCache interface {
@@ -149,18 +145,18 @@ type Result struct {
 	Converged  bool    // the strategy stopped on its own
 	Trials     []Trial
 	BestAtRun  int // run number that produced the incumbent best
-	// SpeculativeRuns counts objective evaluations the parallel
-	// engine launched ahead of need — simplex expansion/contraction
-	// prefetches and round stragglers cancelled by StopBelow. They
-	// consume wall-clock on spare workers but are not charged to
-	// Runs or TuningCost unless the strategy actually proposes them
-	// (see SpeculativeHits); the sequential engine never speculates.
+	// SpeculativeRuns counts objective evaluations the engine launched
+	// ahead of need — simplex expansion/contraction prefetches, and
+	// issued candidates that completed but were cut off by StopBelow
+	// before their commit. They consume wall-clock on idle capacity
+	// but are not charged to Runs or TuningCost unless the strategy
+	// actually proposes them (see SpeculativeHits); a session with one
+	// worker never prefetches.
 	SpeculativeRuns int
 	// SpeculativeHits counts speculative evaluations whose point the
 	// strategy later proposed for real. Each hit is charged to Runs
-	// and TuningCost exactly as if it had been evaluated on demand,
-	// so accounting matches the sequential engine; the wall-clock win
-	// is that the result was already in hand.
+	// and TuningCost exactly as if it had been evaluated on demand;
+	// the wall-clock win is that the result was already in hand.
 	SpeculativeHits int
 	// CacheHits counts runs answered by Options.Cache; CacheMisses
 	// counts runs that consulted it and invoked the objective. Both
@@ -171,9 +167,9 @@ type Result struct {
 	CacheMisses int
 	// SurrogateKept counts proposals the surrogate model scored and
 	// committed to simulation; SurrogatePruned counts proposals it
-	// skipped. SurrogateFallbacks counts rounds fully simulated
-	// because the model declined a point or predicted a degenerate
-	// score. All three are zero without Options.Surrogate.
+	// skipped. SurrogateFallbacks counts groups of proposals fully
+	// simulated because the model declined a point or predicted a
+	// degenerate score. All three are zero without Options.Surrogate.
 	SurrogateKept      int
 	SurrogatePruned    int
 	SurrogateFallbacks int
@@ -182,17 +178,18 @@ type Result struct {
 	// busy-time / (Workers × session wall clock). It is a wall-clock
 	// diagnostic — the only Result field that is not deterministic —
 	// and it is what makes the "parallel but starved" failure mode
-	// (throughput dropping as workers rise) observable directly. The
-	// sequential engine leaves it 0.
+	// (throughput dropping as workers rise) observable directly. It is
+	// measured for every session.
 	WorkerOccupancy float64
-	// QueueStarved counts the deterministic refill passes on which an
-	// engine had capacity for more in-flight work but the strategy
-	// could not propose: pipeline slots free but the strategy stalled
-	// on in-flight values (TuneAsync), or a round too small to fill
-	// the worker pool (TuneParallel).
+	// QueueStarved counts the deterministic refill passes (one follows
+	// every commit) that left capacity idle because the strategy was
+	// stalled on in-flight values. Capacity is AsyncDepth under Async
+	// and Workers otherwise, less the candidates in flight — so a
+	// round that is draining, or too small to cover the workers, is
+	// starving them.
 	QueueStarved int
-	// IdleSlots accumulates how many evaluation slots went unfilled
-	// over those starved passes — the integral of the starvation that
+	// IdleSlots accumulates how much capacity went unfilled over those
+	// starved passes — the integral of the starvation that
 	// QueueStarved counts events of.
 	IdleSlots int
 }
@@ -219,110 +216,3 @@ func (r *Result) Speedup() float64 {
 // ErrNoEvaluations is returned when the session ends before any
 // configuration was evaluated.
 var ErrNoEvaluations = errors.New("core: tuning session performed no evaluations")
-
-// Tune drives the strategy against the objective until the strategy
-// converges, a budget is exhausted, StopBelow is reached, or the
-// context is cancelled. It memoises evaluations so that a lattice
-// point proposed twice (common for the snapped simplex) costs only
-// one application run.
-func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objective, opt Options) (*Result, error) {
-	if opt.Async {
-		return TuneAsync(ctx, sp, strat, obj, opt)
-	}
-	if opt.Workers > 1 || (opt.Surrogate != nil && opt.Surrogate.Model != nil) {
-		// Surrogate sessions always use the parallel engine so that
-		// pruning decisions are taken round-by-round, identically for
-		// every worker count.
-		return TuneParallel(ctx, sp, strat, obj, opt)
-	}
-	applyProposalDefault(&opt)
-	res := &Result{Strategy: strat.Name(), BestValue: math.Inf(1), FirstValue: math.NaN()}
-	cache := make(map[string]float64)
-	cacheErr := make(map[string]error)
-
-	for res.Proposals < opt.MaxProposals {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		pt, ok := strat.Next()
-		if !ok {
-			res.Converged = true
-			break
-		}
-		res.Proposals++
-		key := pt.Key()
-		cfg, err := sp.Decode(pt)
-		if err != nil {
-			return res, fmt.Errorf("core: strategy %s proposed undecodable point %v: %w", strat.Name(), pt, err)
-		}
-
-		trial := Trial{Proposal: res.Proposals, Point: pt.Clone(), Config: cfg}
-		value, cached := cache[key]
-		if cached {
-			trial.Cached = true
-			trial.Value = value
-			trial.Err = cacheErr[key]
-		} else {
-			if opt.MaxRuns > 0 && res.Runs >= opt.MaxRuns {
-				break
-			}
-			res.Runs++
-			trial.Run = res.Runs
-			var v float64
-			var err error
-			hit := false
-			if opt.Cache != nil {
-				if cv, ok := opt.Cache.Lookup(pt); ok {
-					v, hit = cv, true
-					res.CacheHits++
-				} else {
-					res.CacheMisses++
-				}
-			}
-			if !hit {
-				v, err = obj(ctx, cfg)
-			}
-			if err != nil {
-				if ctx.Err() != nil {
-					return res, ctx.Err()
-				}
-				res.Failures++
-				v = math.Inf(1)
-				trial.Err = err
-				// A failed run still paid its launch and teardown.
-				res.TuningCost += opt.RunOverhead
-			} else {
-				res.TuningCost += v + opt.RunOverhead
-				if opt.Cache != nil && !hit {
-					opt.Cache.Store(pt, v)
-				}
-			}
-			value = v
-			trial.Value = v
-			cache[key] = v
-			cacheErr[key] = trial.Err
-			if math.IsNaN(res.FirstValue) {
-				res.FirstValue = v
-			}
-			if v < res.BestValue {
-				res.Best = pt.Clone()
-				res.BestConfig = cfg
-				res.BestValue = v
-				res.BestAtRun = res.Runs
-			}
-			if opt.Logf != nil {
-				opt.Logf("run %3d (proposal %3d): %s -> %.6g", res.Runs, res.Proposals, cfg.Format(), v)
-			}
-		}
-		res.Trials = append(res.Trials, trial)
-		strat.Report(pt, value)
-
-		if opt.StopBelow != 0 && res.BestValue <= opt.StopBelow {
-			break
-		}
-	}
-	if res.Runs == 0 {
-		return res, ErrNoEvaluations
-	}
-	return res, nil
-}

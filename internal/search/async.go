@@ -2,7 +2,7 @@ package search
 
 import "harmony/internal/space"
 
-// AsyncStrategy is the issue/commit interface the pipelined engine
+// AsyncStrategy is the issue/commit interface the tuning engine
 // drives. Where Strategy forces a strict ask/tell alternation and
 // BatchStrategy forces a barrier at every round boundary, an
 // AsyncStrategy can be *asked* for further candidates while earlier
@@ -26,7 +26,7 @@ import "harmony/internal/space"
 //     strategy must not require every issue to be committed.
 //
 // Like Strategy, an AsyncStrategy is engine-locked: not safe for
-// concurrent use, no internal locking. The pipelined engines call
+// concurrent use, no internal locking. The engines call
 // Ask/Commit/Done/Best from a single coordinating goroutine.
 type AsyncStrategy interface {
 	// Name identifies the strategy in reports and logs.
@@ -50,9 +50,10 @@ type AsyncStrategy interface {
 // BatchStrategy view: Ask hands out the points of the current round
 // one at a time, stalls once the round is fully issued, and the
 // adapter fires one ReportBatch for the whole round when its last
-// value commits — exactly the strategy interaction the round-barrier
-// engine performs, which is what keeps the two engines' campaign
-// fingerprints interchangeable.
+// value commits. That stall is the round barrier: core.Tune runs
+// every round-structured session through this adapter, which is why
+// a campaign's fingerprint does not depend on Options.Async for an
+// adapted strategy.
 func AsAsync(strat Strategy) AsyncStrategy {
 	if as, ok := strat.(AsyncStrategy); ok {
 		return as
@@ -114,8 +115,8 @@ func (a *batchAsync) Commit(pt space.Point, value float64) {
 }
 
 // Speculate forwards to the wrapped strategy when it speculates, so
-// the pipelined engine sees through the adapter and can prefetch the
-// follow-up proposals of a stalled round onto idle workers.
+// the engine sees through the adapter and can prefetch the follow-up
+// proposals of a stalled round onto idle workers.
 func (a *batchAsync) Speculate(max int) []space.Point {
 	if sp, ok := a.bs.(Speculator); ok {
 		return sp.Speculate(max)

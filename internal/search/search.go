@@ -35,9 +35,9 @@ import (
 //
 // Strategies are engine-locked: no strategy in this package is safe
 // for concurrent use, and none carries its own locking. The engines
-// that drive them — core.Tune, core.TuneParallel, and the on-line
-// server sessions — serialise every Next/Report/NextBatch/
-// ReportBatch/Best call under a single mutex, so even when objective
+// that drive them serialise every call: core.Tune talks to the
+// strategy only from its coordinating goroutine, and the on-line
+// server sessions hold a single mutex, so even when objective
 // evaluations run on many workers the strategy state machine only
 // ever advances from one goroutine at a time. Callers embedding a
 // strategy elsewhere must uphold the same discipline.

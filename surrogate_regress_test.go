@@ -113,8 +113,7 @@ func TestSurrogateCampaignFingerprints(t *testing.T) {
 
 // TestSurrogateCampaignWorkerInvariance runs each surrogate campaign
 // at workers 1 and 4 and requires identical fingerprints: the pruning
-// layer must not introduce any worker-count dependence that the
-// parallel engine had already eliminated.
+// layer must not introduce any worker-count dependence.
 func TestSurrogateCampaignWorkerInvariance(t *testing.T) {
 	seq := surrogateCampaigns(surrogate.For, 1)
 	par := surrogateCampaigns(surrogate.For, 4)
