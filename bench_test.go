@@ -348,9 +348,9 @@ func BenchmarkSimMPIContextSwitch(b *testing.B) {
 }
 
 // BenchmarkSimMPIRunOverhead measures a whole Run of a trivial
-// program on a pooled steady-state world: goroutine spawn, schedule,
-// and stats assembly — the fixed cost every evaluation pays before
-// any simulated work happens.
+// program on a pooled steady-state world: one resume and one yield
+// per parked rank coroutine, and stats assembly — the fixed cost every
+// evaluation pays before any simulated work happens.
 func BenchmarkSimMPIRunOverhead(b *testing.B) {
 	m := cluster.Seaborg(8, 4)
 	b.ReportAllocs()

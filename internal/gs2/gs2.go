@@ -266,35 +266,28 @@ func Run(m *cluster.Machine, cfg Config) (float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	p := m.Procs()
-	pl := cfg.plans(p)
-
 	const maxSimSteps = 3
-	if cfg.Steps <= maxSimSteps {
-		return simulate(m, cfg, pl, cfg.Steps)
-	}
-	tFull, err := simulate(m, cfg, pl, maxSimSteps)
+	steps := min(cfg.Steps, maxSimSteps)
+	tLess, tFull, err := simulate(m, cfg, cfg.plans(m.Procs()), steps)
 	if err != nil {
 		return 0, err
 	}
-	tLess, err := simulate(m, cfg, pl, maxSimSteps-1)
-	if err != nil {
-		return 0, err
-	}
-	perStep := tFull - tLess
-	return tFull + float64(cfg.Steps-maxSimSteps)*perStep, nil
+	// Nothing is left to extrapolate when every step was simulated:
+	// tFull + 0·perStep is tFull.
+	return tFull + float64(cfg.Steps-steps)*(tFull-tLess), nil
 }
 
-// simulate runs initialisation plus the given number of steps.
-func simulate(m *cluster.Machine, cfg Config, pl *plans, steps int) (float64, error) {
+// simulate runs initialisation plus the given number of steps and
+// returns the completion time, tFull, together with the completion
+// time of the same run one step shorter, tLess (zero when there is no
+// second-to-last step): the run is deterministic, so its prefix is the
+// shorter run, and the latest rank clock at the end of step steps-1 is
+// what simulating steps-1 steps would return.
+func simulate(m *cluster.Machine, cfg Config, pl *plans, steps int) (tLess, tFull float64, err error) {
 	p := m.Procs()
 	n := cfg.Dims().N()
 	d := cfg.Dims()
 	fieldWork := fieldSolveFlops * float64(d.X*d.Y) * elemWeight
-	// The field-solve moments are not modelled, only the cost of their
-	// reduction: one zero vector, which Allreduce only reads, serves
-	// every rank and step.
-	moments := make([]float64, fieldSolveDoubles)
 	st, err := simmpi.Run(m, p, func(r *simmpi.Rank) {
 		id := r.ID()
 		chunk := float64(chunkOf(n, p, id))
@@ -321,14 +314,19 @@ func simulate(m *cluster.Machine, cfg Config, pl *plans, steps int) (float64, er
 				redistribute(r, pl.fromLE, id)
 			}
 			// Field solve: replicated reconstruction from the reduced
-			// moments plus a global reduction, then the per-step
-			// bookkeeping that does not scale with anything.
+			// moments plus a global reduction — the moments are not
+			// modelled, only the cost of reducing them — then the
+			// per-step bookkeeping that does not scale with anything.
 			r.Compute(fieldWork)
-			r.Allreduce(simmpi.Sum, moments)
+			r.AllreduceBytes(8 * fieldSolveDoubles)
 			r.Sleep(stepOverheadSeconds)
+			// Ranks run one at a time, so the shared maximum needs no lock.
+			if s == steps-2 && r.Elapsed() > tLess {
+				tLess = r.Elapsed()
+			}
 		}
 	})
-	return st.Time, err
+	return tLess, st.Time, err
 }
 
 // packFlops is the per-sub-point cost of gathering a moved element

@@ -213,12 +213,53 @@ func TestRunColdEqualsWarm(t *testing.T) {
 			ref.toLE = newRedist(MoveMatrix(d, cfg.Layout, le, p), collRedistFraction)
 			ref.fromLE = newRedist(MoveMatrix(d, le, cfg.Layout, p), collRedistFraction)
 		}
-		walked, err := simulate(m, cfg, ref, cfg.Steps)
+		_, walked, err := simulate(m, cfg, ref, cfg.Steps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Float64bits(cold) != math.Float64bits(warm) || math.Float64bits(cold) != math.Float64bits(walked) {
 			t.Errorf("%+v: cold %v warm %v four-walk reference %v", c, cold, warm, walked)
+		}
+	}
+}
+
+// TestRunOneSimulationEqualsTwo is what keeps the one-run extrapolation
+// honest: the time marked at the end of the second-to-last step of a
+// three-step run must be, bit for bit, what simulating two steps from
+// scratch returns, so Run's result is the one two simulations gave.
+func TestRunOneSimulationEqualsTwo(t *testing.T) {
+	hetero := cluster.MyrinetLinux(6, 2)
+	hetero.Gflops = []float64{2.2, 0.7, 1.3, 2.9, 0.4, 1.1}
+	machines := []*cluster.Machine{LinuxCluster(3), LinuxCluster(17), LinuxCluster(64),
+		cluster.Seaborg(8, 16), cluster.Seaborg(5, 3), hetero}
+	for _, l := range Layouts() {
+		for _, coll := range []bool{false, true} {
+			for _, m := range machines {
+				for _, res := range [][2]int{{8, 16}, {16, 26}, {13, 41}, {32, 80}} {
+					cfg := Config{Layout: l, Negrid: res[0], Ntheta: res[1], Steps: 10, Collisions: coll}
+					p := m.Procs()
+					pl := cfg.plans(p)
+					marked, t3, err := simulate(m, cfg, pl, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, t2, err := simulate(m, cfg, pl, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(marked) != math.Float64bits(t2) {
+						t.Errorf("%+v on %s: marked two-step time %v, simulated %v", cfg, m, marked, t2)
+					}
+					got, err := Run(m, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := t3 + float64(cfg.Steps-3)*(t3-t2); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%+v on %s: Run %v, extrapolated from two simulations %v", cfg, m, got, want)
+					}
+					plansCache.Delete(plansKey{d: cfg.Dims(), l: l, coll: coll, p: p}) // keep the test's heap small
+				}
+			}
 		}
 	}
 }

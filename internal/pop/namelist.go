@@ -153,10 +153,17 @@ type Namelist struct {
 	values map[string]string
 }
 
+// defaultResolved is the empty namelist resolved once; a Namelist is
+// never modified, so every run at the defaults shares it.
+var defaultResolved = &Namelist{values: DefaultNamelist()}
+
 // ResolveNamelist validates the given values against the parameter
 // specs, filling in defaults for missing entries. Unknown parameters
 // or values are errors.
 func ResolveNamelist(values map[string]string) (*Namelist, error) {
+	if len(values) == 0 {
+		return defaultResolved, nil
+	}
 	out := DefaultNamelist()
 	for k, v := range values {
 		spec := specOf(k)

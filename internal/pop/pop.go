@@ -67,7 +67,6 @@ func DefaultConfig(nx, ny int) Config {
 		Steps:           4,
 		BarotropicIters: 12,
 		Levels:          40,
-		Namelist:        DefaultNamelist(),
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 // Under the cooperative scheduler the rendezvous needs no lock: each
 // arriving rank records its input and parks; the last arrival runs
 // the combine, publishes per-rank exits and outputs, and marks the
-// parked ranks runnable before continuing with the token. A resumed
-// rank consumes its own slot before it can possibly arrive at the
-// next rendezvous, so the scratch below is safely reused for the
-// whole life of a world — and, through the world pool, across runs.
+// parked ranks runnable before continuing. A resumed rank consumes
+// its own slot before it can possibly arrive at the next rendezvous,
+// so the scratch below is safely reused for the whole life of a world
+// — and, through the world pool, across runs.
 type collective struct {
 	w *World
 
@@ -39,12 +39,10 @@ type collective struct {
 	intOut []int
 
 	// alltoallv send plans: one dense row per rank (send[dst] =
-	// bytes), filled by the arriving rank and consumed — and zeroed —
-	// by the combine, so the rows are clean for the next rendezvous.
-	// Dense rows keep the O(n²) combine loop free of map hashing.
-	// Rows are allocated on first use and live for the world's life.
+	// bytes), which keeps the O(n²) combine loop free of map hashing.
+	// A row belongs to its caller, who is parked inside the call until
+	// the combine has read it; the combine drops the reference.
 	a2aRows [][]int
-	a2aCnt  []int // nonzero entries per row
 
 	// alltoallv combine scratch.
 	recvBytes []int
@@ -63,7 +61,6 @@ func newCollective(w *World) *collective {
 		f64in:     make([]float64, w.n),
 		intOut:    make([]int, w.n),
 		a2aRows:   make([][]int, w.n),
-		a2aCnt:    make([]int, w.n),
 		recvBytes: make([]int, w.n),
 		recvTime:  make([]float64, w.n),
 		sendTime:  make([]float64, w.n),
@@ -98,15 +95,10 @@ func (c *collective) arrive(r *Rank, op string) {
 	c.arrived++
 }
 
-// complete runs combine (converting an application-bug panic into a
-// clean re-panic after the scratch is consistent), retires the
-// rendezvous, and marks every parked participant runnable. The
-// completing rank keeps the execution token.
-func (c *collective) complete(combine func() any) {
-	//harmonyvet:ignore allocfree combine is one of the collective wrappers in this file, all stack-allocated per escape analysis (go build -gcflags=-m: func literal does not escape)
-	if err := combine(); err != nil {
-		panic(err)
-	}
+// complete retires the rendezvous after its combine has run and marks
+// every parked participant runnable. A combine that panics (an
+// application bug) skips this: the run fails and the world is dropped.
+func (c *collective) complete() {
 	for i := range c.inputs {
 		c.inputs[i] = nil
 	}
@@ -119,23 +111,13 @@ func (c *collective) complete(combine func() any) {
 	}
 }
 
-// guard invokes fn and converts its panic, if any, into a value.
-func guard(fn func()) (err any) {
-	//harmonyvet:ignore allocfree the recover closure captures only err and is stack-allocated (gcflags=-m: func literal does not escape)
-	defer func() { err = recover() }()
-	//harmonyvet:ignore allocfree fn is a collective combine wrapper from this file, stack-allocated per escape analysis
-	fn()
-	return nil
-}
-
 // rendezvous runs one collective operation for rank r.
 func (c *collective) rendezvous(r *Rank, op string, input any, combine combineFunc) any {
 	c.arrive(r, op)
 	c.inputs[r.id] = input
 	if c.arrived == c.w.n {
-		c.complete(func() any {
-			return guard(func() { combine(c.w, c.arrivals, c.inputs, c.exits, c.outputs) })
-		})
+		combine(c.w, c.arrivals, c.inputs, c.exits, c.outputs)
+		c.complete()
 	} else {
 		c.w.sched.block(r.id, waitRecord{kind: waitColl, op: op})
 	}
@@ -157,11 +139,9 @@ func (c *collective) scalarRendezvous(r *Rank, op string, x float64, combine fun
 	c.arrive(r, op)
 	c.f64in[r.id] = x
 	if c.arrived == c.w.n {
-		//harmonyvet:ignore allocfree both wrapper closures are stack-allocated (gcflags=-m: func literal does not escape); combine is the caller's scalar collective body, same property
-		c.complete(func() any {
-			//harmonyvet:ignore allocfree the inner wrapper and the combine func value it calls are stack-allocated per escape analysis
-			return guard(func() { c.uExit, c.uOut = combine(c.w, c.arrivals, c.f64in) })
-		})
+		//harmonyvet:ignore allocfree combine is one of this file's scalar collective bodies, which allocate nothing; TestRunAllocationSteadyState pins 100 of them per Run
+		c.uExit, c.uOut = combine(c.w, c.arrivals, c.f64in)
+		c.complete()
 	} else {
 		c.w.sched.block(r.id, waitRecord{kind: waitColl, op: op})
 	}
@@ -295,6 +275,27 @@ func (r *Rank) Allreduce1(op Op, x float64) float64 {
 		})
 }
 
+// AllreduceBytes is Allreduce for a payload nobody reads: it charges
+// what Allreduce of a vector of that many bytes charges (arrival
+// synchronisation, tree cost, bytesSent accounting) on the boxing-free
+// scalar path, carrying no values. Every rank must pass the same size.
+func (r *Rank) AllreduceBytes(bytes int) {
+	if bytes < 0 {
+		panic(fmt.Sprintf("simmpi: negative message size %d", bytes))
+	}
+	r.world.coll.scalarRendezvous(r, "allreducebytes", float64(bytes),
+		func(w *World, arrivals, sizes []float64) (float64, float64) {
+			for i, b := range sizes {
+				if b != sizes[0] {
+					panic(fmt.Sprintf("simmpi: allreduce size mismatch: rank 0 has %v, rank %d has %v", sizes[0], i, b))
+				}
+			}
+			bytes := int(sizes[0])
+			w.collBytes += int64(bytes * int(log2ceil(w.n)))
+			return maxOf(arrivals) + w.treeCost(bytes), 0
+		})
+}
+
 // Bcast distributes root's vector to every rank and returns it.
 // Non-root ranks pass nil (or anything; only root's value is used).
 func (r *Rank) Bcast(root int, vec []float64) []float64 {
@@ -348,18 +349,6 @@ func (r *Rank) Gather(root int, vec []float64) [][]float64 {
 	return out.([][]float64)
 }
 
-// a2aRow returns rank id's dense send row, allocating it on first
-// use. Rows are always zero between rendezvous (the combine clears
-// every entry it reads), so callers only write the slots they send.
-func (c *collective) a2aRow(id int) []int {
-	row := c.a2aRows[id]
-	if row == nil {
-		row = make([]int, c.w.n)
-		c.a2aRows[id] = row
-	}
-	return row
-}
-
 // AlltoallvBytes performs a personalised all-to-all where each rank
 // declares only the number of bytes it sends to every other rank
 // (sendBytes[dst]; entries for self or missing ranks are ignored).
@@ -368,55 +357,31 @@ func (c *collective) a2aRow(id int) []int {
 // the mechanism that makes data-layout choices in GS2 and block
 // mappings in POP visible as communication time.
 func (r *Rank) AlltoallvBytes(sendBytes map[int]int) int {
-	c := r.world.coll
-	row := c.a2aRow(r.id)
-	cnt := 0
+	row := make([]int, r.world.n)
 	for dst, b := range sendBytes {
 		if dst < 0 || dst >= r.world.n {
 			panic(fmt.Sprintf("simmpi: alltoallv to invalid rank %d", dst))
 		}
-		if b < 0 {
-			panic(fmt.Sprintf("simmpi: alltoallv negative size %d", b))
-		}
-		if dst != r.id && b > 0 {
-			row[dst] = b
-			cnt++
-		}
+		row[dst] = b
 	}
-	c.a2aCnt[r.id] = cnt
-	return r.alltoallv()
+	return r.AlltoallvBytesRow(row)
 }
 
 // AlltoallvBytesRow is AlltoallvBytes taking a dense send row:
 // send[dst] is the byte count for destination dst, and len(send)
 // must equal Size() (self and zero entries are ignored). The row is
-// copied during the call and not retained. Simulators with frozen
-// exchange plans use it to keep the per-step exchange entirely free
-// of map traffic.
+// read at the rendezvous, in place, and not retained after the call
+// returns: simulators with frozen exchange plans pass the plan's own
+// rows, which keeps the per-step exchange free of map traffic and
+// copies.
 func (r *Rank) AlltoallvBytesRow(send []int) int {
-	w := r.world
-	if len(send) != w.n {
-		panic(fmt.Sprintf("simmpi: alltoallv row has %d entries for %d ranks", len(send), w.n))
+	c := r.world.coll
+	if len(send) != c.w.n {
+		panic(fmt.Sprintf("simmpi: alltoallv row has %d entries for %d ranks", len(send), c.w.n))
 	}
-	c := w.coll
-	row := c.a2aRow(r.id)
-	cnt := 0
-	for dst, b := range send {
-		if b < 0 {
-			panic(fmt.Sprintf("simmpi: alltoallv negative size %d", b))
-		}
-		if b > 0 && dst != r.id {
-			row[dst] = b
-			cnt++
-		}
-	}
-	c.a2aCnt[r.id] = cnt
-	return r.alltoallv()
-}
-
-func (r *Rank) alltoallv() int {
-	r.world.coll.rendezvous(r, "alltoallv", nil, alltoallvCombine)
-	return r.world.coll.intOut[r.id]
+	c.a2aRows[r.id] = send
+	c.rendezvous(r, "alltoallv", nil, alltoallvCombine)
+	return c.intOut[r.id]
 }
 
 func alltoallvCombine(w *World, arrivals []float64, _ []any, exits []float64, outputs []any) {
@@ -435,22 +400,16 @@ func alltoallvCombine(w *World, arrivals []float64, _ []any, exits []float64, ou
 	}
 	// Destinations are visited in increasing rank order: per-rank
 	// float accumulation must stay a pure function of rank numbering
-	// or repeated runs diverge bitwise. Each row entry is zeroed as
-	// it is consumed so the rows are clean for the next rendezvous.
-	for src := 0; src < w.n; src++ {
-		left := c.a2aCnt[src]
-		if left == 0 {
-			continue
-		}
-		c.a2aCnt[src] = 0
-		row := c.a2aRows[src]
-		for dst := 0; dst < w.n && left > 0; dst++ {
-			b := row[dst]
-			if b == 0 {
+	// or repeated runs diverge bitwise.
+	for src, row := range c.a2aRows {
+		c.a2aRows[src] = nil
+		for dst, b := range row {
+			if b <= 0 || dst == src {
+				if b < 0 {
+					panic(fmt.Sprintf("simmpi: alltoallv negative size %d", b))
+				}
 				continue
 			}
-			row[dst] = 0
-			left--
 			link := w.machine.LinkBetween(src, dst)
 			dt := float64(b) / link.Bandwidth
 			recvTime[dst] += dt

@@ -2,6 +2,8 @@ package simmpi
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"harmony/internal/cluster"
@@ -171,5 +173,121 @@ func TestReduceLengthMismatch(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("expected error for mismatched lengths")
+	}
+}
+
+// TestAllreduceBytesEqualsAllreduce is what keeps the cost-only
+// reduction honest: a program that reduces a vector nobody reads and
+// one that declares only its size must agree on every statistic, at
+// any rank count, link mix and arrival stagger.
+func TestAllreduceBytesEqualsAllreduce(t *testing.T) {
+	hetero := testMachine(3, 2)
+	hetero.Gflops = []float64{1, 0.25, 3}
+	for _, c := range []struct {
+		m *cluster.Machine
+		n int
+	}{
+		{testMachine(1, 1), 1}, {testMachine(1, 4), 3}, {testMachine(4, 2), 8},
+		{hetero, 5}, {cluster.Seaborg(5, 16), 70}, {cluster.MyrinetLinux(64, 2), 128},
+	} {
+		for _, k := range []int{0, 1, 64, 1000} {
+			program := func(reduce func(r *Rank)) func(r *Rank) {
+				return func(r *Rank) {
+					for step := 1; step <= 3; step++ {
+						// Stagger the arrivals differently every step.
+						r.Compute(float64((r.ID()*7+step*3)%5) * 1e6)
+						reduce(r)
+						if r.ID()%2 == 0 {
+							r.Sleep(1e-4 * float64(step))
+						}
+					}
+				}
+			}
+			vec := make([]float64, k)
+			want, err := Run(c.m, c.n, program(func(r *Rank) { r.Allreduce(Sum, vec) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(c.m, c.n, program(func(r *Rank) { r.AllreduceBytes(8 * k) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %d ranks, %d doubles:\nAllreduceBytes %+v\nAllreduce      %+v", c.m, c.n, k, got, want)
+			}
+		}
+	}
+}
+
+func TestAllreduceBytesRejectsBadSizes(t *testing.T) {
+	for want, size := range map[string]func(r *Rank) int{
+		"negative message size -8": func(*Rank) int { return -8 },
+		"allreduce size mismatch":  func(r *Rank) int { return 8 * r.ID() },
+	} {
+		_, err := Run(testMachine(1, 2), 2, func(r *Rank) { r.AllreduceBytes(size(r)) })
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want %q", err, want)
+		}
+	}
+}
+
+// TestAlltoallvRowReadAtRendezvous: a send row is read in place while
+// its owner is parked in the call and never afterwards, so a rank may
+// reuse — here, scribble over — its row as soon as the call returns
+// without changing that exchange or any later one.
+func TestAlltoallvRowReadAtRendezvous(t *testing.T) {
+	m := testMachine(3, 2)
+	const n, exchanges = 6, 4
+	fillRow := func(row []int, id, x int) {
+		for dst := range row {
+			row[dst] = 1000 * ((id*5+dst*3+x)%4 + x)
+		}
+	}
+	program := func(reuse bool) func(r *Rank) {
+		return func(r *Rank) {
+			row := make([]int, n)
+			for x := 0; x < exchanges; x++ {
+				if !reuse {
+					row = make([]int, n)
+				}
+				fillRow(row, r.ID(), x)
+				r.Compute(float64(r.ID()+x) * 1e5)
+				r.AlltoallvBytesRow(row)
+				if reuse {
+					for dst := range row {
+						row[dst] = -1 - dst
+					}
+				}
+			}
+		}
+	}
+	want, err := Run(m, n, program(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(m, n, program(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("reused rows changed the result:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+func TestAlltoallvNegativeSizeDetected(t *testing.T) {
+	for name, call := range map[string]func(r *Rank){
+		"row": func(r *Rank) { r.AlltoallvBytesRow([]int{0, 0, -5}) },
+		"map": func(r *Rank) { r.AlltoallvBytes(map[int]int{2: -5}) },
+	} {
+		_, err := Run(testMachine(1, 3), 3, func(r *Rank) {
+			if r.ID() == 1 {
+				call(r)
+			} else {
+				r.AlltoallvBytesRow(make([]int, 3))
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "simmpi: alltoallv negative size -5") {
+			t.Errorf("%s: err = %v, want the negative size named", name, err)
+		}
 	}
 }

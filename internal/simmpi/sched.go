@@ -3,40 +3,51 @@ package simmpi
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/bits"
 	"strings"
 )
 
 // The cooperative run-to-block scheduler.
 //
-// Rank programs still execute as goroutines — so `func(r *Rank)` and
-// every application simulator are untouched — but exactly one rank
-// runs at a time. Every other rank is parked on its per-rank handoff
-// gate. A rank gives up the execution token only when it blocks
-// (Recv with no matching message, collective rendezvous before the
-// last arrival) or finishes; the token is then handed directly to the
-// lowest-numbered runnable rank. Sends never block and never yield.
+// Every rank of a World is a coroutine (iter.Pull) that lives as long
+// as its pooled world: it runs the current rank program, marks itself
+// done, and yields until the next Run hands it another program. Run's
+// own goroutine is the scheduler: it resumes the lowest-numbered
+// runnable rank, which executes until it blocks (Recv with no
+// matching message, collective rendezvous before the last arrival) or
+// returns, and then control comes back to the scheduler loop. Sends
+// never block and never yield. `func(r *Rank)` and every application
+// simulator are untouched by any of this.
 //
-// Because at most one rank executes at any instant and every handoff
-// goes through a channel (a happens-before edge), all scheduler and
-// world state — message queues, collective scratch, byte counters —
-// is accessed race-free without a single mutex. Determinism is
-// structural: the run order is a pure function of the rank programs,
-// not of the Go runtime's preemption decisions.
+// A resume or a yield is a direct switch between two stacks: exactly
+// one of scheduler and ranks executes at any instant, and every switch
+// is a happens-before edge, so all scheduler and world state — message
+// queues, collective scratch, byte counters — is accessed race-free
+// without a single mutex. The switch bypasses the runtime's run
+// queues, so a hand-off stays on its thread whatever GOMAXPROCS is.
+// Determinism is structural: the run order is a pure function of the
+// rank programs, not of the Go runtime's preemption decisions.
 //
 // Deadlock detection is free. The scheduler knows why every parked
-// rank is parked (its wait record); when a rank must give up the
-// token and no rank is runnable, the remaining live ranks can never
-// make progress, and Run returns immediately with an error naming
-// each blocked rank and the operation it is parked in. No wall-clock
-// watchdog is needed, so the simulation never reads real time.
+// rank is parked (its wait record); when no rank is runnable and live
+// ranks remain, they can never make progress, and Run returns
+// immediately with an error naming each blocked rank and the operation
+// it is parked in. No wall-clock watchdog is needed, so the simulation
+// never reads real time.
+//
+// Lifetime. A run that fails (rank panic, deadlock) stops every
+// coroutine — a parked rank's yield reports false and its program
+// unwinds through errAborted — and the world is dropped. A clean world
+// goes back to the pool with its ranks parked between programs; see
+// worldRef for how a world the pool drops is stopped.
 
 // rankState tracks where a rank is in the cooperative schedule.
 type rankState uint8
 
 const (
 	stateRunnable rankState = iota // parked, waiting for its turn
-	stateRunning                   // holds the execution token
+	stateRunning                   // executing
 	stateBlocked                   // parked on a wait record
 	stateDone                      // program returned
 )
@@ -59,40 +70,70 @@ type waitRecord struct {
 }
 
 // sched is the per-world scheduler state. It is only ever touched by
-// the single running rank (or by the driver goroutine before the
-// first handoff and after the last), so none of it is locked.
+// whichever of the scheduler loop and the ranks is executing, so none
+// of it is locked.
 type sched struct {
-	gates []chan struct{} // per-rank handoff token, capacity 1
+	// Per-rank coroutine handles: resume and stop come from iter.Pull,
+	// yield is published by the coroutine itself when it first runs.
+	resume []func() (struct{}, bool)
+	stop   []func()
+	yield  []func(struct{}) bool
+
 	state []rankState
 	wait  []waitRecord
 	ready []uint64 // bitset of runnable ranks
 	live  int      // ranks whose program has not returned
 
-	// aborted is set before the final resume broadcast; parked ranks
-	// observe it through the gate's happens-before edge and unwind.
-	aborted bool
-	// err is the first failure (panic or deadlock). Written by the
-	// running rank, read by the driver after the WaitGroup settles.
-	err error
+	body func(*Rank) // the current run's rank program
+	err  error       // a rank program's panic
 }
 
-func newSched(n int) *sched {
+func newSched(w *World) *sched {
+	n := w.n
 	s := &sched{
-		gates: make([]chan struct{}, n),
-		state: make([]rankState, n),
-		wait:  make([]waitRecord, n),
-		ready: make([]uint64, (n+63)/64),
+		resume: make([]func() (struct{}, bool), n),
+		stop:   make([]func(), n),
+		yield:  make([]func(struct{}) bool, n),
+		state:  make([]rankState, n),
+		wait:   make([]waitRecord, n),
+		ready:  make([]uint64, (n+63)/64),
 	}
-	for i := range s.gates {
-		s.gates[i] = make(chan struct{}, 1)
+	for i := range s.resume {
+		s.resume[i], s.stop[i] = iter.Pull(s.rankLoop(&w.ranks[i]))
 	}
-	s.reset()
 	return s
 }
 
+// rankLoop is the coroutine of one rank: one program per resume from a
+// fresh Run, until a program fails or the coroutine is stopped.
+func (s *sched) rankLoop(r *Rank) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		s.yield[r.id] = yield
+		for s.runBody(r) && yield(struct{}{}) {
+		}
+	}
+}
+
+// runBody runs the current program on r and retires the rank,
+// reporting false when the program panicked instead: with errAborted
+// because the world was stopped under it, with anything else because
+// of an application bug, which becomes the run's error.
+func (s *sched) runBody(r *Rank) (ok bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			if err, _ := p.(error); !errors.Is(err, errAborted) {
+				s.err = fmt.Errorf("simmpi: rank %d panicked: %v", r.id, p)
+			}
+		}
+	}()
+	s.body(r)
+	s.state[r.id] = stateDone
+	s.live--
+	return true
+}
+
 // reset prepares the scheduler for a fresh run: every rank runnable,
-// nothing blocked, no error. Gates are empty by construction — a
-// cleanly completed run consumes every token it sends.
+// nothing blocked, no error.
 func (s *sched) reset() {
 	n := len(s.state)
 	for i := 0; i < n; i++ {
@@ -101,7 +142,6 @@ func (s *sched) reset() {
 		s.markReady(i)
 	}
 	s.live = n
-	s.aborted = false
 	s.err = nil
 }
 
@@ -119,100 +159,53 @@ func (s *sched) popReady() (int, bool) {
 	return 0, false
 }
 
-// start hands the execution token to the first rank. Called once per
-// run by the driver goroutine, after the rank goroutines are spawned.
-func (s *sched) start() {
-	s.yieldToNext()
-}
-
-// park blocks the calling rank until it receives the execution token,
-// then marks it running. Resuming into an aborted world unwinds the
-// rank program via errAborted.
-func (s *sched) park(id int) {
-	<-s.gates[id]
-	if s.aborted {
-		panic(errAborted)
+// run executes body on every rank with the calling goroutine as the
+// scheduler. When no rank is runnable and live ranks remain, each is
+// parked on a wait record that nothing can satisfy: the world is
+// deadlocked, and run reports it instead of hanging.
+func (s *sched) run(body func(*Rank)) error {
+	s.body = body
+	for s.live > 0 {
+		id, ok := s.popReady()
+		if !ok {
+			return s.deadlockError()
+		}
+		s.state[id] = stateRunning
+		s.resume[id]()
+		if s.err != nil {
+			return s.err
+		}
 	}
-	s.state[id] = stateRunning
+	s.body = nil // a pooled world retains no caller data
+	return nil
 }
 
-// yieldToNext hands the token to the lowest runnable rank, reporting
-// whether one existed. The caller must already have recorded why it
-// is giving up the token (blocked or done) so that no state claims to
-// be running when the next rank wakes.
-func (s *sched) yieldToNext() bool {
-	next, ok := s.popReady()
-	if !ok {
-		return false
-	}
-	s.gates[next] <- struct{}{}
-	return true
-}
-
-// block parks rank id on wait record wr and hands the token to the
-// next runnable rank; it returns when a matching wakeup (message
-// arrival, collective completion) has made the rank runnable and its
-// turn has come. If no rank is runnable, every live rank is parked on
-// a wait record that nothing can satisfy: the world is deadlocked,
-// and it aborts immediately instead of hanging.
+// block parks rank id on wait record wr and returns control to the
+// scheduler; it returns when a matching wakeup (message arrival,
+// collective completion) has made the rank runnable and its turn has
+// come. In a stopped world it unwinds the rank program instead.
 func (s *sched) block(id int, wr waitRecord) {
 	s.wait[id] = wr
 	s.state[id] = stateBlocked
-	if !s.yieldToNext() {
-		err := s.deadlockError()
-		// Reclaim the token so abort skips this rank: it unwinds
-		// through the panic below rather than through park.
-		s.state[id] = stateRunning
-		s.fail(err)
+	//harmonyvet:ignore allocfree yield is this rank's iter.Pull coroutine switch, which allocates nothing; TestRunAllocationSteadyState pins 800 of them per Run
+	if !s.yield[id](struct{}{}) {
 		panic(errAborted)
 	}
-	s.park(id)
-	s.wait[id] = waitRecord{}
 }
 
 // unblock moves a blocked rank back into the ready set. The rank
-// resumes when the current rank next gives up the token.
+// resumes when the scheduler next picks it.
 func (s *sched) unblock(id int) {
 	s.state[id] = stateRunnable
 	s.wait[id] = waitRecord{}
 	s.markReady(id)
 }
 
-// finish retires rank id and passes the token on. When nothing is
-// runnable afterwards, either the run is complete (no live ranks) or
-// the remaining live ranks are parked forever — a deadlock.
-func (s *sched) finish(id int) {
-	s.state[id] = stateDone
-	s.live--
-	if s.yieldToNext() {
-		return
-	}
-	if s.live > 0 {
-		s.fail(s.deadlockError())
-	}
-}
-
-// fail records the first error and aborts the schedule.
-func (s *sched) fail(err error) {
-	if s.err == nil {
-		s.err = err
-	}
-	s.abort()
-}
-
-// abort kills the schedule: every parked rank is resumed exactly once
-// and panics errAborted out of park. The caller is the single running
-// rank (or its panic handler), so no token is ever in flight here and
-// each parked gate receives exactly one.
-func (s *sched) abort() {
-	if s.aborted {
-		return
-	}
-	s.aborted = true
-	for i, st := range s.state {
-		if st == stateRunnable || st == stateBlocked {
-			s.gates[i] <- struct{}{}
-		}
+// stopAll ends every rank coroutine, unwinding any program still
+// parked in block.
+func (s *sched) stopAll() {
+	for _, stop := range s.stop {
+		stop()
 	}
 }
 

@@ -2,7 +2,7 @@
 // machine: the substrate on which every application simulator in this
 // repository runs.
 //
-// Each rank executes as a goroutine carrying a private virtual clock.
+// Each rank executes as a coroutine carrying a private virtual clock.
 // Compute advances the clock by work/CPU-speed; point-to-point and
 // collective operations synchronise clocks through the machine's link
 // cost model (latency, bandwidth, sender overhead, distinct intra-
@@ -13,7 +13,7 @@
 // simulates in milliseconds of wall-clock time.
 //
 // Execution is cooperative: a run-to-block scheduler (see sched.go)
-// runs exactly one rank at a time and hands off directly at blocking
+// runs exactly one rank at a time and switches directly at blocking
 // points, so the simulation needs no mutexes, no condition variables,
 // and no wall-clock watchdog — an application deadlock is detected
 // structurally the moment no rank can run, and reported immediately.
@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"harmony/internal/cluster"
@@ -138,7 +139,6 @@ type World struct {
 	coll    *collective
 	sched   *sched
 	ranks   []Rank
-	poolKey worldPoolKey
 
 	// collBytes accumulates collective traffic estimates, charged by
 	// the rank that completes each rendezvous. Point-to-point volume
@@ -180,8 +180,7 @@ func (w *World) freeMessage(m *message) {
 }
 
 // Rank is the handle a rank program uses for all simulated
-// operations. It must only be used from the goroutine running that
-// rank's program.
+// operations. It must only be used from within that rank's program.
 type Rank struct {
 	world *World
 	id    int
@@ -204,50 +203,52 @@ func (r *Rank) Machine() *cluster.Machine { return r.world.machine }
 // Elapsed returns the rank's current virtual clock in seconds.
 func (r *Rank) Elapsed() float64 { return r.clock }
 
-// worldPools recycles idle Worlds per (machine fingerprint, rank
-// count): a tuning campaign re-running the same machine shape
-// thousands of times reuses one set of message queues, scheduler
-// gates, and collective scratch instead of rebuilding them every
-// evaluation. Only worlds that completed cleanly are pooled; aborted
-// worlds (with unwound ranks and poisoned queues) are dropped.
-var worldPools sync.Map // worldPoolKey -> *sync.Pool
+// worldPools recycles idle Worlds per rank count: a tuning campaign
+// re-running the same job size thousands of times reuses one set of
+// message queues, rank coroutines, and collective scratch instead of
+// rebuilding them every evaluation. A World holds nothing specific to
+// a machine (links and speeds are read through the pointer reset
+// installs), so the rank count is the whole key. Only worlds that
+// completed cleanly are pooled; failed worlds (with unwound ranks and
+// poisoned queues) are dropped.
+var worldPools sync.Map // int -> *sync.Pool of *worldRef
 
-type worldPoolKey struct {
-	machine string
-	n       int
-}
+// worldRef is what Run and the pool hold of a World. A parked rank's
+// stack keeps its World reachable, so a finalizer on the World itself
+// would never run; nothing a rank can reach points at the ref, so when
+// the pool drops it the finalizer runs and stops the coroutines.
+type worldRef struct{ w *World }
 
-func acquireWorld(m *cluster.Machine, n int) *World {
-	key := worldPoolKey{machine: m.Fingerprint(), n: n}
-	if p, ok := worldPools.Load(key); ok {
-		if v := p.(*sync.Pool).Get(); v != nil {
-			w := v.(*World)
-			w.reset(m)
-			return w
+func acquireWorld(m *cluster.Machine, n int) *worldRef {
+	if p, ok := worldPools.Load(n); ok {
+		if h, _ := p.(*sync.Pool).Get().(*worldRef); h != nil {
+			h.w.reset(m)
+			return h
 		}
 	}
-	w := &World{machine: m, n: n, poolKey: key}
+	w := &World{n: n}
 	w.queues = make([]map[streamKey]*msgQueue, n)
 	for i := range w.queues {
 		w.queues[i] = make(map[streamKey]*msgQueue)
 	}
 	w.ranks = make([]Rank, n)
 	w.coll = newCollective(w)
-	w.sched = newSched(n)
+	w.sched = newSched(w)
 	w.reset(m)
-	return w
+	h := &worldRef{w}
+	runtime.SetFinalizer(h, func(h *worldRef) { h.w.sched.stopAll() })
+	return h
 }
 
-func releaseWorld(w *World) {
-	p, ok := worldPools.Load(w.poolKey)
+func releaseWorld(h *worldRef) {
+	p, ok := worldPools.Load(h.w.n)
 	if !ok {
-		p, _ = worldPools.LoadOrStore(w.poolKey, &sync.Pool{})
+		p, _ = worldPools.LoadOrStore(h.w.n, &sync.Pool{})
 	}
-	p.(*sync.Pool).Put(w)
+	p.(*sync.Pool).Put(h)
 }
 
-// reset returns a pooled world to its pristine state for machine m
-// (which must carry the fingerprint the world was pooled under).
+// reset returns a pooled world to its pristine state for machine m.
 // Queue capacity and message envelopes are retained; messages a
 // completed program left unreceived go back to the free list.
 func (w *World) reset(m *cluster.Machine) {
@@ -272,11 +273,14 @@ func (w *World) reset(m *cluster.Machine) {
 
 // Run executes body on n simulated ranks of machine m and returns the
 // job statistics. n must not exceed m.Procs(): ranks map to
-// processors node-major. A panic in any rank program aborts the whole
-// world and is returned as an error. An application deadlock (a
-// receive with no matching send, a collective some rank never joins)
-// is detected the moment no rank can make progress and returned
-// immediately as an error naming the blocked ranks.
+// processors node-major. The calling goroutine drives the ranks, one
+// at a time, until all have returned. A panic in any rank program
+// aborts the whole world and is returned as an error. An application
+// deadlock (a receive with no matching send, a collective some rank
+// never joins) is detected the moment no rank can make progress and
+// returned immediately as an error naming the blocked ranks.
+// runtime.Goexit in a rank program (t.Fatal in a test) ends the calling
+// goroutine.
 func Run(m *cluster.Machine, n int, body func(r *Rank)) (Stats, error) {
 	if err := m.Validate(); err != nil {
 		return Stats{}, err
@@ -284,20 +288,12 @@ func Run(m *cluster.Machine, n int, body func(r *Rank)) (Stats, error) {
 	if n <= 0 || n > m.Procs() {
 		return Stats{}, fmt.Errorf("simmpi: %d ranks on %s (%d processors)", n, m, m.Procs())
 	}
-	w := acquireWorld(m, n)
-	s := w.sched
-
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		// A plain function call, not a closure: spawning a rank
-		// allocates nothing beyond its goroutine.
-		go rankMain(&w.ranks[i], s, body, &wg)
-	}
-	s.start()
-	wg.Wait()
-	if s.err != nil {
-		return Stats{}, s.err
+	h := acquireWorld(m, n)
+	w := h.w
+	if err := w.sched.run(body); err != nil {
+		runtime.SetFinalizer(h, nil) // stopped here, and h stays live until it is
+		w.sched.stopAll()
+		return Stats{}, err
 	}
 
 	st := Stats{
@@ -317,30 +313,8 @@ func Run(m *cluster.Machine, n int, body func(r *Rank)) (Stats, error) {
 			st.Time = r.clock
 		}
 	}
-	releaseWorld(w)
+	releaseWorld(h)
 	return st, nil
-}
-
-// rankMain is the goroutine body of one simulated rank: wait for the
-// first handoff, run the program, and either pass the token on
-// (finish) or — on a rank-program panic — record the failure and
-// unwind every parked rank.
-func rankMain(r *Rank, s *sched, body func(*Rank), wg *sync.WaitGroup) {
-	defer wg.Done()
-	defer func() {
-		if p := recover(); p != nil {
-			if err, ok := p.(error); ok && errors.Is(err, errAborted) {
-				return // resumed into a dead world
-			}
-			// This rank holds the token; record the failure and
-			// unwind every parked rank.
-			s.fail(fmt.Errorf("simmpi: rank %d panicked: %v", r.id, p))
-			return
-		}
-		s.finish(r.id)
-	}()
-	s.park(r.id)
-	body(r)
 }
 
 // Compute advances the rank's clock by the time needed to execute the
@@ -465,7 +439,7 @@ func (r *Rank) send(dst, tag int, payload []float64, bytes int) {
 
 	// Direct wakeup: a destination parked on exactly this (src, tag)
 	// stream becomes runnable. The send itself never yields — the
-	// sender keeps the token and continues.
+	// sender continues.
 	s := w.sched
 	if s.state[dst] == stateBlocked {
 		if wr := &s.wait[dst]; wr.kind == waitRecv && wr.src == r.id && wr.tag == tag {
@@ -477,7 +451,7 @@ func (r *Rank) send(dst, tag int, payload []float64, bytes int) {
 // Recv blocks until a message from src under tag is available,
 // advances the clock to the message arrival time, and returns the
 // payload (nil for SendBytes messages). If the message was already
-// posted, Recv consumes it without giving up the execution token.
+// posted, Recv consumes it without yielding.
 //
 //harmonyvet:allocfree
 func (r *Rank) Recv(src, tag int) []float64 {
