@@ -216,7 +216,8 @@ type (
 	// ClientOptions tune the client's fault handling: per-round-trip
 	// I/O deadlines and reconnect-with-backoff.
 	ClientOptions = client.Options
-	// Session is a registered on-line tuning session.
+	// Session is a registered on-line tuning session, obtained from a
+	// Client or a Mux.
 	Session = client.Session
 	// Registration describes a session to create.
 	Registration = client.Registration
@@ -224,7 +225,8 @@ type (
 	// protocol; many sessions share it and their requests are
 	// pipelined into common frames.
 	Mux = client.Mux
-	// MuxSession is an on-line tuning session carried by a Mux.
+	// MuxSession is the name a Session obtained from a Mux used to
+	// have; the two are one type.
 	MuxSession = client.MuxSession
 )
 

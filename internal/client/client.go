@@ -14,14 +14,20 @@
 //	}
 //	best, _, _ := sess.Best()
 //
+// There is one Session type. What carries its five calls is either a
+// Client — one connection speaking JSON lines, one strict round trip
+// per call — or a Mux, which multiplexes the concurrent calls of many
+// sessions over one binary-protocol connection (mux.go).
+//
 // Production deployments dial with Options to bound each protocol
 // round trip with an I/O deadline and to reconnect with exponential
 // backoff when the connection drops. Re-fetching after a reconnect is
 // idempotent: the server either repeats the outstanding configuration
-// or re-issues a fresh proposal, and the configuration generation
-// (and parallel-proposal tag) it stamps on every fetch makes a report
-// that raced a reconnect droppable server-side instead of being
-// credited to the wrong measurement.
+// or hands out a candidate of its window again, and the configuration
+// generation (shared sessions) or hand-out tag (Parallel and Async
+// sessions) it stamps on every fetch makes a report that raced a
+// reconnect droppable server-side instead of being credited to the
+// wrong measurement.
 package client
 
 import (
@@ -130,9 +136,11 @@ type Registration struct {
 	// Parallel fans the independent proposals of each search round
 	// out to concurrent clients: every Fetch may receive a different
 	// configuration of the round (PRO's parallel-clients mode) rather
-	// than all clients measuring the same one. Each Session tracks
-	// the tag of its last fetched configuration, so use one Session
-	// (via Attach) per concurrent client.
+	// than all clients measuring the same one, and the search advances
+	// when the whole round is in. On the server this is the fan-out
+	// window draining at the round boundary. Each Session tracks the
+	// tag of its last fetched configuration, so use one Session (via
+	// Attach) per concurrent client.
 	Parallel bool
 	// Seed feeds randomised strategies.
 	Seed int64
@@ -151,31 +159,45 @@ type Registration struct {
 	// when Surrogate is set (0 < keep <= 1); 0 selects the server's
 	// default.
 	SurrogateKeep float64
-	// Async selects the pipelined dispatch: the server keeps a bounded
-	// window of candidates in flight and every Fetch may receive a
+	// Async selects the pipelined dispatch: the same fan-out window,
+	// bounded by a depth instead of the round — the server keeps up to
+	// AsyncDepth candidates in flight and every Fetch may receive a
 	// different one, without waiting for a whole round to report. When
-	// both Async and Parallel are set, Async wins. As in parallel
-	// mode, each concurrent client needs its own Session (via Attach).
+	// both Async and Parallel are set, Async wins. As with Parallel,
+	// each concurrent client needs its own Session (via Attach).
 	Async bool
 	// AsyncDepth bounds how many candidates the server keeps in
 	// flight for an Async session; 0 selects the server's default.
 	AsyncDepth int
 }
 
-// Session is a registered tuning session.
+// transport carries one protocol exchange: it sends msg, waits for the
+// reply and turns a server error reply into an error. Client and Mux
+// are the two transports. The message travels by value: a pointer
+// passed through the interface would put every request on the heap,
+// where Mux.Call otherwise keeps it on the caller's stack.
+type transport interface {
+	roundTrip(msg proto.Message) (*proto.Message, error)
+}
+
+// Session is a registered tuning session, obtained from a Client or a
+// Mux. It is used by one goroutine at a time; concurrent clients of
+// one session each Attach their own.
 type Session struct {
-	c   *Client
+	t   transport
 	id  string
-	tag int // tag of the last fetched configuration (parallel mode)
-	gen int // generation of the last fetched configuration (shared mode)
+	tag int // tag of the last fetched configuration (Parallel and Async sessions)
+	gen int // generation of the last fetched configuration (shared sessions)
 }
 
 // Register creates a tuning session on the server.
-func (c *Client) Register(reg Registration) (*Session, error) {
+func (c *Client) Register(reg Registration) (*Session, error) { return register(c, reg) }
+
+func register(t transport, reg Registration) (*Session, error) {
 	if reg.Space == nil {
 		return nil, fmt.Errorf("client: registration needs a parameter space")
 	}
-	msg := &proto.Message{
+	reply, err := t.roundTrip(proto.Message{
 		Type:          proto.TypeRegister,
 		App:           reg.App,
 		Machine:       reg.Machine,
@@ -190,21 +212,20 @@ func (c *Client) Register(reg Registration) (*Session, error) {
 		SurrogateKeep: reg.SurrogateKeep,
 		Async:         reg.Async,
 		AsyncDepth:    reg.AsyncDepth,
-	}
-	reply, err := c.roundTrip(msg)
+	})
 	if err != nil {
 		return nil, err
 	}
 	if reply.Type != proto.TypeRegistered || reply.Session == "" {
 		return nil, fmt.Errorf("client: unexpected register reply %q", reply.Type)
 	}
-	return &Session{c: c, id: reply.Session}, nil
+	return &Session{t: t, id: reply.Session}, nil
 }
 
 // Attach joins an existing session (for example, a parallel job where
 // rank 0 registered and broadcast the session id).
 func (c *Client) Attach(sessionID string) *Session {
-	return &Session{c: c, id: sessionID}
+	return &Session{t: c, id: sessionID}
 }
 
 // ID returns the server-assigned session identifier.
@@ -231,8 +252,8 @@ func (s *Session) ID() string { return s.id }
 // transport fault — reconnecting and re-encoding the identical
 // message fails identically — so it is surfaced immediately instead
 // of burning the retry budget.
-func (c *Client) roundTrip(msg *proto.Message) (*proto.Message, error) {
-	reply, err := c.try(msg)
+func (c *Client) roundTrip(msg proto.Message) (*proto.Message, error) {
+	reply, err := c.try(&msg)
 	backoff := c.opts.Backoff
 	if backoff <= 0 {
 		backoff = defaultBackoff
@@ -244,7 +265,7 @@ func (c *Client) roundTrip(msg *proto.Message) (*proto.Message, error) {
 			err = rerr
 			continue
 		}
-		reply, err = c.try(msg)
+		reply, err = c.try(&msg)
 	}
 	if err != nil {
 		return nil, err
@@ -289,7 +310,7 @@ func (c *Client) try(msg *proto.Message) (*proto.Message, error) {
 // simply be called again, and the generation/tag of the reply
 // supersedes whatever was outstanding.
 func (s *Session) Fetch() (values map[string]string, converged bool, err error) {
-	reply, err := s.c.roundTrip(&proto.Message{Type: proto.TypeFetch, Session: s.id})
+	reply, err := s.t.roundTrip(proto.Message{Type: proto.TypeFetch, Session: s.id})
 	if err != nil {
 		return nil, false, err
 	}
@@ -308,7 +329,7 @@ func (s *Session) Fetch() (values map[string]string, converged bool, err error) 
 // twin client) is dropped server-side instead of corrupting the next
 // measurement.
 func (s *Session) Report(perf float64) error {
-	reply, err := s.c.roundTrip(&proto.Message{
+	reply, err := s.t.roundTrip(proto.Message{
 		Type: proto.TypeReport, Session: s.id, Perf: perf, Tag: s.tag, Gen: s.gen,
 	})
 	if err != nil {
@@ -322,7 +343,7 @@ func (s *Session) Report(perf float64) error {
 
 // Best returns the best configuration and objective seen so far.
 func (s *Session) Best() (values map[string]string, perf float64, err error) {
-	reply, err := s.c.roundTrip(&proto.Message{Type: proto.TypeBest, Session: s.id})
+	reply, err := s.t.roundTrip(proto.Message{Type: proto.TypeBest, Session: s.id})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -334,7 +355,7 @@ func (s *Session) Best() (values map[string]string, perf float64, err error) {
 
 // Done ends the session on the server.
 func (s *Session) Done() error {
-	reply, err := s.c.roundTrip(&proto.Message{Type: proto.TypeDone, Session: s.id})
+	reply, err := s.t.roundTrip(proto.Message{Type: proto.TypeDone, Session: s.id})
 	if err != nil {
 		return err
 	}

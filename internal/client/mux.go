@@ -28,7 +28,7 @@ const muxOpQueue = 256
 // muxMaxBatch caps the messages packed into one outgoing frame.
 const muxMaxBatch = 64
 
-// Mux is a multiplexed binary-protocol connection. Each MuxSession
+// Mux is a multiplexed binary-protocol connection. Each Session
 // obtained from Register (or Attach) is used by one goroutine at a
 // time, but any number of sessions may share the Mux concurrently;
 // their operations are batched into common frames. Create with
@@ -223,103 +223,15 @@ func (m *Mux) Call(msg *proto.Message) (*proto.Message, error) {
 	return r, nil
 }
 
-// MuxSession is one tuning session riding a Mux. It mirrors Session's
-// API; use one MuxSession per concurrent client of a session.
-type MuxSession struct {
-	m   *Mux
-	id  string
-	tag int // tag of the last fetched configuration (parallel mode)
-	gen int // generation of the last fetched configuration (shared mode)
-}
+func (m *Mux) roundTrip(msg proto.Message) (*proto.Message, error) { return m.Call(&msg) }
+
+// MuxSession is the name a Session obtained from a Mux used to have.
+type MuxSession = Session
 
 // Register creates a tuning session on the server over the mux.
-func (m *Mux) Register(reg Registration) (*MuxSession, error) {
-	if reg.Space == nil {
-		return nil, fmt.Errorf("client: registration needs a parameter space")
-	}
-	reply, err := m.Call(&proto.Message{
-		Type:          proto.TypeRegister,
-		App:           reg.App,
-		Machine:       reg.Machine,
-		Strategy:      reg.Strategy,
-		Space:         proto.EncodeSpace(reg.Space),
-		MaxRuns:       reg.MaxRuns,
-		Reporters:     reg.Reporters,
-		Parallel:      reg.Parallel,
-		Seed:          reg.Seed,
-		CacheNS:       reg.CacheNS,
-		Surrogate:     reg.Surrogate,
-		SurrogateKeep: reg.SurrogateKeep,
-		Async:         reg.Async,
-		AsyncDepth:    reg.AsyncDepth,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if reply.Type != proto.TypeRegistered || reply.Session == "" {
-		return nil, fmt.Errorf("client: unexpected register reply %q", reply.Type)
-	}
-	return &MuxSession{m: m, id: reply.Session}, nil
-}
+func (m *Mux) Register(reg Registration) (*Session, error) { return register(m, reg) }
 
 // Attach joins an existing session by id.
-func (m *Mux) Attach(sessionID string) *MuxSession {
-	return &MuxSession{m: m, id: sessionID}
-}
-
-// ID returns the server-assigned session identifier.
-func (s *MuxSession) ID() string { return s.id }
-
-// Fetch asks the server which configuration to use next; see
-// Session.Fetch.
-func (s *MuxSession) Fetch() (values map[string]string, converged bool, err error) {
-	reply, err := s.m.Call(&proto.Message{Type: proto.TypeFetch, Session: s.id})
-	if err != nil {
-		return nil, false, err
-	}
-	if reply.Type != proto.TypeConfig {
-		return nil, false, fmt.Errorf("client: unexpected fetch reply %q", reply.Type)
-	}
-	s.tag = reply.Tag
-	s.gen = reply.Gen
-	return reply.Values, reply.Converged, nil
-}
-
-// Report delivers the performance measured under the configuration
-// from the preceding Fetch; see Session.Report.
-func (s *MuxSession) Report(perf float64) error {
-	reply, err := s.m.Call(&proto.Message{
-		Type: proto.TypeReport, Session: s.id, Perf: perf, Tag: s.tag, Gen: s.gen,
-	})
-	if err != nil {
-		return err
-	}
-	if reply.Type != proto.TypeOK {
-		return fmt.Errorf("client: unexpected report reply %q", reply.Type)
-	}
-	return nil
-}
-
-// Best returns the best configuration and objective seen so far.
-func (s *MuxSession) Best() (values map[string]string, perf float64, err error) {
-	reply, err := s.m.Call(&proto.Message{Type: proto.TypeBest, Session: s.id})
-	if err != nil {
-		return nil, 0, err
-	}
-	if reply.Type != proto.TypeBestReply {
-		return nil, 0, fmt.Errorf("client: unexpected best reply %q", reply.Type)
-	}
-	return reply.Values, reply.Perf, nil
-}
-
-// Done ends the session on the server.
-func (s *MuxSession) Done() error {
-	reply, err := s.m.Call(&proto.Message{Type: proto.TypeDone, Session: s.id})
-	if err != nil {
-		return err
-	}
-	if reply.Type != proto.TypeOK {
-		return fmt.Errorf("client: unexpected done reply %q", reply.Type)
-	}
-	return nil
+func (m *Mux) Attach(sessionID string) *Session {
+	return &Session{t: m, id: sessionID}
 }

@@ -116,8 +116,8 @@ func (b *scriptedBatch) ReportBatch(pts []space.Point, values []float64) {
 }
 
 // TestUndecodableProposalForfeited is the regression test for the
-// round-wedge bug: fetchParallelLocked used to return a decode error
-// without issuing a tag, and since expireRoundLocked only walks issued
+// round-wedge bug: the parallel fetch used to return a decode error
+// without issuing a tag, and since straggler expiry only walks issued
 // tags, the round could never complete or expire — the session was
 // wedged forever even with ReportTimeout set. The fix forfeits the
 // undecodable position immediately.
@@ -128,7 +128,7 @@ func TestUndecodableProposalForfeited(t *testing.T) {
 		{bad, sp.Center()},
 		{sp.Clamp(space.Point{1, 1})},
 	}}
-	ss := &session{id: "s1", space: sp, strategy: strat, parallel: true, batch: strat, reporters: 1}
+	ss := newTestSession(sp, strat, 0, roundWindow(strat))
 
 	// The first fetch must skip the undecodable position and hand out
 	// the round's good proposal instead of erroring and wedging.
@@ -169,7 +169,7 @@ func TestFullyUndecodableRoundSkipped(t *testing.T) {
 		{bad, bad.Clone()},
 		{sp.Center()},
 	}}
-	ss := &session{id: "s1", space: sp, strategy: strat, parallel: true, batch: strat, reporters: 1}
+	ss := newTestSession(sp, strat, 0, roundWindow(strat))
 
 	r := ss.fetch(nil)
 	if r.Type != proto.TypeConfig || r.Converged {

@@ -48,37 +48,62 @@ func driveSession(t *testing.T, addr string, reg client.Registration) (best map[
 
 // TestServerCacheAnswersRepeatedSession: with Server.Cache set, a
 // session replayed against a warm cache reaches the identical best
-// without the client measuring anything — the sequential fetch loop
-// reports cached values straight to the strategy.
+// without the client measuring anything, whatever its registration
+// kind: every proposal is answered at issue time, charged like a run,
+// and the strategy is re-asked until it — or the budget — ends the
+// search, exactly as in the cold session. The pipelined rows pin two
+// defects of the former async path: a window whose candidates were all
+// pre-answered declared convergence after one window's worth, and a
+// cache hit was charged before the budget was checked.
 func TestServerCacheAnswersRepeatedSession(t *testing.T) {
-	s, addr := startServer(t)
-	s.Cache = history.NewEvalCache()
+	rows := []struct {
+		name string
+		reg  client.Registration
+	}{
+		{"shared", client.Registration{MaxRuns: 40}},
+		{"parallel-pro", client.Registration{Strategy: proto.StrategyPRO, Parallel: true, MaxRuns: 60}},
+		{"async-ensemble", client.Registration{Strategy: proto.StrategyEnsemble, Seed: 3, Async: true, MaxRuns: 50}},
+		{"async-ensemble-budget-below-depth", client.Registration{Strategy: proto.StrategyEnsemble, Seed: 3, Async: true, AsyncDepth: 8, MaxRuns: 7}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			s, addr := startServer(t)
+			s.Cache = history.NewEvalCache()
+			reg := row.reg
+			reg.App, reg.Machine, reg.Space = "bowl", "m1", testSpace()
 
-	reg := client.Registration{App: "bowl", Machine: "m1", Space: testSpace(), MaxRuns: 40}
-	best1, perf1, measured1 := driveSession(t, addr, reg)
-	if measured1 == 0 {
-		t.Fatal("first session measured nothing")
-	}
+			best1, perf1, measured1 := driveSession(t, addr, reg)
+			if measured1 == 0 {
+				t.Fatal("first session measured nothing")
+			}
+			cold := s.Stats()
+			if cold.CacheMisses == 0 {
+				t.Error("Stats().CacheMisses = 0 after cold-cache session")
+			}
+			// A point the cold session proposed twice was measured once and
+			// answered from the cache the second time; both were runs.
+			coldRuns := int64(measured1) + cold.CacheHits
 
-	best2, perf2, measured2 := driveSession(t, addr, reg)
-	if measured2 != 0 {
-		t.Errorf("warm-cache session measured %d configurations, want 0", measured2)
-	}
-	if perf2 != perf1 {
-		t.Errorf("warm-cache best perf = %v, want %v", perf2, perf1)
-	}
-	for k, v := range best1 {
-		if best2[k] != v {
-			t.Errorf("warm-cache best[%q] = %q, want %q", k, best2[k], v)
-		}
-	}
-
-	st := s.Stats()
-	if st.CacheHits == 0 {
-		t.Error("Stats().CacheHits = 0 after warm-cache session")
-	}
-	if st.CacheMisses == 0 {
-		t.Error("Stats().CacheMisses = 0 after cold-cache session")
+			best2, perf2, measured2 := driveSession(t, addr, reg)
+			if measured2 != 0 {
+				t.Errorf("warm-cache session measured %d configurations, want 0", measured2)
+			}
+			if perf2 != perf1 {
+				t.Errorf("warm-cache best perf = %v, want %v", perf2, perf1)
+			}
+			for k, v := range best1 {
+				if best2[k] != v {
+					t.Errorf("warm-cache best[%q] = %q, want %q", k, best2[k], v)
+				}
+			}
+			warmRuns := s.Stats().CacheHits - cold.CacheHits
+			if warmRuns != coldRuns {
+				t.Errorf("warm-cache session was charged %d cache hits, want the cold session's %d runs", warmRuns, coldRuns)
+			}
+			if warmRuns > int64(reg.MaxRuns) {
+				t.Errorf("warm-cache session was charged %d runs, MaxRuns is %d", warmRuns, reg.MaxRuns)
+			}
+		})
 	}
 }
 
@@ -103,36 +128,5 @@ func TestServerCacheIdentityScoped(t *testing.T) {
 	_, _, measured = driveSession(t, addr, app)
 	if measured == 0 {
 		t.Error("different application was answered entirely from cache")
-	}
-}
-
-// TestServerCacheParallelRoundPrefill: in parallel fan-out mode,
-// cached proposals are pre-filled at round construction so only the
-// misses are handed to clients, and the round still completes and
-// converges to the same best.
-func TestServerCacheParallelRoundPrefill(t *testing.T) {
-	s, addr := startServer(t)
-	s.Cache = history.NewEvalCache()
-
-	reg := client.Registration{
-		App: "bowl", Machine: "m1", Space: testSpace(),
-		Strategy: proto.StrategyPRO, Parallel: true, MaxRuns: 60,
-	}
-	_, perf1, measured1 := driveSession(t, addr, reg)
-	if measured1 == 0 {
-		t.Fatal("first parallel session measured nothing")
-	}
-	hitsBefore, _ := s.Cache.Counters()
-
-	_, perf2, measured2 := driveSession(t, addr, reg)
-	if perf2 != perf1 {
-		t.Errorf("warm-cache parallel best perf = %v, want %v", perf2, perf1)
-	}
-	if measured2 != 0 {
-		t.Errorf("warm-cache parallel session measured %d configurations, want 0", measured2)
-	}
-	hitsAfter, _ := s.Cache.Counters()
-	if hitsAfter <= hitsBefore {
-		t.Errorf("cache hits did not grow across warm parallel session (%d -> %d)", hitsBefore, hitsAfter)
 	}
 }

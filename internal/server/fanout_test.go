@@ -110,12 +110,8 @@ func TestParallelFanoutDistinctConfigs(t *testing.T) {
 // tagged reports are acknowledged without corrupting the round.
 func TestParallelFanoutStaleReportsDropped(t *testing.T) {
 	sp := testSpace()
-	ss := &session{
-		id: "s1", space: sp,
-		strategy:  search.NewRandom(sp, 3, 50),
-		reporters: 1, parallel: true, maxRuns: 50,
-	}
-	ss.batch = search.AsBatch(ss.strategy)
+	strat := search.NewRandom(sp, 3, 50)
+	ss := newTestSession(sp, strat, 50, roundWindow(strat))
 
 	first := ss.fetch(nil)
 	if first.Type != proto.TypeConfig {
@@ -135,40 +131,35 @@ func TestParallelFanoutStaleReportsDropped(t *testing.T) {
 	}
 	// Finish the round with genuine values no better than 5, so the
 	// round reaches the strategy and 5 should be the incumbent best.
-	for i := 0; ss.round != nil && i < 100; i++ {
+	for i := 0; ss.stat().roundsCompleted.Load() == 0 && i < 100; i++ {
 		reply := ss.fetch(nil)
 		if reply.Type != proto.TypeConfig {
 			t.Fatalf("fetch reply %q", reply.Type)
 		}
 		ss.report(&proto.Message{Tag: reply.Tag, Perf: 50})
 	}
-	if ss.round != nil {
+	if ss.stat().roundsCompleted.Load() == 0 {
 		t.Fatal("round never completed")
 	}
 	// The bogus -1e9 reports must not have reached the strategy.
-	if _, v, ok := ss.strategy.Best(); !ok || v != 5 {
+	if _, v, ok := strat.Best(); !ok || v != 5 {
 		t.Fatalf("strategy best = %v (ok=%v), want the genuine report 5", v, ok)
 	}
 }
 
 // TestParallelFanoutPRONearBudget pins the truncation behaviour at
 // the maxRuns boundary: when the remaining budget is smaller than
-// PRO's next trial population, the round is truncated to the budget,
-// the truncated prefix is reported back (legal per the BatchStrategy
-// contract), and the session converges with runs == maxRuns exactly —
-// no error replies, no overspend, and Best reflecting every genuine
+// PRO's next trial population, the round is truncated to the budget
+// (the strategy never hears of the cut round, as in core.Tune), and
+// the session converges with runs == maxRuns exactly — no error
+// replies, no overspend, and Best reflecting every genuine
 // measurement.
 func TestParallelFanoutPRONearBudget(t *testing.T) {
 	sp := testSpace() // dims=2, so PRO's population is 4
 	strat := search.NewPRO(sp, search.PROOptions{Seed: 5})
-	ss := &session{
-		id: "s1", space: sp, strategy: strat,
-		reporters: 1, parallel: true,
-		// Init round costs 4; the reflected round of 3 must be
-		// truncated to the remaining budget of 2.
-		maxRuns: 6,
-	}
-	ss.batch = search.AsBatch(strat)
+	// Init round costs 4; the reflected round of 3 must be truncated to
+	// the remaining budget of 2.
+	ss := newTestSession(sp, strat, 6, roundWindow(strat))
 
 	reported := 0
 	bestSeen := math.Inf(1)
@@ -200,8 +191,8 @@ func TestParallelFanoutPRONearBudget(t *testing.T) {
 	if reported != 6 {
 		t.Fatalf("%d proposals evaluated, want 6", reported)
 	}
-	if _, v, ok := strat.Best(); !ok || v != bestSeen {
-		t.Fatalf("strategy best = %v (ok=%v), want the best genuine measurement %v", v, ok, bestSeen)
+	if best := ss.best(nil); best.Type != proto.TypeBestReply || best.Perf != bestSeen {
+		t.Fatalf("best reply = %+v, want the best genuine measurement %v", best, bestSeen)
 	}
 	if got := objective(converged.Values); got != bestSeen {
 		t.Fatalf("converged config scores %v, want the best seen %v", got, bestSeen)
@@ -212,12 +203,8 @@ func TestParallelFanoutPRONearBudget(t *testing.T) {
 // hands out more distinct proposals than max_runs.
 func TestParallelFanoutHonoursMaxRuns(t *testing.T) {
 	sp := testSpace()
-	ss := &session{
-		id: "s1", space: sp,
-		strategy:  search.NewRandom(sp, 9, 500),
-		reporters: 1, parallel: true, maxRuns: 7,
-	}
-	ss.batch = search.AsBatch(ss.strategy)
+	strat := search.NewRandom(sp, 9, 500)
+	ss := newTestSession(sp, strat, 7, roundWindow(strat))
 
 	distinct := make(map[string]bool)
 	for i := 0; i < 100; i++ {

@@ -395,7 +395,7 @@ func TestDecodeFailureDoesNotChargeRun(t *testing.T) {
 		sp.Center(),                 // good
 		sp.Clamp(space.Point{1, 1}), // good
 	}}
-	ss := &session{id: "s1", space: sp, strategy: strat, reporters: 1, maxRuns: 2}
+	ss := newTestSession(sp, strat, 2, nil)
 
 	if r := ss.fetch(nil); r.Type != proto.TypeError {
 		t.Fatalf("fetch of undecodable point: %+v, want error", r)

@@ -2,19 +2,24 @@
 // Adaptation Controller behind the on-line tuning protocol.
 //
 // Applications register a parameter space, then fetch configurations
-// and report measured performance while they run. One session may be
-// shared by several clients (for example one per node of a parallel
-// job); the server hands every client the same configuration and
-// advances the search only when all expected reports for that
-// configuration have arrived, aggregating them by taking the worst
-// (a parallel application moves at the speed of its slowest rank).
+// and report measured performance while they run. A session is
+// dispatched one of two ways:
 //
-// A session registered with Parallel instead fans the independent
-// proposals of one search round — the whole PRO trial population, a
-// stride of a sampler's stream — out to concurrent clients: each
-// fetch receives its own tagged configuration and the search advances
-// when the whole round is reported, which is how the paper's PRO
-// algorithm exploits many tuning clients at once.
+//   - The single slot, by generation. One session may be shared by
+//     several clients (for example one per node of a parallel job);
+//     the server hands every client the same configuration and
+//     advances the search only when all expected reports for that
+//     configuration have arrived, aggregating them by taking the worst
+//     (a parallel application moves at the speed of its slowest rank).
+//   - The window, by tag (window.go). A session registered with
+//     Parallel or Async fans distinct candidates out to concurrent
+//     clients — each fetch receives its own tagged configuration — and
+//     commits their values to the strategy in the order it issued
+//     them. Parallel issues one whole search round — the PRO trial
+//     population, a stride of a sampler's stream — and the search
+//     advances when the round is in, which is how the paper's PRO
+//     algorithm exploits many tuning clients at once; Async bounds the
+//     window by a depth instead, so no client waits at a round barrier.
 //
 // # Fault model
 //
@@ -22,15 +27,15 @@
 // point, and degrades the search rather than wedging it:
 //
 //   - Every shared configuration carries a generation (proto.Gen) and
-//     every parallel proposal a tag; a report for a retired
-//     generation or tag is acknowledged and dropped, never credited
-//     to the wrong measurement.
+//     every window hand-out a tag; a report for a retired generation or
+//     tag is acknowledged and dropped, never credited to the wrong
+//     measurement.
 //   - Sessions are leased: when SessionTimeout is set, a session
 //     nobody has touched within the timeout is garbage-collected.
 //   - Outstanding work has a straggler deadline: when ReportTimeout
-//     is set, an overdue proposal is re-issued to the next fetch (up
-//     to MaxReissues times) and then forfeited with a +Inf penalty so
-//     the round always completes.
+//     is set, an overdue configuration or candidate is handed out
+//     again (up to MaxReissues times) and then forfeited with a +Inf
+//     penalty so the search always advances.
 //
 // Deadlines are evaluated lazily against the injected Clock whenever
 // a message for the session arrives (or eagerly via ExpireNow), so
@@ -90,7 +95,7 @@ type Server struct {
 
 	// ReportTimeout bounds how long the server waits for outstanding
 	// reports before treating their clients as stragglers: an overdue
-	// shared configuration or parallel proposal is re-issued, and
+	// shared configuration or window candidate is re-issued, and
 	// forfeited with a penalty after MaxReissues expiries. Set it
 	// above the longest expected evaluation; a slow-but-alive client
 	// keeps its configuration (and generation) across re-issues, so
@@ -179,31 +184,13 @@ type session struct {
 	runs            int
 	maxRuns         int
 
-	// Parallel fan-out state. When parallel is set the session pulls
-	// whole rounds from batch (the strategy's BatchStrategy view) and
-	// hands distinct proposals of the round to concurrent clients,
-	// keyed by tag; the search advances when every proposal of the
-	// round has all its reports. All strategy calls stay under mu —
+	// win is the fan-out window of a session registered with Parallel
+	// or Async (see window.go): distinct candidates go to concurrent
+	// clients by tag and commit to the strategy in issue order. Nil for
+	// a shared-configuration session, which uses the single pending
+	// slot above. All strategy calls stay under mu either way —
 	// strategies are engine-locked and carry no locking of their own.
-	parallel bool
-	batch    search.BatchStrategy
-	round    *fanoutRound
-	nextTag  int
-
-	// Async pipelined dispatch state (see async.go). When async is
-	// set the session pulls candidates from asyncStrat one at a time
-	// into a window of at most asyncDepth and hands distinct
-	// candidates to concurrent clients; completed candidates commit
-	// to the strategy strictly in issue (seq) order, so the sequence
-	// the strategy observes never depends on client timing. All
-	// strategy calls stay under mu, as in parallel mode.
-	async          bool
-	asyncStrat     search.AsyncStrategy
-	asyncDepth     int
-	asyncSeq       int
-	asyncWindow    []*asyncIssue
-	asyncTags      map[int]*asyncTag
-	asyncExhausted bool // run budget hit; window drains, no new issues
+	win *window
 
 	// cache is the session's view of the server's evaluation cache,
 	// bound to (app, machine, namespace, space) at register time; nil
@@ -215,8 +202,8 @@ type session struct {
 	// value and never charged to runs, so the strategy's own best may
 	// hold a prediction; measuredPt/measuredVal shadow the best
 	// genuinely measured configuration, and best replies use the
-	// shadow. surPrunes caps how many proposals a sequential session
-	// may prune (an adversarial model must not spin fetch forever).
+	// shadow. surPrunes caps how many proposals a session may prune (an
+	// adversarial model must not spin fetch forever).
 	surGate     *core.SurrogateGate
 	surPrunes   int
 	measuredPt  space.Point
@@ -228,76 +215,6 @@ type session struct {
 	// shard's mutex, NOT ss.mu (it belongs to the shard's deadline
 	// queue, which session methods never touch).
 	stragglerArmed bool
-}
-
-// tagIssue records one handed-out proposal of a parallel round.
-type tagIssue struct {
-	pos    int       // proposal position within the round
-	issued time.Time // when it was handed out (straggler deadline base)
-}
-
-// fanoutRound tracks one in-flight batch of a parallel session.
-//
-// Measured and predicted values live in separate slices: worst only
-// ever holds genuine measurements (reports, cache hits, forfeit
-// penalties), while surrogate predictions for pruned proposals sit in
-// pred. They meet only in deliveryValues, at the strategy boundary —
-// the one channel predictions are designed to flow through. Keeping
-// the slices apart is what lets prunepurity prove mechanically that
-// no prediction can leak into the evaluation cache, the measured-best
-// shadow, or run accounting through this struct.
-type fanoutRound struct {
-	pts      []space.Point
-	assigned []int             // times each proposal has been handed out
-	count    []int             // reports received per proposal
-	worst    []float64         // worst measured report per proposal (slowest rank gates)
-	pred     []float64         // surrogate-predicted value per pruned proposal
-	pruned   []bool            // proposal answered by the model, never simulated
-	expiries []int             // straggler deadlines missed per proposal
-	tags     map[int]*tagIssue // outstanding tag -> issue record
-	complete int               // proposals with all reports in
-}
-
-func newFanoutRound(pts []space.Point) *fanoutRound {
-	r := &fanoutRound{
-		pts:      pts,
-		assigned: make([]int, len(pts)),
-		count:    make([]int, len(pts)),
-		worst:    make([]float64, len(pts)),
-		pred:     make([]float64, len(pts)),
-		pruned:   make([]bool, len(pts)),
-		expiries: make([]int, len(pts)),
-		tags:     make(map[int]*tagIssue),
-	}
-	for i := range r.worst {
-		r.worst[i] = math.Inf(-1)
-	}
-	return r
-}
-
-// deliveryValues returns the per-proposal values handed to the
-// strategy: measurements, with the model's predicted value
-// substituted at pruned positions. The merge happens in a fresh slice
-// so worst itself never holds a prediction.
-func (r *fanoutRound) deliveryValues() []float64 {
-	anyPruned := false
-	for _, p := range r.pruned {
-		if p {
-			anyPruned = true
-			break
-		}
-	}
-	if !anyPruned {
-		return r.worst
-	}
-	vals := make([]float64, len(r.worst))
-	copy(vals, r.worst)
-	for i, p := range r.pruned {
-		if p {
-			vals[i] = r.pred[i]
-		}
-	}
-	return vals
 }
 
 // New constructs a server with no sessions.
@@ -568,10 +485,8 @@ func (s *Server) register(msg *proto.Message) *proto.Message {
 	}
 	switch {
 	case msg.Async:
-		// Async wins when both dispatch modes are requested: the
-		// pipelined window subsumes round fan-out.
-		ss.async = true
-		ss.asyncStrat = search.AsAsync(strat)
+		// Async wins when both are requested: the pipeline is the round
+		// window without its barrier.
 		depth := msg.AsyncDepth
 		if depth <= 0 {
 			depth = s.AsyncDepth
@@ -579,11 +494,9 @@ func (s *Server) register(msg *proto.Message) *proto.Message {
 		if depth <= 0 {
 			depth = core.DefaultAsyncDepth
 		}
-		ss.asyncDepth = depth
-		ss.asyncTags = make(map[int]*asyncTag)
+		ss.win = newWindow(search.AsAsync(strat), depth, 1)
 	case msg.Parallel:
-		ss.parallel = true
-		ss.batch = search.AsBatch(strat)
+		ss.win = newWindow(search.AsAsync(search.AsBatch(strat)), unbounded, unbounded)
 	}
 	if s.Cache != nil {
 		ss.cache = s.Cache.BoundNS(msg.App, msg.Machine, msg.CacheNS, sp)
@@ -659,7 +572,7 @@ func (s *Server) withSession(msg *proto.Message, fn func(*session, *proto.Messag
 	}
 	reply := fn(ss, msg)
 	// The message may have issued new work (a pending configuration,
-	// round proposals): make sure a straggler deadline is queued.
+	// window hand-outs): make sure a straggler deadline is queued.
 	s.armStraggler(sh, ss)
 	return reply
 }
@@ -700,15 +613,16 @@ func (ss *session) reissueLimit() int {
 }
 
 // noteMeasuredLocked shadows the best genuinely measured value of a
-// surrogate or async session. With a surrogate, the strategy's own
+// surrogate or window session. With a surrogate, the strategy's own
 // best may be a model prediction (pruned proposals are answered at
-// their predicted value); in async mode a round-buffered strategy
-// only learns values at full-round commits, so its best lags the
-// measurements the session already holds. Best replies read this
-// shadow instead. The point is copied: rounds and strategies may
-// reuse their backing arrays.
+// their predicted value); behind a window a round-structured strategy
+// only learns values at full-round commits — and never hears of a
+// round the budget cut short — so its best lags the measurements the
+// session already holds. Best replies read this shadow instead. The
+// point is copied: rounds and strategies may reuse their backing
+// arrays.
 func (ss *session) noteMeasuredLocked(pt space.Point, v float64) {
-	if (ss.surGate == nil && !ss.async) || math.IsNaN(v) || math.IsInf(v, 0) {
+	if (ss.surGate == nil && ss.win == nil) || math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
 	if !ss.measuredOK || v < ss.measuredVal {
@@ -718,9 +632,9 @@ func (ss *session) noteMeasuredLocked(pt space.Point, v float64) {
 	}
 }
 
-// pruneBudget caps how many sequential proposals the surrogate may
-// prune: a model that rejects everything the strategy proposes must
-// degrade to evaluation, not spin the fetch loop until convergence.
+// pruneBudget caps how many proposals the surrogate may prune: a model
+// that rejects everything the strategy proposes must degrade to
+// evaluation, not spin the fetch loop until convergence.
 func (ss *session) pruneBudget() int {
 	if ss.maxRuns > 0 {
 		return 10 * ss.maxRuns
@@ -733,18 +647,14 @@ func (ss *session) pruneBudget() int {
 // pending configuration with partial reports is finalised with the
 // survivors' aggregate; with no reports it is re-issued (same point,
 // same generation, fresh deadline) and, past the re-issue limit,
-// forfeited with a penalty. Parallel sessions delegate per-proposal
-// handling to expireRoundLocked.
+// forfeited with a penalty. Window sessions handle each hand-out in
+// expireWindowLocked.
 func (ss *session) expireStragglersLocked(now time.Time) {
 	if ss.reportTimeout <= 0 {
 		return
 	}
-	if ss.async {
-		ss.expireAsyncLocked(now)
-		return
-	}
-	if ss.parallel {
-		ss.expireRoundLocked(now)
+	if ss.win != nil {
+		ss.expireWindowLocked(now)
 		return
 	}
 	if ss.pending == nil || now.Sub(ss.pendingSince) < ss.reportTimeout {
@@ -770,69 +680,6 @@ func (ss *session) expireStragglersLocked(now time.Time) {
 	ss.stat().proposalsForfeited.Add(1)
 }
 
-// expireRoundLocked retires overdue tags of the in-flight parallel
-// round. An expired proposal's assignment count is decremented so the
-// least-assigned logic in fetchParallelLocked re-issues it naturally;
-// past the re-issue limit the proposal is forfeited — completed with
-// the reports it has, or the penalty value if it has none — so the
-// round always finishes.
-func (ss *session) expireRoundLocked(now time.Time) {
-	r := ss.round
-	if r == nil {
-		return
-	}
-	// Visit outstanding tags in issue order, not map order: re-issue
-	// and forfeit decisions feed the strategy and the counters, and
-	// the message schedule they induce must not vary run to run.
-	tags := make([]int, 0, len(r.tags))
-	for tag := range r.tags {
-		tags = append(tags, tag)
-	}
-	sort.Ints(tags)
-	for _, tag := range tags {
-		iss := r.tags[tag]
-		if now.Sub(iss.issued) < ss.reportTimeout {
-			continue
-		}
-		delete(r.tags, tag)
-		pos := iss.pos
-		if r.count[pos] >= ss.reporters {
-			continue // proposal already complete; nothing to redo
-		}
-		if r.assigned[pos] > 0 {
-			r.assigned[pos]--
-		}
-		r.expiries[pos]++
-		if r.expiries[pos] <= ss.reissueLimit() {
-			ss.stat().proposalsReissued.Add(1)
-			continue
-		}
-		if r.worst[pos] == math.Inf(-1) {
-			r.worst[pos] = penaltyValue
-		} else {
-			// Forfeited with partial reports: the surviving ranks'
-			// aggregate is still a genuine measurement.
-			ss.noteMeasuredLocked(r.pts[pos], r.worst[pos])
-		}
-		r.count[pos] = ss.reporters
-		r.complete++
-		ss.stat().proposalsForfeited.Add(1)
-	}
-	ss.maybeRetireRoundLocked()
-}
-
-// maybeRetireRoundLocked delivers a fully reported round to the
-// strategy and clears it.
-func (ss *session) maybeRetireRoundLocked() {
-	r := ss.round
-	if r == nil || r.complete < len(r.pts) {
-		return
-	}
-	ss.batch.ReportBatch(r.pts, r.deliveryValues())
-	ss.round = nil
-	ss.stat().roundsCompleted.Add(1)
-}
-
 // fetch returns the configuration the application should use next.
 // All clients of the session receive the same configuration until
 // enough reports arrive; the reply's Gen identifies the configuration
@@ -844,11 +691,8 @@ func (ss *session) fetch(*proto.Message) *proto.Message {
 	ss.lastActive = now
 	ss.stat().fetches.Add(1)
 	ss.expireStragglersLocked(now)
-	if ss.async {
-		return ss.fetchAsyncLocked(now)
-	}
-	if ss.parallel {
-		return ss.fetchParallelLocked(now)
+	if ss.win != nil {
+		return ss.fetchWindowLocked(now)
 	}
 	for ss.pending == nil {
 		if ss.converged || (ss.maxRuns > 0 && ss.runs >= ss.maxRuns) {
@@ -919,11 +763,11 @@ func (ss *session) fetch(*proto.Message) *proto.Message {
 
 // bestOrCurrentLocked replies with the best-known configuration and
 // the converged flag set, so clients can settle on the tuned values.
-// Surrogate sessions settle on the best measured configuration: the
-// strategy's best may be a point the model scored but nothing ever
-// ran.
+// Surrogate and window sessions settle on the best measured
+// configuration: the strategy's best may be a point the model scored
+// but nothing ever ran, or lag a round it has not been told about.
 func (ss *session) bestOrCurrentLocked() *proto.Message {
-	if (ss.surGate != nil || ss.async) && ss.measuredOK {
+	if (ss.surGate != nil || ss.win != nil) && ss.measuredOK {
 		if cfg, err := ss.space.Decode(ss.measuredPt); err == nil {
 			return &proto.Message{Type: proto.TypeConfig, Values: cfg.Map(), Converged: true}
 		}
@@ -941,202 +785,14 @@ func (ss *session) bestOrCurrentLocked() *proto.Message {
 	return &proto.Message{Type: proto.TypeConfig, Values: cfg.Map(), Converged: true}
 }
 
-// fetchParallelLocked hands out one proposal of the current round.
-// Distinct clients receive distinct proposals until the round is
-// covered; further fetches re-issue the least-assigned unreported
-// proposal (a fetch is never refused — a client that lost its
-// assignment to a crash re-fetches and another takes over its point).
-func (ss *session) fetchParallelLocked(now time.Time) *proto.Message {
-	for ss.round == nil {
-		if ss.converged || (ss.maxRuns > 0 && ss.runs >= ss.maxRuns) {
-			return ss.bestOrCurrentLocked()
-		}
-		batch := ss.batch.NextBatch()
-		if len(batch) == 0 {
-			ss.converged = true
-			return ss.bestOrCurrentLocked()
-		}
-		if ss.maxRuns > 0 {
-			if rem := ss.maxRuns - ss.runs; len(batch) > rem {
-				// Truncating at the budget boundary makes this the
-				// final round: after it completes, runs == maxRuns and
-				// every further fetch converges. Reporting the
-				// truncated slice is legal — BatchStrategy documents
-				// that a strict prefix of the last NextBatch may be
-				// reported, leaving the remainder unevaluated (PRO
-				// resumes the phase; the tail simply never runs).
-				batch = batch[:rem]
-			}
-		}
-		// Score the whole round up front when the session has a
-		// surrogate: pruning is a per-round quota (the same keepMask the
-		// off-line engine applies), so the decision needs every score.
-		// Any point the model declines — or cannot even decode — sends
-		// the entire round to full simulation.
-		var scores []float64
-		var keep []bool
-		if ss.surGate != nil {
-			sc := make([]float64, len(batch))
-			ok := true
-			for i, pt := range batch {
-				cfg, err := ss.space.Decode(pt)
-				if err != nil {
-					ok = false
-					break
-				}
-				if sc[i], ok = ss.surGate.Score(pt, cfg); !ok {
-					break
-				}
-			}
-			if ok {
-				scores = sc
-				keep = ss.surGate.Keep(scores)
-			} else {
-				ss.stat().surrogateFallback.Add(1)
-			}
-		}
-		ss.round = newFanoutRound(batch)
-		// Pre-fill round positions that never reach a client: cache
-		// hits (complete at their genuine past measurement, and still
-		// charged — the run-cost accounting is identical for every
-		// cache state) and surrogate prunes (complete at the model's
-		// predicted value, never charged: no simulation happens). A
-		// fully pre-filled round retires immediately and the loop pulls
-		// the next batch; the quota always keeps at least one point, so
-		// a surrogate round always charges at least one run.
-		r := ss.round
-		charged := 0
-		for i, pt := range r.pts {
-			if ss.cache != nil {
-				if v, ok := ss.cache.Lookup(pt); ok {
-					r.worst[i] = v
-					r.count[i] = ss.reporters
-					r.complete++
-					ss.stat().cacheHits.Add(1)
-					ss.noteMeasuredLocked(pt, v)
-					charged++
-					continue
-				}
-				ss.stat().cacheMisses.Add(1)
-			}
-			if keep != nil && !keep[i] {
-				r.pred[i] = scores[i]
-				r.pruned[i] = true
-				r.count[i] = ss.reporters
-				r.complete++
-				ss.stat().surrogatePruned.Add(1)
-				continue
-			}
-			if keep != nil {
-				ss.surGate.Committed(scores[i])
-				ss.stat().surrogateKept.Add(1)
-			}
-			charged++
-		}
-		ss.runs += charged
-		ss.maybeRetireRoundLocked()
-	}
-	for ss.round != nil {
-		r := ss.round
-		pos := -1
-		for i := range r.pts {
-			if r.count[i] >= ss.reporters {
-				continue
-			}
-			if pos == -1 || r.assigned[i] < r.assigned[pos] {
-				pos = i
-			}
-		}
-		if pos == -1 {
-			// Unreachable: a completed round is retired in report and in
-			// expireRoundLocked before reaching here.
-			return errorReply("fetch: session %s round already complete", ss.id)
-		}
-		cfg, err := ss.space.Decode(r.pts[pos])
-		if err != nil {
-			// An undecodable proposal can never be handed out, so no
-			// report and no straggler deadline would ever retire it:
-			// returning here without issuing a tag used to wedge the
-			// round forever. Forfeit the position immediately with the
-			// penalty value and move on to the next proposal (or the
-			// next round, once this forfeit completes it).
-			if r.worst[pos] == math.Inf(-1) {
-				r.worst[pos] = penaltyValue
-			}
-			r.count[pos] = ss.reporters
-			r.complete++
-			ss.stat().proposalsForfeited.Add(1)
-			ss.maybeRetireRoundLocked()
-			continue
-		}
-		r.assigned[pos]++
-		ss.nextTag++
-		r.tags[ss.nextTag] = &tagIssue{pos: pos, issued: now}
-		return &proto.Message{Type: proto.TypeConfig, Values: cfg.Map(), Tag: ss.nextTag}
-	}
-	// The current round was fully forfeited above: pull the next one.
-	return ss.fetchParallelLocked(now)
-}
-
-// reportParallelLocked matches a tagged report to its proposal.
-// Stale tags (a previous round, an expired issue) and surplus reports
-// are acknowledged and dropped: in a fan-out session a late straggler
-// must not corrupt the next round.
-func (ss *session) reportParallelLocked(msg *proto.Message) *proto.Message {
-	r := ss.round
-	if r == nil {
-		ss.stat().reportsDroppedStale.Add(1)
-		return &proto.Message{Type: proto.TypeOK}
-	}
-	iss, ok := r.tags[msg.Tag]
-	if !ok {
-		ss.stat().reportsDroppedStale.Add(1)
-		return &proto.Message{Type: proto.TypeOK}
-	}
-	delete(r.tags, msg.Tag)
-	pos := iss.pos
-	if r.count[pos] >= ss.reporters {
-		ss.stat().reportsDroppedStale.Add(1)
-		return &proto.Message{Type: proto.TypeOK}
-	}
-	r.count[pos]++
-	ss.stat().reportsAccepted.Add(1)
-	// Sanitize at ingress: NaN compares false with everything, so an
-	// unsanitized NaN report would leave worst at its -Inf sentinel
-	// and deliver a best-ever value to the strategy when the proposal
-	// completes. A client that measured NaN measured nothing: treat
-	// it like a forfeit.
-	perf := msg.Perf
-	if math.IsNaN(perf) {
-		perf = penaltyValue
-	}
-	if perf > r.worst[pos] {
-		r.worst[pos] = perf
-	}
-	if r.count[pos] == ss.reporters {
-		r.complete++
-		// A naturally completed proposal (full reports, finite
-		// aggregate) is banked; forfeits never reach this path.
-		if ss.cache != nil && !math.IsInf(r.worst[pos], 0) {
-			ss.cache.Store(r.pts[pos], r.worst[pos])
-		}
-		ss.noteMeasuredLocked(r.pts[pos], r.worst[pos])
-	}
-	ss.maybeRetireRoundLocked()
-	return &proto.Message{Type: proto.TypeOK}
-}
-
 func (ss *session) report(msg *proto.Message) *proto.Message {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	now := ss.now()
 	ss.lastActive = now
 	ss.expireStragglersLocked(now)
-	if ss.async {
-		return ss.reportAsyncLocked(msg)
-	}
-	if ss.parallel {
-		return ss.reportParallelLocked(msg)
+	if ss.win != nil {
+		return ss.reportWindowLocked(msg)
 	}
 	if msg.Gen != 0 && (ss.pending == nil || msg.Gen != ss.gen) {
 		// A straggler (or duplicate) reporting a configuration that
@@ -1148,7 +804,7 @@ func (ss *session) report(msg *proto.Message) *proto.Message {
 	if ss.pending == nil {
 		return errorReply("report: no configuration outstanding for session %s", ss.id)
 	}
-	// NaN sanitization, mirroring reportParallelLocked: NaN would
+	// NaN sanitization, mirroring reportWindowLocked: NaN would
 	// lose every `>` comparison in finishPendingLocked and hand the
 	// strategy the -Inf aggregate sentinel as a measurement.
 	perf := msg.Perf
@@ -1199,8 +855,8 @@ func (ss *session) best(*proto.Message) *proto.Message {
 		// Surrogate sessions answer best queries only from genuine
 		// measurements: the strategy's best may hold a model prediction.
 		pt, value, ok = ss.measuredPt, ss.measuredVal, ss.measuredOK
-	case ss.async && ss.measuredOK:
-		// Async sessions prefer the measured shadow: a round-buffered
+	case ss.win != nil && ss.measuredOK:
+		// Window sessions prefer the measured shadow: a round-structured
 		// strategy only learns values at full-round commits, so its
 		// best can lag measurements the session already holds.
 		pt, value, ok = ss.measuredPt, ss.measuredVal, true

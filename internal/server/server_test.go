@@ -8,6 +8,7 @@ import (
 
 	"harmony/internal/client"
 	"harmony/internal/proto"
+	"harmony/internal/search"
 	"harmony/internal/space"
 )
 
@@ -39,6 +40,23 @@ func startServer(t *testing.T) (*Server, string) {
 		t.Fatalf("server start: %v", err)
 		return nil, ""
 	}
+}
+
+// newTestSession builds a session directly, bypassing the wire
+// protocol, for unit tests of the dispatch logic. win is nil for a
+// shared-configuration session, else roundWindow or pipelineWindow.
+func newTestSession(sp *space.Space, strat search.Strategy, maxRuns int, win *window) *session {
+	return &session{id: "s1", space: sp, strategy: strat, reporters: 1, maxRuns: maxRuns, win: win}
+}
+
+// roundWindow is the window register builds for a Parallel session.
+func roundWindow(strat search.Strategy) *window {
+	return newWindow(search.AsAsync(search.AsBatch(strat)), unbounded, unbounded)
+}
+
+// pipelineWindow is the window register builds for an Async session.
+func pipelineWindow(strat search.Strategy, depth int) *window {
+	return newWindow(search.AsAsync(strat), depth, 1)
 }
 
 func testSpace() *space.Space {

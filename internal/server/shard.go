@@ -44,7 +44,7 @@ type entryKind uint8
 
 const (
 	leaseEntry     entryKind = iota // session idle-lease expiry
-	stragglerEntry                  // overdue pending/round reports
+	stragglerEntry                  // overdue pending/window reports
 )
 
 // deadlineEntry schedules one future check of one session.
@@ -97,14 +97,6 @@ func (s *Server) shardTable() []*shard {
 		s.shards = shards
 	})
 	return s.shards
-}
-
-// ShardCount reports the effective number of session shards — the
-// configured Server.Shards, or DefaultShards when unset — so tooling
-// that records the server's topology (harmonyload's benchmark JSON)
-// writes the value actually in force rather than the raw flag.
-func (s *Server) ShardCount() int {
-	return len(s.shardTable())
 }
 
 // shardFor hashes a session id onto its owning shard. The FNV-1a
@@ -233,65 +225,55 @@ func (s *Server) armStraggler(sh *shard, ss *session) {
 	heap.Push(&sh.dq, deadlineEntry{at: next, num: ss.num, id: ss.id, kind: stragglerEntry})
 }
 
+// outstandingLocked returns when the oldest and the newest of the
+// session's unanswered hand-outs — the pending configuration, or the
+// window's live tags — were issued, and whether there are any. The
+// caller holds ss.mu.
+func (ss *session) outstandingLocked() (oldest, newest time.Time, ok bool) {
+	if ss.pending != nil {
+		return ss.pendingSince, ss.pendingSince, true
+	}
+	if ss.win == nil {
+		return oldest, newest, false
+	}
+	for _, h := range ss.win.tags {
+		if !ok || h.issued.Before(oldest) {
+			oldest = h.issued
+		}
+		if !ok || h.issued.After(newest) {
+			newest = h.issued
+		}
+		ok = true
+	}
+	return oldest, newest, ok
+}
+
 // stragglerDeadlineLocked returns the earliest straggler deadline of
 // the session's outstanding work, and whether any work is
 // outstanding. The caller holds ss.mu.
 func (ss *session) stragglerDeadlineLocked() (time.Time, bool) {
-	if ss.reportTimeout <= 0 {
+	oldest, _, ok := ss.outstandingLocked()
+	if ss.reportTimeout <= 0 || !ok {
 		return time.Time{}, false
 	}
-	var earliest time.Time
-	have := false
-	if ss.pending != nil {
-		earliest = ss.pendingSince.Add(ss.reportTimeout)
-		have = true
-	}
-	if ss.round != nil {
-		for _, iss := range ss.round.tags {
-			d := iss.issued.Add(ss.reportTimeout)
-			if !have || d.Before(earliest) {
-				earliest, have = d, true
-			}
-		}
-	}
-	for _, iss := range ss.asyncTags {
-		d := iss.issued.Add(ss.reportTimeout)
-		if !have || d.Before(earliest) {
-			earliest, have = d, true
-		}
-	}
-	return earliest, have
+	return oldest.Add(ss.reportTimeout), true
 }
 
 // effectiveLastActiveLocked is the activity timestamp the session
 // lease is measured from. A client whose single evaluation
 // legitimately takes longer than the lease would otherwise lose its
-// session mid-run: an outstanding pending configuration or round
-// proposal still inside its straggler deadline counts as activity,
+// session mid-run: an outstanding pending configuration or window
+// hand-out still inside its straggler deadline counts as activity,
 // so the lease clock starts ticking only once the straggler window
 // closes (at which point re-issue/forfeit takes over). The caller
 // holds ss.mu.
 func (ss *session) effectiveLastActiveLocked(now time.Time) time.Time {
 	t := ss.lastActive
-	if ss.reportTimeout <= 0 {
+	_, newest, ok := ss.outstandingLocked()
+	if ss.reportTimeout <= 0 || !ok {
 		return t
 	}
-	var busyUntil time.Time
-	if ss.pending != nil {
-		busyUntil = ss.pendingSince.Add(ss.reportTimeout)
-	}
-	if ss.round != nil {
-		for _, iss := range ss.round.tags {
-			if d := iss.issued.Add(ss.reportTimeout); d.After(busyUntil) {
-				busyUntil = d
-			}
-		}
-	}
-	for _, iss := range ss.asyncTags {
-		if d := iss.issued.Add(ss.reportTimeout); d.After(busyUntil) {
-			busyUntil = d
-		}
-	}
+	busyUntil := newest.Add(ss.reportTimeout)
 	if busyUntil.After(now) {
 		busyUntil = now // still busy: active as of this instant
 	}

@@ -76,18 +76,11 @@ func TestConcurrentRegistersAcrossShards(t *testing.T) {
 	}
 }
 
-// driveCampaign runs one full fetch/report campaign over any client
-// session (JSON Session and binary MuxSession share the method set)
-// and returns a deterministic fingerprint of every step plus the
-// final best — the golden trace for protocol-equivalence checks.
-type campaignSession interface {
-	Fetch() (map[string]string, bool, error)
-	Report(perf float64) error
-	Best() (map[string]string, float64, error)
-	Done() error
-}
-
-func driveCampaign(t *testing.T, sess campaignSession) string {
+// driveCampaign runs one full fetch/report campaign over a client
+// session, whichever transport carries it, and returns a deterministic
+// fingerprint of every step plus the final best — the golden trace for
+// protocol-equivalence checks.
+func driveCampaign(t *testing.T, sess *client.Session) string {
 	t.Helper()
 	var sb strings.Builder
 	for i := 0; i < 500; i++ {

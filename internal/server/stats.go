@@ -24,8 +24,9 @@ type Stats struct {
 	// because their generation or tag was already retired (stragglers
 	// and duplicates).
 	ReportsDroppedStale int64
-	// RoundsCompleted counts parallel fan-out rounds delivered to the
-	// search strategy.
+	// RoundsCompleted counts whole search rounds delivered to the
+	// strategies of round-structured (Parallel) sessions. A round the
+	// run budget cut short is abandoned, not delivered, and not counted.
 	RoundsCompleted int64
 	// ProposalsReissued counts proposals whose straggler deadline
 	// lapsed and that were made available to the next fetch again.
@@ -52,12 +53,15 @@ type Stats struct {
 	SurrogatePruned    int64
 	SurrogateKept      int64
 	SurrogateFallbacks int64
-	// AsyncCommitted counts candidates committed, in issue order, to
-	// the strategies of sessions running the pipelined async dispatch.
-	// QueueStarved counts fill passes where an async session's window
-	// had capacity but its strategy was stalled waiting on in-flight
-	// commits — the pipeline's analogue of an idle worker slot. Both
-	// are zero unless sessions register with the async flag.
+	// AsyncCommitted counts every candidate a fan-out window committed,
+	// in issue order, to its session's strategy — Parallel and Async
+	// sessions alike; values recorded while Parallel sessions had a
+	// fan-out of their own counted Async sessions only and are not
+	// comparable. QueueStarved counts refills that left the bounded
+	// window of an Async session short because its strategy was stalled
+	// waiting on in-flight commits — the pipeline's analogue of an idle
+	// worker slot; a Parallel session's stall is its round barrier, not
+	// starvation. Both are zero for shared-configuration sessions.
 	AsyncCommitted int64
 	QueueStarved   int64
 }

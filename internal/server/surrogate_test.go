@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"harmony/internal/client"
@@ -230,7 +231,8 @@ func TestSurrogateFlagIgnoredWithoutResolver(t *testing.T) {
 func TestSurrogateBestBeforeAnyMeasurement(t *testing.T) {
 	sp := testSpace()
 	gate := core.NewSurrogateGate(&core.SurrogateOptions{Model: bowlModel(1)})
-	ss := &session{id: "t1", space: sp, strategy: mustStrategy(t, sp), surGate: gate}
+	ss := newTestSession(sp, mustStrategy(t, sp), 0, nil)
+	ss.surGate = gate
 	// Feed the strategy a prediction directly, as a pruned proposal would.
 	pt, err := sp.Encode(map[string]string{"x": "1", "y": "1"})
 	if err != nil {
@@ -246,6 +248,72 @@ func TestSurrogateBestBeforeAnyMeasurement(t *testing.T) {
 	reply = ss.best(nil)
 	if reply.Type != proto.TypeBestReply || reply.Perf != 42 {
 		t.Fatalf("best after measurement replied %+v", reply)
+	}
+}
+
+// TestSurrogateRoundQuota: a round session prunes by the quota over
+// the scores of its whole round, not candidate by candidate, and a
+// round with any member the model declines or cannot decode goes to
+// clients whole, counted as one fallback.
+func TestSurrogateRoundQuota(t *testing.T) {
+	sp := testSpace()
+	// The model is the bowl itself, except that it declines x = 0.
+	model := predictFunc(func(_ space.Point, cfg space.Config) (float64, bool) {
+		return objective(cfg.Map()), cfg.Map()["x"] != "0"
+	})
+	strat := &scriptedBatch{rounds: [][]space.Point{
+		// Scores 410, 235, 110, 35, 10: each better than the last, so the
+		// per-candidate rule would keep all five. The quota keeps two.
+		{{5, 5}, {10, 5}, {15, 5}, {20, 5}, {25, 5}},
+		{{24, 5}, {0, 5}, {26, 5}},   // one member declined
+		{{24, 6}, {99, 99}, {26, 6}}, // one member undecodable
+	}}
+	ss := newTestSession(sp, strat, 0, roundWindow(strat))
+	ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: model, Keep: 0.4})
+
+	// fetchRound fetches and reports until the window moves on to the
+	// next round, returning the configurations clients were handed.
+	fetchRound := func(want int) []string {
+		t.Helper()
+		var got []string
+		for i := 0; i < want; i++ {
+			r := ss.fetch(nil)
+			if r.Type != proto.TypeConfig || r.Converged {
+				t.Fatalf("fetch: %+v", r)
+			}
+			got = append(got, r.Values["x"]+","+r.Values["y"])
+			ss.report(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})
+		}
+		return got
+	}
+	counts := func() [3]int64 {
+		st := ss.stat()
+		return [3]int64{st.surrogateKept.Load(), st.surrogatePruned.Load(), st.surrogateFallback.Load()}
+	}
+
+	if got, want := fetchRound(2), []string{"20,5", "25,5"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("round 1 handed out %v, want the quota's best two %v", got, want)
+	}
+	if got, want := counts(), [3]int64{2, 3, 0}; got != want {
+		t.Errorf("after round 1: kept/pruned/fallbacks = %v, want %v", got, want)
+	}
+	if got, want := fetchRound(3), []string{"24,5", "0,5", "26,5"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("round 2 handed out %v, want the whole round %v", got, want)
+	}
+	if got, want := counts(), [3]int64{2, 3, 1}; got != want {
+		t.Errorf("after the declined round: kept/pruned/fallbacks = %v, want %v", got, want)
+	}
+	if got, want := fetchRound(2), []string{"24,6", "26,6"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("round 3 handed out %v, want every decodable member %v", got, want)
+	}
+	if got, want := counts(), [3]int64{2, 3, 2}; got != want {
+		t.Errorf("after the undecodable round: kept/pruned/fallbacks = %v, want %v", got, want)
+	}
+	if r := ss.fetch(nil); !r.Converged {
+		t.Fatalf("fetch after the last round: %+v, want converged", r)
+	}
+	if got := ss.stat().roundsCompleted.Load(); got != 3 {
+		t.Errorf("roundsCompleted = %d, want 3", got)
 	}
 }
 

@@ -2,10 +2,12 @@ package server
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"harmony/internal/core"
 	"harmony/internal/proto"
 	"harmony/internal/space"
 )
@@ -62,34 +64,44 @@ func TestExpiryLogNotUnderShardLock(t *testing.T) {
 }
 
 // TestFanoutRoundPredictionSeparation is the regression test for the
-// prunepurity findings in the parallel fan-out: surrogate predictions
-// for pruned proposals live in pred, never in worst, and the two only
-// meet in the fresh slice deliveryValues builds for the strategy.
+// prunepurity findings in the fan-out: the surrogate prediction of a
+// pruned candidate lives in pred, never in worst, and the two meet
+// only in the Commit call that delivers the round to the strategy.
 func TestFanoutRoundPredictionSeparation(t *testing.T) {
-	r := newFanoutRound(make([]space.Point, 3))
-	r.worst[0], r.count[0] = 7, 1
-	r.pred[1], r.pruned[1] = 42, true
-	r.worst[2], r.count[2] = 9, 1
+	sp := testSpace()
+	// The model predicts twice the true bowl value, so no prediction
+	// equals any measurement: 20, 1320, 22 — half of three keeps two.
+	rec := &recordingStrategy{BatchStrategy: &scriptedBatch{rounds: [][]space.Point{{{25, 5}, {0, 0}, {24, 5}}}}}
+	ss := newTestSession(sp, rec, 0, roundWindow(rec))
+	ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: bowlModel(2), Keep: 0.5})
 
-	vals := r.deliveryValues()
-	want := []float64{7, 42, 9}
-	for i := range want {
-		if vals[i] != want[i] {
-			t.Errorf("deliveryValues[%d] = %v, want %v", i, vals[i], want[i])
+	var replies []*proto.Message
+	for i := 0; i < 2; i++ {
+		r := ss.fetch(nil)
+		if r.Type != proto.TypeConfig || r.Converged {
+			t.Fatalf("fetch %d: %+v", i, r)
 		}
+		replies = append(replies, r)
 	}
-	if !math.IsInf(r.worst[1], -1) {
-		t.Errorf("worst[1] = %v, want -Inf: the prediction must never enter the measured slice", r.worst[1])
+	pruned := ss.win.queue[1]
+	if !pruned.pruned || pruned.pred != 1320 {
+		t.Fatalf("candidate 1 = %+v, want pruned at the predicted 1320", pruned)
 	}
-	if &vals[0] == &r.worst[0] {
-		t.Error("deliveryValues returned the measured slice itself while holding a prediction")
+	if !math.IsInf(pruned.worst, -1) {
+		t.Errorf("worst = %v, want -Inf: the prediction must never enter the measured field", pruned.worst)
 	}
-
-	// A round with nothing pruned hands the measured slice through
-	// unchanged — no copy on the pure-measurement path.
-	clean := newFanoutRound(make([]space.Point, 2))
-	clean.worst[0], clean.worst[1] = 1, 2
-	if vs := clean.deliveryValues(); &vs[0] != &clean.worst[0] {
-		t.Error("unpruned round should deliver the measured slice without copying")
+	for _, r := range replies {
+		ss.report(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})
+	}
+	// The pruned candidate commits from the next fetch, and the round's
+	// last commit delivers it.
+	if r := ss.fetch(nil); !r.Converged {
+		t.Fatalf("fetch after the only round: %+v, want converged", r)
+	}
+	if want := []string{"25,5=10 0,0=1320 24,5=11"}; !reflect.DeepEqual(rec.commits, want) {
+		t.Errorf("strategy was told %q, want %q", rec.commits, want)
+	}
+	if best := ss.best(nil); best.Perf != 10 || ss.measuredVal != 10 {
+		t.Errorf("best = %+v, shadow %v: want the measured 10, never a prediction", best, ss.measuredVal)
 	}
 }

@@ -13,20 +13,6 @@ import (
 	"harmony/internal/space"
 )
 
-// newAsyncSession builds a session in async dispatch mode directly,
-// bypassing the wire protocol, for unit tests of the window logic.
-func newAsyncSession(strat search.Strategy, depth, maxRuns int) *session {
-	sp := testSpace()
-	ss := &session{
-		id: "s1", space: sp, strategy: strat,
-		reporters: 1, maxRuns: maxRuns,
-		async: true, asyncDepth: depth,
-		asyncStrat: search.AsAsync(strat),
-		asyncTags:  make(map[int]*asyncTag),
-	}
-	return ss
-}
-
 // TestAsyncFanoutDistinctConfigs verifies an async session hands
 // concurrent clients distinct in-flight candidates and that the
 // ensemble-driven pipeline tunes end to end.
@@ -158,13 +144,9 @@ func TestAsyncCommitOrderIndependentOfReportOrder(t *testing.T) {
 	sp := testSpace()
 	pts := []space.Point{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
 	rec := &asyncRecorder{points: pts}
-	ss := &session{
-		id: "s1", space: sp, strategy: search.NewSystematic(sp, 4),
-		reporters: 1, maxRuns: 10,
-		async: true, asyncDepth: 4,
-		asyncStrat: rec,
-		asyncTags:  make(map[int]*asyncTag),
-	}
+	strat := search.NewSystematic(sp, 4)
+	ss := newTestSession(sp, strat, 10, pipelineWindow(strat, 4))
+	ss.win.strat = rec
 
 	var tags []int
 	for i := 0; i < 4; i++ {
@@ -203,7 +185,7 @@ func TestAsyncCommitOrderIndependentOfReportOrder(t *testing.T) {
 // window are still outstanding.
 func TestAsyncPipelineRefillsWithoutBarrier(t *testing.T) {
 	strat := search.NewEnsemble(testSpace(), search.EnsembleOptions{Seed: 3, Budget: 60})
-	ss := newAsyncSession(strat, 4, 60)
+	ss := newTestSession(testSpace(), strat, 60, pipelineWindow(strat, 4))
 
 	seen := make(map[string]int)
 	var tags []int
@@ -232,7 +214,8 @@ func TestAsyncPipelineRefillsWithoutBarrier(t *testing.T) {
 // TestAsyncHonoursMaxRuns verifies an async session never charges
 // more runs than the budget, converging exactly at max_runs.
 func TestAsyncHonoursMaxRuns(t *testing.T) {
-	ss := newAsyncSession(search.NewRandom(testSpace(), 9, 500), 8, 7)
+	strat := search.NewRandom(testSpace(), 9, 500)
+	ss := newTestSession(testSpace(), strat, 7, pipelineWindow(strat, 8))
 
 	evaluated := 0
 	for i := 0; i < 100; i++ {
@@ -258,7 +241,7 @@ func TestAsyncHonoursMaxRuns(t *testing.T) {
 // are acknowledged without corrupting the pipeline.
 func TestAsyncStaleReportsDropped(t *testing.T) {
 	strat := search.NewRandom(testSpace(), 3, 50)
-	ss := newAsyncSession(strat, 4, 50)
+	ss := newTestSession(testSpace(), strat, 50, pipelineWindow(strat, 4))
 
 	first := ss.fetch(nil)
 	if first.Type != proto.TypeConfig {
@@ -299,7 +282,7 @@ func TestAsyncStaleReportsDropped(t *testing.T) {
 func TestAsyncStragglerReissueAndForfeit(t *testing.T) {
 	now := time.Unix(1000, 0)
 	strat := search.NewSystematic(testSpace(), 3)
-	ss := newAsyncSession(strat, 1, 3) // window of 1: one candidate at a time
+	ss := newTestSession(testSpace(), strat, 3, pipelineWindow(strat, 1)) // one candidate at a time
 	ss.clock = func() time.Time { return now }
 	ss.reportTimeout = time.Second
 	ss.maxReissues = 2
@@ -395,7 +378,7 @@ func TestAsyncServerStatsCounters(t *testing.T) {
 // round-buffered strategy has not yet seen a full round.
 func TestAsyncBestPrefersMeasuredShadow(t *testing.T) {
 	strat := search.NewPRO(testSpace(), search.PROOptions{Seed: 11})
-	ss := newAsyncSession(strat, 4, 40)
+	ss := newTestSession(testSpace(), strat, 40, pipelineWindow(strat, 4))
 
 	reply := ss.fetch(nil)
 	if reply.Type != proto.TypeConfig {
@@ -417,5 +400,58 @@ func TestAsyncBestPrefersMeasuredShadow(t *testing.T) {
 	x, _ := strconv.Atoi(best.Values["x"])
 	if got, _ := strconv.Atoi(reply.Values["x"]); x != got {
 		t.Fatalf("best config %v, want the measured %v", best.Values, reply.Values)
+	}
+}
+
+// TestCommittedCandidateTagsRetired: a hand-out tag dies with its
+// candidate. A candidate handed out twice and reported once commits;
+// its unreported twin must then neither arm a straggler deadline nor
+// hold the session's lease for work that is already done, and the
+// twin's late report is acknowledged and dropped as an unknown tag.
+func TestCommittedCandidateTagsRetired(t *testing.T) {
+	clk := newFakeClock()
+	s := newFaultServer(clk)
+	s.SessionTimeout = time.Minute
+	s.ReportTimeout = 5 * time.Minute
+	id := mustRegister(t, s, &proto.Message{
+		Strategy: proto.StrategyRandom, Seed: 5, MaxRuns: 10, Async: true, AsyncDepth: 1,
+		Space: proto.EncodeSpace(testSpace()),
+	})
+	// A window of one: the second fetch is handed the same candidate.
+	first := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+	twin := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+	if first.Type != proto.TypeConfig || twin.Type != proto.TypeConfig || twin.Tag == first.Tag ||
+		twin.Values["x"] != first.Values["x"] || twin.Values["y"] != first.Values["y"] {
+		t.Fatalf("fetches %+v and %+v, want one candidate under two tags", first, twin)
+	}
+	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: first.Tag, Perf: 4}); r.Type != proto.TypeOK {
+		t.Fatalf("report: %+v", r)
+	}
+
+	sh := s.shardFor(id)
+	sh.mu.Lock()
+	ss := sh.sessions[id]
+	sh.mu.Unlock()
+	ss.mu.Lock()
+	deadline, outstanding := ss.stragglerDeadlineLocked()
+	active := ss.effectiveLastActiveLocked(clk.Now().Add(2 * time.Minute))
+	ss.mu.Unlock()
+	if outstanding {
+		t.Errorf("straggler deadline %v armed by the committed candidate's unreported twin", deadline)
+	}
+	if !active.Equal(clk.Now()) {
+		t.Errorf("lease measured from %v, want the report at %v: the twin's straggler window extended it", active, clk.Now())
+	}
+
+	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: twin.Tag, Perf: -1e9}); r.Type != proto.TypeOK {
+		t.Fatalf("late twin report: %+v", r)
+	}
+	if st := s.Stats(); st.ReportsDroppedStale != 1 || st.ReportsAccepted != 1 {
+		t.Errorf("stats = %+v, want the twin's report dropped as stale", st)
+	}
+	// Two minutes of silence with nothing in flight: the lease governs.
+	clk.Advance(2 * time.Minute)
+	if n := s.ExpireNow(); n != 1 {
+		t.Errorf("ExpireNow collected %d sessions, want 1", n)
 	}
 }
