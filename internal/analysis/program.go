@@ -230,6 +230,11 @@ func StaticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	fn, _ := pkg.Info.Uses[id].(*types.Func)
+	if fn != nil {
+		// A method of an instantiated generic type resolves to its
+		// declaration, which is what carries the body and the facts.
+		fn = fn.Origin()
+	}
 	return fn
 }
 

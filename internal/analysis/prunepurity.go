@@ -244,7 +244,10 @@ func (la *puLocal) fieldOf(sel *ast.SelectorExpr) *types.Var {
 	info := la.fi.Pkg.Info
 	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
 		if v, ok := s.Obj().(*types.Var); ok {
-			return v
+			// A field of an instantiated generic struct is the field of
+			// its declaration: taint parked through Candidate[P] is read
+			// back through Candidate[handState].
+			return v.Origin()
 		}
 	}
 	return nil

@@ -106,3 +106,25 @@ func seedBest(m *model, res *Result, x []float64) {
 	//harmonyvet:ignore prunepurity the warm-start seed is labelled predicted in the client UI and is overwritten by the first real measurement
 	res.BestValue = warm
 }
+
+// A generic candidate, as the issue/commit window declares it: the
+// field written through the declaration and the field read through an
+// instantiation are one field, and a method called on an instantiation
+// is the declared method.
+type candidate[P any] struct {
+	predicted float64
+	measured  float64
+	payload   P
+}
+
+func (c *candidate[P]) told() float64 { return c.predicted }
+
+func screen[P any](m *model, c *candidate[P], x []float64) {
+	c.predicted = m.Predict(x)
+}
+
+func bankInstantiated(c *candidate[int], cache *evalCache, res *Result, k string) {
+	cache.Store(k, c.predicted) // want `surrogate-predicted value stored into evalCache\.Store \(evaluation cache\)`
+	res.BestValue = c.told()    // want `surrogate-predicted value assigned to prunepurity\.BestValue \(best-result state\)`
+	cache.Store(k, c.measured)  // negative: the measured field stays clean
+}

@@ -21,7 +21,9 @@ import (
 // reproduce this loop's Result for a strategy whose round view replays
 // its sequential state machine.
 func referenceTune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objective, opt Options) (*Result, error) {
-	applyProposalDefault(&opt)
+	if opt.MaxProposals == 0 {
+		opt.MaxProposals = DefaultMaxProposals(opt.MaxRuns)
+	}
 	res := &Result{Strategy: strat.Name(), BestValue: math.Inf(1), FirstValue: math.NaN()}
 	cache := make(map[string]float64)
 	cacheErr := make(map[string]error)

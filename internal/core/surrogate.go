@@ -57,8 +57,12 @@ const (
 	DefaultSurrogateTolerance = 0.05
 )
 
-// surrogateState is the per-session pruning state.
-type surrogateState struct {
+// SurrogateGate is the per-session pruning state and decision rules.
+// The issue/commit window screens every group it issues with it, and
+// the on-line server's shared-configuration slot applies the same
+// rules to its one proposal at a time, so the off-line and on-line
+// modes skip the same configurations for the same model.
+type SurrogateGate struct {
 	model Surrogate
 	keep  float64
 	tol   float64
@@ -68,62 +72,47 @@ type surrogateState struct {
 	modelBest float64
 }
 
-// newSurrogateState validates the options and returns nil when the
-// layer is disabled.
-func newSurrogateState(opt *SurrogateOptions) *surrogateState {
+// NewSurrogateGate validates the options and returns nil when the
+// layer is disabled (nil options or model).
+func NewSurrogateGate(opt *SurrogateOptions) *SurrogateGate {
 	if opt == nil || opt.Model == nil {
 		return nil
 	}
-	s := &surrogateState{model: opt.Model, keep: opt.Keep, tol: opt.Tolerance, modelBest: math.Inf(1)}
-	if s.keep <= 0 || s.keep > 1 {
-		s.keep = DefaultSurrogateKeep
+	g := &SurrogateGate{model: opt.Model, keep: opt.Keep, tol: opt.Tolerance, modelBest: math.Inf(1)}
+	if g.keep <= 0 || g.keep > 1 {
+		g.keep = DefaultSurrogateKeep
 	}
-	if s.tol <= 0 {
-		s.tol = DefaultSurrogateTolerance
+	if g.tol <= 0 {
+		g.tol = DefaultSurrogateTolerance
 	}
-	return s
+	return g
 }
 
-// score predicts one configuration. It returns ok=false when the
-// model declines the point or returns a non-positive or non-finite
-// score.
-func (s *surrogateState) score(pt space.Point, cfg space.Config) (float64, bool) {
-	v, ok := s.model.Predict(pt, cfg)
+// Score predicts one configuration. It returns ok=false — demanding
+// full simulation of the containing group — when the model declines
+// the point or returns a non-positive or non-finite score.
+func (g *SurrogateGate) Score(pt space.Point, cfg space.Config) (float64, bool) {
+	v, ok := g.model.Predict(pt, cfg)
 	if !ok || math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 		return 0, false
 	}
 	return v, true
 }
 
-// scoreBatch predicts every point of a round. It returns ok=false —
-// demanding full simulation of the round — when any point has no
-// valid score.
-func (s *surrogateState) scoreBatch(pts []space.Point, cfgs []space.Config) ([]float64, bool) {
-	scores := make([]float64, len(pts))
-	for i := range pts {
-		v, ok := s.score(pts[i], cfgs[i])
-		if !ok {
-			return nil, false
-		}
-		scores[i] = v
-	}
-	return scores, true
-}
-
-// keepMask decides which points of a scored round to simulate. Rounds
-// of one (sequential strategies) keep the point unless the model
+// Keep decides which points of a fully scored group to simulate.
+// Groups of one (sequential strategies) keep the point unless the model
 // ranks it confidently worse than the best configuration the session
-// has already committed to simulate; larger rounds keep the
+// has already committed to simulate; larger groups keep the
 // top ceil(Keep×n) scores plus every near-tie within Tolerance of the
 // cut. The decision depends only on the scores, so it is identical
 // for every worker count.
-func (s *surrogateState) keepMask(scores []float64) []bool {
+func (g *SurrogateGate) Keep(scores []float64) []bool {
 	keep := make([]bool, len(scores))
 	if len(scores) == 1 {
-		keep[0] = math.IsInf(s.modelBest, 1) || scores[0] <= s.modelBest*(1+s.tol)
+		keep[0] = math.IsInf(g.modelBest, 1) || scores[0] <= g.modelBest*(1+g.tol)
 		return keep
 	}
-	k := int(math.Ceil(s.keep * float64(len(scores))))
+	k := int(math.Ceil(g.keep * float64(len(scores))))
 	if k < 1 {
 		k = 1
 	}
@@ -138,57 +127,21 @@ func (s *surrogateState) keepMask(scores []float64) []bool {
 			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 		}
 	}
-	cut := sorted[k-1] * (1 + s.tol)
+	cut := sorted[k-1] * (1 + g.tol)
 	for i, v := range scores {
 		keep[i] = v <= cut
 	}
 	return keep
 }
 
-// committed records that the session will simulate a configuration
+// Committed records that the session will simulate a configuration
 // the model scored; the single-proposal rule prunes against the best
-// such score.
+// such score. It sits on the fetch hot path (once per kept proposal),
+// so it is annotated and enforced allocation-free.
 //
 //harmonyvet:allocfree
-func (s *surrogateState) committed(score float64) {
-	if score < s.modelBest {
-		s.modelBest = score
+func (g *SurrogateGate) Committed(score float64) {
+	if score < g.modelBest {
+		g.modelBest = score
 	}
 }
-
-// SurrogateGate exposes the pruning decision rules to the on-line
-// tuning server, which prunes its fetch path with exactly the rules
-// Tune applies to the groups it issues, so the off-line and on-line
-// modes skip the same configurations for the same model.
-type SurrogateGate struct {
-	st *surrogateState
-}
-
-// NewSurrogateGate validates the options and returns nil when the
-// layer is disabled (nil options or model).
-func NewSurrogateGate(opt *SurrogateOptions) *SurrogateGate {
-	st := newSurrogateState(opt)
-	if st == nil {
-		return nil
-	}
-	return &SurrogateGate{st: st}
-}
-
-// Score predicts one configuration, applying the same validity rules
-// as the engine: ok=false demands full simulation of the containing
-// round.
-func (g *SurrogateGate) Score(pt space.Point, cfg space.Config) (float64, bool) {
-	return g.st.score(pt, cfg)
-}
-
-// Keep returns the simulate/prune mask for a fully scored round: the
-// batch quota rule for rounds of two or more, the committed-best rule
-// for rounds of one.
-func (g *SurrogateGate) Keep(scores []float64) []bool { return g.st.keepMask(scores) }
-
-// Committed records that a scored configuration will be simulated.
-// It sits on the server's fetch hot path (once per kept proposal), so
-// it is annotated and enforced allocation-free.
-//
-//harmonyvet:allocfree
-func (g *SurrogateGate) Committed(score float64) { g.st.committed(score) }

@@ -5,9 +5,11 @@
 // The package provides the "off-line" iterative tuning mode this
 // paper added to Active Harmony: every tuning iteration is one
 // representative short run (a benchmarking run) of the application,
-// and configuration changes happen between runs. The same engine,
-// placed behind the TCP protocol in internal/server, provides the
-// pre-existing "on-line" mode where a running application fetches new
+// and configuration changes happen between runs. The engine is one
+// state machine, the issue/commit Window (window.go), with two drivers:
+// Tune (driver.go) runs its work on worker goroutines, and the tagged
+// sessions of internal/server hand it to clients over TCP — the
+// pre-existing "on-line" mode, where a running application fetches new
 // parameter values mid-execution.
 package core
 

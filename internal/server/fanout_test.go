@@ -185,8 +185,8 @@ func TestParallelFanoutPRONearBudget(t *testing.T) {
 	if converged == nil {
 		t.Fatal("session never converged")
 	}
-	if ss.runs != 6 {
-		t.Fatalf("runs = %d, want exactly maxRuns (6): truncation must neither overspend nor undercount", ss.runs)
+	if ss.win.m.Charged != 6 {
+		t.Fatalf("runs = %d, want exactly maxRuns (6): truncation must neither overspend nor undercount", ss.win.m.Charged)
 	}
 	if reported != 6 {
 		t.Fatalf("%d proposals evaluated, want 6", reported)
@@ -218,8 +218,8 @@ func TestParallelFanoutHonoursMaxRuns(t *testing.T) {
 		distinct[reply.Values["x"]+","+reply.Values["y"]] = true
 		ss.report(&proto.Message{Tag: reply.Tag, Perf: float64(i)})
 	}
-	if ss.runs > 7 {
-		t.Fatalf("session charged %d runs, max_runs is 7", ss.runs)
+	if ss.win.m.Charged > 7 {
+		t.Fatalf("session charged %d runs, max_runs is 7", ss.win.m.Charged)
 	}
 	if len(distinct) > 7 {
 		t.Fatalf("%d distinct configurations handed out, max_runs is 7", len(distinct))

@@ -41,7 +41,7 @@ type fanoutGolden struct {
 	name    string
 	strat   func(sp *space.Space) search.BatchStrategy
 	maxRuns int
-	// setup, if set, adjusts the session before the first fetch.
+	// setup, if set, adjusts the session before its window opens.
 	setup func(ss *session, now *time.Time)
 	// dropConfig names a configuration whose every hand-out crashes
 	// before reporting; dropIndex one further hand-out (by position in
@@ -159,10 +159,11 @@ func TestFanoutGoldens(t *testing.T) {
 	for _, g := range goldens {
 		now := time.Unix(1000, 0)
 		rec := &recordingStrategy{BatchStrategy: g.strat(sp)}
-		ss := newTestSession(sp, rec, g.maxRuns, roundWindow(rec))
+		ss := newTestSession(sp, rec, g.maxRuns, nil)
 		if g.setup != nil {
 			g.setup(ss, &now)
 		}
+		roundWindow(rec)(ss)
 		if got := driveFetch4(t, ss, &now, &g); !reflect.DeepEqual(got, g.handouts) {
 			t.Errorf("%s: hand-outs\n got %q\nwant %q", g.name, got, g.handouts)
 		}
@@ -176,7 +177,7 @@ func TestFanoutGoldens(t *testing.T) {
 		}
 		st := ss.stat()
 		counts := fanoutCounts{
-			runs: ss.runs, reissued: st.proposalsReissued.Load(), forfeited: st.proposalsForfeited.Load(),
+			runs: ss.win.m.Charged, reissued: st.proposalsReissued.Load(), forfeited: st.proposalsForfeited.Load(),
 			stale: st.reportsDroppedStale.Load(), accepted: st.reportsAccepted.Load(), hits: st.cacheHits.Load(),
 		}
 		if counts != g.fanoutCounts {

@@ -11,15 +11,15 @@
 //     advances the search only when all expected reports for that
 //     configuration have arrived, aggregating them by taking the worst
 //     (a parallel application moves at the speed of its slowest rank).
-//   - The window, by tag (window.go). A session registered with
-//     Parallel or Async fans distinct candidates out to concurrent
-//     clients — each fetch receives its own tagged configuration — and
-//     commits their values to the strategy in the order it issued
-//     them. Parallel issues one whole search round — the PRO trial
-//     population, a stride of a sampler's stream — and the search
-//     advances when the round is in, which is how the paper's PRO
-//     algorithm exploits many tuning clients at once; Async bounds the
-//     window by a depth instead, so no client waits at a round barrier.
+//   - The window, by tag (window.go): the on-line driver of
+//     core.Window, the machine core.Tune drives off-line. A session
+//     registered with Parallel or Async fans distinct candidates out to
+//     concurrent clients — each fetch receives its own tagged
+//     configuration — and their values commit to the strategy in the
+//     order it issued them. Parallel issues one whole search round,
+//     which is how the paper's PRO algorithm exploits many tuning
+//     clients at once; Async bounds the window by a depth instead, so
+//     no client waits at a round barrier.
 //
 // # Fault model
 //
@@ -184,12 +184,10 @@ type session struct {
 	runs            int
 	maxRuns         int
 
-	// win is the fan-out window of a session registered with Parallel
-	// or Async (see window.go): distinct candidates go to concurrent
-	// clients by tag and commit to the strategy in issue order. Nil for
-	// a shared-configuration session, which uses the single pending
-	// slot above. All strategy calls stay under mu either way —
-	// strategies are engine-locked and carry no locking of their own.
+	// win makes the session a tagged one (window.go). Nil for a
+	// shared-configuration session, which uses the single pending slot
+	// above. All strategy calls stay under mu either way — strategies
+	// are engine-locked and carry no locking of their own.
 	win *window
 
 	// cache is the session's view of the server's evaluation cache,
@@ -202,8 +200,9 @@ type session struct {
 	// value and never charged to runs, so the strategy's own best may
 	// hold a prediction; measuredPt/measuredVal shadow the best
 	// genuinely measured configuration, and best replies use the
-	// shadow. surPrunes caps how many proposals a session may prune (an
-	// adversarial model must not spin fetch forever).
+	// shadow. surPrunes counts the shared slot's prunes against its cap
+	// (an adversarial model must not spin fetch forever; a window has
+	// the machine's proposal cap).
 	surGate     *core.SurrogateGate
 	surPrunes   int
 	measuredPt  space.Point
@@ -483,21 +482,6 @@ func (s *Server) register(msg *proto.Message) *proto.Message {
 		stats:         &s.stats,
 		lastActive:    now,
 	}
-	switch {
-	case msg.Async:
-		// Async wins when both are requested: the pipeline is the round
-		// window without its barrier.
-		depth := msg.AsyncDepth
-		if depth <= 0 {
-			depth = s.AsyncDepth
-		}
-		if depth <= 0 {
-			depth = core.DefaultAsyncDepth
-		}
-		ss.win = newWindow(search.AsAsync(strat), depth, 1)
-	case msg.Parallel:
-		ss.win = newWindow(search.AsAsync(search.AsBatch(strat)), unbounded, unbounded)
-	}
 	if s.Cache != nil {
 		ss.cache = s.Cache.BoundNS(msg.App, msg.Machine, msg.CacheNS, sp)
 	}
@@ -509,6 +493,21 @@ func (s *Server) register(msg *proto.Message) *proto.Message {
 			}
 			ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: model, Keep: keep})
 		}
+	}
+	switch {
+	case msg.Async:
+		// Async wins when both are requested: the pipeline is the round
+		// window without its barrier.
+		depth := msg.AsyncDepth
+		if depth <= 0 {
+			depth = s.AsyncDepth
+		}
+		if depth <= 0 {
+			depth = core.DefaultAsyncDepth
+		}
+		ss.openWindow(search.AsAsync(strat), depth, 1)
+	case msg.Parallel:
+		ss.openWindow(search.AsAsync(search.AsBatch(strat)), core.Unbounded, core.Unbounded)
 	}
 	num := s.nextID.Add(1)
 	id := "s" + strconv.FormatInt(num, 10)
@@ -632,16 +631,6 @@ func (ss *session) noteMeasuredLocked(pt space.Point, v float64) {
 	}
 }
 
-// pruneBudget caps how many proposals the surrogate may prune: a model
-// that rejects everything the strategy proposes must degrade to
-// evaluation, not spin the fetch loop until convergence.
-func (ss *session) pruneBudget() int {
-	if ss.maxRuns > 0 {
-		return 10 * ss.maxRuns
-	}
-	return 10000
-}
-
 // expireStragglersLocked applies the straggler deadline to whatever
 // the session is waiting on. Shared-config sessions: an overdue
 // pending configuration with partial reports is finalised with the
@@ -729,11 +718,13 @@ func (ss *session) fetch(*proto.Message) *proto.Message {
 			if score, ok := ss.surGate.Score(pt, cfg); !ok {
 				// Outside the model's competence: evaluate it for real.
 				ss.stat().surrogateFallback.Add(1)
-			} else if !ss.surGate.Keep([]float64{score})[0] && ss.surPrunes < ss.pruneBudget() {
+			} else if !ss.surGate.Keep([]float64{score})[0] && ss.surPrunes < core.DefaultMaxProposals(ss.maxRuns) {
 				// Confidently worse than the best configuration the
 				// session committed to measure: answer the strategy at
 				// the predicted value, charge no run, and pull the next
-				// proposal without any client round-trip.
+				// proposal without any client round-trip. Capped: a model
+				// that rejects everything must degrade to evaluation, not
+				// spin this loop until convergence.
 				ss.surPrunes++
 				ss.stat().surrogatePruned.Add(1)
 				ss.strategy.Report(pt, score)

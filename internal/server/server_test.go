@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"harmony/internal/client"
+	"harmony/internal/core"
 	"harmony/internal/proto"
 	"harmony/internal/search"
 	"harmony/internal/space"
@@ -44,19 +45,27 @@ func startServer(t *testing.T) (*Server, string) {
 
 // newTestSession builds a session directly, bypassing the wire
 // protocol, for unit tests of the dispatch logic. win is nil for a
-// shared-configuration session, else roundWindow or pipelineWindow.
-func newTestSession(sp *space.Space, strat search.Strategy, maxRuns int, win *window) *session {
-	return &session{id: "s1", space: sp, strategy: strat, reporters: 1, maxRuns: maxRuns, win: win}
+// shared-configuration session, else roundWindow or pipelineWindow. A
+// test that gives the session a cache or a surrogate gate passes nil
+// and opens the window itself once they are set, as register does.
+func newTestSession(sp *space.Space, strat search.Strategy, maxRuns int, win func(*session)) *session {
+	ss := &session{id: "s1", space: sp, strategy: strat, reporters: 1, maxRuns: maxRuns}
+	if win != nil {
+		win(ss)
+	}
+	return ss
 }
 
-// roundWindow is the window register builds for a Parallel session.
-func roundWindow(strat search.Strategy) *window {
-	return newWindow(search.AsAsync(search.AsBatch(strat)), unbounded, unbounded)
+// roundWindow opens the window register builds for a Parallel session.
+func roundWindow(strat search.Strategy) func(*session) {
+	return func(ss *session) {
+		ss.openWindow(search.AsAsync(search.AsBatch(strat)), core.Unbounded, core.Unbounded)
+	}
 }
 
-// pipelineWindow is the window register builds for an Async session.
-func pipelineWindow(strat search.Strategy, depth int) *window {
-	return newWindow(search.AsAsync(strat), depth, 1)
+// pipelineWindow opens the window register builds for an Async session.
+func pipelineWindow(strat search.Strategy, depth int) func(*session) {
+	return func(ss *session) { ss.openWindow(search.AsAsync(strat), depth, 1) }
 }
 
 func testSpace() *space.Space {

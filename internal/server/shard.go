@@ -227,7 +227,7 @@ func (s *Server) armStraggler(sh *shard, ss *session) {
 
 // outstandingLocked returns when the oldest and the newest of the
 // session's unanswered hand-outs — the pending configuration, or the
-// window's live tags — were issued, and whether there are any. The
+// window's live hand-outs — were issued, and whether there are any. The
 // caller holds ss.mu.
 func (ss *session) outstandingLocked() (oldest, newest time.Time, ok bool) {
 	if ss.pending != nil {
@@ -236,7 +236,11 @@ func (ss *session) outstandingLocked() (oldest, newest time.Time, ok bool) {
 	if ss.win == nil {
 		return oldest, newest, false
 	}
-	for _, h := range ss.win.tags {
+	for i := range ss.win.hands {
+		h := &ss.win.hands[i]
+		if !h.live() {
+			continue
+		}
 		if !ok || h.issued.Before(oldest) {
 			oldest = h.issued
 		}

@@ -268,8 +268,9 @@ func TestSurrogateRoundQuota(t *testing.T) {
 		{{24, 5}, {0, 5}, {26, 5}},   // one member declined
 		{{24, 6}, {99, 99}, {26, 6}}, // one member undecodable
 	}}
-	ss := newTestSession(sp, strat, 0, roundWindow(strat))
+	ss := newTestSession(sp, strat, 0, nil)
 	ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: model, Keep: 0.4})
+	roundWindow(strat)(ss)
 
 	// fetchRound fetches and reports until the window moves on to the
 	// next round, returning the configurations clients were handed.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -65,15 +64,17 @@ func TestExpiryLogNotUnderShardLock(t *testing.T) {
 
 // TestFanoutRoundPredictionSeparation is the regression test for the
 // prunepurity findings in the fan-out: the surrogate prediction of a
-// pruned candidate lives in pred, never in worst, and the two meet
-// only in the Commit call that delivers the round to the strategy.
+// pruned candidate lives in the machine candidate's Predicted, never
+// in Measured or the driver's report aggregate, and the two meet only
+// in the Commit call that delivers the round to the strategy.
 func TestFanoutRoundPredictionSeparation(t *testing.T) {
 	sp := testSpace()
 	// The model predicts twice the true bowl value, so no prediction
 	// equals any measurement: 20, 1320, 22 — half of three keeps two.
 	rec := &recordingStrategy{BatchStrategy: &scriptedBatch{rounds: [][]space.Point{{{25, 5}, {0, 0}, {24, 5}}}}}
-	ss := newTestSession(sp, rec, 0, roundWindow(rec))
+	ss := newTestSession(sp, rec, 0, nil)
 	ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: bowlModel(2), Keep: 0.5})
+	roundWindow(rec)(ss)
 
 	var replies []*proto.Message
 	for i := 0; i < 2; i++ {
@@ -83,12 +84,13 @@ func TestFanoutRoundPredictionSeparation(t *testing.T) {
 		}
 		replies = append(replies, r)
 	}
-	pruned := ss.win.queue[1]
-	if !pruned.pruned || pruned.pred != 1320 {
+	pruned := ss.win.m.At(1)
+	if pruned.Kind != core.Pruned || pruned.Predicted != 1320 {
 		t.Fatalf("candidate 1 = %+v, want pruned at the predicted 1320", pruned)
 	}
-	if !math.IsInf(pruned.worst, -1) {
-		t.Errorf("worst = %v, want -Inf: the prediction must never enter the measured field", pruned.worst)
+	if pruned.Measured != 0 || pruned.Payload.worst != 0 {
+		t.Errorf("Measured = %v, reports aggregate = %v, want both untouched: the prediction must never enter a measured field",
+			pruned.Measured, pruned.Payload.worst)
 	}
 	for _, r := range replies {
 		ss.report(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})

@@ -2,237 +2,150 @@ package server
 
 import (
 	"math"
-	"sort"
 	"time"
 
+	"harmony/internal/core"
 	"harmony/internal/proto"
 	"harmony/internal/search"
-	"harmony/internal/space"
 )
 
-// The issue/commit window: the server-side face of core.Tune's engine
-// and the only fan-out mechanism a session has. A refill asks the
-// strategy for a group of candidates and issues them — each one a
-// cache answer, a surrogate-pruned prediction, or work for a client —
-// fetches hand distinct incomplete candidates to concurrent clients by
-// tag, and completed candidates commit to the strategy strictly in
-// issue order, whatever order their reports arrive in. Out-of-order
-// completions wait in the window; only commitHeadLocked tells the
-// strategy about results, and only at the head.
+// The tagged session is the on-line driver of core.Window, the
+// issue/commit machine core.Tune drives off-line, and the only fan-out
+// a session has. The machine asks the strategy, classifies every
+// candidate and commits outcomes in issue order; this file owns what is
+// on-line about it, with clients in place of worker goroutines: fetches
+// hand distinct incomplete candidates to concurrent clients by tag,
+// reports aggregate into the candidate until it completes, and the
+// straggler ladder re-issues and then forfeits what nobody reports.
+// Registration.Parallel makes the window a round, Registration.Async a
+// pipeline (openWindow's depth and group); nothing else knows which.
 //
-// Three values, set at registration, decide what a refill may issue;
-// nothing else knows which kind of session it serves:
-//
-//   - Registration.Parallel drives the strategy through its round view
-//     (search.AsBatch under search.AsAsync), leaves the window
-//     unbounded and classifies everything asked until the adapter
-//     stalls as one group. That stall lasts until the round's last
-//     commit — it is the round barrier.
-//   - Registration.Async drives the strategy through its issue/commit
-//     view, bounds the window by the session's depth and classifies
-//     one candidate at a time, so a fast client is never parked behind
-//     the slowest member of a round.
-//
-// Measured and predicted values stay in separate fields (worst vs
-// pred), meeting only in the Commit call at the strategy boundary —
-// the one channel predictions are designed to flow through. Keeping
-// them apart is what lets prunepurity prove mechanically that no
-// surrogate prediction can reach the evaluation cache, the
-// measured-best shadow, or run accounting through this struct.
+// The cadence is lazy: only a fetch refills the window, just in time
+// for the client that will run the work. Commit order never depends on
+// report arrival; what a pipelined strategy is asked between two
+// commits does (DESIGN.md has the measurement that keeps it so).
 
-// unbounded is the depth and group size of a round-structured window:
-// what is in flight is bounded by the strategy's round, not by a count.
-const unbounded = math.MaxInt
+// cand is one issued proposal of a tagged session, carrying the
+// driver's hand-out and report bookkeeping; reports aggregate into worst
+// and reach the candidate's measured value only through Complete.
+type cand = core.Candidate[handState]
 
-// window is the fan-out state of a tagged session.
-type window struct {
-	strat    search.AsyncStrategy
-	depth    int // candidates that may await their commit at once
-	groupMax int // candidates one refill classifies together (the surrogate's quota group)
-
-	queue     []*candidate    // issued, uncommitted candidates in issue order
-	tags      map[int]handout // outstanding hand-outs by wire tag
-	nextTag   int
-	exhausted bool          // run budget hit; the window drains, nothing new is issued
-	group     []space.Point // refill scratch
+type handState struct {
+	assigned int     // times handed to a client (least-assigned re-issue)
+	count    int     // reports received
+	worst    float64 // worst measured report; meaningful once count > 0
+	expiries int     // straggler deadlines missed
 }
 
-func newWindow(strat search.AsyncStrategy, depth, groupMax int) *window {
-	return &window{strat: strat, depth: depth, groupMax: groupMax, tags: make(map[int]handout)}
-}
-
-// candidate is one issued proposal of the window.
-type candidate struct {
-	pt          space.Point
-	assigned    int     // times handed to a client (least-assigned re-issue)
-	count       int     // reports received
-	worst       float64 // worst measured report (-Inf sentinel: none yet)
-	pred        float64 // surrogate prediction, pruned candidates only
-	pruned      bool    // answered by the model, never handed to a client
-	complete    bool    // all reports in (or preset / forfeited)
-	preset      bool    // complete at issue — a cache hit or a prune — no client ever sees it
-	expiries    int     // straggler deadlines missed
-	closesRound bool    // last candidate of a group the strategy's stall closed
-}
-
-// handout records one candidate handed to a client.
+// handout records one candidate handed to a client. It is live until it
+// is reported or expires (cand = nil), or its candidate commits:
+// duplicates nobody reported must neither arm a straggler deadline nor
+// hold the lease for work that is already committed, and a late report
+// for one is a stale tag.
 type handout struct {
-	cand   *candidate
+	cand   *cand
 	issued time.Time // straggler deadline base
 }
 
-// refillLocked tops the window up: it asks the strategy for groups of
-// candidates and issues them until the window is at its depth, the
-// strategy has nothing to offer, or the run budget is spent.
-func (ss *session) refillLocked() {
-	w := ss.win
-	stalled := false
-	for !ss.converged && !w.exhausted && !stalled && len(w.queue) < w.depth {
-		group := w.group[:0]
-		for len(group) < w.groupMax {
-			pt, ok := w.strat.Ask()
-			if !ok {
-				if w.strat.Done() {
-					ss.converged = true
-				} else {
-					stalled = true
-				}
-				break
-			}
-			group = append(group, pt)
-		}
-		w.group = group
-		if len(group) == 0 {
-			break
-		}
-		// A group the strategy's stall closed is one whole round: the
-		// strategy hears about it when its last candidate commits.
-		ss.issueLocked(group, stalled)
+func (h *handout) live() bool { return h.cand != nil && !h.cand.Committed }
+
+// window is the driver state of a tagged session. hands are the
+// hand-outs in tag order, hands[i] under tag first+i: a report finds its
+// hand-out by index and the expiry ladder walks issue order without
+// sorting. Dead ones are dropped from the front, so the queue spans the
+// oldest live hand-out to the newest.
+type window struct {
+	m     *core.Window[handState]
+	hands []handout
+	first int
+}
+
+// openWindow makes the session a tagged one. It reads the session's
+// budget, cache and gate, so those are set first.
+func (ss *session) openWindow(strat search.AsyncStrategy, depth, groupMax int) {
+	m := &core.Window[handState]{
+		Space: ss.space, Strategy: strat,
+		MaxRuns: ss.maxRuns, MaxProposals: core.DefaultMaxProposals(ss.maxRuns),
+		Gate: ss.surGate, Depth: depth, GroupMax: groupMax, ForfeitUndecodable: true,
 	}
-	if stalled && w.depth != unbounded && len(w.queue) > 0 {
-		// A bounded window left short because the strategy needs commits
-		// it has not received: starved by in-flight work, not drained. (A
-		// round's stall is its barrier, not starvation.)
-		ss.stat().queueStarved.Add(1)
+	if ss.cache != nil {
+		m.Cache = ss.cache
+	}
+	ss.win = &window{m: m, first: 1}
+}
+
+// lookup returns the live hand-out of a tag; nil if it was never
+// issued, already answered, expired, or died with its candidate's commit.
+func (w *window) lookup(tag int) *handout {
+	if i := tag - w.first; i >= 0 && i < len(w.hands) && w.hands[i].live() {
+		return &w.hands[i]
+	}
+	return nil
+}
+
+// trim drops dead hand-outs from the front, shifting the survivors down
+// so the backing array is reused.
+func (w *window) trim() {
+	k := 0
+	for k < len(w.hands) && !w.hands[k].live() {
+		k++
+	}
+	if k > 0 {
+		n := copy(w.hands, w.hands[k:])
+		clear(w.hands[n:])
+		w.hands, w.first = w.hands[:n], w.first+k
 	}
 }
 
-// issueLocked passes one group of asked candidates through the
-// evaluation cache and the surrogate gate and classifies them in issue
-// order. The keep quota is a property of the group, so the whole group
-// is scored before any member is classified; any point the model
-// declines — or cannot even decode — sends the entire group to clients.
-// Cache hits (complete at their genuine past measurement) and
-// candidates bound for clients are charged, and the group is truncated
-// before the first one the budget cannot cover, so runs never exceeds
-// maxRuns; the candidates left unissued are abandoned, which the
-// AsyncStrategy contract allows. Pruned candidates complete at the
-// model's prediction and cost no run.
-func (ss *session) issueLocked(group []space.Point, round bool) {
-	w := ss.win
-	var scores []float64
-	var keep []bool
-	if ss.surGate != nil {
-		sc := make([]float64, len(group))
-		ok := true
-		for i, pt := range group {
-			cfg, err := ss.space.Decode(pt)
-			if err != nil {
-				ok = false
-				break
-			}
-			if sc[i], ok = ss.surGate.Score(pt, cfg); !ok {
-				break
-			}
-		}
-		if ok {
-			scores, keep = sc, ss.surGate.Keep(sc)
-		} else {
-			ss.stat().surrogateFallback.Add(1)
-		}
-	}
-	for i, pt := range group {
-		c := &candidate{pt: pt, worst: math.Inf(-1)}
-		// Cache before gate: a genuine past measurement beats a prediction.
-		cached, hit := 0.0, false
-		if ss.cache != nil {
-			if cached, hit = ss.cache.Lookup(pt); !hit {
-				ss.stat().cacheMisses.Add(1)
-			}
-		}
-		if !hit && keep != nil && !keep[i] && ss.surPrunes < ss.pruneBudget() {
-			ss.surPrunes++
-			ss.stat().surrogatePruned.Add(1)
-			c.pred, c.pruned, c.complete, c.preset = scores[i], true, true, true
-			w.queue = append(w.queue, c)
-			continue
-		}
-		if ss.maxRuns > 0 && ss.runs >= ss.maxRuns {
-			w.exhausted = true
-			return
-		}
-		ss.runs++
-		switch {
-		case hit:
-			// Charged like any run (the paper's cost model counts it) and
-			// complete without a client round trip.
-			ss.stat().cacheHits.Add(1)
-			ss.noteMeasuredLocked(pt, cached)
-			c.worst, c.complete, c.preset = cached, true, true
-		case keep != nil:
-			ss.surGate.Committed(scores[i])
-			ss.stat().surrogateKept.Add(1)
-		}
-		// An undecodable candidate is charged here and forfeited when a
-		// fetch tries to hand it out.
-		w.queue = append(w.queue, c)
-	}
-	if round {
-		w.queue[len(w.queue)-1].closesRound = true
-	}
-}
-
-// commitHeadLocked commits the head candidate to the strategy if it is
-// complete, and reports whether it did. This is the only place a
-// window talks to the strategy about results. The candidate's
-// outstanding hand-outs die with it: duplicates nobody reported must
-// neither arm a straggler deadline nor hold the lease for work that is
-// already committed, and a late report for one is an unknown tag.
+// commitHeadLocked commits the head candidate if its outcome is in
+// hand, does the session's accounting for it, and reports whether it
+// did. The machine's CommitHead is the only place the strategy hears
+// of results.
 func (ss *session) commitHeadLocked() bool {
-	w := ss.win
-	if len(w.queue) == 0 || !w.queue[0].complete {
+	c := ss.win.m.CommitHead()
+	if c == nil {
 		return false
 	}
-	c := w.queue[0]
-	n := copy(w.queue, w.queue[1:])
-	w.queue[n] = nil
-	w.queue = w.queue[:n]
-	for tag, h := range w.tags {
-		if h.cand == c {
-			delete(w.tags, tag)
+	st := ss.stat()
+	switch c.Kind {
+	case core.Pruned:
+		st.surrogatePruned.Add(1)
+	case core.CacheHit:
+		// Charged like any run (the paper's cost model counts it) and
+		// complete without a client round trip.
+		st.cacheHits.Add(1)
+		ss.noteMeasuredLocked(c.Pt, c.Measured)
+	case core.Forfeited:
+		// An undecodable candidate can never be handed out, so no report
+		// and no straggler deadline would ever complete it: the machine
+		// answered it at issue so the window keeps moving.
+		st.proposalsForfeited.Add(1)
+	case core.Work:
+		if ss.cache != nil {
+			st.cacheMisses.Add(1)
 		}
 	}
-	if c.pruned {
-		w.strat.Commit(c.pt, c.pred)
-	} else {
-		w.strat.Commit(c.pt, c.worst)
+	if c.Kept {
+		st.surrogateKept.Add(1)
 	}
-	ss.stat().asyncCommitted.Add(1)
-	if c.closesRound {
-		ss.stat().roundsCompleted.Add(1)
+	st.asyncCommitted.Add(1)
+	if c.ClosesRound {
+		st.roundsCompleted.Add(1)
 	}
+	ss.win.trim()
 	return true
 }
 
 // drainLocked commits, in issue order, what client reports and
-// forfeits have completed. It stops at a preset candidate: those commit
+// forfeits have completed. It stops at a candidate the machine answered
+// itself (a prune, a cache hit, an undecodable point): those commit
 // from fetchWindowLocked, one refill after each as in core.Tune, so
 // what the strategy is asked between two commits is the same whether a
 // value came from a client or from the cache — a session replayed
 // against a warm cache proposes what the cold one did.
 func (ss *session) drainLocked() {
-	w := ss.win
-	for len(w.queue) > 0 && !w.queue[0].preset && ss.commitHeadLocked() {
+	m := ss.win.m
+	for h := m.Head(); h != nil && h.Kind == core.Work && ss.commitHeadLocked(); h = m.Head() {
 	}
 }
 
@@ -241,43 +154,44 @@ func (ss *session) drainLocked() {
 // further fetches re-issue the least-assigned incomplete candidate (a
 // fetch is never refused — a client that lost its assignment to a
 // crash re-fetches and another takes over). A window whose candidates
-// were all preset hands nothing out: each commit is followed by a
-// refill until the strategy or the budget ends the search.
+// were all answered at issue hands nothing out: each commit is
+// followed by a refill until the strategy, the budget or the proposal
+// cap ends the search.
 func (ss *session) fetchWindowLocked(now time.Time) *proto.Message {
-	w := ss.win
+	w, m := ss.win, ss.win.m
 	for {
-		ss.refillLocked()
+		if !ss.converged {
+			fallbacks := m.Fallbacks
+			m.Refill()
+			ss.stat().surrogateFallback.Add(int64(m.Fallbacks - fallbacks))
+			ss.converged = m.Finished
+			if m.Stalled && m.Depth != core.Unbounded && m.Len() > 0 {
+				// A bounded window left short because the strategy needs
+				// commits it has not received: starved by in-flight work, not
+				// drained. (A round's stall is its barrier, not starvation.)
+				ss.stat().queueStarved.Add(1)
+			}
+		}
 		if ss.commitHeadLocked() {
 			continue
 		}
-		var pick *candidate
-		for _, c := range w.queue {
-			if !c.complete && (pick == nil || c.assigned < pick.assigned) {
+		var pick *cand
+		for i := 0; i < m.Len(); i++ {
+			if c := m.At(i); !c.Done && (pick == nil || c.Payload.assigned < pick.Payload.assigned) {
 				pick = c
 			}
 		}
 		if pick == nil {
 			// The head would have committed were anything complete: the
-			// window is empty. With budget left, the strategy is stalled
-			// with nothing in flight — done in every way that matters.
-			if !w.exhausted {
-				ss.converged = true
-			}
+			// window is empty. If the machine could still issue, the
+			// strategy is stalled with nothing in flight — done in every
+			// way that matters.
+			ss.converged = ss.converged || m.Open()
 			return ss.bestOrCurrentLocked()
 		}
-		cfg, err := ss.space.Decode(pick.pt)
-		if err != nil {
-			// An undecodable candidate can never be handed out, so no
-			// report and no straggler deadline would ever complete it:
-			// forfeit it now so the window keeps moving.
-			pick.worst, pick.complete = penaltyValue, true
-			ss.stat().proposalsForfeited.Add(1)
-			continue
-		}
-		pick.assigned++
-		w.nextTag++
-		w.tags[w.nextTag] = handout{cand: pick, issued: now}
-		return &proto.Message{Type: proto.TypeConfig, Values: cfg.Map(), Tag: w.nextTag}
+		pick.Payload.assigned++
+		w.hands = append(w.hands, handout{cand: pick, issued: now})
+		return &proto.Message{Type: proto.TypeConfig, Values: pick.Cfg.Map(), Tag: w.first + len(w.hands) - 1}
 	}
 }
 
@@ -286,18 +200,19 @@ func (ss *session) fetchWindowLocked(now time.Time) *proto.Message {
 // are acknowledged and dropped: a late straggler must not corrupt what
 // the window is measuring now.
 func (ss *session) reportWindowLocked(msg *proto.Message) *proto.Message {
-	w := ss.win
-	h, ok := w.tags[msg.Tag]
-	delete(w.tags, msg.Tag)
-	if !ok || h.cand.complete {
+	h := ss.win.lookup(msg.Tag)
+	if h == nil || h.cand.Done {
+		if h != nil {
+			h.cand = nil
+		}
 		ss.stat().reportsDroppedStale.Add(1)
 		return &proto.Message{Type: proto.TypeOK}
 	}
-	c := h.cand
-	c.count++
+	c, p := h.cand, &h.cand.Payload
+	h.cand = nil
 	ss.stat().reportsAccepted.Add(1)
 	// Sanitize at ingress: NaN compares false with everything, so an
-	// unsanitized NaN report would leave worst at its -Inf sentinel and
+	// unsanitized NaN would never displace the aggregate and could
 	// deliver a best-ever value to the strategy when the candidate
 	// completes. A client that measured NaN measured nothing: treat it
 	// like a forfeit.
@@ -305,67 +220,61 @@ func (ss *session) reportWindowLocked(msg *proto.Message) *proto.Message {
 	if math.IsNaN(perf) {
 		perf = penaltyValue
 	}
-	if perf > c.worst {
-		c.worst = perf
+	if p.count == 0 || perf > p.worst {
+		p.worst = perf
 	}
-	if c.count >= ss.reporters {
-		c.complete = true
+	p.count++
+	if p.count >= ss.reporters {
+		c.Complete(p.worst)
 		// A naturally completed candidate (full reports, finite
 		// aggregate) is banked; forfeits never reach this path.
-		if ss.cache != nil && !math.IsInf(c.worst, 0) {
-			ss.cache.Store(c.pt, c.worst)
+		if ss.cache != nil && !math.IsInf(p.worst, 0) {
+			ss.cache.Store(c.Pt, p.worst)
 		}
-		ss.noteMeasuredLocked(c.pt, c.worst)
+		ss.noteMeasuredLocked(c.Pt, p.worst)
 		ss.drainLocked()
 	}
 	return &proto.Message{Type: proto.TypeOK}
 }
 
-// expireWindowLocked retires overdue hand-outs. An expired candidate's
-// assignment count is decremented so the least-assigned pick in
-// fetchWindowLocked re-issues it naturally; past the re-issue limit the
-// candidate is forfeited — completed with the reports it has, or the
-// penalty value if it has none — so the window always drains.
+// expireWindowLocked retires overdue hand-outs, in issue order:
+// re-issue and forfeit decisions feed the strategy and the counters,
+// and the schedule they induce must not vary run to run. An expired
+// candidate's assignment count is decremented so the least-assigned
+// pick in fetchWindowLocked re-issues it naturally; past the re-issue
+// limit the candidate is forfeited — completed with the reports it
+// has, or the penalty value if it has none — so the window always
+// drains.
 func (ss *session) expireWindowLocked(now time.Time) {
 	w := ss.win
-	if len(w.tags) == 0 {
-		return
-	}
-	// Visit outstanding tags in issue order, not map order: re-issue
-	// and forfeit decisions feed the strategy and the counters, and
-	// the schedule they induce must not vary run to run.
-	tags := make([]int, 0, len(w.tags))
-	for tag := range w.tags {
-		tags = append(tags, tag)
-	}
-	sort.Ints(tags)
-	for _, tag := range tags {
-		h := w.tags[tag]
-		if now.Sub(h.issued) < ss.reportTimeout {
+	for i := range w.hands {
+		h := &w.hands[i]
+		if !h.live() || now.Sub(h.issued) < ss.reportTimeout {
 			continue
 		}
-		delete(w.tags, tag)
-		c := h.cand
-		if c.complete {
+		c, p := h.cand, &h.cand.Payload
+		h.cand = nil
+		if c.Done {
 			continue // candidate already complete; nothing to redo
 		}
-		if c.assigned > 0 {
-			c.assigned--
+		if p.assigned > 0 {
+			p.assigned--
 		}
-		c.expiries++
-		if c.expiries <= ss.reissueLimit() {
+		p.expiries++
+		if p.expiries <= ss.reissueLimit() {
 			ss.stat().proposalsReissued.Add(1)
 			continue
 		}
-		if c.worst == math.Inf(-1) {
-			c.worst = penaltyValue
+		if p.count == 0 {
+			c.Complete(penaltyValue)
 		} else {
 			// Forfeited with partial reports: the surviving ranks'
 			// aggregate is still a genuine measurement.
-			ss.noteMeasuredLocked(c.pt, c.worst)
+			c.Complete(p.worst)
+			ss.noteMeasuredLocked(c.Pt, p.worst)
 		}
-		c.complete = true
 		ss.stat().proposalsForfeited.Add(1)
 	}
+	w.trim()
 	ss.drainLocked()
 }

@@ -145,8 +145,7 @@ func TestAsyncCommitOrderIndependentOfReportOrder(t *testing.T) {
 	pts := []space.Point{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
 	rec := &asyncRecorder{points: pts}
 	strat := search.NewSystematic(sp, 4)
-	ss := newTestSession(sp, strat, 10, pipelineWindow(strat, 4))
-	ss.win.strat = rec
+	ss := newTestSession(sp, strat, 10, func(ss *session) { ss.openWindow(rec, 4, 1) })
 
 	var tags []int
 	for i := 0; i < 4; i++ {
@@ -229,8 +228,8 @@ func TestAsyncHonoursMaxRuns(t *testing.T) {
 		evaluated++
 		ss.report(&proto.Message{Tag: reply.Tag, Perf: float64(i)})
 	}
-	if ss.runs > 7 {
-		t.Fatalf("session charged %d runs, max_runs is 7", ss.runs)
+	if ss.win.m.Charged > 7 {
+		t.Fatalf("session charged %d runs, max_runs is 7", ss.win.m.Charged)
 	}
 	if evaluated != 7 {
 		t.Fatalf("%d candidates evaluated, want exactly the budget 7", evaluated)
@@ -453,5 +452,32 @@ func TestCommittedCandidateTagsRetired(t *testing.T) {
 	clk.Advance(2 * time.Minute)
 	if n := s.ExpireNow(); n != 1 {
 		t.Errorf("ExpireNow collected %d sessions, want 1", n)
+	}
+}
+
+// TestExpiryPassWithNothingOverdueAllocatesNothing: every fetch and
+// report of a session with a ReportTimeout runs the straggler expiry
+// first, and almost always nothing is overdue. Hand-outs are kept in
+// tag order, so the pass is a walk over them — no tag slice, no sort.
+func TestExpiryPassWithNothingOverdueAllocatesNothing(t *testing.T) {
+	now := time.Unix(1000, 0)
+	strat := search.NewRandom(testSpace(), 5, 40)
+	ss := newTestSession(testSpace(), strat, 40, pipelineWindow(strat, 4))
+	ss.clock = func() time.Time { return now }
+	ss.reportTimeout = time.Minute
+	for i := 0; i < 4; i++ {
+		if r := ss.fetch(nil); r.Type != proto.TypeConfig || r.Tag == 0 {
+			t.Fatalf("fetch %d: %+v", i, r)
+		}
+	}
+	now = now.Add(30 * time.Second) // four live hand-outs, all inside their deadline
+	if _, ok := ss.stragglerDeadlineLocked(); !ok {
+		t.Fatal("no hand-out outstanding")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ss.expireStragglersLocked(now) }); allocs != 0 {
+		t.Errorf("an expiry pass that expires nothing allocated %v times, want 0", allocs)
+	}
+	if got := ss.stat().proposalsReissued.Load() + ss.stat().proposalsForfeited.Load(); got != 0 {
+		t.Errorf("%d proposals re-issued or forfeited inside their deadline", got)
 	}
 }
