@@ -108,8 +108,8 @@ func runOnline(o options) error {
 	// A rogue straggler: a second client of the same session fetches
 	// the first configuration, goes silent while tuning moves on, and
 	// finally reports an absurdly good time for the configuration it
-	// held. Generation matching must drop that report instead of
-	// crediting it to whatever is pending by then.
+	// held. Tag matching must drop that report instead of crediting it
+	// to whatever is in flight by then.
 	rogueC, err := client.Dial(srv.Addr().String())
 	if err != nil {
 		return err

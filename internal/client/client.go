@@ -22,12 +22,10 @@
 // Production deployments dial with Options to bound each protocol
 // round trip with an I/O deadline and to reconnect with exponential
 // backoff when the connection drops. Re-fetching after a reconnect is
-// idempotent: the server either repeats the outstanding configuration
-// or hands out a candidate of its window again, and the configuration
-// generation (shared sessions) or hand-out tag (Parallel and Async
-// sessions) it stamps on every fetch makes a report that raced a
-// reconnect droppable server-side instead of being credited to the
-// wrong measurement.
+// idempotent: the server hands out a candidate of the session's window
+// again, and the hand-out tag it stamps on every fetch makes a report
+// that raced a reconnect droppable server-side instead of being
+// credited to the wrong measurement.
 package client
 
 import (
@@ -186,8 +184,7 @@ type transport interface {
 type Session struct {
 	t   transport
 	id  string
-	tag int // tag of the last fetched configuration (Parallel and Async sessions)
-	gen int // generation of the last fetched configuration (shared sessions)
+	tag int // tag of the last fetched configuration
 }
 
 // Register creates a tuning session on the server.
@@ -241,12 +238,8 @@ func (s *Session) ID() string { return s.id }
 // Retried messages are safe for register (a duplicated session is
 // garbage-collected by the server's lease) and idempotent for fetch,
 // best, and done. A retried report whose first copy did arrive is
-// de-duplicated server-side through the generation/tag it echoes
-// whenever a single reporter feeds the configuration; with several
-// reporters per configuration an undetectable duplicate can stand in
-// for another reporter's measurement (the aggregate is their worst
-// value, so the bias is bounded by the reports of the same
-// configuration).
+// de-duplicated server-side through the tag it echoes: a tag is
+// answered once, whatever the number of reporters per configuration.
 //
 // A message that failed to encode (proto.ErrMarshal) is not a
 // transport fault — reconnecting and re-encoding the identical
@@ -307,8 +300,8 @@ func (c *Client) try(msg *proto.Message) (*proto.Message, error) {
 // the parameter values, and converged=true once the search has
 // settled (after which the returned values are the tuned best and no
 // Report is expected). Fetch is idempotent: after a reconnect it can
-// simply be called again, and the generation/tag of the reply
-// supersedes whatever was outstanding.
+// simply be called again, and the tag of the reply supersedes
+// whatever was outstanding.
 func (s *Session) Fetch() (values map[string]string, converged bool, err error) {
 	reply, err := s.t.roundTrip(proto.Message{Type: proto.TypeFetch, Session: s.id})
 	if err != nil {
@@ -318,19 +311,17 @@ func (s *Session) Fetch() (values map[string]string, converged bool, err error) 
 		return nil, false, fmt.Errorf("client: unexpected fetch reply %q", reply.Type)
 	}
 	s.tag = reply.Tag
-	s.gen = reply.Gen
 	return reply.Values, reply.Converged, nil
 }
 
 // Report delivers the performance measured under the configuration
 // from the preceding Fetch. Lower is better. The report echoes that
-// configuration's generation and tag, so a report that arrives after
-// the server retired the configuration (straggler timeout, a faster
-// twin client) is dropped server-side instead of corrupting the next
-// measurement.
+// fetch's tag, so a report that arrives after the server retired the
+// hand-out (straggler timeout, a committed configuration) is dropped
+// server-side instead of corrupting the next measurement.
 func (s *Session) Report(perf float64) error {
 	reply, err := s.t.roundTrip(proto.Message{
-		Type: proto.TypeReport, Session: s.id, Perf: perf, Tag: s.tag, Gen: s.gen,
+		Type: proto.TypeReport, Session: s.id, Perf: perf, Tag: s.tag,
 	})
 	if err != nil {
 		return err

@@ -66,7 +66,8 @@ func TestTimeoutOnSilentServer(t *testing.T) {
 
 // TestReconnectAfterConnDrop: when the connection dies between round
 // trips, the next call redials and the re-fetch is idempotent — the
-// server repeats the outstanding configuration and generation.
+// server hands out the outstanding configuration again, under a new
+// tag that supersedes the lost one.
 func TestReconnectAfterConnDrop(t *testing.T) {
 	addr := startServer(t)
 	c, err := DialOptions(addr, Options{
@@ -84,7 +85,7 @@ func TestReconnectAfterConnDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen1 := sess.gen
+	tag1 := sess.tag
 
 	c.conn.Close() // the network drops the connection under us
 
@@ -92,9 +93,9 @@ func TestReconnectAfterConnDrop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fetch after dropped connection: %v (reconnect did not engage)", err)
 	}
-	if v2["x"] != v1["x"] || sess.gen != gen1 {
-		t.Errorf("re-fetch after reconnect returned %v gen %d, want the outstanding %v gen %d",
-			v2, sess.gen, v1, gen1)
+	if v2["x"] != v1["x"] || sess.tag == tag1 {
+		t.Errorf("re-fetch after reconnect returned %v tag %d, want the outstanding %v under a tag other than %d",
+			v2, sess.tag, v1, tag1)
 	}
 	if err := sess.Report(1.5); err != nil {
 		t.Errorf("Report over the reconnected connection: %v", err)

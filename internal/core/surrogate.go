@@ -58,10 +58,10 @@ const (
 )
 
 // SurrogateGate is the per-session pruning state and decision rules.
-// The issue/commit window screens every group it issues with it, and
-// the on-line server's shared-configuration slot applies the same
-// rules to its one proposal at a time, so the off-line and on-line
-// modes skip the same configurations for the same model.
+// The issue/commit window screens every group it issues with it —
+// off-line campaigns and on-line sessions alike, a round or one
+// proposal at a time — so both modes skip the same configurations for
+// the same model.
 type SurrogateGate struct {
 	model Surrogate
 	keep  float64

@@ -134,19 +134,18 @@ type Message struct {
 	// session; 0 selects the server's default depth.
 	AsyncDepth int `json:"async_depth,omitempty"`
 
-	// config / report: Tag identifies which outstanding proposal of a
-	// parallel session a configuration or report belongs to. The
-	// server assigns it on fetch; clients echo it on report.
+	// config / report: Tag identifies which hand-out of a session a
+	// configuration or report belongs to. The server assigns a fresh
+	// one on every fetch; clients echo it on report, and a report whose
+	// tag was answered, expired or retired is acknowledged and dropped.
 	Tag int `json:"tag,omitempty"`
 
-	// config / report: Gen is the configuration generation of a
-	// shared-config (non-parallel) session. The server increments it
-	// every time a new configuration becomes pending and stamps it on
-	// each config reply; clients echo it on report so a straggler
-	// reporting after its configuration was retired is acknowledged
-	// and dropped instead of being credited to the next pending point.
-	// Reports with Gen 0 (pre-generation clients) are accepted for
-	// whatever is currently pending.
+	// Gen was the configuration generation of a shared-configuration
+	// session while those had a dispatch of their own. The server
+	// neither stamps nor reads it and the client no longer echoes it;
+	// the field and its codec cases stay only because the frozen
+	// bench/adapters.go names it, and ROADMAP item 1's benchmark PR
+	// removes it.
 	Gen int `json:"gen,omitempty"`
 
 	// config / best_reply

@@ -13,7 +13,9 @@ import "harmony/internal/space"
 //
 // NextBatch returns the remaining proposals of the current round, in
 // a fixed deterministic order; it returns an empty batch when the
-// strategy has converged or exhausted its space. ReportBatch delivers
+// strategy has converged or exhausted its space. A batch is valid
+// until the next NextBatch, which may reuse its backing array: a
+// caller that needs it longer copies it. ReportBatch delivers
 // the measured values for a prefix of the batch most recently
 // returned by NextBatch, in the same order. Reporting a strict
 // prefix is allowed (the engine truncates rounds at budget
@@ -64,8 +66,10 @@ func AsBatch(strat Strategy) BatchStrategy {
 }
 
 // seqBatch adapts a sequential Strategy to batches of one proposal.
+// one backs every batch it returns, so a proposal costs no slice.
 type seqBatch struct {
 	Strategy
+	one [1]space.Point
 }
 
 func (b *seqBatch) NextBatch() []space.Point {
@@ -73,7 +77,8 @@ func (b *seqBatch) NextBatch() []space.Point {
 	if !ok {
 		return nil
 	}
-	return []space.Point{pt}
+	b.one[0] = pt
+	return b.one[:]
 }
 
 func (b *seqBatch) ReportBatch(pts []space.Point, values []float64) {

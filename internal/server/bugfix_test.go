@@ -10,9 +10,10 @@ import (
 )
 
 // TestNaNReportSanitizedShared is the regression test for the
-// NaN-poisoning bug on the shared-config path: NaN loses every `>`
-// comparison, so an unsanitized NaN report left the aggregate at its
-// -Inf sentinel and delivered a best-ever value to the strategy.
+// NaN-poisoning bug on a shared session: NaN loses every `>`
+// comparison, so an unsanitized NaN report never displaced the
+// aggregate's -Inf sentinel and delivered a best-ever value to the
+// strategy.
 func TestNaNReportSanitizedShared(t *testing.T) {
 	s := newFaultServer(newFakeClock())
 	id := mustRegister(t, s, &proto.Message{
@@ -20,11 +21,11 @@ func TestNaNReportSanitizedShared(t *testing.T) {
 		Space: proto.EncodeSpace(testSpace()),
 	})
 	cfg1 := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Gen: cfg1.Gen, Perf: math.NaN()}); r.Type != proto.TypeOK {
+	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg1.Tag, Perf: math.NaN()}); r.Type != proto.TypeOK {
 		t.Fatalf("NaN report: %+v", r)
 	}
 	cfg2 := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Gen: cfg2.Gen, Perf: 5}); r.Type != proto.TypeOK {
+	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg2.Tag, Perf: 5}); r.Type != proto.TypeOK {
 		t.Fatalf("report: %+v", r)
 	}
 	best := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id})
@@ -215,7 +216,7 @@ func TestLeaseSurvivesInFlightEvaluation(t *testing.T) {
 	if n := s.ExpireNow(); n != 0 {
 		t.Fatalf("ExpireNow collected %d sessions mid-evaluation, want 0", n)
 	}
-	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Gen: cfg.Gen, Perf: 6}); r.Type != proto.TypeOK {
+	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: 6}); r.Type != proto.TypeOK {
 		t.Fatalf("report after long evaluation: %+v (session was collected mid-run?)", r)
 	}
 
@@ -244,7 +245,7 @@ func TestLeaseStillCollectsAbandonedInFlight(t *testing.T) {
 	if r := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id}); r.Type != proto.TypeConfig {
 		t.Fatalf("fetch: %+v", r)
 	}
-	// Well past pendingSince + ReportTimeout + SessionTimeout: the
+	// Well past the hand-out + ReportTimeout + SessionTimeout: the
 	// straggler window closed long ago and nobody came back.
 	clk.Advance(7 * time.Minute)
 	if n := s.ExpireNow(); n != 1 {

@@ -55,44 +55,6 @@ func mustRegister(t *testing.T, s *Server, msg *proto.Message) string {
 	return reply.Session
 }
 
-// TestStaleGenReportDropped is the regression test for the shared-
-// config protocol bug: a straggler reporting the previous
-// configuration must not be credited to the new pending point.
-func TestStaleGenReportDropped(t *testing.T) {
-	s := newFaultServer(newFakeClock())
-	id := mustRegister(t, s, &proto.Message{
-		Strategy: proto.StrategyRandom, Seed: 1, MaxRuns: 10,
-		Space: proto.EncodeSpace(testSpace()),
-	})
-
-	cfg1 := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-	if cfg1.Type != proto.TypeConfig || cfg1.Gen == 0 {
-		t.Fatalf("fetch 1: %+v", cfg1)
-	}
-	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Gen: cfg1.Gen, Perf: 7}); r.Type != proto.TypeOK {
-		t.Fatalf("report 1: %+v", r)
-	}
-	cfg2 := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-	if cfg2.Gen != cfg1.Gen+1 {
-		t.Fatalf("generation did not advance: %d then %d", cfg1.Gen, cfg2.Gen)
-	}
-	// The straggler: a late report for generation 1, carrying a value
-	// that would become the (bogus) best if credited to generation 2.
-	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Gen: cfg1.Gen, Perf: 0.001}); r.Type != proto.TypeOK {
-		t.Fatalf("stale report not acknowledged: %+v", r)
-	}
-	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Gen: cfg2.Gen, Perf: 9}); r.Type != proto.TypeOK {
-		t.Fatalf("report 2: %+v", r)
-	}
-	best := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id})
-	if best.Type != proto.TypeBestReply || best.Perf != 7 {
-		t.Fatalf("best = %+v, want the genuine 7 (stale 0.001 must be dropped)", best)
-	}
-	if st := s.Stats(); st.ReportsDroppedStale != 1 || st.ReportsAccepted != 2 {
-		t.Errorf("stats = %+v, want 1 dropped-stale and 2 accepted", st)
-	}
-}
-
 // TestDuplicateReportDropped: one client reporting the same
 // configuration twice (reply lost, client retried) must count once.
 func TestDuplicateReportDropped(t *testing.T) {
@@ -102,10 +64,10 @@ func TestDuplicateReportDropped(t *testing.T) {
 		Space: proto.EncodeSpace(testSpace()),
 	})
 	cfg := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-	s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Gen: cfg.Gen, Perf: 4})
+	s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: 4})
 	// The duplicate arrives after the configuration was retired: it
 	// must be acknowledged (the client is just retrying) and dropped.
-	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Gen: cfg.Gen, Perf: 1}); r.Type != proto.TypeOK {
+	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: 1}); r.Type != proto.TypeOK {
 		t.Fatalf("duplicate report: %+v", r)
 	}
 	best := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id})
@@ -149,40 +111,11 @@ func TestLeaseExpiryGarbageCollectsSession(t *testing.T) {
 	}
 }
 
-// TestSharedConfigPartialReportsFinalisedOnTimeout: with two
-// reporters and one crashed, the surviving report stands in after the
-// straggler deadline so the search advances.
-func TestSharedConfigPartialReportsFinalisedOnTimeout(t *testing.T) {
-	clk := newFakeClock()
-	s := newFaultServer(clk)
-	s.ReportTimeout = 30 * time.Second
-	id := mustRegister(t, s, &proto.Message{
-		Strategy: proto.StrategyRandom, Seed: 3, MaxRuns: 10, Reporters: 2,
-		Space: proto.EncodeSpace(testSpace()),
-	})
-	cfg1 := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-	s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Gen: cfg1.Gen, Perf: 5})
-
-	clk.Advance(31 * time.Second)
-	cfg2 := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-	if cfg2.Type != proto.TypeConfig || cfg2.Gen != cfg1.Gen+1 {
-		t.Fatalf("fetch after timeout should advance to a new configuration: %+v", cfg2)
-	}
-	// The crashed reporter's report finally arrives: dropped.
-	s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Gen: cfg1.Gen, Perf: 100})
-	best := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id})
-	if best.Perf != 5 {
-		t.Fatalf("best = %v, want the surviving report 5", best.Perf)
-	}
-	st := s.Stats()
-	if st.ProposalsForfeited != 1 || st.ReportsDroppedStale != 1 {
-		t.Errorf("stats = %+v, want 1 forfeited (partial finalise) and 1 dropped-stale", st)
-	}
-}
-
-// TestSharedConfigReissueThenForfeit: with no reports at all the
-// pending configuration is re-issued (same point, same generation) up
-// to the limit, then forfeited with a penalty so tuning continues.
+// TestSharedConfigReissueThenForfeit: with no reports at all the one
+// configuration of a shared session is handed out again (same values,
+// a new tag) up to the limit, then forfeited with a penalty so tuning
+// continues. A hand-out dies at its deadline: the slow client's report
+// under the first tag is stale, whichever re-issue it arrives during.
 func TestSharedConfigReissueThenForfeit(t *testing.T) {
 	clk := newFakeClock()
 	s := newFaultServer(clk)
@@ -196,8 +129,8 @@ func TestSharedConfigReissueThenForfeit(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		clk.Advance(31 * time.Second)
 		r := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-		if r.Gen != cfg1.Gen {
-			t.Fatalf("re-issue %d changed the generation: %+v", i, r)
+		if r.Tag != cfg1.Tag+i+1 {
+			t.Fatalf("re-issue %d under tag %d, want a new one after %d", i, r.Tag, cfg1.Tag)
 		}
 		for k, v := range cfg1.Values {
 			if r.Values[k] != v {
@@ -205,19 +138,20 @@ func TestSharedConfigReissueThenForfeit(t *testing.T) {
 			}
 		}
 	}
+	s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg1.Tag, Perf: 1})
 	clk.Advance(31 * time.Second) // third expiry exceeds MaxReissues=2
 	cfg2 := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-	if cfg2.Gen != cfg1.Gen+1 {
+	if cfg2.Values["x"] == cfg1.Values["x"] && cfg2.Values["y"] == cfg1.Values["y"] {
 		t.Fatalf("forfeit should advance to a new configuration: %+v", cfg2)
 	}
-	s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Gen: cfg2.Gen, Perf: 3})
+	s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg2.Tag, Perf: 3})
 	best := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id})
 	if best.Perf != 3 {
-		t.Fatalf("best = %v, want 3: the +Inf penalty must never win", best.Perf)
+		t.Fatalf("best = %v, want 3: neither the +Inf penalty nor the stale 1 may win", best.Perf)
 	}
 	st := s.Stats()
-	if st.ProposalsReissued != 2 || st.ProposalsForfeited != 1 {
-		t.Errorf("stats = %+v, want 2 reissued / 1 forfeited", st)
+	if st.ProposalsReissued != 2 || st.ProposalsForfeited != 1 || st.ReportsDroppedStale != 1 {
+		t.Errorf("stats = %+v, want 2 reissued / 1 forfeited / 1 dropped-stale", st)
 	}
 }
 
@@ -352,7 +286,8 @@ func TestParallelRoundForfeitAlwaysCompletes(t *testing.T) {
 }
 
 // scriptedStrategy returns a fixed sequence of points, advancing on
-// every Next call; used to push invalid points through the session.
+// every Next call; used to push invalid points through the session
+// (the fault ladder's undecodable-proposal row).
 type scriptedStrategy struct {
 	pts  []space.Point
 	i    int
@@ -383,42 +318,6 @@ func (s *scriptedStrategy) Best() (space.Point, float64, bool) {
 		return nil, 0, false
 	}
 	return s.best.Clone(), s.bv, true
-}
-
-// TestDecodeFailureDoesNotChargeRun is the regression test for the
-// run-accounting bug: a proposal whose decode fails must not consume
-// tuning budget, or maxRuns trips early.
-func TestDecodeFailureDoesNotChargeRun(t *testing.T) {
-	sp := testSpace()
-	strat := &scriptedStrategy{pts: []space.Point{
-		{99, 99},                    // out of range: decode fails
-		sp.Center(),                 // good
-		sp.Clamp(space.Point{1, 1}), // good
-	}}
-	ss := newTestSession(sp, strat, 2, nil)
-
-	if r := ss.fetch(nil); r.Type != proto.TypeError {
-		t.Fatalf("fetch of undecodable point: %+v, want error", r)
-	}
-	if ss.runs != 0 {
-		t.Fatalf("runs = %d after failed fetch, want 0: decode failures must not be charged", ss.runs)
-	}
-	for i := 0; i < 2; i++ {
-		r := ss.fetch(nil)
-		if r.Type != proto.TypeConfig || r.Converged {
-			t.Fatalf("fetch %d: %+v", i, r)
-		}
-		if rep := ss.report(&proto.Message{Gen: r.Gen, Perf: float64(i + 1)}); rep.Type != proto.TypeOK {
-			t.Fatalf("report %d: %+v", i, rep)
-		}
-	}
-	if ss.runs != 2 {
-		t.Fatalf("runs = %d, want exactly the 2 handed-out configurations", ss.runs)
-	}
-	// Budget boundary respected: the failed decode did not eat a run.
-	if r := ss.fetch(nil); !r.Converged {
-		t.Fatalf("fetch past maxRuns: %+v, want converged best", r)
-	}
 }
 
 // TestServerCloseDuringInflightRound closes the server while parallel

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -185,6 +186,115 @@ func TestFanoutGoldens(t *testing.T) {
 		}
 		if rounds := st.roundsCompleted.Load(); rounds != int64(len(want)) {
 			t.Errorf("%s: RoundsCompleted = %d, want the %d rounds delivered", g.name, rounds, len(want))
+		}
+	}
+}
+
+// skewed is the objective as client c of a shared session measures it:
+// a deterministic per-client offset that is not monotone in the
+// objective, so the search trajectory and the Best value depend on
+// which of the clients' reports the session keeps.
+func skewed(values map[string]string, c int) float64 {
+	x, _ := strconv.Atoi(values["x"])
+	y, _ := strconv.Atoi(values["y"])
+	return objective(values) + float64((7*x+3*y+11*c)%13)
+}
+
+// driveShared is the golden client of a shared session: 40 steps over
+// dispatch, each one fetch per client, then one report per client in
+// the same order — with one more fetch before the last report, which
+// must still see the step's configuration. It returns what each step
+// was handed ("x,y", "!" once converged) and the final Best reply.
+func driveShared(t *testing.T, clients int) (steps []string, best string) {
+	t.Helper()
+	s := newFaultServer(newFakeClock())
+	id := mustRegister(t, s, &proto.Message{MaxRuns: 40, Reporters: clients, Space: proto.EncodeSpace(testSpace())})
+	fetch := func() *proto.Message {
+		r := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+		if r.Type != proto.TypeConfig {
+			t.Fatalf("fetch: %+v", r)
+		}
+		return r
+	}
+	show := func(r *proto.Message) string {
+		if r.Converged {
+			return r.Values["x"] + "," + r.Values["y"] + "!"
+		}
+		return r.Values["x"] + "," + r.Values["y"]
+	}
+	for step := 0; step < 40; step++ {
+		tags := map[int]bool{}
+		cfgs := make([]*proto.Message, clients)
+		for c := range cfgs {
+			cfgs[c] = fetch()
+			if show(cfgs[c]) != show(cfgs[0]) {
+				t.Fatalf("step %d: client %d was handed %s, client 0 %s", step, c, show(cfgs[c]), show(cfgs[0]))
+			}
+			tags[cfgs[c].Tag] = true
+		}
+		steps = append(steps, show(cfgs[0]))
+		if cfgs[0].Converged {
+			continue
+		}
+		if len(tags) != clients {
+			t.Fatalf("step %d: %d distinct tags over %d hand-outs", step, len(tags), clients)
+		}
+		for c, cfg := range cfgs {
+			if c == clients-1 {
+				if r := fetch(); show(r) != show(cfg) {
+					t.Fatalf("step %d: the search advanced to %s before the last report", step, show(r))
+				}
+			}
+			perf := skewed(cfg.Values, c)
+			if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: perf}); r.Type != proto.TypeOK {
+				t.Fatalf("report: %+v", r)
+			}
+		}
+	}
+	b := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id})
+	if b.Type != proto.TypeBestReply {
+		t.Fatalf("best: %+v", b)
+	}
+	return steps, fmt.Sprintf("%s,%s=%g converged=%v", b.Values["x"], b.Values["y"], b.Perf, b.Converged)
+}
+
+// TestSharedGoldens pins the window at depth 1 against the single
+// configuration slot it replaced. The literals were captured from that
+// code (session.pending/gen/reports, the classify loop in fetch,
+// finishPendingLocked) at the commit before its deletion, driven by
+// driveShared with reports echoing Gen where they now echo Tag: what a
+// simplex session hands out step by step, when it converges, and its
+// Best reply — with one client for 40 runs, and with three clients and
+// Reporters 3. The second pins what is emergent where it used to be
+// coded: every client of a step is handed the same values (under
+// distinct tags; it was one generation), the search does not move
+// before the third report, and it moves on the worst of the three.
+func TestSharedGoldens(t *testing.T) {
+	goldens := []struct {
+		clients int
+		steps   []string
+		best    string
+	}{
+		{1, []string{
+			"20,20", "30,20", "20,30", "30,10", "35,0", "20,10", "15,5", "30,0", "20,0", "28,8",
+			"18,18", "27,4", "34,2", "24,8", "23,5", "26,1", "24,6", "28,6", "24,5", "22,7",
+			"26,5", "26,4", "25,6", "25,5", "24,6", "24,6", "24,6", "25,5", "24,5", "24,5",
+			"24,5", "24,5!", "24,5!", "24,5!", "24,5!", "24,5!", "24,5!", "24,5!", "24,5!", "24,5!",
+		}, "24,5=12 converged=true"},
+		{3, []string{
+			"20,20", "30,20", "20,30", "30,10", "35,0", "20,10", "30,0", "40,0", "25,8", "25,18",
+			"29,4", "24,2", "20,5", "27,5", "28,10", "25,4", "23,7", "26,5", "25,2", "25,6",
+			"25,3", "25,5", "24,4", "25,5", "25,4", "24,3", "25,5", "25,4", "25,5", "24,3",
+			"25,4", "25,4!", "25,4!", "25,4!", "25,4!", "25,4!", "25,4!", "25,4!", "25,4!", "25,4!",
+		}, "25,4=16 converged=true"},
+	}
+	for _, g := range goldens {
+		steps, best := driveShared(t, g.clients)
+		if !reflect.DeepEqual(steps, g.steps) {
+			t.Errorf("%d clients: handed\n got %q\nwant %q", g.clients, steps, g.steps)
+		}
+		if best != g.best {
+			t.Errorf("%d clients: best %s, want %s", g.clients, best, g.best)
 		}
 	}
 }

@@ -2,23 +2,25 @@
 // Adaptation Controller behind the on-line tuning protocol.
 //
 // Applications register a parameter space, then fetch configurations
-// and report measured performance while they run. A session is
-// dispatched one of two ways:
+// and report measured performance while they run. Every session is the
+// on-line driver of core.Window (window.go), the issue/commit machine
+// core.Tune drives off-line: a fetch hands out an incomplete candidate
+// of the window under a fresh tag, reports aggregate into the candidate
+// by taking the worst of its Reporters reports (a parallel application
+// moves at the speed of its slowest rank), and values commit to the
+// strategy in the order it issued them. What a registration chooses is
+// the window's depth and group, and nothing after register knows which
+// it has:
 //
-//   - The single slot, by generation. One session may be shared by
-//     several clients (for example one per node of a parallel job);
-//     the server hands every client the same configuration and
-//     advances the search only when all expected reports for that
-//     configuration have arrived, aggregating them by taking the worst
-//     (a parallel application moves at the speed of its slowest rank).
-//   - The window, by tag (window.go): the on-line driver of
-//     core.Window, the machine core.Tune drives off-line. A session
-//     registered with Parallel or Async fans distinct candidates out to
-//     concurrent clients — each fetch receives its own tagged
-//     configuration — and their values commit to the strategy in the
-//     order it issued them. Parallel issues one whole search round,
+//   - (1, 1), the default. One candidate is in flight, so every client
+//     of the session (for example one per node of a parallel job) is
+//     handed the same configuration, and the search advances when all
+//     expected reports for it have arrived.
+//   - (unbounded, unbounded), Parallel. One whole search round is in
+//     flight and concurrent clients receive distinct candidates of it,
 //     which is how the paper's PRO algorithm exploits many tuning
-//     clients at once; Async bounds the window by a depth instead, so
+//     clients at once.
+//   - (depth, 1), Async. The window is bounded by a depth instead, so
 //     no client waits at a round barrier.
 //
 // # Fault model
@@ -26,16 +28,17 @@
 // The server assumes clients can crash, hang, or report late at any
 // point, and degrades the search rather than wedging it:
 //
-//   - Every shared configuration carries a generation (proto.Gen) and
-//     every window hand-out a tag; a report for a retired generation or
-//     tag is acknowledged and dropped, never credited to the wrong
+//   - Every hand-out carries a tag (proto.Tag); a report for a tag that
+//     was answered, expired, or retired with its candidate's commit is
+//     acknowledged and dropped, never credited to the wrong
 //     measurement.
 //   - Sessions are leased: when SessionTimeout is set, a session
 //     nobody has touched within the timeout is garbage-collected.
 //   - Outstanding work has a straggler deadline: when ReportTimeout
-//     is set, an overdue configuration or candidate is handed out
-//     again (up to MaxReissues times) and then forfeited with a +Inf
-//     penalty so the search always advances.
+//     is set, an overdue hand-out dies and its candidate is handed out
+//     again under a new tag (up to MaxReissues times), then forfeited
+//     — with the reports it has, or a +Inf penalty — so the search
+//     always advances.
 //
 // Deadlines are evaluated lazily against the injected Clock whenever
 // a message for the session arrives (or eagerly via ExpireNow), so
@@ -53,7 +56,6 @@ import (
 	"net"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,11 +97,10 @@ type Server struct {
 
 	// ReportTimeout bounds how long the server waits for outstanding
 	// reports before treating their clients as stragglers: an overdue
-	// shared configuration or window candidate is re-issued, and
-	// forfeited with a penalty after MaxReissues expiries. Set it
-	// above the longest expected evaluation; a slow-but-alive client
-	// keeps its configuration (and generation) across re-issues, so
-	// its report still lands. 0 disables the deadline.
+	// hand-out dies and its candidate is re-issued under a new tag, and
+	// forfeited after MaxReissues expiries. Set it above the longest
+	// expected evaluation: a report that arrives after its hand-out
+	// expired is dropped as stale. 0 disables the deadline.
 	ReportTimeout time.Duration
 
 	// MaxReissues is how many straggler expiries a proposal survives
@@ -158,12 +159,10 @@ type Server struct {
 }
 
 type session struct {
-	mu       sync.Mutex
-	id       string
-	num      int64 // numeric part of id: deadline-queue tie-break
-	app      string
-	space    *space.Space
-	strategy search.Strategy
+	mu    sync.Mutex
+	id    string
+	num   int64 // numeric part of id: deadline-queue tie-break, sweep order
+	space *space.Space
 
 	// Fault-tolerance plumbing, copied from the server at register
 	// time. clock nil means time.Now; stats nil (sessions built
@@ -174,20 +173,13 @@ type session struct {
 	stats         *counters
 	lastActive    time.Time // lease bookkeeping, guarded by mu
 
-	pending         space.Point // configuration currently being measured
-	gen             int         // generation of pending; stamped on config replies
-	pendingSince    time.Time   // when pending was first handed out
-	pendingExpiries int         // straggler deadlines missed by pending
-	reports         []float64   // reports received for pending
-	reporters       int         // reports needed before advancing
-	converged       bool
-	runs            int
-	maxRuns         int
+	reporters int // reports a candidate needs before it completes
+	converged bool
+	maxRuns   int
 
-	// win makes the session a tagged one (window.go). Nil for a
-	// shared-configuration session, which uses the single pending slot
-	// above. All strategy calls stay under mu either way — strategies
-	// are engine-locked and carry no locking of their own.
+	// win is the session's window (window.go), opened at register. All
+	// strategy calls go through it under mu — strategies are
+	// engine-locked and carry no locking of their own.
 	win *window
 
 	// cache is the session's view of the server's evaluation cache,
@@ -195,16 +187,13 @@ type session struct {
 	// when the server has no cache.
 	cache *history.BoundCache
 
-	// Surrogate screening state (nil gate disables the layer). Pruned
-	// proposals are answered to the strategy at the model's predicted
-	// value and never charged to runs, so the strategy's own best may
-	// hold a prediction; measuredPt/measuredVal shadow the best
-	// genuinely measured configuration, and best replies use the
-	// shadow. surPrunes counts the shared slot's prunes against its cap
-	// (an adversarial model must not spin fetch forever; a window has
-	// the machine's proposal cap).
+	// surGate screens proposals for a surrogate session (nil disables
+	// the layer). Pruned proposals are answered to the strategy at the
+	// model's predicted value and never charged, so the strategy's own
+	// best may hold a prediction; measuredPt/measuredVal shadow the best
+	// genuinely measured configuration of every session, and best
+	// replies use the shadow.
 	surGate     *core.SurrogateGate
-	surPrunes   int
 	measuredPt  space.Point
 	measuredVal float64
 	measuredOK  bool
@@ -371,48 +360,29 @@ func (s *Server) dispatch(msg *proto.Message) *proto.Message {
 	}
 }
 
-// sortedSessionIDs returns the ids of the session table in
-// registration order ("s9" before "s10"), so sweeps and expiry logs
-// visit sessions deterministically rather than in map order. The
-// caller holds s.mu.
-func sortedSessionIDs(sessions map[string]*session) []string {
-	ids := make([]string, 0, len(sessions))
-	for id := range sessions {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, aerr := strconv.Atoi(strings.TrimPrefix(ids[i], "s"))
-		b, berr := strconv.Atoi(strings.TrimPrefix(ids[j], "s"))
-		if aerr == nil && berr == nil && a != b {
-			return a < b
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
-}
-
 // ExpireNow applies lease and straggler deadlines immediately across
 // every shard and returns the number of sessions garbage-collected.
 // Deadlines are otherwise applied incrementally per shard when a
 // message arrives (see expireDue); operators with long quiet periods
 // (harmonyd's stats ticker) and tests call this to make abandoned
 // sessions and rounds progress without client traffic. The sweep
-// visits sessions in registration order across all shards, so expiry
-// logs and counters stay reproducible.
+// visits sessions in registration order ("s9" before "s10") across all
+// shards, not in map order, so expiry logs and counters stay
+// reproducible.
 func (s *Server) ExpireNow() int {
 	now := s.now()
-	shards := s.shardTable()
-	all := make(map[string]*session)
-	for _, sh := range shards {
+	var all []*session
+	for _, sh := range s.shardTable() {
 		sh.mu.Lock()
-		for id, ss := range sh.sessions {
-			all[id] = ss
+		for id := range sh.sessions {
+			all = append(all, sh.sessions[id]) // by key: collected here, ordered below
 		}
 		sh.mu.Unlock()
 	}
+	sort.Slice(all, func(i, j int) bool { return all[i].num < all[j].num })
 	n := 0
-	for _, id := range sortedSessionIDs(all) {
-		if s.expireOne(all[id], now) {
+	for _, ss := range all {
+		if s.expireOne(ss, now) {
 			n++
 		}
 	}
@@ -474,8 +444,7 @@ func (s *Server) register(msg *proto.Message) *proto.Message {
 	}
 	now := s.now()
 	ss := &session{
-		id: "", app: msg.App, space: sp, strategy: strat,
-		reporters: reporters, maxRuns: msg.MaxRuns,
+		space: sp, reporters: reporters, maxRuns: msg.MaxRuns,
 		clock:         s.now,
 		reportTimeout: s.ReportTimeout,
 		maxReissues:   s.MaxReissues,
@@ -494,6 +463,7 @@ func (s *Server) register(msg *proto.Message) *proto.Message {
 			ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: model, Keep: keep})
 		}
 	}
+	// The only place the three session kinds differ: a (depth, group) pair.
 	switch {
 	case msg.Async:
 		// Async wins when both are requested: the pipeline is the round
@@ -508,6 +478,9 @@ func (s *Server) register(msg *proto.Message) *proto.Message {
 		ss.openWindow(search.AsAsync(strat), depth, 1)
 	case msg.Parallel:
 		ss.openWindow(search.AsAsync(search.AsBatch(strat)), core.Unbounded, core.Unbounded)
+	default:
+		// One candidate in flight: every client is handed the same one.
+		ss.openWindow(search.AsAsync(strat), 1, 1)
 	}
 	num := s.nextID.Add(1)
 	id := "s" + strconv.FormatInt(num, 10)
@@ -570,8 +543,8 @@ func (s *Server) withSession(msg *proto.Message, fn func(*session, *proto.Messag
 		return errorReply("unknown session %q", msg.Session)
 	}
 	reply := fn(ss, msg)
-	// The message may have issued new work (a pending configuration,
-	// window hand-outs): make sure a straggler deadline is queued.
+	// The message may have handed out new work: make sure a straggler
+	// deadline is queued.
 	s.armStraggler(sh, ss)
 	return reply
 }
@@ -611,68 +584,27 @@ func (ss *session) reissueLimit() int {
 	return defaultMaxReissues
 }
 
-// noteMeasuredLocked shadows the best genuinely measured value of a
-// surrogate or window session. With a surrogate, the strategy's own
-// best may be a model prediction (pruned proposals are answered at
-// their predicted value); behind a window a round-structured strategy
-// only learns values at full-round commits — and never hears of a
-// round the budget cut short — so its best lags the measurements the
-// session already holds. Best replies read this shadow instead. The
-// point is copied: rounds and strategies may reuse their backing
-// arrays.
+// noteMeasuredLocked shadows the best genuinely measured value of the
+// session. With a surrogate, the strategy's own best may be a model
+// prediction (pruned proposals are answered at their predicted value);
+// a round-structured strategy only learns values at full-round commits
+// — and never hears of a round the budget cut short — so its best lags
+// the measurements the session already holds. Best replies read this
+// shadow instead. The point is copied, into the shadow's own array:
+// rounds and strategies may reuse their backing arrays.
 func (ss *session) noteMeasuredLocked(pt space.Point, v float64) {
-	if (ss.surGate == nil && ss.win == nil) || math.IsNaN(v) || math.IsInf(v, 0) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
 	if !ss.measuredOK || v < ss.measuredVal {
-		ss.measuredPt = append(space.Point(nil), pt...)
+		ss.measuredPt = append(ss.measuredPt[:0], pt...)
 		ss.measuredVal = v
 		ss.measuredOK = true
 	}
 }
 
-// expireStragglersLocked applies the straggler deadline to whatever
-// the session is waiting on. Shared-config sessions: an overdue
-// pending configuration with partial reports is finalised with the
-// survivors' aggregate; with no reports it is re-issued (same point,
-// same generation, fresh deadline) and, past the re-issue limit,
-// forfeited with a penalty. Window sessions handle each hand-out in
-// expireWindowLocked.
-func (ss *session) expireStragglersLocked(now time.Time) {
-	if ss.reportTimeout <= 0 {
-		return
-	}
-	if ss.win != nil {
-		ss.expireWindowLocked(now)
-		return
-	}
-	if ss.pending == nil || now.Sub(ss.pendingSince) < ss.reportTimeout {
-		return
-	}
-	if len(ss.reports) > 0 {
-		// Some reporters made it, the rest are overdue: the slowest
-		// surviving rank's measurement stands in for the crashed ones
-		// so the search advances instead of waiting forever.
-		ss.finishPendingLocked()
-		ss.stat().proposalsForfeited.Add(1)
-		return
-	}
-	ss.pendingExpiries++
-	if ss.pendingExpiries <= ss.reissueLimit() {
-		ss.pendingSince = now
-		ss.stat().proposalsReissued.Add(1)
-		return
-	}
-	ss.strategy.Report(ss.pending, penaltyValue)
-	ss.pending = nil
-	ss.reports = ss.reports[:0]
-	ss.stat().proposalsForfeited.Add(1)
-}
-
-// fetch returns the configuration the application should use next.
-// All clients of the session receive the same configuration until
-// enough reports arrive; the reply's Gen identifies the configuration
-// generation so late reports can be matched.
+// fetch returns the configuration the application should use next:
+// one hand-out of the session's window, whose Tag the report echoes.
 func (ss *session) fetch(*proto.Message) *proto.Message {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
@@ -680,96 +612,20 @@ func (ss *session) fetch(*proto.Message) *proto.Message {
 	ss.lastActive = now
 	ss.stat().fetches.Add(1)
 	ss.expireStragglersLocked(now)
-	if ss.win != nil {
-		return ss.fetchWindowLocked(now)
-	}
-	for ss.pending == nil {
-		if ss.converged || (ss.maxRuns > 0 && ss.runs >= ss.maxRuns) {
-			return ss.bestOrCurrentLocked()
-		}
-		pt, ok := ss.strategy.Next()
-		if !ok {
-			ss.converged = true
-			return ss.bestOrCurrentLocked()
-		}
-		cfg, err := ss.space.Decode(pt)
-		if err != nil {
-			// The proposal was never handed out: charge no run, so a
-			// decode failure cannot inflate run accounting or trip
-			// maxRuns early. The strategy keeps the point pending and
-			// the next fetch surfaces the same error.
-			return errorReply("fetch: %v", err)
-		}
-		if ss.cache != nil {
-			if v, ok := ss.cache.Lookup(pt); ok {
-				// Answered from the evaluation cache: the run is
-				// charged (the paper's cost model counts it), the
-				// strategy advances, and the loop pulls the next
-				// proposal without any client round-trip.
-				ss.runs++
-				ss.stat().cacheHits.Add(1)
-				ss.noteMeasuredLocked(pt, v)
-				ss.strategy.Report(pt, v)
-				continue
-			}
-			ss.stat().cacheMisses.Add(1)
-		}
-		if ss.surGate != nil {
-			if score, ok := ss.surGate.Score(pt, cfg); !ok {
-				// Outside the model's competence: evaluate it for real.
-				ss.stat().surrogateFallback.Add(1)
-			} else if !ss.surGate.Keep([]float64{score})[0] && ss.surPrunes < core.DefaultMaxProposals(ss.maxRuns) {
-				// Confidently worse than the best configuration the
-				// session committed to measure: answer the strategy at
-				// the predicted value, charge no run, and pull the next
-				// proposal without any client round-trip. Capped: a model
-				// that rejects everything must degrade to evaluation, not
-				// spin this loop until convergence.
-				ss.surPrunes++
-				ss.stat().surrogatePruned.Add(1)
-				ss.strategy.Report(pt, score)
-				continue
-			} else {
-				ss.surGate.Committed(score)
-				ss.stat().surrogateKept.Add(1)
-			}
-		}
-		ss.pending = pt
-		ss.reports = ss.reports[:0]
-		ss.runs++
-		ss.gen++
-		ss.pendingSince = now
-		ss.pendingExpiries = 0
-		return &proto.Message{Type: proto.TypeConfig, Values: cfg.Map(), Gen: ss.gen}
-	}
-	if ss.converged || (ss.maxRuns > 0 && ss.runs >= ss.maxRuns) {
-		return ss.bestOrCurrentLocked()
-	}
-	cfg, err := ss.space.Decode(ss.pending)
-	if err != nil {
-		return errorReply("fetch: %v", err)
-	}
-	return &proto.Message{Type: proto.TypeConfig, Values: cfg.Map(), Gen: ss.gen}
+	return ss.fetchWindowLocked(now)
 }
 
 // bestOrCurrentLocked replies with the best-known configuration and
 // the converged flag set, so clients can settle on the tuned values.
-// Surrogate and window sessions settle on the best measured
-// configuration: the strategy's best may be a point the model scored
-// but nothing ever ran, or lag a round it has not been told about.
+// Sessions settle on the best measured configuration: the strategy's
+// best may be a point the model scored but nothing ever ran, or lag a
+// round it has not been told about.
 func (ss *session) bestOrCurrentLocked() *proto.Message {
-	if (ss.surGate != nil || ss.win != nil) && ss.measuredOK {
-		if cfg, err := ss.space.Decode(ss.measuredPt); err == nil {
-			return &proto.Message{Type: proto.TypeConfig, Values: cfg.Map(), Converged: true}
-		}
+	pt := ss.measuredPt
+	if !ss.measuredOK {
+		pt = ss.space.Center()
 	}
-	if pt, _, ok := ss.strategy.Best(); ok {
-		cfg, err := ss.space.Decode(pt)
-		if err == nil {
-			return &proto.Message{Type: proto.TypeConfig, Values: cfg.Map(), Converged: true}
-		}
-	}
-	cfg, err := ss.space.Decode(ss.space.Center())
+	cfg, err := ss.space.Decode(pt)
 	if err != nil {
 		return errorReply("fetch: %v", err)
 	}
@@ -782,87 +638,24 @@ func (ss *session) report(msg *proto.Message) *proto.Message {
 	now := ss.now()
 	ss.lastActive = now
 	ss.expireStragglersLocked(now)
-	if ss.win != nil {
-		return ss.reportWindowLocked(msg)
-	}
-	if msg.Gen != 0 && (ss.pending == nil || msg.Gen != ss.gen) {
-		// A straggler (or duplicate) reporting a configuration that
-		// was already retired: acknowledge and drop, so the value is
-		// not credited to the new pending point.
-		ss.stat().reportsDroppedStale.Add(1)
-		return &proto.Message{Type: proto.TypeOK}
-	}
-	if ss.pending == nil {
-		return errorReply("report: no configuration outstanding for session %s", ss.id)
-	}
-	// NaN sanitization, mirroring reportWindowLocked: NaN would
-	// lose every `>` comparison in finishPendingLocked and hand the
-	// strategy the -Inf aggregate sentinel as a measurement.
-	perf := msg.Perf
-	if math.IsNaN(perf) {
-		perf = penaltyValue
-	}
-	ss.reports = append(ss.reports, perf)
-	ss.stat().reportsAccepted.Add(1)
-	if len(ss.reports) < ss.reporters {
-		return &proto.Message{Type: proto.TypeOK}
-	}
-	ss.finishPendingLocked()
-	return &proto.Message{Type: proto.TypeOK}
+	return ss.reportWindowLocked(msg)
 }
 
-// finishPendingLocked aggregates the received reports (the slowest
-// reporter gates the parallel application) and advances the search.
-func (ss *session) finishPendingLocked() {
-	worst := math.Inf(-1)
-	for _, v := range ss.reports {
-		if v > worst {
-			worst = v
-		}
-	}
-	// Only complete, finite measurements enter the evaluation cache:
-	// a straggler-degraded aggregate (fewer reports than reporters) or
-	// a failure sentinel must not poison future sessions.
-	if ss.cache != nil && len(ss.reports) >= ss.reporters && !math.IsInf(worst, 0) {
-		ss.cache.Store(ss.pending, worst)
-	}
-	ss.noteMeasuredLocked(ss.pending, worst)
-	ss.strategy.Report(ss.pending, worst)
-	ss.pending = nil
-	ss.reports = ss.reports[:0]
-}
-
+// best answers only from genuine measurements (the shadow): never a
+// model prediction, a forfeit's penalty, or a strategy's lagging view.
 func (ss *session) best(*proto.Message) *proto.Message {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.lastActive = ss.now()
-	var (
-		pt    space.Point
-		value float64
-		ok    bool
-	)
-	switch {
-	case ss.surGate != nil:
-		// Surrogate sessions answer best queries only from genuine
-		// measurements: the strategy's best may hold a model prediction.
-		pt, value, ok = ss.measuredPt, ss.measuredVal, ss.measuredOK
-	case ss.win != nil && ss.measuredOK:
-		// Window sessions prefer the measured shadow: a round-structured
-		// strategy only learns values at full-round commits, so its
-		// best can lag measurements the session already holds.
-		pt, value, ok = ss.measuredPt, ss.measuredVal, true
-	default:
-		pt, value, ok = ss.strategy.Best()
-	}
-	if !ok {
+	if !ss.measuredOK {
 		return errorReply("best: session %s has no evaluations yet", ss.id)
 	}
-	cfg, err := ss.space.Decode(pt)
+	cfg, err := ss.space.Decode(ss.measuredPt)
 	if err != nil {
 		return errorReply("best: %v", err)
 	}
 	return &proto.Message{
-		Type: proto.TypeBestReply, Values: cfg.Map(), Perf: value,
+		Type: proto.TypeBestReply, Values: cfg.Map(), Perf: ss.measuredVal,
 		Converged: ss.converged,
 	}
 }

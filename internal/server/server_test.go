@@ -46,14 +46,21 @@ func startServer(t *testing.T) (*Server, string) {
 // newTestSession builds a session directly, bypassing the wire
 // protocol, for unit tests of the dispatch logic. win is nil for a
 // shared-configuration session, else roundWindow or pipelineWindow. A
-// test that gives the session a cache or a surrogate gate passes nil
-// and opens the window itself once they are set, as register does.
+// test that gives the session a cache or a surrogate gate opens the
+// window again once they are set, as register does.
 func newTestSession(sp *space.Space, strat search.Strategy, maxRuns int, win func(*session)) *session {
-	ss := &session{id: "s1", space: sp, strategy: strat, reporters: 1, maxRuns: maxRuns}
-	if win != nil {
-		win(ss)
+	ss := &session{id: "s1", space: sp, reporters: 1, maxRuns: maxRuns}
+	if win == nil {
+		win = sharedWindow(strat)
 	}
+	win(ss)
 	return ss
+}
+
+// sharedWindow opens the window register builds for a session that is
+// neither Parallel nor Async.
+func sharedWindow(strat search.Strategy) func(*session) {
+	return func(ss *session) { ss.openWindow(search.AsAsync(strat), 1, 1) }
 }
 
 // roundWindow opens the window register builds for a Parallel session.
@@ -227,7 +234,7 @@ func TestMaxRunsConvergesToBest(t *testing.T) {
 }
 
 func TestProtocolErrors(t *testing.T) {
-	_, addr := startServer(t)
+	srv, addr := startServer(t)
 	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -239,13 +246,17 @@ func TestProtocolErrors(t *testing.T) {
 	if _, _, err := bogus.Fetch(); err == nil {
 		t.Error("expected error for unknown session")
 	}
-	// Report without fetch.
+	// Report without fetch: nothing is outstanding, so the report is
+	// stale — acknowledged and dropped, as on every session.
 	sess, err := c.Register(client.Registration{App: "a", Space: testSpace()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Report(1); err == nil {
-		t.Error("expected error for report without outstanding config")
+	if err := sess.Report(1); err != nil {
+		t.Errorf("report without outstanding config: %v, want it acknowledged", err)
+	}
+	if st := srv.Stats(); st.ReportsDroppedStale != 1 || st.ReportsAccepted != 0 {
+		t.Errorf("stats = %+v, want the report dropped as stale", st)
 	}
 	// Best before any report.
 	if _, _, err := sess.Best(); err == nil {

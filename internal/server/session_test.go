@@ -72,7 +72,7 @@ func TestFetchAfterConvergenceReturnsBest(t *testing.T) {
 		if cfg.Type != proto.TypeConfig || cfg.Converged {
 			t.Fatalf("fetch %d: %+v", i, cfg)
 		}
-		ok := roundTrip(t, pc, &proto.Message{Type: proto.TypeReport, Session: id, Perf: perf[cfg.Values["alg"]]})
+		ok := roundTrip(t, pc, &proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: perf[cfg.Values["alg"]]})
 		if ok.Type != proto.TypeOK {
 			t.Fatalf("report: %+v", ok)
 		}
@@ -129,13 +129,12 @@ func TestSessionsIsolated(t *testing.T) {
 	}
 	// Reporting to session A must not advance session B.
 	cfgA := roundTrip(t, pc, &proto.Message{Type: proto.TypeFetch, Session: a.Session})
-	roundTrip(t, pc, &proto.Message{Type: proto.TypeReport, Session: a.Session, Perf: 1})
+	roundTrip(t, pc, &proto.Message{Type: proto.TypeReport, Session: a.Session, Tag: cfgA.Tag, Perf: 1})
 	cfgB1 := roundTrip(t, pc, &proto.Message{Type: proto.TypeFetch, Session: b.Session})
 	cfgB2 := roundTrip(t, pc, &proto.Message{Type: proto.TypeFetch, Session: b.Session})
 	if cfgB1.Values["x"] != cfgB2.Values["x"] {
 		t.Error("session B advanced without its own report")
 	}
-	_ = cfgA
 }
 
 func TestRegisterPROStrategy(t *testing.T) {
@@ -161,7 +160,7 @@ func TestRegisterPROStrategy(t *testing.T) {
 		x, _ := strconv.Atoi(cfg.Values["x"])
 		y, _ := strconv.Atoi(cfg.Values["y"])
 		dx, dy := float64(x-30), float64(y-5)
-		ok := roundTrip(t, pc, &proto.Message{Type: proto.TypeReport, Session: reg.Session, Perf: dx*dx + dy*dy})
+		ok := roundTrip(t, pc, &proto.Message{Type: proto.TypeReport, Session: reg.Session, Tag: cfg.Tag, Perf: dx*dx + dy*dy})
 		if ok.Type != proto.TypeOK {
 			t.Fatalf("report: %+v", ok)
 		}

@@ -44,7 +44,7 @@ type entryKind uint8
 
 const (
 	leaseEntry     entryKind = iota // session idle-lease expiry
-	stragglerEntry                  // overdue pending/window reports
+	stragglerEntry                  // overdue hand-outs
 )
 
 // deadlineEntry schedules one future check of one session.
@@ -226,16 +226,9 @@ func (s *Server) armStraggler(sh *shard, ss *session) {
 }
 
 // outstandingLocked returns when the oldest and the newest of the
-// session's unanswered hand-outs — the pending configuration, or the
-// window's live hand-outs — were issued, and whether there are any. The
+// window's live hand-outs were issued, and whether there are any. The
 // caller holds ss.mu.
 func (ss *session) outstandingLocked() (oldest, newest time.Time, ok bool) {
-	if ss.pending != nil {
-		return ss.pendingSince, ss.pendingSince, true
-	}
-	if ss.win == nil {
-		return oldest, newest, false
-	}
 	for i := range ss.win.hands {
 		h := &ss.win.hands[i]
 		if !h.live() {
@@ -266,11 +259,10 @@ func (ss *session) stragglerDeadlineLocked() (time.Time, bool) {
 // effectiveLastActiveLocked is the activity timestamp the session
 // lease is measured from. A client whose single evaluation
 // legitimately takes longer than the lease would otherwise lose its
-// session mid-run: an outstanding pending configuration or window
-// hand-out still inside its straggler deadline counts as activity,
-// so the lease clock starts ticking only once the straggler window
-// closes (at which point re-issue/forfeit takes over). The caller
-// holds ss.mu.
+// session mid-run: an outstanding hand-out still inside its straggler
+// deadline counts as activity, so the lease clock starts ticking only
+// once the straggler window closes (at which point re-issue/forfeit
+// takes over). The caller holds ss.mu.
 func (ss *session) effectiveLastActiveLocked(now time.Time) time.Time {
 	t := ss.lastActive
 	_, newest, ok := ss.outstandingLocked()

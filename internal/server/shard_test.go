@@ -47,7 +47,7 @@ func TestConcurrentRegistersAcrossShards(t *testing.T) {
 				if cfg.Converged {
 					return
 				}
-				if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: reply.Session, Gen: cfg.Gen, Perf: bowl(cfg.Values)}); r.Type != proto.TypeOK {
+				if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: reply.Session, Tag: cfg.Tag, Perf: bowl(cfg.Values)}); r.Type != proto.TypeOK {
 					t.Errorf("report %d: %+v", i, r)
 					return
 				}

@@ -21,8 +21,8 @@ type Stats struct {
 	// or proposal.
 	ReportsAccepted int64
 	// ReportsDroppedStale counts reports acknowledged but discarded
-	// because their generation or tag was already retired (stragglers
-	// and duplicates).
+	// because their tag was already retired (stragglers and
+	// duplicates).
 	ReportsDroppedStale int64
 	// RoundsCompleted counts whole search rounds delivered to the
 	// strategies of round-structured (Parallel) sessions. A round the
@@ -32,9 +32,9 @@ type Stats struct {
 	// lapsed and that were made available to the next fetch again.
 	ProposalsReissued int64
 	// ProposalsForfeited counts proposals abandoned after too many
-	// straggler expiries; a forfeited proposal with no reports at all
-	// is delivered to the strategy as a +Inf penalty so the round
-	// still completes.
+	// straggler expiries, and proposals the space could not decode; a
+	// forfeited proposal with no reports at all is delivered to the
+	// strategy as a +Inf penalty so the round still completes.
 	ProposalsForfeited int64
 	// CacheHits counts proposals answered from the server's
 	// evaluation cache without being handed to any client;
@@ -53,15 +53,15 @@ type Stats struct {
 	SurrogatePruned    int64
 	SurrogateKept      int64
 	SurrogateFallbacks int64
-	// AsyncCommitted counts every candidate a fan-out window committed,
-	// in issue order, to its session's strategy — Parallel and Async
-	// sessions alike; values recorded while Parallel sessions had a
-	// fan-out of their own counted Async sessions only and are not
+	// AsyncCommitted counts every candidate a session's window
+	// committed, in issue order, to its strategy — on every session;
+	// values recorded while Parallel or shared-configuration sessions
+	// had a dispatch of their own did not count those and are not
 	// comparable. QueueStarved counts refills that left the bounded
 	// window of an Async session short because its strategy was stalled
 	// waiting on in-flight commits — the pipeline's analogue of an idle
 	// worker slot; a Parallel session's stall is its round barrier, not
-	// starvation. Both are zero for shared-configuration sessions.
+	// starvation, and a window of one is never left short.
 	AsyncCommitted int64
 	QueueStarved   int64
 }

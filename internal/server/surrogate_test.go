@@ -231,15 +231,16 @@ func TestSurrogateFlagIgnoredWithoutResolver(t *testing.T) {
 func TestSurrogateBestBeforeAnyMeasurement(t *testing.T) {
 	sp := testSpace()
 	gate := core.NewSurrogateGate(&core.SurrogateOptions{Model: bowlModel(1)})
-	ss := newTestSession(sp, mustStrategy(t, sp), 0, nil)
+	strat := mustStrategy(t, sp)
+	ss := newTestSession(sp, strat, 0, nil)
 	ss.surGate = gate
 	// Feed the strategy a prediction directly, as a pruned proposal would.
 	pt, err := sp.Encode(map[string]string{"x": "1", "y": "1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss.strategy.Next()
-	ss.strategy.Report(pt, 42)
+	strat.Next()
+	strat.Report(pt, 42)
 	reply := ss.best(nil)
 	if reply.Type != proto.TypeError {
 		t.Fatalf("best before any measurement replied %+v, want error", reply)

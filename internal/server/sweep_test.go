@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,20 +11,10 @@ import (
 	"harmony/internal/space"
 )
 
-func TestSortedSessionIDs(t *testing.T) {
-	sessions := map[string]*session{
-		"s10": nil, "s2": nil, "s9": nil, "s1": nil, "watchdog": nil,
-	}
-	got := sortedSessionIDs(sessions)
-	want := []string{"s1", "s2", "s9", "s10", "watchdog"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("sortedSessionIDs = %v, want %v", got, want)
-	}
-}
-
 // TestSweepExpiresInRegistrationOrder: the lease sweep must visit
-// sessions in registration order ("s9" before "s10"), not Go's random
-// map order, so expiry logs and counters are reproducible run to run.
+// sessions in registration order — by session number, so "s9" comes
+// before "s10" — not in Go's random map order or the lexical order of
+// the ids, so expiry logs and counters are reproducible run to run.
 func TestSweepExpiresInRegistrationOrder(t *testing.T) {
 	s := New()
 	var logs []string

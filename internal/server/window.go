@@ -9,25 +9,27 @@ import (
 	"harmony/internal/search"
 )
 
-// The tagged session is the on-line driver of core.Window, the
-// issue/commit machine core.Tune drives off-line, and the only fan-out
-// a session has. The machine asks the strategy, classifies every
-// candidate and commits outcomes in issue order; this file owns what is
-// on-line about it, with clients in place of worker goroutines: fetches
-// hand distinct incomplete candidates to concurrent clients by tag,
+// A session is the on-line driver of core.Window, the issue/commit
+// machine core.Tune drives off-line, and the only dispatch a session
+// has. The machine asks the strategy, classifies every candidate and
+// commits outcomes in issue order; this file owns what is on-line about
+// it, with clients in place of worker goroutines: fetches hand the
+// incomplete candidates to concurrent clients by tag — distinct ones
+// while there are any, the least-assigned one again after that —
 // reports aggregate into the candidate until it completes, and the
 // straggler ladder re-issues and then forfeits what nobody reports.
 // Registration.Parallel makes the window a round, Registration.Async a
-// pipeline (openWindow's depth and group); nothing else knows which.
+// pipeline, neither a window of one candidate that every client shares
+// (openWindow's depth and group); nothing else knows which.
 //
 // The cadence is lazy: only a fetch refills the window, just in time
 // for the client that will run the work. Commit order never depends on
 // report arrival; what a pipelined strategy is asked between two
 // commits does (DESIGN.md has the measurement that keeps it so).
 
-// cand is one issued proposal of a tagged session, carrying the
-// driver's hand-out and report bookkeeping; reports aggregate into worst
-// and reach the candidate's measured value only through Complete.
+// cand is one issued proposal of a session, carrying the driver's
+// hand-out and report bookkeeping; reports aggregate into worst and
+// reach the candidate's measured value only through Complete.
 type cand = core.Candidate[handState]
 
 type handState struct {
@@ -47,20 +49,21 @@ type handout struct {
 	issued time.Time // straggler deadline base
 }
 
+//harmonyvet:allocfree
 func (h *handout) live() bool { return h.cand != nil && !h.cand.Committed }
 
-// window is the driver state of a tagged session. hands are the
-// hand-outs in tag order, hands[i] under tag first+i: a report finds its
-// hand-out by index and the expiry ladder walks issue order without
-// sorting. Dead ones are dropped from the front, so the queue spans the
-// oldest live hand-out to the newest.
+// window is the driver state of a session. hands are the hand-outs in
+// tag order, hands[i] under tag first+i: a report finds its hand-out by
+// index and the expiry ladder walks issue order without sorting. Dead
+// ones are dropped from the front, so the queue spans the oldest live
+// hand-out to the newest.
 type window struct {
 	m     *core.Window[handState]
 	hands []handout
 	first int
 }
 
-// openWindow makes the session a tagged one. It reads the session's
+// openWindow gives the session its window. It reads the session's
 // budget, cache and gate, so those are set first.
 func (ss *session) openWindow(strat search.AsyncStrategy, depth, groupMax int) {
 	m := &core.Window[handState]{
@@ -76,6 +79,8 @@ func (ss *session) openWindow(strat search.AsyncStrategy, depth, groupMax int) {
 
 // lookup returns the live hand-out of a tag; nil if it was never
 // issued, already answered, expired, or died with its candidate's commit.
+//
+//harmonyvet:allocfree
 func (w *window) lookup(tag int) *handout {
 	if i := tag - w.first; i >= 0 && i < len(w.hands) && w.hands[i].live() {
 		return &w.hands[i]
@@ -153,17 +158,19 @@ func (ss *session) drainLocked() {
 // clients receive distinct candidates until the window is covered;
 // further fetches re-issue the least-assigned incomplete candidate (a
 // fetch is never refused — a client that lost its assignment to a
-// crash re-fetches and another takes over). A window whose candidates
-// were all answered at issue hands nothing out: each commit is
-// followed by a refill until the strategy, the budget or the proposal
-// cap ends the search.
+// crash re-fetches and another takes over), so at depth 1 every client
+// is handed the same one. A window whose candidates were all answered
+// at issue hands nothing out: each commit is followed by a refill until
+// the strategy, the budget or the proposal cap ends the search.
 func (ss *session) fetchWindowLocked(now time.Time) *proto.Message {
 	w, m := ss.win, ss.win.m
 	for {
 		if !ss.converged {
 			fallbacks := m.Fallbacks
 			m.Refill()
-			ss.stat().surrogateFallback.Add(int64(m.Fallbacks - fallbacks))
+			if m.Fallbacks > fallbacks {
+				ss.stat().surrogateFallback.Add(int64(m.Fallbacks - fallbacks))
+			}
 			ss.converged = m.Finished
 			if m.Stalled && m.Depth != core.Unbounded && m.Len() > 0 {
 				// A bounded window left short because the strategy needs
@@ -195,10 +202,11 @@ func (ss *session) fetchWindowLocked(now time.Time) *proto.Message {
 	}
 }
 
-// reportWindowLocked matches a tagged report to its candidate. Stale
-// tags (an expired hand-out, a committed candidate) and surplus reports
-// are acknowledged and dropped: a late straggler must not corrupt what
-// the window is measuring now.
+// reportWindowLocked matches a report to its candidate by the tag it
+// echoes. Stale tags (none at all, an answered or expired hand-out, a
+// committed candidate) and surplus reports are acknowledged and
+// dropped: a late straggler must not corrupt what the window is
+// measuring now.
 func (ss *session) reportWindowLocked(msg *proto.Message) *proto.Message {
 	h := ss.win.lookup(msg.Tag)
 	if h == nil || h.cand.Done {
@@ -237,7 +245,8 @@ func (ss *session) reportWindowLocked(msg *proto.Message) *proto.Message {
 	return &proto.Message{Type: proto.TypeOK}
 }
 
-// expireWindowLocked retires overdue hand-outs, in issue order:
+// expireStragglersLocked applies the straggler deadline to whatever the
+// session is waiting on: it retires overdue hand-outs, in issue order —
 // re-issue and forfeit decisions feed the strategy and the counters,
 // and the schedule they induce must not vary run to run. An expired
 // candidate's assignment count is decremented so the least-assigned
@@ -245,7 +254,10 @@ func (ss *session) reportWindowLocked(msg *proto.Message) *proto.Message {
 // limit the candidate is forfeited — completed with the reports it
 // has, or the penalty value if it has none — so the window always
 // drains.
-func (ss *session) expireWindowLocked(now time.Time) {
+func (ss *session) expireStragglersLocked(now time.Time) {
+	if ss.reportTimeout <= 0 {
+		return
+	}
 	w := ss.win
 	for i := range w.hands {
 		h := &w.hands[i]
