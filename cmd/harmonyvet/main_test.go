@@ -3,6 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -19,6 +24,56 @@ func TestSelfHostClean(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("expected no findings on a clean tree, got:\n%s", out.String())
+	}
+}
+
+// TestSuppressionInventory pins every //harmonyvet:ignore in shipped
+// code (non-test, non-fixture Go files) as (file, analyzer): a new
+// suppression fails here until someone edits this list, and with it
+// the count DESIGN.md and ROADMAP.md quote.
+func TestSuppressionInventory(t *testing.T) {
+	want := [][2]string{
+		{"internal/proto/proto.go", "protowire"},
+		{"internal/proto/proto.go", "protowire"},
+		{"internal/server/server.go", "maporder"},
+		{"internal/simmpi/sched.go", "allocfree"},
+	}
+	var got [][2]string
+	root := filepath.Join("..", "..")
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				// A directive is a comment of its own; the docs quote
+				// the form inside ordinary comments.
+				if rest, ok := strings.CutPrefix(c.Text, "//harmonyvet:ignore "); ok {
+					got = append(got, [2]string{filepath.ToSlash(rel), strings.Fields(rest)[0]})
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("harmonyvet:ignore sites in shipped code:\n got %v\nwant %v", got, want)
 	}
 }
 

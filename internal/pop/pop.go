@@ -319,18 +319,6 @@ func (ly *layout) OceanPoints() int {
 	return total
 }
 
-// MaxPoints returns the largest per-rank point count (the compute
-// load gate).
-func (ly *layout) MaxPoints() int {
-	m := 0
-	for _, p := range ly.points {
-		if p > m {
-			m = p
-		}
-	}
-	return m
-}
-
 // InterNodeBytes returns the per-step halo bytes (one field) crossing
 // node boundaries under the given machine: the topology-alignment
 // diagnostic behind Fig. 4.

@@ -41,8 +41,7 @@ func trialsFingerprint(res *core.Result) string {
 
 // collectiveObjective simulates a collective-heavy job: every time
 // step does an irregular all-to-all, an allreduce, and a barrier. The
-// perm controls the insertion order of each rank's traffic map, so
-// the map's internal bucket layout — and hence Go's iteration order —
+// perm controls the order each rank fills its traffic row in, which
 // differs between campaign repetitions while the workload itself is
 // identical.
 func collectiveObjective(perm []int) core.Objective {
@@ -53,7 +52,7 @@ func collectiveObjective(perm []int) core.Objective {
 		st, err := Run(m, 6, func(r *Rank) {
 			for i := 0; i < iters; i++ {
 				r.Compute(grain * 1e5)
-				r.AlltoallvBytes(alltoallTraffic(r.ID(), r.Size(), perm))
+				r.AlltoallvBytesRow(alltoallTraffic(r.ID(), r.Size(), perm))
 				r.Allreduce1(Sum, float64(r.ID()+i))
 				r.Barrier()
 			}
@@ -67,7 +66,7 @@ func collectiveObjective(perm []int) core.Objective {
 
 // TestCampaignFingerprintImmuneToMapOrder runs a full tuning campaign
 // (simplex over a small space, objective = simulated collective-heavy
-// job) once per map-insertion permutation and requires bit-identical
+// job) once per fill-order permutation and requires bit-identical
 // fingerprints. This is the end-to-end version of the wallclock and
 // maporder analyzer contracts: if any map-order or wall-clock
 // dependence leaks into the evaluation path, the trial log's float
@@ -101,7 +100,7 @@ func TestCampaignFingerprintImmuneToMapOrder(t *testing.T) {
 			continue
 		}
 		if fp != ref {
-			t.Errorf("perm %d: fingerprint diverged under map-order perturbation:\n got %s\nwant %s", trial, fp, ref)
+			t.Errorf("perm %d: fingerprint diverged under fill-order perturbation:\n got %s\nwant %s", trial, fp, ref)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package simmpi
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"strings"
@@ -17,13 +20,13 @@ func TestAlltoallvBisectionCongestion(t *testing.T) {
 	m := testMachine(2, 4)
 	timeFor := func(bytes int) float64 {
 		st, err := Run(m, 8, func(r *Rank) {
-			send := map[int]int{}
+			send := make([]int, 8)
 			for dst := 0; dst < 8; dst++ {
 				if dst != r.ID() {
 					send[dst] = bytes
 				}
 			}
-			r.AlltoallvBytes(send)
+			r.AlltoallvBytesRow(send)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -54,13 +57,13 @@ func TestAlltoallvMoreNodesRelieveCongestion(t *testing.T) {
 	// more nodes (larger bisection).
 	run := func(nodes, ppn int) float64 {
 		st, err := Run(testMachine(nodes, ppn), 8, func(r *Rank) {
-			send := map[int]int{}
+			send := make([]int, 8)
 			for dst := 0; dst < 8; dst++ {
 				if dst != r.ID() {
 					send[dst] = 1 << 20
 				}
 			}
-			r.AlltoallvBytes(send)
+			r.AlltoallvBytesRow(send)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -87,41 +90,6 @@ func TestBisectionDefault(t *testing.T) {
 	}
 }
 
-func TestGatherRootPaysForVolume(t *testing.T) {
-	st, err := Run(testMachine(4, 1), 4, func(r *Rank) {
-		r.Gather(0, make([]float64, 10000))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Root's clock includes the full inbound volume; leaves leave
-	// almost immediately.
-	if st.RankClocks[0] <= st.RankClocks[1] {
-		t.Errorf("root clock %v should exceed leaf clock %v", st.RankClocks[0], st.RankClocks[1])
-	}
-}
-
-func TestBcastNilAtRoot(t *testing.T) {
-	_, err := Run(testMachine(1, 2), 2, func(r *Rank) {
-		got := r.Bcast(0, nil)
-		if len(got) != 0 {
-			panic("nil broadcast should deliver empty")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllreduceLengthMismatchDetected(t *testing.T) {
-	_, err := Run(testMachine(1, 2), 2, func(r *Rank) {
-		r.Allreduce(Sum, make([]float64, 1+r.ID()))
-	})
-	if err == nil {
-		t.Error("expected error for mismatched allreduce lengths")
-	}
-}
-
 func TestCollectiveSequenceTiming(t *testing.T) {
 	// Two barriers back-to-back cost twice one barrier's tree cost.
 	m := testMachine(2, 2)
@@ -138,82 +106,160 @@ func TestCollectiveSequenceTiming(t *testing.T) {
 	}
 }
 
-func TestReduceDeliversAtRootOnly(t *testing.T) {
-	st, err := Run(testMachine(2, 2), 4, func(r *Rank) {
-		got := r.Reduce(2, Sum, []float64{float64(r.ID()), 1})
-		if r.ID() == 2 {
-			if len(got) != 2 || got[0] != 6 || got[1] != 4 {
-				panic("reduce result wrong at root")
-			}
-		} else if got != nil {
-			panic("reduce non-nil at leaf")
+// statsDigest folds every per-rank clock of a run into one word, so a
+// golden can pin a whole Stats in a literal.
+func statsDigest(st Stats) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	add := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	for _, xs := range [][]float64{st.RankClocks, st.ComputeTime, st.WaitTime} {
+		for _, x := range xs {
+			add(math.Float64bits(x))
 		}
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
 	}
-	// Root's clock includes the tree cost; leaves leave early.
-	if st.RankClocks[2] <= st.RankClocks[0] {
-		t.Errorf("root clock %v should exceed leaf clock %v", st.RankClocks[2], st.RankClocks[0])
+	add(uint64(st.Messages))
+	return h.Sum64()
+}
+
+// allreduceGolden is one run of staggeredReduces as the vector
+// Allreduce charged it before PR 23 deleted that collective: the
+// float64 bits of Stats.Time, Stats.BytesSent, and statsDigest.
+type allreduceGolden struct {
+	time   uint64
+	bytes  int64
+	digest uint64
+}
+
+func (g allreduceGolden) check(t *testing.T, what string, st Stats) {
+	t.Helper()
+	if got := (allreduceGolden{math.Float64bits(st.Time), st.BytesSent, statsDigest(st)}); got != g {
+		t.Errorf("%s: (Time bits, BytesSent, digest) = %#x, want %#x", what, got, g)
 	}
 }
 
-func TestReduceInvalidRoot(t *testing.T) {
-	_, err := Run(testMachine(1, 2), 2, func(r *Rank) {
-		r.Reduce(5, Sum, []float64{1})
-	})
-	if err == nil {
-		t.Error("expected error for invalid root")
-	}
+// allreduceGoldens holds, for each machine of allreduceCases in order,
+// the goldens for vectors of 0, 1, 64 and 1000 doubles.
+var allreduceGoldens = [][4]allreduceGolden{
+	{
+		{0x3f819ce075f6fd21, 0, 0x51876b3d90d4a194},
+		{0x3f819ce075f6fd21, 0, 0x51876b3d90d4a194},
+		{0x3f819ce075f6fd21, 0, 0x51876b3d90d4a194},
+		{0x3f819ce075f6fd21, 0, 0x51876b3d90d4a194},
+	},
+	{
+		{0x3f85847bfb23216d, 0, 0x4697a33b6e2a7991},
+		{0x3f8584826c67987b, 48, 0x70665634d8cf6fd6},
+		{0x3f8586184c40e511, 3072, 0xdbd62abcdedef989},
+		{0x3f859da66e943251, 48000, 0x9c13d8a6c6271e16},
+	},
+	{
+		{0x3f8a01eeed8904f8, 0, 0x6788b53205b7adcf},
+		{0x3f8a024f908bfed2, 72, 0xcfd1a19aaefc03d7},
+		{0x3f8a1a17ae477b96, 4608, 0x3587145cc09d650},
+		{0x3f8b7b6bb1290259, 72000, 0x9675bb68abd952a6},
+	},
+	{
+		{0x3fa2bd1aa821f298, 0, 0x5d91838981936a42},
+		{0x3fa2bd32d0e2b110, 72, 0xcafe12ce3879329e},
+		{0x3fa2c324d8519041, 4608, 0x294b1ff317c43f4b},
+		{0x3fa31b79d909f1f2, 72000, 0x32ac1ea8002627d1},
+	},
+	{
+		{0x3f9773684bcb9ce8, 0, 0xaf904d1f3eb99f4b},
+		{0x3f9773888221f031, 168, 0xd56f886a65701517},
+		{0x3f977b75e1606f1c, 10752, 0xdd75076b7d10a17b},
+		{0x3f97f13c8d00f15d, 168000, 0xf200c8e543c64ad8},
+	},
+	{
+		{0x3f8490413bc85eb9, 0, 0xf412a7bfd676dd1b},
+		{0x3f84909d44bf0389, 168, 0xdd55877a14c766f8},
+		{0x3f84a743797192bd, 10752, 0x7b11cf77a0857585},
+		{0x3f85f7c43f3c2b77, 168000, 0xd319bc325f69c82},
+	},
 }
 
-func TestReduceLengthMismatch(t *testing.T) {
-	_, err := Run(testMachine(1, 2), 2, func(r *Rank) {
-		r.Reduce(0, Sum, make([]float64, 1+r.ID()))
-	})
-	if err == nil {
-		t.Error("expected error for mismatched lengths")
-	}
+// allreduce1Goldens holds, for each machine of allreduceCases and each
+// of Sum, Max, Min in order, the float64 bits of the three results a
+// length-1 vector Allreduce returned for staggeredReduces' inputs.
+var allreduce1Goldens = [][3][3]uint64{
+	{{0x3fdb6db6db6db6db, 0xbfdb6db6db6db6db, 0x3ff2492492492492}, {0x3fdb6db6db6db6db, 0xbfdb6db6db6db6db, 0x3ff2492492492492}, {0x3fdb6db6db6db6db, 0xbfdb6db6db6db6db, 0x3ff2492492492492}},
+	{{0x3fc2492492492490, 0x0, 0xbfc2492492492492}, {0x3feb6db6db6db6db, 0x3fdb6db6db6db6db, 0x3ff2492492492492}, {0xbff2492492492492, 0xbfdb6db6db6db6db, 0xbfeb6db6db6db6db}},
+	{{0x3feb6db6db6db6da, 0xbff2492492492492, 0xbfe6db6db6db6db7}, {0x3ff0000000000000, 0x3feb6db6db6db6db, 0x3ff2492492492492}, {0xbff2492492492492, 0xbff2492492492492, 0xbff2492492492492}},
+	{{0xbfeb6db6db6db6dc, 0xbfd2492492492492, 0x3fd2492492492492}, {0x3feb6db6db6db6db, 0x3feb6db6db6db6db, 0x3ff2492492492492}, {0xbff2492492492492, 0xbff2492492492492, 0xbfeb6db6db6db6db}},
+	{{0x3ff4924924924924, 0xbfdb6db6db6db6d9, 0x3fd2492492492492}, {0x3ff2492492492492, 0x3ff2492492492492, 0x3ff2492492492492}, {0xbff2492492492492, 0xbff2492492492492, 0xbff2492492492492}},
+	{{0xbfc2492492492498, 0xbfe2492492492492, 0xbff0000000000000}, {0x3ff2492492492492, 0x3ff2492492492492, 0x3ff2492492492492}, {0xbff2492492492492, 0xbff2492492492492, 0xbff2492492492492}},
 }
 
-// TestAllreduceBytesEqualsAllreduce is what keeps the cost-only
-// reduction honest: a program that reduces a vector nobody reads and
-// one that declares only its size must agree on every statistic, at
-// any rank count, link mix and arrival stagger.
-func TestAllreduceBytesEqualsAllreduce(t *testing.T) {
+func allreduceCases() []struct {
+	m *cluster.Machine
+	n int
+} {
 	hetero := testMachine(3, 2)
 	hetero.Gflops = []float64{1, 0.25, 3}
-	for _, c := range []struct {
+	return []struct {
 		m *cluster.Machine
 		n int
 	}{
 		{testMachine(1, 1), 1}, {testMachine(1, 4), 3}, {testMachine(4, 2), 8},
 		{hetero, 5}, {cluster.Seaborg(5, 16), 70}, {cluster.MyrinetLinux(64, 2), 128},
-	} {
-		for _, k := range []int{0, 1, 64, 1000} {
-			program := func(reduce func(r *Rank)) func(r *Rank) {
-				return func(r *Rank) {
-					for step := 1; step <= 3; step++ {
-						// Stagger the arrivals differently every step.
-						r.Compute(float64((r.ID()*7+step*3)%5) * 1e6)
-						reduce(r)
-						if r.ID()%2 == 0 {
-							r.Sleep(1e-4 * float64(step))
-						}
-					}
+	}
+}
+
+// staggeredReduces is three reductions whose arrivals are staggered
+// differently every step.
+func staggeredReduces(reduce func(r *Rank, step int)) func(r *Rank) {
+	return func(r *Rank) {
+		for step := 1; step <= 3; step++ {
+			r.Compute(float64((r.ID()*7+step*3)%5) * 1e6)
+			reduce(r, step)
+			if r.ID()%2 == 0 {
+				r.Sleep(1e-4 * float64(step))
+			}
+		}
+	}
+}
+
+// TestAllreduceBytesEqualsAllreduce is what keeps the cost-only
+// reduction honest: a program that declares only the size of a vector
+// must agree on every statistic, at any rank count, link mix and
+// arrival stagger, with one that reduced the vector itself — which,
+// now that the vector Allreduce is gone, means with the literals
+// captured from it.
+func TestAllreduceBytesEqualsAllreduce(t *testing.T) {
+	for i, c := range allreduceCases() {
+		for j, k := range []int{0, 1, 64, 1000} {
+			got, err := Run(c.m, c.n, staggeredReduces(func(r *Rank, _ int) { r.AllreduceBytes(8 * k) }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			allreduceGoldens[i][j].check(t, fmt.Sprintf("%s, %d ranks, %d doubles", c.m, c.n, k), got)
+		}
+	}
+}
+
+// TestAllreduce1EqualsLength1Allreduce pins the scalar reduction to
+// the length-1 vector Allreduce it replaced: same statistics, and the
+// same result bits (so the same fold order) under every operator.
+func TestAllreduce1EqualsLength1Allreduce(t *testing.T) {
+	for i, c := range allreduceCases() {
+		for j, op := range []Op{Sum, Max, Min} {
+			var results [3]uint64
+			got, err := Run(c.m, c.n, staggeredReduces(func(r *Rank, step int) {
+				v := r.Allreduce1(op, float64((r.ID()*37+step*11)%17-8)/7)
+				if r.ID() == r.Size()-1 {
+					results[step-1] = math.Float64bits(v)
 				}
-			}
-			vec := make([]float64, k)
-			want, err := Run(c.m, c.n, program(func(r *Rank) { r.Allreduce(Sum, vec) }))
+			}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Run(c.m, c.n, program(func(r *Rank) { r.AllreduceBytes(8 * k) }))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, %d ranks, %d doubles:\nAllreduceBytes %+v\nAllreduce      %+v", c.m, c.n, k, got, want)
+			what := fmt.Sprintf("%s, %d ranks, %s", c.m, c.n, op)
+			allreduceGoldens[i][1].check(t, what, got)
+			if results != allreduce1Goldens[i][j] {
+				t.Errorf("%s: result bits = %#x, want %#x", what, results, allreduce1Goldens[i][j])
 			}
 		}
 	}
@@ -275,19 +321,14 @@ func TestAlltoallvRowReadAtRendezvous(t *testing.T) {
 }
 
 func TestAlltoallvNegativeSizeDetected(t *testing.T) {
-	for name, call := range map[string]func(r *Rank){
-		"row": func(r *Rank) { r.AlltoallvBytesRow([]int{0, 0, -5}) },
-		"map": func(r *Rank) { r.AlltoallvBytes(map[int]int{2: -5}) },
-	} {
-		_, err := Run(testMachine(1, 3), 3, func(r *Rank) {
-			if r.ID() == 1 {
-				call(r)
-			} else {
-				r.AlltoallvBytesRow(make([]int, 3))
-			}
-		})
-		if err == nil || !strings.Contains(err.Error(), "simmpi: alltoallv negative size -5") {
-			t.Errorf("%s: err = %v, want the negative size named", name, err)
+	_, err := Run(testMachine(1, 3), 3, func(r *Rank) {
+		if r.ID() == 1 {
+			r.AlltoallvBytesRow([]int{0, 0, -5})
+		} else {
+			r.AlltoallvBytesRow(make([]int, 3))
 		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "simmpi: alltoallv negative size -5") {
+		t.Errorf("err = %v, want the negative size named", err)
 	}
 }

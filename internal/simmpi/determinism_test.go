@@ -4,11 +4,10 @@ import (
 	"testing"
 )
 
-// alltoallTraffic returns rank id's send map for the shared traffic
-// pattern, inserting keys in an order that varies with perm so the
-// map's internal layout differs between runs.
-func alltoallTraffic(id, n int, perm []int) map[int]int {
-	m := make(map[int]int, n)
+// alltoallTraffic returns rank id's send row for the shared traffic
+// pattern, filling destinations in an order that varies with perm.
+func alltoallTraffic(id, n int, perm []int) []int {
+	m := make([]int, n)
 	for _, k := range perm {
 		dst := (id + k) % n
 		if dst == id {
@@ -24,10 +23,9 @@ func alltoallTraffic(id, n int, perm []int) map[int]int {
 // TestAlltoallvBytesOrderIndependent pins the determinism contract of
 // the exchange cost model: the simulated cost sums per-destination
 // link times in float64, and summation order must come from rank
-// numbering, never from Go's randomised map iteration order. Each
-// repetition inserts the send map in a different order, which
-// perturbs the map's internal bucket layout; the resulting Stats must
-// stay bit-identical.
+// numbering, never from the order a caller built its send plan in.
+// Each repetition fills the send row in a different order; the
+// resulting Stats must stay bit-identical.
 func TestAlltoallvBytesOrderIndependent(t *testing.T) {
 	const n = 6
 	perms := [][]int{
@@ -40,7 +38,7 @@ func TestAlltoallvBytesOrderIndependent(t *testing.T) {
 	for trial, perm := range perms {
 		st, err := Run(testMachine(2, 3), n, func(r *Rank) {
 			for iter := 0; iter < 4; iter++ {
-				got := r.AlltoallvBytes(alltoallTraffic(r.ID(), n, perm))
+				got := r.AlltoallvBytesRow(alltoallTraffic(r.ID(), n, perm))
 				if got <= 0 {
 					t.Errorf("rank %d received %d bytes, want > 0", r.ID(), got)
 				}
@@ -54,7 +52,7 @@ func TestAlltoallvBytesOrderIndependent(t *testing.T) {
 			continue
 		}
 		if st.Time != ref.Time {
-			t.Errorf("trial %d: Time = %v, want %v (map order leaked into costs)", trial, st.Time, ref.Time)
+			t.Errorf("trial %d: Time = %v, want %v (fill order leaked into costs)", trial, st.Time, ref.Time)
 		}
 		for i := range ref.RankClocks {
 			if st.RankClocks[i] != ref.RankClocks[i] {
@@ -86,7 +84,7 @@ func TestWorldPoolReuseIdenticalStats(t *testing.T) {
 		if len(data) != 1 || data[0] != float64(prev) {
 			t.Errorf("rank %d: payload %v, want [%d]", r.ID(), data, prev)
 		}
-		r.AlltoallvBytes(alltoallTraffic(r.ID(), r.Size(), []int{1, 2, 3}))
+		r.AlltoallvBytesRow(alltoallTraffic(r.ID(), r.Size(), []int{1, 2, 3}))
 		r.Barrier()
 	}
 	var ref Stats

@@ -65,8 +65,8 @@ const (
 // matching and for naming the operation in a deadlock report.
 type waitRecord struct {
 	kind     waitKind
-	src, tag int    // waitRecv: the (source, tag) stream awaited
-	op       string // waitColl: the collective's name
+	src, tag int      // waitRecv: the (source, tag) stream awaited
+	coll     collKind // waitColl: the collective awaited
 }
 
 // sched is the per-world scheduler state. It is only ever touched by
@@ -227,7 +227,7 @@ func (s *sched) deadlockError() error {
 		case waitRecv:
 			fmt.Fprintf(&b, "rank %d blocked in Recv(src=%d, tag=%d)", i, wr.src, wr.tag)
 		case waitColl:
-			fmt.Fprintf(&b, "rank %d blocked in %s", i, wr.op)
+			fmt.Fprintf(&b, "rank %d blocked in %s", i, wr.coll)
 		default:
 			fmt.Fprintf(&b, "rank %d blocked", i)
 		}

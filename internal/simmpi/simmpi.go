@@ -29,7 +29,6 @@ package simmpi
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -46,6 +45,19 @@ const (
 	Max
 	Min
 )
+
+// String names the operator the way a collective-mismatch report does.
+func (op Op) String() string {
+	switch op {
+	case Sum:
+		return "sum"
+	case Max:
+		return "max"
+	case Min:
+		return "min"
+	}
+	return fmt.Sprintf("op %d", int(op))
+}
 
 // Stats summarises one simulated run.
 type Stats struct {
@@ -485,21 +497,4 @@ func (r *Rank) Recv(src, tag int) []float64 {
 func (r *Rank) SendRecv(peer, tag int, data []float64) []float64 {
 	r.Send(peer, tag, data)
 	return r.Recv(peer, tag)
-}
-
-// worstLink returns the most expensive link class in use: the
-// inter-node link when the world spans several nodes, otherwise the
-// intra-node link.
-func (w *World) worstLink() cluster.Link {
-	if w.n > w.machine.PPN {
-		return w.machine.Inter
-	}
-	return w.machine.Intra
-}
-
-func log2ceil(n int) float64 {
-	if n <= 1 {
-		return 0
-	}
-	return math.Ceil(math.Log2(float64(n)))
 }

@@ -227,8 +227,7 @@ func TestBarrierSynchronises(t *testing.T) {
 
 func TestAllreduceValues(t *testing.T) {
 	_, err := Run(testMachine(2, 2), 4, func(r *Rank) {
-		sum := r.Allreduce(Sum, []float64{float64(r.ID()), 1})
-		if sum[0] != 6 || sum[1] != 4 {
+		if r.Allreduce1(Sum, float64(r.ID())) != 6 || r.Allreduce1(Sum, 1) != 4 {
 			panic("allreduce sum wrong")
 		}
 		if got := r.Allreduce1(Max, float64(r.ID())); got != 3 {
@@ -243,47 +242,15 @@ func TestAllreduceValues(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	_, err := Run(testMachine(1, 3), 3, func(r *Rank) {
-		var in []float64
-		if r.ID() == 1 {
-			in = []float64{42, 7}
-		}
-		got := r.Bcast(1, in)
-		if len(got) != 2 || got[0] != 42 || got[1] != 7 {
-			panic("bcast wrong")
-		}
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
-func TestGather(t *testing.T) {
-	_, err := Run(testMachine(1, 3), 3, func(r *Rank) {
-		got := r.Gather(0, []float64{float64(r.ID() * 10)})
-		if r.ID() == 0 {
-			if len(got) != 3 || got[2][0] != 20 {
-				panic("gather wrong at root")
-			}
-		} else if got != nil {
-			panic("gather non-nil at leaf")
-		}
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-}
-
 func TestAlltoallvBytesVolumeAndTiming(t *testing.T) {
 	st, err := Run(testMachine(2, 2), 4, func(r *Rank) {
-		send := map[int]int{}
+		send := make([]int, 4)
 		for dst := 0; dst < 4; dst++ {
 			if dst != r.ID() {
 				send[dst] = 1000 * (r.ID() + 1)
 			}
 		}
-		got := r.AlltoallvBytes(send)
+		got := r.AlltoallvBytesRow(send)
 		want := 0
 		for src := 0; src < 4; src++ {
 			if src != r.ID() {
@@ -311,7 +278,9 @@ func TestAlltoallvBytesVolumeAndTiming(t *testing.T) {
 
 func TestAlltoallvSelfAndEmptyIgnored(t *testing.T) {
 	_, err := Run(testMachine(1, 2), 2, func(r *Rank) {
-		got := r.AlltoallvBytes(map[int]int{r.ID(): 999, 1 - r.ID(): 0})
+		send := make([]int, 2)
+		send[r.ID()] = 999
+		got := r.AlltoallvBytesRow(send)
 		if got != 0 {
 			panic("self/zero bytes should not be delivered")
 		}
@@ -405,6 +374,18 @@ func TestCollectiveMismatchDetected(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Errorf("err = %v, want collective mismatch", err)
+	}
+}
+
+// TestAllreduceOperatorMismatchDetected: the operator is part of what
+// every rank must agree on — the rendezvous records it at the first
+// arrival instead of silently applying the last arriver's.
+func TestAllreduceOperatorMismatchDetected(t *testing.T) {
+	_, err := Run(testMachine(1, 2), 2, func(r *Rank) {
+		r.Allreduce1([]Op{Sum, Max}[r.ID()], 1)
+	})
+	if err == nil || !strings.Contains(err.Error(), "collective mismatch: rank 1 calls allreduce1 with max while sum in progress") {
+		t.Errorf("err = %v, want collective mismatch naming both operators", err)
 	}
 }
 

@@ -1,7 +1,12 @@
 package surrogate
 
 import (
+	"math"
+	"slices"
+
+	"harmony/internal/cluster"
 	"harmony/internal/gs2"
+	"harmony/internal/simmpi"
 	"harmony/internal/space"
 )
 
@@ -47,14 +52,16 @@ func (s *GS2) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 	}
 	m := s.mf(nodes)
 	p := m.Procs()
-	g := LogGP{M: m, N: p}
 	cm := c.ComputeModel(p)
 	plans := c.ExchangePlans(p)
 	speed := minSpeed(m)
 
 	// One redistribution: pack on the heaviest sender, the all-to-all
-	// exchange, unpack on the heaviest receiver. A plan that moves
-	// nothing costs nothing, exactly like the simulator's early-out.
+	// exchange — as the simulator prices it for synchronised arrivals,
+	// finishing at the slowest rank — unpack on the heaviest receiver.
+	// A plan that moves nothing costs nothing, exactly like the
+	// simulator's early-out.
+	exits, scratch := make([]float64, p), simmpi.NewAlltoallvScratch(p)
 	redistCost := func(pl gs2.PlanInfo) float64 {
 		if pl.TotalMoved == 0 {
 			return 0
@@ -68,7 +75,8 @@ func (s *GS2) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 				maxUnpack = t
 			}
 		}
-		return maxPack + g.AlltoallvCost(pl.SendBytes) + maxUnpack
+		simmpi.AlltoallvExits(m, pl.SendBytes, 0, exits, scratch)
+		return maxPack + slices.Max(exits) + maxUnpack
 	}
 	chunk := func(flopsPerSub float64) float64 {
 		return cm.MaxChunkSubpoints * flopsPerSub / speed
@@ -81,7 +89,7 @@ func (s *GS2) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 		perStep += redistCost(plans[2]) + chunk(cm.CollisionFlops) + redistCost(plans[3])
 	}
 	perStep += cm.FieldSolveFlops/speed +
-		g.TreeCost(8*cm.FieldSolveDoubles) + cm.StepOverheadSeconds
+		simmpi.TreeCost(m, p, 8*cm.FieldSolveDoubles) + cm.StepOverheadSeconds
 
 	init := cm.InitFixedSeconds + redistCost(toXY) +
 		chunk((cm.NonlinearFlops+cm.ImplicitFlops)*cm.InitStepEquivalents) +
@@ -92,4 +100,16 @@ func (s *GS2) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 		return 0, false
 	}
 	return total, true
+}
+
+// minSpeed returns the slowest rank's speed in FLOP/s: the compute
+// gate of a load-balanced phase on a possibly heterogeneous machine.
+func minSpeed(m *cluster.Machine) float64 {
+	s := math.Inf(1)
+	for r := 0; r < m.Procs(); r++ {
+		if v := m.SpeedOf(r); v < s {
+			s = v
+		}
+	}
+	return s
 }

@@ -3,6 +3,7 @@ package surrogate
 import (
 	"harmony/internal/cluster"
 	"harmony/internal/pop"
+	"harmony/internal/simmpi"
 	"harmony/internal/space"
 )
 
@@ -16,13 +17,12 @@ import (
 type POP struct {
 	base pop.Config
 	m    *cluster.Machine
-	g    LogGP
 }
 
 // NewPOP builds the predictor over a base configuration and machine;
 // bx and by come from each candidate (the BlockSpace parameters).
 func NewPOP(base pop.Config, m *cluster.Machine) *POP {
-	return &POP{base: base, m: m, g: LogGP{M: m, N: m.Procs()}}
+	return &POP{base: base, m: m}
 }
 
 // Predict prices one benchmarking run of the block-size candidate. It
@@ -82,14 +82,15 @@ func (s *POP) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 			diag = t
 		}
 	}
-	perStep := baro + float64(c.BarotropicIters)*(btrop+s.g.TreeCost(8))
+	allreduce := simmpi.TreeCost(s.m, p, 8)
+	perStep := baro + float64(c.BarotropicIters)*(btrop+allreduce)
 	if costs.DiagEveryStep {
-		perStep += diag + s.g.TreeCost(8)
+		perStep += diag + allreduce
 	}
 
 	// One history dump at the end of the benchmarking run: barrier,
 	// gather to the writers, contended filesystem write.
-	io := s.g.TreeCost(0) + costs.IODumpSeconds(8*c.NX*c.NY, s.m)
+	io := simmpi.TreeCost(s.m, p, 0) + costs.IODumpSeconds(8*c.NX*c.NY, s.m)
 
 	total := float64(c.Steps)*perStep + io
 	if total <= 0 {

@@ -1,3 +1,22 @@
+// Package surrogate implements closed-form LogGP-style performance
+// predictors for the paper's case-study applications. A predictor
+// prices a candidate configuration analytically — communication
+// volume from the frozen decomposition plans, compute load from the
+// heaviest rank, link parameters from the cluster.Machine — without
+// executing a single simulated rank. The tuning engine
+// (core.Options.Surrogate) uses the predictions only to rank
+// candidates and decide which ones deserve a real simulated run;
+// every reported number still comes from the simulator.
+//
+// Each predictor prices what its simulator charges. Collectives go
+// through the cost functions internal/simmpi exports and its own
+// rendezvous charges through (simmpi.TreeCost, simmpi.AlltoallvExits):
+// there is no second copy to drift. Compute goes through the
+// per-phase flop constants petscsim/gs2/pop export. The ranking
+// therefore tracks the simulated ordering closely. A predictor
+// deliberately ignores scheduling interleave — the pipeline overlap
+// the discrete-event simulation resolves exactly — which is why the
+// engine treats predictions as a ranking, not a measurement.
 package surrogate
 
 import (

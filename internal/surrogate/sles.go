@@ -6,6 +6,7 @@ import (
 
 	"harmony/internal/cluster"
 	"harmony/internal/petscsim"
+	"harmony/internal/simmpi"
 	"harmony/internal/space"
 	"harmony/internal/sparse"
 )
@@ -39,7 +40,6 @@ func cfgInt(vals map[string]string, name string) (int, bool) {
 type SLES struct {
 	app   *petscsim.SLESApp
 	m     *cluster.Machine
-	g     LogGP
 	names []string
 }
 
@@ -51,7 +51,7 @@ func NewSLES(app *petscsim.SLESApp, m *cluster.Machine) *SLES {
 	for i := range names {
 		names[i] = fmt.Sprintf("w%d", i+1)
 	}
-	return &SLES{app: app, m: m, g: LogGP{M: m, N: app.P}, names: names}
+	return &SLES{app: app, m: m, names: names}
 }
 
 // Predict prices one benchmarking run of the decomposition the
@@ -95,9 +95,10 @@ func (s *SLES) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 			worst = t
 		}
 	}
-	perIter := worst + 2*s.g.TreeCost(8)
+	dot := simmpi.TreeCost(s.m, s.app.P, 8)
+	perIter := worst + 2*dot
 	// The initial residual dot before the loop.
-	total := float64(s.app.Iterations)*perIter + s.g.TreeCost(8)
+	total := float64(s.app.Iterations)*perIter + dot
 	if total <= 0 {
 		return 0, false
 	}

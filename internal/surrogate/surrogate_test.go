@@ -2,13 +2,16 @@ package surrogate
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"harmony/internal/cluster"
 	"harmony/internal/gs2"
 	"harmony/internal/petscsim"
 	"harmony/internal/pop"
+	"harmony/internal/simmpi"
 	"harmony/internal/space"
 	"harmony/internal/sparse"
 )
@@ -258,8 +261,8 @@ func slesPredictByScan(app *petscsim.SLESApp, m *cluster.Machine, cfg space.Conf
 			worst = t
 		}
 	}
-	g := LogGP{M: m, N: app.P}
-	return float64(app.Iterations)*(worst+2*g.TreeCost(8)) + g.TreeCost(8)
+	dot := simmpi.TreeCost(m, app.P, 8)
+	return float64(app.Iterations)*(worst+2*dot) + dot
 }
 
 // TestSLESPredictMatchesScanBitwise pins that pricing from the halo
@@ -287,6 +290,133 @@ func TestSLESPredictMatchesScanBitwise(t *testing.T) {
 			got, ok := model.Predict(pt, cfg)
 			if want := slesPredictByScan(tc.app, tc.m, cfg); !ok || got != want {
 				t.Fatalf("n=%d point %v: Predict = %v (ok %v), scan = %v", tc.app.A.N, pt, got, ok, want)
+			}
+		}
+	}
+}
+
+// goldenSample is a fixed, arithmetic walk through sp: count lattice
+// points that no random source or library version can move.
+func goldenSample(sp *space.Space, count int) []space.Point {
+	strides := []int64{7, 13, 29, 31, 37}
+	pts := make([]space.Point, count)
+	for i := range pts {
+		pt := make(space.Point, sp.Dims())
+		for d, p := range sp.Params() {
+			pt[d] = (int64(i)*strides[d%len(strides)]*int64(d+1) + int64(3*d)) % p.Levels()
+		}
+		pts[i] = pt
+	}
+	return pts
+}
+
+// TestPredictionGoldens pins every registry predictor to the float64
+// bits it produced before PR 23 replaced this package's mirror of the
+// collective cost model (TreeCost, AlltoallvCost, worstLink, log2Ceil)
+// with calls into simmpi: the predictions were captured from the
+// mirror, so any change of formula, accumulation order or association
+// on the shared path shows up here.
+func TestPredictionGoldens(t *testing.T) {
+	var layouts []string
+	for _, l := range gs2.Layouts() {
+		layouts = append(layouts, string(l))
+	}
+	gs2Layouts := space.MustNew(append(gs2.ResolutionSpace(64).Params(), space.EnumParam("layout", layouts...))...)
+	for _, c := range []struct {
+		app  string
+		sp   *space.Space
+		want []uint64
+	}{
+		{"fig2-sles", petscsim.NewSLESApp(600, 4, 3, 60, 11).Space(), []uint64{
+			0x3f83574596bf5327, 0x3f844e4ccc83736d, 0x3f843eb03f8657c5, 0x3f843ffc21c973ca,
+			0x3f842dc7d0462017, 0x3f842dc7d0462017, 0x3f842f13b2893c1d, 0x3f842f13b2893c1d,
+			0x3f86ba85ee47c248, 0x3f838d115fa46351, 0x3f84217585cc9b26, 0x3f848d7f704d0c1d,
+			0x3f83392361a0ffc3, 0x3f805beb5da6f2ea, 0x3f80434992abde81, 0x3f8033baf7868e3e,
+			0x3f80397e50e8d0ba, 0x3f83edfbc836ca0d, 0x3f8168ff63d7e508, 0x3f80b2c79537485f,
+			0x3f80aee3ee6df44e, 0x3f80ab0047a4a03d, 0x3f80a868831e6833, 0x3f851ce0ace82b87,
+		}},
+		{"table3-gs2", gs2.ResolutionSpace(64), []uint64{
+			0x40381cf40df512ac, 0x406f066a859997bb, 0x405b116488563a0e, 0x4065e45207b52c37,
+			0x405440361c36b5ae, 0x4063a3aba653bced, 0x406b13cfc605fc08, 0x40663f812bf056fc,
+			0x4063a08e1f8d7738, 0x405a330bfed6d09d, 0x406868c8f316961c, 0x406f8dd64230d7e4,
+			0x4062f9cc74b4d9b7, 0x406288169b1cc28b, 0x405632a1e412c74d, 0x4061bd6ecb37a1cd,
+			0x406f2a7bc60ded60, 0x405daa14be2bfde4, 0x4058eb8dd5ea99b6, 0x405198ee7ba203a0,
+		}},
+		{"table3-gs2", gs2Layouts, []uint64{
+			0x40381cf40df512ac, 0x4048fe98a2cec414, 0x405525d3ec77d814, 0x404b5bec096da0b2,
+			0x4031a13890a08cdc, 0x4063a3aba653bced, 0x40448bc83e7cb84c, 0x40418454922ae831,
+			0x40623030141daef9, 0x403a428a53d13ac8, 0x40411934468c94b2, 0x4054d2bb01275bfd,
+		}},
+		{"fig4-pop", pop.BlockSpace(), []uint64{
+			0x3fb4052b4cb57344, 0x3fc5926d8a6b57d7, 0x3fce4074acd919dd, 0x3fd3c40f32e045ca,
+			0x3fd46890ee399286, 0x3fd3a24585131b50, 0x3fb453453586d378, 0x3fb1fd8731a48329,
+			0x3fb471616b9cd714, 0x3fd4ad23422cc5a6, 0x3fd90426d363a6aa, 0x3fdbc453a892e38a,
+			0x3fba2c138c9f2aa0, 0x3fbf8c05407ca390, 0x3fc2d5c6306cf244, 0x3fc0dbf0a9e9dfba,
+			0x3fda41958f2a3018, 0x3fde98992061111c, 0x3fc3f2f3a802e8e9, 0x3fc8649eb6a03d67,
+			0x3fc9f19cb9c3a68f, 0x3fcd5467955ed0e1, 0x3fca46a9fa8ace78, 0x3fb0a1064cad15ec,
+		}},
+	} {
+		model := For(c.app)
+		for i, pt := range goldenSample(c.sp, len(c.want)) {
+			v, ok := model.Predict(pt, c.sp.MustDecode(pt))
+			if !ok || math.Float64bits(v) != c.want[i] {
+				t.Errorf("%s %v: Predict = %#x (ok %v), want %#x", c.app, pt, math.Float64bits(v), ok, c.want[i])
+			}
+		}
+	}
+}
+
+// TestSurrogatePricesWhatSimulatorCharges runs each collective alone,
+// with synchronised arrivals, and requires the simulated time to be
+// exactly what the exported cost function returns: the functions the
+// predictors call are the ones the rendezvous charges through, so a
+// re-introduced mirror on either side cannot drift unseen.
+func TestSurrogatePricesWhatSimulatorCharges(t *testing.T) {
+	for _, m := range []*cluster.Machine{cluster.Seaborg(4, 8), gs2.LinuxCluster(32)} {
+		n := m.Procs()
+		// A skewed exchange: volumes depend on the pair, some pairs and
+		// one whole sender are silent, and one hot receiver and one hot
+		// sender outlast the fabric's bisection.
+		rows := make([][]int, n)
+		for src := range rows {
+			rows[src] = make([]int, n)
+			for dst := range rows[src] {
+				if src != 3 && (src+2*dst)%5 != 0 {
+					rows[src][dst] = 512 * (1 + (src*7+dst*3)%11)
+				}
+				if dst == 1 || src == 2 {
+					rows[src][dst] += 1 << 18
+				}
+			}
+		}
+		exits := make([]float64, n)
+		total := simmpi.AlltoallvExits(m, rows, 0, exits, simmpi.NewAlltoallvScratch(n))
+		uniform := func(t float64) []float64 {
+			ts := make([]float64, n)
+			for i := range ts {
+				ts[i] = t
+			}
+			return ts
+		}
+		for _, c := range []struct {
+			name  string
+			call  func(r *simmpi.Rank)
+			exits []float64
+		}{
+			{"barrier", func(r *simmpi.Rank) { r.Barrier() }, uniform(simmpi.TreeCost(m, n, 0))},
+			{"allreduce1", func(r *simmpi.Rank) { r.Allreduce1(simmpi.Max, 1) }, uniform(simmpi.TreeCost(m, n, 8))},
+			{"allreducebytes", func(r *simmpi.Rank) { r.AllreduceBytes(8000) }, uniform(simmpi.TreeCost(m, n, 8000))},
+			{"alltoallv", func(r *simmpi.Rank) { r.AlltoallvBytesRow(rows[r.ID()]) }, exits},
+		} {
+			st, err := simmpi.Run(m, n, c.call)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", c.name, m, err)
+			}
+			if !reflect.DeepEqual(st.RankClocks, c.exits) || st.Time <= 0 {
+				t.Errorf("%s on %s: ranks leave at %v, cost function says %v", c.name, m, st.RankClocks, c.exits)
+			}
+			if c.name == "alltoallv" && st.BytesSent != total {
+				t.Errorf("%s on %s: BytesSent = %d, cost function says %d", c.name, m, st.BytesSent, total)
 			}
 		}
 	}
