@@ -212,7 +212,7 @@ func run(specPath string, cli cliOptions) error {
 		}
 	}
 
-	strat, err := buildStrategy(spec, sp, seeds)
+	strat, err := search.New(spec.Strategy, sp, spec.Seed, spec.MaxRuns, seeds)
 	if err != nil {
 		return err
 	}
@@ -326,30 +326,6 @@ func writeMetrics(w io.Writer, spec Spec, res *core.Result) {
 	sort.Strings(names)
 	for _, name := range names {
 		fmt.Fprintf(w, "htune.best.%s %s\n", name, best[name])
-	}
-}
-
-func buildStrategy(spec Spec, sp *space.Space, seeds []space.Point) (search.Strategy, error) {
-	switch spec.Strategy {
-	case "", proto.StrategySimplex:
-		return search.NewSimplex(sp, search.SimplexOptions{Seeds: seeds, Adaptive: sp.Dims() >= 8}), nil
-	case proto.StrategyCoordinate:
-		return search.NewCoordinate(sp, search.CoordinateOptions{}), nil
-	case proto.StrategyPRO:
-		return search.NewPRO(sp, search.PROOptions{Seed: spec.Seed}), nil
-	case proto.StrategyRandom:
-		return search.NewRandom(sp, spec.Seed, spec.MaxRuns), nil
-	case proto.StrategySystematic:
-		return search.NewSystematic(sp, spec.MaxRuns), nil
-	case proto.StrategyEnsemble:
-		return search.NewEnsemble(sp, search.EnsembleOptions{Seed: spec.Seed, Budget: spec.MaxRuns}), nil
-	case proto.StrategyExhaustive:
-		if sp.Size() > 100000 {
-			return nil, fmt.Errorf("space too large for exhaustive search (%d points)", sp.Size())
-		}
-		return search.NewExhaustive(sp), nil
-	default:
-		return nil, fmt.Errorf("unknown strategy %q", spec.Strategy)
 	}
 }
 

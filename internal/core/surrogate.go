@@ -40,22 +40,16 @@ type SurrogateOptions struct {
 	// simulate, 0 < Keep <= 1. The engine always simulates at least
 	// one point per batch. 0 selects DefaultSurrogateKeep.
 	Keep float64
-	// Tolerance is the ranking-confidence gate: a candidate whose
-	// predicted value is within Tolerance (relative) of the keep
-	// threshold is simulated anyway, because the model cannot
-	// confidently order near-ties. 0 selects
-	// DefaultSurrogateTolerance; a large Tolerance degrades toward
-	// full simulation.
-	Tolerance float64
 }
 
-// Default surrogate parameters: simulate the top fifth of each round,
-// and treat predictions within 5% of the threshold as ties the model
-// cannot confidently order.
-const (
-	DefaultSurrogateKeep      = 0.2
-	DefaultSurrogateTolerance = 0.05
-)
+// DefaultSurrogateKeep simulates the top fifth of each round.
+const DefaultSurrogateKeep = 0.2
+
+// surrogateTolerance is the ranking-confidence gate: a candidate whose
+// predicted value is within this relative distance of the keep
+// threshold is simulated anyway, because the model cannot confidently
+// order near-ties.
+const surrogateTolerance float64 = 0.05
 
 // SurrogateGate is the per-session pruning state and decision rules.
 // The issue/commit window screens every group it issues with it —
@@ -65,7 +59,6 @@ const (
 type SurrogateGate struct {
 	model Surrogate
 	keep  float64
-	tol   float64
 	// modelBest is the smallest model score among configurations the
 	// session has committed to simulate; the single-proposal keep rule
 	// compares against it.
@@ -78,12 +71,9 @@ func NewSurrogateGate(opt *SurrogateOptions) *SurrogateGate {
 	if opt == nil || opt.Model == nil {
 		return nil
 	}
-	g := &SurrogateGate{model: opt.Model, keep: opt.Keep, tol: opt.Tolerance, modelBest: math.Inf(1)}
+	g := &SurrogateGate{model: opt.Model, keep: opt.Keep, modelBest: math.Inf(1)}
 	if g.keep <= 0 || g.keep > 1 {
 		g.keep = DefaultSurrogateKeep
-	}
-	if g.tol <= 0 {
-		g.tol = DefaultSurrogateTolerance
 	}
 	return g
 }
@@ -103,13 +93,13 @@ func (g *SurrogateGate) Score(pt space.Point, cfg space.Config) (float64, bool) 
 // Groups of one (sequential strategies) keep the point unless the model
 // ranks it confidently worse than the best configuration the session
 // has already committed to simulate; larger groups keep the
-// top ceil(Keep×n) scores plus every near-tie within Tolerance of the
-// cut. The decision depends only on the scores, so it is identical
-// for every worker count.
+// top ceil(Keep×n) scores plus every near-tie within
+// surrogateTolerance of the cut. The decision depends only on the
+// scores, so it is identical for every worker count.
 func (g *SurrogateGate) Keep(scores []float64) []bool {
 	keep := make([]bool, len(scores))
 	if len(scores) == 1 {
-		keep[0] = math.IsInf(g.modelBest, 1) || scores[0] <= g.modelBest*(1+g.tol)
+		keep[0] = math.IsInf(g.modelBest, 1) || scores[0] <= g.modelBest*(1+surrogateTolerance)
 		return keep
 	}
 	k := int(math.Ceil(g.keep * float64(len(scores))))
@@ -127,7 +117,7 @@ func (g *SurrogateGate) Keep(scores []float64) []bool {
 			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
 		}
 	}
-	cut := sorted[k-1] * (1 + g.tol)
+	cut := sorted[k-1] * (1 + surrogateTolerance)
 	for i, v := range scores {
 		keep[i] = v <= cut
 	}

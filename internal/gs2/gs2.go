@@ -171,83 +171,6 @@ func (c Config) plans(p int) *plans {
 	return pl
 }
 
-// PlanInfo exposes one frozen redistribution plan to analytic
-// predictors (internal/surrogate): per-rank moved-element counts, the
-// dense per-pair byte rows, and the volume fraction in flight. The
-// slices are views of an immutable cached plan and must not be
-// modified.
-type PlanInfo struct {
-	Sent, Recvd []int
-	SendBytes   [][]int
-	Fraction    float64
-	TotalMoved  int
-}
-
-func planInfo(rd *redist) PlanInfo {
-	return PlanInfo{Sent: rd.sent, Recvd: rd.recvd, SendBytes: rd.sendBytes,
-		Fraction: rd.fraction, TotalMoved: rd.totalMoved}
-}
-
-// ExchangePlans returns the redistribution plans one step of the
-// configuration performs on p ranks, in execution order: the
-// transposes to and from (x,y)-local form, then the collision
-// transposes when enabled. The plans come from the same cache the
-// simulator uses, so pricing them executes no ranks and builds
-// nothing the next real run would not build anyway.
-func (c Config) ExchangePlans(p int) []PlanInfo {
-	pl := c.plans(p)
-	out := []PlanInfo{planInfo(pl.toXY), planInfo(pl.fromXY)}
-	if c.Collisions {
-		out = append(out, planInfo(pl.toLE), planInfo(pl.fromLE))
-	}
-	return out
-}
-
-// ComputeModel is the closed-form per-rank compute-cost structure of
-// a configuration on p ranks, for analytic predictors: the largest
-// per-rank chunk in sub-points, the per-sub-point phase costs, and
-// the fixed per-step and initialisation costs. It mirrors the
-// constants the simulator charges through Compute/Sleep.
-type ComputeModel struct {
-	// MaxChunkSubpoints is the largest per-rank element count times
-	// the sub-point weight of each element: the compute-load gate.
-	MaxChunkSubpoints float64
-	// Per-sub-point phase costs, in flops.
-	NonlinearFlops, ImplicitFlops, CollisionFlops float64
-	// FieldSolveFlops is the total replicated field-solve work per
-	// step, in flops (charged on every rank).
-	FieldSolveFlops float64
-	// FieldSolveDoubles is the per-step field-solve reduction length.
-	FieldSolveDoubles int
-	// PackFlops is the per-sub-point pack/unpack cost on each side of
-	// a redistribution transfer.
-	PackFlops float64
-	// Fixed costs, in seconds and step-equivalents.
-	StepOverheadSeconds float64
-	InitFixedSeconds    float64
-	InitStepEquivalents float64
-	// ElemWeight converts plan element counts to sub-points.
-	ElemWeight float64
-}
-
-// ComputeModel returns the analytic compute model of c on p ranks.
-func (c Config) ComputeModel(p int) ComputeModel {
-	d := c.Dims()
-	return ComputeModel{
-		MaxChunkSubpoints:   float64(ceilDiv(d.N(), p)) * elemWeight,
-		NonlinearFlops:      nonlinearFlops,
-		ImplicitFlops:       implicitFlops,
-		CollisionFlops:      collisionFlops,
-		FieldSolveFlops:     fieldSolveFlops * float64(d.X*d.Y) * elemWeight,
-		FieldSolveDoubles:   fieldSolveDoubles,
-		PackFlops:           packFlops,
-		StepOverheadSeconds: stepOverheadSeconds,
-		InitFixedSeconds:    initFixedSeconds,
-		InitStepEquivalents: initStepEquivalents,
-		ElemWeight:          elemWeight,
-	}
-}
-
 // collRedistFraction scales the collision-phase redistribution
 // volume: the collision operator pipelines its velocity-space
 // transposes over the field-line dimension, so only a fraction of the

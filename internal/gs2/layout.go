@@ -15,6 +15,11 @@
 // yxels recommendations) makes the corresponding transformation free
 // — the mechanism behind the paper's 3.4×/2.3× wins and the
 // topology sensitivity of Fig. 5.
+//
+// The package is the one place that knows what a GS2 run costs: Run
+// executes the rank program, and Predictor prices the same program in
+// closed form from the same frozen plans and constants, for the tuning
+// engine's surrogate gate.
 package gs2
 
 import (

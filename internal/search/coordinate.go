@@ -11,16 +11,12 @@ type CoordinateOptions struct {
 	// MaxPasses bounds the number of full sweeps over all parameters.
 	// 0 means sweep until a full pass makes no improvement.
 	MaxPasses int
-	// Order lists dimension indices in sweep order; nil means space
-	// order. The POP parameter study (Table I) sweeps the namelist
-	// parameters in their documented order, changing at most one
-	// parameter per tuning iteration.
-	Order []int
 }
 
 // Coordinate is a greedy one-parameter-at-a-time strategy: for each
-// dimension in turn it evaluates every level of that dimension with
-// the other parameters held at the incumbent, then moves to the best.
+// dimension in turn, in space order, it evaluates every level of that
+// dimension with the other parameters held at the incumbent, then
+// moves to the best.
 // This reproduces the paper's Table I behaviour where each tuning
 // iteration changes a single POP namelist parameter.
 type Coordinate struct {
@@ -32,8 +28,7 @@ type Coordinate struct {
 	currentF float64
 	haveBase bool
 
-	dimPos     int // index into order
-	order      []int
+	dimPos     int // dimension being swept
 	candidates []space.Point
 	candIdx    int
 	candBest   space.Point
@@ -53,13 +48,6 @@ func NewCoordinate(sp *space.Space, opt CoordinateOptions) *Coordinate {
 		c.current = sp.Center()
 	}
 	c.current = sp.Clamp(c.current)
-	c.order = opt.Order
-	if c.order == nil {
-		c.order = make([]int, sp.Dims())
-		for i := range c.order {
-			c.order[i] = i
-		}
-	}
 	return c
 }
 
@@ -86,7 +74,7 @@ func (c *Coordinate) Next() (space.Point, bool) {
 	}
 	for {
 		if c.candidates == nil {
-			dim := c.order[c.dimPos]
+			dim := c.dimPos
 			c.candBest = nil
 			c.candIdx = 0
 			c.candidates = nil
@@ -138,7 +126,7 @@ func (c *Coordinate) advanceDim() {
 	c.candidates = nil
 	c.candBest = nil
 	c.dimPos++
-	if c.dimPos < len(c.order) {
+	if c.dimPos < c.sp.Dims() {
 		return
 	}
 	// Pass complete.

@@ -14,18 +14,15 @@ type EnsembleOptions struct {
 	Seed int64
 	// Budget bounds the sampling members: it is the Random member's
 	// sample cap and the Systematic member's grid budget. 0 selects
-	// DefaultEnsembleBudget.
+	// DefaultBudget.
 	Budget int
-	// Explore is the UCB exploration constant. 0 selects √2.
-	Explore float64
 	// Techniques overrides the default member set (PRO, simplex,
 	// random, systematic). Used by tests to inject faulty members.
 	Techniques []Strategy
 }
 
-// DefaultEnsembleBudget bounds the sampling members when the caller
-// does not supply an evaluation budget.
-const DefaultEnsembleBudget = 100
+// ucbExplore is the UCB1 exploration constant.
+const ucbExplore = math.Sqrt2
 
 // ensembleArm is one member technique plus its bandit statistics.
 type ensembleArm struct {
@@ -60,7 +57,6 @@ type ensembleArm struct {
 type Ensemble struct {
 	tracker
 	arms    []*ensembleArm
-	explore float64
 	issues  int   // total candidates issued
 	queue   []int // arm index per in-flight candidate, issue order
 	trace   []int // arm index per issue, full history
@@ -74,21 +70,18 @@ type Ensemble struct {
 func NewEnsemble(sp *space.Space, opt EnsembleOptions) *Ensemble {
 	budget := opt.Budget
 	if budget <= 0 {
-		budget = DefaultEnsembleBudget
+		budget = DefaultBudget
 	}
 	techs := opt.Techniques
 	if len(techs) == 0 {
 		techs = []Strategy{
 			NewPRO(sp, PROOptions{Seed: opt.Seed}),
-			NewSimplex(sp, SimplexOptions{Adaptive: sp.Dims() >= 8}),
+			NewSimplex(sp, SimplexOptions{Adaptive: sp.Dims() >= adaptiveDims}),
 			NewRandom(sp, opt.Seed+1, budget),
 			NewSystematic(sp, budget),
 		}
 	}
-	e := &Ensemble{explore: opt.Explore}
-	if e.explore == 0 {
-		e.explore = math.Sqrt2
-	}
+	e := &Ensemble{}
 	for _, t := range techs {
 		e.arms = append(e.arms, &ensembleArm{name: t.Name(), as: AsAsync(t)})
 	}
@@ -121,7 +114,7 @@ func (e *Ensemble) ucb(a *ensembleArm) float64 {
 		return math.Inf(1)
 	}
 	mean := a.reward / float64(a.pulls)
-	return mean + e.explore*math.Sqrt(math.Log(float64(e.issues+1))/float64(a.pulls))
+	return mean + ucbExplore*math.Sqrt(math.Log(float64(e.issues+1))/float64(a.pulls))
 }
 
 // Ask implements AsyncStrategy: pick the highest-UCB member that can

@@ -16,11 +16,15 @@ type PROOptions struct {
 	Start space.Point
 	// Seed drives the initial population spread.
 	Seed int64
-	// ReflectCoeff is the reflection step through the best point
-	// (default 1); ExpandCoeff the expansion (default 2); ShrinkCoeff
-	// the contraction toward the best (default 0.5).
-	ReflectCoeff, ExpandCoeff, ShrinkCoeff float64
 }
+
+// The round's transformation coefficients: the reflection step through
+// the best point, the expansion, and the contraction toward the best.
+const (
+	proReflectCoeff = 1.0
+	proExpandCoeff  = 2.0
+	proShrinkCoeff  = 0.5
+)
 
 func (o *PROOptions) setDefaults(dims int) {
 	if o.Points == 0 {
@@ -28,15 +32,6 @@ func (o *PROOptions) setDefaults(dims int) {
 	}
 	if o.Points < 4 {
 		o.Points = 4
-	}
-	if o.ReflectCoeff == 0 {
-		o.ReflectCoeff = 1
-	}
-	if o.ExpandCoeff == 0 {
-		o.ExpandCoeff = 2
-	}
-	if o.ShrinkCoeff == 0 {
-		o.ShrinkCoeff = 0.5
 	}
 }
 
@@ -272,7 +267,7 @@ func (p *PRO) startRound() {
 		return
 	}
 	p.rounds++
-	p.candidate = p.transform(p.opt.ReflectCoeff)
+	p.candidate = p.transform(proReflectCoeff)
 	p.state = proReflect
 	p.idx = 0
 	if p.idx == p.bestIdx {
@@ -303,7 +298,7 @@ func (p *PRO) afterReflect() {
 		// The reflection found a new global best: try expanding
 		// further along the same directions before committing.
 		p.reflectedSaved = p.candidate
-		p.candidate = p.transform(p.opt.ExpandCoeff)
+		p.candidate = p.transform(proExpandCoeff)
 		p.state = proExpand
 		p.idx = 0
 		if p.idx == p.bestIdx {
@@ -377,7 +372,7 @@ func (p *PRO) beginShrink() {
 			// set is frozen at initialisation and the search stalls
 			// on any optimum off those lines.
 			jitter := p.rng.Float64()*2 - 1
-			p.verts[i].x[d] = best.x[d] + p.opt.ShrinkCoeff*(p.verts[i].x[d]-best.x[d]) + jitter
+			p.verts[i].x[d] = best.x[d] + proShrinkCoeff*(p.verts[i].x[d]-best.x[d]) + jitter
 		}
 		p.verts[i].x = clampFloats(p.sp, p.verts[i].x)
 	}

@@ -12,19 +12,14 @@ func TestAdaptiveCoefficients(t *testing.T) {
 		space.IntParam("c", 0, 9, 1), space.IntParam("d", 0, 9, 1),
 	)
 	s := NewSimplex(sp, SimplexOptions{Adaptive: true})
-	if s.opt.Gamma != 1.5 { // 1 + 2/4
-		t.Errorf("Gamma = %v, want 1.5", s.opt.Gamma)
+	if s.gamma != 1.5 { // 1 + 2/4
+		t.Errorf("gamma = %v, want 1.5", s.gamma)
 	}
-	if s.opt.Beta != 0.625 { // 0.75 - 1/8
-		t.Errorf("Beta = %v, want 0.625", s.opt.Beta)
+	if s.beta != 0.625 { // 0.75 - 1/8
+		t.Errorf("beta = %v, want 0.625", s.beta)
 	}
-	if s.opt.Sigma != 0.75 { // 1 - 1/4
-		t.Errorf("Sigma = %v, want 0.75", s.opt.Sigma)
-	}
-	// Explicit values win over adaptive ones.
-	s2 := NewSimplex(sp, SimplexOptions{Adaptive: true, Gamma: 3})
-	if s2.opt.Gamma != 3 {
-		t.Errorf("explicit Gamma overridden: %v", s2.opt.Gamma)
+	if s.sigma != 0.75 { // 1 - 1/4
+		t.Errorf("sigma = %v, want 0.75", s.sigma)
 	}
 }
 

@@ -17,10 +17,6 @@ type Random struct {
 	max     int
 	count   int
 	pending space.Point
-	// BatchStride bounds the round size under the batch engine;
-	// 0 selects DefaultBatchStride. Successive samples are always
-	// independent, so any stride yields the same sample stream.
-	BatchStride int
 }
 
 // NewRandom constructs a random strategy that proposes maxSamples
@@ -52,13 +48,13 @@ func (r *Random) Report(pt space.Point, value float64) {
 	r.count++
 }
 
-// NextBatch implements BatchStrategy: up to BatchStride fresh draws
-// from the same deterministic sample stream Next consumes.
+// NextBatch implements BatchStrategy: up to DefaultBatchStride fresh
+// draws from the same deterministic sample stream Next consumes.
 func (r *Random) NextBatch() []space.Point {
 	if r.pending != nil {
 		return []space.Point{r.pending.Clone()}
 	}
-	n := strideOr(r.BatchStride)
+	n := DefaultBatchStride
 	if r.max > 0 {
 		if rem := r.max - r.count; rem < n {
 			n = rem
@@ -93,10 +89,6 @@ type Systematic struct {
 	points  []space.Point
 	idx     int
 	pending bool
-	// BatchStride bounds the round size under the batch engine;
-	// 0 selects DefaultBatchStride. Grid points are independent, so
-	// the visit order and Values are identical for any stride.
-	BatchStride int
 	// Values records the objective at every visited grid point in
 	// visit order; Fig. 6 histograms this distribution.
 	Values []float64
@@ -134,10 +126,10 @@ func (s *Systematic) Report(pt space.Point, value float64) {
 	s.idx++
 }
 
-// NextBatch implements BatchStrategy: the next BatchStride unvisited
-// grid points.
+// NextBatch implements BatchStrategy: the next DefaultBatchStride
+// unvisited grid points.
 func (s *Systematic) NextBatch() []space.Point {
-	return sliceBatch(s.points, s.idx, strideOr(s.BatchStride))
+	return sliceBatch(s.points, s.idx, DefaultBatchStride)
 }
 
 // ReportBatch implements BatchStrategy.
@@ -154,9 +146,6 @@ type Exhaustive struct {
 	points  []space.Point
 	idx     int
 	pending bool
-	// BatchStride bounds the round size under the batch engine;
-	// 0 selects DefaultBatchStride.
-	BatchStride int
 }
 
 // NewExhaustive constructs an exhaustive strategy. The space must be
@@ -196,10 +185,10 @@ func (e *Exhaustive) Report(pt space.Point, value float64) {
 	e.idx++
 }
 
-// NextBatch implements BatchStrategy: the next BatchStride
+// NextBatch implements BatchStrategy: the next DefaultBatchStride
 // unevaluated points of the enumeration.
 func (e *Exhaustive) NextBatch() []space.Point {
-	return sliceBatch(e.points, e.idx, strideOr(e.BatchStride))
+	return sliceBatch(e.points, e.idx, DefaultBatchStride)
 }
 
 // ReportBatch implements BatchStrategy.

@@ -53,6 +53,52 @@ type Strategy interface {
 	Best() (pt space.Point, value float64, ok bool)
 }
 
+// DefaultBudget bounds the sampling strategies (Random, Systematic and
+// the ensemble's two sampling members) when the caller does not supply
+// an evaluation budget.
+const DefaultBudget = 100
+
+// adaptiveDims is the dimension count from which a simplex built by
+// New or as an ensemble member uses SimplexOptions.Adaptive: the fixed
+// coefficients collapse prematurely on the 32-weight decomposition
+// spaces.
+const adaptiveDims = 8
+
+// maxExhaustivePoints is the largest space New will enumerate.
+const maxExhaustivePoints = 1_000_000
+
+// New builds a strategy by its Name() string ("" selects simplex) with
+// the settings every front end uses, so a specification tuned off-line
+// by htune and a session registered with harmonyd get the same search.
+// seed drives the seeded strategies, budget bounds the sampling ones
+// (<= 0 selects DefaultBudget), and seeds are prior configurations
+// offered to the simplex as initial vertices.
+func New(name string, sp *space.Space, seed int64, budget int, seeds []space.Point) (Strategy, error) {
+	if budget <= 0 {
+		budget = DefaultBudget
+	}
+	switch name {
+	case "", "simplex":
+		return NewSimplex(sp, SimplexOptions{Seeds: seeds, Adaptive: sp.Dims() >= adaptiveDims}), nil
+	case "coordinate":
+		return NewCoordinate(sp, CoordinateOptions{}), nil
+	case "pro":
+		return NewPRO(sp, PROOptions{Seed: seed}), nil
+	case "random":
+		return NewRandom(sp, seed, budget), nil
+	case "systematic":
+		return NewSystematic(sp, budget), nil
+	case "ensemble":
+		return NewEnsemble(sp, EnsembleOptions{Seed: seed, Budget: budget}), nil
+	case "exhaustive":
+		if sp.Size() > maxExhaustivePoints {
+			return nil, fmt.Errorf("space too large for exhaustive search (%d points)", sp.Size())
+		}
+		return NewExhaustive(sp), nil
+	}
+	return nil, fmt.Errorf("unknown strategy %q", name)
+}
+
 // tracker records the incumbent best result; embedded by strategies.
 type tracker struct {
 	best      space.Point

@@ -71,15 +71,6 @@ func TestSimplexConvergesAndStops(t *testing.T) {
 	}
 }
 
-func TestSimplexRespectsMaxIterations(t *testing.T) {
-	sp := quadSpace(t)
-	s := NewSimplex(sp, SimplexOptions{MaxIterations: 5})
-	drive(t, s, sp, quadObjective, 100000)
-	if got := s.Iterations(); got > 5 {
-		t.Errorf("ran %d iterations, want <= 5", got)
-	}
-}
-
 func TestSimplexHandlesOneDimension(t *testing.T) {
 	sp := space.MustNew(space.IntParam("x", 0, 1000, 1))
 	s := NewSimplex(sp, SimplexOptions{})

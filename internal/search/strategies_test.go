@@ -3,6 +3,7 @@ package search
 import (
 	"testing"
 
+	"harmony/internal/proto"
 	"harmony/internal/space"
 )
 
@@ -96,21 +97,6 @@ func TestCoordinateMaxPasses(t *testing.T) {
 	drive(t, c, sp, f, 10000)
 	if got := c.Passes(); got != 1 {
 		t.Errorf("ran %d passes, want 1", got)
-	}
-}
-
-func TestCoordinateCustomOrder(t *testing.T) {
-	sp := space.MustNew(space.IntParam("a", 0, 1, 1), space.IntParam("b", 0, 1, 1))
-	c := NewCoordinate(sp, CoordinateOptions{
-		Start: space.Point{0, 0},
-		Order: []int{1, 0},
-	})
-	// First proposal is the base point, then dimension 1 candidates.
-	pt, _ := c.Next()
-	c.Report(pt, 10)
-	pt, _ = c.Next()
-	if pt[1] == 0 {
-		t.Errorf("first sweep should vary dimension 1, proposed %v", pt)
 	}
 }
 
@@ -244,5 +230,47 @@ func TestSimplexBeatsRandomOnBowl(t *testing.T) {
 	random := run(NewRandom(sp, 3, budget))
 	if simplex >= random {
 		t.Errorf("simplex best %v should beat random best %v", simplex, random)
+	}
+}
+
+// TestNewBuildsEveryWireStrategy pins the one factory both front ends
+// call: every strategy name the protocol accepts builds the strategy
+// of that name, the default is the simplex — adaptive from eight
+// dimensions, like the ensemble's own simplex arm — and the two ways a
+// registration can be refused are errors, not panics.
+func TestNewBuildsEveryWireStrategy(t *testing.T) {
+	sp := space.MustNew(space.IntParam("a", 0, 9, 1), space.IntParam("b", 0, 9, 1))
+	for _, name := range []string{
+		proto.StrategySimplex, proto.StrategyCoordinate, proto.StrategyRandom, proto.StrategySystematic,
+		proto.StrategyExhaustive, proto.StrategyPRO, proto.StrategyEnsemble,
+	} {
+		strat, err := New(name, sp, 5, 0, nil)
+		if err != nil || strat.Name() != name {
+			t.Errorf("New(%q) = %v, %v", name, strat, err)
+		}
+	}
+	if strat, err := New("", sp, 0, 0, nil); err != nil || strat.Name() != proto.StrategySimplex {
+		t.Errorf(`New("") = %v, %v, want the simplex`, strat, err)
+	}
+	if _, err := New("annealing", sp, 0, 0, nil); err == nil {
+		t.Error("unknown strategy name accepted")
+	}
+	big := space.MustNew(space.IntParam("a", 0, 9999, 1), space.IntParam("b", 0, 9999, 1))
+	if _, err := New(proto.StrategyExhaustive, big, 0, 0, nil); err == nil {
+		t.Error("exhaustive search over 10^8 points accepted")
+	}
+
+	wide := make([]space.Param, adaptiveDims)
+	for d := range wide {
+		wide[d] = space.IntParam(string(rune('a'+d)), 0, 9, 1)
+	}
+	for _, c := range []struct {
+		sp    *space.Space
+		gamma float64
+	}{{sp, 2}, {space.MustNew(wide...), 1 + 2/float64(adaptiveDims)}} {
+		strat, _ := New(proto.StrategySimplex, c.sp, 0, 0, nil)
+		if got := strat.(*Simplex).gamma; got != c.gamma {
+			t.Errorf("%d dimensions: expansion coefficient %v, want %v", c.sp.Dims(), got, c.gamma)
+		}
 	}
 }

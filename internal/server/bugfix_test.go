@@ -1,11 +1,14 @@
 package server
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"harmony/internal/proto"
+	"harmony/internal/search"
 	"harmony/internal/space"
 )
 
@@ -250,5 +253,44 @@ func TestLeaseStillCollectsAbandonedInFlight(t *testing.T) {
 	clk.Advance(7 * time.Minute)
 	if n := s.ExpireNow(); n != 1 {
 		t.Fatalf("ExpireNow collected %d abandoned sessions, want 1", n)
+	}
+}
+
+// TestRegisteredSimplexIsTheOfflineSimplex is the regression test for
+// the second copy of the strategy switch this package used to carry:
+// it built the simplex without SimplexOptions.Adaptive, so an
+// 8-parameter session ran the fixed coefficients that htune (and the
+// ensemble's own simplex arm) replace from 8 dimensions up. The
+// initial simplex is the same either way; the proposals diverge at
+// the first expansion or contraction after it.
+func TestRegisteredSimplexIsTheOfflineSimplex(t *testing.T) {
+	params := make([]space.Param, 8)
+	for d := range params {
+		params[d] = space.IntParam(fmt.Sprintf("p%d", d), 0, 100, 1)
+	}
+	sp := space.MustNew(params...)
+	f := func(pt space.Point) float64 {
+		sum := 0.0
+		for d, v := range pt {
+			sum += float64((v - int64(10*d+7)) * (v - int64(10*d+7)))
+		}
+		return sum
+	}
+	s := newFaultServer(newFakeClock())
+	id := mustRegister(t, s, &proto.Message{Strategy: proto.StrategySimplex, MaxRuns: 200, Space: proto.EncodeSpace(sp)})
+	ref := search.NewSimplex(sp, search.SimplexOptions{Adaptive: true})
+	for i := 0; i < 60; i++ {
+		want, ok := ref.Next()
+		if !ok {
+			t.Fatalf("reference simplex converged after %d proposals", i)
+		}
+		reply := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+		if reply.Type != proto.TypeConfig || !reflect.DeepEqual(reply.Values, sp.MustDecode(want).Map()) {
+			t.Fatalf("proposal %d: session hands out %+v, the adaptive simplex proposes %v", i, reply, sp.MustDecode(want).Format())
+		}
+		ref.Report(want, f(want))
+		if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: reply.Tag, Perf: f(want)}); r.Type != proto.TypeOK {
+			t.Fatalf("report %d: %+v", i, r)
+		}
 	}
 }

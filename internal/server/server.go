@@ -434,7 +434,7 @@ func (s *Server) register(msg *proto.Message) *proto.Message {
 	if err != nil {
 		return errorReply("register: %v", err)
 	}
-	strat, err := buildStrategy(msg, sp)
+	strat, err := search.New(msg.Strategy, sp, msg.Seed, msg.MaxRuns, nil)
 	if err != nil {
 		return errorReply("register: %v", err)
 	}
@@ -495,42 +495,6 @@ func (s *Server) register(msg *proto.Message) *proto.Message {
 	sh.mu.Unlock()
 	s.Logf("harmony server: registered session %s app=%q strategy=%s dims=%d", id, msg.App, strat.Name(), sp.Dims())
 	return &proto.Message{Type: proto.TypeRegistered, Session: id}
-}
-
-func buildStrategy(msg *proto.Message, sp *space.Space) (search.Strategy, error) {
-	switch msg.Strategy {
-	case "", proto.StrategySimplex:
-		return search.NewSimplex(sp, search.SimplexOptions{}), nil
-	case proto.StrategyCoordinate:
-		return search.NewCoordinate(sp, search.CoordinateOptions{}), nil
-	case proto.StrategyRandom:
-		max := msg.MaxRuns
-		if max == 0 {
-			max = 100
-		}
-		return search.NewRandom(sp, msg.Seed, max), nil
-	case proto.StrategySystematic:
-		budget := msg.MaxRuns
-		if budget == 0 {
-			budget = 100
-		}
-		return search.NewSystematic(sp, budget), nil
-	case proto.StrategyPRO:
-		return search.NewPRO(sp, search.PROOptions{Seed: msg.Seed}), nil
-	case proto.StrategyEnsemble:
-		budget := msg.MaxRuns
-		if budget == 0 {
-			budget = search.DefaultEnsembleBudget
-		}
-		return search.NewEnsemble(sp, search.EnsembleOptions{Seed: msg.Seed, Budget: budget}), nil
-	case proto.StrategyExhaustive:
-		if sp.Size() > 1_000_000 {
-			return nil, fmt.Errorf("space too large for exhaustive search (%d points)", sp.Size())
-		}
-		return search.NewExhaustive(sp), nil
-	default:
-		return nil, fmt.Errorf("unknown strategy %q", msg.Strategy)
-	}
 }
 
 func (s *Server) withSession(msg *proto.Message, fn func(*session, *proto.Message) *proto.Message) *proto.Message {

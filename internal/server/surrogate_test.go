@@ -321,7 +321,7 @@ func TestSurrogateRoundQuota(t *testing.T) {
 
 func mustStrategy(t *testing.T, sp *space.Space) search.Strategy {
 	t.Helper()
-	strat, err := buildStrategy(&proto.Message{Strategy: proto.StrategySimplex}, sp)
+	strat, err := search.New(proto.StrategySimplex, sp, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

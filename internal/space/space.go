@@ -469,6 +469,35 @@ func (c Config) String(name string) string {
 	return c.space.params[i].StringAt(c.point[i])
 }
 
+// Lookup is String without the panic: ok is false when the config has
+// no parameter of that name. It is for code handed a configuration it
+// did not build the space of — a predictor resolved by application
+// name — where an unrelated space must read as "not mine", not crash.
+func (c Config) Lookup(name string) (string, bool) {
+	i := c.space.IndexOf(name)
+	if i < 0 {
+		return "", false
+	}
+	return c.space.params[i].StringAt(c.point[i]), true
+}
+
+// LookupInt is Lookup for a value the caller needs as an integer: an
+// Int parameter's value, or an Enum value that parses as a decimal
+// integer (a client may declare negrid as the enum 8, 16, 32). ok is
+// false for a missing parameter and for any other Enum value.
+func (c Config) LookupInt(name string) (int, bool) {
+	i := c.space.IndexOf(name)
+	if i < 0 {
+		return 0, false
+	}
+	p := c.space.params[i]
+	if p.Kind == Int {
+		return int(p.IntAt(c.point[i])), true
+	}
+	n, err := strconv.Atoi(p.Values[c.point[i]])
+	return n, err == nil
+}
+
 // Map renders the whole config as a name→string map.
 func (c Config) Map() map[string]string {
 	out := make(map[string]string, len(c.space.params))

@@ -3,6 +3,7 @@ package space
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -225,6 +226,29 @@ func TestDecodeEncodeRoundTrip(t *testing.T) {
 	}
 	if !back.Equal(pt) {
 		t.Errorf("round trip: %v -> %v", pt, back)
+	}
+}
+
+// TestConfigLookup pins the non-panicking accessors to what Map plus
+// strconv.Atoi read: every present name, either kind, and a miss.
+func TestConfigLookup(t *testing.T) {
+	s := MustNew(
+		IntParam("rows", 10, 1000, 10),
+		EnumParam("alg", "heap", "quick"),
+		EnumParam("negrid", "8", "16", "x32"),
+	)
+	for _, pt := range []Point{{14, 1, 1}, {0, 0, 2}} {
+		cfg := s.MustDecode(pt)
+		for _, name := range append(s.Names(), "absent") {
+			want, present := cfg.Map()[name]
+			if got, ok := cfg.Lookup(name); ok != present || got != want {
+				t.Errorf("%v Lookup(%q) = %q, %v; Map has %q, %v", pt, name, got, ok, want, present)
+			}
+			wantN, err := strconv.Atoi(want)
+			if got, ok := cfg.LookupInt(name); ok != (present && err == nil) || (ok && got != wantN) {
+				t.Errorf("%v LookupInt(%q) = %d, %v; Atoi(%q) = %d, %v", pt, name, got, ok, want, wantN, err)
+			}
+		}
 	}
 }
 

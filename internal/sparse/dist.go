@@ -184,11 +184,6 @@ type rankPlan struct {
 	// index traffic versus the global int RowPtr and lets the compiler
 	// drop bounds checks via per-row reslicing.
 	rowOff []int32
-	// diag[i] is the offset (relative to the rank's first entry) of
-	// local row i's diagonal entry, or -1 when the row stores none.
-	// Solvers use it to extract Jacobi preconditioners without
-	// re-scanning columns.
-	diag []int32
 }
 
 // NewDistMatrix distributes a over the given partition: the halo plan,
@@ -212,8 +207,7 @@ func NewDistMatrix(a *CSR, part Partition) (*DistMatrix, error) {
 			off += leg.Count
 		}
 	}
-	// The operand index map, the compressed per-rank row offsets, and
-	// the diagonal map.
+	// The operand index map and the compressed per-rank row offsets.
 	for r := 0; r < p; r++ {
 		h, pl := &hp.ranks[r], &dm.plans[r]
 		nloc := h.hi - h.lo
@@ -222,11 +216,9 @@ func NewDistMatrix(a *CSR, part Partition) (*DistMatrix, error) {
 		}
 		pl.colIdx = make([]int32, h.nnz)
 		pl.rowOff = make([]int32, nloc+1)
-		pl.diag = make([]int32, nloc)
 		base := a.RowPtr[h.lo]
 		for i := 0; i < nloc; i++ {
 			pl.rowOff[i] = int32(a.RowPtr[h.lo+i] - base)
-			pl.diag[i] = -1
 		}
 		pl.rowOff[nloc] = int32(h.nnz)
 		for k := base; k < a.RowPtr[h.hi]; k++ {
@@ -235,15 +227,6 @@ func NewDistMatrix(a *CSR, part Partition) (*DistMatrix, error) {
 				pl.colIdx[k-base] = int32(c - h.lo)
 			} else {
 				pl.colIdx[k-base] = int32(nloc + sort.SearchInts(ghosts[r], c))
-			}
-		}
-		for i := 0; i < nloc; i++ {
-			row := h.lo + i
-			for k := a.RowPtr[row]; k < a.RowPtr[row+1]; k++ {
-				if a.Col[k] == row {
-					pl.diag[i] = int32(k - base)
-					break
-				}
 			}
 		}
 	}
@@ -417,33 +400,6 @@ func matVecKernel(y, val []float64, rowOff, ci []int32, xbuf []float64) {
 		}
 		y[i] = s
 	}
-}
-
-// InvDiagInto fills dst (resized as needed) with the elementwise
-// inverse of rank's local diagonal, reading the plan's precomputed
-// diagonal offsets instead of re-scanning each row's columns. Rows
-// storing no diagonal (or a zero one) get 1, matching the identity
-// fallback of a Jacobi preconditioner. Shared by the preconditioned
-// and unpreconditioned solver paths so every consumer extracts the
-// same values the same way.
-//
-//harmonyvet:allocfree
-func (dm *DistMatrix) InvDiagInto(rank int, dst []float64) []float64 {
-	h := &dm.ranks[rank]
-	dst = grow(dst, h.hi-h.lo)
-	base := dm.A.RowPtr[h.lo]
-	val := dm.A.Val[base : base+h.nnz]
-	for i, off := range dm.plans[rank].diag {
-		d := 0.0
-		if off >= 0 {
-			d = val[off]
-		}
-		if d == 0 {
-			d = 1
-		}
-		dst[i] = 1 / d
-	}
-	return dst
 }
 
 // Scatter splits a global vector into the local slice for rank.

@@ -137,49 +137,3 @@ func TestMatVecIntoSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("a run of 100 products per rank allocates %v, a run of 50 allocates %v: steady-state MatVec allocates, want 0", double, base)
 	}
 }
-
-// TestInvDiagIntoMatchesScan checks the plan-based diagonal
-// extraction against a direct column scan, including the identity
-// fallback for missing and zero diagonals.
-func TestInvDiagIntoMatchesScan(t *testing.T) {
-	// Row 0: no diagonal stored. Row 2: explicit zero diagonal.
-	a := &CSR{
-		N:      4,
-		RowPtr: []int{0, 1, 3, 5, 7},
-		Col:    []int{1, 0, 1, 2, 3, 0, 3},
-		Val:    []float64{5, -1, 4, 0, -2, -3, 8},
-	}
-	part := EvenPartition(a.N, 2)
-	dm, err := NewDistMatrix(a, part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank := 0; rank < 2; rank++ {
-		lo, hi := part.Range(rank)
-		got := dm.InvDiagInto(rank, nil)
-		if len(got) != hi-lo {
-			t.Fatalf("rank %d: len=%d, want %d", rank, len(got), hi-lo)
-		}
-		for i := 0; i < hi-lo; i++ {
-			row := lo + i
-			d := 0.0
-			for k := a.RowPtr[row]; k < a.RowPtr[row+1]; k++ {
-				if a.Col[k] == row {
-					d = a.Val[k]
-					break
-				}
-			}
-			if d == 0 {
-				d = 1
-			}
-			if got[i] != 1/d {
-				t.Errorf("rank %d row %d: invDiag=%v, want %v", rank, row, got[i], 1/d)
-			}
-		}
-	}
-	// Reuse: a big destination shrinks, a small one grows.
-	big := dm.InvDiagInto(0, make([]float64, 99))
-	if len(big) != part.Size(0) {
-		t.Errorf("oversized dst: len=%d, want %d", len(big), part.Size(0))
-	}
-}

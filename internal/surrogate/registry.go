@@ -1,22 +1,17 @@
-// Package surrogate implements closed-form LogGP-style performance
-// predictors for the paper's case-study applications. A predictor
-// prices a candidate configuration analytically — communication
-// volume from the frozen decomposition plans, compute load from the
-// heaviest rank, link parameters from the cluster.Machine — without
-// executing a single simulated rank. The tuning engine
-// (core.Options.Surrogate) uses the predictions only to rank
-// candidates and decide which ones deserve a real simulated run;
-// every reported number still comes from the simulator.
+// Package surrogate is the registry of the case-study applications'
+// analytic predictors: For resolves an application name to one. The
+// predictors themselves live beside the rank programs they price —
+// gs2.Predictor, pop.Predictor, petscsim.SLESPredictor — and read
+// those programs' plans and constants directly, so what one run of an
+// application costs is written in one package per application.
+// Collectives go through the cost functions internal/simmpi's own
+// rendezvous charges through (simmpi.TreeCost, simmpi.AlltoallvExits),
+// so there is no second copy of the communication model either; the
+// cross-application tests here pin all three to their simulators.
 //
-// Each predictor prices what its simulator charges. Collectives go
-// through the cost functions internal/simmpi exports and its own
-// rendezvous charges through (simmpi.TreeCost, simmpi.AlltoallvExits):
-// there is no second copy to drift. Compute goes through the
-// per-phase flop constants petscsim/gs2/pop export. The ranking
-// therefore tracks the simulated ordering closely. A predictor
-// deliberately ignores scheduling interleave — the pipeline overlap
-// the discrete-event simulation resolves exactly — which is why the
-// engine treats predictions as a ranking, not a measurement.
+// The tuning engine (core.Options.Surrogate) uses the predictions
+// only to rank candidates and decide which ones deserve a real
+// simulated run; every reported number still comes from the simulator.
 package surrogate
 
 import (
@@ -42,14 +37,14 @@ func For(app string) core.Surrogate {
 	name := strings.ToLower(app)
 	switch {
 	case strings.Contains(name, "sles"), strings.Contains(name, "petsc"), strings.Contains(name, "fig2"):
-		return NewSLES(petscsim.NewSLESApp(600, 4, 3, 60, 11), cluster.Seaborg(4, 1))
+		return petscsim.NewSLESApp(600, 4, 3, 60, 11).Predictor(cluster.Seaborg(4, 1))
 	case strings.Contains(name, "gs2"), strings.Contains(name, "table3"), strings.Contains(name, "fig6"):
-		return NewGS2(gs2.DefaultConfig(), gs2.LinuxCluster)
+		return gs2.NewPredictor(gs2.DefaultConfig(), gs2.LinuxCluster)
 	case strings.Contains(name, "pop"), strings.Contains(name, "fig4"):
 		base := pop.DefaultConfig(720, 480)
 		base.Steps = 2
 		base.BarotropicIters = 4
-		return NewPOP(base, cluster.Seaborg(8, 4))
+		return pop.NewPredictor(base, cluster.Seaborg(8, 4))
 	}
 	return nil
 }

@@ -2,12 +2,15 @@ package surrogate
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"harmony/internal/cluster"
+	"harmony/internal/core"
 	"harmony/internal/gs2"
 	"harmony/internal/petscsim"
 	"harmony/internal/pop"
@@ -67,7 +70,7 @@ func checkRanking(t *testing.T, names []string, predicted, measured []float64, s
 func TestSLESRankingTracksSimulation(t *testing.T) {
 	app := petscsim.NewSLESApp(600, 4, 3, 60, 11)
 	m := cluster.Seaborg(4, 1)
-	model := NewSLES(app, m)
+	model := app.Predictor(m)
 	sp := app.Space()
 
 	weightSets := [][4]int{
@@ -101,7 +104,7 @@ func TestSLESRankingTracksSimulation(t *testing.T) {
 func TestGS2RankingTracksSimulation(t *testing.T) {
 	base := gs2.DefaultConfig()
 	base.Steps = 10
-	model := NewGS2(base, gs2.LinuxCluster)
+	model := gs2.NewPredictor(base, gs2.LinuxCluster)
 	sp := gs2.ResolutionSpace(64)
 
 	cands := []map[string]string{
@@ -138,7 +141,7 @@ func TestPOPRankingTracksSimulation(t *testing.T) {
 	base := pop.DefaultConfig(720, 480)
 	base.Steps, base.BarotropicIters = 2, 4
 	m := cluster.Seaborg(8, 4)
-	model := NewPOP(base, m)
+	model := pop.NewPredictor(base, m)
 	sp := pop.BlockSpace()
 
 	cands := [][2]int{
@@ -171,7 +174,7 @@ func TestPOPRankingTracksSimulation(t *testing.T) {
 // for worker-count-independent pruning).
 func TestPredictionsDeterministic(t *testing.T) {
 	app := petscsim.NewSLESApp(600, 4, 3, 60, 11)
-	model := NewSLES(app, cluster.Seaborg(4, 1))
+	model := app.Predictor(cluster.Seaborg(4, 1))
 	sp := app.Space()
 	pt, cfg := decode(t, sp, map[string]string{"w1": "123", "w2": "456", "w3": "789", "w4": "200"})
 	a, ok1 := model.Predict(pt, cfg)
@@ -184,18 +187,71 @@ func TestPredictionsDeterministic(t *testing.T) {
 // TestForeignSpaceDeclined pins the registry-safety property: a
 // predictor handed a configuration from an unrelated space declines
 // instead of panicking, so the engine falls back to full simulation.
+// A space that lacks one expected parameter is as foreign as one that
+// lacks them all. A parameter with the expected name but declared as
+// an enum reads as the integer its value spells (a client may declare
+// negrid as the enum 8, 16, 32) and declines when it spells none, or
+// spells a weight no SLES space holds.
 func TestForeignSpaceDeclined(t *testing.T) {
-	popSp := pop.BlockSpace()
-	pt, cfg := decode(t, popSp, map[string]string{"bx": "180", "by": "100"})
+	models := map[string]core.Surrogate{"sles": For("fig2-sles"), "gs2": For("table3-gs2"), "pop": For("fig4-pop")}
+	predict := func(model string, params []space.Param, values map[string]string) (float64, bool) {
+		pt, cfg := decode(t, space.MustNew(params...), values)
+		return models[model].Predict(pt, cfg)
+	}
+	block := map[string]string{"bx": "180", "by": "100"}
+	res := map[string]string{"negrid": "16", "ntheta": "26", "nodes": "32"}
+	weights := map[string]string{"w1": "500", "w2": "20", "w3": "500", "w4": "500"}
+	slesParams := petscsim.NewSLESApp(600, 4, 3, 60, 11).Space().Params()
+	enumFor := func(ps []space.Param, name string, values ...string) []space.Param {
+		out := slices.Clone(ps)
+		for i := range out {
+			if out[i].Name == name {
+				out[i] = space.EnumParam(name, values...)
+			}
+		}
+		return out
+	}
 
-	for name, model := range map[string]interface {
-		Predict(space.Point, space.Config) (float64, bool)
+	for _, model := range []string{"sles", "gs2"} {
+		if _, ok := predict(model, pop.BlockSpace().Params(), block); ok {
+			t.Errorf("%s model accepted a POP block configuration", model)
+		}
+	}
+	for _, c := range []struct {
+		model  string
+		params []space.Param
+		values map[string]string
 	}{
-		"sles": NewSLES(petscsim.NewSLESApp(600, 4, 3, 60, 11), cluster.Seaborg(4, 1)),
-		"gs2":  NewGS2(gs2.DefaultConfig(), gs2.LinuxCluster),
+		{"gs2", gs2.ResolutionSpace(64).Params()[:2], res},
+		{"pop", pop.BlockSpace().Params()[:1], block},
+		{"sles", slesParams[:3], weights},
 	} {
-		if _, ok := model.Predict(pt, cfg); ok {
-			t.Errorf("%s model accepted a POP block configuration", name)
+		if _, ok := predict(c.model, c.params, c.values); ok {
+			t.Errorf("%s model accepted a space missing one of its parameters", c.model)
+		}
+	}
+	for _, c := range []struct {
+		model     string
+		params    []space.Param
+		values    map[string]string
+		name      string
+		enum, bad []string // declarations of name; bad[0] is the value taken
+	}{
+		{"gs2", gs2.ResolutionSpace(64).Params(), res, "negrid", []string{"8", "16", "32"}, []string{"fine", "coarse"}},
+		{"pop", pop.BlockSpace().Params(), block, "by", []string{"100", "200"}, []string{"tall"}},
+		{"sles", slesParams, weights, "w2", []string{"20", "40"}, []string{"0", "20"}},
+	} {
+		want, ok := predict(c.model, c.params, c.values)
+		if !ok {
+			t.Fatalf("%s model declined its own space", c.model)
+		}
+		if got, ok := predict(c.model, enumFor(c.params, c.name, c.enum...), c.values); !ok || got != want {
+			t.Errorf("%s with %s as an enum: Predict = %v (ok %v), want %v as from the integer", c.model, c.name, got, ok, want)
+		}
+		values := maps.Clone(c.values)
+		values[c.name] = c.bad[0]
+		if _, ok := predict(c.model, enumFor(c.params, c.name, c.bad...), values); ok {
+			t.Errorf("%s accepted %s=%q", c.model, c.name, c.bad[0])
 		}
 	}
 }
@@ -279,7 +335,7 @@ func TestSLESPredictMatchesScanBitwise(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	for _, tc := range cases {
-		model := NewSLES(tc.app, tc.m)
+		model := tc.app.Predictor(tc.m)
 		sp := tc.app.Space()
 		for i := 0; i < 50; i++ {
 			pt := make(space.Point, tc.app.P)
