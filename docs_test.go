@@ -9,14 +9,23 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestDocsNameWhatExists fails when README.md or DESIGN.md names, in
-// backticks, a repository path that is not there or a pkg.Name that
-// internal/pkg does not declare: the two documents describe the system
-// as it is, so a rename or deletion that forgets them breaks tier-1.
+// backticks, a repository path that is not there, a pkg.Name that
+// internal/pkg does not declare, or a command line that does not run:
+// the two documents describe the system as it is, so a rename or
+// deletion that forgets them breaks tier-1.
+//
+// A command line is a span whose first word is a command under cmd/
+// (`repro`, `cmd/repro`, …). Each of its -flag tokens must be a flag
+// that command's main package registers, and must come before the
+// first positional argument: every command parses with the stdlib flag
+// package, which stops there, so `repro fig2 -large` exits with usage.
+// A bare `-flag` span could belong to any command and is not checked.
 //
 // EXPERIMENTS.md and CHANGES.md are historical by design (they name
 // what existed when each entry was written) and bench/README.md is
@@ -108,6 +117,84 @@ func TestDocsNameWhatExists(t *testing.T) {
 		metrics[m.Name] = true
 	}
 
+	// The flags each command registers, by name, true when the flag is
+	// boolean (it takes no separate value): the first string literal
+	// of every flag.X / fs.XVar definition call in the main package.
+	flagDef := regexp.MustCompile(`^(?:Bool|Int|Int64|Uint|Uint64|Float64|String|Duration)(?:Var)?$`)
+	flags := map[string]map[string]bool{}
+	cmds, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range cmds {
+		if !d.IsDir() {
+			continue
+		}
+		notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+		pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join("cmd", d.Name()), notTest, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := map[string]bool{}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok || !flagDef.MatchString(sel.Sel.Name) {
+						return true
+					}
+					for _, arg := range call.Args {
+						if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+							name, err := strconv.Unquote(lit.Value)
+							if err == nil {
+								names[name] = strings.HasPrefix(sel.Sel.Name, "Bool")
+							}
+							break
+						}
+					}
+					return true
+				})
+			}
+		}
+		flags[d.Name()] = names
+	}
+	flagToken := regexp.MustCompile(`^--?[A-Za-z][\w-]*(?:=.*)?$`)
+	checkCommandLine := func(doc, s string) {
+		words := strings.Fields(s)
+		cmd := strings.TrimPrefix(words[0], "cmd/")
+		registered, ok := flags[cmd]
+		if !ok {
+			return
+		}
+		lookup := func(tok string) (isBool, inline bool) {
+			name, _, inline := strings.Cut(strings.TrimLeft(tok, "-"), "=")
+			isBool, ok := registered[name]
+			if !ok {
+				t.Errorf("%s names `%s`: %s registers no flag -%s", doc, s, cmd, name)
+				return true, inline // reported; take no value, so the rest is still read
+			}
+			return isBool, inline
+		}
+		args := words[1:]
+		for len(args) > 0 && flagToken.MatchString(args[0]) {
+			isBool, inline := lookup(args[0])
+			args = args[1:]
+			if !isBool && !inline && len(args) > 0 {
+				args = args[1:] // the flag's value
+			}
+		}
+		for _, a := range args {
+			if flagToken.MatchString(a) {
+				lookup(a)
+				t.Errorf("%s names `%s`: %s is after %s's first argument %q, where flag parsing stops", doc, s, a, cmd, args[0])
+			}
+		}
+	}
+
 	var (
 		fence    = regexp.MustCompile("(?s)```.*?```")
 		span     = regexp.MustCompile("`([^`]+)`")
@@ -121,6 +208,10 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 		for _, m := range span.FindAllStringSubmatch(fence.ReplaceAllString(string(text), ""), -1) {
 			s := strings.Join(strings.Fields(m[1]), " ") // a span may wrap
+			if s == "" {
+				continue
+			}
+			checkCommandLine(doc, s)
 			if repoPath.MatchString(s) {
 				if !strings.Contains(s, "...") && !pathExists(s) {
 					t.Errorf("%s names `%s`, which is not in the repository", doc, s)

@@ -42,17 +42,26 @@ type HaloPlan struct {
 	ranks []haloRank
 }
 
-// NewHaloPlan builds the halo plan of a under the given partition.
+// NewHaloPlan builds the halo plan of a under the given partition. It
+// checks a's row invariant first, O(nnz); a campaign planning many
+// partitions of one matrix goes through a PlanCache, which checks once.
 func NewHaloPlan(a *CSR, part Partition) (*HaloPlan, error) {
+	if err := a.checkRows(); err != nil {
+		return nil, err
+	}
 	hp, _, err := newHaloPlan(a, part, false)
 	return hp, err
 }
 
-// newHaloPlan walks the CSR once. stamp[c] == r+1 marks column c as
-// already counted for rank r, so repeated references deduplicate
+// newHaloPlan reads, of each row of rank r's range [lo, hi), only the
+// ascending prefix of columns below lo and the suffix at or above hi —
+// the row invariant makes those exactly its off-rank references — so
+// a plan costs O(rows + halo), not O(nnz). stamp[c] == r+1 marks column
+// c as already counted for rank r, so repeated references deduplicate
 // without sorting, and without clearing between ranks. With
 // wantGhosts it also returns, per rank, the distinct remote columns
-// in discovery order.
+// in discovery order (ascending within each row, as a full walk would
+// find them). The caller has checked a.checkRows.
 func newHaloPlan(a *CSR, part Partition, wantGhosts bool) (*HaloPlan, [][]int, error) {
 	if err := part.Validate(a.N); err != nil {
 		return nil, nil, err
@@ -69,14 +78,26 @@ func newHaloPlan(a *CSR, part Partition, wantGhosts bool) (*HaloPlan, [][]int, e
 		h := &hp.ranks[r]
 		h.lo, h.hi = part.Range(r)
 		h.nnz = a.RowNNZ(h.lo, h.hi)
-		for _, c := range a.Col[a.RowPtr[h.lo]:a.RowPtr[h.hi]] {
-			if (c >= h.lo && c < h.hi) || stamp[c] == int32(r+1) {
-				continue
+		for i := h.lo; i < h.hi; i++ {
+			row := a.Col[a.RowPtr[i]:a.RowPtr[i+1]]
+			below, above := 0, len(row)
+			for below < above && row[below] < h.lo {
+				below++
 			}
-			stamp[c] = int32(r + 1)
-			from[part.OwnerOf(c)]++
-			if wantGhosts {
-				ghosts[r] = append(ghosts[r], c)
+			for above > below && row[above-1] >= h.hi {
+				above--
+			}
+			for _, end := range [2][]int{row[:below], row[above:]} {
+				for _, c := range end {
+					if stamp[c] == int32(r+1) {
+						continue
+					}
+					stamp[c] = int32(r + 1)
+					from[part.OwnerOf(c)]++
+					if wantGhosts {
+						ghosts[r] = append(ghosts[r], c)
+					}
+				}
 			}
 		}
 		// Sends mirror needs; visiting receivers in increasing order
@@ -191,7 +212,12 @@ type rankPlan struct {
 // rank's distinct remote columns (few, already deduplicated by the
 // plan's walk) are sorted once; because the partition is contiguous
 // the sorted list splits into per-peer runs of the plan's leg counts.
+// Its kernel tables read every entry anyway, so it checks a's row
+// invariant on every call.
 func NewDistMatrix(a *CSR, part Partition) (*DistMatrix, error) {
+	if err := a.checkRows(); err != nil {
+		return nil, err
+	}
 	hp, ghosts, err := newHaloPlan(a, part, true)
 	if err != nil {
 		return nil, err
@@ -410,22 +436,30 @@ func (dm *DistMatrix) Scatter(rank int, global []float64) []float64 {
 
 // PlanCache memoises halo plans per partition for one matrix: a tuning
 // campaign that revisits a decomposition (or predicts it before
-// running it) walks the CSR once and reuses the frozen plan for every
-// later evaluation. Safe for concurrent use.
+// running it) reads the partition's off-rank row ends once and reuses
+// the frozen plan for every later evaluation. Safe for concurrent use.
 type PlanCache struct {
-	a  *CSR
-	mu sync.Mutex
-	m  map[string]*HaloPlan
+	a *CSR
+	// err is a's row-invariant check, run once by NewPlanCache: Get
+	// returns it and never re-checks.
+	err error
+	mu  sync.Mutex
+	m   map[string]*HaloPlan
 }
 
-// NewPlanCache returns an empty plan cache for matrix a.
+// NewPlanCache returns an empty plan cache for matrix a, checking a's
+// row invariant once; a matrix that breaks it makes every Get an
+// error.
 func NewPlanCache(a *CSR) *PlanCache {
-	return &PlanCache{a: a, m: make(map[string]*HaloPlan)}
+	return &PlanCache{a: a, err: a.checkRows(), m: make(map[string]*HaloPlan)}
 }
 
 // Get returns the halo plan of the partition, building and caching it
 // on first use.
 func (pc *PlanCache) Get(part Partition) (*HaloPlan, error) {
+	if pc.err != nil {
+		return nil, pc.err
+	}
 	key := partitionKey(part)
 	pc.mu.Lock()
 	if hp, ok := pc.m[key]; ok {
@@ -435,7 +469,7 @@ func (pc *PlanCache) Get(part Partition) (*HaloPlan, error) {
 	pc.mu.Unlock()
 	// Build outside the lock: plan construction is the expensive part
 	// and concurrent builders of the same key converge to equal plans.
-	hp, err := NewHaloPlan(pc.a, part)
+	hp, _, err := newHaloPlan(pc.a, part, false)
 	if err != nil {
 		return nil, err
 	}

@@ -16,23 +16,36 @@ import (
 // uneven random partitions of the band matrix, of the dense-block
 // matrix (a cut block makes every one of its columns a ghost, many
 // times referenced) and of a 2-D grid (ghosts a row stride away).
+// Those three all have a diagonal and a narrow band, so they cannot
+// tell the plan's prefix/suffix scan from a full walk; the random
+// sorted-row matrices (randomSortedCSR) can, and are also planned
+// under p = 1 and p = N.
 func TestHaloPlanMatchesDistMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	gen := rand.New(rand.NewSource(17))
 	mats := []struct {
-		name string
-		a    *CSR
+		name  string
+		a     *CSR
+		edges bool // also plan p = 1 and p = N
 	}{
-		{"band", VariableBandLaplacian(300, 2, 24, 3)},
-		{"dense", DenseBlockLaplacian(240, RandomBlocks(240, 3, 40, 11))},
-		{"grid", Poisson2D(12, 9)},
+		{"band", VariableBandLaplacian(300, 2, 24, 3), false},
+		{"dense", DenseBlockLaplacian(240, RandomBlocks(240, 3, 40, 11)), false},
+		{"grid", Poisson2D(12, 9), false},
+		{"random-40", randomSortedCSR(gen, 40), true},
+		{"random-97", randomSortedCSR(gen, 97), true},
 	}
 	for _, mat := range mats {
 		name, a := mat.name, mat.a
 		for trial := 0; trial < 20; trial++ {
 			p := 1 + rng.Intn(7)
 			part := randomPartition(rng, a.N, p)
-			if trial == 0 {
+			switch {
+			case trial == 0:
 				part = EvenPartition(a.N, p)
+			case mat.edges && trial == 1:
+				p, part = 1, EvenPartition(a.N, 1)
+			case mat.edges && trial == 2:
+				p, part = a.N, EvenPartition(a.N, a.N)
 			}
 			hp, err := NewHaloPlan(a, part)
 			if err != nil {
@@ -89,6 +102,86 @@ func TestHaloPlanMatchesDistMatrix(t *testing.T) {
 						hp.HaloBytes(r), hp.LocalNNZ(r), hp.LocalSize(r), 8*ghosts, a.RowNNZ(lo, hi), hi-lo)
 				}
 			}
+		}
+	}
+}
+
+// randomSortedCSR draws an n×n matrix whose rows are random strictly
+// ascending column sets — a few entries each, anywhere in [0, n), the
+// diagonal present or not — with fixed rows in the shapes a
+// prefix/suffix scan could get wrong: row 0 empty, row 1 every column
+// (it references every rank), row n/3 every column but its own (under
+// p = N all of them remote, on both sides), row n-1 empty too.
+func randomSortedCSR(rng *rand.Rand, n int) *CSR {
+	a := &CSR{N: n, RowPtr: make([]int, n+1)}
+	for i := 0; i < n; i++ {
+		var cols []int
+		switch i {
+		case 0, n - 1:
+		case 1, n / 3:
+			for c := 0; c < n; c++ {
+				if c != i || i == 1 {
+					cols = append(cols, c)
+				}
+			}
+		default:
+			seen := map[int]bool{}
+			for k := rng.Intn(7); k > 0; k-- {
+				if c := rng.Intn(n); !seen[c] {
+					seen[c] = true
+					cols = append(cols, c)
+				}
+			}
+			if rng.Intn(2) == 0 && !seen[i] {
+				cols = append(cols, i)
+			}
+			sort.Ints(cols)
+		}
+		for _, c := range cols {
+			a.Col = append(a.Col, c)
+			a.Val = append(a.Val, float64(c-i))
+		}
+		a.RowPtr[i+1] = len(a.Col)
+	}
+	return a
+}
+
+// TestRowOrderIsChecked pins the guard in front of the prefix/suffix
+// scan: a hand-built CSR with one row's columns out of order, or with
+// a duplicate column, is an error from every plan entry point — the
+// one-off NewHaloPlan, NewDistMatrix, and every Get of a PlanCache
+// (which checked once, when it was created) — never a plan.
+func TestRowOrderIsChecked(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(a *CSR)
+	}{
+		{"swapped", func(a *CSR) {
+			k := a.RowPtr[5]
+			a.Col[k], a.Col[k+1] = a.Col[k+1], a.Col[k]
+		}},
+		{"duplicate", func(a *CSR) {
+			k := a.RowPtr[5]
+			a.Col[k+1] = a.Col[k]
+		}},
+	} {
+		name, a := tc.name, Poisson2D(4, 4)
+		tc.corrupt(a)
+		part := EvenPartition(a.N, 2)
+		if _, err := NewHaloPlan(a, part); err == nil {
+			t.Errorf("%s: NewHaloPlan planned the matrix", name)
+		}
+		if _, err := NewDistMatrix(a, part); err == nil {
+			t.Errorf("%s: NewDistMatrix planned the matrix", name)
+		}
+		pc := NewPlanCache(a)
+		for i := 0; i < 2; i++ {
+			if _, err := pc.Get(part); err == nil {
+				t.Errorf("%s: PlanCache.Get #%d planned the matrix", name, i+1)
+			}
+		}
+		if pc.Len() != 0 {
+			t.Errorf("%s: PlanCache holds %d plans of a refused matrix", name, pc.Len())
 		}
 	}
 }

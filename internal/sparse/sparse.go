@@ -12,6 +12,21 @@
 // proportional to its local nonzeros. Moving a partition boundary
 // therefore shifts both load balance and communication volume —
 // the two effects the paper tunes in Section IV.
+//
+// Every row of a CSR stores its columns strictly ascending. Halo
+// plans rely on it: a rank's off-rank references are the ascending
+// prefix of each row below its range and the suffix above it, so a plan
+// reads only those ends, O(rows + halo), and never the local middle.
+// Every generator here produces such rows; the plan entry points check
+// a hand-built matrix once (PlanCache when it is created) and refuse it
+// with an error rather than mis-plan it.
+//
+// VariableBandLaplacian, the large Fig. 2 matrix, is assembled straight
+// into CSR: per-row counts, a prefix sum, then one emission pass in
+// which each row's diagonal accumulates its off-diagonal mass in the
+// order the generator has always summed it, so every value is the same
+// bits the triplet builder produced. Poisson2D and DenseBlockLaplacian
+// still go through the builder.
 package sparse
 
 import (
@@ -21,7 +36,10 @@ import (
 	"sort"
 )
 
-// CSR is a square sparse matrix in compressed-sparse-row form.
+// CSR is a square sparse matrix in compressed-sparse-row form. Row i
+// is Col/Val[RowPtr[i]:RowPtr[i+1]], and its columns are strictly
+// ascending and inside [0, N): halo plans read only the off-rank ends
+// of each row and refuse a matrix that breaks this (see checkRows).
 type CSR struct {
 	N      int
 	RowPtr []int // len N+1
@@ -31,6 +49,29 @@ type CSR struct {
 
 // NNZ returns the number of stored entries.
 func (a *CSR) NNZ() int { return len(a.Col) }
+
+// checkRows reports the first violation of the row invariant: RowPtr
+// spans Col monotonically and every row's columns are strictly
+// ascending in [0, N). It is O(nnz), so the plan entry points run it
+// once per matrix, not per partition.
+func (a *CSR) checkRows() error {
+	if len(a.RowPtr) != a.N+1 || a.RowPtr[0] != 0 || a.RowPtr[a.N] != len(a.Col) {
+		return fmt.Errorf("sparse: row pointers do not span the %d stored columns of a %d-row matrix", len(a.Col), a.N)
+	}
+	for i := 0; i < a.N; i++ {
+		if a.RowPtr[i+1] < a.RowPtr[i] {
+			return fmt.Errorf("sparse: row %d ends before it starts", i)
+		}
+		prev := -1
+		for _, c := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if c <= prev || c >= a.N {
+				return fmt.Errorf("sparse: row %d columns are not strictly ascending in [0,%d) at column %d", i, a.N, c)
+			}
+			prev = c
+		}
+	}
+	return nil
+}
 
 // RowNNZ returns the number of stored entries in rows [lo, hi).
 func (a *CSR) RowNNZ(lo, hi int) int {
@@ -225,15 +266,59 @@ func denseBlockLaplacian(b *builder, blocks []Block) *CSR {
 // Under an equal-rows decomposition the dense regions overload some
 // ranks — the load-imbalance landscape of the paper's Fig. 2 — while
 // staying smooth enough for a direct search to navigate.
+//
+// The matrix is assembled straight into CSR, O(nnz) with no triplets:
+// row i couples to rows i+1..i+m, m = min(band(i)/2, n-1-i), so it
+// holds its diagonal, m right neighbours and one left neighbour from
+// every earlier row that reaches it. Rows are counted, prefix-summed,
+// and filled in one pass in (i, k) order, which delivers every row's
+// left neighbours before its own turn, ascending. off[i] sums the
+// absolute off-diagonal mass in that same order — every left
+// neighbour, then the right ones — exactly as the triplet-builder
+// generator does, so each diagonal, and hence every value, is the same
+// bits (TestPresizedBuilderSameMatrix keeps that generator as the
+// reference).
 func VariableBandLaplacian(n, minBand, maxBand, waves int) *CSR {
 	if minBand < 2 || maxBand < minBand || n < maxBand {
 		panic(fmt.Sprintf("sparse: bad band spec n=%d band=[%d,%d]", n, minBand, maxBand))
 	}
-	updates := n
+	reach := func(i int) int { return min(bandAt(n, minBand, maxBand, waves, i)/2, n-1-i) }
+	a := &CSR{N: n, RowPtr: make([]int, n+1)}
+	// next first holds the difference array of the left-neighbour
+	// counts, then each row's next free slot.
+	next := make([]int, n+1)
 	for i := 0; i < n; i++ {
-		updates += 2 * min(bandAt(n, minBand, maxBand, waves, i)/2, n-1-i)
+		m := reach(i)
+		a.RowPtr[i+1] = 1 + m
+		next[i+1]++
+		next[i+1+m]--
 	}
-	return variableBandLaplacian(newBuilder(n, updates), minBand, maxBand, waves)
+	left := 0
+	for i := 0; i < n; i++ {
+		left += next[i]
+		next[i] = a.RowPtr[i]
+		a.RowPtr[i+1] += a.RowPtr[i] + left
+	}
+	a.Col = make([]int, a.RowPtr[n])
+	a.Val = make([]float64, a.RowPtr[n])
+	off := make([]float64, n)
+	for i := 0; i < n; i++ {
+		diag := next[i] // the left neighbours are in: the diagonal is next
+		a.Col[diag] = i
+		next[i]++
+		for k, m := 1, reach(i); k <= m; k++ {
+			v := -1.0 / float64(k)
+			a.Col[next[i]], a.Val[next[i]] = i+k, v
+			a.Col[next[i+k]], a.Val[next[i+k]] = i, v
+			next[i]++
+			next[i+k]++
+			off[i] += math.Abs(v)
+			off[i+k] += math.Abs(v)
+		}
+		// Diagonal dominance; no later row adds to off[i].
+		a.Val[diag] = off[i] + 1
+	}
+	return a
 }
 
 // bandAt is the band width of row i of VariableBandLaplacian.
@@ -241,31 +326,6 @@ func bandAt(n, minBand, maxBand, waves, i int) int {
 	phase := 2 * math.Pi * float64(waves) * float64(i) / float64(n)
 	w := float64(minBand) + (float64(maxBand-minBand))*(0.5+0.5*math.Sin(phase))
 	return int(w)
-}
-
-func variableBandLaplacian(b *builder, minBand, maxBand, waves int) *CSR {
-	n := b.n
-	// off accumulates each row's absolute off-diagonal mass in the
-	// order the entries are emitted: a fixed order, so the diagonal
-	// (and hence the whole matrix) is deterministic to the bit. The
-	// previous implementation summed over a map and could produce
-	// bitwise-different diagonals between runs.
-	off := make([]float64, n)
-	for i := 0; i < n; i++ {
-		half := bandAt(n, minBand, maxBand, waves, i) / 2
-		for k := 1; k <= half && i+k < n; k++ {
-			v := -1.0 / float64(k)
-			b.set(i, i+k, v)
-			b.set(i+k, i, v)
-			off[i] += math.Abs(v)
-			off[i+k] += math.Abs(v)
-		}
-	}
-	// Diagonal dominance.
-	for i := 0; i < n; i++ {
-		b.set(i, i, off[i]+1)
-	}
-	return b.build()
 }
 
 // RandomBlocks places count non-overlapping dense blocks of the given
