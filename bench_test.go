@@ -381,15 +381,6 @@ func BenchmarkDistMatVec(b *testing.B) {
 	}
 }
 
-// BenchmarkGS2MoveMatrix measures the redistribution-plan
-// computation.
-func BenchmarkGS2MoveMatrix(b *testing.B) {
-	d := gs2.DefaultConfig().Dims()
-	for i := 0; i < b.N; i++ {
-		gs2.MoveMatrix(d, "lxyes", "xyles", 64)
-	}
-}
-
 // BenchmarkOnlineProtocol measures a fetch/report round trip through
 // the TCP server.
 func BenchmarkOnlineProtocol(b *testing.B) {

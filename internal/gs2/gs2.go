@@ -93,38 +93,59 @@ func (c Config) Validate() error {
 func chunkOf(n, p, i int) int { return (i+1)*n/p - i*n/p }
 
 // redist is a frozen redistribution plan: per-rank sent/received
-// element totals for the pack/unpack charge, and the per-rank exchange
-// byte rows at the plan's volume fraction, precomputed dense so the
-// steady-state exchange allocates nothing and never touches a map.
+// element totals for the pack/unpack charge, and the exchange pattern
+// in bytes at the plan's volume fraction, stored sparse (a rank sends
+// to a handful of target owners) and priced once per machine.
 type redist struct {
 	sent, recvd []int
 	totalMoved  int
 	fraction    float64
-	sendBytes   [][]int // dense: sendBytes[src][dst]
+	exchange    *simmpi.AlltoallvPattern
 }
 
-// newRedist freezes a move matrix into a plan. It takes ownership of
-// mat and rewrites it in place into the byte rows.
-func newRedist(mat [][]int, fraction float64) *redist {
-	p := len(mat)
-	r := &redist{sent: make([]int, p), recvd: make([]int, p), fraction: fraction, sendBytes: mat}
-	for i, row := range mat {
-		for j, elems := range row {
+// newRedist freezes a move count into a plan. It takes ownership of
+// mv and rewrites its element counts in place into bytes.
+func newRedist(mv moves, fraction float64) *redist {
+	p := len(mv.start) - 1
+	r := &redist{sent: make([]int, p), recvd: make([]int, p), fraction: fraction,
+		exchange: &simmpi.AlltoallvPattern{Start: mv.start, Dst: mv.dst, Bytes: mv.n}}
+	for i := 0; i < p; i++ {
+		for k := mv.start[i]; k < mv.start[i+1]; k++ {
+			elems := mv.n[k]
 			r.sent[i] += elems
-			r.recvd[j] += elems
+			r.recvd[mv.dst[k]] += elems
 			r.totalMoved += elems
-			row[j] = int(float64(elems) * 8 * elemWeight * fraction)
+			mv.n[k] = int(float64(elems) * 8 * elemWeight * fraction)
 		}
 	}
 	return r
 }
 
 // reverse returns the plan of the opposite redistribution. Since
-// moved(B→A) = moved(A→B)ᵀ it needs no second walk: senders and
-// receivers swap roles and the byte rows transpose.
+// moved(B→A) = moved(A→B)ᵀ it needs no second count: senders and
+// receivers swap roles and the pattern transposes. Sources are visited
+// in ascending order, so every transposed row comes out ascending.
 func (r *redist) reverse() *redist {
-	return &redist{sent: r.recvd, recvd: r.sent, totalMoved: r.totalMoved,
-		fraction: r.fraction, sendBytes: transpose(r.sendBytes)}
+	ex := r.exchange
+	p := len(ex.Start) - 1
+	start := make([]int, p+1)
+	for _, j := range ex.Dst {
+		start[j+1]++
+	}
+	for j := 0; j < p; j++ {
+		start[j+1] += start[j]
+	}
+	next := append([]int(nil), start[:p]...)
+	dst, bytes := make([]int, len(ex.Dst)), make([]int, len(ex.Bytes))
+	for i := 0; i < p; i++ {
+		for k := ex.Start[i]; k < ex.Start[i+1]; k++ {
+			j := ex.Dst[k]
+			dst[next[j]], bytes[next[j]] = i, ex.Bytes[k]
+			next[j]++
+		}
+	}
+	return &redist{sent: r.recvd, recvd: r.sent, totalMoved: r.totalMoved, fraction: r.fraction,
+		exchange: &simmpi.AlltoallvPattern{Start: start, Dst: dst, Bytes: bytes}}
 }
 
 // plans holds the frozen redistribution plans of a configuration
@@ -161,10 +182,10 @@ func (c Config) plans(p int) *plans {
 		// Targets preserve the home-relative order of the dimensions
 		// they localise, so a layout that already keeps them fastest
 		// (yxles and yxels for x,y) moves nothing.
-		pl.toXY = newRedist(MoveMatrix(d, c.Layout, c.Layout.front("xy"), p), 1)
+		pl.toXY = newRedist(countMoves(d, c.Layout, c.Layout.front("xy"), p), 1)
 		pl.fromXY = pl.toXY.reverse()
 		if c.Collisions {
-			pl.toLE = newRedist(MoveMatrix(d, c.Layout, c.Layout.front("le"), p), collRedistFraction)
+			pl.toLE = newRedist(countMoves(d, c.Layout, c.Layout.front("le"), p), collRedistFraction)
 			pl.fromLE = pl.toLE.reverse()
 		}
 	})
@@ -211,6 +232,13 @@ func simulate(m *cluster.Machine, cfg Config, pl *plans, steps int) (tLess, tFul
 	n := cfg.Dims().N()
 	d := cfg.Dims()
 	fieldWork := fieldSolveFlops * float64(d.X*d.Y) * elemWeight
+	// The exchanges are priced for m here, once per plan and machine,
+	// so the rendezvous of every step only reads them.
+	toXY, fromXY := pl.toXY.exchange.Price(m), pl.fromXY.exchange.Price(m)
+	var toLE, fromLE *simmpi.PricedAlltoallv
+	if cfg.Collisions {
+		toLE, fromLE = pl.toLE.exchange.Price(m), pl.fromLE.exchange.Price(m)
+	}
 	st, err := simmpi.Run(m, p, func(r *simmpi.Rank) {
 		id := r.ID()
 		chunk := float64(chunkOf(n, p, id))
@@ -218,23 +246,23 @@ func simulate(m *cluster.Machine, cfg Config, pl *plans, steps int) (tLess, tFul
 		// which uses the same transforms and a multiple of the
 		// per-step compute.
 		r.Sleep(initFixedSeconds)
-		redistribute(r, pl.toXY, id)
+		redistribute(r, pl.toXY, toXY, id)
 		r.Compute(chunk * elemWeight * (nonlinearFlops + implicitFlops) * initStepEquivalents)
-		redistribute(r, pl.fromXY, id)
+		redistribute(r, pl.fromXY, fromXY, id)
 
 		for s := 0; s < steps; s++ {
 			// Nonlinear phase: transform to (x,y)-local, compute,
 			// transform back.
-			redistribute(r, pl.toXY, id)
+			redistribute(r, pl.toXY, toXY, id)
 			r.Compute(chunk * elemWeight * nonlinearFlops)
-			redistribute(r, pl.fromXY, id)
+			redistribute(r, pl.fromXY, fromXY, id)
 			// Implicit along-field solve in the home layout.
 			r.Compute(chunk * elemWeight * implicitFlops)
 			// Collision operator in (l,e)-local form.
 			if cfg.Collisions {
-				redistribute(r, pl.toLE, id)
+				redistribute(r, pl.toLE, toLE, id)
 				r.Compute(chunk * elemWeight * collisionFlops)
-				redistribute(r, pl.fromLE, id)
+				redistribute(r, pl.fromLE, fromLE, id)
 			}
 			// Field solve: replicated reconstruction from the reduced
 			// moments plus a global reduction — the moments are not
@@ -259,16 +287,16 @@ func simulate(m *cluster.Machine, cfg Config, pl *plans, steps int) (tLess, tFul
 // of the transfer.
 const packFlops = 40.0
 
-// redistribute performs one layout transformation: pack, an
-// all-to-all whose per-pair volumes come from the frozen plan, and
+// redistribute performs one layout transformation: pack, the plan's
+// all-to-all (ex, its exchange priced for the world's machine), and
 // unpack. Each moved element carries its elemWeight sub-points of 8
 // bytes, scaled by the plan's volume fraction.
-func redistribute(r *simmpi.Rank, rd *redist, id int) {
+func redistribute(r *simmpi.Rank, rd *redist, ex *simmpi.PricedAlltoallv, id int) {
 	if rd.totalMoved == 0 {
 		return
 	}
 	r.Compute(float64(rd.sent[id]) * elemWeight * packFlops * rd.fraction)
-	r.AlltoallvBytesRow(rd.sendBytes[id])
+	r.AlltoallvPriced(ex)
 	r.Compute(float64(rd.recvd[id]) * elemWeight * packFlops * rd.fraction)
 }
 

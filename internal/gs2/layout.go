@@ -16,6 +16,14 @@
 // — the mechanism behind the paper's 3.4×/2.3× wins and the
 // topology sensitivity of Fig. 5.
 //
+// A shape's redistribution plans are built once and frozen: the move
+// volumes are counted from box intersections of the two distributions'
+// owner ranges, never by visiting elements, so a new shape costs
+// O(ranks × target owners per rank) whatever its grid size. Each plan
+// keeps its exchange as a sparse simmpi.AlltoallvPattern, transposed
+// for the return transform and priced once per machine before the
+// ranks run.
+//
 // The package is the one place that knows what a GS2 run costs: Run
 // executes the rank program, and Predictor prices the same program in
 // closed form from the same frozen plans and constants, for the tuning
@@ -113,16 +121,37 @@ func (l Layout) strides(d Dims) [5]int {
 // (home, d, p) to distribution (target, d, p), the number of elements
 // rank i must send to rank j. Elements that stay on their owner are
 // not counted. Both distributions split the respective flattened
-// index space contiguously: owner(flat) = flat·p/N.
-//
-// The computation walks the index space in runs along the fastest
-// dimension of one of the two layouts; inside a run both owners are
-// monotone step functions, so each run costs O(owner changes), not
-// O(run length). Because moved(A→B) = moved(B→A)ᵀ either layout can
-// be the walked one: the walk takes whichever has the smaller stride
-// for its run dimension under the other layout (fewest owner changes
-// per run) and transposes the result when that is the target.
+// index space contiguously: owner(flat) = flat·p/N. It is the dense
+// view of the sparse count the plans are built from.
 func MoveMatrix(d Dims, home, target Layout, p int) [][]int {
+	mv := countMoves(d, home, target, p)
+	flat := make([]int, p*p)
+	mat := make([][]int, p)
+	for i := range mat {
+		mat[i] = flat[i*p : (i+1)*p : (i+1)*p]
+		for k := mv.start[i]; k < mv.start[i+1]; k++ {
+			mat[i][mv.dst[k]] = mv.n[k]
+		}
+	}
+	return mat
+}
+
+// moves is a move matrix stored sparse: rank i sends n[k] elements to
+// rank dst[k] for k in [start[i], start[i+1]), destinations ascending.
+// Zero entries and the diagonal are absent.
+type moves struct{ start, dst, n []int }
+
+// countMoves counts the move matrix without visiting an element. Owner
+// boundaries are b_k = ⌈kN/p⌉. Rank i's home range [b_i, b_{i+1})
+// splits into at most nine boxes (products of one index interval per
+// dimension), and a target prefix [0, b_j) into at most five, so
+// G_i(j) — how many of rank i's elements have a target index below
+// b_j — is a sum of box intersections, and moved[i][j] = G_i(j+1) −
+// G_i(j). Only the target owners between those of the smallest and
+// the largest target index in rank i's boxes can be nonzero, so a
+// shape costs O(p·k) for k target owners per rank, whatever N is. The
+// counts are integers: the result is exact.
+func countMoves(d Dims, home, target Layout, p int) moves {
 	if err := home.Validate(); err != nil {
 		panic(err)
 	}
@@ -132,97 +161,144 @@ func MoveMatrix(d Dims, home, target Layout, p int) [][]int {
 	if p <= 0 {
 		panic(fmt.Sprintf("gs2: %d ranks", p))
 	}
-	if d.N() == 0 || home == target {
-		return newMatrix(p)
-	}
-	if home.strides(d)[dimIndex(target[0])] < target.strides(d)[dimIndex(home[0])] {
-		return transpose(walk(d, target, home, p))
-	}
-	return walk(d, home, target, p)
-}
-
-// walk accumulates moved(a→b) run by run along a[0]. Runs are visited
-// in a's flat order, so a's base advances by the run length; b's base
-// is carried by an odometer over a's other four dimensions.
-func walk(d Dims, a, b Layout, p int) [][]int {
-	mat := newMatrix(p)
+	mv := moves{start: make([]int, p+1)}
 	n := d.N()
-	bs := b.strides(d)
-	runLen := d.size(a[0])
-	s2 := bs[dimIndex(a[0])]
-	var size, step, idx [4]int
-	for k := range size {
-		size[k] = d.size(a[k+1])
-		step[k] = bs[dimIndex(a[k+1])]
+	if n == 0 || home == target {
+		return mv
 	}
-	f2 := 0
-	for f1 := 0; f1 < n; f1 += runLen {
-		accumulateRun(mat, f1, f2, s2, runLen, p, n)
-		for k := 0; k < 4; k++ {
-			idx[k]++
-			f2 += step[k]
-			if idx[k] < size[k] {
-				break
+	hr, tr, ts := home.radix(d), target.radix(d), target.strides(d)
+	bound := func(k int) int { return ceilDiv(k*n, p) }
+	// pre[preStart[j]:preStart[j+1]] are the boxes of the target
+	// prefix [0, b_j).
+	preStart := make([]int, p+1)
+	var pre []box
+	for j := 0; j < p; j++ {
+		preStart[j] = len(pre)
+		pre = tr.boxes(0, bound(j), pre)
+	}
+	preStart[p] = len(pre)
+
+	var hb []box
+	for i := 0; i < p; i++ {
+		lo, hi := bound(i), bound(i+1)
+		hb = hr.boxes(lo, hi, hb[:0])
+		// The target index is increasing in every coordinate, so each
+		// box's lower and upper corners bound its target indices.
+		tmin, tmax := n, -1
+		for b := range hb {
+			first, last := 0, 0
+			for c := 0; c < 5; c++ {
+				first += hb[b].lo[c] * ts[c]
+				last += (hb[b].hi[c] - 1) * ts[c]
 			}
-			idx[k] = 0
-			f2 -= size[k] * step[k]
+			tmin, tmax = min(tmin, first), max(tmax, last)
 		}
+		if tmax >= 0 {
+			// G_i(jmin) is 0 and G_i(jmax+1) is the whole range.
+			jmin, jmax := tmin*p/n, tmax*p/n
+			prev := 0
+			for j := jmin; j <= jmax; j++ {
+				g := hi - lo
+				if j < jmax {
+					g = 0
+					for t := preStart[j+1]; t < preStart[j+2]; t++ {
+						for h := range hb {
+							g += overlap(&hb[h], &pre[t])
+						}
+					}
+				}
+				if g > prev && j != i {
+					mv.dst = append(mv.dst, j)
+					mv.n = append(mv.n, g-prev)
+				}
+				prev = g
+			}
+		}
+		mv.start[i+1] = len(mv.dst)
 	}
-	return mat
+	return mv
 }
 
-// newMatrix returns a zero p×p matrix whose rows share one backing
-// array.
-func newMatrix(p int) [][]int {
-	flat := make([]int, p*p)
-	mat := make([][]int, p)
-	for i := range mat {
-		mat[i] = flat[i*p : (i+1)*p : (i+1)*p]
-	}
-	return mat
+// radix is a layout's mixed-radix numbering of the flat index: the
+// dimension (by dimIndex), extent and stride of each position, fastest
+// first, with stride[5] = N.
+type radix struct {
+	dim, ext [5]int
+	stride   [6]int
 }
 
-// transpose returns mᵀ for a square matrix.
-func transpose(m [][]int) [][]int {
-	t := newMatrix(len(m))
-	for i, row := range m {
-		for j, v := range row {
-			t[j][i] = v
-		}
+func (l Layout) radix(d Dims) radix {
+	r := radix{stride: [6]int{1}}
+	for q := 0; q < 5; q++ {
+		r.dim[q], r.ext[q] = dimIndex(l[q]), d.size(l[q])
+		r.stride[q+1] = r.stride[q] * r.ext[q]
 	}
-	return t
+	return r
 }
 
-// accumulateRun distributes a run of `length` elements starting at
-// flat index f1 of the walked layout (stride 1) and f2 of the other
-// (stride s2) into mat[walkedOwner][otherOwner].
-func accumulateRun(mat [][]int, f1, f2, s2, length, p, n int) {
-	k := 0
-	for k < length {
-		o1 := (f1 + k) * p / n
-		o2 := (f2 + k*s2) * p / n
-		// Next k where o1 changes: (f1+k')·p >= (o1+1)·n.
-		k1 := ceilDiv((o1+1)*n, p) - f1
-		// Next k where o2 changes: (f2+k'·s2)·p >= (o2+1)·n.
-		k2 := length
-		if s2 > 0 {
-			k2 = ceilDiv(ceilDiv((o2+1)*n, p)-f2, s2)
+// box is a product of one half-open index interval per dimension,
+// indexed by dimIndex.
+type box struct{ lo, hi [5]int }
+
+// boxes appends to out boxes whose disjoint union is the flat index
+// range [lo, hi): at most nine, and at most five when lo is 0. It
+// climbs from lo, completing each position's digit up to the next
+// multiple of the stride above it, until that would pass hi; what is
+// left lies inside one block of that stride, and it descends to hi
+// taking whole blocks of each lower stride.
+func (r *radix) boxes(lo, hi int, out []box) []box {
+	cur, q := lo, 0
+	for ; q < 5; q++ {
+		next := ceilDiv(cur, r.stride[q+1]) * r.stride[q+1]
+		if next > hi {
+			break
 		}
-		next := k1
-		if k2 < next {
-			next = k2
+		if next > cur {
+			out = append(out, r.box(cur, q, (next-cur)/r.stride[q]))
 		}
-		if next > length {
-			next = length
-		}
-		if next <= k { // guard against pathological stalls
-			next = k + 1
-		}
-		if o1 != o2 {
-			mat[o1][o2] += next - k
-		}
-		k = next
+		cur = next
 	}
+	for ; q >= 0 && cur < hi; q-- {
+		if end := hi / r.stride[q] * r.stride[q]; end > cur {
+			out = append(out, r.box(cur, q, (end-cur)/r.stride[q]))
+			cur = end
+		}
+	}
+	return out
+}
+
+// box returns the flat range [cur, cur+count·stride[q]), where cur is
+// a multiple of stride[q] and the range stays inside one block of
+// stride[q+1]: positions below q span their extent, position q spans
+// count digits from cur's, and positions above q are cur's digits.
+func (r *radix) box(cur, q, count int) box {
+	var b box
+	for k := 0; k < 5; k++ {
+		c := r.dim[k]
+		digit := cur / r.stride[k] % r.ext[k]
+		switch {
+		case k < q:
+			b.lo[c], b.hi[c] = 0, r.ext[k]
+		case k == q:
+			b.lo[c], b.hi[c] = digit, digit+count
+		default:
+			b.lo[c], b.hi[c] = digit, digit+1
+		}
+	}
+	return b
+}
+
+// overlap returns the number of indices two boxes share.
+func overlap(a, b *box) int {
+	v := 1
+	for c := 0; c < 5; c++ {
+		lo, hi := max(a.lo[c], b.lo[c]), min(a.hi[c], b.hi[c])
+		if hi <= lo {
+			return 0
+		}
+		v *= hi - lo
+	}
+	return v
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -1,13 +1,16 @@
 package gs2
 
 import (
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"harmony/internal/cluster"
+	"harmony/internal/simmpi"
 )
 
 func TestMoveMatrixRoundTripSymmetry(t *testing.T) {
@@ -73,21 +76,139 @@ func TestFrontIdempotent(t *testing.T) {
 	}
 }
 
+// walk is the O(N/run) reference the count replaced. It walks the
+// index space in runs along the fastest dimension of one of the two
+// layouts; inside a run both owners are monotone step functions, so
+// each run costs O(owner changes), not O(run length). Because
+// moved(A→B) = moved(B→A)ᵀ either layout can be the walked one: it
+// takes whichever has the smaller stride for its run dimension under
+// the other layout (fewest owner changes per run) and transposes the
+// result when that is the target.
+func walk(d Dims, home, target Layout, p int) [][]int {
+	if d.N() == 0 || home == target {
+		return newMatrix(p)
+	}
+	if home.strides(d)[dimIndex(target[0])] < target.strides(d)[dimIndex(home[0])] {
+		return transpose(walkRuns(d, target, home, p))
+	}
+	return walkRuns(d, home, target, p)
+}
+
+// walkRuns accumulates moved(a→b) run by run along a[0]. Runs are
+// visited in a's flat order, so a's base advances by the run length;
+// b's base is carried by an odometer over a's other four dimensions.
+func walkRuns(d Dims, a, b Layout, p int) [][]int {
+	mat := newMatrix(p)
+	n := d.N()
+	bs := b.strides(d)
+	runLen := d.size(a[0])
+	s2 := bs[dimIndex(a[0])]
+	var size, step, idx [4]int
+	for k := range size {
+		size[k] = d.size(a[k+1])
+		step[k] = bs[dimIndex(a[k+1])]
+	}
+	f2 := 0
+	for f1 := 0; f1 < n; f1 += runLen {
+		accumulateRun(mat, f1, f2, s2, runLen, p, n)
+		for k := 0; k < 4; k++ {
+			idx[k]++
+			f2 += step[k]
+			if idx[k] < size[k] {
+				break
+			}
+			idx[k] = 0
+			f2 -= size[k] * step[k]
+		}
+	}
+	return mat
+}
+
+// accumulateRun distributes a run of `length` elements starting at
+// flat index f1 of the walked layout (stride 1) and f2 of the other
+// (stride s2) into mat[walkedOwner][otherOwner].
+func accumulateRun(mat [][]int, f1, f2, s2, length, p, n int) {
+	k := 0
+	for k < length {
+		o1 := (f1 + k) * p / n
+		o2 := (f2 + k*s2) * p / n
+		// Next k where o1 changes: (f1+k')·p >= (o1+1)·n.
+		k1 := ceilDiv((o1+1)*n, p) - f1
+		// Next k where o2 changes: (f2+k'·s2)·p >= (o2+1)·n.
+		k2 := length
+		if s2 > 0 {
+			k2 = ceilDiv(ceilDiv((o2+1)*n, p)-f2, s2)
+		}
+		next := min(k1, k2, length)
+		if next <= k { // guard against pathological stalls
+			next = k + 1
+		}
+		if o1 != o2 {
+			mat[o1][o2] += next - k
+		}
+		k = next
+	}
+}
+
+func newMatrix(p int) [][]int {
+	mat := make([][]int, p)
+	for i := range mat {
+		mat[i] = make([]int, p)
+	}
+	return mat
+}
+
+func transpose(m [][]int) [][]int {
+	t := newMatrix(len(m))
+	for i, row := range m {
+		for j, v := range row {
+			t[j][i] = v
+		}
+	}
+	return t
+}
+
+// allLayouts returns the 120 permutations of "xyles".
+func allLayouts() []Layout {
+	var out []Layout
+	var perm func(prefix, rest string)
+	perm = func(prefix, rest string) {
+		if rest == "" {
+			out = append(out, Layout(prefix))
+			return
+		}
+		for i := range rest {
+			perm(prefix+rest[i:i+1], rest[:i]+rest[i+1:])
+		}
+	}
+	perm("", "xyles")
+	return out
+}
+
 func TestMoveMatrixBothDirectionsMatchBruteForce(t *testing.T) {
-	// Extents that divide evenly by no rank count, so owner boundaries
-	// fall inside runs. Across the layouts both branches of the
-	// direction choice are taken (lxyes→xyles walks the target order,
-	// lxyes→lexys the home order), and querying each pair both ways
-	// covers the transposition of either.
-	d := Dims{X: 27, Y: 8, L: 5, E: 10, S: 2}
-	for _, home := range Layouts() {
-		for _, dims := range []string{"xy", "le"} {
-			target := home.front(dims)
-			for _, p := range []int{1, 2, 7, 64, 128} {
-				for _, pair := range [][2]Layout{{home, target}, {target, home}} {
-					got := MoveMatrix(d, pair[0], pair[1], p)
-					if !matricesEqual(got, bruteMatrix(d, pair[0], pair[1], p)) {
-						t.Errorf("MoveMatrix(%s->%s, p=%d) differs from brute force", pair[0], pair[1], p)
+	// Extents that are 1 or prime divide evenly by no rank count, so
+	// owner boundaries fall inside every digit; every layout is a home,
+	// and each (x,y)- and (l,e)-front target is queried both ways.
+	d := Dims{X: 11, Y: 1, L: 5, E: 7, S: 3}
+	// With more ranks than elements, some ranks own nothing.
+	tiny := Dims{X: 3, Y: 1, L: 2, E: 1, S: 2}
+	layouts := allLayouts()
+	if len(layouts) != 120 {
+		t.Fatalf("%d layouts", len(layouts))
+	}
+	for _, c := range []struct {
+		d  Dims
+		ps []int
+	}{{d, []int{1, 2, 3, 7, 64, 97, 128}}, {tiny, []int{29}}} {
+		for _, home := range layouts {
+			for _, dims := range []string{"xy", "le"} {
+				target := home.front(dims)
+				for _, p := range c.ps {
+					for _, pair := range [][2]Layout{{home, target}, {target, home}} {
+						got := MoveMatrix(c.d, pair[0], pair[1], p)
+						if !matricesEqual(got, bruteMatrix(c.d, pair[0], pair[1], p)) {
+							t.Errorf("MoveMatrix(%+v, %s->%s, p=%d) differs from brute force", c.d, pair[0], pair[1], p)
+						}
 					}
 				}
 			}
@@ -95,9 +216,43 @@ func TestMoveMatrixBothDirectionsMatchBruteForce(t *testing.T) {
 	}
 }
 
+func TestMoveMatrixCountMatchesWalkOnLattice(t *testing.T) {
+	// The campaign's own shapes, at full size: a strided sweep of the
+	// Table III lattice, lxyes to its (x,y)-local target on 2·nodes
+	// ranks, counted against the reference walk.
+	ps := ResolutionSpace(64).Params()
+	for a := int64(0); a < ps[0].Levels(); a += 3 {
+		for b := int64(0); b < ps[1].Levels(); b += 5 {
+			for c := int64(0); c < ps[2].Levels(); c += 7 {
+				cfg := Config{Layout: DefaultLayout, Negrid: int(ps[0].IntAt(a)), Ntheta: int(ps[1].IntAt(b))}
+				d, p := cfg.Dims(), 2*int(ps[2].IntAt(c))
+				if !matricesEqual(MoveMatrix(d, cfg.Layout, "xyles", p), walk(d, cfg.Layout, "xyles", p)) {
+					t.Errorf("%+v on %d ranks: count differs from the walk", d, p)
+				}
+			}
+		}
+	}
+}
+
+// dense expands an exchange pattern into rows[src][dst] = bytes.
+func dense(ex *simmpi.AlltoallvPattern) [][]int {
+	p := len(ex.Start) - 1
+	rows := newMatrix(p)
+	for i := 0; i < p; i++ {
+		for k := ex.Start[i]; k < ex.Start[i+1]; k++ {
+			rows[i][ex.Dst[k]] = ex.Bytes[k]
+		}
+	}
+	return rows
+}
+
+func patternsEqual(a, b *simmpi.AlltoallvPattern) bool {
+	return slices.Equal(a.Start, b.Start) && slices.Equal(a.Dst, b.Dst) && slices.Equal(a.Bytes, b.Bytes)
+}
+
 func TestExchangePlansReverseIsTranspose(t *testing.T) {
-	// The reverse plans are derived, not walked: they must be exactly
-	// what a walk of the reverse redistribution freezes to.
+	// The reverse plans are derived, not counted: they must be exactly
+	// what a count of the reverse redistribution freezes to.
 	cfg := Config{Layout: DefaultLayout, Negrid: 10, Ntheta: 27, Steps: 3, Collisions: true}
 	d := cfg.Dims()
 	for _, p := range []int{7, 64} {
@@ -117,22 +272,20 @@ func TestExchangePlansReverseIsTranspose(t *testing.T) {
 				t.Errorf("p=%d %s: totals %d/%d fractions %v/%v", p, dims,
 					fwd.totalMoved, bwd.totalMoved, fwd.fraction, bwd.fraction)
 			}
-			walked := newRedist(MoveMatrix(d, cfg.Layout.front(dims), cfg.Layout, p), bwd.fraction)
-			if !matricesEqual(bwd.sendBytes, walked.sendBytes) {
-				t.Errorf("p=%d %s: derived reverse byte rows differ from a walked reverse plan", p, dims)
+			counted := newRedist(countMoves(d, cfg.Layout.front(dims), cfg.Layout, p), bwd.fraction)
+			if !patternsEqual(bwd.exchange, counted.exchange) {
+				t.Errorf("p=%d %s: derived reverse pattern differs from a counted reverse plan", p, dims)
 			}
 			for i := 0; i < p; i++ {
 				if fwd.sent[i] != bwd.recvd[i] || fwd.recvd[i] != bwd.sent[i] {
 					t.Errorf("p=%d %s rank %d: sent/recvd not swapped", p, dims, i)
 				}
-				if bwd.sent[i] != walked.sent[i] || bwd.recvd[i] != walked.recvd[i] {
-					t.Errorf("p=%d %s rank %d: totals differ from a walked reverse plan", p, dims, i)
+				if bwd.sent[i] != counted.sent[i] || bwd.recvd[i] != counted.recvd[i] {
+					t.Errorf("p=%d %s rank %d: totals differ from a counted reverse plan", p, dims, i)
 				}
-				for j := 0; j < p; j++ {
-					if fwd.sendBytes[i][j] != bwd.sendBytes[j][i] {
-						t.Fatalf("p=%d %s: SendBytes[%d][%d] not transposed", p, dims, i, j)
-					}
-				}
+			}
+			if !matricesEqual(transpose(dense(fwd.exchange)), dense(bwd.exchange)) {
+				t.Errorf("p=%d %s: reverse pattern is not the transpose", p, dims)
 			}
 		}
 	}
@@ -186,9 +339,9 @@ func TestPlansCacheSharesOneBuild(t *testing.T) {
 }
 
 func TestRunColdEqualsWarm(t *testing.T) {
-	// The first evaluation of a shape builds its plans (one walk per
+	// The first evaluation of a shape builds its plans (one count per
 	// phase, reverse plans derived); the second reads them back. Both
-	// must equal a run on plans frozen from four independent walks.
+	// must equal a run on plans frozen from four independent counts.
 	for _, c := range []struct {
 		negrid, ntheta, nodes int
 		coll                  bool
@@ -209,19 +362,25 @@ func TestRunColdEqualsWarm(t *testing.T) {
 		}
 		d, xy, le := cfg.Dims(), cfg.Layout.front("xy"), cfg.Layout.front("le")
 		ref := &plans{
-			toXY:   newRedist(MoveMatrix(d, cfg.Layout, xy, p), 1),
-			fromXY: newRedist(MoveMatrix(d, xy, cfg.Layout, p), 1),
+			toXY:   newRedist(countMoves(d, cfg.Layout, xy, p), 1),
+			fromXY: newRedist(countMoves(d, xy, cfg.Layout, p), 1),
 		}
 		if c.coll {
-			ref.toLE = newRedist(MoveMatrix(d, cfg.Layout, le, p), collRedistFraction)
-			ref.fromLE = newRedist(MoveMatrix(d, le, cfg.Layout, p), collRedistFraction)
+			ref.toLE = newRedist(countMoves(d, cfg.Layout, le, p), collRedistFraction)
+			ref.fromLE = newRedist(countMoves(d, le, cfg.Layout, p), collRedistFraction)
 		}
-		_, walked, err := simulate(m, cfg, ref, cfg.Steps)
+		pl := cfg.plans(p)
+		for _, pair := range [][2]*redist{{pl.toXY, ref.toXY}, {pl.fromXY, ref.fromXY}, {pl.toLE, ref.toLE}, {pl.fromLE, ref.fromLE}} {
+			if pair[0] != nil && !patternsEqual(pair[0].exchange, pair[1].exchange) {
+				t.Errorf("%+v: a cached pattern differs from its independent count", c)
+			}
+		}
+		_, counted, err := simulate(m, cfg, ref, cfg.Steps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(cold) != math.Float64bits(warm) || math.Float64bits(cold) != math.Float64bits(walked) {
-			t.Errorf("%+v: cold %v warm %v four-walk reference %v", c, cold, warm, walked)
+		if math.Float64bits(cold) != math.Float64bits(warm) || math.Float64bits(cold) != math.Float64bits(counted) {
+			t.Errorf("%+v: cold %v warm %v four-count reference %v", c, cold, warm, counted)
 		}
 	}
 }
@@ -267,14 +426,15 @@ func TestRunOneSimulationEqualsTwo(t *testing.T) {
 	}
 }
 
-func TestPlansRetainTwoTablesPerShape(t *testing.T) {
-	// A collisionless shape keeps two dense p×p tables (the byte rows
-	// of each direction). Before the move matrices stopped being
-	// retained it kept four; the budget is 0.6 of that.
+func TestPlansRetainSparsePatterns(t *testing.T) {
+	// A collisionless shape keeps two sparse exchange patterns, one per
+	// direction. A rank sends to a handful of target owners, so they
+	// take a small fraction of two dense p×p byte tables; the budget is
+	// a quarter.
 	const (
 		shapes = 200
 		p      = 128
-		budget = 0.6 * shapes * 4 * p * p * 8
+		budget = 0.25 * shapes * 2 * p * p * 8
 	)
 	cfgs := make([]Config, shapes)
 	for i := range cfgs {
@@ -341,5 +501,66 @@ func TestLayoutsDifferentiateWithCollisions(t *testing.T) {
 	lb := Layout("yxels").front("le")
 	if la == lb {
 		t.Fatalf("le-front targets should differ: %s vs %s", la, lb)
+	}
+}
+
+// TestExchangePricingKeyedByMachine prices one plan's pattern on
+// machines that each differ from a base machine in exactly one field
+// the cost model reads, in the order base, variant, base: every
+// pricing must be what AlltoallvExits charges the dense MoveMatrix
+// rows on that machine, so a pricing kept across a change it should
+// not survive fails here.
+func TestExchangePricingKeyedByMachine(t *testing.T) {
+	const p = 16
+	cfg := Config{Layout: DefaultLayout, Negrid: 10, Ntheta: 27}
+	d, target := cfg.Dims(), cfg.Layout.front("xy")
+	rows := MoveMatrix(d, cfg.Layout, target, p)
+	for _, row := range rows {
+		for j, elems := range row {
+			row[j] = int(float64(elems) * 8 * elemWeight * 1)
+		}
+	}
+	ex := newRedist(countMoves(d, cfg.Layout, target, p), 1).exchange
+
+	// Two ranks per node, so the plan's nearest-neighbour exchanges
+	// cross nodes and the bisection gates them.
+	base := cluster.MyrinetLinux(8, 2)
+	variant := func(edit func(m *cluster.Machine)) *cluster.Machine {
+		m := *base
+		edit(&m)
+		return &m
+	}
+	variants := map[string]*cluster.Machine{
+		"PPN":                cluster.MyrinetLinux(8, 4),
+		"Intra.Bandwidth":    variant(func(m *cluster.Machine) { m.Intra.Bandwidth /= 1000 }),
+		"Inter.Overhead":     variant(func(m *cluster.Machine) { m.Inter.Overhead *= 3 }),
+		"BisectionBandwidth": variant(func(m *cluster.Machine) { m.BisectionBandwidth = base.Bisection() / 100 }),
+		"Nodes":              cluster.MyrinetLinux(16, 2),
+	}
+	const arrival = 0.75
+	want := func(m *cluster.Machine) []float64 {
+		exits := make([]float64, p)
+		simmpi.AlltoallvExits(m, rows, arrival, exits, simmpi.NewAlltoallvScratch(p))
+		return exits
+	}
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for _, name := range slices.Sorted(maps.Keys(variants)) {
+		m := variants[name]
+		if slices.Equal(bits(want(m)), bits(want(base))) {
+			t.Fatalf("%s: the variant prices like the base machine, so it checks nothing", name)
+		}
+		for step, m := range []*cluster.Machine{base, m, base} {
+			got := make([]float64, p)
+			ex.Price(m).Exits(arrival, got)
+			if !slices.Equal(bits(got), bits(want(m))) {
+				t.Errorf("%s, pricing %d: exits %v, AlltoallvExits %v", name, step, got, want(m))
+			}
+		}
 	}
 }

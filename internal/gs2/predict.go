@@ -61,8 +61,10 @@ func (s *Predictor) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 	// exchange — as the simulator prices it for synchronised arrivals,
 	// finishing at the slowest rank — unpack on the heaviest receiver.
 	// A plan that moves nothing costs nothing, exactly like
-	// redistribute's early-out.
-	exits, scratch := make([]float64, p), simmpi.NewAlltoallvScratch(p)
+	// redistribute's early-out. The exchange is priced for m as Run
+	// prices it, so a prediction and a run on the same machine share
+	// one pricing.
+	exits := make([]float64, p)
 	redistCost := func(rd *redist) float64 {
 		if rd.totalMoved == 0 {
 			return 0
@@ -76,7 +78,7 @@ func (s *Predictor) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 				maxUnpack = t
 			}
 		}
-		simmpi.AlltoallvExits(m, rd.sendBytes, 0, exits, scratch)
+		rd.exchange.Price(m).Exits(0, exits)
 		return maxPack + slices.Max(exits) + maxUnpack
 	}
 	// The largest per-rank element count times the sub-point weight of

@@ -3,15 +3,16 @@ package simmpi
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"harmony/internal/cluster"
 )
 
-// The collective cost policy: TreeCost and AlltoallvExits are the only
-// place the repository prices a collective. The rendezvous below
-// charges through them and the analytic predictors of
-// internal/surrogate call them, so simulator and surrogate cannot
-// drift apart.
+// The collective cost policy: TreeCost and the all-to-all pieces below
+// (reached through AlltoallvExits and AlltoallvPattern.Price) are the
+// only place the repository prices a collective. The rendezvous below
+// charges through them and the applications' predictors call them, so
+// simulator and surrogate cannot drift apart.
 
 // worstLink returns the most expensive link class a collective over n
 // ranks of m uses: the inter-node link when the ranks span several
@@ -42,13 +43,18 @@ func TreeCost(m *cluster.Machine, n, bytes int) float64 {
 
 // AlltoallvScratch is the per-rank accumulator space AlltoallvExits
 // works in. The caller owns it, so pricing an exchange allocates
-// nothing: a world keeps one for its pooled lifetime, a predictor one
-// per prediction.
+// nothing: a world keeps one for its pooled lifetime.
 type AlltoallvScratch struct {
 	recvBytes []int // inbound bytes per rank, valid until the next call
 	recvTime  []float64
 	sendTime  []float64
 	msgs      []int // messages touched per rank
+	interNode float64
+	total     int64
+	// What settle leaves: each rank's serialisation cost (the larger of
+	// its inbound, outbound and bisection times) and its per-message
+	// overheads, the two per-rank terms of an exit.
+	cost, mo []float64
 }
 
 // NewAlltoallvScratch returns scratch for exchanges among n ranks.
@@ -58,6 +64,83 @@ func NewAlltoallvScratch(n int) *AlltoallvScratch {
 		recvTime:  make([]float64, n),
 		sendTime:  make([]float64, n),
 		msgs:      make([]int, n),
+		cost:      make([]float64, n),
+		mo:        make([]float64, n),
+	}
+}
+
+// The cost model of an all-to-all is two pieces that every pricing
+// path shares, so the same float operations run in the same order
+// whether an exchange is priced from dense rows at the rendezvous or
+// once, from a frozen sparse pattern, per machine: begin, addRow over
+// the sources in ascending order, and settle accumulate each rank's
+// terms; exitStep turns them into exit clocks.
+
+// begin clears the accumulators of the first n ranks.
+func (sc *AlltoallvScratch) begin(n int) {
+	for i := 0; i < n; i++ {
+		sc.recvBytes[i], sc.recvTime[i], sc.sendTime[i], sc.msgs[i] = 0, 0, 0, 0
+	}
+	sc.interNode, sc.total = 0, 0
+}
+
+// addRow charges source src's entries: bytes[k] bytes to rank dst[k],
+// or to rank k when dst is nil (a dense row). Self and zero entries
+// are ignored. Callers visit sources in ascending order, each with its
+// destinations ascending: per-rank float accumulation must stay a pure
+// function of rank numbering or repeated runs diverge bitwise.
+func (sc *AlltoallvScratch) addRow(m *cluster.Machine, src int, dst, bytes []int) {
+	for k, b := range bytes {
+		d := k
+		if dst != nil {
+			d = dst[k]
+		}
+		if b <= 0 || d == src {
+			if b < 0 {
+				panic(fmt.Sprintf("simmpi: alltoallv negative size %d", b))
+			}
+			continue
+		}
+		dt := float64(b) / m.LinkBetween(src, d).Bandwidth
+		sc.recvTime[d] += dt
+		sc.sendTime[src] += dt
+		sc.recvBytes[d] += b
+		sc.msgs[src]++
+		sc.msgs[d]++
+		sc.total += int64(b)
+		if !m.SameNode(src, d) {
+			sc.interNode += float64(b)
+		}
+	}
+}
+
+// settle fills cost and mo for the first n ranks and returns the
+// exchange's latency term.
+func (sc *AlltoallvScratch) settle(m *cluster.Machine, n int) (lat float64) {
+	link := worstLink(m, n)
+	// The switch's bisection caps aggregate inter-node flow:
+	// a dense exchange cannot finish before the fabric has
+	// carried it, regardless of per-rank parallelism.
+	congestion := sc.interNode / m.Bisection()
+	for i := 0; i < n; i++ {
+		cost := sc.recvTime[i]
+		if sc.sendTime[i] > cost {
+			cost = sc.sendTime[i]
+		}
+		if congestion > cost {
+			cost = congestion
+		}
+		sc.cost[i] = cost
+		sc.mo[i] = float64(sc.msgs[i]) * link.Overhead
+	}
+	return link.Latency * log2ceil(n)
+}
+
+// exitStep writes the clock at which each rank leaves an exchange
+// whose last participant arrived at base.
+func exitStep(base, lat float64, cost, mo, exits []float64) {
+	for i, c := range cost {
+		exits[i] = base + lat + c + mo[i]
 	}
 }
 
@@ -72,52 +155,87 @@ func NewAlltoallvScratch(n int) *AlltoallvScratch {
 // GS2 and block mappings in POP visible as communication time.
 func AlltoallvExits(m *cluster.Machine, rows [][]int, base float64, exits []float64, sc *AlltoallvScratch) (total int64) {
 	n := len(rows)
-	lat := worstLink(m, n).Latency * log2ceil(n)
-	overhead := worstLink(m, n).Overhead
-	var interNode float64
-	recvBytes, recvTime, sendTime, msgs := sc.recvBytes, sc.recvTime, sc.sendTime, sc.msgs
-	for i := 0; i < n; i++ {
-		recvBytes[i], recvTime[i], sendTime[i], msgs[i] = 0, 0, 0, 0
-	}
-	// Destinations are visited in increasing rank order: per-rank
-	// float accumulation must stay a pure function of rank numbering
-	// or repeated runs diverge bitwise.
+	sc.begin(n)
 	for src, row := range rows {
-		for dst, b := range row {
-			if b <= 0 || dst == src {
-				if b < 0 {
-					panic(fmt.Sprintf("simmpi: alltoallv negative size %d", b))
-				}
-				continue
-			}
-			link := m.LinkBetween(src, dst)
-			dt := float64(b) / link.Bandwidth
-			recvTime[dst] += dt
-			sendTime[src] += dt
-			recvBytes[dst] += b
-			msgs[src]++
-			msgs[dst]++
-			total += int64(b)
-			if !m.SameNode(src, dst) {
-				interNode += float64(b)
-			}
-		}
+		sc.addRow(m, src, nil, row)
 	}
-	// The switch's bisection caps aggregate inter-node flow:
-	// a dense exchange cannot finish before the fabric has
-	// carried it, regardless of per-rank parallelism.
-	congestion := interNode / m.Bisection()
-	for i := 0; i < n; i++ {
-		cost := recvTime[i]
-		if sendTime[i] > cost {
-			cost = sendTime[i]
-		}
-		if congestion > cost {
-			cost = congestion
-		}
-		exits[i] = base + lat + cost + float64(msgs[i])*overhead
+	lat := sc.settle(m, n)
+	exitStep(base, lat, sc.cost[:n], sc.mo[:n], exits)
+	return sc.total
+}
+
+// AlltoallvPattern is a frozen personalised all-to-all among
+// len(Start)-1 ranks, stored sparse: source rank src sends Bytes[k]
+// bytes to rank Dst[k] for k in [Start[src], Start[src+1]), with
+// destinations strictly ascending within a source. It must not change
+// once priced. Price charges it exactly as AlltoallvExits charges the
+// dense rows holding the same entries.
+type AlltoallvPattern struct {
+	Start, Dst, Bytes []int
+
+	// priced holds the pattern priced for the last machine asked for.
+	priced atomic.Pointer[PricedAlltoallv]
+}
+
+// priceKey is every machine property the all-to-all cost model reads,
+// for an exchange among n ranks: node membership (PPN), the two link
+// classes, and the bisection.
+type priceKey struct {
+	n, ppn       int
+	intra, inter cluster.Link
+	bisection    float64
+}
+
+func priceKeyOf(m *cluster.Machine, n int) priceKey {
+	return priceKey{n: n, ppn: m.PPN, intra: m.Intra, inter: m.Inter, bisection: m.Bisection()}
+}
+
+// PricedAlltoallv is an AlltoallvPattern priced for one machine: what
+// the exchange charges each rank on top of the latest arrival. It is
+// immutable, so ranks and predictors share it freely.
+type PricedAlltoallv struct {
+	key       priceKey
+	lat       float64
+	cost, mo  []float64
+	recvBytes []int
+	total     int64
+}
+
+// Price returns the pattern priced for m. The pattern keeps the last
+// pricing and returns it while the machine's cost-relevant fields are
+// unchanged; any other machine re-prices it, at O(ranks + entries).
+// It is safe for concurrent use.
+func (pt *AlltoallvPattern) Price(m *cluster.Machine) *PricedAlltoallv {
+	n := len(pt.Start) - 1
+	key := priceKeyOf(m, n)
+	if pr := pt.priced.Load(); pr != nil && pr.key == key {
+		return pr
 	}
-	return total
+	if n < 0 || len(pt.Dst) != len(pt.Bytes) || pt.Start[n] != len(pt.Dst) {
+		panic(fmt.Sprintf("simmpi: alltoallv pattern has %d row starts for %d destinations and %d sizes", len(pt.Start), len(pt.Dst), len(pt.Bytes)))
+	}
+	sc := NewAlltoallvScratch(n)
+	sc.begin(n)
+	for src := 0; src < n; src++ {
+		lo, hi := pt.Start[src], pt.Start[src+1]
+		for k := lo; k < hi; k++ {
+			if d := pt.Dst[k]; d < 0 || d >= n || (k > lo && d <= pt.Dst[k-1]) {
+				panic(fmt.Sprintf("simmpi: alltoallv pattern row %d: destination %d out of order", src, d))
+			}
+		}
+		sc.addRow(m, src, pt.Dst[lo:hi], pt.Bytes[lo:hi])
+	}
+	lat := sc.settle(m, n)
+	pr := &PricedAlltoallv{key: key, lat: lat, cost: sc.cost, mo: sc.mo, recvBytes: sc.recvBytes, total: sc.total}
+	pt.priced.Store(pr)
+	return pr
+}
+
+// Exits writes into exits[i] the clock at which rank i leaves the
+// exchange when its last participant arrives at base: what
+// AlltoallvExits writes for the same entries on the same machine.
+func (pr *PricedAlltoallv) Exits(base float64, exits []float64) {
+	exitStep(base, pr.lat, pr.cost, pr.mo, exits)
 }
 
 // collKind names one of the closed set of collective operations.
@@ -151,20 +269,22 @@ type collective struct {
 
 	// What is in progress, recorded at the first arrival and checked
 	// at every later one. op is the reduction operator of an
-	// allreduce1 and Sum for every other kind.
+	// allreduce1 and Sum for every other kind; priced is the exchange
+	// of a priced alltoallv and nil for every other call.
 	arrived int
 	kind    collKind
 	op      Op
+	priced  *PricedAlltoallv
 
 	arrivals []float64
 	in       []float64 // per-rank scalar input: allreduce1 value, allreducebytes size
 	exits    []float64
 	out      float64 // allreduce1 result, uniform across ranks
 
-	// alltoallv send plans: one dense row per rank (send[dst] =
-	// bytes), which keeps the O(n²) combine loop free of map hashing.
-	// A row belongs to its caller, who is parked inside the call until
-	// the combine has read it; the combine drops the reference.
+	// Dense alltoallv send plans: one row per rank (send[dst] = bytes),
+	// priced at the combine. A row belongs to its caller, who is parked
+	// inside the call until the combine has read it; the combine drops
+	// the reference.
 	rows [][]int
 	a2a  *AlltoallvScratch
 }
@@ -181,21 +301,25 @@ func newCollective(w *World) *collective {
 }
 
 // reset restores a pooled collective to its initial state. Nothing
-// else needs clearing: the combine drops every send row it reads, and
-// a failed world (whose rows may linger) is never pooled.
+// else needs clearing: the combine drops every send row and priced
+// exchange it reads, and a failed world (whose rows may linger) is
+// never pooled.
 func (c *collective) reset() { c.arrived = 0 }
 
 // rendezvous runs one collective of the given kind for rank r: it
-// records the arrival with the rank's scalar input x, parks until the
-// last rank has arrived (which runs the combine and wakes the rest),
-// and advances the clock to the rank's exit.
-func (c *collective) rendezvous(r *Rank, kind collKind, op Op, x float64) {
+// records the arrival with the rank's scalar input x (and, for a
+// priced alltoallv, its exchange pr), parks until the last rank has
+// arrived (which runs the combine and wakes the rest), and advances
+// the clock to the rank's exit.
+func (c *collective) rendezvous(r *Rank, kind collKind, op Op, x float64, pr *PricedAlltoallv) {
 	if c.arrived == 0 {
-		c.kind, c.op = kind, op
+		c.kind, c.op, c.priced = kind, op, pr
 	} else if c.kind != kind {
 		panic(fmt.Sprintf("simmpi: collective mismatch: rank %d calls %s while %s in progress", r.id, kind, c.kind))
 	} else if c.op != op {
 		panic(fmt.Sprintf("simmpi: collective mismatch: rank %d calls %s with %s while %s in progress", r.id, kind, op, c.op))
+	} else if c.priced != pr {
+		panic(fmt.Sprintf("simmpi: collective mismatch: rank %d calls %s with a different exchange from the ranks before it", r.id, kind))
 	}
 	c.arrivals[r.id] = r.clock
 	c.in[r.id] = x
@@ -228,6 +352,15 @@ func (c *collective) combine() {
 	w := c.w
 	base := maxOf(c.arrivals)
 	if c.kind == collAlltoallv {
+		if pr := c.priced; pr != nil {
+			if pr.key != priceKeyOf(w.machine, w.n) {
+				panic(fmt.Sprintf("simmpi: alltoallv priced for another machine than %s with %d ranks", w.machine, w.n))
+			}
+			pr.Exits(base, c.exits)
+			w.collBytes += pr.total
+			c.priced = nil
+			return
+		}
 		w.collBytes += AlltoallvExits(w.machine, c.rows, base, c.exits, c.a2a)
 		clear(c.rows)
 		return
@@ -292,7 +425,7 @@ func maxOf(xs []float64) float64 {
 // Barrier synchronises all ranks: every clock advances to the latest
 // arrival plus the barrier's tree cost.
 func (r *Rank) Barrier() {
-	r.world.coll.rendezvous(r, collBarrier, Sum, 0)
+	r.world.coll.rendezvous(r, collBarrier, Sum, 0, nil)
 }
 
 // Allreduce1 combines each rank's scalar with op and returns the
@@ -301,7 +434,7 @@ func (r *Rank) Barrier() {
 // pass the same op.
 func (r *Rank) Allreduce1(op Op, x float64) float64 {
 	c := r.world.coll
-	c.rendezvous(r, collAllreduce1, op, x)
+	c.rendezvous(r, collAllreduce1, op, x, nil)
 	return c.out
 }
 
@@ -313,7 +446,7 @@ func (r *Rank) AllreduceBytes(bytes int) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("simmpi: negative message size %d", bytes))
 	}
-	r.world.coll.rendezvous(r, collAllreduceBytes, Sum, float64(bytes))
+	r.world.coll.rendezvous(r, collAllreduceBytes, Sum, float64(bytes), nil)
 }
 
 // AlltoallvBytesRow performs a personalised all-to-all where each rank
@@ -321,16 +454,27 @@ func (r *Rank) AllreduceBytes(bytes int) {
 // send[dst] is the byte count for destination dst, and len(send) must
 // equal Size() (self and zero entries are ignored). It returns the
 // number of bytes this rank received; AlltoallvExits prices the
-// exchange. The row is read at the rendezvous, in place, and not
-// retained after the call returns: simulators with frozen exchange
-// plans pass the plan's own rows, which keeps the per-step exchange
-// free of copies.
+// exchange at the rendezvous. The row is read there, in place, and not
+// retained after the call returns, so a rank may reuse it at once.
+// Every rank of one exchange must use this form.
 func (r *Rank) AlltoallvBytesRow(send []int) int {
 	c := r.world.coll
 	if len(send) != c.w.n {
 		panic(fmt.Sprintf("simmpi: alltoallv row has %d entries for %d ranks", len(send), c.w.n))
 	}
 	c.rows[r.id] = send
-	c.rendezvous(r, collAlltoallv, Sum, 0)
+	c.rendezvous(r, collAlltoallv, Sum, 0, nil)
 	return c.a2a.recvBytes[r.id]
+}
+
+// AlltoallvPriced performs the personalised all-to-all of a frozen
+// pattern already priced for this world's machine (see
+// AlltoallvPattern.Price), and returns the number of bytes this rank
+// received. It charges exactly what AlltoallvBytesRow charges for the
+// pattern's rows, but the rendezvous only reads the priced exchange:
+// simulators that repeat one exchange pay its pricing once per machine,
+// not once per call. Every rank must pass the same priced exchange.
+func (r *Rank) AlltoallvPriced(pr *PricedAlltoallv) int {
+	r.world.coll.rendezvous(r, collAlltoallv, Sum, 0, pr)
+	return pr.recvBytes[r.id]
 }

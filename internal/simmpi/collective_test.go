@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"harmony/internal/cluster"
@@ -330,5 +331,145 @@ func TestAlltoallvNegativeSizeDetected(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "simmpi: alltoallv negative size -5") {
 		t.Errorf("err = %v, want the negative size named", err)
+	}
+}
+
+// patternOf freezes dense rows into the sparse pattern holding the
+// same nonzero entries.
+func patternOf(rows [][]int) *AlltoallvPattern {
+	pt := &AlltoallvPattern{Start: make([]int, len(rows)+1)}
+	for src, row := range rows {
+		for dst, b := range row {
+			if b != 0 {
+				pt.Dst = append(pt.Dst, dst)
+				pt.Bytes = append(pt.Bytes, b)
+			}
+		}
+		pt.Start[src+1] = len(pt.Dst)
+	}
+	return pt
+}
+
+// skewedRows is an exchange whose volumes depend on the pair, with
+// silent pairs, self entries, and one hot receiver.
+func skewedRows(n int) [][]int {
+	rows := make([][]int, n)
+	for src := range rows {
+		rows[src] = make([]int, n)
+		for dst := range rows[src] {
+			if (src+2*dst)%5 != 0 {
+				rows[src][dst] = 1024 * (1 + (src*7+dst*3)%11)
+			}
+			if dst == 1 {
+				rows[src][dst] += 1 << 18
+			}
+		}
+	}
+	return rows
+}
+
+// TestAlltoallvPricedEqualsBytesRow: a frozen pattern priced once per
+// machine charges every statistic exactly what its dense rows charge
+// at the rendezvous, under staggered arrivals.
+func TestAlltoallvPricedEqualsBytesRow(t *testing.T) {
+	for _, c := range allreduceCases() {
+		rows := skewedRows(c.n)
+		pt := patternOf(rows)
+		program := func(priced bool) func(r *Rank) {
+			pr := pt.Price(c.m)
+			return staggeredReduces(func(r *Rank, _ int) {
+				var got int
+				if priced {
+					got = r.AlltoallvPriced(pr)
+				} else {
+					got = r.AlltoallvBytesRow(rows[r.ID()])
+				}
+				want := 0
+				for src := range rows {
+					if src != r.ID() {
+						want += rows[src][r.ID()]
+					}
+				}
+				if got != want {
+					panic(fmt.Sprintf("rank %d received %d bytes, want %d", r.ID(), got, want))
+				}
+			})
+		}
+		want, err := Run(c.m, c.n, program(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(c.m, c.n, program(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s, %d ranks: priced\n%+v\ndense rows\n%+v", c.m, c.n, got, want)
+		}
+	}
+}
+
+// TestAlltoallvPricingRaceFree prices one pattern from several
+// goroutines on two machines at once; every pricing must be the one
+// its machine's dense rows give.
+func TestAlltoallvPricingRaceFree(t *testing.T) {
+	const n = 16
+	rows := skewedRows(n)
+	pt := patternOf(rows)
+	machines := []*cluster.Machine{cluster.MyrinetLinux(8, 2), cluster.Seaborg(4, 4)}
+	want := make([][]float64, len(machines))
+	for i, m := range machines {
+		want[i] = make([]float64, n)
+		AlltoallvExits(m, rows, 0, want[i], NewAlltoallvScratch(n))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got := make([]float64, n)
+			for k := 0; k < 50; k++ {
+				i := (g + k) % len(machines)
+				pt.Price(machines[i]).Exits(0, got)
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d: %s priced %v, want %v", g, machines[i], got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+func TestAlltoallvPricedMismatches(t *testing.T) {
+	m := testMachine(2, 2)
+	rows := skewedRows(4)
+	a, b := patternOf(rows), patternOf(rows)
+	for _, c := range []struct {
+		want string
+		body func(r *Rank)
+	}{
+		{"calls alltoallv with a different exchange", func(r *Rank) {
+			if r.ID() == 2 {
+				r.AlltoallvPriced(b.Price(m))
+			} else {
+				r.AlltoallvPriced(a.Price(m))
+			}
+		}},
+		{"calls alltoallv with a different exchange", func(r *Rank) {
+			if r.ID() == 1 {
+				r.AlltoallvBytesRow(rows[r.ID()])
+			} else {
+				r.AlltoallvPriced(a.Price(m))
+			}
+		}},
+		{"alltoallv priced for another machine", func(r *Rank) {
+			r.AlltoallvPriced(a.Price(testMachine(4, 1)))
+		}},
+	} {
+		_, err := Run(m, 4, c.body)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("err = %v, want %q", err, c.want)
+		}
 	}
 }

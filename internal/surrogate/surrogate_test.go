@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"harmony/internal/cluster"
@@ -447,6 +448,24 @@ func TestSurrogatePricesWhatSimulatorCharges(t *testing.T) {
 		}
 		exits := make([]float64, n)
 		total := simmpi.AlltoallvExits(m, rows, 0, exits, simmpi.NewAlltoallvScratch(n))
+		// The same exchange frozen sparse and priced once for m, the way
+		// a simulator with a fixed plan charges it.
+		pattern := &simmpi.AlltoallvPattern{Start: make([]int, n+1)}
+		for src, row := range rows {
+			for dst, b := range row {
+				if b != 0 {
+					pattern.Dst = append(pattern.Dst, dst)
+					pattern.Bytes = append(pattern.Bytes, b)
+				}
+			}
+			pattern.Start[src+1] = len(pattern.Dst)
+		}
+		priced := pattern.Price(m)
+		pricedExits := make([]float64, n)
+		priced.Exits(0, pricedExits)
+		if !reflect.DeepEqual(pricedExits, exits) {
+			t.Errorf("priced on %s: exits %v, cost function says %v", m, pricedExits, exits)
+		}
 		uniform := func(t float64) []float64 {
 			ts := make([]float64, n)
 			for i := range ts {
@@ -463,6 +482,7 @@ func TestSurrogatePricesWhatSimulatorCharges(t *testing.T) {
 			{"allreduce1", func(r *simmpi.Rank) { r.Allreduce1(simmpi.Max, 1) }, uniform(simmpi.TreeCost(m, n, 8))},
 			{"allreducebytes", func(r *simmpi.Rank) { r.AllreduceBytes(8000) }, uniform(simmpi.TreeCost(m, n, 8000))},
 			{"alltoallv", func(r *simmpi.Rank) { r.AlltoallvBytesRow(rows[r.ID()]) }, exits},
+			{"alltoallv priced", func(r *simmpi.Rank) { r.AlltoallvPriced(priced) }, exits},
 		} {
 			st, err := simmpi.Run(m, n, c.call)
 			if err != nil {
@@ -471,7 +491,7 @@ func TestSurrogatePricesWhatSimulatorCharges(t *testing.T) {
 			if !reflect.DeepEqual(st.RankClocks, c.exits) || st.Time <= 0 {
 				t.Errorf("%s on %s: ranks leave at %v, cost function says %v", c.name, m, st.RankClocks, c.exits)
 			}
-			if c.name == "alltoallv" && st.BytesSent != total {
+			if strings.HasPrefix(c.name, "alltoallv") && st.BytesSent != total {
 				t.Errorf("%s on %s: BytesSent = %d, cost function says %d", c.name, m, st.BytesSent, total)
 			}
 		}
