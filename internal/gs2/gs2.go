@@ -92,31 +92,40 @@ func (c Config) Validate() error {
 // of n elements.
 func chunkOf(n, p, i int) int { return (i+1)*n/p - i*n/p }
 
-// redist is a frozen redistribution plan: per-rank sent/received
-// element totals for the pack/unpack charge, and the exchange pattern
-// in bytes at the plan's volume fraction, stored sparse (a rank sends
-// to a handful of target owners) and priced once per machine.
+// redist is a frozen redistribution plan: per-rank pack and unpack
+// work, the exchange pattern in bytes at the plan's volume fraction,
+// stored sparse (a rank sends to a handful of target owners) and priced
+// once per machine.
 type redist struct {
-	sent, recvd []int
-	totalMoved  int
-	fraction    float64
-	exchange    *simmpi.AlltoallvPattern
+	// pack[i] and unpack[i] are rank i's pack and unpack flops before
+	// the volume fraction scales them: its sent and received element
+	// totals times elemWeight·packFlops.
+	pack, unpack []float64
+	totalMoved   int
+	fraction     float64
+	exchange     *simmpi.AlltoallvPattern
 }
 
 // newRedist freezes a move count into a plan. It takes ownership of
 // mv and rewrites its element counts in place into bytes.
 func newRedist(mv moves, fraction float64) *redist {
 	p := len(mv.start) - 1
-	r := &redist{sent: make([]int, p), recvd: make([]int, p), fraction: fraction,
+	r := &redist{pack: make([]float64, p), unpack: make([]float64, p), fraction: fraction,
 		exchange: &simmpi.AlltoallvPattern{Start: mv.start, Dst: mv.dst, Bytes: mv.n}}
 	for i := 0; i < p; i++ {
 		for k := mv.start[i]; k < mv.start[i+1]; k++ {
 			elems := mv.n[k]
-			r.sent[i] += elems
-			r.recvd[mv.dst[k]] += elems
+			// Element totals are integers far below 2⁵³: summing them
+			// as floats is exact.
+			r.pack[i] += float64(elems)
+			r.unpack[mv.dst[k]] += float64(elems)
 			r.totalMoved += elems
 			mv.n[k] = int(float64(elems) * 8 * elemWeight * fraction)
 		}
+	}
+	for i := 0; i < p; i++ {
+		r.pack[i] = r.pack[i] * elemWeight * packFlops
+		r.unpack[i] = r.unpack[i] * elemWeight * packFlops
 	}
 	return r
 }
@@ -144,7 +153,7 @@ func (r *redist) reverse() *redist {
 			next[j]++
 		}
 	}
-	return &redist{sent: r.recvd, recvd: r.sent, totalMoved: r.totalMoved, fraction: r.fraction,
+	return &redist{pack: r.unpack, unpack: r.pack, totalMoved: r.totalMoved, fraction: r.fraction,
 		exchange: &simmpi.AlltoallvPattern{Start: start, Dst: dst, Bytes: bytes}}
 }
 
@@ -154,6 +163,9 @@ type plans struct {
 	build        sync.Once
 	toXY, fromXY *redist
 	toLE, fromLE *redist
+	// work[i] is rank i's element count times elemWeight: the weight of
+	// its per-sub-point work in every phase.
+	work []float64
 }
 
 // plansKey identifies a frozen plan set: the 5-D extents, the home
@@ -188,6 +200,10 @@ func (c Config) plans(p int) *plans {
 			pl.toLE = newRedist(countMoves(d, c.Layout, c.Layout.front("le"), p), collRedistFraction)
 			pl.fromLE = pl.toLE.reverse()
 		}
+		pl.work = make([]float64, p)
+		for i := range pl.work {
+			pl.work[i] = float64(chunkOf(d.N(), p, i)) * elemWeight
+		}
 	})
 	return pl
 }
@@ -212,72 +228,74 @@ func Run(m *cluster.Machine, cfg Config) (float64, error) {
 	}
 	const maxSimSteps = 3
 	steps := min(cfg.Steps, maxSimSteps)
-	tLess, tFull, err := simulate(m, cfg, cfg.plans(m.Procs()), steps)
+	job, err := simmpi.AcquireLockstep(m, m.Procs())
 	if err != nil {
 		return 0, err
 	}
+	defer job.Release()
+	tLess := simulate(job, cfg, cfg.plans(m.Procs()), steps)
+	tFull := job.Time()
 	// Nothing is left to extrapolate when every step was simulated:
 	// tFull + 0·perStep is tFull.
 	return tFull + float64(cfg.Steps-steps)*(tFull-tLess), nil
 }
 
-// simulate runs initialisation plus the given number of steps and
-// returns the completion time, tFull, together with the completion
-// time of the same run one step shorter, tLess (zero when there is no
-// second-to-last step): the run is deterministic, so its prefix is the
-// shorter run, and the latest rank clock at the end of step steps-1 is
-// what simulating steps-1 steps would return.
-func simulate(m *cluster.Machine, cfg Config, pl *plans, steps int) (tLess, tFull float64, err error) {
-	p := m.Procs()
-	n := cfg.Dims().N()
+// simulate runs initialisation plus the given number of steps on job,
+// whose Time is then the completion time, tFull. It returns the
+// completion time of the same run one step shorter, tLess (zero when
+// there is no second-to-last step): the run is deterministic, so its
+// prefix is the shorter run, and the latest rank clock at the end of
+// step steps-1 is what simulating steps-1 steps would return.
+//
+// The rank program carries no values and its operations depend only on
+// the configuration, so it runs on the lockstep executor: every
+// operation below is one step of all ranks at once.
+func simulate(job *simmpi.Lockstep, cfg Config, pl *plans, steps int) (tLess float64) {
+	m := job.Machine()
 	d := cfg.Dims()
 	fieldWork := fieldSolveFlops * float64(d.X*d.Y) * elemWeight
 	// The exchanges are priced for m here, once per plan and machine,
-	// so the rendezvous of every step only reads them.
+	// so every step only reads them.
 	toXY, fromXY := pl.toXY.exchange.Price(m), pl.fromXY.exchange.Price(m)
 	var toLE, fromLE *simmpi.PricedAlltoallv
 	if cfg.Collisions {
 		toLE, fromLE = pl.toLE.exchange.Price(m), pl.fromLE.exchange.Price(m)
 	}
-	st, err := simmpi.Run(m, p, func(r *simmpi.Rank) {
-		id := r.ID()
-		chunk := float64(chunkOf(n, p, id))
-		// Initialisation: reading inputs plus response-matrix setup,
-		// which uses the same transforms and a multiple of the
-		// per-step compute.
-		r.Sleep(initFixedSeconds)
-		redistribute(r, pl.toXY, toXY, id)
-		r.Compute(chunk * elemWeight * (nonlinearFlops + implicitFlops) * initStepEquivalents)
-		redistribute(r, pl.fromXY, fromXY, id)
+	// Initialisation: reading inputs plus response-matrix setup, which
+	// uses the same transforms and a multiple of the per-step compute.
+	// Work and its multiples are integers below 2⁵³, so one factor of
+	// 120 charges what factors of 20 and 6 applied in turn would.
+	job.Sleep(initFixedSeconds)
+	redistribute(job, pl.toXY, toXY)
+	job.Compute(pl.work, (nonlinearFlops+implicitFlops)*initStepEquivalents)
+	redistribute(job, pl.fromXY, fromXY)
 
-		for s := 0; s < steps; s++ {
-			// Nonlinear phase: transform to (x,y)-local, compute,
-			// transform back.
-			redistribute(r, pl.toXY, toXY, id)
-			r.Compute(chunk * elemWeight * nonlinearFlops)
-			redistribute(r, pl.fromXY, fromXY, id)
-			// Implicit along-field solve in the home layout.
-			r.Compute(chunk * elemWeight * implicitFlops)
-			// Collision operator in (l,e)-local form.
-			if cfg.Collisions {
-				redistribute(r, pl.toLE, toLE, id)
-				r.Compute(chunk * elemWeight * collisionFlops)
-				redistribute(r, pl.fromLE, fromLE, id)
-			}
-			// Field solve: replicated reconstruction from the reduced
-			// moments plus a global reduction — the moments are not
-			// modelled, only the cost of reducing them — then the
-			// per-step bookkeeping that does not scale with anything.
-			r.Compute(fieldWork)
-			r.AllreduceBytes(8 * fieldSolveDoubles)
-			r.Sleep(stepOverheadSeconds)
-			// Ranks run one at a time, so the shared maximum needs no lock.
-			if s == steps-2 && r.Elapsed() > tLess {
-				tLess = r.Elapsed()
-			}
+	for s := 0; s < steps; s++ {
+		// Nonlinear phase: transform to (x,y)-local, compute, transform
+		// back.
+		redistribute(job, pl.toXY, toXY)
+		job.Compute(pl.work, nonlinearFlops)
+		redistribute(job, pl.fromXY, fromXY)
+		// Implicit along-field solve in the home layout.
+		job.Compute(pl.work, implicitFlops)
+		// Collision operator in (l,e)-local form.
+		if cfg.Collisions {
+			redistribute(job, pl.toLE, toLE)
+			job.Compute(pl.work, collisionFlops)
+			redistribute(job, pl.fromLE, fromLE)
 		}
-	})
-	return tLess, st.Time, err
+		// Field solve: replicated reconstruction from the reduced
+		// moments plus a global reduction — the moments are not
+		// modelled, only the cost of reducing them — then the per-step
+		// bookkeeping that does not scale with anything.
+		job.Compute(nil, fieldWork)
+		job.AllreduceBytes(8 * fieldSolveDoubles)
+		job.Sleep(stepOverheadSeconds)
+		if s == steps-2 {
+			tLess = job.Time()
+		}
+	}
+	return tLess
 }
 
 // packFlops is the per-sub-point cost of gathering a moved element
@@ -288,16 +306,16 @@ func simulate(m *cluster.Machine, cfg Config, pl *plans, steps int) (tLess, tFul
 const packFlops = 40.0
 
 // redistribute performs one layout transformation: pack, the plan's
-// all-to-all (ex, its exchange priced for the world's machine), and
+// all-to-all (ex, its exchange priced for the job's machine), and
 // unpack. Each moved element carries its elemWeight sub-points of 8
 // bytes, scaled by the plan's volume fraction.
-func redistribute(r *simmpi.Rank, rd *redist, ex *simmpi.PricedAlltoallv, id int) {
+func redistribute(job *simmpi.Lockstep, rd *redist, ex *simmpi.PricedAlltoallv) {
 	if rd.totalMoved == 0 {
 		return
 	}
-	r.Compute(float64(rd.sent[id]) * elemWeight * packFlops * rd.fraction)
-	r.AlltoallvPriced(ex)
-	r.Compute(float64(rd.recvd[id]) * elemWeight * packFlops * rd.fraction)
+	job.Compute(rd.pack, rd.fraction)
+	job.AlltoallvPriced(ex)
+	job.Compute(rd.unpack, rd.fraction)
 }
 
 // ResolutionSpace is the Tables III/IV tuning space: negrid, ntheta,

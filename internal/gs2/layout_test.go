@@ -277,10 +277,10 @@ func TestExchangePlansReverseIsTranspose(t *testing.T) {
 				t.Errorf("p=%d %s: derived reverse pattern differs from a counted reverse plan", p, dims)
 			}
 			for i := 0; i < p; i++ {
-				if fwd.sent[i] != bwd.recvd[i] || fwd.recvd[i] != bwd.sent[i] {
-					t.Errorf("p=%d %s rank %d: sent/recvd not swapped", p, dims, i)
+				if fwd.pack[i] != bwd.unpack[i] || fwd.unpack[i] != bwd.pack[i] {
+					t.Errorf("p=%d %s rank %d: pack/unpack not swapped", p, dims, i)
 				}
-				if bwd.sent[i] != counted.sent[i] || bwd.recvd[i] != counted.recvd[i] {
+				if bwd.pack[i] != counted.pack[i] || bwd.unpack[i] != counted.unpack[i] {
 					t.Errorf("p=%d %s rank %d: totals differ from a counted reverse plan", p, dims, i)
 				}
 			}
@@ -313,7 +313,7 @@ func TestPlansCacheSharesOneBuild(t *testing.T) {
 	const workers = 8
 	var wg sync.WaitGroup
 	secs := make([]float64, workers)
-	sent := make([]*int, workers)
+	sent := make([]*float64, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -324,7 +324,7 @@ func TestPlansCacheSharesOneBuild(t *testing.T) {
 				return
 			}
 			secs[w] = s
-			sent[w] = &cfg.plans(m.Procs()).toXY.sent[0]
+			sent[w] = &cfg.plans(m.Procs()).toXY.pack[0]
 		}(w)
 	}
 	wg.Wait()
@@ -375,10 +375,9 @@ func TestRunColdEqualsWarm(t *testing.T) {
 				t.Errorf("%+v: a cached pattern differs from its independent count", c)
 			}
 		}
-		_, counted, err := simulate(m, cfg, ref, cfg.Steps)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref.work = pl.work
+		_, st := simulateStats(t, m, cfg, ref, cfg.Steps)
+		counted := st.Time
 		if math.Float64bits(cold) != math.Float64bits(warm) || math.Float64bits(cold) != math.Float64bits(counted) {
 			t.Errorf("%+v: cold %v warm %v four-count reference %v", c, cold, warm, counted)
 		}
@@ -401,14 +400,9 @@ func TestRunOneSimulationEqualsTwo(t *testing.T) {
 					cfg := Config{Layout: l, Negrid: res[0], Ntheta: res[1], Steps: 10, Collisions: coll}
 					p := m.Procs()
 					pl := cfg.plans(p)
-					marked, t3, err := simulate(m, cfg, pl, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					_, t2, err := simulate(m, cfg, pl, 2)
-					if err != nil {
-						t.Fatal(err)
-					}
+					marked, st3 := simulateStats(t, m, cfg, pl, 3)
+					_, st2 := simulateStats(t, m, cfg, pl, 2)
+					t3, t2 := st3.Time, st2.Time
 					if math.Float64bits(marked) != math.Float64bits(t2) {
 						t.Errorf("%+v on %s: marked two-step time %v, simulated %v", cfg, m, marked, t2)
 					}

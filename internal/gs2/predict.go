@@ -71,10 +71,10 @@ func (s *Predictor) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 		}
 		maxPack, maxUnpack := 0.0, 0.0
 		for r := 0; r < p; r++ {
-			if t := float64(rd.sent[r]) * elemWeight * packFlops * rd.fraction / m.SpeedOf(r); t > maxPack {
+			if t := rd.pack[r] * rd.fraction / m.SpeedOf(r); t > maxPack {
 				maxPack = t
 			}
-			if t := float64(rd.recvd[r]) * elemWeight * packFlops * rd.fraction / m.SpeedOf(r); t > maxUnpack {
+			if t := rd.unpack[r] * rd.fraction / m.SpeedOf(r); t > maxUnpack {
 				maxUnpack = t
 			}
 		}

@@ -1,0 +1,5 @@
+//go:build race
+
+package gs2
+
+const raceEnabled = true

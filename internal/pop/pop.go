@@ -19,14 +19,17 @@
 //     task count, ...) scale the work of individual phases.
 //
 // The package is the one place that knows what a POP run costs:
-// RunStats executes the rank program, and Predictor prices the same
-// program in closed form from the same frozen layout and namelist
-// costs, for the tuning engine's surrogate gate.
+// RunStats executes the rank program on simmpi's lockstep executor,
+// and Predictor prices the same program in closed form from the same
+// frozen layout and namelist costs, for the tuning engine's surrogate
+// gate.
 package pop
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"harmony/internal/cluster"
@@ -101,20 +104,17 @@ type block struct {
 }
 
 // layout is the frozen decomposition: blocks, their rank assignment,
-// and per-rank aggregated neighbour traffic.
+// and the halo exchange between owners.
 type layout struct {
 	nbx, nby int
 	blocks   [][]block // per rank
-	// neighborBytes[r] maps peer rank -> halo bytes per field per
-	// step in each direction.
-	neighborBytes []map[int]int
-	// peers[r] is neighborBytes[r]'s keys in increasing order, and
-	// peerBytes[r][i] the volume for peers[r][i]: the halo exchange
-	// loop iterates these instead of hashing into the map.
-	peers     [][]int
-	peerBytes [][]int
-	// points[r] is the number of grid points rank r owns.
-	points []int
+	// halo is one halo refresh: each rank sends every neighbouring
+	// owner one message of the summed edge lengths of the blocks they
+	// share, in bytes per field. It is symmetric.
+	halo simmpi.NeighbourPattern
+	// points[r] is the number of grid points rank r owns: the weight of
+	// its per-point work in every phase.
+	points []float64
 	// activeBlocks counts blocks that survived land elimination.
 	activeBlocks int
 }
@@ -137,11 +137,7 @@ func (cfg Config) Layout(p int) (*layout, error) {
 	}
 	ly := &layout{nbx: nbx, nby: nby}
 	ly.blocks = make([][]block, p)
-	ly.points = make([]int, p)
-	ly.neighborBytes = make([]map[int]int, p)
-	for r := range ly.neighborBytes {
-		ly.neighborBytes[r] = make(map[int]int)
-	}
+	ly.points = make([]float64, p)
 
 	dim := func(n, b, i int) int {
 		if (i+1)*b <= n {
@@ -149,16 +145,17 @@ func (cfg Config) Layout(p int) (*layout, error) {
 		}
 		return n - i*b
 	}
-	// Pass 1: identify active (non-eliminated) blocks column-major.
+	// Pass 1: number the active (non-eliminated) blocks column-major;
+	// an eliminated block's index is -1.
 	nActive := 0
-	index := make(map[[2]int]int, nb)
+	index := make([]int, nb)
 	for bi := 0; bi < nbx; bi++ {
 		for bj := 0; bj < nby; bj++ {
 			if cfg.Land && cfg.blockAllLand(bi, bj, dim(cfg.NX, cfg.BX, bi), dim(cfg.NY, cfg.BY, bj)) {
-				index[[2]int{bi, bj}] = -1
+				index[bi*nby+bj] = -1
 				continue
 			}
-			index[[2]int{bi, bj}] = nActive
+			index[bi*nby+bj] = nActive
 			nActive++
 		}
 	}
@@ -168,11 +165,22 @@ func (cfg Config) Layout(p int) (*layout, error) {
 	ly.activeBlocks = nActive
 
 	owner := func(bi, bj int) int {
-		ai := index[[2]int{bi, bj}]
+		ai := index[bi*nby+bj]
 		if ai < 0 {
 			return -1
 		}
 		return ai * p / nActive
+	}
+	// Deal the blocks, and collect their halo edges: traffic between two
+	// owners in bytes per field. Longitude (x) wraps; the latitude (y)
+	// boundary is closed; coastline edges (touching an eliminated block)
+	// exchange nothing.
+	type haloEdge struct{ src, dst, bytes int }
+	var edges []haloEdge
+	addEdge := func(r, peer, bytes int) {
+		if r >= 0 && peer >= 0 && r != peer {
+			edges = append(edges, haloEdge{r, peer, bytes}, haloEdge{peer, r, bytes})
+		}
 	}
 	for bi := 0; bi < nbx; bi++ {
 		for bj := 0; bj < nby; bj++ {
@@ -182,46 +190,33 @@ func (cfg Config) Layout(p int) (*layout, error) {
 			}
 			blk := block{bi: bi, bj: bj, w: dim(cfg.NX, cfg.BX, bi), h: dim(cfg.NY, cfg.BY, bj)}
 			ly.blocks[r] = append(ly.blocks[r], blk)
-			ly.points[r] += blk.w * blk.h
-		}
-	}
-	// Aggregate halo edges by owner pair. Longitude (x) wraps; the
-	// latitude (y) boundary is closed; coastline edges (touching an
-	// eliminated block) exchange nothing.
-	addEdge := func(r, peer, bytes int) {
-		if r >= 0 && peer >= 0 && r != peer {
-			ly.neighborBytes[r][peer] += bytes
-		}
-	}
-	for bi := 0; bi < nbx; bi++ {
-		for bj := 0; bj < nby; bj++ {
-			r := owner(bi, bj)
-			if r < 0 {
-				continue
-			}
-			blk := block{w: dim(cfg.NX, cfg.BX, bi), h: dim(cfg.NY, cfg.BY, bj)}
+			ly.points[r] += float64(blk.w * blk.h)
 			if nbx > 1 {
-				east := owner((bi+1)%nbx, bj)
-				addEdge(r, east, 8*blk.h)
-				addEdge(east, r, 8*blk.h)
+				addEdge(r, owner((bi+1)%nbx, bj), 8*blk.h)
 			}
 			if bj+1 < nby {
-				north := owner(bi, bj+1)
-				addEdge(r, north, 8*blk.w)
-				addEdge(north, r, 8*blk.w)
+				addEdge(r, owner(bi, bj+1), 8*blk.w)
 			}
 		}
 	}
-	ly.peers = make([][]int, p)
-	ly.peerBytes = make([][]int, p)
-	for r := range ly.neighborBytes {
-		ps := sortedPeers(ly.neighborBytes[r])
-		vols := make([]int, len(ps))
-		for i, peer := range ps {
-			vols[i] = ly.neighborBytes[r][peer]
+	// Aggregate the edges by owner pair, sources and then destinations
+	// ascending.
+	slices.SortFunc(edges, func(a, b haloEdge) int {
+		return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst))
+	})
+	h := &ly.halo
+	h.Start = make([]int, p+1)
+	for k, e := range edges {
+		if k > 0 && e.src == edges[k-1].src && e.dst == edges[k-1].dst {
+			h.Bytes[len(h.Bytes)-1] += e.bytes
+			continue
 		}
-		ly.peers[r] = ps
-		ly.peerBytes[r] = vols
+		h.Dst = append(h.Dst, e.dst)
+		h.Bytes = append(h.Bytes, e.bytes)
+		h.Start[e.src+1] = len(h.Dst)
+	}
+	for r := 0; r < p; r++ { // rows without edges end where the last one did
+		h.Start[r+1] = max(h.Start[r+1], h.Start[r])
 	}
 	return ly, nil
 }
@@ -306,7 +301,7 @@ func (ly *layout) ActiveBlocks() int { return ly.activeBlocks }
 func (ly *layout) OceanPoints() int {
 	total := 0
 	for _, p := range ly.points {
-		total += p
+		total += int(p)
 	}
 	return total
 }
@@ -316,10 +311,11 @@ func (ly *layout) OceanPoints() int {
 // diagnostic behind Fig. 4.
 func (ly *layout) InterNodeBytes(m *cluster.Machine) int {
 	var total int
-	for r, peers := range ly.neighborBytes {
-		for peer, bytes := range peers {
-			if !m.SameNode(r, peer) {
-				total += bytes
+	h := &ly.halo
+	for r := 0; r+1 < len(h.Start); r++ {
+		for k := h.Start[r]; k < h.Start[r+1]; k++ {
+			if !m.SameNode(r, h.Dst[k]) {
+				total += h.Bytes[k]
 			}
 		}
 	}
@@ -329,88 +325,78 @@ func (ly *layout) InterNodeBytes(m *cluster.Machine) int {
 // Run simulates one benchmarking run on the machine and returns the
 // execution time in simulated seconds.
 func Run(m *cluster.Machine, cfg Config) (float64, error) {
-	st, err := RunStats(m, cfg)
+	job, err := run(m, cfg)
 	if err != nil {
 		return 0, err
 	}
-	return st.Time, nil
+	defer job.Release()
+	return job.Time(), nil
 }
 
 // RunStats is Run exposing the full simulation statistics.
 func RunStats(m *cluster.Machine, cfg Config) (simmpi.Stats, error) {
-	p := m.Procs()
-	ly, err := cfg.cachedLayout(p)
+	job, err := run(m, cfg)
 	if err != nil {
 		return simmpi.Stats{}, err
 	}
+	defer job.Release()
+	return job.Stats(), nil
+}
+
+// run executes one benchmarking run and returns the finished job for
+// the caller to read and release. The rank program carries no values
+// and its operations depend only on the configuration, so it runs on
+// the lockstep executor: every operation below is one step of all
+// ranks at once.
+func run(m *cluster.Machine, cfg Config) (*simmpi.Lockstep, error) {
+	p := m.Procs()
+	ly, err := cfg.cachedLayout(p)
+	if err != nil {
+		return nil, err
+	}
 	nl, err := ResolveNamelist(cfg.Namelist)
 	if err != nil {
-		return simmpi.Stats{}, err
+		return nil, err
+	}
+	job, err := simmpi.AcquireLockstep(m, p)
+	if err != nil {
+		return nil, err
 	}
 	costs := nl.costs()
 	levels := cfg.levels()
 	ioEvery := cfg.Steps // one I/O dump at the end of each benchmark run
 	gridBytes := 8 * cfg.NX * cfg.NY
 
-	return simmpi.Run(m, p, func(r *simmpi.Rank) {
-		id := r.ID()
-		peers, vols := ly.peers[id], ly.peerBytes[id]
-		pts := float64(ly.points[id])
-		for step := 1; step <= cfg.Steps; step++ {
-			// Baroclinic phase: explicit stencil work scaled by the
-			// physics parameter choices, then a halo update.
-			r.Compute(pts * costs.baroclinicFlopsPerPoint)
-			for x := 0; x < haloExchangesPerStep; x++ {
-				exchangeHalo(r, peers, vols, haloFields*levels, 2*step)
-			}
-			// Surface forcing interpolation.
-			r.Compute(pts * costs.forcingFlopsPerPoint)
-			// Barotropic phase: iterative elliptic solve with a halo
-			// update and a global reduction per iteration.
-			for it := 0; it < cfg.BarotropicIters; it++ {
-				r.Compute(pts * costs.barotropicFlopsPerPoint)
-				exchangeHalo(r, peers, vols, 1, 2*step+1)
-				r.Allreduce1(simmpi.Sum, pts)
-			}
-			// Global diagnostics, if enabled.
-			if costs.diagEveryStep {
-				r.Compute(pts * 4)
-				r.Allreduce1(simmpi.Sum, pts)
-			}
-			// Periodic I/O: a gather to num_iotasks writers plus the
-			// shared-filesystem write, modelled as a synchronised
-			// stall (all ranks wait for the dump to finish).
-			if step%ioEvery == 0 {
-				r.Barrier()
-				r.Sleep(costs.ioSeconds(gridBytes, m))
-			}
+	for step := 1; step <= cfg.Steps; step++ {
+		// Baroclinic phase: explicit stencil work scaled by the physics
+		// parameter choices, then its halo updates.
+		job.Compute(ly.points, costs.baroclinicFlopsPerPoint)
+		for x := 0; x < haloExchangesPerStep; x++ {
+			job.Exchange(&ly.halo, haloFields*levels)
 		}
-	})
-}
-
-func sortedPeers(nb map[int]int) []int {
-	peers := make([]int, 0, len(nb))
-	for p := range nb {
-		peers = append(peers, p)
-	}
-	for i := 1; i < len(peers); i++ { // insertion sort: tiny lists
-		for j := i; j > 0 && peers[j] < peers[j-1]; j-- {
-			peers[j], peers[j-1] = peers[j-1], peers[j]
+		// Surface forcing interpolation.
+		job.Compute(ly.points, costs.forcingFlopsPerPoint)
+		// Barotropic phase: iterative elliptic solve with a halo update
+		// and a global scalar reduction per iteration.
+		for it := 0; it < cfg.BarotropicIters; it++ {
+			job.Compute(ly.points, costs.barotropicFlopsPerPoint)
+			job.Exchange(&ly.halo, 1)
+			job.AllreduceBytes(8)
+		}
+		// Global diagnostics, if enabled.
+		if costs.diagEveryStep {
+			job.Compute(ly.points, 4)
+			job.AllreduceBytes(8)
+		}
+		// Periodic I/O: a gather to num_iotasks writers plus the
+		// shared-filesystem write, modelled as a synchronised stall
+		// (all ranks wait for the dump to finish).
+		if step%ioEvery == 0 {
+			job.Barrier()
+			job.Sleep(costs.ioSeconds(gridBytes, m))
 		}
 	}
-	return peers
-}
-
-// exchangeHalo sends the aggregated per-peer halo volume and receives
-// the symmetric updates. peers and vols are the layout's precomputed
-// sorted peer list and matching per-peer byte volumes.
-func exchangeHalo(r *simmpi.Rank, peers, vols []int, fields, tag int) {
-	for i, peer := range peers {
-		r.SendBytes(peer, tag, fields*vols[i])
-	}
-	for _, peer := range peers {
-		r.Recv(peer, tag)
-	}
+	return job, nil
 }
 
 // BlockSpace returns the Fig. 4 tuning space: block width 15..600

@@ -32,7 +32,7 @@ func TestLayoutOneBlockPerRank(t *testing.T) {
 			t.Errorf("rank %d has %d blocks, want 1", r, len(ly.blocks[r]))
 		}
 		if ly.points[r] != 90*60 {
-			t.Errorf("rank %d has %d points", r, ly.points[r])
+			t.Errorf("rank %d has %v points", r, ly.points[r])
 		}
 	}
 }
@@ -55,7 +55,7 @@ func TestLayoutCoversGrid(t *testing.T) {
 		}
 		total := 0
 		for _, pts := range ly.points {
-			total += pts
+			total += int(pts)
 		}
 		if total != cfg.NX*cfg.NY {
 			t.Errorf("bx=%d by=%d p=%d: covered %d points, want %d", c.bx, c.by, c.p, total, cfg.NX*cfg.NY)
@@ -65,14 +65,26 @@ func TestLayoutCoversGrid(t *testing.T) {
 
 func TestLayoutHaloSymmetric(t *testing.T) {
 	cfg := smallConfig()
-	ly, err := cfg.Layout(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, peers := range ly.neighborBytes {
-		for peer, bytes := range peers {
-			if back := ly.neighborBytes[peer][r]; back != bytes {
-				t.Errorf("asymmetric halo: %d->%d is %d, %d->%d is %d", r, peer, bytes, peer, r, back)
+	for _, land := range []bool{false, true} {
+		cfg.Land = land
+		ly, err := cfg.Layout(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := &ly.halo
+		bytes := func(src, dst int) int {
+			for k := h.Start[src]; k < h.Start[src+1]; k++ {
+				if h.Dst[k] == dst {
+					return h.Bytes[k]
+				}
+			}
+			return 0
+		}
+		for r := 0; r < 16; r++ {
+			for k := h.Start[r]; k < h.Start[r+1]; k++ {
+				if back := bytes(h.Dst[k], r); back != h.Bytes[k] {
+					t.Errorf("land %v: asymmetric halo: %d->%d is %d, %d->%d is %d", land, r, h.Dst[k], h.Bytes[k], h.Dst[k], r, back)
+				}
 			}
 		}
 	}

@@ -55,12 +55,12 @@ func (s *Predictor) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 	// multiplier: injection overhead per outbound peer message, then
 	// latency plus serialised bytes for each inbound one.
 	halo := func(r, fields int) float64 {
-		peers, vols := ly.peers[r], ly.peerBytes[r]
+		h := &ly.halo
 		t := 0.0
-		for i, peer := range peers {
-			link := s.m.LinkBetween(r, peer)
+		for k := h.Start[r]; k < h.Start[r+1]; k++ {
+			link := s.m.LinkBetween(r, h.Dst[k])
 			t += link.Overhead
-			t += link.Latency + float64(fields*vols[i])/link.Bandwidth
+			t += link.Latency + float64(fields*h.Bytes[k])/link.Bandwidth
 		}
 		return t
 	}
@@ -69,7 +69,7 @@ func (s *Predictor) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 	// its halo refreshes gates the phase.
 	baro, btrop, diag := 0.0, 0.0, 0.0
 	for r := 0; r < p; r++ {
-		pts := float64(ly.points[r])
+		pts := ly.points[r]
 		speed := s.m.SpeedOf(r)
 		if t := pts*(costs.baroclinicFlopsPerPoint+costs.forcingFlopsPerPoint)/speed +
 			float64(haloExchangesPerStep)*halo(r, haloFields*levels); t > baro {

@@ -11,8 +11,8 @@ import (
 // The collective cost policy: TreeCost and the all-to-all pieces below
 // (reached through AlltoallvExits and AlltoallvPattern.Price) are the
 // only place the repository prices a collective. The rendezvous below
-// charges through them and the applications' predictors call them, so
-// simulator and surrogate cannot drift apart.
+// and the lockstep executor charge through them and the applications'
+// predictors call them, so simulator and surrogate cannot drift apart.
 
 // worstLink returns the most expensive link class a collective over n
 // ranks of m uses: the inter-node link when the ranks span several
@@ -140,8 +140,20 @@ func (sc *AlltoallvScratch) settle(m *cluster.Machine, n int) (lat float64) {
 // whose last participant arrived at base.
 func exitStep(base, lat float64, cost, mo, exits []float64) {
 	for i, c := range cost {
-		exits[i] = base + lat + c + mo[i]
+		exits[i] = exitAt(base, lat, c, mo[i])
 	}
+}
+
+// exitAt is the clock at which a rank with serialisation cost cost and
+// message overheads mo leaves an all-to-all whose latency term is lat
+// and whose last participant arrived at base.
+func exitAt(base, lat, cost, mo float64) float64 { return base + lat + cost + mo }
+
+// treeExit is the clock at which every rank leaves a tree collective
+// over n ranks of m moving bytes per stage whose last participant
+// arrived at base, and the traffic it charges.
+func treeExit(m *cluster.Machine, n, bytes int, base float64) (exit float64, traffic int64) {
+	return base + TreeCost(m, n, bytes), int64(bytes * int(log2ceil(n)))
 }
 
 // AlltoallvExits prices one personalised all-to-all among the first
@@ -339,10 +351,7 @@ func (c *collective) rendezvous(r *Rank, kind collKind, op Op, x float64, pr *Pr
 	} else {
 		c.w.sched.block(r.id, waitRecord{kind: waitColl, coll: kind})
 	}
-	if exit := c.exits[r.id]; exit > r.clock {
-		r.wait += exit - r.clock
-		r.clock = exit
-	}
+	r.clock, r.wait = waitUntil(r.clock, r.wait, c.exits[r.id])
 }
 
 // combine computes, once all ranks have arrived, the per-rank exit
@@ -379,8 +388,8 @@ func (c *collective) combine() {
 		}
 		bytes = int(c.in[0])
 	}
-	w.collBytes += int64(bytes * int(log2ceil(w.n)))
-	t := base + TreeCost(w.machine, w.n, bytes)
+	t, traffic := treeExit(w.machine, w.n, bytes, base)
+	w.collBytes += traffic
 	for i := range c.exits {
 		c.exits[i] = t
 	}

@@ -2,21 +2,25 @@
 // machine: the substrate on which every application simulator in this
 // repository runs.
 //
-// Each rank executes as a coroutine carrying a private virtual clock.
-// Compute advances the clock by work/CPU-speed; point-to-point and
-// collective operations synchronise clocks through the machine's link
-// cost model (latency, bandwidth, sender overhead, distinct intra-
-// and inter-node links). The simulated execution time of a parallel
-// program is the maximum rank clock at completion — so load imbalance,
-// communication volume, and topology alignment all surface exactly as
-// they would on a real cluster, while a 480-rank ocean-model step
-// simulates in milliseconds of wall-clock time.
+// Each rank carries a private virtual clock. Compute advances the
+// clock by work/CPU-speed; point-to-point and collective operations
+// synchronise clocks through the machine's link cost model (latency,
+// bandwidth, sender overhead, distinct intra- and inter-node links).
+// The simulated execution time of a parallel program is the maximum
+// rank clock at completion — so load imbalance, communication volume,
+// and topology alignment all surface exactly as they would on a real
+// cluster, while a 480-rank ocean-model step simulates in milliseconds
+// of wall-clock time.
 //
-// Execution is cooperative: a run-to-block scheduler (see sched.go)
-// runs exactly one rank at a time and switches directly at blocking
-// points, so the simulation needs no mutexes, no condition variables,
-// and no wall-clock watchdog — an application deadlock is detected
-// structurally the moment no rank can run, and reported immediately.
+// A program runs on one of two executors. Run executes each rank as a
+// coroutine under a cooperative run-to-block scheduler (see sched.go):
+// exactly one rank runs at a time and control switches directly at
+// blocking points, so the simulation needs no mutexes, no condition
+// variables, and no wall-clock watchdog — an application deadlock is
+// detected structurally the moment no rank can run, and reported
+// immediately. A Lockstep (see lockstep.go) executes a straight-line
+// program that carries no values as rank vectors, one operation for
+// all ranks at a time, charging exactly what Run charges.
 //
 // The simulation is conservative and deterministic: message matching
 // is by explicit (source, tag) with per-pair FIFO order, there is no
@@ -481,14 +485,29 @@ func (r *Rank) Recv(src, tag int) []float64 {
 	m := q.pop()
 	w.inflight--
 
-	arrival := m.depart + m.link.Latency + float64(m.bytes)/m.link.Bandwidth
-	if arrival > r.clock {
-		r.wait += arrival - r.clock
-		r.clock = arrival
-	}
+	r.clock, r.wait = waitUntil(r.clock, r.wait, arrival(m.depart, m.link, m.bytes))
 	payload := m.payload
 	w.freeMessage(m)
 	return payload
+}
+
+// The charging rules both executors apply: arrival prices a message,
+// and waitUntil advances a rank to a receive's arrival or a
+// collective's exit.
+
+// arrival is when a message of the given size reaches its receiver,
+// having left its sender at depart over link.
+func arrival(depart float64, link cluster.Link, bytes int) float64 {
+	return depart + link.Latency + float64(bytes)/link.Bandwidth
+}
+
+// waitUntil returns a rank's clock and wait after it waits for time t:
+// a later t advances the clock to it and charges the gap as wait.
+func waitUntil(clock, wait, t float64) (float64, float64) {
+	if t > clock {
+		return t, wait + (t - clock)
+	}
+	return clock, wait
 }
 
 // SendRecv exchanges messages with a peer: posts the send, then

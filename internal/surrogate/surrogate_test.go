@@ -427,7 +427,11 @@ func TestPredictionGoldens(t *testing.T) {
 // with synchronised arrivals, and requires the simulated time to be
 // exactly what the exported cost function returns: the functions the
 // predictors call are the ones the rendezvous charges through, so a
-// re-introduced mirror on either side cannot drift unseen.
+// re-introduced mirror on either side cannot drift unseen. Each
+// operation of the lockstep executor must charge what the coroutine
+// engine charges, alone and after skewed arrivals, down to the last
+// bit of every rank's clock, compute and wait; that includes the
+// neighbour exchange, which has no cost function of its own.
 func TestSurrogatePricesWhatSimulatorCharges(t *testing.T) {
 	for _, m := range []*cluster.Machine{cluster.Seaborg(4, 8), gs2.LinuxCluster(32)} {
 		n := m.Procs()
@@ -466,6 +470,21 @@ func TestSurrogatePricesWhatSimulatorCharges(t *testing.T) {
 		if !reflect.DeepEqual(pricedExits, exits) {
 			t.Errorf("priced on %s: exits %v, cost function says %v", m, pricedExits, exits)
 		}
+		// A neighbour exchange: a few partners per rank on and off its
+		// node, unequal volumes, and ranks that send to nobody.
+		halo := &simmpi.NeighbourPattern{Start: make([]int, n+1)}
+		in := make([][]int, n) // senders to each rank, ascending
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				if dst != src && src%7 != 6 && (3*src+dst)%5 == 0 {
+					halo.Dst = append(halo.Dst, dst)
+					halo.Bytes = append(halo.Bytes, 64*(1+(src+dst)%9))
+					in[dst] = append(in[dst], src)
+				}
+			}
+			halo.Start[src+1] = len(halo.Dst)
+		}
+		const fields = 3
 		uniform := func(t float64) []float64 {
 			ts := make([]float64, n)
 			for i := range ts {
@@ -474,25 +493,67 @@ func TestSurrogatePricesWhatSimulatorCharges(t *testing.T) {
 			return ts
 		}
 		for _, c := range []struct {
-			name  string
-			call  func(r *simmpi.Rank)
-			exits []float64
+			name     string
+			call     func(r *simmpi.Rank)
+			lockstep func(l *simmpi.Lockstep) // nil: the engine has no such operation
+			exits    []float64                // nil: there is no cost function
 		}{
-			{"barrier", func(r *simmpi.Rank) { r.Barrier() }, uniform(simmpi.TreeCost(m, n, 0))},
-			{"allreduce1", func(r *simmpi.Rank) { r.Allreduce1(simmpi.Max, 1) }, uniform(simmpi.TreeCost(m, n, 8))},
-			{"allreducebytes", func(r *simmpi.Rank) { r.AllreduceBytes(8000) }, uniform(simmpi.TreeCost(m, n, 8000))},
-			{"alltoallv", func(r *simmpi.Rank) { r.AlltoallvBytesRow(rows[r.ID()]) }, exits},
-			{"alltoallv priced", func(r *simmpi.Rank) { r.AlltoallvPriced(priced) }, exits},
+			{"barrier", func(r *simmpi.Rank) { r.Barrier() }, (*simmpi.Lockstep).Barrier, uniform(simmpi.TreeCost(m, n, 0))},
+			{"allreduce1", func(r *simmpi.Rank) { r.Allreduce1(simmpi.Max, 1) },
+				func(l *simmpi.Lockstep) { l.AllreduceBytes(8) }, uniform(simmpi.TreeCost(m, n, 8))},
+			{"allreducebytes", func(r *simmpi.Rank) { r.AllreduceBytes(8000) },
+				func(l *simmpi.Lockstep) { l.AllreduceBytes(8000) }, uniform(simmpi.TreeCost(m, n, 8000))},
+			{"alltoallv", func(r *simmpi.Rank) { r.AlltoallvBytesRow(rows[r.ID()]) }, nil, exits},
+			{"alltoallv priced", func(r *simmpi.Rank) { r.AlltoallvPriced(priced) },
+				func(l *simmpi.Lockstep) { l.AlltoallvPriced(priced) }, exits},
+			{"neighbour exchange", func(r *simmpi.Rank) {
+				id := r.ID()
+				for k := halo.Start[id]; k < halo.Start[id+1]; k++ {
+					r.SendBytes(halo.Dst[k], 0, fields*halo.Bytes[k])
+				}
+				for _, src := range in[id] {
+					r.Recv(src, 0)
+				}
+			}, func(l *simmpi.Lockstep) { l.Exchange(halo, fields) }, nil},
 		} {
 			st, err := simmpi.Run(m, n, c.call)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", c.name, m, err)
 			}
-			if !reflect.DeepEqual(st.RankClocks, c.exits) || st.Time <= 0 {
+			if c.exits != nil && (!reflect.DeepEqual(st.RankClocks, c.exits) || st.Time <= 0) {
 				t.Errorf("%s on %s: ranks leave at %v, cost function says %v", c.name, m, st.RankClocks, c.exits)
 			}
 			if strings.HasPrefix(c.name, "alltoallv") && st.BytesSent != total {
 				t.Errorf("%s on %s: BytesSent = %d, cost function says %d", c.name, m, st.BytesSent, total)
+			}
+			if c.lockstep == nil {
+				continue
+			}
+			// Alone, and after rank-dependent work so arrivals differ.
+			skew := make([]float64, n)
+			for i := range skew {
+				skew[i] = float64((i*5)%7) * 1e6
+			}
+			for _, skewed := range []bool{false, true} {
+				if skewed {
+					call := c.call
+					st, err = simmpi.Run(m, n, func(r *simmpi.Rank) { r.Compute(skew[r.ID()]); call(r) })
+					if err != nil {
+						t.Fatalf("%s on %s: %v", c.name, m, err)
+					}
+				}
+				l, err := simmpi.AcquireLockstep(m, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if skewed {
+					l.Compute(skew, 1)
+				}
+				c.lockstep(l)
+				if got := l.Stats(); !reflect.DeepEqual(got, st) {
+					t.Errorf("%s on %s (skewed %v): lockstep charges %+v, coroutine engine %+v", c.name, m, skewed, got, st)
+				}
+				l.Release()
 			}
 		}
 	}
