@@ -24,27 +24,27 @@ func simulateStats(t *testing.T, m *cluster.Machine, cfg Config, pl *plans, step
 
 // simulateCoroutine is simulate's rank program written for simmpi's
 // coroutine engine, one rank at a time, with the per-rank work computed
-// from the chunk sizes: the differential reference for the lockstep
-// run.
+// from the chunk sizes and each exchange handed as its pattern's dense
+// rows: the differential reference for the lockstep run.
 func simulateCoroutine(m *cluster.Machine, cfg Config, pl *plans, steps int) (tLess float64, st simmpi.Stats, err error) {
 	p := m.Procs()
 	d := cfg.Dims()
 	n := d.N()
 	fieldWork := fieldSolveFlops * float64(d.X*d.Y) * elemWeight
-	toXY, fromXY := pl.toXY.exchange.Price(m), pl.fromXY.exchange.Price(m)
-	var toLE, fromLE *simmpi.PricedAlltoallv
+	toXY, fromXY := dense(pl.toXY.exchange), dense(pl.fromXY.exchange)
+	var toLE, fromLE [][]int
 	if cfg.Collisions {
-		toLE, fromLE = pl.toLE.exchange.Price(m), pl.fromLE.exchange.Price(m)
+		toLE, fromLE = dense(pl.toLE.exchange), dense(pl.fromLE.exchange)
 	}
 	st, err = simmpi.Run(m, p, func(r *simmpi.Rank) {
 		id := r.ID()
 		chunk := float64(chunkOf(n, p, id))
-		redistribute := func(rd *redist, ex *simmpi.PricedAlltoallv) {
+		redistribute := func(rd *redist, rows [][]int) {
 			if rd.totalMoved == 0 {
 				return
 			}
 			r.Compute(rd.pack[id] * rd.fraction)
-			r.AlltoallvPriced(ex)
+			r.AlltoallvBytesRow(rows[id])
 			r.Compute(rd.unpack[id] * rd.fraction)
 		}
 		r.Sleep(initFixedSeconds)

@@ -85,25 +85,30 @@ func CGWith(ws *sparse.Workspace, r *simmpi.Rank, a *sparse.DistMatrix, b []floa
 // cgTag is the message tag of CG's operator applications.
 const cgTag = 101
 
-// CGCost is the cost skeleton of CGWith at rtol 0: it charges rank r
-// the sends, receives, allreduces and compute of exactly iters CG
+// CGCost is the cost skeleton of CGWith at rtol 0: it charges job the
+// halo exchanges, allreduces and compute of exactly iters CG
 // iterations on the partition hp describes, in CGWith's call order,
-// and computes nothing. Every virtual clock ends bit-identical to the
-// numeric solve's provided that solve runs its full budget — at rtol 0
-// CGWith leaves its loop early only when a global reduction (rs0,
-// p·Ap or ‖r‖²) is exactly 0.0.
+// one step for all ranks at a time, and computes nothing. Every
+// virtual clock ends bit-identical to the numeric solve's provided
+// that solve runs its full budget — at rtol 0 CGWith leaves its loop
+// early only when a global reduction (rs0, p·Ap or ‖r‖²) is exactly
+// 0.0.
 //
 //harmonyvet:allocfree
-func CGCost(r *simmpi.Rank, hp *sparse.HaloPlan, iters int) {
-	n := hp.LocalSize(r.ID())
-	sparse.DotCost(r, n) // rs0
+func CGCost(job *simmpi.Lockstep, hp *sparse.HaloPlan, iters int) {
+	halo, rows, nnz := hp.Sends(), hp.RowCounts(), hp.NNZCounts()
+	job.Compute(rows, sparse.VecFlops) // rs0
+	job.AllreduceBytes(8)
 	for it := 0; it < iters; it++ {
-		hp.MatVecCost(r, cgTag)
-		sparse.DotCost(r, n) // p·Ap
-		sparse.VecCost(r, n) // x += αp
-		sparse.VecCost(r, n) // r -= αAp
-		sparse.DotCost(r, n) // ‖r‖²
-		sparse.VecCost(r, n) // p = r + βp
+		job.Exchange(halo, 1) // A·p
+		job.Compute(nnz, sparse.FlopsPerNNZ)
+		job.Compute(rows, sparse.VecFlops) // p·Ap
+		job.AllreduceBytes(8)
+		job.Compute(rows, sparse.VecFlops) // x += αp
+		job.Compute(rows, sparse.VecFlops) // r -= αAp
+		job.Compute(rows, sparse.VecFlops) // ‖r‖²
+		job.AllreduceBytes(8)
+		job.Compute(rows, sparse.VecFlops) // p = r + βp
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/search"
 	"harmony/internal/space"
+	"harmony/internal/sparse"
 )
 
 func TestSLESAppDefaultRuns(t *testing.T) {
@@ -19,6 +20,9 @@ func TestSLESAppDefaultRuns(t *testing.T) {
 	}
 	if secs <= 0 {
 		t.Fatalf("time = %v", secs)
+	}
+	if _, err := app.Run(m, sparse.EvenPartition(app.A.N, app.P-1)); err == nil {
+		t.Error("Run accepted a partition with one part too few")
 	}
 }
 

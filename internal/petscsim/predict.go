@@ -10,8 +10,8 @@ import (
 )
 
 // SLESPredictor prices a decomposition of the Fig. 2 objective in
-// closed form, without executing a rank: ksp.CGCost's rank program —
-// a fixed number of CG iterations — read for the rank that gates an
+// closed form, without executing a job: ksp.CGCost's program — a
+// fixed number of CG iterations — read for the rank that gates an
 // iteration. It reads the partition's halo plan (per-rank nonzeros,
 // local rows, and halo legs) from the application's plan cache, so a
 // candidate that is predicted and then kept walks the CSR once, and
@@ -57,17 +57,18 @@ func (s *SLESPredictor) Predict(_ space.Point, cfg space.Config) (float64, bool)
 	// vector operations (two dots, two axpys, the p-update), and two
 	// scalar allreduces. The slowest rank gates the iteration.
 	worst := 0.0
+	sends := hp.Sends()
 	for r := 0; r < s.app.P; r++ {
 		nloc := float64(hp.LocalSize(r))
 		nnz := float64(hp.LocalNNZ(r))
 		t := (sparse.FlopsPerNNZ*nnz + 5*sparse.VecFlops*nloc) / s.m.SpeedOf(r)
 		// Both leg lists are in increasing peer order; merging them
 		// (a peer's send before its receive) fixes the summation order.
-		send, recv := hp.Legs(r)
+		send, recv := sends.Dst[sends.Start[r]:sends.Start[r+1]], hp.Recvs(r)
 		for len(send) > 0 || len(recv) > 0 {
-			if len(recv) == 0 || (len(send) > 0 && send[0].Peer <= recv[0].Peer) {
+			if len(recv) == 0 || (len(send) > 0 && send[0] <= recv[0].Peer) {
 				// we ship owned entries to the peer
-				t += s.m.LinkBetween(r, send[0].Peer).Overhead
+				t += s.m.LinkBetween(r, send[0]).Overhead
 				send = send[1:]
 			} else { // we wait for our ghosts
 				link := s.m.LinkBetween(recv[0].Peer, r)

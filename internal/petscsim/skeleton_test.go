@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"harmony/internal/cluster"
@@ -49,9 +50,10 @@ func skewed(nodes, ppn int) *cluster.Machine {
 // TestSLESSkeletonEqualsNumeric is the equivalence the cost-only run
 // rests on: for the three SLES matrices the tests and benchmarks use,
 // on a homogeneous and a heterogeneous machine, at the even point and
-// at 40 seeded random points each, the skeleton's full statistics — job time,
-// every rank's clock, compute and wait seconds, bytes and messages —
-// are exactly those of the numeric solve. The fixed-work precondition
+// at 40 seeded random points each, the statistics of the CG skeleton
+// on the lockstep executor — job time, every rank's clock, compute and
+// wait seconds, bytes and messages — are exactly those of the numeric
+// solve on the coroutine engine. The fixed-work precondition
 // (the numeric solve ran all Iterations iterations and did not
 // converge) is asserted on every case, not assumed.
 func TestSLESSkeletonEqualsNumeric(t *testing.T) {
@@ -98,4 +100,67 @@ func TestSLESSkeletonEqualsNumeric(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSLESRunAllocations pins a warm Run — plan cached, job pooled — at
+// the two allocations of the plan cache's partition key: the CG
+// program itself allocates nothing.
+func TestSLESRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items, so pooled jobs are reallocated")
+	}
+	app := NewBandSLESApp(2000, 8, 4, 60, 2)
+	m := skewed(4, 2)
+	part := app.DefaultPartition()
+	run := func() {
+		if _, err := app.Run(m, part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if avg := testing.AllocsPerRun(20, run); avg > 2 {
+		t.Errorf("warm Run allocates %v times, want the partition key's 2", avg)
+	}
+}
+
+// TestSLESRunConcurrent evaluates a few partitions from several
+// goroutines at once through one application, as a concurrent campaign
+// does: they build and share its halo plans and draw jobs from one
+// pool, and each must get the sequential result.
+func TestSLESRunConcurrent(t *testing.T) {
+	newApp := func() *SLESApp { return NewBandSLESApp(2000, 8, 4, 60, 2) }
+	m := skewed(4, 2)
+	ref := newApp()
+	sp := ref.Space()
+	rng := rand.New(rand.NewSource(5))
+	parts := make([]sparse.Partition, 4)
+	want := make([]simmpi.Stats, len(parts))
+	for i := range parts {
+		pt := ref.EvenPoint()
+		for d := range pt {
+			pt[d] = rng.Int63n(1000)
+		}
+		parts[i] = ref.PartitionFor(sp.MustDecode(pt))
+		var err error
+		if want[i], err = ref.RunStats(m, parts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	app := newApp() // a cold plan cache, filled concurrently
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				k := (w + i) % len(parts)
+				st, err := app.RunStats(m, parts[k])
+				if err != nil || !reflect.DeepEqual(st, want[k]) {
+					t.Errorf("worker %d, partition %v: err %v, stats %+v; sequential %+v", w, parts[k].Starts, err, st, want[k])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

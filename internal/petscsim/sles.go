@@ -15,9 +15,11 @@
 // decomposition-independent.
 //
 // The package is the one place that knows what an SLES run costs:
-// SLESApp.RunStats executes the rank program, and SLESPredictor prices
-// the same program in closed form from the same halo plan, for the
-// tuning engine's surrogate gate.
+// SLESApp.RunStats executes the CG cost program on the lockstep
+// executor, and SLESPredictor prices the same program in closed form
+// from the same halo plan, for the tuning engine's surrogate gate. The
+// driven cavity's Newton–Krylov solve reads its values, so CavityApp
+// runs on simmpi.Run's coroutines.
 package petscsim
 
 import (
@@ -37,15 +39,15 @@ import (
 // tunable. A benchmarking run is, by definition, Iterations CG
 // iterations ("representative short run"), so simulated time responds
 // purely to the data distribution — and the run executes only that
-// dependence: the sends, receives, allreduces and compute charges of
-// the CG loop (ksp.CGCost over the partition's sparse.HaloPlan), not
-// its arithmetic. Every virtual clock equals the numeric
-// ksp.CGWith(..., rtol 0, Iterations) solve's bit for bit, given that
-// solve spends its whole budget: at rtol 0 it stops early only when a
-// global reduction (rs0, p·Ap or ‖r‖²) is exactly 0.0, which a
-// Laplacian-family matrix with B = 1 never reaches.
-// TestSLESSkeletonEqualsNumeric asserts that precondition on every
-// case it compares.
+// dependence: the halo exchanges, allreduces and compute charges of
+// the CG loop (ksp.CGCost over the partition's sparse.HaloPlan), one
+// lockstep step for all ranks at a time, not its arithmetic. Every
+// virtual clock equals the numeric ksp.CGWith(..., rtol 0, Iterations)
+// solve's bit for bit, given that solve spends its whole budget: at
+// rtol 0 it stops early only when a global reduction (rs0, p·Ap or
+// ‖r‖²) is exactly 0.0, which a Laplacian-family matrix with B = 1
+// never reaches. TestSLESSkeletonEqualsNumeric asserts that
+// precondition on every case it compares.
 type SLESApp struct {
 	// A is the system matrix.
 	A *sparse.CSR
@@ -150,22 +152,41 @@ func (app *SLESApp) partition(weights []int64) sparse.Partition {
 // Run simulates one benchmarking run under the given partition and
 // returns the execution time in simulated seconds.
 func (app *SLESApp) Run(m *cluster.Machine, part sparse.Partition) (float64, error) {
-	st, err := app.RunStats(m, part)
+	job, err := app.run(m, part)
 	if err != nil {
 		return 0, err
 	}
-	return st.Time, nil
+	defer job.Release()
+	return job.Time(), nil
 }
 
 // RunStats is Run exposing the full simulation statistics.
 func (app *SLESApp) RunStats(m *cluster.Machine, part sparse.Partition) (simmpi.Stats, error) {
-	hp, err := app.HaloPlan(part)
+	job, err := app.run(m, part)
 	if err != nil {
 		return simmpi.Stats{}, err
 	}
-	return simmpi.Run(m, app.P, func(r *simmpi.Rank) {
-		ksp.CGCost(r, hp, app.Iterations) // fixed-work benchmarking run
-	})
+	defer job.Release()
+	return job.Stats(), nil
+}
+
+// run executes one benchmarking run and returns the finished job for
+// the caller to read and release. The CG skeleton reads no values, so
+// it runs on the lockstep executor.
+func (app *SLESApp) run(m *cluster.Machine, part sparse.Partition) (*simmpi.Lockstep, error) {
+	if part.P() != app.P {
+		return nil, fmt.Errorf("petscsim: partition into %d parts for %d ranks", part.P(), app.P)
+	}
+	hp, err := app.HaloPlan(part)
+	if err != nil {
+		return nil, err
+	}
+	job, err := simmpi.AcquireLockstep(m, app.P)
+	if err != nil {
+		return nil, err
+	}
+	ksp.CGCost(job, hp, app.Iterations) // fixed-work benchmarking run
+	return job, nil
 }
 
 // HaloPlan returns the halo plan of a partition, through the plan

@@ -43,7 +43,7 @@ func TreeCost(m *cluster.Machine, n, bytes int) float64 {
 
 // AlltoallvScratch is the per-rank accumulator space AlltoallvExits
 // works in. The caller owns it, so pricing an exchange allocates
-// nothing: a world keeps one for its pooled lifetime.
+// nothing: a world keeps one for its run.
 type AlltoallvScratch struct {
 	recvBytes []int // inbound bytes per rank, valid until the next call
 	recvTime  []float64
@@ -204,13 +204,12 @@ func priceKeyOf(m *cluster.Machine, n int) priceKey {
 
 // PricedAlltoallv is an AlltoallvPattern priced for one machine: what
 // the exchange charges each rank on top of the latest arrival. It is
-// immutable, so ranks and predictors share it freely.
+// immutable, so jobs and predictors share it freely.
 type PricedAlltoallv struct {
-	key       priceKey
-	lat       float64
-	cost, mo  []float64
-	recvBytes []int
-	total     int64
+	key      priceKey
+	lat      float64
+	cost, mo []float64
+	total    int64
 }
 
 // Price returns the pattern priced for m. The pattern keeps the last
@@ -238,7 +237,7 @@ func (pt *AlltoallvPattern) Price(m *cluster.Machine) *PricedAlltoallv {
 		sc.addRow(m, src, pt.Dst[lo:hi], pt.Bytes[lo:hi])
 	}
 	lat := sc.settle(m, n)
-	pr := &PricedAlltoallv{key: key, lat: lat, cost: sc.cost, mo: sc.mo, recvBytes: sc.recvBytes, total: sc.total}
+	pr := &PricedAlltoallv{key: key, lat: lat, cost: sc.cost, mo: sc.mo, total: sc.total}
 	pt.priced.Store(pr)
 	return pr
 }
@@ -274,19 +273,16 @@ func (k collKind) String() string {
 // the combine, publishes per-rank exits and the result, and marks the
 // parked ranks runnable before continuing. A resumed rank consumes
 // its own slot before it can possibly arrive at the next rendezvous,
-// so the scratch below is safely reused for the whole life of a world
-// — and, through the world pool, across runs.
+// so the scratch below is safely reused for the whole run.
 type collective struct {
 	w *World
 
 	// What is in progress, recorded at the first arrival and checked
 	// at every later one. op is the reduction operator of an
-	// allreduce1 and Sum for every other kind; priced is the exchange
-	// of a priced alltoallv and nil for every other call.
+	// allreduce1 and Sum for every other kind.
 	arrived int
 	kind    collKind
 	op      Op
-	priced  *PricedAlltoallv
 
 	arrivals []float64
 	in       []float64 // per-rank scalar input: allreduce1 value, allreducebytes size
@@ -312,26 +308,17 @@ func newCollective(w *World) *collective {
 	}
 }
 
-// reset restores a pooled collective to its initial state. Nothing
-// else needs clearing: the combine drops every send row and priced
-// exchange it reads, and a failed world (whose rows may linger) is
-// never pooled.
-func (c *collective) reset() { c.arrived = 0 }
-
 // rendezvous runs one collective of the given kind for rank r: it
-// records the arrival with the rank's scalar input x (and, for a
-// priced alltoallv, its exchange pr), parks until the last rank has
-// arrived (which runs the combine and wakes the rest), and advances
-// the clock to the rank's exit.
-func (c *collective) rendezvous(r *Rank, kind collKind, op Op, x float64, pr *PricedAlltoallv) {
+// records the arrival with the rank's scalar input x, parks until the
+// last rank has arrived (which runs the combine and wakes the rest),
+// and advances the clock to the rank's exit.
+func (c *collective) rendezvous(r *Rank, kind collKind, op Op, x float64) {
 	if c.arrived == 0 {
-		c.kind, c.op, c.priced = kind, op, pr
+		c.kind, c.op = kind, op
 	} else if c.kind != kind {
 		panic(fmt.Sprintf("simmpi: collective mismatch: rank %d calls %s while %s in progress", r.id, kind, c.kind))
 	} else if c.op != op {
 		panic(fmt.Sprintf("simmpi: collective mismatch: rank %d calls %s with %s while %s in progress", r.id, kind, op, c.op))
-	} else if c.priced != pr {
-		panic(fmt.Sprintf("simmpi: collective mismatch: rank %d calls %s with a different exchange from the ranks before it", r.id, kind))
 	}
 	c.arrivals[r.id] = r.clock
 	c.in[r.id] = x
@@ -340,7 +327,7 @@ func (c *collective) rendezvous(r *Rank, kind collKind, op Op, x float64, pr *Pr
 		c.combine()
 		// Retire the rendezvous and mark every parked participant
 		// runnable. A combine that panics (an application bug) skips
-		// this: the run fails and the world is dropped.
+		// this: the run fails with it.
 		c.arrived = 0
 		s := c.w.sched
 		for i, st := range s.state {
@@ -361,15 +348,6 @@ func (c *collective) combine() {
 	w := c.w
 	base := maxOf(c.arrivals)
 	if c.kind == collAlltoallv {
-		if pr := c.priced; pr != nil {
-			if pr.key != priceKeyOf(w.machine, w.n) {
-				panic(fmt.Sprintf("simmpi: alltoallv priced for another machine than %s with %d ranks", w.machine, w.n))
-			}
-			pr.Exits(base, c.exits)
-			w.collBytes += pr.total
-			c.priced = nil
-			return
-		}
 		w.collBytes += AlltoallvExits(w.machine, c.rows, base, c.exits, c.a2a)
 		clear(c.rows)
 		return
@@ -434,7 +412,7 @@ func maxOf(xs []float64) float64 {
 // Barrier synchronises all ranks: every clock advances to the latest
 // arrival plus the barrier's tree cost.
 func (r *Rank) Barrier() {
-	r.world.coll.rendezvous(r, collBarrier, Sum, 0, nil)
+	r.world.coll.rendezvous(r, collBarrier, Sum, 0)
 }
 
 // Allreduce1 combines each rank's scalar with op and returns the
@@ -443,7 +421,7 @@ func (r *Rank) Barrier() {
 // pass the same op.
 func (r *Rank) Allreduce1(op Op, x float64) float64 {
 	c := r.world.coll
-	c.rendezvous(r, collAllreduce1, op, x, nil)
+	c.rendezvous(r, collAllreduce1, op, x)
 	return c.out
 }
 
@@ -455,7 +433,7 @@ func (r *Rank) AllreduceBytes(bytes int) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("simmpi: negative message size %d", bytes))
 	}
-	r.world.coll.rendezvous(r, collAllreduceBytes, Sum, float64(bytes), nil)
+	r.world.coll.rendezvous(r, collAllreduceBytes, Sum, float64(bytes))
 }
 
 // AlltoallvBytesRow performs a personalised all-to-all where each rank
@@ -465,25 +443,12 @@ func (r *Rank) AllreduceBytes(bytes int) {
 // number of bytes this rank received; AlltoallvExits prices the
 // exchange at the rendezvous. The row is read there, in place, and not
 // retained after the call returns, so a rank may reuse it at once.
-// Every rank of one exchange must use this form.
 func (r *Rank) AlltoallvBytesRow(send []int) int {
 	c := r.world.coll
 	if len(send) != c.w.n {
 		panic(fmt.Sprintf("simmpi: alltoallv row has %d entries for %d ranks", len(send), c.w.n))
 	}
 	c.rows[r.id] = send
-	c.rendezvous(r, collAlltoallv, Sum, 0, nil)
+	c.rendezvous(r, collAlltoallv, Sum, 0)
 	return c.a2a.recvBytes[r.id]
-}
-
-// AlltoallvPriced performs the personalised all-to-all of a frozen
-// pattern already priced for this world's machine (see
-// AlltoallvPattern.Price), and returns the number of bytes this rank
-// received. It charges exactly what AlltoallvBytesRow charges for the
-// pattern's rows, but the rendezvous only reads the priced exchange:
-// simulators that repeat one exchange pay its pricing once per machine,
-// not once per call. Every rank must pass the same priced exchange.
-func (r *Rank) AlltoallvPriced(pr *PricedAlltoallv) int {
-	r.world.coll.rendezvous(r, collAlltoallv, Sum, 0, pr)
-	return pr.recvBytes[r.id]
 }

@@ -369,43 +369,50 @@ func skewedRows(n int) [][]int {
 }
 
 // TestAlltoallvPricedEqualsBytesRow: a frozen pattern priced once per
-// machine charges every statistic exactly what its dense rows charge
-// at the rendezvous, under staggered arrivals.
+// machine and charged by the lockstep executor charges every statistic
+// exactly what its dense rows charge at the coroutine rendezvous, under
+// staggered arrivals.
 func TestAlltoallvPricedEqualsBytesRow(t *testing.T) {
 	for _, c := range allreduceCases() {
 		rows := skewedRows(c.n)
-		pt := patternOf(rows)
-		program := func(priced bool) func(r *Rank) {
-			pr := pt.Price(c.m)
-			return staggeredReduces(func(r *Rank, _ int) {
-				var got int
-				if priced {
-					got = r.AlltoallvPriced(pr)
-				} else {
-					got = r.AlltoallvBytesRow(rows[r.ID()])
-				}
-				want := 0
+		pr := patternOf(rows).Price(c.m)
+		var stagger [3][]float64 // per step, each rank's work before the exchange
+		for step := range stagger {
+			stagger[step] = make([]float64, c.n)
+			for i := range stagger[step] {
+				stagger[step][i] = float64((i*7+step*3)%5) * 1e6
+			}
+		}
+		want, err := Run(c.m, c.n, func(r *Rank) {
+			for _, work := range stagger {
+				r.Compute(work[r.ID()])
+				got := r.AlltoallvBytesRow(rows[r.ID()])
+				recv := 0
 				for src := range rows {
 					if src != r.ID() {
-						want += rows[src][r.ID()]
+						recv += rows[src][r.ID()]
 					}
 				}
-				if got != want {
-					panic(fmt.Sprintf("rank %d received %d bytes, want %d", r.ID(), got, want))
+				if got != recv {
+					panic(fmt.Sprintf("rank %d received %d bytes, want %d", r.ID(), got, recv))
 				}
-			})
-		}
-		want, err := Run(c.m, c.n, program(false))
+			}
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(c.m, c.n, program(true))
+		job, err := AcquireLockstep(c.m, c.n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s, %d ranks: priced\n%+v\ndense rows\n%+v", c.m, c.n, got, want)
+		for _, work := range stagger {
+			job.Compute(work, 1)
+			job.AlltoallvPriced(pr)
 		}
+		if got := job.Stats(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s, %d ranks: lockstep priced\n%+v\ncoroutine dense rows\n%+v", c.m, c.n, got, want)
+		}
+		job.Release()
 	}
 }
 
@@ -441,35 +448,27 @@ func TestAlltoallvPricingRaceFree(t *testing.T) {
 	wg.Wait()
 }
 
+// TestAlltoallvPricedMismatches: a lockstep job refuses an exchange
+// priced for another machine or another rank count.
 func TestAlltoallvPricedMismatches(t *testing.T) {
 	m := testMachine(2, 2)
-	rows := skewedRows(4)
-	a, b := patternOf(rows), patternOf(rows)
+	pt := patternOf(skewedRows(4))
 	for _, c := range []struct {
-		want string
-		body func(r *Rank)
-	}{
-		{"calls alltoallv with a different exchange", func(r *Rank) {
-			if r.ID() == 2 {
-				r.AlltoallvPriced(b.Price(m))
-			} else {
-				r.AlltoallvPriced(a.Price(m))
-			}
-		}},
-		{"calls alltoallv with a different exchange", func(r *Rank) {
-			if r.ID() == 1 {
-				r.AlltoallvBytesRow(rows[r.ID()])
-			} else {
-				r.AlltoallvPriced(a.Price(m))
-			}
-		}},
-		{"alltoallv priced for another machine", func(r *Rank) {
-			r.AlltoallvPriced(a.Price(testMachine(4, 1)))
-		}},
-	} {
-		_, err := Run(m, 4, c.body)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("err = %v, want %q", err, c.want)
+		pricedOn *cluster.Machine
+		n        int
+	}{{testMachine(4, 1), 4}, {m, 3}} {
+		job, err := AcquireLockstep(m, c.n)
+		if err != nil {
+			t.Fatal(err)
 		}
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "alltoallv priced for another machine") {
+					t.Errorf("priced on %s, job of %d ranks: panic %v, want the mismatch named", c.pricedOn, c.n, p)
+				}
+			}()
+			job.AlltoallvPriced(pt.Price(c.pricedOn))
+		}()
+		job.Release()
 	}
 }

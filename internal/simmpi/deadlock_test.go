@@ -97,8 +97,8 @@ func TestDeadlockMixedWaits(t *testing.T) {
 }
 
 func TestWorldReusableAfterDeadlock(t *testing.T) {
-	// A deadlocked world is discarded, not pooled; the next Run on the
-	// same machine shape must start from pristine state.
+	// A deadlocked run leaves nothing behind: the next Run on the same
+	// machine shape starts from pristine state.
 	m := testMachine(1, 2)
 	if _, err := Run(m, 2, func(r *Rank) {
 		if r.ID() == 0 {
@@ -122,38 +122,37 @@ func TestWorldReusableAfterDeadlock(t *testing.T) {
 	}
 }
 
-// TestRunAllocationSteadyState pins the per-Run allocation count for a
-// pooled, message-heavy world. The ring below moves 800 messages and
-// joins 100 scalar collectives per Run, 1600 rank switches in all; the
-// bound only holds while envelopes, queue slots, rank coroutines and
-// collective scratch are all recycled, so any per-message, per-switch
-// or per-rank allocation creeping back into the hot path fails this
-// immediately.
+// TestRunAllocationSteadyState pins that a Run's allocations do not
+// depend on how many messages and collectives it performs: a ring of
+// 1, 100 and 1000 laps, each lap a message and a scalar collective on
+// every rank, must allocate the same. That holds only while envelopes,
+// queue slots, payloads and collective scratch are all recycled within
+// the run, so any per-message, per-switch or per-collective allocation
+// creeping back into the hot path fails this immediately.
 func TestRunAllocationSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates unpredictably; allocation count is meaningless under -race")
 	}
 	m := testMachine(2, 4)
-	body := func(r *Rank) {
-		next := (r.ID() + 1) % r.Size()
-		prev := (r.ID() + r.Size() - 1) % r.Size()
-		for i := 0; i < 100; i++ {
-			r.SendBytes(next, 0, 8)
-			r.Recv(prev, 0)
-			r.Allreduce1(Sum, 1)
-		}
+	allocs := func(laps int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Run(m, 8, func(r *Rank) {
+				next := (r.ID() + 1) % r.Size()
+				prev := (r.ID() + r.Size() - 1) % r.Size()
+				for i := 0; i < laps; i++ {
+					r.SendBytes(next, 0, 8)
+					r.Recv(prev, 0)
+					r.Allreduce1(Sum, 1)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	run := func() {
-		if _, err := Run(m, 8, body); err != nil {
-			t.Fatal(err)
+	one := allocs(1)
+	for _, laps := range []int{100, 1000} {
+		if got := allocs(laps); got != one {
+			t.Errorf("a Run of %d laps allocates %.0f times, one of 1 lap %.0f; the hot path is allocating again", laps, got, one)
 		}
-	}
-	run() // warm the world pool and stream queues
-	run()
-	avg := testing.AllocsPerRun(10, run)
-	// Nothing is spawned per run: a pooled world's ranks are parked
-	// coroutines. What is left is Run's own three Stats slices.
-	if avg > 3 {
-		t.Errorf("AllocsPerRun = %.0f for 800 messages and 100 collectives; hot path is allocating again", avg)
 	}
 }

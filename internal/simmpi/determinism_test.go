@@ -65,11 +65,10 @@ func TestAlltoallvBytesOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestWorldPoolReuseIdenticalStats runs the same mixed workload
-// back-to-back on one machine so later runs draw pooled worlds, and
-// requires every repetition to reproduce the first bit for bit: the
-// pool must hand back worlds indistinguishable from fresh ones.
-func TestWorldPoolReuseIdenticalStats(t *testing.T) {
+// TestRepeatedRunsIdenticalStats runs the same mixed workload
+// back-to-back on one machine and requires every repetition to
+// reproduce the first bit for bit.
+func TestRepeatedRunsIdenticalStats(t *testing.T) {
 	m := testMachine(2, 2)
 	body := func(r *Rank) {
 		r.Compute(float64(1+r.ID()) * 1e6)

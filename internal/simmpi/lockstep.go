@@ -24,8 +24,8 @@ import (
 // Which executor runs a program is decided by the program, not by an
 // option: one that reads a received value or a reduction result, or
 // decides anything from one (a KSP or SNES solve), runs on Run's
-// coroutines; a straight-line cost program (a POP or GS2 run) runs
-// here.
+// coroutines; a straight-line cost program (a POP, GS2 or SLES run)
+// runs here.
 
 // Lockstep is one simulated job of n ranks on a machine, driven one
 // operation at a time for all ranks at once. A Lockstep is used by one
@@ -240,7 +240,7 @@ func (l *Lockstep) tree(bytes int) {
 
 // AlltoallvPriced performs the personalised all-to-all of a frozen
 // pattern priced for this job's machine, charging what
-// Rank.AlltoallvPriced charges.
+// Rank.AlltoallvBytesRow charges over the pattern's dense rows.
 //
 //harmonyvet:allocfree
 func (l *Lockstep) AlltoallvPriced(pr *PricedAlltoallv) {

@@ -10,15 +10,13 @@ import (
 
 // The cooperative run-to-block scheduler.
 //
-// Every rank of a World is a coroutine (iter.Pull) that lives as long
-// as its pooled world: it runs the current rank program, marks itself
-// done, and yields until the next Run hands it another program. Run's
-// own goroutine is the scheduler: it resumes the lowest-numbered
-// runnable rank, which executes until it blocks (Recv with no
-// matching message, collective rendezvous before the last arrival) or
-// returns, and then control comes back to the scheduler loop. Sends
-// never block and never yield. `func(r *Rank)` and every application
-// simulator are untouched by any of this.
+// Every rank of a World is a coroutine (iter.Pull) that runs the rank
+// program once and returns. Run's own goroutine is the scheduler: it
+// resumes the lowest-numbered runnable rank, which executes until it
+// blocks (Recv with no matching message, collective rendezvous before
+// the last arrival) or returns, and then control comes back to the
+// scheduler loop. Sends never block and never yield. `func(r *Rank)`
+// and every application simulator are untouched by any of this.
 //
 // A resume or a yield is a direct switch between two stacks: exactly
 // one of scheduler and ranks executes at any instant, and every switch
@@ -36,11 +34,11 @@ import (
 // it is parked in. No wall-clock watchdog is needed, so the simulation
 // never reads real time.
 //
-// Lifetime. A run that fails (rank panic, deadlock) stops every
-// coroutine — a parked rank's yield reports false and its program
-// unwinds through errAborted — and the world is dropped. A clean world
-// goes back to the pool with its ranks parked between programs; see
-// worldRef for how a world the pool drops is stopped.
+// Lifetime. A world lives one run. After a clean run every coroutine
+// has returned; Run defers stopAll for the runs that end early — a
+// rank panic, a deadlock, runtime.Goexit in a rank program — in which
+// a parked rank's yield reports false and its program unwinds through
+// errAborted. No coroutine outlives its Run.
 
 // rankState tracks where a rank is in the cooperative schedule.
 type rankState uint8
@@ -84,11 +82,13 @@ type sched struct {
 	ready []uint64 // bitset of runnable ranks
 	live  int      // ranks whose program has not returned
 
-	body func(*Rank) // the current run's rank program
+	body func(*Rank) // the rank program
 	err  error       // a rank program's panic
 }
 
-func newSched(w *World) *sched {
+// newSched returns the scheduler of a fresh world running body: every
+// rank runnable, nothing blocked.
+func newSched(w *World, body func(*Rank)) *sched {
 	n := w.n
 	s := &sched{
 		resume: make([]func() (struct{}, bool), n),
@@ -97,52 +97,34 @@ func newSched(w *World) *sched {
 		state:  make([]rankState, n),
 		wait:   make([]waitRecord, n),
 		ready:  make([]uint64, (n+63)/64),
+		live:   n,
+		body:   body,
 	}
 	for i := range s.resume {
-		s.resume[i], s.stop[i] = iter.Pull(s.rankLoop(&w.ranks[i]))
+		s.markReady(i)
+		s.resume[i], s.stop[i] = iter.Pull(s.rankProgram(&w.ranks[i]))
 	}
 	return s
 }
 
-// rankLoop is the coroutine of one rank: one program per resume from a
-// fresh Run, until a program fails or the coroutine is stopped.
-func (s *sched) rankLoop(r *Rank) iter.Seq[struct{}] {
+// rankProgram is the coroutine of one rank: it runs the program on r
+// and retires the rank. A panic with errAborted means the world was
+// stopped under the program; any other is an application bug, which
+// becomes the run's error.
+func (s *sched) rankProgram(r *Rank) iter.Seq[struct{}] {
 	return func(yield func(struct{}) bool) {
 		s.yield[r.id] = yield
-		for s.runBody(r) && yield(struct{}{}) {
-		}
-	}
-}
-
-// runBody runs the current program on r and retires the rank,
-// reporting false when the program panicked instead: with errAborted
-// because the world was stopped under it, with anything else because
-// of an application bug, which becomes the run's error.
-func (s *sched) runBody(r *Rank) (ok bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			if err, _ := p.(error); !errors.Is(err, errAborted) {
-				s.err = fmt.Errorf("simmpi: rank %d panicked: %v", r.id, p)
+		defer func() {
+			if p := recover(); p != nil {
+				if err, _ := p.(error); !errors.Is(err, errAborted) {
+					s.err = fmt.Errorf("simmpi: rank %d panicked: %v", r.id, p)
+				}
 			}
-		}
-	}()
-	s.body(r)
-	s.state[r.id] = stateDone
-	s.live--
-	return true
-}
-
-// reset prepares the scheduler for a fresh run: every rank runnable,
-// nothing blocked, no error.
-func (s *sched) reset() {
-	n := len(s.state)
-	for i := 0; i < n; i++ {
-		s.state[i] = stateRunnable
-		s.wait[i] = waitRecord{}
-		s.markReady(i)
+		}()
+		s.body(r)
+		s.state[r.id] = stateDone
+		s.live--
 	}
-	s.live = n
-	s.err = nil
 }
 
 func (s *sched) markReady(i int) { s.ready[i>>6] |= 1 << (i & 63) }
@@ -159,12 +141,11 @@ func (s *sched) popReady() (int, bool) {
 	return 0, false
 }
 
-// run executes body on every rank with the calling goroutine as the
-// scheduler. When no rank is runnable and live ranks remain, each is
-// parked on a wait record that nothing can satisfy: the world is
+// run executes the program on every rank with the calling goroutine as
+// the scheduler. When no rank is runnable and live ranks remain, each
+// is parked on a wait record that nothing can satisfy: the world is
 // deadlocked, and run reports it instead of hanging.
-func (s *sched) run(body func(*Rank)) error {
-	s.body = body
+func (s *sched) run() error {
 	for s.live > 0 {
 		id, ok := s.popReady()
 		if !ok {
@@ -176,7 +157,6 @@ func (s *sched) run(body func(*Rank)) error {
 			return s.err
 		}
 	}
-	s.body = nil // a pooled world retains no caller data
 	return nil
 }
 
@@ -187,7 +167,7 @@ func (s *sched) run(body func(*Rank)) error {
 func (s *sched) block(id int, wr waitRecord) {
 	s.wait[id] = wr
 	s.state[id] = stateBlocked
-	//harmonyvet:ignore allocfree yield is this rank's iter.Pull coroutine switch, which allocates nothing; TestRunAllocationSteadyState pins 800 of them per Run
+	//harmonyvet:ignore allocfree yield is this rank's iter.Pull coroutine switch, which allocates nothing; TestRunAllocationSteadyState holds a Run of 1000 ring laps to the allocations of a Run of one
 	if !s.yield[id](struct{}{}) {
 		panic(errAborted)
 	}
@@ -202,7 +182,7 @@ func (s *sched) unblock(id int) {
 }
 
 // stopAll ends every rank coroutine, unwinding any program still
-// parked in block.
+// parked in block; a coroutine that has returned is left alone.
 func (s *sched) stopAll() {
 	for _, stop := range s.stop {
 		stop()

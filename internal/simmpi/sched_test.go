@@ -1,6 +1,7 @@
 package simmpi
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -65,7 +66,7 @@ func scheduleProgram(log *[]int) func(r *Rank) {
 // clock being unchanged follows from the order being unchanged.
 func TestScheduleTraceMatchesChannelScheduler(t *testing.T) {
 	want := []int{0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 0, 1, 2, 3, 4, 0, 0, 0, 0, 0, 1, 2, 3, 4, 4, 4, 0, 1, 2, 3}
-	for trial := 0; trial < 3; trial++ { // fresh world, then pooled ones
+	for trial := 0; trial < 3; trial++ {
 		var got []int
 		if _, err := Run(testMachine(3, 2), 5, scheduleProgram(&got)); err != nil {
 			t.Fatal(err)
@@ -76,9 +77,9 @@ func TestScheduleTraceMatchesChannelScheduler(t *testing.T) {
 	}
 }
 
-// rankCoroutines counts the coroutines alive in the process — rank
-// coroutines, parked in a pooled world or not; nothing else in this
-// package makes any — from the all-goroutine stack dump.
+// rankCoroutines counts the rank coroutines alive in the process —
+// nothing else in this package makes any — from the all-goroutine
+// stack dump.
 func rankCoroutines() int {
 	buf := make([]byte, 1<<20)
 	for {
@@ -91,47 +92,32 @@ func rankCoroutines() int {
 	return strings.Count(string(buf), " [coroutine")
 }
 
-// collectWorlds runs the collector until every pooled or abandoned
-// world has been dropped and its finalizer has stopped its ranks.
-func collectWorlds(t *testing.T) {
+// checkNoRanksLeft fails when a rank coroutine is still alive or the
+// process holds more goroutines than base. A goroutine an earlier test
+// left exiting can make the count fall below base, never rise above.
+func checkNoRanksLeft(t *testing.T, base int, after string) {
 	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for rankCoroutines() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d rank coroutines still alive after collecting for 20 s", rankCoroutines())
-		}
-		runtime.GC()
-		time.Sleep(time.Millisecond) // let the finalizer goroutine run
+	if got, cos := runtime.NumGoroutine(), rankCoroutines(); got > base || cos != 0 {
+		t.Errorf("%d goroutines, %d of them rank coroutines, after %s; want the %d before and none", got, cos, after, base)
 	}
 }
 
-func TestPooledWorldsLeakNoGoroutines(t *testing.T) {
-	collectWorlds(t) // worlds earlier tests left in the pool
+// TestCleanRunLeavesNoGoroutines: a world lives one run, so the moment
+// Run returns its ranks are gone, at every size.
+func TestCleanRunLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
-	parked := 0
 	for _, n := range []int{1, 2, 3, 5, 8, 13, 70} {
 		if _, err := Run(testMachine(35, 2), n, func(r *Rank) { r.Barrier() }); err != nil {
 			t.Fatal(err)
 		}
-		parked += n
-	}
-	if got, cos := runtime.NumGoroutine(), rankCoroutines(); got != base+parked || cos != parked {
-		t.Errorf("%d goroutines, %d of them coroutines, with seven worlds pooled; want the %d before plus %d parked ranks", got, cos, base, parked)
-	}
-	collectWorlds(t)
-	if got := runtime.NumGoroutine(); got != base {
-		t.Errorf("%d goroutines after the pool was collected, want the %d before", got, base)
+		checkNoRanksLeft(t, base, fmt.Sprintf("a clean %d-rank run", n))
 	}
 }
 
 func TestFailedRunLeaksNoGoroutines(t *testing.T) {
-	collectWorlds(t)
 	base := runtime.NumGoroutine()
-	// No collection in between: a failed run stops its ranks itself.
 	runExpectingDeadlock(t, 1, 9, 9, func(r *Rank) { r.Recv((r.ID()+1)%9, 0) })
-	if got := runtime.NumGoroutine(); got != base {
-		t.Errorf("%d goroutines after a deadlocked run, want %d", got, base)
-	}
+	checkNoRanksLeft(t, base, "a deadlocked run")
 	// Ranks 0-2 are parked in the barrier when rank 3 panics; ranks 4-8
 	// have never been resumed.
 	if _, err := Run(testMachine(1, 9), 9, func(r *Rank) {
@@ -142,16 +128,16 @@ func TestFailedRunLeaksNoGoroutines(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "rank 3 panicked: boom") {
 		t.Fatalf("err = %v, want rank 3's panic", err)
 	}
-	if got := runtime.NumGoroutine(); got != base {
-		t.Errorf("%d goroutines after a rank panic, want %d", got, base)
-	}
+	checkNoRanksLeft(t, base, "a rank panic")
 }
 
 // TestGoexitInRankEndsCaller: runtime.Goexit in a rank program — what
 // t.Fatal does — ends the goroutine that called Run, as FailNow
 // requires of the test goroutine, instead of hanging Run on the ranks
-// left parked; those are stopped when the abandoned world is collected.
+// left parked; Run's deferred stop unwinds those before the caller's
+// own deferred calls run.
 func TestGoexitInRankEndsCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
 	returned := false
 	done := make(chan struct{})
 	go func() {
@@ -168,13 +154,21 @@ func TestGoexitInRankEndsCaller(t *testing.T) {
 	if returned {
 		t.Error("Run returned to its caller after a rank called runtime.Goexit")
 	}
-	collectWorlds(t)
+	if cos := rankCoroutines(); cos != 0 {
+		t.Errorf("%d rank coroutines alive once Run's caller has unwound, want 0", cos)
+	}
+	// The caller itself is still exiting: wait for it, without a
+	// collection, then hold the count to the baseline.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	checkNoRanksLeft(t, base, "a rank's runtime.Goexit")
 }
 
-// TestWorldsRunConcurrently drives several worlds of one size at once,
-// so pooled worlds also migrate between goroutines; under -race this
-// checks that a world shares nothing with its neighbours and that
-// resuming a coroutine from a new goroutine orders its accesses.
+// TestWorldsRunConcurrently drives several worlds of one size at once
+// from different goroutines; under -race this checks that a world
+// shares nothing with its neighbours and that every resume and yield
+// orders its accesses.
 func TestWorldsRunConcurrently(t *testing.T) {
 	m := testMachine(2, 3)
 	var wantLog []int
@@ -198,27 +192,4 @@ func TestWorldsRunConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestWorldResumesOnAnotherGoroutine runs one world's ranks from three
-// goroutines in turn, none of them the one that created it.
-func TestWorldResumesOnAnotherGoroutine(t *testing.T) {
-	m := testMachine(2, 2)
-	h := acquireWorld(m, 4)
-	var logs [3][]int
-	for i := range logs {
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			h.w.reset(m)
-			if err := h.w.sched.run(scheduleProgram(&logs[i])); err != nil {
-				t.Error(err)
-			}
-		}()
-		<-done
-	}
-	releaseWorld(h)
-	if len(logs[0]) == 0 || !reflect.DeepEqual(logs[0], logs[1]) || !reflect.DeepEqual(logs[0], logs[2]) {
-		t.Errorf("schedules differ between goroutines: %v", logs)
-	}
 }

@@ -12,15 +12,18 @@
 // cluster, while a 480-rank ocean-model step simulates in milliseconds
 // of wall-clock time.
 //
-// A program runs on one of two executors. Run executes each rank as a
-// coroutine under a cooperative run-to-block scheduler (see sched.go):
-// exactly one rank runs at a time and control switches directly at
-// blocking points, so the simulation needs no mutexes, no condition
-// variables, and no wall-clock watchdog — an application deadlock is
-// detected structurally the moment no rank can run, and reported
-// immediately. A Lockstep (see lockstep.go) executes a straight-line
-// program that carries no values as rank vectors, one operation for
-// all ranks at a time, charging exactly what Run charges.
+// A program runs on one of two executors, and what it reads decides
+// which. A straight-line cost program that reads no values — a POP,
+// GS2 or SLES run — executes on a Lockstep (see lockstep.go) as rank
+// vectors, one operation for all ranks at a time. Only a solve that
+// reads received values or reduction results (KSP, SNES) runs on Run,
+// which executes each rank as a coroutine under a cooperative
+// run-to-block scheduler (see sched.go): exactly one rank runs at a
+// time and control switches directly at blocking points, so the
+// simulation needs no mutexes, no condition variables, and no
+// wall-clock watchdog — an application deadlock is detected
+// structurally the moment no rank can run, and reported immediately.
+// Both charge the same costs for the same program.
 //
 // The simulation is conservative and deterministic: message matching
 // is by explicit (source, tag) with per-pair FIFO order, there is no
@@ -34,8 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"harmony/internal/cluster"
 )
@@ -145,9 +146,10 @@ func (q *msgQueue) pop() *message {
 	return m
 }
 
-// World is one simulated job: a machine plus n ranks. Only the
-// currently running rank touches a world's state — the cooperative
-// scheduler serialises all access, so nothing here is locked.
+// World is one simulated job: a machine plus n ranks, built by Run and
+// dropped when it returns. Only the currently running rank touches a
+// world's state — the cooperative scheduler serialises all access, so
+// nothing here is locked.
 type World struct {
 	machine *cluster.Machine
 	n       int
@@ -160,8 +162,7 @@ type World struct {
 	// the rank that completes each rendezvous. Point-to-point volume
 	// lives in per-rank counters; Run merges both at completion.
 	collBytes int64
-	// msgFree recycles message envelopes within (and, via the world
-	// pool, across) runs.
+	// msgFree recycles message envelopes within the run.
 	msgFree []*message
 	// payloadFree recycles payload buffers by power-of-two capacity
 	// class (bucket b holds buffers with cap >= 1<<b), so hot paths
@@ -170,13 +171,8 @@ type World struct {
 	// state: the sender acquires a buffer, SendOwned hands it to the
 	// receiver, and the receiver donates it back after consuming the
 	// values. Only the running rank touches the free lists, so no
-	// locking is needed, and buffers survive across runs via the
-	// world pool.
+	// locking is needed.
 	payloadFree [28][][]float64
-	// inflight counts messages pushed but not yet received, so reset
-	// can skip the stream-map sweep after a run that consumed
-	// everything it sent — the common case.
-	inflight int
 }
 
 //harmonyvet:allocamortized allocates only when the world's message free list is empty; every retired message is recycled
@@ -189,7 +185,7 @@ func (w *World) newMessage() *message {
 	return new(message)
 }
 
-//harmonyvet:allocamortized the free-list append grows to the campaign's in-flight high-water mark, then reuses capacity
+//harmonyvet:allocamortized the free-list append grows to the run's in-flight high-water mark, then reuses capacity
 func (w *World) freeMessage(m *message) {
 	m.payload = nil
 	w.msgFree = append(w.msgFree, m)
@@ -219,74 +215,6 @@ func (r *Rank) Machine() *cluster.Machine { return r.world.machine }
 // Elapsed returns the rank's current virtual clock in seconds.
 func (r *Rank) Elapsed() float64 { return r.clock }
 
-// worldPools recycles idle Worlds per rank count: a tuning campaign
-// re-running the same job size thousands of times reuses one set of
-// message queues, rank coroutines, and collective scratch instead of
-// rebuilding them every evaluation. A World holds nothing specific to
-// a machine (links and speeds are read through the pointer reset
-// installs), so the rank count is the whole key. Only worlds that
-// completed cleanly are pooled; failed worlds (with unwound ranks and
-// poisoned queues) are dropped.
-var worldPools sync.Map // int -> *sync.Pool of *worldRef
-
-// worldRef is what Run and the pool hold of a World. A parked rank's
-// stack keeps its World reachable, so a finalizer on the World itself
-// would never run; nothing a rank can reach points at the ref, so when
-// the pool drops it the finalizer runs and stops the coroutines.
-type worldRef struct{ w *World }
-
-func acquireWorld(m *cluster.Machine, n int) *worldRef {
-	if p, ok := worldPools.Load(n); ok {
-		if h, _ := p.(*sync.Pool).Get().(*worldRef); h != nil {
-			h.w.reset(m)
-			return h
-		}
-	}
-	w := &World{n: n}
-	w.queues = make([]map[streamKey]*msgQueue, n)
-	for i := range w.queues {
-		w.queues[i] = make(map[streamKey]*msgQueue)
-	}
-	w.ranks = make([]Rank, n)
-	w.coll = newCollective(w)
-	w.sched = newSched(w)
-	w.reset(m)
-	h := &worldRef{w}
-	runtime.SetFinalizer(h, func(h *worldRef) { h.w.sched.stopAll() })
-	return h
-}
-
-func releaseWorld(h *worldRef) {
-	p, ok := worldPools.Load(h.w.n)
-	if !ok {
-		p, _ = worldPools.LoadOrStore(h.w.n, &sync.Pool{})
-	}
-	p.(*sync.Pool).Put(h)
-}
-
-// reset returns a pooled world to its pristine state for machine m.
-// Queue capacity and message envelopes are retained; messages a
-// completed program left unreceived go back to the free list.
-func (w *World) reset(m *cluster.Machine) {
-	w.machine = m
-	w.collBytes = 0
-	if w.inflight > 0 {
-		for i := range w.queues {
-			for _, q := range w.queues[i] {
-				for !q.empty() {
-					w.freeMessage(q.pop())
-				}
-			}
-		}
-		w.inflight = 0
-	}
-	for i := range w.ranks {
-		w.ranks[i] = Rank{world: w, id: i}
-	}
-	w.coll.reset()
-	w.sched.reset()
-}
-
 // Run executes body on n simulated ranks of machine m and returns the
 // job statistics. n must not exceed m.Procs(): ranks map to
 // processors node-major. The calling goroutine drives the ranks, one
@@ -296,7 +224,7 @@ func (w *World) reset(m *cluster.Machine) {
 // never joins) is detected the moment no rank can make progress and
 // returned immediately as an error naming the blocked ranks.
 // runtime.Goexit in a rank program (t.Fatal in a test) ends the calling
-// goroutine.
+// goroutine. However Run ends, no rank coroutine outlives it.
 func Run(m *cluster.Machine, n int, body func(r *Rank)) (Stats, error) {
 	if err := m.Validate(); err != nil {
 		return Stats{}, err
@@ -304,11 +232,15 @@ func Run(m *cluster.Machine, n int, body func(r *Rank)) (Stats, error) {
 	if n <= 0 || n > m.Procs() {
 		return Stats{}, fmt.Errorf("simmpi: %d ranks on %s (%d processors)", n, m, m.Procs())
 	}
-	h := acquireWorld(m, n)
-	w := h.w
-	if err := w.sched.run(body); err != nil {
-		runtime.SetFinalizer(h, nil) // stopped here, and h stays live until it is
-		w.sched.stopAll()
+	w := &World{machine: m, n: n, queues: make([]map[streamKey]*msgQueue, n), ranks: make([]Rank, n)}
+	for i := range w.ranks {
+		w.queues[i] = make(map[streamKey]*msgQueue)
+		w.ranks[i] = Rank{world: w, id: i}
+	}
+	w.coll = newCollective(w)
+	w.sched = newSched(w, body)
+	defer w.sched.stopAll()
+	if err := w.sched.run(); err != nil {
 		return Stats{}, err
 	}
 
@@ -329,7 +261,6 @@ func Run(m *cluster.Machine, n int, body func(r *Rank)) (Stats, error) {
 			st.Time = r.clock
 		}
 	}
-	releaseWorld(h)
 	return st, nil
 }
 
@@ -379,7 +310,7 @@ func (r *Rank) SendOwned(dst, tag int, data []float64) {
 // SendOwned; the receiver donates them back with ReleaseBuf after
 // consuming the values, closing an allocation-free cycle.
 //
-//harmonyvet:allocamortized allocates only on a free-list miss; buffers recycle through ReleaseBuf for the rest of the campaign
+//harmonyvet:allocamortized allocates only on a free-list miss; buffers recycle through ReleaseBuf for the rest of the run
 func (r *Rank) AcquireBuf(n int) []float64 {
 	if n <= 0 {
 		return nil
@@ -425,7 +356,7 @@ func (r *Rank) SendBytes(dst, tag, bytes int) {
 	r.send(dst, tag, nil, bytes)
 }
 
-//harmonyvet:allocamortized the per-stream msgQueue is created once per (src,tag) pair and lives for the world's pooled lifetime; messages recycle via newMessage/freeMessage
+//harmonyvet:allocamortized the per-stream msgQueue is created once per (src,tag) pair and lives for the run; messages recycle via newMessage/freeMessage
 func (r *Rank) send(dst, tag int, payload []float64, bytes int) {
 	w := r.world
 	if dst < 0 || dst >= w.n {
@@ -449,7 +380,6 @@ func (r *Rank) send(dst, tag int, payload []float64, bytes int) {
 		w.queues[dst][key] = q
 	}
 	q.push(m)
-	w.inflight++
 	r.bytes += int64(bytes)
 	r.msgs++
 
@@ -483,7 +413,6 @@ func (r *Rank) Recv(src, tag int) []float64 {
 		q = w.queues[r.id][key]
 	}
 	m := q.pop()
-	w.inflight--
 
 	r.clock, r.wait = waitUntil(r.clock, r.wait, arrival(m.depart, m.link, m.bytes))
 	payload := m.payload

@@ -26,8 +26,8 @@ type haloRank struct {
 	nnz    int
 	// nGhost is the number of distinct remote columns the rank reads.
 	nGhost int
-	// send and recv list the halo legs in increasing peer order.
-	send, recv []HaloLeg
+	// recv lists the rank's receive legs in increasing peer order.
+	recv []HaloLeg
 }
 
 // HaloPlan is the cost skeleton of a matrix under a row partition:
@@ -37,9 +37,15 @@ type haloRank struct {
 // product depend on, in a few hundred bytes; the index lists and
 // kernel tables that move and multiply actual values are DistMatrix's.
 // A HaloPlan is immutable after construction and safe for concurrent
-// use by many simulated worlds at once.
+// use by many simulated jobs at once.
 type HaloPlan struct {
 	ranks []haloRank
+	// sends holds every rank's send legs, the only copy of them: rank
+	// src ships 8·count bytes to each peer, peers ascending.
+	sends simmpi.NeighbourPattern
+	// rows and nnz hold each rank's row and stored-entry counts as the
+	// rank vectors simmpi.Lockstep.Compute takes.
+	rows, nnz []float64
 }
 
 // NewHaloPlan builds the halo plan of a under the given partition. It
@@ -67,7 +73,8 @@ func newHaloPlan(a *CSR, part Partition, wantGhosts bool) (*HaloPlan, [][]int, e
 		return nil, nil, err
 	}
 	p := part.P()
-	hp := &HaloPlan{ranks: make([]haloRank, p)}
+	hp := &HaloPlan{ranks: make([]haloRank, p), sends: simmpi.NeighbourPattern{Start: make([]int, p+1)},
+		rows: make([]float64, p), nnz: make([]float64, p)}
 	var ghosts [][]int
 	if wantGhosts {
 		ghosts = make([][]int, p)
@@ -78,6 +85,7 @@ func newHaloPlan(a *CSR, part Partition, wantGhosts bool) (*HaloPlan, [][]int, e
 		h := &hp.ranks[r]
 		h.lo, h.hi = part.Range(r)
 		h.nnz = a.RowNNZ(h.lo, h.hi)
+		hp.rows[r], hp.nnz[r] = float64(h.hi-h.lo), float64(h.nnz)
 		for i := h.lo; i < h.hi; i++ {
 			row := a.Col[a.RowPtr[i]:a.RowPtr[i+1]]
 			below, above := 0, len(row)
@@ -100,16 +108,29 @@ func newHaloPlan(a *CSR, part Partition, wantGhosts bool) (*HaloPlan, [][]int, e
 				}
 			}
 		}
-		// Sends mirror needs; visiting receivers in increasing order
-		// keeps every send list sorted by peer too.
 		for peer, n := range from {
 			if n == 0 {
 				continue
 			}
 			h.recv = append(h.recv, HaloLeg{Peer: peer, Count: n})
-			hp.ranks[peer].send = append(hp.ranks[peer].send, HaloLeg{Peer: r, Count: n})
+			hp.sends.Start[peer+1]++
 			h.nGhost += n
 			from[peer] = 0
+		}
+	}
+	// Sends mirror receives. Visiting receivers in increasing order
+	// keeps every sender's peers ascending; from[src] counts the legs
+	// of src already placed.
+	sd := &hp.sends
+	for src := 0; src < p; src++ {
+		sd.Start[src+1] += sd.Start[src]
+	}
+	sd.Dst, sd.Bytes = make([]int, sd.Start[p]), make([]int, sd.Start[p])
+	for r := range hp.ranks {
+		for _, leg := range hp.ranks[r].recv {
+			k := sd.Start[leg.Peer] + from[leg.Peer]
+			sd.Dst[k], sd.Bytes[k] = r, 8*leg.Count
+			from[leg.Peer]++
 		}
 	}
 	return hp, ghosts, nil
@@ -140,29 +161,23 @@ func (hp *HaloPlan) MaxLocalNNZ() int {
 	return m
 }
 
-// Legs returns rank's send and receive legs, each in increasing peer
-// order. The slices are the plan's own: read-only.
-func (hp *HaloPlan) Legs(rank int) (send, recv []HaloLeg) {
-	return hp.ranks[rank].send, hp.ranks[rank].recv
-}
+// Recvs returns rank's receive legs in increasing peer order. The
+// slice is the plan's own: read-only.
+func (hp *HaloPlan) Recvs(rank int) []HaloLeg { return hp.ranks[rank].recv }
 
-// MatVecCost charges rank r what one distributed product costs — the
-// sends, receives and local flops of DistMatrix.MatVecInto, in the
-// same order and of the same sizes — without carrying or multiplying
-// any values, so every virtual clock ends where the numeric product
-// would leave it.
-//
-//harmonyvet:allocfree
-func (hp *HaloPlan) MatVecCost(r *simmpi.Rank, tag int) {
-	h := &hp.ranks[r.ID()]
-	for _, leg := range h.send {
-		r.SendBytes(leg.Peer, tag, 8*leg.Count)
-	}
-	for _, leg := range h.recv {
-		r.Recv(leg.Peer, tag)
-	}
-	r.Compute(FlopsPerNNZ * float64(h.nnz))
-}
+// Sends returns every rank's send legs as one neighbour pattern: the
+// halo exchange of a product, with 8·count bytes on each leg, which
+// simmpi.Lockstep.Exchange charges as DistMatrix.MatVecInto's sends
+// and receives. It is the plan's own: read-only.
+func (hp *HaloPlan) Sends() *simmpi.NeighbourPattern { return &hp.sends }
+
+// RowCounts returns every rank's local row count as a rank vector for
+// simmpi.Lockstep.Compute. The slice is the plan's own: read-only.
+func (hp *HaloPlan) RowCounts() []float64 { return hp.rows }
+
+// NNZCounts returns every rank's stored-entry count as a rank vector
+// for simmpi.Lockstep.Compute. The slice is the plan's own: read-only.
+func (hp *HaloPlan) NNZCounts() []float64 { return hp.nnz }
 
 // DistMatrix is a CSR matrix plus a row partition with precomputed
 // communication plans: the partition's HaloPlan, and on top of it, for
@@ -345,12 +360,13 @@ func (dm *DistMatrix) matVec(r *simmpi.Rank, tag int, x []float64, ws *Workspace
 	// comes from the world's recycled-payload free lists and is handed
 	// to the machine without a defensive copy; the receiving rank
 	// donates it back once unpacked.
-	for i, leg := range h.send {
-		vals := r.AcquireBuf(leg.Count)
-		for k, g := range plan.sendIdx[i] {
+	peers := dm.sends.Dst[dm.sends.Start[r.ID()]:]
+	for i, idx := range plan.sendIdx {
+		vals := r.AcquireBuf(len(idx))
+		for k, g := range idx {
 			vals[k] = x[g-h.lo]
 		}
-		r.SendOwned(leg.Peer, tag, vals)
+		r.SendOwned(peers[i], tag, vals)
 	}
 	// Operand vector: local entries followed by ghost slots. Ghosts
 	// from one peer land in one contiguous copy.
@@ -511,15 +527,6 @@ const VecFlops = 2.0
 //harmonyvet:allocfree
 func VecCost(r *simmpi.Rank, n int) {
 	r.Compute(VecFlops * float64(n))
-}
-
-// DotCost charges rank r what Dot costs on n-element local vectors —
-// the local pass and the scalar allreduce — without the values.
-//
-//harmonyvet:allocfree
-func DotCost(r *simmpi.Rank, n int) {
-	VecCost(r, n)
-	r.Allreduce1(simmpi.Sum, 0)
 }
 
 // Dot computes the global dot product of two distributed vectors from

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -11,8 +12,9 @@ import (
 // sorting or index lists — against a brute-force reading of the CSR
 // and against the DistMatrix of the same partition: for every rank
 // the distinct remote columns, grouped by owner in increasing peer
-// order, give the receive legs' counts, the mirrored send legs' counts
-// and index lists, the ghost total behind HaloBytes, and nnz. Runs on
+// order, give the receive legs' counts, the mirrored send legs' peers,
+// bytes and index lists, the ghost total behind HaloBytes, and the row
+// and nnz counts. Runs on
 // uneven random partitions of the band matrix, of the dense-block
 // matrix (a cut block makes every one of its columns a ghost, many
 // times referenced) and of a 2-D grid (ghosts a row stride away).
@@ -76,7 +78,8 @@ func TestHaloPlanMatchesDistMatrix(t *testing.T) {
 			}
 			for r := 0; r < p; r++ {
 				lo, hi := part.Range(r)
-				var wantRecv, wantSend []HaloLeg
+				var wantRecv []HaloLeg
+				var wantDst, wantBytes []int
 				var wantSendIdx [][]int
 				ghosts := 0
 				for peer := 0; peer < p; peer++ {
@@ -85,21 +88,23 @@ func TestHaloPlanMatchesDistMatrix(t *testing.T) {
 						ghosts += len(cols)
 					}
 					if cols := need[peer][r]; len(cols) > 0 {
-						wantSend = append(wantSend, HaloLeg{Peer: peer, Count: len(cols)})
+						wantDst, wantBytes = append(wantDst, peer), append(wantBytes, 8*len(cols))
 						wantSendIdx = append(wantSendIdx, cols)
 					}
 				}
-				send, recv := hp.Legs(r)
-				if !reflect.DeepEqual(recv, wantRecv) || !reflect.DeepEqual(send, wantSend) {
-					t.Fatalf("%s %v rank %d: legs send %v recv %v, want send %v recv %v",
-						name, part.Starts, r, send, recv, wantSend, wantRecv)
+				sd := hp.Sends()
+				dst, bytes := sd.Dst[sd.Start[r]:sd.Start[r+1]], sd.Bytes[sd.Start[r]:sd.Start[r+1]]
+				if recv := hp.Recvs(r); !reflect.DeepEqual(recv, wantRecv) || !slices.Equal(dst, wantDst) || !slices.Equal(bytes, wantBytes) {
+					t.Fatalf("%s %v rank %d: sends %v bytes %v, receives %v; want sends %v bytes %v, receives %v",
+						name, part.Starts, r, dst, bytes, recv, wantDst, wantBytes, wantRecv)
 				}
 				if !reflect.DeepEqual(dm.plans[r].sendIdx, wantSendIdx) {
 					t.Fatalf("%s %v rank %d: send index lists %v, want %v", name, part.Starts, r, dm.plans[r].sendIdx, wantSendIdx)
 				}
-				if hp.HaloBytes(r) != 8*ghosts || hp.LocalNNZ(r) != a.RowNNZ(lo, hi) || hp.LocalSize(r) != hi-lo {
-					t.Fatalf("%s %v rank %d: HaloBytes %d LocalNNZ %d LocalSize %d, want %d %d %d", name, part.Starts, r,
-						hp.HaloBytes(r), hp.LocalNNZ(r), hp.LocalSize(r), 8*ghosts, a.RowNNZ(lo, hi), hi-lo)
+				if hp.HaloBytes(r) != 8*ghosts || hp.LocalNNZ(r) != a.RowNNZ(lo, hi) || hp.LocalSize(r) != hi-lo ||
+					hp.NNZCounts()[r] != float64(a.RowNNZ(lo, hi)) || hp.RowCounts()[r] != float64(hi-lo) {
+					t.Fatalf("%s %v rank %d: HaloBytes %d LocalNNZ %d (%v) LocalSize %d (%v), want %d %d %d", name, part.Starts, r,
+						hp.HaloBytes(r), hp.LocalNNZ(r), hp.NNZCounts()[r], hp.LocalSize(r), hp.RowCounts()[r], 8*ghosts, a.RowNNZ(lo, hi), hi-lo)
 				}
 			}
 		}
