@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkHarmonyvet times a full-repo vet run — load and type-check
-// the module from source, run all nine analyzers (the interprocedural
-// ones build the call graph and fact store), filter suppressions.
+// the module from source, run all eight analyzers (the interprocedural
+// ones follow the call graph and fact store), filter suppressions.
 // This is exactly the CI gate, so the benchmark is the budget that
 // keeps the gate blocking: a full run must stay under a few seconds.
 func BenchmarkHarmonyvet(b *testing.B) {

@@ -20,7 +20,7 @@
 //
 // The -only spec is a comma-separated list of analyzer names. A name
 // prefixed with "-" excludes instead of selects: "-only -allocfree"
-// runs everything except allocfree, "-only lockcheck,lockorder" runs
+// runs everything except allocfree, "-only errdrop,lockorder" runs
 // exactly those two. -json emits findings as a JSON array (the CI
 // artifact format); -facts dumps the interprocedural fact store after
 // the findings, one "function<TAB>fact<TAB>value" line each.
@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "harmonyvet: %v\n", err)
 		return 2
 	}
-	findings, prog := analysis.RunDetailed(pkgs, analyzers)
+	findings, prog := analysis.Run(pkgs, analyzers)
 	if *asJSON {
 		if err := writeJSON(stdout, findings); err != nil {
 			fmt.Fprintf(stderr, "harmonyvet: %v\n", err)
@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, f)
 		}
 	}
-	if *facts && prog != nil {
+	if *facts {
 		prog.Facts().Dump(stdout)
 	}
 	if len(findings) > 0 {

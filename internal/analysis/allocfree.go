@@ -33,10 +33,10 @@ import (
 // Arguments of panic(...) are exempt everywhere: a panic is the end
 // of the simulated world, so formatting its message may allocate.
 var allocfreeAnalyzer = &Analyzer{
-	Name:       "allocfree",
-	Doc:        "//harmonyvet:allocfree functions must be transitively heap-allocation-free",
-	Applies:    everywhere,
-	RunProgram: runAllocfree,
+	Name:    "allocfree",
+	Doc:     "//harmonyvet:allocfree functions must be transitively heap-allocation-free",
+	Applies: everywhere,
+	Run:     runAllocfree,
 }
 
 // allocfreeStdlib lists stdlib packages whose exported functions are
@@ -47,10 +47,10 @@ var allocfreeStdlib = map[string]bool{
 	"sync/atomic": true,
 }
 
-func runAllocfree(pp *ProgramPass) {
+func runAllocfree(p *Pass) {
 	var roots []*FuncInfo
-	for _, pkg := range pp.Packages() {
-		for _, fi := range pp.Prog.funcsIn(pkg) {
+	for _, pkg := range p.Packages() {
+		for _, fi := range p.Prog.funcsIn(pkg) {
 			if fi.Directive(dirAllocfree) {
 				roots = append(roots, fi)
 			}
@@ -59,7 +59,7 @@ func runAllocfree(pp *ProgramPass) {
 	reported := make(map[token.Pos]bool)
 	for _, root := range roots {
 		v := &allocfreeScan{
-			pp:       pp,
+			p:        p,
 			root:     root,
 			visited:  make(map[*types.Func]bool),
 			reported: reported,
@@ -73,7 +73,7 @@ func runAllocfree(pp *ProgramPass) {
 // shared helper reached from several annotated functions produces one
 // finding (and needs one suppression).
 type allocfreeScan struct {
-	pp       *ProgramPass
+	p        *Pass
 	root     *FuncInfo
 	visited  map[*types.Func]bool
 	reported map[token.Pos]bool
@@ -84,7 +84,7 @@ func (v *allocfreeScan) site(pos token.Pos, amortized bool, path, format string,
 		return
 	}
 	v.reported[pos] = true
-	v.pp.Reportf(pos, "%s on the allocation-free path of %s (%s)",
+	v.p.Reportf(pos, "%s on the allocation-free path of %s (%s)",
 		fmt.Sprintf(format, args...), v.root.Fn.Name(), path)
 }
 
@@ -170,7 +170,7 @@ func (v *allocfreeScan) call(fi *FuncInfo, call *ast.CallExpr, path string, amor
 	}
 	v.checkBoxing(fi, call, fn, path, amortized)
 
-	if callee := v.pp.Prog.FuncOf(fn); callee != nil {
+	if callee := v.p.Prog.FuncOf(fn); callee != nil {
 		if callee.Directive(dirColdpath) || callee.Directive(dirAllocfree) {
 			return // cold paths are out of scope; allocfree callees carry their own proof
 		}

@@ -21,7 +21,7 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Analyzer, f.Message)
 }
 
-// Analyzer is one named check over a type-checked package.
+// Analyzer is one named check over the program.
 type Analyzer struct {
 	// Name identifies the analyzer in findings and in
 	// //harmonyvet:ignore directives.
@@ -33,30 +33,47 @@ type Analyzer struct {
 	// fixture packages under testdata/src/<name> are analyzed exactly
 	// like the real package of the same name.
 	Applies func(pkgPath string) bool
-	// Run inspects the package and reports findings through the pass.
-	// Exactly one of Run and RunProgram is set.
+	// Run inspects the packages the analyzer applies to and reports
+	// findings through the pass. Analyzers that follow calls across
+	// package boundaries compute their facts over p.FactPackages().
 	Run func(p *Pass)
-	// RunProgram runs once over the whole program instead of once per
-	// package — the hook of the interprocedural analyzers (allocfree,
-	// lockorder, prunepurity), which follow calls and facts across
-	// package boundaries.
-	RunProgram func(pp *ProgramPass)
 }
 
-// Pass carries one (analyzer, package) run.
+// Pass carries one (analyzer, program) run.
 type Pass struct {
 	Analyzer *Analyzer
-	Pkg      *Package
+	Prog     *Program
 	findings []Finding
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.findings = append(p.findings, Finding{
-		Pos:      p.Pkg.Fset.Position(pos),
+		Pos:      p.Prog.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// Packages returns the pattern packages the analyzer applies to: the
+// packages it reports on.
+func (p *Pass) Packages() []*Package { return p.applicable(p.Prog.Pkgs) }
+
+// FactPackages returns every indexed package the analyzer applies to,
+// pattern or dependency — the set fact computation runs over, so
+// cross-package facts (a taint summary in internal/core consumed from
+// internal/server) exist even when only one of the packages is being
+// reported on.
+func (p *Pass) FactPackages() []*Package { return p.applicable(p.Prog.allPackages()) }
+
+func (p *Pass) applicable(pkgs []*Package) []*Package {
+	var out []*Package
+	for _, pkg := range pkgs {
+		if p.Analyzer.Applies == nil || p.Analyzer.Applies(pkg.Path) {
+			out = append(out, pkg)
+		}
+	}
+	return out
 }
 
 // All returns the full analyzer suite in a fixed order.
@@ -65,7 +82,6 @@ func All() []*Analyzer {
 		wallclockAnalyzer,
 		maporderAnalyzer,
 		randsourceAnalyzer,
-		lockcheckAnalyzer,
 		errdropAnalyzer,
 		allocfreeAnalyzer,
 		lockorderAnalyzer,
@@ -197,14 +213,9 @@ func suppressed(f Finding, sups []suppression) bool {
 }
 
 // Run applies the analyzers to the packages, filters suppressed
-// findings, and returns the survivors sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	findings, _ := RunDetailed(pkgs, analyzers)
-	return findings
-}
-
-// RunDetailed is Run plus the Program built for the interprocedural
-// analyzers (nil when none ran), so callers can dump its fact store.
+// findings, and returns the survivors sorted by position, together
+// with the Program the analyzers ran over (callers dump its fact
+// store).
 //
 // Suppressions are collected globally: an interprocedural finding may
 // land in a dependency package outside the pattern set (allocfree
@@ -213,60 +224,32 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 // Malformed-directive findings, by contrast, are only reported for
 // pattern packages, so vetting one directory does not surface
 // diagnostics about another.
-func RunDetailed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, *Program) {
-	var out []Finding
-	var prog *Program
-	for _, a := range analyzers {
-		if a.RunProgram != nil {
-			prog = buildProgram(pkgs)
-			break
-		}
-	}
-
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, *Program) {
+	prog := buildProgram(pkgs)
 	inPattern := make(map[*Package]bool, len(pkgs))
-	var sups []suppression
 	for _, pkg := range pkgs {
 		inPattern[pkg] = true
+	}
+	var out []Finding
+	var sups []suppression
+	for _, pkg := range prog.allPackages() {
 		s, bad := collectSuppressions(pkg)
 		sups = append(sups, s...)
-		out = append(out, bad...)
-	}
-	if prog != nil {
-		for _, pkg := range prog.allPackages() {
-			if !inPattern[pkg] {
-				s, _ := collectSuppressions(pkg)
-				sups = append(sups, s...)
-			}
+		if inPattern[pkg] {
+			out = append(out, bad...)
 		}
 	}
 
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil || (a.Applies != nil && !a.Applies(pkg.Path)) {
-				continue
-			}
-			pass := &Pass{Analyzer: a, Pkg: pkg}
-			a.Run(pass)
-			for _, f := range pass.findings {
-				if !suppressed(f, sups) {
-					out = append(out, f)
-				}
-			}
-		}
-	}
 	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		pp := &ProgramPass{Analyzer: a, Prog: prog}
-		a.RunProgram(pp)
-		for _, f := range pp.findings {
+		p := &Pass{Analyzer: a, Prog: prog}
+		a.Run(p)
+		for _, f := range p.findings {
 			if !suppressed(f, sups) {
 				out = append(out, f)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
@@ -279,9 +262,9 @@ func RunDetailed(pkgs []*Package, analyzers []*Analyzer) ([]Finding, *Program) {
 	return out, prog
 }
 
-// inspect walks every file of the pass's package.
-func (p *Pass) inspect(fn func(ast.Node) bool) {
-	for _, f := range p.Pkg.Files {
+// inspect walks every file of pkg.
+func inspect(pkg *Package, fn func(ast.Node) bool) {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, fn)
 	}
 }

@@ -76,7 +76,7 @@ func runFixture(t *testing.T, dir, analyzer string) {
 	}
 	pkg := loadFixture(t, dir)
 	wants := fixtureWants(t, pkg)
-	findings := Run([]*Package{pkg}, []*Analyzer{az})
+	findings, _ := Run([]*Package{pkg}, []*Analyzer{az})
 
 	unmatched := make(map[string][]string, len(wants))
 	for k, v := range wants {
@@ -113,12 +113,11 @@ func TestWallclockFixture(t *testing.T)   { runFixture(t, "simmpi", "wallclock")
 func TestWallclockExempt(t *testing.T)    { runFixture(t, "server", "wallclock") }
 func TestMaporderFixture(t *testing.T)    { runFixture(t, "maporder", "maporder") }
 func TestRandsourceFixture(t *testing.T)  { runFixture(t, "search", "randsource") }
-func TestLockcheckFixture(t *testing.T)   { runFixture(t, "lockcheck", "lockcheck") }
 func TestErrdropFixture(t *testing.T)     { runFixture(t, "proto", "errdrop") }
 func TestSuppressionFixture(t *testing.T) { runFixture(t, "suppress", "maporder") }
 
-// The interprocedural analyzers: each fixture carries positive cases,
-// negative cases, and one justified suppression.
+// Each of these fixtures carries positive cases, negative cases, and
+// one justified suppression.
 func TestAllocfreeFixture(t *testing.T)   { runFixture(t, "allocfree", "allocfree") }
 func TestLockorderFixture(t *testing.T)   { runFixture(t, "lockorder", "lockorder") }
 func TestProtowireFixture(t *testing.T)   { runFixture(t, "protowire", "protowire") }
@@ -128,7 +127,7 @@ func TestPrunepurityFixture(t *testing.T) { runFixture(t, "prunepurity", "prunep
 // themselves reported and do not suppress the underlying finding.
 func TestSuppressionValidation(t *testing.T) {
 	pkg := loadFixture(t, "suppressbad")
-	findings := Run([]*Package{pkg}, []*Analyzer{ByName("maporder")})
+	findings, _ := Run([]*Package{pkg}, []*Analyzer{ByName("maporder")})
 
 	var gotMissingReason, gotUnknown bool
 	maporderCount := 0
@@ -159,7 +158,7 @@ func TestSuppressionValidation(t *testing.T) {
 // TestAnalyzerInventory pins the analyzer set the CLI advertises.
 func TestAnalyzerInventory(t *testing.T) {
 	want := []string{
-		"wallclock", "maporder", "randsource", "lockcheck", "errdrop",
+		"wallclock", "maporder", "randsource", "errdrop",
 		"allocfree", "lockorder", "protowire", "prunepurity",
 	}
 	all := All()

@@ -17,32 +17,34 @@ var errdropAnalyzer = &Analyzer{
 	Doc:     "no silently discarded error results in the protocol packages",
 	Applies: baseIn("proto", "server", "client"),
 	Run: func(p *Pass) {
-		report := func(call *ast.CallExpr, how string) {
-			if callDropsError(p, call) {
-				p.Reportf(call.Pos(), "%s from %s is discarded; handle it or assign it to _ explicitly",
-					how, calleeText(call))
-			}
-		}
-		p.inspect(func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ExprStmt:
-				if call, ok := n.X.(*ast.CallExpr); ok {
-					report(call, "error result")
+		for _, pkg := range p.Packages() {
+			report := func(call *ast.CallExpr, how string) {
+				if callDropsError(pkg.Info, call) {
+					p.Reportf(call.Pos(), "%s from %s is discarded; handle it or assign it to _ explicitly",
+						how, calleeText(call))
 				}
-			case *ast.DeferStmt:
-				report(n.Call, "error result of deferred call")
-			case *ast.GoStmt:
-				report(n.Call, "error result of goroutine call")
 			}
-			return true
-		})
+			inspect(pkg, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.ExprStmt:
+					if call, ok := n.X.(*ast.CallExpr); ok {
+						report(call, "error result")
+					}
+				case *ast.DeferStmt:
+					report(n.Call, "error result of deferred call")
+				case *ast.GoStmt:
+					report(n.Call, "error result of goroutine call")
+				}
+				return true
+			})
+		}
 	},
 }
 
 // callDropsError reports whether the call returns an error among its
 // results (all of which the surrounding statement discards).
-func callDropsError(p *Pass, call *ast.CallExpr) bool {
-	tv, ok := p.Pkg.Info.Types[call.Fun]
+func callDropsError(info *types.Info, call *ast.CallExpr) bool {
+	tv, ok := info.Types[call.Fun]
 	if !ok {
 		return false
 	}

@@ -6,10 +6,9 @@
 // reproduction depends on: virtual-time packages must never read the
 // wall clock, float accumulation and message schedules must not
 // depend on Go's randomised map iteration order, search randomness
-// must flow from injected seeded *rand.Rand values, mutexes must not
-// be held across early returns or copied by value, and errors on the
-// protocol's encode/decode/connection paths must not be silently
-// dropped. See DESIGN.md ("Static analysis") for the rationale of
+// must flow from injected seeded *rand.Rand values, mutexes must be
+// released on every return, and errors on the protocol's
+// encode/decode/connection paths must not be silently dropped. See DESIGN.md ("Static analysis") for the rationale of
 // each analyzer and the suppression syntax.
 package analysis
 

@@ -1,42 +1,49 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/printer"
 	"go/token"
 	"go/types"
 	"strings"
 )
 
-// lockorderAnalyzer enforces the sharded server's locking contract
+// lockorderAnalyzer scans every sync.Mutex/RWMutex critical section,
+// and enforces the sharded server's locking contract on top
 // (internal/server/shard.go: "Lock order: shard.mu before session.mu,
 // always"):
 //
-//  1. no scope holds two shard mutexes at once — directly or by
+//  1. no return while a mutex is locked, and no mutex left locked at
+//     the end of its scope, unless a deferred unlock covers it;
+//  2. functions named *Locked hold a lock by convention: they are
+//     scanned as if their shard/session lock were already held, and
+//     calling one with no mutex held positionally is flagged;
+//  3. no scope holds two shard mutexes at once — directly or by
 //     calling a function that takes one;
-//  2. no channel operation, goroutine launch, blocking I/O, or
+//  4. no channel operation, goroutine launch, blocking I/O, or
 //     callback through a func value (s.Logf, injected clocks) runs
 //     while a shard mutex is held — directly or transitively;
-//  3. a shard's deadline heap (the .dq field) is mutated only under
+//  5. a shard's deadline heap (the .dq field) is mutated only under
 //     that shard's own mutex;
-//  4. shard.mu is never acquired while a session.mu is held;
-//  5. functions named *Locked hold a lock by convention: they are
-//     scanned as if their shard/session lock were already held, and
-//     calling one with no lock held positionally is flagged.
+//  6. shard.mu is never acquired while a session.mu is held.
 //
-// The scan is positional, like lockcheck: statements are visited in
-// source order and a deferred unlock keeps the lock held to the end
-// of the scope. Shard and session mutexes are recognised as the .mu
-// field of a type named "shard" or "session". Facts about callees
-// (performs a forbidden operation, acquires a shard lock) are
-// computed transitively over the static call graph, so a violation
-// three calls deep is reported at the locked call site with the
-// offending chain named.
+// The scan is positional, not a control-flow graph: statements are
+// visited in source order, an unlock ends the critical section for
+// everything after it (so unlocking on the early path before returning
+// passes), and a deferred unlock keeps the lock held to the end of the
+// scope. Function literals are scopes of their own. Shard and session
+// mutexes are recognised as the .mu field of a type named "shard" or
+// "session". Facts about callees (performs a forbidden operation,
+// acquires a shard lock) are computed transitively over the static
+// call graph, so a violation three calls deep is reported at the
+// locked call site with the offending chain named.
 var lockorderAnalyzer = &Analyzer{
-	Name:       "lockorder",
-	Doc:        "sharded-server lock discipline: one shard lock, no chan/IO/callback under it, heap under owner, shard before session",
-	Applies:    baseIn("server", "lockorder"),
-	RunProgram: runLockorder,
+	Name:    "lockorder",
+	Doc:     "no return under a held mutex; *Locked callers hold one; one shard lock, no chan/IO/callback under it, heap under owner, shard before session",
+	Applies: everywhere,
+	Run:     runLockorder,
 }
 
 // lockorder fact names.
@@ -50,57 +57,90 @@ var lockorderIOPkgs = map[string]bool{
 	"net": true, "os": true, "io": true, "bufio": true, "log": true,
 }
 
-func runLockorder(pp *ProgramPass) {
-	computeLockFacts(pp)
-	for _, pkg := range pp.Packages() {
-		for _, fi := range pp.Prog.funcsIn(pkg) {
-			scanLockScope(pp, fi)
-		}
+func runLockorder(p *Pass) {
+	computeLockFacts(p)
+	for _, pkg := range p.Packages() {
+		inspect(pkg, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					scanLockBody(p, pkg, fn.Body, virtualLocks(pkg, fn), strings.HasSuffix(fn.Name.Name, "Locked"))
+				}
+			case *ast.FuncLit:
+				scanLockBody(p, pkg, fn.Body, nil, false)
+			}
+			return true
+		})
 	}
 }
 
-// lockNamedBase returns the name of the named struct type behind e
-// (dereferencing one pointer), or "".
-func lockNamedBase(info *types.Info, e ast.Expr) string {
+// namedType returns the type name behind e (dereferencing one
+// pointer), or nil.
+func namedType(info *types.Info, e ast.Expr) *types.TypeName {
 	t := info.TypeOf(e)
 	if t == nil {
-		return ""
+		return nil
 	}
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj()
 	}
-	return named.Obj().Name()
+	return nil
 }
 
-// lockTarget classifies a call as Lock/Unlock of a shard or session
-// mutex: a selector chain X.mu.(Lock|Unlock) where X's named type is
-// "shard" or "session". Returns the owner kind, the canonical text of
-// X, and whether it locks (true) or unlocks (false).
-func lockTarget(info *types.Info, call *ast.CallExpr) (kind, base string, lock, ok bool) {
+// lockNamedBase returns the name of the named type behind e
+// (dereferencing one pointer), or "".
+func lockNamedBase(info *types.Info, e ast.Expr) string {
+	if tn := namedType(info, e); tn != nil {
+		return tn.Name()
+	}
+	return ""
+}
+
+// isMutexExpr reports whether e is (or points to) a sync.Mutex or
+// sync.RWMutex.
+func isMutexExpr(info *types.Info, e ast.Expr) bool {
+	tn := namedType(info, e)
+	return tn != nil && tn.Pkg() != nil && tn.Pkg().Path() == "sync" &&
+		(tn.Name() == "Mutex" || tn.Name() == "RWMutex")
+}
+
+// lockTarget classifies a call as Lock/RLock (lock) or Unlock/RUnlock
+// (unlock) of a sync mutex. It returns the canonical text of the mutex
+// expression and its owner kind: "shard" or "session" for the .mu
+// field of a type of that name, "" for any other mutex.
+func lockTarget(info *types.Info, call *ast.CallExpr) (kind, mu string, lock, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		return "", "", false, false
 	}
 	switch sel.Sel.Name {
-	case "Lock":
+	case "Lock", "RLock":
 		lock = true
-	case "Unlock":
+	case "Unlock", "RUnlock":
 	default:
 		return "", "", false, false
 	}
-	mu, isSel := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !isSel || mu.Sel.Name != "mu" {
+	if !isMutexExpr(info, sel.X) {
 		return "", "", false, false
 	}
-	kind = lockNamedBase(info, mu.X)
-	if kind != "shard" && kind != "session" {
-		return "", "", false, false
+	if f, isSel := ast.Unparen(sel.X).(*ast.SelectorExpr); isSel && f.Sel.Name == "mu" {
+		if owner := lockNamedBase(info, f.X); owner == "shard" || owner == "session" {
+			kind = owner
+		}
 	}
-	return kind, exprText(mu.X), lock, true
+	return kind, exprText(sel.X), lock, true
+}
+
+// exprText renders an expression canonically for receiver matching.
+func exprText(e ast.Expr) string {
+	var buf bytes.Buffer
+	if err := printer.Fprint(&buf, token.NewFileSet(), e); err != nil {
+		return ""
+	}
+	return buf.String()
 }
 
 // heapDQBase matches container/heap calls whose first argument is (a
@@ -132,8 +172,8 @@ func heapDQBase(pkg *Package, call *ast.CallExpr) (base string, ok bool) {
 	return exprText(sel.X), true
 }
 
-// directForbidden describes why a single expression/statement is
-// forbidden under a shard lock, or "".
+// directForbiddenCall describes why a call is forbidden under a shard
+// lock, or "".
 func directForbiddenCall(pkg *Package, call *ast.CallExpr) string {
 	info := pkg.Info
 	// Builtins and conversions are fine.
@@ -172,11 +212,11 @@ func directForbiddenCall(pkg *Package, call *ast.CallExpr) string {
 // packages: does it perform a forbidden-under-shard-lock operation,
 // and does it acquire a shard lock — in both cases directly or
 // through static module calls, to a fixpoint.
-func computeLockFacts(pp *ProgramPass) {
-	prog := pp.Prog
+func computeLockFacts(p *Pass) {
+	prog := p.Prog
 	facts := prog.Facts()
 	var fis []*FuncInfo
-	for _, pkg := range pp.FactPackages() {
+	for _, pkg := range p.FactPackages() {
 		fis = append(fis, prog.funcsIn(pkg)...)
 	}
 	for _, fi := range fis {
@@ -206,10 +246,8 @@ func computeLockFacts(pp *ProgramPass) {
 				if desc := directForbiddenCall(pkg, x); desc != "" {
 					setIfAbsent(facts, fi.Fn, factLockUnsafe, desc)
 				}
-				if _, _, lock, ok := lockTarget(pkg.Info, x); ok && lock {
-					if kind, _, _, _ := lockTarget(pkg.Info, x); kind == "shard" {
-						setIfAbsent(facts, fi.Fn, factLocksShard, "acquires a shard lock")
-					}
+				if kind, _, lock, ok := lockTarget(pkg.Info, x); ok && lock && kind == "shard" {
+					setIfAbsent(facts, fi.Fn, factLocksShard, "acquires a shard lock")
 				}
 			}
 			return true
@@ -221,11 +259,11 @@ func computeLockFacts(pp *ProgramPass) {
 		for _, fi := range fis {
 			for _, callee := range prog.Callees(fi) {
 				if desc, ok := facts.Get(callee, factLockUnsafe); ok && !facts.Has(fi.Fn, factLockUnsafe) {
-					facts.Set(fi.Fn, factLockUnsafe, fmt.Sprintf("calls %s, which %s", callee.Name(), rootCause(desc)))
+					facts.Set(fi.Fn, factLockUnsafe, fmt.Sprintf("calls %s, which %s", callee.Name(), desc))
 					changed = true
 				}
 				if desc, ok := facts.Get(callee, factLocksShard); ok && !facts.Has(fi.Fn, factLocksShard) {
-					facts.Set(fi.Fn, factLocksShard, fmt.Sprintf("calls %s, which %s", callee.Name(), rootCause(desc)))
+					facts.Set(fi.Fn, factLocksShard, fmt.Sprintf("calls %s, which %s", callee.Name(), desc))
 					changed = true
 				}
 			}
@@ -233,29 +271,33 @@ func computeLockFacts(pp *ProgramPass) {
 	}
 }
 
-// rootCause strips nested "calls X, which " prefixes so transitive
-// fact messages name the chain without repeating the connective.
-func rootCause(desc string) string { return desc }
-
 func setIfAbsent(facts *FactStore, fn *types.Func, name, value string) {
 	if !facts.Has(fn, name) {
 		facts.Set(fn, name, value)
 	}
 }
 
-// virtualLocks returns the lock state a *Locked-named function is
-// entitled to assume at entry: its *shard parameter's lock, else its
-// *session receiver's (or parameter's) lock.
-func virtualLocks(fi *FuncInfo) (shard []string, session []string) {
-	if !strings.HasSuffix(fi.Fn.Name(), "Locked") {
-		return nil, nil
+// heldLock is one mutex the scan holds: acquired at pos, or assumed
+// held on entry (pos invalid) by a *Locked function.
+type heldLock struct {
+	kind, mu string
+	pos      token.Pos
+}
+
+// virtualLocks returns the locks a *Locked-named function is entitled
+// to assume at entry: its *shard parameters' locks, else its *session
+// receiver's (or parameters') locks.
+func virtualLocks(pkg *Package, fd *ast.FuncDecl) []heldLock {
+	if !strings.HasSuffix(fd.Name.Name, "Locked") {
+		return nil
 	}
-	collect := func(fl *ast.FieldList) {
+	var shard, session []heldLock
+	for _, fl := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
 		if fl == nil {
-			return
+			continue
 		}
 		for _, f := range fl.List {
-			t := fi.Pkg.Info.TypeOf(f.Type)
+			t := pkg.Info.TypeOf(f.Type)
 			if t == nil {
 				continue
 			}
@@ -268,152 +310,144 @@ func virtualLocks(fi *FuncInfo) (shard []string, session []string) {
 			for _, id := range f.Names {
 				switch name {
 				case "shard":
-					shard = append(shard, id.Name)
+					shard = append(shard, heldLock{kind: name, mu: id.Name + ".mu"})
 				case "session":
-					session = append(session, id.Name)
+					session = append(session, heldLock{kind: name, mu: id.Name + ".mu"})
 				}
 			}
 		}
-	}
-	collect(fi.Decl.Recv)
-	if fi.Decl.Type != nil {
-		collect(fi.Decl.Type.Params)
 	}
 	// A function with a shard parameter holds the shard lock; a pure
 	// session helper holds only its session lock. Holding the shard
 	// lock does not imply holding the session's.
 	if len(shard) > 0 {
-		session = nil
+		return shard
 	}
-	return shard, session
-}
-
-// scanLockScope runs the positional scan over one function and each
-// of its function literals (literals hold no virtual locks).
-func scanLockScope(pp *ProgramPass, fi *FuncInfo) {
-	if fi.Decl.Body == nil {
-		return
-	}
-	vs, vsess := virtualLocks(fi)
-	scanLockBody(pp, fi, fi.Decl.Body, vs, vsess)
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			scanLockBody(pp, fi, lit.Body, nil, nil)
-			return false
-		}
-		return true
-	})
+	return session
 }
 
 // scanLockBody walks one scope in source order maintaining the held
-// shard/session lock sets.
-func scanLockBody(pp *ProgramPass, fi *FuncInfo, body *ast.BlockStmt, heldShard, heldSession []string) {
-	pkg := fi.Pkg
-	facts := pp.Prog.Facts()
-	virtual := len(heldShard) > 0 || len(heldSession) > 0
-
-	remove := func(set []string, base string) []string {
-		for i, b := range set {
-			if b == base {
-				return append(set[:i], set[i+1:]...)
+// lock set. locked marks the body of a *Locked function, whose caller
+// holds a lock the scan may not see.
+func scanLockBody(p *Pass, pkg *Package, body *ast.BlockStmt, held []heldLock, locked bool) {
+	facts := p.Prog.Facts()
+	deferred := make(map[string]bool) // mutexes a deferred unlock releases
+	first := func(kind string) string {
+		for _, h := range held {
+			if h.kind == kind {
+				return h.mu
 			}
 		}
-		return set
+		return ""
 	}
-	held := func(set []string, base string) bool {
-		for _, b := range set {
-			if b == base {
+	// leaked reports every lock of this scope still held at a return
+	// or at the end of the scope with no deferred unlock.
+	leaked := func(report func(h heldLock)) {
+		for _, h := range held {
+			if h.pos.IsValid() && !deferred[h.mu] {
+				report(h)
+			}
+		}
+	}
+
+	ast.Inspect(body, func(n ast.Node) bool {
+		shard := first("shard")
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			return false // scanned as its own scope
+		case *ast.ReturnStmt:
+			leaked(func(h heldLock) {
+				p.Reportf(x.Pos(), "return while %s is locked (locked at line %d, no deferred unlock)",
+					h.mu, p.Prog.Fset.Position(h.pos).Line)
+			})
+		case *ast.SendStmt:
+			if shard != "" {
+				p.Reportf(x.Pos(), "channel send while shard lock %s is held", shard)
+			}
+		case *ast.UnaryExpr:
+			if x.Op == token.ARROW && shard != "" {
+				p.Reportf(x.Pos(), "channel receive while shard lock %s is held", shard)
+			}
+		case *ast.SelectStmt:
+			if shard != "" {
+				p.Reportf(x.Pos(), "select while shard lock %s is held", shard)
+			}
+		case *ast.GoStmt:
+			if shard != "" {
+				p.Reportf(x.Pos(), "goroutine started while shard lock %s is held", shard)
+			}
+		case *ast.CallExpr:
+			if kind, mu, lock, ok := lockTarget(pkg.Info, x); ok {
+				if !lock {
+					for i := len(held) - 1; i >= 0; i-- {
+						if held[i].mu == mu {
+							held = append(held[:i], held[i+1:]...)
+							break
+						}
+					}
+					return true
+				}
+				if kind == "shard" && shard != "" {
+					p.Reportf(x.Pos(), "acquires shard lock %s while already holding shard lock %s (no goroutine may hold two shard mutexes)", mu, shard)
+				}
+				if session := first("session"); kind == "shard" && session != "" {
+					p.Reportf(x.Pos(), "acquires shard lock %s while session lock %s is held (lock order: shard.mu before session.mu)", mu, session)
+				}
+				held = append(held, heldLock{kind: kind, mu: mu, pos: x.Pos()})
 				return true
 			}
-		}
-		return false
-	}
-
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncLit:
-				return false // scanned as its own scope
-			case *ast.SendStmt:
-				if len(heldShard) > 0 {
-					pp.Reportf(x.Pos(), "channel send while shard lock %s.mu is held", heldShard[0])
+			if base, ok := heapDQBase(pkg, x); ok {
+				if !heldMu(held, base+".mu") {
+					p.Reportf(x.Pos(), "deadline-heap mutation of %s.dq without holding %s.mu (the heap is owned by its shard's lock)", base, base)
 				}
-			case *ast.UnaryExpr:
-				if x.Op == token.ARROW && len(heldShard) > 0 {
-					pp.Reportf(x.Pos(), "channel receive while shard lock %s.mu is held", heldShard[0])
-				}
-			case *ast.SelectStmt:
-				if len(heldShard) > 0 {
-					pp.Reportf(x.Pos(), "select while shard lock %s.mu is held", heldShard[0])
-				}
-			case *ast.GoStmt:
-				if len(heldShard) > 0 {
-					pp.Reportf(x.Pos(), "goroutine started while shard lock %s.mu is held", heldShard[0])
-				}
-			case *ast.CallExpr:
-				if kind, base, lock, ok := lockTarget(pkg.Info, x); ok {
-					switch {
-					case kind == "shard" && lock:
-						if len(heldShard) > 0 {
-							pp.Reportf(x.Pos(), "acquires shard lock %s.mu while already holding shard lock %s.mu (no goroutine may hold two shard mutexes)", base, heldShard[0])
-						}
-						if len(heldSession) > 0 {
-							pp.Reportf(x.Pos(), "acquires shard lock %s.mu while session lock %s.mu is held (lock order: shard.mu before session.mu)", base, heldSession[0])
-						}
-						heldShard = append(heldShard, base)
-					case kind == "shard":
-						heldShard = remove(heldShard, base)
-					case kind == "session" && lock:
-						heldSession = append(heldSession, base)
-					case kind == "session":
-						heldSession = remove(heldSession, base)
+				return true
+			}
+			fn := StaticCallee(pkg, x)
+			if shard != "" {
+				if desc := directForbiddenCall(pkg, x); desc != "" {
+					p.Reportf(x.Pos(), "%s while shard lock %s is held", desc, shard)
+				} else if fn != nil && p.Prog.FuncOf(fn) != nil {
+					if desc, ok := facts.Get(fn, factLockUnsafe); ok {
+						p.Reportf(x.Pos(), "calls %s, which %s, while shard lock %s is held", fn.Name(), desc, shard)
 					}
-					return true
-				}
-				if base, ok := heapDQBase(pkg, x); ok {
-					if !held(heldShard, base) {
-						pp.Reportf(x.Pos(), "deadline-heap mutation of %s.dq without holding %s.mu (the heap is owned by its shard's lock)", base, base)
-					}
-					return true
-				}
-				if len(heldShard) > 0 {
-					if desc := directForbiddenCall(pkg, x); desc != "" {
-						pp.Reportf(x.Pos(), "%s while shard lock %s.mu is held", desc, heldShard[0])
-					} else if fn := StaticCallee(pkg, x); fn != nil && pp.Prog.FuncOf(fn) != nil {
-						if desc, ok := facts.Get(fn, factLockUnsafe); ok {
-							pp.Reportf(x.Pos(), "calls %s, which %s, while shard lock %s.mu is held", fn.Name(), desc, heldShard[0])
-						}
-						if desc, ok := facts.Get(fn, factLocksShard); ok {
-							pp.Reportf(x.Pos(), "calls %s, which %s, while shard lock %s.mu is held", fn.Name(), desc, heldShard[0])
-						}
-					}
-				}
-				if fn := StaticCallee(pkg, x); fn != nil &&
-					strings.HasSuffix(fn.Name(), "Locked") && pp.Prog.FuncOf(fn) != nil &&
-					len(heldShard) == 0 && len(heldSession) == 0 && !virtual {
-					pp.Reportf(x.Pos(), "calls %s, which by convention requires its caller to hold a lock, with no shard or session lock held", fn.Name())
-				}
-			case *ast.DeferStmt:
-				// A deferred unlock releases at return: for the positional
-				// scan the lock simply stays held to the end of the scope,
-				// so skip the call (do not treat it as an immediate unlock)
-				// but still classify forbidden deferred work.
-				if kind, _, lock, ok := lockTarget(pkg.Info, x.Call); ok && !lock {
-					_ = kind
-					return false
-				}
-				walk(x.Call)
-				return false
-			case *ast.RangeStmt:
-				if t := pkg.Info.TypeOf(x.X); t != nil && len(heldShard) > 0 {
-					if _, isChan := t.Underlying().(*types.Chan); isChan {
-						pp.Reportf(x.Pos(), "ranges over a channel while shard lock %s.mu is held", heldShard[0])
+					if desc, ok := facts.Get(fn, factLocksShard); ok {
+						p.Reportf(x.Pos(), "calls %s, which %s, while shard lock %s is held", fn.Name(), desc, shard)
 					}
 				}
 			}
+			if fn != nil && strings.HasSuffix(fn.Name(), "Locked") && p.Prog.FuncOf(fn) != nil &&
+				len(held) == 0 && !locked {
+				p.Reportf(x.Pos(), "calls %s, which by convention requires its caller to hold a lock, with no lock held", fn.Name())
+			}
+		case *ast.DeferStmt:
+			// A deferred unlock releases at return: for the positional
+			// scan the lock simply stays held to the end of the scope,
+			// so record it (do not treat it as an immediate unlock). Any
+			// other deferred call is classified like a plain one.
+			if _, mu, lock, ok := lockTarget(pkg.Info, x.Call); ok && !lock {
+				deferred[mu] = true
+				return false
+			}
+		case *ast.RangeStmt:
+			if t := pkg.Info.TypeOf(x.X); t != nil && shard != "" {
+				if _, isChan := t.Underlying().(*types.Chan); isChan {
+					p.Reportf(x.Pos(), "ranges over a channel while shard lock %s is held", shard)
+				}
+			}
+		}
+		return true
+	})
+	leaked(func(h heldLock) {
+		p.Reportf(h.pos, "%s is locked but never unlocked in this function (and no deferred unlock)", h.mu)
+	})
+}
+
+// heldMu reports whether the mutex mu is in the held set.
+func heldMu(held []heldLock, mu string) bool {
+	for _, h := range held {
+		if h.mu == mu {
 			return true
-		})
+		}
 	}
-	walk(body)
+	return false
 }

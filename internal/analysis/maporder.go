@@ -37,23 +37,25 @@ var maporderAnalyzer = &Analyzer{
 	Doc:     "no order-sensitive work inside map-range loops; iterate sorted keys",
 	Applies: everywhere,
 	Run: func(p *Pass) {
-		p.inspect(func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
+		for _, pkg := range p.Packages() {
+			inspect(pkg, func(n ast.Node) bool {
+				rs, ok := n.(*ast.RangeStmt)
+				if !ok {
+					return true
+				}
+				t := pkg.Info.TypeOf(rs.X)
+				if t == nil {
+					return true
+				}
+				if _, isMap := t.Underlying().(*types.Map); !isMap {
+					return true
+				}
+				if reason := mapLoopHazard(pkg.Info, rs); reason != "" {
+					p.Reportf(rs.For, "map iteration order is random: %s; iterate sorted keys instead", reason)
+				}
 				return true
-			}
-			t := p.Pkg.Info.TypeOf(rs.X)
-			if t == nil {
-				return true
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if reason := mapLoopHazard(p, rs); reason != "" {
-				p.Reportf(rs.For, "map iteration order is random: %s; iterate sorted keys instead", reason)
-			}
-			return true
-		})
+			})
+		}
 	},
 }
 
@@ -65,8 +67,8 @@ var ioNamePrefixes = []string{
 
 // mapLoopHazard returns a description of the first order-sensitive
 // operation in the loop body, or "" when the body is order-safe.
-func mapLoopHazard(p *Pass, rs *ast.RangeStmt) string {
-	valueObj := rangeVarObj(p, rs.Value)
+func mapLoopHazard(info *types.Info, rs *ast.RangeStmt) string {
+	valueObj := rangeVarObj(info, rs.Value)
 	var reason string
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		if reason != "" {
@@ -77,7 +79,7 @@ func mapLoopHazard(p *Pass, rs *ast.RangeStmt) string {
 			switch n.Tok {
 			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 				for _, lhs := range n.Lhs {
-					if isFloaty(p.Pkg.Info.TypeOf(lhs)) {
+					if isFloaty(info.TypeOf(lhs)) {
 						reason = "the body accumulates into a float, so the rounding depends on visit order"
 						return false
 					}
@@ -86,9 +88,9 @@ func mapLoopHazard(p *Pass, rs *ast.RangeStmt) string {
 		case *ast.CallExpr:
 			fun := ast.Unparen(n.Fun)
 			if id, ok := fun.(*ast.Ident); ok && id.Name == "append" {
-				if _, isBuiltin := p.Pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
+				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
 					for _, arg := range n.Args[1:] {
-						if valueObj != nil && usesObj(p, arg, valueObj) {
+						if valueObj != nil && usesObj(info, arg, valueObj) {
 							reason = "the body appends map values to a slice, so its element order is random"
 							return false
 						}
@@ -112,22 +114,22 @@ func mapLoopHazard(p *Pass, rs *ast.RangeStmt) string {
 
 // rangeVarObj resolves the object of a range variable expression
 // (the `v` of `for k, v := range m`), or nil.
-func rangeVarObj(p *Pass, e ast.Expr) types.Object {
+func rangeVarObj(info *types.Info, e ast.Expr) types.Object {
 	id, ok := e.(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return nil
 	}
-	if obj := p.Pkg.Info.Defs[id]; obj != nil {
+	if obj := info.Defs[id]; obj != nil {
 		return obj
 	}
-	return p.Pkg.Info.Uses[id]
+	return info.Uses[id]
 }
 
 // usesObj reports whether the expression references obj.
-func usesObj(p *Pass, e ast.Expr, obj types.Object) bool {
+func usesObj(info *types.Info, e ast.Expr, obj types.Object) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && p.Pkg.Info.Uses[id] == obj {
+		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
 			found = true
 		}
 		return !found

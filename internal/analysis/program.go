@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -9,12 +8,11 @@ import (
 	"strings"
 )
 
-// This file holds the interprocedural layer added for the allocfree,
-// lockorder, and prunepurity analyzers: a whole-program view with a
+// This file holds the whole-program view every Pass carries: a
 // function index, directive parsing, a static call-graph builder, and
-// a cross-package fact store. The per-package Pass API is untouched;
-// analyzers that need cross-package reasoning set RunProgram instead
-// of Run and receive a ProgramPass.
+// a cross-package fact store. Single-package analyzers only walk
+// Pass.Packages(); allocfree, lockorder and prunepurity follow calls
+// and facts across package boundaries.
 
 // Function-level directives. Unlike //harmonyvet:ignore (which
 // suppresses one finding on one line), these change how the
@@ -60,14 +58,14 @@ func (fi *FuncInfo) Directive(verb string) bool {
 	return ok
 }
 
-// Program is the cross-package view handed to RunProgram analyzers:
-// the packages named by the run's patterns, every further module
+// Program is the cross-package view handed to every analyzer: the
+// packages named by the run's patterns, every further module
 // package the loader pulled in as a dependency, a function index with
 // parsed directives, and the shared fact store.
 type Program struct {
 	// Pkgs are the pattern packages — the set the user asked to vet.
-	// Program analyzers report findings rooted in these (descent may
-	// surface a finding in a dependency, attributed to the root).
+	// Analyzers report findings rooted in these (descent may surface a
+	// finding in a dependency, attributed to the root).
 	Pkgs []*Package
 	// Fset is the shared file set.
 	Fset *token.FileSet
@@ -236,50 +234,6 @@ func StaticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
 		fn = fn.Origin()
 	}
 	return fn
-}
-
-// ProgramPass carries one (analyzer, program) run.
-type ProgramPass struct {
-	Analyzer *Analyzer
-	Prog     *Program
-	findings []Finding
-}
-
-// Reportf records a finding at pos.
-func (pp *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
-	pp.findings = append(pp.findings, Finding{
-		Pos:      pp.Prog.Fset.Position(pos),
-		Analyzer: pp.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Packages returns the pattern packages the analyzer applies to —
-// the roots a program analyzer scans (descent beyond them is the
-// analyzer's own business).
-func (pp *ProgramPass) Packages() []*Package {
-	var out []*Package
-	for _, pkg := range pp.Prog.Pkgs {
-		if pp.Analyzer.Applies == nil || pp.Analyzer.Applies(pkg.Path) {
-			out = append(out, pkg)
-		}
-	}
-	return out
-}
-
-// FactPackages returns every indexed package the analyzer applies to,
-// pattern or dependency — the set fact computation runs over, so
-// cross-package facts (a taint summary in internal/core consumed from
-// internal/server) exist even when only one of the packages is being
-// reported on.
-func (pp *ProgramPass) FactPackages() []*Package {
-	var out []*Package
-	for _, pkg := range pp.Prog.allPackages() {
-		if pp.Analyzer.Applies == nil || pp.Analyzer.Applies(pkg.Path) {
-			out = append(out, pkg)
-		}
-	}
-	return out
 }
 
 // funcsIn returns the program's function infos declared in pkg, in

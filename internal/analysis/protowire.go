@@ -27,11 +27,16 @@ var protowireAnalyzer = &Analyzer{
 	Name:    "protowire",
 	Doc:     "binary-frame tags have encode and decode arms; fields and tags stay in bijection",
 	Applies: baseIn("proto", "protowire"),
-	Run:     runProtowire,
+	Run: func(p *Pass) {
+		for _, pkg := range p.Packages() {
+			checkWireTags(p, pkg)
+		}
+	},
 }
 
-func runProtowire(p *Pass) {
-	info := p.Pkg.Info
+// checkWireTags runs the three checks over one package.
+func checkWireTags(p *Pass, pkg *Package) {
+	info := pkg.Info
 
 	// Tag constants: package-level consts named tag<Upper...> of
 	// integer type.
@@ -40,7 +45,7 @@ func runProtowire(p *Pass) {
 		decl *ast.Ident
 	}
 	tags := make(map[string]*tagConst)
-	for _, f := range p.Pkg.Files {
+	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			gd, ok := d.(*ast.GenDecl)
 			if !ok {
@@ -78,7 +83,7 @@ func runProtowire(p *Pass) {
 	caseIdent := make(map[*ast.Ident]bool)
 	encode := make(map[string]bool)
 	decode := make(map[string]bool)
-	p.inspect(func(n ast.Node) bool {
+	inspect(pkg, func(n ast.Node) bool {
 		sw, ok := n.(*ast.SwitchStmt)
 		if !ok {
 			return true
@@ -116,7 +121,7 @@ func runProtowire(p *Pass) {
 		}
 		return true
 	})
-	p.inspect(func(n ast.Node) bool {
+	inspect(pkg, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
@@ -138,7 +143,7 @@ func runProtowire(p *Pass) {
 
 	// The Message struct, for the field ⇔ tag bijection.
 	var msgFields []*ast.Ident
-	p.inspect(func(n ast.Node) bool {
+	inspect(pkg, func(n ast.Node) bool {
 		ts, ok := n.(*ast.TypeSpec)
 		if !ok || ts.Name.Name != "Message" {
 			return true

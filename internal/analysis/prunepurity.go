@@ -30,10 +30,10 @@ import (
 // static call graph to a fixpoint, so a prediction laundered through
 // a helper and sunk two calls later is still caught at the call site.
 var prunepurityAnalyzer = &Analyzer{
-	Name:       "prunepurity",
-	Doc:        "surrogate-predicted values never reach eval caches, Best results, or run accounting",
-	Applies:    baseIn("core", "server", "prunepurity"),
-	RunProgram: runPrunepurity,
+	Name:    "prunepurity",
+	Doc:     "surrogate-predicted values never reach eval caches, Best results, or run accounting",
+	Applies: baseIn("core", "server", "prunepurity"),
+	Run:     runPrunepurity,
 }
 
 // prunepurity fact names.
@@ -55,16 +55,16 @@ var pruneSinkFields = map[string]string{
 	"measuredPt":  "the measured-best shadow",
 }
 
-func runPrunepurity(pp *ProgramPass) {
+func runPrunepurity(p *Pass) {
 	st := &puState{
-		pp:            pp,
+		p:             p,
 		fieldTaint:    make(map[*types.Var]bool),
 		resultTaint:   make(map[*types.Func]bool),
 		paramToResult: make(map[*types.Func]map[int]bool),
 		paramSink:     make(map[*types.Func]map[int]string),
 	}
-	for _, pkg := range pp.FactPackages() {
-		st.fis = append(st.fis, pp.Prog.funcsIn(pkg)...)
+	for _, pkg := range p.FactPackages() {
+		st.fis = append(st.fis, p.Prog.funcsIn(pkg)...)
 	}
 
 	// Per-parameter summaries: does param i reach a sink, does it flow
@@ -115,7 +115,7 @@ func runPrunepurity(pp *ProgramPass) {
 	}
 
 	// Export the summaries as facts (visible via harmonyvet -facts).
-	facts := pp.Prog.Facts()
+	facts := p.Prog.Facts()
 	for fn := range st.resultTaint {
 		facts.Set(fn, factPredResult, "returns a surrogate-predicted value")
 	}
@@ -133,7 +133,7 @@ func runPrunepurity(pp *ProgramPass) {
 
 	// Reporting pass over the pattern packages.
 	inPattern := make(map[*Package]bool)
-	for _, pkg := range pp.Packages() {
+	for _, pkg := range p.Packages() {
 		inPattern[pkg] = true
 	}
 	for _, fi := range st.fis {
@@ -149,7 +149,7 @@ func runPrunepurity(pp *ProgramPass) {
 
 // puState is the program-wide taint state shared by every local pass.
 type puState struct {
-	pp            *ProgramPass
+	p             *Pass
 	fis           []*FuncInfo
 	fieldTaint    map[*types.Var]bool
 	resultTaint   map[*types.Func]bool
@@ -334,7 +334,7 @@ func (la *puLocal) callTainted(call *ast.CallExpr) bool {
 		return true
 	}
 	fn := StaticCallee(la.fi.Pkg, call)
-	if fn != nil && la.st.pp.Prog.FuncOf(fn) != nil {
+	if fn != nil && la.st.p.Prog.FuncOf(fn) != nil {
 		if la.useSources && la.st.resultTaint[fn] {
 			return true
 		}
@@ -480,7 +480,7 @@ func (la *puLocal) checkCallSinks(call *ast.CallExpr) {
 // in the per-parameter pass.
 func (la *puLocal) sink(pos token.Pos, format string, args ...any) {
 	if la.reportPass {
-		la.st.pp.Reportf(pos, format, args...)
+		la.st.p.Reportf(pos, format, args...)
 		return
 	}
 	if la.sinkDesc == "" {

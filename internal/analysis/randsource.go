@@ -21,24 +21,26 @@ var randsourceAnalyzer = &Analyzer{
 		"simmpi", "cluster", "sparse", "pop", "gs2", "petscsim", "ksp", "snes",
 	),
 	Run: func(p *Pass) {
-		p.inspect(func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+		for _, pkg := range p.Packages() {
+			inspect(pkg, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				for _, pkgPath := range []string{"math/rand", "math/rand/v2"} {
+					fn := calleePkgFunc(pkg.Info, call, pkgPath)
+					if fn == nil {
+						continue
+					}
+					switch fn.Name() {
+					case "New", "NewSource", "NewPCG", "NewChaCha8", "NewZipf":
+						// Building a seeded generator is the approved idiom.
+					default:
+						p.Reportf(call.Pos(), "rand.%s draws from the process-global source; use a seeded *rand.Rand parameter or field", fn.Name())
+					}
+				}
 				return true
-			}
-			for _, pkgPath := range []string{"math/rand", "math/rand/v2"} {
-				fn := calleePkgFunc(p, call, pkgPath)
-				if fn == nil {
-					continue
-				}
-				switch fn.Name() {
-				case "New", "NewSource", "NewPCG", "NewChaCha8", "NewZipf":
-					// Building a seeded generator is the approved idiom.
-				default:
-					p.Reportf(call.Pos(), "rand.%s draws from the process-global source; use a seeded *rand.Rand parameter or field", fn.Name())
-				}
-			}
-			return true
-		})
+			})
+		}
 	},
 }

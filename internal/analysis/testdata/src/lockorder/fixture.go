@@ -1,7 +1,8 @@
-// Package lockorder exercises the lockorder analyzer: the sharded
-// server's locking contract (one shard lock at a time, nothing
-// blocking under it, the deadline heap owned by its shard's mutex,
-// shard.mu strictly before session.mu).
+// Package lockorder exercises the lockorder analyzer: every mutex is
+// released on every return, and the sharded server's locking contract
+// holds (one shard lock at a time, nothing blocking under it, the
+// deadline heap owned by its shard's mutex, shard.mu strictly before
+// session.mu).
 package lockorder
 
 import (
@@ -109,7 +110,7 @@ func (ss *session) retireLocked() {
 }
 
 func missingLock(ss *session) {
-	ss.retireLocked() // want `calls retireLocked, which by convention requires its caller to hold a lock, with no shard or session lock held`
+	ss.retireLocked() // want `calls retireLocked, which by convention requires its caller to hold a lock, with no lock held`
 }
 
 // Negative: lock, unlock, then the blocking operation.
@@ -149,4 +150,80 @@ func suppressedSend(sh *shard, ch chan int) {
 	defer sh.mu.Unlock()
 	//harmonyvet:ignore lockorder the channel has one slot per shard and a single consumer that never blocks; the send cannot stall the lock
 	ch <- 1
+}
+
+// Any sync mutex, not only a shard's or session's, must be released on
+// every return.
+type Guarded struct {
+	mu sync.Mutex
+	n  int
+}
+
+func EarlyReturn(g *Guarded, fail bool) int {
+	g.mu.Lock()
+	if fail {
+		return -1 // want `return while g\.mu is locked`
+	}
+	n := g.n
+	g.mu.Unlock()
+	return n
+}
+
+func NeverUnlocked(g *Guarded) {
+	g.mu.Lock() // want `locked but never unlocked`
+	g.n++
+}
+
+func Deferred(g *Guarded, fail bool) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if fail {
+		return -1
+	}
+	return g.n
+}
+
+// CondStyle unlocks on the early path before returning; it must not
+// be flagged.
+func CondStyle(g *Guarded, fail bool) int {
+	g.mu.Lock()
+	if fail {
+		g.mu.Unlock()
+		return -1
+	}
+	n := g.n
+	g.mu.Unlock()
+	return n
+}
+
+func ByPointer(g *Guarded) int {
+	g.mu.Lock()
+	n := g.n
+	g.mu.Unlock()
+	return n
+}
+
+// A read lock is a lock: RUnlock must cover every return.
+type table struct {
+	mu   sync.RWMutex
+	rows map[string]int
+}
+
+func (t *table) get(k string) (int, bool) {
+	t.mu.RLock()
+	v, ok := t.rows[k]
+	if !ok {
+		return 0, false // want `return while t\.mu is locked`
+	}
+	t.mu.RUnlock()
+	return v, true
+}
+
+// A *Locked helper of any mutex owner may be called under that mutex.
+func (t *table) sizeLocked() int { return len(t.rows) }
+
+func (t *table) size() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.sizeLocked()
 }

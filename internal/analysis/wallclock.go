@@ -29,23 +29,25 @@ var wallclockAnalyzer = &Analyzer{
 		"simmpi", "cluster", "sparse", "pop", "gs2", "petscsim", "ksp", "snes",
 	),
 	Run: func(p *Pass) {
-		p.inspect(func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+		for _, pkg := range p.Packages() {
+			inspect(pkg, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if fn := calleePkgFunc(pkg.Info, call, "time"); fn != nil && wallclockFuncs[fn.Name()] {
+					p.Reportf(call.Pos(), "time.%s reads the wall clock in a virtual-time package; derive time from the simulated World clock", fn.Name())
+				}
 				return true
-			}
-			if fn := calleePkgFunc(p, call, "time"); fn != nil && wallclockFuncs[fn.Name()] {
-				p.Reportf(call.Pos(), "time.%s reads the wall clock in a virtual-time package; derive time from the simulated World clock", fn.Name())
-			}
-			return true
-		})
+			})
+		}
 	},
 }
 
 // calleePkgFunc resolves a call to a package-level function of the
 // package with the given import path, or nil. Method calls (which
 // have a receiver) never match.
-func calleePkgFunc(p *Pass, call *ast.CallExpr, pkgPath string) *types.Func {
+func calleePkgFunc(info *types.Info, call *ast.CallExpr, pkgPath string) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
@@ -55,7 +57,7 @@ func calleePkgFunc(p *Pass, call *ast.CallExpr, pkgPath string) *types.Func {
 	default:
 		return nil
 	}
-	fn, ok := p.Pkg.Info.Uses[id].(*types.Func)
+	fn, ok := info.Uses[id].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
 		return nil
 	}
