@@ -15,9 +15,15 @@
 //	best, _, _ := sess.Best()
 //
 // There is one Session type. What carries its five calls is either a
-// Client — one connection speaking JSON lines, one strict round trip
-// per call — or a Mux, which multiplexes the concurrent calls of many
-// sessions over one binary-protocol connection (mux.go).
+// Client — one connection speaking JSON lines, one strict request/reply
+// exchange at a time — or a Mux, which multiplexes the concurrent calls
+// of many sessions over one binary-protocol connection (mux.go). Every
+// call is one exchange, except that a Fetch after a Report is usually
+// none: a report asks for the next configuration, and the server
+// answers with it whenever that is the same answer a fetch would get
+// (a shared-configuration session whose candidate the report
+// completed). A steady round is then one exchange, as in Active
+// Harmony's own client loop.
 //
 // Production deployments dial with Options to bound each protocol
 // round trip with an I/O deadline and to reconnect with exponential
@@ -182,9 +188,10 @@ type transport interface {
 // Mux. It is used by one goroutine at a time; concurrent clients of
 // one session each Attach their own.
 type Session struct {
-	t   transport
-	id  string
-	tag int // tag of the last fetched configuration
+	t    transport
+	id   string
+	tag  int            // tag of the last fetched configuration
+	next *proto.Message // config a report's reply carried, for the next Fetch
 }
 
 // Register creates a tuning session on the server.
@@ -240,6 +247,9 @@ func (s *Session) ID() string { return s.id }
 // best, and done. A retried report whose first copy did arrive is
 // de-duplicated server-side through the tag it echoes: a tag is
 // answered once, whatever the number of reporters per configuration.
+// The retry is then answered ok, not with the next configuration the
+// lost reply carried, so the next Fetch asks the server, which hands
+// that configuration out again under a new tag.
 //
 // A message that failed to encode (proto.ErrMarshal) is not a
 // transport fault — reconnecting and re-encoding the identical
@@ -299,16 +309,21 @@ func (c *Client) try(msg *proto.Message) (*proto.Message, error) {
 // Fetch asks the server which configuration to use next. It returns
 // the parameter values, and converged=true once the search has
 // settled (after which the returned values are the tuned best and no
-// Report is expected). Fetch is idempotent: after a reconnect it can
+// Report is expected). When the preceding Report's reply carried the
+// next configuration, Fetch returns it without contacting the server;
+// otherwise it asks. Fetch is idempotent: after a reconnect it can
 // simply be called again, and the tag of the reply supersedes
 // whatever was outstanding.
 func (s *Session) Fetch() (values map[string]string, converged bool, err error) {
-	reply, err := s.t.roundTrip(proto.Message{Type: proto.TypeFetch, Session: s.id})
-	if err != nil {
-		return nil, false, err
-	}
-	if reply.Type != proto.TypeConfig {
-		return nil, false, fmt.Errorf("client: unexpected fetch reply %q", reply.Type)
+	reply := s.next
+	s.next = nil
+	if reply == nil {
+		if reply, err = s.t.roundTrip(proto.Message{Type: proto.TypeFetch, Session: s.id}); err != nil {
+			return nil, false, err
+		}
+		if reply.Type != proto.TypeConfig {
+			return nil, false, fmt.Errorf("client: unexpected fetch reply %q", reply.Type)
+		}
 	}
 	s.tag = reply.Tag
 	return reply.Values, reply.Converged, nil
@@ -318,15 +333,25 @@ func (s *Session) Fetch() (values map[string]string, converged bool, err error) 
 // from the preceding Fetch. Lower is better. The report echoes that
 // fetch's tag, so a report that arrives after the server retired the
 // hand-out (straggler timeout, a committed configuration) is dropped
-// server-side instead of corrupting the next measurement.
+// server-side instead of corrupting the next measurement. It also asks
+// for the next configuration: the server answers with it when the
+// report completed the candidate of a shared-configuration session,
+// and the next Fetch returns it with no round trip. That hand-out is
+// the session's as soon as the reply is sent, so a client that reports
+// and then stops leaves it outstanding until it is reported, the
+// straggler deadline retires it, or the session ends.
 func (s *Session) Report(perf float64) error {
 	reply, err := s.t.roundTrip(proto.Message{
-		Type: proto.TypeReport, Session: s.id, Perf: perf, Tag: s.tag,
+		Type: proto.TypeReport, Session: s.id, Perf: perf, Tag: s.tag, Next: true,
 	})
 	if err != nil {
 		return err
 	}
-	if reply.Type != proto.TypeOK {
+	switch reply.Type {
+	case proto.TypeOK:
+	case proto.TypeConfig:
+		s.next = reply
+	default:
 		return fmt.Errorf("client: unexpected report reply %q", reply.Type)
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"harmony/internal/space"
@@ -69,10 +70,17 @@ func Sensitivity(sp *space.Space, trials []Trial) []ParamSensitivity {
 	for d := 0; d < dims; d++ {
 		ps := ParamSensitivity{Name: params[d].Name, Levels: len(accs[d].count)}
 		if ps.Levels >= 2 && mean > 0 {
+			// Levels in ascending order, so a tie for the lowest mean goes
+			// to the lowest level, not to whichever the map yields first.
+			lvls := make([]int64, 0, ps.Levels)
+			for lvl := range accs[d].count {
+				lvls = append(lvls, lvl)
+			}
+			slices.Sort(lvls)
 			lo, hi := math.Inf(1), math.Inf(-1)
 			var bestLvl int64
-			for lvl, c := range accs[d].count {
-				m := accs[d].sum[lvl] / float64(c)
+			for _, lvl := range lvls {
+				m := accs[d].sum[lvl] / float64(accs[d].count[lvl])
 				if m < lo {
 					lo = m
 					bestLvl = lvl

@@ -66,6 +66,23 @@ func TestSensitivityIgnoresFailedAndCachedTrials(t *testing.T) {
 
 var errTest = context.DeadlineExceeded
 
+// TestSensitivityTiesGoToLowestLevel: levels whose means tie for the
+// lowest are not told apart by map order; the lowest level wins, on
+// every call.
+func TestSensitivityTiesGoToLowestLevel(t *testing.T) {
+	sp := space.MustNew(space.IntParam("x", 0, 5, 1))
+	trials := []Trial{
+		{Point: space.Point{4}, Value: 3}, {Point: space.Point{1}, Value: 9},
+		{Point: space.Point{3}, Value: 3}, {Point: space.Point{5}, Value: 3},
+		{Point: space.Point{2}, Value: 3},
+	}
+	for i := 0; i < 50; i++ {
+		if got := Sensitivity(sp, trials)[0].BestValue; got != "2" {
+			t.Fatalf("call %d: BestValue = %q, want 2, the lowest of the tied levels 2-5", i, got)
+		}
+	}
+}
+
 func TestSensitivityEmptyAndSingleLevel(t *testing.T) {
 	sp := space.MustNew(space.IntParam("x", 0, 5, 1))
 	if sens := Sensitivity(sp, nil); sens[0].Spread != 0 || sens[0].Levels != 0 {

@@ -2,6 +2,7 @@ package pop
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"harmony/internal/cluster"
@@ -159,39 +160,36 @@ var defaultResolved = &Namelist{values: DefaultNamelist()}
 
 // ResolveNamelist validates the given values against the parameter
 // specs, filling in defaults for missing entries. Unknown parameters
-// or values are errors.
+// or values are errors. Of several bad entries the one reported is
+// always the same: the first bad value in documented order, else the
+// alphabetically first unknown parameter.
 func ResolveNamelist(values map[string]string) (*Namelist, error) {
 	if len(values) == 0 {
 		return defaultResolved, nil
 	}
 	out := DefaultNamelist()
-	for k, v := range values {
-		spec := specOf(k)
-		if spec == nil {
-			return nil, fmt.Errorf("pop: unknown namelist parameter %q", k)
+	known := 0
+	for _, s := range namelistSpecs {
+		v, ok := values[s.name]
+		if !ok {
+			continue
 		}
-		ok := false
-		for _, c := range spec.choices {
-			if c == v {
-				ok = true
-				break
+		if !slices.Contains(s.choices, v) {
+			return nil, fmt.Errorf("pop: parameter %q has no choice %q", s.name, v)
+		}
+		out[s.name] = v
+		known++
+	}
+	if known < len(values) {
+		var unknown []string
+		for k := range values {
+			if _, ok := out[k]; !ok {
+				unknown = append(unknown, k)
 			}
 		}
-		if !ok {
-			return nil, fmt.Errorf("pop: parameter %q has no choice %q", k, v)
-		}
-		out[k] = v
+		return nil, fmt.Errorf("pop: unknown namelist parameter %q", slices.Min(unknown))
 	}
 	return &Namelist{values: out}, nil
-}
-
-func specOf(name string) *paramSpec {
-	for i := range namelistSpecs {
-		if namelistSpecs[i].name == name {
-			return &namelistSpecs[i]
-		}
-	}
-	return nil
 }
 
 // Get returns the resolved value of a parameter.

@@ -235,6 +235,31 @@ func TestNamelistValidation(t *testing.T) {
 	}
 }
 
+// TestNamelistErrorIsDeterministic: with several bad entries the error
+// names the same one on every call, not whichever map order meets
+// first.
+func TestNamelistErrorIsDeterministic(t *testing.T) {
+	cases := []struct {
+		values map[string]string
+		want   string
+	}{
+		{map[string]string{"vmix_choice": "x", "state_choice": "y", "kappa_choice": "constant"},
+			`pop: parameter "state_choice" has no choice "y"`},
+		{map[string]string{"zeta": "1", "alpha": "2", "state_choice": "linear"},
+			`pop: unknown namelist parameter "alpha"`},
+		{map[string]string{"alpha": "1", "tavg_freq_opt": "hourly"},
+			`pop: parameter "tavg_freq_opt" has no choice "hourly"`},
+	}
+	for _, c := range cases {
+		for i := 0; i < 50; i++ {
+			_, err := ResolveNamelist(c.values)
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("call %d on %v: error %v, want %s", i, c.values, err, c.want)
+			}
+		}
+	}
+}
+
 func TestNamelistSpaceMatchesSpecs(t *testing.T) {
 	sp := NamelistSpace()
 	if sp.Dims() != len(namelistSpecs) {

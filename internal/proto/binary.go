@@ -103,6 +103,7 @@ const (
 	tagSurrogateKeep = 19
 	tagAsync         = 20
 	tagAsyncDepth    = 21
+	tagNext          = 22
 )
 
 // WriteHandshake sends the magic plus version; used by the client to
@@ -275,6 +276,9 @@ func appendMessage(buf []byte, m *Message) ([]byte, error) {
 	if m.Converged {
 		buf = append(buf, tagConverged, 1)
 	}
+	if m.Next {
+		buf = append(buf, tagNext, 1)
+	}
 	if m.Perf != 0 || math.Signbit(m.Perf) || math.IsNaN(m.Perf) {
 		buf = append(buf, tagPerf)
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.Perf))
@@ -425,7 +429,11 @@ func decodeMessage(d *decoder) *Message {
 				d.fail("space claims %d params in %d bytes", n, len(d.buf))
 				break
 			}
-			m.Space = make([]ParamSpec, 0, n)
+			// An empty list decodes as absent, which is how it is encoded.
+			m.Space = nil
+			if n > 0 {
+				m.Space = make([]ParamSpec, 0, n)
+			}
 			for i := uint64(0); i < n && d.err == nil; i++ {
 				var p ParamSpec
 				p.Name = d.string()
@@ -461,13 +469,18 @@ func decodeMessage(d *decoder) *Message {
 				d.fail("values claim %d entries in %d bytes", n, len(d.buf))
 				break
 			}
-			m.Values = make(map[string]string, n)
+			m.Values = nil
+			if n > 0 {
+				m.Values = make(map[string]string, n)
+			}
 			for i := uint64(0); i < n && d.err == nil; i++ {
 				k := d.string()
 				m.Values[k] = d.string()
 			}
 		case tagConverged:
 			m.Converged = d.byte() != 0
+		case tagNext:
+			m.Next = d.byte() != 0
 		case tagPerf:
 			m.Perf = d.float64()
 		case tagError:

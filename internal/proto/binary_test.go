@@ -50,7 +50,7 @@ func TestBinaryMessageRoundTripAllFields(t *testing.T) {
 			Type: TypeConfig, Values: map[string]string{"rows": "40", "alg": "heap", "bias": "-3"},
 			Tag: 12, Gen: 9, Converged: true, Seq: 8,
 		},
-		{Type: TypeReport, Session: "s17", Perf: 16.25, Tag: 12, Gen: 9, Seq: 9},
+		{Type: TypeReport, Session: "s17", Perf: 16.25, Tag: 12, Gen: 9, Next: true, Seq: 9},
 		{Type: TypeBestReply, Values: map[string]string{"alg": "quick"}, Perf: -1.5},
 		{Type: TypeError, Error: "unknown session \"nope\""},
 		{Type: TypeOK},

@@ -11,9 +11,18 @@
 //	C: {"type":"register","app":"gs2","space":[...],"strategy":"simplex"}
 //	S: {"type":"registered","session":"s1"}
 //	C: {"type":"fetch","session":"s1"}
-//	S: {"type":"config","values":{"layout":"yxles"},"converged":false}
-//	C: {"type":"report","session":"s1","perf":16.25}
-//	S: {"type":"ok"}
+//	S: {"type":"config","values":{"layout":"yxles"},"tag":1}
+//	C: {"type":"report","session":"s1","tag":1,"perf":16.25,"next":true}
+//	S: {"type":"config","values":{"layout":"lxyes"},"tag":2}
+//	C: {"type":"report","session":"s1","tag":2,"perf":14.5,"next":true}
+//	S: ...
+//
+// Every fetch reply carries a tag the report echoes. A steady round of
+// a shared-configuration session is one exchange: the report asks for
+// the next configuration ("next") and the reply is the config a fetch
+// would have returned. A report the server cannot answer that way (a
+// stale tag, a candidate still waiting for other reporters, a Parallel
+// or Async session) is answered {"type":"ok"}, and the client fetches.
 package proto
 
 import (
@@ -151,6 +160,14 @@ type Message struct {
 	// config / best_reply
 	Values    map[string]string `json:"values,omitempty"`
 	Converged bool              `json:"converged,omitempty"`
+	// Next, on a report, asks the server to answer with the session's
+	// next configuration where that answer cannot depend on when the
+	// fetch would have come: the report completed the one candidate of
+	// a shared-configuration session. The reply is then the config a
+	// fetch would get, and the client needs no fetch of its own;
+	// otherwise it is the plain ok. It sits beside Converged so the two
+	// bools share a word of Message.
+	Next bool `json:"next,omitempty"`
 
 	// report / best_reply
 	Perf float64 `json:"perf,omitempty"`

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"harmony/internal/space"
 )
@@ -92,6 +93,19 @@ func TestConnTagGenRoundTrip(t *testing.T) {
 	}
 	if m.Tag != 7 || m.Gen != 3 {
 		t.Errorf("tag/gen = %d/%d, want 7/3", m.Tag, m.Gen)
+	}
+}
+
+// TestMessageSize pins Message at 256 bytes on 64-bit platforms, the
+// size class it allocates in: every field added must fill padding (as
+// Next does beside Converged) or pay for a larger class on every
+// decoded message.
+func TestMessageSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Message{}); got != 256 {
+		t.Errorf("unsafe.Sizeof(Message{}) = %d, want 256", got)
 	}
 }
 

@@ -15,7 +15,10 @@
 //   - (1, 1), the default. One candidate is in flight, so every client
 //     of the session (for example one per node of a parallel job) is
 //     handed the same configuration, and the search advances when all
-//     expected reports for it have arrived.
+//     expected reports for it have arrived. The report that completes
+//     it may ask for the next configuration in its reply
+//     (proto.Message.Next),
+//     making a steady round one exchange.
 //   - (unbounded, unbounded), Parallel. One whole search round is in
 //     flight and concurrent clients receive distinct candidates of it,
 //     which is how the paper's PRO algorithm exploits many tuning
@@ -602,7 +605,7 @@ func (ss *session) report(msg *proto.Message) *proto.Message {
 	now := ss.now()
 	ss.lastActive = now
 	ss.expireStragglersLocked(now)
-	return ss.reportWindowLocked(msg)
+	return ss.reportWindowLocked(msg, now)
 }
 
 // best answers only from genuine measurements (the shadow): never a

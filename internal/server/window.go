@@ -23,7 +23,9 @@ import (
 // (openWindow's depth and group); nothing else knows which.
 //
 // The cadence is lazy: only a fetch refills the window, just in time
-// for the client that will run the work. Commit order never depends on
+// for the client that will run the work — or a report that completes a
+// depth-1 window and asks for the next configuration, which is the same
+// moment (reportWindowLocked). Commit order never depends on
 // report arrival; what a pipelined strategy is asked between two
 // commits does (DESIGN.md has the measurement that keeps it so).
 
@@ -207,7 +209,15 @@ func (ss *session) fetchWindowLocked(now time.Time) *proto.Message {
 // committed candidate) and surplus reports are acknowledged and
 // dropped: a late straggler must not corrupt what the window is
 // measuring now.
-func (ss *session) reportWindowLocked(msg *proto.Message) *proto.Message {
+//
+// A report that asks for the next configuration (msg.Next) and
+// completes the one candidate of a depth-1 window is answered with the
+// hand-out the next fetch would get. With nothing left in flight only a
+// fetch can change what a fetch receives, so answering now is answering
+// then. A deeper window stays lazy: its next Ask would be made before
+// the commits still in flight, which measurably worsens the search
+// (DESIGN.md).
+func (ss *session) reportWindowLocked(msg *proto.Message, now time.Time) *proto.Message {
 	h := ss.win.lookup(msg.Tag)
 	if h == nil || h.cand.Done {
 		if h != nil {
@@ -241,6 +251,10 @@ func (ss *session) reportWindowLocked(msg *proto.Message) *proto.Message {
 		}
 		ss.noteMeasuredLocked(c.Pt, p.worst)
 		ss.drainLocked()
+		if m := ss.win.m; msg.Next && m.Depth == 1 && m.Len() == 0 {
+			ss.stat().fetches.Add(1)
+			return ss.fetchWindowLocked(now)
+		}
 	}
 	return &proto.Message{Type: proto.TypeOK}
 }
