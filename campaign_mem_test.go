@@ -4,12 +4,16 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"harmony/internal/cluster"
 	"harmony/internal/core"
+	"harmony/internal/history"
 	"harmony/internal/petscsim"
+	"harmony/internal/pop"
 	"harmony/internal/search"
+	"harmony/internal/space"
 )
 
 // TestCampaignSteadyStateHeapCeiling pins the memory behaviour of a
@@ -54,5 +58,52 @@ func TestCampaignSteadyStateHeapCeiling(t *testing.T) {
 				t.Errorf("steady-state campaign allocates %d bytes per run, ceiling %d", perRun, ceiling)
 			}
 		})
+	}
+}
+
+// TestReplayedCampaignHeapCeiling pins what the tuner itself allocates
+// per run: a Fig. 4 PRO campaign replayed from a warm evaluation cache
+// runs no simulation, so everything it allocates is the engine's, the
+// strategy's and the cache's bookkeeping. The ceiling is ~1.5x the
+// measured 1.37 KB per run once cache lookups stopped allocating and the
+// trial log stopped regrowing; before that it was 2.56 KB, so putting
+// either back trips it.
+func TestReplayedCampaignHeapCeiling(t *testing.T) {
+	base := pop.DefaultConfig(720, 480)
+	base.Steps, base.BarotropicIters = 2, 4
+	m := cluster.Seaborg(8, 4)
+	sp := pop.BlockSpace()
+	cache := history.NewEvalCache()
+	objective := pop.BlockObjective(m, base)
+	var simulated atomic.Int64
+	campaign := func() *core.Result {
+		res, err := core.Tune(context.Background(), sp,
+			search.NewPRO(sp, search.PROOptions{Seed: 6, Start: pop.BlockStart(base.BX, base.BY)}),
+			func(ctx context.Context, cfg space.Config) (float64, error) {
+				simulated.Add(1)
+				return objective(ctx, cfg)
+			},
+			core.Options{MaxRuns: 40, MaxProposals: 120, Workers: 2, Cache: cache.Bound("fig4-pop", m.Fingerprint(), sp)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	campaign() // fill the cache
+	simulated.Store(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := campaign()
+	runtime.ReadMemStats(&after)
+	if n := simulated.Load(); n != 0 || res.CacheHits != res.Runs {
+		t.Fatalf("replay simulated %d runs and hit the cache %d times for %d runs", n, res.CacheHits, res.Runs)
+	}
+
+	perRun := (after.TotalAlloc - before.TotalAlloc) / uint64(res.Runs)
+	const ceiling = 2048 // bytes per run
+	t.Logf("replayed campaign allocates %d bytes per run (%d runs, %d proposals)", perRun, res.Runs, res.Proposals)
+	if perRun > ceiling {
+		t.Errorf("replayed campaign allocates %d bytes per run, ceiling %d", perRun, ceiling)
 	}
 }

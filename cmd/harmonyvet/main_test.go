@@ -219,7 +219,8 @@ func TestFactsFlag(t *testing.T) {
 }
 
 // seededDefects are small, plausible regressions planted in the
-// module's real code, one per analyzer and two for lockorder. Each
+// module's real code: one per analyzer, three for maporder (a float
+// sum, a selection, an early return) and two for lockorder. Each
 // replaces old, which must occur exactly once in file, with new; the
 // analyzer must then report on the line of the copy that contains at.
 var seededDefects = []struct {
@@ -236,6 +237,17 @@ var seededDefects = []struct {
 		"\t\ttotal += tr.Value\n\t\tn++\n\t\tfor d := 0; d < dims; d++ {\n\t\t\tlvl := tr.Point[d]\n\t\t\taccs[d].sum[lvl] += tr.Value\n\t\t\taccs[d].count[lvl]++\n\t\t}\n\t}\n",
 		"\t\tn++\n\t\tfor d := 0; d < dims; d++ {\n\t\t\tlvl := tr.Point[d]\n\t\t\taccs[d].sum[lvl] += tr.Value\n\t\t\taccs[d].count[lvl]++\n\t\t}\n\t}\n\tfor _, s := range accs[0].sum {\n\t\ttotal += s\n\t}\n",
 		"for _, s := range accs[0].sum {"},
+	// The lowest-mean level picked in map order: a tie goes to whichever
+	// level the map yields first.
+	{"maporder", "internal/core/sensitivity.go",
+		"\t\t\tfor _, lvl := range lvls {\n\t\t\t\tm := accs[d].sum[lvl] / float64(accs[d].count[lvl])\n",
+		"\t\t\tfor lvl, c := range accs[d].count {\n\t\t\t\tm := accs[d].sum[lvl] / float64(c)\n",
+		"for lvl, c := range accs[d].count {"},
+	// The unknown parameter reported is the first the map yields.
+	{"maporder", "internal/pop/namelist.go",
+		"\t\t\t\tunknown = append(unknown, k)\n",
+		"\t\t\t\treturn nil, fmt.Errorf(\"pop: unknown namelist parameter %q\", k)\n",
+		"for k := range values {"},
 	// PRO's initial spread drawn from the process-global source.
 	{"randsource", "internal/search/pro.go",
 		"if rng.Intn(2) == 0 {",
@@ -268,8 +280,8 @@ var seededDefects = []struct {
 		"\tDetail string"},
 	// A pruned candidate's prediction charged as run cost.
 	{"prunepurity", "internal/core/driver.go",
-		"\t\t\ttrial.Value, trial.Pruned = c.Predicted, true\n",
-		"\t\t\ttrial.Value, trial.Pruned = c.Predicted, true\n\t\t\tres.TuningCost += c.Predicted\n",
+		"\t\t\tt.Value, t.Pruned = c.Predicted, true\n",
+		"\t\t\tt.Value, t.Pruned = c.Predicted, true\n\t\t\tres.TuningCost += c.Predicted\n",
 		"res.TuningCost += c.Predicted"},
 }
 

@@ -2,7 +2,9 @@
 package maporder
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -25,6 +27,82 @@ func AppendValues(m map[int]int) []int {
 func PrintLoop(m map[string]int) {
 	for k, v := range m { // want `calls Println`
 		fmt.Println(k, v)
+	}
+}
+
+// ArgMin keeps the key of the smallest value: of two tied values, the
+// one visited first wins.
+func ArgMin(m map[string]float64) string {
+	best, lo := "", math.Inf(1)
+	for k, v := range m { // want `selects an entry by an ordered comparison`
+		if v < lo {
+			best, lo = k, v
+		}
+	}
+	return best
+}
+
+// BestName keeps a field of the winning value beside the compared one.
+func BestName(m map[int]struct {
+	name string
+	cost float64
+}) string {
+	var name string
+	lo := math.Inf(1)
+	for _, v := range m { // want `selects an entry by an ordered comparison`
+		if v.cost <= lo {
+			lo, name = v.cost, v.name
+		}
+	}
+	return name
+}
+
+// FirstNegative names whichever negative entry the loop meets first.
+func FirstNegative(m map[string]int) error {
+	for k, v := range m { // want `returns a result derived from the entry`
+		if v < 0 {
+			return fmt.Errorf("%s is negative", k)
+		}
+	}
+	return nil
+}
+
+// FirstInvalid returns the entry's error through a local.
+func FirstInvalid(m map[string]int, check func(int) error) error {
+	for _, v := range m { // want `returns a result derived from the entry`
+		if err := check(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Max is order-independent: only the compared quantity is kept.
+func Max(m map[string]float64) float64 {
+	hi := math.Inf(-1)
+	for _, v := range m {
+		if v > hi {
+			hi = v
+		}
+	}
+	return hi
+}
+
+// AnyNegative is order-independent: the result names no entry.
+func AnyNegative(m map[string]int) error {
+	for _, v := range m {
+		if v < 0 {
+			return errors.New("a value is negative")
+		}
+	}
+	return nil
+}
+
+// Visit is order-independent in its returns: the literal's return
+// leaves the literal, not the loop.
+func Visit(m map[string]int, do func(func() int)) {
+	for _, v := range m {
+		do(func() int { return v })
 	}
 }
 

@@ -64,6 +64,11 @@ func (j *evalJob) failure() error {
 // strategy is a round of one); Options.Async issues one candidate at a
 // time into a window of Options.AsyncDepth instead.
 //
+// A commit only charges the accounts and logs the candidate; the trial
+// log, Result.Trials, is rendered once when Tune returns — on every
+// path, cancelled and failed ones included — after the workers have
+// drained, at its final length (cap equals len).
+//
 // Determinism: the issue/commit trace — and therefore every Result
 // field except WorkerOccupancy and the speculation and starvation
 // diagnostics — is a pure function of the strategy, the seed, Async
@@ -152,11 +157,13 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 	}
 
 	stopped := false // StopBelow reached at a commit: nothing more is issued
+	// The candidates committed so far, in order: the trial log's rows.
+	var committed []*Candidate[*evalJob]
 
 	// On exit, cancel everything still outstanding, drain the workers,
-	// and settle the diagnostics. Charged work that completed but was
-	// never committed (candidates past a StopBelow cut) counts as
-	// speculative wall-clock.
+	// settle the diagnostics and render the trial log. Charged work that
+	// completed but was never committed (candidates past a StopBelow
+	// cut) counts as speculative wall-clock.
 	defer func() {
 		cancelSession()
 		for received < sent {
@@ -171,6 +178,7 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		if span := time.Since(started); span > 0 {
 			res.WorkerOccupancy = float64(busyNS.Load()) / (float64(span.Nanoseconds()) * float64(workers))
 		}
+		logTrials(res, committed)
 	}()
 
 	// speculate reconciles the outstanding prefetches with what the
@@ -248,7 +256,7 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 	}
 
 	// commit blocks until the head candidate's outcome is in hand,
-	// commits it, and does the accounting: trial recorded, accounts
+	// commits it, and does the accounting: candidate logged, accounts
 	// charged.
 	commit := func() error {
 		for !win.Head().Done {
@@ -259,7 +267,7 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		}
 		c := win.CommitHead()
 		res.Proposals++
-		trial := Trial{Proposal: res.Proposals, Point: c.Pt.Clone(), Config: c.Cfg}
+		committed = append(committed, c)
 		switch c.Kind {
 		case Pruned:
 			// Answered with the model's prediction: logged, reported to
@@ -267,12 +275,8 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 			// account, never eligible for Best, FirstValue, StopBelow
 			// or any cache.
 			res.SurrogatePruned++
-			trial.Value, trial.Pruned = c.Predicted, true
-			res.Trials = append(res.Trials, trial)
 			return nil
 		case Follower:
-			trial.Cached, trial.Value, trial.Err = true, c.Leader.Measured, c.Leader.Payload.failure()
-			res.Trials = append(res.Trials, trial)
 			return nil
 		}
 		v, verr := c.Measured, c.Payload.failure()
@@ -283,7 +287,6 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 			res.SpeculativeHits++
 		}
 		res.Runs++
-		trial.Run = res.Runs
 		if c.Kept {
 			res.SurrogateKept++
 		}
@@ -292,7 +295,6 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		}
 		if verr != nil {
 			res.Failures++
-			trial.Err = verr
 			// A failed run still paid its launch and teardown.
 			res.TuningCost += opt.RunOverhead
 		} else {
@@ -301,7 +303,6 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 				opt.Cache.Store(c.Pt, v)
 			}
 		}
-		trial.Value = v
 		if math.IsNaN(res.FirstValue) {
 			res.FirstValue = v
 		}
@@ -314,7 +315,6 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		if opt.Logf != nil {
 			opt.Logf("run %3d (proposal %3d): %s -> %.6g", res.Runs, res.Proposals, c.Cfg.Format(), v)
 		}
-		res.Trials = append(res.Trials, trial)
 		if opt.StopBelow != 0 && res.BestValue <= opt.StopBelow {
 			stopped = true
 		}
@@ -348,4 +348,27 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		return res, ErrNoEvaluations
 	}
 	return res, nil
+}
+
+// logTrials renders the committed candidates, in commit order, as
+// res.Trials: allocated once at its final length, after the workers
+// have drained, so every payload it reads is final. Runs are numbered
+// over the charged candidates; a Pruned trial carries the model's
+// prediction, a Follower its leader's outcome.
+func logTrials(res *Result, committed []*Candidate[*evalJob]) {
+	res.Trials = make([]Trial, len(committed))
+	runs := 0
+	for i, c := range committed {
+		t := &res.Trials[i]
+		t.Proposal, t.Point, t.Config = i+1, c.Pt.Clone(), c.Cfg
+		switch c.Kind {
+		case Pruned:
+			t.Value, t.Pruned = c.Predicted, true
+		case Follower:
+			t.Cached, t.Value, t.Err = true, c.Leader.Measured, c.Leader.Payload.failure()
+		default:
+			runs++
+			t.Run, t.Value, t.Err = runs, c.Measured, c.Payload.failure()
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -208,12 +209,19 @@ func TestTuneMatchesReferenceLoop(t *testing.T) {
 // cancelled session: whatever the engine returns alongside
 // context.Canceled must agree with its own trial log. The sequential
 // loop this engine replaced counted a run before calling the objective
-// and returned on cancellation without logging or charging it.
+// and returned on cancellation without logging or charging it. The trial
+// log is rendered at exit, so it must also be a field-for-field prefix of
+// the same session's uncancelled log, allocated at its final length.
 func TestTuneCancelledResultIsConsistent(t *testing.T) {
 	sp := parallelSpace(t)
 	for _, workers := range []int{0, 1, 4} {
 		for _, async := range []bool{false, true} {
 			t.Run(fmt.Sprintf("workers=%d/async=%t", workers, async), func(t *testing.T) {
+				opt := Options{MaxRuns: 200, RunOverhead: 2, Workers: workers, Async: async}
+				full, err := Tune(context.Background(), sp, search.NewRandom(sp, 5, 300), parBowl, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				var calls atomic.Int64
@@ -224,8 +232,7 @@ func TestTuneCancelledResultIsConsistent(t *testing.T) {
 					}
 					return parBowl(c, cfg)
 				}
-				res, err := Tune(ctx, sp, search.NewRandom(sp, 5, 300), obj,
-					Options{MaxRuns: 200, RunOverhead: 2, Workers: workers, Async: async})
+				res, err := Tune(ctx, sp, search.NewRandom(sp, 5, 300), obj, opt)
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("err = %v, want context.Canceled", err)
 				}
@@ -250,6 +257,19 @@ func TestTuneCancelledResultIsConsistent(t *testing.T) {
 				}
 				if res.Proposals != len(res.Trials) {
 					t.Errorf("Proposals = %d, %d trials logged", res.Proposals, len(res.Trials))
+				}
+				for _, r := range []*Result{res, full} {
+					if cap(r.Trials) != len(r.Trials) {
+						t.Errorf("trial log has cap %d for %d trials", cap(r.Trials), len(r.Trials))
+					}
+				}
+				if len(res.Trials) >= len(full.Trials) {
+					t.Fatalf("cancelled session logged %d trials, the full one %d", len(res.Trials), len(full.Trials))
+				}
+				for i, tr := range res.Trials {
+					if !reflect.DeepEqual(tr, full.Trials[i]) {
+						t.Fatalf("trial %d of the cancelled session is %+v, the full session's is %+v", i, tr, full.Trials[i])
+					}
 				}
 			})
 		}

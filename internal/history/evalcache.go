@@ -105,9 +105,9 @@ func (c *EvalCache) Counters() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-func (c *EvalCache) lookup(key string) (float64, bool) {
+func (c *EvalCache) lookup(key []byte) (float64, bool) {
 	c.mu.Lock()
-	v, ok := c.entries[key]
+	v, ok := c.entries[string(key)] // indexing by a converted slice copies nothing
 	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
@@ -155,19 +155,36 @@ type BoundCache struct {
 	prefix string
 }
 
-// Lookup returns the cached objective value for the point.
+// Lookup returns the cached objective value for the point. It
+// allocates nothing unless the identity prefix and the point's key
+// together outgrow keyBufLen.
 func (b *BoundCache) Lookup(pt space.Point) (float64, bool) {
-	return b.c.lookup(b.key(pt))
+	k := b.key(pt)
+	return b.c.lookup(k[:])
 }
 
 // Store records a successful evaluation of the point.
 func (b *BoundCache) Store(pt space.Point, v float64) {
-	b.c.store(b.key(pt), v)
+	k := b.key(pt)
+	b.c.store(string(k[:]), v)
 }
 
-func (b *BoundCache) key(pt space.Point) string {
-	sum := sha256.Sum256([]byte(b.prefix + pt.Key()))
-	return hex.EncodeToString(sum[:])
+// entryKey is an entry's key: a hex-encoded SHA-256 digest.
+type entryKey [2 * sha256.Size]byte
+
+// keyBufLen sizes the stack buffer a key's bytes are assembled in. It
+// holds the identity of a 32-node machine (a 669-byte fingerprint) and
+// a 16-parameter space; a longer identity spills to the heap, which
+// costs an allocation and changes no key.
+const keyBufLen = 1024
+
+// key returns the entry key of the point: the hex SHA-256 digest of the
+// identity prefix followed by the point's Key.
+func (b *BoundCache) key(pt space.Point) (k entryKey) {
+	var buf [keyBufLen]byte
+	sum := sha256.Sum256(pt.AppendKey(append(buf[:0], b.prefix...)))
+	hex.Encode(k[:], sum[:])
+	return k
 }
 
 // spaceFingerprint renders the space shape canonically: parameter

@@ -161,28 +161,27 @@ func (p *PRO) NextBatch() []space.Point {
 		// a batch of one before opening the rest of the phase.
 		return []space.Point{p.pending.Clone()}
 	}
-	var pts []space.Point
+	var phase []vertex
+	skip := -1 // the incumbent, which keeps its value
 	switch p.state {
 	case proInit:
-		for i := p.idx; i < len(p.verts); i++ {
-			pts = append(pts, p.sp.Nearest(p.verts[i].x))
-		}
+		phase = p.verts
 	case proReflect, proExpand:
-		for i := p.idx; i < len(p.candidate); i++ {
-			if i == p.bestIdx {
-				continue
-			}
-			pts = append(pts, p.sp.Nearest(p.candidate[i].x))
-		}
+		phase, skip = p.candidate, p.bestIdx
 	case proShrink:
-		for i := p.idx; i < len(p.verts); i++ {
-			if i == p.bestIdx {
-				continue
-			}
-			pts = append(pts, p.sp.Nearest(p.verts[i].x))
-		}
+		phase, skip = p.verts, p.bestIdx
 	case proDone:
 		return nil
+	}
+	n := len(phase) - p.idx
+	if skip >= p.idx {
+		n--
+	}
+	pts := make([]space.Point, 0, n)
+	for i := p.idx; i < len(phase); i++ {
+		if i != skip {
+			pts = append(pts, p.sp.Nearest(phase[i].x))
+		}
 	}
 	return pts
 }
@@ -195,7 +194,7 @@ func (p *PRO) NextBatch() []space.Point {
 func (p *PRO) ReportBatch(pts []space.Point, values []float64) {
 	for i := range pts {
 		if p.pending == nil {
-			p.pending = pts[i].Clone()
+			p.pending = pts[i] // Report clears it without keeping it
 		}
 		p.Report(pts[i], values[i])
 	}

@@ -1,0 +1,5 @@
+//go:build race
+
+package space
+
+const raceEnabled = true

@@ -189,14 +189,21 @@ func (pt Point) Equal(other Point) bool {
 // Key renders the point as a canonical comparable string, suitable as
 // a map key for evaluation caches.
 func (pt Point) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(pt.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the bytes of Key to dst and returns the extended
+// slice, so a caller with its own buffer renders the key without
+// allocating.
+func (pt Point) AppendKey(dst []byte) []byte {
 	for i, v := range pt {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(strconv.FormatInt(v, 10))
+		dst = strconv.AppendInt(dst, v, 10)
 	}
-	return b.String()
+	return dst
 }
 
 // Constraint restricts a space to the points for which it returns

@@ -405,6 +405,26 @@ func TestPointKeyUnique(t *testing.T) {
 	}
 }
 
+// TestAppendKey pins AppendKey to Key's bytes, and to zero allocations
+// into a buffer that already has room: the evaluation cache assembles
+// its lookup keys this way on every proposal.
+func TestAppendKey(t *testing.T) {
+	pt := Point{0, -7, 123456789, 42}
+	buf := make([]byte, 0, 64)
+	if got, want := string(pt.AppendKey(buf)), pt.Key(); got != want || want != "0,-7,123456789,42" {
+		t.Errorf("AppendKey = %q, Key = %q", got, want)
+	}
+	if got := string(pt.AppendKey([]byte("p\x00"))); got != "p\x000,-7,123456789,42" {
+		t.Errorf("AppendKey after a prefix = %q", got)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = pt.AppendKey(buf[:0]) }); n != 0 {
+		t.Errorf("AppendKey into a sized buffer allocates %v times, want 0", n)
+	}
+}
+
 func TestPointCloneIndependent(t *testing.T) {
 	a := Point{1, 2}
 	b := a.Clone()
