@@ -25,6 +25,13 @@
 // completed). A steady round is then one exchange, as in Active
 // Harmony's own client loop.
 //
+// The values map Fetch or Best returns belongs to the caller: it is a
+// copy, and no later call reads or changes it. Everything else of an
+// exchange is reused — a Session decodes replies into messages it
+// owns, and a Mux recycles its per-call records — so over a Mux that
+// map and the strings in it are all a steady round allocates on the
+// client.
+//
 // Production deployments dial with Options to bound each protocol
 // round trip with an I/O deadline and to reconnect with exponential
 // backoff when the connection drops. Re-fetching after a reconnect is
@@ -37,6 +44,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"time"
 
@@ -67,6 +75,7 @@ type Client struct {
 	conn *proto.Conn
 	addr string // empty when wrapped around an existing conn (no redial)
 	opts Options
+	req  proto.Message // the current request: the JSON encoder would move a local copy to the heap
 }
 
 // Dial connects to a Harmony server at addr (host:port) with no
@@ -175,23 +184,26 @@ type Registration struct {
 	AsyncDepth int
 }
 
-// transport carries one protocol exchange: it sends msg, waits for the
-// reply and turns a server error reply into an error. Client and Mux
-// are the two transports. The message travels by value: a pointer
-// passed through the interface would put every request on the heap,
-// where Mux.Call otherwise keeps it on the caller's stack.
+// transport carries one protocol exchange: it sends msg, decodes the
+// reply into reply and turns a server error reply into an error. Client
+// and Mux are the two transports. The message travels by value: a
+// pointer passed through the interface would put every request on the
+// heap, where the Mux copies it into a recycled call record instead.
 type transport interface {
-	roundTrip(msg proto.Message) (*proto.Message, error)
+	roundTrip(msg proto.Message, reply *proto.Message) error
 }
 
 // Session is a registered tuning session, obtained from a Client or a
 // Mux. It is used by one goroutine at a time; concurrent clients of
-// one session each Attach their own.
+// one session each Attach their own. Replies are decoded into messages
+// the Session owns; the maps it returns are copies the caller keeps.
 type Session struct {
-	t    transport
-	id   string
-	tag  int            // tag of the last fetched configuration
-	next *proto.Message // config a report's reply carried, for the next Fetch
+	t     transport
+	id    string
+	tag   int           // tag of the last fetched configuration
+	reply proto.Message // the reply of the latest exchange
+	next  proto.Message // config a report's reply carried, for the next Fetch
+	held  bool          // next holds a configuration no Fetch has returned
 }
 
 // Register creates a tuning session on the server.
@@ -201,7 +213,8 @@ func register(t transport, reg Registration) (*Session, error) {
 	if reg.Space == nil {
 		return nil, fmt.Errorf("client: registration needs a parameter space")
 	}
-	reply, err := t.roundTrip(proto.Message{
+	s := &Session{t: t}
+	err := t.roundTrip(proto.Message{
 		Type:          proto.TypeRegister,
 		App:           reg.App,
 		Machine:       reg.Machine,
@@ -216,14 +229,15 @@ func register(t transport, reg Registration) (*Session, error) {
 		SurrogateKeep: reg.SurrogateKeep,
 		Async:         reg.Async,
 		AsyncDepth:    reg.AsyncDepth,
-	})
+	}, &s.reply)
 	if err != nil {
 		return nil, err
 	}
-	if reply.Type != proto.TypeRegistered || reply.Session == "" {
-		return nil, fmt.Errorf("client: unexpected register reply %q", reply.Type)
+	if s.reply.Type != proto.TypeRegistered || s.reply.Session == "" {
+		return nil, fmt.Errorf("client: unexpected register reply %q", s.reply.Type)
 	}
-	return &Session{t: t, id: reply.Session}, nil
+	s.id = s.reply.Session
+	return s, nil
 }
 
 // Attach joins an existing session (for example, a parallel job where
@@ -255,8 +269,9 @@ func (s *Session) ID() string { return s.id }
 // transport fault — reconnecting and re-encoding the identical
 // message fails identically — so it is surfaced immediately instead
 // of burning the retry budget.
-func (c *Client) roundTrip(msg proto.Message) (*proto.Message, error) {
-	reply, err := c.try(&msg)
+func (c *Client) roundTrip(msg proto.Message, reply *proto.Message) error {
+	c.req = msg
+	err := c.try(reply)
 	backoff := c.opts.Backoff
 	if backoff <= 0 {
 		backoff = defaultBackoff
@@ -268,15 +283,15 @@ func (c *Client) roundTrip(msg proto.Message) (*proto.Message, error) {
 			err = rerr
 			continue
 		}
-		reply, err = c.try(&msg)
+		err = c.try(reply)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if reply.Type == proto.TypeError {
-		return nil, fmt.Errorf("client: server error: %s", reply.Error)
+		return fmt.Errorf("client: server error: %s", reply.Error)
 	}
-	return reply, nil
+	return nil
 }
 
 // retryable reports whether a failed round trip is worth a
@@ -291,19 +306,19 @@ func retryable(err error) bool {
 // failure to arm the deadline (the connection is already dead) fails
 // the attempt immediately so roundTrip's reconnect path takes over,
 // instead of silently performing an unbounded exchange.
-func (c *Client) try(msg *proto.Message) (*proto.Message, error) {
+func (c *Client) try(reply *proto.Message) error {
 	if c.opts.Timeout > 0 {
 		if err := c.conn.SetDeadline(time.Now().Add(c.opts.Timeout)); err != nil {
-			return nil, fmt.Errorf("client: set deadline: %w", err)
+			return fmt.Errorf("client: set deadline: %w", err)
 		}
 		// Disarming can only fail on an already-broken connection; the
 		// next exchange surfaces that on its own.
 		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 	}
-	if err := c.conn.Send(msg); err != nil {
-		return nil, err
+	if err := c.conn.Send(&c.req); err != nil {
+		return err
 	}
-	return c.conn.Recv()
+	return c.conn.RecvInto(reply)
 }
 
 // Fetch asks the server which configuration to use next. It returns
@@ -313,20 +328,22 @@ func (c *Client) try(msg *proto.Message) (*proto.Message, error) {
 // next configuration, Fetch returns it without contacting the server;
 // otherwise it asks. Fetch is idempotent: after a reconnect it can
 // simply be called again, and the tag of the reply supersedes
-// whatever was outstanding.
+// whatever was outstanding. The values are a new map that belongs to
+// the caller.
 func (s *Session) Fetch() (values map[string]string, converged bool, err error) {
-	reply := s.next
-	s.next = nil
-	if reply == nil {
-		if reply, err = s.t.roundTrip(proto.Message{Type: proto.TypeFetch, Session: s.id}); err != nil {
+	reply := &s.next
+	if !s.held {
+		reply = &s.reply
+		if err := s.t.roundTrip(proto.Message{Type: proto.TypeFetch, Session: s.id}, reply); err != nil {
 			return nil, false, err
 		}
 		if reply.Type != proto.TypeConfig {
 			return nil, false, fmt.Errorf("client: unexpected fetch reply %q", reply.Type)
 		}
 	}
+	s.held = false
 	s.tag = reply.Tag
-	return reply.Values, reply.Converged, nil
+	return maps.Clone(reply.Values), reply.Converged, nil
 }
 
 // Report delivers the performance measured under the configuration
@@ -341,42 +358,43 @@ func (s *Session) Fetch() (values map[string]string, converged bool, err error) 
 // and then stops leaves it outstanding until it is reported, the
 // straggler deadline retires it, or the session ends.
 func (s *Session) Report(perf float64) error {
-	reply, err := s.t.roundTrip(proto.Message{
+	err := s.t.roundTrip(proto.Message{
 		Type: proto.TypeReport, Session: s.id, Perf: perf, Tag: s.tag, Next: true,
-	})
+	}, &s.reply)
 	if err != nil {
 		return err
 	}
-	switch reply.Type {
+	switch s.reply.Type {
 	case proto.TypeOK:
 	case proto.TypeConfig:
-		s.next = reply
+		s.reply, s.next = s.next, s.reply
+		s.held = true
 	default:
-		return fmt.Errorf("client: unexpected report reply %q", reply.Type)
+		return fmt.Errorf("client: unexpected report reply %q", s.reply.Type)
 	}
 	return nil
 }
 
-// Best returns the best configuration and objective seen so far.
+// Best returns the best configuration and objective seen so far, the
+// values as a new map that belongs to the caller. A configuration the
+// preceding Report's reply carried is still the next Fetch's.
 func (s *Session) Best() (values map[string]string, perf float64, err error) {
-	reply, err := s.t.roundTrip(proto.Message{Type: proto.TypeBest, Session: s.id})
-	if err != nil {
+	if err := s.t.roundTrip(proto.Message{Type: proto.TypeBest, Session: s.id}, &s.reply); err != nil {
 		return nil, 0, err
 	}
-	if reply.Type != proto.TypeBestReply {
-		return nil, 0, fmt.Errorf("client: unexpected best reply %q", reply.Type)
+	if s.reply.Type != proto.TypeBestReply {
+		return nil, 0, fmt.Errorf("client: unexpected best reply %q", s.reply.Type)
 	}
-	return reply.Values, reply.Perf, nil
+	return maps.Clone(s.reply.Values), s.reply.Perf, nil
 }
 
 // Done ends the session on the server.
 func (s *Session) Done() error {
-	reply, err := s.t.roundTrip(proto.Message{Type: proto.TypeDone, Session: s.id})
-	if err != nil {
+	if err := s.t.roundTrip(proto.Message{Type: proto.TypeDone, Session: s.id}, &s.reply); err != nil {
 		return err
 	}
-	if reply.Type != proto.TypeOK {
-		return fmt.Errorf("client: unexpected done reply %q", reply.Type)
+	if s.reply.Type != proto.TypeOK {
+		return fmt.Errorf("client: unexpected done reply %q", s.reply.Type)
 	}
 	return nil
 }

@@ -38,15 +38,28 @@ type Mux struct {
 	bw   *bufio.Writer
 	br   *bufio.Reader
 
-	ops  chan *proto.Message // queued for the writer; Seq already assigned
-	done chan struct{}       // closed on first failure or Close
+	ops  chan *call    // queued for the writer, which assigns each its Seq
+	done chan struct{} // closed on first failure or Close
 
-	mu      sync.Mutex
-	calls   map[uint64]chan *proto.Message // in-flight Seq -> reply slot
-	nextSeq uint64
-	err     error
+	mu    sync.Mutex
+	calls map[uint64]*call // encoded, awaiting their reply, by Seq
+	free  []*call          // records whose reply was delivered
+	err   error
 
 	wg sync.WaitGroup
+}
+
+// call is the record of one operation in flight: the request, by value,
+// the reply the reader copies in, and the signal that it did (false
+// when the mux failed instead). Records are recycled through Mux.free.
+// A record goes back only after its reply arrived, and a reply proves
+// the writer has encoded the request: the writer registers a record in
+// Mux.calls only after encoding it. A call that fails drops its record,
+// which the writer or reader may still hold.
+type call struct {
+	req   proto.Message
+	reply proto.Message
+	done  chan bool
 }
 
 // DialMux connects to a Harmony server at addr (host:port) and
@@ -84,9 +97,9 @@ func NewMuxFromConn(nc net.Conn) (*Mux, error) {
 		conn:  nc,
 		bw:    bw,
 		br:    br,
-		ops:   make(chan *proto.Message, muxOpQueue),
+		ops:   make(chan *call, muxOpQueue),
 		done:  make(chan struct{}),
-		calls: make(map[uint64]chan *proto.Message),
+		calls: make(map[uint64]*call),
 	}
 	m.wg.Add(2)
 	go m.writeLoop()
@@ -95,8 +108,8 @@ func NewMuxFromConn(nc net.Conn) (*Mux, error) {
 }
 
 // fail latches the mux's terminal error once: it stops both loops,
-// closes the transport, and delivers nil to every in-flight call so
-// no caller is left waiting.
+// closes the transport, and fails every call awaiting a reply so no
+// caller is left waiting (a call still queued sees done closed).
 func (m *Mux) fail(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -106,9 +119,9 @@ func (m *Mux) fail(err error) {
 	m.err = err
 	close(m.done)
 	_ = m.conn.Close() // the transport error already describes the failure
-	for seq, ch := range m.calls {
+	for seq, c := range m.calls {
 		delete(m.calls, seq)
-		ch <- nil // reply slots are buffered; delivery never blocks
+		c.done <- false // buffered, and nothing else signals a registered call
 	}
 }
 
@@ -130,29 +143,50 @@ func (m *Mux) Close() error {
 // writeLoop packs queued operations into frames: it blocks for the
 // first message, then drains whatever else is already queued (up to
 // muxMaxBatch) into the same frame, and flushes the socket only when
-// the queue momentarily empties.
+// the queue momentarily empties. It numbers the requests, encodes the
+// frame, and only then registers the calls for their replies.
 func (m *Mux) writeLoop() {
 	defer m.wg.Done()
-	var frameID uint64
+	var (
+		batch        []*call
+		frame        proto.Frame
+		buf          []byte
+		frameID, seq uint64
+	)
 	for {
-		var first *proto.Message
 		select {
-		case first = <-m.ops:
+		case c := <-m.ops:
+			batch = append(batch[:0], c)
 		case <-m.done:
 			return
 		}
-		msgs := []*proto.Message{first}
-	batch:
-		for len(msgs) < muxMaxBatch {
+	drain:
+		for len(batch) < muxMaxBatch {
 			select {
-			case op := <-m.ops:
-				msgs = append(msgs, op)
+			case c := <-m.ops:
+				batch = append(batch, c)
 			default:
-				break batch
+				break drain
 			}
 		}
 		frameID++
-		if err := proto.WriteFrame(m.bw, &proto.Frame{ID: frameID, Msgs: msgs}); err != nil {
+		frame.ID, frame.Msgs = frameID, frame.Msgs[:0]
+		for _, c := range batch {
+			seq++
+			c.req.Seq = seq
+			frame.Msgs = append(frame.Msgs, &c.req)
+		}
+		var err error
+		if buf, err = proto.AppendFrame(buf[:0], &frame); err != nil {
+			m.fail(fmt.Errorf("client: mux send: %w", err))
+			return
+		}
+		m.mu.Lock()
+		for _, c := range batch {
+			m.calls[c.req.Seq] = c
+		}
+		m.mu.Unlock()
+		if _, err := m.bw.Write(buf); err != nil {
 			m.fail(fmt.Errorf("client: mux send: %w", err))
 			return
 		}
@@ -165,22 +199,26 @@ func (m *Mux) writeLoop() {
 	}
 }
 
-// readLoop delivers each reply to the call that carries its Seq.
+// readLoop decodes every reply frame into one reused Frame and hands
+// each reply to the call that carries its Seq.
 func (m *Mux) readLoop() {
 	defer m.wg.Done()
+	var f proto.Frame
 	for {
-		f, err := proto.ReadFrame(m.br)
-		if err != nil {
+		if err := proto.ReadFrameInto(m.br, &f); err != nil {
 			m.fail(fmt.Errorf("client: mux recv: %w", err))
 			return
 		}
 		for _, r := range f.Msgs {
 			m.mu.Lock()
-			ch, ok := m.calls[r.Seq]
+			c, ok := m.calls[r.Seq]
 			delete(m.calls, r.Seq)
 			m.mu.Unlock()
 			if ok {
-				ch <- r
+				// Swapped, not copied: the frame takes the record's old
+				// message, whose Values map the next decode reuses.
+				c.reply, *r = *r, c.reply
+				c.done <- true
 			}
 			// A reply with no waiting call (a duplicate, or a peer
 			// inventing sequence numbers) is dropped: there is nobody
@@ -189,41 +227,63 @@ func (m *Mux) readLoop() {
 	}
 }
 
-// Call performs one protocol operation over the mux: it assigns a
-// sequence number, queues the message, and blocks until the matching
-// reply arrives or the mux fails. Concurrent Calls pipeline — none
-// waits for another's reply.
+// Call performs one protocol operation over the mux: it queues the
+// message and blocks until the matching reply arrives or the mux
+// fails. Concurrent Calls pipeline — none waits for another's reply.
+// The reply is a new message that belongs to the caller.
 func (m *Mux) Call(msg *proto.Message) (*proto.Message, error) {
-	ch := make(chan *proto.Message, 1)
+	reply := new(proto.Message)
+	if err := m.roundTrip(*msg, reply); err != nil {
+		return nil, err
+	}
+	return reply, nil
+}
+
+// roundTrip is Call decoding into reply, which it swaps with the call
+// record's: the record keeps reply's old Values map for a later decode.
+func (m *Mux) roundTrip(msg proto.Message, reply *proto.Message) error {
 	m.mu.Lock()
 	if m.err != nil {
 		err := m.err
 		m.mu.Unlock()
-		return nil, err
+		return err
 	}
-	m.nextSeq++
-	seq := m.nextSeq
-	m.calls[seq] = ch
+	var c *call
+	if n := len(m.free); n > 0 {
+		c, m.free = m.free[n-1], m.free[:n-1]
+	}
 	m.mu.Unlock()
-	cp := *msg
-	cp.Seq = seq
+	if c == nil {
+		c = &call{done: make(chan bool, 1)}
+	}
+	c.req = msg
 	select {
-	case m.ops <- &cp:
+	case m.ops <- c:
 	case <-m.done:
-		// The mux failed before the message was queued; fail already
-		// delivered nil to the registered reply slot.
+		return m.Err()
 	}
-	r := <-ch
-	if r == nil {
-		return nil, m.Err()
+	var ok bool
+	select {
+	case ok = <-c.done:
+	case <-m.done:
+		// A reply delivered before the failure still counts.
+		select {
+		case ok = <-c.done:
+		default:
+		}
 	}
-	if r.Type == proto.TypeError {
-		return nil, fmt.Errorf("client: server error: %s", r.Error)
+	if !ok {
+		return m.Err()
 	}
-	return r, nil
+	*reply, c.reply = c.reply, *reply
+	m.mu.Lock()
+	m.free = append(m.free, c)
+	m.mu.Unlock()
+	if reply.Type == proto.TypeError {
+		return fmt.Errorf("client: server error: %s", reply.Error)
+	}
+	return nil
 }
-
-func (m *Mux) roundTrip(msg proto.Message) (*proto.Message, error) { return m.Call(&msg) }
 
 // MuxSession is the name a Session obtained from a Mux used to have.
 type MuxSession = Session

@@ -34,7 +34,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 )
 
 // BinMagic opens the binary-protocol handshake in both directions.
@@ -155,54 +155,99 @@ func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteFrame encodes f and writes it to w in one call.
-func WriteFrame(w *bufio.Writer, f *Frame) error {
-	buf, err := AppendFrame(nil, f)
-	if err != nil {
-		return err
+// ReadFrame reads and decodes one frame into a new Frame. io.EOF at a
+// frame boundary is a clean close and returned verbatim.
+func ReadFrame(r *bufio.Reader) (*Frame, error) {
+	f := new(Frame)
+	if err := ReadFrameInto(r, f); err != nil {
+		return nil, err
 	}
-	if _, err := w.Write(buf); err != nil {
-		return fmt.Errorf("proto: frame write: %w", err)
+	return f, nil
+}
+
+// ReadFrameInto reads one frame and decodes it into f, reusing f's
+// messages and their Values maps: a long-lived reader decodes every
+// frame of a connection into the same storage. Nothing of the previous
+// frame survives into the new one. A payload that fits r's buffer is
+// decoded where it lies, without a copy; decoded strings are copied
+// out, so f never aliases r. io.EOF at a frame boundary is a clean
+// close and returned verbatim; after any error f's contents are
+// unspecified.
+func ReadFrameInto(r *bufio.Reader, f *Frame) error {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) == 0 {
+			return io.EOF
+		}
+		return fmt.Errorf("proto: frame header: %w", unexpectedEOF(err))
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	if n > MaxFrame {
+		return fmt.Errorf("proto: frame payload %d exceeds MaxFrame", n)
+	}
+	if _, err := r.Discard(4); err != nil {
+		return fmt.Errorf("proto: frame header: %w", err)
+	}
+	if int(n) > r.Size() {
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return fmt.Errorf("proto: frame payload: %w", err)
+		}
+		return decodeFrame(payload, f)
+	}
+	payload, err := r.Peek(int(n))
+	if err != nil {
+		return fmt.Errorf("proto: frame payload: %w", unexpectedEOF(err))
+	}
+	err = decodeFrame(payload, f)
+	_, _ = r.Discard(int(n)) // cannot fail: Peek buffered n bytes
+	return err
+}
+
+// decodeFrame decodes a frame payload into f, reusing its messages.
+func decodeFrame(payload []byte, f *Frame) error {
+	d := &decoder{buf: payload}
+	f.ID = d.uvarint()
+	count := d.uvarint()
+	if count > uint64(len(payload)) { // each message costs at least one byte
+		return fmt.Errorf("proto: frame claims %d messages in %d bytes", count, len(payload))
+	}
+	f.Msgs = slices.Grow(f.Msgs[:0], int(count))[:count]
+	for i, m := range f.Msgs {
+		if m == nil {
+			m = new(Message)
+			f.Msgs[i] = m
+		}
+		decodeMessage(d, m)
+		if d.err != nil {
+			return fmt.Errorf("proto: frame message %d: %w", i, d.err)
+		}
+	}
+	if len(d.buf) != d.off {
+		return fmt.Errorf("proto: %d trailing bytes in frame", len(d.buf)-d.off)
 	}
 	return nil
 }
 
-// ReadFrame reads and decodes one frame. io.EOF at a frame boundary
-// is a clean close and returned verbatim.
-func ReadFrame(r *bufio.Reader) (*Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("proto: frame header: %w", err)
+// FrameBuffered reports whether r's buffer already holds a whole frame,
+// so that reading it cannot block. A pipelining writer flushes its
+// replies when it is false: the peer may be waiting on them before it
+// sends the rest.
+func FrameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < 4 {
+		return false
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("proto: frame payload %d exceeds MaxFrame", n)
+	hdr, _ := r.Peek(4) // cannot fail: four bytes are buffered
+	return uint64(r.Buffered()-4) >= uint64(binary.BigEndian.Uint32(hdr))
+}
+
+// unexpectedEOF is what io.ReadFull would have said: a stream that
+// ends inside a frame is truncated, not cleanly closed.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("proto: frame payload: %w", err)
-	}
-	d := &decoder{buf: payload}
-	f := &Frame{ID: d.uvarint()}
-	count := d.uvarint()
-	if count > uint64(n) { // each message costs at least one byte
-		return nil, fmt.Errorf("proto: frame claims %d messages in %d bytes", count, n)
-	}
-	f.Msgs = make([]*Message, 0, count)
-	for i := uint64(0); i < count; i++ {
-		m := decodeMessage(d)
-		if d.err != nil {
-			return nil, fmt.Errorf("proto: frame message %d: %w", i, d.err)
-		}
-		f.Msgs = append(f.Msgs, m)
-	}
-	if len(d.buf) != d.off {
-		return nil, fmt.Errorf("proto: %d trailing bytes in frame", len(d.buf)-d.off)
-	}
-	return f, nil
+	return err
 }
 
 // appendMessage encodes m in tagged binary form.
@@ -262,12 +307,14 @@ func appendMessage(buf []byte, m *Message) ([]byte, error) {
 		buf = append(buf, tagValues)
 		buf = binary.AppendUvarint(buf, uint64(len(m.Values)))
 		// Encode in sorted key order: wire bytes must not depend on
-		// Go's randomised map iteration (determinism invariant).
-		keys := make([]string, 0, len(m.Values))
+		// Go's randomised map iteration (determinism invariant). The
+		// keys of a configuration fit the stack array.
+		var stack [16]string
+		keys := stack[:0]
 		for k := range m.Values {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		for _, k := range keys {
 			buf = appendString(buf, k)
 			buf = appendString(buf, m.Values[k])
@@ -366,7 +413,10 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-func (d *decoder) string() string {
+// string decodes a string, copied out of the frame. It returns prev
+// itself when the bytes equal it, so a reused message that decodes the
+// same session id again allocates nothing.
+func (d *decoder) string(prev string) string {
 	n := d.uvarint()
 	if d.err != nil {
 		return ""
@@ -375,9 +425,12 @@ func (d *decoder) string() string {
 		d.fail("string length %d overruns frame", n)
 		return ""
 	}
-	s := string(d.buf[d.off : d.off+int(n)])
+	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
 }
 
 func (d *decoder) float64() float64 {
@@ -393,21 +446,25 @@ func (d *decoder) float64() float64 {
 	return v
 }
 
-// decodeMessage decodes one tagged message; errors land in d.err.
-func decodeMessage(d *decoder) *Message {
-	m := &Message{}
+// decodeMessage decodes one tagged message into m, overwriting every
+// field; errors land in d.err. m's Values map, emptied, holds the
+// message's values if it has any, and a string equal to the one it
+// replaces is kept rather than copied again.
+func decodeMessage(d *decoder, m *Message) {
+	prev := *m
+	*m = Message{}
 	code := d.byte()
 	if code == 0 {
-		m.Type = d.string()
+		m.Type = d.string(prev.Type)
 	} else if name, ok := typeNames[code]; ok {
 		m.Type = name
 	} else {
 		d.fail("unknown message type code %d", code)
-		return m
+		return
 	}
 	if m.Type == "" && d.err == nil {
 		d.fail("message missing type")
-		return m
+		return
 	}
 	for d.err == nil {
 		tag := d.byte()
@@ -416,13 +473,13 @@ func decodeMessage(d *decoder) *Message {
 		}
 		switch tag {
 		case tagSession:
-			m.Session = d.string()
+			m.Session = d.string(prev.Session)
 		case tagApp:
-			m.App = d.string()
+			m.App = d.string(prev.App)
 		case tagMachine:
-			m.Machine = d.string()
+			m.Machine = d.string(prev.Machine)
 		case tagStrategy:
-			m.Strategy = d.string()
+			m.Strategy = d.string(prev.Strategy)
 		case tagSpace:
 			n := d.uvarint()
 			if n > uint64(len(d.buf)) {
@@ -436,8 +493,8 @@ func decodeMessage(d *decoder) *Message {
 			}
 			for i := uint64(0); i < n && d.err == nil; i++ {
 				var p ParamSpec
-				p.Name = d.string()
-				p.Kind = d.string()
+				p.Name = d.string("")
+				p.Kind = d.string("")
 				p.Min = d.varint()
 				p.Max = d.varint()
 				p.Step = d.varint()
@@ -447,7 +504,7 @@ func decodeMessage(d *decoder) *Message {
 					break
 				}
 				for j := uint64(0); j < nv && d.err == nil; j++ {
-					p.Values = append(p.Values, d.string())
+					p.Values = append(p.Values, d.string(""))
 				}
 				m.Space = append(m.Space, p)
 			}
@@ -470,12 +527,15 @@ func decodeMessage(d *decoder) *Message {
 				break
 			}
 			m.Values = nil
-			if n > 0 {
+			if n > 0 && prev.Values != nil {
+				clear(prev.Values)
+				m.Values, prev.Values = prev.Values, nil
+			} else if n > 0 {
 				m.Values = make(map[string]string, n)
 			}
 			for i := uint64(0); i < n && d.err == nil; i++ {
-				k := d.string()
-				m.Values[k] = d.string()
+				k := d.string("")
+				m.Values[k] = d.string("")
 			}
 		case tagConverged:
 			m.Converged = d.byte() != 0
@@ -484,11 +544,11 @@ func decodeMessage(d *decoder) *Message {
 		case tagPerf:
 			m.Perf = d.float64()
 		case tagError:
-			m.Error = d.string()
+			m.Error = d.string(prev.Error)
 		case tagSeq:
 			m.Seq = d.uvarint()
 		case tagCacheNS:
-			m.CacheNS = d.string()
+			m.CacheNS = d.string(prev.CacheNS)
 		case tagSurrogate:
 			m.Surrogate = d.byte() != 0
 		case tagSurrogateKeep:
@@ -501,5 +561,4 @@ func decodeMessage(d *decoder) *Message {
 			d.fail("unknown field tag %d", tag)
 		}
 	}
-	return m
 }

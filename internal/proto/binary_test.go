@@ -15,15 +15,11 @@ import (
 
 func frameRoundTrip(t *testing.T, f *Frame) *Frame {
 	t.Helper()
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteFrame(w, f); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	buf, err := AppendFrame(nil, f)
+	if err != nil {
+		t.Fatalf("AppendFrame: %v", err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	got, err := ReadFrame(bufio.NewReader(&buf))
+	got, err := ReadFrame(bufio.NewReader(bytes.NewReader(buf)))
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}

@@ -3,10 +3,14 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -103,6 +107,80 @@ func FuzzReadFrame(f *testing.F) {
 		for i, m := range fr.Msgs {
 			if !sameMessage(back.Msgs[i], m) {
 				t.Fatalf("message %d\n got %+v\nwant %+v", i, back.Msgs[i], m)
+			}
+		}
+	})
+}
+
+// committedFrames returns the inputs committed for FuzzReadFrame.
+func committedFrames(f *testing.F) [][]byte {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzReadFrame", "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var out [][]byte
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		// "go test fuzz v1", then one []byte("...") line.
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		lit := strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")")
+		data, err := strconv.Unquote(lit)
+		if err != nil {
+			f.Fatalf("%s: %v", p, err)
+		}
+		out = append(out, []byte(data))
+	}
+	return out
+}
+
+// FuzzReadFrameInto: decoding a frame into the Frame that held another
+// leaves nothing of the first behind. The input is two frames back to
+// back, A then B; when A decodes, B decoded into the same Frame must
+// equal B decoded fresh, or fail as the fresh decode does. Seeds pair
+// every hand-made frame with every hand-made and committed one.
+func FuzzReadFrameInto(f *testing.F) {
+	var seeds [][]byte
+	for i, m := range fuzzSeeds() {
+		buf, err := AppendFrame(nil, &Frame{ID: uint64(i), Msgs: []*Message{m}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, buf)
+	}
+	all, err := AppendFrame(nil, &Frame{ID: 99, Msgs: fuzzSeeds()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, all)
+	for _, a := range seeds {
+		for _, b := range append(seeds, committedFrames(f)...) {
+			f.Add(append(append([]byte(nil), a...), b...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bufio.NewReader(bytes.NewReader(data))
+		var fr Frame
+		if ReadFrameInto(r, &fr) != nil {
+			return
+		}
+		rest := data[4+binary.BigEndian.Uint32(data):]
+		want, wantErr := readFrame(rest)
+		err := ReadFrameInto(r, &fr)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("second frame: reused decode err = %v, fresh decode err = %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if fr.ID != want.ID || len(fr.Msgs) != len(want.Msgs) {
+			t.Fatalf("second frame: id %d with %d messages, fresh id %d with %d", fr.ID, len(fr.Msgs), want.ID, len(want.Msgs))
+		}
+		for i, m := range want.Msgs {
+			if !sameMessage(fr.Msgs[i], m) {
+				t.Fatalf("message %d\n got %+v\nwant %+v", i, fr.Msgs[i], m)
 			}
 		}
 	})

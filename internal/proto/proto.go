@@ -27,6 +27,7 @@ package proto
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -239,6 +240,13 @@ type Conn struct {
 	r *bufio.Reader
 	w *bufio.Writer
 	c io.ReadWriteCloser
+
+	out bytes.Buffer  // Send encodes each message here, then copies it to w
+	enc *json.Encoder // encodes into out
+
+	// spare is a Values map RecvInto took from a message that arrived
+	// without values, kept for the next message that has some.
+	spare map[string]string
 }
 
 // NewConn frames messages over rw.
@@ -252,7 +260,9 @@ func NewConn(rw io.ReadWriteCloser) *Conn {
 // binary frame protocol: bytes already buffered in r must not be
 // lost.
 func NewConnReader(rw io.ReadWriteCloser, r *bufio.Reader) *Conn {
-	return &Conn{r: r, w: bufio.NewWriter(rw), c: rw}
+	c := &Conn{r: r, w: bufio.NewWriter(rw), c: rw}
+	c.enc = json.NewEncoder(&c.out)
+	return c
 }
 
 // deadliner is the subset of net.Conn needed for I/O deadlines.
@@ -281,11 +291,13 @@ func (c *Conn) Send(m *Message) error {
 		cp.Perf = 0
 		m = &cp
 	}
-	data, err := json.Marshal(m)
-	if err != nil {
+	// The encoder writes what json.Marshal would, plus the '\n', into a
+	// buffer that outlives the call.
+	c.out.Reset()
+	if err := c.enc.Encode(m); err != nil {
 		return fmt.Errorf("proto: marshal: %w (%v)", ErrMarshal, err)
 	}
-	if _, err := c.w.Write(append(data, '\n')); err != nil {
+	if _, err := c.w.Write(c.out.Bytes()); err != nil {
 		return fmt.Errorf("proto: write: %w", err)
 	}
 	return c.w.Flush()
@@ -320,31 +332,69 @@ func parseNonFinite(s string) (float64, error) {
 	return 0, fmt.Errorf("proto: bad perf_text %q", s)
 }
 
-// Recv reads one message. It returns io.EOF when the peer closed the
-// connection cleanly.
+// Recv reads one message into a new Message. It returns io.EOF when
+// the peer closed the connection cleanly.
 func (c *Conn) Recv() (*Message, error) {
-	line, err := c.r.ReadBytes('\n')
+	m := new(Message)
+	if err := c.RecvInto(m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// RecvInto reads one message into m, overwriting every field. Values
+// are decoded into m's map, or into one the Conn kept from a message
+// that had none, so the caller must not keep m.Values across calls. An
+// empty values object decodes as absent, which is how Send encodes it.
+// A line longer than MaxFrame is an error, as a binary frame would be:
+// a peer that never sends '\n' cannot grow the reader's memory without
+// bound. It returns io.EOF when the peer closed the connection
+// cleanly; after any other error m's contents are unspecified.
+func (c *Conn) RecvInto(m *Message) error {
+	line, err := c.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		long := append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull && len(long) <= MaxFrame {
+			line, err = c.r.ReadSlice('\n')
+			long = append(long, line...)
+		}
+		line = long
+	}
+	if len(line) > MaxFrame {
+		return fmt.Errorf("proto: line longer than MaxFrame (%d bytes)", MaxFrame)
+	}
 	if err != nil {
 		if err == io.EOF && len(line) == 0 {
-			return nil, io.EOF
+			return io.EOF
 		}
-		return nil, fmt.Errorf("proto: read: %w", err)
+		return fmt.Errorf("proto: read: %w", err)
 	}
-	var m Message
-	if err := json.Unmarshal(line, &m); err != nil {
-		return nil, fmt.Errorf("proto: malformed message: %w", err)
+	vals := m.Values
+	if vals == nil {
+		vals, c.spare = c.spare, nil
+	}
+	clear(vals)
+	*m = Message{Values: vals}
+	if err := json.Unmarshal(line, m); err != nil {
+		return fmt.Errorf("proto: malformed message: %w", err)
+	}
+	if len(m.Values) == 0 {
+		if m.Values != nil {
+			c.spare = m.Values
+		}
+		m.Values = nil
 	}
 	if m.Type == "" {
-		return nil, fmt.Errorf("proto: message missing type")
+		return fmt.Errorf("proto: message missing type")
 	}
 	if m.PerfText != "" {
 		v, err := parseNonFinite(m.PerfText)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.Perf, m.PerfText = v, ""
 	}
-	return &m, nil
+	return nil
 }
 
 // Close closes the underlying transport.

@@ -2,7 +2,7 @@ package search
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"harmony/internal/space"
 )
@@ -240,7 +240,17 @@ func (s *Simplex) worst() *vertex { return &s.verts[len(s.verts)-1] }
 // startIteration orders the simplex, checks termination, and proposes
 // the reflection point.
 func (s *Simplex) startIteration() {
-	sort.SliceStable(s.verts, func(i, j int) bool { return s.verts[i].f < s.verts[j].f })
+	// The comparator mirrors < exactly, so ±Inf and NaN keep the order
+	// sort.SliceStable gave them, without its reflective swapper.
+	slices.SortStableFunc(s.verts, func(a, b vertex) int {
+		switch {
+		case a.f < b.f:
+			return -1
+		case b.f < a.f:
+			return 1
+		}
+		return 0
+	})
 
 	if s.collapsed() {
 		if s.restartsUsed >= s.opt.Restarts {

@@ -4,27 +4,25 @@ import (
 	"bufio"
 	"io"
 	"net"
-	"sync"
+	"slices"
 
 	"harmony/internal/proto"
 )
 
-// binWriteQueue bounds the reply frames queued per binary connection.
-// A client that pipelines requests faster than it drains replies
-// eventually fills the queue; the reader goroutine then blocks on the
-// enqueue and stops consuming the socket, so backpressure propagates
-// to the client's TCP window instead of growing server memory without
-// bound.
-const binWriteQueue = 128
-
 // handleBinary serves one connection speaking the binary frame
-// protocol (see proto/binary.go). Requests are pipelined: the reader
-// dispatches every message of every frame as it arrives and enqueues
-// the reply frame on a bounded write queue; a dedicated writer
-// goroutine flushes the socket only when the queue momentarily drains,
-// batching the replies of a burst into few syscalls. Replies carry the
-// frame ID and per-message Seq of their requests, so a client may keep
-// any number of frames in flight.
+// protocol (see proto/binary.go). Requests are pipelined: every message
+// of a frame is dispatched as it arrives and the reply frame is written
+// inline, carrying the frame ID and per-message Seq of its requests, so
+// a client may keep any number of frames in flight. The request frame,
+// the reply messages and the encoding buffer are the connection's own
+// and are reused for every frame.
+//
+// The socket is flushed whenever the next request frame is not already
+// complete in the read buffer: a pipelined burst's replies leave in few
+// syscalls, and no reply waits on a frame the peer has not finished
+// sending. A peer that stops draining its replies blocks the write, and
+// with it the reads, so backpressure reaches the client's TCP window
+// instead of growing server memory.
 func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 	if err := proto.ReadHandshake(br); err != nil {
 		s.Logf("harmony server: binary handshake: %v", err)
@@ -40,54 +38,36 @@ func (s *Server) handleBinary(conn net.Conn, br *bufio.Reader) {
 		return
 	}
 
-	writeq := make(chan *proto.Frame, binWriteQueue)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		failed := false
-		fail := func(err error) {
-			failed = true
-			s.Logf("harmony server: binary send: %v", err)
-			// Unblock the reader, which is likely parked in ReadFrame:
-			// a connection that cannot carry replies is dead both ways.
-			_ = conn.Close()
-		}
-		for f := range writeq {
-			if failed {
-				continue // keep draining so the reader never blocks enqueueing
-			}
-			if err := proto.WriteFrame(bw, f); err != nil {
-				fail(err)
-				continue
-			}
-			// Flush only once no further frames are immediately queued,
-			// batching a pipelined burst's replies into few syscalls.
-			if len(writeq) == 0 {
-				if err := bw.Flush(); err != nil {
-					fail(err)
-				}
-			}
-		}
-	}()
-	defer func() {
-		close(writeq)
-		wg.Wait()
-	}()
+	var req, reply proto.Frame
+	var buf []byte
 	for {
-		f, err := proto.ReadFrame(br)
-		if err != nil {
+		if err := proto.ReadFrameInto(br, &req); err != nil {
 			if err != io.EOF {
 				s.Logf("harmony server: binary recv: %v", err)
 			}
 			return
 		}
-		reply := &proto.Frame{ID: f.ID, Msgs: make([]*proto.Message, len(f.Msgs))}
-		for i, m := range f.Msgs {
-			r := s.dispatch(m)
+		reply.ID = req.ID
+		reply.Msgs = slices.Grow(reply.Msgs[:0], len(req.Msgs))[:len(req.Msgs)]
+		for i, m := range req.Msgs {
+			r := reply.Msgs[i]
+			if r == nil {
+				r = new(proto.Message)
+				reply.Msgs[i] = r
+			}
+			s.dispatch(m, r)
 			r.Seq = m.Seq
-			reply.Msgs[i] = r
 		}
-		writeq <- reply
+		var err error
+		if buf, err = proto.AppendFrame(buf[:0], &reply); err == nil {
+			_, err = bw.Write(buf)
+		}
+		if err == nil && !proto.FrameBuffered(br) {
+			err = bw.Flush()
+		}
+		if err != nil {
+			s.Logf("harmony server: binary send: %v", err)
+			return
+		}
 	}
 }

@@ -23,15 +23,15 @@ func TestNaNReportSanitizedShared(t *testing.T) {
 		Strategy: proto.StrategyRandom, Seed: 21, MaxRuns: 10,
 		Space: proto.EncodeSpace(testSpace()),
 	})
-	cfg1 := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg1.Tag, Perf: math.NaN()}); r.Type != proto.TypeOK {
+	cfg1 := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
+	if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg1.Tag, Perf: math.NaN()}); r.Type != proto.TypeOK {
 		t.Fatalf("NaN report: %+v", r)
 	}
-	cfg2 := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg2.Tag, Perf: 5}); r.Type != proto.TypeOK {
+	cfg2 := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
+	if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg2.Tag, Perf: 5}); r.Type != proto.TypeOK {
 		t.Fatalf("report: %+v", r)
 	}
-	best := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id})
+	best := s.call(&proto.Message{Type: proto.TypeBest, Session: id})
 	if best.Type != proto.TypeBestReply || best.Perf != 5 {
 		t.Fatalf("best = %+v, want the genuine 5: NaN must forfeit, not win", best)
 	}
@@ -48,7 +48,7 @@ func TestNaNReportSanitizedParallel(t *testing.T) {
 	})
 	poisoned := false
 	for i := 0; i < 200; i++ {
-		reply := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+		reply := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 		if reply.Type != proto.TypeConfig {
 			t.Fatalf("fetch %d: %+v", i, reply)
 		}
@@ -60,11 +60,11 @@ func TestNaNReportSanitizedParallel(t *testing.T) {
 			poisoned = true
 			perf = math.NaN()
 		}
-		if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: reply.Tag, Perf: perf}); r.Type != proto.TypeOK {
+		if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: reply.Tag, Perf: perf}); r.Type != proto.TypeOK {
 			t.Fatalf("report %d: %+v", i, r)
 		}
 	}
-	best := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id})
+	best := s.call(&proto.Message{Type: proto.TypeBest, Session: id})
 	if best.Type != proto.TypeBestReply {
 		t.Fatalf("best: %+v", best)
 	}
@@ -136,29 +136,29 @@ func TestUndecodableProposalForfeited(t *testing.T) {
 
 	// The first fetch must skip the undecodable position and hand out
 	// the round's good proposal instead of erroring and wedging.
-	r1 := ss.fetch(nil)
+	r1 := ss.callFetch()
 	if r1.Type != proto.TypeConfig || r1.Converged {
 		t.Fatalf("fetch with undecodable proposal in round: %+v, want a config", r1)
 	}
 	if got := ss.stat().proposalsForfeited.Load(); got != 1 {
 		t.Fatalf("proposalsForfeited = %d after first fetch, want 1", got)
 	}
-	if rep := ss.report(&proto.Message{Tag: r1.Tag, Perf: 4}); rep.Type != proto.TypeOK {
+	if rep := ss.callReport(&proto.Message{Tag: r1.Tag, Perf: 4}); rep.Type != proto.TypeOK {
 		t.Fatalf("report: %+v", rep)
 	}
 	// Round 1 must have retired (forfeit + genuine report): the next
 	// fetch pulls round 2.
-	r2 := ss.fetch(nil)
+	r2 := ss.callFetch()
 	if r2.Type != proto.TypeConfig || r2.Converged {
 		t.Fatalf("fetch after round retirement: %+v", r2)
 	}
-	if rep := ss.report(&proto.Message{Tag: r2.Tag, Perf: 9}); rep.Type != proto.TypeOK {
+	if rep := ss.callReport(&proto.Message{Tag: r2.Tag, Perf: 9}); rep.Type != proto.TypeOK {
 		t.Fatalf("report 2: %+v", rep)
 	}
-	if r := ss.fetch(nil); !r.Converged {
+	if r := ss.callFetch(); !r.Converged {
 		t.Fatalf("fetch after all rounds: %+v, want converged", r)
 	}
-	if best := ss.best(nil); best.Type != proto.TypeBestReply || best.Perf != 4 {
+	if best := ss.callBest(); best.Type != proto.TypeBestReply || best.Perf != 4 {
 		t.Fatalf("best = %+v, want 4 (the penalty must not win)", best)
 	}
 }
@@ -175,7 +175,7 @@ func TestFullyUndecodableRoundSkipped(t *testing.T) {
 	}}
 	ss := newTestSession(sp, strat, 0, roundWindow(strat))
 
-	r := ss.fetch(nil)
+	r := ss.callFetch()
 	if r.Type != proto.TypeConfig || r.Converged {
 		t.Fatalf("fetch across a fully undecodable round: %+v", r)
 	}
@@ -185,10 +185,10 @@ func TestFullyUndecodableRoundSkipped(t *testing.T) {
 	if got := ss.stat().roundsCompleted.Load(); got != 1 {
 		t.Errorf("roundsCompleted = %d, want the forfeited round delivered", got)
 	}
-	if rep := ss.report(&proto.Message{Tag: r.Tag, Perf: 2}); rep.Type != proto.TypeOK {
+	if rep := ss.callReport(&proto.Message{Tag: r.Tag, Perf: 2}); rep.Type != proto.TypeOK {
 		t.Fatalf("report: %+v", rep)
 	}
-	if r := ss.fetch(nil); !r.Converged {
+	if r := ss.callFetch(); !r.Converged {
 		t.Fatalf("fetch after last round: %+v, want converged", r)
 	}
 }
@@ -207,7 +207,7 @@ func TestLeaseSurvivesInFlightEvaluation(t *testing.T) {
 		Strategy: proto.StrategyRandom, Seed: 31, MaxRuns: 10,
 		Space: proto.EncodeSpace(testSpace()),
 	})
-	cfg := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+	cfg := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 	if cfg.Type != proto.TypeConfig {
 		t.Fatalf("fetch: %+v", cfg)
 	}
@@ -219,7 +219,7 @@ func TestLeaseSurvivesInFlightEvaluation(t *testing.T) {
 	if n := s.ExpireNow(); n != 0 {
 		t.Fatalf("ExpireNow collected %d sessions mid-evaluation, want 0", n)
 	}
-	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: 6}); r.Type != proto.TypeOK {
+	if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: 6}); r.Type != proto.TypeOK {
 		t.Fatalf("report after long evaluation: %+v (session was collected mid-run?)", r)
 	}
 
@@ -245,7 +245,7 @@ func TestLeaseStillCollectsAbandonedInFlight(t *testing.T) {
 		Strategy: proto.StrategyRandom, Seed: 33, MaxRuns: 10,
 		Space: proto.EncodeSpace(testSpace()),
 	})
-	if r := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id}); r.Type != proto.TypeConfig {
+	if r := s.call(&proto.Message{Type: proto.TypeFetch, Session: id}); r.Type != proto.TypeConfig {
 		t.Fatalf("fetch: %+v", r)
 	}
 	// Well past the hand-out + ReportTimeout + SessionTimeout: the
@@ -284,12 +284,12 @@ func TestRegisteredSimplexIsTheOfflineSimplex(t *testing.T) {
 		if !ok {
 			t.Fatalf("reference simplex converged after %d proposals", i)
 		}
-		reply := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+		reply := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 		if reply.Type != proto.TypeConfig || !reflect.DeepEqual(reply.Values, sp.MustDecode(want).Map()) {
 			t.Fatalf("proposal %d: session hands out %+v, the adaptive simplex proposes %v", i, reply, sp.MustDecode(want).Format())
 		}
 		ref.Report(want, f(want))
-		if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: reply.Tag, Perf: f(want)}); r.Type != proto.TypeOK {
+		if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: reply.Tag, Perf: f(want)}); r.Type != proto.TypeOK {
 			t.Fatalf("report %d: %+v", i, r)
 		}
 	}

@@ -69,7 +69,7 @@ var machineDrivers = []struct {
 		roundWindow(strat)(ss)
 		var out driverRun
 		for i := 0; ; i++ {
-			r := ss.fetch(nil)
+			r := ss.callFetch()
 			if r.Type != proto.TypeConfig || i > 1000 {
 				t.Fatalf("fetch %d: %+v", i, r)
 			}
@@ -77,7 +77,7 @@ var machineDrivers = []struct {
 				break
 			}
 			out.measured = append(out.measured, r.Values["x"]+","+r.Values["y"])
-			ss.report(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})
+			ss.callReport(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})
 		}
 		st := ss.stat()
 		out.charged = ss.win.m.Charged
@@ -226,7 +226,7 @@ type ladder struct {
 
 func (l *ladder) fetch() *proto.Message {
 	l.t.Helper()
-	r := l.s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: l.id})
+	r := l.s.call(&proto.Message{Type: proto.TypeFetch, Session: l.id})
 	if r.Type != proto.TypeConfig {
 		l.t.Fatalf("fetch: %+v", r)
 	}
@@ -235,14 +235,14 @@ func (l *ladder) fetch() *proto.Message {
 
 func (l *ladder) report(tag int, perf float64) {
 	l.t.Helper()
-	if r := l.s.dispatch(&proto.Message{Type: proto.TypeReport, Session: l.id, Tag: tag, Perf: perf}); r.Type != proto.TypeOK {
+	if r := l.s.call(&proto.Message{Type: proto.TypeReport, Session: l.id, Tag: tag, Perf: perf}); r.Type != proto.TypeOK {
 		l.t.Fatalf("report under tag %d: %+v, want it acknowledged", tag, r)
 	}
 }
 
 // best returns the Best reply's value, NaN when the session has none.
 func (l *ladder) best() float64 {
-	if b := l.s.dispatch(&proto.Message{Type: proto.TypeBest, Session: l.id}); b.Type == proto.TypeBestReply {
+	if b := l.s.call(&proto.Message{Type: proto.TypeBest, Session: l.id}); b.Type == proto.TypeBestReply {
 		return b.Perf
 	}
 	return math.NaN()
@@ -417,20 +417,20 @@ func TestFaultLadder(t *testing.T) {
 			strat := &scriptedStrategy{pts: []space.Point{{99, 99}, sp.Center(), sp.Clamp(space.Point{1, 1})}}
 			ss := newTestSession(sp, strat, 3, kind.win(strat))
 			for i, want := range []string{"20,20", "1,1"} {
-				r := ss.fetch(nil)
+				r := ss.callFetch()
 				if r.Type != proto.TypeConfig || r.Converged || r.Values["x"]+","+r.Values["y"] != want {
 					t.Fatalf("fetch %d: %+v, want %s handed out", i, r, want)
 				}
-				ss.report(&proto.Message{Tag: r.Tag, Perf: float64(i + 1)})
+				ss.callReport(&proto.Message{Tag: r.Tag, Perf: float64(i + 1)})
 			}
-			if r := ss.fetch(nil); !r.Converged {
+			if r := ss.callFetch(); !r.Converged {
 				t.Fatalf("fetch past the budget: %+v, want converged (the forfeit is a charged run)", r)
 			}
 			if st := ss.stat(); ss.win.m.Charged != 3 || st.proposalsForfeited.Load() != 1 || st.reportsAccepted.Load() != 2 {
 				t.Errorf("charged %d, forfeited %d, accepted %d: want 3, 1, 2",
 					ss.win.m.Charged, st.proposalsForfeited.Load(), st.reportsAccepted.Load())
 			}
-			if b := ss.best(nil); b.Type != proto.TypeBestReply || b.Perf != 1 {
+			if b := ss.callBest(); b.Type != proto.TypeBestReply || b.Perf != 1 {
 				t.Errorf("best = %+v, want the measured 1, never the forfeit's +Inf", b)
 			}
 		})

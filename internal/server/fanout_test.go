@@ -113,30 +113,30 @@ func TestParallelFanoutStaleReportsDropped(t *testing.T) {
 	strat := search.NewRandom(sp, 3, 50)
 	ss := newTestSession(sp, strat, 50, roundWindow(strat))
 
-	first := ss.fetch(nil)
+	first := ss.callFetch()
 	if first.Type != proto.TypeConfig {
 		t.Fatalf("fetch reply %q", first.Type)
 	}
 	// Report it once: accepted.
-	if r := ss.report(&proto.Message{Tag: first.Tag, Perf: 5}); r.Type != proto.TypeOK {
+	if r := ss.callReport(&proto.Message{Tag: first.Tag, Perf: 5}); r.Type != proto.TypeOK {
 		t.Fatalf("report reply %q", r.Type)
 	}
 	// The same tag again: dropped, still OK.
-	if r := ss.report(&proto.Message{Tag: first.Tag, Perf: -1e9}); r.Type != proto.TypeOK {
+	if r := ss.callReport(&proto.Message{Tag: first.Tag, Perf: -1e9}); r.Type != proto.TypeOK {
 		t.Fatalf("duplicate report reply %q", r.Type)
 	}
 	// An unknown tag: dropped, still OK.
-	if r := ss.report(&proto.Message{Tag: 9999, Perf: -1e9}); r.Type != proto.TypeOK {
+	if r := ss.callReport(&proto.Message{Tag: 9999, Perf: -1e9}); r.Type != proto.TypeOK {
 		t.Fatalf("stale report reply %q", r.Type)
 	}
 	// Finish the round with genuine values no better than 5, so the
 	// round reaches the strategy and 5 should be the incumbent best.
 	for i := 0; ss.stat().roundsCompleted.Load() == 0 && i < 100; i++ {
-		reply := ss.fetch(nil)
+		reply := ss.callFetch()
 		if reply.Type != proto.TypeConfig {
 			t.Fatalf("fetch reply %q", reply.Type)
 		}
-		ss.report(&proto.Message{Tag: reply.Tag, Perf: 50})
+		ss.callReport(&proto.Message{Tag: reply.Tag, Perf: 50})
 	}
 	if ss.stat().roundsCompleted.Load() == 0 {
 		t.Fatal("round never completed")
@@ -165,7 +165,7 @@ func TestParallelFanoutPRONearBudget(t *testing.T) {
 	bestSeen := math.Inf(1)
 	var converged *proto.Message
 	for i := 0; i < 50; i++ {
-		reply := ss.fetch(nil)
+		reply := ss.callFetch()
 		if reply.Type != proto.TypeConfig {
 			t.Fatalf("fetch %d: reply %+v, want config (no errors near the budget)", i, reply)
 		}
@@ -178,7 +178,7 @@ func TestParallelFanoutPRONearBudget(t *testing.T) {
 			bestSeen = v
 		}
 		reported++
-		if r := ss.report(&proto.Message{Tag: reply.Tag, Perf: v}); r.Type != proto.TypeOK {
+		if r := ss.callReport(&proto.Message{Tag: reply.Tag, Perf: v}); r.Type != proto.TypeOK {
 			t.Fatalf("report %d: %+v", i, r)
 		}
 	}
@@ -191,7 +191,7 @@ func TestParallelFanoutPRONearBudget(t *testing.T) {
 	if reported != 6 {
 		t.Fatalf("%d proposals evaluated, want 6", reported)
 	}
-	if best := ss.best(nil); best.Type != proto.TypeBestReply || best.Perf != bestSeen {
+	if best := ss.callBest(); best.Type != proto.TypeBestReply || best.Perf != bestSeen {
 		t.Fatalf("best reply = %+v, want the best genuine measurement %v", best, bestSeen)
 	}
 	if got := objective(converged.Values); got != bestSeen {
@@ -208,7 +208,7 @@ func TestParallelFanoutHonoursMaxRuns(t *testing.T) {
 
 	distinct := make(map[string]bool)
 	for i := 0; i < 100; i++ {
-		reply := ss.fetch(nil)
+		reply := ss.callFetch()
 		if reply.Type != proto.TypeConfig {
 			t.Fatalf("fetch %d: reply %q", i, reply.Type)
 		}
@@ -216,7 +216,7 @@ func TestParallelFanoutHonoursMaxRuns(t *testing.T) {
 			break
 		}
 		distinct[reply.Values["x"]+","+reply.Values["y"]] = true
-		ss.report(&proto.Message{Tag: reply.Tag, Perf: float64(i)})
+		ss.callReport(&proto.Message{Tag: reply.Tag, Perf: float64(i)})
 	}
 	if ss.win.m.Charged > 7 {
 		t.Fatalf("session charged %d runs, max_runs is 7", ss.win.m.Charged)

@@ -48,7 +48,7 @@ func newFaultServer(clk *fakeClock) *Server {
 func mustRegister(t *testing.T, s *Server, msg *proto.Message) string {
 	t.Helper()
 	msg.Type = proto.TypeRegister
-	reply := s.dispatch(msg)
+	reply := s.call(msg)
 	if reply.Type != proto.TypeRegistered {
 		t.Fatalf("register: %+v", reply)
 	}
@@ -63,14 +63,14 @@ func TestDuplicateReportDropped(t *testing.T) {
 		Strategy: proto.StrategyRandom, Seed: 2, MaxRuns: 10,
 		Space: proto.EncodeSpace(testSpace()),
 	})
-	cfg := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-	s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: 4})
+	cfg := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
+	s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: 4})
 	// The duplicate arrives after the configuration was retired: it
 	// must be acknowledged (the client is just retrying) and dropped.
-	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: 1}); r.Type != proto.TypeOK {
+	if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: 1}); r.Type != proto.TypeOK {
 		t.Fatalf("duplicate report: %+v", r)
 	}
-	best := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id})
+	best := s.call(&proto.Message{Type: proto.TypeBest, Session: id})
 	if best.Perf != 4 {
 		t.Fatalf("best = %v, want 4: the duplicate's 1 must not count", best.Perf)
 	}
@@ -88,21 +88,21 @@ func TestLeaseExpiryGarbageCollectsSession(t *testing.T) {
 	s.SessionTimeout = time.Minute
 	abandoned := mustRegister(t, s, &proto.Message{Space: proto.EncodeSpace(testSpace())})
 	live := mustRegister(t, s, &proto.Message{Space: proto.EncodeSpace(testSpace())})
-	s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: abandoned})
+	s.call(&proto.Message{Type: proto.TypeFetch, Session: abandoned})
 
 	clk.Advance(50 * time.Second)
 	// The live session keeps its lease fresh.
-	if r := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: live}); r.Type != proto.TypeConfig {
+	if r := s.call(&proto.Message{Type: proto.TypeFetch, Session: live}); r.Type != proto.TypeConfig {
 		t.Fatalf("live fetch: %+v", r)
 	}
 	clk.Advance(20 * time.Second) // abandoned idle 70s > 60s; live idle 20s
 	if n := s.ExpireNow(); n != 1 {
 		t.Fatalf("ExpireNow collected %d sessions, want 1", n)
 	}
-	if r := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: abandoned}); r.Type != proto.TypeError {
+	if r := s.call(&proto.Message{Type: proto.TypeFetch, Session: abandoned}); r.Type != proto.TypeError {
 		t.Errorf("fetch on expired session: %+v, want error", r)
 	}
-	if r := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: live}); r.Type != proto.TypeConfig {
+	if r := s.call(&proto.Message{Type: proto.TypeFetch, Session: live}); r.Type != proto.TypeConfig {
 		t.Errorf("live session was collected too: %+v", r)
 	}
 	st := s.Stats()
@@ -125,10 +125,10 @@ func TestSharedConfigReissueThenForfeit(t *testing.T) {
 		Strategy: proto.StrategyRandom, Seed: 4, MaxRuns: 10,
 		Space: proto.EncodeSpace(testSpace()),
 	})
-	cfg1 := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+	cfg1 := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 	for i := 0; i < 2; i++ {
 		clk.Advance(31 * time.Second)
-		r := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+		r := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 		if r.Tag != cfg1.Tag+i+1 {
 			t.Fatalf("re-issue %d under tag %d, want a new one after %d", i, r.Tag, cfg1.Tag)
 		}
@@ -138,14 +138,14 @@ func TestSharedConfigReissueThenForfeit(t *testing.T) {
 			}
 		}
 	}
-	s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg1.Tag, Perf: 1})
+	s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg1.Tag, Perf: 1})
 	clk.Advance(31 * time.Second) // third expiry exceeds MaxReissues=2
-	cfg2 := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+	cfg2 := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 	if cfg2.Values["x"] == cfg1.Values["x"] && cfg2.Values["y"] == cfg1.Values["y"] {
 		t.Fatalf("forfeit should advance to a new configuration: %+v", cfg2)
 	}
-	s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg2.Tag, Perf: 3})
-	best := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id})
+	s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg2.Tag, Perf: 3})
+	best := s.call(&proto.Message{Type: proto.TypeBest, Session: id})
 	if best.Perf != 3 {
 		t.Fatalf("best = %v, want 3: neither the +Inf penalty nor the stale 1 may win", best.Perf)
 	}
@@ -170,7 +170,7 @@ func drivePRO(t *testing.T, s *Server, clk *fakeClock, id string, fault bool) ma
 	crashed := false
 	staleTag := 0
 	for i := 0; i < 2000; i++ {
-		reply := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+		reply := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 		if reply.Type != proto.TypeConfig {
 			t.Fatalf("fetch %d: %+v", i, reply)
 		}
@@ -183,7 +183,7 @@ func drivePRO(t *testing.T, s *Server, clk *fakeClock, id string, fault bool) ma
 			clk.Advance(6 * time.Second) // past ReportTimeout: the tag expires
 			continue                     // killed mid-round: no report
 		}
-		if r := s.dispatch(&proto.Message{
+		if r := s.call(&proto.Message{
 			Type: proto.TypeReport, Session: id, Tag: reply.Tag, Perf: bowl(reply.Values),
 		}); r.Type != proto.TypeOK {
 			t.Fatalf("report %d: %+v", i, r)
@@ -192,11 +192,11 @@ func drivePRO(t *testing.T, s *Server, clk *fakeClock, id string, fault bool) ma
 	if fault {
 		// The straggler reports long after its round was retired. The
 		// poison value would hijack Best if it were credited anywhere.
-		if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: staleTag, Perf: -1e9}); r.Type != proto.TypeOK {
+		if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: staleTag, Perf: -1e9}); r.Type != proto.TypeOK {
 			t.Fatalf("stale report: %+v", r)
 		}
 	}
-	best := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id})
+	best := s.call(&proto.Message{Type: proto.TypeBest, Session: id})
 	if best.Type != proto.TypeBestReply {
 		t.Fatalf("best: %+v", best)
 	}
@@ -261,7 +261,7 @@ func TestParallelRoundForfeitAlwaysCompletes(t *testing.T) {
 	converged := false
 	for round := 0; round < 10 && !converged; round++ {
 		for i := 0; i < 6; i++ {
-			reply := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+			reply := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 			if reply.Type != proto.TypeConfig {
 				t.Fatalf("fetch: %+v", reply)
 			}

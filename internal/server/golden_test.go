@@ -70,7 +70,7 @@ func driveFetch4(t *testing.T, ss *session, now *time.Time, g *fanoutGolden) (ha
 		var got []*proto.Message
 		fetched := 0
 		for i := 0; i < 4; i++ {
-			r := ss.fetch(nil)
+			r := ss.callFetch()
 			if r.Type != proto.TypeConfig {
 				t.Fatalf("%s: fetch: %+v", g.name, r)
 			}
@@ -88,7 +88,7 @@ func driveFetch4(t *testing.T, ss *session, now *time.Time, g *fanoutGolden) (ha
 			return handouts
 		}
 		for _, r := range got {
-			if rep := ss.report(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)}); rep.Type != proto.TypeOK {
+			if rep := ss.callReport(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)}); rep.Type != proto.TypeOK {
 				t.Fatalf("%s: report: %+v", g.name, rep)
 			}
 		}
@@ -172,7 +172,7 @@ func TestFanoutGoldens(t *testing.T) {
 		if !reflect.DeepEqual(rec.commits, want) {
 			t.Errorf("%s: rounds delivered to the strategy\n got %q\nwant %q", g.name, rec.commits, want)
 		}
-		b := ss.best(nil)
+		b := ss.callBest()
 		if got := fmt.Sprintf("%s,%s=%g", b.Values["x"], b.Values["y"], b.Perf); b.Type != proto.TypeBestReply || got != g.best {
 			t.Errorf("%s: best reply %+v, want %s", g.name, b, g.best)
 		}
@@ -210,7 +210,7 @@ func driveShared(t *testing.T, clients int) (steps []string, best string) {
 	s := newFaultServer(newFakeClock())
 	id := mustRegister(t, s, &proto.Message{MaxRuns: 40, Reporters: clients, Space: proto.EncodeSpace(testSpace())})
 	fetch := func() *proto.Message {
-		r := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+		r := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 		if r.Type != proto.TypeConfig {
 			t.Fatalf("fetch: %+v", r)
 		}
@@ -246,12 +246,12 @@ func driveShared(t *testing.T, clients int) (steps []string, best string) {
 				}
 			}
 			perf := skewed(cfg.Values, c)
-			if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: perf}); r.Type != proto.TypeOK {
+			if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: perf}); r.Type != proto.TypeOK {
 				t.Fatalf("report: %+v", r)
 			}
 		}
 	}
-	b := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id})
+	b := s.call(&proto.Message{Type: proto.TypeBest, Session: id})
 	if b.Type != proto.TypeBestReply {
 		t.Fatalf("best: %+v", b)
 	}

@@ -32,7 +32,7 @@ func driveDepth1(t *testing.T, strategy string, clients int, next bool) (handout
 		cfgs := make([]*proto.Message, clients)
 		for c := range cfgs {
 			if cfgs[c], held[c] = held[c], nil; cfgs[c] == nil {
-				cfgs[c] = s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+				cfgs[c] = s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 				note(cfgs[c])
 			}
 			if cfgs[c].Type != proto.TypeConfig {
@@ -40,11 +40,11 @@ func driveDepth1(t *testing.T, strategy string, clients int, next bool) (handout
 			}
 		}
 		if cfgs[0].Converged {
-			b := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id})
+			b := s.call(&proto.Message{Type: proto.TypeBest, Session: id})
 			return handouts, fmt.Sprintf("%s,%s=%g", b.Values["x"], b.Values["y"], b.Perf), s.Stats()
 		}
 		for c, cfg := range cfgs {
-			r := s.dispatch(&proto.Message{
+			r := s.call(&proto.Message{
 				Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: skewed(cfg.Values, c), Next: next,
 			})
 			switch {
@@ -101,11 +101,11 @@ func TestReportNextOnlyAtDepthOne(t *testing.T) {
 		id := mustRegister(t, s, reg)
 		reports := 0
 		for i := 0; i < 500; i++ {
-			cfg := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+			cfg := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 			if cfg.Converged {
 				break
 			}
-			r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: objective(cfg.Values), Next: true})
+			r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: objective(cfg.Values), Next: true})
 			if r.Type != proto.TypeOK {
 				t.Fatalf("parallel=%v async=%v: report answered %+v, want ok", reg.Parallel, reg.Async, r)
 			}
@@ -126,16 +126,16 @@ func TestReportNextRetryIsStale(t *testing.T) {
 	id := mustRegister(t, s, &proto.Message{
 		Strategy: proto.StrategyRandom, Seed: 2, MaxRuns: 10, Space: proto.EncodeSpace(testSpace()),
 	})
-	cfg := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+	cfg := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 	report := &proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: 4, Next: true}
-	lost := s.dispatch(report)
+	lost := s.call(report)
 	if lost.Type != proto.TypeConfig {
 		t.Fatalf("report{next}: %+v, want the next configuration", lost)
 	}
-	if r := s.dispatch(report); r.Type != proto.TypeOK {
+	if r := s.call(report); r.Type != proto.TypeOK {
 		t.Fatalf("retried report: %+v, want ok", r)
 	}
-	again := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+	again := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 	if !reflect.DeepEqual(again.Values, lost.Values) || again.Tag == lost.Tag {
 		t.Errorf("fetch after the retry: %v tag %d, want %v under a tag other than %d", again.Values, again.Tag, lost.Values, lost.Tag)
 	}
@@ -158,8 +158,8 @@ func TestReportNextVanishedClient(t *testing.T) {
 	id := mustRegister(t, s, &proto.Message{
 		Strategy: proto.StrategyRandom, Seed: 4, MaxRuns: 10, Space: proto.EncodeSpace(testSpace()),
 	})
-	cfg := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-	held := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: 7, Next: true})
+	cfg := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
+	held := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: 7, Next: true})
 	if held.Type != proto.TypeConfig {
 		t.Fatalf("report{next}: %+v, want the next configuration", held)
 	}
@@ -170,13 +170,13 @@ func TestReportNextVanishedClient(t *testing.T) {
 		t.Fatalf("after the first deadline: stats = %+v, want 1 reissued / 0 forfeited", st)
 	}
 	// Another client takes the candidate over, and vanishes too.
-	rescue := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+	rescue := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 	if !reflect.DeepEqual(rescue.Values, held.Values) || rescue.Tag == held.Tag {
 		t.Fatalf("re-issue: %v tag %d, want %v under a new tag", rescue.Values, rescue.Tag, held.Values)
 	}
 	clk.Advance(31 * time.Second)
 	s.ExpireNow()
-	next := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+	next := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 	if reflect.DeepEqual(next.Values, held.Values) {
 		t.Errorf("the forfeit should move the search on: %v", next.Values)
 	}
@@ -184,7 +184,7 @@ func TestReportNextVanishedClient(t *testing.T) {
 	if st.ProposalsReissued != 1 || st.ProposalsForfeited != 1 || st.ReportsAccepted != 1 || st.Fetches != 4 {
 		t.Errorf("stats = %+v, want 1 reissued / 1 forfeited / 1 accepted / 4 fetches", st)
 	}
-	if b := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id}); b.Perf != 7 {
+	if b := s.call(&proto.Message{Type: proto.TypeBest, Session: id}); b.Perf != 7 {
 		t.Errorf("best = %v, want 7: the forfeit's penalty must not win", b.Perf)
 	}
 }

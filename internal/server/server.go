@@ -324,42 +324,53 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	pc := proto.NewConnReader(conn, br)
+	var msg, reply proto.Message
 	for {
-		msg, err := pc.Recv()
-		if err != nil {
+		if err := pc.RecvInto(&msg); err != nil {
 			if err != io.EOF {
 				s.Logf("harmony server: recv: %v", err)
 			}
 			return
 		}
-		reply := s.dispatch(msg)
-		if err := pc.Send(reply); err != nil {
+		s.dispatch(&msg, &reply)
+		if err := pc.Send(&reply); err != nil {
 			s.Logf("harmony server: send: %v", err)
 			return
 		}
 	}
 }
 
-func errorReply(format string, args ...any) *proto.Message {
-	return &proto.Message{Type: proto.TypeError, Error: fmt.Sprintf(format, args...)}
+// setReply makes reply an empty answer of type typ. Its Values map is
+// kept, emptied, so the connection writes every configuration it sends
+// into the same map (space.Config.MapInto).
+func setReply(reply *proto.Message, typ string) {
+	vals := reply.Values
+	clear(vals)
+	*reply = proto.Message{Type: typ, Values: vals}
 }
 
-func (s *Server) dispatch(msg *proto.Message) *proto.Message {
+func errorReply(reply *proto.Message, format string, args ...any) {
+	setReply(reply, proto.TypeError)
+	reply.Error = fmt.Sprintf(format, args...)
+}
+
+// dispatch answers msg into reply, which the connection owns: every
+// handler overwrites it, and the connection encodes it before the next
+// message is dispatched.
+func (s *Server) dispatch(msg, reply *proto.Message) {
 	switch msg.Type {
 	case proto.TypeRegister:
-		return s.register(msg)
+		s.register(msg, reply)
 	case proto.TypeFetch:
-		return s.withSession(msg, (*session).fetch)
+		s.withSession(msg, reply, (*session).fetch)
 	case proto.TypeReport:
-		return s.withSession(msg, func(ss *session, m *proto.Message) *proto.Message {
-			return ss.report(m)
-		})
+		s.withSession(msg, reply, (*session).report)
 	case proto.TypeBest:
-		return s.withSession(msg, (*session).best)
+		s.withSession(msg, reply, (*session).best)
 	case proto.TypeDone:
-		return s.done(msg)
+		s.done(msg, reply)
 	default:
-		return errorReply("unknown message type %q", msg.Type)
+		errorReply(reply, "unknown message type %q", msg.Type)
 	}
 }
 
@@ -432,14 +443,16 @@ func (s *Server) expireOneShard(sh *shard, ss *session, now time.Time) (bool, ti
 	return false, 0
 }
 
-func (s *Server) register(msg *proto.Message) *proto.Message {
+func (s *Server) register(msg, reply *proto.Message) {
 	sp, err := proto.DecodeSpace(msg.Space)
 	if err != nil {
-		return errorReply("register: %v", err)
+		errorReply(reply, "register: %v", err)
+		return
 	}
 	strat, err := search.New(msg.Strategy, sp, msg.Seed, msg.MaxRuns, nil)
 	if err != nil {
-		return errorReply("register: %v", err)
+		errorReply(reply, "register: %v", err)
+		return
 	}
 	reporters := msg.Reporters
 	if reporters <= 0 {
@@ -497,35 +510,37 @@ func (s *Server) register(msg *proto.Message) *proto.Message {
 	}
 	sh.mu.Unlock()
 	s.Logf("harmony server: registered session %s app=%q strategy=%s dims=%d", id, msg.App, strat.Name(), sp.Dims())
-	return &proto.Message{Type: proto.TypeRegistered, Session: id}
+	setReply(reply, proto.TypeRegistered)
+	reply.Session = id
 }
 
-func (s *Server) withSession(msg *proto.Message, fn func(*session, *proto.Message) *proto.Message) *proto.Message {
+func (s *Server) withSession(msg, reply *proto.Message, fn func(ss *session, msg, reply *proto.Message)) {
 	sh := s.shardFor(msg.Session)
 	s.expireDue(sh, s.now())
 	sh.mu.Lock()
 	ss, ok := sh.sessions[msg.Session]
 	sh.mu.Unlock()
 	if !ok {
-		return errorReply("unknown session %q", msg.Session)
+		errorReply(reply, "unknown session %q", msg.Session)
+		return
 	}
-	reply := fn(ss, msg)
+	fn(ss, msg, reply)
 	// The message may have handed out new work: make sure a straggler
 	// deadline is queued.
 	s.armStraggler(sh, ss)
-	return reply
 }
 
-func (s *Server) done(msg *proto.Message) *proto.Message {
+func (s *Server) done(msg, reply *proto.Message) {
 	sh := s.shardFor(msg.Session)
 	sh.mu.Lock()
 	_, ok := sh.sessions[msg.Session]
 	delete(sh.sessions, msg.Session)
 	sh.mu.Unlock()
 	if !ok {
-		return errorReply("unknown session %q", msg.Session)
+		errorReply(reply, "unknown session %q", msg.Session)
+		return
 	}
-	return &proto.Message{Type: proto.TypeOK}
+	setReply(reply, proto.TypeOK)
 }
 
 func (ss *session) now() time.Time {
@@ -572,14 +587,14 @@ func (ss *session) noteMeasuredLocked(pt space.Point, v float64) {
 
 // fetch returns the configuration the application should use next:
 // one hand-out of the session's window, whose Tag the report echoes.
-func (ss *session) fetch(*proto.Message) *proto.Message {
+func (ss *session) fetch(_, reply *proto.Message) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	now := ss.now()
 	ss.lastActive = now
 	ss.stat().fetches.Add(1)
 	ss.expireStragglersLocked(now)
-	return ss.fetchWindowLocked(now)
+	ss.fetchWindowLocked(now, reply)
 }
 
 // bestOrCurrentLocked replies with the best-known configuration and
@@ -587,42 +602,46 @@ func (ss *session) fetch(*proto.Message) *proto.Message {
 // Sessions settle on the best measured configuration: the strategy's
 // best may be a point the model scored but nothing ever ran, or lag a
 // round it has not been told about.
-func (ss *session) bestOrCurrentLocked() *proto.Message {
+func (ss *session) bestOrCurrentLocked(reply *proto.Message) {
 	pt := ss.measuredPt
 	if !ss.measuredOK {
 		pt = ss.space.Center()
 	}
 	cfg, err := ss.space.Decode(pt)
 	if err != nil {
-		return errorReply("fetch: %v", err)
+		errorReply(reply, "fetch: %v", err)
+		return
 	}
-	return &proto.Message{Type: proto.TypeConfig, Values: cfg.Map(), Converged: true}
+	setReply(reply, proto.TypeConfig)
+	reply.Values = cfg.MapInto(reply.Values)
+	reply.Converged = true
 }
 
-func (ss *session) report(msg *proto.Message) *proto.Message {
+func (ss *session) report(msg, reply *proto.Message) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	now := ss.now()
 	ss.lastActive = now
 	ss.expireStragglersLocked(now)
-	return ss.reportWindowLocked(msg, now)
+	ss.reportWindowLocked(msg, now, reply)
 }
 
 // best answers only from genuine measurements (the shadow): never a
 // model prediction, a forfeit's penalty, or a strategy's lagging view.
-func (ss *session) best(*proto.Message) *proto.Message {
+func (ss *session) best(_, reply *proto.Message) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	ss.lastActive = ss.now()
 	if !ss.measuredOK {
-		return errorReply("best: session %s has no evaluations yet", ss.id)
+		errorReply(reply, "best: session %s has no evaluations yet", ss.id)
+		return
 	}
 	cfg, err := ss.space.Decode(ss.measuredPt)
 	if err != nil {
-		return errorReply("best: %v", err)
+		errorReply(reply, "best: %v", err)
+		return
 	}
-	return &proto.Message{
-		Type: proto.TypeBestReply, Values: cfg.Map(), Perf: ss.measuredVal,
-		Converged: ss.converged,
-	}
+	setReply(reply, proto.TypeBestReply)
+	reply.Values = cfg.MapInto(reply.Values)
+	reply.Perf, reply.Converged = ss.measuredVal, ss.converged
 }

@@ -28,7 +28,7 @@ func TestConcurrentRegistersAcrossShards(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reply := s.dispatch(&proto.Message{
+			reply := s.call(&proto.Message{
 				Type: proto.TypeRegister, App: fmt.Sprintf("app-%d", i),
 				Strategy: proto.StrategyRandom, Seed: int64(i), MaxRuns: 4,
 				Space: proto.EncodeSpace(testSpace()),
@@ -39,7 +39,7 @@ func TestConcurrentRegistersAcrossShards(t *testing.T) {
 			}
 			ids[i] = reply.Session
 			for {
-				cfg := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: reply.Session})
+				cfg := s.call(&proto.Message{Type: proto.TypeFetch, Session: reply.Session})
 				if cfg.Type != proto.TypeConfig {
 					t.Errorf("fetch %d: %+v", i, cfg)
 					return
@@ -47,7 +47,7 @@ func TestConcurrentRegistersAcrossShards(t *testing.T) {
 				if cfg.Converged {
 					return
 				}
-				if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: reply.Session, Tag: cfg.Tag, Perf: bowl(cfg.Values)}); r.Type != proto.TypeOK {
+				if r := s.call(&proto.Message{Type: proto.TypeReport, Session: reply.Session, Tag: cfg.Tag, Perf: bowl(cfg.Values)}); r.Type != proto.TypeOK {
 					t.Errorf("report %d: %+v", i, r)
 					return
 				}
@@ -70,7 +70,7 @@ func TestConcurrentRegistersAcrossShards(t *testing.T) {
 	}
 	// Every session remains addressable through its shard.
 	for _, id := range ids {
-		if r := s.dispatch(&proto.Message{Type: proto.TypeBest, Session: id}); r.Type != proto.TypeBestReply {
+		if r := s.call(&proto.Message{Type: proto.TypeBest, Session: id}); r.Type != proto.TypeBestReply {
 			t.Errorf("best %s: %+v", id, r)
 		}
 	}

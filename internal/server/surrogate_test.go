@@ -241,12 +241,12 @@ func TestSurrogateBestBeforeAnyMeasurement(t *testing.T) {
 	}
 	strat.Next()
 	strat.Report(pt, 42)
-	reply := ss.best(nil)
+	reply := ss.callBest()
 	if reply.Type != proto.TypeError {
 		t.Fatalf("best before any measurement replied %+v, want error", reply)
 	}
 	ss.noteMeasuredLocked(pt, 42)
-	reply = ss.best(nil)
+	reply = ss.callBest()
 	if reply.Type != proto.TypeBestReply || reply.Perf != 42 {
 		t.Fatalf("best after measurement replied %+v", reply)
 	}
@@ -279,12 +279,12 @@ func TestSurrogateRoundQuota(t *testing.T) {
 		t.Helper()
 		var got []string
 		for i := 0; i < want; i++ {
-			r := ss.fetch(nil)
+			r := ss.callFetch()
 			if r.Type != proto.TypeConfig || r.Converged {
 				t.Fatalf("fetch: %+v", r)
 			}
 			got = append(got, r.Values["x"]+","+r.Values["y"])
-			ss.report(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})
+			ss.callReport(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})
 		}
 		return got
 	}
@@ -311,7 +311,7 @@ func TestSurrogateRoundQuota(t *testing.T) {
 	if got, want := counts(), [3]int64{2, 3, 2}; got != want {
 		t.Errorf("after the undecodable round: kept/pruned/fallbacks = %v, want %v", got, want)
 	}
-	if r := ss.fetch(nil); !r.Converged {
+	if r := ss.callFetch(); !r.Converged {
 		t.Fatalf("fetch after the last round: %+v, want converged", r)
 	}
 	if got := ss.stat().roundsCompleted.Load(); got != 3 {

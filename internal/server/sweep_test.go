@@ -28,7 +28,7 @@ func TestSweepExpiresInRegistrationOrder(t *testing.T) {
 	sp := space.MustNew(space.EnumParam("alg", "a", "b"))
 	const n = 12 // crosses the s9/s10 boundary where lexical order breaks
 	for i := 0; i < n; i++ {
-		reply := s.dispatch(&proto.Message{
+		reply := s.call(&proto.Message{
 			Type:  proto.TypeRegister,
 			App:   "sweep-test",
 			Space: proto.EncodeSpace(sp),

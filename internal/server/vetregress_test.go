@@ -78,7 +78,7 @@ func TestFanoutRoundPredictionSeparation(t *testing.T) {
 
 	var replies []*proto.Message
 	for i := 0; i < 2; i++ {
-		r := ss.fetch(nil)
+		r := ss.callFetch()
 		if r.Type != proto.TypeConfig || r.Converged {
 			t.Fatalf("fetch %d: %+v", i, r)
 		}
@@ -93,17 +93,17 @@ func TestFanoutRoundPredictionSeparation(t *testing.T) {
 			pruned.Measured, pruned.Payload.worst)
 	}
 	for _, r := range replies {
-		ss.report(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})
+		ss.callReport(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})
 	}
 	// The pruned candidate commits from the next fetch, and the round's
 	// last commit delivers it.
-	if r := ss.fetch(nil); !r.Converged {
+	if r := ss.callFetch(); !r.Converged {
 		t.Fatalf("fetch after the only round: %+v, want converged", r)
 	}
 	if want := []string{"25,5=10 0,0=1320 24,5=11"}; !reflect.DeepEqual(rec.commits, want) {
 		t.Errorf("strategy was told %q, want %q", rec.commits, want)
 	}
-	if best := ss.best(nil); best.Perf != 10 || ss.measuredVal != 10 {
+	if best := ss.callBest(); best.Perf != 10 || ss.measuredVal != 10 {
 		t.Errorf("best = %+v, shadow %v: want the measured 10, never a prediction", best, ss.measuredVal)
 	}
 }

@@ -164,7 +164,7 @@ func (ss *session) drainLocked() {
 // is handed the same one. A window whose candidates were all answered
 // at issue hands nothing out: each commit is followed by a refill until
 // the strategy, the budget or the proposal cap ends the search.
-func (ss *session) fetchWindowLocked(now time.Time) *proto.Message {
+func (ss *session) fetchWindowLocked(now time.Time, reply *proto.Message) {
 	w, m := ss.win, ss.win.m
 	for {
 		if !ss.converged {
@@ -196,11 +196,15 @@ func (ss *session) fetchWindowLocked(now time.Time) *proto.Message {
 			// strategy is stalled with nothing in flight — done in every
 			// way that matters.
 			ss.converged = ss.converged || m.Open()
-			return ss.bestOrCurrentLocked()
+			ss.bestOrCurrentLocked(reply)
+			return
 		}
 		pick.Payload.assigned++
 		w.hands = append(w.hands, handout{cand: pick, issued: now})
-		return &proto.Message{Type: proto.TypeConfig, Values: pick.Cfg.Map(), Tag: w.first + len(w.hands) - 1}
+		setReply(reply, proto.TypeConfig)
+		reply.Values = pick.Cfg.MapInto(reply.Values)
+		reply.Tag = w.first + len(w.hands) - 1
+		return
 	}
 }
 
@@ -217,14 +221,15 @@ func (ss *session) fetchWindowLocked(now time.Time) *proto.Message {
 // then. A deeper window stays lazy: its next Ask would be made before
 // the commits still in flight, which measurably worsens the search
 // (DESIGN.md).
-func (ss *session) reportWindowLocked(msg *proto.Message, now time.Time) *proto.Message {
+func (ss *session) reportWindowLocked(msg *proto.Message, now time.Time, reply *proto.Message) {
+	setReply(reply, proto.TypeOK)
 	h := ss.win.lookup(msg.Tag)
 	if h == nil || h.cand.Done {
 		if h != nil {
 			h.cand = nil
 		}
 		ss.stat().reportsDroppedStale.Add(1)
-		return &proto.Message{Type: proto.TypeOK}
+		return
 	}
 	c, p := h.cand, &h.cand.Payload
 	h.cand = nil
@@ -253,10 +258,9 @@ func (ss *session) reportWindowLocked(msg *proto.Message, now time.Time) *proto.
 		ss.drainLocked()
 		if m := ss.win.m; msg.Next && m.Depth == 1 && m.Len() == 0 {
 			ss.stat().fetches.Add(1)
-			return ss.fetchWindowLocked(now)
+			ss.fetchWindowLocked(now, reply)
 		}
 	}
-	return &proto.Message{Type: proto.TypeOK}
 }
 
 // expireStragglersLocked applies the straggler deadline to whatever the

@@ -149,7 +149,7 @@ func TestAsyncCommitOrderIndependentOfReportOrder(t *testing.T) {
 
 	var tags []int
 	for i := 0; i < 4; i++ {
-		reply := ss.fetch(nil)
+		reply := ss.callFetch()
 		if reply.Type != proto.TypeConfig || reply.Converged {
 			t.Fatalf("fetch %d: %+v", i, reply)
 		}
@@ -157,7 +157,7 @@ func TestAsyncCommitOrderIndependentOfReportOrder(t *testing.T) {
 	}
 	// Report in reverse issue order.
 	for i := len(tags) - 1; i >= 0; i-- {
-		if r := ss.report(&proto.Message{Tag: tags[i], Perf: float64(100 + i)}); r.Type != proto.TypeOK {
+		if r := ss.callReport(&proto.Message{Tag: tags[i], Perf: float64(100 + i)}); r.Type != proto.TypeOK {
 			t.Fatalf("report tag %d: %+v", tags[i], r)
 		}
 		// Before the first issue reports, nothing may commit.
@@ -189,7 +189,7 @@ func TestAsyncPipelineRefillsWithoutBarrier(t *testing.T) {
 	seen := make(map[string]int)
 	var tags []int
 	for i := 0; i < 4; i++ {
-		reply := ss.fetch(nil)
+		reply := ss.callFetch()
 		if reply.Type != proto.TypeConfig || reply.Converged {
 			t.Fatalf("fetch %d: %+v", i, reply)
 		}
@@ -197,10 +197,10 @@ func TestAsyncPipelineRefillsWithoutBarrier(t *testing.T) {
 		seen[reply.Values["x"]+","+reply.Values["y"]]++
 	}
 	// Report only the first candidate; three remain in flight.
-	if r := ss.report(&proto.Message{Tag: tags[0], Perf: 12}); r.Type != proto.TypeOK {
+	if r := ss.callReport(&proto.Message{Tag: tags[0], Perf: 12}); r.Type != proto.TypeOK {
 		t.Fatalf("report: %+v", r)
 	}
-	reply := ss.fetch(nil)
+	reply := ss.callFetch()
 	if reply.Type != proto.TypeConfig || reply.Converged {
 		t.Fatalf("post-report fetch: %+v", reply)
 	}
@@ -218,7 +218,7 @@ func TestAsyncHonoursMaxRuns(t *testing.T) {
 
 	evaluated := 0
 	for i := 0; i < 100; i++ {
-		reply := ss.fetch(nil)
+		reply := ss.callFetch()
 		if reply.Type != proto.TypeConfig {
 			t.Fatalf("fetch %d: reply %q", i, reply.Type)
 		}
@@ -226,7 +226,7 @@ func TestAsyncHonoursMaxRuns(t *testing.T) {
 			break
 		}
 		evaluated++
-		ss.report(&proto.Message{Tag: reply.Tag, Perf: float64(i)})
+		ss.callReport(&proto.Message{Tag: reply.Tag, Perf: float64(i)})
 	}
 	if ss.win.m.Charged > 7 {
 		t.Fatalf("session charged %d runs, max_runs is 7", ss.win.m.Charged)
@@ -242,33 +242,33 @@ func TestAsyncStaleReportsDropped(t *testing.T) {
 	strat := search.NewRandom(testSpace(), 3, 50)
 	ss := newTestSession(testSpace(), strat, 50, pipelineWindow(strat, 4))
 
-	first := ss.fetch(nil)
+	first := ss.callFetch()
 	if first.Type != proto.TypeConfig {
 		t.Fatalf("fetch reply %q", first.Type)
 	}
-	if r := ss.report(&proto.Message{Tag: first.Tag, Perf: 5}); r.Type != proto.TypeOK {
+	if r := ss.callReport(&proto.Message{Tag: first.Tag, Perf: 5}); r.Type != proto.TypeOK {
 		t.Fatalf("report reply %q", r.Type)
 	}
 	// The same tag again, and an unknown tag: dropped, still OK.
-	if r := ss.report(&proto.Message{Tag: first.Tag, Perf: -1e9}); r.Type != proto.TypeOK {
+	if r := ss.callReport(&proto.Message{Tag: first.Tag, Perf: -1e9}); r.Type != proto.TypeOK {
 		t.Fatalf("duplicate report reply %q", r.Type)
 	}
-	if r := ss.report(&proto.Message{Tag: 9999, Perf: -1e9}); r.Type != proto.TypeOK {
+	if r := ss.callReport(&proto.Message{Tag: 9999, Perf: -1e9}); r.Type != proto.TypeOK {
 		t.Fatalf("stale report reply %q", r.Type)
 	}
 	for i := 0; i < 200; i++ {
-		reply := ss.fetch(nil)
+		reply := ss.callFetch()
 		if reply.Type != proto.TypeConfig {
 			t.Fatalf("fetch reply %q", reply.Type)
 		}
 		if reply.Converged {
 			break
 		}
-		ss.report(&proto.Message{Tag: reply.Tag, Perf: 50})
+		ss.callReport(&proto.Message{Tag: reply.Tag, Perf: 50})
 	}
 	// The bogus -1e9 reports must not have reached the session's view
 	// of the best measurement.
-	if best := ss.best(nil); best.Type != proto.TypeBestReply || best.Perf != 5 {
+	if best := ss.callBest(); best.Type != proto.TypeBestReply || best.Perf != 5 {
 		t.Fatalf("best = %+v, want the genuine report 5", best)
 	}
 }
@@ -286,7 +286,7 @@ func TestAsyncStragglerReissueAndForfeit(t *testing.T) {
 	ss.reportTimeout = time.Second
 	ss.maxReissues = 2
 
-	first := ss.fetch(nil)
+	first := ss.callFetch()
 	if first.Type != proto.TypeConfig {
 		t.Fatalf("fetch reply %q", first.Type)
 	}
@@ -295,7 +295,7 @@ func TestAsyncStragglerReissueAndForfeit(t *testing.T) {
 	// Two straggler expiries: each re-issues the same candidate.
 	for i := 0; i < 2; i++ {
 		now = now.Add(2 * time.Second)
-		reply := ss.fetch(nil)
+		reply := ss.callFetch()
 		if reply.Type != proto.TypeConfig || reply.Converged {
 			t.Fatalf("re-issue fetch %d: %+v", i, reply)
 		}
@@ -313,7 +313,7 @@ func TestAsyncStragglerReissueAndForfeit(t *testing.T) {
 	// The third expiry exceeds maxReissues: the candidate is forfeited
 	// and the next fetch moves on to a fresh one.
 	now = now.Add(2 * time.Second)
-	reply := ss.fetch(nil)
+	reply := ss.callFetch()
 	if reply.Type != proto.TypeConfig || reply.Converged {
 		t.Fatalf("post-forfeit fetch: %+v", reply)
 	}
@@ -379,17 +379,17 @@ func TestAsyncBestPrefersMeasuredShadow(t *testing.T) {
 	strat := search.NewPRO(testSpace(), search.PROOptions{Seed: 11})
 	ss := newTestSession(testSpace(), strat, 40, pipelineWindow(strat, 4))
 
-	reply := ss.fetch(nil)
+	reply := ss.callFetch()
 	if reply.Type != proto.TypeConfig {
 		t.Fatalf("fetch reply %q", reply.Type)
 	}
 	want := objective(reply.Values)
-	if r := ss.report(&proto.Message{Tag: reply.Tag, Perf: want}); r.Type != proto.TypeOK {
+	if r := ss.callReport(&proto.Message{Tag: reply.Tag, Perf: want}); r.Type != proto.TypeOK {
 		t.Fatalf("report reply %q", r.Type)
 	}
 	// The PRO round is not complete: the strategy itself knows nothing
 	// yet, but the session has one genuine measurement.
-	best := ss.best(nil)
+	best := ss.callBest()
 	if best.Type != proto.TypeBestReply {
 		t.Fatalf("best reply %+v", best)
 	}
@@ -417,13 +417,13 @@ func TestCommittedCandidateTagsRetired(t *testing.T) {
 		Space: proto.EncodeSpace(testSpace()),
 	})
 	// A window of one: the second fetch is handed the same candidate.
-	first := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
-	twin := s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+	first := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
+	twin := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
 	if first.Type != proto.TypeConfig || twin.Type != proto.TypeConfig || twin.Tag == first.Tag ||
 		twin.Values["x"] != first.Values["x"] || twin.Values["y"] != first.Values["y"] {
 		t.Fatalf("fetches %+v and %+v, want one candidate under two tags", first, twin)
 	}
-	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: first.Tag, Perf: 4}); r.Type != proto.TypeOK {
+	if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: first.Tag, Perf: 4}); r.Type != proto.TypeOK {
 		t.Fatalf("report: %+v", r)
 	}
 
@@ -442,7 +442,7 @@ func TestCommittedCandidateTagsRetired(t *testing.T) {
 		t.Errorf("lease measured from %v, want the report at %v: the twin's straggler window extended it", active, clk.Now())
 	}
 
-	if r := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Tag: twin.Tag, Perf: -1e9}); r.Type != proto.TypeOK {
+	if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: twin.Tag, Perf: -1e9}); r.Type != proto.TypeOK {
 		t.Fatalf("late twin report: %+v", r)
 	}
 	if st := s.Stats(); st.ReportsDroppedStale != 1 || st.ReportsAccepted != 1 {
@@ -466,7 +466,7 @@ func TestExpiryPassWithNothingOverdueAllocatesNothing(t *testing.T) {
 	ss.clock = func() time.Time { return now }
 	ss.reportTimeout = time.Minute
 	for i := 0; i < 4; i++ {
-		if r := ss.fetch(nil); r.Type != proto.TypeConfig || r.Tag == 0 {
+		if r := ss.callFetch(); r.Type != proto.TypeConfig || r.Tag == 0 {
 			t.Fatalf("fetch %d: %+v", i, r)
 		}
 	}

@@ -505,9 +505,17 @@ func (c Config) LookupInt(name string) (int, bool) {
 	return n, err == nil
 }
 
-// Map renders the whole config as a name→string map.
-func (c Config) Map() map[string]string {
-	out := make(map[string]string, len(c.space.params))
+// Map renders the whole config as a new name→string map.
+func (c Config) Map() map[string]string { return c.MapInto(nil) }
+
+// MapInto renders the whole config into out, which it empties first,
+// and returns it; a nil out gets a new map. A writer that encodes one
+// configuration after another reuses one map this way.
+func (c Config) MapInto(out map[string]string) map[string]string {
+	if out == nil {
+		out = make(map[string]string, len(c.space.params))
+	}
+	clear(out)
 	for i, p := range c.space.params {
 		out[p.Name] = p.StringAt(c.point[i])
 	}

@@ -3,6 +3,7 @@ package space
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -422,6 +423,21 @@ func TestAppendKey(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { buf = pt.AppendKey(buf[:0]) }); n != 0 {
 		t.Errorf("AppendKey into a sized buffer allocates %v times, want 0", n)
+	}
+}
+
+// TestMapInto: rendering into a used map leaves exactly the config's
+// entries, in the map it was given.
+func TestMapInto(t *testing.T) {
+	s := testSpace(t)
+	cfg := s.MustDecode(s.Center())
+	used := map[string]string{"stale": "1", "rows": "bogus"}
+	got := cfg.MapInto(used)
+	if !reflect.DeepEqual(got, cfg.Map()) {
+		t.Errorf("MapInto = %v, want %v", got, cfg.Map())
+	}
+	if got["stale"] = "x"; used["stale"] != "x" {
+		t.Error("MapInto did not render into the map it was given")
 	}
 }
 
