@@ -75,7 +75,7 @@ func BenchmarkSLESRun(b *testing.B) {
 	}
 	b.Run("plans=cold", func(b *testing.B) {
 		// A bare literal has no plan cache: every run builds its plan.
-		cold := &petscsim.SLESApp{A: app.A, B: app.B, P: app.P, Iterations: app.Iterations}
+		cold := &petscsim.SLESApp{A: app.A, P: app.P, Iterations: app.Iterations}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			run(b, cold)

@@ -159,10 +159,10 @@ func TestGMRESSolvesNonsymmetric(t *testing.T) {
 	a := &sparse.CSR{N: base.N, RowPtr: base.RowPtr, Col: base.Col, Val: append([]float64(nil), base.Val...)}
 	for i := 0; i < a.N; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.Col[k] == i+1 {
+			if int(a.Col[k]) == i+1 {
 				a.Val[k] += 0.3
 			}
-			if a.Col[k] == i-1 {
+			if int(a.Col[k]) == i-1 {
 				a.Val[k] -= 0.3
 			}
 		}

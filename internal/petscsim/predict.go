@@ -1,8 +1,6 @@
 package petscsim
 
 import (
-	"fmt"
-
 	"harmony/internal/cluster"
 	"harmony/internal/simmpi"
 	"harmony/internal/space"
@@ -29,11 +27,7 @@ type SLESPredictor struct {
 // Predictor builds the predictor of the application on a machine. The
 // machine's rank count must match the application's partition count.
 func (app *SLESApp) Predictor(m *cluster.Machine) *SLESPredictor {
-	names := make([]string, app.P)
-	for i := range names {
-		names[i] = fmt.Sprintf("w%d", i+1)
-	}
-	return &SLESPredictor{app: app, m: m, names: names}
+	return &SLESPredictor{app: app, m: m, names: app.weightNames()}
 }
 
 // Predict prices one benchmarking run of the decomposition the

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,18 +17,23 @@ import (
 
 // runNumeric is the benchmarking run as it was before it became
 // cost-only, kept as the reference: every rank really solves its share
-// of A·x = B with ksp.CGWith at rtol 0 on the partition's DistMatrix.
-// It also reports rank 0's solver result, so the caller can check the
-// solve spent its whole iteration budget.
-func runNumeric(app *SLESApp, m *cluster.Machine, part sparse.Partition) (simmpi.Stats, ksp.Result, error) {
-	dm, err := sparse.NewDistMatrix(app.A, part)
+// of a·x = 1 with ksp.CGWith at rtol 0 on the partition's DistMatrix,
+// where a is the valued matrix of the generator the app's structure
+// came from. It also reports rank 0's solver result, so the caller can
+// check the solve spent its whole iteration budget.
+func runNumeric(app *SLESApp, a *sparse.CSR, m *cluster.Machine, part sparse.Partition) (simmpi.Stats, ksp.Result, error) {
+	dm, err := sparse.NewDistMatrix(a, part)
 	if err != nil {
 		return simmpi.Stats{}, ksp.Result{}, err
+	}
+	ones := make([]float64, a.N)
+	for i := range ones {
+		ones[i] = 1
 	}
 	var res ksp.Result
 	st, err := simmpi.Run(m, app.P, func(r *simmpi.Rank) {
 		ws := dm.AcquireWorkspace(r.ID())
-		_, out := ksp.CGWith(ws, r, dm, dm.Scatter(r.ID(), app.B), 0, app.Iterations)
+		_, out := ksp.CGWith(ws, r, dm, dm.Scatter(r.ID(), ones), 0, app.Iterations)
 		dm.ReleaseWorkspace(r.ID(), ws)
 		if r.ID() == 0 {
 			res = out
@@ -55,21 +62,28 @@ func skewed(nodes, ppn int) *cluster.Machine {
 // wait seconds, bytes and messages — are exactly those of the numeric
 // solve on the coroutine engine. The fixed-work precondition
 // (the numeric solve ran all Iterations iterations and did not
-// converge) is asserted on every case, not assumed.
+// converge) is asserted on every case, not assumed. The app holds its
+// matrix's structure only; the numeric solve runs on the valued matrix
+// of the same generator, which must have exactly that structure.
 func TestSLESSkeletonEqualsNumeric(t *testing.T) {
 	cases := []struct {
 		name     string
 		app      *SLESApp
+		valued   *sparse.CSR
 		machines []*cluster.Machine
 	}{
-		{"dense-600", NewSLESApp(600, 4, 3, 60, 11),
+		{"dense-600", NewSLESApp(600, 4, 3, 60, 11), sparse.DenseBlockLaplacian(600, sparse.RandomBlocks(600, 3, 60, 11)),
 			[]*cluster.Machine{cluster.Seaborg(4, 1), cluster.HeterogeneousLab()}},
-		{"band-6000", NewBandSLESApp(6000, 16, 4, 120, 2),
+		{"band-6000", NewBandSLESApp(6000, 16, 4, 120, 2), sparse.VariableBandLaplacian(6000, 4, 120, 2),
 			[]*cluster.Machine{cluster.Seaborg(16, 1), skewed(8, 2)}},
-		{"band-4000", NewBandSLESApp(4000, 16, 4, 100, 2),
+		{"band-4000", NewBandSLESApp(4000, 16, 4, 100, 2), sparse.VariableBandLaplacian(4000, 4, 100, 2),
 			[]*cluster.Machine{cluster.Seaborg(16, 1), skewed(4, 4)}},
 	}
 	for _, tc := range cases {
+		a, v := tc.app.A, tc.valued
+		if a.Val != nil || v.N != a.N || !slices.Equal(v.RowPtr, a.RowPtr) || !slices.Equal(v.Col, a.Col) {
+			t.Fatalf("%s: the app's matrix holds %d values, or its structure is not the valued reference's", tc.name, len(a.Val))
+		}
 		sp := tc.app.Space()
 		rng := rand.New(rand.NewSource(int64(tc.app.A.N)))
 		// Points 0 and 1 are the even point on either machine; the 40
@@ -83,7 +97,7 @@ func TestSLESSkeletonEqualsNumeric(t *testing.T) {
 				}
 			}
 			part := tc.app.PartitionFor(sp.MustDecode(pt))
-			want, res, err := runNumeric(tc.app, m, part)
+			want, res, err := runNumeric(tc.app, tc.valued, m, part)
 			if err != nil {
 				t.Fatalf("%s on %s, %v: numeric run: %v", tc.name, m, part.Starts, err)
 			}
@@ -103,8 +117,8 @@ func TestSLESSkeletonEqualsNumeric(t *testing.T) {
 }
 
 // TestSLESRunAllocations pins a warm Run — plan cached, job pooled — at
-// the two allocations of the plan cache's partition key: the CG
-// program itself allocates nothing.
+// zero allocations: the plan cache looks the partition key up from a
+// stack buffer, and the CG program allocates nothing.
 func TestSLESRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items, so pooled jobs are reallocated")
@@ -118,8 +132,30 @@ func TestSLESRunAllocations(t *testing.T) {
 		}
 	}
 	run()
-	if avg := testing.AllocsPerRun(20, run); avg > 2 {
-		t.Errorf("warm Run allocates %v times, want the partition key's 2", avg)
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Errorf("warm Run allocates %v times, want 0", avg)
+	}
+}
+
+// TestBandSLESAppBytes pins what building the Fig. 2 large app costs:
+// its matrix's structure and nothing per value — 4 bytes of column
+// per stored entry, plus the row pointers and the generator's one
+// N-length scratch, 16 bytes per row — with a 10 % margin. Holding
+// values again, or int columns, costs about 8 bytes per entry more and
+// trips it.
+func TestBandSLESAppBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments what it runs")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	app := NewBandSLESApp(6000, 16, 4, 120, 2)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	ceiling := uint64(1.1 * float64(4*app.A.NNZ()+16*app.A.N))
+	t.Logf("NewBandSLESApp(6000,16,4,120,2) allocates %d bytes (%d entries, %d rows)", got, app.A.NNZ(), app.A.N)
+	if got > ceiling {
+		t.Errorf("building the app allocates %d bytes, ceiling %d", got, ceiling)
 	}
 }
 

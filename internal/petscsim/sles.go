@@ -45,14 +45,14 @@ import (
 // virtual clock equals the numeric ksp.CGWith(..., rtol 0, Iterations)
 // solve's bit for bit, given that solve spends its whole budget: at
 // rtol 0 it stops early only when a global reduction (rs0, p·Ap or
-// ‖r‖²) is exactly 0.0, which a Laplacian-family matrix with B = 1
-// never reaches. TestSLESSkeletonEqualsNumeric asserts that
+// ‖r‖²) is exactly 0.0, which a Laplacian-family matrix with an
+// all-ones right-hand side never reaches. TestSLESSkeletonEqualsNumeric
+// solves the valued matrix of the same generator and asserts that
 // precondition on every case it compares.
 type SLESApp struct {
-	// A is the system matrix.
+	// A is the system matrix's structure: the constructors leave A.Val
+	// nil, since the run reads only what a halo plan reads.
 	A *sparse.CSR
-	// B is the global right-hand side.
-	B []float64
 	// P is the number of ranks (partitions).
 	P int
 	// Iterations is the fixed CG iteration count per benchmarking
@@ -64,6 +64,9 @@ type SLESApp struct {
 	// reflections, restarts, a surrogate prediction before the run)
 	// walks the matrix structure once.
 	plans *sparse.PlanCache
+	// names are the space's weight names, w1..wP, shared by
+	// PartitionFor and the predictor.
+	names []string
 }
 
 // NewSLESApp builds the Fig. 2 workload: an n×n dense-block
@@ -80,15 +83,28 @@ func NewSLESApp(n, p, nBlocks, blockSize int, seed int64) *SLESApp {
 // density keeps the 32-partition tuning landscape navigable, matching
 // the structured matrices of the paper's large runs.
 func NewBandSLESApp(n, p, minBand, maxBand, waves int) *SLESApp {
-	return newSLESApp(sparse.VariableBandLaplacian(n, minBand, maxBand, waves), p)
+	return newSLESApp(sparse.VariableBandPattern(n, minBand, maxBand, waves), p)
 }
 
+// newSLESApp keeps a's structure only: it drops any values.
 func newSLESApp(a *sparse.CSR, p int) *SLESApp {
-	b := make([]float64, a.N)
-	for i := range b {
-		b[i] = 1
+	a.Val = nil
+	app := &SLESApp{A: a, P: p, Iterations: 40, plans: sparse.NewPlanCache(a)}
+	app.names = app.weightNames()
+	return app
+}
+
+// weightNames returns the space's weight names, w1..wP: built once by
+// the constructors, and per call for a bare struct literal.
+func (app *SLESApp) weightNames() []string {
+	if len(app.names) == app.P {
+		return app.names
 	}
-	return &SLESApp{A: a, B: b, P: p, Iterations: 40, plans: sparse.NewPlanCache(a)}
+	names := make([]string, app.P)
+	for i := range names {
+		names[i] = fmt.Sprintf("w%d", i+1)
+	}
+	return names
 }
 
 // DefaultPartition is the paper's default configuration: equal-size
@@ -107,8 +123,8 @@ func (app *SLESApp) DefaultPartition() sparse.Partition {
 // dimensions through the ordering constraint and stalls the simplex.
 func (app *SLESApp) Space() *space.Space {
 	params := make([]space.Param, app.P)
-	for i := range params {
-		params[i] = space.IntParam(fmt.Sprintf("w%d", i+1), 1, 1000, 1)
+	for i, name := range app.weightNames() {
+		params[i] = space.IntParam(name, 1, 1000, 1)
 	}
 	return space.MustNew(params...)
 }
@@ -126,8 +142,8 @@ func (app *SLESApp) EvenPoint() space.Point {
 // PartitionFor decodes a configuration of Space into a partition.
 func (app *SLESApp) PartitionFor(cfg space.Config) sparse.Partition {
 	weights := make([]int64, app.P)
-	for i := range weights {
-		weights[i] = cfg.Int(fmt.Sprintf("w%d", i+1))
+	for i, name := range app.weightNames() {
+		weights[i] = cfg.Int(name)
 	}
 	return app.partition(weights)
 }

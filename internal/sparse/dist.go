@@ -55,20 +55,22 @@ func NewHaloPlan(a *CSR, part Partition) (*HaloPlan, error) {
 	if err := a.checkRows(); err != nil {
 		return nil, err
 	}
-	hp, _, err := newHaloPlan(a, part, false)
+	hp, _, err := newHaloPlan(a, part, make([]int32, a.N), false)
 	return hp, err
 }
 
 // newHaloPlan reads, of each row of rank r's range [lo, hi), only the
 // ascending prefix of columns below lo and the suffix at or above hi —
 // the row invariant makes those exactly its off-rank references — so
-// a plan costs O(rows + halo), not O(nnz). stamp[c] == r+1 marks column
-// c as already counted for rank r, so repeated references deduplicate
-// without sorting, and without clearing between ranks. With
+// a plan costs O(rows + halo), not O(nnz). stamp is the caller's
+// scratch, N long and all zero; stamp[c] == r+1 marks column c as
+// already counted for rank r, so repeated references deduplicate
+// without sorting, and without clearing between ranks. The plan leaves
+// the stamps in place: a caller that reuses stamp clears it. With
 // wantGhosts it also returns, per rank, the distinct remote columns
 // in discovery order (ascending within each row, as a full walk would
 // find them). The caller has checked a.checkRows.
-func newHaloPlan(a *CSR, part Partition, wantGhosts bool) (*HaloPlan, [][]int, error) {
+func newHaloPlan(a *CSR, part Partition, stamp []int32, wantGhosts bool) (*HaloPlan, [][]int, error) {
 	if err := part.Validate(a.N); err != nil {
 		return nil, nil, err
 	}
@@ -79,31 +81,31 @@ func newHaloPlan(a *CSR, part Partition, wantGhosts bool) (*HaloPlan, [][]int, e
 	if wantGhosts {
 		ghosts = make([][]int, p)
 	}
-	stamp := make([]int32, a.N)
 	from := make([]int, p) // distinct ghosts of the current rank, by owner
 	for r := 0; r < p; r++ {
 		h := &hp.ranks[r]
 		h.lo, h.hi = part.Range(r)
 		h.nnz = a.RowNNZ(h.lo, h.hi)
 		hp.rows[r], hp.nnz[r] = float64(h.hi-h.lo), float64(h.nnz)
+		lo, hi, mark := int32(h.lo), int32(h.hi), int32(r+1)
 		for i := h.lo; i < h.hi; i++ {
 			row := a.Col[a.RowPtr[i]:a.RowPtr[i+1]]
 			below, above := 0, len(row)
-			for below < above && row[below] < h.lo {
+			for below < above && row[below] < lo {
 				below++
 			}
-			for above > below && row[above-1] >= h.hi {
+			for above > below && row[above-1] >= hi {
 				above--
 			}
-			for _, end := range [2][]int{row[:below], row[above:]} {
+			for _, end := range [2][]int32{row[:below], row[above:]} {
 				for _, c := range end {
-					if stamp[c] == int32(r+1) {
+					if stamp[c] == mark {
 						continue
 					}
-					stamp[c] = int32(r + 1)
-					from[part.OwnerOf(c)]++
+					stamp[c] = mark
+					from[part.OwnerOf(int(c))]++
 					if wantGhosts {
-						ghosts[r] = append(ghosts[r], c)
+						ghosts[r] = append(ghosts[r], int(c))
 					}
 				}
 			}
@@ -228,12 +230,16 @@ type rankPlan struct {
 // plan's walk) are sorted once; because the partition is contiguous
 // the sorted list splits into per-peer runs of the plan's leg counts.
 // Its kernel tables read every entry anyway, so it checks a's row
-// invariant on every call.
+// invariant on every call. A structure-only matrix has no product: it
+// is an error.
 func NewDistMatrix(a *CSR, part Partition) (*DistMatrix, error) {
 	if err := a.checkRows(); err != nil {
 		return nil, err
 	}
-	hp, ghosts, err := newHaloPlan(a, part, true)
+	if !a.hasValues() {
+		return nil, fmt.Errorf("sparse: a matrix with %d values for %d entries has no product", len(a.Val), len(a.Col))
+	}
+	hp, ghosts, err := newHaloPlan(a, part, make([]int32, a.N), true)
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +269,7 @@ func NewDistMatrix(a *CSR, part Partition) (*DistMatrix, error) {
 		}
 		pl.rowOff[nloc] = int32(h.nnz)
 		for k := base; k < a.RowPtr[h.hi]; k++ {
-			c := a.Col[k]
+			c := int(a.Col[k])
 			if c >= h.lo && c < h.hi {
 				pl.colIdx[k-base] = int32(c - h.lo)
 			} else {
@@ -461,6 +467,11 @@ type PlanCache struct {
 	err error
 	mu  sync.Mutex
 	m   map[string]*HaloPlan
+	// stamp is the plan walk's N-length scratch, all zero while it is
+	// here: allocated by the first build, it is taken by one builder at
+	// a time and handed back cleared. A builder that finds it taken
+	// allocates its own.
+	stamp []int32
 }
 
 // NewPlanCache returns an empty plan cache for matrix a, checking a's
@@ -471,32 +482,40 @@ func NewPlanCache(a *CSR) *PlanCache {
 }
 
 // Get returns the halo plan of the partition, building and caching it
-// on first use.
+// on first use. A hit allocates nothing: the key is rendered into a
+// stack buffer and becomes a string only when a new plan is stored.
 func (pc *PlanCache) Get(part Partition) (*HaloPlan, error) {
 	if pc.err != nil {
 		return nil, pc.err
 	}
-	key := partitionKey(part)
+	var buf [256]byte
+	key := appendPartitionKey(buf[:0], part)
 	pc.mu.Lock()
-	if hp, ok := pc.m[key]; ok {
+	if hp, ok := pc.m[string(key)]; ok {
 		pc.mu.Unlock()
 		return hp, nil
 	}
+	stamp := pc.stamp
+	pc.stamp = nil
 	pc.mu.Unlock()
+	if stamp == nil {
+		stamp = make([]int32, pc.a.N)
+	}
 	// Build outside the lock: plan construction is the expensive part
 	// and concurrent builders of the same key converge to equal plans.
-	hp, _, err := newHaloPlan(pc.a, part, false)
-	if err != nil {
-		return nil, err
-	}
+	hp, _, err := newHaloPlan(pc.a, part, stamp, false)
+	clear(stamp)
 	pc.mu.Lock()
-	if prior, ok := pc.m[key]; ok {
-		hp = prior // keep the first: identical, and callers may share
-	} else {
-		pc.m[key] = hp
+	pc.stamp = stamp
+	if err == nil {
+		if prior, ok := pc.m[string(key)]; ok {
+			hp = prior // keep the first: identical, and callers may share
+		} else {
+			pc.m[string(key)] = hp
+		}
 	}
 	pc.mu.Unlock()
-	return hp, nil
+	return hp, err
 }
 
 // Len reports the number of distinct partitions cached.
@@ -506,16 +525,15 @@ func (pc *PlanCache) Len() int {
 	return len(pc.m)
 }
 
-// partitionKey renders the partition starts compactly.
-func partitionKey(part Partition) string {
-	buf := make([]byte, 0, 8*len(part.Starts))
+// appendPartitionKey appends the partition starts, compactly, to buf.
+func appendPartitionKey(buf []byte, part Partition) []byte {
 	for i, s := range part.Starts {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
 		buf = strconv.AppendInt(buf, int64(s), 10)
 	}
-	return string(buf)
+	return buf
 }
 
 // VecFlops is the compute cost per element of a vector update.

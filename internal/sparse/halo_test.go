@@ -1,10 +1,13 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -66,8 +69,8 @@ func TestHaloPlanMatchesDistMatrix(t *testing.T) {
 				lo, hi := part.Range(r)
 				seen := map[int]bool{}
 				need[r] = map[int][]int{}
-				for _, c := range a.Col[a.RowPtr[lo]:a.RowPtr[hi]] {
-					if (c < lo || c >= hi) && !seen[c] {
+				for _, col := range a.Col[a.RowPtr[lo]:a.RowPtr[hi]] {
+					if c := int(col); (c < lo || c >= hi) && !seen[c] {
 						seen[c] = true
 						need[r][part.OwnerOf(c)] = append(need[r][part.OwnerOf(c)], c)
 					}
@@ -143,7 +146,7 @@ func randomSortedCSR(rng *rand.Rand, n int) *CSR {
 			sort.Ints(cols)
 		}
 		for _, c := range cols {
-			a.Col = append(a.Col, c)
+			a.Col = append(a.Col, int32(c))
 			a.Val = append(a.Val, float64(c-i))
 		}
 		a.RowPtr[i+1] = len(a.Col)
@@ -187,6 +190,85 @@ func TestRowOrderIsChecked(t *testing.T) {
 		}
 		if pc.Len() != 0 {
 			t.Errorf("%s: PlanCache holds %d plans of a refused matrix", name, pc.Len())
+		}
+	}
+}
+
+// TestStructureOnlyMatrix pins what a matrix without values may do. A
+// halo plan reads only structure, so NewHaloPlan and a PlanCache plan
+// VariableBandPattern exactly as they plan VariableBandLaplacian. The
+// numeric product has nothing to multiply: NewDistMatrix refuses a
+// matrix with no values, or too few, with an error, and MulVec panics
+// with a message rather than indexing past Val.
+func TestStructureOnlyMatrix(t *testing.T) {
+	valued, pattern := VariableBandLaplacian(300, 2, 24, 3), VariableBandPattern(300, 2, 24, 3)
+	part := EvenPartition(valued.N, 4)
+	want, err := NewHaloPlan(valued, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := NewHaloPlan(pattern, part); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("NewHaloPlan of the pattern: err %v, or a different plan", err)
+	}
+	if got, err := NewPlanCache(pattern).Get(part); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("PlanCache.Get of the pattern: err %v, or a different plan", err)
+	}
+	for _, vals := range [][]float64{nil, valued.Val[:len(valued.Val)-1]} {
+		a := &CSR{N: pattern.N, RowPtr: pattern.RowPtr, Col: pattern.Col, Val: vals}
+		if _, err := NewDistMatrix(a, part); err == nil {
+			t.Errorf("%d values: NewDistMatrix distributed the matrix", len(vals))
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "values") {
+					t.Errorf("%d values: MulVec recovered %v, want a panic naming the values", len(vals), r)
+				}
+			}()
+			a.MulVec(make([]float64, a.N))
+		}()
+	}
+}
+
+// TestPlanCacheGetReusesScratch pins the plan walk's scratch. After the
+// first build, a Get of a new partition of the 6000-row Fig. 2 band
+// structure allocates the plan and its cache entry, under 4 KiB, and
+// not an N-length stamp array (23.4 KiB here): the cache keeps one
+// between builds, cleared. Every plan built on the reused scratch
+// equals a fresh NewHaloPlan.
+func TestPlanCacheGetReusesScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments what it runs")
+	}
+	a := VariableBandPattern(6000, 4, 120, 2)
+	pc := NewPlanCache(a)
+	rng := rand.New(rand.NewSource(7))
+	parts := make([]Partition, 21)
+	for i := range parts {
+		parts[i] = randomPartition(rng, a.N, 16)
+	}
+	if _, err := pc.Get(parts[0]); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, part := range parts[1:] {
+		if _, err := pc.Get(part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if pc.Len() != len(parts) {
+		t.Fatalf("%d plans cached for %d partitions: a Get hit", pc.Len(), len(parts))
+	}
+	perGet := (after.TotalAlloc - before.TotalAlloc) / uint64(len(parts)-1)
+	t.Logf("a Get of a new partition allocates %d bytes", perGet)
+	if perGet >= 4<<10 {
+		t.Errorf("a Get of a new partition allocates %d bytes, want under 4 KiB", perGet)
+	}
+	for _, part := range parts {
+		got, _ := pc.Get(part)
+		if want, err := NewHaloPlan(a, part); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: the cached plan differs from a fresh one (err %v)", part.Starts, err)
 		}
 	}
 }

@@ -14,9 +14,10 @@ import (
 // allocations, independent of the number of nonzeros. The previous
 // map-of-maps builder allocated per row and per entry — thousands for
 // these sizes — so a ceiling two orders of magnitude below that
-// catches any slide back. VariableBandLaplacian, assembled directly,
-// allocates the CSR's three slices, the CSR itself and two n-length
-// scratch arrays, so its ceiling is a fixed handful.
+// catches any slide back. VariableBandPattern, assembled directly,
+// allocates the CSR, its row pointers and columns and one n-length
+// scratch array, and VariableBandLaplacian adds the values, so their
+// ceiling is a fixed handful.
 func TestBuilderAllocationRegression(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -25,6 +26,7 @@ func TestBuilderAllocationRegression(t *testing.T) {
 	}{
 		{"Poisson2D", func() { Poisson2D(64, 64) }, 128},
 		{"DenseBlockLaplacian", func() { DenseBlockLaplacian(2000, []Block{{5, 100}, {900, 200}}) }, 128},
+		{"VariableBandPattern", func() { VariableBandPattern(2000, 2, 16, 4) }, 6},
 		{"VariableBandLaplacian", func() { VariableBandLaplacian(2000, 2, 16, 4) }, 8},
 	}
 	for _, tc := range cases {
@@ -153,7 +155,8 @@ func sameBits(a, b *CSR) bool {
 // TestPresizedBuilderSameMatrix checks that the generators changed
 // nothing but the garbage. The band matrix, assembled straight into
 // CSR, carries the same structure and value bits as the builder-based
-// reference; the edge specs cover a band as wide as the matrix, a
+// reference, and VariableBandPattern is exactly its structure with no
+// values; the edge specs cover a band as wide as the matrix, a
 // constant band, no waves, and odd sizes. The dense-block matrix is
 // deeply equal to the one its emit loop produces on a builder that
 // starts empty and grows by doubling. Each sized build — the update
@@ -162,6 +165,7 @@ func TestPresizedBuilderSameMatrix(t *testing.T) {
 	type genCase struct {
 		name           string
 		sized, unsized func() *CSR
+		pattern        func() *CSR // the structure of sized, or nil
 	}
 	var cases []genCase
 	for _, s := range []struct{ n, minBand, maxBand, waves int }{
@@ -175,11 +179,12 @@ func TestPresizedBuilderSameMatrix(t *testing.T) {
 	} {
 		cases = append(cases, genCase{fmt.Sprintf("band-%d-[%d,%d]x%d", s.n, s.minBand, s.maxBand, s.waves),
 			func() *CSR { return VariableBandLaplacian(s.n, s.minBand, s.maxBand, s.waves) },
-			func() *CSR { return variableBandLaplacian(newBuilder(s.n, 0), s.minBand, s.maxBand, s.waves) }})
+			func() *CSR { return variableBandLaplacian(newBuilder(s.n, 0), s.minBand, s.maxBand, s.waves) },
+			func() *CSR { return VariableBandPattern(s.n, s.minBand, s.maxBand, s.waves) }})
 	}
 	blocks := RandomBlocks(600, 3, 60, 11)
 	cases = append(cases, genCase{"dense-600", func() *CSR { return DenseBlockLaplacian(600, blocks) },
-		func() *CSR { return denseBlockLaplacian(newBuilder(600, 0), blocks) }})
+		func() *CSR { return denseBlockLaplacian(newBuilder(600, 0), blocks) }, nil})
 	for _, tc := range cases {
 		got, want := tc.sized(), tc.unsized()
 		if !sameBits(got, want) {
@@ -187,6 +192,11 @@ func TestPresizedBuilderSameMatrix(t *testing.T) {
 		}
 		if err := got.checkRows(); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
+		}
+		if tc.pattern != nil {
+			if pat := tc.pattern(); pat.Val != nil || !sameBits(pat, &CSR{N: got.N, RowPtr: got.RowPtr, Col: got.Col}) {
+				t.Errorf("%s: the pattern is not the matrix's structure without values", tc.name)
+			}
 		}
 		if allocs := testing.AllocsPerRun(3, func() { tc.sized() }); allocs > 12 {
 			t.Errorf("%s: %v allocs per sized build, want <= 12 (update count too low: the triplet slices grew)", tc.name, allocs)

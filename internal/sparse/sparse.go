@@ -21,12 +21,19 @@
 // a hand-built matrix once (PlanCache when it is created) and refuse it
 // with an error rather than mis-plan it.
 //
-// VariableBandLaplacian, the large Fig. 2 matrix, is assembled straight
-// into CSR: per-row counts, a prefix sum, then one emission pass in
-// which each row's diagonal accumulates its off-diagonal mass in the
-// order the generator has always summed it, so every value is the same
-// bits the triplet builder produced. Poisson2D and DenseBlockLaplacian
-// still go through the builder.
+// Columns are int32: a matrix, and every generator here, has at most
+// math.MaxInt32 rows. Values are optional. A structure-only matrix
+// (Val nil) is all a halo plan reads, so a cost-only application holds
+// 4 bytes per stored entry; the numeric product (DistMatrix, MulVec)
+// refuses it.
+//
+// VariableBandPattern, the structure of the large Fig. 2 matrix, is
+// assembled straight into CSR: per-row counts, a prefix sum, then one
+// emission pass. VariableBandLaplacian adds one value pass over it in
+// which each row's diagonal accumulates its off-diagonal mass in column
+// order, the order the generator has always summed it in, so every
+// value is the same bits the triplet builder produced. Poisson2D and
+// DenseBlockLaplacian still go through the builder.
 package sparse
 
 import (
@@ -40,12 +47,25 @@ import (
 // is Col/Val[RowPtr[i]:RowPtr[i+1]], and its columns are strictly
 // ascending and inside [0, N): halo plans read only the off-rank ends
 // of each row and refuse a matrix that breaks this (see checkRows).
+// Val is optional: nil makes a structure-only matrix, which plans but
+// has no product.
 type CSR struct {
 	N      int
 	RowPtr []int // len N+1
-	Col    []int
-	Val    []float64
+	Col    []int32
+	Val    []float64 // len(Col), or nil
 }
+
+// checkSize panics unless an n-row matrix fits int32 columns: every
+// generator calls it first.
+func checkSize(n int) {
+	if n < 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: %d rows do not fit int32 columns", n))
+	}
+}
+
+// hasValues reports whether a stores a value for every entry.
+func (a *CSR) hasValues() bool { return len(a.Val) == len(a.Col) }
 
 // NNZ returns the number of stored entries.
 func (a *CSR) NNZ() int { return len(a.Col) }
@@ -55,16 +75,20 @@ func (a *CSR) NNZ() int { return len(a.Col) }
 // ascending in [0, N). It is O(nnz), so the plan entry points run it
 // once per matrix, not per partition.
 func (a *CSR) checkRows() error {
+	if a.N < 0 || a.N > math.MaxInt32 {
+		return fmt.Errorf("sparse: %d rows do not fit int32 columns", a.N)
+	}
 	if len(a.RowPtr) != a.N+1 || a.RowPtr[0] != 0 || a.RowPtr[a.N] != len(a.Col) {
 		return fmt.Errorf("sparse: row pointers do not span the %d stored columns of a %d-row matrix", len(a.Col), a.N)
 	}
+	n := int32(a.N)
 	for i := 0; i < a.N; i++ {
 		if a.RowPtr[i+1] < a.RowPtr[i] {
 			return fmt.Errorf("sparse: row %d ends before it starts", i)
 		}
-		prev := -1
+		prev := int32(-1)
 		for _, c := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
-			if c <= prev || c >= a.N {
+			if c <= prev || c >= n {
 				return fmt.Errorf("sparse: row %d columns are not strictly ascending in [0,%d) at column %d", i, a.N, c)
 			}
 			prev = c
@@ -79,8 +103,12 @@ func (a *CSR) RowNNZ(lo, hi int) int {
 }
 
 // MulVec computes y = A·x densely on the host (no simulation); used
-// as the reference implementation in tests.
+// as the reference implementation in tests. It panics on a
+// structure-only matrix.
 func (a *CSR) MulVec(x []float64) []float64 {
+	if !a.hasValues() {
+		panic(fmt.Sprintf("sparse: MulVec of a matrix with %d values for %d entries", len(a.Val), len(a.Col)))
+	}
 	if len(x) != a.N {
 		panic(fmt.Sprintf("sparse: MulVec dimension mismatch: %d vs %d", len(x), a.N))
 	}
@@ -120,6 +148,7 @@ type builder struct {
 // they emit, and growing the triplet slices by doubling instead costs
 // several times the finished matrix in garbage.
 func newBuilder(n, updates int) *builder {
+	checkSize(n)
 	return &builder{n: n, rowOf: make([]int, 0, updates), trips: make([]triplet, 0, updates)}
 }
 
@@ -153,7 +182,7 @@ func (b *builder) build() *CSR {
 	}
 
 	a := &CSR{N: b.n, RowPtr: make([]int, b.n+1)}
-	a.Col = make([]int, 0, len(b.trips))
+	a.Col = make([]int32, 0, len(b.trips))
 	a.Val = make([]float64, 0, len(b.trips))
 	for i := 0; i < b.n; i++ {
 		row := byRow[counts[i]:counts[i+1]]
@@ -174,7 +203,7 @@ func (b *builder) build() *CSR {
 					acc += row[x].v
 				}
 			}
-			a.Col = append(a.Col, j)
+			a.Col = append(a.Col, int32(j))
 			a.Val = append(a.Val, acc)
 		}
 		a.RowPtr[i+1] = len(a.Col)
@@ -267,21 +296,48 @@ func denseBlockLaplacian(b *builder, blocks []Block) *CSR {
 // ranks — the load-imbalance landscape of the paper's Fig. 2 — while
 // staying smooth enough for a direct search to navigate.
 //
-// The matrix is assembled straight into CSR, O(nnz) with no triplets:
-// row i couples to rows i+1..i+m, m = min(band(i)/2, n-1-i), so it
-// holds its diagonal, m right neighbours and one left neighbour from
-// every earlier row that reaches it. Rows are counted, prefix-summed,
-// and filled in one pass in (i, k) order, which delivers every row's
-// left neighbours before its own turn, ascending. off[i] sums the
-// absolute off-diagonal mass in that same order — every left
-// neighbour, then the right ones — exactly as the triplet-builder
-// generator does, so each diagonal, and hence every value, is the same
-// bits (TestPresizedBuilderSameMatrix keeps that generator as the
+// It is VariableBandPattern plus one value pass: −1/|i−j| off the
+// diagonal, and the diagonal 1 plus the row's absolute off-diagonal
+// mass, summed in column order — every left neighbour ascending, then
+// the right ones — which is the order the triplet-builder generator
+// summed in, so every value is the same bits
+// (TestPresizedBuilderSameMatrix keeps that generator as the
 // reference).
 func VariableBandLaplacian(n, minBand, maxBand, waves int) *CSR {
+	a := VariableBandPattern(n, minBand, maxBand, waves)
+	a.Val = make([]float64, len(a.Col))
+	for i := 0; i < n; i++ {
+		diag, off := -1, 0.0
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			d := i - int(a.Col[k])
+			if d == 0 {
+				diag = k
+				continue
+			}
+			v := -1.0 / float64(max(d, -d))
+			a.Val[k] = v
+			off += math.Abs(v)
+		}
+		// Diagonal dominance.
+		a.Val[diag] = off + 1
+	}
+	return a
+}
+
+// VariableBandPattern is the structure of VariableBandLaplacian, with
+// Val nil: what a halo plan reads.
+//
+// It is assembled straight into CSR, O(nnz) with no triplets: row i
+// couples to rows i+1..i+m, m = min(band(i)/2, n-1-i), so it holds its
+// diagonal, m right neighbours and one left neighbour from every
+// earlier row that reaches it. Rows are counted, prefix-summed, and
+// filled in one pass in (i, k) order, which delivers every row's left
+// neighbours before its own turn, ascending.
+func VariableBandPattern(n, minBand, maxBand, waves int) *CSR {
 	if minBand < 2 || maxBand < minBand || n < maxBand {
 		panic(fmt.Sprintf("sparse: bad band spec n=%d band=[%d,%d]", n, minBand, maxBand))
 	}
+	checkSize(n)
 	reach := func(i int) int { return min(bandAt(n, minBand, maxBand, waves, i)/2, n-1-i) }
 	a := &CSR{N: n, RowPtr: make([]int, n+1)}
 	// next first holds the difference array of the left-neighbour
@@ -299,24 +355,17 @@ func VariableBandLaplacian(n, minBand, maxBand, waves int) *CSR {
 		next[i] = a.RowPtr[i]
 		a.RowPtr[i+1] += a.RowPtr[i] + left
 	}
-	a.Col = make([]int, a.RowPtr[n])
-	a.Val = make([]float64, a.RowPtr[n])
-	off := make([]float64, n)
+	a.Col = make([]int32, a.RowPtr[n])
 	for i := 0; i < n; i++ {
-		diag := next[i] // the left neighbours are in: the diagonal is next
-		a.Col[diag] = i
+		// The left neighbours are in: the diagonal is next.
+		a.Col[next[i]] = int32(i)
 		next[i]++
 		for k, m := 1, reach(i); k <= m; k++ {
-			v := -1.0 / float64(k)
-			a.Col[next[i]], a.Val[next[i]] = i+k, v
-			a.Col[next[i+k]], a.Val[next[i+k]] = i, v
+			a.Col[next[i]] = int32(i + k)
+			a.Col[next[i+k]] = int32(i)
 			next[i]++
 			next[i+k]++
-			off[i] += math.Abs(v)
-			off[i+k] += math.Abs(v)
 		}
-		// Diagonal dominance; no later row adds to off[i].
-		a.Val[diag] = off[i] + 1
 	}
 	return a
 }

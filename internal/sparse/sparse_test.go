@@ -25,10 +25,10 @@ func TestPoisson2DStructure(t *testing.T) {
 	// Symmetry check via dense reference.
 	for i := 0; i < a.N; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.Col[k]
+			j := int(a.Col[k])
 			found := false
 			for k2 := a.RowPtr[j]; k2 < a.RowPtr[j+1]; k2++ {
-				if a.Col[k2] == i && a.Val[k2] == a.Val[k] {
+				if int(a.Col[k2]) == i && a.Val[k2] == a.Val[k] {
 					found = true
 				}
 			}
@@ -44,7 +44,7 @@ func TestDenseBlockLaplacianDiagonallyDominant(t *testing.T) {
 	for i := 0; i < a.N; i++ {
 		var diag, off float64
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.Col[k] == i {
+			if int(a.Col[k]) == i {
 				diag = a.Val[k]
 			} else {
 				off += math.Abs(a.Val[k])

@@ -289,7 +289,7 @@ func slesPredictByScan(app *petscsim.SLESApp, m *cluster.Machine, cfg space.Conf
 		ghosts[r] = make([]int, p)
 		lo, hi := part.Range(r)
 		for idx := a.RowPtr[lo]; idx < a.RowPtr[hi]; idx++ {
-			c := a.Col[idx]
+			c := int(a.Col[idx])
 			if (c >= lo && c < hi) || stamp[c] == r+1 {
 				continue
 			}
