@@ -60,8 +60,8 @@ func BenchmarkFig2PETScDecompositionSmall(b *testing.B) {
 // micro-benchmark: one objective evaluation of the Fig. 2 large case —
 // app.Run on the even 16-way partition of the 6000-row band matrix —
 // with the plan cache cold and warm (the run alone). plans=cold has no
-// cache at all, so every run pays NewHaloPlan's O(nnz) row-order check
-// plus the O(rows + halo) plan walk, then the cost-only CG run. The
+// cache at all, so every run plans the partition from the band's
+// reaches, O(P·maxReach), then does the cost-only CG run. The
 // whole tuning campaign this is one step of is the bench workload
 // sles-seq.
 func BenchmarkSLESRun(b *testing.B) {

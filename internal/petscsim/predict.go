@@ -12,7 +12,7 @@ import (
 // fixed number of CG iterations — read for the rank that gates an
 // iteration. It reads the partition's halo plan (per-rank nonzeros,
 // local rows, and halo legs) from the application's plan cache, so a
-// candidate that is predicted and then kept walks the CSR once, and
+// candidate that is predicted and then kept is planned once, and
 // prices one iteration as the slowest rank's matrix and vector flops
 // plus its halo exchange, plus the two scalar allreduces of the CG
 // recurrence. It ignores scheduling interleave, which the simulation
@@ -34,13 +34,14 @@ func (app *SLESApp) Predictor(m *cluster.Machine) *SLESPredictor {
 // configuration encodes. It declines configurations that do not carry
 // the full, positive weight vector of the application's space.
 func (s *SLESPredictor) Predict(_ space.Point, cfg space.Config) (float64, bool) {
-	weights := make([]int64, s.app.P)
-	for i, name := range s.names {
+	var buf [64]int64
+	weights := buf[:0]
+	for _, name := range s.names {
 		w, ok := cfg.LookupInt(name)
 		if !ok || w < 1 {
 			return 0, false
 		}
-		weights[i] = int64(w)
+		weights = append(weights, int64(w))
 	}
 	hp, err := s.app.HaloPlan(s.app.partition(weights))
 	if err != nil {

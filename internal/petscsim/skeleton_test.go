@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
@@ -63,8 +62,9 @@ func skewed(nodes, ppn int) *cluster.Machine {
 // solve on the coroutine engine. The fixed-work precondition
 // (the numeric solve ran all Iterations iterations and did not
 // converge) is asserted on every case, not assumed. The app holds its
-// matrix's structure only; the numeric solve runs on the valued matrix
-// of the same generator, which must have exactly that structure.
+// matrix's pattern only, as each row's reach; the numeric solve runs on
+// the valued matrix of the same generator, which BandOf must read back
+// as exactly that band.
 func TestSLESSkeletonEqualsNumeric(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -80,9 +80,8 @@ func TestSLESSkeletonEqualsNumeric(t *testing.T) {
 			[]*cluster.Machine{cluster.Seaborg(16, 1), skewed(4, 4)}},
 	}
 	for _, tc := range cases {
-		a, v := tc.app.A, tc.valued
-		if a.Val != nil || v.N != a.N || !slices.Equal(v.RowPtr, a.RowPtr) || !slices.Equal(v.Col, a.Col) {
-			t.Fatalf("%s: the app's matrix holds %d values, or its structure is not the valued reference's", tc.name, len(a.Val))
+		if b, err := sparse.BandOf(tc.valued); err != nil || !reflect.DeepEqual(b, tc.app.A) {
+			t.Fatalf("%s: the app's band is not the valued reference's pattern (err %v)", tc.name, err)
 		}
 		sp := tc.app.Space()
 		rng := rand.New(rand.NewSource(int64(tc.app.A.N)))
@@ -137,12 +136,37 @@ func TestSLESRunAllocations(t *testing.T) {
 	}
 }
 
+// TestPartitionForAllocatesOnlyStarts pins the decoding half of an
+// evaluation: PartitionFor, and a prediction of a planned partition,
+// allocate one array each, the partition's Starts. The weights and
+// boundaries stay on the stack, and FromBoundaries sorts its copy in
+// place.
+func TestPartitionForAllocatesOnlyStarts(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments what it runs")
+	}
+	app := NewBandSLESApp(2000, 8, 4, 60, 2)
+	sp := app.Space()
+	pt := app.EvenPoint()
+	pt[2] = 100
+	cfg := sp.MustDecode(pt)
+	pred := app.Predictor(skewed(4, 2))
+	if _, ok := pred.Predict(pt, cfg); !ok {
+		t.Fatal("the predictor declined its own space")
+	}
+	if avg := testing.AllocsPerRun(20, func() { app.PartitionFor(cfg) }); avg != 1 {
+		t.Errorf("PartitionFor allocates %v times, want 1", avg)
+	}
+	if avg := testing.AllocsPerRun(20, func() { pred.Predict(pt, cfg) }); avg != 1 {
+		t.Errorf("Predict of a planned partition allocates %v times, want 1", avg)
+	}
+}
+
 // TestBandSLESAppBytes pins what building the Fig. 2 large app costs:
-// its matrix's structure and nothing per value — 4 bytes of column
-// per stored entry, plus the row pointers and the generator's one
-// N-length scratch, 16 bytes per row — with a 10 % margin. Holding
-// values again, or int columns, costs about 8 bytes per entry more and
-// trips it.
+// its matrix's reaches and nothing per stored entry — 4 bytes of last
+// column and 8 of row pointer per row — with a 10 % margin and 2 KiB
+// for the app itself. Holding the columns again costs 4 bytes per
+// stored entry, 1.4 MiB here, and trips it.
 func TestBandSLESAppBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments what it runs")
@@ -152,7 +176,7 @@ func TestBandSLESAppBytes(t *testing.T) {
 	app := NewBandSLESApp(6000, 16, 4, 120, 2)
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	ceiling := uint64(1.1 * float64(4*app.A.NNZ()+16*app.A.N))
+	ceiling := uint64(1.1*float64(12*app.A.N)) + 2<<10
 	t.Logf("NewBandSLESApp(6000,16,4,120,2) allocates %d bytes (%d entries, %d rows)", got, app.A.NNZ(), app.A.N)
 	if got > ceiling {
 		t.Errorf("building the app allocates %d bytes, ceiling %d", got, ceiling)

@@ -50,9 +50,10 @@ import (
 // solves the valued matrix of the same generator and asserts that
 // precondition on every case it compares.
 type SLESApp struct {
-	// A is the system matrix's structure: the constructors leave A.Val
-	// nil, since the run reads only what a halo plan reads.
-	A *sparse.CSR
+	// A is the system matrix's pattern as each row's reach, O(rows)
+	// whatever its stored entries: the run reads only what a halo plan
+	// reads, and a plan reads only reaches.
+	A *sparse.Band
 	// P is the number of ranks (partitions).
 	P int
 	// Iterations is the fixed CG iteration count per benchmarking
@@ -62,7 +63,7 @@ type SLESApp struct {
 	// plans memoises the halo plan per partition: a tuning campaign
 	// revisiting a decomposition (simplex contractions, PRO
 	// reflections, restarts, a surrogate prediction before the run)
-	// walks the matrix structure once.
+	// plans it once.
 	plans *sparse.PlanCache
 	// names are the space's weight names, w1..wP, shared by
 	// PartitionFor and the predictor.
@@ -71,10 +72,16 @@ type SLESApp struct {
 
 // NewSLESApp builds the Fig. 2 workload: an n×n dense-block
 // Laplacian with nBlocks dense blocks of blockSize rows at seeded
-// pseudo-random positions, to be solved on p ranks.
+// pseudo-random positions, to be solved on p ranks. A 1-D chain with
+// dense diagonal blocks is a band: the app keeps the reaches and drops
+// the assembled matrix.
 func NewSLESApp(n, p, nBlocks, blockSize int, seed int64) *SLESApp {
 	blocks := sparse.RandomBlocks(n, nBlocks, blockSize, seed)
-	return newSLESApp(sparse.DenseBlockLaplacian(n, blocks), p)
+	b, err := sparse.BandOf(sparse.DenseBlockLaplacian(n, blocks))
+	if err != nil {
+		panic(err) // every dense-block Laplacian is a band
+	}
+	return newSLESApp(b, p)
 }
 
 // NewBandSLESApp builds the large Fig. 2 workloads: a matrix whose
@@ -83,12 +90,10 @@ func NewSLESApp(n, p, nBlocks, blockSize int, seed int64) *SLESApp {
 // density keeps the 32-partition tuning landscape navigable, matching
 // the structured matrices of the paper's large runs.
 func NewBandSLESApp(n, p, minBand, maxBand, waves int) *SLESApp {
-	return newSLESApp(sparse.VariableBandPattern(n, minBand, maxBand, waves), p)
+	return newSLESApp(sparse.VariableBand(n, minBand, maxBand, waves), p)
 }
 
-// newSLESApp keeps a's structure only: it drops any values.
-func newSLESApp(a *sparse.CSR, p int) *SLESApp {
-	a.Val = nil
+func newSLESApp(a *sparse.Band, p int) *SLESApp {
 	app := &SLESApp{A: a, P: p, Iterations: 40, plans: sparse.NewPlanCache(a)}
 	app.names = app.weightNames()
 	return app
@@ -139,11 +144,14 @@ func (app *SLESApp) EvenPoint() space.Point {
 	return pt
 }
 
-// PartitionFor decodes a configuration of Space into a partition.
+// PartitionFor decodes a configuration of Space into a partition. It
+// allocates only the partition's Starts: the weights and boundaries
+// live on the stack up to 64 ranks.
 func (app *SLESApp) PartitionFor(cfg space.Config) sparse.Partition {
-	weights := make([]int64, app.P)
-	for i, name := range app.weightNames() {
-		weights[i] = cfg.Int(name)
+	var buf [64]int64
+	weights := buf[:0]
+	for _, name := range app.weightNames() {
+		weights = append(weights, cfg.Int(name))
 	}
 	return app.partition(weights)
 }
@@ -156,11 +164,12 @@ func (app *SLESApp) partition(weights []int64) sparse.Partition {
 	for _, w := range weights {
 		total += w
 	}
-	bounds := make([]int, app.P-1)
+	var buf [64]int
+	bounds := buf[:0]
 	var cum int64
-	for i := 0; i < app.P-1; i++ {
-		cum += weights[i]
-		bounds[i] = int(int64(app.A.N) * cum / total)
+	for _, w := range weights[:app.P-1] {
+		cum += w
+		bounds = append(bounds, int(int64(app.A.N)*cum/total))
 	}
 	return sparse.FromBoundaries(app.A.N, bounds)
 }
@@ -212,7 +221,7 @@ func (app *SLESApp) HaloPlan(part sparse.Partition) (*sparse.HaloPlan, error) {
 	if app.plans != nil {
 		return app.plans.Get(part)
 	}
-	return sparse.NewHaloPlan(app.A, part)
+	return app.A.HaloPlan(part)
 }
 
 // Objective adapts Run to the tuning engine for the given machine.

@@ -1,0 +1,127 @@
+package sparse
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// randomBand draws an n-row band with reaches anywhere in their range,
+// so a row's left neighbours need not be contiguous, and fixed rows in
+// the shapes the reach scans could get wrong: row 0 reaches the last
+// row (every rank's lower ghost under p = N), row n/2 reaches nothing,
+// and the last rows reach what is left.
+func randomBand(rng *rand.Rand, n int) *Band {
+	return newBand(n, func(i int) int {
+		switch {
+		case i == 0:
+			return n - 1
+		case i == n/2:
+			return 0
+		case rng.Intn(3) == 0:
+			return rng.Intn(n - i)
+		default:
+			return min(rng.Intn(4), n-1-i)
+		}
+	})
+}
+
+// TestBandPlanMatchesCSRPlan pins the plan a PlanCache serves to the
+// one the CSR walk builds: for random bands, the Fig. 2 band and the
+// dense-block chain, under the even partition, random ones, p = 1 and
+// p = N, Band.HaloPlan is deeply equal to NewHaloPlan of the band's
+// Pattern — ranges, stored entries, every receive and send leg. A
+// partition that does not cover the band is an error.
+func TestBandPlanMatchesCSRPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	gen := rand.New(rand.NewSource(23))
+	dense, err := BandOf(DenseBlockLaplacian(240, RandomBlocks(240, 3, 40, 11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bands := []struct {
+		name string
+		b    *Band
+	}{
+		{"random-1", randomBand(gen, 1)},
+		{"random-40", randomBand(gen, 40)},
+		{"random-97", randomBand(gen, 97)},
+		{"variable-300", VariableBand(300, 2, 24, 3)},
+		{"variable-7", VariableBand(7, 2, 3, 1)},
+		{"dense-240", dense},
+	}
+	for _, tc := range bands {
+		b := tc.b
+		a := b.Pattern()
+		for trial := 0; trial < 24; trial++ {
+			var part Partition
+			switch trial {
+			case 0:
+				part = EvenPartition(b.N, 1)
+			case 1:
+				part = EvenPartition(b.N, b.N)
+			case 2:
+				part = EvenPartition(b.N, min(b.N, 4))
+			default:
+				part = randomPartition(rng, b.N, 1+rng.Intn(min(b.N, 9)))
+			}
+			got, err := b.HaloPlan(part)
+			if err != nil {
+				t.Fatalf("%s %v: %v", tc.name, part.Starts, err)
+			}
+			if want, err := NewHaloPlan(a, part); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %v: band plan\n%+v\nCSR plan (err %v)\n%+v", tc.name, part.Starts, got, err, want)
+			}
+		}
+		if _, err := b.HaloPlan(EvenPartition(b.N+1, 1)); err == nil {
+			t.Errorf("%s: planned a partition of %d rows", tc.name, b.N+1)
+		}
+	}
+}
+
+// TestBandOf pins the reading of a CSR as a band: it round-trips every
+// band's Pattern, agrees with it on NNZ and RowNNZ, and refuses a
+// matrix that is not a band — a gap in a row's run (a 2-D grid), a
+// missing diagonal, a reach the reached row does not mirror, and a
+// left column that does not reach its row — with an error.
+func TestBandOf(t *testing.T) {
+	gen := rand.New(rand.NewSource(29))
+	for _, b := range []*Band{randomBand(gen, 1), randomBand(gen, 50), VariableBand(200, 2, 30, 2)} {
+		a := b.Pattern()
+		got, err := BandOf(a)
+		if err != nil || !reflect.DeepEqual(got, b) {
+			t.Fatalf("%d rows: BandOf(Pattern) = %+v (err %v), want %+v", b.N, got, err, b)
+		}
+		if b.NNZ() != a.NNZ() {
+			t.Fatalf("%d rows: NNZ %d, pattern %d", b.N, b.NNZ(), a.NNZ())
+		}
+		for lo := 0; lo <= b.N; lo += 7 {
+			for hi := lo; hi <= b.N; hi += 11 {
+				if b.RowNNZ(lo, hi) != a.RowNNZ(lo, hi) {
+					t.Fatalf("%d rows: RowNNZ(%d, %d) = %d, pattern %d", b.N, lo, hi, b.RowNNZ(lo, hi), a.RowNNZ(lo, hi))
+				}
+			}
+		}
+	}
+	csr := func(rows ...[]int32) *CSR {
+		a := &CSR{N: len(rows), RowPtr: make([]int, len(rows)+1)}
+		for i, row := range rows {
+			a.Col = append(a.Col, row...)
+			a.RowPtr[i+1] = len(a.Col)
+		}
+		return a
+	}
+	for _, tc := range []struct {
+		name string
+		a    *CSR
+	}{
+		{"grid", Poisson2D(4, 4)},
+		{"no diagonal", csr([]int32{1}, []int32{0, 1})},
+		{"unmirrored reach", csr([]int32{0, 1}, []int32{1}, []int32{2})},
+		{"left column out of reach", csr([]int32{0, 1}, []int32{0, 1, 2}, []int32{0, 2})},
+	} {
+		if b, err := BandOf(tc.a); err == nil {
+			t.Errorf("%s: BandOf read a band %+v", tc.name, b)
+		}
+	}
+}

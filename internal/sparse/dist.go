@@ -26,8 +26,8 @@ type haloRank struct {
 	nnz    int
 	// nGhost is the number of distinct remote columns the rank reads.
 	nGhost int
-	// recv lists the rank's receive legs in increasing peer order.
-	recv []HaloLeg
+	// recvLo and recvHi delimit the rank's receive legs in the plan's recv.
+	recvLo, recvHi int
 }
 
 // HaloPlan is the cost skeleton of a matrix under a row partition:
@@ -40,6 +40,9 @@ type haloRank struct {
 // use by many simulated jobs at once.
 type HaloPlan struct {
 	ranks []haloRank
+	// recv holds every rank's receive legs, ranks in order and each
+	// rank's peers ascending.
+	recv []HaloLeg
 	// sends holds every rank's send legs, the only copy of them: rank
 	// src ships 8·count bytes to each peer, peers ascending.
 	sends simmpi.NeighbourPattern
@@ -48,45 +51,100 @@ type HaloPlan struct {
 	rows, nnz []float64
 }
 
+// newPlan starts the plan of a valid partition with each rank's range
+// and row count. A builder then visits the ranks in order, setting each
+// one's stored entries (setNNZ) and receive legs (addRecvs), and
+// finishes with mirrorSends. Every rank's receive legs share one
+// array, so a plan is a fixed handful of allocations, not one per rank.
+func newPlan(part Partition) *HaloPlan {
+	p := part.P()
+	hp := &HaloPlan{ranks: make([]haloRank, p), recv: make([]HaloLeg, 0, 2*p),
+		sends: simmpi.NeighbourPattern{Start: make([]int, p+1)}, rows: make([]float64, p), nnz: make([]float64, p)}
+	for r := range hp.ranks {
+		h := &hp.ranks[r]
+		h.lo, h.hi = part.Range(r)
+		hp.rows[r] = float64(h.hi - h.lo)
+	}
+	return hp
+}
+
+// setNNZ records rank r's stored entries.
+func (hp *HaloPlan) setNNZ(r, nnz int) {
+	hp.ranks[r].nnz, hp.nnz[r] = nnz, float64(nnz)
+}
+
+// addRecvs turns from, rank r's distinct remote columns counted by
+// owner, into r's receive legs in increasing peer order, and clears it.
+func (hp *HaloPlan) addRecvs(r int, from []int) {
+	h := &hp.ranks[r]
+	h.recvLo = len(hp.recv)
+	for peer, n := range from {
+		if n == 0 {
+			continue
+		}
+		hp.recv = append(hp.recv, HaloLeg{Peer: peer, Count: n})
+		hp.sends.Start[peer+1]++
+		h.nGhost += n
+		from[peer] = 0
+	}
+	h.recvHi = len(hp.recv)
+}
+
+// mirrorSends derives the send legs from the receive legs. Visiting
+// receivers in increasing order keeps every sender's peers ascending;
+// placed[src], all zero on entry, counts the legs of src already
+// placed.
+func (hp *HaloPlan) mirrorSends(placed []int) {
+	sd, p := &hp.sends, len(hp.ranks)
+	for src := 0; src < p; src++ {
+		sd.Start[src+1] += sd.Start[src]
+	}
+	sd.Dst, sd.Bytes = make([]int, sd.Start[p]), make([]int, sd.Start[p])
+	for r := 0; r < p; r++ {
+		for _, leg := range hp.Recvs(r) {
+			k := sd.Start[leg.Peer] + placed[leg.Peer]
+			sd.Dst[k], sd.Bytes[k] = r, 8*leg.Count
+			placed[leg.Peer]++
+		}
+	}
+}
+
 // NewHaloPlan builds the halo plan of a under the given partition. It
-// checks a's row invariant first, O(nnz); a campaign planning many
-// partitions of one matrix goes through a PlanCache, which checks once.
+// checks a's row invariant first, O(nnz). A campaign planning many
+// partitions of a band goes through a PlanCache of its Band instead.
 func NewHaloPlan(a *CSR, part Partition) (*HaloPlan, error) {
 	if err := a.checkRows(); err != nil {
 		return nil, err
 	}
-	hp, _, err := newHaloPlan(a, part, make([]int32, a.N), false)
+	hp, _, err := newHaloPlan(a, part, false)
 	return hp, err
 }
 
 // newHaloPlan reads, of each row of rank r's range [lo, hi), only the
 // ascending prefix of columns below lo and the suffix at or above hi —
 // the row invariant makes those exactly its off-rank references — so
-// a plan costs O(rows + halo), not O(nnz). stamp is the caller's
-// scratch, N long and all zero; stamp[c] == r+1 marks column c as
-// already counted for rank r, so repeated references deduplicate
-// without sorting, and without clearing between ranks. The plan leaves
-// the stamps in place: a caller that reuses stamp clears it. With
-// wantGhosts it also returns, per rank, the distinct remote columns
-// in discovery order (ascending within each row, as a full walk would
-// find them). The caller has checked a.checkRows.
-func newHaloPlan(a *CSR, part Partition, stamp []int32, wantGhosts bool) (*HaloPlan, [][]int, error) {
+// a plan costs O(rows + halo), not O(nnz), plus one N-length stamp
+// array: stamp[c] == r+1 marks column c as already counted for rank r,
+// so repeated references deduplicate without sorting, and without
+// clearing between ranks. With wantGhosts it also returns, per rank,
+// the distinct remote columns in discovery order (ascending within
+// each row, as a full walk would find them). The caller has checked
+// a.checkRows.
+func newHaloPlan(a *CSR, part Partition, wantGhosts bool) (*HaloPlan, [][]int, error) {
 	if err := part.Validate(a.N); err != nil {
 		return nil, nil, err
 	}
 	p := part.P()
-	hp := &HaloPlan{ranks: make([]haloRank, p), sends: simmpi.NeighbourPattern{Start: make([]int, p+1)},
-		rows: make([]float64, p), nnz: make([]float64, p)}
+	hp := newPlan(part)
 	var ghosts [][]int
 	if wantGhosts {
 		ghosts = make([][]int, p)
 	}
+	stamp := make([]int32, a.N)
 	from := make([]int, p) // distinct ghosts of the current rank, by owner
 	for r := 0; r < p; r++ {
 		h := &hp.ranks[r]
-		h.lo, h.hi = part.Range(r)
-		h.nnz = a.RowNNZ(h.lo, h.hi)
-		hp.rows[r], hp.nnz[r] = float64(h.hi-h.lo), float64(h.nnz)
+		hp.setNNZ(r, a.RowNNZ(h.lo, h.hi))
 		lo, hi, mark := int32(h.lo), int32(h.hi), int32(r+1)
 		for i := h.lo; i < h.hi; i++ {
 			row := a.Col[a.RowPtr[i]:a.RowPtr[i+1]]
@@ -110,31 +168,9 @@ func newHaloPlan(a *CSR, part Partition, stamp []int32, wantGhosts bool) (*HaloP
 				}
 			}
 		}
-		for peer, n := range from {
-			if n == 0 {
-				continue
-			}
-			h.recv = append(h.recv, HaloLeg{Peer: peer, Count: n})
-			hp.sends.Start[peer+1]++
-			h.nGhost += n
-			from[peer] = 0
-		}
+		hp.addRecvs(r, from)
 	}
-	// Sends mirror receives. Visiting receivers in increasing order
-	// keeps every sender's peers ascending; from[src] counts the legs
-	// of src already placed.
-	sd := &hp.sends
-	for src := 0; src < p; src++ {
-		sd.Start[src+1] += sd.Start[src]
-	}
-	sd.Dst, sd.Bytes = make([]int, sd.Start[p]), make([]int, sd.Start[p])
-	for r := range hp.ranks {
-		for _, leg := range hp.ranks[r].recv {
-			k := sd.Start[leg.Peer] + from[leg.Peer]
-			sd.Dst[k], sd.Bytes[k] = r, 8*leg.Count
-			from[leg.Peer]++
-		}
-	}
+	hp.mirrorSends(from)
 	return hp, ghosts, nil
 }
 
@@ -163,9 +199,15 @@ func (hp *HaloPlan) MaxLocalNNZ() int {
 	return m
 }
 
-// Recvs returns rank's receive legs in increasing peer order. The
-// slice is the plan's own: read-only.
-func (hp *HaloPlan) Recvs(rank int) []HaloLeg { return hp.ranks[rank].recv }
+// Recvs returns rank's receive legs in increasing peer order, nil when
+// it receives nothing. The slice is the plan's own: read-only.
+func (hp *HaloPlan) Recvs(rank int) []HaloLeg {
+	h := &hp.ranks[rank]
+	if h.recvLo == h.recvHi {
+		return nil
+	}
+	return hp.recv[h.recvLo:h.recvHi:h.recvHi]
+}
 
 // Sends returns every rank's send legs as one neighbour pattern: the
 // halo exchange of a product, with 8·count bytes on each leg, which
@@ -239,7 +281,7 @@ func NewDistMatrix(a *CSR, part Partition) (*DistMatrix, error) {
 	if !a.hasValues() {
 		return nil, fmt.Errorf("sparse: a matrix with %d values for %d entries has no product", len(a.Val), len(a.Col))
 	}
-	hp, ghosts, err := newHaloPlan(a, part, make([]int32, a.N), true)
+	hp, ghosts, err := newHaloPlan(a, part, true)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +290,7 @@ func NewDistMatrix(a *CSR, part Partition) (*DistMatrix, error) {
 	for r := 0; r < p; r++ {
 		sort.Ints(ghosts[r])
 		off := 0
-		for _, leg := range hp.ranks[r].recv {
+		for _, leg := range hp.Recvs(r) {
 			pl := &dm.plans[leg.Peer]
 			pl.sendIdx = append(pl.sendIdx, ghosts[r][off:off+leg.Count])
 			off += leg.Count
@@ -380,7 +422,7 @@ func (dm *DistMatrix) matVec(r *simmpi.Rank, tag int, x []float64, ws *Workspace
 	xbuf := ws.xbuf
 	copy(xbuf, x)
 	off := nloc
-	for _, leg := range h.recv {
+	for _, leg := range dm.Recvs(r.ID()) {
 		vals := r.Recv(leg.Peer, tag)
 		if len(vals) != leg.Count {
 			panic(fmt.Sprintf("sparse: rank %d expected %d ghosts from %d, got %d", r.ID(), leg.Count, leg.Peer, len(vals)))
@@ -456,66 +498,47 @@ func (dm *DistMatrix) Scatter(rank int, global []float64) []float64 {
 	return append([]float64(nil), global[h.lo:h.hi]...)
 }
 
-// PlanCache memoises halo plans per partition for one matrix: a tuning
+// PlanCache memoises halo plans per partition for one band: a tuning
 // campaign that revisits a decomposition (or predicts it before
-// running it) reads the partition's off-rank row ends once and reuses
-// the frozen plan for every later evaluation. Safe for concurrent use.
+// running it) plans it once and reuses the frozen plan for every later
+// evaluation. Safe for concurrent use.
 type PlanCache struct {
-	a *CSR
-	// err is a's row-invariant check, run once by NewPlanCache: Get
-	// returns it and never re-checks.
-	err error
-	mu  sync.Mutex
-	m   map[string]*HaloPlan
-	// stamp is the plan walk's N-length scratch, all zero while it is
-	// here: allocated by the first build, it is taken by one builder at
-	// a time and handed back cleared. A builder that finds it taken
-	// allocates its own.
-	stamp []int32
+	b  *Band
+	mu sync.Mutex
+	m  map[string]*HaloPlan
 }
 
-// NewPlanCache returns an empty plan cache for matrix a, checking a's
-// row invariant once; a matrix that breaks it makes every Get an
-// error.
-func NewPlanCache(a *CSR) *PlanCache {
-	return &PlanCache{a: a, err: a.checkRows(), m: make(map[string]*HaloPlan)}
+// NewPlanCache returns an empty plan cache for band b.
+func NewPlanCache(b *Band) *PlanCache {
+	return &PlanCache{b: b, m: make(map[string]*HaloPlan)}
 }
 
 // Get returns the halo plan of the partition, building and caching it
 // on first use. A hit allocates nothing: the key is rendered into a
 // stack buffer and becomes a string only when a new plan is stored.
 func (pc *PlanCache) Get(part Partition) (*HaloPlan, error) {
-	if pc.err != nil {
-		return nil, pc.err
-	}
 	var buf [256]byte
 	key := appendPartitionKey(buf[:0], part)
 	pc.mu.Lock()
-	if hp, ok := pc.m[string(key)]; ok {
-		pc.mu.Unlock()
+	hp, ok := pc.m[string(key)]
+	pc.mu.Unlock()
+	if ok {
 		return hp, nil
 	}
-	stamp := pc.stamp
-	pc.stamp = nil
-	pc.mu.Unlock()
-	if stamp == nil {
-		stamp = make([]int32, pc.a.N)
+	// Build outside the lock: concurrent builders of the same key
+	// converge to equal plans.
+	hp, err := pc.b.HaloPlan(part)
+	if err != nil {
+		return nil, err
 	}
-	// Build outside the lock: plan construction is the expensive part
-	// and concurrent builders of the same key converge to equal plans.
-	hp, _, err := newHaloPlan(pc.a, part, stamp, false)
-	clear(stamp)
 	pc.mu.Lock()
-	pc.stamp = stamp
-	if err == nil {
-		if prior, ok := pc.m[string(key)]; ok {
-			hp = prior // keep the first: identical, and callers may share
-		} else {
-			pc.m[string(key)] = hp
-		}
+	if prior, ok := pc.m[string(key)]; ok {
+		hp = prior // keep the first: identical, and callers may share
+	} else {
+		pc.m[string(key)] = hp
 	}
 	pc.mu.Unlock()
-	return hp, err
+	return hp, nil
 }
 
 // Len reports the number of distinct partitions cached.

@@ -156,9 +156,10 @@ func randomSortedCSR(rng *rand.Rand, n int) *CSR {
 
 // TestRowOrderIsChecked pins the guard in front of the prefix/suffix
 // scan: a hand-built CSR with one row's columns out of order, or with
-// a duplicate column, is an error from every plan entry point — the
-// one-off NewHaloPlan, NewDistMatrix, and every Get of a PlanCache
-// (which checked once, when it was created) — never a plan.
+// a duplicate column, is an error from every entry point that reads
+// rows — the one-off NewHaloPlan, NewDistMatrix, and BandOf, the way to
+// a PlanCache — never a plan. The matrix is a band, which BandOf
+// accepts before the corruption.
 func TestRowOrderIsChecked(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -173,7 +174,10 @@ func TestRowOrderIsChecked(t *testing.T) {
 			a.Col[k+1] = a.Col[k]
 		}},
 	} {
-		name, a := tc.name, Poisson2D(4, 4)
+		name, a := tc.name, VariableBandLaplacian(40, 4, 8, 2)
+		if _, err := BandOf(a); err != nil {
+			t.Fatalf("%s: BandOf refused the intact band: %v", name, err)
+		}
 		tc.corrupt(a)
 		part := EvenPartition(a.N, 2)
 		if _, err := NewHaloPlan(a, part); err == nil {
@@ -182,26 +186,22 @@ func TestRowOrderIsChecked(t *testing.T) {
 		if _, err := NewDistMatrix(a, part); err == nil {
 			t.Errorf("%s: NewDistMatrix planned the matrix", name)
 		}
-		pc := NewPlanCache(a)
-		for i := 0; i < 2; i++ {
-			if _, err := pc.Get(part); err == nil {
-				t.Errorf("%s: PlanCache.Get #%d planned the matrix", name, i+1)
-			}
-		}
-		if pc.Len() != 0 {
-			t.Errorf("%s: PlanCache holds %d plans of a refused matrix", name, pc.Len())
+		if _, err := BandOf(a); err == nil {
+			t.Errorf("%s: BandOf took the matrix for a band", name)
 		}
 	}
 }
 
 // TestStructureOnlyMatrix pins what a matrix without values may do. A
-// halo plan reads only structure, so NewHaloPlan and a PlanCache plan
-// VariableBandPattern exactly as they plan VariableBandLaplacian. The
-// numeric product has nothing to multiply: NewDistMatrix refuses a
-// matrix with no values, or too few, with an error, and MulVec panics
-// with a message rather than indexing past Val.
+// halo plan reads only structure, so NewHaloPlan plans VariableBand's
+// Pattern, and a PlanCache plans the band itself, exactly as
+// NewHaloPlan plans VariableBandLaplacian. The numeric product has
+// nothing to multiply: NewDistMatrix refuses a matrix with no values,
+// or too few, with an error, and MulVec panics with a message rather
+// than indexing past Val.
 func TestStructureOnlyMatrix(t *testing.T) {
-	valued, pattern := VariableBandLaplacian(300, 2, 24, 3), VariableBandPattern(300, 2, 24, 3)
+	band := VariableBand(300, 2, 24, 3)
+	valued, pattern := VariableBandLaplacian(300, 2, 24, 3), band.Pattern()
 	part := EvenPartition(valued.N, 4)
 	want, err := NewHaloPlan(valued, part)
 	if err != nil {
@@ -210,8 +210,8 @@ func TestStructureOnlyMatrix(t *testing.T) {
 	if got, err := NewHaloPlan(pattern, part); err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("NewHaloPlan of the pattern: err %v, or a different plan", err)
 	}
-	if got, err := NewPlanCache(pattern).Get(part); err != nil || !reflect.DeepEqual(got, want) {
-		t.Errorf("PlanCache.Get of the pattern: err %v, or a different plan", err)
+	if got, err := NewPlanCache(band).Get(part); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("PlanCache.Get of the band: err %v, or a different plan", err)
 	}
 	for _, vals := range [][]float64{nil, valued.Val[:len(valued.Val)-1]} {
 		a := &CSR{N: pattern.N, RowPtr: pattern.RowPtr, Col: pattern.Col, Val: vals}
@@ -229,22 +229,23 @@ func TestStructureOnlyMatrix(t *testing.T) {
 	}
 }
 
-// TestPlanCacheGetReusesScratch pins the plan walk's scratch. After the
-// first build, a Get of a new partition of the 6000-row Fig. 2 band
-// structure allocates the plan and its cache entry, under 4 KiB, and
-// not an N-length stamp array (23.4 KiB here): the cache keeps one
-// between builds, cleared. Every plan built on the reused scratch
-// equals a fresh NewHaloPlan.
-func TestPlanCacheGetReusesScratch(t *testing.T) {
+// TestPlanCacheGetAllocatesOnlyThePlan pins what planning a new
+// partition of the 6000-row Fig. 2 band costs: the plan and its cache
+// entry, under 4 KiB, with nothing per row or per stored entry (an
+// N-length stamp alone would be 23.4 KiB), in at most 12 allocations —
+// a fixed handful of arrays, every rank's receive legs in one, not one
+// growing slice per rank. Every cached plan equals NewHaloPlan of the
+// band's Pattern.
+func TestPlanCacheGetAllocatesOnlyThePlan(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments what it runs")
 	}
-	a := VariableBandPattern(6000, 4, 120, 2)
-	pc := NewPlanCache(a)
+	b := VariableBand(6000, 4, 120, 2)
+	pc := NewPlanCache(b)
 	rng := rand.New(rand.NewSource(7))
 	parts := make([]Partition, 21)
 	for i := range parts {
-		parts[i] = randomPartition(rng, a.N, 16)
+		parts[i] = randomPartition(rng, b.N, 16)
 	}
 	if _, err := pc.Get(parts[0]); err != nil {
 		t.Fatal(err)
@@ -261,14 +262,16 @@ func TestPlanCacheGetReusesScratch(t *testing.T) {
 		t.Fatalf("%d plans cached for %d partitions: a Get hit", pc.Len(), len(parts))
 	}
 	perGet := (after.TotalAlloc - before.TotalAlloc) / uint64(len(parts)-1)
-	t.Logf("a Get of a new partition allocates %d bytes", perGet)
-	if perGet >= 4<<10 {
-		t.Errorf("a Get of a new partition allocates %d bytes, want under 4 KiB", perGet)
+	mallocs := float64(after.Mallocs-before.Mallocs) / float64(len(parts)-1)
+	t.Logf("a Get of a new partition allocates %d bytes in %.1f allocations", perGet, mallocs)
+	if perGet >= 4<<10 || mallocs > 12 {
+		t.Errorf("a Get of a new partition allocates %d bytes in %.1f allocations, want under 4 KiB in at most 12", perGet, mallocs)
 	}
+	a := b.Pattern()
 	for _, part := range parts {
 		got, _ := pc.Get(part)
 		if want, err := NewHaloPlan(a, part); err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: the cached plan differs from a fresh one (err %v)", part.Starts, err)
+			t.Fatalf("%v: the cached plan differs from NewHaloPlan's (err %v)", part.Starts, err)
 		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 // allocations, independent of the number of nonzeros. The previous
 // map-of-maps builder allocated per row and per entry — thousands for
 // these sizes — so a ceiling two orders of magnitude below that
-// catches any slide back. VariableBandPattern, assembled directly,
-// allocates the CSR, its row pointers and columns and one n-length
-// scratch array, and VariableBandLaplacian adds the values, so their
-// ceiling is a fixed handful.
+// catches any slide back. VariableBand allocates the band and its two
+// row arrays, its Pattern the CSR with its row pointers and columns,
+// and VariableBandLaplacian adds the values, so their ceiling is a
+// fixed handful.
 func TestBuilderAllocationRegression(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -26,7 +26,8 @@ func TestBuilderAllocationRegression(t *testing.T) {
 	}{
 		{"Poisson2D", func() { Poisson2D(64, 64) }, 128},
 		{"DenseBlockLaplacian", func() { DenseBlockLaplacian(2000, []Block{{5, 100}, {900, 200}}) }, 128},
-		{"VariableBandPattern", func() { VariableBandPattern(2000, 2, 16, 4) }, 6},
+		{"VariableBand", func() { VariableBand(2000, 2, 16, 4) }, 3},
+		{"VariableBand.Pattern", func() { VariableBand(2000, 2, 16, 4).Pattern() }, 6},
 		{"VariableBandLaplacian", func() { VariableBandLaplacian(2000, 2, 16, 4) }, 8},
 	}
 	for _, tc := range cases {
@@ -72,11 +73,11 @@ func TestMatVecMatchesMulVecBitwise(t *testing.T) {
 }
 
 // TestPlanCacheReusesPlans checks the layer-1 cache: the same
-// partition yields the same *DistMatrix (the communication schedule
-// is built once), distinct partitions get distinct plans, and Len
-// tracks the number of distinct schedules.
+// partition yields the same *HaloPlan (the communication schedule is
+// built once), distinct partitions get distinct plans, and Len tracks
+// the number of distinct schedules.
 func TestPlanCacheReusesPlans(t *testing.T) {
-	a := Poisson2D(10, 10)
+	a := VariableBand(100, 2, 10, 2)
 	pc := NewPlanCache(a)
 	p2 := EvenPartition(a.N, 2)
 	dm1, err := pc.Get(p2)
@@ -155,8 +156,8 @@ func sameBits(a, b *CSR) bool {
 // TestPresizedBuilderSameMatrix checks that the generators changed
 // nothing but the garbage. The band matrix, assembled straight into
 // CSR, carries the same structure and value bits as the builder-based
-// reference, and VariableBandPattern is exactly its structure with no
-// values; the edge specs cover a band as wide as the matrix, a
+// reference, and VariableBand's Pattern is exactly its structure with
+// no values, as BandOf reads it back; the edge specs cover a band as wide as the matrix, a
 // constant band, no waves, and odd sizes. The dense-block matrix is
 // deeply equal to the one its emit loop produces on a builder that
 // starts empty and grows by doubling. Each sized build — the update
@@ -165,7 +166,7 @@ func TestPresizedBuilderSameMatrix(t *testing.T) {
 	type genCase struct {
 		name           string
 		sized, unsized func() *CSR
-		pattern        func() *CSR // the structure of sized, or nil
+		band           func() *Band // the structure of sized, or nil
 	}
 	var cases []genCase
 	for _, s := range []struct{ n, minBand, maxBand, waves int }{
@@ -180,7 +181,7 @@ func TestPresizedBuilderSameMatrix(t *testing.T) {
 		cases = append(cases, genCase{fmt.Sprintf("band-%d-[%d,%d]x%d", s.n, s.minBand, s.maxBand, s.waves),
 			func() *CSR { return VariableBandLaplacian(s.n, s.minBand, s.maxBand, s.waves) },
 			func() *CSR { return variableBandLaplacian(newBuilder(s.n, 0), s.minBand, s.maxBand, s.waves) },
-			func() *CSR { return VariableBandPattern(s.n, s.minBand, s.maxBand, s.waves) }})
+			func() *Band { return VariableBand(s.n, s.minBand, s.maxBand, s.waves) }})
 	}
 	blocks := RandomBlocks(600, 3, 60, 11)
 	cases = append(cases, genCase{"dense-600", func() *CSR { return DenseBlockLaplacian(600, blocks) },
@@ -193,9 +194,13 @@ func TestPresizedBuilderSameMatrix(t *testing.T) {
 		if err := got.checkRows(); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 		}
-		if tc.pattern != nil {
-			if pat := tc.pattern(); pat.Val != nil || !sameBits(pat, &CSR{N: got.N, RowPtr: got.RowPtr, Col: got.Col}) {
+		if tc.band != nil {
+			b := tc.band()
+			if pat := b.Pattern(); pat.Val != nil || !sameBits(pat, &CSR{N: got.N, RowPtr: got.RowPtr, Col: got.Col}) {
 				t.Errorf("%s: the pattern is not the matrix's structure without values", tc.name)
+			}
+			if read, err := BandOf(got); err != nil || !reflect.DeepEqual(read, b) {
+				t.Errorf("%s: BandOf reads back a different band (err %v)", tc.name, err)
 			}
 		}
 		if allocs := testing.AllocsPerRun(3, func() { tc.sized() }); allocs > 12 {

@@ -18,22 +18,25 @@
 // prefix of each row below its range and the suffix above it, so a plan
 // reads only those ends, O(rows + halo), and never the local middle.
 // Every generator here produces such rows; the plan entry points check
-// a hand-built matrix once (PlanCache when it is created) and refuse it
-// with an error rather than mis-plan it.
+// a hand-built matrix and refuse it with an error rather than mis-plan
+// it.
 //
 // Columns are int32: a matrix, and every generator here, has at most
-// math.MaxInt32 rows. Values are optional. A structure-only matrix
-// (Val nil) is all a halo plan reads, so a cost-only application holds
-// 4 bytes per stored entry; the numeric product (DistMatrix, MulVec)
-// refuses it.
+// math.MaxInt32 rows. Values are optional: a structure-only matrix
+// (Val nil) plans like any other, and the numeric product (DistMatrix,
+// MulVec) refuses it.
 //
-// VariableBandPattern, the structure of the large Fig. 2 matrix, is
-// assembled straight into CSR: per-row counts, a prefix sum, then one
-// emission pass. VariableBandLaplacian adds one value pass over it in
-// which each row's diagonal accumulates its off-diagonal mass in column
-// order, the order the generator has always summed it in, so every
-// value is the same bits the triplet builder produced. Poisson2D and
-// DenseBlockLaplacian still go through the builder.
+// A Band holds a symmetric pattern as each row's reach, O(rows) memory
+// whatever its stored entries: the form a cost-only application keeps.
+// Both Fig. 2 matrices are bands (VariableBand; BandOf of a dense-block
+// Laplacian), and a Band plans a partition from the reaches alone, with
+// no column list to read, into the plan NewHaloPlan builds from its
+// Pattern. PlanCache memoises a band's plans. VariableBandLaplacian is
+// VariableBand's Pattern plus one value pass in which each row's
+// diagonal accumulates its off-diagonal mass in column order, the order
+// the generator has always summed it in, so every value is the same
+// bits the triplet builder produced. Poisson2D and DenseBlockLaplacian
+// still go through the builder.
 package sparse
 
 import (
@@ -48,7 +51,7 @@ import (
 // ascending and inside [0, N): halo plans read only the off-rank ends
 // of each row and refuse a matrix that breaks this (see checkRows).
 // Val is optional: nil makes a structure-only matrix, which plans but
-// has no product.
+// has no product. A cost-only application keeps a Band instead.
 type CSR struct {
 	N      int
 	RowPtr []int // len N+1
@@ -296,7 +299,7 @@ func denseBlockLaplacian(b *builder, blocks []Block) *CSR {
 // ranks — the load-imbalance landscape of the paper's Fig. 2 — while
 // staying smooth enough for a direct search to navigate.
 //
-// It is VariableBandPattern plus one value pass: −1/|i−j| off the
+// It is VariableBand's Pattern plus one value pass: −1/|i−j| off the
 // diagonal, and the diagonal 1 plus the row's absolute off-diagonal
 // mass, summed in column order — every left neighbour ascending, then
 // the right ones — which is the order the triplet-builder generator
@@ -304,7 +307,7 @@ func denseBlockLaplacian(b *builder, blocks []Block) *CSR {
 // (TestPresizedBuilderSameMatrix keeps that generator as the
 // reference).
 func VariableBandLaplacian(n, minBand, maxBand, waves int) *CSR {
-	a := VariableBandPattern(n, minBand, maxBand, waves)
+	a := VariableBand(n, minBand, maxBand, waves).Pattern()
 	a.Val = make([]float64, len(a.Col))
 	for i := 0; i < n; i++ {
 		diag, off := -1, 0.0
@@ -322,59 +325,6 @@ func VariableBandLaplacian(n, minBand, maxBand, waves int) *CSR {
 		a.Val[diag] = off + 1
 	}
 	return a
-}
-
-// VariableBandPattern is the structure of VariableBandLaplacian, with
-// Val nil: what a halo plan reads.
-//
-// It is assembled straight into CSR, O(nnz) with no triplets: row i
-// couples to rows i+1..i+m, m = min(band(i)/2, n-1-i), so it holds its
-// diagonal, m right neighbours and one left neighbour from every
-// earlier row that reaches it. Rows are counted, prefix-summed, and
-// filled in one pass in (i, k) order, which delivers every row's left
-// neighbours before its own turn, ascending.
-func VariableBandPattern(n, minBand, maxBand, waves int) *CSR {
-	if minBand < 2 || maxBand < minBand || n < maxBand {
-		panic(fmt.Sprintf("sparse: bad band spec n=%d band=[%d,%d]", n, minBand, maxBand))
-	}
-	checkSize(n)
-	reach := func(i int) int { return min(bandAt(n, minBand, maxBand, waves, i)/2, n-1-i) }
-	a := &CSR{N: n, RowPtr: make([]int, n+1)}
-	// next first holds the difference array of the left-neighbour
-	// counts, then each row's next free slot.
-	next := make([]int, n+1)
-	for i := 0; i < n; i++ {
-		m := reach(i)
-		a.RowPtr[i+1] = 1 + m
-		next[i+1]++
-		next[i+1+m]--
-	}
-	left := 0
-	for i := 0; i < n; i++ {
-		left += next[i]
-		next[i] = a.RowPtr[i]
-		a.RowPtr[i+1] += a.RowPtr[i] + left
-	}
-	a.Col = make([]int32, a.RowPtr[n])
-	for i := 0; i < n; i++ {
-		// The left neighbours are in: the diagonal is next.
-		a.Col[next[i]] = int32(i)
-		next[i]++
-		for k, m := 1, reach(i); k <= m; k++ {
-			a.Col[next[i]] = int32(i + k)
-			a.Col[next[i+k]] = int32(i)
-			next[i]++
-			next[i+k]++
-		}
-	}
-	return a
-}
-
-// bandAt is the band width of row i of VariableBandLaplacian.
-func bandAt(n, minBand, maxBand, waves, i int) int {
-	phase := 2 * math.Pi * float64(waves) * float64(i) / float64(n)
-	w := float64(minBand) + (float64(maxBand-minBand))*(0.5+0.5*math.Sin(phase))
-	return int(w)
 }
 
 // RandomBlocks places count non-overlapping dense blocks of the given
@@ -425,18 +375,19 @@ func EvenPartition(n, p int) Partition {
 // one row (the paper requires "each partition has at least one row").
 // Repairing keeps the tuning search space box-shaped, which the
 // simplex needs; it implements the dependent-parameter handling of
-// the authors' SC'04 techniques.
+// the authors' SC'04 techniques. It allocates only the partition's
+// Starts and does not retain bounds.
 func FromBoundaries(n int, bounds []int) Partition {
 	p := len(bounds) + 1
 	if n < p {
 		panic(fmt.Sprintf("sparse: %d rows cannot form %d partitions", n, p))
 	}
-	bs := append([]int(nil), bounds...)
-	sort.Ints(bs)
 	starts := make([]int, p+1)
+	copy(starts[1:p], bounds)
+	sort.Ints(starts[1:p])
 	starts[p] = n
 	for i := 1; i < p; i++ {
-		b := bs[i-1]
+		b := starts[i]
 		if min := i; b < min { // leave >=1 row for each earlier partition
 			b = min
 		}

@@ -282,7 +282,7 @@ func atoi(t *testing.T, s string) int {
 // for the bit-equality test below.
 func slesPredictByScan(app *petscsim.SLESApp, m *cluster.Machine, cfg space.Config) float64 {
 	part := app.PartitionFor(cfg)
-	p, a := part.P(), app.A
+	p, a := part.P(), app.A.Pattern()
 	ghosts := make([][]int, p)
 	stamp := make([]int, a.N)
 	for r := 0; r < p; r++ {
