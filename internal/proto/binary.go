@@ -53,6 +53,8 @@ const MaxFrame = 8 << 20
 type Frame struct {
 	ID   uint64
 	Msgs []*Message
+
+	strs strTable // the values keys and values decoded into it last
 }
 
 // typeCodes maps message types onto compact wire codes. Code 0 is
@@ -206,7 +208,7 @@ func ReadFrameInto(r *bufio.Reader, f *Frame) error {
 
 // decodeFrame decodes a frame payload into f, reusing its messages.
 func decodeFrame(payload []byte, f *Frame) error {
-	d := &decoder{buf: payload}
+	d := &decoder{buf: payload, strs: &f.strs}
 	f.ID = d.uvarint()
 	count := d.uvarint()
 	if count > uint64(len(payload)) { // each message costs at least one byte
@@ -306,16 +308,9 @@ func appendMessage(buf []byte, m *Message) ([]byte, error) {
 	if len(m.Values) > 0 {
 		buf = append(buf, tagValues)
 		buf = binary.AppendUvarint(buf, uint64(len(m.Values)))
-		// Encode in sorted key order: wire bytes must not depend on
-		// Go's randomised map iteration (determinism invariant). The
-		// keys of a configuration fit the stack array.
+		// The keys of a configuration fit the stack array.
 		var stack [16]string
-		keys := stack[:0]
-		for k := range m.Values {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
+		for _, k := range sortedKeys(stack[:0], m.Values) {
 			buf = appendString(buf, k)
 			buf = appendString(buf, m.Values[k])
 		}
@@ -363,9 +358,10 @@ func appendString(buf []byte, s string) []byte {
 // decoder walks a frame payload, latching the first error so call
 // sites can stay unconditional.
 type decoder struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	strs *strTable // the Frame's: it outlives the payload
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -413,25 +409,24 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-// string decodes a string, copied out of the frame. It returns prev
-// itself when the bytes equal it, so a reused message that decodes the
-// same session id again allocates nothing.
-func (d *decoder) string(prev string) string {
+// bytes decodes a string's bytes, not copied out of the frame.
+func (d *decoder) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if uint64(len(d.buf)-d.off) < n {
 		d.fail("string length %d overruns frame", n)
-		return ""
+		return nil
 	}
 	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	if string(b) == prev {
-		return prev
-	}
-	return string(b)
+	return b
 }
+
+// string decodes a string, copied out of the frame unless it equals
+// prev (see reuse).
+func (d *decoder) string(prev string) string { return reuse(prev, d.bytes()) }
 
 func (d *decoder) float64() float64 {
 	if d.err != nil {
@@ -534,8 +529,8 @@ func decodeMessage(d *decoder, m *Message) {
 				m.Values = make(map[string]string, n)
 			}
 			for i := uint64(0); i < n && d.err == nil; i++ {
-				k := d.string("")
-				m.Values[k] = d.string("")
+				k := d.strs.string(d.bytes())
+				m.Values[k] = d.strs.string(d.bytes())
 			}
 		case tagConverged:
 			m.Converged = d.byte() != 0

@@ -8,14 +8,20 @@
 // it observed. This is the "on-line" tuning mode: the application
 // keeps running while the server walks the simplex.
 //
-//	C: {"type":"register","app":"gs2","space":[...],"strategy":"simplex"}
+//	C: {"type":"register","app":"gs2","strategy":"simplex","space":[...]}
 //	S: {"type":"registered","session":"s1"}
 //	C: {"type":"fetch","session":"s1"}
-//	S: {"type":"config","values":{"layout":"yxles"},"tag":1}
-//	C: {"type":"report","session":"s1","tag":1,"perf":16.25,"next":true}
-//	S: {"type":"config","values":{"layout":"lxyes"},"tag":2}
-//	C: {"type":"report","session":"s1","tag":2,"perf":14.5,"next":true}
+//	S: {"type":"config","tag":1,"values":{"layout":"yxles"}}
+//	C: {"type":"report","session":"s1","tag":1,"next":true,"perf":16.25}
+//	S: {"type":"config","tag":2,"values":{"layout":"lxyes"}}
+//	C: {"type":"report","session":"s1","tag":2,"next":true,"perf":14.5}
 //	S: ...
+//
+// Send writes the canonical line of a Message, as above: its members in
+// struct field order, zero members other than type left out, values
+// keys sorted (json.go has the whole rule). A peer may write a message
+// as any JSON object, in any order and spacing; it means what
+// encoding/json's Unmarshal makes of it into a Message.
 //
 // Every fetch reply carries a tag the report echoes. A steady round of
 // a shared-configuration session is one exchange: the report asks for
@@ -27,7 +33,6 @@ package proto
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -172,15 +177,15 @@ type Message struct {
 
 	// report / best_reply
 	Perf float64 `json:"perf,omitempty"`
-	// PerfText carries Perf when it is not a finite number.
-	// encoding/json refuses to marshal ±Inf and NaN, yet the protocol
-	// meaningfully transports them: a client rejects an infeasible
-	// configuration by reporting +Inf (see DecodeSpace), and a
-	// forfeited proposal's penalty is +Inf. Send moves a non-finite
-	// Perf into this field ("+Inf", "-Inf", "NaN") and Recv moves it
-	// back, so both directions of the JSON line protocol round-trip
-	// every float64. The binary protocol encodes raw IEEE-754 bits and
-	// never uses this field.
+	// PerfText carries Perf when it is not a finite number. A JSON
+	// number cannot spell ±Inf or NaN, yet the protocol meaningfully
+	// transports them: a client rejects an infeasible configuration by
+	// reporting +Inf (see DecodeSpace), and a forfeited proposal's
+	// penalty is +Inf. Send writes a non-finite Perf as this member
+	// ("+Inf", "-Inf", "NaN") in place of perf, and Recv moves it back,
+	// so both directions of the JSON line protocol round-trip every
+	// float64. The binary protocol encodes raw IEEE-754 bits and never
+	// uses this field.
 	//harmonyvet:ignore protowire PerfText is a JSON-only escape hatch for non-finite Perf; the binary protocol sends raw IEEE-754 bits and must never grow a second perf field
 	PerfText string `json:"perf_text,omitempty"`
 
@@ -241,12 +246,14 @@ type Conn struct {
 	w *bufio.Writer
 	c io.ReadWriteCloser
 
-	out bytes.Buffer  // Send encodes each message here, then copies it to w
-	enc *json.Encoder // encodes into out
+	out []byte // Send encodes each message here, then copies it to w
 
-	// spare is a Values map RecvInto took from a message that arrived
-	// without values, kept for the next message that has some.
-	spare map[string]string
+	// spares[:nspares] are Values maps RecvInto took from messages that
+	// arrived without values, kept for the next messages that have some:
+	// the sessions sharing a Conn hand theirs back in turn.
+	spares  [8]map[string]string
+	nspares int
+	strs    strTable // the values keys and values RecvInto copied out last
 }
 
 // NewConn frames messages over rw.
@@ -260,9 +267,7 @@ func NewConn(rw io.ReadWriteCloser) *Conn {
 // binary frame protocol: bytes already buffered in r must not be
 // lost.
 func NewConnReader(rw io.ReadWriteCloser, r *bufio.Reader) *Conn {
-	c := &Conn{r: r, w: bufio.NewWriter(rw), c: rw}
-	c.enc = json.NewEncoder(&c.out)
-	return c
+	return &Conn{r: r, w: bufio.NewWriter(rw), c: rw}
 }
 
 // deadliner is the subset of net.Conn needed for I/O deadlines.
@@ -280,24 +285,17 @@ func (c *Conn) SetDeadline(t time.Time) error {
 	return nil
 }
 
-// Send writes one message. A non-finite Perf is transposed into
-// PerfText first (see that field); an encoding failure wraps
-// ErrMarshal so callers can distinguish it from transport faults.
+// Send writes one message as its canonical line (json.go). A
+// non-finite Perf goes out as PerfText (see that field), the caller's
+// message untouched; an encoding failure wraps ErrMarshal so callers
+// can distinguish it from transport faults.
 func (c *Conn) Send(m *Message) error {
-	if isNonFinite(m.Perf) {
-		// Marshal a shallow copy: the caller's message is not mutated.
-		cp := *m
-		cp.PerfText = formatNonFinite(cp.Perf)
-		cp.Perf = 0
-		m = &cp
-	}
-	// The encoder writes what json.Marshal would, plus the '\n', into a
-	// buffer that outlives the call.
-	c.out.Reset()
-	if err := c.enc.Encode(m); err != nil {
+	out, err := appendJSON(c.out[:0], m)
+	c.out = out[:0]
+	if err != nil {
 		return fmt.Errorf("proto: marshal: %w (%v)", ErrMarshal, err)
 	}
-	if _, err := c.w.Write(c.out.Bytes()); err != nil {
+	if _, err := c.w.Write(out); err != nil {
 		return fmt.Errorf("proto: write: %w", err)
 	}
 	return c.w.Flush()
@@ -342,10 +340,12 @@ func (c *Conn) Recv() (*Message, error) {
 	return m, nil
 }
 
-// RecvInto reads one message into m, overwriting every field. Values
-// are decoded into m's map, or into one the Conn kept from a message
-// that had none, so the caller must not keep m.Values across calls. An
-// empty values object decodes as absent, which is how Send encodes it.
+// RecvInto reads one message into m, overwriting every field. A
+// canonical line decodes where it lies (json.go), any other through
+// encoding/json. Values are decoded into m's map, or into one the Conn
+// kept from messages that had none, so the caller must not keep
+// m.Values across calls. An empty values object decodes as absent,
+// which is how Send encodes it.
 // A line longer than MaxFrame is an error, as a binary frame would be:
 // a peer that never sends '\n' cannot grow the reader's memory without
 // bound. It returns io.EOF when the peer closed the connection
@@ -370,17 +370,23 @@ func (c *Conn) RecvInto(m *Message) error {
 		return fmt.Errorf("proto: read: %w", err)
 	}
 	vals := m.Values
-	if vals == nil {
-		vals, c.spare = c.spare, nil
+	if vals == nil && c.nspares > 0 {
+		c.nspares--
+		vals, c.spares[c.nspares] = c.spares[c.nspares], nil
 	}
 	clear(vals)
-	*m = Message{Values: vals}
-	if err := json.Unmarshal(line, m); err != nil {
-		return fmt.Errorf("proto: malformed message: %w", err)
+	m.Values = vals
+	if !c.decodeJSON(line, m) {
+		clear(vals)
+		*m = Message{Values: vals}
+		if err := json.Unmarshal(line, m); err != nil {
+			return fmt.Errorf("proto: malformed message: %w", err)
+		}
 	}
 	if len(m.Values) == 0 {
-		if m.Values != nil {
-			c.spare = m.Values
+		if m.Values != nil && c.nspares < len(c.spares) {
+			c.spares[c.nspares] = m.Values
+			c.nspares++
 		}
 		m.Values = nil
 	}

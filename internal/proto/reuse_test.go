@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // jsonLine is m as Send writes it.
@@ -19,14 +21,28 @@ func jsonLine(t *testing.T, m *Message) string {
 	return buf.String()
 }
 
-// TestRecvIntoReusesNothing: for every ordered pair of messages, the
+// TestRecvIntoReusesNothing: for every ordered pair of lines, the
 // second decoded into the message that held the first equals the second
-// decoded fresh, so no field or value of a reused message leaks.
+// decoded fresh, so no field or value of a reused message leaks. Every
+// message is sent both as its canonical line, which the fast decoder
+// takes unless it carries a space or an escape, and spaced out, which
+// goes to encoding/json, so the two paths alternate on one message.
 func TestRecvIntoReusesNothing(t *testing.T) {
-	seeds := fuzzSeeds()
-	for _, a := range seeds {
-		for _, b := range seeds {
-			lineA, lineB := jsonLine(t, a), jsonLine(t, b)
+	var lines []string
+	for _, m := range fuzzSeeds() {
+		line := jsonLine(t, m)
+		spaced := strings.ReplaceAll(line, `":`, `": `)
+		var c Conn
+		if fast := c.decodeJSON([]byte(line), new(Message)); fast != (m.Space == nil && !strings.Contains(line, `\`)) {
+			t.Errorf("fast decoder took %q: %v", line, fast)
+		}
+		if c.decodeJSON([]byte(spaced), new(Message)) {
+			t.Errorf("fast decoder took %q", spaced)
+		}
+		lines = append(lines, line, spaced)
+	}
+	for _, lineA := range lines {
+		for _, lineB := range lines {
 			c := NewConn(rwcloser{strings.NewReader(lineA + lineB), io.Discard})
 			var m Message
 			if err := c.RecvInto(&m); err != nil {
@@ -81,15 +97,17 @@ func TestRecvIntoBoundsLine(t *testing.T) {
 	}
 }
 
-// TestReadFrameIntoAllocatesNothing pins the server's per-request
-// decode: a report frame decoded into the frame that held the previous
-// one allocates nothing.
+// TestReadFrameIntoAllocatesNothing pins the per-request decode of
+// both ends: a frame of a report and of a config whose keys and values
+// the Frame decoded before, decoded into the frame that held the
+// previous one, allocates nothing.
 func TestReadFrameIntoAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are pinned without the race detector")
 	}
 	wire, err := AppendFrame(nil, &Frame{ID: 9, Msgs: []*Message{
 		{Type: TypeReport, Session: "s1234", Perf: 123.456, Tag: 3, Next: true, Seq: 8},
+		{Type: TypeConfig, Values: map[string]string{"x": "25", "y": "5"}, Tag: 4, Seq: 8},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +127,31 @@ func TestReadFrameIntoAllocatesNothing(t *testing.T) {
 	}
 	if m := f.Msgs[0]; m.Session != "s1234" || m.Tag != 3 || !m.Next {
 		t.Errorf("decoded %+v", m)
+	}
+	if m := f.Msgs[1]; m.Values["x"] != "25" || m.Values["y"] != "5" || len(m.Values) != 2 {
+		t.Errorf("decoded %+v", m)
+	}
+}
+
+// TestStrTableBounded: the table shares a string it decoded before and
+// keeps a fixed number of strings of bounded length, however many and
+// however long the strings a peer sends.
+func TestStrTableBounded(t *testing.T) {
+	var tab strTable
+	a := tab.string([]byte("quick"))
+	if b := tab.string([]byte("quick")); b != "quick" || unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Errorf("a repeated string was copied again")
+	}
+	for i := range 1000 {
+		s := strings.Repeat(strconv.Itoa(i), i%20)
+		if got := tab.string([]byte(s)); got != s {
+			t.Fatalf("table returned %q for %q", got, s)
+		}
+	}
+	for _, s := range tab {
+		if len(s) > maxTabled {
+			t.Errorf("the table keeps a %d-byte string", len(s))
+		}
 	}
 }
 
