@@ -25,12 +25,16 @@
 // completed). A steady round is then one exchange, as in Active
 // Harmony's own client loop.
 //
-// The values map Fetch or Best returns belongs to the caller: it is a
-// copy, and no later call reads or changes it. Everything else of an
-// exchange is reused — a Session decodes replies into messages it
-// owns, and a Mux recycles its per-call records — so over a Mux that
-// map and the strings in it are all a steady round allocates on the
-// client.
+// The values map Fetch returns is the Session's own, as the target of
+// Active Harmony's harmony_request_all is the application's variable
+// rewritten in place: every Fetch clears it and writes the new
+// configuration into it, so it is valid until the next Fetch on that
+// Session, and a caller that wants to keep a configuration copies it.
+// The map Best returns is a copy that belongs to the caller. Everything
+// else of an exchange is reused too — a Session decodes replies into
+// messages it owns, and a Mux recycles its per-call records — so a
+// steady round allocates on the client only the value strings it
+// decodes.
 //
 // Production deployments dial with Options to bound each protocol
 // round trip with an I/O deadline and to reconnect with exponential
@@ -196,14 +200,15 @@ type transport interface {
 // Session is a registered tuning session, obtained from a Client or a
 // Mux. It is used by one goroutine at a time; concurrent clients of
 // one session each Attach their own. Replies are decoded into messages
-// the Session owns; the maps it returns are copies the caller keeps.
+// the Session owns, and Fetch rewrites one values map it owns.
 type Session struct {
-	t     transport
-	id    string
-	tag   int           // tag of the last fetched configuration
-	reply proto.Message // the reply of the latest exchange
-	next  proto.Message // config a report's reply carried, for the next Fetch
-	held  bool          // next holds a configuration no Fetch has returned
+	t      transport
+	id     string
+	tag    int               // tag of the last fetched configuration
+	reply  proto.Message     // the reply of the latest exchange
+	next   proto.Message     // config a report's reply carried, for the next Fetch
+	held   bool              // next holds a configuration no Fetch has returned
+	values map[string]string // what Fetch returns, rewritten by every Fetch
 }
 
 // Register creates a tuning session on the server.
@@ -328,8 +333,12 @@ func (c *Client) try(reply *proto.Message) error {
 // next configuration, Fetch returns it without contacting the server;
 // otherwise it asks. Fetch is idempotent: after a reconnect it can
 // simply be called again, and the tag of the reply supersedes
-// whatever was outstanding. The values are a new map that belongs to
-// the caller.
+// whatever was outstanding.
+//
+// The values are the Session's own map, cleared and rewritten by every
+// Fetch like harmony_request_all's target: they stay valid until the
+// next Fetch on this Session, and a caller that keeps them past it
+// copies them. A reply with no values returns nil.
 func (s *Session) Fetch() (values map[string]string, converged bool, err error) {
 	reply := &s.next
 	if !s.held {
@@ -343,7 +352,15 @@ func (s *Session) Fetch() (values map[string]string, converged bool, err error) 
 	}
 	s.held = false
 	s.tag = reply.Tag
-	return maps.Clone(reply.Values), reply.Converged, nil
+	if len(reply.Values) == 0 {
+		return nil, reply.Converged, nil
+	}
+	if s.values == nil {
+		s.values = make(map[string]string, len(reply.Values))
+	}
+	clear(s.values)
+	maps.Copy(s.values, reply.Values)
+	return s.values, reply.Converged, nil
 }
 
 // Report delivers the performance measured under the configuration

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"maps"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -85,7 +86,7 @@ func TestReconnectAfterConnDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tag1 := sess.tag
+	v1, tag1 := maps.Clone(v1), sess.tag // the re-fetch rewrites the session's map
 
 	c.conn.Close() // the network drops the connection under us
 

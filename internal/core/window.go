@@ -55,8 +55,8 @@ type Candidate[P any] struct {
 	// ClosesRound marks the last candidate of a group the strategy's
 	// stall closed: the strategy hears of the round when it commits.
 	ClosesRound bool
-	// Done: the outcome is in hand. Committed: it has left the window.
-	// Drivers read both and write neither.
+	// Done: the outcome is in hand. Committed: it has left the window,
+	// and a driver may Release it. Drivers read both and write neither.
 	Done, Committed bool
 	Payload         P // the driver's own state, by value: no second allocation
 }
@@ -120,6 +120,7 @@ type Window[P any] struct {
 
 	leaders map[string]*Candidate[P] // charged candidates by point key (Memo)
 	issued  int                      // candidates issued, committed or in flight
+	free    []*Candidate[P]          // released candidates, reissued before any new one
 
 	// Refill scratch, reused across passes.
 	pts  []space.Point
@@ -246,7 +247,7 @@ func (w *Window[P]) issue() {
 	}
 	w.reserve(len(w.pts))
 	for i, pt := range w.pts {
-		c := &Candidate[P]{Pt: pt, Cfg: w.cfgs[i]}
+		c := w.fresh(pt, w.cfgs[i])
 		if keep != nil {
 			c.Predicted = scores[i] // written beside the Score call, where prunepurity's taint sees it
 		}
@@ -263,6 +264,19 @@ func (w *Window[P]) issue() {
 	if w.Stalled {
 		w.At(w.n - 1).ClosesRound = true
 	}
+}
+
+// fresh returns a candidate for one asked point: a released one, reset
+// whole so nothing of its last issue survives, or a new one.
+func (w *Window[P]) fresh(pt space.Point, cfg space.Config) *Candidate[P] {
+	var c *Candidate[P]
+	if n := len(w.free); n > 0 {
+		c, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		c = new(Candidate[P])
+	}
+	*c = Candidate[P]{Pt: pt, Cfg: cfg}
+	return c
 }
 
 // classify decides how one asked candidate gets its value, and is the
@@ -330,4 +344,22 @@ func (w *Window[P]) CommitHead() *Candidate[P] {
 	}
 	w.Strategy.Commit(c.Pt, v)
 	return c
+}
+
+// Release hands a candidate CommitHead returned back to the window, to
+// be reissued by a later Refill; the caller must hold no pointer to it
+// afterwards. It panics on a candidate that has not committed, or was
+// released already, and on a Memo window, whose leaders outlive their
+// commit. An on-line driver releases what it has accounted for, so a
+// steady session allocates no candidates; Tune keeps its own, for the
+// trial log.
+func (w *Window[P]) Release(c *Candidate[P]) {
+	if w.Memo {
+		panic("core: Release on a Memo window, whose leaders outlive their commit")
+	}
+	if !c.Committed {
+		panic("core: Release of a candidate that has not committed")
+	}
+	*c = Candidate[P]{}
+	w.free = append(w.free, c)
 }

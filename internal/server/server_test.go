@@ -1,6 +1,7 @@
 package server
 
 import (
+	"maps"
 	"net"
 	"strconv"
 	"sync"
@@ -186,6 +187,7 @@ func TestFetchIdempotentUntilEnoughReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	v0, _, _ := sess.Fetch()
+	v0 = maps.Clone(v0) // the second Fetch rewrites the session's map
 	v1, _, _ := sess.Fetch()
 	if v0["x"] != v1["x"] || v0["y"] != v1["y"] {
 		t.Errorf("fetch changed config before report: %v vs %v", v0, v1)

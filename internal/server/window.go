@@ -42,17 +42,18 @@ type handState struct {
 }
 
 // handout records one candidate handed to a client. It is live until it
-// is reported or expires (cand = nil), or its candidate commits:
-// duplicates nobody reported must neither arm a straggler deadline nor
-// hold the lease for work that is already committed, and a late report
-// for one is a stale tag.
+// is reported, expires or its candidate commits (cand = nil): duplicates
+// nobody reported must neither arm a straggler deadline nor hold the
+// lease for work that is already committed, and a late report for one
+// is a stale tag — never a report on whatever the released candidate is
+// reissued as.
 type handout struct {
 	cand   *cand
 	issued time.Time // straggler deadline base
 }
 
 //harmonyvet:allocfree
-func (h *handout) live() bool { return h.cand != nil && !h.cand.Committed }
+func (h *handout) live() bool { return h.cand != nil }
 
 // window is the driver state of a session. hands are the hand-outs in
 // tag order, hands[i] under tag first+i: a report finds its hand-out by
@@ -107,7 +108,8 @@ func (w *window) trim() {
 // commitHeadLocked commits the head candidate if its outcome is in
 // hand, does the session's accounting for it, and reports whether it
 // did. The machine's CommitHead is the only place the strategy hears
-// of results.
+// of results. The committed candidate's hand-outs die with it, and the
+// machine reissues it for a later proposal.
 func (ss *session) commitHeadLocked() bool {
 	c := ss.win.m.CommitHead()
 	if c == nil {
@@ -139,7 +141,14 @@ func (ss *session) commitHeadLocked() bool {
 	if c.ClosesRound {
 		st.roundsCompleted.Add(1)
 	}
-	ss.win.trim()
+	w := ss.win
+	for i := range w.hands {
+		if w.hands[i].cand == c {
+			w.hands[i].cand = nil
+		}
+	}
+	w.trim()
+	w.m.Release(c)
 	return true
 }
 

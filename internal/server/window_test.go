@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"harmony/internal/client"
+	"harmony/internal/core"
 	"harmony/internal/proto"
 	"harmony/internal/search"
 	"harmony/internal/space"
@@ -480,4 +481,105 @@ func TestExpiryPassWithNothingOverdueAllocatesNothing(t *testing.T) {
 	if got := ss.stat().proposalsReissued.Load() + ss.stat().proposalsForfeited.Load(); got != 0 {
 		t.Errorf("%d proposals re-issued or forfeited inside their deadline", got)
 	}
+}
+
+// tellCounter counts what the strategy is told, and remembers the
+// values.
+type tellCounter struct {
+	search.AsyncStrategy
+	told []float64
+}
+
+func (s *tellCounter) Commit(pt space.Point, v float64) {
+	s.told = append(s.told, v)
+	s.AsyncStrategy.Commit(pt, v)
+}
+
+// checkStaleOnReissued reports tag — a hand-out whose candidate has
+// committed and been reissued, as the live cand — and checks that the
+// report is dropped as stale and changes nothing the window measures:
+// cand stays incomplete and the strategy hears nothing.
+func checkStaleOnReissued(t *testing.T, ss *session, strat *tellCounter, tag int, cand *cand) {
+	t.Helper()
+	dropped, told := ss.stat().reportsDroppedStale.Load(), len(strat.told)
+	if r := ss.callReport(&proto.Message{Tag: tag, Perf: -1e9, Next: true}); r.Type != proto.TypeOK {
+		t.Fatalf("report on the old tag: %+v, want ok", r)
+	}
+	if got := ss.stat().reportsDroppedStale.Load(); got != dropped+1 {
+		t.Errorf("ReportsDroppedStale %d → %d, want one more", dropped, got)
+	}
+	if cand.Done || cand.Payload.count != 0 {
+		t.Errorf("the reissued candidate took the old tag's report: done=%v, %d reports", cand.Done, cand.Payload.count)
+	}
+	if len(strat.told) != told {
+		t.Errorf("the strategy was told %v after the old tag's report, want nothing", strat.told[told:])
+	}
+}
+
+// TestStaleTagAfterCandidateReuse: a committed candidate is reissued for
+// a later proposal, so the hand-outs it had must die at its commit. Two
+// clients of a depth-1 shared session are handed one candidate under
+// two tags; A's report commits it and its reply hands A the next
+// configuration, on the same struct. B's report on its old tag is then
+// stale: it must not complete what A is now measuring.
+func TestStaleTagAfterCandidateReuse(t *testing.T) {
+	sp := testSpace()
+	strat := &tellCounter{AsyncStrategy: search.AsAsync(search.NewRandom(sp, 5, 50))}
+	ss := newTestSession(sp, nil, 50, func(ss *session) { ss.openWindow(strat, 1, 1) })
+	a, b := ss.callFetch(), ss.callFetch()
+	if a.Type != proto.TypeConfig || b.Type != proto.TypeConfig || a.Tag == b.Tag {
+		t.Fatalf("fetches %+v and %+v, want one candidate under two tags", a, b)
+	}
+	old := ss.win.m.Head()
+	next := ss.callReport(&proto.Message{Tag: a.Tag, Perf: 5, Next: true})
+	if next.Type != proto.TypeConfig || len(strat.told) != 1 {
+		t.Fatalf("A's report: %+v, strategy told %v; want the next configuration after one commit", next, strat.told)
+	}
+	if ss.win.m.Head() != old {
+		t.Fatal("the next configuration was not issued on the committed candidate")
+	}
+	checkStaleOnReissued(t, ss, strat, b.Tag, old)
+	// A's report on the reissued candidate is the one that counts.
+	ss.callReport(&proto.Message{Tag: next.Tag, Perf: 7})
+	if len(strat.told) != 2 || strat.told[1] != 7 {
+		t.Errorf("strategy told %v, want A's 5 and then 7", strat.told)
+	}
+}
+
+// TestStaleTagAfterCandidateReuseParallel: the same in a Parallel round.
+// B fetches once the round is covered and is handed a duplicate of the
+// head; the round commits without B, and the next round reissues the
+// head's struct. B's late report must be stale.
+func TestStaleTagAfterCandidateReuseParallel(t *testing.T) {
+	sp := testSpace()
+	strat := &tellCounter{AsyncStrategy: search.AsAsync(search.AsBatch(search.NewRandom(sp, 5, 50)))}
+	ss := newTestSession(sp, nil, 50, func(ss *session) { ss.openWindow(strat, core.Unbounded, core.Unbounded) })
+	m := ss.win.m
+	tags := []int{ss.callFetch().Tag}
+	for len(tags) < m.Len() {
+		tags = append(tags, ss.callFetch().Tag)
+	}
+	b := ss.callFetch()
+	dup := ss.win.lookup(b.Tag)
+	if dup == nil || dup.cand != m.Head() {
+		t.Fatalf("B's fetch %+v was not handed the round's head", b)
+	}
+	old := dup.cand
+	for _, tag := range tags {
+		ss.callReport(&proto.Message{Tag: tag, Perf: 5})
+	}
+	if m.Len() != 0 || len(strat.told) != len(tags) {
+		t.Fatalf("%d in flight, strategy told %d values; want the round of %d committed", m.Len(), len(strat.told), len(tags))
+	}
+	if a := ss.callFetch(); a.Type != proto.TypeConfig {
+		t.Fatalf("A's fetch of the next round: %+v", a)
+	}
+	reissued := false
+	for i := 0; i < m.Len(); i++ {
+		reissued = reissued || m.At(i) == old
+	}
+	if !reissued {
+		t.Fatal("the next round was not issued on the committed candidates")
+	}
+	checkStaleOnReissued(t, ss, strat, b.Tag, old)
 }
