@@ -21,10 +21,10 @@ import (
 // MatVec workspaces pooled per DistMatrix rank, a steady-state
 // benchmarking run should cost no more than the solver's own
 // once-per-solve iteration vectors plus trial bookkeeping. The
-// ceiling is ~2x the measured steady state at the time the workspace
-// layer landed, so a regression that reintroduces per-iteration
-// allocation (each run is 40 CG iterations) trips it with a wide
-// margin before it reaches per-iteration scale. Both fan-out widths
+// ceiling is ~2x the measured steady state of ~24 KB per run, so a
+// regression that reintroduces per-iteration allocation (each run is
+// 40 CG iterations) trips it long before it reaches per-iteration
+// scale. Both fan-out widths
 // are pinned: more workers mean more worlds and workspaces in flight,
 // but all of them pool, so the per-run cost must stay flat.
 func TestCampaignSteadyStateHeapCeiling(t *testing.T) {
@@ -52,7 +52,7 @@ func TestCampaignSteadyStateHeapCeiling(t *testing.T) {
 			runtime.ReadMemStats(&after)
 
 			perRun := (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
-			const ceiling = 400 << 10 // bytes per run; measured ~174KB at landing
+			const ceiling = 48 << 10 // bytes per run
 			t.Logf("steady-state campaign allocates %d bytes per run (%d runs)", perRun, runs)
 			if perRun > ceiling {
 				t.Errorf("steady-state campaign allocates %d bytes per run, ceiling %d", perRun, ceiling)
@@ -65,9 +65,10 @@ func TestCampaignSteadyStateHeapCeiling(t *testing.T) {
 // per run: a Fig. 4 PRO campaign replayed from a warm evaluation cache
 // runs no simulation, so everything it allocates is the engine's, the
 // strategy's and the cache's bookkeeping. The ceiling is ~1.5x the
-// measured 1.37 KB per run once cache lookups stopped allocating and the
-// trial log stopped regrowing; before that it was 2.56 KB, so putting
-// either back trips it.
+// measured ~1.02 KB per run. It read 1.37 KB while PRO owned a
+// math/rand source and rebuilt its round state every round, and
+// 2.56 KB before cache lookups stopped allocating and the trial log
+// stopped regrowing, so putting the latter back trips it.
 func TestReplayedCampaignHeapCeiling(t *testing.T) {
 	base := pop.DefaultConfig(720, 480)
 	base.Steps, base.BarotropicIters = 2, 4
@@ -101,7 +102,7 @@ func TestReplayedCampaignHeapCeiling(t *testing.T) {
 	}
 
 	perRun := (after.TotalAlloc - before.TotalAlloc) / uint64(res.Runs)
-	const ceiling = 2048 // bytes per run
+	const ceiling = 1536 // bytes per run
 	t.Logf("replayed campaign allocates %d bytes per run (%d runs, %d proposals)", perRun, res.Runs, res.Proposals)
 	if perRun > ceiling {
 		t.Errorf("replayed campaign allocates %d bytes per run, ceiling %d", perRun, ceiling)

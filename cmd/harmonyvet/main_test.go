@@ -248,11 +248,12 @@ var seededDefects = []struct {
 		"\t\t\t\tunknown = append(unknown, k)\n",
 		"\t\t\t\treturn nil, fmt.Errorf(\"pop: unknown namelist parameter %q\", k)\n",
 		"for k := range values {"},
-	// PRO's initial spread drawn from the process-global source.
-	{"randsource", "internal/search/pro.go",
-		"if rng.Intn(2) == 0 {",
-		"if rand.Intn(2) == 0 {",
-		"if rand.Intn(2) == 0 {"},
+	// The seeded strategies' replay buffer filled from the
+	// process-global source.
+	{"randsource", "internal/search/replay.go",
+		"s.buf[i] = g.Uint64()",
+		"s.buf[i] = rand.Uint64()",
+		"s.buf[i] = rand.Uint64()"},
 	// A reconnect that drops the old connection's close error.
 	{"errdrop", "internal/client/client.go",
 		"\t\t_ = c.conn.Close()\n",

@@ -45,7 +45,6 @@ const (
 // both drivers, that no prediction reaches an evaluation cache, a
 // measured best, or run accounting through this struct.
 type Candidate[P any] struct {
-	Kind      CandKind
 	Pt        space.Point
 	Cfg       space.Config  // zero for a Forfeited candidate
 	Measured  float64       // a charged candidate's genuine value: the driver's, the cache's, +Inf for a forfeit
@@ -58,7 +57,10 @@ type Candidate[P any] struct {
 	// Done: the outcome is in hand. Committed: it has left the window,
 	// and a driver may Release it. Drivers read both and write neither.
 	Done, Committed bool
-	Payload         P // the driver's own state, by value: no second allocation
+	// Kind sits with the flags, in their padding word: the candidate
+	// the off-line driver allocates per proposal then fits 96 bytes.
+	Kind    CandKind
+	Payload P // the driver's own state, by value: no second allocation
 }
 
 // Complete gives a Work candidate its measured value — an evaluation's

@@ -98,7 +98,7 @@ func (c *Coordinate) Next() (space.Point, bool) {
 
 // Report implements Strategy.
 func (c *Coordinate) Report(pt space.Point, value float64) {
-	mustPending(c.Name(), c.pending)
+	mustPending(c.Name(), c.pending != nil)
 	c.observe(pt, value)
 	c.pending = nil
 

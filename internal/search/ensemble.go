@@ -57,9 +57,10 @@ type ensembleArm struct {
 type Ensemble struct {
 	tracker
 	arms    []*ensembleArm
-	issues  int   // total candidates issued
-	queue   []int // arm index per in-flight candidate, issue order
-	trace   []int // arm index per issue, full history
+	issues  int    // total candidates issued
+	queue   []int  // arm index per in-flight candidate, issue order
+	trace   []int  // arm index per issue, full history
+	skip    []bool // Ask's per-call mask of stalled arms
 	pending space.Point
 }
 
@@ -81,7 +82,7 @@ func NewEnsemble(sp *space.Space, opt EnsembleOptions) *Ensemble {
 			NewSystematic(sp, budget),
 		}
 	}
-	e := &Ensemble{}
+	e := &Ensemble{skip: make([]bool, len(techs))}
 	for _, t := range techs {
 		e.arms = append(e.arms, &ensembleArm{name: t.Name(), as: AsAsync(t)})
 	}
@@ -122,7 +123,8 @@ func (e *Ensemble) ucb(a *ensembleArm) float64 {
 // flight) is skipped for this call and retried later; ties break on
 // arm order, so the whole selection is deterministic.
 func (e *Ensemble) Ask() (space.Point, bool) {
-	skip := make([]bool, len(e.arms))
+	skip := e.skip
+	clear(skip)
 	for {
 		best, bestScore := -1, math.Inf(-1)
 		for i, a := range e.arms {
@@ -155,7 +157,9 @@ func (e *Ensemble) Commit(pt space.Point, value float64) {
 		panic("search: ensemble.Commit with no candidate in flight")
 	}
 	i := e.queue[0]
-	e.queue = e.queue[1:]
+	// Shifting keeps the array: the queue is as deep as the engine's
+	// window, so the copy is short.
+	e.queue = e.queue[:copy(e.queue, e.queue[1:])]
 	a := e.arms[i]
 	switch {
 	case math.IsNaN(value) || math.IsInf(value, 0):
@@ -198,7 +202,7 @@ func (e *Ensemble) Next() (space.Point, bool) {
 
 // Report implements Strategy.
 func (e *Ensemble) Report(pt space.Point, value float64) {
-	mustPending(e.Name(), e.pending)
+	mustPending(e.Name(), e.pending != nil)
 	e.pending = nil
 	e.Commit(pt, value)
 }

@@ -126,7 +126,11 @@ func (c *constProposer) Report(pt space.Point, value float64) {
 }
 
 func (c *constProposer) NextBatch() []space.Point {
-	return sliceBatch(c.points, c.idx, 8)
+	var out []space.Point
+	for _, pt := range c.points[c.idx:min(c.idx+8, len(c.points))] {
+		out = append(out, pt.Clone())
+	}
+	return out
 }
 
 func (c *constProposer) ReportBatch(pts []space.Point, values []float64) {

@@ -1,10 +1,6 @@
 package search
 
-import (
-	"math/rand"
-
-	"harmony/internal/space"
-)
+import "harmony/internal/space"
 
 // PROOptions configure the Parallel Rank Order strategy.
 type PROOptions struct {
@@ -35,7 +31,7 @@ func (o *PROOptions) setDefaults(dims int) {
 	}
 }
 
-type proState int
+type proState uint8
 
 const (
 	proInit proState = iota
@@ -58,27 +54,31 @@ const (
 // machine in the same order Next/Report would have seen them.
 type PRO struct {
 	tracker
-	sp   *space.Space
-	opt  PROOptions
-	dims int
-	rng  *rand.Rand
+	sp  *space.Space
+	rng seededRand
 
 	verts   []vertex // population; verts[bestIdx] is the incumbent
 	bestIdx int
+	idx     int // vertex being evaluated in this phase
+	state   proState
+	pending bool
+	rounds  int32 // beside the flags: PRO then allocates 1 280 bytes, not 1 408
 
-	state          proState
-	idx            int      // vertex being evaluated in this phase
-	candidate      []vertex // reflected or expanded trial population
-	reflectedSaved []vertex // reflected population kept during expansion
-	pending        space.Point
-	rounds         int
+	// The round state, allocated by the first round and rewritten by
+	// every later one: the reflected population, then the expanded
+	// one (adopting a member copies its coordinates), NextBatch's
+	// array, and collapsed's scratch.
+	trial []vertex
+	batch []space.Point
+	snap  space.Point
 }
 
 // NewPRO constructs a PRO strategy over the space.
 func NewPRO(sp *space.Space, opt PROOptions) *PRO {
 	opt.setDefaults(sp.Dims())
-	p := &PRO{sp: sp, opt: opt, dims: sp.Dims()}
-	p.buildPopulation()
+	p := &PRO{sp: sp}
+	p.rng.reset(opt.Seed)
+	p.buildPopulation(opt)
 	return p
 }
 
@@ -86,34 +86,32 @@ func NewPRO(sp *space.Space, opt PROOptions) *PRO {
 func (p *PRO) Name() string { return "pro" }
 
 // Rounds reports completed transformation rounds.
-func (p *PRO) Rounds() int { return p.rounds }
+func (p *PRO) Rounds() int { return int(p.rounds) }
 
 // Converged reports whether the population collapsed to one point.
 func (p *PRO) Converged() bool { return p.state == proDone }
 
-func (p *PRO) buildPopulation() {
-	start := p.opt.Start
+func (p *PRO) buildPopulation(opt PROOptions) {
+	start := opt.Start
 	if start == nil {
 		start = p.sp.Center()
 	}
 	start = p.sp.Clamp(start)
-	p.rng = rand.New(rand.NewSource(p.opt.Seed))
-	rng := p.rng
-	p.verts = make([]vertex, p.opt.Points)
+	p.verts = make([]vertex, opt.Points)
 	p.verts[0] = vertex{x: toFloats(start)}
 	params := p.sp.Params()
-	for i := 1; i < p.opt.Points; i++ {
+	for i := 1; i < opt.Points; i++ {
 		x := toFloats(start)
 		// Spread each point along a random subset of dimensions.
 		for d := range x {
-			if rng.Intn(2) == 0 {
+			if p.rng.Intn(2) == 0 {
 				continue
 			}
 			span := float64(params[d].Levels()-1) * 0.25
 			if span < 1 {
 				span = 1
 			}
-			x[d] += (rng.Float64()*2 - 1) * span
+			x[d] += (p.rng.Float64()*2 - 1) * span
 		}
 		p.verts[i] = vertex{x: clampFloats(p.sp, x)}
 	}
@@ -134,56 +132,59 @@ func clampFloats(sp *space.Space, x []float64) []float64 {
 	return x
 }
 
-// Next implements Strategy.
-func (p *PRO) Next() (space.Point, bool) {
-	if p.pending != nil {
-		return p.pending.Clone(), true
-	}
+// phase returns the population the current phase proposes from and
+// the member it skips: the incumbent, which keeps its value, except
+// in the initial phase. It returns nil once the search is done.
+func (p *PRO) phase() (pop []vertex, skip int) {
 	switch p.state {
 	case proInit:
-		p.pending = p.sp.Nearest(p.verts[p.idx].x)
-	case proReflect, proExpand:
-		p.pending = p.sp.Nearest(p.candidate[p.idx].x)
+		return p.verts, -1
+	case proReflect:
+		return p.reflected(), p.bestIdx
+	case proExpand:
+		return p.expanded(), p.bestIdx
 	case proShrink:
-		p.pending = p.sp.Nearest(p.verts[p.idx].x)
-	case proDone:
+		return p.verts, p.bestIdx
+	}
+	return nil, -1
+}
+
+// begin enters a phase that skips the incumbent.
+func (p *PRO) begin(state proState) {
+	p.state, p.idx = state, 0
+	if p.idx == p.bestIdx {
+		p.idx++
+	}
+}
+
+// Next implements Strategy.
+func (p *PRO) Next() (space.Point, bool) {
+	pop, _ := p.phase()
+	if pop == nil {
 		return nil, false
 	}
-	return p.pending.Clone(), true
+	p.pending = true
+	return p.sp.Nearest(pop[p.idx].x), true
 }
 
 // NextBatch implements BatchStrategy: the remaining proposals of the
 // current phase (initial population, reflected/expanded trial
 // population, or shrunken population), all of which are independent.
 func (p *PRO) NextBatch() []space.Point {
-	if p.pending != nil {
+	pop, skip := p.phase()
+	end := len(pop)
+	if p.pending {
 		// Mid-proposal from interleaved sequential use: finish it as
 		// a batch of one before opening the rest of the phase.
-		return []space.Point{p.pending.Clone()}
+		end = p.idx + 1
 	}
-	var phase []vertex
-	skip := -1 // the incumbent, which keeps its value
-	switch p.state {
-	case proInit:
-		phase = p.verts
-	case proReflect, proExpand:
-		phase, skip = p.candidate, p.bestIdx
-	case proShrink:
-		phase, skip = p.verts, p.bestIdx
-	case proDone:
-		return nil
-	}
-	n := len(phase) - p.idx
-	if skip >= p.idx {
-		n--
-	}
-	pts := make([]space.Point, 0, n)
-	for i := p.idx; i < len(phase); i++ {
+	p.batch = p.batch[:0]
+	for i := p.idx; i < end; i++ {
 		if i != skip {
-			pts = append(pts, p.sp.Nearest(phase[i].x))
+			p.batch = append(p.batch, p.sp.Nearest(pop[i].x))
 		}
 	}
-	return pts
+	return p.batch
 }
 
 // ReportBatch implements BatchStrategy by replaying the values, in
@@ -193,9 +194,7 @@ func (p *PRO) NextBatch() []space.Point {
 // phase partially evaluated and NextBatch resumes it.
 func (p *PRO) ReportBatch(pts []space.Point, values []float64) {
 	for i := range pts {
-		if p.pending == nil {
-			p.pending = pts[i] // Report clears it without keeping it
-		}
+		p.pending = true
 		p.Report(pts[i], values[i])
 	}
 }
@@ -204,48 +203,28 @@ func (p *PRO) ReportBatch(pts []space.Point, values []float64) {
 func (p *PRO) Report(pt space.Point, value float64) {
 	mustPending(p.Name(), p.pending)
 	p.observe(pt, value)
-	p.pending = nil
+	p.pending = false
 
+	pop, skip := p.phase()
+	if pop == nil {
+		return
+	}
+	pop[p.idx].f = value
+	if p.idx++; p.idx == skip {
+		p.idx++
+	}
+	if p.idx < len(pop) {
+		return
+	}
 	switch p.state {
-	case proInit:
-		p.verts[p.idx].f = value
-		p.idx++
-		if p.idx == len(p.verts) {
-			p.refreshBest()
-			p.startRound()
-		}
 	case proReflect:
-		p.candidate[p.idx].f = value
-		if p.advanceCandidate() {
-			p.afterReflect()
-		}
+		p.afterReflect()
 	case proExpand:
-		p.candidate[p.idx].f = value
-		if p.advanceCandidate() {
-			p.afterExpand()
-		}
-	case proShrink:
-		p.verts[p.idx].f = value
-		p.idx++
-		for p.idx == p.bestIdx && p.idx < len(p.verts) {
-			p.idx++ // the incumbent keeps its value
-		}
-		if p.idx >= len(p.verts) {
-			p.refreshBest()
-			p.startRound()
-		}
-	case proDone:
+		p.afterExpand()
+	default: // the initial or the shrunken population
+		p.refreshBest()
+		p.startRound()
 	}
-}
-
-// advanceCandidate moves to the next non-best candidate; reports true
-// when the trial population is fully evaluated.
-func (p *PRO) advanceCandidate() bool {
-	p.idx++
-	for p.idx == p.bestIdx && p.idx < len(p.candidate) {
-		p.idx++
-	}
-	return p.idx >= len(p.candidate)
 }
 
 func (p *PRO) refreshBest() {
@@ -261,56 +240,56 @@ func (p *PRO) refreshBest() {
 // startRound begins a new transformation round with a reflection of
 // the whole population through the best point.
 func (p *PRO) startRound() {
-	if p.collapsed() {
+	if p.trial == nil {
+		n, dims := len(p.verts), p.sp.Dims()
+		xs := make([]float64, 2*n*dims)
+		p.trial = make([]vertex, 2*n)
+		for i := range p.trial {
+			p.trial[i].x = xs[i*dims : (i+1)*dims : (i+1)*dims]
+		}
+		p.snap = make(space.Point, 2*dims)
+	}
+	if collapsed(p.sp, p.verts, p.snap) {
 		p.state = proDone
 		return
 	}
 	p.rounds++
-	p.candidate = p.transform(proReflectCoeff)
-	p.state = proReflect
-	p.idx = 0
-	if p.idx == p.bestIdx {
-		p.idx++
-	}
+	p.transform(proReflectCoeff, p.reflected())
+	p.begin(proReflect)
 }
 
-// transform builds a trial population: best + coeff·(best − x_i).
-func (p *PRO) transform(coeff float64) []vertex {
+func (p *PRO) reflected() []vertex { return p.trial[:len(p.verts)] }
+func (p *PRO) expanded() []vertex  { return p.trial[len(p.verts):] }
+
+// transform writes the trial population best + coeff·(best − x_i)
+// into out.
+func (p *PRO) transform(coeff float64, out []vertex) {
 	best := p.verts[p.bestIdx]
-	out := make([]vertex, len(p.verts))
-	for i := range p.verts {
+	for i, v := range out {
 		if i == p.bestIdx {
-			out[i] = vertex{x: append([]float64(nil), best.x...), f: best.f}
+			copy(v.x, best.x)
+			out[i].f = best.f
 			continue
 		}
-		x := make([]float64, p.dims)
-		for d := range x {
-			x[d] = best.x[d] + coeff*(best.x[d]-p.verts[i].x[d])
+		for d := range v.x {
+			v.x[d] = best.x[d] + coeff*(best.x[d]-p.verts[i].x[d])
 		}
-		out[i] = vertex{x: clampFloats(p.sp, x)}
+		clampFloats(p.sp, v.x)
 	}
-	return out
 }
 
 func (p *PRO) afterReflect() {
 	if p.candidateBeatsBest() {
 		// The reflection found a new global best: try expanding
 		// further along the same directions before committing.
-		p.reflectedSaved = p.candidate
-		p.candidate = p.transform(proExpandCoeff)
-		p.state = proExpand
-		p.idx = 0
-		if p.idx == p.bestIdx {
-			p.idx++
-		}
+		p.transform(proExpandCoeff, p.expanded())
+		p.begin(proExpand)
 		return
 	}
 	// The rank-ordering step: keep, per position, the better of the
 	// original and its reflection. If nothing improved anywhere,
 	// shrink toward the best instead.
-	improved := p.adoptBetter(p.candidate)
-	p.candidate = nil
-	if improved {
+	if p.adoptBetter(p.reflected()) {
 		p.refreshBest()
 		p.startRound()
 		return
@@ -320,16 +299,14 @@ func (p *PRO) afterReflect() {
 
 func (p *PRO) afterExpand() {
 	// Per position, keep the best of original, reflected, expanded.
-	p.adoptBetter(p.reflectedSaved)
-	p.adoptBetter(p.candidate)
-	p.reflectedSaved = nil
-	p.candidate = nil
+	p.adoptBetter(p.reflected())
+	p.adoptBetter(p.expanded())
 	p.refreshBest()
 	p.startRound()
 }
 
-// adoptBetter replaces population members with trial members that
-// beat them, returning whether any replacement happened.
+// adoptBetter copies into the population the trial members that beat
+// their counterparts, returning whether any replacement happened.
 func (p *PRO) adoptBetter(trial []vertex) bool {
 	improved := false
 	for i := range p.verts {
@@ -337,7 +314,8 @@ func (p *PRO) adoptBetter(trial []vertex) bool {
 			continue
 		}
 		if trial[i].f < p.verts[i].f {
-			p.verts[i] = trial[i]
+			copy(p.verts[i].x, trial[i].x)
+			p.verts[i].f = trial[i].f
 			improved = true
 		}
 	}
@@ -346,7 +324,7 @@ func (p *PRO) adoptBetter(trial []vertex) bool {
 
 func (p *PRO) candidateBeatsBest() bool {
 	best := p.verts[p.bestIdx].f
-	for i, v := range p.candidate {
+	for i, v := range p.reflected() {
 		if i == p.bestIdx {
 			continue
 		}
@@ -375,21 +353,5 @@ func (p *PRO) beginShrink() {
 		}
 		p.verts[i].x = clampFloats(p.sp, p.verts[i].x)
 	}
-	p.state = proShrink
-	p.idx = 0
-	if p.idx == p.bestIdx {
-		p.idx++
-	}
-}
-
-// collapsed reports whether the whole population snaps to one lattice
-// point.
-func (p *PRO) collapsed() bool {
-	first := p.sp.Nearest(p.verts[0].x)
-	for _, v := range p.verts[1:] {
-		if !p.sp.Nearest(v.x).Equal(first) {
-			return false
-		}
-	}
-	return true
+	p.begin(proShrink)
 }

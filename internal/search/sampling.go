@@ -1,10 +1,6 @@
 package search
 
-import (
-	"math/rand"
-
-	"harmony/internal/space"
-)
+import "harmony/internal/space"
 
 // Random is a uniform random-sampling strategy. It proposes feasible
 // points drawn uniformly from the space until MaxSamples proposals
@@ -13,16 +9,19 @@ import (
 type Random struct {
 	tracker
 	sp      *space.Space
-	rng     *rand.Rand
+	rng     seededRand
 	max     int
 	count   int
 	pending space.Point
+	batch   []space.Point // NextBatch's array
 }
 
 // NewRandom constructs a random strategy that proposes maxSamples
 // points using the given seed. maxSamples <= 0 means unbounded.
 func NewRandom(sp *space.Space, seed int64, maxSamples int) *Random {
-	return &Random{sp: sp, rng: rand.New(rand.NewSource(seed)), max: maxSamples}
+	r := &Random{sp: sp, max: maxSamples}
+	r.rng.reset(seed)
+	return r
 }
 
 // Name implements Strategy.
@@ -36,13 +35,13 @@ func (r *Random) Next() (space.Point, bool) {
 	if r.max > 0 && r.count >= r.max {
 		return nil, false
 	}
-	r.pending = r.sp.Random(r.rng)
+	r.pending = r.sp.Random(&r.rng.Rand)
 	return r.pending.Clone(), true
 }
 
 // Report implements Strategy.
 func (r *Random) Report(pt space.Point, value float64) {
-	mustPending(r.Name(), r.pending)
+	mustPending(r.Name(), r.pending != nil)
 	r.observe(pt, value)
 	r.pending = nil
 	r.count++
@@ -63,11 +62,11 @@ func (r *Random) NextBatch() []space.Point {
 	if n <= 0 {
 		return nil
 	}
-	pts := make([]space.Point, n)
-	for i := range pts {
-		pts[i] = r.sp.Random(r.rng)
+	r.batch = r.batch[:0]
+	for range n {
+		r.batch = append(r.batch, r.sp.Random(&r.rng.Rand))
 	}
-	return pts
+	return r.batch
 }
 
 // ReportBatch implements BatchStrategy.
@@ -85,10 +84,7 @@ func (r *Random) ReportBatch(pts []space.Point, values []float64) {
 // configuration space for Fig. 6. The budget bounds the number of
 // grid points.
 type Systematic struct {
-	tracker
-	points  []space.Point
-	idx     int
-	pending bool
+	walk
 	// Values records the objective at every visited grid point in
 	// visit order; Fig. 6 histograms this distribution.
 	Values []float64
@@ -97,39 +93,18 @@ type Systematic struct {
 // NewSystematic constructs a systematic-sampling strategy with at
 // most budget points.
 func NewSystematic(sp *space.Space, budget int) *Systematic {
-	return &Systematic{points: sp.Grid(budget)}
+	s := &Systematic{}
+	s.start(sp.GridLattice(budget), sp.Dims())
+	return s
 }
 
 // Name implements Strategy.
 func (s *Systematic) Name() string { return "systematic" }
 
-// Planned reports how many grid points will be visited.
-func (s *Systematic) Planned() int { return len(s.points) }
-
-// Next implements Strategy.
-func (s *Systematic) Next() (space.Point, bool) {
-	if s.idx >= len(s.points) {
-		return nil, false
-	}
-	s.pending = true
-	return s.points[s.idx].Clone(), true
-}
-
 // Report implements Strategy.
 func (s *Systematic) Report(pt space.Point, value float64) {
-	if !s.pending {
-		mustPending(s.Name(), nil)
-	}
-	s.observe(pt, value)
+	s.advance(s.Name(), pt, value)
 	s.Values = append(s.Values, value)
-	s.pending = false
-	s.idx++
-}
-
-// NextBatch implements BatchStrategy: the next DefaultBatchStride
-// unvisited grid points.
-func (s *Systematic) NextBatch() []space.Point {
-	return sliceBatch(s.points, s.idx, DefaultBatchStride)
 }
 
 // ReportBatch implements BatchStrategy.
@@ -140,55 +115,25 @@ func (s *Systematic) ReportBatch(pts []space.Point, values []float64) {
 	}
 }
 
-// Exhaustive enumerates every feasible point of a (small) space.
+// Exhaustive enumerates every feasible point of a space, in the order
+// Space.All visits them.
 type Exhaustive struct {
-	tracker
-	points  []space.Point
-	idx     int
-	pending bool
+	walk
 }
 
-// NewExhaustive constructs an exhaustive strategy. The space must be
-// small enough to enumerate; the constructor materialises all
-// feasible points.
+// NewExhaustive constructs an exhaustive strategy.
 func NewExhaustive(sp *space.Space) *Exhaustive {
 	e := &Exhaustive{}
-	sp.All(func(pt space.Point) bool {
-		e.points = append(e.points, pt)
-		return true
-	})
+	e.start(sp.FullLattice(), sp.Dims())
 	return e
 }
 
 // Name implements Strategy.
 func (e *Exhaustive) Name() string { return "exhaustive" }
 
-// Planned reports how many points will be visited.
-func (e *Exhaustive) Planned() int { return len(e.points) }
-
-// Next implements Strategy.
-func (e *Exhaustive) Next() (space.Point, bool) {
-	if e.idx >= len(e.points) {
-		return nil, false
-	}
-	e.pending = true
-	return e.points[e.idx].Clone(), true
-}
-
 // Report implements Strategy.
 func (e *Exhaustive) Report(pt space.Point, value float64) {
-	if !e.pending {
-		mustPending(e.Name(), nil)
-	}
-	e.observe(pt, value)
-	e.pending = false
-	e.idx++
-}
-
-// NextBatch implements BatchStrategy: the next DefaultBatchStride
-// unevaluated points of the enumeration.
-func (e *Exhaustive) NextBatch() []space.Point {
-	return sliceBatch(e.points, e.idx, DefaultBatchStride)
+	e.advance(e.Name(), pt, value)
 }
 
 // ReportBatch implements BatchStrategy.
@@ -199,19 +144,58 @@ func (e *Exhaustive) ReportBatch(pts []space.Point, values []float64) {
 	}
 }
 
-// sliceBatch clones the next stride points of a precomputed visit
-// order starting at idx.
-func sliceBatch(points []space.Point, idx, stride int) []space.Point {
-	if idx >= len(points) {
-		return nil
+// walk visits the feasible points of a lattice in number order. It
+// holds its position, not the points: the cursor of Systematic and
+// Exhaustive.
+type walk struct {
+	tracker
+	lat     space.Lattice
+	k       int64       // number of the next point to report; lat.Size() once exhausted
+	pt      space.Point // the point numbered k
+	pending bool
+	batch   []space.Point // NextBatch's array
+}
+
+func (w *walk) start(lat space.Lattice, dims int) {
+	w.lat, w.pt = lat, make(space.Point, dims)
+	w.k = lat.Next(0, w.pt)
+}
+
+// Planned reports how many points will be visited.
+func (w *walk) Planned() int {
+	n, pt := 0, make(space.Point, len(w.pt))
+	for k := w.lat.Next(0, pt); k < w.lat.Size(); k = w.lat.Next(k+1, pt) {
+		n++
 	}
-	end := idx + stride
-	if end > len(points) {
-		end = len(points)
+	return n
+}
+
+// Next implements Strategy.
+func (w *walk) Next() (space.Point, bool) {
+	if w.k >= w.lat.Size() {
+		return nil, false
 	}
-	out := make([]space.Point, 0, end-idx)
-	for _, pt := range points[idx:end] {
-		out = append(out, pt.Clone())
+	w.pending = true
+	return w.pt.Clone(), true
+}
+
+// advance records the value of the pending point and moves past it.
+func (w *walk) advance(name string, pt space.Point, value float64) {
+	mustPending(name, w.pending)
+	w.observe(pt, value)
+	w.pending = false
+	w.k = w.lat.Next(w.k+1, w.pt)
+}
+
+// NextBatch implements BatchStrategy: the next DefaultBatchStride
+// unvisited points.
+func (w *walk) NextBatch() []space.Point {
+	w.batch = w.batch[:0]
+	for k := w.k; k < w.lat.Size() && len(w.batch) < DefaultBatchStride; k++ {
+		pt := make(space.Point, len(w.pt))
+		if k = w.lat.Next(k, pt); k < w.lat.Size() {
+			w.batch = append(w.batch, pt)
+		}
 	}
-	return out
+	return w.batch
 }

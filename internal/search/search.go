@@ -122,8 +122,8 @@ func (t *tracker) Best() (space.Point, float64, bool) {
 	return t.best.Clone(), t.bestValue, true
 }
 
-func mustPending(name string, pending space.Point) {
-	if pending == nil {
+func mustPending(name string, pending bool) {
+	if !pending {
 		panic(fmt.Sprintf("search: %s.Report called with no pending proposal", name))
 	}
 }

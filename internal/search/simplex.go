@@ -77,16 +77,16 @@ type Simplex struct {
 	state   simplexState
 	initIdx int // next initial vertex to evaluate
 
-	// Per-iteration scratch.
+	// Per-iteration scratch, allocated once.
 	centroid  []float64
 	xr        []float64 // reflection point
 	fr        float64
 	xe        []float64 // expansion point
 	xc        []float64 // contraction point
+	snap      space.Point
 	shrinkIdx int
 
-	pending      space.Point
-	pendingX     []float64 // continuous coords behind the pending proposal
+	pendingX     []float64 // continuous coords of the pending proposal; nil if none
 	iterations   int
 	restartsUsed int
 }
@@ -96,11 +96,14 @@ func NewSimplex(sp *space.Space, opt SimplexOptions) *Simplex {
 	if opt.StepFraction == 0 {
 		opt.StepFraction = 0.25
 	}
-	s := &Simplex{sp: sp, opt: opt, dims: sp.Dims(), gamma: 2, beta: 0.5, sigma: 0.5}
+	n := sp.Dims()
+	s := &Simplex{sp: sp, opt: opt, dims: n, gamma: 2, beta: 0.5, sigma: 0.5, snap: make(space.Point, 2*n)}
 	if opt.Adaptive {
-		k := float64(sp.Dims())
+		k := float64(n)
 		s.gamma, s.beta, s.sigma = 1+2/k, 0.75-1/(2*k), 1-1/k
 	}
+	scratch := make([]float64, 4*n)
+	s.centroid, s.xr, s.xe, s.xc = scratch[:n:n], scratch[n:2*n:2*n], scratch[2*n:3*n:3*n], scratch[3*n:]
 	s.buildInitialSimplex()
 	return s
 }
@@ -166,37 +169,28 @@ func toFloats(pt space.Point) []float64 {
 
 // Next implements Strategy.
 func (s *Simplex) Next() (space.Point, bool) {
-	if s.pending != nil {
-		return s.pending.Clone(), true
+	if s.pendingX == nil {
+		switch s.state {
+		case stInit:
+			s.pendingX = s.verts[s.initIdx].x
+		case stShrink:
+			s.pendingX = s.verts[s.shrinkIdx].x
+		case stDone:
+			return nil, false
+		default:
+			// The evaluation states propose as they are entered, and
+			// only Report, which advances the machine, clears it.
+			panic("search: simplex in evaluation state with no pending proposal")
+		}
 	}
-	switch s.state {
-	case stInit:
-		s.propose(s.verts[s.initIdx].x)
-	case stShrink:
-		s.propose(s.verts[s.shrinkIdx].x)
-	case stReflect, stExpand, stContractOut, stContractIn:
-		// propose already pending; unreachable because pending is
-		// cleared only in Report, which advances the state machine.
-		panic("search: simplex in evaluation state with no pending proposal")
-	case stDone:
-		return nil, false
-	}
-	if s.state == stDone {
-		return nil, false
-	}
-	return s.pending.Clone(), true
-}
-
-func (s *Simplex) propose(x []float64) {
-	s.pendingX = x
-	s.pending = s.sp.Nearest(x)
+	return s.sp.Nearest(s.pendingX), true
 }
 
 // Report implements Strategy.
 func (s *Simplex) Report(pt space.Point, value float64) {
-	mustPending(s.Name(), s.pending)
+	mustPending(s.Name(), s.pendingX != nil)
 	s.observe(pt, value)
-	s.pending = nil
+	s.pendingX = nil
 
 	switch s.state {
 	case stInit:
@@ -252,7 +246,7 @@ func (s *Simplex) startIteration() {
 		return 0
 	})
 
-	if s.collapsed() {
+	if collapsed(s.sp, s.verts, s.snap) {
 		if s.restartsUsed >= s.opt.Restarts {
 			s.state = stDone
 			return
@@ -274,7 +268,7 @@ func (s *Simplex) startIteration() {
 	s.iterations++
 
 	n := len(s.verts) - 1
-	s.centroid = make([]float64, s.dims)
+	clear(s.centroid)
 	for _, v := range s.verts[:n] {
 		for d := range s.centroid {
 			s.centroid[d] += v.x[d]
@@ -284,19 +278,19 @@ func (s *Simplex) startIteration() {
 		s.centroid[d] /= float64(n)
 	}
 	worst := s.worst()
-	s.xr = make([]float64, s.dims)
 	for d := range s.xr {
 		s.xr[d] = s.centroid[d] + (s.centroid[d] - worst.x[d])
 	}
-	s.state = stReflect
-	s.propose(s.xr)
+	s.state, s.pendingX = stReflect, s.xr
 }
 
-// collapsed reports whether all vertices snap to one lattice point.
-func (s *Simplex) collapsed() bool {
-	first := s.sp.Nearest(s.verts[0].x)
-	for _, v := range s.verts[1:] {
-		if !s.sp.Nearest(v.x).Equal(first) {
+// collapsed reports whether all vertices snap to one lattice point,
+// snapping into snap, which has room for two points.
+func collapsed(sp *space.Space, verts []vertex, snap space.Point) bool {
+	first, pt := snap[:sp.Dims()], snap[sp.Dims():]
+	sp.NearestInto(first, verts[0].x)
+	for _, v := range verts[1:] {
+		if !sp.NearestInto(pt, v.x).Equal(first) {
 			return false
 		}
 	}
@@ -307,33 +301,27 @@ func (s *Simplex) onReflect(fr float64) {
 	switch {
 	case fr < s.verts[0].f:
 		// Best so far: try expanding further along the same ray.
-		s.xe = make([]float64, s.dims)
 		for d := range s.xe {
 			s.xe[d] = s.centroid[d] + s.gamma*(s.xr[d]-s.centroid[d])
 		}
-		s.state = stExpand
-		s.propose(s.xe)
+		s.state, s.pendingX = stExpand, s.xe
 	case fr < s.verts[len(s.verts)-2].f:
 		// Better than the second worst: accept the reflection.
 		s.replaceWorst(s.xr, fr)
 		s.startIteration()
 	case fr < s.worst().f:
 		// Outside contraction between centroid and reflection.
-		s.xc = make([]float64, s.dims)
 		for d := range s.xc {
 			s.xc[d] = s.centroid[d] + s.beta*(s.xr[d]-s.centroid[d])
 		}
-		s.state = stContractOut
-		s.propose(s.xc)
+		s.state, s.pendingX = stContractOut, s.xc
 	default:
 		// Inside contraction between centroid and the worst vertex.
 		worst := s.worst()
-		s.xc = make([]float64, s.dims)
 		for d := range s.xc {
 			s.xc[d] = s.centroid[d] + s.beta*(worst.x[d]-s.centroid[d])
 		}
-		s.state = stContractIn
-		s.propose(s.xc)
+		s.state, s.pendingX = stContractIn, s.xc
 	}
 }
 
@@ -348,7 +336,7 @@ func (s *Simplex) onExpand(fe float64) {
 
 func (s *Simplex) replaceWorst(x []float64, f float64) {
 	w := s.worst()
-	w.x = append([]float64(nil), x...)
+	copy(w.x, x)
 	w.f = f
 }
 
@@ -379,7 +367,7 @@ func (s *Simplex) beginShrink() {
 // round trip. In the expand/contract states there is nothing safe to
 // predict: every later proposal depends on values not yet measured.
 func (s *Simplex) Speculate(max int) []space.Point {
-	if s.pending == nil || max <= 0 {
+	if s.pendingX == nil || max <= 0 {
 		return nil
 	}
 	switch s.state {

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -351,7 +350,13 @@ func (s *Space) Clamp(pt Point) Point {
 // the nearest integer point in the space to approximate the
 // performance at the selected point in the continuous space".
 func (s *Space) Nearest(coords []float64) Point {
-	pt := make(Point, len(s.params))
+	return s.NearestInto(make(Point, len(s.params)), coords)
+}
+
+// NearestInto is Nearest writing into pt, which has Dims coordinates,
+// and returning it: a caller that only compares snapped points reuses
+// one.
+func (s *Space) NearestInto(pt Point, coords []float64) Point {
 	for i := range pt {
 		v := int64(floorHalfUp(coords[i]))
 		if v < 0 {
@@ -587,27 +592,56 @@ func (s *Space) AxisPoints(pt Point, dim int) []Point {
 // "systematic sampling (i.e., using configurations that are evenly
 // distributed in the whole search space)" used for Fig. 6.
 func (s *Space) Grid(budget int) []Point {
-	if budget <= 0 {
-		return nil
+	var out []Point
+	l, pt := s.GridLattice(budget), make(Point, len(s.params))
+	for k := l.Next(0, pt); k < l.Size(); k = l.Next(k+1, pt) {
+		out = append(out, pt.Clone())
 	}
-	dims := len(s.params)
-	// Choose per-dimension sample counts: start at 1 and greedily
-	// increase the dimension whose increment keeps the product within
-	// budget, preferring dimensions with more levels.
-	counts := make([]int64, dims)
+	return out
+}
+
+// All enumerates every feasible lattice point, calling fn for each;
+// enumeration stops early if fn returns false. Intended only for
+// small spaces (exhaustive search, tests).
+func (s *Space) All(fn func(Point) bool) {
+	l, pt := s.FullLattice(), make(Point, len(s.params))
+	for k := l.Next(0, pt); k < l.Size(); k = l.Next(k+1, pt) {
+		if !fn(pt.Clone()) {
+			return
+		}
+	}
+}
+
+// Lattice is a regular sub-lattice of a space's bounding box:
+// dimension d takes counts[d] of its levels, evenly spread (the middle
+// one alone, or both ends and evenly spaced levels between). Its
+// points are numbered 0..Size()-1 in odometer order, the last
+// dimension turning fastest, and Next decodes a number, so a walk over
+// a lattice holds one number, not its points.
+type Lattice struct {
+	sp     *Space
+	counts []int64
+	size   int64 // saturating at math.MaxInt64, like Space.Size
+}
+
+// GridLattice is the lattice Grid(budget) visits: at most budget
+// points. Starting from one level per dimension, it repeatedly adds a
+// level to the dimension with the most levels whose increment keeps
+// the product within budget.
+func (s *Space) GridLattice(budget int) Lattice {
+	counts := make([]int64, len(s.params))
+	if budget <= 0 {
+		return Lattice{sp: s, counts: counts}
+	}
+	product := int64(1)
 	for i := range counts {
 		counts[i] = 1
 	}
-	product := int64(1)
 	for {
 		best := -1
 		var bestLevels int64
 		for i, p := range s.params {
-			if counts[i] >= p.Levels() {
-				continue
-			}
-			next := product / counts[i] * (counts[i] + 1)
-			if next > int64(budget) {
+			if counts[i] >= p.Levels() || product/counts[i]*(counts[i]+1) > int64(budget) {
 				continue
 			}
 			if best == -1 || p.Levels() > bestLevels {
@@ -615,83 +649,52 @@ func (s *Space) Grid(budget int) []Point {
 			}
 		}
 		if best == -1 {
-			break
+			return Lattice{sp: s, counts: counts, size: product}
 		}
 		product = product / counts[best] * (counts[best] + 1)
 		counts[best]++
 	}
-	// Levels chosen per dimension, evenly spread including endpoints.
-	levels := make([][]int64, dims)
+}
+
+// FullLattice is every point of the bounding box: the lattice All
+// visits.
+func (s *Space) FullLattice() Lattice {
+	counts := make([]int64, len(s.params))
 	for i, p := range s.params {
-		levels[i] = spread(p.Levels(), counts[i])
+		counts[i] = p.Levels()
 	}
-	var out []Point
-	pt := make(Point, dims)
-	var walk func(d int)
-	walk = func(d int) {
-		if d == dims {
-			if s.constraint == nil || s.constraint(pt) {
-				out = append(out, pt.Clone())
-			}
-			return
-		}
-		for _, lvl := range levels[d] {
-			pt[d] = lvl
-			walk(d + 1)
-		}
-	}
-	walk(0)
-	return out
+	return Lattice{sp: s, counts: counts, size: s.Size()}
 }
 
-// spread picks n distinct levels evenly from [0, total), always
-// including 0 and total-1 when n > 1.
-func spread(total, n int64) []int64 {
-	if n >= total {
-		out := make([]int64, total)
-		for i := range out {
-			out[i] = int64(i)
+// Size is the number of lattice points, feasible or not.
+func (l Lattice) Size() int64 { return l.size }
+
+// Next writes the first feasible point numbered k or later into pt,
+// which has Dims coordinates, and returns its number, or Size() when
+// there is none.
+func (l Lattice) Next(k int64, pt Point) int64 {
+	for ; k < l.size; k++ {
+		r := k
+		for d := len(l.counts) - 1; d >= 0; d-- {
+			pt[d] = spreadLevel(l.sp.params[d].Levels(), l.counts[d], r%l.counts[d])
+			r /= l.counts[d]
 		}
-		return out
-	}
-	out := make([]int64, 0, n)
-	if n == 1 {
-		return append(out, (total-1)/2)
-	}
-	for i := int64(0); i < n; i++ {
-		out = append(out, i*(total-1)/(n-1))
-	}
-	// Deduplicate (possible when total is small relative to n).
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	dedup := out[:1]
-	for _, v := range out[1:] {
-		if v != dedup[len(dedup)-1] {
-			dedup = append(dedup, v)
+		if l.sp.constraint == nil || l.sp.constraint(pt) {
+			return k
 		}
 	}
-	return dedup
+	return l.size
 }
 
-// All enumerates every feasible lattice point, calling fn for each;
-// enumeration stops early if fn returns false. Intended only for
-// small spaces (exhaustive search, tests).
-func (s *Space) All(fn func(Point) bool) {
-	pt := make(Point, len(s.params))
-	var walk func(d int) bool
-	walk = func(d int) bool {
-		if d == len(s.params) {
-			if s.constraint != nil && !s.constraint(pt) {
-				return true
-			}
-			return fn(pt.Clone())
-		}
-		for lvl := int64(0); lvl < s.params[d].Levels(); lvl++ {
-			pt[d] = lvl
-			if !walk(d + 1) {
-				return false
-			}
-		}
-		return true
+// spreadLevel is the i-th of n distinct levels picked evenly from
+// [0, total), including 0 and total-1 when n > 1. The picks are
+// distinct because consecutive ones lie (total-1)/(n-1) >= 1 apart.
+func spreadLevel(total, n, i int64) int64 {
+	switch {
+	case n >= total:
+		return i
+	case n == 1:
+		return (total - 1) / 2
 	}
-	walk(0)
+	return i * (total - 1) / (n - 1)
 }
