@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkHarmonyvet times a full-repo vet run — load and type-check
-// the module from source, run all eight analyzers (the interprocedural
+// the module from source, run all seven analyzers (the interprocedural
 // ones follow the call graph and fact store), filter suppressions.
 // This is exactly the CI gate, so the benchmark is the budget that
 // keeps the gate blocking: a full run must stay under a few seconds.

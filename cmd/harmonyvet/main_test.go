@@ -34,8 +34,6 @@ func TestSelfHostClean(t *testing.T) {
 // the count DESIGN.md and ROADMAP.md quote.
 func TestSuppressionInventory(t *testing.T) {
 	want := [][2]string{
-		{"internal/proto/proto.go", "protowire"},
-		{"internal/proto/proto.go", "protowire"},
 		{"internal/server/server.go", "maporder"},
 		{"internal/simmpi/sched.go", "allocfree"},
 	}
@@ -91,7 +89,6 @@ func TestFixturesFail(t *testing.T) {
 		{"proto", "errdrop"},
 		{"allocfree", "allocfree"},
 		{"lockorder", "lockorder"},
-		{"protowire", "protowire"},
 		{"prunepurity", "prunepurity"},
 	}
 	for _, tc := range cases {
@@ -118,7 +115,7 @@ func TestListFlag(t *testing.T) {
 	}
 	for _, name := range []string{
 		"wallclock", "maporder", "randsource", "errdrop",
-		"allocfree", "lockorder", "protowire", "prunepurity",
+		"allocfree", "lockorder", "prunepurity",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())
@@ -143,7 +140,7 @@ func TestOnlyFlag(t *testing.T) {
 
 // TestOnlyExclude checks the -name exclusion syntax: the allocfree
 // fixture is dirty, but only under allocfree, so excluding that one
-// analyzer runs the other seven and exits clean.
+// analyzer runs the other six and exits clean.
 func TestOnlyExclude(t *testing.T) {
 	var out, errb bytes.Buffer
 	pattern := "./internal/analysis/testdata/src/allocfree"
@@ -274,11 +271,6 @@ var seededDefects = []struct {
 		"\ts.mu.Lock()\n\tdefer s.mu.Unlock()\n\ts.records = append(s.records, rec)\n",
 		"\ts.records = append(s.records, rec)\n",
 		"return s.flushLocked()"},
-	// A Message field with no binary tag.
-	{"protowire", "internal/proto/proto.go",
-		"\tError string `json:\"error,omitempty\"`\n}\n",
-		"\tError  string `json:\"error,omitempty\"`\n\tDetail string `json:\"detail,omitempty\"`\n}\n",
-		"\tDetail string"},
 	// A pruned candidate's prediction charged as run cost.
 	{"prunepurity", "internal/core/driver.go",
 		"\t\t\tt.Value, t.Pruned = c.Predicted, true\n",

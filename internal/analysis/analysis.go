@@ -85,7 +85,6 @@ func All() []*Analyzer {
 		errdropAnalyzer,
 		allocfreeAnalyzer,
 		lockorderAnalyzer,
-		protowireAnalyzer,
 		prunepurityAnalyzer,
 	}
 }

@@ -120,7 +120,6 @@ func TestSuppressionFixture(t *testing.T) { runFixture(t, "suppress", "maporder"
 // one justified suppression.
 func TestAllocfreeFixture(t *testing.T)   { runFixture(t, "allocfree", "allocfree") }
 func TestLockorderFixture(t *testing.T)   { runFixture(t, "lockorder", "lockorder") }
-func TestProtowireFixture(t *testing.T)   { runFixture(t, "protowire", "protowire") }
 func TestPrunepurityFixture(t *testing.T) { runFixture(t, "prunepurity", "prunepurity") }
 
 // TestSuppressionValidation checks that malformed directives are
@@ -159,7 +158,7 @@ func TestSuppressionValidation(t *testing.T) {
 func TestAnalyzerInventory(t *testing.T) {
 	want := []string{
 		"wallclock", "maporder", "randsource", "errdrop",
-		"allocfree", "lockorder", "protowire", "prunepurity",
+		"allocfree", "lockorder", "prunepurity",
 	}
 	all := All()
 	if len(all) != len(want) {

@@ -22,10 +22,14 @@
 //	  uvarint message count
 //	  message count × encoded Message
 //
-// A message is a type code (see typeCodes) followed by (tag, value)
-// pairs terminated by tag 0. Only non-zero fields are written. Perf
-// travels as raw IEEE-754 bits, so ±Inf and NaN round-trip without
-// the PerfText detour the JSON protocol needs.
+// A message is a type code (see typeNames) followed by (tag, value)
+// pairs terminated by tag 0: each non-zero field under the tag
+// Message.field gives it, in struct order, though a decoder takes them
+// in any order. A value is a string, a signed varint (Seq: a uvarint),
+// one byte for a bool, the raw IEEE-754 bits of a float — so ±Inf, NaN
+// and -0 round-trip without the PerfText detour the JSON protocol
+// needs — or a uvarint count and the elements of space, an enum's
+// values or values.
 package proto
 
 import (
@@ -57,56 +61,37 @@ type Frame struct {
 	strs strTable // the values keys and values decoded into it last
 }
 
-// typeCodes maps message types onto compact wire codes. Code 0 is
+// typeNames maps a wire type code to its message type. Code 0 is
 // reserved: it prefixes a literal type string, keeping the codec open
 // to message types this table predates.
-var typeCodes = map[string]byte{
-	TypeRegister:   1,
-	TypeRegistered: 2,
-	TypeFetch:      3,
-	TypeConfig:     4,
-	TypeReport:     5,
-	TypeBest:       6,
-	TypeBestReply:  7,
-	TypeDone:       8,
-	TypeOK:         9,
-	TypeError:      10,
+var typeNames = [...]string{1: TypeRegister, TypeRegistered, TypeFetch, TypeConfig,
+	TypeReport, TypeBest, TypeBestReply, TypeDone, TypeOK, TypeError}
+
+// typeCode returns t's wire type code, or 0 if it has none.
+func typeCode(t string) byte {
+	for code := 1; code < len(typeNames); code++ {
+		if typeNames[code] == t {
+			return byte(code)
+		}
+	}
+	return 0
 }
 
-var typeNames = func() map[byte]string {
-	m := make(map[byte]string, len(typeCodes))
-	for name, code := range typeCodes {
-		m[code] = name
+// fieldOfTag maps a binary field tag to 1 + its index in Message.field;
+// 0 marks a tag no field has. A tag beyond it would stay unknown to the
+// decoder, so TestFieldTable bounds the tags.
+var fieldOfTag = func() (idx [32]byte) {
+	var m Message
+	for i := 0; ; i++ {
+		_, tag, p := m.field(i)
+		if p == nil {
+			return idx
+		}
+		if tag != 0 && int(tag) < len(idx) {
+			idx[tag] = byte(i + 1)
+		}
 	}
-	return m
 }()
-
-// Field tags of the binary message encoding. Tag 0 terminates.
-const (
-	tagSession   = 1
-	tagApp       = 2
-	tagMachine   = 3
-	tagStrategy  = 4
-	tagSpace     = 5
-	tagSeed      = 6
-	tagMaxRuns   = 7
-	tagReporters = 8
-	tagParallel  = 9
-	tagTag       = 10
-	tagGen       = 11
-	tagValues    = 12
-	tagConverged = 13
-	tagPerf      = 14
-	tagError     = 15
-	tagSeq       = 16
-	tagCacheNS   = 17
-
-	tagSurrogate     = 18
-	tagSurrogateKeep = 19
-	tagAsync         = 20
-	tagAsyncDepth    = 21
-	tagNext          = 22
-)
 
 // WriteHandshake sends the magic plus version; used by the client to
 // open and by the server to accept.
@@ -143,11 +128,7 @@ func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 	buf = binary.AppendUvarint(buf, f.ID)
 	buf = binary.AppendUvarint(buf, uint64(len(f.Msgs)))
 	for _, m := range f.Msgs {
-		var err error
-		buf, err = appendMessage(buf, m)
-		if err != nil {
-			return nil, err
-		}
+		buf = appendMessage(buf, m)
 	}
 	payload := len(buf) - start - 4
 	if payload > MaxFrame {
@@ -210,11 +191,11 @@ func ReadFrameInto(r *bufio.Reader, f *Frame) error {
 func decodeFrame(payload []byte, f *Frame) error {
 	d := &decoder{buf: payload, strs: &f.strs}
 	f.ID = d.uvarint()
-	count := d.uvarint()
-	if count > uint64(len(payload)) { // each message costs at least one byte
-		return fmt.Errorf("proto: frame claims %d messages in %d bytes", count, len(payload))
+	count := d.count(2) // a type code and the terminating tag
+	if d.err != nil {
+		return fmt.Errorf("proto: frame: %w", d.err)
 	}
-	f.Msgs = slices.Grow(f.Msgs[:0], int(count))[:count]
+	f.Msgs = slices.Grow(f.Msgs[:0], count)[:count]
 	for i, m := range f.Msgs {
 		if m == nil {
 			m = new(Message)
@@ -253,101 +234,76 @@ func unexpectedEOF(err error) error {
 }
 
 // appendMessage encodes m in tagged binary form.
-func appendMessage(buf []byte, m *Message) ([]byte, error) {
-	if code, ok := typeCodes[m.Type]; ok {
+func appendMessage(buf []byte, m *Message) []byte {
+	if code := typeCode(m.Type); code != 0 {
 		buf = append(buf, code)
 	} else {
-		buf = append(buf, 0)
-		buf = appendString(buf, m.Type)
+		buf = appendString(append(buf, 0), m.Type)
 	}
-	if m.Session != "" {
-		buf = appendString(append(buf, tagSession), m.Session)
-	}
-	if m.App != "" {
-		buf = appendString(append(buf, tagApp), m.App)
-	}
-	if m.Machine != "" {
-		buf = appendString(append(buf, tagMachine), m.Machine)
-	}
-	if m.Strategy != "" {
-		buf = appendString(append(buf, tagStrategy), m.Strategy)
-	}
-	if len(m.Space) > 0 {
-		buf = append(buf, tagSpace)
-		buf = binary.AppendUvarint(buf, uint64(len(m.Space)))
-		for _, p := range m.Space {
-			buf = appendString(buf, p.Name)
-			buf = appendString(buf, p.Kind)
-			buf = binary.AppendVarint(buf, p.Min)
-			buf = binary.AppendVarint(buf, p.Max)
-			buf = binary.AppendVarint(buf, p.Step)
-			buf = binary.AppendUvarint(buf, uint64(len(p.Values)))
-			for _, v := range p.Values {
-				buf = appendString(buf, v)
+	for i := 0; ; i++ {
+		_, tag, p := m.field(i)
+		if p == nil {
+			return append(buf, 0)
+		}
+		if tag == 0 {
+			continue
+		}
+		switch p := p.(type) {
+		case *string:
+			if *p != "" {
+				buf = appendString(append(buf, tag), *p)
+			}
+		case *int:
+			if *p != 0 {
+				buf = binary.AppendVarint(append(buf, tag), int64(*p))
+			}
+		case *int64:
+			if *p != 0 {
+				buf = binary.AppendVarint(append(buf, tag), *p)
+			}
+		case *uint64:
+			if *p != 0 {
+				buf = binary.AppendUvarint(append(buf, tag), *p)
+			}
+		case *bool:
+			if *p {
+				buf = append(buf, tag, 1)
+			}
+		case *float64:
+			if bits := math.Float64bits(*p); bits != 0 {
+				buf = binary.BigEndian.AppendUint64(append(buf, tag), bits)
+			}
+		case *[]ParamSpec:
+			if len(*p) > 0 {
+				buf = appendSpace(append(buf, tag), *p)
+			}
+		case *map[string]string:
+			if len(*p) > 0 {
+				buf = binary.AppendUvarint(append(buf, tag), uint64(len(*p)))
+				// The keys of a configuration fit the stack array.
+				var stack [16]string
+				for _, k := range sortedKeys(stack[:0], *p) {
+					buf = appendString(appendString(buf, k), (*p)[k])
+				}
 			}
 		}
 	}
-	if m.Seed != 0 {
-		buf = binary.AppendVarint(append(buf, tagSeed), m.Seed)
-	}
-	if m.MaxRuns != 0 {
-		buf = binary.AppendVarint(append(buf, tagMaxRuns), int64(m.MaxRuns))
-	}
-	if m.Reporters != 0 {
-		buf = binary.AppendVarint(append(buf, tagReporters), int64(m.Reporters))
-	}
-	if m.Parallel {
-		buf = append(buf, tagParallel, 1)
-	}
-	if m.Tag != 0 {
-		buf = binary.AppendVarint(append(buf, tagTag), int64(m.Tag))
-	}
-	if m.Gen != 0 {
-		buf = binary.AppendVarint(append(buf, tagGen), int64(m.Gen))
-	}
-	if len(m.Values) > 0 {
-		buf = append(buf, tagValues)
-		buf = binary.AppendUvarint(buf, uint64(len(m.Values)))
-		// The keys of a configuration fit the stack array.
-		var stack [16]string
-		for _, k := range sortedKeys(stack[:0], m.Values) {
-			buf = appendString(buf, k)
-			buf = appendString(buf, m.Values[k])
+}
+
+func appendSpace(buf []byte, specs []ParamSpec) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(specs)))
+	for _, p := range specs {
+		buf = appendString(buf, p.Name)
+		buf = appendString(buf, p.Kind)
+		buf = binary.AppendVarint(buf, p.Min)
+		buf = binary.AppendVarint(buf, p.Max)
+		buf = binary.AppendVarint(buf, p.Step)
+		buf = binary.AppendUvarint(buf, uint64(len(p.Values)))
+		for _, v := range p.Values {
+			buf = appendString(buf, v)
 		}
 	}
-	if m.Converged {
-		buf = append(buf, tagConverged, 1)
-	}
-	if m.Next {
-		buf = append(buf, tagNext, 1)
-	}
-	if m.Perf != 0 || math.Signbit(m.Perf) || math.IsNaN(m.Perf) {
-		buf = append(buf, tagPerf)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.Perf))
-	}
-	if m.Error != "" {
-		buf = appendString(append(buf, tagError), m.Error)
-	}
-	if m.Seq != 0 {
-		buf = binary.AppendUvarint(append(buf, tagSeq), m.Seq)
-	}
-	if m.CacheNS != "" {
-		buf = appendString(append(buf, tagCacheNS), m.CacheNS)
-	}
-	if m.Surrogate {
-		buf = append(buf, tagSurrogate, 1)
-	}
-	if m.SurrogateKeep != 0 {
-		buf = append(buf, tagSurrogateKeep)
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.SurrogateKeep))
-	}
-	if m.Async {
-		buf = append(buf, tagAsync, 1)
-	}
-	if m.AsyncDepth != 0 {
-		buf = binary.AppendVarint(append(buf, tagAsyncDepth), int64(m.AsyncDepth))
-	}
-	return append(buf, 0), nil
+	return buf
 }
 
 func appendString(buf []byte, s string) []byte {
@@ -409,6 +365,18 @@ func (d *decoder) byte() byte {
 	return b
 }
 
+// count decodes the number of elements that follow, each at least
+// size bytes long, and fails if the bytes left cannot hold them: a
+// peer's claim never sizes memory its frame does not back.
+func (d *decoder) count(size int) int {
+	n := d.uvarint()
+	if left := uint64(len(d.buf)-d.off) / uint64(size); n > left {
+		d.fail("%d elements of at least %d bytes claimed in %d bytes", n, size, len(d.buf)-d.off)
+		return 0
+	}
+	return int(n)
+}
+
 // bytes decodes a string's bytes, not copied out of the frame.
 func (d *decoder) bytes() []byte {
 	n := d.uvarint()
@@ -451,8 +419,8 @@ func decodeMessage(d *decoder, m *Message) {
 	code := d.byte()
 	if code == 0 {
 		m.Type = d.string(prev.Type)
-	} else if name, ok := typeNames[code]; ok {
-		m.Type = name
+	} else if int(code) < len(typeNames) {
+		m.Type = typeNames[code]
 	} else {
 		d.fail("unknown message type code %d", code)
 		return
@@ -466,94 +434,65 @@ func decodeMessage(d *decoder, m *Message) {
 		if tag == 0 || d.err != nil {
 			break
 		}
-		switch tag {
-		case tagSession:
-			m.Session = d.string(prev.Session)
-		case tagApp:
-			m.App = d.string(prev.App)
-		case tagMachine:
-			m.Machine = d.string(prev.Machine)
-		case tagStrategy:
-			m.Strategy = d.string(prev.Strategy)
-		case tagSpace:
-			n := d.uvarint()
-			if n > uint64(len(d.buf)) {
-				d.fail("space claims %d params in %d bytes", n, len(d.buf))
-				break
-			}
-			// An empty list decodes as absent, which is how it is encoded.
-			m.Space = nil
-			if n > 0 {
-				m.Space = make([]ParamSpec, 0, n)
-			}
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				var p ParamSpec
-				p.Name = d.string("")
-				p.Kind = d.string("")
-				p.Min = d.varint()
-				p.Max = d.varint()
-				p.Step = d.varint()
-				nv := d.uvarint()
-				if nv > uint64(len(d.buf)) {
-					d.fail("enum claims %d values in %d bytes", nv, len(d.buf))
-					break
-				}
-				for j := uint64(0); j < nv && d.err == nil; j++ {
-					p.Values = append(p.Values, d.string(""))
-				}
-				m.Space = append(m.Space, p)
-			}
-		case tagSeed:
-			m.Seed = d.varint()
-		case tagMaxRuns:
-			m.MaxRuns = int(d.varint())
-		case tagReporters:
-			m.Reporters = int(d.varint())
-		case tagParallel:
-			m.Parallel = d.byte() != 0
-		case tagTag:
-			m.Tag = int(d.varint())
-		case tagGen:
-			m.Gen = int(d.varint())
-		case tagValues:
-			n := d.uvarint()
-			if n > uint64(len(d.buf)) {
-				d.fail("values claim %d entries in %d bytes", n, len(d.buf))
-				break
-			}
-			m.Values = nil
-			if n > 0 && prev.Values != nil {
-				clear(prev.Values)
-				m.Values, prev.Values = prev.Values, nil
-			} else if n > 0 {
-				m.Values = make(map[string]string, n)
-			}
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				k := d.strs.string(d.bytes())
-				m.Values[k] = d.strs.string(d.bytes())
-			}
-		case tagConverged:
-			m.Converged = d.byte() != 0
-		case tagNext:
-			m.Next = d.byte() != 0
-		case tagPerf:
-			m.Perf = d.float64()
-		case tagError:
-			m.Error = d.string(prev.Error)
-		case tagSeq:
-			m.Seq = d.uvarint()
-		case tagCacheNS:
-			m.CacheNS = d.string(prev.CacheNS)
-		case tagSurrogate:
-			m.Surrogate = d.byte() != 0
-		case tagSurrogateKeep:
-			m.SurrogateKeep = d.float64()
-		case tagAsync:
-			m.Async = d.byte() != 0
-		case tagAsyncDepth:
-			m.AsyncDepth = int(d.varint())
-		default:
+		if int(tag) >= len(fieldOfTag) || fieldOfTag[tag] == 0 {
 			d.fail("unknown field tag %d", tag)
+			break
+		}
+		i := int(fieldOfTag[tag]) - 1
+		_, _, p := m.field(i)
+		switch p := p.(type) {
+		case *string:
+			_, _, old := prev.field(i)
+			*p = d.string(*old.(*string))
+		case *int:
+			*p = int(d.varint())
+		case *int64:
+			*p = d.varint()
+		case *uint64:
+			*p = d.uvarint()
+		case *bool:
+			*p = d.byte() != 0
+		case *float64:
+			*p = d.float64()
+		case *[]ParamSpec:
+			*p = d.space()
+		case *map[string]string:
+			_, _, old := prev.field(i)
+			spare := old.(*map[string]string)
+			n := d.count(2) // two empty strings
+			*p = nil
+			if n > 0 && *spare != nil {
+				clear(*spare)
+				*p, *spare = *spare, nil
+			} else if n > 0 {
+				*p = make(map[string]string, min(n, 16)) // a configuration's keys fit appendMessage's stack array
+			}
+			for j := 0; j < n && d.err == nil; j++ {
+				k := d.strs.string(d.bytes())
+				(*p)[k] = d.strs.string(d.bytes())
+			}
 		}
 	}
+}
+
+// space decodes a space; an empty one decodes as absent, which is how
+// it is encoded.
+func (d *decoder) space() []ParamSpec {
+	n := d.count(6) // two empty strings, three one-byte varints, no values
+	if n == 0 {
+		return nil
+	}
+	specs := make([]ParamSpec, n)
+	for i := range specs {
+		p := &specs[i]
+		p.Name = d.string("")
+		p.Kind = d.string("")
+		p.Min = d.varint()
+		p.Max = d.varint()
+		p.Step = d.varint()
+		for range d.count(1) {
+			p.Values = append(p.Values, d.string(""))
+		}
+	}
+	return specs
 }

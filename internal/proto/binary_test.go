@@ -3,14 +3,14 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"harmony/internal/space"
 )
 
 func frameRoundTrip(t *testing.T, f *Frame) *Frame {
@@ -26,31 +26,16 @@ func frameRoundTrip(t *testing.T, f *Frame) *Frame {
 	return got
 }
 
+// TestBinaryMessageRoundTripAllFields: a message with every field set
+// crosses a binary frame unchanged, whether its type has a code or
+// travels as a literal string. PerfText, which only JSON uses, is left
+// out.
 func TestBinaryMessageRoundTripAllFields(t *testing.T) {
-	sp := space.MustNew(
-		space.IntParam("rows", 10, 100, 10),
-		space.EnumParam("alg", "heap", "quick"),
-		space.IntParam("bias", -5, 5, 1),
-	)
-	msgs := []*Message{
-		{
-			Type: TypeRegister, App: "gs2", Machine: "mcr", Strategy: StrategyPRO,
-			Space: EncodeSpace(sp), Seed: -42, MaxRuns: 64, Reporters: 3,
-			Parallel: true, Seq: 7, CacheNS: "tenant-a",
-			Surrogate: true, SurrogateKeep: 0.25,
-			Async: true, AsyncDepth: 12,
-		},
-		{Type: TypeRegistered, Session: "s17", Seq: 7},
-		{Type: TypeFetch, Session: "s17", Seq: 8},
-		{
-			Type: TypeConfig, Values: map[string]string{"rows": "40", "alg": "heap", "bias": "-3"},
-			Tag: 12, Gen: 9, Converged: true, Seq: 8,
-		},
-		{Type: TypeReport, Session: "s17", Perf: 16.25, Tag: 12, Gen: 9, Next: true, Seq: 9},
-		{Type: TypeBestReply, Values: map[string]string{"alg": "quick"}, Perf: -1.5},
-		{Type: TypeError, Error: "unknown session \"nope\""},
-		{Type: TypeOK},
-	}
+	literal := everyField(t)
+	literal.PerfText = ""
+	coded := everyField(t)
+	coded.Type, coded.PerfText = TypeConfig, ""
+	msgs := []*Message{literal, coded, {Type: TypeOK}}
 	got := frameRoundTrip(t, &Frame{ID: 3, Msgs: msgs})
 	if got.ID != 3 || len(got.Msgs) != len(msgs) {
 		t.Fatalf("frame = id %d, %d msgs; want id 3, %d msgs", got.ID, len(got.Msgs), len(msgs))
@@ -59,6 +44,23 @@ func TestBinaryMessageRoundTripAllFields(t *testing.T) {
 		if !reflect.DeepEqual(got.Msgs[i], want) {
 			t.Errorf("msg %d:\n got %+v\nwant %+v", i, got.Msgs[i], want)
 		}
+	}
+}
+
+// TestBinaryTagNumbers pins every field's tag: a frame of one config
+// with every field set, written in tag order rather than the struct
+// order AppendFrame uses, decodes to that message, so tags keep their
+// numbers and a decoder takes fields in any order.
+func TestBinaryTagNumbers(t *testing.T) {
+	const wire = "\x00\x00\x00\x81\x03\x01\x04\x01\aSession\x02\x03App\x03\aMachine\x04\bStrategy\x05\x01\x04Name\x04Kind\x05\a\t\x01\x06Values\x06\x0f\a\x11\b\x13\t\x01\n!\v#\f\x01\x01k\x06Values\r\x01\x16\x01\x0e@5\x80\x00\x00\x00\x00\x00\x0f\x05Error\x10\x03\x11\aCacheNS\x12\x01\x13@+\x00\x00\x00\x00\x00\x00\x14\x01\x15\x1f\x00"
+	want := everyField(t)
+	want.Type, want.PerfText = TypeConfig, ""
+	got, err := ReadFrame(bufio.NewReader(strings.NewReader(wire)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != 3 || len(got.Msgs) != 1 || !reflect.DeepEqual(got.Msgs[0], want) {
+		t.Errorf("frame id %d, messages %+v\nwant id 3, message %+v", got.ID, got.Msgs, want)
 	}
 }
 
@@ -132,6 +134,25 @@ func TestBinaryHandshake(t *testing.T) {
 	}
 }
 
+// fieldTag is the binary tag of the member with JSON key key.
+func fieldTag(key string) byte {
+	var m Message
+	for i := 0; ; i++ {
+		k, tag, p := m.field(i)
+		if k == key || p == nil {
+			return tag
+		}
+	}
+}
+
+// overclaimFrame is a frame with a size-byte payload: one config whose
+// field tag claims as many elements as the payload has bytes.
+func overclaimFrame(tag byte, size int) []byte {
+	payload := binary.AppendUvarint([]byte{1, 1, 4, tag}, uint64(size)) // id, count, config
+	payload = append(payload, make([]byte, size-len(payload))...)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(size)), payload...)
+}
+
 func TestBinaryFrameMalformed(t *testing.T) {
 	cases := []struct {
 		name string
@@ -148,6 +169,22 @@ func TestBinaryFrameMalformed(t *testing.T) {
 	for _, c := range cases {
 		if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(c.raw))); err == nil {
 			t.Errorf("%s: expected error", c.name)
+		}
+	}
+	// A count the frame cannot back is refused before it sizes memory:
+	// a 1 MiB frame that claims a param, or a values entry, per byte
+	// allocates little more than its payload.
+	for _, key := range []string{"space", "values"} {
+		raw := overclaimFrame(fieldTag(key), 1<<20)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadFrame(bufio.NewReader(bytes.NewReader(raw)))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s claiming an element per byte: expected error", key)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 4<<20 {
+			t.Errorf("%s claiming an element per byte: ReadFrame allocated %d bytes for a 1 MiB frame", key, n)
 		}
 	}
 	// Clean EOF at a frame boundary is io.EOF, not an error message.

@@ -25,64 +25,6 @@ import (
 	"unicode/utf8"
 )
 
-// jsonField returns the JSON key of Message's i-th member in struct
-// field order and a pointer to its field, or a nil pointer past the
-// last. Every member but type is omitempty. TestJSONFieldsFollowTags
-// holds the list to the struct's json tags.
-func (m *Message) jsonField(i int) (string, any) {
-	switch i {
-	case 0:
-		return "type", &m.Type
-	case 1:
-		return "session", &m.Session
-	case 2:
-		return "seq", &m.Seq
-	case 3:
-		return "app", &m.App
-	case 4:
-		return "machine", &m.Machine
-	case 5:
-		return "strategy", &m.Strategy
-	case 6:
-		return "space", &m.Space
-	case 7:
-		return "seed", &m.Seed
-	case 8:
-		return "max_runs", &m.MaxRuns
-	case 9:
-		return "reporters", &m.Reporters
-	case 10:
-		return "cache_ns", &m.CacheNS
-	case 11:
-		return "parallel", &m.Parallel
-	case 12:
-		return "surrogate", &m.Surrogate
-	case 13:
-		return "surrogate_keep", &m.SurrogateKeep
-	case 14:
-		return "async", &m.Async
-	case 15:
-		return "async_depth", &m.AsyncDepth
-	case 16:
-		return "tag", &m.Tag
-	case 17:
-		return "gen", &m.Gen
-	case 18:
-		return "values", &m.Values
-	case 19:
-		return "converged", &m.Converged
-	case 20:
-		return "next", &m.Next
-	case 21:
-		return "perf", &m.Perf
-	case 22:
-		return "perf_text", &m.PerfText
-	case 23:
-		return "error", &m.Error
-	}
-	return "", nil
-}
-
 // appendJSON appends m's canonical line, newline included. A non-finite
 // Perf goes out as perf_text; a non-finite SurrogateKeep has no JSON
 // form and is an error, as it is to encoding/json.
@@ -93,7 +35,7 @@ func appendJSON(buf []byte, m *Message) ([]byte, error) {
 	}
 	buf = append(buf, '{')
 	for i := 0; ; i++ {
-		key, p := m.jsonField(i)
+		key, _, p := m.field(i)
 		switch p := p.(type) {
 		case nil:
 			return append(buf, '}', '\n'), nil
@@ -292,7 +234,7 @@ func (c *Conn) decodeJSON(line []byte, m *Message) bool {
 		b = rest[1:]
 		var field any
 		for field == nil {
-			name, p := m.jsonField(next)
+			name, _, p := m.field(next)
 			if p == nil {
 				return false
 			}
@@ -307,12 +249,12 @@ func (c *Conn) decodeJSON(line []byte, m *Message) bool {
 				return false
 			}
 			if p == &m.Type {
-				if code, known := typeCodes[string(s)]; known {
+				if code := typeCode(string(s)); code != 0 {
 					*p = typeNames[code]
 					break
 				}
 			}
-			_, old := prev.jsonField(next - 1)
+			_, _, old := prev.field(next - 1)
 			*p = reuse(*old.(*string), s)
 		case *int:
 			var v int64

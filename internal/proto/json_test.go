@@ -135,52 +135,81 @@ func TestSendMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestJSONFieldTable: Message.jsonField lists every field of Message,
-// in order, under its json tag, and Send writes every tag of Message
-// and ParamSpec when each field is set, so a new field cannot drop off
-// the JSON framing unnoticed. The fast decoder takes the line back.
-func TestJSONFieldTable(t *testing.T) {
+// everyField returns a message with every field set, each to a value
+// of its own: a string field holds its name, an integer its index. Its
+// space is one parameter with every field set too.
+func everyField(t *testing.T) *Message {
+	t.Helper()
 	var m Message
-	mv := reflect.ValueOf(&m).Elem()
-	for i := range mv.NumField() {
-		key, p := m.jsonField(i)
-		sf := mv.Type().Field(i)
-		tag, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
-		if key != tag || p == nil || reflect.ValueOf(p).Pointer() != mv.Field(i).Addr().Pointer() {
-			t.Errorf("jsonField(%d) = %q, %T; want %q and a pointer to %s", i, key, p, tag, sf.Name)
-		}
-	}
-	if _, p := m.jsonField(mv.NumField()); p != nil {
-		t.Errorf("jsonField lists more than Message's %d fields", mv.NumField())
-	}
-
-	// Every field set, so every member is written.
 	var spec ParamSpec
-	for _, v := range []reflect.Value{mv, reflect.ValueOf(&spec).Elem()} {
+	for _, v := range []reflect.Value{reflect.ValueOf(&m).Elem(), reflect.ValueOf(&spec).Elem()} {
 		for i := range v.NumField() {
+			name := v.Type().Field(i).Name
 			switch f := v.Field(i); f.Kind() {
 			case reflect.String:
-				f.SetString("x")
+				f.SetString(name)
 			case reflect.Int, reflect.Int64:
-				f.SetInt(-3)
+				f.SetInt(-int64(i + 1))
 			case reflect.Uint64:
-				f.SetUint(3)
+				f.SetUint(uint64(i + 1))
 			case reflect.Float64:
-				f.SetFloat(0.5)
+				f.SetFloat(0.5 + float64(i))
 			case reflect.Bool:
 				f.SetBool(true)
 			case reflect.Map:
-				f.Set(reflect.ValueOf(map[string]string{"k": "v"}))
+				f.Set(reflect.ValueOf(map[string]string{"k": name}))
 			case reflect.Slice:
 				if f.Type().Elem().Kind() == reflect.String {
-					f.Set(reflect.ValueOf([]string{"v"}))
+					f.Set(reflect.ValueOf([]string{name}))
 				}
 			default:
-				t.Fatalf("%s: no value for a %s field", v.Type().Field(i).Name, f.Kind())
+				t.Fatalf("%s: no value for a %s field", name, f.Kind())
 			}
 		}
 	}
 	m.Space = []ParamSpec{spec}
+	return &m
+}
+
+// TestFieldTable: Message.field lists every field of Message, in
+// order, under its json tag, with binary tags that are distinct, below
+// the decoder's bound, and 0 only for the two members no tag carries.
+// Send writes every tag of Message and ParamSpec when each field is
+// set, so a new field cannot drop off the JSON framing unnoticed, and
+// the fast decoder takes the line back; TestBinaryMessageRoundTripAllFields
+// does the same for binary frames.
+func TestFieldTable(t *testing.T) {
+	var m Message
+	mv := reflect.ValueOf(&m).Elem()
+	seen := make(map[byte]string)
+	for i := range mv.NumField() {
+		key, tag, p := m.field(i)
+		sf := mv.Type().Field(i)
+		jsonKey, _, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		if key != jsonKey || p == nil || reflect.ValueOf(p).Pointer() != mv.Field(i).Addr().Pointer() {
+			t.Errorf("field(%d) = %q, %T; want %q and a pointer to %s", i, key, p, jsonKey, sf.Name)
+			continue
+		}
+		switch {
+		case tag == 0:
+			if key != "type" && key != "perf_text" {
+				t.Errorf("field %q has tag 0, which only type and perf_text may have", key)
+			}
+			continue
+		case int(tag) >= len(fieldOfTag):
+			t.Errorf("field %q has tag %d, beyond the decoder's %d", key, tag, len(fieldOfTag))
+		case seen[tag] != "":
+			t.Errorf("fields %q and %q share tag %d", seen[tag], key, tag)
+		}
+		seen[tag] = key
+	}
+	if _, _, p := m.field(mv.NumField()); p != nil {
+		t.Errorf("field lists more than Message's %d fields", mv.NumField())
+	}
+
+	// Every field set, so every member is written.
+	m = *everyField(t)
+	spec := m.Space[0]
 	line, err := sendLine(&m)
 	if err != nil {
 		t.Fatal(err)

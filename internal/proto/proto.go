@@ -88,7 +88,6 @@ type ParamSpec struct {
 // Message is the single envelope for every protocol message; unused
 // fields are omitted on the wire.
 type Message struct {
-	//harmonyvet:ignore protowire Type needs no wire tag: binary frames carry it as the leading type-code byte (typeCodes), so a tag would duplicate it
 	Type    string `json:"type"`
 	Session string `json:"session,omitempty"`
 
@@ -186,11 +185,72 @@ type Message struct {
 	// so both directions of the JSON line protocol round-trip every
 	// float64. The binary protocol encodes raw IEEE-754 bits and never
 	// uses this field.
-	//harmonyvet:ignore protowire PerfText is a JSON-only escape hatch for non-finite Perf; the binary protocol sends raw IEEE-754 bits and must never grow a second perf field
 	PerfText string `json:"perf_text,omitempty"`
 
 	// error
 	Error string `json:"error,omitempty"`
+}
+
+// field returns Message's i-th member in struct field order: its JSON
+// key, its binary field tag and a pointer to it, or a nil pointer past
+// the last. It is the wire schema of both codecs. Every member but type
+// is omitempty. Tag 0 marks the two members no tag carries: type, which
+// a binary message opens with as its type code, and perf_text, which
+// the binary codec has no use for (Perf travels as raw bits).
+// TestFieldTable holds the list to the struct and its json tags, and
+// the tags to distinct numbers below len(fieldOfTag).
+func (m *Message) field(i int) (key string, tag byte, p any) {
+	switch i {
+	case 0:
+		return "type", 0, &m.Type
+	case 1:
+		return "session", 1, &m.Session
+	case 2:
+		return "seq", 16, &m.Seq
+	case 3:
+		return "app", 2, &m.App
+	case 4:
+		return "machine", 3, &m.Machine
+	case 5:
+		return "strategy", 4, &m.Strategy
+	case 6:
+		return "space", 5, &m.Space
+	case 7:
+		return "seed", 6, &m.Seed
+	case 8:
+		return "max_runs", 7, &m.MaxRuns
+	case 9:
+		return "reporters", 8, &m.Reporters
+	case 10:
+		return "cache_ns", 17, &m.CacheNS
+	case 11:
+		return "parallel", 9, &m.Parallel
+	case 12:
+		return "surrogate", 18, &m.Surrogate
+	case 13:
+		return "surrogate_keep", 19, &m.SurrogateKeep
+	case 14:
+		return "async", 20, &m.Async
+	case 15:
+		return "async_depth", 21, &m.AsyncDepth
+	case 16:
+		return "tag", 10, &m.Tag
+	case 17:
+		return "gen", 11, &m.Gen
+	case 18:
+		return "values", 12, &m.Values
+	case 19:
+		return "converged", 13, &m.Converged
+	case 20:
+		return "next", 22, &m.Next
+	case 21:
+		return "perf", 14, &m.Perf
+	case 22:
+		return "perf_text", 0, &m.PerfText
+	case 23:
+		return "error", 15, &m.Error
+	}
+	return "", 0, nil
 }
 
 // EncodeSpace serialises a space for a register message.

@@ -133,6 +133,31 @@ func TestReadFrameIntoAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestAppendFrameAllocatesNothing pins the encoder of both ends: a
+// frame of a report, a config with four values and a fetch, appended
+// to a reused buffer, allocates nothing.
+func TestAppendFrameAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are pinned without the race detector")
+	}
+	f := &Frame{ID: 9, Msgs: []*Message{
+		{Type: TypeReport, Session: "s1234", Perf: 123.456, Tag: 3, Next: true, Seq: 8},
+		{Type: TypeConfig, Values: map[string]string{"w": "heap", "x": "25", "y": "5", "z": "-1"}, Tag: 4, Seq: 8},
+		{Type: TypeFetch, Session: "s1234", Seq: 9},
+	}}
+	buf, err := AppendFrame(nil, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(buf)
+	if n := testing.AllocsPerRun(100, func() { buf, err = AppendFrame(buf[:0], f) }); n != 0 {
+		t.Errorf("AppendFrame allocates %v times, want 0", n)
+	}
+	if err != nil || string(buf) != want {
+		t.Errorf("AppendFrame into a reused buffer = %q, %v; want %q", buf, err, want)
+	}
+}
+
 // TestStrTableBounded: the table shares a string it decoded before and
 // keeps a fixed number of strings of bounded length, however many and
 // however long the strings a peer sends.
