@@ -58,37 +58,21 @@ func BenchmarkFig2PETScDecompositionSmall(b *testing.B) {
 
 // BenchmarkSLESRun is the sparse/petscsim layer's per-evaluation
 // micro-benchmark: one objective evaluation of the Fig. 2 large case —
-// app.Run on the even 16-way partition of the 6000-row band matrix —
-// with the plan cache cold and warm (the run alone). plans=cold has no
-// cache at all, so every run plans the partition from the band's
-// reaches, O(P·maxReach), then does the cost-only CG run. The
-// whole tuning campaign this is one step of is the bench workload
+// app.Run on the even 16-way partition of the 6000-row band matrix.
+// Every run plans the partition from the band's reaches,
+// O(P·maxReach), into a pooled plan, then does the cost-only CG run.
+// The whole tuning campaign this is one step of is the bench workload
 // sles-seq.
 func BenchmarkSLESRun(b *testing.B) {
 	app := petscsim.NewBandSLESApp(6000, 16, 4, 120, 2)
 	m := cluster.Seaborg(16, 1)
 	part := app.DefaultPartition()
-	run := func(b *testing.B, app *petscsim.SLESApp) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
 		if _, err := app.Run(m, part); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.Run("plans=cold", func(b *testing.B) {
-		// A bare literal has no plan cache: every run builds its plan.
-		cold := &petscsim.SLESApp{A: app.A, P: app.P, Iterations: app.Iterations}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			run(b, cold)
-		}
-	})
-	b.Run("plans=warm", func(b *testing.B) {
-		run(b, app)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b, app)
-		}
-	})
 }
 
 // BenchmarkFig3ComputationDistribution tunes the SNES grid

@@ -44,7 +44,7 @@ func TestCampaignSteadyStateHeapCeiling(t *testing.T) {
 				return res.Runs
 			}
 
-			campaign() // warm the world pool, plan cache paths, and workspaces
+			campaign() // warm the job and plan pools, and workspaces
 
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

@@ -113,12 +113,12 @@ func fig2Run(c fig2Case) (space.Point, error) {
 // printPartitionLoad shows per-rank nonzero counts before and after:
 // the load-balance mechanism of the improvement.
 func printPartitionLoad(app *petscsim.SLESApp, def, tuned sparse.Partition) {
-	// Both plans are already in the app's cache: the campaign ran them.
-	hpDef, err := app.HaloPlan(def)
+	// Plans the caller keeps, built fresh from the band's reaches.
+	hpDef, err := app.A.HaloPlan(def)
 	if err != nil {
 		return
 	}
-	hpTuned, err := app.HaloPlan(tuned)
+	hpTuned, err := app.A.HaloPlan(tuned)
 	if err != nil {
 		return
 	}

@@ -47,7 +47,7 @@ func main() {
 }
 
 func printLoad(app *petscsim.SLESApp, part sparse.Partition) {
-	hp, err := app.HaloPlan(part)
+	hp, err := app.A.HaloPlan(part)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,42 +11,37 @@ import (
 // closed form, without executing a job: ksp.CGCost's program — a
 // fixed number of CG iterations — read for the rank that gates an
 // iteration. It reads the partition's halo plan (per-rank nonzeros,
-// local rows, and halo legs) from the application's plan cache, so a
-// candidate that is predicted and then kept is planned once, and
-// prices one iteration as the slowest rank's matrix and vector flops
+// local rows, and halo legs), built into pooled storage as a run's is,
+// and prices one iteration as the slowest rank's matrix and vector flops
 // plus its halo exchange, plus the two scalar allreduces of the CG
 // recurrence. It ignores scheduling interleave, which the simulation
 // resolves exactly: the tuning engine uses it to rank candidates,
 // never as a measurement.
 type SLESPredictor struct {
-	app   *SLESApp
-	m     *cluster.Machine
-	names []string
+	app *SLESApp
+	m   *cluster.Machine
 }
 
 // Predictor builds the predictor of the application on a machine. The
 // machine's rank count must match the application's partition count.
 func (app *SLESApp) Predictor(m *cluster.Machine) *SLESPredictor {
-	return &SLESPredictor{app: app, m: m, names: app.weightNames()}
+	return &SLESPredictor{app: app, m: m}
 }
 
 // Predict prices one benchmarking run of the decomposition the
 // configuration encodes. It declines configurations that do not carry
 // the full, positive weight vector of the application's space.
 func (s *SLESPredictor) Predict(_ space.Point, cfg space.Config) (float64, bool) {
-	var buf [64]int64
-	weights := buf[:0]
-	for _, name := range s.names {
-		w, ok := cfg.LookupInt(name)
-		if !ok || w < 1 {
-			return 0, false
-		}
-		weights = append(weights, int64(w))
-	}
-	hp, err := s.app.HaloPlan(s.app.partition(weights))
+	var starts [65]int
+	part, err := s.app.partitionInto(starts[:0], cfg)
 	if err != nil {
 		return 0, false
 	}
+	hp, err := s.app.A.AcquirePlan(part)
+	if err != nil {
+		return 0, false
+	}
+	defer hp.Release()
 
 	// Per iteration: MatVec (sparse flops + halo), five length-nloc
 	// vector operations (two dots, two axpys, the p-update), and two

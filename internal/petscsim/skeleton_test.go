@@ -1,6 +1,7 @@
 package petscsim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"harmony/internal/cluster"
 	"harmony/internal/ksp"
 	"harmony/internal/simmpi"
+	"harmony/internal/space"
 	"harmony/internal/sparse"
 )
 
@@ -115,9 +117,9 @@ func TestSLESSkeletonEqualsNumeric(t *testing.T) {
 	}
 }
 
-// TestSLESRunAllocations pins a warm Run — plan cached, job pooled — at
-// zero allocations: the plan cache looks the partition key up from a
-// stack buffer, and the CG program allocates nothing.
+// TestSLESRunAllocations pins a warm Run — plan and job pooled — at
+// zero allocations: the plan is rebuilt into the pooled plan's arrays,
+// and the CG program allocates nothing.
 func TestSLESRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items, so pooled jobs are reallocated")
@@ -137,10 +139,11 @@ func TestSLESRunAllocations(t *testing.T) {
 }
 
 // TestPartitionForAllocatesOnlyStarts pins the decoding half of an
-// evaluation: PartitionFor, and a prediction of a planned partition,
-// allocate one array each, the partition's Starts. The weights and
-// boundaries stay on the stack, and FromBoundaries sorts its copy in
-// place.
+// evaluation: PartitionFor allocates one array, the partition's
+// Starts, and a prediction none. The weights and then the boundaries
+// are written into the Starts, which FromBoundariesInto sorts in
+// place; a prediction keeps its Starts on the stack and plans into a
+// pooled plan.
 func TestPartitionForAllocatesOnlyStarts(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments what it runs")
@@ -157,8 +160,78 @@ func TestPartitionForAllocatesOnlyStarts(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, func() { app.PartitionFor(cfg) }); avg != 1 {
 		t.Errorf("PartitionFor allocates %v times, want 1", avg)
 	}
-	if avg := testing.AllocsPerRun(20, func() { pred.Predict(pt, cfg) }); avg != 1 {
-		t.Errorf("Predict of a planned partition allocates %v times, want 1", avg)
+	if avg := testing.AllocsPerRun(20, func() { pred.Predict(pt, cfg) }); avg != 0 {
+		t.Errorf("Predict allocates %v times, want 0", avg)
+	}
+}
+
+// TestSLESObjectiveAllocatesNothing pins one whole evaluation as the
+// tuning engine makes it, app.Objective(m) on a partition no earlier
+// evaluation used, at zero allocations once the plan and job pools
+// are warm: the partition's Starts, where the weights are decoded,
+// live on the stack, and the plan is built into a pooled plan's
+// arrays.
+func TestSLESObjectiveAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items, so pooled plans and jobs are reallocated")
+	}
+	app := NewBandSLESApp(6000, 16, 4, 120, 2)
+	m := cluster.Seaborg(16, 1)
+	sp, obj := app.Space(), app.Objective(m)
+	rng := rand.New(rand.NewSource(3))
+	cfgs := make([]space.Config, 21)
+	for i := range cfgs {
+		pt := app.EvenPoint()
+		for d := range pt {
+			pt[d] = rng.Int63n(1000)
+		}
+		cfgs[i] = sp.MustDecode(pt)
+	}
+	if _, err := obj(context.Background(), cfgs[0]); err != nil {
+		t.Fatal(err)
+	}
+	next := 1
+	if avg := testing.AllocsPerRun(len(cfgs)-2, func() {
+		if _, err := obj(context.Background(), cfgs[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); avg != 0 {
+		t.Errorf("an evaluation of a new partition allocates %v times, want 0", avg)
+	}
+}
+
+// TestSLESForeignConfigDeclined feeds a 4-rank app's configuration to
+// an 8-rank app, which reads w5..w8 it does not carry, and a 2-rank
+// app a configuration whose w1 is 0. The objective returns an error
+// instead of panicking inside the tuning engine's worker, the
+// predictor declines, and PartitionFor gives the zero Partition, which
+// Run refuses.
+func TestSLESForeignConfigDeclined(t *testing.T) {
+	small := NewSLESApp(600, 4, 3, 60, 11)
+	floor := space.MustNew(space.IntParam("w1", 0, 9, 1), space.IntParam("w2", 0, 9, 1))
+	m := cluster.Seaborg(8, 1)
+	for _, tc := range []struct {
+		app *SLESApp
+		cfg space.Config
+	}{
+		{NewSLESApp(600, 8, 3, 60, 11), small.Space().MustDecode(small.EvenPoint())},
+		{NewSLESApp(600, 2, 3, 60, 11), floor.MustDecode(space.Point{0, 5})},
+	} {
+		app, cfg := tc.app, tc.cfg
+		if _, err := app.Objective(m)(context.Background(), cfg); err == nil {
+			t.Errorf("%d ranks, %s: the objective took the configuration", app.P, cfg.Format())
+		}
+		if _, ok := app.Predictor(m).Predict(cfg.Point(), cfg); ok {
+			t.Errorf("%d ranks, %s: the predictor took the configuration", app.P, cfg.Format())
+		}
+		part := app.PartitionFor(cfg)
+		if part.Starts != nil {
+			t.Errorf("%d ranks, %s: PartitionFor gave %v", app.P, cfg.Format(), part.Starts)
+		}
+		if _, err := app.Run(m, part); err == nil {
+			t.Errorf("%d ranks, %s: Run took the zero partition", app.P, cfg.Format())
+		}
 	}
 }
 
@@ -185,8 +258,8 @@ func TestBandSLESAppBytes(t *testing.T) {
 
 // TestSLESRunConcurrent evaluates a few partitions from several
 // goroutines at once through one application, as a concurrent campaign
-// does: they build and share its halo plans and draw jobs from one
-// pool, and each must get the sequential result.
+// does: they draw plans and jobs from the shared pools, and each must
+// get the sequential result.
 func TestSLESRunConcurrent(t *testing.T) {
 	newApp := func() *SLESApp { return NewBandSLESApp(2000, 8, 4, 60, 2) }
 	m := skewed(4, 2)
@@ -206,7 +279,7 @@ func TestSLESRunConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	app := newApp() // a cold plan cache, filled concurrently
+	app := newApp() // a second app: only the pools are shared
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -49,6 +49,8 @@ import (
 // all-ones right-hand side never reaches. TestSLESSkeletonEqualsNumeric
 // solves the valued matrix of the same generator and asserts that
 // precondition on every case it compares.
+//
+// Build one with NewSLESApp or NewBandSLESApp.
 type SLESApp struct {
 	// A is the system matrix's pattern as each row's reach, O(rows)
 	// whatever its stored entries: the run reads only what a halo plan
@@ -60,13 +62,8 @@ type SLESApp struct {
 	// run.
 	Iterations int
 
-	// plans memoises the halo plan per partition: a tuning campaign
-	// revisiting a decomposition (simplex contractions, PRO
-	// reflections, restarts, a surrogate prediction before the run)
-	// plans it once.
-	plans *sparse.PlanCache
-	// names are the space's weight names, w1..wP, shared by
-	// PartitionFor and the predictor.
+	// names are the space's weight names, w1..wP, which every decoding
+	// of a configuration reads.
 	names []string
 }
 
@@ -94,22 +91,11 @@ func NewBandSLESApp(n, p, minBand, maxBand, waves int) *SLESApp {
 }
 
 func newSLESApp(a *sparse.Band, p int) *SLESApp {
-	app := &SLESApp{A: a, P: p, Iterations: 40, plans: sparse.NewPlanCache(a)}
-	app.names = app.weightNames()
-	return app
-}
-
-// weightNames returns the space's weight names, w1..wP: built once by
-// the constructors, and per call for a bare struct literal.
-func (app *SLESApp) weightNames() []string {
-	if len(app.names) == app.P {
-		return app.names
-	}
-	names := make([]string, app.P)
+	names := make([]string, p)
 	for i := range names {
 		names[i] = fmt.Sprintf("w%d", i+1)
 	}
-	return names
+	return &SLESApp{A: a, P: p, Iterations: 40, names: names}
 }
 
 // DefaultPartition is the paper's default configuration: equal-size
@@ -128,7 +114,7 @@ func (app *SLESApp) DefaultPartition() sparse.Partition {
 // dimensions through the ordering constraint and stalls the simplex.
 func (app *SLESApp) Space() *space.Space {
 	params := make([]space.Param, app.P)
-	for i, name := range app.weightNames() {
+	for i, name := range app.names {
 		params[i] = space.IntParam(name, 1, 1000, 1)
 	}
 	return space.MustNew(params...)
@@ -145,33 +131,43 @@ func (app *SLESApp) EvenPoint() space.Point {
 }
 
 // PartitionFor decodes a configuration of Space into a partition. It
-// allocates only the partition's Starts: the weights and boundaries
-// live on the stack up to 64 ranks.
+// allocates only the partition's Starts. A configuration without the
+// full, positive weight vector of Space decodes to the zero Partition,
+// which Validate, Run and RunStats refuse.
 func (app *SLESApp) PartitionFor(cfg space.Config) sparse.Partition {
-	var buf [64]int64
-	weights := buf[:0]
-	for _, name := range app.weightNames() {
-		weights = append(weights, cfg.Int(name))
-	}
-	return app.partition(weights)
+	part, _ := app.partitionInto(nil, cfg)
+	return part
 }
 
-// partition turns positive relative weights into a partition:
-// boundary i sits at the normalised cumulative weight of the first i
-// partitions. FromBoundaries guarantees at least one row each.
-func (app *SLESApp) partition(weights []int64) sparse.Partition {
+// partitionInto decodes cfg's weights and turns them into a partition
+// whose Starts it writes into starts, grown when short: boundary i
+// sits at the normalised cumulative weight of the first i partitions,
+// and FromBoundariesInto guarantees at least one row each. The weights
+// are staged in the Starts themselves. It is an error when cfg lacks a
+// weight or has one below 1: a configuration of another space.
+func (app *SLESApp) partitionInto(starts []int, cfg space.Config) (sparse.Partition, error) {
+	if len(app.names) != app.P {
+		return sparse.Partition{}, fmt.Errorf("petscsim: an SLESApp of %d ranks not built by a constructor", app.P)
+	}
+	if cap(starts) < app.P+1 {
+		starts = make([]int, app.P+1)
+	}
+	starts = starts[:app.P+1]
 	var total int64
-	for _, w := range weights {
-		total += w
+	for i, name := range app.names {
+		w, ok := cfg.LookupInt(name)
+		if !ok || w < 1 {
+			return sparse.Partition{}, fmt.Errorf("petscsim: configuration has no weight %s of at least 1", name)
+		}
+		starts[i+1] = w
+		total += int64(w)
 	}
-	var buf [64]int
-	bounds := buf[:0]
 	var cum int64
-	for _, w := range weights[:app.P-1] {
-		cum += w
-		bounds = append(bounds, int(int64(app.A.N)*cum/total))
+	for i := 1; i < app.P; i++ {
+		cum += int64(starts[i])
+		starts[i] = int(int64(app.A.N) * cum / total)
 	}
-	return sparse.FromBoundaries(app.A.N, bounds)
+	return sparse.FromBoundariesInto(starts, app.A.N, starts[1:app.P]), nil
 }
 
 // Run simulates one benchmarking run under the given partition and
@@ -197,15 +193,18 @@ func (app *SLESApp) RunStats(m *cluster.Machine, part sparse.Partition) (simmpi.
 
 // run executes one benchmarking run and returns the finished job for
 // the caller to read and release. The CG skeleton reads no values, so
-// it runs on the lockstep executor.
+// it runs on the lockstep executor, over a plan built into pooled
+// storage: Lockstep.Exchange reads the plan's pattern only during the
+// call, so the job keeps nothing of the plan once it is released.
 func (app *SLESApp) run(m *cluster.Machine, part sparse.Partition) (*simmpi.Lockstep, error) {
 	if part.P() != app.P {
 		return nil, fmt.Errorf("petscsim: partition into %d parts for %d ranks", part.P(), app.P)
 	}
-	hp, err := app.HaloPlan(part)
+	hp, err := app.A.AcquirePlan(part)
 	if err != nil {
 		return nil, err
 	}
+	defer hp.Release()
 	job, err := simmpi.AcquireLockstep(m, app.P)
 	if err != nil {
 		return nil, err
@@ -214,19 +213,18 @@ func (app *SLESApp) run(m *cluster.Machine, part sparse.Partition) (*simmpi.Lock
 	return job, nil
 }
 
-// HaloPlan returns the halo plan of a partition, through the plan
-// cache when the app was built by a constructor. Apps assembled as
-// bare struct literals (plans nil) fall back to direct construction.
-func (app *SLESApp) HaloPlan(part sparse.Partition) (*sparse.HaloPlan, error) {
-	if app.plans != nil {
-		return app.plans.Get(part)
-	}
-	return app.A.HaloPlan(part)
-}
-
-// Objective adapts Run to the tuning engine for the given machine.
+// Objective adapts Run to the tuning engine for the given machine. It
+// declines a configuration of another space with an error. An
+// evaluation allocates nothing once the plan and job pools are warm:
+// the partition's Starts, where the weights are decoded, live on the
+// stack up to 64 ranks.
 func (app *SLESApp) Objective(m *cluster.Machine) core.Objective {
 	return func(_ context.Context, cfg space.Config) (float64, error) {
-		return app.Run(m, app.PartitionFor(cfg))
+		var starts [65]int
+		part, err := app.partitionInto(starts[:0], cfg)
+		if err != nil {
+			return 0, err
+		}
+		return app.Run(m, part)
 	}
 }

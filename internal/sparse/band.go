@@ -148,18 +148,40 @@ func (b *Band) Pattern() *CSR {
 }
 
 // HaloPlan builds the halo plan of the band under the given partition
-// from the rows' reaches alone, O(P·maxReach) with no scratch: every
-// row below rank r's range that reaches it is one ghost of its owner,
-// and the columns from the range's end to the farthest one its rows
-// reach are all ghosts, split among their owners. It equals the plan
-// NewHaloPlan builds from the band's Pattern.
+// into a new plan the caller keeps. It equals the plan NewHaloPlan
+// builds from the band's Pattern.
 func (b *Band) HaloPlan(part Partition) (*HaloPlan, error) {
-	if err := part.Validate(b.N); err != nil {
+	hp := new(HaloPlan)
+	if err := b.plan(hp, part); err != nil {
 		return nil, err
 	}
+	return hp, nil
+}
+
+// AcquirePlan is HaloPlan built into pooled storage: a plan for one
+// evaluation, which allocates nothing once the pool holds a plan of as
+// many ranks. Release returns it for reuse.
+func (b *Band) AcquirePlan(part Partition) (*HaloPlan, error) {
+	hp := planPool.Get().(*HaloPlan)
+	if err := b.plan(hp, part); err != nil {
+		hp.Release()
+		return nil, err
+	}
+	return hp, nil
+}
+
+// plan builds the band's plan under the partition into hp from the
+// rows' reaches alone, O(P·maxReach): every row below rank r's range
+// that reaches it is one ghost of its owner, and the columns from the
+// range's end to the farthest one its rows reach are all ghosts, split
+// among their owners.
+func (b *Band) plan(hp *HaloPlan, part Partition) error {
+	if err := part.Validate(b.N); err != nil {
+		return err
+	}
 	p := part.P()
-	hp := newPlan(part)
-	from := make([]int, p)
+	hp.reset(part)
+	from := hp.from
 	for r := 0; r < p; r++ {
 		lo, hi := part.Range(r)
 		hp.setNNZ(r, b.RowNNZ(lo, hi))
@@ -178,8 +200,8 @@ func (b *Band) HaloPlan(part Partition) (*HaloPlan, error) {
 		for q := r + 1; q < p && part.Starts[q] <= top; q++ {
 			from[q] += min(top+1, part.Starts[q+1]) - part.Starts[q]
 		}
-		hp.addRecvs(r, from)
+		hp.addRecvs(r)
 	}
-	hp.mirrorSends(from)
-	return hp, nil
+	hp.mirrorSends()
+	return nil
 }

@@ -26,8 +26,8 @@ func randomBand(rng *rand.Rand, n int) *Band {
 	})
 }
 
-// TestBandPlanMatchesCSRPlan pins the plan a PlanCache serves to the
-// one the CSR walk builds: for random bands, the Fig. 2 band and the
+// TestBandPlanMatchesCSRPlan pins the plan a band builds to the one
+// the CSR walk builds: for random bands, the Fig. 2 band and the
 // dense-block chain, under the even partition, random ones, p = 1 and
 // p = N, Band.HaloPlan is deeply equal to NewHaloPlan of the band's
 // Pattern — ranges, stored entries, every receive and send leg. A
@@ -123,5 +123,47 @@ func TestBandOf(t *testing.T) {
 		if b, err := BandOf(tc.a); err == nil {
 			t.Errorf("%s: BandOf read a band %+v", tc.name, b)
 		}
+	}
+}
+
+// TestReusedPlanMatchesFresh pins planning into used storage: on
+// random partitions of random bands, a plan built where a plan of more
+// ranks (32), of fewer (4) or of one rank was built before, of another
+// band, is deeply equal to a fresh Band.HaloPlan — nothing of the
+// earlier plan survives the reset, and the storage grows when it is
+// short. A plan from AcquirePlan, released and acquired again, is too.
+func TestReusedPlanMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	gen := rand.New(rand.NewSource(29))
+	prior := randomBand(gen, 64)
+	for _, n := range []int{1, 9, 40, 97, 160} {
+		b := randomBand(gen, n)
+		for trial := 0; trial < 12; trial++ {
+			part := randomPartition(rng, b.N, 1+rng.Intn(min(b.N, 12)))
+			if trial == 0 {
+				part = EvenPartition(b.N, min(b.N, 4))
+			}
+			want, err := b.HaloPlan(part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, before := range []int{32, 4, 1} {
+				hp := new(HaloPlan)
+				if err := prior.plan(hp, randomPartition(rng, prior.N, before)); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.plan(hp, part); err != nil || !reflect.DeepEqual(hp, want) {
+					t.Fatalf("n=%d %v after a %d-rank plan: err %v, plan\n%+v\nfresh\n%+v", n, part.Starts, before, err, hp, want)
+				}
+			}
+			got, err := b.AcquirePlan(part)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d %v: AcquirePlan err %v, plan\n%+v\nfresh\n%+v", n, part.Starts, err, got, want)
+			}
+			got.Release()
+		}
+	}
+	if _, err := prior.AcquirePlan(EvenPartition(prior.N+1, 2)); err == nil {
+		t.Error("AcquirePlan planned a partition of another size")
 	}
 }

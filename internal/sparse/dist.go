@@ -3,7 +3,6 @@ package sparse
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 
 	"harmony/internal/simmpi"
@@ -36,8 +35,9 @@ type haloRank struct {
 // product. That is everything the virtual clocks of a distributed
 // product depend on, in a few hundred bytes; the index lists and
 // kernel tables that move and multiply actual values are DistMatrix's.
-// A HaloPlan is immutable after construction and safe for concurrent
-// use by many simulated jobs at once.
+// A HaloPlan is immutable once built and safe for concurrent use by
+// many simulated jobs at once, until a plan from Band.AcquirePlan is
+// released.
 type HaloPlan struct {
 	ranks []haloRank
 	// recv holds every rank's receive legs, ranks in order and each
@@ -49,23 +49,44 @@ type HaloPlan struct {
 	// rows and nnz hold each rank's row and stored-entry counts as the
 	// rank vectors simmpi.Lockstep.Compute takes.
 	rows, nnz []float64
+	// from is the builders' scratch: the current rank's distinct remote
+	// columns by owner while receive legs are added, then each sender's
+	// legs placed while mirrorSends runs.
+	from []int
 }
 
-// newPlan starts the plan of a valid partition with each rank's range
-// and row count. A builder then visits the ranks in order, setting each
-// one's stored entries (setNNZ) and receive legs (addRecvs), and
-// finishes with mirrorSends. Every rank's receive legs share one
-// array, so a plan is a fixed handful of allocations, not one per rank.
-func newPlan(part Partition) *HaloPlan {
+// planPool recycles the plans of Band.AcquirePlan with their arrays.
+var planPool = sync.Pool{New: func() any { return new(HaloPlan) }}
+
+// Release returns a plan from Band.AcquirePlan to the pool. The plan
+// must not be read after release.
+func (hp *HaloPlan) Release() { planPool.Put(hp) }
+
+// reset starts the plan of a valid partition in hp's storage, with
+// each rank's range and row count. A builder then visits the ranks in
+// order, setting each one's stored entries (setNNZ) and receive legs
+// (addRecvs), and finishes with mirrorSends. Every rank's receive legs
+// share one array, so a new plan is a fixed handful of allocations,
+// and a reused one none.
+//
+//harmonyvet:allocamortized a plan's arrays grow to the largest partition built into it, then reuse capacity
+func (hp *HaloPlan) reset(part Partition) {
 	p := part.P()
-	hp := &HaloPlan{ranks: make([]haloRank, p), recv: make([]HaloLeg, 0, 2*p),
-		sends: simmpi.NeighbourPattern{Start: make([]int, p+1)}, rows: make([]float64, p), nnz: make([]float64, p)}
-	for r := range hp.ranks {
-		h := &hp.ranks[r]
-		h.lo, h.hi = part.Range(r)
-		hp.rows[r] = float64(h.hi - h.lo)
+	if cap(hp.ranks) < p {
+		hp.ranks, hp.from = make([]haloRank, p), make([]int, p)
+		hp.rows, hp.nnz = make([]float64, p), make([]float64, p)
+		hp.recv, hp.sends = make([]HaloLeg, 0, 2*p), simmpi.NeighbourPattern{
+			Start: make([]int, p+1), Dst: make([]int, 0, 2*p), Bytes: make([]int, 0, 2*p)}
 	}
-	return hp
+	hp.ranks, hp.from, hp.rows, hp.nnz = hp.ranks[:p], hp.from[:p], hp.rows[:p], hp.nnz[:p]
+	hp.recv, hp.sends.Start = hp.recv[:0], hp.sends.Start[:p+1]
+	clear(hp.from)
+	clear(hp.sends.Start)
+	for r := range hp.ranks {
+		lo, hi := part.Range(r)
+		hp.ranks[r] = haloRank{lo: lo, hi: hi}
+		hp.rows[r] = float64(hi - lo)
+	}
 }
 
 // setNNZ records rank r's stored entries.
@@ -73,10 +94,10 @@ func (hp *HaloPlan) setNNZ(r, nnz int) {
 	hp.ranks[r].nnz, hp.nnz[r] = nnz, float64(nnz)
 }
 
-// addRecvs turns from, rank r's distinct remote columns counted by
+// addRecvs turns hp.from, rank r's distinct remote columns counted by
 // owner, into r's receive legs in increasing peer order, and clears it.
-func (hp *HaloPlan) addRecvs(r int, from []int) {
-	h := &hp.ranks[r]
+func (hp *HaloPlan) addRecvs(r int) {
+	h, from := &hp.ranks[r], hp.from
 	h.recvLo = len(hp.recv)
 	for peer, n := range from {
 		if n == 0 {
@@ -94,12 +115,18 @@ func (hp *HaloPlan) addRecvs(r int, from []int) {
 // receivers in increasing order keeps every sender's peers ascending;
 // placed[src], all zero on entry, counts the legs of src already
 // placed.
-func (hp *HaloPlan) mirrorSends(placed []int) {
-	sd, p := &hp.sends, len(hp.ranks)
+//
+//harmonyvet:allocamortized the send legs grow to the most a plan built into this storage has had, then reuse capacity
+func (hp *HaloPlan) mirrorSends() {
+	sd, p, placed := &hp.sends, len(hp.ranks), hp.from
 	for src := 0; src < p; src++ {
 		sd.Start[src+1] += sd.Start[src]
 	}
-	sd.Dst, sd.Bytes = make([]int, sd.Start[p]), make([]int, sd.Start[p])
+	if n := sd.Start[p]; cap(sd.Dst) < n {
+		sd.Dst, sd.Bytes = make([]int, n), make([]int, n)
+	} else {
+		sd.Dst, sd.Bytes = sd.Dst[:n], sd.Bytes[:n]
+	}
 	for r := 0; r < p; r++ {
 		for _, leg := range hp.Recvs(r) {
 			k := sd.Start[leg.Peer] + placed[leg.Peer]
@@ -111,7 +138,8 @@ func (hp *HaloPlan) mirrorSends(placed []int) {
 
 // NewHaloPlan builds the halo plan of a under the given partition. It
 // checks a's row invariant first, O(nnz). A campaign planning many
-// partitions of a band goes through a PlanCache of its Band instead.
+// partitions of a band plans each from the Band instead, into pooled
+// storage (Band.AcquirePlan).
 func NewHaloPlan(a *CSR, part Partition) (*HaloPlan, error) {
 	if err := a.checkRows(); err != nil {
 		return nil, err
@@ -135,13 +163,14 @@ func newHaloPlan(a *CSR, part Partition, wantGhosts bool) (*HaloPlan, [][]int, e
 		return nil, nil, err
 	}
 	p := part.P()
-	hp := newPlan(part)
+	hp := new(HaloPlan)
+	hp.reset(part)
 	var ghosts [][]int
 	if wantGhosts {
 		ghosts = make([][]int, p)
 	}
 	stamp := make([]int32, a.N)
-	from := make([]int, p) // distinct ghosts of the current rank, by owner
+	from := hp.from // distinct ghosts of the current rank, by owner
 	for r := 0; r < p; r++ {
 		h := &hp.ranks[r]
 		hp.setNNZ(r, a.RowNNZ(h.lo, h.hi))
@@ -168,9 +197,9 @@ func newHaloPlan(a *CSR, part Partition, wantGhosts bool) (*HaloPlan, [][]int, e
 				}
 			}
 		}
-		hp.addRecvs(r, from)
+		hp.addRecvs(r)
 	}
-	hp.mirrorSends(from)
+	hp.mirrorSends()
 	return hp, ghosts, nil
 }
 
@@ -496,67 +525,6 @@ func matVecKernel(y, val []float64, rowOff, ci []int32, xbuf []float64) {
 func (dm *DistMatrix) Scatter(rank int, global []float64) []float64 {
 	h := &dm.ranks[rank]
 	return append([]float64(nil), global[h.lo:h.hi]...)
-}
-
-// PlanCache memoises halo plans per partition for one band: a tuning
-// campaign that revisits a decomposition (or predicts it before
-// running it) plans it once and reuses the frozen plan for every later
-// evaluation. Safe for concurrent use.
-type PlanCache struct {
-	b  *Band
-	mu sync.Mutex
-	m  map[string]*HaloPlan
-}
-
-// NewPlanCache returns an empty plan cache for band b.
-func NewPlanCache(b *Band) *PlanCache {
-	return &PlanCache{b: b, m: make(map[string]*HaloPlan)}
-}
-
-// Get returns the halo plan of the partition, building and caching it
-// on first use. A hit allocates nothing: the key is rendered into a
-// stack buffer and becomes a string only when a new plan is stored.
-func (pc *PlanCache) Get(part Partition) (*HaloPlan, error) {
-	var buf [256]byte
-	key := appendPartitionKey(buf[:0], part)
-	pc.mu.Lock()
-	hp, ok := pc.m[string(key)]
-	pc.mu.Unlock()
-	if ok {
-		return hp, nil
-	}
-	// Build outside the lock: concurrent builders of the same key
-	// converge to equal plans.
-	hp, err := pc.b.HaloPlan(part)
-	if err != nil {
-		return nil, err
-	}
-	pc.mu.Lock()
-	if prior, ok := pc.m[string(key)]; ok {
-		hp = prior // keep the first: identical, and callers may share
-	} else {
-		pc.m[string(key)] = hp
-	}
-	pc.mu.Unlock()
-	return hp, nil
-}
-
-// Len reports the number of distinct partitions cached.
-func (pc *PlanCache) Len() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return len(pc.m)
-}
-
-// appendPartitionKey appends the partition starts, compactly, to buf.
-func appendPartitionKey(buf []byte, part Partition) []byte {
-	for i, s := range part.Starts {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendInt(buf, int64(s), 10)
-	}
-	return buf
 }
 
 // VecFlops is the compute cost per element of a vector update.

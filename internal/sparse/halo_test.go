@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -158,7 +157,7 @@ func randomSortedCSR(rng *rand.Rand, n int) *CSR {
 // scan: a hand-built CSR with one row's columns out of order, or with
 // a duplicate column, is an error from every entry point that reads
 // rows — the one-off NewHaloPlan, NewDistMatrix, and BandOf, the way to
-// a PlanCache — never a plan. The matrix is a band, which BandOf
+// a Band's plans — never a plan. The matrix is a band, which BandOf
 // accepts before the corruption.
 func TestRowOrderIsChecked(t *testing.T) {
 	for _, tc := range []struct {
@@ -194,11 +193,11 @@ func TestRowOrderIsChecked(t *testing.T) {
 
 // TestStructureOnlyMatrix pins what a matrix without values may do. A
 // halo plan reads only structure, so NewHaloPlan plans VariableBand's
-// Pattern, and a PlanCache plans the band itself, exactly as
-// NewHaloPlan plans VariableBandLaplacian. The numeric product has
-// nothing to multiply: NewDistMatrix refuses a matrix with no values,
-// or too few, with an error, and MulVec panics with a message rather
-// than indexing past Val.
+// Pattern, and the band plans itself, fresh or into pooled storage,
+// exactly as NewHaloPlan plans VariableBandLaplacian. The numeric
+// product has nothing to multiply: NewDistMatrix refuses a matrix with
+// no values, or too few, with an error, and MulVec panics with a
+// message rather than indexing past Val.
 func TestStructureOnlyMatrix(t *testing.T) {
 	band := VariableBand(300, 2, 24, 3)
 	valued, pattern := VariableBandLaplacian(300, 2, 24, 3), band.Pattern()
@@ -210,8 +209,13 @@ func TestStructureOnlyMatrix(t *testing.T) {
 	if got, err := NewHaloPlan(pattern, part); err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("NewHaloPlan of the pattern: err %v, or a different plan", err)
 	}
-	if got, err := NewPlanCache(band).Get(part); err != nil || !reflect.DeepEqual(got, want) {
-		t.Errorf("PlanCache.Get of the band: err %v, or a different plan", err)
+	if got, err := band.HaloPlan(part); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("HaloPlan of the band: err %v, or a different plan", err)
+	}
+	if got, err := band.AcquirePlan(part); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("AcquirePlan of the band: err %v, or a different plan", err)
+	} else {
+		got.Release()
 	}
 	for _, vals := range [][]float64{nil, valued.Val[:len(valued.Val)-1]} {
 		a := &CSR{N: pattern.N, RowPtr: pattern.RowPtr, Col: pattern.Col, Val: vals}
@@ -226,52 +230,5 @@ func TestStructureOnlyMatrix(t *testing.T) {
 			}()
 			a.MulVec(make([]float64, a.N))
 		}()
-	}
-}
-
-// TestPlanCacheGetAllocatesOnlyThePlan pins what planning a new
-// partition of the 6000-row Fig. 2 band costs: the plan and its cache
-// entry, under 4 KiB, with nothing per row or per stored entry (an
-// N-length stamp alone would be 23.4 KiB), in at most 12 allocations —
-// a fixed handful of arrays, every rank's receive legs in one, not one
-// growing slice per rank. Every cached plan equals NewHaloPlan of the
-// band's Pattern.
-func TestPlanCacheGetAllocatesOnlyThePlan(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector instruments what it runs")
-	}
-	b := VariableBand(6000, 4, 120, 2)
-	pc := NewPlanCache(b)
-	rng := rand.New(rand.NewSource(7))
-	parts := make([]Partition, 21)
-	for i := range parts {
-		parts[i] = randomPartition(rng, b.N, 16)
-	}
-	if _, err := pc.Get(parts[0]); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, part := range parts[1:] {
-		if _, err := pc.Get(part); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	if pc.Len() != len(parts) {
-		t.Fatalf("%d plans cached for %d partitions: a Get hit", pc.Len(), len(parts))
-	}
-	perGet := (after.TotalAlloc - before.TotalAlloc) / uint64(len(parts)-1)
-	mallocs := float64(after.Mallocs-before.Mallocs) / float64(len(parts)-1)
-	t.Logf("a Get of a new partition allocates %d bytes in %.1f allocations", perGet, mallocs)
-	if perGet >= 4<<10 || mallocs > 12 {
-		t.Errorf("a Get of a new partition allocates %d bytes in %.1f allocations, want under 4 KiB in at most 12", perGet, mallocs)
-	}
-	a := b.Pattern()
-	for _, part := range parts {
-		got, _ := pc.Get(part)
-		if want, err := NewHaloPlan(a, part); err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: the cached plan differs from NewHaloPlan's (err %v)", part.Starts, err)
-		}
 	}
 }

@@ -72,47 +72,6 @@ func TestMatVecMatchesMulVecBitwise(t *testing.T) {
 	}
 }
 
-// TestPlanCacheReusesPlans checks the layer-1 cache: the same
-// partition yields the same *HaloPlan (the communication schedule is
-// built once), distinct partitions get distinct plans, and Len tracks
-// the number of distinct schedules.
-func TestPlanCacheReusesPlans(t *testing.T) {
-	a := VariableBand(100, 2, 10, 2)
-	pc := NewPlanCache(a)
-	p2 := EvenPartition(a.N, 2)
-	dm1, err := pc.Get(p2)
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	dm2, err := pc.Get(EvenPartition(a.N, 2))
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if dm1 != dm2 {
-		t.Error("equal partitions returned distinct plans")
-	}
-	if pc.Len() != 1 {
-		t.Errorf("Len = %d after repeated Get, want 1", pc.Len())
-	}
-	dm3, err := pc.Get(EvenPartition(a.N, 4))
-	if err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if dm3 == dm1 {
-		t.Error("distinct partitions shared a plan")
-	}
-	if pc.Len() != 2 {
-		t.Errorf("Len = %d after two distinct partitions, want 2", pc.Len())
-	}
-	// A shifted boundary with the same rank count is a distinct key.
-	if _, err := pc.Get(FromBoundaries(a.N, []int{30})); err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if pc.Len() != 3 {
-		t.Errorf("Len = %d after shifted boundary, want 3", pc.Len())
-	}
-}
-
 // variableBandLaplacian is VariableBandLaplacian through the triplet
 // builder, as it was generated before the direct assembly: the
 // reference TestPresizedBuilderSameMatrix holds the direct one to.

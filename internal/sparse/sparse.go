@@ -31,7 +31,8 @@
 // Both Fig. 2 matrices are bands (VariableBand; BandOf of a dense-block
 // Laplacian), and a Band plans a partition from the reaches alone, with
 // no column list to read, into the plan NewHaloPlan builds from its
-// Pattern. PlanCache memoises a band's plans. VariableBandLaplacian is
+// Pattern; AcquirePlan builds it into pooled storage for one
+// evaluation, with no allocation once warm. VariableBandLaplacian is
 // VariableBand's Pattern plus one value pass in which each row's
 // diagonal accumulates its off-diagonal mass in column order, the order
 // the generator has always summed it in, so every value is the same
@@ -378,11 +379,22 @@ func EvenPartition(n, p int) Partition {
 // the authors' SC'04 techniques. It allocates only the partition's
 // Starts and does not retain bounds.
 func FromBoundaries(n int, bounds []int) Partition {
+	return FromBoundariesInto(make([]int, len(bounds)+2), n, bounds)
+}
+
+// FromBoundariesInto is FromBoundaries writing the partition's Starts
+// into starts, which must hold len(bounds)+2 entries and may hold the
+// boundaries themselves at starts[1:len(bounds)+1]. It allocates
+// nothing.
+func FromBoundariesInto(starts []int, n int, bounds []int) Partition {
 	p := len(bounds) + 1
 	if n < p {
 		panic(fmt.Sprintf("sparse: %d rows cannot form %d partitions", n, p))
 	}
-	starts := make([]int, p+1)
+	if len(starts) != p+1 {
+		panic(fmt.Sprintf("sparse: %d starts for %d partitions", len(starts), p))
+	}
+	starts[0] = 0
 	copy(starts[1:p], bounds)
 	sort.Ints(starts[1:p])
 	starts[p] = n

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -130,7 +131,11 @@ func TestFromBoundariesRepairProperty(t *testing.T) {
 			}
 		}
 		pt := FromBoundaries(n, bounds)
-		return pt.Validate(n) == nil
+		// Into storage that holds the boundaries, and over stale starts,
+		// the repair is the same.
+		starts := []int{-1, bounds[0], bounds[1], bounds[2], -1}
+		into := FromBoundariesInto(starts, n, starts[1:4])
+		return pt.Validate(n) == nil && slices.Equal(into.Starts, pt.Starts)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
