@@ -60,8 +60,6 @@ type (
 	Point = space.Point
 	// Config is a decoded point: concrete parameter values.
 	Config = space.Config
-	// Constraint restricts a space to feasible points.
-	Constraint = space.Constraint
 )
 
 // NewSpace builds a space from parameters.
@@ -81,8 +79,8 @@ type (
 	// Strategy is the ask/tell interface all search methods share.
 	Strategy = search.Strategy
 	// BatchStrategy extends Strategy with whole rounds of independent
-	// proposals, evaluable concurrently. PRO, Random, Systematic and
-	// Exhaustive implement it natively; AsBatch adapts the rest.
+	// proposals, evaluable concurrently: PRO, Random, Systematic and
+	// Exhaustive. Tune runs any other strategy in rounds of one.
 	BatchStrategy = search.BatchStrategy
 	// Speculator is implemented by sequential strategies that can
 	// name likely follow-up proposals for prefetching (the simplex).
@@ -99,7 +97,7 @@ type (
 	Random = search.Random
 	// Systematic samples an even grid over the space.
 	Systematic = search.Systematic
-	// Exhaustive enumerates every feasible point.
+	// Exhaustive enumerates every point.
 	Exhaustive = search.Exhaustive
 	// PRO is the Parallel Rank Order population search.
 	PRO = search.PRO
@@ -130,11 +128,6 @@ func NewExhaustive(sp *Space) *Exhaustive { return search.NewExhaustive(sp) }
 
 // NewPRO constructs the Parallel Rank Order population strategy.
 func NewPRO(sp *Space, opt PROOptions) *PRO { return search.NewPRO(sp, opt) }
-
-// AsBatch returns the strategy's batch view: the strategy itself when
-// it implements BatchStrategy natively, otherwise an adapter that
-// yields batches of one.
-func AsBatch(strat Strategy) BatchStrategy { return search.AsBatch(strat) }
 
 // Off-line tuning.
 type (

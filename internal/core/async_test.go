@@ -94,29 +94,6 @@ func TestTuneAsyncMatchesSequentialTune(t *testing.T) {
 	}
 }
 
-// TestTuneAsyncStopBelow verifies the session ends at the earliest
-// qualifying measured commit and that candidates issued beyond it are
-// discarded, not charged.
-func TestTuneAsyncStopBelow(t *testing.T) {
-	sp := parallelSpace(t)
-	opt := Options{MaxRuns: 200, StopBelow: 30, Workers: 4, Async: true}
-	seq, err := referenceTune(context.Background(), sp,
-		search.NewSimplex(sp, search.SimplexOptions{Restarts: 3}), parBowl,
-		Options{MaxRuns: 200, StopBelow: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	async, err := Tune(context.Background(), sp,
-		search.NewSimplex(sp, search.SimplexOptions{Restarts: 3}), parBowl, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if async.BestValue > opt.StopBelow {
-		t.Fatalf("BestValue %v above StopBelow %v", async.BestValue, opt.StopBelow)
-	}
-	sameCampaign(t, "stop-below", async, seq)
-}
-
 // TestTuneAsyncFailuresMemoised verifies failed runs are charged the
 // overhead, memoised, and replayed to duplicate proposals exactly as
 // in the reference loop.

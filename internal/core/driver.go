@@ -50,10 +50,9 @@ func (j *evalJob) failure() error {
 }
 
 // Tune drives the strategy against the objective until the strategy
-// converges, a budget is exhausted, StopBelow is reached, or the
-// context is cancelled. It memoises evaluations so that a lattice
-// point proposed twice (common for the snapped simplex) costs only
-// one application run.
+// converges, a budget is exhausted, or the context is cancelled. It
+// memoises evaluations so that a lattice point proposed twice (common
+// for the snapped simplex) costs only one application run.
 //
 // Tune is the off-line driver of the issue/commit Window: the machine
 // asks, classifies and commits in issue order; Tune runs the work on
@@ -95,7 +94,7 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 	// What a refill may issue: one round of any size, or one candidate
 	// at a time into a window of AsyncDepth.
 	win := &Window[*evalJob]{
-		Space: sp, Strategy: search.AsAsync(search.AsBatch(strat)),
+		Space: sp, Strategy: search.Rounds(strat),
 		MaxRuns: opt.MaxRuns, MaxProposals: opt.MaxProposals,
 		Gate: NewSurrogateGate(opt.Surrogate), Cache: opt.Cache,
 		Depth: Unbounded, GroupMax: Unbounded, Memo: true,
@@ -110,7 +109,7 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		capacity = win.Depth
 	}
 	as := win.Strategy
-	speculator, _ := as.(search.Speculator)
+	speculator, _ := strat.(search.Speculator)
 
 	res := &Result{Strategy: strat.Name(), BestValue: math.Inf(1), FirstValue: math.NaN()}
 	spec := make(map[string]*evalJob) // outstanding speculative prefetches
@@ -156,14 +155,13 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		}
 	}
 
-	stopped := false // StopBelow reached at a commit: nothing more is issued
 	// The candidates committed so far, in order: the trial log's rows.
 	var committed []*Candidate[*evalJob]
 
 	// On exit, cancel everything still outstanding, drain the workers,
 	// settle the diagnostics and render the trial log. Charged work that
-	// completed but was never committed (candidates past a StopBelow
-	// cut) counts as speculative wall-clock.
+	// completed but was never committed (a cancelled or failed session's
+	// in-flight candidates) counts as speculative wall-clock.
 	defer func() {
 		cancelSession()
 		for received < sent {
@@ -233,9 +231,6 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 	// otherwise. A pass the strategy's stall left short of capacity is
 	// starved, and is where speculation happens.
 	refill := func() {
-		if stopped {
-			return
-		}
 		for _, c := range win.Refill() {
 			if len(spec) > 0 {
 				if j, ok := spec[c.Pt.Key()]; ok {
@@ -272,8 +267,7 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		case Pruned:
 			// Answered with the model's prediction: logged, reported to
 			// the strategy so the search can move on, charged to no
-			// account, never eligible for Best, FirstValue, StopBelow
-			// or any cache.
+			// account, never eligible for Best, FirstValue or any cache.
 			res.SurrogatePruned++
 			return nil
 		case Follower:
@@ -315,16 +309,13 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		if opt.Logf != nil {
 			opt.Logf("run %3d (proposal %3d): %s -> %.6g", res.Runs, res.Proposals, c.Cfg.Format(), v)
 		}
-		if opt.StopBelow != 0 && res.BestValue <= opt.StopBelow {
-			stopped = true
-		}
 		return nil
 	}
 
 	// One refill pass after every commit, so the starvation accounting
 	// and the speculation schedule are pure functions of the commit
 	// sequence.
-	for refill(); win.Len() > 0 && !stopped; refill() {
+	for refill(); win.Len() > 0; refill() {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
@@ -335,7 +326,6 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 	// How the session ended; a proposal that ended it without being
 	// committed (over budget, undecodable) is still counted.
 	switch {
-	case stopped:
 	case win.Exhausted:
 		res.Proposals++
 	case win.Err != nil:

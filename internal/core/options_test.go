@@ -75,25 +75,6 @@ func TestTuneDefaultProposalBudgetFromMaxRuns(t *testing.T) {
 	}
 }
 
-func TestTuneStopBelowCountsCachedBest(t *testing.T) {
-	sp := space.MustNew(space.IntParam("x", 0, 10, 1))
-	obj := func(_ context.Context, cfg space.Config) (float64, error) {
-		return float64(cfg.Int("x")), nil
-	}
-	res, err := Tune(context.Background(), sp,
-		search.NewCoordinate(sp, search.CoordinateOptions{Start: space.Point{10}}),
-		obj, Options{StopBelow: 3})
-	if err != nil {
-		t.Fatalf("Tune: %v", err)
-	}
-	if res.BestValue > 3 {
-		t.Errorf("best %v, want <= 3", res.BestValue)
-	}
-	if res.Runs > 12 {
-		t.Errorf("StopBelow did not stop early: %d runs", res.Runs)
-	}
-}
-
 func TestTuneUndecodableProposalIsError(t *testing.T) {
 	sp := space.MustNew(space.IntParam("x", 0, 1, 1))
 	s := &stuckStrategy{pt: space.Point{99}} // out of range

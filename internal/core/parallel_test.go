@@ -152,33 +152,6 @@ func TestTuneParallelInFlightDedup(t *testing.T) {
 	}
 }
 
-// TestTuneParallelStopBelow verifies StopBelow ends the session at
-// the earliest qualifying proposal with deterministic accounting, and
-// that discarded stragglers are reported as speculative, not charged.
-func TestTuneParallelStopBelow(t *testing.T) {
-	sp := parallelSpace(t)
-	var prints []string
-	for _, workers := range []int{1, 6} {
-		res, err := Tune(context.Background(), sp,
-			search.NewRandom(sp, 11, 500), parBowl,
-			Options{MaxRuns: 400, StopBelow: 900, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.BestValue > 900 {
-			t.Fatalf("workers=%d: stopped with best %v above StopBelow", workers, res.BestValue)
-		}
-		last := res.Trials[len(res.Trials)-1]
-		if last.Value > 900 {
-			t.Fatalf("workers=%d: last recorded trial %v does not justify the stop", workers, last.Value)
-		}
-		prints = append(prints, resultFingerprint(res))
-	}
-	if prints[0] != prints[1] {
-		t.Fatalf("StopBelow accounting differs:\n  workers=1: %s\n  workers=6: %s", prints[0], prints[1])
-	}
-}
-
 // TestTuneParallelSpeculativeSimplex verifies the speculative simplex
 // path: with spare workers the engine prefetches expansion and
 // contraction candidates, the search trajectory and charged accounting
@@ -318,25 +291,5 @@ func TestTuneParallelRaceStress(t *testing.T) {
 	}
 	if peak.Load() > 8 {
 		t.Fatalf("peak concurrency %d exceeds the 8-worker pool", peak.Load())
-	}
-}
-
-// TestTuneStopBelowBeforeBudgetBoundary: when StopBelow ends the
-// session inside a round that MaxRuns also truncates, the session
-// never reaches the budget-hitting proposal, so it is not counted —
-// exactly as a loop that proposes one point at a time would report.
-func TestTuneStopBelowBeforeBudgetBoundary(t *testing.T) {
-	sp := parallelSpace(t)
-	round := []space.Point{{0, 0, 0}, {41, 13, 27}, {1, 1, 1}, {2, 2, 2}}
-	for _, workers := range []int{1, 4} {
-		res, err := Tune(context.Background(), sp, &scriptedRounds{rounds: [][]space.Point{round}}, parBowl,
-			Options{MaxRuns: 3, StopBelow: 1, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Runs != 2 || res.Proposals != 2 || len(res.Trials) != 2 || res.Converged {
-			t.Fatalf("workers=%d: runs=%d proposals=%d trials=%d converged=%t, want the session to end at proposal 2",
-				workers, res.Runs, res.Proposals, len(res.Trials), res.Converged)
-		}
 	}
 }

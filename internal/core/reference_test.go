@@ -105,10 +105,6 @@ func referenceTune(ctx context.Context, sp *space.Space, strat search.Strategy, 
 		}
 		res.Trials = append(res.Trials, trial)
 		strat.Report(pt, value)
-
-		if opt.StopBelow != 0 && res.BestValue <= opt.StopBelow {
-			break
-		}
 	}
 	if res.Runs == 0 {
 		return res, ErrNoEvaluations
@@ -165,7 +161,6 @@ func TestTuneMatchesReferenceLoop(t *testing.T) {
 	}{
 		{name: "plain", obj: bowl, opt: Options{MaxRuns: 60, RunOverhead: 1}},
 		{name: "failing", obj: failing, opt: Options{MaxRuns: 60, RunOverhead: 2.5}},
-		{name: "stop-below", obj: bowl, opt: Options{MaxRuns: 120, StopBelow: 110}},
 		{name: "max-runs-mid-round", obj: bowl, opt: Options{MaxRuns: 21}},
 		{name: "max-proposals-mid-round", obj: bowl, opt: Options{MaxRuns: 100, MaxProposals: 37}},
 		{name: "warm-cache", obj: bowl, opt: Options{MaxRuns: 60, RunOverhead: 1}, warm: true},

@@ -39,9 +39,6 @@ type Options struct {
 	// against strategies that never converge. 0 means 10×MaxRuns when
 	// MaxRuns is set, otherwise 10000.
 	MaxProposals int
-	// StopBelow, if non-zero, stops the session as soon as an
-	// evaluation returns a value <= StopBelow.
-	StopBelow float64
 	// RunOverhead is the fixed cost, in seconds, charged to the
 	// tuning-time account for every application run on top of the
 	// measured objective: job launch, warm-up, teardown. The paper
@@ -68,8 +65,8 @@ type Options struct {
 	// simulated. Pruned proposals are answered to the search strategy
 	// at their predicted value and recorded as Trial.Pruned, but are
 	// never charged to Runs or TuningCost, never stored in any cache,
-	// and never eligible for Best, FirstValue, or StopBelow: the
-	// surrogate chooses what to evaluate, never what to report.
+	// and never eligible for Best or FirstValue: the surrogate chooses
+	// what to evaluate, never what to report.
 	// Pruning decisions are identical for every worker count.
 	Surrogate *SurrogateOptions
 	// Workers is the number of objective evaluations that may run at
@@ -149,11 +146,11 @@ type Result struct {
 	BestAtRun  int // run number that produced the incumbent best
 	// SpeculativeRuns counts objective evaluations the engine launched
 	// ahead of need — simplex expansion/contraction prefetches, and
-	// issued candidates that completed but were cut off by StopBelow
-	// before their commit. They consume wall-clock on idle capacity
-	// but are not charged to Runs or TuningCost unless the strategy
-	// actually proposes them (see SpeculativeHits); a session with one
-	// worker never prefetches.
+	// issued candidates that completed but were never committed because
+	// the session was cancelled or failed first. They consume
+	// wall-clock on idle capacity but are not charged to Runs or
+	// TuningCost unless the strategy actually proposes them (see
+	// SpeculativeHits); a session with one worker never prefetches.
 	SpeculativeRuns int
 	// SpeculativeHits counts speculative evaluations whose point the
 	// strategy later proposed for real. Each hit is charged to Runs

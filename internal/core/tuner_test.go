@@ -89,17 +89,6 @@ func TestTuneMaxRuns(t *testing.T) {
 	}
 }
 
-func TestTuneStopBelow(t *testing.T) {
-	sp := bowlSpace(t)
-	res, err := Tune(context.Background(), sp, search.NewSimplex(sp, search.SimplexOptions{}), bowl, Options{StopBelow: 150})
-	if err != nil {
-		t.Fatalf("Tune: %v", err)
-	}
-	if res.BestValue > 150 {
-		t.Errorf("best %v, want <= 150", res.BestValue)
-	}
-}
-
 func TestTuneObjectiveErrorsAreInf(t *testing.T) {
 	sp := bowlSpace(t)
 	fail := errors.New("application crashed")

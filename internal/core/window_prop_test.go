@@ -95,7 +95,7 @@ func propWindow(t *testing.T, mk func(*space.Space, int64) search.Strategy, seed
 	tape := &tapeStrategy{AsyncStrategy: search.AsAsync(strat)}
 	if depth == Unbounded {
 		w.GroupMax = Unbounded
-		tape.AsyncStrategy = search.AsAsync(search.AsBatch(strat))
+		tape.AsyncStrategy = search.Rounds(strat)
 	}
 	if seed%2 == 1 {
 		w.Gate = NewSurrogateGate(&SurrogateOptions{Model: propModel{}, Keep: 0.5})

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -249,4 +250,47 @@ func utf8Message(m *Message) bool {
 		}
 	}
 	return true
+}
+
+// FuzzDecodeSpace: the space of a register message comes from the
+// client. DecodeSpace either refuses it, or every query a strategy
+// makes of the space it returns — Size, LogSize, Center, Random draws,
+// the systematic grid — returns without panicking and yields points
+// that decode. The input is two int parameters and one enum, whose
+// values are vals split at commas.
+func FuzzDecodeSpace(f *testing.F) {
+	f.Add(int64(10), int64(100), int64(10), int64(-5), int64(5), int64(1), "heap,quick")
+	f.Fuzz(func(t *testing.T, aMin, aMax, aStep, bMin, bMax, bStep int64, vals string) {
+		sp, err := DecodeSpace([]ParamSpec{
+			{Name: "a", Kind: "int", Min: aMin, Max: aMax, Step: aStep},
+			{Name: "b", Kind: "int", Min: bMin, Max: bMax, Step: bStep},
+			{Name: "e", Kind: "enum", Values: strings.Split(vals, ",")},
+		})
+		if err != nil {
+			return
+		}
+		if sp.Size() < 1 || math.IsNaN(sp.LogSize()) || sp.LogSize() < 0 {
+			t.Fatalf("Size = %d, LogSize = %v", sp.Size(), sp.LogSize())
+		}
+		rng := rand.New(rand.NewSource(aMin ^ bMax))
+		pts := []space.Point{sp.Center(), sp.Random(rng), sp.Random(rng), sp.Random(rng)}
+		lat := sp.GridLattice(16)
+		for k := range lat.Size() {
+			pt := make(space.Point, sp.Dims())
+			lat.At(k, pt)
+			pts = append(pts, pt)
+		}
+		for _, pt := range pts {
+			cfg, err := sp.Decode(pt)
+			if err != nil {
+				t.Fatalf("point %v: %v", pt, err)
+			}
+			if a := cfg.Int("a"); a < aMin || a > aMax {
+				t.Fatalf("point %v decodes a = %d outside [%d,%d]", pt, a, aMin, aMax)
+			}
+			if _, err := sp.Encode(cfg.Map()); err != nil {
+				t.Fatalf("point %v: encoding its config: %v", pt, err)
+			}
+		}
+	})
 }

@@ -270,10 +270,10 @@ func EncodeSpace(sp *space.Space) []ParamSpec {
 	return out
 }
 
-// DecodeSpace reconstructs a space from a register message. Note that
-// feasibility constraints are not transmitted: the server searches
-// the bounding box and the client remains free to reject infeasible
-// configurations by reporting +Inf.
+// DecodeSpace reconstructs a space from a register message, refusing
+// a spec space.New refuses (an int span of math.MaxInt64 or more
+// among them). The server searches the whole box; a client rejects a
+// configuration it cannot run by reporting +Inf.
 func DecodeSpace(specs []ParamSpec) (*space.Space, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("proto: empty space")

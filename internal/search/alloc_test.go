@@ -33,30 +33,32 @@ func allocObjective(pt space.Point) float64 {
 	return f
 }
 
-// allocsBeyondHandouts drives bs through calls NextBatch/ReportBatch
-// rounds and returns the mallocs left once each handed-out point and
-// each new best (the tracker keeps a copy) is counted off.
-func allocsBeyondHandouts(bs BatchStrategy, calls int) int64 {
+// allocsBeyondHandouts drives as through rounds of Ask/Commit — Ask
+// until the round stalls, then commit each point — and returns the
+// mallocs left once each handed-out point and each new best (the
+// tracker keeps a copy) is counted off.
+func allocsBeyondHandouts(as AsyncStrategy, rounds int) int64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	values := make([]float64, 0, 64)
-	best, _, _ := bs.Best()
+	pts := make([]space.Point, 0, 64)
+	best, _, _ := as.Best()
 	bestValue := allocObjective(best)
 	var handouts int64
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for range calls {
-		batch := bs.NextBatch()
-		values = values[:0]
-		for _, pt := range batch {
+	for range rounds {
+		pts = pts[:0]
+		for pt, ok := as.Ask(); ok; pt, ok = as.Ask() {
+			pts = append(pts, pt)
+		}
+		for _, pt := range pts {
 			v := allocObjective(pt)
 			if v < bestValue {
 				bestValue = v
 				handouts++
 			}
-			values = append(values, v)
+			as.Commit(pt, v)
 		}
-		handouts += int64(len(batch))
-		bs.ReportBatch(batch, values)
+		handouts += int64(len(pts))
 	}
 	runtime.ReadMemStats(&after)
 	return int64(after.Mallocs-before.Mallocs) - handouts
@@ -68,11 +70,12 @@ func allocsBeyondHandouts(bs BatchStrategy, calls int) int64 {
 func TestPRORoundAllocatesOnlyItsPoints(t *testing.T) {
 	skipUnderRace(t)
 	p := NewPRO(allocSpace(), PROOptions{Seed: 3})
-	allocsBeyondHandouts(p, 40) // round state, private generator, batch array
+	as := Rounds(p)
+	allocsBeyondHandouts(as, 40) // round state, private generator, batch array
 	if p.expanded()[0].x == nil || p.rng.src.own == nil {
 		t.Fatal("warm-up did not reach an expansion and the private generator")
 	}
-	if n := allocsBeyondHandouts(p, 60); n != 0 {
+	if n := allocsBeyondHandouts(as, 60); n != 0 {
 		t.Errorf("60 PRO phases allocate %d times beyond the points they hand out, want 0", n)
 	}
 	if p.Converged() {
@@ -81,14 +84,15 @@ func TestPRORoundAllocatesOnlyItsPoints(t *testing.T) {
 }
 
 // TestSimplexIterationAllocatesOnlyItsPoints: a simplex iteration
-// reuses its centroid, trial points and vertices, so it allocates only
-// the points it hands out.
+// reuses its centroid, trial points and vertices, and the round view
+// the engine runs it through takes each round of one from its own
+// array, so it allocates only the points it hands out.
 func TestSimplexIterationAllocatesOnlyItsPoints(t *testing.T) {
 	skipUnderRace(t)
 	s := NewSimplex(allocSpace(), SimplexOptions{})
-	bs := AsBatch(s)
-	allocsBeyondHandouts(bs, 10)
-	if n := allocsBeyondHandouts(bs, 40); n != 0 {
+	as := Rounds(s)
+	allocsBeyondHandouts(as, 10)
+	if n := allocsBeyondHandouts(as, 40); n != 0 {
 		t.Errorf("40 simplex proposals allocate %d times beyond the points they hand out, want 0", n)
 	}
 	if s.Converged() || s.Iterations() < 10 {

@@ -44,27 +44,36 @@ type AsyncStrategy interface {
 	Best() (pt space.Point, value float64, ok bool)
 }
 
-// AsAsync returns an AsyncStrategy view of strat. Strategies that
-// implement the issue/commit interface natively (Ensemble) are
-// returned unchanged; any other Strategy is adapted through its
-// BatchStrategy view: Ask hands out the points of the current round
-// one at a time, stalls once the round is fully issued, and the
-// adapter fires one ReportBatch for the whole round when its last
-// value commits. That stall is the round barrier: core.Tune runs
-// every round-structured session through this adapter, which is why
-// a campaign's fingerprint does not depend on Options.Async for an
-// adapted strategy.
+// AsAsync returns an AsyncStrategy view of strat: strat itself when it
+// implements the issue/commit interface natively (Ensemble), and its
+// round view, Rounds(strat), otherwise.
 func AsAsync(strat Strategy) AsyncStrategy {
 	if as, ok := strat.(AsyncStrategy); ok {
 		return as
 	}
-	return &batchAsync{bs: AsBatch(strat)}
+	return Rounds(strat)
 }
 
-// batchAsync adapts a BatchStrategy to the issue/commit interface by
+// Rounds returns the round view of strat: Ask hands out the points of
+// the current round one at a time, stalls once the round is fully
+// issued, and the adapter reports the whole round when its last value
+// commits. A BatchStrategy's round is its NextBatch, reported by one
+// ReportBatch; any other strategy's is its one proposal from Next,
+// reported by Report. That stall is the round barrier: core.Tune runs
+// every session that is not Options.Async through this view, which is
+// why a campaign's fingerprint does not depend on Options.Async for a
+// strategy that is not natively an AsyncStrategy.
+func Rounds(strat Strategy) AsyncStrategy {
+	bs, _ := strat.(BatchStrategy)
+	return &batchAsync{s: strat, bs: bs}
+}
+
+// batchAsync adapts a Strategy to the issue/commit interface by
 // round-buffering commits.
 type batchAsync struct {
-	bs        BatchStrategy
+	s         Strategy
+	bs        BatchStrategy  // s as a BatchStrategy; nil for rounds of one
+	one       [1]space.Point // backs every round of one, so a proposal costs no slice
 	round     []space.Point
 	vals      []float64
 	issued    int
@@ -72,9 +81,9 @@ type batchAsync struct {
 	done      bool
 }
 
-func (a *batchAsync) Name() string { return a.bs.Name() }
+func (a *batchAsync) Name() string { return a.s.Name() }
 
-func (a *batchAsync) Best() (space.Point, float64, bool) { return a.bs.Best() }
+func (a *batchAsync) Best() (space.Point, float64, bool) { return a.s.Best() }
 
 func (a *batchAsync) Done() bool { return a.done }
 
@@ -92,7 +101,7 @@ func (a *batchAsync) Ask() (space.Point, bool) {
 		// last commit delivers the round and the strategy can advance.
 		return nil, false
 	}
-	batch := a.bs.NextBatch()
+	batch := a.nextRound()
 	if len(batch) == 0 {
 		a.done = true
 		return nil, false
@@ -103,23 +112,30 @@ func (a *batchAsync) Ask() (space.Point, bool) {
 	return batch[0], true
 }
 
+// nextRound proposes the strategy's next round; empty means it is done.
+func (a *batchAsync) nextRound() []space.Point {
+	if a.bs != nil {
+		return a.bs.NextBatch()
+	}
+	pt, ok := a.s.Next()
+	if !ok {
+		return nil
+	}
+	a.one[0] = pt
+	return a.one[:]
+}
+
 func (a *batchAsync) Commit(pt space.Point, value float64) {
 	_ = pt // commits arrive in issue order; the position identifies the point
 	a.vals = append(a.vals, value)
 	a.committed++
 	if a.committed == len(a.round) {
-		a.bs.ReportBatch(a.round, a.vals)
+		if a.bs != nil {
+			a.bs.ReportBatch(a.round, a.vals)
+		} else {
+			a.s.Report(a.round[0], a.vals[0])
+		}
 		a.round = nil
 		a.issued, a.committed = 0, 0
 	}
-}
-
-// Speculate forwards to the wrapped strategy when it speculates, so
-// the engine sees through the adapter and can prefetch the follow-up
-// proposals of a stalled round onto idle workers.
-func (a *batchAsync) Speculate(max int) []space.Point {
-	if sp, ok := a.bs.(Speculator); ok {
-		return sp.Speculate(max)
-	}
-	return nil
 }

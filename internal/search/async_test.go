@@ -1,62 +1,86 @@
 package search
 
 import (
+	"slices"
 	"testing"
 
 	"harmony/internal/space"
 )
 
-// recordingBatch wraps a BatchStrategy and records ReportBatch calls.
-type recordingBatch struct {
-	BatchStrategy
-	reported [][]float64
+// reportLog records the values a strategy is told, one entry per
+// Report or ReportBatch call.
+type reportLog [][]float64
+
+// recordingStrategy wraps a sequential Strategy and logs its Reports.
+type recordingStrategy struct {
+	Strategy
+	log *reportLog
 }
 
-func (r *recordingBatch) ReportBatch(pts []space.Point, values []float64) {
-	r.reported = append(r.reported, append([]float64(nil), values...))
+func (r recordingStrategy) Report(pt space.Point, value float64) {
+	*r.log = append(*r.log, []float64{value})
+	r.Strategy.Report(pt, value)
+}
+
+// recordingBatch wraps a BatchStrategy and logs its ReportBatches.
+type recordingBatch struct {
+	BatchStrategy
+	log *reportLog
+}
+
+func (r recordingBatch) ReportBatch(pts []space.Point, values []float64) {
+	*r.log = append(*r.log, slices.Clone(values))
 	r.BatchStrategy.ReportBatch(pts, values)
 }
 
-// TestAsAsyncRoundBuffering verifies the adapter's contract: Ask
+// TestAsAsyncRoundBuffering verifies the round view's contract: Ask
 // hands out the current round one point at a time, stalls once the
-// round is fully issued, and delivers exactly one full-round
-// ReportBatch when the last value commits — the same strategy
-// interaction the round-barrier engine performs.
+// round is fully issued, and tells the strategy the whole round once,
+// when the last value commits — the same strategy interaction the
+// round-barrier engine performs. A BatchStrategy's round is its
+// NextBatch, told by one ReportBatch; a sequential strategy's is one
+// proposal, told by its Report.
 func TestAsAsyncRoundBuffering(t *testing.T) {
-	sp := space.MustNew(space.IntParam("x", 0, 99, 1))
-	rec := &recordingBatch{BatchStrategy: NewSystematic(sp, 50)}
-	as := AsAsync(Strategy(rec)).(*batchAsync)
-	as.bs = rec // route batch calls through the recorder
-
-	var pts []space.Point
-	for {
-		pt, ok := as.Ask()
-		if !ok {
-			break
-		}
-		pts = append(pts, pt)
+	sp := space.MustNew(space.IntParam("x", 0, 99, 1), space.IntParam("y", 0, 99, 1))
+	cases := []struct {
+		name  string
+		strat func(*reportLog) Strategy
+		round int
+	}{
+		{"systematic", func(l *reportLog) Strategy { return recordingBatch{NewSystematic(sp, 50), l} }, DefaultBatchStride},
+		{"simplex", func(l *reportLog) Strategy { return recordingStrategy{NewSimplex(sp, SimplexOptions{}), l} }, 1},
 	}
-	if len(pts) != DefaultBatchStride {
-		t.Fatalf("first round issued %d points, want the stride %d", len(pts), DefaultBatchStride)
-	}
-	if as.Done() {
-		t.Fatal("adapter done while a round is in flight")
-	}
-	for i, pt := range pts {
-		if len(rec.reported) != 0 {
-			t.Fatalf("ReportBatch fired after only %d of %d commits", i, len(pts))
-		}
-		as.Commit(pt, float64(100+i))
-	}
-	if len(rec.reported) != 1 || len(rec.reported[0]) != len(pts) {
-		t.Fatalf("want one full-round ReportBatch of %d values, got %v", len(pts), rec.reported)
-	}
-	if rec.reported[0][0] != 100 || rec.reported[0][len(pts)-1] != float64(100+len(pts)-1) {
-		t.Fatalf("values delivered out of issue order: %v", rec.reported[0])
-	}
-	// The next Ask opens a new round.
-	if _, ok := as.Ask(); !ok {
-		t.Fatal("adapter cannot open the next round after a full commit")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var log reportLog
+			as := AsAsync(c.strat(&log))
+			var pts []space.Point
+			for pt, ok := as.Ask(); ok; pt, ok = as.Ask() {
+				pts = append(pts, pt)
+			}
+			if len(pts) != c.round {
+				t.Fatalf("first round issued %d points, want %d", len(pts), c.round)
+			}
+			if as.Done() {
+				t.Fatal("adapter done while a round is in flight")
+			}
+			for i, pt := range pts {
+				if len(log) != 0 {
+					t.Fatalf("the strategy was told after only %d of %d commits", i, len(pts))
+				}
+				as.Commit(pt, float64(100+i))
+			}
+			if len(log) != 1 || len(log[0]) != len(pts) {
+				t.Fatalf("want the strategy told once, the whole round of %d values; got %v", len(pts), log)
+			}
+			if log[0][0] != 100 || log[0][len(pts)-1] != float64(100+len(pts)-1) {
+				t.Fatalf("values delivered out of issue order: %v", log[0])
+			}
+			// The next Ask opens a new round.
+			if _, ok := as.Ask(); !ok {
+				t.Fatal("adapter cannot open the next round after a full commit")
+			}
+		})
 	}
 }
 
@@ -67,29 +91,6 @@ func TestAsAsyncNativePassthrough(t *testing.T) {
 	e := NewEnsemble(sp, EnsembleOptions{Seed: 1, Budget: 10})
 	if AsAsync(e) != AsyncStrategy(e) {
 		t.Fatal("AsAsync wrapped a native AsyncStrategy")
-	}
-}
-
-// TestAsAsyncSpeculatePassthrough verifies the adapter forwards
-// Speculate so the pipelined engine can prefetch through it.
-func TestAsAsyncSpeculatePassthrough(t *testing.T) {
-	sp := space.MustNew(
-		space.IntParam("x", 0, 30, 1),
-		space.IntParam("y", 0, 30, 1),
-	)
-	sx := NewSimplex(sp, SimplexOptions{})
-	as := AsAsync(Strategy(sx))
-	sp1, ok := as.(Speculator)
-	if !ok {
-		t.Fatal("adapter does not expose Speculator")
-	}
-	// Drive the init phase: the remaining initial vertices are
-	// speculable from the very first Ask.
-	if _, ok := as.Ask(); !ok {
-		t.Fatal("no first proposal")
-	}
-	if got := sp1.Speculate(8); len(got) == 0 {
-		t.Fatal("no speculation during the initial-simplex phase")
 	}
 }
 

@@ -53,49 +53,6 @@ type Speculator interface {
 	Speculate(max int) []space.Point
 }
 
-// AsBatch returns a BatchStrategy view of strat. Strategies that
-// batch natively (PRO, Random, Systematic, Exhaustive) are returned
-// unchanged; any other Strategy is adapted to batches of size one,
-// which preserves its exact sequential ask/tell semantics under the
-// batch engine.
-func AsBatch(strat Strategy) BatchStrategy {
-	if bs, ok := strat.(BatchStrategy); ok {
-		return bs
-	}
-	return &seqBatch{Strategy: strat}
-}
-
-// seqBatch adapts a sequential Strategy to batches of one proposal.
-// one backs every batch it returns, so a proposal costs no slice.
-type seqBatch struct {
-	Strategy
-	one [1]space.Point
-}
-
-func (b *seqBatch) NextBatch() []space.Point {
-	pt, ok := b.Strategy.Next()
-	if !ok {
-		return nil
-	}
-	b.one[0] = pt
-	return b.one[:]
-}
-
-func (b *seqBatch) ReportBatch(pts []space.Point, values []float64) {
-	for i := range pts {
-		b.Strategy.Report(pts[i], values[i])
-	}
-}
-
-// Speculate forwards to the wrapped strategy when it speculates, so
-// the engine sees through the adapter.
-func (b *seqBatch) Speculate(max int) []space.Point {
-	if sp, ok := b.Strategy.(Speculator); ok {
-		return sp.Speculate(max)
-	}
-	return nil
-}
-
 // DefaultBatchStride is the round size of the sampling strategies
 // (Random, Systematic, Exhaustive). Unlike PRO, whose round size is
 // fixed by the population, a sampler's "round" is an arbitrary slice

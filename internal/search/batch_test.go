@@ -189,40 +189,6 @@ func TestRandomBatchHonoursBudget(t *testing.T) {
 	}
 }
 
-// TestAsBatchAdapter verifies the generic adapter turns a sequential
-// strategy into batches of one with unchanged behaviour, and that it
-// forwards speculation.
-func TestAsBatchAdapter(t *testing.T) {
-	sp := batchTestSpace(t)
-	bs := AsBatch(NewSimplex(sp, SimplexOptions{}))
-	if _, ok := bs.(*seqBatch); !ok {
-		t.Fatalf("AsBatch(simplex) = %T, want the sequential adapter", bs)
-	}
-	if native := AsBatch(NewPRO(sp, PROOptions{})); native == nil {
-		t.Fatal("AsBatch(PRO) returned nil")
-	} else if _, ok := native.(*PRO); !ok {
-		t.Fatalf("AsBatch(PRO) = %T, want the native *PRO", native)
-	}
-	seen := 0
-	for i := 0; i < 100; i++ {
-		batch := bs.NextBatch()
-		if len(batch) == 0 {
-			break
-		}
-		if len(batch) != 1 {
-			t.Fatalf("adapter batch has %d points, want 1", len(batch))
-		}
-		bs.ReportBatch(batch, []float64{quadratic(batch[0])})
-		seen++
-	}
-	if seen == 0 {
-		t.Fatal("adapter produced no batches")
-	}
-	if _, v, ok := bs.Best(); !ok || v < 0 {
-		t.Fatalf("adapter best = %v, ok=%v", v, ok)
-	}
-}
-
 // TestSimplexSpeculate verifies speculation is only offered at a
 // reflection step, yields the expansion/contraction candidates, and
 // does not disturb the state machine.

@@ -146,7 +146,12 @@ func (c *constProposer) ReportBatch(pts []space.Point, values []float64) {
 // share of issues must collapse while the healthy member's grows.
 func TestEnsembleBanditShiftsAwayFromFaultyTechnique(t *testing.T) {
 	sp := ensembleSpace(t)
-	grid := sp.Grid(2000)
+	lat := sp.GridLattice(2000)
+	grid := make([]space.Point, lat.Size())
+	for k := range grid {
+		grid[k] = make(space.Point, sp.Dims())
+		lat.At(int64(k), grid[k])
+	}
 	half := len(grid) / 2
 	faulty := newConstProposer("faulty", grid[:half])
 	healthy := newConstProposer("healthy", grid[half:])

@@ -2,8 +2,8 @@ package search
 
 import "harmony/internal/space"
 
-// Random is a uniform random-sampling strategy. It proposes feasible
-// points drawn uniformly from the space until MaxSamples proposals
+// Random is a uniform random-sampling strategy. It proposes points
+// drawn uniformly from the space until MaxSamples proposals
 // have been evaluated. It serves as a baseline against the simplex
 // strategy.
 type Random struct {
@@ -115,8 +115,8 @@ func (s *Systematic) ReportBatch(pts []space.Point, values []float64) {
 	}
 }
 
-// Exhaustive enumerates every feasible point of a space, in the order
-// Space.All visits them.
+// Exhaustive enumerates every point of a space, in the number order of
+// its FullLattice.
 type Exhaustive struct {
 	walk
 }
@@ -144,9 +144,8 @@ func (e *Exhaustive) ReportBatch(pts []space.Point, values []float64) {
 	}
 }
 
-// walk visits the feasible points of a lattice in number order. It
-// holds its position, not the points: the cursor of Systematic and
-// Exhaustive.
+// walk visits the points of a lattice in number order. It holds its
+// position, not the points: the cursor of Systematic and Exhaustive.
 type walk struct {
 	tracker
 	lat     space.Lattice
@@ -158,17 +157,13 @@ type walk struct {
 
 func (w *walk) start(lat space.Lattice, dims int) {
 	w.lat, w.pt = lat, make(space.Point, dims)
-	w.k = lat.Next(0, w.pt)
+	if lat.Size() > 0 {
+		lat.At(0, w.pt)
+	}
 }
 
 // Planned reports how many points will be visited.
-func (w *walk) Planned() int {
-	n, pt := 0, make(space.Point, len(w.pt))
-	for k := w.lat.Next(0, pt); k < w.lat.Size(); k = w.lat.Next(k+1, pt) {
-		n++
-	}
-	return n
-}
+func (w *walk) Planned() int { return int(w.lat.Size()) }
 
 // Next implements Strategy.
 func (w *walk) Next() (space.Point, bool) {
@@ -184,7 +179,9 @@ func (w *walk) advance(name string, pt space.Point, value float64) {
 	mustPending(name, w.pending)
 	w.observe(pt, value)
 	w.pending = false
-	w.k = w.lat.Next(w.k+1, w.pt)
+	if w.k++; w.k < w.lat.Size() {
+		w.lat.At(w.k, w.pt)
+	}
 }
 
 // NextBatch implements BatchStrategy: the next DefaultBatchStride
@@ -193,9 +190,8 @@ func (w *walk) NextBatch() []space.Point {
 	w.batch = w.batch[:0]
 	for k := w.k; k < w.lat.Size() && len(w.batch) < DefaultBatchStride; k++ {
 		pt := make(space.Point, len(w.pt))
-		if k = w.lat.Next(k, pt); k < w.lat.Size() {
-			w.batch = append(w.batch, pt)
-		}
+		w.lat.At(k, pt)
+		w.batch = append(w.batch, pt)
 	}
 	return w.batch
 }

@@ -104,7 +104,7 @@ func TestRandomStaysFeasibleAndStops(t *testing.T) {
 	sp := space.MustNew(
 		space.IntParam("a", 0, 99, 1),
 		space.IntParam("b", 0, 99, 1),
-	).WithConstraint(func(pt space.Point) bool { return pt[0] <= pt[1] })
+	)
 	r := NewRandom(sp, 7, 50)
 	evals := drive(t, r, sp, func(pt space.Point) float64 { return float64(pt[0]) }, 1000)
 	if evals != 50 {
@@ -171,15 +171,6 @@ func TestExhaustiveFindsGlobalOptimum(t *testing.T) {
 	pt, val, _ := e.Best()
 	if val != -100 || !pt.Equal(space.Point{5, 2}) {
 		t.Errorf("best %v value %v, want hidden optimum", pt, val)
-	}
-}
-
-func TestExhaustiveRespectsConstraint(t *testing.T) {
-	sp := space.MustNew(space.IntParam("a", 0, 9, 1)).
-		WithConstraint(func(pt space.Point) bool { return pt[0]%3 == 0 })
-	e := NewExhaustive(sp)
-	if e.Planned() != 4 {
-		t.Errorf("planned %d, want 4 feasible points", e.Planned())
 	}
 }
 

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -292,5 +296,57 @@ func TestRegisteredSimplexIsTheOfflineSimplex(t *testing.T) {
 		if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: reply.Tag, Perf: f(want)}); r.Type != proto.TypeOK {
 			t.Fatalf("report %d: %+v", i, r)
 		}
+	}
+}
+
+// TestRegisterOverflowingSpanIsRefused: an int parameter spanning all
+// of int64 once registered and then crashed the server — Levels
+// wrapped, so exhaustive divided by zero in Space.Size at register,
+// and random and the ensemble panicked in Int63n at the first fetch.
+// The register line is refused with an error reply for every
+// strategy, and the connection goes on serving a well-formed session.
+func TestRegisterOverflowingSpanIsRefused(t *testing.T) {
+	_, addr := startServer(t)
+	const wide = `[{"name":"a","kind":"int","min":-9223372036854775808,"max":9223372036854775807,"step":1}]`
+	for _, strategy := range []string{
+		proto.StrategySimplex, proto.StrategyCoordinate, proto.StrategyRandom, proto.StrategySystematic,
+		proto.StrategyExhaustive, proto.StrategyPRO, proto.StrategyEnsemble,
+	} {
+		t.Run(strategy, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			r := bufio.NewReader(conn)
+			call := func(line string) proto.Message {
+				t.Helper()
+				if _, err := fmt.Fprintln(conn, line); err != nil {
+					t.Fatal(err)
+				}
+				reply, err := r.ReadBytes('\n')
+				if err != nil {
+					t.Fatalf("%s: no reply: %v", line, err)
+				}
+				var m proto.Message
+				if err := json.Unmarshal(reply, &m); err != nil {
+					t.Fatalf("reply %q: %v", reply, err)
+				}
+				return m
+			}
+			reg := call(`{"type":"register","strategy":"` + strategy + `","space":` + wide + `}`)
+			if reg.Type != proto.TypeError || !strings.HasPrefix(reg.Error, "register:") {
+				fetch := call(`{"type":"fetch","session":"` + reg.Session + `"}`)
+				t.Fatalf("register = %+v (then fetch = %+v), want a register error", reg, fetch)
+			}
+			reg = call(`{"type":"register","strategy":"` + strategy + `","seed":1,"max_runs":4,` +
+				`"space":[{"name":"a","kind":"int","min":0,"max":9,"step":1}]}`)
+			if reg.Type != proto.TypeRegistered {
+				t.Fatalf("well-formed register after the refused one = %+v", reg)
+			}
+			if cfg := call(`{"type":"fetch","session":"` + reg.Session + `"}`); cfg.Type != proto.TypeConfig {
+				t.Fatalf("fetch = %+v, want a config", cfg)
+			}
+		})
 	}
 }

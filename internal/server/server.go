@@ -493,7 +493,7 @@ func (s *Server) register(msg, reply *proto.Message) {
 		}
 		ss.openWindow(search.AsAsync(strat), depth, 1)
 	case msg.Parallel:
-		ss.openWindow(search.AsAsync(search.AsBatch(strat)), core.Unbounded, core.Unbounded)
+		ss.openWindow(search.Rounds(strat), core.Unbounded, core.Unbounded)
 	default:
 		// One candidate in flight: every client is handed the same one.
 		ss.openWindow(search.AsAsync(strat), 1, 1)

@@ -67,7 +67,7 @@ func sharedWindow(strat search.Strategy) func(*session) {
 // roundWindow opens the window register builds for a Parallel session.
 func roundWindow(strat search.Strategy) func(*session) {
 	return func(ss *session) {
-		ss.openWindow(search.AsAsync(search.AsBatch(strat)), core.Unbounded, core.Unbounded)
+		ss.openWindow(search.Rounds(strat), core.Unbounded, core.Unbounded)
 	}
 }
 

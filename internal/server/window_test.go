@@ -341,8 +341,8 @@ func TestAsyncServerStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// A simplex adapts through the round-buffered AsBatch view with
-	// batches of one: with a window deeper than the batch, every fill
+	// A simplex adapts through the round-buffered Rounds view with
+	// rounds of one: with a window deeper than the round, every fill
 	// pass past the first candidate is starved.
 	sess, err := c.Register(client.Registration{
 		App: "async-stats", Space: testSpace(),
@@ -552,7 +552,7 @@ func TestStaleTagAfterCandidateReuse(t *testing.T) {
 // head's struct. B's late report must be stale.
 func TestStaleTagAfterCandidateReuseParallel(t *testing.T) {
 	sp := testSpace()
-	strat := &tellCounter{AsyncStrategy: search.AsAsync(search.AsBatch(search.NewRandom(sp, 5, 50)))}
+	strat := &tellCounter{AsyncStrategy: search.Rounds(search.NewRandom(sp, 5, 50))}
 	ss := newTestSession(sp, nil, 50, func(ss *session) { ss.openWindow(strat, core.Unbounded, core.Unbounded) })
 	m := ss.win.m
 	tags := []int{ss.callFetch().Tag}

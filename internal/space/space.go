@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -58,9 +59,10 @@ type Param struct {
 }
 
 // IntParam constructs an integer parameter covering [min, max] with
-// the given step. It panics if the range is empty or the step is not
-// positive; spaces are built by programmers, not end users, so
-// construction errors are programming errors.
+// the given step. It panics if the range is empty, the step is not
+// positive, or the span max-min is not below math.MaxInt64; spaces are
+// built by programmers, not end users, so construction errors are
+// programming errors.
 func IntParam(name string, min, max, step int64) Param {
 	if step <= 0 {
 		panic(fmt.Sprintf("space: parameter %q has non-positive step %d", name, step))
@@ -68,7 +70,17 @@ func IntParam(name string, min, max, step int64) Param {
 	if max < min {
 		panic(fmt.Sprintf("space: parameter %q has empty range [%d,%d]", name, min, max))
 	}
+	if spanTooWide(min, max) {
+		panic(fmt.Sprintf("space: parameter %q spans too wide a range [%d,%d]", name, min, max))
+	}
 	return Param{Name: name, Kind: Int, Min: min, Max: max, Step: step}
+}
+
+// spanTooWide reports whether max-min, for min <= max, overflows int64
+// or equals math.MaxInt64. Below that bound Levels and every v-Min of
+// an in-range value fit in an int64.
+func spanTooWide(min, max int64) bool {
+	return min <= 0 && max >= math.MaxInt64+min
 }
 
 // EnumParam constructs an enumerated parameter over the given values.
@@ -205,20 +217,16 @@ func (pt Point) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// Constraint restricts a space to the points for which it returns
-// true. A nil Constraint admits every lattice point.
-type Constraint func(Point) bool
-
-// Space is an ordered collection of parameters plus an optional
-// feasibility constraint over lattice points.
+// Space is an ordered collection of parameters: the box of their
+// lattice levels. Every point of the box is a valid configuration.
 type Space struct {
-	params     []Param
-	index      map[string]int
-	constraint Constraint
+	params []Param
+	index  map[string]int
 }
 
 // New builds a space from the given parameters. Parameter names must
-// be unique and non-empty.
+// be unique and non-empty, and an Int parameter's span Max-Min must be
+// below math.MaxInt64.
 func New(params ...Param) (*Space, error) {
 	if len(params) == 0 {
 		return nil, errors.New("space: no parameters")
@@ -234,6 +242,9 @@ func New(params ...Param) (*Space, error) {
 		if _, dup := s.index[p.Name]; dup {
 			return nil, fmt.Errorf("space: duplicate parameter name %q", p.Name)
 		}
+		if p.Kind == Int && spanTooWide(p.Min, p.Max) {
+			return nil, fmt.Errorf("space: parameter %q spans too wide a range [%d,%d]", p.Name, p.Min, p.Max)
+		}
 		s.index[p.Name] = i
 	}
 	return s, nil
@@ -247,14 +258,6 @@ func MustNew(params ...Param) *Space {
 		panic(err)
 	}
 	return s
-}
-
-// WithConstraint returns a shallow copy of the space with the given
-// feasibility constraint installed.
-func (s *Space) WithConstraint(c Constraint) *Space {
-	out := *s
-	out.constraint = c
-	return &out
 }
 
 // Dims reports the number of parameters (lattice dimensions).
@@ -282,8 +285,8 @@ func (s *Space) IndexOf(name string) int {
 	return i
 }
 
-// Size returns the number of lattice points in the bounding box
-// (ignoring the constraint), saturating at math.MaxInt64 on overflow.
+// Size returns the number of lattice points in the box, saturating at
+// math.MaxInt64 on overflow.
 func (s *Space) Size() int64 {
 	const maxInt64 = int64(^uint64(0) >> 1)
 	total := int64(1)
@@ -312,8 +315,7 @@ func log10int(n int64) float64 {
 	return math.Log10(float64(n))
 }
 
-// Valid reports whether the point is inside the bounding box and
-// satisfies the constraint.
+// Valid reports whether the point is inside the box.
 func (s *Space) Valid(pt Point) bool {
 	if len(pt) != len(s.params) {
 		return false
@@ -323,14 +325,11 @@ func (s *Space) Valid(pt Point) bool {
 			return false
 		}
 	}
-	if s.constraint != nil && !s.constraint(pt) {
-		return false
-	}
 	return true
 }
 
 // Clamp returns a copy of the point with every coordinate clamped into
-// the bounding box. It does not enforce the constraint.
+// the box.
 func (s *Space) Clamp(pt Point) Point {
 	out := pt.Clone()
 	for i := range out {
@@ -390,20 +389,11 @@ func (s *Space) Center() Point {
 	return pt
 }
 
-// Random returns a uniformly random in-box lattice point drawn from
-// rng. If the space has a constraint, Random retries up to 1000 times
-// to find a feasible point and otherwise returns the last draw
-// (infeasible) so callers can detect it with Valid.
+// Random returns a uniformly random lattice point drawn from rng.
 func (s *Space) Random(rng *rand.Rand) Point {
-	var pt Point
-	for attempt := 0; attempt < 1000; attempt++ {
-		pt = make(Point, len(s.params))
-		for i, p := range s.params {
-			pt[i] = rng.Int63n(p.Levels())
-		}
-		if s.constraint == nil || s.constraint(pt) {
-			return pt
-		}
+	pt := make(Point, len(s.params))
+	for i, p := range s.params {
+		pt[i] = rng.Int63n(p.Levels())
 	}
 	return pt
 }
@@ -551,83 +541,38 @@ func (s *Space) Names() []string {
 	return out
 }
 
-// Neighbors returns the feasible lattice points reachable from pt by
-// moving one dimension one level up or down: the neighbourhood used
-// by coordinate-descent search. Results are in deterministic order
-// (dimension-major, down before up).
-func (s *Space) Neighbors(pt Point) []Point {
-	var out []Point
-	for i := range s.params {
-		for _, d := range [2]int64{-1, +1} {
-			n := pt.Clone()
-			n[i] += d
-			if s.Valid(n) {
-				out = append(out, n)
-			}
-		}
-	}
-	return out
-}
-
-// AxisPoints returns the feasible points obtained from pt by setting
-// dimension dim to every one of its levels (including the current
-// one). Used by exhaustive per-parameter sweeps.
+// AxisPoints returns the points obtained from pt by setting dimension
+// dim to every one of its levels (including the current one). Used by
+// exhaustive per-parameter sweeps.
 func (s *Space) AxisPoints(pt Point, dim int) []Point {
 	p := s.params[dim]
 	out := make([]Point, 0, p.Levels())
 	for lvl := int64(0); lvl < p.Levels(); lvl++ {
 		n := pt.Clone()
 		n[dim] = lvl
-		if s.Valid(n) {
-			out = append(out, n)
-		}
+		out = append(out, n)
 	}
 	return out
 }
 
-// Grid returns up to budget points that systematically sample the
-// bounding box: every dimension is divided into approximately
-// budget^(1/dims) evenly spaced levels and the cross product is
-// enumerated, skipping infeasible points. This implements the paper's
-// "systematic sampling (i.e., using configurations that are evenly
-// distributed in the whole search space)" used for Fig. 6.
-func (s *Space) Grid(budget int) []Point {
-	var out []Point
-	l, pt := s.GridLattice(budget), make(Point, len(s.params))
-	for k := l.Next(0, pt); k < l.Size(); k = l.Next(k+1, pt) {
-		out = append(out, pt.Clone())
-	}
-	return out
-}
-
-// All enumerates every feasible lattice point, calling fn for each;
-// enumeration stops early if fn returns false. Intended only for
-// small spaces (exhaustive search, tests).
-func (s *Space) All(fn func(Point) bool) {
-	l, pt := s.FullLattice(), make(Point, len(s.params))
-	for k := l.Next(0, pt); k < l.Size(); k = l.Next(k+1, pt) {
-		if !fn(pt.Clone()) {
-			return
-		}
-	}
-}
-
-// Lattice is a regular sub-lattice of a space's bounding box:
-// dimension d takes counts[d] of its levels, evenly spread (the middle
-// one alone, or both ends and evenly spaced levels between). Its
-// points are numbered 0..Size()-1 in odometer order, the last
-// dimension turning fastest, and Next decodes a number, so a walk over
-// a lattice holds one number, not its points.
+// Lattice is a regular sub-lattice of a space's box: dimension d takes
+// counts[d] of its levels, evenly spread (the middle one alone, or both
+// ends and evenly spaced levels between). Its points are numbered
+// 0..Size()-1 in odometer order, the last dimension turning fastest,
+// and At decodes a number, so a walk over a lattice holds one number,
+// not its points.
 type Lattice struct {
 	sp     *Space
 	counts []int64
 	size   int64 // saturating at math.MaxInt64, like Space.Size
 }
 
-// GridLattice is the lattice Grid(budget) visits: at most budget
-// points. Starting from one level per dimension, it repeatedly adds a
-// level to the dimension with the most levels whose increment keeps
-// the product within budget.
+// GridLattice is a lattice of at most budget points that
+// systematically samples the box: the paper's "systematic sampling
+// (i.e., using configurations that are evenly distributed in the whole
+// search space)" of Fig. 6. Starting from one level per dimension, it
+// repeatedly adds a level to the dimension with the most levels whose
+// increment keeps the product within budget.
 func (s *Space) GridLattice(budget int) Lattice {
 	counts := make([]int64, len(s.params))
 	if budget <= 0 {
@@ -656,8 +601,7 @@ func (s *Space) GridLattice(budget int) Lattice {
 	}
 }
 
-// FullLattice is every point of the bounding box: the lattice All
-// visits.
+// FullLattice is every point of the box.
 func (s *Space) FullLattice() Lattice {
 	counts := make([]int64, len(s.params))
 	for i, p := range s.params {
@@ -666,29 +610,23 @@ func (s *Space) FullLattice() Lattice {
 	return Lattice{sp: s, counts: counts, size: s.Size()}
 }
 
-// Size is the number of lattice points, feasible or not.
+// Size is the number of lattice points.
 func (l Lattice) Size() int64 { return l.size }
 
-// Next writes the first feasible point numbered k or later into pt,
-// which has Dims coordinates, and returns its number, or Size() when
-// there is none.
-func (l Lattice) Next(k int64, pt Point) int64 {
-	for ; k < l.size; k++ {
-		r := k
-		for d := len(l.counts) - 1; d >= 0; d-- {
-			pt[d] = spreadLevel(l.sp.params[d].Levels(), l.counts[d], r%l.counts[d])
-			r /= l.counts[d]
-		}
-		if l.sp.constraint == nil || l.sp.constraint(pt) {
-			return k
-		}
+// At writes the point numbered k, in [0, Size()), into pt, which has
+// Dims coordinates.
+func (l Lattice) At(k int64, pt Point) {
+	for d := len(l.counts) - 1; d >= 0; d-- {
+		pt[d] = spreadLevel(l.sp.params[d].Levels(), l.counts[d], k%l.counts[d])
+		k /= l.counts[d]
 	}
-	return l.size
 }
 
 // spreadLevel is the i-th of n distinct levels picked evenly from
 // [0, total), including 0 and total-1 when n > 1. The picks are
 // distinct because consecutive ones lie (total-1)/(n-1) >= 1 apart.
+// The product i*(total-1) is taken in 128 bits: it overflows an int64
+// on a wide parameter, while the quotient is at most total-1.
 func spreadLevel(total, n, i int64) int64 {
 	switch {
 	case n >= total:
@@ -696,5 +634,7 @@ func spreadLevel(total, n, i int64) int64 {
 	case n == 1:
 		return (total - 1) / 2
 	}
-	return i * (total - 1) / (n - 1)
+	hi, lo := bits.Mul64(uint64(i), uint64(total-1))
+	q, _ := bits.Div64(hi, lo, uint64(n-1))
+	return int64(q)
 }

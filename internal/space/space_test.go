@@ -1,6 +1,7 @@
 package space
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -119,6 +120,58 @@ func TestNewRejectsBadSpaces(t *testing.T) {
 	}
 }
 
+// TestIntSpanBounds pins the widest span an Int parameter may have:
+// Max-Min must stay below math.MaxInt64, so Levels and every v-Min fit
+// in an int64. New rejects a wider one and IntParam panics on it; at
+// the bound every level, grid points included, decodes back to its
+// value.
+func TestIntSpanBounds(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	for _, c := range []struct {
+		min, max int64
+		ok       bool
+	}{
+		{lo, hi, false},
+		{lo, 0, false},
+		{lo, -1, false},
+		{-1, hi - 1, false},
+		{0, hi, false},
+		{lo, -2, true},
+		{0, hi - 1, true},
+		{1, hi, true},
+		{lo, lo, true},
+		{hi, hi, true},
+	} {
+		name := fmt.Sprintf("[%d,%d]", c.min, c.max)
+		t.Run(name, func(t *testing.T) {
+			sp, err := New(Param{Name: "a", Kind: Int, Min: c.min, Max: c.max, Step: 1})
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				IntParam("a", c.min, c.max, 1)
+				return false
+			}()
+			if c.ok != (err == nil) || c.ok == panicked {
+				t.Fatalf("New error %v, IntParam panicked %v; want accepted %v", err, panicked, c.ok)
+			}
+			if !c.ok {
+				return
+			}
+			p := sp.Params()[0]
+			if l := p.Levels(); l != c.max-c.min+1 || sp.Size() != l {
+				t.Fatalf("Levels = %d, Size = %d, want %d", l, sp.Size(), c.max-c.min+1)
+			}
+			rng := rand.New(rand.NewSource(1))
+			grid := points(sp.GridLattice(5))
+			for _, pt := range append(grid, Point{0}, Point{p.Levels() - 1}, sp.Center(), sp.Random(rng)) {
+				v := sp.MustDecode(pt).Int("a")
+				if back, err := p.LevelOfInt(v); err != nil || back != pt[0] || v < c.min || v > c.max {
+					t.Errorf("level %d decodes to %d, back to %d (%v)", pt[0], v, back, err)
+				}
+			}
+		})
+	}
+}
+
 func TestSize(t *testing.T) {
 	s := testSpace(t)
 	if got := s.Size(); got != 10*3*11 {
@@ -190,18 +243,6 @@ func TestNearestPropertyInBox(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestConstraint(t *testing.T) {
-	s := testSpace(t).WithConstraint(func(pt Point) bool {
-		return pt[0] >= pt[2] // rows level must be >= bias level
-	})
-	if s.Valid(Point{0, 0, 5}) {
-		t.Error("constraint should reject point")
-	}
-	if !s.Valid(Point{5, 0, 5}) {
-		t.Error("constraint should accept point")
 	}
 }
 
@@ -301,31 +342,6 @@ func TestConfigFormatDeterministic(t *testing.T) {
 	}
 }
 
-func TestRandomRespectsConstraint(t *testing.T) {
-	s := testSpace(t).WithConstraint(func(pt Point) bool { return pt[2] == 0 })
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 50; i++ {
-		pt := s.Random(rng)
-		if !s.Valid(pt) {
-			t.Fatalf("Random produced infeasible point %v", pt)
-		}
-	}
-}
-
-func TestNeighbors(t *testing.T) {
-	s := testSpace(t)
-	n := s.Neighbors(Point{0, 1, 5})
-	// dim0: only +1; dim1: -1 and +1; dim2: -1 and +1 -> 5 neighbours.
-	if len(n) != 5 {
-		t.Fatalf("got %d neighbours, want 5: %v", len(n), n)
-	}
-	for _, pt := range n {
-		if !s.Valid(pt) {
-			t.Errorf("invalid neighbour %v", pt)
-		}
-	}
-}
-
 func TestAxisPoints(t *testing.T) {
 	s := testSpace(t)
 	pts := s.AxisPoints(Point{0, 0, 0}, 1)
@@ -342,7 +358,7 @@ func TestAxisPoints(t *testing.T) {
 func TestGridBudget(t *testing.T) {
 	s := testSpace(t)
 	for _, budget := range []int{1, 5, 27, 100, 330, 10000} {
-		pts := s.Grid(budget)
+		pts := points(s.GridLattice(budget))
 		if len(pts) == 0 {
 			t.Fatalf("budget %d: empty grid", budget)
 		}
@@ -360,41 +376,16 @@ func TestGridBudget(t *testing.T) {
 			seen[pt.Key()] = true
 		}
 	}
-	if pts := s.Grid(0); pts != nil {
-		t.Errorf("Grid(0) = %v, want nil", pts)
+	if pts := points(s.GridLattice(0)); len(pts) != 0 {
+		t.Errorf("GridLattice(0) has points %v", pts)
 	}
 }
 
 func TestGridCoversFullSpaceWhenBudgetAllows(t *testing.T) {
 	s := MustNew(IntParam("a", 0, 2, 1), IntParam("b", 0, 1, 1))
-	pts := s.Grid(100)
+	pts := points(s.GridLattice(100))
 	if len(pts) != 6 {
 		t.Errorf("got %d points, want all 6", len(pts))
-	}
-}
-
-func TestAllEnumerates(t *testing.T) {
-	s := MustNew(IntParam("a", 0, 2, 1), EnumParam("b", "x", "y"))
-	var count int
-	s.All(func(Point) bool { count++; return true })
-	if count != 6 {
-		t.Errorf("All visited %d points, want 6", count)
-	}
-	count = 0
-	s.All(func(Point) bool { count++; return count < 3 })
-	if count != 3 {
-		t.Errorf("All early stop visited %d, want 3", count)
-	}
-}
-
-func TestAllRespectsConstraint(t *testing.T) {
-	s := MustNew(IntParam("a", 0, 4, 1)).WithConstraint(func(pt Point) bool {
-		return pt[0]%2 == 0
-	})
-	var count int
-	s.All(func(Point) bool { count++; return true })
-	if count != 3 {
-		t.Errorf("All visited %d points, want 3", count)
 	}
 }
 
@@ -481,16 +472,6 @@ func TestParamLookup(t *testing.T) {
 	names := s.Names()
 	if len(names) != 3 || names[0] != "rows" || names[2] != "bias" {
 		t.Errorf("Names = %v", names)
-	}
-}
-
-func TestGridRespectsConstraint(t *testing.T) {
-	s := MustNew(IntParam("a", 0, 9, 1), IntParam("b", 0, 9, 1)).
-		WithConstraint(func(pt Point) bool { return pt[0] != pt[1] })
-	for _, pt := range s.Grid(50) {
-		if pt[0] == pt[1] {
-			t.Fatalf("grid point %v violates constraint", pt)
-		}
 	}
 }
 
