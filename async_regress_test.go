@@ -19,8 +19,7 @@ import (
 	"os"
 	"testing"
 
-	"harmony/internal/core"
-	"harmony/internal/gs2"
+	"harmony/internal/paper"
 	"harmony/internal/search"
 	"harmony/internal/space"
 )
@@ -32,39 +31,37 @@ var asyncGoldens = map[string]string{
 	"table3-async-ensemble": "runs=35 proposals=38 failures=0 best=10,1,54 bestValue=403ff12c29dc95cf bestAtRun=18 cost=40b5997a68011e3c trials=71999ecca5534aee",
 }
 
-func asyncCampaigns() map[string]func(workers int) (*core.Result, error) {
-	table3 := func(workers int, strat func(sp *space.Space) search.Strategy) (*core.Result, error) {
-		base := gs2.DefaultConfig()
-		base.Steps = 10
-		sp := gs2.ResolutionSpace(64)
-		return core.Tune(context.Background(), sp, strat(sp),
-			gs2.ResolutionObjective(gs2.LinuxCluster, base),
-			core.Options{MaxRuns: 35, Workers: workers, Async: true})
+// asyncCampaigns builds the table3-gs2-resolution campaign of
+// campaign_regress_test.go under Async, by its simplex and by the
+// ensemble.
+func asyncCampaigns() map[string]func() paper.Campaign {
+	table3 := func() paper.Campaign {
+		c := campaigns()["table3-gs2-resolution"]()
+		c.Options.Async = true
+		return c
 	}
-	return map[string]func(workers int) (*core.Result, error){
-		"table3-async-simplex": func(workers int) (*core.Result, error) {
-			return table3(workers, func(sp *space.Space) search.Strategy {
-				return search.NewSimplex(sp, search.SimplexOptions{
-					Start: gs2.ResolutionStart(sp, 16, 26, 32), StepFraction: 0.5, Restarts: 12})
-			})
-		},
-		"table3-async-ensemble": func(workers int) (*core.Result, error) {
-			return table3(workers, func(sp *space.Space) search.Strategy {
+	return map[string]func() paper.Campaign{
+		"table3-async-simplex": table3,
+		"table3-async-ensemble": func() paper.Campaign {
+			c := table3()
+			c.Strategy = func(sp *space.Space, _ space.Point) search.Strategy {
 				return search.NewEnsemble(sp, search.EnsembleOptions{Seed: 11, Budget: 35})
-			})
+			}
+			return c
 		},
 	}
 }
 
 func TestAsyncCampaignFingerprints(t *testing.T) {
 	printMode := os.Getenv("HARMONY_PRINT_FINGERPRINTS") != ""
-	for name, run := range asyncCampaigns() {
-		name, run := name, run
+	for name, build := range asyncCampaigns() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
+			c := build()
 			prints := make(map[int]string, 3)
 			for _, workers := range []int{1, 4, 8} {
-				res, err := run(workers)
+				c.Options.Workers = workers
+				res, err := c.Tune(context.Background())
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}

@@ -1,20 +1,25 @@
-// Benchmarks regenerating each table and figure of the paper at
-// reduced scale (the full-scale regeneration is cmd/repro). One
-// benchmark iteration = one complete tuning campaign (or one
-// full sampling pass), so ns/op measures the cost of reproducing the
-// experiment, and the reported custom metrics carry the experiment's
+// Benchmarks regenerating the paper's experiments at reduced scale
+// (the full-scale regeneration is cmd/repro), then component
+// micro-benchmarks. BenchmarkPaperCampaigns runs the campaigns of
+// internal/paper, Fig5GS2Layout the layout comparison and
+// Fig6GS2Distribution the sampling pass: one iteration is one
+// complete campaign or pass, so ns/op measures the cost of
+// reproducing the experiment, and the custom metrics carry its
 // headline result.
 package harmony_test
 
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"harmony"
 	"harmony/internal/cluster"
 	"harmony/internal/core"
 	"harmony/internal/gs2"
+	"harmony/internal/paper"
 	"harmony/internal/petscsim"
 	"harmony/internal/pop"
 	"harmony/internal/search"
@@ -24,36 +29,47 @@ import (
 	"harmony/internal/trace"
 )
 
-// reportImprovement attaches the experiment's headline number to the
-// benchmark output.
-func reportImprovement(b *testing.B, def, tuned float64) {
-	b.Helper()
-	if def > 0 {
-		b.ReportMetric(100*(def-tuned)/def, "%improvement")
-	}
-}
-
-// BenchmarkFig2PETScDecompositionSmall tunes the 4-partition SLES
-// decomposition of Fig. 2(b).
-func BenchmarkFig2PETScDecompositionSmall(b *testing.B) {
-	app := petscsim.NewSLESApp(600, 4, 3, 60, 11)
-	m := cluster.Seaborg(4, 1)
-	def, err := app.Run(m, app.DefaultPartition())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tuned float64
-	for i := 0; i < b.N; i++ {
-		sp := app.Space()
-		res, err := core.Tune(context.Background(), sp,
-			search.NewSimplex(sp, search.SimplexOptions{Start: app.EvenPoint(), Adaptive: true, Restarts: 4}),
-			app.Objective(m), core.Options{MaxRuns: 50})
-		if err != nil {
-			b.Fatal(err)
+// BenchmarkPaperCampaigns runs each campaign that
+// campaign_regress_test.go pins, under the pin's name, plus Table I's
+// one-pass namelist sweep and Table IV's production-run tuning. The
+// %improvement metric is the tuned time against the campaign's
+// Default.
+func BenchmarkPaperCampaigns(b *testing.B) {
+	builds := campaigns()
+	builds["table1-pop-namelist"] = func() paper.Campaign {
+		cfg := pop.DefaultConfig(360, 240)
+		cfg.BX, cfg.BY = 45, 60
+		cfg.Steps, cfg.BarotropicIters = 2, 4
+		c := paper.Namelist(cluster.Hockney(4, 4), cfg)
+		c.Strategy = func(sp *space.Space, start space.Point) search.Strategy {
+			return search.NewCoordinate(sp, search.CoordinateOptions{Start: start, MaxPasses: 1})
 		}
-		tuned = res.BestValue
+		return c
 	}
-	reportImprovement(b, def, tuned)
+	builds["table4-gs2-production"] = func() paper.Campaign {
+		base := gs2.DefaultConfig()
+		base.Steps = 1000
+		return paper.Resolution(base)
+	}
+	for _, name := range slices.Sorted(maps.Keys(builds)) {
+		b.Run(name, func(b *testing.B) {
+			c := builds[name]()
+			def, err := c.Default(context.Background())
+			if err != nil {
+				b.Fatal(err)
+			}
+			var tuned float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := c.Tune(context.Background())
+				if err != nil {
+					b.Fatal(err)
+				}
+				tuned = res.BestValue
+			}
+			b.ReportMetric(100*(def-tuned)/def, "%improvement")
+		})
+	}
 }
 
 // BenchmarkSLESRun is the sparse/petscsim layer's per-evaluation
@@ -73,81 +89,6 @@ func BenchmarkSLESRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkFig3ComputationDistribution tunes the SNES grid
-// distribution on the heterogeneous lab machine (Fig. 3(b)).
-func BenchmarkFig3ComputationDistribution(b *testing.B) {
-	app := petscsim.NewCavityApp(40, 40, 2, 2)
-	m := cluster.HeterogeneousLab()
-	xb, yb := app.DefaultBounds()
-	def, err := app.Run(m, xb, yb)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tuned float64
-	for i := 0; i < b.N; i++ {
-		sp := app.Space()
-		res, err := core.Tune(context.Background(), sp,
-			search.NewSimplex(sp, search.SimplexOptions{}),
-			app.Objective(m), core.Options{MaxRuns: 30})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tuned = res.BestValue
-	}
-	reportImprovement(b, def, tuned)
-}
-
-// BenchmarkFig4POPBlockSize tunes POP block sizes on one topology of
-// the reduced grid.
-func BenchmarkFig4POPBlockSize(b *testing.B) {
-	cfg := pop.DefaultConfig(720, 480)
-	cfg.Steps, cfg.BarotropicIters = 2, 4
-	m := cluster.Seaborg(8, 4)
-	def, err := pop.Run(m, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tuned float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp := pop.BlockSpace()
-		res, err := core.Tune(context.Background(), sp,
-			search.NewSimplex(sp, search.SimplexOptions{Start: pop.BlockStart(cfg.BX, cfg.BY)}),
-			pop.BlockObjective(m, cfg), core.Options{MaxRuns: 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tuned = res.BestValue
-	}
-	reportImprovement(b, def, tuned)
-}
-
-// BenchmarkTable1POPParameterSweep runs the coordinate-descent
-// namelist sweep behind Tables I and II.
-func BenchmarkTable1POPParameterSweep(b *testing.B) {
-	m := cluster.Hockney(4, 4)
-	cfg := pop.DefaultConfig(360, 240)
-	cfg.BX, cfg.BY = 45, 60
-	cfg.Steps, cfg.BarotropicIters = 2, 4
-	def, err := pop.Run(m, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tuned float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp := pop.NamelistSpace()
-		res, err := core.Tune(context.Background(), sp,
-			search.NewCoordinate(sp, search.CoordinateOptions{Start: pop.NamelistStart(), MaxPasses: 1}),
-			pop.NamelistObjective(m, cfg), core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tuned = res.BestValue
-	}
-	reportImprovement(b, def, tuned)
 }
 
 // BenchmarkFig5GS2Layout measures the layout comparison of Fig. 5 on
@@ -173,42 +114,6 @@ func BenchmarkFig5GS2Layout(b *testing.B) {
 	if yx > 0 {
 		b.ReportMetric(lx/yx, "layout-speedup")
 	}
-}
-
-// BenchmarkTable3GS2Benchmark tunes (negrid, ntheta, nodes) for a
-// benchmarking run.
-func BenchmarkTable3GS2Benchmark(b *testing.B) {
-	benchGS2Tuning(b, 10)
-}
-
-// BenchmarkTable4GS2Production tunes the same space for production
-// runs (extrapolated 1,000 steps).
-func BenchmarkTable4GS2Production(b *testing.B) {
-	benchGS2Tuning(b, 1000)
-}
-
-func benchGS2Tuning(b *testing.B, steps int) {
-	b.Helper()
-	base := gs2.DefaultConfig()
-	base.Steps = steps
-	def, err := gs2.Run(gs2.LinuxCluster(32), base)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tuned float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp := gs2.ResolutionSpace(64)
-		res, err := core.Tune(context.Background(), sp,
-			search.NewSimplex(sp, search.SimplexOptions{
-				Start: gs2.ResolutionStart(sp, 16, 26, 32), StepFraction: 0.5, Restarts: 12}),
-			gs2.ResolutionObjective(gs2.LinuxCluster, base), core.Options{MaxRuns: 35})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tuned = res.BestValue
-	}
-	reportImprovement(b, def, tuned)
 }
 
 // BenchmarkFig6GS2Distribution samples the GS2 configuration space

@@ -10,8 +10,6 @@ import (
 	"harmony/internal/cluster"
 	"harmony/internal/core"
 	"harmony/internal/history"
-	"harmony/internal/petscsim"
-	"harmony/internal/pop"
 	"harmony/internal/search"
 	"harmony/internal/space"
 )
@@ -32,12 +30,9 @@ func TestCampaignSteadyStateHeapCeiling(t *testing.T) {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			campaign := func() int {
-				app := petscsim.NewSLESApp(600, 4, 3, 60, 11)
-				m := cluster.Seaborg(4, 1)
-				sp := app.Space()
-				res, err := core.Tune(context.Background(), sp,
-					search.NewPRO(sp, search.PROOptions{Seed: 11}),
-					app.Objective(m), core.Options{MaxRuns: 40, Workers: workers})
+				c := campaigns()["fig2-small-pro-seq"]()
+				c.Options.Workers = workers
+				res, err := c.Tune(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,21 +65,22 @@ func TestCampaignSteadyStateHeapCeiling(t *testing.T) {
 // 2.56 KB before cache lookups stopped allocating and the trial log
 // stopped regrowing, so putting the latter back trips it.
 func TestReplayedCampaignHeapCeiling(t *testing.T) {
-	base := pop.DefaultConfig(720, 480)
-	base.Steps, base.BarotropicIters = 2, 4
 	m := cluster.Seaborg(8, 4)
-	sp := pop.BlockSpace()
-	cache := history.NewEvalCache()
-	objective := pop.BlockObjective(m, base)
+	c := campaigns()["fig4-pop-blocks"]()
+	c.Strategy = func(sp *space.Space, start space.Point) search.Strategy {
+		return search.NewPRO(sp, search.PROOptions{Seed: 6, Start: start})
+	}
+	objective := c.Objective
 	var simulated atomic.Int64
+	c.Objective = func(ctx context.Context, cfg space.Config) (float64, error) {
+		simulated.Add(1)
+		return objective(ctx, cfg)
+	}
+	c.Options = core.Options{MaxRuns: 40, MaxProposals: 120, Workers: 2}
+	cache := history.NewEvalCache()
 	campaign := func() *core.Result {
-		res, err := core.Tune(context.Background(), sp,
-			search.NewPRO(sp, search.PROOptions{Seed: 6, Start: pop.BlockStart(base.BX, base.BY)}),
-			func(ctx context.Context, cfg space.Config) (float64, error) {
-				simulated.Add(1)
-				return objective(ctx, cfg)
-			},
-			core.Options{MaxRuns: 40, MaxProposals: 120, Workers: 2, Cache: cache.Bound("fig4-pop", m.Fingerprint(), sp)})
+		c.Options.Cache = cache.Bound("fig4-pop", m.Fingerprint(), c.Space)
+		res, err := c.Tune(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,9 +23,11 @@ import (
 	"harmony/internal/cluster"
 	"harmony/internal/core"
 	"harmony/internal/gs2"
+	"harmony/internal/paper"
 	"harmony/internal/petscsim"
 	"harmony/internal/pop"
 	"harmony/internal/search"
+	"harmony/internal/space"
 )
 
 // fingerprint compresses a Result into a stable string: the headline
@@ -76,68 +78,55 @@ var campaignGoldens = map[string]string{
 	"table3-gs2-resolution": "runs=35 proposals=47 failures=0 best=0,0,62 bestValue=403be612cdd61694 bestAtRun=6 cost=40990b215d8b66ce trials=467f90967b61023f",
 }
 
-func campaigns() map[string]func() (*core.Result, error) {
-	return map[string]func() (*core.Result, error){
-		"fig2-small-simplex": func() (*core.Result, error) {
-			app := petscsim.NewSLESApp(600, 4, 3, 60, 11)
-			m := cluster.Seaborg(4, 1)
-			sp := app.Space()
-			return core.Tune(context.Background(), sp,
-				search.NewSimplex(sp, search.SimplexOptions{Start: app.EvenPoint(), Adaptive: true, Restarts: 4}),
-				app.Objective(m), core.Options{MaxRuns: 50})
+// campaigns builds each pinned campaign from the catalogue, stating
+// only what the pin changes: a smaller budget, PRO or the default
+// simplex in place of the campaign's own, four workers.
+func campaigns() map[string]func() paper.Campaign {
+	fig2 := func() paper.Campaign { return paper.SLES(petscsim.NewSLESApp(600, 4, 3, 60, 11)) }
+	fig2PRO := func(workers int) func() paper.Campaign {
+		return func() paper.Campaign {
+			c := fig2()
+			c.Strategy = func(sp *space.Space, _ space.Point) search.Strategy {
+				return search.NewPRO(sp, search.PROOptions{Seed: 11})
+			}
+			c.Options = core.Options{MaxRuns: 40, Workers: workers}
+			return c
+		}
+	}
+	return map[string]func() paper.Campaign{
+		"fig2-small-simplex": func() paper.Campaign {
+			c := fig2()
+			c.Options.MaxRuns = 50
+			return c
 		},
-		"fig2-small-pro-seq": func() (*core.Result, error) {
-			app := petscsim.NewSLESApp(600, 4, 3, 60, 11)
-			m := cluster.Seaborg(4, 1)
-			sp := app.Space()
-			return core.Tune(context.Background(), sp,
-				search.NewPRO(sp, search.PROOptions{Seed: 11}),
-				app.Objective(m), core.Options{MaxRuns: 40})
+		"fig2-small-pro-seq":  fig2PRO(0),
+		"fig2-small-pro-par4": fig2PRO(4),
+		"fig3-cavity-simplex": func() paper.Campaign {
+			c := paper.Cavity(petscsim.NewCavityApp(40, 40, 2, 2), cluster.HeterogeneousLab())
+			c.Strategy = func(sp *space.Space, _ space.Point) search.Strategy {
+				return search.NewSimplex(sp, search.SimplexOptions{})
+			}
+			c.Options.MaxRuns = 30
+			return c
 		},
-		"fig2-small-pro-par4": func() (*core.Result, error) {
-			app := petscsim.NewSLESApp(600, 4, 3, 60, 11)
-			m := cluster.Seaborg(4, 1)
-			sp := app.Space()
-			return core.Tune(context.Background(), sp,
-				search.NewPRO(sp, search.PROOptions{Seed: 11}),
-				app.Objective(m), core.Options{MaxRuns: 40, Workers: 4})
-		},
-		"fig3-cavity-simplex": func() (*core.Result, error) {
-			app := petscsim.NewCavityApp(40, 40, 2, 2)
-			m := cluster.HeterogeneousLab()
-			sp := app.Space()
-			return core.Tune(context.Background(), sp,
-				search.NewSimplex(sp, search.SimplexOptions{}),
-				app.Objective(m), core.Options{MaxRuns: 30})
-		},
-		"fig4-pop-blocks": func() (*core.Result, error) {
+		"fig4-pop-blocks": func() paper.Campaign {
 			cfg := pop.DefaultConfig(720, 480)
 			cfg.Steps, cfg.BarotropicIters = 2, 4
-			m := cluster.Seaborg(8, 4)
-			sp := pop.BlockSpace()
-			return core.Tune(context.Background(), sp,
-				search.NewSimplex(sp, search.SimplexOptions{Start: pop.BlockStart(cfg.BX, cfg.BY)}),
-				pop.BlockObjective(m, cfg), core.Options{MaxRuns: 20})
+			c := paper.Blocks(cluster.Seaborg(8, 4), cfg)
+			c.Strategy = paper.Simplex(search.SimplexOptions{})
+			c.Options.MaxRuns = 20
+			return c
 		},
-		"table3-gs2-resolution": func() (*core.Result, error) {
-			base := gs2.DefaultConfig()
-			base.Steps = 10
-			sp := gs2.ResolutionSpace(64)
-			return core.Tune(context.Background(), sp,
-				search.NewSimplex(sp, search.SimplexOptions{
-					Start: gs2.ResolutionStart(sp, 16, 26, 32), StepFraction: 0.5, Restarts: 12}),
-				gs2.ResolutionObjective(gs2.LinuxCluster, base), core.Options{MaxRuns: 35})
-		},
+		"table3-gs2-resolution": func() paper.Campaign { return paper.Resolution(gs2.DefaultConfig()) },
 	}
 }
 
 func TestCampaignFingerprints(t *testing.T) {
 	printMode := os.Getenv("HARMONY_PRINT_FINGERPRINTS") != ""
-	for name, run := range campaigns() {
-		name, run := name, run
+	for name, build := range campaigns() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res, err := run()
+			res, err := build().Tune(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}

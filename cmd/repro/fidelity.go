@@ -6,7 +6,7 @@ import (
 
 	"harmony/internal/core"
 	"harmony/internal/gs2"
-	"harmony/internal/search"
+	"harmony/internal/paper"
 )
 
 // runFidelity is the second extension experiment: Section VII of the
@@ -16,20 +16,17 @@ import (
 // resolution tuning runs three ways: time only, time plus a weighted
 // fidelity-error term, and time under a hard fidelity floor.
 func runFidelity(o options) error {
-	maxRuns := 35
-	if o.quick {
-		maxRuns = 20
-	}
 	base := gs2.DefaultConfig() // lxyes benchmarking run
-	sp := gs2.ResolutionSpace(64)
-	timeObj := gs2.ResolutionObjective(gs2.LinuxCluster, base)
+	c := paper.Resolution(base)
+	if o.quick {
+		c.Options.MaxRuns = 20
+	}
+	timeObj := c.Objective
 	fidObj := gs2.FidelityObjective()
 
 	tune := func(obj core.Objective) (*core.Result, error) {
-		return core.Tune(context.Background(), sp,
-			search.NewSimplex(sp, search.SimplexOptions{
-				Start: gs2.ResolutionStart(sp, 16, 26, 32), StepFraction: 0.5, Restarts: 12}),
-			obj, core.Options{MaxRuns: maxRuns})
+		c.Objective = obj
+		return c.Tune(context.Background())
 	}
 	show := func(label string, res *core.Result) {
 		negrid := int(res.BestConfig.Int("negrid"))

@@ -4,24 +4,12 @@ import (
 	"context"
 	"fmt"
 
-	"harmony/internal/cluster"
-	"harmony/internal/core"
+	"harmony/internal/paper"
 	"harmony/internal/petscsim"
 	"harmony/internal/search"
 	"harmony/internal/space"
 	"harmony/internal/sparse"
 )
-
-// fig2Case is one matrix-decomposition experiment.
-type fig2Case struct {
-	label    string
-	app      *petscsim.SLESApp
-	maxRuns  int
-	stepFrac float64
-	restarts int
-	seeds    []space.Point // prior-run seeds, for the huge case
-	wantNote string
-}
 
 // runFig2 reproduces Fig. 2(b) and the Section IV text results: the
 // SLES matrix-decomposition tuning at three problem sizes. The large
@@ -29,11 +17,14 @@ type fig2Case struct {
 // weight vector of the 21,025 case seeds the 90,601 case, the paper's
 // "information from prior runs" technique.
 func runFig2(o options) error {
-	small := fig2Case{
-		label:   "small sample (Fig. 2b): 4 partitions",
-		app:     petscsim.NewSLESApp(600, 4, 3, 60, o.seed),
-		maxRuns: 60, restarts: 4,
-		wantNote: "paper: tuned boundaries move off the even split toward dense-block alignment",
+	app := petscsim.NewSLESApp(600, 4, 3, 60, o.seed)
+	if _, err := fig2Run("small sample (Fig. 2b): 4 partitions", app, paper.SLES(app),
+		"paper: tuned boundaries move off the even split toward dense-block alignment"); err != nil {
+		return err
+	}
+	if !o.large && !o.quick {
+		fmt.Println("(run with -large for the 21,025 and 90,601 matrices)")
+		return nil
 	}
 	largeN, hugeN := 21025, 90601
 	largeRuns, hugeRuns := 600, 120
@@ -41,61 +32,43 @@ func runFig2(o options) error {
 		largeN, hugeN = 4000, 8000
 		largeRuns, hugeRuns = 120, 60
 	}
-	large := fig2Case{
-		label:   fmt.Sprintf("%d x %d on 32 ranks", largeN, largeN),
-		app:     petscsim.NewBandSLESApp(largeN, 32, 4, 120, 2),
-		maxRuns: largeRuns, stepFrac: 0.35, restarts: 20,
-		wantNote: "paper: 18% execution-time improvement",
-	}
-	huge := fig2Case{
-		label:   fmt.Sprintf("%d x %d on 32 ranks (seeded from the previous run)", hugeN, hugeN),
-		app:     petscsim.NewBandSLESApp(hugeN, 32, 4, 120, 2),
-		maxRuns: hugeRuns, stepFrac: 0.2, restarts: 8,
-		wantNote: "paper: 15-20% in ~120 iterations using prior-run information",
-	}
-
-	if _, err := fig2Run(small); err != nil {
-		return err
-	}
-	if !o.large && !o.quick {
-		fmt.Println("(run with -large for the 21,025 and 90,601 matrices)")
-		return nil
-	}
-	bestLarge, err := fig2Run(large)
+	app = petscsim.NewBandSLESApp(largeN, 32, 4, 120, 2)
+	large := paper.SLES(app)
+	large.Strategy = paper.Simplex(search.SimplexOptions{StepFraction: 0.35, Adaptive: true, Restarts: 20})
+	large.Options.MaxRuns = largeRuns
+	bestLarge, err := fig2Run(fmt.Sprintf("%d x %d on 32 ranks", largeN, largeN), app, large,
+		"paper: 18% execution-time improvement")
 	if err != nil {
 		return err
 	}
 	// The weight parameterisation is size-independent: the tuned
 	// relative weights of the 21,025 matrix seed the 90,601 search
 	// directly.
+	var seeds []space.Point
 	if bestLarge != nil {
-		huge.seeds = []space.Point{bestLarge}
+		seeds = []space.Point{bestLarge}
 	}
-	_, err = fig2Run(huge)
+	app = petscsim.NewBandSLESApp(hugeN, 32, 4, 120, 2)
+	huge := paper.SLES(app)
+	huge.Strategy = paper.Simplex(search.SimplexOptions{Seeds: seeds, StepFraction: 0.2, Adaptive: true, Restarts: 8})
+	huge.Options.MaxRuns = hugeRuns
+	_, err = fig2Run(fmt.Sprintf("%d x %d on 32 ranks (seeded from the previous run)", hugeN, hugeN), app, huge,
+		"paper: 15-20% in ~120 iterations using prior-run information")
 	return err
 }
 
 // fig2Run tunes one case and prints the before/after comparison.
 // It returns the tuned point for history seeding.
-func fig2Run(c fig2Case) (space.Point, error) {
-	fmt.Printf("\n--- %s ---\n", c.label)
-	app := c.app
-	m := cluster.Seaborg(app.P, 1)
-	sp := app.Space()
+func fig2Run(label string, app *petscsim.SLESApp, c paper.Campaign, note string) (space.Point, error) {
+	fmt.Printf("\n--- %s ---\n", label)
 	fmt.Printf("matrix: n=%d nnz=%d; %d partition-weight parameters, O(10^%.0f) points\n",
-		app.A.N, app.A.NNZ(), sp.Dims(), sp.LogSize())
+		app.A.N, app.A.NNZ(), c.Space.Dims(), c.Space.LogSize())
 
-	defPart := app.DefaultPartition()
-	defTime, err := app.Run(m, defPart)
+	defTime, err := c.Default(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Tune(context.Background(), sp,
-		search.NewSimplex(sp, search.SimplexOptions{
-			Start: app.EvenPoint(), Seeds: c.seeds,
-			StepFraction: c.stepFrac, Adaptive: true, Restarts: c.restarts,
-		}),
-		app.Objective(m), core.Options{MaxRuns: c.maxRuns})
+	res, err := c.Tune(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -105,8 +78,8 @@ func fig2Run(c fig2Case) (space.Point, error) {
 	fmt.Printf("tuned decomposition:          %.4f s\n", res.BestValue)
 	fmt.Printf("improvement: %.1f%% after %d runs (%d proposals, best at run %d)\n",
 		pct(defTime, res.BestValue), res.Runs, res.Proposals, res.BestAtRun)
-	fmt.Printf("note: %s\n", c.wantNote)
-	printPartitionLoad(app, defPart, tunedPart)
+	fmt.Printf("note: %s\n", note)
+	printPartitionLoad(app, app.DefaultPartition(), tunedPart)
 	return res.Best, nil
 }
 

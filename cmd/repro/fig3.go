@@ -5,9 +5,8 @@ import (
 	"fmt"
 
 	"harmony/internal/cluster"
-	"harmony/internal/core"
+	"harmony/internal/paper"
 	"harmony/internal/petscsim"
-	"harmony/internal/search"
 	"harmony/internal/sparse"
 )
 
@@ -17,11 +16,11 @@ import (
 // 32 processors).
 func runFig3(o options) error {
 	small := petscsim.NewCavityApp(50, 50, 2, 2) // 2,500 grid points
-	if err := fig3Case(o, "homogeneous 4 nodes (Fig. 3a)", small, cluster.HomogeneousLab(), 60,
+	if err := fig3Case("homogeneous 4 nodes (Fig. 3a)", small, paper.Cavity(small, cluster.HomogeneousLab()),
 		"paper: equal-size distributed arrays are already right on homogeneous nodes"); err != nil {
 		return err
 	}
-	if err := fig3Case(o, "heterogeneous 4 nodes (Fig. 3b)", small, cluster.HeterogeneousLab(), 60,
+	if err := fig3Case("heterogeneous 4 nodes (Fig. 3b)", small, paper.Cavity(small, cluster.HeterogeneousLab()),
 		"paper: the faster bottom nodes should receive more grid points"); err != nil {
 		return err
 	}
@@ -35,8 +34,9 @@ func runFig3(o options) error {
 		nx, runs = 80, 60
 	}
 	large := petscsim.NewCavityApp(nx, nx, 8, 4)
-	return fig3Case(o, fmt.Sprintf("heterogeneous %d points on 32 processors", nx*nx),
-		large, heterogeneous32(), runs,
+	c := paper.Cavity(large, heterogeneous32())
+	c.Options.MaxRuns = runs
+	return fig3Case(fmt.Sprintf("heterogeneous %d points on 32 processors", nx*nx), large, c,
 		"paper: up to 11.5% improvement over the default partitioning")
 }
 
@@ -64,25 +64,20 @@ func heterogeneous32() *cluster.Machine {
 	}
 }
 
-func fig3Case(o options, label string, app *petscsim.CavityApp, m *cluster.Machine, maxRuns int, note string) error {
+func fig3Case(label string, app *petscsim.CavityApp, c paper.Campaign, note string) error {
 	fmt.Printf("\n--- %s ---\n", label)
-	sp := app.Space()
 	fmt.Printf("grid: %dx%d points on %dx%d ranks; search space O(10^%.0f)\n",
-		app.NX, app.NY, app.PX, app.PY, sp.LogSize())
+		app.NX, app.NY, app.PX, app.PY, c.Space.LogSize())
 
+	defTime, err := c.Default(context.Background())
+	if err != nil {
+		return err
+	}
+	res, err := c.Tune(context.Background())
+	if err != nil {
+		return err
+	}
 	xbDef, ybDef := app.DefaultBounds()
-	defTime, err := app.Run(m, xbDef, ybDef)
-	if err != nil {
-		return err
-	}
-	res, err := core.Tune(context.Background(), sp,
-		search.NewSimplex(sp, search.SimplexOptions{
-			Start: app.EvenPoint(), StepFraction: 0.35,
-			Adaptive: sp.Dims() >= 8, Restarts: 8}),
-		app.Objective(m), core.Options{MaxRuns: maxRuns})
-	if err != nil {
-		return err
-	}
 	xbT, ybT := app.BoundsFor(res.BestConfig)
 
 	fmt.Printf("default bounds: x=%v y=%v -> %.4f s\n", xbDef, ybDef, defTime)

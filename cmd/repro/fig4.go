@@ -5,9 +5,8 @@ import (
 	"fmt"
 
 	"harmony/internal/cluster"
-	"harmony/internal/core"
+	"harmony/internal/paper"
 	"harmony/internal/pop"
-	"harmony/internal/search"
 )
 
 // runFig4 reproduces Fig. 4: POP block-size tuning on 480 processors
@@ -19,13 +18,11 @@ func runFig4(o options) error {
 	topos := []struct{ nodes, ppn int }{
 		{30, 16}, {48, 10}, {60, 8}, {80, 6}, {120, 4}, {240, 2},
 	}
-	maxRuns := 60
 	if o.quick {
 		cfg = pop.DefaultConfig(720, 480)
 		cfg.Land = true
 		cfg.BX, cfg.BY = 180, 100
 		topos = []struct{ nodes, ppn int }{{4, 8}, {8, 4}, {16, 2}}
-		maxRuns = 25
 	}
 	fmt.Printf("grid %dx%d, %d steps, %d barotropic iterations per step, land mask on\n",
 		cfg.NX, cfg.NY, cfg.Steps, cfg.BarotropicIters)
@@ -36,17 +33,16 @@ func runFig4(o options) error {
 		"30x16": "120x150", "48x10": "150x120", "60x8": "120x150",
 		"80x6": "45x400", "120x4": "150x120", "240x2": "150x120",
 	}
-	sp := pop.BlockSpace()
 	for _, t := range topos {
-		m := cluster.Seaborg(t.nodes, t.ppn)
-		defTime, err := pop.Run(m, cfg)
+		c := paper.Blocks(cluster.Seaborg(t.nodes, t.ppn), cfg)
+		if o.quick {
+			c.Options.MaxRuns = 25
+		}
+		defTime, err := c.Default(context.Background())
 		if err != nil {
 			return err
 		}
-		res, err := core.Tune(context.Background(), sp,
-			search.NewSimplex(sp, search.SimplexOptions{
-				Start: pop.BlockStart(cfg.BX, cfg.BY), StepFraction: 0.4, Restarts: 6}),
-			pop.BlockObjective(m, cfg), core.Options{MaxRuns: maxRuns})
+		res, err := c.Tune(context.Background())
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 
 	"harmony/internal/core"
 	"harmony/internal/gs2"
+	"harmony/internal/paper"
 	"harmony/internal/search"
 	"harmony/internal/trace"
 )
@@ -28,25 +29,21 @@ func runTable4(o options) error {
 	})
 }
 
-func gs2Table(o options, steps int, label string, paper map[gs2.Layout]string) error {
-	maxRuns := 35
-	if o.quick {
-		maxRuns = 15
-	}
-	sp := gs2.ResolutionSpace(64)
+func gs2Table(o options, steps int, label string, notes map[gs2.Layout]string) error {
 	fmt.Printf("%s; tuning (negrid, ntheta, nodes) from default (16, 26, 32)\n", label)
 	for _, layout := range []gs2.Layout{"lxyes", "yxles"} {
 		base := gs2.DefaultConfig()
 		base.Layout = layout
 		base.Steps = steps
-		defTime, err := gs2.Run(gs2.LinuxCluster(32), base)
+		c := paper.Resolution(base)
+		if o.quick {
+			c.Options.MaxRuns = 15
+		}
+		defTime, err := c.Default(context.Background())
 		if err != nil {
 			return err
 		}
-		res, err := core.Tune(context.Background(), sp,
-			search.NewSimplex(sp, search.SimplexOptions{
-				Start: gs2.ResolutionStart(sp, 16, 26, 32), StepFraction: 0.5, Restarts: 12}),
-			gs2.ResolutionObjective(gs2.LinuxCluster, base), core.Options{MaxRuns: maxRuns})
+		res, err := c.Tune(context.Background())
 		if err != nil {
 			return err
 		}
@@ -55,7 +52,7 @@ func gs2Table(o options, steps int, label string, paper map[gs2.Layout]string) e
 		fmt.Printf("  tuned version (%d,%d,%d):        %.1f s (%.1f%%) after %d runs, best at run %d\n",
 			res.BestConfig.Int("negrid"), res.BestConfig.Int("ntheta"), res.BestConfig.Int("nodes"),
 			res.BestValue, pct(defTime, res.BestValue), res.Runs, res.BestAtRun)
-		fmt.Printf("  %s\n", paper[layout])
+		fmt.Printf("  %s\n", notes[layout])
 	}
 	return nil
 }
@@ -64,20 +61,18 @@ func gs2Table(o options, steps int, label string, paper map[gs2.Layout]string) e
 // configuration space under systematic sampling, and where the
 // Harmony-tuned configuration falls in it.
 func runFig6(o options) error {
-	budget := 4000
-	maxRuns := 35
-	if o.quick {
-		budget, maxRuns = 300, 15
-	}
 	base := gs2.DefaultConfig()
 	base.Steps = 1000 // production runs, as in the paper
-	sp := gs2.ResolutionSpace(64)
+	c := paper.Resolution(base)
+	budget := 4000
+	if o.quick {
+		budget, c.Options.MaxRuns = 300, 15
+	}
 	fmt.Printf("search space: O(10^%.0f) configurations; systematic sampling of up to %d\n",
-		sp.LogSize(), budget)
+		c.Space.LogSize(), budget)
 
-	sys := search.NewSystematic(sp, budget)
-	obj := gs2.ResolutionObjective(gs2.LinuxCluster, base)
-	sysRes, err := core.Tune(context.Background(), sp, sys, obj, core.Options{})
+	sys := search.NewSystematic(c.Space, budget)
+	sysRes, err := core.Tune(context.Background(), c.Space, sys, c.Objective, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -95,10 +90,7 @@ func runFig6(o options) error {
 		100*trace.FractionBelow(values, threshold))
 
 	// Where does the Harmony simplex land in this distribution?
-	res, err := core.Tune(context.Background(), sp,
-		search.NewSimplex(sp, search.SimplexOptions{
-			Start: gs2.ResolutionStart(sp, 16, 26, 32), StepFraction: 0.5, Restarts: 12}),
-		obj, core.Options{MaxRuns: maxRuns})
+	res, err := c.Tune(context.Background())
 	if err != nil {
 		return err
 	}

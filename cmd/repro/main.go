@@ -14,7 +14,8 @@
 //	            minutes; used by tests)
 //	-large      also run the large-problem variants of fig2/fig3
 //	-seed N     random seed for seeded strategies
-//	-workers N  worker pool size for the parallel experiment
+//	-workers N  worker pool size for the parallel experiment (at
+//	            least 2: it compares 1 worker against N)
 //	-cpuprofile f  write a CPU profile of the run to f
 //	-memprofile f  write a final heap profile to f
 //
@@ -158,7 +159,7 @@ func runOne(name string, o options) error {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: repro [-quick] [-large] [-seed N] [-cpuprofile f] [-memprofile f] <experiment>\n\nexperiments:\n")
+	fmt.Fprintf(os.Stderr, "usage: repro [-quick] [-large] [-seed N] [-workers N] [-cpuprofile f] [-memprofile f] <experiment>\n\nexperiments:\n")
 	names := make([]string, 0, len(experiments))
 	for n := range experiments {
 		names = append(names, n)

@@ -119,6 +119,17 @@ func TestRunOneUnknown(t *testing.T) {
 	}
 }
 
+// TestParallelRefusesOneWorker: the parallel experiment compares 1
+// worker against N, so -workers below 2 is an error, not a silent 4.
+func TestParallelRefusesOneWorker(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		err := runOne("parallel", options{quick: true, workers: workers})
+		if err == nil || !strings.Contains(err.Error(), "-workers") {
+			t.Errorf("-workers %d: got %v, want an error naming the flag", workers, err)
+		}
+	}
+}
+
 func TestPct(t *testing.T) {
 	if got := pct(100, 80); got != 20 {
 		t.Errorf("pct = %v, want 20", got)

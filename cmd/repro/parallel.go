@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"harmony/internal/cluster"
 	"harmony/internal/core"
+	"harmony/internal/paper"
 	"harmony/internal/petscsim"
 	"harmony/internal/search"
 	"harmony/internal/space"
@@ -26,23 +26,18 @@ import (
 // time"); overlapping those launches is exactly the win parallel
 // tuning clients buy.
 func runParallel(o options) error {
+	if o.workers < 2 {
+		return fmt.Errorf("-workers %d: the experiment compares 1 worker against N, so N must be at least 2", o.workers)
+	}
 	app := petscsim.NewSLESApp(600, 4, 3, 60, o.seed)
-	m := cluster.Seaborg(app.P, 1)
-	sp := app.Space()
-
-	maxRuns := 60
+	c := paper.SLES(app)
 	launch := 20 * time.Millisecond
 	if o.quick {
-		maxRuns = 24
-		launch = 5 * time.Millisecond
-	}
-	workers := o.workers
-	if workers < 2 {
-		workers = 4
+		c.Options.MaxRuns, launch = 24, 5*time.Millisecond
 	}
 
-	base := app.Objective(m)
-	obj := func(ctx context.Context, cfg space.Config) (float64, error) {
+	base := c.Objective
+	c.Objective = func(ctx context.Context, cfg space.Config) (float64, error) {
 		// Real-time launch/warm-up latency; the simulated seconds the
 		// objective returns are unaffected, so accounting is identical.
 		select {
@@ -52,29 +47,29 @@ func runParallel(o options) error {
 		}
 		return base(ctx, cfg)
 	}
-	mkStrat := func() search.Strategy {
-		return search.NewPRO(sp, search.PROOptions{Seed: o.seed})
-	}
 
 	fmt.Printf("PRO on the %d-rank PETSc decomposition, %d runs, %v launch latency per run\n",
-		app.P, maxRuns, launch)
+		app.P, c.Options.MaxRuns, launch)
 
 	type outcome struct {
 		res  *core.Result
 		wall time.Duration
 	}
-	run := func(w int) (outcome, error) {
+	run := func(w int, strategy func(*space.Space, space.Point) search.Strategy) (outcome, error) {
+		c.Strategy, c.Options.Workers = strategy, w
 		start := time.Now()
-		res, err := core.Tune(context.Background(), sp, mkStrat(), obj,
-			core.Options{MaxRuns: maxRuns, Workers: w})
+		res, err := c.Tune(context.Background())
 		return outcome{res: res, wall: time.Since(start)}, err
 	}
+	pro := func(sp *space.Space, _ space.Point) search.Strategy {
+		return search.NewPRO(sp, search.PROOptions{Seed: o.seed})
+	}
 
-	seq, err := run(1)
+	seq, err := run(1, pro)
 	if err != nil {
 		return err
 	}
-	par, err := run(workers)
+	par, err := run(o.workers, pro)
 	if err != nil {
 		return err
 	}
@@ -82,7 +77,7 @@ func runParallel(o options) error {
 	fmt.Printf("sequential (1 worker):  %3d runs, best %.4f s at run %d, wall %.2fs\n",
 		seq.res.Runs, seq.res.BestValue, seq.res.BestAtRun, seq.wall.Seconds())
 	fmt.Printf("parallel  (%d workers): %3d runs, best %.4f s at run %d, wall %.2fs\n",
-		workers, par.res.Runs, par.res.BestValue, par.res.BestAtRun, par.wall.Seconds())
+		o.workers, par.res.Runs, par.res.BestValue, par.res.BestAtRun, par.wall.Seconds())
 	if seq.res.Runs != par.res.Runs || seq.res.BestValue != par.res.BestValue {
 		return fmt.Errorf("parallel session diverged from sequential: runs %d vs %d, best %v vs %v",
 			seq.res.Runs, par.res.Runs, seq.res.BestValue, par.res.BestValue)
@@ -93,24 +88,18 @@ func runParallel(o options) error {
 	// The sequential simplex cannot batch, but it can speculate: while
 	// a reflection runs, idle workers prefetch the expansion and
 	// contraction candidates that may be proposed next.
-	simplexRun := func(w int) (outcome, error) {
-		start := time.Now()
-		res, err := core.Tune(context.Background(), sp,
-			search.NewSimplex(sp, search.SimplexOptions{Start: app.EvenPoint(), Restarts: 2}),
-			obj, core.Options{MaxRuns: maxRuns, Workers: w})
-		return outcome{res: res, wall: time.Since(start)}, err
-	}
-	sseq, err := simplexRun(1)
+	simplex := paper.Simplex(search.SimplexOptions{Restarts: 2})
+	sseq, err := run(1, simplex)
 	if err != nil {
 		return err
 	}
-	spar, err := simplexRun(workers)
+	spar, err := run(o.workers, simplex)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nspeculative simplex: sequential wall %.2fs; with %d workers wall %.2fs "+
 		"(%d prefetches launched, %d used; charged runs %d vs %d)\n",
-		sseq.wall.Seconds(), workers, spar.wall.Seconds(),
+		sseq.wall.Seconds(), o.workers, spar.wall.Seconds(),
 		spar.res.SpeculativeRuns, spar.res.SpeculativeHits, sseq.res.Runs, spar.res.Runs)
 	if sseq.res.BestValue != spar.res.BestValue {
 		return fmt.Errorf("speculation changed the simplex result: %v vs %v",

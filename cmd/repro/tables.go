@@ -6,8 +6,8 @@ import (
 
 	"harmony/internal/cluster"
 	"harmony/internal/core"
+	"harmony/internal/paper"
 	"harmony/internal/pop"
-	"harmony/internal/search"
 	"harmony/internal/space"
 )
 
@@ -32,19 +32,13 @@ func popParamConfig(o options) (*cluster.Machine, pop.Config) {
 // uses for Tables I and II and returns the tuning result plus the
 // default time.
 func popParamTune(o options) (*core.Result, float64, *space.Space, error) {
-	m, cfg := popParamConfig(o)
-	sp := pop.NamelistSpace()
-	defTime, err := pop.Run(m, cfg)
+	c := paper.Namelist(popParamConfig(o))
+	defTime, err := c.Default(context.Background())
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	res, err := core.Tune(context.Background(), sp,
-		search.NewCoordinate(sp, search.CoordinateOptions{Start: pop.NamelistStart()}),
-		pop.NamelistObjective(m, cfg), core.Options{})
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return res, defTime, sp, nil
+	res, err := c.Tune(context.Background())
+	return res, defTime, c.Space, err
 }
 
 // runTable1 reproduces Table I: the parameter that changes at each

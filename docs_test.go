@@ -16,7 +16,9 @@ import (
 
 // TestDocsNameWhatExists fails when README.md or DESIGN.md names, in
 // backticks, a repository path that is not there, a pkg.Name that
-// internal/pkg does not declare, or a command line that does not run:
+// internal/pkg does not declare, a Test, Benchmark or Fuzz function
+// that no _test.go declares (a sub-benchmark by the name before its
+// first /), or a command line that does not run:
 // the two documents describe the system as it is, so a rename or
 // deletion that forgets them breaks tier-1.
 //
@@ -33,8 +35,9 @@ import (
 func TestDocsNameWhatExists(t *testing.T) {
 	// Every file and directory of the tree, by slash path and by base
 	// name: documents name files both ways (`internal/core/window.go`,
-	// `server/window.go`, `window.go`).
-	paths, bases := map[string]bool{}, map[string]bool{}
+	// `server/window.go`, `window.go`). And every function a _test.go
+	// file outside testdata declares.
+	paths, bases, testFuncs := map[string]bool{}, map[string]bool{}, map[string]bool{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -44,6 +47,17 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 		paths[filepath.ToSlash(p)] = true
 		bases[d.Name()] = true
+		if strings.HasSuffix(p, "_test.go") && !strings.Contains("/"+filepath.ToSlash(p), "/testdata/") {
+			f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+					testFuncs[fd.Name.Name] = true
+				}
+			}
+		}
 		return nil
 	})
 	if err != nil {
@@ -200,6 +214,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 		span     = regexp.MustCompile("`([^`]+)`")
 		repoPath = regexp.MustCompile(`^(?:(?:internal|cmd|examples)/[\w./-]*|[\w./-]+\.(?:go|md))$`)
 		pkgName  = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`)
+		testName = regexp.MustCompile(`^(?:Test|Benchmark|Fuzz)[A-Z0-9]\w*(?:/\S*)?$`)
 	)
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		text, err := os.ReadFile(doc)
@@ -212,6 +227,12 @@ func TestDocsNameWhatExists(t *testing.T) {
 				continue
 			}
 			checkCommandLine(doc, s)
+			if testName.MatchString(s) {
+				if name, _, _ := strings.Cut(s, "/"); !testFuncs[name] {
+					t.Errorf("%s names `%s`, which no _test.go declares", doc, s)
+				}
+				continue
+			}
 			if repoPath.MatchString(s) {
 				if !strings.Contains(s, "...") && !pathExists(s) {
 					t.Errorf("%s names `%s`, which is not in the repository", doc, s)

@@ -27,12 +27,15 @@ import (
 // For resolves an application name to the analytic predictor of the
 // matching case-study workload, or nil when no model covers it. The
 // match is by substring, so campaign names like "fig2-sles-seed11" or
-// "gs2-table3" resolve; the instances mirror the benchmark campaign
-// defaults (the Fig. 2 small SLES system on 4 Seaborg ranks, the GS2
-// resolution sweep on the Myrinet Linux cluster, the Fig. 4 POP grid
-// on 8×4 Seaborg). Every predictor declines configurations from
-// spaces it does not understand, so a stale name→model mapping
-// degrades to full simulation, never to wrong pruning.
+// "gs2-table3" resolve; the instances mirror the problems of the
+// pinned campaigns built by internal/paper: paper.SLES on the Fig. 2
+// small system (seed 11) on 4 Seaborg ranks, paper.Resolution of
+// GS2's default configuration on the Myrinet Linux cluster, and
+// paper.Blocks on the 720×480 POP grid (2 steps, 4 barotropic
+// iterations) on 8×4 Seaborg. Every predictor declines
+// configurations from spaces it does not understand, so a stale
+// name→model mapping degrades to full simulation, never to wrong
+// pruning.
 func For(app string) core.Surrogate {
 	name := strings.ToLower(app)
 	switch {

@@ -20,58 +20,28 @@ import (
 	"os"
 	"testing"
 
-	"harmony/internal/cluster"
 	"harmony/internal/core"
-	"harmony/internal/gs2"
-	"harmony/internal/petscsim"
-	"harmony/internal/search"
+	"harmony/internal/paper"
 	"harmony/internal/space"
 	"harmony/internal/surrogate"
 )
 
-// surrogateCampaigns builds the two benchmark campaigns of the PR —
-// the Fig. 2 PETSc decomposition and the Table 3 GS2 resolution sweep
-// — with a surrogate model attached. They mirror the fig2-small-pro
-// and table3-gs2-resolution campaigns of campaign_regress_test.go
-// exactly, so the only variable is the pruning layer.
-func surrogateCampaigns(model func(string) core.Surrogate, workers int) map[string]func() (*core.Result, error) {
-	return map[string]func() (*core.Result, error){
-		"fig2-pro-surrogate": func() (*core.Result, error) {
-			app := petscsim.NewSLESApp(600, 4, 3, 60, 11)
-			m := cluster.Seaborg(4, 1)
-			sp := app.Space()
-			return core.Tune(context.Background(), sp,
-				search.NewPRO(sp, search.PROOptions{Seed: 11}),
-				app.Objective(m), core.Options{
-					MaxRuns: 40, Workers: workers,
-					Surrogate: &core.SurrogateOptions{Model: model("fig2-sles")},
-				})
-		},
-		"table3-gs2-surrogate": func() (*core.Result, error) {
-			base := gs2.DefaultConfig()
-			base.Steps = 10
-			sp := gs2.ResolutionSpace(64)
-			return core.Tune(context.Background(), sp,
-				search.NewSimplex(sp, search.SimplexOptions{
-					Start: gs2.ResolutionStart(sp, 16, 26, 32), StepFraction: 0.5, Restarts: 12}),
-				gs2.ResolutionObjective(gs2.LinuxCluster, base), core.Options{
-					MaxRuns: 35, Workers: workers,
-					Surrogate: &core.SurrogateOptions{Model: model("table3-gs2")},
-				})
-		},
+// surrogateCampaigns attaches a surrogate model to two campaigns of
+// campaign_regress_test.go, the Fig. 2 PETSc decomposition by PRO and
+// the Table 3 GS2 resolution sweep, so the only variable is the
+// pruning layer.
+func surrogateCampaigns(model func(string) core.Surrogate, workers int) map[string]paper.Campaign {
+	out := map[string]paper.Campaign{}
+	for name, pin := range map[string]struct{ campaign, model string }{
+		"fig2-pro-surrogate":   {"fig2-small-pro-seq", "fig2-sles"},
+		"table3-gs2-surrogate": {"table3-gs2-resolution", "table3-gs2"},
+	} {
+		c := campaigns()[pin.campaign]()
+		c.Options.Workers = workers
+		c.Options.Surrogate = &core.SurrogateOptions{Model: model(pin.model)}
+		out[name] = c
 	}
-}
-
-// surrogateObjectives re-creates each campaign's objective so a trial
-// can be re-simulated independently of the tuning engine.
-func surrogateObjectives() map[string]core.Objective {
-	app := petscsim.NewSLESApp(600, 4, 3, 60, 11)
-	base := gs2.DefaultConfig()
-	base.Steps = 10
-	return map[string]core.Objective{
-		"fig2-pro-surrogate":   app.Objective(cluster.Seaborg(4, 1)),
-		"table3-gs2-surrogate": gs2.ResolutionObjective(gs2.LinuxCluster, base),
-	}
+	return out
 }
 
 // surrogateGoldens pins the surrogate campaigns at every worker count:
@@ -84,11 +54,10 @@ var surrogateGoldens = map[string]string{
 
 func TestSurrogateCampaignFingerprints(t *testing.T) {
 	printMode := os.Getenv("HARMONY_PRINT_FINGERPRINTS") != ""
-	for name, run := range surrogateCampaigns(surrogate.For, 1) {
-		name, run := name, run
+	for name, c := range surrogateCampaigns(surrogate.For, 1) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res, err := run()
+			res, err := c.Tune(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,11 +90,11 @@ func TestSurrogateCampaignWorkerInvariance(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			r1, err := seq[name]()
+			r1, err := seq[name].Tune(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			r4, err := par[name]()
+			r4, err := par[name].Tune(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,16 +112,15 @@ func TestSurrogateCampaignWorkerInvariance(t *testing.T) {
 // the best configuration to be one of those measured trials. A pruned
 // trial carries a model prediction and must never satisfy either role.
 func TestSurrogateReportedResultsAreMeasured(t *testing.T) {
-	objectives := surrogateObjectives()
-	for name, run := range surrogateCampaigns(surrogate.For, 4) {
-		name, run := name, run
+	truth := surrogateCampaigns(surrogate.For, 1) // objectives built apart from the tuned ones
+	for name, c := range surrogateCampaigns(surrogate.For, 4) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res, err := run()
+			res, err := c.Tune(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertMeasuredResults(t, res, objectives[name])
+			assertMeasuredResults(t, res, truth[name].Objective)
 			if res.SurrogatePruned == 0 {
 				t.Error("campaign pruned nothing; the test exercises no surrogate path")
 			}
@@ -214,23 +182,22 @@ func TestSurrogateWrongModelNeverCorruptsResults(t *testing.T) {
 			return 1 + float64(h%100000), true
 		})
 	}
-	objectives := surrogateObjectives()
-	for name, run := range surrogateCampaigns(wrong, 1) {
-		name, run := name, run
+	truth := surrogateCampaigns(surrogate.For, 1) // objectives built apart from the tuned ones
+	for name, c := range surrogateCampaigns(wrong, 1) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			res, err := run()
+			res, err := c.Tune(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			res4, err := surrogateCampaigns(wrong, 4)[name]()
+			res4, err := surrogateCampaigns(wrong, 4)[name].Tune(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if f1, f4 := fingerprint(res), fingerprint(res4); f1 != f4 {
 				t.Errorf("wrong model breaks worker invariance:\n w1 %s\n w4 %s", f1, f4)
 			}
-			assertMeasuredResults(t, res, objectives[name])
+			assertMeasuredResults(t, res, truth[name].Objective)
 			if res.SurrogatePruned == 0 {
 				t.Error("wrong model pruned nothing; the adversarial path was not exercised")
 			}
