@@ -85,7 +85,6 @@ func TestFixturesFail(t *testing.T) {
 	}{
 		{"simmpi", "wallclock"},
 		{"maporder", "maporder"},
-		{"search", "randsource"},
 		{"proto", "errdrop"},
 		{"allocfree", "allocfree"},
 		{"lockorder", "lockorder"},
@@ -114,7 +113,7 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("-list exit = %d, want 0 (stderr: %s)", code, errb.String())
 	}
 	for _, name := range []string{
-		"wallclock", "maporder", "randsource", "errdrop",
+		"wallclock", "maporder", "errdrop",
 		"allocfree", "lockorder", "prunepurity",
 	} {
 		if !strings.Contains(out.String(), name) {
@@ -140,7 +139,7 @@ func TestOnlyFlag(t *testing.T) {
 
 // TestOnlyExclude checks the -name exclusion syntax: the allocfree
 // fixture is dirty, but only under allocfree, so excluding that one
-// analyzer runs the other six and exits clean.
+// analyzer runs the other five and exits clean.
 func TestOnlyExclude(t *testing.T) {
 	var out, errb bytes.Buffer
 	pattern := "./internal/analysis/testdata/src/allocfree"
@@ -217,9 +216,10 @@ func TestFactsFlag(t *testing.T) {
 
 // seededDefects are small, plausible regressions planted in the
 // module's real code: one per analyzer, three for maporder (a float
-// sum, a selection, an early return) and two for lockorder. Each
-// replaces old, which must occur exactly once in file, with new; the
-// analyzer must then report on the line of the copy that contains at.
+// sum, a selection, an early return) and prunepurity, and two for
+// lockorder and allocfree. Each replaces old, which must occur exactly
+// once in file, with new; the analyzer must then report on the line of
+// the copy that contains at.
 var seededDefects = []struct {
 	analyzer, file, old, new, at string
 }{
@@ -245,12 +245,6 @@ var seededDefects = []struct {
 		"\t\t\t\tunknown = append(unknown, k)\n",
 		"\t\t\t\treturn nil, fmt.Errorf(\"pop: unknown namelist parameter %q\", k)\n",
 		"for k := range values {"},
-	// The seeded strategies' replay buffer filled from the
-	// process-global source.
-	{"randsource", "internal/search/replay.go",
-		"s.buf[i] = g.Uint64()",
-		"s.buf[i] = rand.Uint64()",
-		"s.buf[i] = rand.Uint64()"},
 	// A reconnect that drops the old connection's close error.
 	{"errdrop", "internal/client/client.go",
 		"\t\t_ = c.conn.Close()\n",
@@ -261,6 +255,12 @@ var seededDefects = []struct {
 		"for _, c := range l.clock {\n\t\tif c > t {",
 		"for _, c := range slices.Clone(l.clock) {\n\t\tif c > t {",
 		"range slices.Clone(l.clock)"},
+	// A scratch slice in the distributed dot product, which no
+	// allocation pin runs.
+	{"allocfree", "internal/sparse/dist.go",
+		"\tvar s float64\n\tfor i := range a {\n\t\ts += a[i] * b[i]\n\t}\n\tVecCost(r, len(a))\n",
+		"\tprod := make([]float64, len(a))\n\tvar s float64\n\tfor i := range a {\n\t\tprod[i] = a[i] * b[i]\n\t\ts += prod[i]\n\t}\n\tVecCost(r, len(a))\n",
+		"prod := make([]float64, len(a))"},
 	// An early return that leaks the cache mutex once the defer is gone.
 	{"lockorder", "internal/history/evalcache.go",
 		"\tc.mu.Lock()\n\tdefer c.mu.Unlock()\n\treturn len(c.entries)\n",
@@ -276,6 +276,16 @@ var seededDefects = []struct {
 		"\t\t\tt.Value, t.Pruned = c.Predicted, true\n",
 		"\t\t\tt.Value, t.Pruned = c.Predicted, true\n\t\t\tres.TuningCost += c.Predicted\n",
 		"res.TuningCost += c.Predicted"},
+	// A pruned candidate's prediction taken as the best value.
+	{"prunepurity", "internal/core/driver.go",
+		"\t\t\tres.SurrogatePruned++\n",
+		"\t\t\tres.SurrogatePruned++\n\t\t\tif c.Predicted < res.BestValue {\n\t\t\t\tres.BestValue = c.Predicted\n\t\t\t}\n",
+		"res.BestValue = c.Predicted"},
+	// An on-line session caching a pruned candidate's prediction.
+	{"prunepurity", "internal/server/window.go",
+		"\tcase core.Pruned:\n\t\tst.surrogatePruned.Add(1)\n",
+		"\tcase core.Pruned:\n\t\tst.surrogatePruned.Add(1)\n\t\tif ss.cache != nil {\n\t\t\tss.cache.Store(c.Pt, c.Predicted)\n\t\t}\n",
+		"ss.cache.Store(c.Pt, c.Predicted)"},
 }
 
 // TestSeededDefects plants seededDefects in a copy of the module's

@@ -81,7 +81,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		wallclockAnalyzer,
 		maporderAnalyzer,
-		randsourceAnalyzer,
 		errdropAnalyzer,
 		allocfreeAnalyzer,
 		lockorderAnalyzer,

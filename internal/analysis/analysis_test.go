@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -20,8 +21,8 @@ import (
 // want comment whose regex matches its message, and every want
 // comment must be satisfied.
 
-// sharedLoader type-checks the module (and the stdlib packages the
-// fixtures import) once for the whole test binary.
+// sharedLoader type-checks the module's packages once for the whole
+// test binary.
 var sharedLoader = sync.OnceValues(func() (*Loader, error) {
 	return NewLoader(".")
 })
@@ -112,7 +113,6 @@ func runFixture(t *testing.T, dir, analyzer string) {
 func TestWallclockFixture(t *testing.T)   { runFixture(t, "simmpi", "wallclock") }
 func TestWallclockExempt(t *testing.T)    { runFixture(t, "server", "wallclock") }
 func TestMaporderFixture(t *testing.T)    { runFixture(t, "maporder", "maporder") }
-func TestRandsourceFixture(t *testing.T)  { runFixture(t, "search", "randsource") }
 func TestErrdropFixture(t *testing.T)     { runFixture(t, "proto", "errdrop") }
 func TestSuppressionFixture(t *testing.T) { runFixture(t, "suppress", "maporder") }
 
@@ -157,7 +157,7 @@ func TestSuppressionValidation(t *testing.T) {
 // TestAnalyzerInventory pins the analyzer set the CLI advertises.
 func TestAnalyzerInventory(t *testing.T) {
 	want := []string{
-		"wallclock", "maporder", "randsource", "errdrop",
+		"wallclock", "maporder", "errdrop",
 		"allocfree", "lockorder", "prunepurity",
 	}
 	all := All()
@@ -171,5 +171,32 @@ func TestAnalyzerInventory(t *testing.T) {
 		if az.Doc == "" {
 			t.Errorf("analyzer %s has no doc string", az.Name)
 		}
+	}
+}
+
+// TestLoadersShareStdlib checks that every Loader in the process
+// imports the standard library through the one importer — type-checked
+// once, the same *types.Package for each Loader — and that Loaders may
+// import at once.
+func TestLoadersShareStdlib(t *testing.T) {
+	pkgs := make([]*types.Package, 2)
+	var wg sync.WaitGroup
+	for i := range pkgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l, err := NewLoader(".")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if pkgs[i], err = l.Import("encoding/json"); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if pkgs[0] == nil || pkgs[0] != pkgs[1] {
+		t.Errorf("two Loaders imported encoding/json as %p and %p, want one package", pkgs[0], pkgs[1])
 	}
 }

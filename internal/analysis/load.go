@@ -5,11 +5,13 @@
 // The analyzers encode invariants the compiler cannot see but the
 // reproduction depends on: virtual-time packages must never read the
 // wall clock, float accumulation and message schedules must not
-// depend on Go's randomised map iteration order, search randomness
-// must flow from injected seeded *rand.Rand values, mutexes must be
-// released on every return, and errors on the protocol's
-// encode/decode/connection paths must not be silently dropped. See DESIGN.md ("Static analysis") for the rationale of
-// each analyzer and the suppression syntax.
+// depend on Go's randomised map iteration order, mutexes must be
+// released on every return, errors on the protocol's
+// encode/decode/connection paths must not be silently dropped, proven
+// hot paths must not allocate, and surrogate predictions must never be
+// charged or cached as measurements. Six analyzers enforce them; see
+// DESIGN.md ("Static analysis") for the rationale of each analyzer and
+// the suppression syntax.
 package analysis
 
 import (
@@ -25,6 +27,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one parsed and type-checked package of the module.
@@ -33,7 +36,7 @@ type Package struct {
 	Path string
 	// Dir is the directory the sources were read from.
 	Dir string
-	// Fset is the loader's shared file set (positions).
+	// Fset is the process's one file set (positions).
 	Fset *token.FileSet
 	// Files holds the parsed non-test sources, sorted by file name.
 	Files []*ast.File
@@ -50,14 +53,23 @@ type Package struct {
 // Loader loads and type-checks packages of one module from source.
 // Module-internal imports are resolved by parsing the imported
 // directory; everything else (the standard library) goes through the
-// stdlib source importer.
+// process's stdlib source importer.
 type Loader struct {
-	fset   *token.FileSet
-	root   string // module root directory (holds go.mod)
-	module string // module path from go.mod
-	std    types.Importer
+	root   string              // module root directory (holds go.mod)
+	module string              // module path from go.mod
 	pkgs   map[string]*Package // memoised module packages by import path
 }
+
+// Every Loader of the process parses into fileSet and imports the
+// standard library through stdImporter, which memoises what it
+// type-checks: the standard library is checked once per process, not
+// once per Loader. stdMu serialises stdImporter, which is not safe for
+// concurrent use.
+var (
+	fileSet     = token.NewFileSet()
+	stdImporter = importer.ForCompiler(fileSet, "source", nil)
+	stdMu       sync.Mutex
+)
 
 func init() {
 	// The stdlib source importer resolves files through go/build's
@@ -94,21 +106,12 @@ func NewLoader(dir string) (*Loader, error) {
 	if m == nil {
 		return nil, fmt.Errorf("analysis: no module directive in %s/go.mod", root)
 	}
-	fset := token.NewFileSet()
 	return &Loader{
-		fset:   fset,
 		root:   root,
 		module: string(m[1]),
-		std:    importer.ForCompiler(fset, "source", nil),
 		pkgs:   make(map[string]*Package),
 	}, nil
 }
-
-// Root returns the module root directory.
-func (l *Loader) Root() string { return l.root }
-
-// Module returns the module path.
-func (l *Loader) Module() string { return l.module }
 
 // Import resolves an import path during type-checking: module
 // packages load from source in the module tree, the rest delegates to
@@ -121,7 +124,9 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	return l.std.Import(path)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdImporter.Import(path)
 }
 
 // loadPath loads (memoised) the module package with the given import
@@ -182,7 +187,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 
 	files := make([]*ast.File, 0, len(names))
 	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(abs, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(fileSet, filepath.Join(abs, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -201,7 +206,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-	tpkg, _ := conf.Check(path, l.fset, files, info)
+	tpkg, _ := conf.Check(path, fileSet, files, info)
 	if len(typeErrs) > 0 {
 		msgs := make([]string, 0, len(typeErrs))
 		for _, e := range typeErrs {
@@ -209,7 +214,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		}
 		return nil, fmt.Errorf("analysis: type errors in %s:\n  %s", path, strings.Join(msgs, "\n  "))
 	}
-	pkg := &Package{Path: path, Dir: abs, Fset: l.fset, Files: files, Types: tpkg, Info: info, loader: l}
+	pkg := &Package{Path: path, Dir: abs, Fset: fileSet, Files: files, Types: tpkg, Info: info, loader: l}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }
