@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,7 +20,7 @@ type evalJob struct {
 	key    string // point key of a speculative prefetch ("" otherwise)
 	cfg    space.Config
 	ctx    context.Context
-	cancel context.CancelFunc
+	cancel context.CancelFunc // a prefetch's own; nil for work, which runs on the session's context
 	value  float64
 	err    error
 	ran    bool                 // obj was actually invoked (not skipped by cancellation)
@@ -49,6 +50,51 @@ func (j *evalJob) failure() error {
 	return j.err
 }
 
+// tuneScratch is what Tune needs only while it runs: the window, with
+// its ring, Refill scratch, memo and every candidate it has made; the
+// commit log; the evaluation jobs; the speculation maps; and the worker
+// channels. Tune takes one from tuneScratchPool and puts it back reset
+// once its workers have drained and the trial log is rendered.
+type tuneScratch struct {
+	win       Window[*evalJob]
+	committed []*Candidate[*evalJob] // the candidates committed so far, in order: the trial log's rows
+	jobs      []*evalJob             // every job made; the first used belong to the running campaign
+	used      int
+	spec      map[string]*evalJob // outstanding speculative prefetches
+	desired   map[string]bool     // speculate's scratch: what the stalled strategy predicts
+	sem       chan struct{}       // the Workers semaphore
+	results   chan *evalJob       // finished evaluations, back to the coordinator
+}
+
+var tuneScratchPool = sync.Pool{New: func() any {
+	return &tuneScratch{spec: make(map[string]*evalJob), desired: make(map[string]bool), results: make(chan *evalJob)}
+}}
+
+// job returns an evaluation of cfg — a speculative prefetch of the
+// point with that key, or work when key is "" — in a job an earlier
+// campaign may have made.
+func (s *tuneScratch) job(key string, cfg space.Config) *evalJob {
+	if s.used == len(s.jobs) {
+		s.jobs = append(s.jobs, new(evalJob))
+	}
+	j := s.jobs[s.used]
+	s.used++
+	j.key, j.cfg = key, cfg
+	return j
+}
+
+// reset empties the scratch for the next campaign, keeping its storage:
+// nothing of the last campaign survives in it.
+func (s *tuneScratch) reset() {
+	s.win.Recycle(s.committed)
+	s.committed = s.committed[:0]
+	for _, j := range s.jobs[:s.used] {
+		*j = evalJob{}
+	}
+	s.used = 0
+	clear(s.spec)
+}
+
 // Tune drives the strategy against the objective until the strategy
 // converges, a budget is exhausted, or the context is cancelled. It
 // memoises evaluations so that a lattice point proposed twice (common
@@ -66,7 +112,12 @@ func (j *evalJob) failure() error {
 // A commit only charges the accounts and logs the candidate; the trial
 // log, Result.Trials, is rendered once when Tune returns — on every
 // path, cancelled and failed ones included — after the workers have
-// drained, at its final length (cap equals len).
+// drained, at its final length (cap equals len). Everything else Tune
+// needs while it runs — the window and its candidates, the memo, the
+// commit log, the evaluation jobs — is pooled scratch, reset and put
+// back when it returns: per proposal, a campaign allocates only its
+// trial, its decoded configuration, its memo key and what the strategy
+// allocates, and per evaluation one goroutine.
 //
 // Determinism: the issue/commit trace — and therefore every Result
 // field except WorkerOccupancy and the speculation and starvation
@@ -75,10 +126,12 @@ func (j *evalJob) failure() error {
 // evaluations run concurrently, so campaign fingerprints are
 // bit-identical for every worker count. Objectives must be safe for
 // concurrent calls when Workers > 1; each call receives a context that
-// is cancelled when its result can no longer matter. (Simulated
-// objectives scale gracefully: simmpi keeps one rank runnable per
-// world, so Workers evaluations of an n-rank application are ~Workers
-// runnable goroutines, not Workers×n.)
+// is cancelled when its result can no longer matter: a speculative
+// prefetch's when the strategy stops predicting its point, any other
+// call's when the session ends. (Simulated objectives scale
+// gracefully: simmpi keeps one rank runnable per world, so Workers
+// evaluations of an n-rank application are ~Workers runnable
+// goroutines, not Workers×n.)
 //
 // A refill that leaves capacity idle because the strategy is stalled on
 // in-flight values is a starved pass (Result.QueueStarved), and is
@@ -86,19 +139,26 @@ func (j *evalJob) failure() error {
 // follow-ups prefetched; stalls are deterministic commit-sequence
 // points, so the speculation schedule is too.
 func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objective, opt Options) (*Result, error) {
+	s := tuneScratchPool.Get().(*tuneScratch)
+	defer tuneScratchPool.Put(s)
+	return s.tune(ctx, sp, strat, obj, opt)
+}
+
+// tune is Tune on this scratch, which it leaves reset.
+func (s *tuneScratch) tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objective, opt Options) (*Result, error) {
 	workers := max(opt.Workers, 1)
 	if opt.MaxProposals == 0 {
 		opt.MaxProposals = DefaultMaxProposals(opt.MaxRuns)
 	}
+	spec := s.spec
 
 	// What a refill may issue: one round of any size, or one candidate
 	// at a time into a window of AsyncDepth.
-	win := &Window[*evalJob]{
-		Space: sp, Strategy: search.Rounds(strat),
-		MaxRuns: opt.MaxRuns, MaxProposals: opt.MaxProposals,
-		Gate: NewSurrogateGate(opt.Surrogate), Cache: opt.Cache,
-		Depth: Unbounded, GroupMax: Unbounded, Memo: true,
-	}
+	win := &s.win
+	win.Space, win.Strategy = sp, search.Rounds(strat)
+	win.MaxRuns, win.MaxProposals = opt.MaxRuns, opt.MaxProposals
+	win.Gate, win.Cache = NewSurrogateGate(opt.Surrogate), opt.Cache
+	win.Depth, win.GroupMax, win.Memo = Unbounded, Unbounded, true
 	capacity := workers
 	if opt.Async {
 		win.Strategy = search.AsAsync(strat)
@@ -112,20 +172,26 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 	speculator, _ := strat.(search.Speculator)
 
 	res := &Result{Strategy: strat.Name(), BestValue: math.Inf(1), FirstValue: math.NaN()}
-	spec := make(map[string]*evalJob) // outstanding speculative prefetches
 
 	// One goroutine per evaluation, gated to Workers concurrent
 	// objective calls by a semaphore. The coordinator is the only
 	// goroutine that touches the window, the result, or any map —
 	// workers communicate exclusively through the results channel.
-	sem := make(chan struct{}, workers)
-	resultsCh := make(chan *evalJob)
+	// Both channels are empty again once the workers have drained.
+	if cap(s.sem) != workers {
+		s.sem = make(chan struct{}, workers)
+	}
+	sem, resultsCh := s.sem, s.results
 	sent, received := 0, 0
 	var busyNS atomic.Int64
 	started := time.Now()
 	session, cancelSession := context.WithCancel(ctx)
 	launch := func(j *evalJob) {
-		j.ctx, j.cancel = context.WithCancel(session)
+		j.ctx = session
+		if j.key != "" {
+			// Only a prefetch stops mattering before the session ends.
+			j.ctx, j.cancel = context.WithCancel(session)
+		}
 		sent++
 		go func() {
 			sem <- struct{}{}
@@ -145,7 +211,9 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		j := <-resultsCh
 		received++
 		j.done = true
-		j.cancel()
+		if j.cancel != nil {
+			j.cancel()
+		}
 		j.settle()
 		if !j.ran && spec[j.key] == j {
 			// A waiting prefetch that cancellation cut short is
@@ -155,13 +223,11 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		}
 	}
 
-	// The candidates committed so far, in order: the trial log's rows.
-	var committed []*Candidate[*evalJob]
-
 	// On exit, cancel everything still outstanding, drain the workers,
-	// settle the diagnostics and render the trial log. Charged work that
-	// completed but was never committed (a cancelled or failed session's
-	// in-flight candidates) counts as speculative wall-clock.
+	// settle the diagnostics, render the trial log and reset the
+	// scratch. Charged work that completed but was never committed (a
+	// cancelled or failed session's in-flight candidates) counts as
+	// speculative wall-clock.
 	defer func() {
 		cancelSession()
 		for received < sent {
@@ -176,7 +242,8 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		if span := time.Since(started); span > 0 {
 			res.WorkerOccupancy = float64(busyNS.Load()) / (float64(span.Nanoseconds()) * float64(workers))
 		}
-		logTrials(res, committed)
+		logTrials(res, s.committed)
+		s.reset()
 	}()
 
 	// speculate reconciles the outstanding prefetches with what the
@@ -188,7 +255,7 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		if speculator == nil || workers <= 1 {
 			return
 		}
-		desired := make(map[string]bool)
+		desired := s.desired // empty between passes
 		var wanted []space.Point // desired and not yet prefetched, likeliest first
 		for _, pt := range speculator.Speculate(idle) {
 			key := pt.Key()
@@ -211,6 +278,7 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 				delete(spec, key)
 			}
 		}
+		clear(desired)
 		for _, pt := range wanted {
 			if len(spec) >= idle {
 				break
@@ -219,7 +287,7 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 			if err != nil {
 				continue // never fail the session on a speculative point
 			}
-			j := &evalJob{key: pt.Key(), cfg: cfg}
+			j := s.job(pt.Key(), cfg)
 			spec[j.key] = j
 			launch(j)
 			res.SpeculativeRuns++
@@ -240,7 +308,8 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 					continue
 				}
 			}
-			c.Payload = &evalJob{cfg: c.Cfg, cand: c}
+			c.Payload = s.job("", c.Cfg)
+			c.Payload.cand = c
 			launch(c.Payload)
 		}
 		if idle := capacity - win.Len(); win.Stalled && win.Len() > 0 && idle > 0 {
@@ -262,7 +331,7 @@ func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objec
 		}
 		c := win.CommitHead()
 		res.Proposals++
-		committed = append(committed, c)
+		s.committed = append(s.committed, c)
 		switch c.Kind {
 		case Pruned:
 			// Answered with the model's prediction: logged, reported to

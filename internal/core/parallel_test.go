@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"harmony/internal/history"
 	"harmony/internal/search"
 	"harmony/internal/space"
 )
@@ -291,5 +293,97 @@ func TestTuneParallelRaceStress(t *testing.T) {
 	}
 	if peak.Load() > 8 {
 		t.Fatalf("peak concurrency %d exceeds the 8-worker pool", peak.Load())
+	}
+}
+
+// TestConcurrentTunesShareNothing runs eight different campaigns at
+// once, three times each — the round engine, Async with a cache, the
+// surrogate gate, a speculating simplex — so that their pooled scratch
+// passes between them, and requires every Result to equal the
+// campaign's sequential run in every deterministic field. Each campaign
+// measures its own shift of the bowl, so a value that leaks from one
+// campaign into another shows.
+func TestConcurrentTunesShareNothing(t *testing.T) {
+	sp := parallelSpace(t)
+	cache := func() PointCache { return history.NewEvalCache().Bound("bowl", "m", sp) }
+	surrogate := &SurrogateOptions{Model: perfectModel}
+	campaigns := []struct {
+		name  string
+		strat func() search.Strategy
+		opt   func() Options
+	}{
+		{"pro rounds",
+			func() search.Strategy { return search.NewPRO(sp, search.PROOptions{Seed: 17}) },
+			func() Options { return Options{MaxRuns: 60, Workers: 2} }},
+		{"random rounds",
+			func() search.Strategy { return search.NewRandom(sp, 17, 80) },
+			func() Options { return Options{MaxRuns: 60, Workers: 3} }},
+		{"ensemble rounds cached",
+			func() search.Strategy { return search.NewEnsemble(sp, search.EnsembleOptions{Seed: 31, Budget: 80}) },
+			func() Options { return Options{MaxRuns: 80, Workers: 4, Cache: cache()} }},
+		{"ensemble async cached",
+			func() search.Strategy { return search.NewEnsemble(sp, search.EnsembleOptions{Seed: 17, Budget: 80}) },
+			func() Options { return Options{MaxRuns: 80, Workers: 2, Async: true, AsyncDepth: 4, Cache: cache()} }},
+		{"pro rounds surrogate",
+			func() search.Strategy { return search.NewPRO(sp, search.PROOptions{Seed: 29}) },
+			func() Options { return Options{MaxRuns: 60, Workers: 2, Surrogate: surrogate} }},
+		{"pro async cached surrogate",
+			func() search.Strategy { return search.NewPRO(sp, search.PROOptions{Seed: 23}) },
+			func() Options {
+				return Options{MaxRuns: 60, MaxProposals: 200, Workers: 2, Async: true, Cache: cache(), Surrogate: surrogate}
+			}},
+		// Both budgets end the campaign with a prefetch still waiting.
+		{"simplex speculating",
+			func() search.Strategy { return search.NewSimplex(sp, search.SimplexOptions{Restarts: 2}) },
+			func() Options { return Options{MaxRuns: 40, Workers: 2} }},
+		{"simplex async speculating",
+			func() search.Strategy { return search.NewSimplex(sp, search.SimplexOptions{Restarts: 2}) },
+			func() Options { return Options{MaxRuns: 45, Workers: 2, Async: true} }},
+	}
+	// deterministic drops what may differ between two runs of a campaign.
+	deterministic := func(r *Result) Result {
+		d := *r
+		d.WorkerOccupancy, d.SpeculativeRuns, d.SpeculativeHits, d.QueueStarved, d.IdleSlots = 0, 0, 0, 0, 0
+		return d
+	}
+	objective := func(i int) Objective {
+		return func(ctx context.Context, cfg space.Config) (float64, error) {
+			v, err := parBowl(ctx, cfg)
+			return v + float64(1000*i), err
+		}
+	}
+	const repeats = 3
+	want := make([]Result, len(campaigns))
+	for i, c := range campaigns {
+		res, err := Tune(context.Background(), sp, c.strat(), objective(i), c.opt())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want[i] = deterministic(res)
+	}
+	got := make([][repeats]*Result, len(campaigns))
+	errs := make([]error, len(campaigns))
+	var wg sync.WaitGroup
+	for i, c := range campaigns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range repeats {
+				if got[i][r], errs[i] = Tune(context.Background(), sp, c.strat(), objective(i), c.opt()); errs[i] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, c := range campaigns {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", c.name, errs[i])
+		}
+		for r, res := range got[i] {
+			if d := deterministic(res); !reflect.DeepEqual(d, want[i]) {
+				t.Errorf("%s, concurrent run %d: %+v\nsequential: %+v", c.name, r, d, want[i])
+			}
+		}
 	}
 }

@@ -57,8 +57,8 @@ type Candidate[P any] struct {
 	// Done: the outcome is in hand. Committed: it has left the window,
 	// and a driver may Release it. Drivers read both and write neither.
 	Done, Committed bool
-	// Kind sits with the flags, in their padding word: the candidate
-	// the off-line driver allocates per proposal then fits 96 bytes.
+	// Kind sits with the flags, in their padding word: a candidate
+	// then fits 96 bytes.
 	Kind    CandKind
 	Payload P // the driver's own state, by value: no second allocation
 }
@@ -254,6 +254,7 @@ func (w *Window[P]) issue() {
 			c.Predicted = scores[i] // written beside the Score call, where prunepurity's taint sees it
 		}
 		if !w.classify(c, i, keep) {
+			w.free = append(w.free, c) // never issued
 			w.Exhausted = true
 			return
 		}
@@ -353,8 +354,9 @@ func (w *Window[P]) CommitHead() *Candidate[P] {
 // afterwards. It panics on a candidate that has not committed, or was
 // released already, and on a Memo window, whose leaders outlive their
 // commit. An on-line driver releases what it has accounted for, so a
-// steady session allocates no candidates; Tune keeps its own, for the
-// trial log.
+// steady session allocates no candidates; Tune keeps every candidate
+// until its session ends, for the trial log and the memo, and then
+// Recycles the window.
 func (w *Window[P]) Release(c *Candidate[P]) {
 	if w.Memo {
 		panic("core: Release on a Memo window, whose leaders outlive their commit")
@@ -364,4 +366,29 @@ func (w *Window[P]) Release(c *Candidate[P]) {
 	}
 	*c = Candidate[P]{}
 	w.free = append(w.free, c)
+}
+
+// Recycle empties the window for another session, settings included.
+// The candidates in flight and the committed ones passed in — every
+// committed candidate the driver has not released — are reset whole
+// and freed, and the memo, the ring and the Refill scratch are emptied
+// but keep their storage, so a session like the last allocates no
+// candidates. The caller must hold no pointer to any candidate
+// afterwards.
+func (w *Window[P]) Recycle(committed []*Candidate[P]) {
+	free := w.free
+	for i := range w.n {
+		free = append(free, w.At(i))
+	}
+	free = append(free, committed...)
+	for _, c := range free {
+		*c = Candidate[P]{}
+	}
+	clear(w.leaders)
+	clear(w.pts[:cap(w.pts)])
+	clear(w.cfgs[:cap(w.cfgs)])
+	*w = Window[P]{
+		buf: w.buf, leaders: w.leaders, free: free,
+		pts: w.pts[:0], cfgs: w.cfgs[:0], bad: w.bad[:0], work: w.work[:0],
+	}
 }

@@ -1,12 +1,18 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"harmony/internal/history"
 	"harmony/internal/search"
 	"harmony/internal/space"
 )
@@ -86,12 +92,16 @@ var propDepths = []int{1, 4, Unbounded}
 // the off-line (memo, strict) or the on-line (no memo, forfeit) policy.
 // Odd seeds screen with the model and answer from the cache.
 func propWindow(t *testing.T, mk func(*space.Space, int64) search.Strategy, seed int64, depth int, online bool) (*Window[int], *tapeStrategy) {
+	return propSetup(t, new(Window[int]), mk, seed, depth, online)
+}
+
+// propSetup gives w — a new window, or one recycled after an earlier
+// session — propWindow's settings.
+func propSetup(t *testing.T, w *Window[int], mk func(*space.Space, int64) search.Strategy, seed int64, depth int, online bool) (*Window[int], *tapeStrategy) {
 	sp := bowlSpace(t)
 	strat := mk(sp, seed)
-	w := &Window[int]{
-		Space: sp, MaxRuns: 30, MaxProposals: DefaultMaxProposals(30),
-		Depth: depth, GroupMax: 1, Memo: !online, ForfeitUndecodable: online,
-	}
+	w.Space, w.MaxRuns, w.MaxProposals = sp, 30, DefaultMaxProposals(30)
+	w.Depth, w.GroupMax, w.Memo, w.ForfeitUndecodable = depth, 1, !online, online
 	tape := &tapeStrategy{AsyncStrategy: search.AsAsync(strat)}
 	if depth == Unbounded {
 		w.GroupMax = Unbounded
@@ -350,4 +360,155 @@ func TestWindowReleasePanics(t *testing.T) {
 		t.Fatal("the completed head did not commit")
 	}
 	mustPanic("releasing to a Memo window", func() { offline.Release(c) })
+}
+
+// eagerTrace drives a window at Tune's cadence, completing in issue
+// order, and returns every candidate as it was issued and as it
+// committed, field by field, then the window's final state and the
+// strategy's tape; and the committed candidates it kept. With release
+// set, every committed candidate goes back to the window, as the
+// server gives them, and none is kept.
+func eagerTrace(w *Window[int], tape *tapeStrategy, release bool) (string, []*Candidate[int]) {
+	var b strings.Builder
+	record := func(event string, c *Candidate[int]) {
+		leader := "-"
+		if c.Leader != nil {
+			leader = fmt.Sprint(c.Leader.Pt)
+		}
+		fmt.Fprintf(&b, "%s %v cfg=%v kind=%d done=%v committed=%v measured=%x predicted=%x kept=%v closes=%v leader=%s payload=%d\n",
+			event, c.Pt, c.Cfg.Point(), c.Kind, c.Done, c.Committed, math.Float64bits(c.Measured), math.Float64bits(c.Predicted),
+			c.Kept, c.ClosesRound, leader, c.Payload)
+	}
+	committed, recorded, step := 0, 0, 0
+	var kept []*Candidate[int]
+	for w.Refill(); w.Len() > 0; w.Refill() {
+		for i := recorded - committed; i < w.Len(); i++ {
+			record("I", w.At(i))
+		}
+		recorded = committed + w.Len()
+		for !w.Head().Done {
+			c := pending(w, nil)[0]
+			if forfeitedPoint(c.Pt) {
+				c.Complete(math.Inf(1))
+			}
+			c.Complete(propMeasured(c.Pt))
+			step++
+			c.Payload = step // the driver's own state, which must not outlive the session
+		}
+		c := w.CommitHead()
+		committed++
+		record("C", c)
+		if release {
+			w.Release(c)
+		} else {
+			kept = append(kept, c)
+		}
+	}
+	fmt.Fprintf(&b, "charged=%d fallbacks=%d exhausted=%v stalled=%v finished=%v err=%v\n%s",
+		w.Charged, w.Fallbacks, w.Exhausted, w.Stalled, w.Finished, w.Err, tape.tape.String())
+	return b.String(), kept
+}
+
+// TestWindowRecycledReplaysFresh: a recycled window is a new one. One
+// window runs every (strategy, depth, seed, policy) session in turn at
+// Tune's cadence, recycled between sessions, so each starts with the
+// candidates, memo and ring of a session with other settings — with or
+// without the gate, the cache, the memo and releases. Every session's
+// trace must equal a new window's, candidate by candidate in every
+// field: the same kinds and ClosesRound, no stale Leader, Payload or
+// Predicted, the same Charged and Fallbacks. And the recycled window
+// frees every candidate it holds exactly once, and makes only the
+// candidates its largest session needs.
+func TestWindowRecycledReplaysFresh(t *testing.T) {
+	recycled, most := new(Window[int]), 0
+	for _, st := range propStrategies {
+		for _, depth := range propDepths {
+			for seed := int64(1); seed <= 2; seed++ {
+				for _, online := range []bool{false, true} {
+					name := fmt.Sprintf("%s depth=%d seed=%d online=%v", st.name, depth, seed, online)
+					w, tape := propWindow(t, st.make, seed, depth, online)
+					want, kept := eagerTrace(w, tape, online)
+					w.Recycle(kept)
+					most = max(most, len(w.free))
+					rw, rtape := propSetup(t, recycled, st.make, seed, depth, online)
+					got, rkept := eagerTrace(rw, rtape, online)
+					if got != want {
+						t.Fatalf("%s: the recycled window's trace differs from a new window's\n got %s\nwant %s", name, got, want)
+					}
+					recycled.Recycle(rkept)
+					if distinct := len(candidateSet(recycled.free)); distinct != len(recycled.free) {
+						t.Fatalf("%s: %d candidates freed, %d of them distinct", name, len(recycled.free), distinct)
+					}
+				}
+			}
+		}
+	}
+	if len(recycled.free) != most {
+		t.Fatalf("the recycled window holds %d candidates; its largest session needs %d", len(recycled.free), most)
+	}
+}
+
+func candidateSet[P any](cs []*Candidate[P]) map[*Candidate[P]]bool {
+	set := make(map[*Candidate[P]]bool, len(cs))
+	for _, c := range cs {
+		set[c] = true
+	}
+	return set
+}
+
+// TestReplayedTuneMakesNoCandidate: a campaign replayed on the scratch
+// that ran it reissues the candidates the first run made and makes
+// none, and the scratch keeps nothing of either run.
+func TestReplayedTuneMakesNoCandidate(t *testing.T) {
+	sp := parallelSpace(t)
+	s := tuneScratchPool.New().(*tuneScratch)
+	opt := Options{MaxRuns: 60, Workers: 2, Cache: history.NewEvalCache().Bound("bowl", "m", sp)}
+	run := func() *Result {
+		t.Helper()
+		res, err := s.tune(context.Background(), sp, search.NewSimplex(sp, search.SimplexOptions{Restarts: 2}), parBowl, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range s.win.free {
+			if !reflect.ValueOf(*c).IsZero() {
+				t.Fatalf("a recycled candidate keeps %+v", *c)
+			}
+		}
+		return res
+	}
+	cold := run()
+	made := candidateSet(s.win.free)
+	warm := run()
+	sameCampaign(t, "replay", warm, cold)
+	if warm.CacheHits != warm.Runs {
+		t.Fatalf("the replay hit the cache %d times for %d runs", warm.CacheHits, warm.Runs)
+	}
+	if len(made) == 0 || !maps.Equal(candidateSet(s.win.free), made) || len(s.win.free) != len(made) {
+		t.Fatalf("the replay made or lost candidates: %d after the first run, %d after the second", len(made), len(s.win.free))
+	}
+
+	// A campaign cancelled mid-round leaves candidates in flight, and
+	// frees them too: a second run cancelled alike makes none either.
+	cancelled := func() {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var calls atomic.Int64
+		obj := func(c context.Context, cfg space.Config) (float64, error) {
+			if calls.Add(1) == 25 {
+				cancel()
+			}
+			return parBowl(c, cfg)
+		}
+		_, err := s.tune(ctx, sp, search.NewPRO(sp, search.PROOptions{Seed: 5}), obj, Options{MaxRuns: 60, Workers: 1})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("the cancelled campaign returned %v", err)
+		}
+	}
+	cancelled()
+	made = candidateSet(s.win.free)
+	cancelled()
+	if !maps.Equal(candidateSet(s.win.free), made) || len(s.win.free) != len(made) {
+		t.Fatalf("a cancelled rerun made or lost candidates: %d after the first run, %d after the second", len(made), len(s.win.free))
+	}
 }

@@ -6,9 +6,10 @@ import (
 )
 
 // TestCandidateSize pins the off-line driver's candidate at 96 bytes on
-// 64-bit platforms, the size class it allocates in once per proposal:
-// a field added must fill padding, as Kind does beside the flags, or
-// pay for the 112-byte class on every proposal.
+// 64-bit platforms, a size class: a campaign on a new scratch allocates
+// one per proposal, and a pooled scratch keeps one per proposal of the
+// largest campaign it has run. A field added must fill padding, as Kind
+// does beside the flags, or pay for the 112-byte class.
 func TestCandidateSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms")

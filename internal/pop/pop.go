@@ -10,8 +10,14 @@
 //   - Fig. 4: block-size tuning. The block grid (Nx/bx)×(Ny/by) maps
 //     onto ranks column-major, so the alignment between the block
 //     grid and the node topology decides how many halo edges cross
-//     node boundaries. The best (bx, by) therefore changes with the
-//     topology — the paper's central observation.
+//     node boundaries: the mechanism behind the paper's central
+//     observation, that the best (bx, by) changes with the topology.
+//     The model shows it only at small sizes. On the 720×480 grid of
+//     examples/pop-blocksize the best block is 180×20 on 4×8 nodes
+//     and 90×20 on 8×4 and 16×2. At Fig. 4's 3600×2400 on 480
+//     processors it is the same block on all six topologies, which
+//     move a time by at most 0.1 % (EXPERIMENTS.md, Fig. 4's
+//     deviation).
 //
 //   - Tables I/II: namelist-parameter tuning. Roughly twenty
 //     performance-related parameters (mixing operator choices,
