@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"net"
 	"slices"
 	"testing"
 
@@ -31,7 +32,7 @@ import (
 
 // BenchmarkPaperCampaigns runs each campaign that
 // campaign_regress_test.go pins, under the pin's name, plus Table I's
-// one-pass namelist sweep and Table IV's production-run tuning. The
+// namelist sweep and Table IV's production-run tuning. The
 // %improvement metric is the tuned time against the campaign's
 // Default.
 func BenchmarkPaperCampaigns(b *testing.B) {
@@ -40,11 +41,7 @@ func BenchmarkPaperCampaigns(b *testing.B) {
 		cfg := pop.DefaultConfig(360, 240)
 		cfg.BX, cfg.BY = 45, 60
 		cfg.Steps, cfg.BarotropicIters = 2, 4
-		c := paper.Namelist(cluster.Hockney(4, 4), cfg)
-		c.Strategy = func(sp *space.Space, start space.Point) search.Strategy {
-			return search.NewCoordinate(sp, search.CoordinateOptions{Start: start, MaxPasses: 1})
-		}
-		return c
+		return paper.Namelist(cluster.Hockney(4, 4), cfg)
 	}
 	builds["table4-gs2-production"] = func() paper.Campaign {
 		base := gs2.DefaultConfig()
@@ -275,11 +272,13 @@ func BenchmarkDistMatVec(b *testing.B) {
 func BenchmarkOnlineProtocol(b *testing.B) {
 	srv := harmony.NewServer()
 	srv.Logf = func(string, ...any) {}
-	go srv.ListenAndServe("127.0.0.1:0")
-	defer srv.Close()
-	for srv.Addr() == nil {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
 	}
-	c, err := harmony.Dial(srv.Addr().String())
+	go srv.Serve(ln)
+	defer srv.Close()
+	c, err := harmony.Dial(ln.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}

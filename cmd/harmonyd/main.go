@@ -12,8 +12,8 @@
 // counters. On SIGINT or SIGTERM the server stops serving, writes a
 // final dump and saves the -cache file.
 //
-// The session table is sharded (-shards) so many tenants dispatch
-// without contending on one lock, and one port speaks both wire
+// The session table is sharded so many tenants dispatch without
+// contending on one lock, and one port speaks both wire
 // protocols: the JSON line protocol and the pipelined binary frame
 // protocol, distinguished by the first byte each connection sends.
 //
@@ -22,22 +22,21 @@
 // models of the case-study workloads: confidently-worse configurations
 // are answered to the search at their predicted value without being
 // handed to any client, and best replies always come from genuine
-// measurements. -surrogate-keep sets the default fraction of each
-// round that is actually evaluated.
+// measurements. Each session chooses the fraction of a round that is
+// actually evaluated when it registers.
 //
 // Usage:
 //
-//	harmonyd [-addr host:port] [-quiet] [-cache file] [-shards n]
+//	harmonyd [-addr host:port] [-quiet] [-cache file]
 //	         [-session-timeout d] [-report-timeout d] [-max-reissues n]
-//	         [-stats-interval d] [-surrogate] [-surrogate-keep f]
-//	         [-async-depth n]
+//	         [-stats-interval d] [-surrogate]
 //
 // Sessions that register with the async flag run the pipelined
 // dispatch: the server keeps a bounded window of candidates in flight
 // per session and commits results to the search strategy in issue
 // order, so concurrent clients are never parked behind a round
-// barrier. -async-depth sets the default window for sessions that do
-// not choose their own.
+// barrier. A session that chooses no window depth gets the engine's
+// default.
 package main
 
 import (
@@ -71,14 +70,11 @@ func run(args []string, listening func(net.Addr)) error {
 	addr := fs.String("addr", "127.0.0.1:7077", "listen address")
 	quiet := fs.Bool("quiet", false, "suppress per-session logging")
 	cachePath := fs.String("cache", "", "persistent evaluation cache file (JSON); answers repeated configurations without re-running clients")
-	sessionTimeout := fs.Duration("session-timeout", 0, "garbage-collect sessions idle longer than this (0 = never)")
+	sessionTimeout := fs.Duration("session-timeout", 0, "garbage-collect sessions idle for this long (0 = never)")
 	reportTimeout := fs.Duration("report-timeout", 0, "re-issue configurations whose reports are overdue by this much (0 = wait forever)")
 	maxReissues := fs.Int("max-reissues", 0, "straggler re-issues before a configuration is forfeited (0 = default)")
 	statsInterval := fs.Duration("stats-interval", 0, "dump server counters (and apply deadlines) this often (0 = only on shutdown)")
-	shards := fs.Int("shards", 0, "session-table shards; higher values reduce lock contention under many tenants (0 = default)")
-	asyncDepth := fs.Int("async-depth", 0, "default in-flight candidate window for async-registered sessions (0 = built-in default)")
 	surrogateOn := fs.Bool("surrogate", false, "screen proposals of surrogate-flagged sessions with the analytic models of the case-study workloads")
-	surrogateKeep := fs.Float64("surrogate-keep", 0, "default fraction of each proposal round surrogate sessions actually evaluate, 0 < keep <= 1 (0 = built-in default)")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits, Parse never returns an error
 
 	s := server.New()
@@ -88,11 +84,8 @@ func run(args []string, listening func(net.Addr)) error {
 	s.SessionTimeout = *sessionTimeout
 	s.ReportTimeout = *reportTimeout
 	s.MaxReissues = *maxReissues
-	s.Shards = *shards
-	s.AsyncDepth = *asyncDepth
 	if *surrogateOn {
 		s.Surrogate = surrogate.For
-		s.SurrogateKeep = *surrogateKeep
 	}
 
 	var evalCache *history.EvalCache

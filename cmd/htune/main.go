@@ -8,7 +8,8 @@
 //
 // Usage:
 //
-//	htune [-history file] spec.json
+//	htune [-history file] [-cache file] [-workers N] [-async] [-async-depth N]
+//	      [-run-timeout d] [-surrogate] [-metrics] [-v] spec.json
 //
 // Specification format:
 //
@@ -17,6 +18,7 @@
 //	  "machine": "cluster-a",
 //	  "strategy": "simplex",            // simplex|pro|coordinate|random|systematic|exhaustive|ensemble
 //	  "max_runs": 40,
+//	  "seed": 1,                        // seed of the randomised strategies
 //	  "metric": "time",                 // "time" (wall clock) or "stdout" (last number printed)
 //	  "params": [
 //	    {"name": "threads", "kind": "int", "min": 1, "max": 64, "step": 1},
@@ -24,6 +26,10 @@
 //	  ],
 //	  "command": ["./run.sh", "--threads={threads}", "--alg={alg}"]
 //	}
+//
+// The spec describes the program and its parameters; how the tuning
+// runs is given by flags. A field the format above does not define is
+// an error.
 //
 // Every occurrence of {name} in the command arguments is replaced by
 // the parameter's value. In addition the environment of the child
@@ -36,12 +42,17 @@
 // -run-timeout bounds each benchmarking run: a configuration that
 // hangs the program (a pathological layout, a livelocked solver) is
 // killed at the deadline and counted as a failed run instead of
-// wedging the whole tuning session. -metrics appends a
+// wedging the whole tuning session. -workers N launches up to N
+// benchmarking runs of distinct configurations at once (the command
+// must tolerate concurrent invocations), and -async lets pipelined
+// strategies issue up to -async-depth configurations ahead of their
+// results instead of draining each round. -metrics appends a
 // machine-readable "htune.<name> <value>" summary to stdout for
 // scripts and dashboards.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -49,8 +60,6 @@ import (
 	"log"
 	"os"
 	"os/exec"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -60,6 +69,7 @@ import (
 
 	"harmony/internal/core"
 	"harmony/internal/history"
+	"harmony/internal/profile"
 	"harmony/internal/proto"
 	"harmony/internal/search"
 	"harmony/internal/space"
@@ -68,28 +78,14 @@ import (
 
 // Spec is the htune input file.
 type Spec struct {
-	App      string `json:"app"`
-	Machine  string `json:"machine"`
-	Strategy string `json:"strategy"`
-	MaxRuns  int    `json:"max_runs"`
-	// Workers is the number of evaluations in flight: benchmarking
-	// runs of distinct configurations launched concurrently. The
-	// command must tolerate concurrent invocations. 0 or 1 runs one
-	// at a time; the -workers flag overrides.
-	Workers int `json:"workers"`
-	// Async bounds the window of issued configurations at AsyncDepth
-	// and lets pipelined strategies issue ahead of their outstanding
-	// results, instead of issuing one round and draining it before the
-	// next. Results are committed to the strategy in issue order
-	// either way. The -async flag overrides.
-	Async bool `json:"async"`
-	// AsyncDepth is the window bound of an Async session (0 = engine
-	// default); the -async-depth flag overrides.
-	AsyncDepth int               `json:"async_depth"`
-	Metric     string            `json:"metric"`
-	Seed       int64             `json:"seed"`
-	Params     []proto.ParamSpec `json:"params"`
-	Command    []string          `json:"command"`
+	App      string            `json:"app"`
+	Machine  string            `json:"machine"`
+	Strategy string            `json:"strategy"`
+	MaxRuns  int               `json:"max_runs"`
+	Metric   string            `json:"metric"`
+	Seed     int64             `json:"seed"`
+	Params   []proto.ParamSpec `json:"params"`
+	Command  []string          `json:"command"`
 }
 
 // cliOptions collects the command-line knobs passed down to run.
@@ -113,9 +109,9 @@ func main() {
 	flag.StringVar(&opts.historyPath, "history", "", "tuning-history file for seeding and recording")
 	flag.StringVar(&opts.cachePath, "cache", "", "persistent evaluation-cache file: repeated configurations are answered from prior sessions instead of re-run")
 	flag.StringVar(&opts.cacheNS, "cache-ns", "", "evaluation-cache namespace: campaigns in different namespaces never share measurements (empty = shared)")
-	flag.IntVar(&opts.workers, "workers", 0, "evaluations in flight: benchmarking runs launched concurrently (overrides the spec; 0/1 = one at a time)")
-	flag.BoolVar(&opts.async, "async", false, "bound the window at -async-depth and let pipelined strategies issue ahead, instead of draining each round before the next (overrides the spec)")
-	flag.IntVar(&opts.asyncDepth, "async-depth", 0, "window bound under -async: issued configurations awaiting their result (overrides the spec; 0 = default)")
+	flag.IntVar(&opts.workers, "workers", 0, "evaluations in flight: benchmarking runs launched concurrently; the command must tolerate concurrent invocations (0/1 = one at a time)")
+	flag.BoolVar(&opts.async, "async", false, "bound the window at -async-depth and let pipelined strategies issue ahead, instead of draining each round before the next")
+	flag.IntVar(&opts.asyncDepth, "async-depth", 0, "window bound under -async: issued configurations awaiting their result (0 = default)")
 	flag.DurationVar(&opts.runTimeout, "run-timeout", 0, "kill a benchmarking run exceeding this and count it failed (0 = no limit)")
 	flag.BoolVar(&opts.surrogate, "surrogate", false, "screen proposals with the analytic performance model for the spec's app: only the top-ranked fraction of each round is actually run (errors when no model covers the app)")
 	flag.Float64Var(&opts.surrogateKeep, "surrogate-keep", 0, "fraction of each proposal round the surrogate actually runs, 0 < keep <= 1 (0 = default)")
@@ -128,7 +124,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: htune [-history file] [-cache file] [-cache-ns name] [-workers N] [-async] [-async-depth N] [-run-timeout d] [-surrogate] [-surrogate-keep f] [-metrics] [-cpuprofile file] [-memprofile file] [-v] spec.json")
 		os.Exit(2)
 	}
-	stopProfiles, err := startProfiles(cpuprofile, memprofile)
+	stopProfiles, err := profile.Start(cpuprofile, memprofile)
 	if err != nil {
 		log.Fatalf("htune: %v", err)
 	}
@@ -141,52 +137,23 @@ func main() {
 	}
 }
 
-// startProfiles starts CPU profiling and arranges a heap snapshot,
-// returning a function that finalises both.
-func startProfiles(cpuprofile, memprofile string) (func() error, error) {
-	var cpuFile *os.File
-	if cpuprofile != "" {
-		f, err := os.Create(cpuprofile)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuFile = f
-	}
-	return func() error {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				return err
-			}
-		}
-		if memprofile != "" {
-			f, err := os.Create(memprofile)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			runtime.GC() // materialise final live-set statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, nil
-}
-
 func run(specPath string, cli cliOptions) error {
 	historyPath := cli.historyPath
 	data, err := os.ReadFile(specPath)
 	if err != nil {
 		return err
 	}
+	// A field the spec does not define is an error, not ignored: a
+	// spec that still sets "workers" would otherwise silently run one
+	// evaluation at a time.
 	var spec Spec
-	if err := json.Unmarshal(data, &spec); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		return fmt.Errorf("parsing %s: %w", specPath, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("parsing %s: data after the spec", specPath)
 	}
 	if len(spec.Command) == 0 {
 		return fmt.Errorf("spec has no command")
@@ -216,18 +183,9 @@ func run(specPath string, cli cliOptions) error {
 	if err != nil {
 		return err
 	}
-	if cli.workers > 0 {
-		spec.Workers = cli.workers
-	}
-	if cli.async {
-		spec.Async = true
-	}
-	if cli.asyncDepth > 0 {
-		spec.AsyncDepth = cli.asyncDepth
-	}
 	opt := core.Options{
-		MaxRuns: spec.MaxRuns, Workers: spec.Workers,
-		Async: spec.Async, AsyncDepth: spec.AsyncDepth,
+		MaxRuns: spec.MaxRuns, Workers: cli.workers,
+		Async: cli.async, AsyncDepth: cli.asyncDepth,
 	}
 	if cli.surrogate {
 		model := surrogate.For(spec.App)
@@ -268,7 +226,7 @@ func run(specPath string, cli cliOptions) error {
 	if res.SpeculativeRuns > 0 {
 		fmt.Printf("  speculative runs: %d launched ahead of need, %d used\n", res.SpeculativeRuns, res.SpeculativeHits)
 	}
-	if spec.Workers > 1 {
+	if cli.workers > 1 {
 		fmt.Printf("  window: worker occupancy %.0f%%, %d starved refills, %d idle slots\n",
 			100*res.WorkerOccupancy, res.QueueStarved, res.IdleSlots)
 	}

@@ -82,20 +82,29 @@ func TestHtuneEnvSubstitution(t *testing.T) {
 	}
 }
 
+// TestHtuneBadSpecs: each malformed spec is refused; where a case
+// names a want, the error must contain it. How the tuning runs is a
+// flag, so a spec that still names the former "workers" field is
+// refused naming it, instead of silently running one evaluation at a
+// time.
 func TestHtuneBadSpecs(t *testing.T) {
 	dir := t.TempDir()
-	cases := map[string]string{
-		"missing":   filepath.Join(dir, "nope.json"),
-		"not json":  writeRaw(t, dir, "a.json", "{broken"),
-		"no params": writeRaw(t, dir, "b.json", `{"command":["true"]}`),
-		"no command": writeRaw(t, dir, "c.json",
-			`{"params":[{"name":"x","kind":"int","min":0,"max":1,"step":1}]}`),
-		"bad strategy": writeRaw(t, dir, "d.json",
-			`{"strategy":"annealing","command":["true"],"params":[{"name":"x","kind":"int","min":0,"max":1,"step":1}]}`),
+	cases := map[string]struct{ path, want string }{
+		"missing":   {path: filepath.Join(dir, "nope.json")},
+		"not json":  {path: writeRaw(t, dir, "a.json", "{broken")},
+		"no params": {path: writeRaw(t, dir, "b.json", `{"command":["true"]}`)},
+		"no command": {path: writeRaw(t, dir, "c.json",
+			`{"params":[{"name":"x","kind":"int","min":0,"max":1,"step":1}]}`)},
+		"bad strategy": {path: writeRaw(t, dir, "d.json",
+			`{"strategy":"annealing","command":["true"],"params":[{"name":"x","kind":"int","min":0,"max":1,"step":1}]}`)},
+		"unknown field": {writeRaw(t, dir, "e.json",
+			`{"workers":4,"command":["true"],"params":[{"name":"x","kind":"int","min":0,"max":1,"step":1}]}`), `"workers"`},
+		"data after the spec": {writeRaw(t, dir, "f.json",
+			`{"command":["true"],"params":[{"name":"x","kind":"int","min":0,"max":1,"step":1}]} {}`), "data after the spec"},
 	}
-	for name, path := range cases {
-		if err := run(path, cliOptions{}); err == nil {
-			t.Errorf("%s: expected error", name)
+	for name, c := range cases {
+		if err := run(c.path, cliOptions{}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, c.want)
 		}
 	}
 }

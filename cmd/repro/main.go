@@ -28,11 +28,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
+
+	"harmony/internal/profile"
 )
 
 type options struct {
@@ -78,7 +78,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := profile.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(1)
@@ -105,43 +105,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro %v\n", runErr)
 		os.Exit(1)
 	}
-}
-
-// startProfiles starts CPU profiling and arranges a heap snapshot,
-// returning a function that finalises both.
-func startProfiles(cpuprofile, memprofile string) (func() error, error) {
-	var cpuFile *os.File
-	if cpuprofile != "" {
-		f, err := os.Create(cpuprofile)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		cpuFile = f
-	}
-	return func() error {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				return err
-			}
-		}
-		if memprofile != "" {
-			f, err := os.Create(memprofile)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			runtime.GC() // materialise final live-set statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, nil
 }
 
 func runOne(name string, o options) error {

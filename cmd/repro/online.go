@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"net"
 	"sort"
 	"time"
 
@@ -74,20 +75,17 @@ func runOnline(o options) error {
 	srv.Logf = func(string, ...any) {}
 	srv.SessionTimeout = time.Minute
 	srv.ReportTimeout = 30 * time.Second
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe("127.0.0.1:0") }()
+	go func() { errc <- srv.Serve(ln) }()
 	defer func() {
 		srv.Close()
 		<-errc
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("harmony server did not start")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	c, err := client.Dial(srv.Addr().String())
+	c, err := client.Dial(ln.Addr().String())
 	if err != nil {
 		return err
 	}
@@ -110,7 +108,7 @@ func runOnline(o options) error {
 	// finally reports an absurdly good time for the configuration it
 	// held. Tag matching must drop that report instead of crediting it
 	// to whatever is in flight by then.
-	rogueC, err := client.Dial(srv.Addr().String())
+	rogueC, err := client.Dial(ln.Addr().String())
 	if err != nil {
 		return err
 	}

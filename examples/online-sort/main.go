@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"net"
 	"time"
 
 	"harmony"
@@ -25,15 +26,17 @@ func main() {
 	// Start a Harmony server on an ephemeral port.
 	srv := harmony.NewServer()
 	srv.Logf = func(string, ...any) {}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe("127.0.0.1:0") }()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	go srv.Serve(ln)
 	defer srv.Close()
-	waitForAddr(srv)
 
 	lib := harmony.NewSortLibrary()
 	sp := harmony.MustNewSpace(lib.Param())
 
-	c, err := harmony.Dial(srv.Addr().String())
+	c, err := harmony.Dial(ln.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,15 +91,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ntuned selection: %s (%.1f ms per batch)\n", best["sort_algorithm"], 1000*perf)
-}
-
-// waitForAddr blocks until the server has bound its listener.
-func waitForAddr(srv *harmony.Server) {
-	for i := 0; i < 100; i++ {
-		if srv.Addr() != nil {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	log.Fatal("server did not start")
 }

@@ -218,9 +218,6 @@ type (
 	// protocol; many sessions share it and their requests are
 	// pipelined into common frames.
 	Mux = client.Mux
-	// MuxSession is the name a Session obtained from a Mux used to
-	// have; the two are one type.
-	MuxSession = client.MuxSession
 )
 
 // NewServer constructs a tuning server; start it with ListenAndServe

@@ -2,9 +2,9 @@ package harmony_test
 
 import (
 	"context"
+	"net"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"harmony"
 )
@@ -42,21 +42,18 @@ func TestPublicAPIOfflineTuning(t *testing.T) {
 func TestPublicAPIOnlineTuning(t *testing.T) {
 	srv := harmony.NewServer()
 	srv.Logf = func(string, ...any) {}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe("127.0.0.1:0") }()
+	go func() { errc <- srv.Serve(ln) }()
 	t.Cleanup(func() {
 		srv.Close()
 		<-errc
 	})
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Addr() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("server did not start")
-		}
-		time.Sleep(time.Millisecond)
-	}
 
-	c, err := harmony.Dial(srv.Addr().String())
+	c, err := harmony.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}

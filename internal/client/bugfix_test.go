@@ -67,15 +67,16 @@ func TestMuxFailureUnblocksCalls(t *testing.T) {
 		t.Fatalf("NewMuxFromConn: %v", err)
 	}
 	defer m.Close()
-	if _, err := m.Call(&proto.Message{Type: proto.TypeFetch, Session: "s1"}); err == nil {
-		t.Fatal("Call on a dead mux returned success")
+	sess := m.Attach("s1")
+	if _, _, err := sess.Fetch(); err == nil {
+		t.Fatal("Fetch on a dead mux returned success")
 	}
 	if m.Err() == nil {
 		t.Error("mux did not latch its terminal error")
 	}
 	// Later calls fail fast with the latched error.
-	if _, err := m.Call(&proto.Message{Type: proto.TypeBest, Session: "s1"}); err == nil {
-		t.Error("Call after failure returned success")
+	if _, _, err := sess.Best(); err == nil {
+		t.Error("Best after failure returned success")
 	}
 }
 
@@ -103,7 +104,7 @@ func TestMuxCloseUnblocksCalls(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.Call(&proto.Message{Type: proto.TypeFetch, Session: "s1"})
+		_, _, err := m.Attach("s1").Fetch()
 		done <- err
 	}()
 	// Let the call get queued, then pull the plug.

@@ -91,9 +91,6 @@ func Dial(addr string) (*Client, error) {
 // DialOptions connects to a Harmony server at addr with the given
 // fault-handling options.
 func DialOptions(addr string, opts Options) (*Client, error) {
-	if opts.Backoff <= 0 {
-		opts.Backoff = defaultBackoff
-	}
 	c := &Client{addr: addr, opts: opts}
 	if err := c.connect(); err != nil {
 		return nil, err
@@ -123,12 +120,7 @@ func NewFromConn(conn *proto.Conn) *Client { return &Client{conn: conn} }
 
 // SetOptions replaces the fault-handling options; useful with
 // NewFromConn where DialOptions is not involved.
-func (c *Client) SetOptions(opts Options) {
-	if opts.Backoff <= 0 {
-		opts.Backoff = defaultBackoff
-	}
-	c.opts = opts
-}
+func (c *Client) SetOptions(opts Options) { c.opts = opts }
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }

@@ -21,8 +21,9 @@ import (
 var ErrMuxClosed = errors.New("client: mux closed")
 
 // muxOpQueue bounds the operations waiting for the writer goroutine.
-// When it fills, callers block in Call — backpressure that keeps a
-// burst of sessions from buffering unbounded frames in memory.
+// When it fills, callers block in their round trip — backpressure
+// that keeps a burst of sessions from buffering unbounded frames in
+// memory.
 const muxOpQueue = 256
 
 // muxMaxBatch caps the messages packed into one outgoing frame.
@@ -227,20 +228,11 @@ func (m *Mux) readLoop() {
 	}
 }
 
-// Call performs one protocol operation over the mux: it queues the
-// message and blocks until the matching reply arrives or the mux
-// fails. Concurrent Calls pipeline — none waits for another's reply.
-// The reply is a new message that belongs to the caller.
-func (m *Mux) Call(msg *proto.Message) (*proto.Message, error) {
-	reply := new(proto.Message)
-	if err := m.roundTrip(*msg, reply); err != nil {
-		return nil, err
-	}
-	return reply, nil
-}
-
-// roundTrip is Call decoding into reply, which it swaps with the call
-// record's: the record keeps reply's old Values map for a later decode.
+// roundTrip performs one protocol operation over the mux: it queues
+// the message and blocks until the matching reply arrives or the mux
+// fails. Concurrent round trips pipeline — none waits for another's
+// reply. It decodes into reply, which it swaps with the call record's:
+// the record keeps reply's old Values map for a later decode.
 func (m *Mux) roundTrip(msg proto.Message, reply *proto.Message) error {
 	m.mu.Lock()
 	if m.err != nil {
@@ -284,9 +276,6 @@ func (m *Mux) roundTrip(msg proto.Message, reply *proto.Message) error {
 	}
 	return nil
 }
-
-// MuxSession is the name a Session obtained from a Mux used to have.
-type MuxSession = Session
 
 // Register creates a tuning session on the server over the mux.
 func (m *Mux) Register(reg Registration) (*Session, error) { return register(m, reg) }

@@ -255,7 +255,7 @@ func (s *tuneScratch) tune(ctx context.Context, sp *space.Space, strat search.St
 		if speculator == nil || workers <= 1 {
 			return
 		}
-		desired := s.desired // empty between passes
+		desired := s.desired     // empty between passes
 		var wanted []space.Point // desired and not yet prefetched, likeliest first
 		for _, pt := range speculator.Speculate(idle) {
 			key := pt.Key()

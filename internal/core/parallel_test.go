@@ -280,7 +280,7 @@ func TestTuneParallelRaceStress(t *testing.T) {
 		return parBowl(c, cfg)
 	}
 	res, err := Tune(context.Background(), sp,
-		search.NewPRO(sp, search.PROOptions{Seed: 5, Points: 8}), obj,
+		search.NewPRO(sp, search.PROOptions{Seed: 5}), obj,
 		Options{MaxRuns: 64, Workers: 8})
 	if err != nil {
 		t.Fatal(err)

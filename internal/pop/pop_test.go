@@ -284,7 +284,7 @@ func TestTunedNamelistBeatsDefault(t *testing.T) {
 	}
 	sp := NamelistSpace()
 	res, err := core.Tune(context.Background(), sp,
-		search.NewCoordinate(sp, search.CoordinateOptions{Start: NamelistStart(), MaxPasses: 1}),
+		search.NewCoordinate(sp, search.CoordinateOptions{Start: NamelistStart()}),
 		NamelistObjective(m, base), core.Options{})
 	if err != nil {
 		t.Fatalf("Tune: %v", err)

@@ -8,21 +8,17 @@ import (
 type CoordinateOptions struct {
 	// Start is the initial point. If nil, the space centre is used.
 	Start space.Point
-	// MaxPasses bounds the number of full sweeps over all parameters.
-	// 0 means sweep until a full pass makes no improvement.
-	MaxPasses int
 }
 
 // Coordinate is a greedy one-parameter-at-a-time strategy: for each
 // dimension in turn, in space order, it evaluates every level of that
 // dimension with the other parameters held at the incumbent, then
-// moves to the best.
+// moves to the best. It sweeps until a full pass improves nothing.
 // This reproduces the paper's Table I behaviour where each tuning
 // iteration changes a single POP namelist parameter.
 type Coordinate struct {
 	tracker
-	sp  *space.Space
-	opt CoordinateOptions
+	sp *space.Space
 
 	current  space.Point
 	currentF float64
@@ -42,7 +38,7 @@ type Coordinate struct {
 
 // NewCoordinate constructs a coordinate-descent strategy.
 func NewCoordinate(sp *space.Space, opt CoordinateOptions) *Coordinate {
-	c := &Coordinate{sp: sp, opt: opt}
+	c := &Coordinate{sp: sp}
 	c.current = opt.Start
 	if c.current == nil {
 		c.current = sp.Center()
@@ -131,7 +127,7 @@ func (c *Coordinate) advanceDim() {
 	}
 	// Pass complete.
 	c.passes++
-	if !c.improved || (c.opt.MaxPasses > 0 && c.passes >= c.opt.MaxPasses) {
+	if !c.improved {
 		c.done = true
 		return
 	}

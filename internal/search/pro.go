@@ -4,10 +4,6 @@ import "harmony/internal/space"
 
 // PROOptions configure the Parallel Rank Order strategy.
 type PROOptions struct {
-	// Points is the population size (the number of configurations
-	// evaluated per round — on a real cluster, one per parallel
-	// client). Default 2×dims, minimum 4.
-	Points int
 	// Start is the initial best guess; nil means the space centre.
 	Start space.Point
 	// Seed drives the initial population spread.
@@ -21,15 +17,6 @@ const (
 	proExpandCoeff  = 2.0
 	proShrinkCoeff  = 0.5
 )
-
-func (o *PROOptions) setDefaults(dims int) {
-	if o.Points == 0 {
-		o.Points = 2 * dims
-	}
-	if o.Points < 4 {
-		o.Points = 4
-	}
-}
 
 type proState uint8
 
@@ -75,7 +62,6 @@ type PRO struct {
 
 // NewPRO constructs a PRO strategy over the space.
 func NewPRO(sp *space.Space, opt PROOptions) *PRO {
-	opt.setDefaults(sp.Dims())
 	p := &PRO{sp: sp}
 	p.rng.reset(opt.Seed)
 	p.buildPopulation(opt)
@@ -97,10 +83,12 @@ func (p *PRO) buildPopulation(opt PROOptions) {
 		start = p.sp.Center()
 	}
 	start = p.sp.Clamp(start)
-	p.verts = make([]vertex, opt.Points)
+	// The population is the configurations evaluated per round — on a
+	// real cluster, one per parallel client.
+	p.verts = make([]vertex, max(2*p.sp.Dims(), 4))
 	p.verts[0] = vertex{x: toFloats(start)}
 	params := p.sp.Params()
-	for i := 1; i < opt.Points; i++ {
+	for i := 1; i < len(p.verts); i++ {
 		x := toFloats(start)
 		// Spread each point along a random subset of dimensions.
 		for d := range x {

@@ -97,10 +97,6 @@ func TestPROPopulationSizeOptions(t *testing.T) {
 	if got := len(p.verts); got != 4 { // max(2*dims, 4)
 		t.Errorf("population = %d, want 4", got)
 	}
-	p2 := NewPRO(sp, PROOptions{Points: 10})
-	if got := len(p2.verts); got != 10 {
-		t.Errorf("population = %d, want 10", got)
-	}
 }
 
 func TestPROStartRespected(t *testing.T) {

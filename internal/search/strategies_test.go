@@ -86,20 +86,6 @@ func TestCoordinateStopsWhenNoImprovement(t *testing.T) {
 	}
 }
 
-func TestCoordinateMaxPasses(t *testing.T) {
-	sp := space.MustNew(space.IntParam("a", 0, 9, 1), space.IntParam("b", 0, 9, 1))
-	// Coupled objective that would need several passes.
-	f := func(pt space.Point) float64 {
-		x, y := float64(pt[0]), float64(pt[1])
-		return (x-y)*(x-y) + (x+y-14)*(x+y-14)
-	}
-	c := NewCoordinate(sp, CoordinateOptions{MaxPasses: 1, Start: space.Point{0, 0}})
-	drive(t, c, sp, f, 10000)
-	if got := c.Passes(); got != 1 {
-		t.Errorf("ran %d passes, want 1", got)
-	}
-}
-
 func TestRandomStaysFeasibleAndStops(t *testing.T) {
 	sp := space.MustNew(
 		space.IntParam("a", 0, 99, 1),

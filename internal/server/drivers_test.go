@@ -214,6 +214,34 @@ var sessionKinds = []struct {
 		func(strat search.Strategy) func(*session) { return pipelineWindow(strat, 4) }},
 }
 
+// TestRegistrationDefaultsAreCores: a registration that chooses no
+// async depth or surrogate keep gets core's default; the server keeps
+// no default of its own in front of it.
+func TestRegistrationDefaultsAreCores(t *testing.T) {
+	s := newFaultServer(newFakeClock())
+	s.Surrogate = resolver(bowlModel(1))
+	register := func(msg *proto.Message) *session {
+		msg.Strategy, msg.MaxRuns, msg.Space = proto.StrategyRandom, 10, proto.EncodeSpace(testSpace())
+		id := mustRegister(t, s, msg)
+		return s.shardFor(id).sessions[id]
+	}
+	if got := register(&proto.Message{Async: true}).win.m.Depth; got != core.DefaultAsyncDepth {
+		t.Errorf("async session with no depth has window depth %d, want core.DefaultAsyncDepth = %d", got, core.DefaultAsyncDepth)
+	}
+	// Scores far enough apart that no near-tie joins the kept quota.
+	scores := []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
+	kept := 0
+	for _, k := range register(&proto.Message{Surrogate: true}).surGate.Keep(scores) {
+		if k {
+			kept++
+		}
+	}
+	if want := int(math.Ceil(core.DefaultSurrogateKeep * float64(len(scores)))); kept != want {
+		t.Errorf("surrogate session with no keep kept %d of %d scores, want %d (core.DefaultSurrogateKeep = %v)",
+			kept, len(scores), want, core.DefaultSurrogateKeep)
+	}
+}
+
 // ladder is one session of one kind on a server with a fake clock,
 // driven over dispatch. Every report echoes the tag of the fetch it
 // answers.

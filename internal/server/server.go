@@ -94,7 +94,7 @@ type Server struct {
 	Clock func() time.Time
 
 	// SessionTimeout is the lease on an idle session: a session no
-	// client has fetched, reported, or queried within this window is
+	// client has fetched, reported, or queried for this long is
 	// garbage-collected. 0 disables expiry.
 	SessionTimeout time.Duration
 
@@ -131,28 +131,9 @@ type Server struct {
 	// resolver returning nil for the app, ignores the flag.
 	Surrogate func(app string) core.Surrogate
 
-	// SurrogateKeep is the default fraction of proposals a surrogate
-	// session actually evaluates when the registration does not choose
-	// one; 0 selects core.DefaultSurrogateKeep.
-	SurrogateKeep float64
-
-	// AsyncDepth is the default pipeline window of sessions that
-	// register with proto.Message.Async without choosing a depth of
-	// their own: how many candidates may be in flight at once before
-	// the oldest must commit. <= 0 selects core.DefaultAsyncDepth.
-	AsyncDepth int
-
-	// Shards is the number of independent session shards (see
-	// shard.go). Each session lives on exactly one shard, selected by
-	// hashing its id, and every protocol message locks only that
-	// shard — no cross-shard locks exist on the dispatch path. Set
-	// before serving; <= 0 selects DefaultShards.
-	Shards int
-
-	stats      counters
-	shardsOnce sync.Once
-	shards     []*shard
-	nextID     atomic.Int64
+	stats  counters
+	shards []*shard // numShards of them, built by New
+	nextID atomic.Int64
 
 	mu     sync.Mutex // guards ln, closed, conns — never session state
 	ln     net.Listener
@@ -210,11 +191,16 @@ type session struct {
 
 // New constructs a server with no sessions.
 func New() *Server {
-	return &Server{
-		Logf:  log.Printf,
-		Clock: time.Now,
-		conns: make(map[net.Conn]struct{}),
+	s := &Server{
+		Logf:   log.Printf,
+		Clock:  time.Now,
+		conns:  make(map[net.Conn]struct{}),
+		shards: make([]*shard, numShards),
 	}
+	for i := range s.shards {
+		s.shards[i] = &shard{sessions: make(map[string]*session)}
+	}
+	return s
 }
 
 func (s *Server) now() time.Time {
@@ -386,7 +372,7 @@ func (s *Server) dispatch(msg, reply *proto.Message) {
 func (s *Server) ExpireNow() int {
 	now := s.now()
 	var all []*session
-	for _, sh := range s.shardTable() {
+	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for id := range sh.sessions {
 			all = append(all, sh.sessions[id]) // by key: collected here, ordered below
@@ -428,12 +414,7 @@ func (s *Server) expireOneShard(sh *shard, ss *session, now time.Time) (bool, ti
 		return false, 0 // collected since the snapshot
 	}
 	if s.SessionTimeout > 0 {
-		ss.mu.Lock()
-		last := ss.effectiveLastActiveLocked(now)
-		ss.mu.Unlock()
-		if idle := now.Sub(last); idle > s.SessionTimeout {
-			delete(sh.sessions, ss.id)
-			s.stats.sessionsExpired.Add(1)
+		if collected, idle, _ := s.collectIdleLocked(sh, ss, now); collected {
 			return true, idle
 		}
 	}
@@ -472,11 +453,7 @@ func (s *Server) register(msg, reply *proto.Message) {
 	}
 	if msg.Surrogate && s.Surrogate != nil {
 		if model := s.Surrogate(msg.App); model != nil {
-			keep := msg.SurrogateKeep
-			if keep == 0 {
-				keep = s.SurrogateKeep
-			}
-			ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: model, Keep: keep})
+			ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: model, Keep: msg.SurrogateKeep})
 		}
 	}
 	// The only place the three session kinds differ: a (depth, group) pair.
@@ -485,9 +462,6 @@ func (s *Server) register(msg, reply *proto.Message) {
 		// Async wins when both are requested: the pipeline is the round
 		// window without its barrier.
 		depth := msg.AsyncDepth
-		if depth <= 0 {
-			depth = s.AsyncDepth
-		}
 		if depth <= 0 {
 			depth = core.DefaultAsyncDepth
 		}

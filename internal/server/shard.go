@@ -6,11 +6,10 @@ import (
 	"time"
 )
 
-// DefaultShards is the shard count selected when Server.Shards is
-// unset. Shards are cheap (a mutex, a map, a deadline heap); the
-// count only needs to exceed the expected lock contention, not the
-// session count.
-const DefaultShards = 16
+// numShards is the number of session shards New builds. Shards are
+// cheap (a mutex, a map, a deadline heap); the count only needs to
+// exceed the expected lock contention, not the session count.
+const numShards = 16
 
 // A shard owns a disjoint subset of the session table, selected by
 // hashing the session id. Every protocol message touches exactly one
@@ -32,11 +31,6 @@ type shard struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 	dq       deadlineQueue
-}
-
-//harmonyvet:allocamortized shards are constructed once per server at table build time
-func newShard() *shard {
-	return &shard{sessions: make(map[string]*session)}
 }
 
 // entryKind distinguishes the two deadline families in one heap.
@@ -80,25 +74,6 @@ func (q *deadlineQueue) Pop() any {
 	return e
 }
 
-// shardTable returns the shard slice, building it on first use so
-// Server.Shards can be set any time before serving.
-//
-//harmonyvet:allocamortized the table is built exactly once; every later call is a loaded-flag check returning the cached slice
-func (s *Server) shardTable() []*shard {
-	s.shardsOnce.Do(func() {
-		n := s.Shards
-		if n <= 0 {
-			n = DefaultShards
-		}
-		shards := make([]*shard, n)
-		for i := range shards {
-			shards[i] = newShard()
-		}
-		s.shards = shards
-	})
-	return s.shards
-}
-
 // shardFor hashes a session id onto its owning shard. The FNV-1a
 // round is inlined over the string bytes: hash/fnv's New32a returns a
 // heap-allocated hash.Hash32 and Write needs a []byte conversion, two
@@ -108,10 +83,6 @@ func (s *Server) shardTable() []*shard {
 //
 //harmonyvet:allocfree
 func (s *Server) shardFor(id string) *shard {
-	shards := s.shardTable()
-	if len(shards) == 1 {
-		return shards[0]
-	}
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -121,7 +92,7 @@ func (s *Server) shardFor(id string) *shard {
 		h ^= uint32(id[i])
 		h *= prime32
 	}
-	return shards[h%uint32(len(shards))]
+	return s.shards[h%uint32(len(s.shards))]
 }
 
 // expireDue pops every deadline entry of the shard that is due at
@@ -169,22 +140,36 @@ func (s *Server) expireDue(sh *shard, now time.Time) int {
 }
 
 // expireLeaseLocked applies one popped lease entry: collect the
-// session if its effective idle time exceeds the lease, otherwise
-// re-push the entry at the session's true lease deadline. Returns
-// whether the session was collected and its idle duration, so the
-// caller can log after releasing sh.mu. The caller holds sh.mu.
+// session if its lease has run out, otherwise re-push the entry at
+// the session's true lease deadline. Returns whether the session was
+// collected and its idle duration, so the caller can log after
+// releasing sh.mu. The caller holds sh.mu.
 func (s *Server) expireLeaseLocked(sh *shard, ss *session, now time.Time) (bool, time.Duration) {
+	collected, idle, deadline := s.collectIdleLocked(sh, ss, now)
+	if !collected {
+		heap.Push(&sh.dq, deadlineEntry{at: deadline, num: ss.num, id: ss.id, kind: leaseEntry})
+	}
+	return collected, idle
+}
+
+// collectIdleLocked is the lease rule of both expiry paths (expireDue
+// and ExpireNow): a session idle for SessionTimeout or longer is
+// deleted from its shard. It returns whether the session was
+// collected, its idle time, and when its lease runs out. Equality
+// collects, as the deadline heap pops an entry due at now: a strict
+// rule would re-push that entry at now and the pop loop would take it
+// again forever. The caller holds sh.mu.
+func (s *Server) collectIdleLocked(sh *shard, ss *session, now time.Time) (bool, time.Duration, time.Time) {
 	ss.mu.Lock()
 	last := ss.effectiveLastActiveLocked(now)
 	ss.mu.Unlock()
-	deadline := last.Add(s.SessionTimeout)
-	if deadline.After(now) {
-		heap.Push(&sh.dq, deadlineEntry{at: deadline, num: ss.num, id: ss.id, kind: leaseEntry})
-		return false, 0
+	idle := now.Sub(last)
+	if idle < s.SessionTimeout {
+		return false, idle, last.Add(s.SessionTimeout)
 	}
 	delete(sh.sessions, ss.id)
 	s.stats.sessionsExpired.Add(1)
-	return true, now.Sub(last)
+	return true, idle, time.Time{}
 }
 
 // expireStragglerEntryLocked applies one popped straggler entry:

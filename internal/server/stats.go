@@ -89,7 +89,7 @@ type counters struct {
 // Stats returns a snapshot of the server's counters.
 func (s *Server) Stats() Stats {
 	var active int64
-	for _, sh := range s.shardTable() {
+	for _, sh := range s.shards {
 		sh.mu.Lock()
 		active += int64(len(sh.sessions))
 		sh.mu.Unlock()

@@ -68,3 +68,40 @@ func TestSweepExpiresInRegistrationOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestLeaseBoundaryOnBothPaths: the lazy per-shard sweep and ExpireNow
+// apply one lease rule. A session idle for exactly SessionTimeout is
+// collected and one a nanosecond short of it is not, whichever path
+// looks first.
+func TestLeaseBoundaryOnBothPaths(t *testing.T) {
+	reg := func() *proto.Message {
+		return &proto.Message{Space: proto.EncodeSpace(space.MustNew(space.EnumParam("alg", "a", "b")))}
+	}
+	paths := []struct {
+		name   string
+		expire func(s *Server)
+	}{
+		{"ExpireNow", func(s *Server) { s.ExpireNow() }},
+		// The next register on the session's shard sweeps it.
+		{"lazy", func(s *Server) { mustRegister(t, s, reg()) }},
+	}
+	idles := []struct {
+		idle time.Duration
+		want int64
+	}{{time.Minute - time.Nanosecond, 0}, {time.Minute, 1}}
+	for _, p := range paths {
+		for _, c := range idles {
+			clk := newFakeClock()
+			s := newFaultServer(clk)
+			s.shards = s.shards[:1] // one shard: the second register sweeps the first session
+			s.SessionTimeout = time.Minute
+			mustRegister(t, s, reg())
+			clk.Advance(c.idle)
+			p.expire(s)
+			if got := s.Stats().SessionsExpired; got != c.want {
+				t.Errorf("%s after %v idle on a %v lease: collected %d sessions, want %d",
+					p.name, c.idle, s.SessionTimeout, got, c.want)
+			}
+		}
+	}
+}

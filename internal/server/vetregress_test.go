@@ -21,7 +21,7 @@ import (
 func TestExpiryLogNotUnderShardLock(t *testing.T) {
 	clk := newFakeClock()
 	s := newFaultServer(clk)
-	s.Shards = 1 // one shard: any dispatch sweeps the expired session
+	s.shards = s.shards[:1] // one shard: any dispatch sweeps the expired session
 	s.SessionTimeout = time.Minute
 	logged := 0
 	s.Logf = func(format string, args ...any) {
@@ -29,7 +29,7 @@ func TestExpiryLogNotUnderShardLock(t *testing.T) {
 			return
 		}
 		logged++
-		for i, sh := range s.shardTable() {
+		for i, sh := range s.shards {
 			if !sh.mu.TryLock() {
 				t.Errorf("shard %d mutex held during the Logf callback", i)
 				continue
