@@ -299,11 +299,12 @@ func objective(spec Spec, runTimeout time.Duration) core.Objective {
 			defer cancel()
 		}
 		values := cfg.Map()
+		sub := substitution(values)
 		args := make([]string, len(spec.Command)-1)
 		for i, tmpl := range spec.Command[1:] {
-			args[i] = substitute(tmpl, values)
+			args[i] = sub.Replace(tmpl)
 		}
-		cmd := exec.CommandContext(ctx, substitute(spec.Command[0], values), args...)
+		cmd := exec.CommandContext(ctx, sub.Replace(spec.Command[0]), args...)
 		if runTimeout > 0 {
 			// Without this, a killed shell whose orphaned children still
 			// hold the stdout pipe keeps Output blocked long past the
@@ -333,12 +334,20 @@ func objective(spec Spec, runTimeout time.Duration) core.Objective {
 	}
 }
 
-func substitute(tmpl string, values map[string]string) string {
-	out := tmpl
-	for name, v := range values {
-		out = strings.ReplaceAll(out, "{"+name+"}", v)
+// substitution replaces each {name} placeholder by its value in one
+// pass: substituted text is never rescanned, so a value that spells
+// another placeholder stays as written whatever the map order.
+func substitution(values map[string]string) *strings.Replacer {
+	names := make([]string, 0, len(values))
+	for name := range values {
+		names = append(names, name)
 	}
-	return out
+	sort.Strings(names)
+	pairs := make([]string, 0, 2*len(names))
+	for _, name := range names {
+		pairs = append(pairs, "{"+name+"}", values[name])
+	}
+	return strings.NewReplacer(pairs...)
 }
 
 // lastFloat parses the last whitespace-separated token of the output

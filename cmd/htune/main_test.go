@@ -156,9 +156,16 @@ func TestLastFloat(t *testing.T) {
 }
 
 func TestSubstitute(t *testing.T) {
-	got := substitute("--x={x} --y={y} --x2={x}", map[string]string{"x": "5", "y": "q"})
+	got := substitution(map[string]string{"x": "5", "y": "q"}).Replace("--x={x} --y={y} --x2={x}")
 	if got != "--x=5 --y=q --x2=5" {
 		t.Errorf("substitute = %q", got)
+	}
+	// A value that spells another placeholder is not expanded again,
+	// whichever order the map ranges in.
+	for i := 0; i < 200; i++ {
+		if got := substitution(map[string]string{"a": "{b}", "b": "7"}).Replace("--a={a}"); got != "--a={b}" {
+			t.Fatalf("call %d: substitute = %q, want --a={b}", i, got)
+		}
 	}
 }
 

@@ -14,13 +14,15 @@ import (
 	"testing"
 )
 
-// TestDocsNameWhatExists fails when README.md or DESIGN.md names, in
-// backticks, a repository path that is not there, a pkg.Name that
-// internal/pkg does not declare, a Test, Benchmark or Fuzz function
-// that no _test.go declares (a sub-benchmark by the name before its
-// first /), or a command line that does not run:
-// the two documents describe the system as it is, so a rename or
-// deletion that forgets them breaks tier-1.
+// TestDocsNameWhatExists fails when README.md, DESIGN.md or
+// EXPERIMENTS.md names, in backticks, a repository path that is not
+// there, a pkg.Name that internal/pkg does not declare, a Test,
+// Benchmark or Fuzz function that no _test.go declares (a
+// sub-benchmark by the name before its first /), or a command line
+// that does not run; or names anywhere, fenced code included, a
+// harmony.Name that harmony.go does not declare: the three documents
+// describe the system as it is, so a rename or deletion that forgets
+// them breaks tier-1.
 //
 // A command line is a span whose first word is a command under cmd/
 // (`repro`, `cmd/repro`, …). Each of its -flag tokens must be a flag
@@ -29,9 +31,9 @@ import (
 // package, which stops there, so `repro fig2 -large` exits with usage.
 // A bare `-flag` span could belong to any command and is not checked.
 //
-// EXPERIMENTS.md and CHANGES.md are historical by design (they name
-// what existed when each entry was written) and bench/README.md is
-// frozen with the benchmark; none of them is checked.
+// CHANGES.md is historical by design (it names what existed when each
+// entry was written) and bench/README.md is frozen with the benchmark;
+// neither is checked.
 func TestDocsNameWhatExists(t *testing.T) {
 	// Every file and directory of the tree, by slash path and by base
 	// name: documents name files both ways (`internal/core/window.go`,
@@ -72,7 +74,35 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 
 	// What each internal package declares at top level, test files
-	// included (documents cite tests as evidence).
+	// included (documents cite tests as evidence), and what the facade
+	// declares.
+	addDecls := func(names map[string]bool, f *ast.File) {
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					names[decl.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	facade := map[string]bool{}
+	f, err := parser.ParseFile(token.NewFileSet(), "harmony.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addDecls(facade, f)
 	declared := map[string]map[string]bool{}
 	dirs, err := os.ReadDir("internal")
 	if err != nil {
@@ -89,25 +119,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 		names := map[string]bool{}
 		for _, pkg := range pkgs {
 			for _, f := range pkg.Files {
-				for _, decl := range f.Decls {
-					switch decl := decl.(type) {
-					case *ast.FuncDecl:
-						if decl.Recv == nil {
-							names[decl.Name.Name] = true
-						}
-					case *ast.GenDecl:
-						for _, spec := range decl.Specs {
-							switch spec := spec.(type) {
-							case *ast.TypeSpec:
-								names[spec.Name.Name] = true
-							case *ast.ValueSpec:
-								for _, n := range spec.Names {
-									names[n.Name] = true
-								}
-							}
-						}
-					}
-				}
+				addDecls(names, f)
 			}
 		}
 		declared[d.Name()] = names
@@ -215,11 +227,18 @@ func TestDocsNameWhatExists(t *testing.T) {
 		repoPath = regexp.MustCompile(`^(?:(?:internal|cmd|examples)/[\w./-]*|[\w./-]+\.(?:go|md))$`)
 		pkgName  = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Za-z_]\w*)`)
 		testName = regexp.MustCompile(`^(?:Test|Benchmark|Fuzz)[A-Z0-9]\w*(?:/\S*)?$`)
+		// harmony.Name, not a counter such as harmony.fetches.
+		facadeName = regexp.MustCompile(`\bharmony\.([A-Z]\w*)`)
 	)
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, m := range facadeName.FindAllStringSubmatch(string(text), -1) {
+			if !facade[m[1]] {
+				t.Errorf("%s names harmony.%s, which harmony.go does not declare", doc, m[1])
+			}
 		}
 		for _, m := range span.FindAllStringSubmatch(fence.ReplaceAllString(string(text), ""), -1) {
 			s := strings.Join(strings.Fields(m[1]), " ") // a span may wrap

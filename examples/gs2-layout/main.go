@@ -12,9 +12,8 @@ import (
 	"fmt"
 	"log"
 
-	"harmony"
 	"harmony/internal/gs2"
-	"harmony/internal/search"
+	"harmony/internal/paper"
 )
 
 func main() {
@@ -43,10 +42,7 @@ func main() {
 	fmt.Println("step 2: tune (negrid, ntheta, nodes) on top of the best layout")
 	base := gs2.DefaultConfig()
 	base.Layout = bestLayout
-	sp := gs2.ResolutionSpace(64)
-	res, err := harmony.Tune(context.Background(), sp,
-		search.NewSimplex(sp, search.SimplexOptions{Start: gs2.ResolutionStart(sp, 16, 26, 32)}),
-		gs2.ResolutionObjective(gs2.LinuxCluster, base), harmony.Options{MaxRuns: 30})
+	res, err := paper.Resolution(base).Tune(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,19 +11,18 @@ import (
 	"fmt"
 	"log"
 
-	"harmony"
-	"harmony/internal/cluster"
+	"harmony/internal/paper"
 	"harmony/internal/petscsim"
-	"harmony/internal/search"
 	"harmony/internal/sparse"
 )
 
 func main() {
 	app := petscsim.NewSLESApp(600, 4, 3, 60, 11)
-	m := cluster.Seaborg(4, 1)
+	campaign := paper.SLES(app)
+	ctx := context.Background()
 
 	defPart := app.DefaultPartition()
-	defTime, err := app.Run(m, defPart)
+	defTime, err := campaign.Default(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,10 +30,7 @@ func main() {
 	fmt.Printf("default even decomposition %v: %.4f s\n", defPart.Starts, defTime)
 	printLoad(app, defPart)
 
-	sp := app.Space()
-	res, err := harmony.Tune(context.Background(), sp,
-		search.NewSimplex(sp, search.SimplexOptions{Start: app.EvenPoint(), Adaptive: true, Restarts: 4}),
-		app.Objective(m), harmony.Options{MaxRuns: 60})
+	res, err := campaign.Tune(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,10 +11,9 @@ import (
 	"fmt"
 	"log"
 
-	"harmony"
 	"harmony/internal/cluster"
+	"harmony/internal/paper"
 	"harmony/internal/pop"
-	"harmony/internal/search"
 )
 
 func main() {
@@ -23,16 +22,14 @@ func main() {
 	cfg.BarotropicIters = 8
 	fmt.Printf("ocean grid %dx%d, default block size %dx%d\n\n", cfg.NX, cfg.NY, cfg.BX, cfg.BY)
 
+	ctx := context.Background()
 	for _, topo := range []struct{ nodes, ppn int }{{4, 8}, {16, 2}} {
-		m := cluster.Seaborg(topo.nodes, topo.ppn)
-		defTime, err := pop.Run(m, cfg)
+		campaign := paper.Blocks(cluster.Seaborg(topo.nodes, topo.ppn), cfg)
+		defTime, err := campaign.Default(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sp := pop.BlockSpace()
-		res, err := harmony.Tune(context.Background(), sp,
-			search.NewSimplex(sp, search.SimplexOptions{Start: pop.BlockStart(cfg.BX, cfg.BY)}),
-			pop.BlockObjective(m, cfg), harmony.Options{MaxRuns: 30})
+		res, err := campaign.Tune(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"harmony"
@@ -148,31 +149,46 @@ func TestPublicAPISortLibrary(t *testing.T) {
 }
 
 // TestPublicAPIStrategiesAndAnalysis exercises every public
-// constructor and analysis helper end to end.
+// constructor and analysis helper end to end. Each constructor runs
+// at one and at four workers: the Strategy it returns still reaches
+// the engine's concurrent paths (the simplex speculates), and the
+// trial log is the same at both.
 func TestPublicAPIStrategiesAndAnalysis(t *testing.T) {
 	sp := harmony.MustNewSpace(harmony.IntParam("x", 0, 20, 1))
 	obj := func(_ context.Context, cfg harmony.Config) (float64, error) {
 		d := float64(cfg.Int("x") - 13)
 		return d * d, nil
 	}
-	strategies := []harmony.Strategy{
-		harmony.NewSimplex(sp, harmony.SimplexOptions{}),
-		harmony.NewCoordinate(sp, harmony.CoordinateOptions{}),
-		harmony.NewRandom(sp, 1, 15),
-		harmony.NewSystematic(sp, 15),
-		harmony.NewExhaustive(sp),
-		harmony.NewPRO(sp, harmony.PROOptions{Seed: 2}),
+	constructors := []func() harmony.Strategy{
+		func() harmony.Strategy { return harmony.NewSimplex(sp, harmony.SimplexOptions{}) },
+		func() harmony.Strategy { return harmony.NewCoordinate(sp, harmony.CoordinateOptions{}) },
+		func() harmony.Strategy { return harmony.NewRandom(sp, 1, 15) },
+		func() harmony.Strategy { return harmony.NewSystematic(sp, 15) },
+		func() harmony.Strategy { return harmony.NewExhaustive(sp) },
+		func() harmony.Strategy { return harmony.NewPRO(sp, harmony.PROOptions{Seed: 2}) },
 	}
 	var last *harmony.Result
-	for _, s := range strategies {
-		res, err := harmony.Tune(context.Background(), sp, s, obj, harmony.Options{MaxRuns: 40})
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
+	for _, build := range constructors {
+		var trials []harmony.Trial
+		for _, workers := range []int{1, 4} {
+			s := build()
+			res, err := harmony.Tune(context.Background(), sp, s, obj, harmony.Options{MaxRuns: 40, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", s.Name(), workers, err)
+			}
+			if res.BestValue > 9 {
+				t.Errorf("%s at %d workers: best %v, want near 0", s.Name(), workers, res.BestValue)
+			}
+			if workers == 1 {
+				trials = res.Trials
+			} else if !reflect.DeepEqual(res.Trials, trials) {
+				t.Errorf("%s: trials at %d workers differ from one worker's", s.Name(), workers)
+			}
+			if s.Name() == "simplex" && workers > 1 && res.SpeculativeRuns == 0 {
+				t.Errorf("simplex at %d workers launched no speculative run", workers)
+			}
+			last = res
 		}
-		if res.BestValue > 9 {
-			t.Errorf("%s: best %v, want near 0", s.Name(), res.BestValue)
-		}
-		last = res
 	}
 	// Analysis helpers.
 	sens := harmony.Sensitivity(sp, last.Trials)
