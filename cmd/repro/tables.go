@@ -44,7 +44,7 @@ func popParamTune(o options) (*core.Result, float64, *space.Space, error) {
 // runTable1 reproduces Table I: the parameter that changes at each
 // tuning iteration (one simulation run per iteration).
 func runTable1(o options) error {
-	res, defTime, _, err := popParamTune(o)
+	res, defTime, sp, err := popParamTune(o)
 	if err != nil {
 		return err
 	}
@@ -54,13 +54,13 @@ func runTable1(o options) error {
 	incumbentVal := defTime
 	rows := 0
 	for _, tr := range res.Trials {
-		if tr.Cached || tr.Err != nil {
+		if tr.Run == 0 || tr.Err != nil {
 			continue
 		}
 		if tr.Value >= incumbentVal {
 			continue
 		}
-		cfg := tr.Config.Map()
+		cfg := sp.MustDecode(tr.Point).Map()
 		for _, name := range pop.NamelistNames() {
 			if cfg[name] != incumbent[name] {
 				fmt.Printf("%9d  %-22s  %s -> %s\n", tr.Run, name, incumbent[name], cfg[name])
@@ -84,7 +84,7 @@ func runTable1(o options) error {
 func improvementAtRun(res *core.Result, base float64, n int) float64 {
 	best := base
 	for _, tr := range res.Trials {
-		if tr.Cached || tr.Err != nil || tr.Run > n {
+		if tr.Run == 0 || tr.Err != nil || tr.Run > n {
 			continue
 		}
 		if tr.Value < best {

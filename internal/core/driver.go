@@ -115,9 +115,11 @@ func (s *tuneScratch) reset() {
 // drained, at its final length (cap equals len). Everything else Tune
 // needs while it runs — the window and its candidates, the memo, the
 // commit log, the evaluation jobs — is pooled scratch, reset and put
-// back when it returns: per proposal, a campaign allocates only its
-// trial, its decoded configuration, its memo key and what the strategy
-// allocates, and per evaluation one goroutine.
+// back when it returns. Per proposal, a campaign allocates only its
+// trial row, which keeps the point the strategy handed out, and what
+// the strategy allocates; a charged proposal adds its memo key, and
+// one that runs adds its decoded configuration and one goroutine.
+// Result.BestConfig is decoded once, when Tune returns.
 //
 // Determinism: the issue/commit trace — and therefore every Result
 // field except WorkerOccupancy and the speculation and starvation
@@ -241,6 +243,9 @@ func (s *tuneScratch) tune(ctx context.Context, sp *space.Space, strat search.St
 		res.SurrogateFallbacks = win.Fallbacks
 		if span := time.Since(started); span > 0 {
 			res.WorkerOccupancy = float64(busyNS.Load()) / (float64(span.Nanoseconds()) * float64(workers))
+		}
+		if res.Best != nil {
+			res.BestConfig = sp.MustDecode(res.Best)
 		}
 		logTrials(res, s.committed)
 		s.reset()
@@ -371,12 +376,11 @@ func (s *tuneScratch) tune(ctx context.Context, sp *space.Space, strat search.St
 		}
 		if v < res.BestValue {
 			res.Best = c.Pt.Clone()
-			res.BestConfig = c.Cfg
 			res.BestValue = v
 			res.BestAtRun = res.Runs
 		}
 		if opt.Logf != nil {
-			opt.Logf("run %3d (proposal %3d): %s -> %.6g", res.Runs, res.Proposals, c.Cfg.Format(), v)
+			opt.Logf("run %3d (proposal %3d): %s -> %.6g", res.Runs, res.Proposals, sp.MustDecode(c.Pt).Format(), v)
 		}
 		return nil
 	}
@@ -411,15 +415,16 @@ func (s *tuneScratch) tune(ctx context.Context, sp *space.Space, strat search.St
 
 // logTrials renders the committed candidates, in commit order, as
 // res.Trials: allocated once at its final length, after the workers
-// have drained, so every payload it reads is final. Runs are numbered
-// over the charged candidates; a Pruned trial carries the model's
-// prediction, a Follower its leader's outcome.
+// have drained, so every payload it reads is final. A row keeps its
+// candidate's point, which the strategy handed out and no one else
+// holds. Runs are numbered over the charged candidates; a Pruned trial
+// carries the model's prediction, a Follower its leader's outcome.
 func logTrials(res *Result, committed []*Candidate[*evalJob]) {
 	res.Trials = make([]Trial, len(committed))
 	runs := 0
 	for i, c := range committed {
 		t := &res.Trials[i]
-		t.Proposal, t.Point, t.Config = i+1, c.Pt.Clone(), c.Cfg
+		t.Proposal, t.Point = i+1, c.Pt
 		switch c.Kind {
 		case Pruned:
 			t.Value, t.Pruned = c.Predicted, true

@@ -75,6 +75,27 @@ func TestTuneDefaultProposalBudgetFromMaxRuns(t *testing.T) {
 	}
 }
 
+// TestTuneHugeRunBudgetRuns: the default proposal cap saturates, so a
+// run budget too large for ten times itself is no budget at all rather
+// than a negative cap that ends the session before its first proposal.
+func TestTuneHugeRunBudgetRuns(t *testing.T) {
+	sp := space.MustNew(space.IntParam("x", 0, 3, 1))
+	res, err := Tune(context.Background(), sp, search.NewExhaustive(sp), func(_ context.Context, cfg space.Config) (float64, error) {
+		return float64(cfg.Int("x")), nil
+	}, Options{MaxRuns: math.MaxInt})
+	if err != nil {
+		t.Fatalf("Tune: %v", err)
+	}
+	if res.Runs != 4 || !res.Converged {
+		t.Errorf("runs = %d, converged = %v; want all 4 points and convergence", res.Runs, res.Converged)
+	}
+	for _, n := range []int{math.MaxInt / 10, math.MaxInt/10 + 1, math.MaxInt} {
+		if c := DefaultMaxProposals(n); c < math.MaxInt/10 {
+			t.Errorf("DefaultMaxProposals(%d) = %d, want it saturated", n, c)
+		}
+	}
+}
+
 func TestTuneUndecodableProposalIsError(t *testing.T) {
 	sp := space.MustNew(space.IntParam("x", 0, 1, 1))
 	s := &stuckStrategy{pt: space.Point{99}} // out of range

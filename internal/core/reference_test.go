@@ -45,7 +45,7 @@ func referenceTune(ctx context.Context, sp *space.Space, strat search.Strategy, 
 			return res, fmt.Errorf("core: strategy %s proposed undecodable point %v: %w", strat.Name(), pt, err)
 		}
 
-		trial := Trial{Proposal: res.Proposals, Point: pt.Clone(), Config: cfg}
+		trial := Trial{Proposal: res.Proposals, Point: pt.Clone()}
 		value, cached := cache[key]
 		if cached {
 			trial.Cached = true

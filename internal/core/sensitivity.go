@@ -34,9 +34,9 @@ type ParamSensitivity struct {
 // this report extracts exactly those contributions from the runs the
 // tuner already paid for.
 //
-// Cached and failed trials are ignored. Parameters observed at fewer
-// than two levels get Spread 0 (no evidence). Results are sorted by
-// decreasing Spread.
+// Cached, pruned and failed trials are ignored: only a run measures.
+// Parameters observed at fewer than two levels get Spread 0 (no
+// evidence). Results are sorted by decreasing Spread.
 func Sensitivity(sp *space.Space, trials []Trial) []ParamSensitivity {
 	type acc struct {
 		sum   map[int64]float64
@@ -50,7 +50,7 @@ func Sensitivity(sp *space.Space, trials []Trial) []ParamSensitivity {
 	var total float64
 	var n int
 	for _, tr := range trials {
-		if tr.Cached || tr.Err != nil || math.IsInf(tr.Value, 0) || math.IsNaN(tr.Value) {
+		if tr.Cached || tr.Pruned || tr.Err != nil || math.IsInf(tr.Value, 0) || math.IsNaN(tr.Value) {
 			continue
 		}
 		total += tr.Value

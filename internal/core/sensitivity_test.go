@@ -50,6 +50,7 @@ func TestSensitivityIgnoresFailedAndCachedTrials(t *testing.T) {
 		{Point: space.Point{1}, Value: 20},
 		{Point: space.Point{1}, Value: math.Inf(1), Err: errTest},
 		{Point: space.Point{0}, Value: 999, Cached: true},
+		{Point: space.Point{1}, Value: -1000, Pruned: true}, // a prediction, not a measurement
 	}
 	sens := Sensitivity(sp, trials)
 	if sens[0].Levels != 2 {

@@ -158,7 +158,7 @@ func TestSurrogateWrongModelNeverCorruptsBest(t *testing.T) {
 		if tr.Pruned {
 			continue
 		}
-		want, _ := parBowl(context.Background(), tr.Config)
+		want, _ := parBowl(context.Background(), sp.MustDecode(tr.Point))
 		if tr.Value != want {
 			t.Fatalf("measured trial %d reports %v, objective says %v", tr.Proposal, tr.Value, want)
 		}

@@ -1,18 +1,20 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
 	"testing"
 
+	"harmony/internal/search"
 	"harmony/internal/space"
 )
 
 // TestLogTrials pins how committed candidates become the trial log: runs
 // numbered over the charged ones, a Pruned row at its prediction, a
-// Follower at its leader's outcome — and one allocation for the log
-// plus one per point it keeps, whatever its length.
+// Follower at its leader's outcome; a row takes its candidate's point,
+// so rendering the log allocates once, whatever its length.
 func TestLogTrials(t *testing.T) {
 	boom := errors.New("boom")
 	work := &Candidate[*evalJob]{Kind: Work, Pt: space.Point{1}, Measured: 3, Payload: &evalJob{}}
@@ -41,14 +43,109 @@ func TestLogTrials(t *testing.T) {
 	if cap(res.Trials) != len(want) {
 		t.Errorf("trial log has cap %d for %d trials", cap(res.Trials), len(want))
 	}
-	if &res.Trials[0].Point[0] == &work.Pt[0] {
-		t.Error("a trial shares its point with the candidate")
+	for i, c := range committed {
+		if &res.Trials[i].Point[0] != &c.Pt[0] {
+			t.Errorf("trial %d does not keep its candidate's point", i+1)
+		}
 	}
 
 	if raceEnabled {
 		t.Skip("allocation counts are pinned without the race detector")
 	}
-	if n := testing.AllocsPerRun(100, func() { logTrials(res, committed) }); n != float64(1+len(committed)) {
-		t.Errorf("rendering %d trials allocates %v times, want %d", len(committed), n, 1+len(committed))
+	if n := testing.AllocsPerRun(100, func() { logTrials(res, committed) }); n != 1 {
+		t.Errorf("rendering %d trials allocates %v times, want 1", len(committed), n)
 	}
+}
+
+// recorder keeps a clone of every point a strategy hands out, in order.
+type recorder struct{ pts []space.Point }
+
+func (r *recorder) note(pt space.Point, ok bool) (space.Point, bool) {
+	if ok {
+		r.pts = append(r.pts, pt.Clone())
+	}
+	return pt, ok
+}
+
+// askedSeq, askedBatch and askedAsync hand out what the strategy they
+// wrap does and record it, through the view Tune takes it by: Next or
+// NextBatch for a round, Ask under Options.Async.
+type askedSeq struct {
+	search.Strategy
+	*recorder
+}
+
+func (s askedSeq) Next() (space.Point, bool) { return s.note(s.Strategy.Next()) }
+
+type askedBatch struct {
+	search.BatchStrategy
+	*recorder
+}
+
+func (s askedBatch) NextBatch() []space.Point {
+	batch := s.BatchStrategy.NextBatch()
+	for _, pt := range batch {
+		s.note(pt, true)
+	}
+	return batch
+}
+
+type askedAsync struct {
+	search.Strategy // named for Tune; every call it makes goes through as
+	as              search.AsyncStrategy
+	*recorder
+}
+
+func (s askedAsync) Ask() (space.Point, bool)         { return s.note(s.as.Ask()) }
+func (s askedAsync) Commit(pt space.Point, v float64) { s.as.Commit(pt, v) }
+func (s askedAsync) Done() bool                       { return s.as.Done() }
+
+// TestTrialLogIsWhatWasAsked: a trial row keeps the point the strategy
+// handed out, so row i must still equal the i-th point asked once the
+// campaign is over, for every strategy search.New builds, on the round
+// engine and under Async, and behind the surrogate gate: no strategy or
+// engine may write to a point after handing it out.
+func TestTrialLogIsWhatWasAsked(t *testing.T) {
+	sp := parallelSpace(t)
+	check := func(t *testing.T, strat search.Strategy, opt Options, rec *recorder) {
+		t.Helper()
+		res, err := Tune(context.Background(), sp, strat, parBowl, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Trials) == 0 || len(res.Trials) > len(rec.pts) {
+			t.Fatalf("%d trials for %d points asked", len(res.Trials), len(rec.pts))
+		}
+		for i, tr := range res.Trials {
+			if !tr.Point.Equal(rec.pts[i]) {
+				t.Errorf("trial %d is %v, the strategy handed out %v", i+1, tr.Point, rec.pts[i])
+			}
+		}
+	}
+	for _, name := range []string{"simplex", "coordinate", "pro", "random", "systematic", "ensemble", "exhaustive"} {
+		build := func() search.Strategy {
+			s, err := search.New(name, sp, 7, 60, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		t.Run(name+"/rounds", func(t *testing.T) {
+			rec, s := &recorder{}, build()
+			strat := search.Strategy(askedSeq{s, rec})
+			if bs, ok := s.(search.BatchStrategy); ok {
+				strat = askedBatch{bs, rec}
+			}
+			check(t, strat, Options{MaxRuns: 60}, rec)
+		})
+		t.Run(name+"/async", func(t *testing.T) {
+			rec, s := &recorder{}, build()
+			check(t, askedAsync{s, search.AsAsync(s), rec}, Options{MaxRuns: 60, Async: true, AsyncDepth: 4}, rec)
+		})
+	}
+	t.Run("pro/gate", func(t *testing.T) {
+		rec := &recorder{}
+		check(t, askedBatch{search.NewPRO(sp, search.PROOptions{Seed: 7}), rec},
+			Options{MaxRuns: 60, MaxProposals: 300, Surrogate: &SurrogateOptions{Model: perfectModel}}, rec)
+	})
 }

@@ -118,7 +118,6 @@ type Trial struct {
 	// came from the evaluation cache.
 	Run    int
 	Point  space.Point
-	Config space.Config
 	Value  float64
 	Cached bool
 	// Pruned marks a proposal the surrogate model skipped: Value is

@@ -18,10 +18,11 @@ const DefaultAsyncDepth = 8
 const Unbounded = math.MaxInt
 
 // DefaultMaxProposals is the runaway guard of a window whose caller
-// chose none: ten proposals per budgeted run, else 10000.
+// chose none: ten proposals per budgeted run, saturating rather than
+// overflowing, else 10000.
 func DefaultMaxProposals(maxRuns int) int {
 	if maxRuns > 0 {
-		return 10 * maxRuns
+		return 10 * min(maxRuns, math.MaxInt/10)
 	}
 	return 10000
 }
@@ -46,7 +47,7 @@ const (
 // measured best, or run accounting through this struct.
 type Candidate[P any] struct {
 	Pt        space.Point
-	Cfg       space.Config  // zero for a Forfeited candidate
+	Cfg       space.Config  // decoded for a Work candidate only
 	Measured  float64       // a charged candidate's genuine value: the driver's, the cache's, +Inf for a forfeit
 	Predicted float64       // the gate's score, if it screened the group: what a Pruned candidate is answered at
 	Leader    *Candidate[P] // the charged candidate a Follower duplicates; it commits first
@@ -126,9 +127,10 @@ type Window[P any] struct {
 
 	// Refill scratch, reused across passes.
 	pts  []space.Point
-	cfgs []space.Config
+	cfgs []space.Config // the group's members the gate scored, in order
 	bad  []bool
 	work []*Candidate[P]
+	key  []byte // classify's memo key
 }
 
 // reserve makes room for k more candidates, so that the cursor helpers
@@ -194,7 +196,7 @@ func (w *Window[P]) Refill() []*Candidate[P] {
 	w.work = w.work[:0]
 	w.Stalled, w.Finished = false, false
 	for w.Open() && !w.Stalled && !w.Finished && w.n < w.Depth {
-		w.pts, w.cfgs, w.bad = w.pts[:0], w.cfgs[:0], w.bad[:0]
+		w.pts, w.bad = w.pts[:0], w.bad[:0]
 		for len(w.pts) < w.GroupMax && w.issued+len(w.pts) < w.MaxProposals {
 			pt, ok := w.Strategy.Ask()
 			if !ok {
@@ -202,13 +204,13 @@ func (w *Window[P]) Refill() []*Candidate[P] {
 				w.Stalled = !w.Finished
 				break
 			}
-			cfg, err := w.Space.Decode(pt)
+			err := w.Space.Check(pt)
 			if err != nil && !w.ForfeitUndecodable {
 				// Candidates asked before it are still issued, and commit.
 				w.Err = fmt.Errorf("core: strategy %s proposed undecodable point %v: %w", w.Strategy.Name(), pt, err)
 				break
 			}
-			w.pts, w.cfgs, w.bad = append(w.pts, pt), append(w.cfgs, cfg), append(w.bad, err != nil)
+			w.pts, w.bad = append(w.pts, pt), append(w.bad, err != nil)
 		}
 		if len(w.pts) == 0 {
 			break
@@ -226,15 +228,17 @@ func (w *Window[P]) Refill() []*Candidate[P] {
 // whole group through unscreened. The group is cut before the first
 // charged candidate the run budget cannot cover, so in-flight work
 // never exceeds MaxRuns; the AsyncStrategy contract allows abandoning
-// what is cut.
+// what is cut. A point is decoded only to be scored or to become Work.
 func (w *Window[P]) issue() {
 	var scores []float64
 	var keep []bool
+	w.cfgs = w.cfgs[:0]
 	if w.Gate != nil {
 		scores = make([]float64, len(w.pts))
 		screened := true
 		for i, pt := range w.pts {
 			if screened = !w.bad[i]; screened {
+				w.cfgs = append(w.cfgs, w.Space.MustDecode(pt))
 				scores[i], screened = w.Gate.Score(pt, w.cfgs[i])
 			}
 			if !screened {
@@ -249,7 +253,7 @@ func (w *Window[P]) issue() {
 	}
 	w.reserve(len(w.pts))
 	for i, pt := range w.pts {
-		c := w.fresh(pt, w.cfgs[i])
+		c := w.fresh(pt)
 		if keep != nil {
 			c.Predicted = scores[i] // written beside the Score call, where prunepurity's taint sees it
 		}
@@ -261,6 +265,11 @@ func (w *Window[P]) issue() {
 		w.issued++
 		w.push(c)
 		if c.Kind == Work {
+			if i < len(w.cfgs) {
+				c.Cfg = w.cfgs[i] // decoded to be scored
+			} else {
+				c.Cfg = w.Space.MustDecode(pt)
+			}
 			w.work = append(w.work, c)
 		}
 	}
@@ -271,14 +280,14 @@ func (w *Window[P]) issue() {
 
 // fresh returns a candidate for one asked point: a released one, reset
 // whole so nothing of its last issue survives, or a new one.
-func (w *Window[P]) fresh(pt space.Point, cfg space.Config) *Candidate[P] {
+func (w *Window[P]) fresh(pt space.Point) *Candidate[P] {
 	var c *Candidate[P]
 	if n := len(w.free); n > 0 {
 		c, w.free = w.free[n-1], w.free[:n-1]
 	} else {
 		c = new(Candidate[P])
 	}
-	*c = Candidate[P]{Pt: pt, Cfg: cfg}
+	*c = Candidate[P]{Pt: pt}
 	return c
 }
 
@@ -291,10 +300,9 @@ func (w *Window[P]) fresh(pt space.Point, cfg space.Config) *Candidate[P] {
 // charged candidate. keep is the gate's verdict on the group c is
 // member i of, nil when the group was not screened.
 func (w *Window[P]) classify(c *Candidate[P], i int, keep []bool) bool {
-	var key string
 	if w.Memo {
-		key = c.Pt.Key()
-		if lead := w.leaders[key]; lead != nil {
+		w.key = c.Pt.AppendKey(w.key[:0])
+		if lead := w.leaders[string(w.key)]; lead != nil {
 			c.Kind, c.Leader, c.Done = Follower, lead, true
 			return true
 		}
@@ -315,7 +323,7 @@ func (w *Window[P]) classify(c *Candidate[P], i int, keep []bool) bool {
 		if w.leaders == nil {
 			w.leaders = make(map[string]*Candidate[P])
 		}
-		w.leaders[key] = c
+		w.leaders[string(w.key)] = c
 	}
 	if w.bad[i] {
 		c.Kind, c.Measured, c.Done = Forfeited, math.Inf(1), true
@@ -389,6 +397,6 @@ func (w *Window[P]) Recycle(committed []*Candidate[P]) {
 	clear(w.cfgs[:cap(w.cfgs)])
 	*w = Window[P]{
 		buf: w.buf, leaders: w.leaders, free: free,
-		pts: w.pts[:0], cfgs: w.cfgs[:0], bad: w.bad[:0], work: w.work[:0],
+		pts: w.pts[:0], cfgs: w.cfgs[:0], bad: w.bad[:0], work: w.work[:0], key: w.key[:0],
 	}
 }

@@ -101,7 +101,7 @@ func TestSimplexIterationAllocatesOnlyItsPoints(t *testing.T) {
 }
 
 // bytesPerCall reports the bytes f allocates per call, with the
-// collector off so a pooled generator stays pooled.
+// collector off so what a call leaves behind is never swept mid-count.
 func bytesPerCall(f func()) uint64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f()
@@ -114,15 +114,16 @@ func bytesPerCall(f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / 100
 }
 
-// TestNewPROBytes: a PRO strategy draws its initial spread from a
-// pooled generator, so building one over a two-dimension space costs
-// under 1.5 KiB, where a math/rand source alone is 5 376 bytes.
+// TestNewPROBytes: a PRO strategy computes its initial spread from its
+// seed and owns no generator, so building one over a two-dimension
+// space costs under 768 bytes (480 measured), where a math/rand source
+// alone is 5 376 bytes.
 func TestNewPROBytes(t *testing.T) {
 	skipUnderRace(t)
 	sp := space.MustNew(space.IntParam("x", 0, 40, 1), space.IntParam("y", 0, 40, 1))
 	seed := int64(0)
-	if b := bytesPerCall(func() { seed++; NewPRO(sp, PROOptions{Seed: seed}) }); b >= 1536 {
-		t.Errorf("NewPRO allocates %d bytes, want under 1536", b)
+	if b := bytesPerCall(func() { seed++; NewPRO(sp, PROOptions{Seed: seed}) }); b >= 768 {
+		t.Errorf("NewPRO allocates %d bytes, want under 768", b)
 	}
 }
 

@@ -49,7 +49,7 @@ type PRO struct {
 	idx     int // vertex being evaluated in this phase
 	state   proState
 	pending bool
-	rounds  int32 // beside the flags: PRO then allocates 1 280 bytes, not 1 408
+	rounds  int
 
 	// The round state, allocated by the first round and rewritten by
 	// every later one: the reflected population, then the expanded
@@ -72,7 +72,7 @@ func NewPRO(sp *space.Space, opt PROOptions) *PRO {
 func (p *PRO) Name() string { return "pro" }
 
 // Rounds reports completed transformation rounds.
-func (p *PRO) Rounds() int { return int(p.rounds) }
+func (p *PRO) Rounds() int { return p.rounds }
 
 // Converged reports whether the population collapsed to one point.
 func (p *PRO) Converged() bool { return p.state == proDone }

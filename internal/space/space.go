@@ -316,17 +316,7 @@ func log10int(n int64) float64 {
 }
 
 // Valid reports whether the point is inside the box.
-func (s *Space) Valid(pt Point) bool {
-	if len(pt) != len(s.params) {
-		return false
-	}
-	for i, v := range pt {
-		if v < 0 || v >= s.params[i].Levels() {
-			return false
-		}
-	}
-	return true
-}
+func (s *Space) Valid(pt Point) bool { return s.Check(pt) == nil }
 
 // Clamp returns a copy of the point with every coordinate clamped into
 // the box.
@@ -398,18 +388,26 @@ func (s *Space) Random(rng *rand.Rand) Point {
 	return pt
 }
 
-// Decode converts a lattice point into a Config of concrete values.
-func (s *Space) Decode(pt Point) (Config, error) {
+// Check reports why the point does not decode, nil when it does. It
+// allocates only the error.
+func (s *Space) Check(pt Point) error {
 	if len(pt) != len(s.params) {
-		return Config{}, fmt.Errorf("space: point has %d coordinates, space has %d", len(pt), len(s.params))
+		return fmt.Errorf("space: point has %d coordinates, space has %d", len(pt), len(s.params))
 	}
-	cfg := Config{space: s, point: pt.Clone()}
 	for i, v := range pt {
 		if v < 0 || v >= s.params[i].Levels() {
-			return Config{}, fmt.Errorf("space: coordinate %d (=%d) out of range for %q", i, v, s.params[i].Name)
+			return fmt.Errorf("space: coordinate %d (=%d) out of range for %q", i, v, s.params[i].Name)
 		}
 	}
-	return cfg, nil
+	return nil
+}
+
+// Decode converts a lattice point into a Config of concrete values.
+func (s *Space) Decode(pt Point) (Config, error) {
+	if err := s.Check(pt); err != nil {
+		return Config{}, err
+	}
+	return Config{space: s, point: pt.Clone()}, nil
 }
 
 // MustDecode is Decode, panicking on error.

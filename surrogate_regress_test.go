@@ -120,7 +120,7 @@ func TestSurrogateReportedResultsAreMeasured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertMeasuredResults(t, res, truth[name].Objective)
+			assertMeasuredResults(t, res, truth[name].Space, truth[name].Objective)
 			if res.SurrogatePruned == 0 {
 				t.Error("campaign pruned nothing; the test exercises no surrogate path")
 			}
@@ -130,7 +130,7 @@ func TestSurrogateReportedResultsAreMeasured(t *testing.T) {
 
 // assertMeasuredResults checks the reporting contract of a surrogate
 // Result against the ground-truth objective.
-func assertMeasuredResults(t *testing.T, res *core.Result, obj core.Objective) {
+func assertMeasuredResults(t *testing.T, res *core.Result, sp *space.Space, obj core.Objective) {
 	t.Helper()
 	ctx := context.Background()
 	bestMeasured := false
@@ -138,7 +138,7 @@ func assertMeasuredResults(t *testing.T, res *core.Result, obj core.Objective) {
 		if tr.Pruned || tr.Err != nil {
 			continue
 		}
-		truth, err := obj(ctx, tr.Config)
+		truth, err := obj(ctx, sp.MustDecode(tr.Point))
 		if err != nil {
 			t.Fatalf("re-simulating proposal %d: %v", tr.Proposal, err)
 		}
@@ -197,7 +197,7 @@ func TestSurrogateWrongModelNeverCorruptsResults(t *testing.T) {
 			if f1, f4 := fingerprint(res), fingerprint(res4); f1 != f4 {
 				t.Errorf("wrong model breaks worker invariance:\n w1 %s\n w4 %s", f1, f4)
 			}
-			assertMeasuredResults(t, res, truth[name].Objective)
+			assertMeasuredResults(t, res, truth[name].Space, truth[name].Objective)
 			if res.SurrogatePruned == 0 {
 				t.Error("wrong model pruned nothing; the adversarial path was not exercised")
 			}
