@@ -115,12 +115,8 @@ func (c *Client) connect() error {
 
 // NewFromConn wraps an existing connection; used by tests with
 // net.Pipe. A wrapped client cannot reconnect (it has no address)
-// but still honours Options deadlines set via SetOptions.
+// and runs with zero Options: no deadline, no retry.
 func NewFromConn(conn *proto.Conn) *Client { return &Client{conn: conn} }
-
-// SetOptions replaces the fault-handling options; useful with
-// NewFromConn where DialOptions is not involved.
-func (c *Client) SetOptions(opts Options) { c.opts = opts }
 
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }

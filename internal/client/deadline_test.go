@@ -41,7 +41,7 @@ func (c *brokenDeadlineConn) SetDeadline(time.Time) error {
 func TestDeadlineArmFailureFailsAttempt(t *testing.T) {
 	bc := &brokenDeadlineConn{}
 	c := NewFromConn(proto.NewConn(bc))
-	c.SetOptions(Options{Timeout: 50 * time.Millisecond, Retries: 3})
+	c.opts = Options{Timeout: 50 * time.Millisecond, Retries: 3}
 
 	_, _, err := c.Attach("s1").Fetch()
 	if err == nil {

@@ -140,3 +140,41 @@ func TestCampaignRetunes(t *testing.T) {
 		}
 	}
 }
+
+// TestResolutionRidge pins the shape of Table III's landscape at the
+// default lxyes layout and 10 steps: (n, 16, n) for n = 8, 12, 16, 28
+// is one ridge of equal times (to 0.01 %) at least 50 % below the
+// default, and the ridge's axis neighbours are each at least 1.4× its
+// time. It evaluates only these points, not the lattice.
+func TestResolutionRidge(t *testing.T) {
+	c := Resolution(gs2.DefaultConfig())
+	eval := func(negrid, ntheta, nodes int) float64 {
+		cfg, err := c.Space.Decode(gs2.ResolutionStart(c.Space, negrid, ntheta, nodes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := c.Objective(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	def, err := c.Default(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ridge := eval(8, 16, 8)
+	for _, n := range []int{12, 16, 28} {
+		if v := eval(n, 16, n); math.Abs(v-ridge) > 1e-4*ridge {
+			t.Errorf("(%d,16,%d) = %v s, want the ridge's %v s", n, n, v, ridge)
+		}
+	}
+	if ridge > def/2 {
+		t.Errorf("ridge %v s is %.1f %% below the default %v s, want ≥ 50 %%", ridge, 100*(1-ridge/def), def)
+	}
+	for _, p := range [][3]int{{8, 16, 4}, {16, 16, 8}, {8, 16, 16}} {
+		if v := eval(p[0], p[1], p[2]); v < 1.4*ridge {
+			t.Errorf("neighbour %v = %v s is %.3f× the ridge, want ≥ 1.4×", p, v, v/ridge)
+		}
+	}
+}

@@ -160,9 +160,7 @@ func (a *stubArm) Done() bool                  { return false }
 func TestEnsembleIssueAllocatesNothing(t *testing.T) {
 	skipUnderRace(t)
 	pt := space.Point{1, 2}
-	e := NewEnsemble(nil, EnsembleOptions{Techniques: []Strategy{
-		&stubArm{stall: true}, &stubArm{pt: pt}, &stubArm{pt: pt},
-	}})
+	e := newEnsemble(&stubArm{stall: true}, &stubArm{pt: pt}, &stubArm{pt: pt})
 	e.trace = make([]int, 0, 1000)
 	round := func() {
 		for range 3 {

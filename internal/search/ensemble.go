@@ -16,9 +16,6 @@ type EnsembleOptions struct {
 	// sample cap and the Systematic member's grid budget. 0 selects
 	// DefaultBudget.
 	Budget int
-	// Techniques overrides the default member set (PRO, simplex,
-	// random, systematic). Used by tests to inject faulty members.
-	Techniques []Strategy
 }
 
 // ucbExplore is the UCB1 exploration constant.
@@ -73,15 +70,17 @@ func NewEnsemble(sp *space.Space, opt EnsembleOptions) *Ensemble {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	techs := opt.Techniques
-	if len(techs) == 0 {
-		techs = []Strategy{
-			NewPRO(sp, PROOptions{Seed: opt.Seed}),
-			NewSimplex(sp, SimplexOptions{Adaptive: sp.Dims() >= adaptiveDims}),
-			NewRandom(sp, opt.Seed+1, budget),
-			NewSystematic(sp, budget),
-		}
-	}
+	return newEnsemble(
+		NewPRO(sp, PROOptions{Seed: opt.Seed}),
+		NewSimplex(sp, SimplexOptions{Adaptive: sp.Dims() >= adaptiveDims}),
+		NewRandom(sp, opt.Seed+1, budget),
+		NewSystematic(sp, budget),
+	)
+}
+
+// newEnsemble builds the bandit over the given members, one arm each
+// in argument order.
+func newEnsemble(techs ...Strategy) *Ensemble {
 	e := &Ensemble{skip: make([]bool, len(techs))}
 	for _, t := range techs {
 		e.arms = append(e.arms, &ensembleArm{name: t.Name(), as: AsAsync(t)})
@@ -91,15 +90,6 @@ func NewEnsemble(sp *space.Space, opt EnsembleOptions) *Ensemble {
 
 // Name implements Strategy.
 func (e *Ensemble) Name() string { return "ensemble" }
-
-// Techniques returns the member names in arm order.
-func (e *Ensemble) Techniques() []string {
-	out := make([]string, len(e.arms))
-	for i, a := range e.arms {
-		out[i] = a.name
-	}
-	return out
-}
 
 // AllocTrace returns the arm index of every candidate issued so far,
 // in issue order. Tests pin this trace to prove the allocation is a

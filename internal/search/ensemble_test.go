@@ -89,9 +89,9 @@ func TestEnsembleUsesEveryTechnique(t *testing.T) {
 	for _, arm := range e.AllocTrace() {
 		seen[arm] = true
 	}
-	for i, name := range e.Techniques() {
+	for i, a := range e.arms {
 		if !seen[i] {
-			t.Fatalf("technique %d (%s) never issued a candidate; trace %v", i, name, e.AllocTrace())
+			t.Fatalf("technique %d (%s) never issued a candidate; trace %v", i, a.name, e.AllocTrace())
 		}
 	}
 }
@@ -155,9 +155,7 @@ func TestEnsembleBanditShiftsAwayFromFaultyTechnique(t *testing.T) {
 	half := len(grid) / 2
 	faulty := newConstProposer("faulty", grid[:half])
 	healthy := newConstProposer("healthy", grid[half:])
-	e := NewEnsemble(sp, EnsembleOptions{
-		Techniques: []Strategy{faulty, healthy},
-	})
+	e := newEnsemble(faulty, healthy)
 	faultyIdx := 0
 	value := func(pt space.Point) float64 {
 		// Identify the issuer from the committed point: the faulty
