@@ -16,16 +16,17 @@ import (
 )
 
 // TestCampaignSteadyStateHeapCeiling pins the memory behaviour of a
-// warmed-up parallel campaign: with worlds pooled per machine and
-// MatVec workspaces pooled per DistMatrix rank, a steady-state
-// benchmarking run should cost no more than the solver's own
-// once-per-solve iteration vectors plus trial bookkeeping. The
-// ceiling is ~2x the measured steady state of ~24 KB per run, so a
-// regression that reintroduces per-iteration allocation (each run is
-// 40 CG iterations) trips it long before it reaches per-iteration
-// scale. Both fan-out widths
-// are pinned: more workers mean more worlds and workspaces in flight,
-// but all of them pool, so the per-run cost must stay flat.
+// warmed-up parallel campaign. An SLES run is a cost program on a
+// lockstep job: jobs with their pricing slots and halo plans are
+// pooled (the numeric solve pools its MatVec workspaces per
+// DistMatrix rank), so a steady-state run allocates next to nothing,
+// and almost all of the measured ~23 KB per run is the campaign
+// building its app's matrix once, spread over its 40 runs. The
+// ceiling is ~2x that, so a regression that reintroduces
+// per-iteration allocation (each run is 40 CG iterations) trips it
+// long before it reaches per-iteration scale. Both fan-out widths are
+// pinned: more workers mean more jobs and plans in flight, but all of
+// them pool, so the per-run cost must stay flat.
 func TestCampaignSteadyStateHeapCeiling(t *testing.T) {
 	for _, workers := range []int{4, 8} {
 		workers := workers

@@ -236,6 +236,29 @@ func TestTuneAsyncStarvationObservable(t *testing.T) {
 	}
 }
 
+// TestOneDeepWindowNeverStarves is the negative case beside
+// TestTuneAsyncStarvationObservable: a window one deep has no slot to
+// leave idle, so even the stalling simplex counts no starved pass,
+// whether the depth comes from one worker or from AsyncDepth 1.
+func TestOneDeepWindowNeverStarves(t *testing.T) {
+	sp := parallelSpace(t)
+	for _, opt := range []Options{
+		{MaxRuns: 60, Workers: 1},
+		{MaxRuns: 60, Workers: 1, Async: true, AsyncDepth: 1},
+		{MaxRuns: 60, Workers: 4, Async: true, AsyncDepth: 1},
+	} {
+		res, err := Tune(context.Background(), sp,
+			search.NewSimplex(sp, search.SimplexOptions{Restarts: 3}), parBowl, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Runs == 0 || res.QueueStarved != 0 || res.IdleSlots != 0 {
+			t.Errorf("workers %d, async %v, depth %d: %d runs, starved=%d idle=%d, want no starved pass",
+				opt.Workers, opt.Async, opt.AsyncDepth, res.Runs, res.QueueStarved, res.IdleSlots)
+		}
+	}
+}
+
 // TestTuneAsyncOccupancy verifies WorkerOccupancy lands in (0, 1] and
 // rises with a second worker when evaluations genuinely overlap.
 func TestTuneAsyncOccupancy(t *testing.T) {

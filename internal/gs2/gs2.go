@@ -251,44 +251,47 @@ func Run(m *cluster.Machine, cfg Config) (float64, error) {
 // the configuration, so it runs on the lockstep executor: every
 // operation below is one step of all ranks at once.
 func simulate(job *simmpi.Lockstep, cfg Config, pl *plans, steps int) (tLess float64) {
-	m := job.Machine()
 	d := cfg.Dims()
-	fieldWork := fieldSolveFlops * float64(d.X*d.Y) * elemWeight
-	// The exchanges are priced for m here, once per plan and machine,
-	// so every step only reads them.
-	toXY, fromXY := pl.toXY.exchange.Price(m), pl.fromXY.exchange.Price(m)
-	var toLE, fromLE *simmpi.PricedAlltoallv
+	// Every operation is priced for the job once, so every step only
+	// reads its prices.
+	toXY, fromXY := priceRedist(job, pl.toXY), priceRedist(job, pl.fromXY)
+	var toLE, fromLE pricedRedist
+	var collision simmpi.PricedWork
 	if cfg.Collisions {
-		toLE, fromLE = pl.toLE.exchange.Price(m), pl.fromLE.exchange.Price(m)
+		toLE, fromLE = priceRedist(job, pl.toLE), priceRedist(job, pl.fromLE)
+		collision = job.PriceWork(pl.work, collisionFlops)
 	}
+	nonlinear := job.PriceWork(pl.work, nonlinearFlops)
+	implicit := job.PriceWork(pl.work, implicitFlops)
+	fieldSolve := job.PriceWork(nil, fieldSolveFlops*float64(d.X*d.Y)*elemWeight)
 	// Initialisation: reading inputs plus response-matrix setup, which
 	// uses the same transforms and a multiple of the per-step compute.
 	// Work and its multiples are integers below 2⁵³, so one factor of
 	// 120 charges what factors of 20 and 6 applied in turn would.
 	job.Sleep(initFixedSeconds)
-	redistribute(job, pl.toXY, toXY)
-	job.Compute(pl.work, (nonlinearFlops+implicitFlops)*initStepEquivalents)
-	redistribute(job, pl.fromXY, fromXY)
+	toXY.run(job)
+	job.Compute(job.PriceWork(pl.work, (nonlinearFlops+implicitFlops)*initStepEquivalents))
+	fromXY.run(job)
 
 	for s := 0; s < steps; s++ {
 		// Nonlinear phase: transform to (x,y)-local, compute, transform
 		// back.
-		redistribute(job, pl.toXY, toXY)
-		job.Compute(pl.work, nonlinearFlops)
-		redistribute(job, pl.fromXY, fromXY)
+		toXY.run(job)
+		job.Compute(nonlinear)
+		fromXY.run(job)
 		// Implicit along-field solve in the home layout.
-		job.Compute(pl.work, implicitFlops)
+		job.Compute(implicit)
 		// Collision operator in (l,e)-local form.
 		if cfg.Collisions {
-			redistribute(job, pl.toLE, toLE)
-			job.Compute(pl.work, collisionFlops)
-			redistribute(job, pl.fromLE, fromLE)
+			toLE.run(job)
+			job.Compute(collision)
+			fromLE.run(job)
 		}
 		// Field solve: replicated reconstruction from the reduced
 		// moments plus a global reduction — the moments are not
 		// modelled, only the cost of reducing them — then the per-step
 		// bookkeeping that does not scale with anything.
-		job.Compute(nil, fieldWork)
+		job.Compute(fieldSolve)
 		job.AllreduceBytes(8 * fieldSolveDoubles)
 		job.Sleep(stepOverheadSeconds)
 		if s == steps-2 {
@@ -305,17 +308,35 @@ func simulate(job *simmpi.Lockstep, cfg Config, pl *plans, steps int) (tLess flo
 // of the transfer.
 const packFlops = 40.0
 
-// redistribute performs one layout transformation: pack, the plan's
-// all-to-all (ex, its exchange priced for the job's machine), and
-// unpack. Each moved element carries its elemWeight sub-points of 8
-// bytes, scaled by the plan's volume fraction.
-func redistribute(job *simmpi.Lockstep, rd *redist, ex *simmpi.PricedAlltoallv) {
+// pricedRedist is one layout transformation priced for a job: pack,
+// the plan's all-to-all priced for the job's machine, and unpack. Each
+// moved element carries its elemWeight sub-points of 8 bytes, scaled
+// by the plan's volume fraction. A plan that moves nothing costs
+// nothing: ex is nil.
+type pricedRedist struct {
+	pack, unpack simmpi.PricedWork
+	ex           *simmpi.PricedAlltoallv
+}
+
+func priceRedist(job *simmpi.Lockstep, rd *redist) pricedRedist {
 	if rd.totalMoved == 0 {
+		return pricedRedist{}
+	}
+	return pricedRedist{
+		pack:   job.PriceWork(rd.pack, rd.fraction),
+		ex:     rd.exchange.Price(job.Machine()),
+		unpack: job.PriceWork(rd.unpack, rd.fraction),
+	}
+}
+
+// run performs the transformation on job.
+func (pr *pricedRedist) run(job *simmpi.Lockstep) {
+	if pr.ex == nil {
 		return
 	}
-	job.Compute(rd.pack, rd.fraction)
-	job.AlltoallvPriced(ex)
-	job.Compute(rd.unpack, rd.fraction)
+	job.Compute(pr.pack)
+	job.AlltoallvPriced(pr.ex)
+	job.Compute(pr.unpack)
 }
 
 // ResolutionSpace is the Tables III/IV tuning space: negrid, ntheta,

@@ -96,19 +96,21 @@ const cgTag = 101
 //
 //harmonyvet:allocfree
 func CGCost(job *simmpi.Lockstep, hp *sparse.HaloPlan, iters int) {
-	halo, rows, nnz := hp.Sends(), hp.RowCounts(), hp.NNZCounts()
-	job.Compute(rows, sparse.VecFlops) // rs0
+	halo := job.PriceExchange(hp.Sends(), 1)
+	vec := job.PriceWork(hp.RowCounts(), sparse.VecFlops)
+	matVec := job.PriceWork(hp.NNZCounts(), sparse.FlopsPerNNZ)
+	job.Compute(vec) // rs0
 	job.AllreduceBytes(8)
 	for it := 0; it < iters; it++ {
-		job.Exchange(halo, 1) // A·p
-		job.Compute(nnz, sparse.FlopsPerNNZ)
-		job.Compute(rows, sparse.VecFlops) // p·Ap
+		job.Exchange(halo) // A·p
+		job.Compute(matVec)
+		job.Compute(vec) // p·Ap
 		job.AllreduceBytes(8)
-		job.Compute(rows, sparse.VecFlops) // x += αp
-		job.Compute(rows, sparse.VecFlops) // r -= αAp
-		job.Compute(rows, sparse.VecFlops) // ‖r‖²
+		job.Compute(vec) // x += αp
+		job.Compute(vec) // r -= αAp
+		job.Compute(vec) // ‖r‖²
 		job.AllreduceBytes(8)
-		job.Compute(rows, sparse.VecFlops) // p = r + βp
+		job.Compute(vec) // p = r + βp
 	}
 }
 

@@ -369,29 +369,38 @@ func run(m *cluster.Machine, cfg Config) (*simmpi.Lockstep, error) {
 		return nil, err
 	}
 	costs := nl.costs()
-	levels := cfg.levels()
 	ioEvery := cfg.Steps // one I/O dump at the end of each benchmark run
 	gridBytes := 8 * cfg.NX * cfg.NY
+	// Every step repeats the same operations, so each is priced once.
+	baroclinic := job.PriceWork(ly.points, costs.baroclinicFlopsPerPoint)
+	haloAll := job.PriceExchange(&ly.halo, haloFields*cfg.levels())
+	forcing := job.PriceWork(ly.points, costs.forcingFlopsPerPoint)
+	barotropic := job.PriceWork(ly.points, costs.barotropicFlopsPerPoint)
+	halo1 := job.PriceExchange(&ly.halo, 1)
+	var diag simmpi.PricedWork
+	if costs.diagEveryStep {
+		diag = job.PriceWork(ly.points, 4)
+	}
 
 	for step := 1; step <= cfg.Steps; step++ {
 		// Baroclinic phase: explicit stencil work scaled by the physics
 		// parameter choices, then its halo updates.
-		job.Compute(ly.points, costs.baroclinicFlopsPerPoint)
+		job.Compute(baroclinic)
 		for x := 0; x < haloExchangesPerStep; x++ {
-			job.Exchange(&ly.halo, haloFields*levels)
+			job.Exchange(haloAll)
 		}
 		// Surface forcing interpolation.
-		job.Compute(ly.points, costs.forcingFlopsPerPoint)
+		job.Compute(forcing)
 		// Barotropic phase: iterative elliptic solve with a halo update
 		// and a global scalar reduction per iteration.
 		for it := 0; it < cfg.BarotropicIters; it++ {
-			job.Compute(ly.points, costs.barotropicFlopsPerPoint)
-			job.Exchange(&ly.halo, 1)
+			job.Compute(barotropic)
+			job.Exchange(halo1)
 			job.AllreduceBytes(8)
 		}
 		// Global diagnostics, if enabled.
 		if costs.diagEveryStep {
-			job.Compute(ly.points, 4)
+			job.Compute(diag)
 			job.AllreduceBytes(8)
 		}
 		// Periodic I/O: a gather to num_iotasks writers plus the

@@ -149,11 +149,11 @@ func exitStep(base, lat float64, cost, mo, exits []float64) {
 // and whose last participant arrived at base.
 func exitAt(base, lat, cost, mo float64) float64 { return base + lat + cost + mo }
 
-// treeExit is the clock at which every rank leaves a tree collective
-// over n ranks of m moving bytes per stage whose last participant
-// arrived at base, and the traffic it charges.
-func treeExit(m *cluster.Machine, n, bytes int, base float64) (exit float64, traffic int64) {
-	return base + TreeCost(m, n, bytes), int64(bytes * int(log2ceil(n)))
+// treeCharge is what a tree collective over n ranks of m moving bytes
+// per stage charges: every rank leaves cost after the last arrival,
+// and the collective moves traffic bytes.
+func treeCharge(m *cluster.Machine, n, bytes int) (cost float64, traffic int64) {
+	return TreeCost(m, n, bytes), int64(bytes * int(log2ceil(n)))
 }
 
 // AlltoallvExits prices one personalised all-to-all among the first
@@ -366,7 +366,8 @@ func (c *collective) combine() {
 		}
 		bytes = int(c.in[0])
 	}
-	t, traffic := treeExit(w.machine, w.n, bytes, base)
+	cost, traffic := treeCharge(w.machine, w.n, bytes)
+	t := base + cost
 	w.collBytes += traffic
 	for i := range c.exits {
 		c.exits[i] = t

@@ -406,7 +406,7 @@ func TestAlltoallvPricedEqualsBytesRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, work := range stagger {
-			job.Compute(work, 1)
+			job.Compute(job.PriceWork(work, 1))
 			job.AlltoallvPriced(pr)
 		}
 		if got := job.Stats(); !reflect.DeepEqual(got, want) {

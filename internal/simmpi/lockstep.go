@@ -17,7 +17,7 @@ import (
 // updating every rank's clock, compute and wait entries in one loop on
 // the caller's goroutine, with no message queues and no tags. Every
 // operation charges through the same helpers as the coroutine engine
-// (arrival, waitUntil, treeExit, exitAt) with the same float operations
+// (transfer, arriveAt, waitUntil, treeCharge, exitAt) with the same float operations
 // in the same per-rank order, so a program yields the same Stats, bit
 // for bit, on either executor.
 //
@@ -30,9 +30,19 @@ import (
 // Lockstep is one simulated job of n ranks on a machine, driven one
 // operation at a time for all ranks at once. A Lockstep is used by one
 // goroutine and must not be touched after Release.
+//
+// A run prices each operation once: PriceWork and PriceExchange turn a
+// Compute or an Exchange into what it adds to each rank, stored in a
+// slot of the job, and AllreduceBytes and Barrier keep one tree cost
+// per byte count. Compute and Exchange then only add and compare, with
+// the float operations Rank.Compute and Rank.Recv perform, in the same
+// per-rank order. The slots are reset with the job and pooled with it.
 type Lockstep struct {
 	m *cluster.Machine
 	n int
+	// gen tells this run's slots from those of the runs the pooled job
+	// ran before: a handle of another run is refused.
+	gen uint64
 	// buf backs the five per-rank vectors below; a pooled job keeps it.
 	buf               []float64
 	clock, comp, wait []float64
@@ -40,7 +50,52 @@ type Lockstep struct {
 	pre               []float64 // Exchange: each rank's clock before its sends
 	node              []int     // node[i] is m.NodeOf(i)
 
+	// The pricing slots. Work slot w is dts[w·n:(w+1)·n]; exchange slot
+	// x is exchanges[x], whose rank src sends edges[ends[x·n+src-1]:
+	// ends[x·n+src]] of its window (from 0 for src 0). trees holds one
+	// tree cost per byte count.
+	dts       []float64
+	ends      []int
+	edges     []edge
+	exchanges []exchangeSlot
+	trees     []treeSlot
+
 	collBytes, p2pBytes, msgs int64
+}
+
+// edge is one priced message of an exchange: its receiver and the
+// three terms its departure and arrival add.
+type edge struct {
+	dst                         int
+	overhead, latency, transfer float64
+}
+
+// exchangeSlot is one priced Exchange: its edge window and what it
+// adds to the job's message and byte counts.
+type exchangeSlot struct {
+	lo, hi      int // edges[lo:hi]
+	bytes, msgs int64
+}
+
+// treeSlot is a tree collective priced for one payload size.
+type treeSlot struct {
+	bytes   int
+	cost    float64
+	traffic int64
+}
+
+// PricedWork is a Compute priced for one job by PriceWork.
+type PricedWork struct {
+	job  *Lockstep
+	gen  uint64
+	slot int
+}
+
+// PricedExchange is an Exchange priced for one job by PriceExchange.
+type PricedExchange struct {
+	job  *Lockstep
+	gen  uint64
+	slot int
 }
 
 var lockstepPool = sync.Pool{New: func() any { return new(Lockstep) }}
@@ -77,6 +132,9 @@ func (l *Lockstep) reset(m *cluster.Machine, n int) {
 		l.speed[i], l.node[i] = m.SpeedOf(i), m.NodeOf(i)
 	}
 	l.m, l.n = m, n
+	l.gen++
+	l.dts, l.ends, l.edges = l.dts[:0], l.ends[:0], l.edges[:0]
+	l.exchanges, l.trees = l.exchanges[:0], l.trees[:0]
 	l.collBytes, l.p2pBytes, l.msgs = 0, 0, 0
 }
 
@@ -115,16 +173,21 @@ func (l *Lockstep) Stats() Stats {
 	}
 }
 
-// Compute has every rank execute floating-point work: rank i performs
-// work[i]·per flops, or per flops on every rank when work is nil. It
-// charges what Rank.Compute charges for that count.
+// PriceWork prices floating-point work on every rank: rank i performs
+// work[i]·per flops, or per flops on every rank when work is nil.
+// Compute charges it as Rank.Compute charges that count. work is read
+// only during the call.
 //
-//harmonyvet:allocfree
-func (l *Lockstep) Compute(work []float64, per float64) {
+//harmonyvet:allocamortized a job's work slots grow to the most pricings a pooled Lockstep has held, then reuse capacity
+func (l *Lockstep) PriceWork(work []float64, per float64) PricedWork {
 	if work != nil && len(work) != l.n {
 		panic(fmt.Sprintf("simmpi: work for %d ranks in a job of %d", len(work), l.n))
 	}
-	for i, c := range l.clock {
+	// The slot joins the job only once it is whole: a refused pricing
+	// leaves the job as it was.
+	w := PricedWork{job: l, gen: l.gen, slot: len(l.dts) / l.n}
+	dts := l.dts
+	for i, s := range l.speed {
 		flops := per
 		if work != nil {
 			flops = work[i] * per
@@ -132,9 +195,25 @@ func (l *Lockstep) Compute(work []float64, per float64) {
 		if flops < 0 {
 			panic(fmt.Sprintf("simmpi: negative work %v", flops))
 		}
-		dt := flops / l.speed[i]
-		l.clock[i] = c + dt
-		l.comp[i] += dt
+		dts = append(dts, flops/s)
+	}
+	l.dts = dts
+	return w
+}
+
+// Compute has every rank execute the work w prices, charging what
+// Rank.Compute charges for that count.
+//
+//harmonyvet:allocfree
+func (l *Lockstep) Compute(w PricedWork) {
+	if w.job != l || w.gen != l.gen {
+		panic("simmpi: work priced for another job")
+	}
+	clock := l.clock
+	dt, comp := l.dts[w.slot*l.n:][:len(clock)], l.comp[:len(clock)]
+	for i, d := range dt {
+		clock[i] += d
+		comp[i] += d
 	}
 }
 
@@ -146,8 +225,9 @@ func (l *Lockstep) Sleep(dt float64) {
 	if dt < 0 {
 		panic(fmt.Sprintf("simmpi: negative sleep %v", dt))
 	}
-	for i := range l.clock {
-		l.clock[i] += dt
+	clock := l.clock
+	for i := range clock {
+		clock[i] += dt
 	}
 }
 
@@ -159,49 +239,83 @@ type NeighbourPattern struct {
 	Start, Dst, Bytes []int
 }
 
-// Exchange performs one neighbour exchange of fields fields: every rank
-// sends its messages in the pattern's order, then receives each
-// message addressed to it in ascending order of source. It charges
-// what a rank program calling SendBytes over its out-edges and then
-// Recv over its in-edges charges on the coroutine engine.
+// PriceExchange prices one neighbour exchange of fields fields over
+// nb, checking the pattern: every rank sends its messages in the
+// pattern's order, then receives each message addressed to it in
+// ascending order of source. nb is read only during the call.
 //
-//harmonyvet:allocfree
-func (l *Lockstep) Exchange(nb *NeighbourPattern, fields int) {
+//harmonyvet:allocamortized a job's exchange slots grow to the most pricings a pooled Lockstep has held, then reuse capacity
+func (l *Lockstep) PriceExchange(nb *NeighbourPattern, fields int) PricedExchange {
 	if len(nb.Start) != l.n+1 {
 		panic(fmt.Sprintf("simmpi: neighbour pattern for %d ranks in a job of %d", len(nb.Start)-1, l.n))
 	}
 	if fields < 0 {
 		panic(fmt.Sprintf("simmpi: negative field count %d", fields))
 	}
-	// Sends never block: each rank pays its injection overheads in
-	// order.
-	for src, c := range l.clock {
-		l.pre[src] = c
+	// As in PriceWork, the slot joins the job only once it is whole.
+	x := exchangeSlot{lo: len(l.edges)}
+	edges, ends := l.edges, l.ends
+	for src := 0; src < l.n; src++ {
 		for k := nb.Start[src]; k < nb.Start[src+1]; k++ {
 			dst := nb.Dst[k]
 			if dst < 0 || dst >= l.n || dst == src || (k > nb.Start[src] && dst <= nb.Dst[k-1]) || nb.Bytes[k] < 0 {
 				panic(fmt.Sprintf("simmpi: neighbour pattern row %d: %d bytes to rank %d", src, nb.Bytes[k], dst))
 			}
-			c += l.link(src, dst).Overhead
+			link := l.link(src, dst)
+			bytes := fields * nb.Bytes[k]
+			edges = append(edges, edge{dst: dst, overhead: link.Overhead, latency: link.Latency, transfer: transfer(link, bytes)})
+			x.bytes += int64(bytes)
 		}
-		l.clock[src] = c
+		ends = append(ends, len(edges)-x.lo)
+	}
+	x.hi = len(edges)
+	x.msgs = int64(nb.Start[l.n] - nb.Start[0])
+	l.edges, l.ends = edges, ends
+	l.exchanges = append(l.exchanges, x)
+	return PricedExchange{job: l, gen: l.gen, slot: len(l.exchanges) - 1}
+}
+
+// Exchange performs the neighbour exchange x prices. It charges what
+// a rank program calling SendBytes over its out-edges and then Recv
+// over its in-edges charges on the coroutine engine.
+//
+//harmonyvet:allocfree
+func (l *Lockstep) Exchange(x PricedExchange) {
+	if x.job != l || x.gen != l.gen {
+		panic("simmpi: exchange priced for another job")
+	}
+	s := l.exchanges[x.slot]
+	edges := l.edges[s.lo:s.hi]
+	clock := l.clock
+	ends := l.ends[x.slot*l.n:][:len(clock)]
+	pre, wait := l.pre[:len(clock)], l.wait[:len(clock)]
+	// Sends never block: each rank pays its injection overheads in
+	// order.
+	lo := 0
+	for src, hi := range ends {
+		c := clock[src]
+		pre[src] = c
+		for _, e := range edges[lo:hi] {
+			c += e.overhead
+		}
+		clock[src] = c
+		lo = hi
 	}
 	// Receives, visited by ascending source so that each receiver takes
 	// its messages in that order. A message departs at its sender's
 	// clock just after injecting it, replayed from the clock before the
 	// sends by the same additions.
-	for src := 0; src < l.n; src++ {
-		depart := l.pre[src]
-		for k := nb.Start[src]; k < nb.Start[src+1]; k++ {
-			dst := nb.Dst[k]
-			link := l.link(src, dst)
-			depart += link.Overhead
-			bytes := fields * nb.Bytes[k]
-			l.clock[dst], l.wait[dst] = waitUntil(l.clock[dst], l.wait[dst], arrival(depart, link, bytes))
-			l.p2pBytes += int64(bytes)
+	lo = 0
+	for src, hi := range ends {
+		depart := pre[src]
+		for _, e := range edges[lo:hi] {
+			depart += e.overhead
+			clock[e.dst], wait[e.dst] = waitUntil(clock[e.dst], wait[e.dst], arriveAt(depart, e.latency, e.transfer))
 		}
+		lo = hi
 	}
-	l.msgs += int64(nb.Start[l.n] - nb.Start[0])
+	l.p2pBytes += s.bytes
+	l.msgs += s.msgs
 }
 
 // link is m.LinkBetween(src, dst), read from the node numbers reset
@@ -230,9 +344,22 @@ func (l *Lockstep) AllreduceBytes(bytes int) {
 	l.tree(bytes)
 }
 
+// tree charges a tree collective moving bytes per stage, priced once
+// per byte count in the job.
+//
+//harmonyvet:allocamortized a job keeps one slot per payload size it has reduced, a handful per run
 func (l *Lockstep) tree(bytes int) {
-	t, traffic := treeExit(l.m, l.n, bytes, maxOf(l.clock))
-	l.collBytes += traffic
+	k := 0
+	for k < len(l.trees) && l.trees[k].bytes != bytes {
+		k++
+	}
+	if k == len(l.trees) {
+		cost, traffic := treeCharge(l.m, l.n, bytes)
+		l.trees = append(l.trees, treeSlot{bytes: bytes, cost: cost, traffic: traffic})
+	}
+	ts := l.trees[k]
+	t := maxOf(l.clock) + ts.cost
+	l.collBytes += ts.traffic
 	for i, c := range l.clock {
 		l.clock[i], l.wait[i] = waitUntil(c, l.wait[i], t)
 	}

@@ -414,21 +414,22 @@ func (r *Rank) Recv(src, tag int) []float64 {
 	}
 	m := q.pop()
 
-	r.clock, r.wait = waitUntil(r.clock, r.wait, arrival(m.depart, m.link, m.bytes))
+	r.clock, r.wait = waitUntil(r.clock, r.wait, arriveAt(m.depart, m.link.Latency, transfer(m.link, m.bytes)))
 	payload := m.payload
 	w.freeMessage(m)
 	return payload
 }
 
-// The charging rules both executors apply: arrival prices a message,
-// and waitUntil advances a rank to a receive's arrival or a
-// collective's exit.
+// The charging rules both executors apply: transfer and arriveAt
+// price a message, and waitUntil advances a rank to a receive's
+// arrival or a collective's exit.
 
-// arrival is when a message of the given size reaches its receiver,
-// having left its sender at depart over link.
-func arrival(depart float64, link cluster.Link, bytes int) float64 {
-	return depart + link.Latency + float64(bytes)/link.Bandwidth
-}
+// transfer is the time a message of the given size spends on link.
+func transfer(link cluster.Link, bytes int) float64 { return float64(bytes) / link.Bandwidth }
+
+// arriveAt is when a message that left its sender at depart reaches its
+// receiver over a link of that latency, spending wire on the link.
+func arriveAt(depart, latency, wire float64) float64 { return depart + latency + wire }
 
 // waitUntil returns a rank's clock and wait after it waits for time t:
 // a later t advances the clock to it and charges the gap as wait.

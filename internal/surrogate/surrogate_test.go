@@ -513,7 +513,7 @@ func TestSurrogatePricesWhatSimulatorCharges(t *testing.T) {
 				for _, src := range in[id] {
 					r.Recv(src, 0)
 				}
-			}, func(l *simmpi.Lockstep) { l.Exchange(halo, fields) }, nil},
+			}, func(l *simmpi.Lockstep) { l.Exchange(l.PriceExchange(halo, fields)) }, nil},
 		} {
 			st, err := simmpi.Run(m, n, c.call)
 			if err != nil {
@@ -543,7 +543,7 @@ func TestSurrogatePricesWhatSimulatorCharges(t *testing.T) {
 					t.Fatal(err)
 				}
 				if skewed {
-					l.Compute(skew, 1)
+					l.Compute(l.PriceWork(skew, 1))
 				}
 				c.lockstep(l)
 				if got := l.Stats(); !reflect.DeepEqual(got, st) {
