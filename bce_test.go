@@ -27,7 +27,7 @@ var hotLoops = []struct{ file, fn string }{
 // hotLoops, one entry per function, check kind and source line (its
 // text, trimmed), with the reason it stays. Per nonzero, the kernel
 // keeps only the data-dependent xbuf gathers; per message, the
-// exchange only its data-dependent receiver.
+// exchange only its data-dependent receiver, and per sender its rank.
 var declaredBoundsChecks = []struct{ fn, kind, line, reason string }{
 	{"matVecKernel", "IsInBounds", "s0 += p0[k] * xbuf[q0[k]]", "per nonzero: gather at a column index read from the plan"},
 	{"matVecKernel", "IsInBounds", "s1 += p1[k] * xbuf[q1[k]]", "per nonzero: gather at a column index read from the plan"},
@@ -52,10 +52,11 @@ var declaredBoundsChecks = []struct{ fn, kind, line, reason string }{
 	{"Lockstep.Compute", "IsSliceInBounds", "dt, comp := l.dts[w.slot*l.n:][:len(clock)], l.comp[:len(clock)]", "once per call: the slot's window, sized to the clocks so the rank loop is proved"},
 	{"Lockstep.Exchange", "IsInBounds", "s := l.exchanges[x.slot]", "once per call: the slot"},
 	{"Lockstep.Exchange", "IsSliceInBounds", "edges := l.edges[s.lo:s.hi]", "once per call: the slot's edges"},
-	{"Lockstep.Exchange", "IsSliceInBounds", "ends := l.ends[x.slot*l.n:][:len(clock)]", "once per call: the slot's window, sized to the clocks so the rank loops are proved"},
-	{"Lockstep.Exchange", "IsSliceInBounds", "pre, wait := l.pre[:len(clock)], l.wait[:len(clock)]", "once per call: sized to the clocks so the rank loops are proved"},
-	{"Lockstep.Exchange", "IsSliceInBounds", "for _, e := range edges[lo:hi] {", "per rank: its edges' ends are data"},
-	{"Lockstep.Exchange", "IsInBounds", "clock[e.dst], wait[e.dst] = waitUntil(clock[e.dst], wait[e.dst], arriveAt(depart, e.latency, e.transfer))", "per message: the receiver is data, checked at pricing"},
+	{"Lockstep.Exchange", "IsSliceInBounds", "depart := l.depart[:len(edges)]", "once per call: sized to the edges so the message loops are proved"},
+	{"Lockstep.Exchange", "IsSliceInBounds", "wait := l.wait[:len(clock)]", "once per call: sized to the clocks so only the receiver's clock is checked"},
+	{"Lockstep.Exchange", "IsInBounds", "src, c = e.src, clock[e.src]", "per sender: the rank is data, checked at pricing"},
+	{"Lockstep.Exchange", "IsInBounds", "clock[src] = c", "per sender: the rank is data, checked at pricing"},
+	{"Lockstep.Exchange", "IsInBounds", "clock[d], wait[d] = waitUntil(clock[d], wait[d], arriveAt(depart[k], e.latency, e.transfer))", "per message: the receiver is data, checked at pricing"},
 }
 
 // TestHotLoopsKeepOnlyDeclaredBoundsChecks compiles internal/sparse

@@ -43,30 +43,30 @@ type Lockstep struct {
 	// gen tells this run's slots from those of the runs the pooled job
 	// ran before: a handle of another run is refused.
 	gen uint64
-	// buf backs the five per-rank vectors below; a pooled job keeps it.
+	// buf backs the four per-rank vectors below; a pooled job keeps it.
 	buf               []float64
 	clock, comp, wait []float64
 	speed             []float64 // speed[i] is m.SpeedOf(i)
-	pre               []float64 // Exchange: each rank's clock before its sends
 	node              []int     // node[i] is m.NodeOf(i)
 
 	// The pricing slots. Work slot w is dts[w·n:(w+1)·n]; exchange slot
-	// x is exchanges[x], whose rank src sends edges[ends[x·n+src-1]:
-	// ends[x·n+src]] of its window (from 0 for src 0). trees holds one
-	// tree cost per byte count.
+	// x is exchanges[x], a window of edges in ascending order of source.
+	// trees holds one tree cost per byte count.
 	dts       []float64
-	ends      []int
 	edges     []edge
 	exchanges []exchangeSlot
 	trees     []treeSlot
+	// depart is Exchange's scratch: each message's departure, in the
+	// order of its slot's edges.
+	depart []float64
 
 	collBytes, p2pBytes, msgs int64
 }
 
-// edge is one priced message of an exchange: its receiver and the
-// three terms its departure and arrival add.
+// edge is one priced message of an exchange: its sender and receiver
+// and the three terms its departure and arrival add.
 type edge struct {
-	dst                         int
+	src, dst                    int32
 	overhead, latency, transfer float64
 }
 
@@ -117,13 +117,12 @@ func AcquireLockstep(m *cluster.Machine, n int) (*Lockstep, error) {
 
 //harmonyvet:allocamortized the per-rank vectors grow to the largest job a pooled Lockstep has run, then reuse capacity
 func (l *Lockstep) reset(m *cluster.Machine, n int) {
-	if cap(l.buf) < 5*n {
-		l.buf = make([]float64, 5*n)
+	if cap(l.buf) < 4*n {
+		l.buf = make([]float64, 4*n)
 	}
-	b := l.buf[:5*n]
+	b := l.buf[:4*n]
 	clear(b[:3*n])
-	l.clock, l.comp, l.wait = b[:n:n], b[n:2*n:2*n], b[2*n:3*n:3*n]
-	l.speed, l.pre = b[3*n:4*n:4*n], b[4*n:]
+	l.clock, l.comp, l.wait, l.speed = b[:n:n], b[n:2*n:2*n], b[2*n:3*n:3*n], b[3*n:]
 	if cap(l.node) < n {
 		l.node = make([]int, n)
 	}
@@ -133,7 +132,7 @@ func (l *Lockstep) reset(m *cluster.Machine, n int) {
 	}
 	l.m, l.n = m, n
 	l.gen++
-	l.dts, l.ends, l.edges = l.dts[:0], l.ends[:0], l.edges[:0]
+	l.dts, l.edges = l.dts[:0], l.edges[:0]
 	l.exchanges, l.trees = l.exchanges[:0], l.trees[:0]
 	l.collBytes, l.p2pBytes, l.msgs = 0, 0, 0
 }
@@ -254,7 +253,7 @@ func (l *Lockstep) PriceExchange(nb *NeighbourPattern, fields int) PricedExchang
 	}
 	// As in PriceWork, the slot joins the job only once it is whole.
 	x := exchangeSlot{lo: len(l.edges)}
-	edges, ends := l.edges, l.ends
+	edges := l.edges
 	for src := 0; src < l.n; src++ {
 		for k := nb.Start[src]; k < nb.Start[src+1]; k++ {
 			dst := nb.Dst[k]
@@ -263,15 +262,17 @@ func (l *Lockstep) PriceExchange(nb *NeighbourPattern, fields int) PricedExchang
 			}
 			link := l.link(src, dst)
 			bytes := fields * nb.Bytes[k]
-			edges = append(edges, edge{dst: dst, overhead: link.Overhead, latency: link.Latency, transfer: transfer(link, bytes)})
+			edges = append(edges, edge{src: int32(src), dst: int32(dst), overhead: link.Overhead, latency: link.Latency, transfer: transfer(link, bytes)})
 			x.bytes += int64(bytes)
 		}
-		ends = append(ends, len(edges)-x.lo)
 	}
 	x.hi = len(edges)
-	x.msgs = int64(nb.Start[l.n] - nb.Start[0])
-	l.edges, l.ends = edges, ends
+	x.msgs = int64(x.hi - x.lo)
+	l.edges = edges
 	l.exchanges = append(l.exchanges, x)
+	if cap(l.depart) < x.hi-x.lo {
+		l.depart = make([]float64, x.hi-x.lo)
+	}
 	return PricedExchange{job: l, gen: l.gen, slot: len(l.exchanges) - 1}
 }
 
@@ -286,33 +287,30 @@ func (l *Lockstep) Exchange(x PricedExchange) {
 	}
 	s := l.exchanges[x.slot]
 	edges := l.edges[s.lo:s.hi]
+	depart := l.depart[:len(edges)]
 	clock := l.clock
-	ends := l.ends[x.slot*l.n:][:len(clock)]
-	pre, wait := l.pre[:len(clock)], l.wait[:len(clock)]
+	wait := l.wait[:len(clock)]
 	// Sends never block: each rank pays its injection overheads in
-	// order.
-	lo := 0
-	for src, hi := range ends {
-		c := clock[src]
-		pre[src] = c
-		for _, e := range edges[lo:hi] {
-			c += e.overhead
+	// pattern order, and a message departs just after its own.
+	src, c := int32(-1), 0.0
+	for k, e := range edges {
+		if e.src != src {
+			if src >= 0 {
+				clock[src] = c
+			}
+			src, c = e.src, clock[e.src]
 		}
-		clock[src] = c
-		lo = hi
+		c += e.overhead
+		depart[k] = c
 	}
-	// Receives, visited by ascending source so that each receiver takes
-	// its messages in that order. A message departs at its sender's
-	// clock just after injecting it, replayed from the clock before the
-	// sends by the same additions.
-	lo = 0
-	for src, hi := range ends {
-		depart := pre[src]
-		for _, e := range edges[lo:hi] {
-			depart += e.overhead
-			clock[e.dst], wait[e.dst] = waitUntil(clock[e.dst], wait[e.dst], arriveAt(depart, e.latency, e.transfer))
-		}
-		lo = hi
+	if src >= 0 {
+		clock[src] = c
+	}
+	// Receives, in the edges' order, ascending by source, so that each
+	// receiver takes its messages in that order.
+	for k, e := range edges {
+		d := int(e.dst)
+		clock[d], wait[d] = waitUntil(clock[d], wait[d], arriveAt(depart[k], e.latency, e.transfer))
 	}
 	l.p2pBytes += s.bytes
 	l.msgs += s.msgs
