@@ -1,11 +1,13 @@
 package client
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
+	"slices"
 	"testing"
 
 	"harmony/internal/proto"
@@ -77,6 +79,59 @@ func TestMuxFailureUnblocksCalls(t *testing.T) {
 	// Later calls fail fast with the latched error.
 	if _, _, err := sess.Best(); err == nil {
 		t.Error("Best after failure returned success")
+	}
+}
+
+// TestMuxFailedCallDropsRecord: a call failed by a transport fault
+// drops its record, which the writer or reader may still hold; only a
+// call whose reply arrived puts its record back in Mux.free.
+func TestMuxFailedCallDropsRecord(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	go func() {
+		defer b.Close()
+		if proto.ReadHandshake(b) != nil || proto.WriteHandshake(b) != nil {
+			return
+		}
+		// Answer the first frame, take the second, then vanish.
+		br := bufio.NewReader(b)
+		var req proto.Frame
+		if proto.ReadFrameInto(br, &req) != nil {
+			return
+		}
+		ok := proto.Message{Type: proto.TypeOK, Seq: req.Msgs[0].Seq}
+		buf, err := proto.AppendFrame(nil, &proto.Frame{ID: req.ID, Msgs: []*proto.Message{&ok}})
+		if err != nil {
+			return
+		}
+		if _, err := b.Write(buf); err != nil {
+			return
+		}
+		_ = proto.ReadFrameInto(br, &req)
+	}()
+	m, err := NewMuxFromConn(a)
+	if err != nil {
+		t.Fatalf("NewMuxFromConn: %v", err)
+	}
+	defer m.Close()
+	sess := m.Attach("s1")
+	if err := sess.Report(1); err != nil {
+		t.Fatalf("answered Report: %v", err)
+	}
+	m.mu.Lock()
+	if len(m.free) != 1 {
+		m.mu.Unlock()
+		t.Fatalf("an answered call left %d free records, want 1", len(m.free))
+	}
+	rec := m.free[0]
+	m.mu.Unlock()
+	if err := sess.Report(2); err == nil {
+		t.Fatal("Report the peer never answered returned success")
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if slices.Contains(m.free, rec) {
+		t.Error("the failed call's record went back to the free list")
 	}
 }
 

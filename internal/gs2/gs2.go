@@ -130,39 +130,13 @@ func newRedist(mv moves, fraction float64) *redist {
 	return r
 }
 
-// reverse returns the plan of the opposite redistribution. Since
-// moved(B→A) = moved(A→B)ᵀ it needs no second count: senders and
-// receivers swap roles and the pattern transposes. Sources are visited
-// in ascending order, so every transposed row comes out ascending.
-func (r *redist) reverse() *redist {
-	ex := r.exchange
-	p := len(ex.Start) - 1
-	start := make([]int, p+1)
-	for _, j := range ex.Dst {
-		start[j+1]++
-	}
-	for j := 0; j < p; j++ {
-		start[j+1] += start[j]
-	}
-	next := append([]int(nil), start[:p]...)
-	dst, bytes := make([]int, len(ex.Dst)), make([]int, len(ex.Bytes))
-	for i := 0; i < p; i++ {
-		for k := ex.Start[i]; k < ex.Start[i+1]; k++ {
-			j := ex.Dst[k]
-			dst[next[j]], bytes[next[j]] = i, ex.Bytes[k]
-			next[j]++
-		}
-	}
-	return &redist{pack: r.unpack, unpack: r.pack, totalMoved: r.totalMoved, fraction: r.fraction,
-		exchange: &simmpi.AlltoallvPattern{Start: start, Dst: dst, Bytes: bytes}}
-}
-
-// plans holds the frozen redistribution plans of a configuration
-// shape, built once by whichever caller first asks for the shape.
+// plans holds the frozen outbound redistribution plans of a
+// configuration shape, built once by whichever caller first asks for
+// the shape. Since moved(B→A) = moved(A→B)ᵀ, each way back is its
+// outbound plan mirrored (pricedRedist.mirror), so none is stored.
 type plans struct {
-	build        sync.Once
-	toXY, fromXY *redist
-	toLE, fromLE *redist
+	build      sync.Once
+	toXY, toLE *redist
 	// work[i] is rank i's element count times elemWeight: the weight of
 	// its per-sub-point work in every phase.
 	work []float64
@@ -195,10 +169,8 @@ func (c Config) plans(p int) *plans {
 		// they localise, so a layout that already keeps them fastest
 		// (yxles and yxels for x,y) moves nothing.
 		pl.toXY = newRedist(countMoves(d, c.Layout, c.Layout.front("xy"), p), 1)
-		pl.fromXY = pl.toXY.reverse()
 		if c.Collisions {
 			pl.toLE = newRedist(countMoves(d, c.Layout, c.Layout.front("le"), p), collRedistFraction)
-			pl.fromLE = pl.toLE.reverse()
 		}
 		pl.work = make([]float64, p)
 		for i := range pl.work {
@@ -254,11 +226,13 @@ func simulate(job *simmpi.Lockstep, cfg Config, pl *plans, steps int) (tLess flo
 	d := cfg.Dims()
 	// Every operation is priced for the job once, so every step only
 	// reads its prices.
-	toXY, fromXY := priceRedist(job, pl.toXY), priceRedist(job, pl.fromXY)
+	toXY := priceRedist(job, pl.toXY)
+	fromXY := toXY.mirror()
 	var toLE, fromLE pricedRedist
 	var collision simmpi.PricedWork
 	if cfg.Collisions {
-		toLE, fromLE = priceRedist(job, pl.toLE), priceRedist(job, pl.fromLE)
+		toLE = priceRedist(job, pl.toLE)
+		fromLE = toLE.mirror()
 		collision = job.PriceWork(pl.work, collisionFlops)
 	}
 	nonlinear := job.PriceWork(pl.work, nonlinearFlops)
@@ -327,6 +301,14 @@ func priceRedist(job *simmpi.Lockstep, rd *redist) pricedRedist {
 		ex:     rd.exchange.Price(job.Machine()),
 		unpack: job.PriceWork(rd.unpack, rd.fraction),
 	}
+}
+
+// mirror returns the transformation back: the receivers of pr pack
+// what they received and the senders unpack it. The transposed
+// all-to-all charges each rank what pr's does, because a rank's send
+// and receive sums trade places term for term, in the same order.
+func (pr *pricedRedist) mirror() pricedRedist {
+	return pricedRedist{pack: pr.unpack, ex: pr.ex, unpack: pr.pack}
 }
 
 // run performs the transformation on job.

@@ -251,18 +251,26 @@ func patternsEqual(a, b *simmpi.AlltoallvPattern) bool {
 }
 
 func TestExchangePlansReverseIsTranspose(t *testing.T) {
-	// The reverse plans are derived, not counted: they must be exactly
-	// what a count of the reverse redistribution freezes to.
+	// A run takes each way back as its outbound plan mirrored. A count
+	// of the return redistribution must freeze to exactly that: the
+	// transposed pattern with pack and unpack swapped, whose exchange
+	// every rank leaves at the same clock, bit for bit, on any machine.
 	cfg := Config{Layout: DefaultLayout, Negrid: 10, Ntheta: 27, Steps: 3, Collisions: true}
-	d := cfg.Dims()
-	for _, p := range []int{7, 64} {
-		pl := cfg.plans(p)
-		for _, c := range []struct {
+	for _, c := range []struct {
+		p        int
+		machines []*cluster.Machine
+	}{
+		{7, []*cluster.Machine{cluster.Seaborg(2, 4), cluster.MyrinetLinux(7, 1)}},
+		{64, []*cluster.Machine{LinuxCluster(32), cluster.Seaborg(8, 8)}},
+	} {
+		p := c.p
+		pl, ref := cfg.plans(p), countPlans(cfg, p)
+		for _, c2 := range []struct {
 			dims     string
 			fwd, bwd *redist
-		}{{"xy", pl.toXY, pl.fromXY}, {"le", pl.toLE, pl.fromLE}} {
-			dims, fwd, bwd := c.dims, c.fwd, c.bwd
-			if fwd == nil || bwd == nil {
+		}{{"xy", pl.toXY, ref.fromXY}, {"le", pl.toLE, ref.fromLE}} {
+			dims, fwd, bwd := c2.dims, c2.fwd, c2.bwd
+			if fwd == nil {
 				t.Fatalf("p=%d %s: no plan with collisions on", p, dims)
 			}
 			if fwd.totalMoved == 0 {
@@ -272,20 +280,23 @@ func TestExchangePlansReverseIsTranspose(t *testing.T) {
 				t.Errorf("p=%d %s: totals %d/%d fractions %v/%v", p, dims,
 					fwd.totalMoved, bwd.totalMoved, fwd.fraction, bwd.fraction)
 			}
-			counted := newRedist(countMoves(d, cfg.Layout.front(dims), cfg.Layout, p), bwd.fraction)
-			if !patternsEqual(bwd.exchange, counted.exchange) {
-				t.Errorf("p=%d %s: derived reverse pattern differs from a counted reverse plan", p, dims)
-			}
 			for i := 0; i < p; i++ {
 				if fwd.pack[i] != bwd.unpack[i] || fwd.unpack[i] != bwd.pack[i] {
 					t.Errorf("p=%d %s rank %d: pack/unpack not swapped", p, dims, i)
 				}
-				if bwd.pack[i] != counted.pack[i] || bwd.unpack[i] != counted.unpack[i] {
-					t.Errorf("p=%d %s rank %d: totals differ from a counted reverse plan", p, dims, i)
-				}
 			}
 			if !matricesEqual(transpose(dense(fwd.exchange)), dense(bwd.exchange)) {
-				t.Errorf("p=%d %s: reverse pattern is not the transpose", p, dims)
+				t.Errorf("p=%d %s: counted return pattern is not the transpose", p, dims)
+			}
+			there, back := make([]float64, p), make([]float64, p)
+			for _, m := range c.machines {
+				fwd.exchange.Price(m).Exits(0, there)
+				bwd.exchange.Price(m).Exits(0, back)
+				for i := range there {
+					if math.Float64bits(there[i]) != math.Float64bits(back[i]) {
+						t.Errorf("p=%d %s on %s rank %d: leaves the exchange at %v, the way back at %v", p, dims, m, i, there[i], back[i])
+					}
+				}
 			}
 		}
 	}
@@ -340,8 +351,8 @@ func TestPlansCacheSharesOneBuild(t *testing.T) {
 
 func TestRunColdEqualsWarm(t *testing.T) {
 	// The first evaluation of a shape builds its plans (one count per
-	// phase, reverse plans derived); the second reads them back. Both
-	// must equal a run on plans frozen from four independent counts.
+	// phase, each way back mirrored); the second reads them back. Both
+	// must equal the coroutine reference fed four independent counts.
 	for _, c := range []struct {
 		negrid, ntheta, nodes int
 		coll                  bool
@@ -360,23 +371,17 @@ func TestRunColdEqualsWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, xy, le := cfg.Dims(), cfg.Layout.front("xy"), cfg.Layout.front("le")
-		ref := &plans{
-			toXY:   newRedist(countMoves(d, cfg.Layout, xy, p), 1),
-			fromXY: newRedist(countMoves(d, xy, cfg.Layout, p), 1),
-		}
-		if c.coll {
-			ref.toLE = newRedist(countMoves(d, cfg.Layout, le, p), collRedistFraction)
-			ref.fromLE = newRedist(countMoves(d, le, cfg.Layout, p), collRedistFraction)
-		}
+		ref := countPlans(cfg, p)
 		pl := cfg.plans(p)
-		for _, pair := range [][2]*redist{{pl.toXY, ref.toXY}, {pl.fromXY, ref.fromXY}, {pl.toLE, ref.toLE}, {pl.fromLE, ref.fromLE}} {
+		for _, pair := range [][2]*redist{{pl.toXY, ref.toXY}, {pl.toLE, ref.toLE}} {
 			if pair[0] != nil && !patternsEqual(pair[0].exchange, pair[1].exchange) {
 				t.Errorf("%+v: a cached pattern differs from its independent count", c)
 			}
 		}
-		ref.work = pl.work
-		_, st := simulateStats(t, m, cfg, ref, cfg.Steps)
+		_, st, err := simulateCoroutine(m, cfg, ref, cfg.Steps)
+		if err != nil {
+			t.Fatal(err)
+		}
 		counted := st.Time
 		if math.Float64bits(cold) != math.Float64bits(warm) || math.Float64bits(cold) != math.Float64bits(counted) {
 			t.Errorf("%+v: cold %v warm %v four-count reference %v", c, cold, warm, counted)
@@ -421,14 +426,14 @@ func TestRunOneSimulationEqualsTwo(t *testing.T) {
 }
 
 func TestPlansRetainSparsePatterns(t *testing.T) {
-	// A collisionless shape keeps two sparse exchange patterns, one per
-	// direction. A rank sends to a handful of target owners, so they
-	// take a small fraction of two dense p×p byte tables; the budget is
-	// a quarter.
+	// A collisionless shape keeps one sparse exchange pattern, the way
+	// out: the way back is it mirrored. A rank sends to a handful of
+	// target owners, so it takes a small fraction of a dense p×p byte
+	// table; the budget is a quarter.
 	const (
 		shapes = 200
 		p      = 128
-		budget = 0.25 * shapes * 2 * p * p * 8
+		budget = 0.25 * shapes * p * p * 8
 	)
 	cfgs := make([]Config, shapes)
 	for i := range cfgs {

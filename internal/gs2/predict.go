@@ -57,17 +57,18 @@ func (s *Predictor) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 	d := c.Dims()
 	speed := minSpeed(m)
 
-	// One redistribution: pack on the heaviest sender, the all-to-all
-	// exchange — as the simulator prices it for synchronised arrivals,
-	// finishing at the slowest rank — unpack on the heaviest receiver.
-	// A plan that moves nothing costs nothing, exactly like
-	// redistribute's early-out. The exchange is priced for m as Run
-	// prices it, so a prediction and a run on the same machine share
-	// one pricing.
+	// One redistribution and its way back: pack on the heaviest
+	// sender, the all-to-all exchange — as the simulator prices it for
+	// synchronised arrivals, finishing at the slowest rank — unpack on
+	// the heaviest receiver; the way back is the same plan mirrored, so
+	// the receivers pack and the senders unpack. A plan that moves
+	// nothing costs nothing, exactly like redistribute's early-out. The
+	// exchange is priced for m as Run prices it, so a prediction and a
+	// run on the same machine share one pricing.
 	exits := make([]float64, p)
-	redistCost := func(rd *redist) float64 {
+	redistCosts := func(rd *redist) (there, back float64) {
 		if rd.totalMoved == 0 {
-			return 0
+			return 0, 0
 		}
 		maxPack, maxUnpack := 0.0, 0.0
 		for r := 0; r < p; r++ {
@@ -79,7 +80,8 @@ func (s *Predictor) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 			}
 		}
 		rd.exchange.Price(m).Exits(0, exits)
-		return maxPack + slices.Max(exits) + maxUnpack
+		ex := slices.Max(exits)
+		return maxPack + ex + maxUnpack, maxUnpack + ex + maxPack
 	}
 	// The largest per-rank element count times the sub-point weight of
 	// each element is the compute-load gate of a phase.
@@ -88,18 +90,18 @@ func (s *Predictor) Predict(_ space.Point, cfg space.Config) (float64, bool) {
 		return maxChunk * flopsPerSub / speed
 	}
 
-	perStep := redistCost(pl.toXY) + chunk(nonlinearFlops) +
-		redistCost(pl.fromXY) + chunk(implicitFlops)
+	toXY, fromXY := redistCosts(pl.toXY)
+	perStep := toXY + chunk(nonlinearFlops) + fromXY + chunk(implicitFlops)
 	if c.Collisions {
-		perStep += redistCost(pl.toLE) + chunk(collisionFlops) + redistCost(pl.fromLE)
+		toLE, fromLE := redistCosts(pl.toLE)
+		perStep += toLE + chunk(collisionFlops) + fromLE
 	}
 	fieldWork := fieldSolveFlops * float64(d.X*d.Y) * elemWeight
 	perStep += fieldWork/speed +
 		simmpi.TreeCost(m, p, 8*fieldSolveDoubles) + stepOverheadSeconds
 
-	init := initFixedSeconds + redistCost(pl.toXY) +
-		chunk((nonlinearFlops+implicitFlops)*initStepEquivalents) +
-		redistCost(pl.fromXY)
+	init := initFixedSeconds + toXY +
+		chunk((nonlinearFlops+implicitFlops)*initStepEquivalents) + fromXY
 
 	total := init + float64(c.Steps)*perStep
 	if total <= 0 {

@@ -22,11 +22,32 @@ func simulateStats(t *testing.T, m *cluster.Machine, cfg Config, pl *plans, step
 	return tLess, job.Stats()
 }
 
+// countedPlans holds a shape's redistributions each frozen from its
+// own count, the ways back included: the independent reference for a
+// run that takes each way back as its outbound plan mirrored.
+type countedPlans struct {
+	toXY, fromXY, toLE, fromLE *redist
+}
+
+func countPlans(cfg Config, p int) countedPlans {
+	d, xy, le := cfg.Dims(), cfg.Layout.front("xy"), cfg.Layout.front("le")
+	cp := countedPlans{
+		toXY:   newRedist(countMoves(d, cfg.Layout, xy, p), 1),
+		fromXY: newRedist(countMoves(d, xy, cfg.Layout, p), 1),
+	}
+	if cfg.Collisions {
+		cp.toLE = newRedist(countMoves(d, cfg.Layout, le, p), collRedistFraction)
+		cp.fromLE = newRedist(countMoves(d, le, cfg.Layout, p), collRedistFraction)
+	}
+	return cp
+}
+
 // simulateCoroutine is simulate's rank program written for simmpi's
 // coroutine engine, one rank at a time, with the per-rank work computed
-// from the chunk sizes and each exchange handed as its pattern's dense
-// rows: the differential reference for the lockstep run.
-func simulateCoroutine(m *cluster.Machine, cfg Config, pl *plans, steps int) (tLess float64, st simmpi.Stats, err error) {
+// from the chunk sizes and each exchange handed as its counted
+// pattern's dense rows: the differential reference for the lockstep
+// run.
+func simulateCoroutine(m *cluster.Machine, cfg Config, pl countedPlans, steps int) (tLess float64, st simmpi.Stats, err error) {
 	p := m.Procs()
 	d := cfg.Dims()
 	n := d.N()
@@ -74,8 +95,8 @@ func simulateCoroutine(m *cluster.Machine, cfg Config, pl *plans, steps int) (tL
 }
 
 // TestSimulateMatchesCoroutineReference pins the lockstep run to the
-// rank program it replaced: full statistics and the marked shorter-run
-// time, bit for bit, for every layout with and without collisions on
+// rank program it replaced, fed every way back from its own count:
+// full statistics and the marked shorter-run time, bit for bit, for every layout with and without collisions on
 // 2 to 64 nodes and one to three simulated steps, and Run's
 // extrapolated time for Steps 1 to 10.
 func TestSimulateMatchesCoroutineReference(t *testing.T) {
@@ -87,10 +108,10 @@ func TestSimulateMatchesCoroutineReference(t *testing.T) {
 				p := m.Procs()
 				res := resolutions[nodes%len(resolutions)]
 				cfg := Config{Layout: l, Negrid: res[0], Ntheta: res[1], Collisions: coll}
-				pl := cfg.plans(p)
+				pl, ref := cfg.plans(p), countPlans(cfg, p)
 				var refLess, refFull [4]float64
 				for steps := 1; steps <= 3; steps++ {
-					wantLess, want, err := simulateCoroutine(m, cfg, pl, steps)
+					wantLess, want, err := simulateCoroutine(m, cfg, ref, steps)
 					if err != nil {
 						t.Fatal(err)
 					}

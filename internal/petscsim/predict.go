@@ -30,8 +30,13 @@ func (app *SLESApp) Predictor(m *cluster.Machine) *SLESPredictor {
 
 // Predict prices one benchmarking run of the decomposition the
 // configuration encodes. It declines configurations that do not carry
-// the full, positive weight vector of the application's space.
-func (s *SLESPredictor) Predict(_ space.Point, cfg space.Config) (float64, bool) {
+// the full, positive weight vector of the application's space, and
+// points of another length: a space of more ranks also holds the first
+// P weights, but it is another decomposition problem.
+func (s *SLESPredictor) Predict(pt space.Point, cfg space.Config) (float64, bool) {
+	if len(pt) != s.app.P {
+		return 0, false
+	}
 	var starts [65]int
 	part, err := s.app.partitionInto(starts[:0], cfg)
 	if err != nil {

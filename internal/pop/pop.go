@@ -103,17 +103,10 @@ func (cfg Config) levels() int {
 	return cfg.Levels
 }
 
-// block is one bx×by tile of the global grid.
-type block struct {
-	bi, bj int // block-grid coordinates
-	w, h   int // actual size (edge blocks may be smaller)
-}
-
-// layout is the frozen decomposition: blocks, their rank assignment,
-// and the halo exchange between owners.
+// layout is the frozen decomposition: the block grid, each rank's
+// share of the grid points, and the halo exchange between owners.
 type layout struct {
 	nbx, nby int
-	blocks   [][]block // per rank
 	// halo is one halo refresh: each rank sends every neighbouring
 	// owner one message of the summed edge lengths of the blocks they
 	// share, in bytes per field. It is symmetric.
@@ -141,9 +134,7 @@ func (cfg Config) Layout(p int) (*layout, error) {
 	if nb < 1 {
 		return nil, fmt.Errorf("pop: no blocks")
 	}
-	ly := &layout{nbx: nbx, nby: nby}
-	ly.blocks = make([][]block, p)
-	ly.points = make([]float64, p)
+	ly := &layout{nbx: nbx, nby: nby, points: make([]float64, p)}
 
 	dim := func(n, b, i int) int {
 		if (i+1)*b <= n {
@@ -194,14 +185,13 @@ func (cfg Config) Layout(p int) (*layout, error) {
 			if r < 0 {
 				continue
 			}
-			blk := block{bi: bi, bj: bj, w: dim(cfg.NX, cfg.BX, bi), h: dim(cfg.NY, cfg.BY, bj)}
-			ly.blocks[r] = append(ly.blocks[r], blk)
-			ly.points[r] += float64(blk.w * blk.h)
+			w, h := dim(cfg.NX, cfg.BX, bi), dim(cfg.NY, cfg.BY, bj)
+			ly.points[r] += float64(w * h)
 			if nbx > 1 {
-				addEdge(r, owner((bi+1)%nbx, bj), 8*blk.h)
+				addEdge(r, owner((bi+1)%nbx, bj), 8*h)
 			}
 			if bj+1 < nby {
-				addEdge(r, owner(bi, bj+1), 8*blk.w)
+				addEdge(r, owner(bi, bj+1), 8*w)
 			}
 		}
 	}

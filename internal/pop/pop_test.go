@@ -2,11 +2,13 @@ package pop
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"harmony/internal/cluster"
 	"harmony/internal/core"
 	"harmony/internal/search"
+	"harmony/internal/space"
 )
 
 // smallConfig is a scaled-down POP problem for fast tests.
@@ -28,12 +30,47 @@ func TestLayoutOneBlockPerRank(t *testing.T) {
 		t.Fatalf("blocks = %d, want 16", ly.Blocks())
 	}
 	for r := 0; r < 16; r++ {
-		if len(ly.blocks[r]) != 1 {
-			t.Errorf("rank %d has %d blocks, want 1", r, len(ly.blocks[r]))
-		}
 		if ly.points[r] != 90*60 {
 			t.Errorf("rank %d has %v points", r, ly.points[r])
 		}
+	}
+}
+
+func TestLayoutsRetainSparseHalos(t *testing.T) {
+	// A layout keeps what a run reads: each rank's point count and the
+	// sparse halo pattern between owners. The 1,200 block sizes of
+	// BlockSpace on the 720×480 grid the block campaigns tune, at 480
+	// ranks, must retain at most 14 MiB.
+	const (
+		p      = 480
+		budget = 14 << 20
+	)
+	sp := BlockSpace()
+	heap := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	layouts := make([]*layout, 0, sp.Params()[0].Levels()*sp.Params()[1].Levels())
+	before := heap()
+	for i := range sp.Params()[0].Levels() {
+		for j := range sp.Params()[1].Levels() {
+			c := sp.MustDecode(space.Point{i, j})
+			cfg := DefaultConfig(720, 480)
+			cfg.BX, cfg.BY = int(c.Int("bx")), int(c.Int("by"))
+			ly, err := cfg.Layout(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			layouts = append(layouts, ly)
+		}
+	}
+	grown := heap() - before
+	runtime.KeepAlive(layouts)
+	t.Logf("%d layouts at p=%d retain %.2f MiB (budget %d MiB)", len(layouts), p, grown/(1<<20), budget>>20)
+	if grown > budget {
+		t.Errorf("retained %.0f bytes, budget %d", grown, budget)
 	}
 }
 

@@ -256,6 +256,24 @@ func TestForeignSpaceDeclined(t *testing.T) {
 	}
 }
 
+// TestSLESModelDeclinesOtherRankCounts: the registry's SLES model is
+// the 4-rank Fig. 2 small problem. A Fig. 2 large space of 16 or 32
+// ranks holds weights w1..w4 too, but a price read from them is the
+// wrong model's, and pruning by it would discard candidates the real
+// run might keep; the model declines instead.
+func TestSLESModelDeclinesOtherRankCounts(t *testing.T) {
+	model := For("fig2-sles-large")
+	for _, app := range []*petscsim.SLESApp{
+		petscsim.NewBandSLESApp(6000, 16, 4, 120, 2),
+		petscsim.NewBandSLESApp(4000, 32, 4, 120, 2),
+	} {
+		pt := app.EvenPoint()
+		if v, ok := model.Predict(pt, app.Space().MustDecode(pt)); ok {
+			t.Errorf("%d-rank even point: Predict = %v, want declined", app.P, v)
+		}
+	}
+}
+
 func TestRegistryResolvesCampaignNames(t *testing.T) {
 	for _, name := range []string{"fig2-sles-seed11", "petsc-decomposition", "gs2-table3", "fig4-pop-blocks"} {
 		if For(name) == nil {
