@@ -106,6 +106,28 @@ func TestFixturesFail(t *testing.T) {
 	}
 }
 
+// TestFindingsOnlyInNamedPackages pins the scope of a run: the
+// importer fixture is clean and calls into two fixtures with findings,
+// which the interprocedural analyzers load and read. Named alone it
+// reports nothing; named with maporder it reports maporder's findings
+// and no others.
+func TestFindingsOnlyInNamedPackages(t *testing.T) {
+	var out, errb bytes.Buffer
+	importer := "./internal/analysis/testdata/src/importer"
+	if code := run([]string{"-C", "../..", importer}, &out, &errb); code != 0 || out.Len() != 0 {
+		t.Fatalf("exit = %d, want 0 with no findings\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	}
+	code := run([]string{"-C", "../..", importer, "./internal/analysis/testdata/src/maporder"}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	}
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		if !strings.Contains(line, "testdata/src/maporder/fixture.go:") {
+			t.Errorf("finding outside the named packages: %s", line)
+		}
+	}
+}
+
 // TestListFlag checks the analyzer inventory printout.
 func TestListFlag(t *testing.T) {
 	var out, errb bytes.Buffer

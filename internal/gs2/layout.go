@@ -17,12 +17,11 @@
 // topology sensitivity of Fig. 5.
 //
 // A shape's redistribution plans are built once and frozen: the move
-// volumes are counted from box intersections of the two distributions'
-// owner ranges, never by visiting elements, so a new shape costs
-// O(ranks × target owners per rank) whatever its grid size. Each plan
-// keeps its exchange as a sparse simmpi.AlltoallvPattern, transposed
-// for the return transform and priced once per machine before the
-// ranks run.
+// volumes are counted box by box from the home owner ranges, never by
+// visiting elements, so a new shape costs O(ranks × target owners per
+// rank) whatever its grid size. Each plan keeps its exchange as a
+// sparse simmpi.AlltoallvPattern, priced once per machine before the
+// ranks run; the way back is the same exchange mirrored.
 //
 // The package is the one place that knows what a GS2 run costs: Run
 // executes the rank program, and Predictor prices the same program in
@@ -86,35 +85,7 @@ type Dims struct {
 func (d Dims) N() int { return d.X * d.Y * d.L * d.E * d.S }
 
 func (d Dims) size(c byte) int {
-	switch c {
-	case 'x':
-		return d.X
-	case 'y':
-		return d.Y
-	case 'l':
-		return d.L
-	case 'e':
-		return d.E
-	case 's':
-		return d.S
-	default:
-		panic(fmt.Sprintf("gs2: unknown dimension %q", string(c)))
-	}
-}
-
-// dimIndex numbers the dimension letters for array-indexed tables.
-func dimIndex(c byte) int { return strings.IndexByte("xyles", c) }
-
-// strides returns the flattened-index stride of each dimension under
-// the layout (leftmost fastest), indexed by dimIndex.
-func (l Layout) strides(d Dims) [5]int {
-	var s [5]int
-	stride := 1
-	for i := 0; i < len(l); i++ {
-		s[dimIndex(l[i])] = stride
-		stride *= d.size(l[i])
-	}
-	return s
+	return [5]int{d.X, d.Y, d.L, d.E, d.S}[strings.IndexByte("xyles", c)]
 }
 
 // MoveMatrix computes, for the redistribution from distribution
@@ -143,20 +114,19 @@ type moves struct{ start, dst, n []int }
 
 // countMoves counts the move matrix without visiting an element. Owner
 // boundaries are b_k = ⌈kN/p⌉. Rank i's home range [b_i, b_{i+1})
-// splits into at most nine boxes (products of one index interval per
-// dimension), and a target prefix [0, b_j) into at most five, so
-// G_i(j) — how many of rank i's elements have a target index below
-// b_j — is a sum of box intersections, and moved[i][j] = G_i(j+1) −
-// G_i(j). Only the target owners between those of the smallest and
-// the largest target index in rank i's boxes can be nonzero, so a
-// shape costs O(p·k) for k target owners per rank, whatever N is. The
-// counts are integers: the result is exact.
+// splits into at most nine boxes (products of one digit interval per
+// position), and G_i(j), how many of its elements have a target index
+// below b_j, sums a walk down b_j's target digits in each box:
+// moved[i][j] = G_i(j+1) − G_i(j). Only the owners of the target
+// indices between the boxes' corners can be nonzero, so a shape costs
+// O(p·k) for k target owners per rank, whatever N is. A first pass
+// sizes the output to those owners, so it allocates only its three
+// slices. The counts are integers: the result is exact.
 func countMoves(d Dims, home, target Layout, p int) moves {
-	if err := home.Validate(); err != nil {
-		panic(err)
-	}
-	if err := target.Validate(); err != nil {
-		panic(err)
+	for _, l := range []Layout{home, target} {
+		if err := l.Validate(); err != nil {
+			panic(err)
+		}
 	}
 	if p <= 0 {
 		panic(fmt.Sprintf("gs2: %d ranks", p))
@@ -166,45 +136,43 @@ func countMoves(d Dims, home, target Layout, p int) moves {
 	if n == 0 || home == target {
 		return mv
 	}
-	hr, tr, ts := home.radix(d), target.radix(d), target.strides(d)
-	bound := func(k int) int { return ceilDiv(k*n, p) }
-	// pre[preStart[j]:preStart[j+1]] are the boxes of the target
-	// prefix [0, b_j).
-	preStart := make([]int, p+1)
-	var pre []box
-	for j := 0; j < p; j++ {
-		preStart[j] = len(pre)
-		pre = tr.boxes(0, bound(j), pre)
+	t := transform{home: home.radix(d), target: target.radix(d)}
+	for r := range t.from {
+		t.from[r] = strings.IndexByte(string(home), target[r])
 	}
-	preStart[p] = len(pre)
-
-	var hb []box
-	for i := 0; i < p; i++ {
-		lo, hi := bound(i), bound(i+1)
-		hb = hr.boxes(lo, hi, hb[:0])
-		// The target index is increasing in every coordinate, so each
-		// box's lower and upper corners bound its target indices.
-		tmin, tmax := n, -1
-		for b := range hb {
-			first, last := 0, 0
-			for c := 0; c < 5; c++ {
-				first += hb[b].lo[c] * ts[c]
-				last += (hb[b].hi[c] - 1) * ts[c]
-			}
-			tmin, tmax = min(tmin, first), max(tmax, last)
+	var bx [9]box
+	span := 0
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			mv.dst, mv.n = make([]int, 0, span), make([]int, 0, span)
 		}
-		if tmax >= 0 {
+		hi, hd := 0, [5]int{}
+		for i := 0; i < p; i++ {
+			lo, ld := hi, hd
+			hi = ceilDiv((i+1)*n, p)
+			hd = t.home.digits(hi)
+			bs := t.split(&ld, &hd, &bx)
+			// The target index is increasing in every coordinate, so
+			// each box's corners bound its target indices.
+			tmin, tmax := n, -1
+			for b := range bs {
+				tmin, tmax = min(tmin, bs[b].first), max(tmax, bs[b].last)
+			}
 			// G_i(jmin) is 0 and G_i(jmax+1) is the whole range.
 			jmin, jmax := tmin*p/n, tmax*p/n
+			if pass == 0 {
+				span += max(jmax-jmin+1, 0)
+				continue
+			}
 			prev := 0
 			for j := jmin; j <= jmax; j++ {
 				g := hi - lo
 				if j < jmax {
+					f := ceilDiv((j+1)*n, p)
+					fd := t.target.digits(f)
 					g = 0
-					for t := preStart[j+1]; t < preStart[j+2]; t++ {
-						for h := range hb {
-							g += overlap(&hb[h], &pre[t])
-						}
+					for b := range bs {
+						g += bs[b].below(f, &fd)
 					}
 				}
 				if g > prev && j != i {
@@ -213,104 +181,128 @@ func countMoves(d Dims, home, target Layout, p int) moves {
 				}
 				prev = g
 			}
+			mv.start[i+1] = len(mv.dst)
 		}
-		mv.start[i+1] = len(mv.dst)
 	}
 	return mv
 }
 
-// radix is a layout's mixed-radix numbering of the flat index: the
-// dimension (by dimIndex), extent and stride of each position, fastest
-// first, with stride[5] = N.
+// radix is a layout's mixed-radix numbering of the flat index: each
+// position's extent and stride, fastest first, with stride[5] = N.
 type radix struct {
-	dim, ext [5]int
-	stride   [6]int
+	ext    [5]int
+	stride [6]int
 }
 
 func (l Layout) radix(d Dims) radix {
 	r := radix{stride: [6]int{1}}
 	for q := 0; q < 5; q++ {
-		r.dim[q], r.ext[q] = dimIndex(l[q]), d.size(l[q])
+		r.ext[q] = d.size(l[q])
 		r.stride[q+1] = r.stride[q] * r.ext[q]
 	}
 	return r
 }
 
-// box is a product of one half-open index interval per dimension,
-// indexed by dimIndex.
-type box struct{ lo, hi [5]int }
+// digits returns f's digits, fastest first. The slowest is not
+// reduced, so N's digits are (0, 0, 0, 0, ext[4]).
+func (r *radix) digits(f int) (d [5]int) {
+	for q := 4; q > 0; q-- {
+		d[q], f = f/r.stride[q], f%r.stride[q]
+	}
+	d[0] = f
+	return d
+}
 
-// boxes appends to out boxes whose disjoint union is the flat index
-// range [lo, hi): at most nine, and at most five when lo is 0. It
-// climbs from lo, completing each position's digit up to the next
-// multiple of the stride above it, until that would pass hi; what is
-// left lies inside one block of that stride, and it descends to hi
-// taking whole blocks of each lower stride.
-func (r *radix) boxes(lo, hi int, out []box) []box {
-	cur, q := lo, 0
-	for ; q < 5; q++ {
-		next := ceilDiv(cur, r.stride[q+1]) * r.stride[q+1]
-		if next > hi {
+// transform holds a redistribution's home and target radices and the
+// home position from[r] of each target position r.
+type transform struct {
+	home, target radix
+	from         [5]int
+}
+
+// box is a product of one half-open digit interval per target
+// position: position r spans [lo[r], lo[r]+w[r]), and each of its
+// digits is shared by unit[r] = w[0]·…·w[r−1] of the box's vol indices.
+// Its target indices lie in [first, last].
+type box struct {
+	lo, w, unit      [5]int
+	vol, first, last int
+}
+
+// split returns the boxes, at most nine, whose disjoint union is the
+// home range between the digits ld and hd. With D the slowest position
+// where they differ and z the fastest where ld is nonzero, each
+// position from z to D takes the digits after ld's (from ld's at z, to
+// hd's at D), and each below D the digits before hd's.
+func (t *transform) split(ld, hd *[5]int, out *[9]box) []box {
+	d, z, bs := 4, 0, out[:0]
+	for d > 0 && ld[d] == hd[d] {
+		d--
+	}
+	for z < d && ld[z] == 0 {
+		z++
+	}
+	for q := z; q <= d; q++ {
+		from, to := ld[q], t.home.ext[q]
+		if q > z {
+			from++
+		}
+		if q == d {
+			to = hd[q]
+		}
+		bs = t.add(bs, q, ld, from, to-from)
+	}
+	for q := d - 1; q >= 0; q-- {
+		bs = t.add(bs, q, hd, 0, hd[q])
+	}
+	return bs
+}
+
+// add appends, unless it is empty, the box of d's digits above position
+// q, [from, from+count) at q, and all digits below q.
+func (t *transform) add(bs []box, q int, d *[5]int, from, count int) []box {
+	if count == 0 {
+		return bs
+	}
+	bs = bs[:len(bs)+1]
+	b := &bs[len(bs)-1]
+	b.vol, b.first, b.last = 1, 0, 0
+	for r, k := range t.from {
+		lo, w := d[k], 1
+		if k < q {
+			lo, w = 0, t.home.ext[k]
+		} else if k == q {
+			lo, w = from, count
+		}
+		b.lo[r], b.w[r], b.unit[r] = lo, w, b.vol
+		b.vol *= w
+		b.first += lo * t.target.stride[r]
+		b.last += (lo + w - 1) * t.target.stride[r]
+	}
+	return bs
+}
+
+// below counts the box's indices whose target index is below f, whose
+// target digits are d, walking down while d stays inside the box.
+func (b *box) below(f int, d *[5]int) int {
+	if f <= b.first {
+		return 0
+	}
+	if f > b.last {
+		return b.vol
+	}
+	g := 0
+	for r := 4; r >= 0; r-- {
+		k := d[r] - b.lo[r]
+		if k < 0 {
 			break
 		}
-		if next > cur {
-			out = append(out, r.box(cur, q, (next-cur)/r.stride[q]))
+		if k >= b.w[r] {
+			return g + b.w[r]*b.unit[r]
 		}
-		cur = next
+		g += k * b.unit[r]
 	}
-	for ; q >= 0 && cur < hi; q-- {
-		if end := hi / r.stride[q] * r.stride[q]; end > cur {
-			out = append(out, r.box(cur, q, (end-cur)/r.stride[q]))
-			cur = end
-		}
-	}
-	return out
-}
-
-// box returns the flat range [cur, cur+count·stride[q]), where cur is
-// a multiple of stride[q] and the range stays inside one block of
-// stride[q+1]: positions below q span their extent, position q spans
-// count digits from cur's, and positions above q are cur's digits.
-func (r *radix) box(cur, q, count int) box {
-	var b box
-	for k := 0; k < 5; k++ {
-		c := r.dim[k]
-		digit := cur / r.stride[k] % r.ext[k]
-		switch {
-		case k < q:
-			b.lo[c], b.hi[c] = 0, r.ext[k]
-		case k == q:
-			b.lo[c], b.hi[c] = digit, digit+count
-		default:
-			b.lo[c], b.hi[c] = digit, digit+1
-		}
-	}
-	return b
-}
-
-// overlap returns the number of indices two boxes share.
-func overlap(a, b *box) int {
-	v := 1
-	for c := 0; c < 5; c++ {
-		lo, hi := max(a.lo[c], b.lo[c]), min(a.hi[c], b.hi[c])
-		if hi <= lo {
-			return 0
-		}
-		v *= hi - lo
-	}
-	return v
+	return g
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// MovedElements sums a move matrix: the total element count changing
-// owner.
-func MovedElements(mat [][]int) int {
-	var total int
-	for _, row := range mat {
-		for _, v := range row {
-			total += v
-		}
-	}
-	return total
-}

@@ -1,10 +1,12 @@
 package gs2
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -168,6 +170,193 @@ func transpose(m [][]int) [][]int {
 	return t
 }
 
+// dimIndex numbers the dimension letters for array-indexed tables.
+func dimIndex(c byte) int { return strings.IndexByte("xyles", c) }
+
+// strides returns the flattened-index stride of each dimension under
+// the layout (leftmost fastest), indexed by dimIndex.
+func (l Layout) strides(d Dims) [5]int {
+	var s [5]int
+	stride := 1
+	for i := 0; i < len(l); i++ {
+		s[dimIndex(l[i])] = stride
+		stride *= d.size(l[i])
+	}
+	return s
+}
+
+// countMovesRef is the box-intersection count that countMoves replaced,
+// kept as its reference. Owner boundaries are b_k = ⌈kN/p⌉. Rank i's
+// home range [b_i, b_{i+1}) splits into at most nine boxes (products
+// of one index interval per dimension), and a target prefix [0, b_j)
+// into at most five, so
+// G_i(j) — how many of rank i's elements have a target index below
+// b_j — is a sum of box intersections, and moved[i][j] = G_i(j+1) −
+// G_i(j). It builds every target prefix's boxes up front and
+// intersects each home box with every box of every candidate owner's
+// prefix.
+func countMovesRef(d Dims, home, target Layout, p int) moves {
+	if err := home.Validate(); err != nil {
+		panic(err)
+	}
+	if err := target.Validate(); err != nil {
+		panic(err)
+	}
+	if p <= 0 {
+		panic(fmt.Sprintf("gs2: %d ranks", p))
+	}
+	mv := moves{start: make([]int, p+1)}
+	n := d.N()
+	if n == 0 || home == target {
+		return mv
+	}
+	hr, tr, ts := home.refRadix(d), target.refRadix(d), target.strides(d)
+	bound := func(k int) int { return ceilDiv(k*n, p) }
+	// pre[preStart[j]:preStart[j+1]] are the boxes of the target
+	// prefix [0, b_j).
+	preStart := make([]int, p+1)
+	var pre []refBox
+	for j := 0; j < p; j++ {
+		preStart[j] = len(pre)
+		pre = tr.boxes(0, bound(j), pre)
+	}
+	preStart[p] = len(pre)
+
+	var hb []refBox
+	for i := 0; i < p; i++ {
+		lo, hi := bound(i), bound(i+1)
+		hb = hr.boxes(lo, hi, hb[:0])
+		// The target index is increasing in every coordinate, so each
+		// box's lower and upper corners bound its target indices.
+		tmin, tmax := n, -1
+		for b := range hb {
+			first, last := 0, 0
+			for c := 0; c < 5; c++ {
+				first += hb[b].lo[c] * ts[c]
+				last += (hb[b].hi[c] - 1) * ts[c]
+			}
+			tmin, tmax = min(tmin, first), max(tmax, last)
+		}
+		if tmax >= 0 {
+			// G_i(jmin) is 0 and G_i(jmax+1) is the whole range.
+			jmin, jmax := tmin*p/n, tmax*p/n
+			prev := 0
+			for j := jmin; j <= jmax; j++ {
+				g := hi - lo
+				if j < jmax {
+					g = 0
+					for t := preStart[j+1]; t < preStart[j+2]; t++ {
+						for h := range hb {
+							g += refOverlap(&hb[h], &pre[t])
+						}
+					}
+				}
+				if g > prev && j != i {
+					mv.dst = append(mv.dst, j)
+					mv.n = append(mv.n, g-prev)
+				}
+				prev = g
+			}
+		}
+		mv.start[i+1] = len(mv.dst)
+	}
+	return mv
+}
+
+// refRadix is a layout's mixed-radix numbering of the flat index: the
+// dimension (by dimIndex), extent and stride of each position, fastest
+// first, with stride[5] = N.
+type refRadix struct {
+	dim, ext [5]int
+	stride   [6]int
+}
+
+func (l Layout) refRadix(d Dims) refRadix {
+	r := refRadix{stride: [6]int{1}}
+	for q := 0; q < 5; q++ {
+		r.dim[q], r.ext[q] = dimIndex(l[q]), d.size(l[q])
+		r.stride[q+1] = r.stride[q] * r.ext[q]
+	}
+	return r
+}
+
+// refBox is a product of one half-open index interval per dimension,
+// indexed by dimIndex.
+type refBox struct{ lo, hi [5]int }
+
+// boxes appends to out boxes whose disjoint union is the flat index
+// range [lo, hi): at most nine, and at most five when lo is 0. It
+// climbs from lo, completing each position's digit up to the next
+// multiple of the stride above it, until that would pass hi; what is
+// left lies inside one block of that stride, and it descends to hi
+// taking whole blocks of each lower stride.
+func (r *refRadix) boxes(lo, hi int, out []refBox) []refBox {
+	cur, q := lo, 0
+	for ; q < 5; q++ {
+		next := ceilDiv(cur, r.stride[q+1]) * r.stride[q+1]
+		if next > hi {
+			break
+		}
+		if next > cur {
+			out = append(out, r.box(cur, q, (next-cur)/r.stride[q]))
+		}
+		cur = next
+	}
+	for ; q >= 0 && cur < hi; q-- {
+		if end := hi / r.stride[q] * r.stride[q]; end > cur {
+			out = append(out, r.box(cur, q, (end-cur)/r.stride[q]))
+			cur = end
+		}
+	}
+	return out
+}
+
+// box returns the flat range [cur, cur+count·stride[q]), where cur is
+// a multiple of stride[q] and the range stays inside one block of
+// stride[q+1]: positions below q span their extent, position q spans
+// count digits from cur's, and positions above q are cur's digits.
+func (r *refRadix) box(cur, q, count int) refBox {
+	var b refBox
+	for k := 0; k < 5; k++ {
+		c := r.dim[k]
+		digit := cur / r.stride[k] % r.ext[k]
+		switch {
+		case k < q:
+			b.lo[c], b.hi[c] = 0, r.ext[k]
+		case k == q:
+			b.lo[c], b.hi[c] = digit, digit+count
+		default:
+			b.lo[c], b.hi[c] = digit, digit+1
+		}
+	}
+	return b
+}
+
+// refOverlap returns the number of indices two boxes share.
+func refOverlap(a, b *refBox) int {
+	v := 1
+	for c := 0; c < 5; c++ {
+		lo, hi := max(a.lo[c], b.lo[c]), min(a.hi[c], b.hi[c])
+		if hi <= lo {
+			return 0
+		}
+		v *= hi - lo
+	}
+	return v
+}
+
+// MovedElements sums a move matrix: the total element count changing
+// owner.
+func MovedElements(mat [][]int) int {
+	var total int
+	for _, row := range mat {
+		for _, v := range row {
+			total += v
+		}
+	}
+	return total
+}
+
 // allLayouts returns the 120 permutations of "xyles".
 func allLayouts() []Layout {
 	var out []Layout
@@ -216,21 +405,118 @@ func TestMoveMatrixBothDirectionsMatchBruteForce(t *testing.T) {
 	}
 }
 
-func TestMoveMatrixCountMatchesWalkOnLattice(t *testing.T) {
-	// The campaign's own shapes, at full size: a strided sweep of the
-	// Table III lattice, lxyes to its (x,y)-local target on 2·nodes
-	// ranks, counted against the reference walk.
+// shape is a redistribution's extents and rank count.
+type shape struct {
+	d Dims
+	p int
+}
+
+// latticeShapes returns the Table III lattice shapes whose negrid,
+// ntheta and nodes levels are multiples of the three strides, each on
+// the 2·nodes ranks of the Linux cluster.
+func latticeShapes(strides [3]int64) []shape {
 	ps := ResolutionSpace(64).Params()
-	for a := int64(0); a < ps[0].Levels(); a += 3 {
-		for b := int64(0); b < ps[1].Levels(); b += 5 {
-			for c := int64(0); c < ps[2].Levels(); c += 7 {
-				cfg := Config{Layout: DefaultLayout, Negrid: int(ps[0].IntAt(a)), Ntheta: int(ps[1].IntAt(b))}
-				d, p := cfg.Dims(), 2*int(ps[2].IntAt(c))
-				if !matricesEqual(MoveMatrix(d, cfg.Layout, "xyles", p), walk(d, cfg.Layout, "xyles", p)) {
-					t.Errorf("%+v on %d ranks: count differs from the walk", d, p)
-				}
+	var out []shape
+	for a := int64(0); a < ps[0].Levels(); a += strides[0] {
+		for b := int64(0); b < ps[1].Levels(); b += strides[1] {
+			for c := int64(0); c < ps[2].Levels(); c += strides[2] {
+				cfg := Config{Negrid: int(ps[0].IntAt(a)), Ntheta: int(ps[1].IntAt(b))}
+				out = append(out, shape{cfg.Dims(), 2 * int(ps[2].IntAt(c))})
 			}
 		}
+	}
+	return out
+}
+
+// campaignRedistributions are the (home, target) pairs the Table III
+// campaigns count: lxyes and yxles to their (x,y)-local target (yxles
+// is its own) and to their (l,e)-local one, which collisions add.
+func campaignRedistributions() [][2]Layout {
+	var out [][2]Layout
+	for _, home := range []Layout{DefaultLayout, "yxles"} {
+		for _, dims := range []string{"xy", "le"} {
+			out = append(out, [2]Layout{home, home.front(dims)})
+		}
+	}
+	return out
+}
+
+func TestMoveMatrixCountMatchesWalkOnLattice(t *testing.T) {
+	// The campaign's own shapes, at full size: a strided sweep of the
+	// Table III lattice, every campaign redistribution counted against
+	// the reference walk. The walk of an (l,e)-local target is slow, so
+	// the others take every other negrid and ntheta level of lxyes to
+	// xyles's sweep.
+	for _, pair := range campaignRedistributions() {
+		strides := [3]int64{6, 10, 7}
+		if pair == [2]Layout{DefaultLayout, "xyles"} {
+			strides = [3]int64{3, 5, 7}
+		}
+		for _, s := range latticeShapes(strides) {
+			if !matricesEqual(MoveMatrix(s.d, pair[0], pair[1], s.p), walk(s.d, pair[0], pair[1], s.p)) {
+				t.Errorf("%+v on %d ranks, %s->%s: count differs from the walk", s.d, s.p, pair[0], pair[1])
+			}
+		}
+	}
+}
+
+func TestCountMovesMatchesReferenceOnLattice(t *testing.T) {
+	// The count is the box-intersection count it replaced, entry for
+	// entry and in the same order, on a strided sweep of the lattice
+	// other than the walk's, for every campaign redistribution.
+	for _, s := range latticeShapes([3]int64{4, 8, 9}) {
+		for _, pair := range campaignRedistributions() {
+			got, want := countMoves(s.d, pair[0], pair[1], s.p), countMovesRef(s.d, pair[0], pair[1], s.p)
+			if !slices.Equal(got.start, want.start) || !slices.Equal(got.dst, want.dst) || !slices.Equal(got.n, want.n) {
+				t.Errorf("%+v on %d ranks, %s->%s: count differs from the reference", s.d, s.p, pair[0], pair[1])
+			}
+		}
+	}
+}
+
+// TestCountMovesAllocatesOnlyItsOutput pins a cold count at its three
+// output slices, sized once: a count that grew them by appending, or
+// kept a table beside them, allocates more.
+func TestCountMovesAllocatesOnlyItsOutput(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments what it runs; allocation pins run without it")
+	}
+	for _, s := range []shape{{Dims{X: 26, Y: 32, L: 20, E: 16, S: 2}, 64}, {Dims{X: 41, Y: 32, L: 20, E: 13, S: 2}, 38}} {
+		for _, pair := range campaignRedistributions() {
+			want := 3.0
+			if pair[0] == pair[1] {
+				want = 1 // nothing moves: only the row starts
+			}
+			if got := testing.AllocsPerRun(10, func() { countMoves(s.d, pair[0], pair[1], s.p) }); got != want {
+				t.Errorf("%+v on %d ranks, %s->%s: %v allocations, want %v", s.d, s.p, pair[0], pair[1], got, want)
+			}
+		}
+	}
+}
+
+// coldPlan keeps BenchmarkColdPlans' builds observable.
+var coldPlan *redist
+
+// BenchmarkColdPlans builds the plan of every campaign redistribution
+// fresh, without the plans cache, on a fixed slice of the Table III
+// lattice (every 97th shape): what a new shape costs before its first
+// run, collision targets included.
+func BenchmarkColdPlans(b *testing.B) {
+	var shapes []shape
+	for k, s := range latticeShapes([3]int64{1, 1, 1}) {
+		if k%97 == 0 {
+			shapes = append(shapes, s)
+		}
+	}
+	for _, pair := range campaignRedistributions() {
+		b.Run(string(pair[0])+"-"+string(pair[1]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, s := range shapes {
+					coldPlan = newRedist(countMoves(s.d, pair[0], pair[1], s.p), 1)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(shapes)), "us/shape")
+		})
 	}
 }
 
