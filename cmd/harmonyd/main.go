@@ -19,7 +19,8 @@
 //
 // With -surrogate the server screens proposals of sessions that
 // registered with the surrogate flag through the analytic performance
-// models of the case-study workloads: confidently-worse configurations
+// models of the SLES and POP workloads (a session of any other app,
+// GS2 included, runs unscreened): confidently-worse configurations
 // are answered to the search at their predicted value without being
 // handed to any client, and best replies always come from genuine
 // measurements. Each session chooses the fraction of a round that is
@@ -74,7 +75,7 @@ func run(args []string, listening func(net.Addr)) error {
 	reportTimeout := fs.Duration("report-timeout", 0, "re-issue configurations whose reports are overdue by this much (0 = wait forever)")
 	maxReissues := fs.Int("max-reissues", 0, "straggler re-issues before a configuration is forfeited (0 = default)")
 	statsInterval := fs.Duration("stats-interval", 0, "dump server counters (and apply deadlines) this often (0 = only on shutdown)")
-	surrogateOn := fs.Bool("surrogate", false, "screen proposals of surrogate-flagged sessions with the analytic models of the case-study workloads")
+	surrogateOn := fs.Bool("surrogate", false, "screen proposals of surrogate-flagged sessions with the analytic models of the SLES and POP workloads (other sessions, GS2's included, run unscreened)")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits, Parse never returns an error
 
 	s := server.New()

@@ -113,7 +113,7 @@ func main() {
 	flag.BoolVar(&opts.async, "async", false, "bound the window at -async-depth and let pipelined strategies issue ahead, instead of draining each round before the next")
 	flag.IntVar(&opts.asyncDepth, "async-depth", 0, "window bound under -async: issued configurations awaiting their result (0 = default)")
 	flag.DurationVar(&opts.runTimeout, "run-timeout", 0, "kill a benchmarking run exceeding this and count it failed (0 = no limit)")
-	flag.BoolVar(&opts.surrogate, "surrogate", false, "screen proposals with the analytic performance model for the spec's app: only the top-ranked fraction of each round is actually run (errors when no model covers the app)")
+	flag.BoolVar(&opts.surrogate, "surrogate", false, "screen proposals with the analytic performance model for the spec's app: only the top-ranked fraction of each round is actually run (SLES/PETSc and POP apps are modelled; any other app, GS2 included, is an error)")
 	flag.Float64Var(&opts.surrogateKeep, "surrogate-keep", 0, "fraction of each proposal round the surrogate actually runs, 0 < keep <= 1 (0 = default)")
 	flag.BoolVar(&opts.metrics, "metrics", false, "append a machine-readable htune.<name> <value> summary")
 	flag.BoolVar(&opts.verbose, "v", false, "log each run")

@@ -186,6 +186,29 @@ func TestHtuneParallelWorkers(t *testing.T) {
 	}
 }
 
+// TestHtuneSurrogateNeedsAModel: -surrogate on an app no analytic
+// model covers fails before any run, and GS2 is such an app (its
+// closed form was its simulator). A modelled app's name is accepted:
+// its model declines the foreign space, so every run goes ahead.
+func TestHtuneSurrogateNeedsAModel(t *testing.T) {
+	dir := t.TempDir()
+	spec := writeSpec(t, dir, func(s *Spec) { s.App = "gs2-table3" })
+	err := run(spec, cliOptions{surrogate: true})
+	if err == nil || !strings.Contains(err.Error(), "no analytic model covers app") {
+		t.Errorf("gs2-table3 with -surrogate: error %v, want no model named", err)
+	}
+	if _, err := os.Stat("/bin/sh"); err != nil {
+		t.Skip("no /bin/sh")
+	}
+	spec = writeSpec(t, dir, func(s *Spec) {
+		s.App = "fig4-pop"
+		s.MaxRuns = 5
+	})
+	if err := run(spec, cliOptions{surrogate: true}); err != nil {
+		t.Errorf("fig4-pop with -surrogate: %v", err)
+	}
+}
+
 // TestHtuneRunTimeout: a configuration that hangs the program is
 // killed at the -run-timeout deadline and counted as a failure
 // instead of wedging the session.

@@ -107,11 +107,15 @@ type redist struct {
 }
 
 // newRedist freezes a move count into a plan. It takes ownership of
-// mv and rewrites its element counts in place into bytes.
+// mv.start. The count's dst and n are sized to each rank's span of
+// target owners, which counts the diagonal and the owners it skips (up
+// to 40 % more than its entries), so the exchange gets exact-size
+// copies: a memoised plan keeps no spare capacity.
 func newRedist(mv moves, fraction float64) *redist {
 	p := len(mv.start) - 1
-	r := &redist{pack: make([]float64, p), unpack: make([]float64, p), fraction: fraction,
-		exchange: &simmpi.AlltoallvPattern{Start: mv.start, Dst: mv.dst, Bytes: mv.n}}
+	ex := &simmpi.AlltoallvPattern{Start: mv.start, Dst: make([]int, len(mv.dst)), Bytes: make([]int, len(mv.n))}
+	copy(ex.Dst, mv.dst)
+	r := &redist{pack: make([]float64, p), unpack: make([]float64, p), fraction: fraction, exchange: ex}
 	for i := 0; i < p; i++ {
 		for k := mv.start[i]; k < mv.start[i+1]; k++ {
 			elems := mv.n[k]
@@ -120,7 +124,7 @@ func newRedist(mv moves, fraction float64) *redist {
 			r.pack[i] += float64(elems)
 			r.unpack[mv.dst[k]] += float64(elems)
 			r.totalMoved += elems
-			mv.n[k] = int(float64(elems) * 8 * elemWeight * fraction)
+			ex.Bytes[k] = int(float64(elems) * 8 * elemWeight * fraction)
 		}
 	}
 	for i := 0; i < p; i++ {

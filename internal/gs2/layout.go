@@ -23,10 +23,12 @@
 // sparse simmpi.AlltoallvPattern, priced once per machine before the
 // ranks run; the way back is the same exchange mirrored.
 //
-// The package is the one place that knows what a GS2 run costs: Run
-// executes the rank program, and Predictor prices the same program in
-// closed form from the same frozen plans and constants, for the tuning
-// engine's surrogate gate.
+// The package is the one place that knows what a GS2 run costs, and
+// Run, which executes the rank program, is its one cost program. It
+// offers the tuning engine's surrogate gate no closed form: one read
+// from these plans and constants prices what Run prices (to 5e-5 over
+// the Table III lattice), so screening with it would prune by the
+// objective itself.
 package gs2
 
 import (

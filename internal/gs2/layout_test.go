@@ -574,10 +574,8 @@ func TestExchangePlansReverseIsTranspose(t *testing.T) {
 			if !matricesEqual(transpose(dense(fwd.exchange)), dense(bwd.exchange)) {
 				t.Errorf("p=%d %s: counted return pattern is not the transpose", p, dims)
 			}
-			there, back := make([]float64, p), make([]float64, p)
 			for _, m := range c.machines {
-				fwd.exchange.Price(m).Exits(0, there)
-				bwd.exchange.Price(m).Exits(0, back)
+				there, back := exitsOf(t, m, p, 0, fwd.exchange), exitsOf(t, m, p, 0, bwd.exchange)
 				for i := range there {
 					if math.Float64bits(there[i]) != math.Float64bits(back[i]) {
 						t.Errorf("p=%d %s on %s rank %d: leaves the exchange at %v, the way back at %v", p, dims, m, i, there[i], back[i])
@@ -586,6 +584,21 @@ func TestExchangePlansReverseIsTranspose(t *testing.T) {
 			}
 		}
 	}
+}
+
+// exitsOf returns the clocks at which the ranks of a p-rank lockstep
+// job on m leave exchange ex, priced for m, when every rank arrives at
+// arrival.
+func exitsOf(t *testing.T, m *cluster.Machine, p int, arrival float64, ex *simmpi.AlltoallvPattern) []float64 {
+	t.Helper()
+	job, err := simmpi.AcquireLockstep(m, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer job.Release()
+	job.Sleep(arrival)
+	job.AlltoallvPriced(ex.Price(m))
+	return job.Stats().RankClocks
 }
 
 // coldShape returns a configuration no other test or campaign visits
@@ -715,11 +728,13 @@ func TestPlansRetainSparsePatterns(t *testing.T) {
 	// A collisionless shape keeps one sparse exchange pattern, the way
 	// out: the way back is it mirrored. A rank sends to a handful of
 	// target owners, so it takes a small fraction of a dense p×p byte
-	// table; the budget is a quarter.
+	// table. The budget, 0.175 of it (4.38 MiB), holds exact-size
+	// patterns (4.12 MiB) and not patterns that keep the move count's
+	// spare capacity (4.56 MiB).
 	const (
 		shapes = 200
 		p      = 128
-		budget = 0.25 * shapes * p * p * 8
+		budget = 0.175 * shapes * p * p * 8
 	)
 	cfgs := make([]Config, shapes)
 	for i := range cfgs {
@@ -736,7 +751,7 @@ func TestPlansRetainSparsePatterns(t *testing.T) {
 		cfg.plans(p)
 	}
 	grown := heap() - before
-	t.Logf("%d shapes at p=%d retain %.1f MiB (budget %.1f MiB)", shapes, p, grown/(1<<20), budget/(1<<20))
+	t.Logf("%d shapes at p=%d retain %.2f MiB (budget %.2f MiB)", shapes, p, grown/(1<<20), budget/(1<<20))
 	if grown > budget {
 		t.Errorf("retained %.0f bytes, budget %.0f", grown, float64(budget))
 	}
@@ -841,8 +856,7 @@ func TestExchangePricingKeyedByMachine(t *testing.T) {
 			t.Fatalf("%s: the variant prices like the base machine, so it checks nothing", name)
 		}
 		for step, m := range []*cluster.Machine{base, m, base} {
-			got := make([]float64, p)
-			ex.Price(m).Exits(arrival, got)
+			got := exitsOf(t, m, p, arrival, ex)
 			if !slices.Equal(bits(got), bits(want(m))) {
 				t.Errorf("%s, pricing %d: exits %v, AlltoallvExits %v", name, step, got, want(m))
 			}

@@ -11,8 +11,9 @@ import (
 // The collective cost policy: TreeCost and the all-to-all pieces below
 // (reached through AlltoallvExits and AlltoallvPattern.Price) are the
 // only place the repository prices a collective. The rendezvous below
-// and the lockstep executor charge through them and the applications'
-// predictors call them, so simulator and surrogate cannot drift apart.
+// and the lockstep executor charge through them and the POP and SLES
+// predictors call TreeCost, so simulator and surrogate cannot drift
+// apart.
 
 // worstLink returns the most expensive link class a collective over n
 // ranks of m uses: the inter-node link when the ranks span several
@@ -74,7 +75,7 @@ func NewAlltoallvScratch(n int) *AlltoallvScratch {
 // whether an exchange is priced from dense rows at the rendezvous or
 // once, from a frozen sparse pattern, per machine: begin, addRow over
 // the sources in ascending order, and settle accumulate each rank's
-// terms; exitStep turns them into exit clocks.
+// terms; exitAt turns them into exit clocks.
 
 // begin clears the accumulators of the first n ranks.
 func (sc *AlltoallvScratch) begin(n int) {
@@ -136,14 +137,6 @@ func (sc *AlltoallvScratch) settle(m *cluster.Machine, n int) (lat float64) {
 	return link.Latency * log2ceil(n)
 }
 
-// exitStep writes the clock at which each rank leaves an exchange
-// whose last participant arrived at base.
-func exitStep(base, lat float64, cost, mo, exits []float64) {
-	for i, c := range cost {
-		exits[i] = exitAt(base, lat, c, mo[i])
-	}
-}
-
 // exitAt is the clock at which a rank with serialisation cost cost and
 // message overheads mo leaves an all-to-all whose latency term is lat
 // and whose last participant arrived at base.
@@ -172,7 +165,9 @@ func AlltoallvExits(m *cluster.Machine, rows [][]int, base float64, exits []floa
 		sc.addRow(m, src, nil, row)
 	}
 	lat := sc.settle(m, n)
-	exitStep(base, lat, sc.cost[:n], sc.mo[:n], exits)
+	for i, c := range sc.cost[:n] {
+		exits[i] = exitAt(base, lat, c, sc.mo[i])
+	}
 	return sc.total
 }
 
@@ -203,8 +198,9 @@ func priceKeyOf(m *cluster.Machine, n int) priceKey {
 }
 
 // PricedAlltoallv is an AlltoallvPattern priced for one machine: what
-// the exchange charges each rank on top of the latest arrival. It is
-// immutable, so jobs and predictors share it freely.
+// the exchange charges each rank on top of the latest arrival, read by
+// Lockstep.AlltoallvPriced. It is immutable, so concurrent jobs share
+// it freely.
 type PricedAlltoallv struct {
 	key      priceKey
 	lat      float64
@@ -240,13 +236,6 @@ func (pt *AlltoallvPattern) Price(m *cluster.Machine) *PricedAlltoallv {
 	pr := &PricedAlltoallv{key: key, lat: lat, cost: sc.cost, mo: sc.mo, total: sc.total}
 	pt.priced.Store(pr)
 	return pr
-}
-
-// Exits writes into exits[i] the clock at which rank i leaves the
-// exchange when its last participant arrives at base: what
-// AlltoallvExits writes for the same entries on the same machine.
-func (pr *PricedAlltoallv) Exits(base float64, exits []float64) {
-	exitStep(base, pr.lat, pr.cost, pr.mo, exits)
 }
 
 // collKind names one of the closed set of collective operations.

@@ -418,7 +418,8 @@ func TestAlltoallvPricedEqualsBytesRow(t *testing.T) {
 
 // TestAlltoallvPricingRaceFree prices one pattern from several
 // goroutines on two machines at once; every pricing must be the one
-// its machine's dense rows give.
+// its machine's dense rows give, read as the clocks at which a
+// lockstep job's ranks leave the priced exchange.
 func TestAlltoallvPricingRaceFree(t *testing.T) {
 	const n = 16
 	rows := skewedRows(n)
@@ -434,10 +435,16 @@ func TestAlltoallvPricingRaceFree(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got := make([]float64, n)
 			for k := 0; k < 50; k++ {
 				i := (g + k) % len(machines)
-				pt.Price(machines[i]).Exits(0, got)
+				job, err := AcquireLockstep(machines[i], n)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				job.AlltoallvPriced(pt.Price(machines[i]))
+				got := job.Stats().RankClocks
+				job.Release()
 				if !reflect.DeepEqual(got, want[i]) {
 					t.Errorf("goroutine %d: %s priced %v, want %v", g, machines[i], got, want[i])
 					return

@@ -101,42 +101,6 @@ func TestSLESRankingTracksSimulation(t *testing.T) {
 	checkRanking(t, names, predicted, measured, 0.10, 0.8)
 }
 
-func TestGS2RankingTracksSimulation(t *testing.T) {
-	base := gs2.DefaultConfig()
-	base.Steps = 10
-	model := gs2.NewPredictor(base, gs2.LinuxCluster)
-	sp := gs2.ResolutionSpace(64)
-
-	cands := []map[string]string{
-		{"negrid": "16", "ntheta": "26", "nodes": "32"},
-		{"negrid": "8", "ntheta": "16", "nodes": "32"},
-		{"negrid": "32", "ntheta": "80", "nodes": "32"},
-		{"negrid": "16", "ntheta": "26", "nodes": "4"},
-		{"negrid": "16", "ntheta": "26", "nodes": "62"},
-		{"negrid": "24", "ntheta": "40", "nodes": "16"},
-		{"negrid": "8", "ntheta": "80", "nodes": "8"},
-		{"negrid": "32", "ntheta": "16", "nodes": "48"},
-	}
-	names := make([]string, len(cands))
-	predicted := make([]float64, len(cands))
-	measured := make([]float64, len(cands))
-	for i, values := range cands {
-		pt, cfg := decode(t, sp, values)
-		v, ok := model.Predict(pt, cfg)
-		if !ok || v <= 0 {
-			t.Fatalf("model declined %v", values)
-		}
-		c := base
-		c.Negrid, c.Ntheta = atoi(t, values["negrid"]), atoi(t, values["ntheta"])
-		real, err := gs2.Run(gs2.LinuxCluster(atoi(t, values["nodes"])), c)
-		if err != nil {
-			t.Fatalf("run %v: %v", values, err)
-		}
-		names[i], predicted[i], measured[i] = fmt.Sprint(values), v, real
-	}
-	checkRanking(t, names, predicted, measured, 0.10, 0.8)
-}
-
 func TestPOPRankingTracksSimulation(t *testing.T) {
 	base := pop.DefaultConfig(720, 480)
 	base.Steps, base.BarotropicIters = 2, 4
@@ -190,16 +154,15 @@ func TestPredictionsDeterministic(t *testing.T) {
 // A space that lacks one expected parameter is as foreign as one that
 // lacks them all. A parameter with the expected name but declared as
 // an enum reads as the integer its value spells (a client may declare
-// negrid as the enum 8, 16, 32) and declines when it spells none, or
-// spells a weight no SLES space holds.
+// by as the enum 100, 200) and declines when it spells none, or spells
+// a weight no SLES space holds.
 func TestForeignSpaceDeclined(t *testing.T) {
-	models := map[string]core.Surrogate{"sles": For("fig2-sles"), "gs2": For("table3-gs2"), "pop": For("fig4-pop")}
+	models := map[string]core.Surrogate{"sles": For("fig2-sles"), "pop": For("fig4-pop")}
 	predict := func(model string, params []space.Param, values map[string]string) (float64, bool) {
 		pt, cfg := decode(t, space.MustNew(params...), values)
 		return models[model].Predict(pt, cfg)
 	}
 	block := map[string]string{"bx": "180", "by": "100"}
-	res := map[string]string{"negrid": "16", "ntheta": "26", "nodes": "32"}
 	weights := map[string]string{"w1": "500", "w2": "20", "w3": "500", "w4": "500"}
 	slesParams := petscsim.NewSLESApp(600, 4, 3, 60, 11).Space().Params()
 	enumFor := func(ps []space.Param, name string, values ...string) []space.Param {
@@ -212,17 +175,17 @@ func TestForeignSpaceDeclined(t *testing.T) {
 		return out
 	}
 
-	for _, model := range []string{"sles", "gs2"} {
-		if _, ok := predict(model, pop.BlockSpace().Params(), block); ok {
-			t.Errorf("%s model accepted a POP block configuration", model)
-		}
+	if _, ok := predict("sles", pop.BlockSpace().Params(), block); ok {
+		t.Error("sles model accepted a POP block configuration")
+	}
+	if _, ok := predict("pop", slesParams, weights); ok {
+		t.Error("pop model accepted an SLES weight configuration")
 	}
 	for _, c := range []struct {
 		model  string
 		params []space.Param
 		values map[string]string
 	}{
-		{"gs2", gs2.ResolutionSpace(64).Params()[:2], res},
 		{"pop", pop.BlockSpace().Params()[:1], block},
 		{"sles", slesParams[:3], weights},
 	} {
@@ -237,7 +200,6 @@ func TestForeignSpaceDeclined(t *testing.T) {
 		name      string
 		enum, bad []string // declarations of name; bad[0] is the value taken
 	}{
-		{"gs2", gs2.ResolutionSpace(64).Params(), res, "negrid", []string{"8", "16", "32"}, []string{"fine", "coarse"}},
 		{"pop", pop.BlockSpace().Params(), block, "by", []string{"100", "200"}, []string{"tall"}},
 		{"sles", slesParams, weights, "w2", []string{"20", "40"}, []string{"0", "20"}},
 	} {
@@ -274,24 +236,21 @@ func TestSLESModelDeclinesOtherRankCounts(t *testing.T) {
 	}
 }
 
+// TestRegistryResolvesCampaignNames: the SLES and POP campaign names
+// resolve to a model, and GS2's do not. GS2's closed form agreed with
+// its simulator to 5e-5, so screening with it pruned by the objective
+// itself; a GS2 name is as unmodelled as the cavity's.
 func TestRegistryResolvesCampaignNames(t *testing.T) {
-	for _, name := range []string{"fig2-sles-seed11", "petsc-decomposition", "gs2-table3", "fig4-pop-blocks"} {
+	for _, name := range []string{"fig2-sles-seed11", "petsc-decomposition", "fig4-pop-blocks"} {
 		if For(name) == nil {
 			t.Errorf("no surrogate for %q", name)
 		}
 	}
-	if For("cavity-snes") != nil {
-		t.Error("unexpected surrogate for unmodelled app")
+	for _, name := range []string{"gs2-table3", "table3-gs2", "fig6-gs2", "cavity-snes"} {
+		if For(name) != nil {
+			t.Errorf("unexpected surrogate for unmodelled app %q", name)
+		}
 	}
-}
-
-func atoi(t *testing.T, s string) int {
-	t.Helper()
-	var n int
-	if _, err := fmt.Sscan(s, &n); err != nil {
-		t.Fatalf("atoi %q: %v", s, err)
-	}
-	return n
 }
 
 // slesPredictByScan is the predictor as it was before it read the
@@ -391,11 +350,6 @@ func goldenSample(sp *space.Space, count int) []space.Point {
 // mirror, so any change of formula, accumulation order or association
 // on the shared path shows up here.
 func TestPredictionGoldens(t *testing.T) {
-	var layouts []string
-	for _, l := range gs2.Layouts() {
-		layouts = append(layouts, string(l))
-	}
-	gs2Layouts := space.MustNew(append(gs2.ResolutionSpace(64).Params(), space.EnumParam("layout", layouts...))...)
 	for _, c := range []struct {
 		app  string
 		sp   *space.Space
@@ -408,18 +362,6 @@ func TestPredictionGoldens(t *testing.T) {
 			0x3f83392361a0ffc3, 0x3f805beb5da6f2ea, 0x3f80434992abde81, 0x3f8033baf7868e3e,
 			0x3f80397e50e8d0ba, 0x3f83edfbc836ca0d, 0x3f8168ff63d7e508, 0x3f80b2c79537485f,
 			0x3f80aee3ee6df44e, 0x3f80ab0047a4a03d, 0x3f80a868831e6833, 0x3f851ce0ace82b87,
-		}},
-		{"table3-gs2", gs2.ResolutionSpace(64), []uint64{
-			0x40381cf40df512ac, 0x406f066a859997bb, 0x405b116488563a0e, 0x4065e45207b52c37,
-			0x405440361c36b5ae, 0x4063a3aba653bced, 0x406b13cfc605fc08, 0x40663f812bf056fc,
-			0x4063a08e1f8d7738, 0x405a330bfed6d09d, 0x406868c8f316961c, 0x406f8dd64230d7e4,
-			0x4062f9cc74b4d9b7, 0x406288169b1cc28b, 0x405632a1e412c74d, 0x4061bd6ecb37a1cd,
-			0x406f2a7bc60ded60, 0x405daa14be2bfde4, 0x4058eb8dd5ea99b6, 0x405198ee7ba203a0,
-		}},
-		{"table3-gs2", gs2Layouts, []uint64{
-			0x40381cf40df512ac, 0x4048fe98a2cec414, 0x405525d3ec77d814, 0x404b5bec096da0b2,
-			0x4031a13890a08cdc, 0x4063a3aba653bced, 0x40448bc83e7cb84c, 0x40418454922ae831,
-			0x40623030141daef9, 0x403a428a53d13ac8, 0x40411934468c94b2, 0x4054d2bb01275bfd,
 		}},
 		{"fig4-pop", pop.BlockSpace(), []uint64{
 			0x3fb4052b4cb57344, 0x3fc5926d8a6b57d7, 0x3fce4074acd919dd, 0x3fd3c40f32e045ca,
@@ -482,11 +424,6 @@ func TestSurrogatePricesWhatSimulatorCharges(t *testing.T) {
 			pattern.Start[src+1] = len(pattern.Dst)
 		}
 		priced := pattern.Price(m)
-		pricedExits := make([]float64, n)
-		priced.Exits(0, pricedExits)
-		if !reflect.DeepEqual(pricedExits, exits) {
-			t.Errorf("priced on %s: exits %v, cost function says %v", m, pricedExits, exits)
-		}
 		// A neighbour exchange: a few partners per rank on and off its
 		// node, unequal volumes, and ranks that send to nobody.
 		halo := &simmpi.NeighbourPattern{Start: make([]int, n+1)}

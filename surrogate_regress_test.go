@@ -28,13 +28,13 @@ import (
 
 // surrogateCampaigns attaches a surrogate model to two campaigns of
 // campaign_regress_test.go, the Fig. 2 PETSc decomposition by PRO and
-// the Table 3 GS2 resolution sweep, so the only variable is the
-// pruning layer.
+// the Fig. 4 POP block sweep by the simplex, so the only variable is
+// the pruning layer and both registry predictors are exercised.
 func surrogateCampaigns(model func(string) core.Surrogate, workers int) map[string]paper.Campaign {
 	out := map[string]paper.Campaign{}
 	for name, pin := range map[string]struct{ campaign, model string }{
-		"fig2-pro-surrogate":   {"fig2-small-pro-seq", "fig2-sles"},
-		"table3-gs2-surrogate": {"table3-gs2-resolution", "table3-gs2"},
+		"fig2-pro-surrogate": {"fig2-small-pro-seq", "fig2-sles"},
+		"fig4-pop-surrogate": {"fig4-pop-blocks", "fig4-pop"},
 	} {
 		c := campaigns()[pin.campaign]()
 		c.Options.Workers = workers
@@ -48,8 +48,8 @@ func surrogateCampaigns(model func(string) core.Surrogate, workers int) map[stri
 // pruning decisions depend only on the model and the proposal stream,
 // so workers=1 and workers=4 must produce byte-identical fingerprints.
 var surrogateGoldens = map[string]string{
-	"fig2-pro-surrogate":   "runs=40 proposals=76 failures=0 best=570,494,499,323 bestValue=3f7d06096fbfc88b bestAtRun=21 cost=3fd28e5540089596 trials=de71d22e453f2e16",
-	"table3-gs2-surrogate": "runs=6 proposals=217 failures=0 best=0,0,62 bestValue=403be612cdd61694 bestAtRun=2 cost=406749ccedb9814b trials=65f68143b8c4929d",
+	"fig2-pro-surrogate": "runs=40 proposals=76 failures=0 best=570,494,499,323 bestValue=3f7d06096fbfc88b bestAtRun=21 cost=3fd28e5540089596 trials=de71d22e453f2e16",
+	"fig4-pop-surrogate": "runs=6 proposals=25 failures=0 best=5,0 bestValue=3fa008f227c500be bestAtRun=6 cost=3fcbfc096475536c trials=18b44629e35df28e",
 }
 
 func TestSurrogateCampaignFingerprints(t *testing.T) {
