@@ -17,20 +17,11 @@
 // protocols: the JSON line protocol and the pipelined binary frame
 // protocol, distinguished by the first byte each connection sends.
 //
-// With -surrogate the server screens proposals of sessions that
-// registered with the surrogate flag through the analytic performance
-// models of the SLES and POP workloads (a session of any other app,
-// GS2 included, runs unscreened): confidently-worse configurations
-// are answered to the search at their predicted value without being
-// handed to any client, and best replies always come from genuine
-// measurements. Each session chooses the fraction of a round that is
-// actually evaluated when it registers.
-//
 // Usage:
 //
 //	harmonyd [-addr host:port] [-quiet] [-cache file]
 //	         [-session-timeout d] [-report-timeout d] [-max-reissues n]
-//	         [-stats-interval d] [-surrogate]
+//	         [-stats-interval d]
 //
 // Sessions that register with the async flag run the pipelined
 // dispatch: the server keeps a bounded window of candidates in flight
@@ -52,7 +43,6 @@ import (
 
 	"harmony/internal/history"
 	"harmony/internal/server"
-	"harmony/internal/surrogate"
 )
 
 func main() {
@@ -75,7 +65,6 @@ func run(args []string, listening func(net.Addr)) error {
 	reportTimeout := fs.Duration("report-timeout", 0, "re-issue configurations whose reports are overdue by this much (0 = wait forever)")
 	maxReissues := fs.Int("max-reissues", 0, "straggler re-issues before a configuration is forfeited (0 = default)")
 	statsInterval := fs.Duration("stats-interval", 0, "dump server counters (and apply deadlines) this often (0 = only on shutdown)")
-	surrogateOn := fs.Bool("surrogate", false, "screen proposals of surrogate-flagged sessions with the analytic models of the SLES and POP workloads (other sessions, GS2's included, run unscreened)")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits, Parse never returns an error
 
 	s := server.New()
@@ -85,9 +74,6 @@ func run(args []string, listening func(net.Addr)) error {
 	s.SessionTimeout = *sessionTimeout
 	s.ReportTimeout = *reportTimeout
 	s.MaxReissues = *maxReissues
-	if *surrogateOn {
-		s.Surrogate = surrogate.For
-	}
 
 	var evalCache *history.EvalCache
 	if *cachePath != "" {

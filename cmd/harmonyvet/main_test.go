@@ -303,10 +303,11 @@ var seededDefects = []struct {
 		"\t\t\tres.SurrogatePruned++\n",
 		"\t\t\tres.SurrogatePruned++\n\t\t\tif c.Predicted < res.BestValue {\n\t\t\t\tres.BestValue = c.Predicted\n\t\t\t}\n",
 		"res.BestValue = c.Predicted"},
-	// An on-line session caching a pruned candidate's prediction.
+	// An on-line session caching a pruned candidate's prediction, in a
+	// branch only a session with a surrogate gate would reach.
 	{"prunepurity", "internal/server/window.go",
-		"\tcase core.Pruned:\n\t\tst.surrogatePruned.Add(1)\n",
-		"\tcase core.Pruned:\n\t\tst.surrogatePruned.Add(1)\n\t\tif ss.cache != nil {\n\t\t\tss.cache.Store(c.Pt, c.Predicted)\n\t\t}\n",
+		"\tcase core.Forfeited:\n",
+		"\tcase core.Pruned:\n\t\tif ss.cache != nil {\n\t\t\tss.cache.Store(c.Pt, c.Predicted)\n\t\t}\n\tcase core.Forfeited:\n",
 		"ss.cache.Store(c.Pt, c.Predicted)"},
 }
 

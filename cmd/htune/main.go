@@ -9,7 +9,7 @@
 // Usage:
 //
 //	htune [-history file] [-cache file] [-workers N] [-async] [-async-depth N]
-//	      [-run-timeout d] [-surrogate] [-metrics] [-v] spec.json
+//	      [-run-timeout d] [-metrics] [-v] spec.json
 //
 // Specification format:
 //
@@ -73,7 +73,6 @@ import (
 	"harmony/internal/proto"
 	"harmony/internal/search"
 	"harmony/internal/space"
-	"harmony/internal/surrogate"
 )
 
 // Spec is the htune input file.
@@ -90,17 +89,15 @@ type Spec struct {
 
 // cliOptions collects the command-line knobs passed down to run.
 type cliOptions struct {
-	historyPath   string
-	cachePath     string
-	cacheNS       string
-	workers       int
-	async         bool
-	asyncDepth    int
-	runTimeout    time.Duration
-	surrogate     bool
-	surrogateKeep float64
-	metrics       bool
-	verbose       bool
+	historyPath string
+	cachePath   string
+	cacheNS     string
+	workers     int
+	async       bool
+	asyncDepth  int
+	runTimeout  time.Duration
+	metrics     bool
+	verbose     bool
 }
 
 func main() {
@@ -113,15 +110,13 @@ func main() {
 	flag.BoolVar(&opts.async, "async", false, "bound the window at -async-depth and let pipelined strategies issue ahead, instead of draining each round before the next")
 	flag.IntVar(&opts.asyncDepth, "async-depth", 0, "window bound under -async: issued configurations awaiting their result (0 = default)")
 	flag.DurationVar(&opts.runTimeout, "run-timeout", 0, "kill a benchmarking run exceeding this and count it failed (0 = no limit)")
-	flag.BoolVar(&opts.surrogate, "surrogate", false, "screen proposals with the analytic performance model for the spec's app: only the top-ranked fraction of each round is actually run (SLES/PETSc and POP apps are modelled; any other app, GS2 included, is an error)")
-	flag.Float64Var(&opts.surrogateKeep, "surrogate-keep", 0, "fraction of each proposal round the surrogate actually runs, 0 < keep <= 1 (0 = default)")
 	flag.BoolVar(&opts.metrics, "metrics", false, "append a machine-readable htune.<name> <value> summary")
 	flag.BoolVar(&opts.verbose, "v", false, "log each run")
 	flag.StringVar(&cpuprofile, "cpuprofile", "", "write a CPU profile of the tuning session to this file")
 	flag.StringVar(&memprofile, "memprofile", "", "write a heap profile taken at session end to this file")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: htune [-history file] [-cache file] [-cache-ns name] [-workers N] [-async] [-async-depth N] [-run-timeout d] [-surrogate] [-surrogate-keep f] [-metrics] [-cpuprofile file] [-memprofile file] [-v] spec.json")
+		fmt.Fprintln(os.Stderr, "usage: htune [-history file] [-cache file] [-cache-ns name] [-workers N] [-async] [-async-depth N] [-run-timeout d] [-metrics] [-cpuprofile file] [-memprofile file] [-v] spec.json")
 		os.Exit(2)
 	}
 	stopProfiles, err := profile.Start(cpuprofile, memprofile)
@@ -187,13 +182,6 @@ func run(specPath string, cli cliOptions) error {
 		MaxRuns: spec.MaxRuns, Workers: cli.workers,
 		Async: cli.async, AsyncDepth: cli.asyncDepth,
 	}
-	if cli.surrogate {
-		model := surrogate.For(spec.App)
-		if model == nil {
-			return fmt.Errorf("-surrogate: no analytic model covers app %q", spec.App)
-		}
-		opt.Surrogate = &core.SurrogateOptions{Model: model, Keep: cli.surrogateKeep}
-	}
 	var evalCache *history.EvalCache
 	if cli.cachePath != "" {
 		evalCache, err = history.OpenEvalCache(cli.cachePath)
@@ -229,10 +217,6 @@ func run(specPath string, cli cliOptions) error {
 	if cli.workers > 1 {
 		fmt.Printf("  window: worker occupancy %.0f%%, %d starved refills, %d idle slots\n",
 			100*res.WorkerOccupancy, res.QueueStarved, res.IdleSlots)
-	}
-	if cli.surrogate {
-		fmt.Printf("  surrogate: %d proposals pruned by the model, %d run, %d fallbacks\n",
-			res.SurrogatePruned, res.SurrogateKept, res.SurrogateFallbacks)
 	}
 	if evalCache != nil {
 		fmt.Printf("  evaluation cache: %d hits, %d misses (%d entries)\n", res.CacheHits, res.CacheMisses, evalCache.Len())
@@ -270,9 +254,6 @@ func writeMetrics(w io.Writer, spec Spec, res *core.Result) {
 	fmt.Fprintf(w, "htune.tuning_cost_s %g\n", res.TuningCost)
 	fmt.Fprintf(w, "htune.cache.hits %d\n", res.CacheHits)
 	fmt.Fprintf(w, "htune.cache.misses %d\n", res.CacheMisses)
-	fmt.Fprintf(w, "htune.surrogate.pruned %d\n", res.SurrogatePruned)
-	fmt.Fprintf(w, "htune.surrogate.kept %d\n", res.SurrogateKept)
-	fmt.Fprintf(w, "htune.surrogate.fallbacks %d\n", res.SurrogateFallbacks)
 	fmt.Fprintf(w, "htune.worker_occupancy %g\n", res.WorkerOccupancy)
 	fmt.Fprintf(w, "htune.queue_starved %d\n", res.QueueStarved)
 	fmt.Fprintf(w, "htune.idle_slots %d\n", res.IdleSlots)

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -186,26 +188,38 @@ func TestHtuneParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestHtuneSurrogateNeedsAModel: -surrogate on an app no analytic
-// model covers fails before any run, and GS2 is such an app (its
-// closed form was its simulator). A modelled app's name is accepted:
-// its model declines the foreign space, so every run goes ahead.
+// TestHtuneSurrogateNeedsAModel: htune has no model to screen with —
+// screening needs a model that a campaign builds itself
+// (core.SurrogateOptions) — so -surrogate is refused as an unknown
+// flag before any run, and an app that -surrogate once refused for
+// want of a model, gs2-table3, runs like any other.
 func TestHtuneSurrogateNeedsAModel(t *testing.T) {
+	if spec := os.Getenv("HTUNE_MAIN_SPEC"); spec != "" {
+		os.Args = []string{"htune", "-surrogate", spec}
+		main()
+		return
+	}
 	dir := t.TempDir()
 	spec := writeSpec(t, dir, func(s *Spec) { s.App = "gs2-table3" })
-	err := run(spec, cliOptions{surrogate: true})
-	if err == nil || !strings.Contains(err.Error(), "no analytic model covers app") {
-		t.Errorf("gs2-table3 with -surrogate: error %v, want no model named", err)
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHtuneSurrogateNeedsAModel$")
+	cmd.Env = append(os.Environ(), "HTUNE_MAIN_SPEC="+spec)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("htune -surrogate: %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -surrogate") {
+		t.Errorf("htune -surrogate output does not name the unknown flag:\n%s", out)
 	}
 	if _, err := os.Stat("/bin/sh"); err != nil {
 		t.Skip("no /bin/sh")
 	}
 	spec = writeSpec(t, dir, func(s *Spec) {
-		s.App = "fig4-pop"
+		s.App = "gs2-table3"
 		s.MaxRuns = 5
 	})
-	if err := run(spec, cliOptions{surrogate: true}); err != nil {
-		t.Errorf("fig4-pop with -surrogate: %v", err)
+	if err := run(spec, cliOptions{}); err != nil {
+		t.Errorf("gs2-table3: %v", err)
 	}
 }
 

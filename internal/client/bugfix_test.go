@@ -3,7 +3,6 @@ package client
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net"
@@ -24,25 +23,6 @@ func TestReportNonFiniteSucceeds(t *testing.T) {
 		if err := sess.Report(v); err != nil {
 			t.Errorf("Report(%v): %v", v, err)
 		}
-	}
-}
-
-// TestMarshalErrorNotRetryable pins roundTrip's retry classifier: an
-// encoding failure is a programming fault, not a transport fault, and
-// must not burn the reconnect budget re-encoding the same message.
-func TestMarshalErrorNotRetryable(t *testing.T) {
-	marshal := fmt.Errorf("proto: marshal: %w (boom)", proto.ErrMarshal)
-	if retryable(marshal) {
-		t.Error("a wrapped proto.ErrMarshal must not be retried")
-	}
-	if !retryable(io.ErrUnexpectedEOF) {
-		t.Error("a transport fault must be retried")
-	}
-	if !retryable(fmt.Errorf("proto: write: %w", io.ErrClosedPipe)) {
-		t.Error("a wrapped transport fault must be retried")
-	}
-	if retryable(nil) {
-		t.Error("success must not loop")
 	}
 }
 

@@ -46,7 +46,6 @@
 package client
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"net"
@@ -153,17 +152,6 @@ type Registration struct {
 	// evaluation cache; sessions in different namespaces never share
 	// measurements. Empty selects the shared namespace.
 	CacheNS string
-	// Surrogate asks the server to screen proposals with its analytic
-	// performance model for App, when it has one: configurations the
-	// model ranks confidently worse are answered to the search at their
-	// predicted value without ever being fetched by a client. Best
-	// always returns a genuinely measured configuration. Servers
-	// without a model for App ignore the flag.
-	Surrogate bool
-	// SurrogateKeep is the fraction of proposals to actually evaluate
-	// when Surrogate is set (0 < keep <= 1); 0 selects the server's
-	// default.
-	SurrogateKeep float64
 	// Async selects the pipelined dispatch: the same fan-out window,
 	// bounded by a depth instead of the round — the server keeps up to
 	// AsyncDepth candidates in flight and every Fetch may receive a
@@ -208,20 +196,18 @@ func register(t transport, reg Registration) (*Session, error) {
 	}
 	s := &Session{t: t}
 	err := t.roundTrip(proto.Message{
-		Type:          proto.TypeRegister,
-		App:           reg.App,
-		Machine:       reg.Machine,
-		Strategy:      reg.Strategy,
-		Space:         proto.EncodeSpace(reg.Space),
-		MaxRuns:       reg.MaxRuns,
-		Reporters:     reg.Reporters,
-		Parallel:      reg.Parallel,
-		Seed:          reg.Seed,
-		CacheNS:       reg.CacheNS,
-		Surrogate:     reg.Surrogate,
-		SurrogateKeep: reg.SurrogateKeep,
-		Async:         reg.Async,
-		AsyncDepth:    reg.AsyncDepth,
+		Type:       proto.TypeRegister,
+		App:        reg.App,
+		Machine:    reg.Machine,
+		Strategy:   reg.Strategy,
+		Space:      proto.EncodeSpace(reg.Space),
+		MaxRuns:    reg.MaxRuns,
+		Reporters:  reg.Reporters,
+		Parallel:   reg.Parallel,
+		Seed:       reg.Seed,
+		CacheNS:    reg.CacheNS,
+		Async:      reg.Async,
+		AsyncDepth: reg.AsyncDepth,
 	}, &s.reply)
 	if err != nil {
 		return nil, err
@@ -244,8 +230,9 @@ func (s *Session) ID() string { return s.id }
 
 // roundTrip sends msg and waits for the reply, applying the
 // configured I/O deadline. A transport failure (timeout, dropped
-// connection) is retried up to Options.Retries times, reconnecting
-// with exponential backoff before each retry and re-sending the same
+// connection; encoding a message cannot fail, so every error is one)
+// is retried up to Options.Retries times, reconnecting with
+// exponential backoff before each retry and re-sending the same
 // message. A server error reply is not a transport failure and is
 // never retried.
 //
@@ -257,11 +244,6 @@ func (s *Session) ID() string { return s.id }
 // The retry is then answered ok, not with the next configuration the
 // lost reply carried, so the next Fetch asks the server, which hands
 // that configuration out again under a new tag.
-//
-// A message that failed to encode (proto.ErrMarshal) is not a
-// transport fault — reconnecting and re-encoding the identical
-// message fails identically — so it is surfaced immediately instead
-// of burning the retry budget.
 func (c *Client) roundTrip(msg proto.Message, reply *proto.Message) error {
 	c.req = msg
 	err := c.try(reply)
@@ -269,7 +251,7 @@ func (c *Client) roundTrip(msg proto.Message, reply *proto.Message) error {
 	if backoff <= 0 {
 		backoff = defaultBackoff
 	}
-	for attempt := 0; retryable(err) && attempt < c.opts.Retries && c.addr != ""; attempt++ {
+	for attempt := 0; err != nil && attempt < c.opts.Retries && c.addr != ""; attempt++ {
 		time.Sleep(backoff)
 		backoff *= 2
 		if rerr := c.connect(); rerr != nil {
@@ -285,14 +267,6 @@ func (c *Client) roundTrip(msg proto.Message, reply *proto.Message) error {
 		return fmt.Errorf("client: server error: %s", reply.Error)
 	}
 	return nil
-}
-
-// retryable reports whether a failed round trip is worth a
-// reconnect-and-resend. Transport faults are; an encoding fault
-// (proto.ErrMarshal) is not, because reconnecting and re-encoding the
-// identical message fails identically.
-func retryable(err error) bool {
-	return err != nil && !errors.Is(err, proto.ErrMarshal)
 }
 
 // try performs one send/receive exchange under the I/O deadline. A

@@ -159,7 +159,7 @@ func (s *tuneScratch) tune(ctx context.Context, sp *space.Space, strat search.St
 	win := &s.win
 	win.Space, win.Strategy = sp, search.Rounds(strat)
 	win.MaxRuns, win.MaxProposals = opt.MaxRuns, opt.MaxProposals
-	win.Gate, win.Cache = NewSurrogateGate(opt.Surrogate), opt.Cache
+	win.gate, win.Cache = newSurrogateGate(opt.Surrogate), opt.Cache
 	win.Depth, win.GroupMax, win.Memo = Unbounded, Unbounded, true
 	capacity := workers
 	if opt.Async {

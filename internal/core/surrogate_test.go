@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"harmony/internal/history"
 	"harmony/internal/search"
 	"harmony/internal/space"
 )
@@ -279,5 +282,185 @@ func TestSurrogateInRoundDuplicateOfPrunedPoint(t *testing.T) {
 		if len(strat.reported) != 5 || strat.reported[2] != first.Value {
 			t.Fatalf("workers=%d: strategy saw %v, want the prediction at position 2", workers, strat.reported)
 		}
+	}
+}
+
+// scoreTable is a surrogate that knows exactly the points of a script
+// and declines every other.
+type scoreTable map[string]float64
+
+func (m scoreTable) Predict(pt space.Point, _ space.Config) (float64, bool) {
+	v, ok := m[pt.Key()]
+	return v, ok
+}
+
+// measuring returns parBowl and the log of the points it measured, in
+// the order the evaluations ran.
+func measuring() (Objective, *[]string) {
+	var mu sync.Mutex
+	var log []string
+	return func(ctx context.Context, cfg space.Config) (float64, error) {
+		mu.Lock()
+		log = append(log, cfg.Format())
+		mu.Unlock()
+		return parBowl(ctx, cfg)
+	}, &log
+}
+
+// TestSurrogateRoundQuota: the gate keeps the top keepFraction of a
+// round by the scores of the whole round, not candidate by candidate,
+// and a round with a member the model declines is simulated whole and
+// counts one fallback.
+func TestSurrogateRoundQuota(t *testing.T) {
+	sp := parallelSpace(t)
+	model := scoreTable{}
+	var first []space.Point
+	for i := int64(1); i <= 10; i++ {
+		// Scores 1000, 900, ..., 100: each better than the last, so the
+		// single-proposal rule would keep all ten. The quota keeps two.
+		pt := space.Point{i, 0, 0}
+		first = append(first, pt)
+		model[pt.Key()] = float64(1100 - 100*i)
+	}
+	second := []space.Point{{20, 0, 0}, {21, 0, 0}, {22, 0, 0}} // the model declines {21,0,0}
+	model[second[0].Key()], model[second[2].Key()] = 50, 60
+	obj, measured := measuring()
+	strat := &scriptedRounds{rounds: [][]space.Point{first, second}}
+	res, err := Tune(context.Background(), sp, strat, obj, Options{Surrogate: &SurrogateOptions{Model: model}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"x=10 y=0 z=0", "x=20 y=0 z=0", "x=21 y=0 z=0", "x=22 y=0 z=0", "x=9 y=0 z=0"}
+	if slices.Sort(*measured); !slices.Equal(*measured, want) {
+		t.Errorf("measured %v, want the quota's best two of round 1 and all of round 2 %v", *measured, want)
+	}
+	if res.Runs != 5 || res.SurrogateKept != 2 || res.SurrogatePruned != 8 || res.SurrogateFallbacks != 1 {
+		t.Errorf("runs/kept/pruned/fallbacks = %d/%d/%d/%d, want 5/2/8/1",
+			res.Runs, res.SurrogateKept, res.SurrogatePruned, res.SurrogateFallbacks)
+	}
+	for i, pt := range first[:8] {
+		if strat.reported[i] != model[pt.Key()] {
+			t.Errorf("pruned %v reported to the strategy at %v, want its prediction %v", pt, strat.reported[i], model[pt.Key()])
+		}
+	}
+}
+
+// TestSurrogateClassificationOrder pins where the gate stands in the
+// one classification order — gate, run budget, cache, work. The
+// script proposes, one per round: a first point (always kept), a
+// cached point the gate rejects, a cached point the gate keeps, and an
+// uncached point the gate rejects only if the kept cached point's
+// score was committed.
+//
+//   - The rejected cached point is pruned, costs no run and is never
+//     looked up: the gate decides what is charged, the cache answers
+//     only what is charged.
+//   - The kept cached point is charged, answered by the cache, and its
+//     score is committed — so the last point (score 90 against a
+//     committed best of 50, not 100) is pruned too.
+func TestSurrogateClassificationOrder(t *testing.T) {
+	sp := parallelSpace(t)
+	first, rejectedCached, keptCached, last := space.Point{20, 20, 20}, space.Point{0, 0, 0}, space.Point{25, 5, 5}, space.Point{24, 5, 5}
+	ec := history.NewEvalCache()
+	cache := ec.Bound("bowl", "m", sp)
+	cache.Store(rejectedCached, 7)
+	cache.Store(keptCached, 8)
+	obj, measured := measuring()
+	res, err := Tune(context.Background(), sp,
+		&scriptedRounds{rounds: [][]space.Point{{first}, {rejectedCached}, {keptCached}, {last}}}, obj,
+		Options{Cache: cache, Surrogate: &SurrogateOptions{Model: scoreTable{
+			first.Key(): 100, rejectedCached.Key(): 500, keptCached.Key(): 50, last.Key(): 90,
+		}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"x=20 y=20 z=20"}; !slices.Equal(*measured, want) {
+		t.Errorf("measured %v, want %v", *measured, want)
+	}
+	hits, misses := ec.Counters()
+	if res.Runs != 2 || res.SurrogatePruned != 2 || res.SurrogateKept != 2 || hits != 1 || misses != 1 {
+		t.Errorf("runs %d, pruned %d, kept %d, cache hits %d, misses %d; want 2, 2, 2, 1 (the kept cached point) and 1 (first)",
+			res.Runs, res.SurrogatePruned, res.SurrogateKept, hits, misses)
+	}
+}
+
+// TestSurrogatePredictionsNeverMeasured: a model whose scores are a
+// thousandth of the truth answers every pruned proposal below any
+// measurement, yet no prediction reaches the cache, Best, FirstValue
+// or the run cost; only the strategy hears of them.
+func TestSurrogatePredictionsNeverMeasured(t *testing.T) {
+	sp := parallelSpace(t)
+	tiny := modelFunc(func(_ space.Point, cfg space.Config) (float64, bool) {
+		v, _ := parBowl(context.Background(), cfg)
+		return v / 1000, true
+	})
+	var round []space.Point
+	for i := int64(0); i < 10; i++ {
+		round = append(round, space.Point{41 - 4*i, 13, 27})
+	}
+	for _, workers := range []int{1, 4} {
+		ec := history.NewEvalCache()
+		cache := ec.Bound("bowl", "m", sp)
+		strat := &scriptedRounds{rounds: [][]space.Point{round}}
+		res, err := Tune(context.Background(), sp, strat, parBowl,
+			Options{Workers: workers, RunOverhead: 3, Cache: cache, Surrogate: &SurrogateOptions{Model: tiny}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SurrogatePruned != 8 || res.Runs != 2 {
+			t.Fatalf("workers=%d: pruned %d, runs %d; want the quota's 8 and 2", workers, res.SurrogatePruned, res.Runs)
+		}
+		// The kept two are the best-scored: {41,13,27} (1) and {37,13,27} (17).
+		if res.BestValue != 1 || res.FirstValue != 1 || res.TuningCost != 1+17+2*3 {
+			t.Errorf("workers=%d: best %v, first %v, cost %v; want the measured 1, 1 and 24",
+				workers, res.BestValue, res.FirstValue, res.TuningCost)
+		}
+		a, _ := cache.Lookup(round[0])
+		b, _ := cache.Lookup(round[1])
+		if ec.Len() != 2 || a != 1 || b != 17 {
+			t.Errorf("workers=%d: cache holds %d entries (%v, %v), want only the two measurements 1 and 17", workers, ec.Len(), a, b)
+		}
+		for i, v := range strat.reported[2:] {
+			if want, _ := tiny.Predict(round[i+2], sp.MustDecode(round[i+2])); v != want {
+				t.Errorf("workers=%d: pruned %v reported at %v, want its prediction %v", workers, round[i+2], v, want)
+			}
+		}
+	}
+}
+
+// endlessRounds proposes a fresh point in every round of one and never
+// converges; asks counts how often it was asked.
+type endlessRounds struct {
+	scriptedRounds
+	asks int
+}
+
+func (s *endlessRounds) NextBatch() []space.Point {
+	s.asks++
+	return []space.Point{{int64(s.asks % 61), int64(s.asks / 61 % 61), 0}}
+}
+
+func (s *endlessRounds) ReportBatch([]space.Point, []float64) {}
+
+// TestSurrogateRunawayGuard: a model that rejects everything after the
+// first proposal costs no run, so the run budget alone would let Tune
+// ask forever. The proposal cap — ten proposals per budgeted run —
+// ends it: the strategy is asked exactly that often and one
+// configuration is measured.
+func TestSurrogateRunawayGuard(t *testing.T) {
+	const maxRuns = 3
+	n := 0.0
+	rising := modelFunc(func(space.Point, space.Config) (float64, bool) { n++; return 100 * n, true })
+	strat := &endlessRounds{}
+	res, err := Tune(context.Background(), parallelSpace(t), strat, parBowl,
+		Options{MaxRuns: maxRuns, Surrogate: &SurrogateOptions{Model: rising}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := DefaultMaxProposals(maxRuns); strat.asks != want || res.Proposals != want {
+		t.Errorf("strategy asked %d times, %d proposals; want the cap %d", strat.asks, res.Proposals, want)
+	}
+	if res.Runs != 1 || res.SurrogatePruned != res.Proposals-1 {
+		t.Errorf("runs %d, pruned %d of %d proposals: want one run, the rest pruned", res.Runs, res.SurrogatePruned, res.Proposals)
 	}
 }

@@ -61,7 +61,7 @@ type Options struct {
 	// Surrogate, if non-nil with a Model, turns on model-guided
 	// evaluation pruning: every group of proposals the engine is about
 	// to issue (a whole round; one candidate under Async) is scored
-	// analytically and only the fraction the model ranks best is
+	// analytically and only the fifth the model ranks best is
 	// simulated. Pruned proposals are answered to the search strategy
 	// at their predicted value and recorded as Trial.Pruned, but are
 	// never charged to Runs or TuningCost, never stored in any cache,

@@ -90,10 +90,9 @@ func (c *Candidate[P]) Complete(measured float64) bool {
 type Window[P any] struct {
 	Space        *space.Space
 	Strategy     search.AsyncStrategy
-	MaxRuns      int            // charged candidates the session may issue; 0 = no budget
-	MaxProposals int            // candidates it may issue at all: the runaway guard
-	Gate         *SurrogateGate // nil = no surrogate screening
-	Cache        PointCache     // nil = none; the machine only looks up, drivers store
+	MaxRuns      int        // charged candidates the session may issue; 0 = no budget
+	MaxProposals int        // candidates it may issue at all: the runaway guard
+	Cache        PointCache // nil = none; the machine only looks up, drivers store
 
 	// Depth bounds the candidates awaiting their commit, GroupMax those
 	// classified — and scored by the gate — together: both Unbounded is
@@ -107,6 +106,9 @@ type Window[P any] struct {
 	// Forfeited candidate, so a session serving live clients keeps
 	// moving. Off, the point ends the search with Err.
 	ForfeitUndecodable bool
+	// gate screens every group with Tune's surrogate model (off-line
+	// only: Options.Surrogate); nil issues every group unscreened.
+	gate *surrogateGate
 
 	// State the drivers read and never write.
 	Exhausted bool  // the run budget cut a group; what it could not cover is abandoned
@@ -233,20 +235,20 @@ func (w *Window[P]) issue() {
 	var scores []float64
 	var keep []bool
 	w.cfgs = w.cfgs[:0]
-	if w.Gate != nil {
+	if w.gate != nil {
 		scores = make([]float64, len(w.pts))
 		screened := true
 		for i, pt := range w.pts {
 			if screened = !w.bad[i]; screened {
 				w.cfgs = append(w.cfgs, w.Space.MustDecode(pt))
-				scores[i], screened = w.Gate.Score(pt, w.cfgs[i])
+				scores[i], screened = w.gate.Score(pt, w.cfgs[i])
 			}
 			if !screened {
 				break
 			}
 		}
 		if screened {
-			keep = w.Gate.Keep(scores)
+			keep = w.gate.Keep(scores)
 		} else {
 			w.Fallbacks++
 		}
@@ -316,7 +318,7 @@ func (w *Window[P]) classify(c *Candidate[P], i int, keep []bool) bool {
 	}
 	w.Charged++
 	if keep != nil {
-		w.Gate.Committed(c.Predicted)
+		w.gate.Committed(c.Predicted)
 		c.Kept = true
 	}
 	if w.Memo {

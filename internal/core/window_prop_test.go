@@ -108,7 +108,7 @@ func propSetup(t *testing.T, w *Window[int], mk func(*space.Space, int64) search
 		tape.AsyncStrategy = search.Rounds(strat)
 	}
 	if seed%2 == 1 {
-		w.Gate = NewSurrogateGate(&SurrogateOptions{Model: propModel{}, Keep: 0.5})
+		w.gate = newSurrogateGate(&SurrogateOptions{Model: propModel{}})
 		w.Cache = propCache{}
 	}
 	w.Strategy = tape

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -52,7 +53,7 @@ func TestBinaryMessageRoundTripAllFields(t *testing.T) {
 // order AppendFrame uses, decodes to that message, so tags keep their
 // numbers and a decoder takes fields in any order.
 func TestBinaryTagNumbers(t *testing.T) {
-	const wire = "\x00\x00\x00\x81\x03\x01\x04\x01\aSession\x02\x03App\x03\aMachine\x04\bStrategy\x05\x01\x04Name\x04Kind\x05\a\t\x01\x06Values\x06\x0f\a\x11\b\x13\t\x01\n!\v#\f\x01\x01k\x06Values\r\x01\x16\x01\x0e@5\x80\x00\x00\x00\x00\x00\x0f\x05Error\x10\x03\x11\aCacheNS\x12\x01\x13@+\x00\x00\x00\x00\x00\x00\x14\x01\x15\x1f\x00"
+	const wire = "\x00\x00\x00v\x03\x01\x04\x01\aSession\x02\x03App\x03\aMachine\x04\bStrategy\x05\x01\x04Name\x04Kind\x05\a\t\x01\x06Values\x06\x0f\a\x11\b\x13\t\x01\n\x1d\v\x1f\f\x01\x01k\x06Values\r\x01\x16\x01\x0e@3\x80\x00\x00\x00\x00\x00\x0f\x05Error\x10\x03\x11\aCacheNS\x14\x01\x15\x1b\x00"
 	want := everyField(t)
 	want.Type, want.PerfText = TypeConfig, ""
 	got, err := ReadFrame(bufio.NewReader(strings.NewReader(wire)))
@@ -190,6 +191,25 @@ func TestBinaryFrameMalformed(t *testing.T) {
 	// Clean EOF at a frame boundary is io.EOF, not an error message.
 	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(nil))); err != io.EOF {
 		t.Errorf("empty stream: err = %v, want io.EOF", err)
+	}
+}
+
+// TestRetiredTagsAreUnknown: a register frame of an older peer that
+// carries surrogate (tag 18, a bool) or surrogate_keep (tag 19, raw
+// float64 bits), encoded as that peer encoded them, fails as any
+// unknown field tag does.
+func TestRetiredTagsAreUnknown(t *testing.T) {
+	for tag, value := range map[byte][]byte{
+		18: {1},
+		19: binary.BigEndian.AppendUint64(nil, math.Float64bits(0.3)),
+	} {
+		payload := append([]byte{1, 1, typeCode(TypeRegister), tag}, value...)
+		payload = append(payload, 0)
+		raw := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+		_, err := ReadFrame(bufio.NewReader(bytes.NewReader(raw)))
+		if want := fmt.Sprintf("unknown field tag %d", tag); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("register frame with retired tag %d: err = %v, want %q", tag, err, want)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -31,7 +30,7 @@ func fuzzSeeds() []*Message {
 		{
 			Type: TypeRegister, App: "gs2", Machine: "mcr", Strategy: StrategyPRO,
 			Space: EncodeSpace(sp), Seed: -42, MaxRuns: 64, Reporters: 3, Parallel: true,
-			Seq: 1, CacheNS: "tenant-a", Surrogate: true, SurrogateKeep: 0.25, Async: true, AsyncDepth: 12,
+			Seq: 1, CacheNS: "tenant-a", Async: true, AsyncDepth: 12,
 		},
 		{Type: TypeRegistered, Session: "s17", Seq: 1},
 		{Type: TypeFetch, Session: "s17", Seq: 2},
@@ -69,14 +68,14 @@ func sameFloat(a, b float64) bool {
 	return a == b || math.Float64bits(a) == math.Float64bits(b)
 }
 
-// sameMessage compares two messages field by field, the floats by
+// sameMessage compares two messages field by field, Perf by
 // sameFloat.
 func sameMessage(a, b *Message) bool {
-	if !sameFloat(a.Perf, b.Perf) || !sameFloat(a.SurrogateKeep, b.SurrogateKeep) {
+	if !sameFloat(a.Perf, b.Perf) {
 		return false
 	}
 	x, y := *a, *b
-	x.Perf, y.Perf, x.SurrogateKeep, y.SurrogateKeep = 0, 0, 0, 0
+	x.Perf, y.Perf = 0, 0
 	return reflect.DeepEqual(x, y)
 }
 
@@ -189,13 +188,10 @@ func FuzzReadFrameInto(f *testing.F) {
 
 // FuzzCodecsAgree: every message the binary decoder accepts crosses
 // the JSON line protocol unchanged, so the two codecs carry the same
-// Message. Two kinds of message are skipped, because JSON cannot carry
-// them and the protocol never produces them:
-//   - a string that is not UTF-8: encoding/json replaces invalid bytes
-//     with U+FFFD, while binary frames carry raw bytes;
-//   - a non-finite SurrogateKeep: JSON has no number for it, and Send
-//     refuses the message with ErrMarshal (Perf has PerfText; nothing
-//     else needs one).
+// Message. A message with a string that is not UTF-8 is skipped,
+// because JSON cannot carry it and the protocol never produces it:
+// encoding/json replaces invalid bytes with U+FFFD, while binary frames
+// carry raw bytes.
 //
 // A NaN Perf crosses JSON as the text "NaN", so it comes back as
 // math.NaN() whatever its payload bits were.
@@ -212,9 +208,6 @@ func FuzzCodecsAgree(f *testing.F) {
 			}
 			var buf bytes.Buffer
 			if err := NewConn(rwcloser{strings.NewReader(""), &buf}).Send(m); err != nil {
-				if errors.Is(err, ErrMarshal) && (math.IsInf(m.SurrogateKeep, 0) || math.IsNaN(m.SurrogateKeep)) {
-					continue
-				}
 				t.Fatalf("Send(%+v): %v", m, err)
 			}
 			got, err := NewConn(rwcloser{&buf, io.Discard}).Recv()

@@ -17,7 +17,6 @@
 package proto
 
 import (
-	"encoding/json"
 	"math"
 	"slices"
 	"strconv"
@@ -26,9 +25,9 @@ import (
 )
 
 // appendJSON appends m's canonical line, newline included. A non-finite
-// Perf goes out as perf_text; a non-finite SurrogateKeep has no JSON
-// form and is an error, as it is to encoding/json.
-func appendJSON(buf []byte, m *Message) ([]byte, error) {
+// Perf goes out as perf_text: Perf is the one float member, so every
+// message has a line.
+func appendJSON(buf []byte, m *Message) []byte {
 	perfText := m.PerfText
 	if isNonFinite(m.Perf) {
 		perfText = formatNonFinite(m.Perf)
@@ -38,7 +37,7 @@ func appendJSON(buf []byte, m *Message) ([]byte, error) {
 		key, _, p := m.field(i)
 		switch p := p.(type) {
 		case nil:
-			return append(buf, '}', '\n'), nil
+			return append(buf, '}', '\n')
 		case *string:
 			s := *p
 			if p == &m.PerfText {
@@ -64,14 +63,9 @@ func appendJSON(buf []byte, m *Message) ([]byte, error) {
 				buf = append(appendKey(buf, key), "true"...)
 			}
 		case *float64:
-			v := *p
-			if v == 0 || p == &m.Perf && isNonFinite(v) {
-				break
+			if v := *p; v != 0 && !isNonFinite(v) {
+				buf = appendJSONFloat(appendKey(buf, key), v)
 			}
-			if isNonFinite(v) {
-				return buf, &json.UnsupportedValueError{Str: strconv.FormatFloat(v, 'g', -1, 64)}
-			}
-			buf = appendJSONFloat(appendKey(buf, key), v)
 		case *[]ParamSpec:
 			if len(*p) > 0 {
 				buf = appendJSONSpace(appendKey(buf, key), *p)

@@ -34,7 +34,6 @@ package proto
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -42,13 +41,6 @@ import (
 
 	"harmony/internal/space"
 )
-
-// ErrMarshal wraps message-encoding failures in Send. A marshal error
-// is a programming fault in the caller's message, not a transport
-// fault: reconnect-and-retry loops must give up immediately on it
-// (errors.Is(err, ErrMarshal)) instead of burning their retry budget
-// re-encoding the same broken message.
-var ErrMarshal = errors.New("message encoding failed")
 
 // Message types.
 const (
@@ -123,26 +115,12 @@ type Message struct {
 	// Without it every client of a session sees the same
 	// configuration.
 	Parallel bool `json:"parallel,omitempty"`
-	// Surrogate asks the server to screen proposals with its analytic
-	// performance model for this application, when it has one:
-	// configurations the model ranks confidently worse are answered to
-	// the search at their predicted value without ever being handed to
-	// a client, so the session spends its runs on promising
-	// candidates. Reported results (best queries) always come from
-	// genuine measurements. Servers without a model for the
-	// application ignore the flag.
-	Surrogate bool `json:"surrogate,omitempty"`
-	// SurrogateKeep is the fraction of each proposal round to actually
-	// evaluate when Surrogate is set, 0 < keep <= 1; 0 selects the
-	// server's default.
-	SurrogateKeep float64 `json:"surrogate_keep,omitempty"`
 	// Async asks the server to drive the session through its
 	// pipelined issue/commit dispatcher instead of round barriers:
 	// concurrent fetches receive distinct candidates from a bounded
 	// in-flight window and the search strategy observes results in
 	// deterministic issue order, so a slow reporter delays only the
-	// commits behind it, not a whole round. Implies per-candidate
-	// surrogate screening when Surrogate is also set.
+	// commits behind it, not a whole round.
 	Async bool `json:"async,omitempty"`
 	// AsyncDepth bounds the in-flight candidate window of an async
 	// session; 0 selects the server's default depth.
@@ -197,8 +175,12 @@ type Message struct {
 // is omitempty. Tag 0 marks the two members no tag carries: type, which
 // a binary message opens with as its type code, and perf_text, which
 // the binary codec has no use for (Perf travels as raw bits).
-// TestFieldTable holds the list to the struct and its json tags, and
-// the tags to distinct numbers below len(fieldOfTag).
+// Tags 18 and 19 are retired with the members they carried (surrogate,
+// surrogate_keep): no member may take them again, so an older peer's
+// frame that carries one fails as an unknown field tag, and its JSON
+// keys are ignored like any unknown key. TestFieldTable holds the list
+// to the struct and its json tags, and the tags to distinct numbers
+// below len(fieldOfTag) and off the retired ones.
 func (m *Message) field(i int) (key string, tag byte, p any) {
 	switch i {
 	case 0:
@@ -226,28 +208,24 @@ func (m *Message) field(i int) (key string, tag byte, p any) {
 	case 11:
 		return "parallel", 9, &m.Parallel
 	case 12:
-		return "surrogate", 18, &m.Surrogate
-	case 13:
-		return "surrogate_keep", 19, &m.SurrogateKeep
-	case 14:
 		return "async", 20, &m.Async
-	case 15:
+	case 13:
 		return "async_depth", 21, &m.AsyncDepth
-	case 16:
+	case 14:
 		return "tag", 10, &m.Tag
-	case 17:
+	case 15:
 		return "gen", 11, &m.Gen
-	case 18:
+	case 16:
 		return "values", 12, &m.Values
-	case 19:
+	case 17:
 		return "converged", 13, &m.Converged
-	case 20:
+	case 18:
 		return "next", 22, &m.Next
-	case 21:
+	case 19:
 		return "perf", 14, &m.Perf
-	case 22:
+	case 20:
 		return "perf_text", 0, &m.PerfText
-	case 23:
+	case 21:
 		return "error", 15, &m.Error
 	}
 	return "", 0, nil
@@ -347,14 +325,11 @@ func (c *Conn) SetDeadline(t time.Time) error {
 
 // Send writes one message as its canonical line (json.go). A
 // non-finite Perf goes out as PerfText (see that field), the caller's
-// message untouched; an encoding failure wraps ErrMarshal so callers
-// can distinguish it from transport faults.
+// message untouched. Every Message has a canonical line, so only the
+// transport can fail.
 func (c *Conn) Send(m *Message) error {
-	out, err := appendJSON(c.out[:0], m)
+	out := appendJSON(c.out[:0], m)
 	c.out = out[:0]
-	if err != nil {
-		return fmt.Errorf("proto: marshal: %w (%v)", ErrMarshal, err)
-	}
 	if _, err := c.w.Write(out); err != nil {
 		return fmt.Errorf("proto: write: %w", err)
 	}

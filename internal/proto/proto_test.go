@@ -96,7 +96,7 @@ func TestConnTagGenRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMessageSize pins Message at 256 bytes on 64-bit platforms, the
+// TestMessageSize pins Message at 240 bytes on 64-bit platforms, the
 // size class it allocates in: every field added must fill padding (as
 // Next does beside Converged) or pay for a larger class on every
 // decoded message.
@@ -104,8 +104,8 @@ func TestMessageSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(Message{}); got != 256 {
-		t.Errorf("unsafe.Sizeof(Message{}) = %d, want 256", got)
+	if got := unsafe.Sizeof(Message{}); got != 240 {
+		t.Errorf("unsafe.Sizeof(Message{}) = %d, want 240", got)
 	}
 }
 

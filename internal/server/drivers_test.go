@@ -23,15 +23,14 @@ import (
 // driverRun is what one driver did with a scenario.
 type driverRun struct {
 	measured                []string // configurations an objective call or a client measured, in order
-	charged, pruned, kept   int
+	charged                 int
 	cacheHits, cacheLookups int64
 }
 
-// scenario is one strategy, one model and one cache state, to be run to
-// its end by either driver under a run budget.
+// scenario is one strategy and one cache state, to be run to its end by
+// either driver under a run budget.
 type scenario struct {
 	strat   func() search.Strategy
-	model   core.Surrogate
 	cached  []space.Point // points the evaluation cache already holds
 	maxRuns int
 }
@@ -50,11 +49,11 @@ var machineDrivers = []struct {
 				out.measured = append(out.measured, cfg.Map()["x"]+","+cfg.Map()["y"])
 				return objective(cfg.Map()), nil
 			},
-			core.Options{MaxRuns: sc.maxRuns, Cache: cache, Surrogate: &core.SurrogateOptions{Model: sc.model}})
+			core.Options{MaxRuns: sc.maxRuns, Cache: cache})
 		if err != nil {
 			t.Fatalf("Tune: %v", err)
 		}
-		out.charged, out.pruned, out.kept = res.Runs, res.SurrogatePruned, res.SurrogateKept
+		out.charged = res.Runs
 		out.cacheHits = int64(res.CacheHits)
 		out.cacheLookups = lookups(ec)
 		return out
@@ -65,12 +64,11 @@ var machineDrivers = []struct {
 		ec, cache := warmCache(sp, sc.cached)
 		ss := newTestSession(sp, strat, sc.maxRuns, nil)
 		ss.cache = cache
-		ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: sc.model})
 		roundWindow(strat)(ss)
 		var out driverRun
 		for i := 0; ; i++ {
 			r := ss.callFetch()
-			if r.Type != proto.TypeConfig || i > 1000 {
+			if r.Type != proto.TypeConfig || i > 20000 {
 				t.Fatalf("fetch %d: %+v", i, r)
 			}
 			if r.Converged {
@@ -79,10 +77,8 @@ var machineDrivers = []struct {
 			out.measured = append(out.measured, r.Values["x"]+","+r.Values["y"])
 			ss.callReport(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})
 		}
-		st := ss.stat()
 		out.charged = ss.win.m.Charged
-		out.pruned, out.kept = int(st.surrogatePruned.Load()), int(st.surrogateKept.Load())
-		out.cacheHits = st.cacheHits.Load()
+		out.cacheHits = ss.stat().cacheHits.Load()
 		out.cacheLookups = lookups(ec)
 		return out
 	}},
@@ -104,44 +100,32 @@ func lookups(ec *history.EvalCache) int64 {
 	return hits + misses
 }
 
-// scoreTable is a surrogate that knows exactly the points of a script.
-type scoreTable map[string]float64
-
-func (m scoreTable) Predict(pt space.Point, _ space.Config) (float64, bool) {
-	v, ok := m[pt.Key()]
-	return v, ok
-}
-
 // TestClassificationOrderOnBothDrivers pins the one classification
-// order — surrogate gate, run budget, cache, work — on both drivers.
-// The script proposes, one per round: a first point (always kept), a
-// point that is in the cache and that the gate rejects, a cached point
-// the gate keeps, and an uncached point the gate rejects only if the
-// cached point's score was committed.
+// order — run budget, cache, work — on both drivers. The script
+// proposes, one per round, an uncached point, two cached points and a
+// last uncached point, under a budget of three runs.
 //
-//   - The rejected cached point is pruned, costs no run and is never
-//     looked up: the gate decides what is charged, the cache answers
-//     only what is charged.
-//   - The kept cached point is charged, answered by the cache, and its
-//     score reaches Committed — so the last point (score 90 against a
-//     committed best of 50, not 100) is pruned too.
+//   - The cached points are charged like runs and answered by the
+//     cache, without a measurement.
+//   - The last point finds the budget spent: it is never looked up, and
+//     the search ends. The budget decides what is charged, the cache
+//     answers only what is charged.
 //
-// Before the server window took core's order it consulted the cache
-// first: the rejected cached point was a charged cache hit, Committed
-// never saw a cache hit's score, and the last point was handed out.
+// Where the surrogate gate stands in the order, ahead of the budget,
+// is core.Tune's alone: TestSurrogateClassificationOrder in core.
 func TestClassificationOrderOnBothDrivers(t *testing.T) {
-	first, rejectedCached, keptCached, last := space.Point{20, 20}, space.Point{0, 0}, space.Point{25, 5}, space.Point{24, 5}
+	first, cachedA, cachedB, last := space.Point{20, 20}, space.Point{0, 0}, space.Point{25, 5}, space.Point{24, 5}
 	sc := scenario{
 		strat: func() search.Strategy {
-			return &scriptedBatch{rounds: [][]space.Point{{first}, {rejectedCached}, {keptCached}, {last}}}
+			return &scriptedBatch{rounds: [][]space.Point{{first}, {cachedA}, {cachedB}, {last}}}
 		},
-		model:  scoreTable{first.Key(): 100, rejectedCached.Key(): 500, keptCached.Key(): 50, last.Key(): 90},
-		cached: []space.Point{rejectedCached, keptCached},
+		cached:  []space.Point{cachedA, cachedB},
+		maxRuns: 3,
 	}
 	want := driverRun{
-		measured: []string{"20,20"},
-		charged:  2, pruned: 2, kept: 2,
-		cacheHits: 1, cacheLookups: 2, // first (a miss) and keptCached (the hit)
+		measured:  []string{"20,20"},
+		charged:   3,
+		cacheHits: 2, cacheLookups: 3, // first (a miss) and the two hits
 	}
 	for _, d := range machineDrivers {
 		t.Run(d.name, func(t *testing.T) {
@@ -164,37 +148,23 @@ func (s *endlessStrategy) NextBatch() []space.Point {
 	return []space.Point{{int64(s.asks % 41), int64(s.asks / 41 % 41)}}
 }
 
-// risingModel scores every point worse than the one before, so after
-// the first proposal the gate rejects everything it is shown.
-type risingModel struct{ n float64 }
-
-func (m *risingModel) Predict(space.Point, space.Config) (float64, bool) {
-	m.n++
-	return 100 * m.n, true
-}
-
-// TestRunawayGuardOnBothDrivers: a model that rejects everything the
-// strategy proposes costs no run, so the run budget alone would let
-// the session ask forever. The machine's proposal cap — ten proposals
-// per budgeted run, the same number on both drivers — ends it: the
-// strategy is asked exactly that often, one configuration is measured,
-// Tune returns and fetch replies converged.
+// TestRunawayGuardOnBothDrivers: a session with no run budget and a
+// strategy that never converges would ask forever. The machine's
+// proposal cap — the same number on both drivers — ends it: the
+// strategy is asked exactly that often, Tune returns and fetch replies
+// converged. Each of the 41×41 distinct points is measured once:
+// core.Tune answers a repeat from its memo, the session from its
+// evaluation cache.
 func TestRunawayGuardOnBothDrivers(t *testing.T) {
-	const maxRuns = 3
 	for _, d := range machineDrivers {
 		t.Run(d.name, func(t *testing.T) {
 			strat := &endlessStrategy{}
-			got := d.run(t, scenario{
-				strat:   func() search.Strategy { return strat },
-				model:   &risingModel{},
-				maxRuns: maxRuns,
-			})
-			if want := core.DefaultMaxProposals(maxRuns); strat.asks != want {
+			got := d.run(t, scenario{strat: func() search.Strategy { return strat }})
+			if want := core.DefaultMaxProposals(0); strat.asks != want {
 				t.Errorf("strategy asked %d times, want the proposal cap %d", strat.asks, want)
 			}
-			if len(got.measured) != 1 || got.charged != 1 || got.pruned != strat.asks-1 {
-				t.Errorf("measured %v, charged %d, pruned %d of %d proposals: want one measured, the rest pruned",
-					got.measured, got.charged, got.pruned, strat.asks)
+			if len(got.measured) != 41*41 {
+				t.Errorf("measured %d configurations, want each of the %d distinct points once", len(got.measured), 41*41)
 			}
 		})
 	}
@@ -215,30 +185,14 @@ var sessionKinds = []struct {
 }
 
 // TestRegistrationDefaultsAreCores: a registration that chooses no
-// async depth or surrogate keep gets core's default; the server keeps
-// no default of its own in front of it.
+// async depth gets core's default; the server keeps no default of its
+// own in front of it.
 func TestRegistrationDefaultsAreCores(t *testing.T) {
 	s := newFaultServer(newFakeClock())
-	s.Surrogate = resolver(bowlModel(1))
-	register := func(msg *proto.Message) *session {
-		msg.Strategy, msg.MaxRuns, msg.Space = proto.StrategyRandom, 10, proto.EncodeSpace(testSpace())
-		id := mustRegister(t, s, msg)
-		return s.shardFor(id).sessions[id]
-	}
-	if got := register(&proto.Message{Async: true}).win.m.Depth; got != core.DefaultAsyncDepth {
+	msg := &proto.Message{Async: true, Strategy: proto.StrategyRandom, MaxRuns: 10, Space: proto.EncodeSpace(testSpace())}
+	id := mustRegister(t, s, msg)
+	if got := s.shardFor(id).sessions[id].win.m.Depth; got != core.DefaultAsyncDepth {
 		t.Errorf("async session with no depth has window depth %d, want core.DefaultAsyncDepth = %d", got, core.DefaultAsyncDepth)
-	}
-	// Scores far enough apart that no near-tie joins the kept quota.
-	scores := []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-	kept := 0
-	for _, k := range register(&proto.Message{Surrogate: true}).surGate.Keep(scores) {
-		if k {
-			kept++
-		}
-	}
-	if want := int(math.Ceil(core.DefaultSurrogateKeep * float64(len(scores)))); kept != want {
-		t.Errorf("surrogate session with no keep kept %d of %d scores, want %d (core.DefaultSurrogateKeep = %v)",
-			kept, len(scores), want, core.DefaultSurrogateKeep)
 	}
 }
 

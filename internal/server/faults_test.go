@@ -438,16 +438,14 @@ func TestWriteStatsFormat(t *testing.T) {
 		"harmony.reports.dropped_stale", "harmony.rounds.completed",
 		"harmony.proposals.reissued", "harmony.proposals.forfeited",
 		"harmony.cache.hits", "harmony.cache.misses",
-		"harmony.surrogate.pruned", "harmony.surrogate.kept",
-		"harmony.surrogate.fallbacks",
 		"harmony.async.committed", "harmony.async.queue_starved",
 	} {
 		if !strings.Contains(out, metric+" ") {
 			t.Errorf("dump missing %q:\n%s", metric, out)
 		}
 	}
-	if got := len(strings.Split(strings.TrimSpace(out), "\n")); got != 15 {
-		t.Errorf("dump has %d lines, want 15:\n%s", got, out)
+	if got := len(strings.Split(strings.TrimSpace(out), "\n")); got != 12 {
+		t.Errorf("dump has %d lines, want 12:\n%s", got, out)
 	}
 }
 

@@ -120,17 +120,6 @@ type Server struct {
 	// stored back; forfeits and failures never are.
 	Cache *history.EvalCache
 
-	// Surrogate resolves an application name to an analytic performance
-	// model, for sessions that register with proto.Message.Surrogate.
-	// When it returns a model, the session's fetch path screens every
-	// proposal with core.SurrogateGate — the exact pruning rules of the
-	// off-line engine — and answers the search at the predicted value
-	// for configurations the model ranks confidently worse, without
-	// handing them to any client. Best replies always come from genuine
-	// measurements (the session shadows its measured best). Nil, or a
-	// resolver returning nil for the app, ignores the flag.
-	Surrogate func(app string) core.Surrogate
-
 	stats  counters
 	shards []*shard // numShards of them, built by New
 	nextID atomic.Int64
@@ -171,13 +160,8 @@ type session struct {
 	// when the server has no cache.
 	cache *history.BoundCache
 
-	// surGate screens proposals for a surrogate session (nil disables
-	// the layer). Pruned proposals are answered to the strategy at the
-	// model's predicted value and never charged, so the strategy's own
-	// best may hold a prediction; measuredPt/measuredVal shadow the best
-	// genuinely measured configuration of every session, and best
-	// replies use the shadow.
-	surGate     *core.SurrogateGate
+	// measuredPt/measuredVal shadow the best genuinely measured
+	// configuration of the session, and best replies use the shadow.
 	measuredPt  space.Point
 	measuredVal float64
 	measuredOK  bool
@@ -451,11 +435,6 @@ func (s *Server) register(msg, reply *proto.Message) {
 	if s.Cache != nil {
 		ss.cache = s.Cache.BoundNS(msg.App, msg.Machine, msg.CacheNS, sp)
 	}
-	if msg.Surrogate && s.Surrogate != nil {
-		if model := s.Surrogate(msg.App); model != nil {
-			ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: model, Keep: msg.SurrogateKeep})
-		}
-	}
 	// The only place the three session kinds differ: a (depth, group) pair.
 	switch {
 	case msg.Async:
@@ -541,11 +520,9 @@ func (ss *session) reissueLimit() int {
 }
 
 // noteMeasuredLocked shadows the best genuinely measured value of the
-// session. With a surrogate, the strategy's own best may be a model
-// prediction (pruned proposals are answered at their predicted value);
-// a round-structured strategy only learns values at full-round commits
-// — and never hears of a round the budget cut short — so its best lags
-// the measurements the session already holds. Best replies read this
+// session. A round-structured strategy only learns values at
+// full-round commits — and never hears of a round the budget cut short
+// — so its best lags the measurements the session already holds. Best replies read this
 // shadow instead. The point is copied, into the shadow's own array:
 // rounds and strategies may reuse their backing arrays.
 func (ss *session) noteMeasuredLocked(pt space.Point, v float64) {
@@ -574,8 +551,7 @@ func (ss *session) fetch(_, reply *proto.Message) {
 // bestOrCurrentLocked replies with the best-known configuration and
 // the converged flag set, so clients can settle on the tuned values.
 // Sessions settle on the best measured configuration: the strategy's
-// best may be a point the model scored but nothing ever ran, or lag a
-// round it has not been told about.
+// best may lag a round it has not been told about.
 func (ss *session) bestOrCurrentLocked(reply *proto.Message) {
 	pt := ss.measuredPt
 	if !ss.measuredOK {
@@ -601,7 +577,7 @@ func (ss *session) report(msg, reply *proto.Message) {
 }
 
 // best answers only from genuine measurements (the shadow): never a
-// model prediction, a forfeit's penalty, or a strategy's lagging view.
+// forfeit's penalty or a strategy's lagging view.
 func (ss *session) best(_, reply *proto.Message) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()

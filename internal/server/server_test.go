@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"maps"
 	"net"
 	"strconv"
@@ -47,8 +48,8 @@ func startServer(t *testing.T) (*Server, string) {
 // newTestSession builds a session directly, bypassing the wire
 // protocol, for unit tests of the dispatch logic. win is nil for a
 // shared-configuration session, else roundWindow or pipelineWindow. A
-// test that gives the session a cache or a surrogate gate opens the
-// window again once they are set, as register does.
+// test that gives the session a cache opens the window again once it
+// is set, as register does.
 func newTestSession(sp *space.Space, strat search.Strategy, maxRuns int, win func(*session)) *session {
 	ss := &session{id: "s1", space: sp, reporters: 1, maxRuns: maxRuns}
 	if win == nil {
@@ -286,6 +287,39 @@ func TestRegisterBadStrategy(t *testing.T) {
 	defer c.Close()
 	if _, err := c.Register(client.Registration{App: "a", Space: testSpace(), Strategy: "annealing"}); err == nil {
 		t.Error("expected error for unknown strategy")
+	}
+}
+
+// TestRegisterIgnoresRetiredSurrogateKeys: a client from before the
+// surrogate members were retired still registers. Its register line
+// carries "surrogate" and "surrogate_keep", which the server ignores
+// like any unknown key, and the session runs unscreened: every one of
+// its runs is handed to the client.
+func TestRegisterIgnoresRetiredSurrogateKeys(t *testing.T) {
+	srv, addr := startServer(t)
+	call := jsonCaller(t, addr)
+	reg := call(`{"type":"register","app":"fig2-sles","strategy":"random","seed":9,"max_runs":4,` +
+		`"parallel":true,` + retiredKeys + testSpaceJSON + `}`)
+	if reg.Type != proto.TypeRegistered || reg.Session == "" {
+		t.Fatalf("register with the retired keys: %+v", reg)
+	}
+	handed := 0
+	for i := 0; i < 10; i++ {
+		cfg := call(`{"type":"fetch","session":"` + reg.Session + `"}`)
+		if cfg.Type != proto.TypeConfig {
+			t.Fatalf("fetch: %+v", cfg)
+		}
+		if cfg.Converged {
+			break
+		}
+		handed++
+		call(fmt.Sprintf(`{"type":"report","session":%q,"tag":%d,"perf":%g}`, reg.Session, cfg.Tag, objective(cfg.Values)))
+	}
+	if handed != 4 {
+		t.Errorf("clients were handed %d configurations, want all 4 runs", handed)
+	}
+	if st := srv.Stats(); st.ReportsAccepted != 4 {
+		t.Errorf("accepted %d reports, want 4", st.ReportsAccepted)
 	}
 }
 

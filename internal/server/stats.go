@@ -42,17 +42,6 @@ type Stats struct {
 	// to clients anyway. Both are zero when Server.Cache is unset.
 	CacheHits   int64
 	CacheMisses int64
-	// SurrogatePruned counts proposals a session's analytic model
-	// screened out — answered to the search at their predicted value
-	// without any client evaluation. SurrogateKept counts proposals
-	// the model scored and committed to real evaluation, and
-	// SurrogateFallbacks counts scoring attempts the model declined
-	// (the proposal, or its whole round, was evaluated for real). All
-	// three are zero unless sessions register with the surrogate flag
-	// and Server.Surrogate resolves a model.
-	SurrogatePruned    int64
-	SurrogateKept      int64
-	SurrogateFallbacks int64
 	// AsyncCommitted counts every candidate a session's window
 	// committed, in issue order, to its strategy — on every session;
 	// values recorded while Parallel or shared-configuration sessions
@@ -79,9 +68,6 @@ type counters struct {
 	proposalsForfeited  atomic.Int64
 	cacheHits           atomic.Int64
 	cacheMisses         atomic.Int64
-	surrogatePruned     atomic.Int64
-	surrogateKept       atomic.Int64
-	surrogateFallback   atomic.Int64
 	asyncCommitted      atomic.Int64
 	queueStarved        atomic.Int64
 }
@@ -105,9 +91,6 @@ func (s *Server) Stats() Stats {
 		ProposalsForfeited:  s.stats.proposalsForfeited.Load(),
 		CacheHits:           s.stats.cacheHits.Load(),
 		CacheMisses:         s.stats.cacheMisses.Load(),
-		SurrogatePruned:     s.stats.surrogatePruned.Load(),
-		SurrogateKept:       s.stats.surrogateKept.Load(),
-		SurrogateFallbacks:  s.stats.surrogateFallback.Load(),
 		AsyncCommitted:      s.stats.asyncCommitted.Load(),
 		QueueStarved:        s.stats.queueStarved.Load(),
 	}
@@ -132,9 +115,6 @@ func (s *Server) WriteStats(w io.Writer) error {
 		{"proposals.forfeited", st.ProposalsForfeited},
 		{"cache.hits", st.CacheHits},
 		{"cache.misses", st.CacheMisses},
-		{"surrogate.pruned", st.SurrogatePruned},
-		{"surrogate.kept", st.SurrogateKept},
-		{"surrogate.fallbacks", st.SurrogateFallbacks},
 		{"async.committed", st.AsyncCommitted},
 		{"async.queue_starved", st.QueueStarved},
 	}

@@ -1,240 +1,231 @@
 package server
 
 import (
+	"bufio"
+	"encoding/json"
+	"fmt"
 	"math"
+	"net"
 	"reflect"
 	"testing"
 
-	"harmony/internal/client"
-	"harmony/internal/core"
 	"harmony/internal/proto"
 	"harmony/internal/search"
 	"harmony/internal/space"
 )
 
-// predictFunc adapts a function to core.Surrogate for tests.
-type predictFunc func(pt space.Point, cfg space.Config) (float64, bool)
+// Sessions no longer screen: screening is a campaign option of
+// core.Tune alone, and the wire's surrogate members are retired. These
+// tests pin what a session does in its place — for an old client that
+// still asks for screening too: every run goes to a client, every
+// round goes out whole, and a best reply comes only from a value a
+// client measured.
 
-func (f predictFunc) Predict(pt space.Point, cfg space.Config) (float64, bool) { return f(pt, cfg) }
+// retiredKeys are the register members that a client from before the
+// retirement still sends.
+const retiredKeys = `"surrogate":true,"surrogate_keep":0.3,`
 
-// bowlModel scores a configuration of testSpace with the true
-// objective scaled by mul — a perfect-ranking model whose absolute
-// values can be made arbitrarily wrong.
-func bowlModel(mul float64) core.Surrogate {
-	return predictFunc(func(_ space.Point, cfg space.Config) (float64, bool) {
-		return objective(cfg.Map()) * mul, true
-	})
-}
+// testSpaceJSON is testSpace as a register line's space member.
+const testSpaceJSON = `"space":[{"name":"x","kind":"int","min":0,"max":40,"step":1},` +
+	`{"name":"y","kind":"int","min":0,"max":40,"step":1}]`
 
-// resolver wraps a model into the Server.Surrogate hook.
-func resolver(m core.Surrogate) func(string) core.Surrogate {
-	return func(string) core.Surrogate { return m }
-}
-
-// driveSurrogate runs one tuning session against the server and
-// returns the number of client evaluations performed and the smallest
-// value the client genuinely measured.
-func driveSurrogate(t *testing.T, addr string, reg client.Registration) (evals int, minMeasured float64) {
+// jsonCaller dials addr and returns a function that sends one line of
+// the JSON protocol and decodes the reply, as any line client would.
+func jsonCaller(t *testing.T, addr string) func(line string) proto.Message {
 	t.Helper()
-	c, err := client.Dial(addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		t.Fatalf("Dial: %v", err)
+		t.Fatal(err)
 	}
-	defer c.Close()
-	sess, err := c.Register(reg)
-	if err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	minMeasured = math.Inf(1)
-	for i := 0; i < 1000; i++ {
-		values, converged, err := sess.Fetch()
+	t.Cleanup(func() { conn.Close() })
+	r := bufio.NewReader(conn)
+	return func(line string) proto.Message {
+		t.Helper()
+		if _, err := fmt.Fprintln(conn, line); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := r.ReadBytes('\n')
 		if err != nil {
-			t.Fatalf("Fetch: %v", err)
+			t.Fatalf("%s: no reply: %v", line, err)
 		}
-		if converged {
-			return evals, minMeasured
+		var m proto.Message
+		if err := json.Unmarshal(reply, &m); err != nil {
+			t.Fatalf("reply %q: %v", reply, err)
 		}
-		v := objective(values)
-		if v < minMeasured {
-			minMeasured = v
-		}
-		evals++
-		if err := sess.Report(v); err != nil {
-			t.Fatalf("Report: %v", err)
-		}
+		return m
 	}
-	t.Fatal("session did not converge within 1000 evaluations")
-	return 0, 0
+}
+
+// lineSession is one session driven to convergence over JSON lines
+// with the bowl objective.
+type lineSession struct {
+	handed      []string // "x,y" in fetch order
+	minMeasured float64
+	best        proto.Message // the best reply after convergence
+}
+
+// driveLines registers a session with the given register members, and
+// the retired keys when retired is set, then fetches and reports the
+// bowl objective until the session converges.
+func driveLines(t *testing.T, addr, members string, retired bool) lineSession {
+	t.Helper()
+	call := jsonCaller(t, addr)
+	line := `{"type":"register",` + members
+	if retired {
+		line += retiredKeys
+	}
+	reg := call(line + testSpaceJSON + "}")
+	if reg.Type != proto.TypeRegistered || reg.Session == "" {
+		t.Fatalf("register %s: %+v", line, reg)
+	}
+	out := lineSession{minMeasured: math.Inf(1)}
+	for i := 0; ; i++ {
+		if i == 1000 {
+			t.Fatal("session did not converge within 1000 evaluations")
+		}
+		cfg := call(`{"type":"fetch","session":"` + reg.Session + `"}`)
+		if cfg.Type != proto.TypeConfig {
+			t.Fatalf("fetch: %+v", cfg)
+		}
+		if cfg.Converged {
+			break
+		}
+		v := objective(cfg.Values)
+		out.handed = append(out.handed, cfg.Values["x"]+","+cfg.Values["y"])
+		out.minMeasured = min(out.minMeasured, v)
+		call(fmt.Sprintf(`{"type":"report","session":%q,"tag":%d,"perf":%g}`, reg.Session, cfg.Tag, v))
+	}
+	out.best = call(`{"type":"best","session":"` + reg.Session + `"}`)
+	if out.best.Type != proto.TypeBestReply {
+		t.Fatalf("best: %+v", out.best)
+	}
+	return out
+}
+
+// checkBestMeasured fails unless a session's best reply is the
+// smallest value its client measured, at values that re-evaluate to it.
+func checkBestMeasured(t *testing.T, s lineSession) {
+	t.Helper()
+	if s.best.Perf != s.minMeasured {
+		t.Errorf("best perf %v is not the smallest measured value %v", s.best.Perf, s.minMeasured)
+	}
+	if got := objective(s.best.Values); got != s.best.Perf {
+		t.Errorf("best values %v re-evaluate to %v, reply claimed %v", s.best.Values, got, s.best.Perf)
+	}
 }
 
 // TestSurrogateSequentialPrunesAndBestMeasured: a shared-config
-// session with a perfect-ranking model prunes proposals, and the best
-// reply is always one of the values the client genuinely measured —
-// never a model prediction.
+// session that asks for screening prunes nothing. Its client is handed
+// exactly what a plain registration's client is, every hand-out is a
+// measured report, and the best reply is one of the measured values.
 func TestSurrogateSequentialPrunesAndBestMeasured(t *testing.T) {
-	s, addr := startServer(t)
-	s.Surrogate = resolver(bowlModel(1))
-
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
+	srv, addr := startServer(t)
+	const members = `"app":"bowl","strategy":"simplex","max_runs":60,`
+	old := driveLines(t, addr, members, true)
+	plain := driveLines(t, addr, members, false)
+	if len(old.handed) == 0 || !reflect.DeepEqual(old.handed, plain.handed) {
+		t.Errorf("screening asked: handed %v\nplain session: handed %v\nwant the same non-empty sequence", old.handed, plain.handed)
 	}
-	defer c.Close()
-	sess, err := c.Register(client.Registration{
-		App: "bowl", Space: testSpace(), Surrogate: true, MaxRuns: 60,
-	})
-	if err != nil {
-		t.Fatalf("Register: %v", err)
+	if got, want := srv.Stats().ReportsAccepted, int64(len(old.handed)+len(plain.handed)); got != want {
+		t.Errorf("accepted %d reports, want one per hand-out (%d)", got, want)
 	}
-	minMeasured := math.Inf(1)
-	for i := 0; i < 1000; i++ {
-		values, converged, err := sess.Fetch()
-		if err != nil {
-			t.Fatalf("Fetch: %v", err)
-		}
-		if converged {
-			break
-		}
-		v := objective(values)
-		if v < minMeasured {
-			minMeasured = v
-		}
-		if err := sess.Report(v); err != nil {
-			t.Fatalf("Report: %v", err)
-		}
-	}
-	st := s.Stats()
-	if st.SurrogatePruned == 0 {
-		t.Errorf("perfect model pruned nothing: %+v", st)
-	}
-	if st.SurrogateKept == 0 {
-		t.Errorf("no proposal was committed to evaluation: %+v", st)
-	}
-	values, perf, err := sess.Best()
-	if err != nil {
-		t.Fatalf("Best: %v", err)
-	}
-	if perf != minMeasured {
-		t.Errorf("best perf %v is not the smallest measured value %v", perf, minMeasured)
-	}
-	if got := objective(values); got != perf {
-		t.Errorf("best values %v re-evaluate to %v, reply claimed %v", values, got, perf)
-	}
+	checkBestMeasured(t, old)
 }
 
-// TestSurrogateParallelBestIsMeasured: with a model whose absolute
-// predictions are 1000x too small, every pruned proposal enters the
-// strategy at a value far below any real measurement — so the
-// strategy's own best is a prediction. The best reply must ignore it
-// and return the best genuinely measured configuration.
+// TestSurrogateParallelBestIsMeasured: a parallel session that asks
+// for screening spends its whole budget on hand-outs, and its best
+// reply is the best configuration its clients measured.
 func TestSurrogateParallelBestIsMeasured(t *testing.T) {
-	s, addr := startServer(t)
-	s.Surrogate = resolver(bowlModel(1.0 / 1000))
-
-	evals, minMeasured := driveSurrogate(t, addr, client.Registration{
-		App: "bowl", Space: testSpace(), Strategy: proto.StrategyRandom,
-		Seed: 7, Parallel: true, Surrogate: true, MaxRuns: 30,
-	})
-	st := s.Stats()
-	if st.SurrogatePruned == 0 {
-		t.Fatalf("nothing pruned (evals=%d): %+v", evals, st)
+	_, addr := startServer(t)
+	old := driveLines(t, addr, `"app":"bowl","strategy":"random","seed":7,"parallel":true,"max_runs":30,`, true)
+	if len(old.handed) != 30 {
+		t.Errorf("clients were handed %d configurations, want all 30 runs", len(old.handed))
 	}
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	sess := c.Attach("s1")
-	values, perf, err := sess.Best()
-	if err != nil {
-		t.Fatalf("Best: %v", err)
-	}
-	if perf != minMeasured {
-		t.Errorf("best perf %v is not the smallest measured value %v", perf, minMeasured)
-	}
-	if got := objective(values); got != perf {
-		t.Errorf("best values %v re-evaluate to %v, reply claimed %v", values, got, perf)
-	}
+	checkBestMeasured(t, old)
 }
 
-// TestSurrogateParallelPrunesWithinRunBudget: pruned proposals are
-// never charged against MaxRuns, so a parallel surrogate session
-// evaluates no more than its budget while the search sees more
-// candidates than the budget alone would allow.
+// TestSurrogateParallelPrunesWithinRunBudget: with nothing pruned, a
+// parallel session's run budget is exactly the configurations its
+// clients measure, and asking for screening leaves the seeded random
+// stream untouched.
 func TestSurrogateParallelPrunesWithinRunBudget(t *testing.T) {
-	s, addr := startServer(t)
-	s.Surrogate = resolver(bowlModel(1))
-
+	srv, addr := startServer(t)
 	const budget = 20
-	evals, _ := driveSurrogate(t, addr, client.Registration{
-		App: "bowl", Space: testSpace(), Strategy: proto.StrategyRandom,
-		Seed: 3, Parallel: true, Surrogate: true, MaxRuns: budget,
-	})
-	if evals >= budget {
-		t.Errorf("client evaluated %d configurations, want fewer than the %d budget", evals, budget)
+	members := fmt.Sprintf(`"app":"bowl","strategy":"random","seed":3,"parallel":true,"max_runs":%d,`, budget)
+	old := driveLines(t, addr, members, true)
+	plain := driveLines(t, addr, members, false)
+	if len(old.handed) != budget {
+		t.Errorf("clients were handed %d configurations, want the %d-run budget", len(old.handed), budget)
 	}
-	st := s.Stats()
-	if st.SurrogatePruned == 0 {
-		t.Errorf("nothing pruned: %+v", st)
+	if !reflect.DeepEqual(old.handed, plain.handed) {
+		t.Errorf("screening asked: handed %v\nplain session: handed %v", old.handed, plain.handed)
 	}
-	if seen := st.SurrogatePruned + st.SurrogateKept; seen != budget {
-		t.Errorf("search saw %d candidates, want the full %d-point random stream", seen, budget)
+	if got := srv.Stats().ReportsAccepted; got != 2*budget {
+		t.Errorf("accepted %d reports, want %d", got, 2*budget)
 	}
 }
 
-// TestSurrogateFallbackOnDecline: a model that declines every point
-// degrades the session to full evaluation — nothing pruned, fallback
-// counted, tuning completes normally.
+// TestSurrogateFallbackOnDecline: a round session goes out whole, as a
+// round with a declined member did when sessions screened: every
+// decodable member is handed to a client and the strategy is told
+// every measured value.
 func TestSurrogateFallbackOnDecline(t *testing.T) {
-	s, addr := startServer(t)
-	s.Surrogate = resolver(predictFunc(func(space.Point, space.Config) (float64, bool) {
-		return 0, false
-	}))
+	sp := testSpace()
+	rec := &recordingStrategy{BatchStrategy: &scriptedBatch{rounds: [][]space.Point{
+		{{5, 5}, {10, 5}, {15, 5}, {20, 5}, {25, 5}},
+		{{24, 5}, {0, 5}, {26, 5}},
+		{{24, 6}, {99, 99}, {26, 6}}, // one member undecodable
+	}}}
+	ss := newTestSession(sp, rec, 0, nil)
+	roundWindow(rec)(ss)
 
-	evals, _ := driveSurrogate(t, addr, client.Registration{
-		App: "bowl", Space: testSpace(), Strategy: proto.StrategyRandom,
-		Seed: 5, Parallel: true, Surrogate: true, MaxRuns: 25,
-	})
-	st := s.Stats()
-	if st.SurrogatePruned != 0 || st.SurrogateKept != 0 {
-		t.Errorf("declined model still pruned or kept: %+v", st)
+	// fetchRound fetches and reports want configurations, returning
+	// what clients were handed.
+	fetchRound := func(want int) []string {
+		t.Helper()
+		var got []string
+		for i := 0; i < want; i++ {
+			r := ss.callFetch()
+			if r.Type != proto.TypeConfig || r.Converged {
+				t.Fatalf("fetch: %+v", r)
+			}
+			got = append(got, r.Values["x"]+","+r.Values["y"])
+			ss.callReport(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})
+		}
+		return got
 	}
-	if st.SurrogateFallbacks == 0 {
-		t.Errorf("no fallback counted: %+v", st)
+	if got, want := fetchRound(5), []string{"5,5", "10,5", "15,5", "20,5", "25,5"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("round 1 handed out %v, want the whole round %v", got, want)
 	}
-	if evals != 25 {
-		t.Errorf("full-simulation fallback evaluated %d configurations, want 25", evals)
+	if got, want := fetchRound(3), []string{"24,5", "0,5", "26,5"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("round 2 handed out %v, want the whole round %v", got, want)
+	}
+	if got, want := fetchRound(2), []string{"24,6", "26,6"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("round 3 handed out %v, want every decodable member %v", got, want)
+	}
+	if r := ss.callFetch(); !r.Converged {
+		t.Fatalf("fetch after the last round: %+v, want converged", r)
+	}
+	if want := []string{"5,5=410 10,5=235 15,5=110 20,5=35 25,5=10", "24,5=11 0,5=635 26,5=11"}; len(rec.commits) != 3 ||
+		!reflect.DeepEqual(rec.commits[:2], want) {
+		t.Errorf("strategy was told %q, want three rounds beginning %q", rec.commits, want)
+	}
+	if got := ss.stat().roundsCompleted.Load(); got != 3 {
+		t.Errorf("roundsCompleted = %d, want 3", got)
+	}
+	if got := ss.stat().proposalsForfeited.Load(); got != 1 {
+		t.Errorf("proposalsForfeited = %d, want the one undecodable member", got)
 	}
 }
 
-// TestSurrogateFlagIgnoredWithoutResolver: registering with the
-// surrogate flag against a server with no model resolver behaves
-// exactly like a plain session.
-func TestSurrogateFlagIgnoredWithoutResolver(t *testing.T) {
-	s, addr := startServer(t)
-	evals, _ := driveSurrogate(t, addr, client.Registration{
-		App: "bowl", Space: testSpace(), Strategy: proto.StrategyRandom,
-		Seed: 9, Surrogate: true, SurrogateKeep: 0.1, MaxRuns: 15,
-	})
-	st := s.Stats()
-	if st.SurrogatePruned != 0 || st.SurrogateKept != 0 || st.SurrogateFallbacks != 0 {
-		t.Errorf("surrogate counters moved without a resolver: %+v", st)
-	}
-	if evals != 15 {
-		t.Errorf("evaluated %d configurations, want 15", evals)
-	}
-}
-
-// TestSurrogateBestBeforeAnyMeasurement: a surrogate session that has
-// pruned proposals but measured nothing yet must refuse a best query
-// instead of serving a prediction.
+// TestSurrogateBestBeforeAnyMeasurement: a session whose strategy
+// holds a value no client measured — fed to it directly here — must
+// refuse a best query instead of serving it: best replies read the
+// session's measured shadow, never the strategy's own best.
 func TestSurrogateBestBeforeAnyMeasurement(t *testing.T) {
 	sp := testSpace()
-	gate := core.NewSurrogateGate(&core.SurrogateOptions{Model: bowlModel(1)})
 	strat := mustStrategy(t, sp)
 	ss := newTestSession(sp, strat, 0, nil)
-	ss.surGate = gate
-	// Feed the strategy a prediction directly, as a pruned proposal would.
 	pt, err := sp.Encode(map[string]string{"x": "1", "y": "1"})
 	if err != nil {
 		t.Fatal(err)
@@ -249,73 +240,6 @@ func TestSurrogateBestBeforeAnyMeasurement(t *testing.T) {
 	reply = ss.callBest()
 	if reply.Type != proto.TypeBestReply || reply.Perf != 42 {
 		t.Fatalf("best after measurement replied %+v", reply)
-	}
-}
-
-// TestSurrogateRoundQuota: a round session prunes by the quota over
-// the scores of its whole round, not candidate by candidate, and a
-// round with any member the model declines or cannot decode goes to
-// clients whole, counted as one fallback.
-func TestSurrogateRoundQuota(t *testing.T) {
-	sp := testSpace()
-	// The model is the bowl itself, except that it declines x = 0.
-	model := predictFunc(func(_ space.Point, cfg space.Config) (float64, bool) {
-		return objective(cfg.Map()), cfg.Map()["x"] != "0"
-	})
-	strat := &scriptedBatch{rounds: [][]space.Point{
-		// Scores 410, 235, 110, 35, 10: each better than the last, so the
-		// per-candidate rule would keep all five. The quota keeps two.
-		{{5, 5}, {10, 5}, {15, 5}, {20, 5}, {25, 5}},
-		{{24, 5}, {0, 5}, {26, 5}},   // one member declined
-		{{24, 6}, {99, 99}, {26, 6}}, // one member undecodable
-	}}
-	ss := newTestSession(sp, strat, 0, nil)
-	ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: model, Keep: 0.4})
-	roundWindow(strat)(ss)
-
-	// fetchRound fetches and reports until the window moves on to the
-	// next round, returning the configurations clients were handed.
-	fetchRound := func(want int) []string {
-		t.Helper()
-		var got []string
-		for i := 0; i < want; i++ {
-			r := ss.callFetch()
-			if r.Type != proto.TypeConfig || r.Converged {
-				t.Fatalf("fetch: %+v", r)
-			}
-			got = append(got, r.Values["x"]+","+r.Values["y"])
-			ss.callReport(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})
-		}
-		return got
-	}
-	counts := func() [3]int64 {
-		st := ss.stat()
-		return [3]int64{st.surrogateKept.Load(), st.surrogatePruned.Load(), st.surrogateFallback.Load()}
-	}
-
-	if got, want := fetchRound(2), []string{"20,5", "25,5"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("round 1 handed out %v, want the quota's best two %v", got, want)
-	}
-	if got, want := counts(), [3]int64{2, 3, 0}; got != want {
-		t.Errorf("after round 1: kept/pruned/fallbacks = %v, want %v", got, want)
-	}
-	if got, want := fetchRound(3), []string{"24,5", "0,5", "26,5"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("round 2 handed out %v, want the whole round %v", got, want)
-	}
-	if got, want := counts(), [3]int64{2, 3, 1}; got != want {
-		t.Errorf("after the declined round: kept/pruned/fallbacks = %v, want %v", got, want)
-	}
-	if got, want := fetchRound(2), []string{"24,6", "26,6"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("round 3 handed out %v, want every decodable member %v", got, want)
-	}
-	if got, want := counts(), [3]int64{2, 3, 2}; got != want {
-		t.Errorf("after the undecodable round: kept/pruned/fallbacks = %v, want %v", got, want)
-	}
-	if r := ss.callFetch(); !r.Converged {
-		t.Fatalf("fetch after the last round: %+v, want converged", r)
-	}
-	if got := ss.stat().roundsCompleted.Load(); got != 3 {
-		t.Errorf("roundsCompleted = %d, want 3", got)
 	}
 }
 

@@ -63,47 +63,53 @@ func TestExpiryLogNotUnderShardLock(t *testing.T) {
 }
 
 // TestFanoutRoundPredictionSeparation is the regression test for the
-// prunepurity findings in the fan-out: the surrogate prediction of a
-// pruned candidate lives in the machine candidate's Predicted, never
-// in Measured or the driver's report aggregate, and the two meet only
-// in the Commit call that delivers the round to the strategy.
+// prunepurity findings in the fan-out, kept now that sessions no
+// longer screen: no candidate of a round carries a prediction, every
+// one is handed to a client, and a report reaches the machine
+// candidate's Measured only through Complete — the driver's report
+// aggregate holds it until then — so the strategy and Best are told
+// measured values alone.
 func TestFanoutRoundPredictionSeparation(t *testing.T) {
 	sp := testSpace()
-	// The model predicts twice the true bowl value, so no prediction
-	// equals any measurement: 20, 1320, 22 — half of three keeps two.
 	rec := &recordingStrategy{BatchStrategy: &scriptedBatch{rounds: [][]space.Point{{{25, 5}, {0, 0}, {24, 5}}}}}
 	ss := newTestSession(sp, rec, 0, nil)
-	ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: bowlModel(2), Keep: 0.5})
 	roundWindow(rec)(ss)
 
 	var replies []*proto.Message
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		r := ss.callFetch()
 		if r.Type != proto.TypeConfig || r.Converged {
 			t.Fatalf("fetch %d: %+v", i, r)
 		}
 		replies = append(replies, r)
 	}
-	pruned := ss.win.m.At(1)
-	if pruned.Kind != core.Pruned || pruned.Predicted != 1320 {
-		t.Fatalf("candidate 1 = %+v, want pruned at the predicted 1320", pruned)
+	if n := ss.win.m.Len(); n != 3 {
+		t.Fatalf("window holds %d candidates, want the whole round of 3", n)
 	}
-	if pruned.Measured != 0 || pruned.Payload.worst != 0 {
-		t.Errorf("Measured = %v, reports aggregate = %v, want both untouched: the prediction must never enter a measured field",
-			pruned.Measured, pruned.Payload.worst)
+	for i := 0; i < ss.win.m.Len(); i++ {
+		c := ss.win.m.At(i)
+		if c.Kind != core.Work || c.Kept || c.Predicted != 0 {
+			t.Errorf("candidate %d = %+v, want unscreened work with no prediction", i, c)
+		}
 	}
-	for _, r := range replies {
+	ss.callReport(&proto.Message{Tag: replies[1].Tag, Perf: objective(replies[1].Values)})
+	c := ss.win.m.At(1)
+	if c.Measured != 660 || c.Payload.worst != 660 {
+		t.Errorf("reported candidate: Measured = %v, reports aggregate = %v, want both 660", c.Measured, c.Payload.worst)
+	}
+	if c := ss.win.m.At(2); c.Measured != 0 || c.Payload.count != 0 {
+		t.Errorf("unreported candidate: Measured = %v after %d reports, want 0 after none", c.Measured, c.Payload.count)
+	}
+	for _, r := range []*proto.Message{replies[0], replies[2]} {
 		ss.callReport(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})
 	}
-	// The pruned candidate commits from the next fetch, and the round's
-	// last commit delivers it.
 	if r := ss.callFetch(); !r.Converged {
 		t.Fatalf("fetch after the only round: %+v, want converged", r)
 	}
-	if want := []string{"25,5=10 0,0=1320 24,5=11"}; !reflect.DeepEqual(rec.commits, want) {
+	if want := []string{"25,5=10 0,0=660 24,5=11"}; !reflect.DeepEqual(rec.commits, want) {
 		t.Errorf("strategy was told %q, want %q", rec.commits, want)
 	}
 	if best := ss.callBest(); best.Perf != 10 || ss.measuredVal != 10 {
-		t.Errorf("best = %+v, shadow %v: want the measured 10, never a prediction", best, ss.measuredVal)
+		t.Errorf("best = %+v, shadow %v: want the measured 10", best, ss.measuredVal)
 	}
 }

@@ -67,12 +67,12 @@ type window struct {
 }
 
 // openWindow gives the session its window. It reads the session's
-// budget, cache and gate, so those are set first.
+// budget and cache, so those are set first.
 func (ss *session) openWindow(strat search.AsyncStrategy, depth, groupMax int) {
 	m := &core.Window[handState]{
 		Space: ss.space, Strategy: strat,
 		MaxRuns: ss.maxRuns, MaxProposals: core.DefaultMaxProposals(ss.maxRuns),
-		Gate: ss.surGate, Depth: depth, GroupMax: groupMax, ForfeitUndecodable: true,
+		Depth: depth, GroupMax: groupMax, ForfeitUndecodable: true,
 	}
 	if ss.cache != nil {
 		m.Cache = ss.cache
@@ -117,8 +117,6 @@ func (ss *session) commitHeadLocked() bool {
 	}
 	st := ss.stat()
 	switch c.Kind {
-	case core.Pruned:
-		st.surrogatePruned.Add(1)
 	case core.CacheHit:
 		// Charged like any run (the paper's cost model counts it) and
 		// complete without a client round trip.
@@ -133,9 +131,6 @@ func (ss *session) commitHeadLocked() bool {
 		if ss.cache != nil {
 			st.cacheMisses.Add(1)
 		}
-	}
-	if c.Kept {
-		st.surrogateKept.Add(1)
 	}
 	st.asyncCommitted.Add(1)
 	if c.ClosesRound {
@@ -154,7 +149,7 @@ func (ss *session) commitHeadLocked() bool {
 
 // drainLocked commits, in issue order, what client reports and
 // forfeits have completed. It stops at a candidate the machine answered
-// itself (a prune, a cache hit, an undecodable point): those commit
+// itself (a cache hit, an undecodable point): those commit
 // from fetchWindowLocked, one refill after each as in core.Tune, so
 // what the strategy is asked between two commits is the same whether a
 // value came from a client or from the cache — a session replayed
@@ -177,11 +172,7 @@ func (ss *session) fetchWindowLocked(now time.Time, reply *proto.Message) {
 	w, m := ss.win, ss.win.m
 	for {
 		if !ss.converged {
-			fallbacks := m.Fallbacks
 			m.Refill()
-			if m.Fallbacks > fallbacks {
-				ss.stat().surrogateFallback.Add(int64(m.Fallbacks - fallbacks))
-			}
 			ss.converged = m.Finished
 			if m.Stalled && m.Depth != core.Unbounded && m.Len() > 0 {
 				// A bounded window left short because the strategy needs

@@ -17,6 +17,12 @@
 // The tuning engine (core.Options.Surrogate) uses the predictions
 // only to rank candidates and decide which ones deserve a real
 // simulated run; every reported number still comes from the simulator.
+// Screening is an off-line campaign option and nothing else: For's
+// callers are the benchmark's pop-surrogate-rounds workload
+// (bench/adapters.go) and the root surrogate goldens
+// (surrogate_regress_test.go). The server and the command-line tools
+// screen nothing, because a fixed instance picked by a substring of an
+// app's name is not a model of the program that app runs.
 package surrogate
 
 import (
