@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"harmony/internal/cluster"
@@ -77,7 +78,9 @@ const (
 	stepOverheadSeconds = 0.5
 )
 
-// Validate checks the configuration.
+// Validate checks the configuration. A grid too large to count its
+// moves on even one rank is refused; Run refuses, for its machine's
+// rank count, the grids that one rank could count and p could not.
 func (c Config) Validate() error {
 	if err := c.Layout.Validate(); err != nil {
 		return err
@@ -85,7 +88,7 @@ func (c Config) Validate() error {
 	if c.Negrid < 2 || c.Ntheta < 2 || c.Steps < 1 {
 		return fmt.Errorf("gs2: bad config %+v", c)
 	}
-	return nil
+	return countable(c.Dims(), 1)
 }
 
 // chunkOf returns the element count rank i owns in a contiguous split
@@ -95,7 +98,8 @@ func chunkOf(n, p, i int) int { return (i+1)*n/p - i*n/p }
 // redist is a frozen redistribution plan: per-rank pack and unpack
 // work, the exchange pattern in bytes at the plan's volume fraction,
 // stored sparse (a rank sends to a handful of target owners) and priced
-// once per machine.
+// once per machine. A plan that moves nothing (totalMoved 0) has none
+// of them.
 type redist struct {
 	// pack[i] and unpack[i] are rank i's pack and unpack flops before
 	// the volume fraction scales them: its sent and received element
@@ -106,30 +110,27 @@ type redist struct {
 	exchange     *simmpi.AlltoallvPattern
 }
 
-// newRedist freezes a move count into a plan. It takes ownership of
-// mv.start. The count's dst and n are sized to each rank's span of
-// target owners, which counts the diagonal and the owners it skips (up
-// to 40 % more than its entries), so the exchange gets exact-size
-// copies: a memoised plan keeps no spare capacity.
-func newRedist(mv moves, fraction float64) *redist {
+// newRedist freezes a move count into a plan of exact-size slices, so
+// a memoised plan keeps no spare capacity and mv can count again. A
+// plan that moves nothing is never priced or run, so it keeps nothing.
+func newRedist(mv *moves, fraction float64) *redist {
+	if len(mv.dst) == 0 {
+		return &redist{fraction: fraction}
+	}
 	p := len(mv.start) - 1
-	ex := &simmpi.AlltoallvPattern{Start: mv.start, Dst: make([]int, len(mv.dst)), Bytes: make([]int, len(mv.n))}
-	copy(ex.Dst, mv.dst)
+	ex := &simmpi.AlltoallvPattern{Start: slices.Clone(mv.start), Dst: slices.Clone(mv.dst), Bytes: make([]int, len(mv.n))}
 	r := &redist{pack: make([]float64, p), unpack: make([]float64, p), fraction: fraction, exchange: ex}
 	for i := 0; i < p; i++ {
+		sent := 0
 		for k := mv.start[i]; k < mv.start[i+1]; k++ {
-			elems := mv.n[k]
-			// Element totals are integers far below 2⁵³: summing them
-			// as floats is exact.
-			r.pack[i] += float64(elems)
-			r.unpack[mv.dst[k]] += float64(elems)
-			r.totalMoved += elems
-			ex.Bytes[k] = int(float64(elems) * 8 * elemWeight * fraction)
+			ex.Bytes[k] = int(float64(mv.n[k]) * 8 * elemWeight * fraction)
+			sent += mv.n[k]
 		}
-	}
-	for i := 0; i < p; i++ {
-		r.pack[i] = r.pack[i] * elemWeight * packFlops
-		r.unpack[i] = r.unpack[i] * elemWeight * packFlops
+		r.totalMoved += sent
+		// Element totals are integers far below 2⁵³: a total converted
+		// is the sum of its terms converted.
+		r.pack[i] = float64(sent) * elemWeight * packFlops
+		r.unpack[i] = float64(mv.recv[i]) * elemWeight * packFlops
 	}
 	return r
 }
@@ -160,6 +161,10 @@ type plansKey struct {
 // one build, and plans are immutable once built.
 var plansCache sync.Map // plansKey -> *plans
 
+// countScratch pools the storage cold plans are counted into: a count
+// is frozen into exact-size slices, so its scratch serves the next.
+var countScratch = sync.Pool{New: func() any { return new(moves) }}
+
 func (c Config) plans(p int) *plans {
 	d := c.Dims()
 	key := plansKey{d: d, l: c.Layout, coll: c.Collisions, p: p}
@@ -169,12 +174,16 @@ func (c Config) plans(p int) *plans {
 	}
 	pl := v.(*plans)
 	pl.build.Do(func() {
+		mv := countScratch.Get().(*moves)
+		defer countScratch.Put(mv)
 		// Targets preserve the home-relative order of the dimensions
 		// they localise, so a layout that already keeps them fastest
 		// (yxles and yxels for x,y) moves nothing.
-		pl.toXY = newRedist(countMoves(d, c.Layout, c.Layout.front("xy"), p), 1)
+		mv.count(d, c.Layout, c.Layout.front("xy"), p)
+		pl.toXY = newRedist(mv, 1)
 		if c.Collisions {
-			pl.toLE = newRedist(countMoves(d, c.Layout, c.Layout.front("le"), p), collRedistFraction)
+			mv.count(d, c.Layout, c.Layout.front("le"), p)
+			pl.toLE = newRedist(mv, collRedistFraction)
 		}
 		pl.work = make([]float64, p)
 		for i := range pl.work {
@@ -200,6 +209,9 @@ const collRedistFraction = 0.12
 // benchmarking run plus the same initialisation).
 func Run(m *cluster.Machine, cfg Config) (float64, error) {
 	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
+	if err := countable(cfg.Dims(), m.Procs()); err != nil {
 		return 0, err
 	}
 	const maxSimSteps = 3
@@ -354,7 +366,10 @@ func ResolutionStart(sp *space.Space, negrid, ntheta, nodes int) space.Point {
 	return pt
 }
 
-// MachineFor builds the cluster slice a configuration runs on.
+// MachineFor builds the cluster slice a configuration runs on. It must
+// be a pure function of nodes: ResolutionObjective keeps the first
+// machine it builds for a node count and runs every configuration of
+// that count on it.
 type MachineFor func(nodes int) *cluster.Machine
 
 // LinuxCluster returns the paper's Myrinet Linux cluster with the
@@ -363,14 +378,51 @@ func LinuxCluster(nodes int) *cluster.Machine { return cluster.MyrinetLinux(node
 
 // ResolutionObjective adapts (negrid, ntheta, nodes) tuning to the
 // tuning engine: layout, step count, and collision mode stay fixed
-// while resolution and machine size vary.
+// while resolution and machine size vary. The objective keeps the
+// machine of each node count it has run, so a run on a node count it
+// has met builds none.
 func ResolutionObjective(mf MachineFor, base Config) core.Objective {
+	ro := &resolutionObjective{mf: mf, base: base}
 	return func(_ context.Context, cfg space.Config) (float64, error) {
-		c := base
+		c := ro.base
 		c.Negrid = int(cfg.Int("negrid"))
 		c.Ntheta = int(cfg.Int("ntheta"))
-		return Run(mf(int(cfg.Int("nodes"))), c)
+		return Run(ro.machine(int(cfg.Int("nodes"))), c)
 	}
+}
+
+// resolutionObjective is what a ResolutionObjective keeps: its base
+// configuration and the machines it has built, by node count.
+type resolutionObjective struct {
+	mf       MachineFor
+	base     Config
+	mu       sync.Mutex
+	machines map[int]*cluster.Machine
+}
+
+func (ro *resolutionObjective) machine(nodes int) *cluster.Machine {
+	ro.mu.Lock()
+	m, ok := ro.machines[nodes]
+	ro.mu.Unlock()
+	if ok {
+		return m
+	}
+	// mf is the caller's code, so it runs outside the lock. Workers that
+	// meet a node count at once may each build its machine: mf is pure,
+	// so the machines are equal, and the first stored is kept.
+	m = ro.mf(nodes)
+	ro.mu.Lock()
+	defer ro.mu.Unlock()
+	if first, ok := ro.machines[nodes]; ok {
+		return first
+	}
+	if ro.machines == nil {
+		// Made on first use: a campaign replayed from a warm cache builds
+		// its objective and never runs it.
+		ro.machines = map[int]*cluster.Machine{}
+	}
+	ro.machines[nodes] = m
+	return m
 }
 
 // FidelityError is a resolution-fidelity proxy: a discretisation

@@ -1,7 +1,11 @@
 package gs2
 
 import (
+	"context"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -327,5 +331,71 @@ func TestChunkOfCoversAll(t *testing.T) {
 		if total != 1000 {
 			t.Errorf("p=%d: chunks cover %d", p, total)
 		}
+	}
+}
+
+func TestResolutionObjectiveKeepsEachMachine(t *testing.T) {
+	// The workers of a campaign share one objective. A node count's
+	// machine is built by the workers that meet it first, at most one
+	// each, and by nobody after; every run on it returns what a run on
+	// a machine of its own returns.
+	var built sync.Map // nodes -> *atomic.Int32
+	mf := func(nodes int) *cluster.Machine {
+		v, _ := built.LoadOrStore(nodes, new(atomic.Int32))
+		v.(*atomic.Int32).Add(1)
+		return LinuxCluster(nodes)
+	}
+	sp := ResolutionSpace(64)
+	obj := ResolutionObjective(mf, DefaultConfig())
+	nodes := []int{2, 7, 32}
+	const workers = 8
+	run := func(w int) {
+		for i, n := range nodes {
+			negrid, ntheta := 8+2*((w+i)%4), 16+2*w
+			got, err := obj(context.Background(), sp.MustDecode(ResolutionStart(sp, negrid, ntheta, n)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			cfg := DefaultConfig()
+			cfg.Negrid, cfg.Ntheta = negrid, ntheta
+			want, err := Run(LinuxCluster(n), cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got != want {
+				t.Errorf("(%d, %d, %d): objective %v, Run %v", negrid, ntheta, n, got, want)
+			}
+		}
+	}
+	builds := func() []int32 {
+		var out []int32
+		for _, n := range nodes {
+			v, _ := built.Load(n)
+			out = append(out, v.(*atomic.Int32).Load())
+		}
+		return out
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			run(w)
+		}(w)
+	}
+	wg.Wait()
+	first := builds()
+	for i, c := range first {
+		if c < 1 || c > workers {
+			t.Errorf("machine of %d nodes built %d times by %d workers", nodes[i], c, workers)
+		}
+	}
+	for w := 0; w < workers; w++ {
+		run(w)
+	}
+	if again := builds(); !slices.Equal(again, first) {
+		t.Errorf("builds per node count %v after the workers, %v after a second pass: a kept machine was built again", first, again)
 	}
 }

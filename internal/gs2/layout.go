@@ -33,6 +33,7 @@ package gs2
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -111,82 +112,140 @@ func MoveMatrix(d Dims, home, target Layout, p int) [][]int {
 
 // moves is a move matrix stored sparse: rank i sends n[k] elements to
 // rank dst[k] for k in [start[i], start[i+1]), destinations ascending.
-// Zero entries and the diagonal are absent.
-type moves struct{ start, dst, n []int }
+// Zero entries and the diagonal are absent. recv[j] is the total rank j
+// receives. bounds and boxes are the count's own scratch: kept here,
+// the boxes do not grow the stack of each goroutine that counts.
+type moves struct {
+	start, dst, n, recv []int
+	bounds              []bound
+	boxes               [9]box
+}
 
-// countMoves counts the move matrix without visiting an element. Owner
-// boundaries are b_k = ⌈kN/p⌉. Rank i's home range [b_i, b_{i+1})
-// splits into at most nine boxes (products of one digit interval per
-// position), and G_i(j), how many of its elements have a target index
-// below b_j, sums a walk down b_j's target digits in each box:
-// moved[i][j] = G_i(j+1) − G_i(j). Only the owners of the target
-// indices between the boxes' corners can be nonzero, so a shape costs
-// O(p·k) for k target owners per rank, whatever N is. A first pass
-// sizes the output to those owners, so it allocates only its three
-// slices. The counts are integers: the result is exact.
+// bound is an owner bound b_k = ⌈kN/p⌉ and its target digits.
+type bound struct {
+	f int
+	d [5]int
+}
+
+// countMoves counts the move matrix into fresh storage.
 func countMoves(d Dims, home, target Layout, p int) moves {
-	for _, l := range []Layout{home, target} {
+	var mv moves
+	mv.count(d, home, target, p)
+	return mv
+}
+
+// count overwrites mv with the move matrix, counted without visiting an
+// element. Owner boundaries are b_k = ⌈kN/p⌉. Rank i's home range
+// [b_i, b_{i+1}) splits into at most nine boxes (products of one digit
+// interval per position), and G_i(j), how many of its elements have a
+// target index below b_j, sums a walk down b_j's target digits in each
+// box: moved[i][j] = G_i(j+1) − G_i(j). Only the owners of the target
+// indices between the boxes' corners can be nonzero, so a shape costs
+// O(p·k) for k target owners per rank, whatever N is. The count is one
+// pass that appends to mv's slices, so scratch that has held a larger
+// count allocates nothing. The counts are integers: the result is
+// exact. Owner bounds and digits are divided in 32 bits, which
+// countable guarantees.
+//
+//harmonyvet:allocamortized the slices grow to the largest count the scratch has held, then reuse capacity
+func (mv *moves) count(d Dims, home, target Layout, p int) {
+	for _, l := range [...]Layout{home, target} {
 		if err := l.Validate(); err != nil {
 			panic(err)
 		}
 	}
-	if p <= 0 {
-		panic(fmt.Sprintf("gs2: %d ranks", p))
+	if err := countable(d, p); err != nil {
+		panic(err)
 	}
-	mv := moves{start: make([]int, p+1)}
+	mv.start, mv.recv = zeroed(mv.start, p+1), zeroed(mv.recv, p)
+	mv.dst, mv.n = mv.dst[:0], mv.n[:0]
 	n := d.N()
 	if n == 0 || home == target {
-		return mv
+		return
 	}
 	t := transform{home: home.radix(d), target: target.radix(d)}
 	for r := range t.from {
 		t.from[r] = strings.IndexByte(string(home), target[r])
 	}
-	var bx [9]box
-	span := 0
-	for pass := 0; pass < 2; pass++ {
-		if pass == 1 {
-			mv.dst, mv.n = make([]int, 0, span), make([]int, 0, span)
-		}
-		hi, hd := 0, [5]int{}
-		for i := 0; i < p; i++ {
-			lo, ld := hi, hd
-			hi = ceilDiv((i+1)*n, p)
-			hd = t.home.digits(hi)
-			bs := t.split(&ld, &hd, &bx)
-			// The target index is increasing in every coordinate, so
-			// each box's corners bound its target indices.
-			tmin, tmax := n, -1
-			for b := range bs {
-				tmin, tmax = min(tmin, bs[b].first), max(tmax, bs[b].last)
-			}
-			// G_i(jmin) is 0 and G_i(jmax+1) is the whole range.
-			jmin, jmax := tmin*p/n, tmax*p/n
-			if pass == 0 {
-				span += max(jmax-jmin+1, 0)
-				continue
-			}
-			prev := 0
-			for j := jmin; j <= jmax; j++ {
-				g := hi - lo
-				if j < jmax {
-					f := ceilDiv((j+1)*n, p)
-					fd := t.target.digits(f)
-					g = 0
-					for b := range bs {
-						g += bs[b].below(f, &fd)
-					}
-				}
-				if g > prev && j != i {
-					mv.dst = append(mv.dst, j)
-					mv.n = append(mv.n, g-prev)
-				}
-				prev = g
-			}
+	// Every rank's count walks the same bounds, so each is divided
+	// into its digits once.
+	mv.bounds = mv.bounds[:0]
+	for k := 0; k <= p; k++ {
+		f := ceilDiv(k*n, p)
+		mv.bounds = append(mv.bounds, bound{f, t.target.digits(f)})
+	}
+	hi, hd := 0, [5]int{}
+	for i := 0; i < p; i++ {
+		lo, ld := hi, hd
+		hi = mv.bounds[i+1].f
+		if hi == lo {
+			// A rank that owns nothing sends nothing: it has no
+			// corners to bound its target owners.
 			mv.start[i+1] = len(mv.dst)
+			continue
+		}
+		hd = t.home.digits(hi)
+		bs := t.split(&ld, &hd, &mv.boxes)
+		// The target index is increasing in every coordinate, so
+		// each box's corners bound its target indices.
+		tmin, tmax := n, 0
+		for b := range bs {
+			tmin, tmax = min(tmin, bs[b].first), max(tmax, bs[b].last)
+		}
+		// G_i(jmin) is 0 and G_i(jmax+1) is the whole range.
+		jmin, jmax := mulDiv(tmin, p, n), mulDiv(tmax, p, n)
+		prev := 0
+		for j := jmin; j <= jmax; j++ {
+			g := hi - lo
+			if j < jmax {
+				bd := &mv.bounds[j+1]
+				g = 0
+				for b := range bs {
+					g += bs[b].below(bd.f, &bd.d)
+				}
+			}
+			if g > prev && j != i {
+				mv.dst = append(mv.dst, j)
+				mv.n = append(mv.n, g-prev)
+				mv.recv[j] += g - prev
+			}
+			prev = g
+		}
+		mv.start[i+1] = len(mv.dst)
+	}
+}
+
+// countable reports whether p ranks over d's elements can be counted:
+// the largest numerator of an owner bound, p·N + p − 1 (about
+// (p+1)·N), must stay below 2³², because the count divides in 32 bits.
+func countable(d Dims, p int) error {
+	const lim = math.MaxUint32
+	if p <= 0 {
+		return fmt.Errorf("gs2: %d ranks", p)
+	}
+	n := uint64(1)
+	for _, e := range [...]int{d.X, d.Y, d.L, d.E, d.S} {
+		if e < 0 || uint64(e) > lim {
+			return fmt.Errorf("gs2: extent %d of %+v out of range", e, d)
+		}
+		if n *= uint64(e); n > lim {
+			return fmt.Errorf("gs2: %+v has more than 2³² elements", d)
 		}
 	}
-	return mv
+	if uint64(p) > lim || uint64(p)*(n+1) > lim+1 {
+		return fmt.Errorf("gs2: %d ranks over %+v overflow the 32-bit move count", p, d)
+	}
+	return nil
+}
+
+// zeroed returns s resized to n zeros, reusing its capacity.
+func zeroed(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // radix is a layout's mixed-radix numbering of the flat index: each
@@ -206,12 +265,17 @@ func (l Layout) radix(d Dims) radix {
 }
 
 // digits returns f's digits, fastest first. The slowest is not
-// reduced, so N's digits are (0, 0, 0, 0, ext[4]).
+// reduced, so N's digits are (0, 0, 0, 0, ext[4]). f is at most N,
+// below 2³² (countable), so the divisions are 32-bit.
+//
+//harmonyvet:allocfree
 func (r *radix) digits(f int) (d [5]int) {
+	u := uint32(f)
 	for q := 4; q > 0; q-- {
-		d[q], f = f/r.stride[q], f%r.stride[q]
+		s := uint32(r.stride[q])
+		d[q], u = int(u/s), u%s
 	}
-	d[0] = f
+	d[0] = int(u)
 	return d
 }
 
@@ -236,6 +300,8 @@ type box struct {
 // where they differ and z the fastest where ld is nonzero, each
 // position from z to D takes the digits after ld's (from ld's at z, to
 // hd's at D), and each below D the digits before hd's.
+//
+//harmonyvet:allocfree
 func (t *transform) split(ld, hd *[5]int, out *[9]box) []box {
 	d, z, bs := 4, 0, out[:0]
 	for d > 0 && ld[d] == hd[d] {
@@ -262,6 +328,8 @@ func (t *transform) split(ld, hd *[5]int, out *[9]box) []box {
 
 // add appends, unless it is empty, the box of d's digits above position
 // q, [from, from+count) at q, and all digits below q.
+//
+//harmonyvet:allocfree
 func (t *transform) add(bs []box, q int, d *[5]int, from, count int) []box {
 	if count == 0 {
 		return bs
@@ -286,6 +354,8 @@ func (t *transform) add(bs []box, q int, d *[5]int, from, count int) []box {
 
 // below counts the box's indices whose target index is below f, whose
 // target digits are d, walking down while d stays inside the box.
+//
+//harmonyvet:allocfree
 func (b *box) below(f int, d *[5]int) int {
 	if f <= b.first {
 		return 0
@@ -307,4 +377,8 @@ func (b *box) below(f int, d *[5]int) int {
 	return g
 }
 
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
+// ceilDiv and mulDiv are ⌈a/b⌉ and ⌊a·b/c⌋ for operands whose
+// numerators stay below 2³² (countable).
+func ceilDiv(a, b int) int { return int((uint32(a) + uint32(b) - 1) / uint32(b)) }
+
+func mulDiv(a, b, c int) int { return int(uint32(a) * uint32(b) / uint32(c)) }

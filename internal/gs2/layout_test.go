@@ -135,11 +135,11 @@ func accumulateRun(mat [][]int, f1, f2, s2, length, p, n int) {
 		o1 := (f1 + k) * p / n
 		o2 := (f2 + k*s2) * p / n
 		// Next k where o1 changes: (f1+k')·p >= (o1+1)·n.
-		k1 := ceilDiv((o1+1)*n, p) - f1
+		k1 := refCeilDiv((o1+1)*n, p) - f1
 		// Next k where o2 changes: (f2+k'·s2)·p >= (o2+1)·n.
 		k2 := length
 		if s2 > 0 {
-			k2 = ceilDiv(ceilDiv((o2+1)*n, p)-f2, s2)
+			k2 = refCeilDiv(refCeilDiv((o2+1)*n, p)-f2, s2)
 		}
 		next := min(k1, k2, length)
 		if next <= k { // guard against pathological stalls
@@ -211,7 +211,7 @@ func countMovesRef(d Dims, home, target Layout, p int) moves {
 		return mv
 	}
 	hr, tr, ts := home.refRadix(d), target.refRadix(d), target.strides(d)
-	bound := func(k int) int { return ceilDiv(k*n, p) }
+	bound := func(k int) int { return refCeilDiv(k*n, p) }
 	// pre[preStart[j]:preStart[j+1]] are the boxes of the target
 	// prefix [0, b_j).
 	preStart := make([]int, p+1)
@@ -293,7 +293,7 @@ type refBox struct{ lo, hi [5]int }
 func (r *refRadix) boxes(lo, hi int, out []refBox) []refBox {
 	cur, q := lo, 0
 	for ; q < 5; q++ {
-		next := ceilDiv(cur, r.stride[q+1]) * r.stride[q+1]
+		next := refCeilDiv(cur, r.stride[q+1]) * r.stride[q+1]
 		if next > hi {
 			break
 		}
@@ -356,6 +356,10 @@ func MovedElements(mat [][]int) int {
 	}
 	return total
 }
+
+// refCeilDiv is ⌈a/b⌉ in full-width integers: the references do not
+// share the count's 32-bit arithmetic.
+func refCeilDiv(a, b int) int { return (a + b - 1) / b }
 
 // allLayouts returns the 120 permutations of "xyles".
 func allLayouts() []Layout {
@@ -474,23 +478,104 @@ func TestCountMovesMatchesReferenceOnLattice(t *testing.T) {
 	}
 }
 
-// TestCountMovesAllocatesOnlyItsOutput pins a cold count at its three
-// output slices, sized once: a count that grew them by appending, or
-// kept a table beside them, allocates more.
+// allocShapes are the shapes the allocation pins count: the paper's
+// default on 64 ranks and an odd one on 38.
+var allocShapes = []shape{{Dims{X: 26, Y: 32, L: 20, E: 16, S: 2}, 64}, {Dims{X: 41, Y: 32, L: 20, E: 13, S: 2}, 38}}
+
+// TestCountIntoWarmScratchAllocatesNothing pins the count at no
+// allocation once its scratch has held the shape: a count that kept a
+// table beside its output, or sized it in a second pass, allocates.
+func TestCountIntoWarmScratchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments what it runs; allocation pins run without it")
+	}
+	for _, s := range allocShapes {
+		for _, pair := range campaignRedistributions() {
+			var mv moves
+			mv.count(s.d, pair[0], pair[1], s.p)
+			if got := testing.AllocsPerRun(10, func() { mv.count(s.d, pair[0], pair[1], s.p) }); got != 0 {
+				t.Errorf("%+v on %d ranks, %s->%s: %v allocations, want 0", s.d, s.p, pair[0], pair[1], got)
+			}
+		}
+	}
+}
+
+// TestCountMovesAllocatesOnlyItsOutput pins a plan counted into warm
+// scratch at the seven allocations the frozen redist keeps: its
+// pattern's Start, Dst and Bytes, the pattern, pack, unpack, and the
+// redist itself. A plan that moves nothing keeps only the redist.
 func TestCountMovesAllocatesOnlyItsOutput(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments what it runs; allocation pins run without it")
 	}
-	for _, s := range []shape{{Dims{X: 26, Y: 32, L: 20, E: 16, S: 2}, 64}, {Dims{X: 41, Y: 32, L: 20, E: 13, S: 2}, 38}} {
+	for _, s := range allocShapes {
 		for _, pair := range campaignRedistributions() {
-			want := 3.0
+			var mv moves
+			mv.count(s.d, pair[0], pair[1], s.p)
+			want := 7.0
 			if pair[0] == pair[1] {
-				want = 1 // nothing moves: only the row starts
+				want = 1
 			}
-			if got := testing.AllocsPerRun(10, func() { countMoves(s.d, pair[0], pair[1], s.p) }); got != want {
+			got := testing.AllocsPerRun(10, func() {
+				mv.count(s.d, pair[0], pair[1], s.p)
+				coldPlan = newRedist(&mv, 1)
+			})
+			if got != want {
 				t.Errorf("%+v on %d ranks, %s->%s: %v allocations, want %v", s.d, s.p, pair[0], pair[1], got, want)
 			}
 		}
+	}
+}
+
+func TestCountIntoDirtyScratchEqualsFresh(t *testing.T) {
+	// A pooled scratch last held some other shape's count, often a
+	// larger one. Before every shape of a lattice stride the scratch
+	// holds the largest campaign shape's count of the same
+	// redistribution; counting into it must give what fresh storage
+	// gets, received totals included.
+	largest := shape{Config{Negrid: 32, Ntheta: 80}.Dims(), 128}
+	for _, pair := range campaignRedistributions() {
+		var mv moves
+		for _, s := range latticeShapes([3]int64{4, 8, 9}) {
+			mv.count(largest.d, pair[0], pair[1], largest.p)
+			mv.count(s.d, pair[0], pair[1], s.p)
+			want := countMoves(s.d, pair[0], pair[1], s.p)
+			if !slices.Equal(mv.start, want.start) || !slices.Equal(mv.dst, want.dst) || !slices.Equal(mv.n, want.n) || !slices.Equal(mv.recv, want.recv) {
+				t.Errorf("%+v on %d ranks, %s->%s: the dirty scratch counts differently", s.d, s.p, pair[0], pair[1])
+			}
+		}
+	}
+}
+
+func TestCountRefusesWhat32BitsCannotHold(t *testing.T) {
+	// The count divides owner bounds ⌈kN/p⌉ in 32 bits. At the largest
+	// campaign grid, p = 1310 is the most ranks whose largest numerator,
+	// p·N + p − 1, fits: above 2³¹, so it needs every unsigned bit.
+	// There the count must match the full-width reference; one rank
+	// more must be refused, not miscounted.
+	cfg := Config{Layout: DefaultLayout, Negrid: 32, Ntheta: 80, Steps: 1}
+	d, target := cfg.Dims(), cfg.Layout.front("xy")
+	const edge = 1310
+	if top := edge*d.N() + edge - 1; top < 1<<31 || top >= 1<<32 {
+		t.Fatalf("largest numerator %d is not between 2³¹ and 2³²", top)
+	}
+	got, want := countMoves(d, cfg.Layout, target, edge), countMovesRef(d, cfg.Layout, target, edge)
+	if !slices.Equal(got.start, want.start) || !slices.Equal(got.dst, want.dst) || !slices.Equal(got.n, want.n) {
+		t.Errorf("p=%d: the count differs from the reference", edge)
+	}
+	refused := func() (r any) {
+		defer func() { r = recover() }()
+		countMoves(d, cfg.Layout, target, edge+1)
+		return nil
+	}()
+	if refused == nil {
+		t.Errorf("p=%d: counted a shape whose bounds overflow 32 bits", edge+1)
+	}
+	if _, err := Run(cluster.MyrinetLinux(edge+1, 1), cfg); err == nil {
+		t.Errorf("Run on %d ranks accepted a shape whose bounds overflow 32 bits", edge+1)
+	}
+	if err := (Config{Layout: DefaultLayout, Negrid: 2000, Ntheta: 2000, Steps: 1}).Validate(); err == nil {
+		t.Error("Validate accepted a grid of more than 2³² elements")
 	}
 }
 
@@ -498,9 +583,10 @@ func TestCountMovesAllocatesOnlyItsOutput(t *testing.T) {
 var coldPlan *redist
 
 // BenchmarkColdPlans builds the plan of every campaign redistribution
-// fresh, without the plans cache, on a fixed slice of the Table III
-// lattice (every 97th shape): what a new shape costs before its first
-// run, collision targets included.
+// without the plans cache, counted into reused scratch as Config.plans
+// counts, on a fixed slice of the Table III lattice (every 97th shape):
+// what a new shape costs before its first run, collision targets
+// included. B/op is per sweep of the slice.
 func BenchmarkColdPlans(b *testing.B) {
 	var shapes []shape
 	for k, s := range latticeShapes([3]int64{1, 1, 1}) {
@@ -510,9 +596,12 @@ func BenchmarkColdPlans(b *testing.B) {
 	}
 	for _, pair := range campaignRedistributions() {
 		b.Run(string(pair[0])+"-"+string(pair[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			var mv moves
 			for i := 0; i < b.N; i++ {
 				for _, s := range shapes {
-					coldPlan = newRedist(countMoves(s.d, pair[0], pair[1], s.p), 1)
+					mv.count(s.d, pair[0], pair[1], s.p)
+					coldPlan = newRedist(&mv, 1)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(shapes)), "us/shape")
@@ -520,8 +609,12 @@ func BenchmarkColdPlans(b *testing.B) {
 	}
 }
 
-// dense expands an exchange pattern into rows[src][dst] = bytes.
+// dense expands an exchange pattern into rows[src][dst] = bytes. A
+// plan that moves nothing has no pattern, and no rows.
 func dense(ex *simmpi.AlltoallvPattern) [][]int {
+	if ex == nil {
+		return nil
+	}
 	p := len(ex.Start) - 1
 	rows := newMatrix(p)
 	for i := 0; i < p; i++ {
@@ -820,7 +913,7 @@ func TestExchangePricingKeyedByMachine(t *testing.T) {
 			row[j] = int(float64(elems) * 8 * elemWeight * 1)
 		}
 	}
-	ex := newRedist(countMoves(d, cfg.Layout, target, p), 1).exchange
+	ex := freeze(d, cfg.Layout, target, p, 1).exchange
 
 	// Two ranks per node, so the plan's nearest-neighbour exchanges
 	// cross nodes and the bisection gates them.

@@ -32,14 +32,20 @@ type countedPlans struct {
 func countPlans(cfg Config, p int) countedPlans {
 	d, xy, le := cfg.Dims(), cfg.Layout.front("xy"), cfg.Layout.front("le")
 	cp := countedPlans{
-		toXY:   newRedist(countMoves(d, cfg.Layout, xy, p), 1),
-		fromXY: newRedist(countMoves(d, xy, cfg.Layout, p), 1),
+		toXY:   freeze(d, cfg.Layout, xy, p, 1),
+		fromXY: freeze(d, xy, cfg.Layout, p, 1),
 	}
 	if cfg.Collisions {
-		cp.toLE = newRedist(countMoves(d, cfg.Layout, le, p), collRedistFraction)
-		cp.fromLE = newRedist(countMoves(d, le, cfg.Layout, p), collRedistFraction)
+		cp.toLE = freeze(d, cfg.Layout, le, p, collRedistFraction)
+		cp.fromLE = freeze(d, le, cfg.Layout, p, collRedistFraction)
 	}
 	return cp
+}
+
+// freeze counts a redistribution into fresh storage and freezes it.
+func freeze(d Dims, home, target Layout, p int, fraction float64) *redist {
+	mv := countMoves(d, home, target, p)
+	return newRedist(&mv, fraction)
 }
 
 // simulateCoroutine is simulate's rank program written for simmpi's

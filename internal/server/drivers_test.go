@@ -418,3 +418,31 @@ func TestFaultLadder(t *testing.T) {
 		})
 	}
 }
+
+// TestBestAgreesWithFetchOnConvergence: when the run budget or the
+// proposal cap ends a session whose strategy never finishes, fetch
+// replies converged, and best must say the same of the same session.
+func TestBestAgreesWithFetchOnConvergence(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		maxRuns int
+	}{{"max_runs 5", 5}, {"proposal cap", 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			strat := &endlessStrategy{}
+			ss := newTestSession(testSpace(), strat, c.maxRuns, roundWindow(strat))
+			for i := 0; ; i++ {
+				r := ss.callFetch()
+				if r.Type != proto.TypeConfig || i > 20000 {
+					t.Fatalf("fetch %d: %+v", i, r)
+				}
+				if r.Converged {
+					break
+				}
+				ss.callReport(&proto.Message{Tag: r.Tag, Perf: objective(r.Values)})
+			}
+			if b := ss.callBest(); b.Type != proto.TypeBestReply || !b.Converged {
+				t.Errorf("fetch replied converged, best replies %+v", b)
+			}
+		})
+	}
+}

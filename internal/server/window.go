@@ -192,10 +192,11 @@ func (ss *session) fetchWindowLocked(now time.Time, reply *proto.Message) {
 		}
 		if pick == nil {
 			// The head would have committed were anything complete: the
-			// window is empty. If the machine could still issue, the
-			// strategy is stalled with nothing in flight — done in every
-			// way that matters.
-			ss.converged = ss.converged || m.Open()
+			// window is empty. The strategy finished, the run budget or the
+			// proposal cap ended the search, or the strategy is stalled
+			// with nothing in flight — done in every way that matters, and
+			// what the reply says best says too.
+			ss.converged = true
 			ss.bestOrCurrentLocked(reply)
 			return
 		}

@@ -3,6 +3,7 @@ package simmpi
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"harmony/internal/cluster"
@@ -69,6 +70,10 @@ func NewAlltoallvScratch(n int) *AlltoallvScratch {
 		mo:        make([]float64, n),
 	}
 }
+
+// priceScratch pools the accumulators AlltoallvPattern.Price works in.
+// The per-rank terms a pricing keeps, cost and mo, are its own.
+var priceScratch = sync.Pool{New: func() any { return new(AlltoallvScratch) }}
 
 // The cost model of an all-to-all is two pieces that every pricing
 // path shares, so the same float operations run in the same order
@@ -221,7 +226,12 @@ func (pt *AlltoallvPattern) Price(m *cluster.Machine) *PricedAlltoallv {
 	if n < 0 || len(pt.Dst) != len(pt.Bytes) || pt.Start[n] != len(pt.Dst) {
 		panic(fmt.Sprintf("simmpi: alltoallv pattern has %d row starts for %d destinations and %d sizes", len(pt.Start), len(pt.Dst), len(pt.Bytes)))
 	}
-	sc := NewAlltoallvScratch(n)
+	sc := priceScratch.Get().(*AlltoallvScratch)
+	defer priceScratch.Put(sc)
+	if len(sc.msgs) < n {
+		sc.recvBytes, sc.recvTime, sc.sendTime, sc.msgs = make([]int, n), make([]float64, n), make([]float64, n), make([]int, n)
+	}
+	sc.cost, sc.mo = make([]float64, n), make([]float64, n)
 	sc.begin(n)
 	for src := 0; src < n; src++ {
 		lo, hi := pt.Start[src], pt.Start[src+1]
@@ -234,6 +244,7 @@ func (pt *AlltoallvPattern) Price(m *cluster.Machine) *PricedAlltoallv {
 	}
 	lat := sc.settle(m, n)
 	pr := &PricedAlltoallv{key: key, lat: lat, cost: sc.cost, mo: sc.mo, total: sc.total}
+	sc.cost, sc.mo = nil, nil
 	pt.priced.Store(pr)
 	return pr
 }
