@@ -283,10 +283,10 @@ var seededDefects = []struct {
 		"\tvar s float64\n\tfor i := range a {\n\t\ts += a[i] * b[i]\n\t}\n\tVecCost(r, len(a))\n",
 		"\tprod := make([]float64, len(a))\n\tvar s float64\n\tfor i := range a {\n\t\tprod[i] = a[i] * b[i]\n\t\ts += prod[i]\n\t}\n\tVecCost(r, len(a))\n",
 		"prod := make([]float64, len(a))"},
-	// An early return that leaks the cache mutex once the defer is gone.
+	// An early return, ahead of the defer, that leaks the cache mutex.
 	{"lockorder", "internal/history/evalcache.go",
-		"\tc.mu.Lock()\n\tdefer c.mu.Unlock()\n\treturn len(c.entries)\n",
-		"\tc.mu.Lock()\n\tif c.entries == nil {\n\t\treturn 0\n\t}\n\tn := len(c.entries)\n\tc.mu.Unlock()\n\treturn n\n",
+		"\tc.mu.Lock()\n\tdefer c.mu.Unlock()\n\tn := len(c.unclaimed)\n",
+		"\tc.mu.Lock()\n\tif c.unclaimed == nil {\n\t\treturn 0\n\t}\n\tdefer c.mu.Unlock()\n\tn := len(c.unclaimed)\n",
 		"return 0"},
 	// flushLocked called with s.mu not held.
 	{"lockorder", "internal/history/history.go",

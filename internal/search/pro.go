@@ -108,12 +108,11 @@ func (p *PRO) buildPopulation(opt PROOptions) {
 }
 
 func clampFloats(sp *space.Space, x []float64) []float64 {
-	params := sp.Params()
 	for d := range x {
 		if x[d] < 0 {
 			x[d] = 0
 		}
-		if max := float64(params[d].Levels() - 1); x[d] > max {
+		if max := float64(sp.Levels(d) - 1); x[d] > max {
 			x[d] = max
 		}
 	}

@@ -94,12 +94,16 @@ func (sc *AlltoallvScratch) begin(n int) {
 // or to rank k when dst is nil (a dense row). Self and zero entries
 // are ignored. Callers visit sources in ascending order, each with its
 // destinations ascending: per-rank float accumulation must stay a pure
-// function of rank numbering or repeated runs diverge bitwise.
-func (sc *AlltoallvScratch) addRow(m *cluster.Machine, src int, dst, bytes []int) {
+// function of rank numbering or repeated runs diverge bitwise. A
+// sparse row's destinations must ascend strictly within [0, n).
+func (sc *AlltoallvScratch) addRow(m *cluster.Machine, n, src int, dst, bytes []int) {
+	srcNode := m.NodeOf(src)
 	for k, b := range bytes {
 		d := k
 		if dst != nil {
-			d = dst[k]
+			if d = dst[k]; d < 0 || d >= n || (k > 0 && d <= dst[k-1]) {
+				panic(fmt.Sprintf("simmpi: alltoallv pattern row %d: destination %d out of order", src, d))
+			}
 		}
 		if b <= 0 || d == src {
 			if b < 0 {
@@ -107,14 +111,18 @@ func (sc *AlltoallvScratch) addRow(m *cluster.Machine, src int, dst, bytes []int
 			}
 			continue
 		}
-		dt := float64(b) / m.LinkBetween(src, d).Bandwidth
+		bw, inter := m.Intra.Bandwidth, m.NodeOf(d) != srcNode
+		if inter {
+			bw = m.Inter.Bandwidth
+		}
+		dt := float64(b) / bw
 		sc.recvTime[d] += dt
 		sc.sendTime[src] += dt
 		sc.recvBytes[d] += b
 		sc.msgs[src]++
 		sc.msgs[d]++
 		sc.total += int64(b)
-		if !m.SameNode(src, d) {
+		if inter {
 			sc.interNode += float64(b)
 		}
 	}
@@ -167,7 +175,7 @@ func AlltoallvExits(m *cluster.Machine, rows [][]int, base float64, exits []floa
 	n := len(rows)
 	sc.begin(n)
 	for src, row := range rows {
-		sc.addRow(m, src, nil, row)
+		sc.addRow(m, n, src, nil, row)
 	}
 	lat := sc.settle(m, n)
 	for i, c := range sc.cost[:n] {
@@ -235,12 +243,7 @@ func (pt *AlltoallvPattern) Price(m *cluster.Machine) *PricedAlltoallv {
 	sc.begin(n)
 	for src := 0; src < n; src++ {
 		lo, hi := pt.Start[src], pt.Start[src+1]
-		for k := lo; k < hi; k++ {
-			if d := pt.Dst[k]; d < 0 || d >= n || (k > lo && d <= pt.Dst[k-1]) {
-				panic(fmt.Sprintf("simmpi: alltoallv pattern row %d: destination %d out of order", src, d))
-			}
-		}
-		sc.addRow(m, src, pt.Dst[lo:hi], pt.Bytes[lo:hi])
+		sc.addRow(m, n, src, pt.Dst[lo:hi], pt.Bytes[lo:hi])
 	}
 	lat := sc.settle(m, n)
 	pr := &PricedAlltoallv{key: key, lat: lat, cost: sc.cost, mo: sc.mo, total: sc.total}

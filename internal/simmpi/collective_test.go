@@ -334,6 +334,40 @@ func TestAlltoallvNegativeSizeDetected(t *testing.T) {
 	}
 }
 
+// TestAlltoallvPatternPanics: Price refuses a malformed pattern with a
+// panic naming the defect, for a destination out of order, one out of
+// range, and a negative size.
+func TestAlltoallvPatternPanics(t *testing.T) {
+	m := testMachine(2, 2)
+	for _, c := range []struct {
+		name       string
+		dst, bytes []int
+		want       string
+	}{
+		{"out of order", []int{2, 1, 3}, []int{8, 8, 8}, "simmpi: alltoallv pattern row 1: destination 1 out of order"},
+		{"repeated", []int{0, 0}, []int{8, 8}, "simmpi: alltoallv pattern row 1: destination 0 out of order"},
+		{"out of range", []int{0, 4}, []int{8, 8}, "simmpi: alltoallv pattern row 1: destination 4 out of order"},
+		{"negative", []int{-1}, []int{8}, "simmpi: alltoallv pattern row 1: destination -1 out of order"},
+		{"negative size", []int{0, 2}, []int{8, -3}, "simmpi: alltoallv negative size -3"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Rank 0 sends 8 bytes to rank 3; rank 1's row is c's.
+			n := len(c.dst)
+			pt := &AlltoallvPattern{
+				Start: []int{0, 1, 1 + n, 1 + n, 1 + n},
+				Dst:   append([]int{3}, c.dst...),
+				Bytes: append([]int{8}, c.bytes...),
+			}
+			defer func() {
+				if r := recover(); r != c.want {
+					t.Errorf("Price panicked with %v, want %q", r, c.want)
+				}
+			}()
+			pt.Price(m)
+		})
+	}
+}
+
 // patternOf freezes dense rows into the sparse pattern holding the
 // same nonzero entries.
 func patternOf(rows [][]int) *AlltoallvPattern {

@@ -20,8 +20,9 @@ import (
 	"strings"
 )
 
-// Kind discriminates the two supported parameter flavours.
-type Kind int
+// Kind discriminates the two supported parameter flavours. It is 32
+// bits wide so that a Param's level count fits beside it in one word.
+type Kind int32
 
 const (
 	// Int is a bounded integer parameter with a step size.
@@ -50,6 +51,12 @@ func (k Kind) String() string {
 type Param struct {
 	Name string
 	Kind Kind
+
+	// levels is Levels, counted once by New for a parameter of a Space
+	// so that the space's hot paths do not divide. It shares Kind's
+	// word, so a Param is no larger for it, and is zero outside a Space
+	// and for a parameter of 2^32 levels or more.
+	levels uint32
 
 	// Int parameters.
 	Min, Max, Step int64
@@ -242,8 +249,18 @@ func New(params ...Param) (*Space, error) {
 		if _, dup := s.index[p.Name]; dup {
 			return nil, fmt.Errorf("space: duplicate parameter name %q", p.Name)
 		}
-		if p.Kind == Int && spanTooWide(p.Min, p.Max) {
+		switch {
+		case p.Kind == Int && (p.Step <= 0 || p.Max < p.Min):
+			return nil, fmt.Errorf("space: parameter %q has an empty lattice [%d,%d] step %d", p.Name, p.Min, p.Max, p.Step)
+		case p.Kind == Int && spanTooWide(p.Min, p.Max):
 			return nil, fmt.Errorf("space: parameter %q spans too wide a range [%d,%d]", p.Name, p.Min, p.Max)
+		case p.Kind == Enum && len(p.Values) == 0:
+			return nil, fmt.Errorf("space: parameter %q has no values", p.Name)
+		case p.Kind != Int && p.Kind != Enum:
+			return nil, fmt.Errorf("space: parameter %q has unknown kind %s", p.Name, p.Kind)
+		}
+		if l := p.Levels(); l <= math.MaxUint32 {
+			s.params[i].levels = uint32(l)
 		}
 		s.index[p.Name] = i
 	}
@@ -262,6 +279,16 @@ func MustNew(params ...Param) *Space {
 
 // Dims reports the number of parameters (lattice dimensions).
 func (s *Space) Dims() int { return len(s.params) }
+
+// Levels reports the number of lattice levels of dimension d: the
+// Levels of its parameter, counted once when the space was built
+// unless there are 2^32 or more.
+func (s *Space) Levels(d int) int64 {
+	if l := s.params[d].levels; l != 0 {
+		return int64(l)
+	}
+	return s.params[d].Levels()
+}
 
 // Params returns the parameters in order. The returned slice must not
 // be modified.
@@ -326,7 +353,7 @@ func (s *Space) Clamp(pt Point) Point {
 		if out[i] < 0 {
 			out[i] = 0
 		}
-		if max := s.params[i].Levels() - 1; out[i] > max {
+		if max := s.Levels(i) - 1; out[i] > max {
 			out[i] = max
 		}
 	}
@@ -351,7 +378,7 @@ func (s *Space) NearestInto(pt Point, coords []float64) Point {
 		if v < 0 {
 			v = 0
 		}
-		if max := s.params[i].Levels() - 1; v > max {
+		if max := s.Levels(i) - 1; v > max {
 			v = max
 		}
 		pt[i] = v
@@ -373,8 +400,8 @@ func floorHalfUp(x float64) float64 {
 // Center returns the lattice point at the middle of every dimension.
 func (s *Space) Center() Point {
 	pt := make(Point, len(s.params))
-	for i, p := range s.params {
-		pt[i] = (p.Levels() - 1) / 2
+	for i := range s.params {
+		pt[i] = (s.Levels(i) - 1) / 2
 	}
 	return pt
 }
@@ -382,8 +409,8 @@ func (s *Space) Center() Point {
 // Random returns a uniformly random lattice point drawn from rng.
 func (s *Space) Random(rng *rand.Rand) Point {
 	pt := make(Point, len(s.params))
-	for i, p := range s.params {
-		pt[i] = rng.Int63n(p.Levels())
+	for i := range s.params {
+		pt[i] = rng.Int63n(s.Levels(i))
 	}
 	return pt
 }
@@ -395,7 +422,7 @@ func (s *Space) Check(pt Point) error {
 		return fmt.Errorf("space: point has %d coordinates, space has %d", len(pt), len(s.params))
 	}
 	for i, v := range pt {
-		if v < 0 || v >= s.params[i].Levels() {
+		if v < 0 || v >= s.Levels(i) {
 			return fmt.Errorf("space: coordinate %d (=%d) out of range for %q", i, v, s.params[i].Name)
 		}
 	}

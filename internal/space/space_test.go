@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func testSpace(t *testing.T) *Space {
@@ -117,6 +118,48 @@ func TestNewRejectsBadSpaces(t *testing.T) {
 	}
 	if _, err := New(Param{Name: "", Kind: Int, Min: 0, Max: 1, Step: 1}); err == nil {
 		t.Error("expected error for empty name")
+	}
+	// Parameters built without IntParam or EnumParam: New counts their
+	// levels, so it refuses the ones that have none.
+	for _, p := range []Param{
+		{Name: "a", Kind: Int, Min: 0, Max: 1, Step: 0},
+		{Name: "a", Kind: Int, Min: 2, Max: 1, Step: 1},
+		{Name: "a", Kind: Enum},
+		{Name: "a", Kind: Kind(7), Min: 0, Max: 1, Step: 1},
+	} {
+		if _, err := New(p); err == nil {
+			t.Errorf("expected error for %+v", p)
+		}
+	}
+}
+
+// TestSpaceLevelsMatchParams: the level counts a space keeps are its
+// parameters' Levels, for parameters built by hand and by IntParam and
+// EnumParam alike, and for parameters too wide to keep a count. Keeping
+// the counts makes a Param no larger than its exported fields.
+func TestSpaceLevelsMatchParams(t *testing.T) {
+	sp := MustNew(
+		IntParam("a", -7, 20, 3),
+		EnumParam("b", "x", "y"),
+		Param{Name: "c", Kind: Int, Min: 5, Max: 5, Step: 9},
+		IntParam("d", 1, 1000, 1),
+		IntParam("e", 0, math.MaxUint32-1, 1),
+		IntParam("f", 0, math.MaxUint32, 1),
+		IntParam("g", math.MinInt64, -2, 1),
+	)
+	for d, p := range sp.Params() {
+		if got, want := sp.Levels(d), p.Levels(); got != want {
+			t.Errorf("dimension %d: Levels = %d, want %d", d, got, want)
+		}
+	}
+	exported := unsafe.Sizeof(struct {
+		Name           string
+		Kind           int64
+		Min, Max, Step int64
+		Values         []string
+	}{})
+	if got := unsafe.Sizeof(Param{}); got != exported {
+		t.Errorf("a Param takes %d bytes, its exported fields %d", got, exported)
 	}
 }
 
