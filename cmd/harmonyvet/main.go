@@ -13,17 +13,16 @@
 //
 // Usage:
 //
-//	harmonyvet [-C dir] [-only spec] [-json] [-facts] [-list] [patterns...]
+//	harmonyvet [-C dir] [-only spec] [-json] [-list] [patterns...]
 //
 // Patterns are package directories or recursive "dir/..." forms,
 // resolved against the module root; the default is "./...".
 //
 // The -only spec is a comma-separated list of analyzer names. A name
 // prefixed with "-" excludes instead of selects: "-only -allocfree"
-// runs everything except allocfree, "-only errdrop,lockorder" runs
+// runs everything except allocfree, "-only errdrop,maporder" runs
 // exactly those two. -json emits findings as a JSON array (the CI
-// artifact format); -facts dumps the interprocedural fact store after
-// the findings, one "function<TAB>fact<TAB>value" line each.
+// artifact format).
 package main
 
 import (
@@ -47,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("C", ".", "run as if started in `dir`")
 	only := fs.String("only", "", "comma-separated `analyzers` to run; -name excludes (default: all)")
 	asJSON := fs.Bool("json", false, "print findings as a JSON array")
-	facts := fs.Bool("facts", false, "dump the interprocedural fact store after the findings")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -75,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "harmonyvet: %v\n", err)
 		return 2
 	}
-	findings, prog := analysis.Run(pkgs, analyzers)
+	findings := analysis.Run(pkgs, analyzers)
 	if *asJSON {
 		if err := writeJSON(stdout, findings); err != nil {
 			fmt.Fprintf(stderr, "harmonyvet: %v\n", err)
@@ -85,9 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, f := range findings {
 			fmt.Fprintln(stdout, f)
 		}
-	}
-	if *facts {
-		prog.Facts().Dump(stdout)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "harmonyvet: %d finding(s) in %d package(s)\n", len(findings), len(pkgs))

@@ -87,8 +87,6 @@ func TestFixturesFail(t *testing.T) {
 		{"maporder", "maporder"},
 		{"proto", "errdrop"},
 		{"allocfree", "allocfree"},
-		{"lockorder", "lockorder"},
-		{"prunepurity", "prunepurity"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -108,9 +106,9 @@ func TestFixturesFail(t *testing.T) {
 
 // TestFindingsOnlyInNamedPackages pins the scope of a run: the
 // importer fixture is clean and calls into two fixtures with findings,
-// which the interprocedural analyzers load and read. Named alone it
-// reports nothing; named with maporder it reports maporder's findings
-// and no others.
+// one of them the allocfree fixture, which the interprocedural
+// analyzer loads and reads. Named alone it reports nothing; named with
+// maporder it reports maporder's findings and no others.
 func TestFindingsOnlyInNamedPackages(t *testing.T) {
 	var out, errb bytes.Buffer
 	importer := "./internal/analysis/testdata/src/importer"
@@ -134,10 +132,7 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("-list exit = %d, want 0 (stderr: %s)", code, errb.String())
 	}
-	for _, name := range []string{
-		"wallclock", "maporder", "errdrop",
-		"allocfree", "lockorder", "prunepurity",
-	} {
+	for _, name := range []string{"wallclock", "maporder", "errdrop", "allocfree"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())
 		}
@@ -161,7 +156,7 @@ func TestOnlyFlag(t *testing.T) {
 
 // TestOnlyExclude checks the -name exclusion syntax: the allocfree
 // fixture is dirty, but only under allocfree, so excluding that one
-// analyzer runs the other five and exits clean.
+// analyzer runs the other three and exits clean.
 func TestOnlyExclude(t *testing.T) {
 	var out, errb bytes.Buffer
 	pattern := "./internal/analysis/testdata/src/allocfree"
@@ -184,8 +179,8 @@ func TestOnlyExclude(t *testing.T) {
 // artifact is built from.
 func TestJSONFlag(t *testing.T) {
 	var out, errb bytes.Buffer
-	pattern := "./internal/analysis/testdata/src/lockorder"
-	code := run([]string{"-C", "../..", "-json", "-only", "lockorder", pattern}, &out, &errb)
+	pattern := "./internal/analysis/testdata/src/allocfree"
+	code := run([]string{"-C", "../..", "-json", "-only", "allocfree", pattern}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("-json exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
@@ -202,7 +197,7 @@ func TestJSONFlag(t *testing.T) {
 		t.Fatal("-json produced an empty findings array for a dirty fixture")
 	}
 	for _, f := range findings {
-		if f.Analyzer != "lockorder" || f.Line <= 0 || !strings.HasSuffix(f.File, "fixture.go") {
+		if f.Analyzer != "allocfree" || f.Line <= 0 || !strings.HasSuffix(f.File, "fixture.go") {
 			t.Errorf("malformed JSON finding: %+v", f)
 		}
 	}
@@ -219,29 +214,11 @@ func TestJSONFlag(t *testing.T) {
 	}
 }
 
-// TestFactsFlag checks the interprocedural fact dump: the lockorder
-// fixture's lockOther helper must carry the locks-shard fact.
-func TestFactsFlag(t *testing.T) {
-	var out, errb bytes.Buffer
-	pattern := "./internal/analysis/testdata/src/lockorder"
-	code := run([]string{"-C", "../..", "-facts", "-only", "lockorder", pattern}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("-facts exit = %d, want 1\nstderr:\n%s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "lockorder.locks-shard") {
-		t.Errorf("-facts dump lacks the locks-shard fact:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "lockorder.unsafe") {
-		t.Errorf("-facts dump lacks the unsafe fact:\n%s", out.String())
-	}
-}
-
 // seededDefects are small, plausible regressions planted in the
 // module's real code: one per analyzer, three for maporder (a float
-// sum, a selection, an early return) and prunepurity, and two for
-// lockorder and allocfree. Each replaces old, which must occur exactly
-// once in file, with new; the analyzer must then report on the line of
-// the copy that contains at.
+// sum, a selection, an early return) and two for allocfree. Each
+// replaces old, which must occur exactly once in file, with new; the
+// analyzer must then report on the line of the copy that contains at.
 var seededDefects = []struct {
 	analyzer, file, old, new, at string
 }{
@@ -283,32 +260,6 @@ var seededDefects = []struct {
 		"\tvar s float64\n\tfor i := range a {\n\t\ts += a[i] * b[i]\n\t}\n\tVecCost(r, len(a))\n",
 		"\tprod := make([]float64, len(a))\n\tvar s float64\n\tfor i := range a {\n\t\tprod[i] = a[i] * b[i]\n\t\ts += prod[i]\n\t}\n\tVecCost(r, len(a))\n",
 		"prod := make([]float64, len(a))"},
-	// An early return, ahead of the defer, that leaks the cache mutex.
-	{"lockorder", "internal/history/evalcache.go",
-		"\tc.mu.Lock()\n\tdefer c.mu.Unlock()\n\tn := len(c.unclaimed)\n",
-		"\tc.mu.Lock()\n\tif c.unclaimed == nil {\n\t\treturn 0\n\t}\n\tdefer c.mu.Unlock()\n\tn := len(c.unclaimed)\n",
-		"return 0"},
-	// flushLocked called with s.mu not held.
-	{"lockorder", "internal/history/history.go",
-		"\ts.mu.Lock()\n\tdefer s.mu.Unlock()\n\ts.records = append(s.records, rec)\n",
-		"\ts.records = append(s.records, rec)\n",
-		"return s.flushLocked()"},
-	// A pruned candidate's prediction charged as run cost.
-	{"prunepurity", "internal/core/driver.go",
-		"\t\t\tt.Value, t.Pruned = c.Predicted, true\n",
-		"\t\t\tt.Value, t.Pruned = c.Predicted, true\n\t\t\tres.TuningCost += c.Predicted\n",
-		"res.TuningCost += c.Predicted"},
-	// A pruned candidate's prediction taken as the best value.
-	{"prunepurity", "internal/core/driver.go",
-		"\t\t\tres.SurrogatePruned++\n",
-		"\t\t\tres.SurrogatePruned++\n\t\t\tif c.Predicted < res.BestValue {\n\t\t\t\tres.BestValue = c.Predicted\n\t\t\t}\n",
-		"res.BestValue = c.Predicted"},
-	// An on-line session caching a pruned candidate's prediction, in a
-	// branch only a session with a surrogate gate would reach.
-	{"prunepurity", "internal/server/window.go",
-		"\tcase core.Forfeited:\n",
-		"\tcase core.Pruned:\n\t\tif ss.cache != nil {\n\t\t\tss.cache.Store(c.Pt, c.Predicted)\n\t\t}\n\tcase core.Forfeited:\n",
-		"ss.cache.Store(c.Pt, c.Predicted)"},
 }
 
 // TestSeededDefects plants seededDefects in a copy of the module's

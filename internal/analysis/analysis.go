@@ -34,8 +34,7 @@ type Analyzer struct {
 	// like the real package of the same name.
 	Applies func(pkgPath string) bool
 	// Run inspects the packages the analyzer applies to and reports
-	// findings through the pass. Analyzers that follow calls across
-	// package boundaries compute their facts over p.FactPackages().
+	// findings through the pass.
 	Run func(p *Pass)
 }
 
@@ -57,18 +56,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Packages returns the pattern packages the analyzer applies to: the
 // packages it reports on.
-func (p *Pass) Packages() []*Package { return p.applicable(p.Prog.Pkgs) }
-
-// FactPackages returns every indexed package the analyzer applies to,
-// pattern or dependency — the set fact computation runs over, so
-// cross-package facts (a taint summary in internal/core consumed from
-// internal/server) exist even when only one of the packages is being
-// reported on.
-func (p *Pass) FactPackages() []*Package { return p.applicable(p.Prog.allPackages()) }
-
-func (p *Pass) applicable(pkgs []*Package) []*Package {
+func (p *Pass) Packages() []*Package {
 	var out []*Package
-	for _, pkg := range pkgs {
+	for _, pkg := range p.Prog.Pkgs {
 		if p.Analyzer.Applies == nil || p.Analyzer.Applies(pkg.Path) {
 			out = append(out, pkg)
 		}
@@ -83,8 +73,6 @@ func All() []*Analyzer {
 		maporderAnalyzer,
 		errdropAnalyzer,
 		allocfreeAnalyzer,
-		lockorderAnalyzer,
-		prunepurityAnalyzer,
 	}
 }
 
@@ -211,9 +199,7 @@ func suppressed(f Finding, sups []suppression) bool {
 }
 
 // Run applies the analyzers to the packages, filters suppressed
-// findings, and returns the survivors sorted by position, together
-// with the Program the analyzers ran over (callers dump its fact
-// store).
+// findings, and returns the survivors sorted by position.
 //
 // Suppressions are collected globally: an interprocedural finding may
 // land in a dependency package outside the pattern set (allocfree
@@ -222,7 +208,7 @@ func suppressed(f Finding, sups []suppression) bool {
 // Malformed-directive findings, by contrast, are only reported for
 // pattern packages, so vetting one directory does not surface
 // diagnostics about another.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, *Program) {
+func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	prog := buildProgram(pkgs)
 	inPattern := make(map[*Package]bool, len(pkgs))
 	for _, pkg := range pkgs {
@@ -257,7 +243,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, *Program) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return out, prog
+	return out
 }
 
 // inspect walks every file of pkg.

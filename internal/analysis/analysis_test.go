@@ -77,7 +77,7 @@ func runFixture(t *testing.T, dir, analyzer string) {
 	}
 	pkg := loadFixture(t, dir)
 	wants := fixtureWants(t, pkg)
-	findings, _ := Run([]*Package{pkg}, []*Analyzer{az})
+	findings := Run([]*Package{pkg}, []*Analyzer{az})
 
 	unmatched := make(map[string][]string, len(wants))
 	for k, v := range wants {
@@ -116,17 +116,15 @@ func TestMaporderFixture(t *testing.T)    { runFixture(t, "maporder", "maporder"
 func TestErrdropFixture(t *testing.T)     { runFixture(t, "proto", "errdrop") }
 func TestSuppressionFixture(t *testing.T) { runFixture(t, "suppress", "maporder") }
 
-// Each of these fixtures carries positive cases, negative cases, and
+// The allocfree fixture carries positive cases, negative cases, and
 // one justified suppression.
-func TestAllocfreeFixture(t *testing.T)   { runFixture(t, "allocfree", "allocfree") }
-func TestLockorderFixture(t *testing.T)   { runFixture(t, "lockorder", "lockorder") }
-func TestPrunepurityFixture(t *testing.T) { runFixture(t, "prunepurity", "prunepurity") }
+func TestAllocfreeFixture(t *testing.T) { runFixture(t, "allocfree", "allocfree") }
 
 // TestSuppressionValidation checks that malformed directives are
 // themselves reported and do not suppress the underlying finding.
 func TestSuppressionValidation(t *testing.T) {
 	pkg := loadFixture(t, "suppressbad")
-	findings, _ := Run([]*Package{pkg}, []*Analyzer{ByName("maporder")})
+	findings := Run([]*Package{pkg}, []*Analyzer{ByName("maporder")})
 
 	var gotMissingReason, gotUnknown bool
 	maporderCount := 0
@@ -156,10 +154,7 @@ func TestSuppressionValidation(t *testing.T) {
 
 // TestAnalyzerInventory pins the analyzer set the CLI advertises.
 func TestAnalyzerInventory(t *testing.T) {
-	want := []string{
-		"wallclock", "maporder", "errdrop",
-		"allocfree", "lockorder", "prunepurity",
-	}
+	want := []string{"wallclock", "maporder", "errdrop", "allocfree"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(want))

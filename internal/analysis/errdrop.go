@@ -64,8 +64,5 @@ func callDropsError(info *types.Info, call *ast.CallExpr) bool {
 
 // calleeText names the call target for the diagnostic.
 func calleeText(call *ast.CallExpr) string {
-	if s := exprText(ast.Unparen(call.Fun)); s != "" {
-		return s
-	}
-	return "call"
+	return types.ExprString(ast.Unparen(call.Fun))
 }

@@ -9,14 +9,14 @@ import (
 )
 
 // This file holds the whole-program view every Pass carries: a
-// function index, directive parsing, a static call-graph builder, and
-// a cross-package fact store. Single-package analyzers only walk
-// Pass.Packages(); allocfree, lockorder and prunepurity follow calls
-// and facts across package boundaries.
+// function index, directive parsing and static callee resolution.
+// Single-package analyzers only walk Pass.Packages(); allocfree, the
+// one interprocedural analyzer, follows calls across package
+// boundaries.
 
 // Function-level directives. Unlike //harmonyvet:ignore (which
-// suppresses one finding on one line), these change how the
-// interprocedural analyzers treat the annotated function as a whole.
+// suppresses one finding on one line), these change how allocfree
+// treats the annotated function as a whole.
 const (
 	// dirAllocfree marks a function whose execution — including every
 	// module function it transitively calls — must not allocate.
@@ -47,9 +47,6 @@ type FuncInfo struct {
 	Decl       *ast.FuncDecl
 	Pkg        *Package
 	Directives map[string]string // verb -> reason ("" for allocfree)
-
-	callees []*types.Func // memoised static callees, in source order
-	built   bool
 }
 
 // Directive reports whether the function carries the verb.
@@ -60,8 +57,8 @@ func (fi *FuncInfo) Directive(verb string) bool {
 
 // Program is the cross-package view handed to every analyzer: the
 // packages named by the run's patterns, every further module
-// package the loader pulled in as a dependency, a function index with
-// parsed directives, and the shared fact store.
+// package the loader pulled in as a dependency, and a function index
+// with parsed directives.
 type Program struct {
 	// Pkgs are the pattern packages — the set the user asked to vet.
 	// Analyzers report findings rooted in these (descent may surface a
@@ -72,7 +69,6 @@ type Program struct {
 
 	all   map[string]*Package // every known module package by path
 	funcs map[*types.Func]*FuncInfo
-	facts *FactStore
 }
 
 // buildProgram indexes the pattern packages plus every module package
@@ -83,7 +79,6 @@ func buildProgram(pkgs []*Package) *Program {
 		Pkgs:  pkgs,
 		all:   make(map[string]*Package),
 		funcs: make(map[*types.Func]*FuncInfo),
-		facts: NewFactStore(),
 	}
 	for _, pkg := range pkgs {
 		if prog.Fset == nil {
@@ -143,9 +138,6 @@ func (prog *Program) FuncOf(fn *types.Func) *FuncInfo {
 	return prog.funcs[fn]
 }
 
-// Facts returns the program's shared fact store.
-func (prog *Program) Facts() *FactStore { return prog.facts }
-
 // parseFuncDirectives extracts function-level harmonyvet verbs from a
 // declaration's doc comment. Reason validation happens during
 // suppression collection (collectSuppressions), which sees every
@@ -182,32 +174,6 @@ func parseDirective(comment string) (verb, rest string, ok bool) {
 	return verb, strings.TrimSpace(rest), true
 }
 
-// Callees returns the static callees of a function in source order:
-// every call whose callee resolves through Info.Uses to a concrete
-// *types.Func (package functions, methods on concrete receivers).
-// Calls through func values and interface methods are dynamic and do
-// not appear; analyzers that care inspect the syntax themselves.
-func (prog *Program) Callees(fi *FuncInfo) []*types.Func {
-	if fi.built {
-		return fi.callees
-	}
-	fi.built = true
-	if fi.Decl.Body == nil {
-		return nil
-	}
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fn := StaticCallee(fi.Pkg, call); fn != nil {
-			fi.callees = append(fi.callees, fn)
-		}
-		return true
-	})
-	return fi.callees
-}
-
 // StaticCallee resolves a call expression to its concrete callee, or
 // nil for dynamic calls (func values, interface methods) and builtins.
 func StaticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
@@ -230,7 +196,7 @@ func StaticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
 	fn, _ := pkg.Info.Uses[id].(*types.Func)
 	if fn != nil {
 		// A method of an instantiated generic type resolves to its
-		// declaration, which is what carries the body and the facts.
+		// declaration, which is what carries the body and the directives.
 		fn = fn.Origin()
 	}
 	return fn

@@ -66,12 +66,12 @@ func hotForeign(s string) string {
 // attributed to the annotated root that reaches it.
 
 //harmonyvet:allocfree
-func hotEntry(dst []byte, s string) int {
+func HotEntry(dst []byte, s string) int {
 	return helperGrow(dst, s)
 }
 
 func helperGrow(dst []byte, s string) int {
-	dst = append(dst, s...) // want `append may grow its backing array on the allocation-free path of hotEntry \(hotEntry → helperGrow\)`
+	dst = append(dst, s...) // want `append may grow its backing array on the allocation-free path of HotEntry \(HotEntry → helperGrow\)`
 	return len(dst)
 }
 

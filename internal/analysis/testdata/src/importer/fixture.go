@@ -4,11 +4,11 @@
 package importer
 
 import (
-	"harmony/internal/analysis/testdata/src/lockorder"
+	"harmony/internal/analysis/testdata/src/allocfree"
 	"harmony/internal/analysis/testdata/src/maporder"
 )
 
 // Use calls a function of each fixture that has a finding.
-func Use(g *lockorder.Guarded, m map[int]float64) (int, float64) {
-	return lockorder.EarlyReturn(g, false), maporder.FloatAccum(m)
+func Use(dst []byte, s string, m map[int]float64) (int, float64) {
+	return allocfree.HotEntry(dst, s), maporder.FloatAccum(m)
 }

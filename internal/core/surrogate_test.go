@@ -386,8 +386,9 @@ func TestSurrogateClassificationOrder(t *testing.T) {
 
 // TestSurrogatePredictionsNeverMeasured: a model whose scores are a
 // thousandth of the truth answers every pruned proposal below any
-// measurement, yet no prediction reaches the cache, Best, FirstValue
-// or the run cost; only the strategy hears of them.
+// measurement, yet no prediction reaches the cache, Best, BestConfig,
+// BestAtRun, FirstValue or the run cost; only the strategy hears of
+// them.
 func TestSurrogatePredictionsNeverMeasured(t *testing.T) {
 	sp := parallelSpace(t)
 	tiny := modelFunc(func(_ space.Point, cfg space.Config) (float64, bool) {
@@ -414,6 +415,10 @@ func TestSurrogatePredictionsNeverMeasured(t *testing.T) {
 		if res.BestValue != 1 || res.FirstValue != 1 || res.TuningCost != 1+17+2*3 {
 			t.Errorf("workers=%d: best %v, first %v, cost %v; want the measured 1, 1 and 24",
 				workers, res.BestValue, res.FirstValue, res.TuningCost)
+		}
+		if want := sp.MustDecode(round[0]).Format(); res.BestAtRun != 1 || res.BestConfig.Format() != want {
+			t.Errorf("workers=%d: best %s at run %d; want the measured %s at run 1",
+				workers, res.BestConfig.Format(), res.BestAtRun, want)
 		}
 		a, _ := cache.Lookup(round[0])
 		b, _ := cache.Lookup(round[1])

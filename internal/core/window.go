@@ -42,9 +42,9 @@ const (
 // and Predicted are separate fields on purpose: predictions choose what
 // to evaluate and must never flow into the measured accounts. They meet
 // only in CommitHead's Commit call — the one channel predictions are
-// designed to flow through — which lets prunepurity prove, once for
-// both drivers, that no prediction reaches an evaluation cache, a
-// measured best, or run accounting through this struct.
+// designed to flow through. TestSurrogatePredictionsNeverMeasured pins
+// that no prediction reaches an evaluation cache, a measured best, or
+// run accounting through this struct.
 type Candidate[P any] struct {
 	Pt        space.Point
 	Cfg       space.Config  // decoded for a Work candidate only
@@ -257,7 +257,7 @@ func (w *Window[P]) issue() {
 	for i, pt := range w.pts {
 		c := w.fresh(pt)
 		if keep != nil {
-			c.Predicted = scores[i] // written beside the Score call, where prunepurity's taint sees it
+			c.Predicted = scores[i]
 		}
 		if !w.classify(c, i, keep) {
 			w.free = append(w.free, c) // never issued

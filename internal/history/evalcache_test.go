@@ -3,6 +3,7 @@ package history
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"harmony/internal/space"
@@ -13,6 +14,104 @@ func cacheSpace() *space.Space {
 		space.IntParam("x", 0, 10, 1),
 		space.IntParam("y", 0, 10, 1),
 	)
+}
+
+// A method that returns holding its mutex deadlocks the next caller,
+// which shows as a test hanging until the timeout. The ReleasesMutex
+// pins call every exported method, error paths included, and require
+// the mutex to be free after each. They are the package's first tests,
+// and a leak stops the test binary with the method named: nearly every
+// later test calls Len, Bound or a lookup, and would hang on the leaked
+// mutex until the timeout.
+func requireUnlocked(mu *sync.Mutex, call string) {
+	if !mu.TryLock() {
+		panic(call + " returned holding the mutex")
+	}
+	mu.Unlock()
+}
+
+// blockDir replaces the directory dir with a file, so that saving
+// anything under it fails.
+func blockDir(t *testing.T, dir string) {
+	t.Helper()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestEvalCacheReleasesMutex(t *testing.T) {
+	sp := cacheSpace()
+	a, b, fresh := space.Point{1, 2}, space.Point{3, 4}, space.Point{5, 6}
+
+	mem := NewEvalCache()
+	mb := mem.Bound("app", "m", sp)
+	for _, step := range []struct {
+		name string
+		call func()
+	}{
+		{"Len", func() { mem.Len() }},
+		{"Bound", func() { mem.Bound("app", "m", sp) }},
+		{"BoundNS", func() { mem.BoundNS("app", "m", "tenant", sp) }},
+		{"Lookup (miss)", func() { mb.Lookup(a) }},
+		{"Store", func() { mb.Store(a, 1) }},
+		{"Lookup (hit)", func() { mb.Lookup(a) }},
+		{"Counters", func() { mem.Counters() }},
+		{"Save (in memory)", func() {
+			if err := mem.Save(); err != nil {
+				t.Fatalf("in-memory Save: %v", err)
+			}
+		}},
+	} {
+		step.call()
+		requireUnlocked(&mem.mu, step.name)
+	}
+
+	// An opened file's entries stay unclaimed until a binding's lookup
+	// or store moves them: the slow paths of Lookup and Store.
+	dir := filepath.Join(t.TempDir(), "d")
+	path := filepath.Join(dir, "cache.json")
+	src, err := OpenEvalCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Bound("app", "m", sp).Store(a, 1)
+	src.Bound("app", "m", sp).Store(b, 2)
+	if err := src.Save(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenEvalCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := c.Bound("app", "m", sp)
+	for _, step := range []struct {
+		name string
+		call func()
+	}{
+		{"Len (entries unclaimed)", func() { c.Len() }},
+		{"Lookup (claims an entry)", func() { cb.Lookup(a) }},
+		{"Lookup (miss, entries unclaimed)", func() { cb.Lookup(fresh) }},
+		{"Store (entries unclaimed)", func() { cb.Store(fresh, 3) }},
+		{"Lookup (claims the last entry)", func() { cb.Lookup(b) }},
+		{"Store (all claimed)", func() { cb.Store(a, 4) }},
+		{"Save", func() {
+			if err := c.Save(); err != nil {
+				t.Fatalf("Save: %v", err)
+			}
+		}},
+		{"Save (unwritable path)", func() {
+			blockDir(t, dir)
+			if err := c.Save(); err == nil {
+				t.Fatal("Save under a file succeeded")
+			}
+		}},
+	} {
+		step.call()
+		requireUnlocked(&c.mu, step.name)
+	}
 }
 
 func TestEvalCacheRoundTrip(t *testing.T) {

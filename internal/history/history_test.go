@@ -18,6 +18,37 @@ func tmpStore(t *testing.T) (*Store, string) {
 	return s, path
 }
 
+func TestStoreReleasesMutex(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "d")
+	s, err := Open(filepath.Join(dir, "tuning.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := Record{App: "app", Machine: "m", Best: map[string]string{"x": "3", "y": "4"}, BestValue: 1}
+	for _, step := range []struct {
+		name string
+		call func()
+	}{
+		{"Add", func() {
+			if err := s.Add(rec); err != nil {
+				t.Fatalf("Add: %v", err)
+			}
+		}},
+		{"Len", func() { s.Len() }},
+		{"Records", func() { s.Records() }},
+		{"SeedsFor", func() { s.SeedsFor("app", "m", cacheSpace(), 1) }},
+		{"Add (failing flush)", func() {
+			blockDir(t, dir)
+			if err := s.Add(rec); err == nil {
+				t.Fatal("Add under a file succeeded")
+			}
+		}},
+	} {
+		step.call()
+		requireUnlocked(&s.mu, step.name)
+	}
+}
+
 func TestOpenMissingFileIsEmpty(t *testing.T) {
 	s, _ := tmpStore(t)
 	if s.Len() != 0 {

@@ -377,8 +377,8 @@ func (s *Server) ExpireNow() int {
 // returning whether it was garbage-collected. Takes the session's
 // shard lock, so concurrent dispatches stay correct. The expiry log
 // line is emitted only after the shard lock is released: Logf is an
-// injected callback that may block or re-enter the server, so
-// lockorder forbids calling it under a shard lock.
+// injected callback that may block or re-enter the server, so it never
+// runs under a shard lock (TestExpiryLogNotUnderShardLock).
 func (s *Server) expireOne(ss *session, now time.Time) bool {
 	sh := s.shardFor(ss.id)
 	expired, idle := s.expireOneShard(sh, ss, now)

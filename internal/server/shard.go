@@ -108,7 +108,8 @@ func (s *Server) expireDue(sh *shard, now time.Time) int {
 	}
 	// Expiry log lines are collected under the lock and emitted after
 	// it is released: Logf is an injected callback that may block or
-	// re-enter the server, so lockorder forbids it under a shard lock.
+	// re-enter the server, so it never runs under a shard lock
+	// (TestExpiryLogNotUnderShardLock).
 	type leaseExpiry struct {
 		id   string
 		idle time.Duration

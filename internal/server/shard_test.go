@@ -76,6 +76,74 @@ func TestConcurrentRegistersAcrossShards(t *testing.T) {
 	}
 }
 
+// TestDispatchAndSweepShareOneShard runs short sessions on one shard
+// from several goroutines, with lease and report deadlines armed and
+// half the hand-outs left to go overdue, while another goroutine
+// advances the clock and sweeps ExpireNow. Every path that holds both
+// locks takes the shard's before the session's, and the deadline heap
+// is touched only under its shard's lock: a shard lock taken under a
+// session lock deadlocks against the sweep, which the watchdog reports,
+// and a heap push outside the shard lock is a data race under -race.
+func TestDispatchAndSweepShareOneShard(t *testing.T) {
+	clk := newFakeClock()
+	s := newFaultServer(clk)
+	s.shards = s.shards[:1]
+	s.SessionTimeout, s.ReportTimeout = time.Hour, time.Second
+	const workers, sessions = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < sessions; i++ {
+				reg := s.call(&proto.Message{
+					Type: proto.TypeRegister, Strategy: proto.StrategyRandom, Seed: int64(w*sessions + i),
+					MaxRuns: 3, Space: proto.EncodeSpace(testSpace()),
+				})
+				if reg.Type != proto.TypeRegistered {
+					t.Errorf("register: %+v", reg)
+					return
+				}
+				for k := 0; k < 20; k++ {
+					cfg := s.call(&proto.Message{Type: proto.TypeFetch, Session: reg.Session})
+					if cfg.Type != proto.TypeConfig || cfg.Converged {
+						break
+					}
+					if k%2 == 0 {
+						s.call(&proto.Message{Type: proto.TypeReport, Session: reg.Session, Tag: cfg.Tag, Perf: bowl(cfg.Values)})
+					}
+				}
+				s.call(&proto.Message{Type: proto.TypeDone, Session: reg.Session})
+			}
+		}(w)
+	}
+	stop, swept := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(swept)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			clk.Advance(time.Second)
+			s.ExpireNow()
+		}
+	}()
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second): // the run takes well under a second, even under -race
+		t.Fatal("dispatches and the sweep deadlocked on one shard")
+	}
+	close(stop)
+	<-swept
+}
+
 // driveCampaign runs one full fetch/report campaign over a client
 // session, whichever transport carries it, and returns a deterministic
 // fingerprint of every step plus the final best — the golden trace for

@@ -11,30 +11,38 @@ import (
 	"harmony/internal/space"
 )
 
-// TestExpiryLogNotUnderShardLock is the regression test for the
-// lockorder finding in the expiry paths: Logf is an injected callback
-// that may block or re-enter the server, so both the lazy per-shard
-// sweep (expireDue) and the eager walk (ExpireNow → expireOne) must
-// release the shard mutex before logging a lease expiry. The callback
-// itself probes every shard lock — if the expiring goroutine still
-// held one, TryLock would fail.
+// TestExpiryLogNotUnderShardLock: the server's injected callbacks,
+// Logf and Clock, may block or re-enter the server, so none may run
+// under a shard mutex. Both probe every shard lock on each call — if
+// the calling goroutine still held one, TryLock would fail. The probes
+// run through the lazy per-shard sweep (expireDue) and the eager walk
+// (ExpireNow → expireOne) of a lease expiry, and, with a report
+// deadline set, through the straggler path (armStraggler,
+// expireStragglerEntryLocked) of a hand-out nobody reports.
 func TestExpiryLogNotUnderShardLock(t *testing.T) {
 	clk := newFakeClock()
 	s := newFaultServer(clk)
 	s.shards = s.shards[:1] // one shard: any dispatch sweeps the expired session
 	s.SessionTimeout = time.Minute
-	logged := 0
-	s.Logf = func(format string, args ...any) {
-		if !strings.Contains(format, "lease expired") {
-			return
-		}
-		logged++
+	s.ReportTimeout = 10 * time.Second
+	probe := func(callback string) {
 		for i, sh := range s.shards {
 			if !sh.mu.TryLock() {
-				t.Errorf("shard %d mutex held during the Logf callback", i)
+				t.Errorf("shard %d mutex held during the %s callback", i, callback)
 				continue
 			}
 			sh.mu.Unlock()
+		}
+	}
+	s.Clock = func() time.Time {
+		probe("Clock")
+		return clk.Now()
+	}
+	logged := 0
+	s.Logf = func(format string, args ...any) {
+		probe("Logf")
+		if strings.Contains(format, "lease expired") {
+			logged++
 		}
 	}
 	reg := func(seed int64) *proto.Message {
@@ -43,16 +51,27 @@ func TestExpiryLogNotUnderShardLock(t *testing.T) {
 			Space: proto.EncodeSpace(testSpace()),
 		}
 	}
-	mustRegister(t, s, reg(7))
+	fetch := func(id string) {
+		if r := s.call(&proto.Message{Type: proto.TypeFetch, Session: id}); r.Type != proto.TypeConfig {
+			t.Fatalf("fetch %s: %+v", id, r)
+		}
+	}
+	first := mustRegister(t, s, reg(7))
+	fetch(first) // arms a straggler deadline nobody meets
 
-	// Lazy path: the next message on the shard pops the lease entry.
+	// Lazy path: the next message on the shard pops the straggler entry,
+	// then the lease entry.
 	clk.Advance(2 * time.Minute)
 	second := mustRegister(t, s, reg(8))
 	if logged != 1 {
 		t.Fatalf("lazy expiry logged %d lease lines, want 1", logged)
 	}
+	if n := s.Stats().ProposalsReissued; n != 1 {
+		t.Fatalf("%d hand-outs re-issued, want the one overdue: the straggler entry did not run", n)
+	}
 
 	// Eager path: ExpireNow walks every shard and logs per collection.
+	fetch(second)
 	clk.Advance(2 * time.Minute)
 	if n := s.ExpireNow(); n != 1 {
 		t.Fatalf("ExpireNow = %d, want 1 (session %s)", n, second)
@@ -62,13 +81,11 @@ func TestExpiryLogNotUnderShardLock(t *testing.T) {
 	}
 }
 
-// TestFanoutRoundPredictionSeparation is the regression test for the
-// prunepurity findings in the fan-out, kept now that sessions no
-// longer screen: no candidate of a round carries a prediction, every
-// one is handed to a client, and a report reaches the machine
-// candidate's Measured only through Complete — the driver's report
-// aggregate holds it until then — so the strategy and Best are told
-// measured values alone.
+// TestFanoutRoundPredictionSeparation: sessions do not screen, so no
+// candidate of a round carries a prediction, every one is handed to a
+// client, and a report reaches the machine candidate's Measured only
+// through Complete — the driver's report aggregate holds it until then
+// — so the strategy and Best are told measured values alone.
 func TestFanoutRoundPredictionSeparation(t *testing.T) {
 	sp := testSpace()
 	rec := &recordingStrategy{BatchStrategy: &scriptedBatch{rounds: [][]space.Point{{{25, 5}, {0, 0}, {24, 5}}}}}
