@@ -6,8 +6,8 @@ import (
 )
 
 // BenchmarkHarmonyvet times a full-repo vet run — load and type-check
-// the module from source, run all four analyzers (allocfree follows
-// the static call graph), filter suppressions.
+// the module from source, run all three analyzers, filter
+// suppressions.
 // This is the CI gate's work, so the benchmark is the budget that
 // keeps the gate blocking: a full run must stay under a few seconds.
 // The standard library is type-checked once per process, so every

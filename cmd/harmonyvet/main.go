@@ -1,7 +1,10 @@
 // Command harmonyvet runs the repository's custom static-analysis
 // suite: determinism and protocol invariants the compiler cannot
-// check. It loads the module's packages from source (stdlib go/parser
-// + go/types only), runs every analyzer, and prints findings as
+// check. Three analyzers — wallclock, maporder and errdrop (-list
+// describes them) — each look at one package at a time, and findings
+// are reported only in the packages named. It loads the module's
+// packages from source (stdlib go/parser + go/types only), runs every
+// analyzer, and prints findings as
 //
 //	file:line: [analyzer] message
 //
@@ -19,8 +22,8 @@
 // resolved against the module root; the default is "./...".
 //
 // The -only spec is a comma-separated list of analyzer names. A name
-// prefixed with "-" excludes instead of selects: "-only -allocfree"
-// runs everything except allocfree, "-only errdrop,maporder" runs
+// prefixed with "-" excludes instead of selects: "-only -errdrop"
+// runs everything except errdrop, "-only errdrop,maporder" runs
 // exactly those two. -json emits findings as a JSON array (the CI
 // artifact format).
 package main

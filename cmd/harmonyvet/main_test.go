@@ -35,7 +35,6 @@ func TestSelfHostClean(t *testing.T) {
 func TestSuppressionInventory(t *testing.T) {
 	want := [][2]string{
 		{"internal/server/server.go", "maporder"},
-		{"internal/simmpi/sched.go", "allocfree"},
 	}
 	var got [][2]string
 	root := filepath.Join("..", "..")
@@ -86,7 +85,6 @@ func TestFixturesFail(t *testing.T) {
 		{"simmpi", "wallclock"},
 		{"maporder", "maporder"},
 		{"proto", "errdrop"},
-		{"allocfree", "allocfree"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -106,9 +104,9 @@ func TestFixturesFail(t *testing.T) {
 
 // TestFindingsOnlyInNamedPackages pins the scope of a run: the
 // importer fixture is clean and calls into two fixtures with findings,
-// one of them the allocfree fixture, which the interprocedural
-// analyzer loads and reads. Named alone it reports nothing; named with
-// maporder it reports maporder's findings and no others.
+// maporder and proto, which the loader parses and type-checks to check
+// the importer. Named alone it reports nothing; named with maporder it
+// reports maporder's findings and no others.
 func TestFindingsOnlyInNamedPackages(t *testing.T) {
 	var out, errb bytes.Buffer
 	importer := "./internal/analysis/testdata/src/importer"
@@ -132,7 +130,7 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("-list exit = %d, want 0 (stderr: %s)", code, errb.String())
 	}
-	for _, name := range []string{"wallclock", "maporder", "errdrop", "allocfree"} {
+	for _, name := range []string{"wallclock", "maporder", "errdrop"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())
 		}
@@ -154,19 +152,19 @@ func TestOnlyFlag(t *testing.T) {
 	}
 }
 
-// TestOnlyExclude checks the -name exclusion syntax: the allocfree
-// fixture is dirty, but only under allocfree, so excluding that one
-// analyzer runs the other three and exits clean.
+// TestOnlyExclude checks the -name exclusion syntax: the proto
+// fixture is dirty, but only under errdrop, so excluding that one
+// analyzer runs the other two and exits clean.
 func TestOnlyExclude(t *testing.T) {
 	var out, errb bytes.Buffer
-	pattern := "./internal/analysis/testdata/src/allocfree"
-	if code := run([]string{"-C", "../..", "-only", "-allocfree", pattern}, &out, &errb); code != 0 {
-		t.Fatalf("-only -allocfree exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	pattern := "./internal/analysis/testdata/src/proto"
+	if code := run([]string{"-C", "../..", "-only", "-errdrop", pattern}, &out, &errb); code != 0 {
+		t.Fatalf("-only -errdrop exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
 	out.Reset()
 	errb.Reset()
-	if code := run([]string{"-C", "../..", "-only", "-errdrop", pattern}, &out, &errb); code != 1 {
-		t.Fatalf("-only -errdrop exit = %d, want 1 (allocfree still runs)\nstdout:\n%s", code, out.String())
+	if code := run([]string{"-C", "../..", "-only", "-maporder", pattern}, &out, &errb); code != 1 {
+		t.Fatalf("-only -maporder exit = %d, want 1 (errdrop still runs)\nstdout:\n%s", code, out.String())
 	}
 	out.Reset()
 	errb.Reset()
@@ -179,8 +177,8 @@ func TestOnlyExclude(t *testing.T) {
 // artifact is built from.
 func TestJSONFlag(t *testing.T) {
 	var out, errb bytes.Buffer
-	pattern := "./internal/analysis/testdata/src/allocfree"
-	code := run([]string{"-C", "../..", "-json", "-only", "allocfree", pattern}, &out, &errb)
+	pattern := "./internal/analysis/testdata/src/proto"
+	code := run([]string{"-C", "../..", "-json", "-only", "errdrop", pattern}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("-json exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
@@ -197,7 +195,7 @@ func TestJSONFlag(t *testing.T) {
 		t.Fatal("-json produced an empty findings array for a dirty fixture")
 	}
 	for _, f := range findings {
-		if f.Analyzer != "allocfree" || f.Line <= 0 || !strings.HasSuffix(f.File, "fixture.go") {
+		if f.Analyzer != "errdrop" || f.Line <= 0 || !strings.HasSuffix(f.File, "fixture.go") {
 			t.Errorf("malformed JSON finding: %+v", f)
 		}
 	}
@@ -205,7 +203,7 @@ func TestJSONFlag(t *testing.T) {
 	// A clean tree still yields a parseable (empty) array.
 	out.Reset()
 	errb.Reset()
-	if code := run([]string{"-C", "../..", "-json", "-only", "errdrop", pattern}, &out, &errb); code != 0 {
+	if code := run([]string{"-C", "../..", "-json", "-only", "maporder", pattern}, &out, &errb); code != 0 {
 		t.Fatalf("clean -json exit = %d, want 0", code)
 	}
 	findings = nil
@@ -216,9 +214,9 @@ func TestJSONFlag(t *testing.T) {
 
 // seededDefects are small, plausible regressions planted in the
 // module's real code: one per analyzer, three for maporder (a float
-// sum, a selection, an early return) and two for allocfree. Each
-// replaces old, which must occur exactly once in file, with new; the
-// analyzer must then report on the line of the copy that contains at.
+// sum, a selection, an early return). Each replaces old, which must
+// occur exactly once in file, with new; the analyzer must then report
+// on the line of the copy that contains at.
 var seededDefects = []struct {
 	analyzer, file, old, new, at string
 }{
@@ -249,17 +247,6 @@ var seededDefects = []struct {
 		"\t\t_ = c.conn.Close()\n",
 		"\t\tc.conn.Close()\n",
 		"\t\tc.conn.Close()\n"},
-	// A copy on a path proved allocation-free.
-	{"allocfree", "internal/simmpi/lockstep.go",
-		"for _, c := range l.clock {\n\t\tif c > t {",
-		"for _, c := range slices.Clone(l.clock) {\n\t\tif c > t {",
-		"range slices.Clone(l.clock)"},
-	// A scratch slice in the distributed dot product, which no
-	// allocation pin runs.
-	{"allocfree", "internal/sparse/dist.go",
-		"\tvar s float64\n\tfor i := range a {\n\t\ts += a[i] * b[i]\n\t}\n\tVecCost(r, len(a))\n",
-		"\tprod := make([]float64, len(a))\n\tvar s float64\n\tfor i := range a {\n\t\tprod[i] = a[i] * b[i]\n\t\ts += prod[i]\n\t}\n\tVecCost(r, len(a))\n",
-		"prod := make([]float64, len(a))"},
 }
 
 // TestSeededDefects plants seededDefects in a copy of the module's

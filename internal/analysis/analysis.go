@@ -38,6 +38,15 @@ type Analyzer struct {
 	Run func(p *Pass)
 }
 
+// Program is what every analyzer is handed: the packages named by the
+// run's patterns, the set the user asked to vet and the only one
+// findings are reported in, and the file set their positions resolve
+// in.
+type Program struct {
+	Pkgs []*Package
+	Fset *token.FileSet
+}
+
 // Pass carries one (analyzer, program) run.
 type Pass struct {
 	Analyzer *Analyzer
@@ -72,7 +81,6 @@ func All() []*Analyzer {
 		wallclockAnalyzer,
 		maporderAnalyzer,
 		errdropAnalyzer,
-		allocfreeAnalyzer,
 	}
 }
 
@@ -104,18 +112,15 @@ func baseIn(names ...string) func(string) bool {
 // package of the module.
 func everywhere(string) bool { return true }
 
-// ignorePrefix introduces a suppression directive:
+// A suppression is one directive
 //
 //	//harmonyvet:ignore <analyzer> <reason>
 //
-// The directive suppresses findings of the named analyzer on its own
-// line and on the following line, so it can trail the offending
-// statement or sit on its own line above it. The reason is mandatory:
-// a directive without one is itself reported (as analyzer
-// "harmonyvet"), so every suppression in the tree carries a written
-// justification.
-const ignorePrefix = "harmonyvet:ignore"
-
+// It suppresses findings of the named analyzer on its own line and on
+// the following line, so it can trail the offending statement or sit
+// on its own line above it. The reason is mandatory: a directive
+// without one is itself reported (as analyzer "harmonyvet"), so every
+// suppression in the tree carries a written justification.
 type suppression struct {
 	file     string
 	line     int
@@ -124,10 +129,9 @@ type suppression struct {
 
 // collectSuppressions scans a package's comments for harmonyvet
 // directives, collecting ignore suppressions and reporting malformed
-// or unknown directives as findings. The function-level verbs
-// (allocfree, allocamortized, coldpath) are validated here too —
-// allocamortized and coldpath excuse code from enforcement, so like
-// ignore they demand a written reason.
+// or unknown directives as findings. ignore is the only verb, so a
+// stale directive of any other name is reported, and suppresses
+// nothing.
 func collectSuppressions(pkg *Package) ([]suppression, []Finding) {
 	var sups []suppression
 	var bad []Finding
@@ -139,43 +143,44 @@ func collectSuppressions(pkg *Package) ([]suppression, []Finding) {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
+				fields := strings.Fields(rest)
 				switch {
-				case verb == "ignore":
-					fields := strings.Fields(rest)
-					switch {
-					case len(fields) == 0 || ByName(fields[0]) == nil:
-						bad = append(bad, Finding{
-							Pos: pos, Analyzer: "harmonyvet",
-							Message: fmt.Sprintf("ignore directive must name a known analyzer (%s)", analyzerNames()),
-						})
-					case len(fields) < 2:
-						bad = append(bad, Finding{
-							Pos: pos, Analyzer: "harmonyvet",
-							Message: fmt.Sprintf("ignore directive for %q needs a written reason", fields[0]),
-						})
-					default:
-						sups = append(sups, suppression{file: pos.Filename, line: pos.Line, analyzer: fields[0]})
-					}
-				case verb == dirAllocfree:
-					// No argument: the enforcement directive needs no excuse.
-				case verb == dirAllocamortized || verb == dirColdpath:
-					if rest == "" {
-						bad = append(bad, Finding{
-							Pos: pos, Analyzer: "harmonyvet",
-							Message: fmt.Sprintf("%s directive needs a written reason", verb),
-						})
-					}
-				default:
+				case verb != "ignore":
 					bad = append(bad, Finding{
 						Pos: pos, Analyzer: "harmonyvet",
-						Message: fmt.Sprintf("unknown harmonyvet directive %q (known: ignore, %s, %s, %s)",
-							verb, dirAllocfree, dirAllocamortized, dirColdpath),
+						Message: fmt.Sprintf("unknown harmonyvet directive %q (known: ignore)", verb),
 					})
+				case len(fields) == 0 || ByName(fields[0]) == nil:
+					bad = append(bad, Finding{
+						Pos: pos, Analyzer: "harmonyvet",
+						Message: fmt.Sprintf("ignore directive must name a known analyzer (%s)", analyzerNames()),
+					})
+				case len(fields) < 2:
+					bad = append(bad, Finding{
+						Pos: pos, Analyzer: "harmonyvet",
+						Message: fmt.Sprintf("ignore directive for %q needs a written reason", fields[0]),
+					})
+				default:
+					sups = append(sups, suppression{file: pos.Filename, line: pos.Line, analyzer: fields[0]})
 				}
 			}
 		}
 	}
 	return sups, bad
+}
+
+// parseDirective splits a comment of the form "//harmonyvet:<verb>
+// <rest>" into its verb and trailing text.
+func parseDirective(comment string) (verb, rest string, ok bool) {
+	text := strings.TrimPrefix(comment, "//")
+	text = strings.TrimPrefix(text, "/*")
+	text = strings.TrimSpace(strings.TrimSuffix(text, "*/"))
+	if !strings.HasPrefix(text, "harmonyvet:") {
+		return "", "", false
+	}
+	text = strings.TrimPrefix(text, "harmonyvet:")
+	verb, rest, _ = strings.Cut(text, " ")
+	return verb, strings.TrimSpace(rest), true
 }
 
 func analyzerNames() string {
@@ -199,29 +204,18 @@ func suppressed(f Finding, sups []suppression) bool {
 }
 
 // Run applies the analyzers to the packages, filters suppressed
-// findings, and returns the survivors sorted by position.
-//
-// Suppressions are collected globally: an interprocedural finding may
-// land in a dependency package outside the pattern set (allocfree
-// descends from an annotated root into its callees), and the ignore
-// directive lives next to the offending line wherever that is.
-// Malformed-directive findings, by contrast, are only reported for
-// pattern packages, so vetting one directory does not surface
-// diagnostics about another.
+// findings, and returns the survivors sorted by position. Every
+// analyzer reports only in the packages it is handed, so suppressions
+// and malformed-directive findings come from those packages alone:
+// vetting one directory surfaces nothing about the packages it imports.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	prog := buildProgram(pkgs)
-	inPattern := make(map[*Package]bool, len(pkgs))
-	for _, pkg := range pkgs {
-		inPattern[pkg] = true
-	}
+	prog := &Program{Pkgs: pkgs, Fset: fileSet}
 	var out []Finding
 	var sups []suppression
-	for _, pkg := range prog.allPackages() {
+	for _, pkg := range pkgs {
 		s, bad := collectSuppressions(pkg)
 		sups = append(sups, s...)
-		if inPattern[pkg] {
-			out = append(out, bad...)
-		}
+		out = append(out, bad...)
 	}
 
 	for _, a := range analyzers {

@@ -116,17 +116,14 @@ func TestMaporderFixture(t *testing.T)    { runFixture(t, "maporder", "maporder"
 func TestErrdropFixture(t *testing.T)     { runFixture(t, "proto", "errdrop") }
 func TestSuppressionFixture(t *testing.T) { runFixture(t, "suppress", "maporder") }
 
-// The allocfree fixture carries positive cases, negative cases, and
-// one justified suppression.
-func TestAllocfreeFixture(t *testing.T) { runFixture(t, "allocfree", "allocfree") }
-
-// TestSuppressionValidation checks that malformed directives are
-// themselves reported and do not suppress the underlying finding.
+// TestSuppressionValidation checks that malformed directives, and a
+// stale directive whose verb is not ignore, are themselves reported
+// and do not suppress the underlying finding.
 func TestSuppressionValidation(t *testing.T) {
 	pkg := loadFixture(t, "suppressbad")
 	findings := Run([]*Package{pkg}, []*Analyzer{ByName("maporder")})
 
-	var gotMissingReason, gotUnknown bool
+	var gotMissingReason, gotUnknown, gotStale bool
 	maporderCount := 0
 	for _, f := range findings {
 		switch f.Analyzer {
@@ -136,6 +133,9 @@ func TestSuppressionValidation(t *testing.T) {
 			}
 			if strings.Contains(f.Message, "must name a known analyzer") {
 				gotUnknown = true
+			}
+			if strings.Contains(f.Message, `unknown harmonyvet directive "allocfree"`) {
+				gotStale = true
 			}
 		case "maporder":
 			maporderCount++
@@ -147,14 +147,17 @@ func TestSuppressionValidation(t *testing.T) {
 	if !gotUnknown {
 		t.Errorf("unknown-analyzer directive was not reported: %v", findings)
 	}
-	if maporderCount != 2 {
-		t.Errorf("malformed directives must not suppress: want 2 maporder findings, got %d (%v)", maporderCount, findings)
+	if !gotStale {
+		t.Errorf("stale allocfree directive was not reported as unknown: %v", findings)
+	}
+	if maporderCount != 3 {
+		t.Errorf("malformed directives must not suppress: want 3 maporder findings, got %d (%v)", maporderCount, findings)
 	}
 }
 
 // TestAnalyzerInventory pins the analyzer set the CLI advertises.
 func TestAnalyzerInventory(t *testing.T) {
-	want := []string{"wallclock", "maporder", "errdrop", "allocfree"}
+	want := []string{"wallclock", "maporder", "errdrop"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(all), len(want))

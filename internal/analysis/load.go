@@ -5,11 +5,9 @@
 // The analyzers encode invariants the compiler cannot see but the
 // reproduction depends on: virtual-time packages must never read the
 // wall clock, float accumulation and message schedules must not
-// depend on Go's randomised map iteration order, mutexes must be
-// released on every return, errors on the protocol's
-// encode/decode/connection paths must not be silently dropped, proven
-// hot paths must not allocate, and surrogate predictions must never be
-// charged or cached as measurements. Six analyzers enforce them; see
+// depend on Go's randomised map iteration order, and errors on the
+// protocol's encode/decode/connection paths must not be silently
+// dropped. Three analyzers enforce them, each within one package; see
 // DESIGN.md ("Static analysis") for the rationale of each analyzer and
 // the suppression syntax.
 package analysis
@@ -34,8 +32,6 @@ import (
 type Package struct {
 	// Path is the import path ("harmony/internal/simmpi").
 	Path string
-	// Dir is the directory the sources were read from.
-	Dir string
 	// Fset is the process's one file set (positions).
 	Fset *token.FileSet
 	// Files holds the parsed non-test sources, sorted by file name.
@@ -43,11 +39,6 @@ type Package struct {
 	// Types and Info carry the type-checker's results.
 	Types *types.Package
 	Info  *types.Info
-
-	// loader is the Loader that produced the package, so the
-	// interprocedural Program can reach the module dependencies the
-	// loader already parsed and type-checked.
-	loader *Loader
 }
 
 // Loader loads and type-checks packages of one module from source.
@@ -200,11 +191,9 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	tpkg, _ := conf.Check(path, fileSet, files, info)
 	if len(typeErrs) > 0 {
@@ -214,25 +203,9 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 		}
 		return nil, fmt.Errorf("analysis: type errors in %s:\n  %s", path, strings.Join(msgs, "\n  "))
 	}
-	pkg := &Package{Path: path, Dir: abs, Fset: fileSet, Files: files, Types: tpkg, Info: info, loader: l}
+	pkg := &Package{Path: path, Fset: fileSet, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	return pkg, nil
-}
-
-// Cached returns every module package the loader has loaded so far —
-// the pattern packages plus all module dependencies pulled in during
-// type-checking — sorted by import path.
-func (l *Loader) Cached() []*Package {
-	paths := make([]string, 0, len(l.pkgs))
-	for p := range l.pkgs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	pkgs := make([]*Package, 0, len(paths))
-	for _, p := range paths {
-		pkgs = append(pkgs, l.pkgs[p])
-	}
-	return pkgs
 }
 
 // Load expands the given patterns into packages. A pattern is either

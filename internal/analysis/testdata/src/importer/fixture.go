@@ -4,11 +4,14 @@
 package importer
 
 import (
-	"harmony/internal/analysis/testdata/src/allocfree"
+	"io"
+
 	"harmony/internal/analysis/testdata/src/maporder"
+	"harmony/internal/analysis/testdata/src/proto"
 )
 
 // Use calls a function of each fixture that has a finding.
-func Use(dst []byte, s string, m map[int]float64) (int, float64) {
-	return allocfree.HotEntry(dst, s), maporder.FloatAccum(m)
+func Use(w io.Writer, c io.Closer, m map[int]float64) float64 {
+	proto.Bad(w, c, nil)
+	return maporder.FloatAccum(m)
 }

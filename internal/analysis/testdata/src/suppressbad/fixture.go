@@ -1,5 +1,6 @@
-// Package suppressbad holds malformed suppression directives; the
-// validation test asserts they are reported and do not suppress.
+// Package suppressbad holds malformed suppression directives and a
+// stale directive of a verb harmonyvet no longer has; the validation
+// test asserts they are reported and do not suppress.
 package suppressbad
 
 import "fmt"
@@ -13,6 +14,13 @@ func MissingReason(m map[string]int) {
 
 func UnknownAnalyzer(m map[string]int) {
 	//harmonyvet:ignore nosuchcheck because reasons
+	for k, v := range m {
+		fmt.Println(k, v)
+	}
+}
+
+func StaleDirective(m map[string]int) {
+	//harmonyvet:allocfree
 	for k, v := range m {
 		fmt.Println(k, v)
 	}

@@ -146,8 +146,6 @@ func countMoves(d Dims, home, target Layout, p int) moves {
 // count allocates nothing. The counts are integers: the result is
 // exact. Owner bounds and digits are divided in 32 bits, which
 // countable guarantees.
-//
-//harmonyvet:allocamortized the slices grow to the largest count the scratch has held, then reuse capacity
 func (mv *moves) count(d Dims, home, target Layout, p int) {
 	for _, l := range [...]Layout{home, target} {
 		if err := l.Validate(); err != nil {
@@ -267,8 +265,6 @@ func (l Layout) radix(d Dims) radix {
 // digits returns f's digits, fastest first. The slowest is not
 // reduced, so N's digits are (0, 0, 0, 0, ext[4]). f is at most N,
 // below 2³² (countable), so the divisions are 32-bit.
-//
-//harmonyvet:allocfree
 func (r *radix) digits(f int) (d [5]int) {
 	u := uint32(f)
 	for q := 4; q > 0; q-- {
@@ -300,8 +296,6 @@ type box struct {
 // where they differ and z the fastest where ld is nonzero, each
 // position from z to D takes the digits after ld's (from ld's at z, to
 // hd's at D), and each below D the digits before hd's.
-//
-//harmonyvet:allocfree
 func (t *transform) split(ld, hd *[5]int, out *[9]box) []box {
 	d, z, bs := 4, 0, out[:0]
 	for d > 0 && ld[d] == hd[d] {
@@ -328,8 +322,6 @@ func (t *transform) split(ld, hd *[5]int, out *[9]box) []box {
 
 // add appends, unless it is empty, the box of d's digits above position
 // q, [from, from+count) at q, and all digits below q.
-//
-//harmonyvet:allocfree
 func (t *transform) add(bs []box, q int, d *[5]int, from, count int) []box {
 	if count == 0 {
 		return bs
@@ -354,8 +346,6 @@ func (t *transform) add(bs []box, q int, d *[5]int, from, count int) []box {
 
 // below counts the box's indices whose target index is below f, whose
 // target digits are d, walking down while d stays inside the box.
-//
-//harmonyvet:allocfree
 func (b *box) below(f int, d *[5]int) int {
 	if f <= b.first {
 		return 0

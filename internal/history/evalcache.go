@@ -242,10 +242,13 @@ func (b *BoundCache) Store(pt space.Point, v float64) {
 type entryKey [2 * sha256.Size]byte
 
 // keyBufLen sizes the stack buffers an identity's bytes are assembled
-// in. It holds the identity of a 32-node machine (a 669-byte
-// fingerprint) and a 16-parameter space; a longer identity spills to
-// the heap, which costs an allocation and changes no key.
-const keyBufLen = 1024
+// in. It holds Fig. 2 large's identity, a 32-node machine (a 669-byte
+// fingerprint) with the 32-weight space (1 226 bytes in all), and
+// that of a 64-node machine (a 1 213-byte fingerprint, 1 770 in all),
+// each followed by a point key of up to pointBufLen bytes; a longer
+// identity spills to the heap, which costs an allocation and changes
+// no key.
+const keyBufLen = 2048
 
 // digest returns the on-disk key of the point with Key k in the
 // binding with identity prefix: the hex SHA-256 digest of prefix

@@ -27,7 +27,9 @@ func weightSpace() *space.Space {
 // TestLookupAllocatesNothing pins the per-proposal read of a bound
 // cache at zero allocations, on a hit and on a miss, for an identity as
 // long as a 32-node machine's fingerprint, with 2- and 32-parameter
-// points, and on a hit on an entry moved in from a file.
+// points, and on a hit on an entry moved in from a file. Binding the
+// same identity again, as every campaign after the first does, finds
+// the binding without allocating for both spaces.
 func TestLookupAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are pinned without the race detector")
@@ -39,13 +41,21 @@ func TestLookupAllocatesNothing(t *testing.T) {
 		wide[i] = 999 - int64(i)
 	}
 	for _, sp := range []struct {
-		b         *BoundCache
+		sp        *space.Space
 		hit, miss space.Point
 	}{
-		{c.BoundNS("fig2-sles", machine, "campaign-7", cacheSpace()), space.Point{3, 4}, space.Point{4, 3}},
-		{c.BoundNS("fig2-sles", machine, "campaign-7", weightSpace()), wide, make(space.Point, 32)},
+		{cacheSpace(), space.Point{3, 4}, space.Point{4, 3}},
+		{weightSpace(), wide, make(space.Point, 32)},
 	} {
-		b := sp.b
+		b := c.BoundNS("fig2-sles", machine, "campaign-7", sp.sp)
+		rebind := func() {
+			if c.BoundNS("fig2-sles", machine, "campaign-7", sp.sp) != b {
+				t.Fatal("the same identity bound twice gave two bindings")
+			}
+		}
+		if n := testing.AllocsPerRun(100, rebind); n != 0 {
+			t.Errorf("%d parameters: binding the identity again allocates %v times, want 0", sp.sp.Dims(), n)
+		}
 		b.Store(sp.hit, 1.5)
 		if n := testing.AllocsPerRun(100, func() { b.Lookup(sp.hit) }); n != 0 {
 			t.Errorf("%d parameters: Lookup allocates %v times on a hit, want 0", len(sp.hit), n)
@@ -86,7 +96,8 @@ func copyGolden(t testing.TB) string {
 // formatFixture is the content of testdata/evalcache-format.json: every
 // point of every binding below, stored at a value derived from both.
 // Two applications × two namespaces (Bound and BoundNS) × two spaces;
-// gs2's machine string is longer than keyBufLen, so its keys spill.
+// gs2's machine string (1 200 bytes) is longer than a 32-node
+// machine's fingerprint.
 func formatFixture(c *EvalCache, visit func(b *BoundCache, pt space.Point, v float64)) {
 	spaces := []*space.Space{
 		cacheSpace(),

@@ -42,8 +42,6 @@ func CG(r *simmpi.Rank, a *sparse.DistMatrix, b []float64, rtol float64, maxIter
 // iteration's MatVec reuses the workspace's staging and result
 // buffers, so the solver's hot loop allocates only its own iteration
 // vectors, once per solve.
-//
-//harmonyvet:allocamortized iteration vectors are allocated once per solve; the loop reuses them and runs through the annotated allocation-free kernels (MatVecInto, Dot, Axpy)
 func CGWith(ws *sparse.Workspace, r *simmpi.Rank, a *sparse.DistMatrix, b []float64, rtol float64, maxIter int) ([]float64, Result) {
 	n := len(b)
 	x := make([]float64, n)
@@ -93,8 +91,6 @@ const cgTag = 101
 // that solve runs its full budget — at rtol 0 CGWith leaves its loop
 // early only when a global reduction (rs0, p·Ap or ‖r‖²) is exactly
 // 0.0.
-//
-//harmonyvet:allocfree
 func CGCost(job *simmpi.Lockstep, hp *sparse.HaloPlan, iters int) {
 	halo := job.PriceExchange(hp.Sends(), 1)
 	vec := job.PriceWork(hp.RowCounts(), sparse.VecFlops)
@@ -134,8 +130,6 @@ type GMRESWorkspace struct {
 
 // ensure sizes the workspace for restart length m on n-vectors,
 // reallocating only what is too small. Contents are unspecified.
-//
-//harmonyvet:allocamortized grows each buffer to its high-water size once; later solves of the same shape reslice in place
 func (ws *GMRESWorkspace) ensure(m, n int) {
 	if len(ws.v) < m+1 {
 		ws.v = append(ws.v, make([][]float64, m+1-len(ws.v))...)
@@ -157,7 +151,8 @@ func (ws *GMRESWorkspace) ensure(m, n int) {
 	ws.res = growF(ws.res, n)
 }
 
-//harmonyvet:allocamortized reallocates only to raise the buffer to its high-water capacity; steady-state calls reslice in place
+// growF returns buf resized to length n, reallocating only when the
+// capacity is insufficient. Contents are unspecified.
 func growF(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)
@@ -172,8 +167,6 @@ func growF(buf []float64, n int) []float64 {
 // inner products, so all ranks make identical decisions. The returned
 // slice is freshly allocated; callers solving repeatedly should hold
 // a GMRESWorkspace and use GMRESWith.
-//
-//harmonyvet:allocamortized the workspace is sized once and the result copied out; repeated solves should use GMRESWith directly
 func GMRES(r *simmpi.Rank, op Apply, b []float64, restart, maxIter int, rtol float64) ([]float64, Result) {
 	var ws GMRESWorkspace
 	x, out := GMRESWith(&ws, r, op, b, restart, maxIter, rtol)
@@ -186,7 +179,8 @@ func GMRES(r *simmpi.Rank, op Apply, b []float64, restart, maxIter int, rtol flo
 // its next application: GMRES is done with the previous result before
 // applying op again.
 //
-//harmonyvet:allocamortized workspace buffers are sized by ensure to their high-water mark; the Arnoldi loop reuses them, and op is the caller's operator (MatVecInto through a workspace on every hot path)
+// ensure sizes ws's buffers to their high-water mark, and the Arnoldi
+// loop reuses them.
 func GMRESWith(ws *GMRESWorkspace, r *simmpi.Rank, op Apply, b []float64, restart, maxIter int, rtol float64) ([]float64, Result) {
 	n := len(b)
 	ws.ensure(restart, n)

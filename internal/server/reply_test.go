@@ -44,7 +44,11 @@ func (ss *session) callBest() *proto.Message {
 // search's: the window's decoded configuration, the random strategy's
 // point, value strings above 99. The committed candidate is reissued,
 // and no reply message or map is built per request. The ceiling is 1.5
-// times that.
+// times that, which leaves room for the search's draws to vary, so the
+// two steps every message takes before any search code runs are pinned
+// at 0 on their own (measured 0): shardFor, which finds the session's
+// shard, and the window's lookup, which finds a report's hand-out by
+// its tag.
 func TestDispatchIntoReusedReply(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are pinned without the race detector")
@@ -73,6 +77,18 @@ func TestDispatchIntoReusedReply(t *testing.T) {
 	t.Logf("%v allocations per fetch and report", n)
 	if n > ceiling {
 		t.Errorf("dispatching a fetch and a report allocates %v times, want at most %d", n, ceiling)
+	}
+
+	s.dispatch(fetch, &reply)
+	sh := s.shardFor(id)
+	win, tag := sh.sessions[id].win, reply.Tag
+	steps := func() {
+		if s.shardFor(id) != sh || win.lookup(tag) == nil {
+			t.Fatalf("session %s or its hand-out %d went missing", id, tag)
+		}
+	}
+	if n := testing.AllocsPerRun(200, steps); n != 0 {
+		t.Errorf("shardFor and a hand-out lookup allocate %v times, want 0", n)
 	}
 }
 

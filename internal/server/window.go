@@ -52,7 +52,6 @@ type handout struct {
 	issued time.Time // straggler deadline base
 }
 
-//harmonyvet:allocfree
 func (h *handout) live() bool { return h.cand != nil }
 
 // window is the driver state of a session. hands are the hand-outs in
@@ -82,8 +81,6 @@ func (ss *session) openWindow(strat search.AsyncStrategy, depth, groupMax int) {
 
 // lookup returns the live hand-out of a tag; nil if it was never
 // issued, already answered, expired, or died with its candidate's commit.
-//
-//harmonyvet:allocfree
 func (w *window) lookup(tag int) *handout {
 	if i := tag - w.first; i >= 0 && i < len(w.hands) && w.hands[i].live() {
 		return &w.hands[i]

@@ -115,7 +115,9 @@ func AcquireLockstep(m *cluster.Machine, n int) (*Lockstep, error) {
 	return l, nil
 }
 
-//harmonyvet:allocamortized the per-rank vectors grow to the largest job a pooled Lockstep has run, then reuse capacity
+// reset sizes a pooled Lockstep for an n-rank job on m. The per-rank
+// vectors grow to the largest job a pooled Lockstep has run, then
+// reuse capacity.
 func (l *Lockstep) reset(m *cluster.Machine, n int) {
 	if cap(l.buf) < 4*n {
 		l.buf = make([]float64, 4*n)
@@ -147,8 +149,6 @@ func (l *Lockstep) Release() {
 func (l *Lockstep) Machine() *cluster.Machine { return l.m }
 
 // Time returns the job's virtual time so far: the maximum rank clock.
-//
-//harmonyvet:allocfree
 func (l *Lockstep) Time() float64 {
 	var t float64
 	for _, c := range l.clock {
@@ -177,7 +177,8 @@ func (l *Lockstep) Stats() Stats {
 // Compute charges it as Rank.Compute charges that count. work is read
 // only during the call.
 //
-//harmonyvet:allocamortized a job's work slots grow to the most pricings a pooled Lockstep has held, then reuse capacity
+// A job's work slots grow to the most pricings a pooled Lockstep has
+// held, then reuse capacity.
 func (l *Lockstep) PriceWork(work []float64, per float64) PricedWork {
 	if work != nil && len(work) != l.n {
 		panic(fmt.Sprintf("simmpi: work for %d ranks in a job of %d", len(work), l.n))
@@ -202,8 +203,6 @@ func (l *Lockstep) PriceWork(work []float64, per float64) PricedWork {
 
 // Compute has every rank execute the work w prices, charging what
 // Rank.Compute charges for that count.
-//
-//harmonyvet:allocfree
 func (l *Lockstep) Compute(w PricedWork) {
 	if w.job != l || w.gen != l.gen {
 		panic("simmpi: work priced for another job")
@@ -218,8 +217,6 @@ func (l *Lockstep) Compute(w PricedWork) {
 
 // Sleep advances every rank's clock by dt seconds without counting it
 // as compute, as Rank.Sleep does.
-//
-//harmonyvet:allocfree
 func (l *Lockstep) Sleep(dt float64) {
 	if dt < 0 {
 		panic(fmt.Sprintf("simmpi: negative sleep %v", dt))
@@ -243,7 +240,8 @@ type NeighbourPattern struct {
 // pattern's order, then receives each message addressed to it in
 // ascending order of source. nb is read only during the call.
 //
-//harmonyvet:allocamortized a job's exchange slots grow to the most pricings a pooled Lockstep has held, then reuse capacity
+// A job's exchange slots grow to the most pricings a pooled Lockstep
+// has held, then reuse capacity.
 func (l *Lockstep) PriceExchange(nb *NeighbourPattern, fields int) PricedExchange {
 	if len(nb.Start) != l.n+1 {
 		panic(fmt.Sprintf("simmpi: neighbour pattern for %d ranks in a job of %d", len(nb.Start)-1, l.n))
@@ -279,8 +277,6 @@ func (l *Lockstep) PriceExchange(nb *NeighbourPattern, fields int) PricedExchang
 // Exchange performs the neighbour exchange x prices. It charges what
 // a rank program calling SendBytes over its out-edges and then Recv
 // over its in-edges charges on the coroutine engine.
-//
-//harmonyvet:allocfree
 func (l *Lockstep) Exchange(x PricedExchange) {
 	if x.job != l || x.gen != l.gen {
 		panic("simmpi: exchange priced for another job")
@@ -326,15 +322,11 @@ func (l *Lockstep) link(src, dst int) cluster.Link {
 }
 
 // Barrier synchronises all ranks, charging what Rank.Barrier charges.
-//
-//harmonyvet:allocfree
 func (l *Lockstep) Barrier() { l.tree(0) }
 
 // AllreduceBytes charges what Rank.AllreduceBytes charges for an
 // allreduce of that many bytes; an 8-byte one is what Rank.Allreduce1
 // charges.
-//
-//harmonyvet:allocfree
 func (l *Lockstep) AllreduceBytes(bytes int) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("simmpi: negative message size %d", bytes))
@@ -345,7 +337,8 @@ func (l *Lockstep) AllreduceBytes(bytes int) {
 // tree charges a tree collective moving bytes per stage, priced once
 // per byte count in the job.
 //
-//harmonyvet:allocamortized a job keeps one slot per payload size it has reduced, a handful per run
+// A job keeps one slot per payload size it has reduced, a handful per
+// run.
 func (l *Lockstep) tree(bytes int) {
 	k := 0
 	for k < len(l.trees) && l.trees[k].bytes != bytes {
@@ -366,8 +359,6 @@ func (l *Lockstep) tree(bytes int) {
 // AlltoallvPriced performs the personalised all-to-all of a frozen
 // pattern priced for this job's machine, charging what
 // Rank.AlltoallvBytesRow charges over the pattern's dense rows.
-//
-//harmonyvet:allocfree
 func (l *Lockstep) AlltoallvPriced(pr *PricedAlltoallv) {
 	if pr.key != priceKeyOf(l.m, l.n) {
 		panic(fmt.Sprintf("simmpi: alltoallv priced for another machine than %s with %d ranks", l.m, l.n))

@@ -167,7 +167,6 @@ func (s *sched) run() error {
 func (s *sched) block(id int, wr waitRecord) {
 	s.wait[id] = wr
 	s.state[id] = stateBlocked
-	//harmonyvet:ignore allocfree yield is this rank's iter.Pull coroutine switch, which allocates nothing; TestRunAllocationSteadyState holds a Run of 1000 ring laps to the allocations of a Run of one
 	if !s.yield[id](struct{}{}) {
 		panic(errAborted)
 	}
@@ -191,8 +190,6 @@ func (s *sched) stopAll() {
 
 // deadlockError names every blocked rank and the operation it is
 // parked in, e.g. "rank 1 blocked in Recv(src=0, tag=7)".
-//
-//harmonyvet:coldpath deadlock reporting: the simulated world is already wedged, so building the diagnostic may allocate freely
 func (s *sched) deadlockError() error {
 	var b strings.Builder
 	b.WriteString("simmpi: deadlock:")

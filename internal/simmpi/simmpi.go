@@ -132,7 +132,6 @@ type msgQueue struct {
 
 func (q *msgQueue) empty() bool { return q.head == len(q.buf) }
 
-//harmonyvet:allocamortized the ring grows to the stream's in-flight high-water mark; popped slots keep the backing array
 func (q *msgQueue) push(m *message) { q.buf = append(q.buf, m) }
 
 func (q *msgQueue) pop() *message {
@@ -175,7 +174,6 @@ type World struct {
 	payloadFree [28][][]float64
 }
 
-//harmonyvet:allocamortized allocates only when the world's message free list is empty; every retired message is recycled
 func (w *World) newMessage() *message {
 	if k := len(w.msgFree); k > 0 {
 		m := w.msgFree[k-1]
@@ -185,7 +183,6 @@ func (w *World) newMessage() *message {
 	return new(message)
 }
 
-//harmonyvet:allocamortized the free-list append grows to the run's in-flight high-water mark, then reuses capacity
 func (w *World) freeMessage(m *message) {
 	m.payload = nil
 	w.msgFree = append(w.msgFree, m)
@@ -296,8 +293,6 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 // transfers to the machine (and eventually to the receiver returned
 // by Recv). The caller must not touch data afterwards. Simulators on
 // the hot path use it to ship freshly built payloads allocation-free.
-//
-//harmonyvet:allocfree
 func (r *Rank) SendOwned(dst, tag int, data []float64) {
 	r.send(dst, tag, data, 8*len(data))
 }
@@ -309,8 +304,6 @@ func (r *Rank) SendOwned(dst, tag int, data []float64) {
 // Intended for payloads built fresh every iteration and shipped with
 // SendOwned; the receiver donates them back with ReleaseBuf after
 // consuming the values, closing an allocation-free cycle.
-//
-//harmonyvet:allocamortized allocates only on a free-list miss; buffers recycle through ReleaseBuf for the rest of the run
 func (r *Rank) AcquireBuf(n int) []float64 {
 	if n <= 0 {
 		return nil
@@ -335,7 +328,8 @@ func (r *Rank) AcquireBuf(n int) []float64 {
 // buffer from AcquireBuf that was never sent. Releasing a buffer that
 // is still referenced elsewhere corrupts a later acquirer.
 //
-//harmonyvet:allocamortized the free-list append grows to the high-water buffer count, then reuses capacity
+// The free lists grow to the high-water buffer count, then reuse
+// capacity.
 func (r *Rank) ReleaseBuf(buf []float64) {
 	c := cap(buf)
 	if c == 0 {
@@ -356,7 +350,9 @@ func (r *Rank) SendBytes(dst, tag, bytes int) {
 	r.send(dst, tag, nil, bytes)
 }
 
-//harmonyvet:allocamortized the per-stream msgQueue is created once per (src,tag) pair and lives for the run; messages recycle via newMessage/freeMessage
+// send creates a stream's msgQueue once per (src, tag) pair, and it
+// lives for the run; messages recycle through newMessage and
+// freeMessage.
 func (r *Rank) send(dst, tag int, payload []float64, bytes int) {
 	w := r.world
 	if dst < 0 || dst >= w.n {
@@ -398,8 +394,6 @@ func (r *Rank) send(dst, tag int, payload []float64, bytes int) {
 // advances the clock to the message arrival time, and returns the
 // payload (nil for SendBytes messages). If the message was already
 // posted, Recv consumes it without yielding.
-//
-//harmonyvet:allocfree
 func (r *Rank) Recv(src, tag int) []float64 {
 	w := r.world
 	if src < 0 || src >= w.n {

@@ -77,7 +77,9 @@ type Result struct {
 // rank-local initial guess; the returned slice is the rank-local
 // solution.
 //
-//harmonyvet:allocamortized the per-solve scratch (Jacobian-action buffers, Newton rhs, line-search trial, GMRES workspace) is allocated once before the Newton loop; the inner loops run through the annotated solver kernels and allocate only what the residual function f itself allocates
+// The per-solve scratch (Jacobian-action buffers, Newton rhs,
+// line-search trial, GMRES workspace) is allocated once before the
+// Newton loop; the inner loops allocate only what f itself allocates.
 func Solve(r *simmpi.Rank, f Func, x0 []float64, opt Options) ([]float64, Result) {
 	opt.setDefaults()
 	out := Result{}

@@ -68,8 +68,6 @@ func (hp *HaloPlan) Release() { planPool.Put(hp) }
 // (addRecvs), and finishes with mirrorSends. Every rank's receive legs
 // share one array, so a new plan is a fixed handful of allocations,
 // and a reused one none.
-//
-//harmonyvet:allocamortized a plan's arrays grow to the largest partition built into it, then reuse capacity
 func (hp *HaloPlan) reset(part Partition) {
 	p := part.P()
 	if cap(hp.ranks) < p {
@@ -116,7 +114,8 @@ func (hp *HaloPlan) addRecvs(r int) {
 // placed[src], all zero on entry, counts the legs of src already
 // placed.
 //
-//harmonyvet:allocamortized the send legs grow to the most a plan built into this storage has had, then reuse capacity
+// The send legs grow to the most a plan built into this storage has
+// had, then reuse capacity.
 func (hp *HaloPlan) mirrorSends() {
 	sd, p, placed := &hp.sends, len(hp.ranks), hp.from
 	for src := 0; src < p; src++ {
@@ -367,8 +366,6 @@ type Workspace struct {
 
 // grow returns buf resized to length n, reallocating only when the
 // capacity is insufficient. Contents are unspecified.
-//
-//harmonyvet:allocamortized reallocates only to raise the buffer to its high-water capacity; steady-state calls reslice in place
 func grow(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)
@@ -419,8 +416,6 @@ func (dm *DistMatrix) MatVec(r *simmpi.Rank, tag int, x []float64) []float64 {
 // buffers cycle through the world's payload free lists (the receiver
 // donates them back after unpacking) and the operand and result live
 // in ws.
-//
-//harmonyvet:allocfree
 func (dm *DistMatrix) MatVecInto(ws *Workspace, r *simmpi.Rank, tag int, x []float64) []float64 {
 	ws.y = grow(ws.y, dm.LocalSize(r.ID()))
 	dm.matVec(r, tag, x, ws, ws.y)
@@ -532,16 +527,12 @@ const VecFlops = 2.0
 
 // VecCost charges rank r one pass over an n-element local vector: the
 // whole cost of an axpy, and the local part of a dot product.
-//
-//harmonyvet:allocfree
 func VecCost(r *simmpi.Rank, n int) {
 	r.Compute(VecFlops * float64(n))
 }
 
 // Dot computes the global dot product of two distributed vectors from
 // inside a rank: local partial plus an allreduce.
-//
-//harmonyvet:allocfree
 func Dot(r *simmpi.Rank, a, b []float64) float64 {
 	var s float64
 	for i := range a {
@@ -552,8 +543,6 @@ func Dot(r *simmpi.Rank, a, b []float64) float64 {
 }
 
 // Axpy computes y += alpha·x locally.
-//
-//harmonyvet:allocfree
 func Axpy(r *simmpi.Rank, alpha float64, x, y []float64) {
 	for i := range y {
 		y[i] += alpha * x[i]

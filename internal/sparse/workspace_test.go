@@ -85,12 +85,14 @@ func TestMatVecIntoMatchesMulVecProperty(t *testing.T) {
 
 // TestMatVecIntoSteadyStateZeroAllocs pins the workspace claim: with a
 // warm workspace, a distributed MatVec — send staging, halo receive,
-// operand packing, kernel — performs zero heap allocations. The
-// runtime's malloc counter is process-wide, so instead of reading it
-// from inside a rank (where anything else the test binary does lands in
-// the window) the test measures whole warm simulated runs with
-// testing.AllocsPerRun: a run of 100 products per rank must allocate
-// exactly what a run of 50 does. What a run itself allocates (rank
+// operand packing, kernel — performs zero heap allocations, and so do
+// the vector kernels CG runs beside it each iteration (Dot with its
+// allreduce, Axpy, VecCost). The runtime's malloc counter is
+// process-wide, so instead of reading it from inside a rank (where
+// anything else the test binary does lands in the window) the test
+// measures whole warm simulated runs with testing.AllocsPerRun: a run
+// of 100 iterations per rank must allocate exactly what a run of 50
+// does. What a run itself allocates (rank
 // goroutines, statistics) is the same on both sides and cancels;
 // AllocsPerRun's per-run average absorbs a stray allocation elsewhere
 // in the process; GC stays off so no collection empties the world and
@@ -110,7 +112,7 @@ func TestMatVecIntoSteadyStateZeroAllocs(t *testing.T) {
 		xg[i] = math.Sin(float64(i) * 0.3)
 	}
 	m := distTestMachine(p, 1)
-	run := func(products int) func() {
+	run := func(iters int) func() {
 		return func() {
 			_, err := simmpi.Run(m, p, func(r *simmpi.Rank) {
 				ws := dm.AcquireWorkspace(r.ID())
@@ -119,8 +121,11 @@ func TestMatVecIntoSteadyStateZeroAllocs(t *testing.T) {
 				// Constant tag, like the solvers: a fresh tag would open a
 				// new (src, tag) message stream per call, which allocates
 				// its queue.
-				for i := 0; i < products; i++ {
-					dm.MatVecInto(ws, r, 7, xg[lo:hi])
+				x := xg[lo:hi]
+				for i := 0; i < iters; i++ {
+					y := dm.MatVecInto(ws, r, 7, x)
+					Axpy(r, -1e-3*Dot(r, x, y), x, y)
+					VecCost(r, len(y))
 				}
 			})
 			if err != nil {
@@ -134,6 +139,6 @@ func TestMatVecIntoSteadyStateZeroAllocs(t *testing.T) {
 	base := testing.AllocsPerRun(20, run(50))
 	double := testing.AllocsPerRun(20, run(100))
 	if double != base {
-		t.Errorf("a run of 100 products per rank allocates %v, a run of 50 allocates %v: steady-state MatVec allocates, want 0", double, base)
+		t.Errorf("a run of 100 iterations per rank allocates %v, a run of 50 allocates %v: steady-state MatVec, Dot, Axpy or VecCost allocates, want 0", double, base)
 	}
 }
