@@ -3,10 +3,10 @@
 // function of the strategy and the window depth, never of the worker
 // count. Each campaign below runs under core.Tune with Options.Async
 // at workers 1, 4 and 8 and every fingerprint must be bit-identical to
-// the one golden recorded for the campaign. The simplex campaign goes
-// through the AsAsync round-buffering adapter, the ensemble campaign
-// through its native pipelined implementation, so both strategy views
-// are pinned.
+// the one golden recorded for the campaign. The simplex campaign is a
+// strategy whose Ask stalls after every candidate, the ensemble one
+// that runs ahead of its commits, so both kinds of issue/commit
+// machine are pinned.
 //
 // Regenerate (only when a change is *meant* to alter results) with:
 //
@@ -93,9 +93,9 @@ func TestAsyncCampaignFingerprints(t *testing.T) {
 // TestAsyncSimplexMatchesRoundEngine pins the strongest form of the
 // accounting-parity claim: the same simplex campaign produces a
 // bit-identical Result with Options.Async off and on, because the
-// AsAsync adapter buffers exactly one round and commits it in
-// proposal order. If this ever diverges, the adapter changed
-// observable semantics, not just scheduling.
+// simplex's own Ask stalls after every candidate, so a deeper window
+// changes nothing it is asked or told. If this ever diverges, the
+// window depth changed observable semantics, not just scheduling.
 func TestAsyncSimplexMatchesRoundEngine(t *testing.T) {
 	if got, want := asyncGoldens["table3-async-simplex"], campaignGoldens["table3-gs2-resolution"]; got != want {
 		t.Errorf("async simplex golden diverged from the round-at-a-time golden:\n got %s\nwant %s", got, want)

@@ -108,8 +108,8 @@ func (m *Machine) String() string {
 // Fingerprint renders every field of the cost model into a canonical
 // string: two machines with equal fingerprints produce bit-identical
 // simulations for the same rank program. It content-addresses machine
-// models for the evaluation cache (a changed model must invalidate
-// cached timings) and keys the simulator's reusable world pool.
+// models for the evaluation cache: a changed model must invalidate
+// cached timings.
 func (m *Machine) Fingerprint() string {
 	link := func(l Link) string {
 		return fmt.Sprintf("%x/%x/%x", math.Float64bits(l.Latency), math.Float64bits(l.Bandwidth), math.Float64bits(l.Overhead))

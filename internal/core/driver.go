@@ -105,8 +105,8 @@ func (s *tuneScratch) reset() {
 // worker goroutines, keeps the Trial/Result accounts, and refills once
 // after every commit. By default a refill issues — and the surrogate
 // gate screens — one whole round of the strategy's round view, whose
-// stall until the round's last commit is the barrier (a sequential
-// strategy is a round of one); Options.Async issues one candidate at a
+// stall until the round's last commit is the barrier (the simplex's
+// round is one candidate); Options.Async issues one candidate at a
 // time into a window of Options.AsyncDepth instead.
 //
 // A commit only charges the accounts and logs the candidate; the trial

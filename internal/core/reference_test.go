@@ -19,8 +19,9 @@ import (
 // the only engine. It is kept, test-only and verbatim, as the
 // reference implementation the engine is compared against trial by
 // trial: every mode of the window (any Workers, Async on or off) must
-// reproduce this loop's Result for a strategy whose round view replays
-// its sequential state machine.
+// reproduce this loop's Result for a strategy that does not run ahead
+// of its commits: Next/Report is then the same machine as the Ask/Commit
+// the window drives.
 func referenceTune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objective, opt Options) (*Result, error) {
 	if opt.MaxProposals == 0 {
 		opt.MaxProposals = DefaultMaxProposals(opt.MaxRuns)
@@ -127,14 +128,13 @@ func TestTuneMatchesReferenceLoop(t *testing.T) {
 		}
 		return bowl(ctx, cfg)
 	}
-	// adapted strategies replay their sequential state machine through
-	// the round view, so they match the reference under Async too; the
-	// ensemble's native issue/commit path proposes ahead and is only
-	// comparable with Async off.
+	// stalling strategies' Ask stops where their round ends, so they
+	// match the reference under Async too; the ensemble proposes ahead
+	// of its commits and is only comparable with Async off.
 	strategies := []struct {
-		name    string
-		adapted bool
-		mk      func(seed int64) search.Strategy
+		name   string
+		stalls bool
+		mk     func(seed int64) search.Strategy
 	}{
 		{"simplex", true, func(seed int64) search.Strategy {
 			return search.NewSimplex(sp, search.SimplexOptions{Restarts: 3, Start: space.Point{seed * 7 % 51, 40}})
@@ -180,7 +180,7 @@ func TestTuneMatchesReferenceLoop(t *testing.T) {
 					want, werr := referenceTune(context.Background(), sp, st.mk(seed), sc.obj, opt)
 					for _, workers := range []int{0, 1, 4} {
 						for _, async := range []bool{false, true} {
-							if async && !st.adapted {
+							if async && !st.stalls {
 								continue
 							}
 							opt.Workers, opt.Async = workers, async

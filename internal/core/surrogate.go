@@ -79,21 +79,21 @@ func (g *surrogateGate) Score(pt space.Point, cfg space.Config) (float64, bool) 
 	return v, true
 }
 
-// Keep decides which points of a fully scored group to simulate.
-// Groups of one (sequential strategies) keep the point unless the model
-// ranks it confidently worse than the best configuration the session
-// has already committed to simulate; larger groups keep the
-// top ceil(keepFraction×n) scores plus every near-tie within
-// surrogateTolerance of the cut. The decision depends only on the
-// scores, so it is identical for every worker count.
-func (g *surrogateGate) Keep(scores []float64) []bool {
-	keep := make([]bool, len(scores))
+// Keep decides which points of a fully scored group to simulate and
+// writes the verdicts into keep; sorted is its scratch. Both are the
+// caller's, as long as scores. Groups of one (sequential strategies)
+// keep the point unless the model ranks it confidently worse than the
+// best configuration the session has already committed to simulate;
+// larger groups keep the top ceil(keepFraction×n) scores plus every
+// near-tie within surrogateTolerance of the cut. The decision depends
+// only on the scores, so it is identical for every worker count.
+func (g *surrogateGate) Keep(scores []float64, keep []bool, sorted []float64) {
 	if len(scores) == 1 {
 		keep[0] = math.IsInf(g.modelBest, 1) || scores[0] <= g.modelBest*(1+surrogateTolerance)
-		return keep
+		return
 	}
 	k := int(math.Ceil(keepFraction * float64(len(scores))))
-	sorted := append([]float64(nil), scores...)
+	copy(sorted, scores)
 	// Insertion sort: rounds are small (a PRO population, a sampler
 	// stride) and this avoids pulling in package sort for a hot path.
 	for i := 1; i < len(sorted); i++ {
@@ -105,7 +105,6 @@ func (g *surrogateGate) Keep(scores []float64) []bool {
 	for i, v := range scores {
 		keep[i] = v <= cut
 	}
-	return keep
 }
 
 // Committed records that the session will simulate a configuration

@@ -222,27 +222,39 @@ func TestSurrogateSequentialSimplexPrunes(t *testing.T) {
 	}
 }
 
-// scriptedRounds is a BatchStrategy that proposes fixed rounds.
+// scriptedRounds proposes fixed rounds: Ask hands out a round's points
+// and stalls until they have all committed, and every committed value
+// is kept, in order.
 type scriptedRounds struct {
-	rounds   [][]space.Point
-	reported []float64
+	rounds            [][]space.Point
+	reported          []float64
+	issued, committed int // of rounds[0]
+	done              bool
 }
 
 func (s *scriptedRounds) Name() string                       { return "scripted" }
 func (s *scriptedRounds) Next() (space.Point, bool)          { return nil, false }
 func (s *scriptedRounds) Report(space.Point, float64)        {}
 func (s *scriptedRounds) Best() (space.Point, float64, bool) { return nil, 0, false }
+func (s *scriptedRounds) Done() bool                         { return s.done }
 
-func (s *scriptedRounds) NextBatch() []space.Point {
+func (s *scriptedRounds) Ask() (space.Point, bool) {
 	if len(s.rounds) == 0 {
-		return nil
+		s.done = true
+		return nil, false
 	}
-	return s.rounds[0]
+	if s.issued == len(s.rounds[0]) {
+		return nil, false
+	}
+	s.issued++
+	return s.rounds[0][s.issued-1], true
 }
 
-func (s *scriptedRounds) ReportBatch(_ []space.Point, values []float64) {
-	s.rounds = s.rounds[1:]
-	s.reported = append(s.reported, values...)
+func (s *scriptedRounds) Commit(_ space.Point, value float64) {
+	s.reported = append(s.reported, value)
+	if s.committed++; s.committed == len(s.rounds[0]) {
+		s.rounds, s.issued, s.committed = s.rounds[1:], 0, 0
+	}
 }
 
 // TestSurrogateInRoundDuplicateOfPrunedPoint: a proposal that repeats
@@ -437,15 +449,20 @@ func TestSurrogatePredictionsNeverMeasured(t *testing.T) {
 // converges; asks counts how often it was asked.
 type endlessRounds struct {
 	scriptedRounds
-	asks int
+	asks     int
+	inFlight bool
 }
 
-func (s *endlessRounds) NextBatch() []space.Point {
+func (s *endlessRounds) Ask() (space.Point, bool) {
+	if s.inFlight {
+		return nil, false
+	}
 	s.asks++
-	return []space.Point{{int64(s.asks % 61), int64(s.asks / 61 % 61), 0}}
+	s.inFlight = true
+	return space.Point{int64(s.asks % 61), int64(s.asks / 61 % 61), 0}, true
 }
 
-func (s *endlessRounds) ReportBatch([]space.Point, []float64) {}
+func (s *endlessRounds) Commit(space.Point, float64) { s.inFlight = false }
 
 // TestSurrogateRunawayGuard: a model that rejects everything after the
 // first proposal costs no run, so the run budget alone would let Tune

@@ -67,29 +67,9 @@ func (r *recorder) note(pt space.Point, ok bool) (space.Point, bool) {
 	return pt, ok
 }
 
-// askedSeq, askedBatch and askedAsync hand out what the strategy they
-// wrap does and record it, through the view Tune takes it by: Next or
-// NextBatch for a round, Ask under Options.Async.
-type askedSeq struct {
-	search.Strategy
-	*recorder
-}
-
-func (s askedSeq) Next() (space.Point, bool) { return s.note(s.Strategy.Next()) }
-
-type askedBatch struct {
-	search.BatchStrategy
-	*recorder
-}
-
-func (s askedBatch) NextBatch() []space.Point {
-	batch := s.BatchStrategy.NextBatch()
-	for _, pt := range batch {
-		s.note(pt, true)
-	}
-	return batch
-}
-
+// askedAsync hands out what the view of a strategy it wraps does and
+// records it: the round view for a round, the issue/commit view under
+// Options.Async.
 type askedAsync struct {
 	search.Strategy // named for Tune; every call it makes goes through as
 	as              search.AsyncStrategy
@@ -132,11 +112,7 @@ func TestTrialLogIsWhatWasAsked(t *testing.T) {
 		}
 		t.Run(name+"/rounds", func(t *testing.T) {
 			rec, s := &recorder{}, build()
-			strat := search.Strategy(askedSeq{s, rec})
-			if bs, ok := s.(search.BatchStrategy); ok {
-				strat = askedBatch{bs, rec}
-			}
-			check(t, strat, Options{MaxRuns: 60}, rec)
+			check(t, askedAsync{s, search.Rounds(s), rec}, Options{MaxRuns: 60}, rec)
 		})
 		t.Run(name+"/async", func(t *testing.T) {
 			rec, s := &recorder{}, build()
@@ -145,7 +121,8 @@ func TestTrialLogIsWhatWasAsked(t *testing.T) {
 	}
 	t.Run("pro/gate", func(t *testing.T) {
 		rec := &recorder{}
-		check(t, askedBatch{search.NewPRO(sp, search.PROOptions{Seed: 7}), rec},
+		p := search.NewPRO(sp, search.PROOptions{Seed: 7})
+		check(t, askedAsync{p, p, rec},
 			Options{MaxRuns: 60, MaxProposals: 300, Surrogate: &SurrogateOptions{Model: perfectModel}}, rec)
 	})
 }

@@ -70,12 +70,13 @@ type Options struct {
 	// Pruning decisions are identical for every worker count.
 	Surrogate *SurrogateOptions
 	// Workers is the number of objective evaluations that may run at
-	// once (0 means 1). The engine issues each independent round of a
-	// BatchStrategy (PRO, random, systematic, exhaustive) as a whole,
-	// so up to Workers of its evaluations overlap, and with more than
-	// one worker it speculatively prefetches the follow-up candidates
-	// of a sequential simplex step. Result accounting (Runs, Trials,
-	// TuningCost, BestAtRun) is identical regardless of worker count.
+	// once (0 means 1). The engine issues each round of the strategy —
+	// what its Ask hands out before it stalls: a PRO phase, a sampler's
+	// DefaultBatchStride points — as a whole, so up to Workers of its
+	// evaluations overlap, and with more than one worker it
+	// speculatively prefetches the follow-up candidates of a sequential
+	// simplex step. Result accounting (Runs, Trials, TuningCost,
+	// BestAtRun) is identical regardless of worker count.
 	Workers int
 	// Async drives the strategy through its issue/commit view instead
 	// of its round view: rather than issuing one round and draining it

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"harmony/internal/search"
 	"harmony/internal/space"
@@ -128,11 +129,13 @@ type Window[P any] struct {
 	free    []*Candidate[P]          // released candidates, reissued before any new one
 
 	// Refill scratch, reused across passes.
-	pts  []space.Point
-	cfgs []space.Config // the group's members the gate scored, in order
-	bad  []bool
-	work []*Candidate[P]
-	key  []byte // classify's memo key
+	pts    []space.Point
+	cfgs   []space.Config // the group's members the gate scored, in order
+	bad    []bool
+	scores []float64 // the gate's scores of the group, then Keep's sort scratch
+	keep   []bool    // the gate's verdicts on the group
+	work   []*Candidate[P]
+	key    []byte // classify's memo key
 }
 
 // reserve makes room for k more candidates, so that the cursor helpers
@@ -231,7 +234,10 @@ func (w *Window[P]) issue() {
 	var keep []bool
 	w.cfgs = w.cfgs[:0]
 	if w.gate != nil {
-		scores = make([]float64, len(w.pts))
+		n := len(w.pts)
+		w.scores = slices.Grow(w.scores[:0], 2*n)[:2*n]
+		w.keep = slices.Grow(w.keep[:0], n)[:n]
+		scores = w.scores[:n]
 		screened := true
 		for i, pt := range w.pts {
 			if screened = !w.bad[i]; screened {
@@ -243,7 +249,8 @@ func (w *Window[P]) issue() {
 			}
 		}
 		if screened {
-			keep = w.gate.Keep(scores)
+			keep = w.keep
+			w.gate.Keep(scores, keep, w.scores[n:])
 		} else {
 			w.Fallbacks++
 		}
@@ -394,6 +401,7 @@ func (w *Window[P]) Recycle(committed []*Candidate[P]) {
 	clear(w.cfgs[:cap(w.cfgs)])
 	*w = Window[P]{
 		buf: w.buf, leaders: w.leaders, free: free,
-		pts: w.pts[:0], cfgs: w.cfgs[:0], bad: w.bad[:0], work: w.work[:0], key: w.key[:0],
+		pts: w.pts[:0], cfgs: w.cfgs[:0], bad: w.bad[:0], scores: w.scores[:0], keep: w.keep[:0],
+		work: w.work[:0], key: w.key[:0],
 	}
 }

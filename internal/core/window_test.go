@@ -56,12 +56,13 @@ func (m constModel) Predict(space.Point, space.Config) (float64, bool) { return 
 // as allocation-free: once warm, a cycle of Refill, Len, At, CommitHead
 // (Head, pop) and Release on a full window of cache-answered candidates
 // allocates nothing, so the ring's push and pop and its cursors cost no
-// allocation per candidate. Behind a surrogate gate the issue path
-// allocates per group (the scores, the decoded config, the keep
-// verdicts: 3 per candidate in groups of one), so the gated case
-// compares a window whose gate keeps every candidate, and calls
-// Committed for each, with one whose gate prunes every candidate: the
-// two must allocate alike.
+// allocation per candidate. Behind a surrogate gate the scores, the
+// keep verdicts and Keep's sort scratch are the window's Refill
+// scratch, so a candidate allocates only its decoded configuration,
+// which the gate scores: 4 per 4-candidate cycle, measured. The gated
+// case pins that for a window whose gate keeps every candidate, and
+// calls Committed for each, and for one whose gate prunes every
+// candidate: the two must allocate alike.
 func TestWindowSteadyCycleAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation count is meaningless under -race")
@@ -103,6 +104,9 @@ func TestWindowSteadyCycleAllocatesNothing(t *testing.T) {
 	pruned := testing.AllocsPerRun(100, newWindow(prunes, Pruned))
 	if kept != pruned {
 		t.Errorf("a gated cycle of %d kept candidates allocates %v, of %d pruned ones %v: keeping a candidate allocates", depth, kept, depth, pruned)
+	}
+	if kept > depth || pruned > depth {
+		t.Errorf("a gated cycle of %d candidates allocates %v kept and %v pruned, want at most one decoded configuration each", depth, kept, pruned)
 	}
 	if keeps.modelBest != 1 {
 		t.Errorf("the keeping gate's best committed score is %v, want 1", keeps.modelBest)

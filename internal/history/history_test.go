@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"harmony/internal/space"
 )
@@ -46,6 +47,33 @@ func TestStoreReleasesMutex(t *testing.T) {
 	} {
 		step.call()
 		requireUnlocked(&s.mu, step.name)
+	}
+}
+
+// TestStoreAddWaitsForMutex pins, without the race detector, that Add
+// appends and persists under the store's mutex: while the test holds
+// it, Add must neither change the records nor return, and once it is
+// released Add completes.
+func TestStoreAddWaitsForMutex(t *testing.T) {
+	s, _ := tmpStore(t)
+	s.mu.Lock()
+	done := make(chan error)
+	go func() { done <- s.Add(Record{App: "app", Machine: "m", BestValue: 1}) }()
+	time.Sleep(20 * time.Millisecond) // ample for an unguarded Add to append and flush
+	select {
+	case <-done:
+		t.Fatal("Add returned while the test held the store's mutex")
+	default:
+	}
+	if len(s.records) != 0 {
+		t.Fatal("Add changed the records while the test held the store's mutex")
+	}
+	s.mu.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 1 {
+		t.Fatalf("%d records after the released Add, want 1", s.Len())
 	}
 }
 

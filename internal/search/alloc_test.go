@@ -65,17 +65,17 @@ func allocsBeyondHandouts(as AsyncStrategy, rounds int) int64 {
 }
 
 // TestPRORoundAllocatesOnlyItsPoints: once its round state exists, a
-// PRO round — reflection, expansion, shrink, the collapse test and
-// the batch array — allocates only the points it hands out.
+// PRO round — reflection, expansion, shrink and the collapse test,
+// asked and committed a member at a time — allocates only the points
+// it hands out.
 func TestPRORoundAllocatesOnlyItsPoints(t *testing.T) {
 	skipUnderRace(t)
 	p := NewPRO(allocSpace(), PROOptions{Seed: 3})
-	as := Rounds(p)
-	allocsBeyondHandouts(as, 40) // round state, private generator, batch array
+	allocsBeyondHandouts(p, 40) // round state, private generator
 	if p.expanded()[0].x == nil || p.rng.src.own == nil {
 		t.Fatal("warm-up did not reach an expansion and the private generator")
 	}
-	if n := allocsBeyondHandouts(as, 60); n != 0 {
+	if n := allocsBeyondHandouts(p, 60); n != 0 {
 		t.Errorf("60 PRO phases allocate %d times beyond the points they hand out, want 0", n)
 	}
 	if p.Converged() {
@@ -84,15 +84,13 @@ func TestPRORoundAllocatesOnlyItsPoints(t *testing.T) {
 }
 
 // TestSimplexIterationAllocatesOnlyItsPoints: a simplex iteration
-// reuses its centroid, trial points and vertices, and the round view
-// the engine runs it through takes each round of one from its own
-// array, so it allocates only the points it hands out.
+// reuses its centroid, trial points and vertices, so it allocates
+// only the points it hands out.
 func TestSimplexIterationAllocatesOnlyItsPoints(t *testing.T) {
 	skipUnderRace(t)
 	s := NewSimplex(allocSpace(), SimplexOptions{})
-	as := Rounds(s)
-	allocsBeyondHandouts(as, 10)
-	if n := allocsBeyondHandouts(as, 40); n != 0 {
+	allocsBeyondHandouts(s, 10)
+	if n := allocsBeyondHandouts(s, 40); n != 0 {
 		t.Errorf("40 simplex proposals allocate %d times beyond the points they hand out, want 0", n)
 	}
 	if s.Converged() || s.Iterations() < 10 {
@@ -148,8 +146,6 @@ type stubArm struct {
 }
 
 func (a *stubArm) Name() string                { return "stub" }
-func (a *stubArm) Next() (space.Point, bool)   { return a.Ask() }
-func (a *stubArm) Report(space.Point, float64) {}
 func (a *stubArm) Ask() (space.Point, bool)    { return a.pt, !a.stall }
 func (a *stubArm) Commit(space.Point, float64) {}
 func (a *stubArm) Done() bool                  { return false }

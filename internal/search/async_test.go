@@ -1,96 +1,69 @@
 package search
 
 import (
-	"slices"
 	"testing"
 
 	"harmony/internal/space"
 )
 
-// reportLog records the values a strategy is told, one entry per
-// Report or ReportBatch call.
-type reportLog [][]float64
-
-// recordingStrategy wraps a sequential Strategy and logs its Reports.
-type recordingStrategy struct {
-	Strategy
-	log *reportLog
-}
-
-func (r recordingStrategy) Report(pt space.Point, value float64) {
-	*r.log = append(*r.log, []float64{value})
-	r.Strategy.Report(pt, value)
-}
-
-// recordingBatch wraps a BatchStrategy and logs its ReportBatches.
-type recordingBatch struct {
-	BatchStrategy
-	log *reportLog
-}
-
-func (r recordingBatch) ReportBatch(pts []space.Point, values []float64) {
-	*r.log = append(*r.log, slices.Clone(values))
-	r.BatchStrategy.ReportBatch(pts, values)
-}
-
 // TestAsAsyncRoundBuffering verifies the round view's contract: Ask
-// hands out the current round one point at a time, stalls once the
-// round is fully issued, and tells the strategy the whole round once,
-// when the last value commits — the same strategy interaction the
-// round-barrier engine performs. A BatchStrategy's round is its
-// NextBatch, told by one ReportBatch; a sequential strategy's is one
-// proposal, told by its Report.
+// hands out the current round one point at a time and stalls once the
+// round is fully issued; the round stays closed until its last value
+// commits, and the next Ask opens a new one. A sampler's round is
+// DefaultBatchStride points, the simplex's one; a strategy that has
+// only Next/Report is given rounds of one by the adapter.
 func TestAsAsyncRoundBuffering(t *testing.T) {
 	sp := space.MustNew(space.IntParam("x", 0, 99, 1), space.IntParam("y", 0, 99, 1))
 	cases := []struct {
 		name  string
-		strat func(*reportLog) Strategy
+		strat Strategy
 		round int
 	}{
-		{"systematic", func(l *reportLog) Strategy { return recordingBatch{NewSystematic(sp, 50), l} }, DefaultBatchStride},
-		{"simplex", func(l *reportLog) Strategy { return recordingStrategy{NewSimplex(sp, SimplexOptions{}), l} }, 1},
+		{"systematic", NewSystematic(sp, 50), DefaultBatchStride},
+		{"simplex", NewSimplex(sp, SimplexOptions{}), 1},
+		{"sequential", struct{ Strategy }{NewSimplex(sp, SimplexOptions{})}, 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var log reportLog
-			as := AsAsync(c.strat(&log))
-			var pts []space.Point
-			for pt, ok := as.Ask(); ok; pt, ok = as.Ask() {
-				pts = append(pts, pt)
-			}
+			as := AsAsync(c.strat)
+			pts := askRound(as)
 			if len(pts) != c.round {
 				t.Fatalf("first round issued %d points, want %d", len(pts), c.round)
 			}
 			if as.Done() {
-				t.Fatal("adapter done while a round is in flight")
+				t.Fatal("done while a round is in flight")
 			}
 			for i, pt := range pts {
-				if len(log) != 0 {
-					t.Fatalf("the strategy was told after only %d of %d commits", i, len(pts))
+				if _, ok := as.Ask(); ok {
+					t.Fatalf("a new round opened after only %d of %d commits", i, len(pts))
 				}
 				as.Commit(pt, float64(100+i))
 			}
-			if len(log) != 1 || len(log[0]) != len(pts) {
-				t.Fatalf("want the strategy told once, the whole round of %d values; got %v", len(pts), log)
-			}
-			if log[0][0] != 100 || log[0][len(pts)-1] != float64(100+len(pts)-1) {
-				t.Fatalf("values delivered out of issue order: %v", log[0])
+			if _, v, _ := as.Best(); v != 100 {
+				t.Fatalf("best %v after the round, want its first value 100", v)
 			}
 			// The next Ask opens a new round.
 			if _, ok := as.Ask(); !ok {
-				t.Fatal("adapter cannot open the next round after a full commit")
+				t.Fatal("cannot open the next round after a full commit")
 			}
 		})
 	}
 }
 
-// TestAsAsyncNativePassthrough verifies a native AsyncStrategy is
-// returned unchanged.
+// TestAsAsyncNativePassthrough verifies a strategy of this package is
+// its own issue/commit and round view, except that the Ensemble's
+// round view is rounds of one.
 func TestAsAsyncNativePassthrough(t *testing.T) {
 	sp := space.MustNew(space.IntParam("x", 0, 9, 1))
 	e := NewEnsemble(sp, EnsembleOptions{Seed: 1, Budget: 10})
 	if AsAsync(e) != AsyncStrategy(e) {
 		t.Fatal("AsAsync wrapped a native AsyncStrategy")
+	}
+	if Rounds(e) == AsyncStrategy(e) {
+		t.Fatal("Rounds let the Ensemble run ahead of its commits")
+	}
+	if p := NewPRO(sp, PROOptions{}); Rounds(p) != AsyncStrategy(p) {
+		t.Fatal("Rounds wrapped PRO, whose Ask stalls where its round ends")
 	}
 }
 

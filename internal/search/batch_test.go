@@ -1,6 +1,7 @@
 package search
 
 import (
+	"math"
 	"testing"
 
 	"harmony/internal/space"
@@ -20,172 +21,141 @@ func quadratic(pt space.Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// driveSequential runs a strategy through the plain ask/tell loop.
-func driveSequential(s Strategy, budget int) (space.Point, float64, int) {
-	evals := 0
-	for evals < budget {
-		pt, ok := s.Next()
-		if !ok {
-			break
-		}
-		s.Report(pt, quadratic(pt))
-		evals++
+// lumpy is quadratic with a forfeited (+Inf) run wherever x+y is a
+// multiple of seven, so a drive also commits values no incumbent takes.
+func lumpy(pt space.Point) float64 {
+	if (pt[0]+pt[1])%7 == 0 {
+		return math.Inf(1)
 	}
-	pt, v, _ := s.Best()
-	return pt, v, evals
+	return quadratic(pt)
 }
 
-// driveBatch runs a BatchStrategy through full-round batch calls.
-func driveBatch(s BatchStrategy, budget int) (space.Point, float64, int) {
-	evals := 0
-	for evals < budget {
-		batch := s.NextBatch()
-		if len(batch) == 0 {
-			break
-		}
-		if rem := budget - evals; len(batch) > rem {
-			batch = batch[:rem]
-		}
-		values := make([]float64, len(batch))
-		for i, pt := range batch {
-			values[i] = quadratic(pt)
-		}
-		s.ReportBatch(batch, values)
-		evals += len(batch)
+// askRound asks as until it stalls or finishes and returns the round.
+func askRound(as AsyncStrategy) []space.Point {
+	var round []space.Point
+	for pt, ok := as.Ask(); ok; pt, ok = as.Ask() {
+		round = append(round, pt)
 	}
-	pt, v, _ := s.Best()
-	return pt, v, evals
+	return round
 }
 
-// TestPROBatchMatchesSequential verifies that driving PRO through
-// NextBatch/ReportBatch replays the identical search trajectory the
-// sequential ask/tell interface produces: same proposals, same best,
-// same round count.
-func TestPROBatchMatchesSequential(t *testing.T) {
+// TestAskCommitMatchesNextReport: every strategy New builds is one
+// issue/commit machine, and its round view is the round-barrier
+// engine's. Driving that view in rounds — Ask until it stalls, then
+// commit the round in issue order — visits the same points with the
+// same values, finishes (Done) at the same point, and keeps the same
+// Best as Next/Report alternation over the same machine. Done turns
+// true only on the Ask that finds the strategy finished, never on the
+// commit that finished it, or a search the proposal cap cuts after its
+// last commit would read as converged. Only the
+// Ensemble, which runs ahead of its commits, is given rounds of one.
+func TestAskCommitMatchesNextReport(t *testing.T) {
 	sp := batchTestSpace(t)
-	const budget = 300
+	const limit = 400
+	for _, name := range []string{"simplex", "coordinate", "pro", "random", "systematic", "exhaustive", "ensemble"} {
+		t.Run(name, func(t *testing.T) {
+			for seed := int64(1); seed <= 5; seed++ {
+				seq, _ := New(name, sp, seed, 50, nil)
+				var want []space.Point
+				for len(want) < limit {
+					pt, ok := seq.Next()
+					if !ok {
+						break
+					}
+					want = append(want, pt)
+					seq.Report(pt, lumpy(pt))
+				}
 
-	seqStrat := NewPRO(sp, PROOptions{Seed: 5})
-	batchStrat := NewPRO(sp, PROOptions{Seed: 5})
-
-	// Record the sequential proposal stream.
-	var seqPts []space.Point
-	for len(seqPts) < budget {
-		pt, ok := seqStrat.Next()
-		if !ok {
-			break
-		}
-		seqPts = append(seqPts, pt)
-		seqStrat.Report(pt, quadratic(pt))
-	}
-
-	var batchPts []space.Point
-	for len(batchPts) < len(seqPts) {
-		batch := batchStrat.NextBatch()
-		if len(batch) == 0 {
-			break
-		}
-		values := make([]float64, len(batch))
-		for i, pt := range batch {
-			values[i] = quadratic(pt)
-			batchPts = append(batchPts, pt)
-		}
-		batchStrat.ReportBatch(batch, values)
-	}
-
-	if len(batchPts) < len(seqPts) {
-		t.Fatalf("batch drive stopped after %d proposals, sequential made %d", len(batchPts), len(seqPts))
-	}
-	for i := range seqPts {
-		if !seqPts[i].Equal(batchPts[i]) {
-			t.Fatalf("proposal %d differs: sequential %v, batch %v", i, seqPts[i], batchPts[i])
-		}
-	}
-	_, sv, _ := seqStrat.Best()
-	_, bv, _ := batchStrat.Best()
-	if sv != bv {
-		t.Fatalf("best value differs: sequential %v, batch %v", sv, bv)
-	}
-	if seqStrat.Rounds() != batchStrat.Rounds() {
-		t.Fatalf("round count differs: sequential %d, batch %d", seqStrat.Rounds(), batchStrat.Rounds())
-	}
-}
-
-// TestPROBatchPrefixResumes verifies that reporting a strict prefix
-// of a round leaves the remainder available from the next NextBatch.
-func TestPROBatchPrefixResumes(t *testing.T) {
-	sp := batchTestSpace(t)
-	p := NewPRO(sp, PROOptions{Seed: 2})
-	batch := p.NextBatch()
-	if len(batch) < 2 {
-		t.Fatalf("initial PRO batch has %d points, want the whole population", len(batch))
-	}
-	k := len(batch) / 2
-	values := make([]float64, k)
-	for i := 0; i < k; i++ {
-		values[i] = quadratic(batch[i])
-	}
-	p.ReportBatch(batch[:k], values)
-
-	rest := p.NextBatch()
-	if len(rest) != len(batch)-k {
-		t.Fatalf("resumed batch has %d points, want %d", len(rest), len(batch)-k)
-	}
-	for i, pt := range rest {
-		if !pt.Equal(batch[k+i]) {
-			t.Fatalf("resumed proposal %d is %v, want %v", i, pt, batch[k+i])
-		}
-	}
-}
-
-// TestSamplingBatchParity verifies Systematic and Exhaustive visit
-// the same points with the same best under batch and sequential
-// driving, and that Random's seeded stream is stride-independent.
-func TestSamplingBatchParity(t *testing.T) {
-	sp := batchTestSpace(t)
-	cases := []struct {
-		name       string
-		sequential Strategy
-		batch      BatchStrategy
-	}{
-		{"systematic", NewSystematic(sp, 50), NewSystematic(sp, 50)},
-		{"exhaustive", NewExhaustive(sp), NewExhaustive(sp)},
-		{"random", NewRandom(sp, 9, 50), NewRandom(sp, 9, 50)},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, sv, sn := driveSequential(tc.sequential, 50)
-			_, bv, bn := driveBatch(tc.batch, 50)
-			if sn != bn {
-				t.Fatalf("evaluation counts differ: sequential %d, batch %d", sn, bn)
-			}
-			if sv != bv {
-				t.Fatalf("best differs: sequential %v, batch %v", sv, bv)
+				strat, _ := New(name, sp, seed, 50, nil)
+				as := Rounds(strat)
+				if native := as == strat.(AsyncStrategy); native == (name == "ensemble") {
+					t.Fatalf("seed %d: Rounds(%s) is the strategy itself: %v", seed, name, native)
+				}
+				var got []space.Point
+				for len(got) < len(want) {
+					round := askRound(as)
+					if len(round) == 0 {
+						break
+					}
+					for _, pt := range round {
+						as.Commit(pt, lumpy(pt))
+					}
+					got = append(got, round...)
+					if as.Done() {
+						t.Fatalf("seed %d: Done after a commit, before an Ask found the strategy finished", seed)
+					}
+				}
+				if len(want) < limit {
+					// The sequential drive finished: so must the rounds.
+					if len(got) != len(want) || len(askRound(as)) != 0 || !as.Done() || !seq.(AsyncStrategy).Done() {
+						t.Fatalf("seed %d: rounds issued %d points and Done=%v, sequential %d and finished",
+							seed, len(got), as.Done(), len(want))
+					}
+				} else if as.Done() || seq.(AsyncStrategy).Done() {
+					t.Fatalf("seed %d: Done within the %d-proposal cap, which the drive hit", seed, limit)
+				}
+				if len(got) < len(want) {
+					t.Fatalf("seed %d: rounds stalled with nothing in flight after %d of %d points", seed, len(got), len(want))
+				}
+				for i := range want {
+					if !got[i].Equal(want[i]) {
+						t.Fatalf("seed %d: proposal %d is %v in rounds, %v in sequence", seed, i, got[i], want[i])
+					}
+				}
+				bp, bv, bok := as.Best()
+				qp, qv, qok := seq.Best()
+				if len(got) == len(want) && (bok != qok || bv != qv || !bp.Equal(qp)) {
+					t.Fatalf("seed %d: best (%v, %v, %v) in rounds, (%v, %v, %v) in sequence", seed, bp, bv, bok, qp, qv, qok)
+				}
 			}
 		})
 	}
 }
 
-// TestRandomBatchHonoursBudget verifies NextBatch never exceeds a
+// TestPROBatchPrefixResumes: a PRO phase is issued in order whatever
+// has committed: after a prefix of the initial population is asked
+// and committed, the next Asks hand out the rest of it, and the phase
+// stalls only once every member is out.
+func TestPROBatchPrefixResumes(t *testing.T) {
+	sp := batchTestSpace(t)
+	whole := askRound(NewPRO(sp, PROOptions{Seed: 2}))
+	if len(whole) < 2 {
+		t.Fatalf("initial PRO phase has %d points, want the whole population", len(whole))
+	}
+	p := NewPRO(sp, PROOptions{Seed: 2})
+	k := len(whole) / 2
+	for i := range k {
+		pt, _ := p.Ask()
+		p.Commit(pt, quadratic(pt))
+		if !pt.Equal(whole[i]) {
+			t.Fatalf("proposal %d is %v, want %v", i, pt, whole[i])
+		}
+	}
+	rest := askRound(p)
+	if len(rest) != len(whole)-k || p.Done() {
+		t.Fatalf("resumed phase has %d points (Done=%v), want %d", len(rest), p.Done(), len(whole)-k)
+	}
+	for i, pt := range rest {
+		if !pt.Equal(whole[k+i]) {
+			t.Fatalf("resumed proposal %d is %v, want %v", i, pt, whole[k+i])
+		}
+	}
+}
+
+// TestRandomBatchHonoursBudget verifies the rounds never exceed a
 // sample budget smaller than the stride.
 func TestRandomBatchHonoursBudget(t *testing.T) {
 	sp := batchTestSpace(t)
 	r := NewRandom(sp, 3, 10)
 	total := 0
-	for {
-		batch := r.NextBatch()
-		if len(batch) == 0 {
-			break
+	for round := askRound(r); len(round) > 0; round = askRound(r) {
+		total += len(round)
+		for _, pt := range round {
+			r.Commit(pt, quadratic(pt))
 		}
-		total += len(batch)
-		values := make([]float64, len(batch))
-		for i, pt := range batch {
-			values[i] = quadratic(pt)
-		}
-		r.ReportBatch(batch, values)
 	}
-	if total != 10 {
-		t.Fatalf("random batch stream produced %d points, want exactly the 10-sample budget", total)
+	if total != 10 || !r.Done() {
+		t.Fatalf("random rounds produced %d points (Done=%v), want exactly the 10-sample budget", total, r.Done())
 	}
 }
 

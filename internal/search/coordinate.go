@@ -17,7 +17,7 @@ type CoordinateOptions struct {
 // This reproduces the paper's Table I behaviour where each tuning
 // iteration changes a single POP namelist parameter.
 type Coordinate struct {
-	tracker
+	machine
 	sp *space.Space
 
 	current  space.Point
@@ -32,13 +32,14 @@ type Coordinate struct {
 	improved   bool // any move this pass
 	passes     int
 
-	pending space.Point
-	done    bool
+	inFlight bool // a proposal awaits its commit
+	done     bool
 }
 
 // NewCoordinate constructs a coordinate-descent strategy.
 func NewCoordinate(sp *space.Space, opt CoordinateOptions) *Coordinate {
 	c := &Coordinate{sp: sp}
+	c.self = c
 	c.current = opt.Start
 	if c.current == nil {
 		c.current = sp.Center()
@@ -56,47 +57,43 @@ func (c *Coordinate) Passes() int { return c.passes }
 // Current returns the incumbent point.
 func (c *Coordinate) Current() space.Point { return c.current.Clone() }
 
-// Next implements Strategy.
-func (c *Coordinate) Next() (space.Point, bool) {
-	if c.done {
+// Ask implements AsyncStrategy: the next proposal, which stalls the
+// sweep until it commits.
+func (c *Coordinate) Ask() (space.Point, bool) {
+	if c.inFlight {
 		return nil, false
 	}
-	if c.pending != nil {
-		return c.pending.Clone(), true
+	if c.done {
+		return c.finish()
 	}
 	if !c.haveBase {
-		c.pending = c.current.Clone()
-		return c.pending.Clone(), true
+		c.inFlight = true
+		return c.current.Clone(), true
 	}
-	for {
-		if c.candidates == nil {
-			dim := c.dimPos
-			c.candBest = nil
-			c.candIdx = 0
-			c.candidates = nil
-			for _, pt := range c.sp.AxisPoints(c.current, dim) {
-				if pt[dim] != c.current[dim] { // incumbent level already measured
-					c.candidates = append(c.candidates, pt)
-				}
-			}
-			if len(c.candidates) == 0 {
-				c.advanceDim()
-				if c.done {
-					return nil, false
-				}
-				continue
+	for c.candidates == nil {
+		dim := c.dimPos
+		c.candBest = nil
+		c.candIdx = 0
+		for _, pt := range c.sp.AxisPoints(c.current, dim) {
+			if pt[dim] != c.current[dim] { // incumbent level already measured
+				c.candidates = append(c.candidates, pt)
 			}
 		}
-		c.pending = c.candidates[c.candIdx].Clone()
-		return c.pending.Clone(), true
+		if len(c.candidates) == 0 {
+			c.advanceDim()
+			if c.done {
+				return c.finish()
+			}
+		}
 	}
+	c.inFlight = true
+	return c.candidates[c.candIdx].Clone(), true
 }
 
-// Report implements Strategy.
-func (c *Coordinate) Report(pt space.Point, value float64) {
-	mustPending(c.Name(), c.pending != nil)
+// Commit implements AsyncStrategy.
+func (c *Coordinate) Commit(pt space.Point, value float64) {
 	c.observe(pt, value)
-	c.pending = nil
+	c.inFlight = false
 
 	if !c.haveBase {
 		c.haveBase = true

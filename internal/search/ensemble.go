@@ -45,20 +45,18 @@ type ensembleArm struct {
 // so UCB1 provably starves it: its pulls grow only logarithmically
 // in the total issue count.
 //
-// Ensemble implements AsyncStrategy natively and the sequential
-// Strategy facade (for the round-barrier engines); both drive the
-// same member state machines. It is engine-locked like every other
-// strategy in this package, and fully deterministic: selection is
-// closed-form arithmetic with index-order tie-breaking, no random
-// state of its own.
+// Unlike every other strategy, the Ensemble does not stall where a
+// member's round ends, so Rounds gives it rounds of one. It is
+// engine-locked like every other strategy in this package, and fully
+// deterministic: selection is closed-form arithmetic with index-order
+// tie-breaking, no random state of its own.
 type Ensemble struct {
-	tracker
-	arms    []*ensembleArm
-	issues  int    // total candidates issued
-	queue   []int  // arm index per in-flight candidate, issue order
-	trace   []int  // arm index per issue, full history
-	skip    []bool // Ask's per-call mask of stalled arms
-	pending space.Point
+	machine
+	arms   []*ensembleArm
+	issues int    // total candidates issued
+	queue  []int  // arm index per in-flight candidate, issue order
+	trace  []int  // arm index per issue, full history
+	skip   []bool // Ask's per-call mask of stalled arms
 }
 
 // NewEnsemble constructs the bandit ensemble over the space. The
@@ -80,10 +78,11 @@ func NewEnsemble(sp *space.Space, opt EnsembleOptions) *Ensemble {
 
 // newEnsemble builds the bandit over the given members, one arm each
 // in argument order.
-func newEnsemble(techs ...Strategy) *Ensemble {
+func newEnsemble(techs ...AsyncStrategy) *Ensemble {
 	e := &Ensemble{skip: make([]bool, len(techs))}
+	e.self = e
 	for _, t := range techs {
-		e.arms = append(e.arms, &ensembleArm{name: t.Name(), as: AsAsync(t)})
+		e.arms = append(e.arms, &ensembleArm{name: t.Name(), as: t})
 	}
 	return e
 }
@@ -158,9 +157,7 @@ func (e *Ensemble) Commit(pt space.Point, value float64) {
 		a.reward++ // new global best
 	}
 	a.as.Commit(pt, value)
-	if !math.IsNaN(value) {
-		e.observe(pt, value)
-	}
+	e.observe(pt, value)
 }
 
 // Done implements AsyncStrategy: the ensemble is finished only when
@@ -172,27 +169,4 @@ func (e *Ensemble) Done() bool {
 		}
 	}
 	return true
-}
-
-// Next implements the sequential Strategy facade: one candidate at a
-// time through the same bandit. Under strict ask/tell alternation no
-// member is ever mid-round, so Ask can only fail when every member
-// has finished.
-func (e *Ensemble) Next() (space.Point, bool) {
-	if e.pending != nil {
-		return e.pending.Clone(), true
-	}
-	pt, ok := e.Ask()
-	if !ok {
-		return nil, false
-	}
-	e.pending = pt
-	return pt.Clone(), true
-}
-
-// Report implements Strategy.
-func (e *Ensemble) Report(pt space.Point, value float64) {
-	mustPending(e.Name(), e.pending != nil)
-	e.pending = nil
-	e.Commit(pt, value)
 }

@@ -98,45 +98,37 @@ func TestEnsembleUsesEveryTechnique(t *testing.T) {
 
 // constProposer proposes a fixed point list in order, in rounds of
 // eight like a real sampler; used to build a technique whose
-// candidates always forfeit. It batches so that the bandit, not the
-// one-in-flight stall of a sequential member, decides its share.
+// candidates always forfeit. It issues rounds so that the bandit, not
+// the one-in-flight stall of a sequential member, decides its share.
 type constProposer struct {
-	tracker
-	points []space.Point
-	idx    int
-	name   string
+	machine
+	points      []space.Point
+	issued, idx int
+	name        string
 }
 
 func newConstProposer(name string, pts []space.Point) *constProposer {
-	return &constProposer{points: pts, name: name}
+	c := &constProposer{points: pts, name: name}
+	c.self = c
+	return c
 }
 
 func (c *constProposer) Name() string { return c.name }
 
-func (c *constProposer) Next() (space.Point, bool) {
-	if c.idx >= len(c.points) {
-		return nil, false
+func (c *constProposer) Ask() (space.Point, bool) {
+	if c.idx == len(c.points) {
+		return c.finish()
 	}
-	return c.points[c.idx].Clone(), true
+	if c.issued > c.idx && (c.issued%8 == 0 || c.issued == len(c.points)) {
+		return nil, false // a round of eight is in flight
+	}
+	c.issued++
+	return c.points[c.issued-1].Clone(), true
 }
 
-func (c *constProposer) Report(pt space.Point, value float64) {
+func (c *constProposer) Commit(pt space.Point, value float64) {
 	c.observe(pt, value)
 	c.idx++
-}
-
-func (c *constProposer) NextBatch() []space.Point {
-	var out []space.Point
-	for _, pt := range c.points[c.idx:min(c.idx+8, len(c.points))] {
-		out = append(out, pt.Clone())
-	}
-	return out
-}
-
-func (c *constProposer) ReportBatch(pts []space.Point, values []float64) {
-	for i := range pts {
-		c.Report(pts[i], values[i])
-	}
 }
 
 // TestEnsembleBanditShiftsAwayFromFaultyTechnique injects a member

@@ -34,35 +34,34 @@ const (
 // population through the incumbent best point — reflection first,
 // expansion if the reflection found a new best, shrink otherwise —
 // so all N-1 proposals of a round are independent and can be
-// evaluated concurrently by N-1 parallel clients. PRO implements
-// both the sequential ask/tell Strategy interface and BatchStrategy;
-// the round structure (and hence the tuning result) is identical
-// either way: ReportBatch replays the values through the same state
-// machine in the same order Next/Report would have seen them.
+// evaluated concurrently by N-1 parallel clients. Ask issues a
+// phase's members one at a time and stalls at its end, so the round
+// structure (and hence the tuning result) is the same however many of
+// them are in flight.
 type PRO struct {
-	tracker
+	machine
 	sp  *space.Space
 	rng seededRand
 
 	verts   []vertex // population; verts[bestIdx] is the incumbent
 	bestIdx int
-	idx     int // vertex being evaluated in this phase
+	issue   int // member of this phase Ask issues next
+	idx     int // member of this phase whose value commits next
 	state   proState
-	pending bool
 	rounds  int
 
 	// The round state, allocated by the first round and rewritten by
 	// every later one: the reflected population, then the expanded
-	// one (adopting a member copies its coordinates), NextBatch's
-	// array, and collapsed's scratch.
+	// one (adopting a member copies its coordinates), and collapsed's
+	// scratch.
 	trial []vertex
-	batch []space.Point
 	snap  space.Point
 }
 
 // NewPRO constructs a PRO strategy over the space.
 func NewPRO(sp *space.Space, opt PROOptions) *PRO {
 	p := &PRO{sp: sp}
+	p.self = p
 	p.rng.reset(opt.Seed)
 	p.buildPopulation(opt)
 	return p
@@ -104,7 +103,7 @@ func (p *PRO) buildPopulation(opt PROOptions) {
 		p.verts[i] = vertex{x: clampFloats(p.sp, x)}
 	}
 	p.state = proInit
-	p.idx = 0
+	p.idx, p.issue = 0, 0
 }
 
 func clampFloats(sp *space.Space, x []float64) []float64 {
@@ -142,56 +141,32 @@ func (p *PRO) begin(state proState) {
 	if p.idx == p.bestIdx {
 		p.idx++
 	}
+	p.issue = p.idx
 }
 
-// Next implements Strategy.
-func (p *PRO) Next() (space.Point, bool) {
-	pop, _ := p.phase()
+// Ask implements AsyncStrategy: the members of the current phase
+// (initial population, reflected/expanded trial population, or
+// shrunken population), all of which are independent, one at a time.
+// It stalls once the phase is fully issued, until its last value
+// commits.
+func (p *PRO) Ask() (space.Point, bool) {
+	pop, skip := p.phase()
 	if pop == nil {
+		return p.finish()
+	}
+	if p.issue == len(pop) {
 		return nil, false
 	}
-	p.pending = true
-	return p.sp.Nearest(pop[p.idx].x), true
+	pt := p.sp.Nearest(pop[p.issue].x)
+	if p.issue++; p.issue == skip {
+		p.issue++
+	}
+	return pt, true
 }
 
-// NextBatch implements BatchStrategy: the remaining proposals of the
-// current phase (initial population, reflected/expanded trial
-// population, or shrunken population), all of which are independent.
-func (p *PRO) NextBatch() []space.Point {
-	pop, skip := p.phase()
-	end := len(pop)
-	if p.pending {
-		// Mid-proposal from interleaved sequential use: finish it as
-		// a batch of one before opening the rest of the phase.
-		end = p.idx + 1
-	}
-	p.batch = p.batch[:0]
-	for i := p.idx; i < end; i++ {
-		if i != skip {
-			p.batch = append(p.batch, p.sp.Nearest(pop[i].x))
-		}
-	}
-	return p.batch
-}
-
-// ReportBatch implements BatchStrategy by replaying the values, in
-// order, through the sequential state machine. The proposals of a
-// phase are fixed when the phase starts, so the replay visits exactly
-// the points NextBatch returned; reporting a strict prefix leaves the
-// phase partially evaluated and NextBatch resumes it.
-func (p *PRO) ReportBatch(pts []space.Point, values []float64) {
-	for i := range pts {
-		p.pending = true
-		p.Report(pts[i], values[i])
-	}
-}
-
-// Report implements Strategy.
-func (p *PRO) Report(pt space.Point, value float64) {
-	mustPending(p.Name(), p.pending)
+// Commit implements AsyncStrategy.
+func (p *PRO) Commit(pt space.Point, value float64) {
 	p.observe(pt, value)
-	p.pending = false
-
 	pop, skip := p.phase()
 	if pop == nil {
 		return

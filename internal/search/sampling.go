@@ -1,25 +1,58 @@
 package search
 
-import "harmony/internal/space"
+import (
+	"math"
+
+	"harmony/internal/space"
+)
+
+// sampler is the issue/commit cursor of the sampling strategies: it
+// hands out rounds of up to DefaultBatchStride of its total points and
+// opens the next round only once the last has fully committed.
+type sampler struct {
+	machine
+	total, issued, committed, end int64 // end: where the open round's issues stop
+}
+
+// open reports whether Ask may issue the next point, and counts it.
+func (s *sampler) open() bool {
+	if s.issued == s.end {
+		if s.committed < s.issued {
+			return false // stalled until the round commits
+		}
+		if s.end = s.issued + min(DefaultBatchStride, s.total-s.issued); s.end == s.issued {
+			s.finish()
+			return false
+		}
+	}
+	s.issued++
+	return true
+}
+
+// Commit implements AsyncStrategy.
+func (s *sampler) Commit(pt space.Point, value float64) {
+	s.observe(pt, value)
+	s.committed++
+}
 
 // Random is a uniform random-sampling strategy. It proposes points
 // drawn uniformly from the space until MaxSamples proposals
 // have been evaluated. It serves as a baseline against the simplex
 // strategy.
 type Random struct {
-	tracker
-	sp      *space.Space
-	rng     seededRand
-	max     int
-	count   int
-	pending space.Point
-	batch   []space.Point // NextBatch's array
+	sampler
+	sp  *space.Space
+	rng seededRand
 }
 
 // NewRandom constructs a random strategy that proposes maxSamples
 // points using the given seed. maxSamples <= 0 means unbounded.
 func NewRandom(sp *space.Space, seed int64, maxSamples int) *Random {
-	r := &Random{sp: sp, max: maxSamples}
+	r := &Random{sp: sp}
+	r.self, r.total = r, math.MaxInt64
+	if maxSamples > 0 {
+		r.total = int64(maxSamples)
+	}
 	r.rng.reset(seed)
 	return r
 }
@@ -27,56 +60,13 @@ func NewRandom(sp *space.Space, seed int64, maxSamples int) *Random {
 // Name implements Strategy.
 func (r *Random) Name() string { return "random" }
 
-// Next implements Strategy.
-func (r *Random) Next() (space.Point, bool) {
-	if r.pending != nil {
-		return r.pending.Clone(), true
-	}
-	if r.max > 0 && r.count >= r.max {
+// Ask implements AsyncStrategy: the next draw of the seeded sample
+// stream.
+func (r *Random) Ask() (space.Point, bool) {
+	if !r.open() {
 		return nil, false
 	}
-	r.pending = r.sp.Random(&r.rng.Rand)
-	return r.pending.Clone(), true
-}
-
-// Report implements Strategy.
-func (r *Random) Report(pt space.Point, value float64) {
-	mustPending(r.Name(), r.pending != nil)
-	r.observe(pt, value)
-	r.pending = nil
-	r.count++
-}
-
-// NextBatch implements BatchStrategy: up to DefaultBatchStride fresh
-// draws from the same deterministic sample stream Next consumes.
-func (r *Random) NextBatch() []space.Point {
-	if r.pending != nil {
-		return []space.Point{r.pending.Clone()}
-	}
-	n := DefaultBatchStride
-	if r.max > 0 {
-		if rem := r.max - r.count; rem < n {
-			n = rem
-		}
-	}
-	if n <= 0 {
-		return nil
-	}
-	r.batch = r.batch[:0]
-	for range n {
-		r.batch = append(r.batch, r.sp.Random(&r.rng.Rand))
-	}
-	return r.batch
-}
-
-// ReportBatch implements BatchStrategy.
-func (r *Random) ReportBatch(pts []space.Point, values []float64) {
-	for i := range pts {
-		if r.pending == nil {
-			r.pending = pts[i].Clone()
-		}
-		r.Report(pts[i], values[i])
-	}
+	return r.sp.Random(&r.rng.Rand), true
 }
 
 // Systematic enumerates an evenly spaced grid over the space — the
@@ -94,6 +84,7 @@ type Systematic struct {
 // most budget points.
 func NewSystematic(sp *space.Space, budget int) *Systematic {
 	s := &Systematic{}
+	s.self = s
 	s.start(sp.GridLattice(budget), sp.Dims())
 	return s
 }
@@ -101,18 +92,10 @@ func NewSystematic(sp *space.Space, budget int) *Systematic {
 // Name implements Strategy.
 func (s *Systematic) Name() string { return "systematic" }
 
-// Report implements Strategy.
-func (s *Systematic) Report(pt space.Point, value float64) {
-	s.advance(s.Name(), pt, value)
+// Commit implements AsyncStrategy.
+func (s *Systematic) Commit(pt space.Point, value float64) {
+	s.walk.Commit(pt, value)
 	s.Values = append(s.Values, value)
-}
-
-// ReportBatch implements BatchStrategy.
-func (s *Systematic) ReportBatch(pts []space.Point, values []float64) {
-	for i := range pts {
-		s.pending = true
-		s.Report(pts[i], values[i])
-	}
 }
 
 // Exhaustive enumerates every point of a space, in the number order of
@@ -124,6 +107,7 @@ type Exhaustive struct {
 // NewExhaustive constructs an exhaustive strategy.
 func NewExhaustive(sp *space.Space) *Exhaustive {
 	e := &Exhaustive{}
+	e.self = e
 	e.start(sp.FullLattice(), sp.Dims())
 	return e
 }
@@ -131,67 +115,27 @@ func NewExhaustive(sp *space.Space) *Exhaustive {
 // Name implements Strategy.
 func (e *Exhaustive) Name() string { return "exhaustive" }
 
-// Report implements Strategy.
-func (e *Exhaustive) Report(pt space.Point, value float64) {
-	e.advance(e.Name(), pt, value)
-}
-
-// ReportBatch implements BatchStrategy.
-func (e *Exhaustive) ReportBatch(pts []space.Point, values []float64) {
-	for i := range pts {
-		e.pending = true
-		e.Report(pts[i], values[i])
-	}
-}
-
 // walk visits the points of a lattice in number order. It holds its
 // position, not the points: the cursor of Systematic and Exhaustive.
 type walk struct {
-	tracker
-	lat     space.Lattice
-	k       int64       // number of the next point to report; lat.Size() once exhausted
-	pt      space.Point // the point numbered k
-	pending bool
-	batch   []space.Point // NextBatch's array
+	sampler
+	lat  space.Lattice
+	dims int
 }
 
 func (w *walk) start(lat space.Lattice, dims int) {
-	w.lat, w.pt = lat, make(space.Point, dims)
-	if lat.Size() > 0 {
-		lat.At(0, w.pt)
-	}
+	w.lat, w.dims, w.total = lat, dims, lat.Size()
 }
 
 // Planned reports how many points will be visited.
 func (w *walk) Planned() int { return int(w.lat.Size()) }
 
-// Next implements Strategy.
-func (w *walk) Next() (space.Point, bool) {
-	if w.k >= w.lat.Size() {
+// Ask implements AsyncStrategy: the next unvisited point.
+func (w *walk) Ask() (space.Point, bool) {
+	if !w.open() {
 		return nil, false
 	}
-	w.pending = true
-	return w.pt.Clone(), true
-}
-
-// advance records the value of the pending point and moves past it.
-func (w *walk) advance(name string, pt space.Point, value float64) {
-	mustPending(name, w.pending)
-	w.observe(pt, value)
-	w.pending = false
-	if w.k++; w.k < w.lat.Size() {
-		w.lat.At(w.k, w.pt)
-	}
-}
-
-// NextBatch implements BatchStrategy: the next DefaultBatchStride
-// unvisited points.
-func (w *walk) NextBatch() []space.Point {
-	w.batch = w.batch[:0]
-	for k := w.k; k < w.lat.Size() && len(w.batch) < DefaultBatchStride; k++ {
-		pt := make(space.Point, len(w.pt))
-		w.lat.At(k, pt)
-		w.batch = append(w.batch, pt)
-	}
-	return w.batch
+	pt := make(space.Point, w.dims)
+	w.lat.At(w.issued-1, pt)
+	return pt, true
 }

@@ -8,13 +8,17 @@
 // iteration behaviour visible in Table I), uniform random search,
 // systematic sampling (Fig. 6), and exhaustive enumeration.
 //
-// All strategies implement the ask/tell Strategy interface so the
-// same engine drives both off-line tuning (iterative benchmarking
-// runs) and on-line tuning (the client/server protocol).
+// Every strategy is one issue/commit state machine, AsyncStrategy:
+// Ask hands out candidates and stalls where the strategy's round ends,
+// Commit delivers their values in issue order. The sequential ask/tell
+// Strategy interface (Next/Report) is one shared facade over it, so
+// the same machine drives off-line tuning (iterative benchmarking runs)
+// and on-line tuning (the client/server protocol).
 package search
 
 import (
 	"fmt"
+	"math"
 
 	"harmony/internal/space"
 )
@@ -31,7 +35,9 @@ import (
 //
 // Next returns ok=false when the strategy has converged or exhausted
 // its space. Calling Next again without an intervening Report returns
-// the same pending proposal.
+// the same pending proposal. Every strategy in this package is also an
+// AsyncStrategy, and its Next/Report is Ask/Commit one candidate at a
+// time.
 //
 // Strategies are engine-locked: no strategy in this package is safe
 // for concurrent use, and none carries its own locking. The engines
@@ -99,7 +105,8 @@ func New(name string, sp *space.Space, seed int64, budget int, seeds []space.Poi
 	return nil, fmt.Errorf("unknown strategy %q", name)
 }
 
-// tracker records the incumbent best result; embedded by strategies.
+// tracker records the incumbent best result. Non-finite values (a
+// failed or forfeited run) are never an incumbent.
 type tracker struct {
 	best      space.Point
 	bestValue float64
@@ -107,6 +114,9 @@ type tracker struct {
 }
 
 func (t *tracker) observe(pt space.Point, value float64) {
+	if math.IsNaN(value) || math.IsInf(value, 0) {
+		return
+	}
 	if !t.has || value < t.bestValue {
 		t.best = pt.Clone()
 		t.bestValue = value
@@ -122,8 +132,46 @@ func (t *tracker) Best() (space.Point, float64, bool) {
 	return t.best.Clone(), t.bestValue, true
 }
 
-func mustPending(name string, pending bool) {
-	if !pending {
-		panic(fmt.Sprintf("search: %s.Report called with no pending proposal", name))
+// machine is embedded by every strategy: the incumbent best, the Done
+// flag, and the one implementation of Next/Report, over the Ask and
+// Commit of the strategy that embeds it (self).
+type machine struct {
+	tracker
+	self     AsyncStrategy
+	pending  space.Point // Next's proposal, until Report commits it
+	finished bool        // an Ask found the strategy done
+}
+
+// finish is what Ask returns once the strategy is done. Done turns true
+// on the Ask that finds the strategy finished, not on the Commit that
+// finished it: an engine that stops asking first, at its proposal cap,
+// must not report the search converged.
+func (m *machine) finish() (space.Point, bool) {
+	m.finished = true
+	return nil, false
+}
+
+// Done implements AsyncStrategy.
+func (m *machine) Done() bool { return m.finished }
+
+// Next implements Strategy: Ask, holding the candidate until Report.
+// With nothing in flight no strategy stalls, so ok=false means done.
+func (m *machine) Next() (space.Point, bool) {
+	if m.pending == nil {
+		pt, ok := m.self.Ask()
+		if !ok {
+			return nil, false
+		}
+		m.pending = pt
 	}
+	return m.pending, true
+}
+
+// Report implements Strategy: Commit the pending proposal.
+func (m *machine) Report(pt space.Point, value float64) {
+	if m.pending == nil {
+		panic(fmt.Sprintf("search: %s.Report called with no pending proposal", m.self.Name()))
+	}
+	m.pending = nil
+	m.self.Commit(pt, value)
 }

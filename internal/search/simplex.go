@@ -66,7 +66,7 @@ type vertex struct {
 // point (the simplex has collapsed below lattice resolution); the
 // caller's evaluation budget bounds it otherwise.
 type Simplex struct {
-	tracker
+	machine
 	sp   *space.Space
 	opt  SimplexOptions
 	dims int
@@ -86,7 +86,8 @@ type Simplex struct {
 	snap      space.Point
 	shrinkIdx int
 
-	pendingX     []float64 // continuous coords of the pending proposal; nil if none
+	pendingX     []float64 // continuous coords of the current proposal; nil if none
+	inFlight     bool      // pendingX is issued and awaits its commit
 	iterations   int
 	restartsUsed int
 }
@@ -104,6 +105,7 @@ func NewSimplex(sp *space.Space, opt SimplexOptions) *Simplex {
 	}
 	scratch := make([]float64, 4*n)
 	s.centroid, s.xr, s.xe, s.xc = scratch[:n:n], scratch[n:2*n:2*n], scratch[2*n:3*n:3*n], scratch[3*n:]
+	s.self = s
 	s.buildInitialSimplex()
 	return s
 }
@@ -167,30 +169,29 @@ func toFloats(pt space.Point) []float64 {
 	return x
 }
 
-// Next implements Strategy.
-func (s *Simplex) Next() (space.Point, bool) {
-	if s.pendingX == nil {
-		switch s.state {
-		case stInit:
-			s.pendingX = s.verts[s.initIdx].x
-		case stShrink:
-			s.pendingX = s.verts[s.shrinkIdx].x
-		case stDone:
-			return nil, false
-		default:
-			// The evaluation states propose as they are entered, and
-			// only Report, which advances the machine, clears it.
-			panic("search: simplex in evaluation state with no pending proposal")
-		}
+// Ask implements AsyncStrategy: the one proposal of the current step,
+// which stalls the simplex until it commits.
+func (s *Simplex) Ask() (space.Point, bool) {
+	if s.inFlight {
+		return nil, false
 	}
+	switch s.state {
+	case stInit:
+		s.pendingX = s.verts[s.initIdx].x
+	case stShrink:
+		s.pendingX = s.verts[s.shrinkIdx].x
+	case stDone:
+		return s.finish()
+	}
+	// The evaluation states set pendingX as they are entered.
+	s.inFlight = true
 	return s.sp.Nearest(s.pendingX), true
 }
 
-// Report implements Strategy.
-func (s *Simplex) Report(pt space.Point, value float64) {
-	mustPending(s.Name(), s.pendingX != nil)
+// Commit implements AsyncStrategy.
+func (s *Simplex) Commit(pt space.Point, value float64) {
 	s.observe(pt, value)
-	s.pendingX = nil
+	s.pendingX, s.inFlight = nil, false
 
 	switch s.state {
 	case stInit:
@@ -224,8 +225,6 @@ func (s *Simplex) Report(pt space.Point, value float64) {
 		} else {
 			s.beginShrink()
 		}
-	case stDone:
-		// Late report after convergence: already observed for Best.
 	}
 }
 

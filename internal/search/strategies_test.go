@@ -1,6 +1,7 @@
 package search
 
 import (
+	"reflect"
 	"testing"
 
 	"harmony/internal/proto"
@@ -160,17 +161,34 @@ func TestExhaustiveFindsGlobalOptimum(t *testing.T) {
 	}
 }
 
+// TestStrategiesImplementInterface: every strategy New builds is an
+// AsyncStrategy and has one state machine. Its exported methods are
+// the two contracts' (Next/Report being the shared facade over
+// Ask/Commit), the simplex's Speculate and read-only accessors — no
+// second round interface beside Ask/Commit.
 func TestStrategiesImplementInterface(t *testing.T) {
 	sp := space.MustNew(space.IntParam("a", 0, 9, 1))
-	for _, s := range []Strategy{
-		NewSimplex(sp, SimplexOptions{}),
-		NewCoordinate(sp, CoordinateOptions{}),
-		NewRandom(sp, 1, 5),
-		NewSystematic(sp, 5),
-		NewExhaustive(sp),
-	} {
-		if s.Name() == "" {
-			t.Errorf("%T has empty name", s)
+	allowed := map[string]bool{
+		"Speculate": true, "AllocTrace": true, "Converged": true, "Current": true, "Iterations": true,
+		"Passes": true, "Planned": true, "Rounds": true, "String": true, "Vertices": true,
+	}
+	for _, iface := range []reflect.Type{reflect.TypeFor[Strategy](), reflect.TypeFor[AsyncStrategy]()} {
+		for m := range iface.NumMethod() {
+			allowed[iface.Method(m).Name] = true
+		}
+	}
+	for _, name := range []string{"simplex", "coordinate", "pro", "random", "systematic", "exhaustive", "ensemble"} {
+		s, err := New(name, sp, 1, 5, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.(AsyncStrategy); !ok {
+			t.Errorf("%s is not an AsyncStrategy", name)
+		}
+		for m := range reflect.TypeOf(s).NumMethod() {
+			if method := reflect.TypeOf(s).Method(m).Name; !allowed[method] {
+				t.Errorf("%s has method %s beside its contracts", name, method)
+			}
 		}
 		if _, _, ok := s.Best(); ok {
 			t.Errorf("%s reports Best before any Report", s.Name())

@@ -43,7 +43,7 @@ func TestNaNReportSanitizedShared(t *testing.T) {
 
 // TestNaNReportSanitizedParallel pins the same bug on the fan-out
 // path, where `msg.Perf > r.worst[pos]` used to leave a -Inf in the
-// round delivered to ReportBatch.
+// round delivered to the strategy.
 func TestNaNReportSanitizedParallel(t *testing.T) {
 	s := newFaultServer(newFakeClock())
 	id := mustRegister(t, s, &proto.Message{
@@ -77,14 +77,18 @@ func TestNaNReportSanitizedParallel(t *testing.T) {
 	}
 }
 
-// scriptedBatch feeds fixed rounds through a parallel session; it
-// doubles as the Strategy so sessions can be built directly.
+// scriptedBatch feeds fixed rounds through a parallel session: Ask
+// hands out a round's points and stalls until they have all committed.
+// It doubles as the Strategy so sessions can be built directly.
 type scriptedBatch struct {
-	rounds [][]space.Point
-	i      int
-	best   space.Point
-	bv     float64
-	has    bool
+	rounds            [][]space.Point
+	i                 int           // rounds opened
+	cur               []space.Point // the open round
+	issued, committed int           // of cur
+	done              bool
+	best              space.Point
+	bv                float64
+	has               bool
 }
 
 func (b *scriptedBatch) Name() string { return "scripted-batch" }
@@ -104,23 +108,27 @@ func (b *scriptedBatch) Best() (space.Point, float64, bool) {
 	return b.best.Clone(), b.bv, true
 }
 
-func (b *scriptedBatch) NextBatch() []space.Point {
-	if b.i >= len(b.rounds) {
-		return nil
+func (b *scriptedBatch) Done() bool { return b.done }
+
+func (b *scriptedBatch) Ask() (space.Point, bool) {
+	if b.issued == len(b.cur) {
+		if b.committed < b.issued {
+			return nil, false
+		}
+		if b.i >= len(b.rounds) {
+			b.done = true
+			return nil, false
+		}
+		b.cur, b.issued, b.committed = b.rounds[b.i], 0, 0
+		b.i++
 	}
-	round := b.rounds[b.i]
-	b.i++
-	out := make([]space.Point, len(round))
-	for i, pt := range round {
-		out[i] = pt.Clone()
-	}
-	return out
+	b.issued++
+	return b.cur[b.issued-1].Clone(), true
 }
 
-func (b *scriptedBatch) ReportBatch(pts []space.Point, values []float64) {
-	for i, pt := range pts {
-		b.Report(pt, values[i])
-	}
+func (b *scriptedBatch) Commit(pt space.Point, v float64) {
+	b.committed++
+	b.Report(pt, v)
 }
 
 // TestUndecodableProposalForfeited is the regression test for the

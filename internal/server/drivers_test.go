@@ -143,9 +143,13 @@ type endlessStrategy struct {
 	asks int
 }
 
-func (s *endlessStrategy) NextBatch() []space.Point {
+func (s *endlessStrategy) Ask() (space.Point, bool) {
+	if s.committed < s.issued {
+		return nil, false
+	}
 	s.asks++
-	return []space.Point{{int64(s.asks % 41), int64(s.asks / 41 % 41)}}
+	s.issued++
+	return space.Point{int64(s.asks % 41), int64(s.asks / 41 % 41)}, true
 }
 
 // TestRunawayGuardOnBothDrivers: a session with no run budget and a

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -14,20 +13,43 @@ import (
 	"harmony/internal/space"
 )
 
-// recordingStrategy wraps a round-structured strategy and records
-// what it is told: one "x,y=value ..." string per delivered round.
-type recordingStrategy struct {
-	search.BatchStrategy
-	commits []string
+// roundStrategy is a strategy whose Ask stalls where its round ends,
+// as every strategy of package search does.
+type roundStrategy interface {
+	search.Strategy
+	search.AsyncStrategy
 }
 
-func (r *recordingStrategy) ReportBatch(pts []space.Point, values []float64) {
-	round := make([]string, len(pts))
-	for i, pt := range pts {
-		round[i] = fmt.Sprintf("%d,%d=%g", pt[0], pt[1], values[i])
+// recordingStrategy wraps a round strategy and records what it is
+// told: one "x,y=value ..." string per round, the values of a round in
+// commit order. A round is what was asked up to the stall; in a round
+// window the next round opens only once the last has fully committed,
+// so a round ends where the commits catch up with the issues.
+type recordingStrategy struct {
+	roundStrategy
+	issued, committed int
+	commits           []string
+}
+
+func (r *recordingStrategy) Ask() (space.Point, bool) {
+	pt, ok := r.roundStrategy.Ask()
+	if ok {
+		r.issued++
 	}
-	r.commits = append(r.commits, strings.Join(round, " "))
-	r.BatchStrategy.ReportBatch(pts, values)
+	return pt, ok
+}
+
+func (r *recordingStrategy) Commit(pt space.Point, value float64) {
+	told := fmt.Sprintf("%d,%d=%g", pt[0], pt[1], value)
+	if r.committed == 0 {
+		r.commits = append(r.commits, told)
+	} else {
+		r.commits[len(r.commits)-1] += " " + told
+	}
+	if r.committed++; r.committed == r.issued {
+		r.issued, r.committed = 0, 0
+	}
+	r.roundStrategy.Commit(pt, value)
 }
 
 // fanoutCounts are the session counters a golden pins.
@@ -40,7 +62,7 @@ type fanoutCounts struct {
 // client below, and everything observable about it.
 type fanoutGolden struct {
 	name    string
-	strat   func(sp *space.Space) search.BatchStrategy
+	strat   func(sp *space.Space) roundStrategy
 	maxRuns int
 	// setup, if set, adjusts the session before its window opens.
 	setup func(ss *session, now *time.Time)
@@ -52,10 +74,10 @@ type fanoutGolden struct {
 
 	handouts []string // "tag:x,y" in fetch order
 	commits  []string // rounds delivered to the strategy, in order
-	// cutRounds is how many trailing entries of commits the window does
-	// not deliver: the round-fanout code this was captured from
-	// reported the prefix of a budget-truncated round to the strategy,
-	// where the window — like core.Tune — abandons it.
+	// cutRounds is how many trailing entries of commits are the prefix
+	// of a budget-truncated round: the strategy hears it commit by
+	// commit, as the round-fanout code this was captured from reported
+	// it, but the window abandons the rest, so no round completes.
 	cutRounds int
 	best      string // the session's Best reply, "x,y=perf"
 	fanoutCounts
@@ -104,11 +126,12 @@ func driveFetch4(t *testing.T, ss *session, now *time.Time, g *fanoutGolden) (ha
 // commit before its deletion, driven by driveFetch4: the hand-out
 // sequence, the rounds the strategy was told, the Best reply and the
 // fault counters of three Parallel sessions. The window must reproduce
-// them; the one declared difference is cutRounds.
+// them, the prefix of a budget-cut round included, which the strategy
+// hears commit by commit; the one declared difference is cutRounds.
 func TestFanoutGoldens(t *testing.T) {
 	sp := testSpace()
-	pro := func(sp *space.Space) search.BatchStrategy { return search.NewPRO(sp, search.PROOptions{Seed: 5}) }
-	random := func(sp *space.Space) search.BatchStrategy { return search.NewRandom(sp, 17, 20) }
+	pro := func(sp *space.Space) roundStrategy { return search.NewPRO(sp, search.PROOptions{Seed: 5}) }
+	random := func(sp *space.Space) roundStrategy { return search.NewRandom(sp, 17, 20) }
 	goldens := []fanoutGolden{
 		{
 			// The budget cuts the second round of three to two.
@@ -124,7 +147,12 @@ func TestFanoutGoldens(t *testing.T) {
 			name: "random-half-warm", strat: random, maxRuns: 20, dropIndex: -1,
 			setup: func(ss *session, _ *time.Time) {
 				ss.cache = history.NewEvalCache().BoundNS("golden", "m", "", sp)
-				for i, pt := range random(sp).NextBatch() {
+				first := random(sp) // its first round
+				for i := 0; ; i++ {
+					pt, ok := first.Ask()
+					if !ok {
+						break
+					}
 					if cfg, err := sp.Decode(pt); err == nil && i%2 == 0 {
 						ss.cache.Store(pt, objective(cfg.Map()))
 					}
@@ -159,7 +187,7 @@ func TestFanoutGoldens(t *testing.T) {
 	}
 	for _, g := range goldens {
 		now := time.Unix(1000, 0)
-		rec := &recordingStrategy{BatchStrategy: g.strat(sp)}
+		rec := &recordingStrategy{roundStrategy: g.strat(sp)}
 		ss := newTestSession(sp, rec, g.maxRuns, nil)
 		if g.setup != nil {
 			g.setup(ss, &now)
@@ -168,9 +196,8 @@ func TestFanoutGoldens(t *testing.T) {
 		if got := driveFetch4(t, ss, &now, &g); !reflect.DeepEqual(got, g.handouts) {
 			t.Errorf("%s: hand-outs\n got %q\nwant %q", g.name, got, g.handouts)
 		}
-		want := g.commits[:len(g.commits)-g.cutRounds]
-		if !reflect.DeepEqual(rec.commits, want) {
-			t.Errorf("%s: rounds delivered to the strategy\n got %q\nwant %q", g.name, rec.commits, want)
+		if !reflect.DeepEqual(rec.commits, g.commits) {
+			t.Errorf("%s: rounds delivered to the strategy\n got %q\nwant %q", g.name, rec.commits, g.commits)
 		}
 		b := ss.callBest()
 		if got := fmt.Sprintf("%s,%s=%g", b.Values["x"], b.Values["y"], b.Perf); b.Type != proto.TypeBestReply || got != g.best {
@@ -184,8 +211,8 @@ func TestFanoutGoldens(t *testing.T) {
 		if counts != g.fanoutCounts {
 			t.Errorf("%s: counters %+v, want %+v", g.name, counts, g.fanoutCounts)
 		}
-		if rounds := st.roundsCompleted.Load(); rounds != int64(len(want)) {
-			t.Errorf("%s: RoundsCompleted = %d, want the %d rounds delivered", g.name, rounds, len(want))
+		if rounds, want := st.roundsCompleted.Load(), len(g.commits)-g.cutRounds; rounds != int64(want) {
+			t.Errorf("%s: RoundsCompleted = %d, want the %d rounds completed", g.name, rounds, want)
 		}
 	}
 }

@@ -520,10 +520,9 @@ func (ss *session) reissueLimit() int {
 }
 
 // noteMeasuredLocked shadows the best genuinely measured value of the
-// session. A round-structured strategy only learns values at
-// full-round commits — and never hears of a round the budget cut short
-// — so its best lags the measurements the session already holds. Best replies read this
-// shadow instead. The point is copied, into the shadow's own array:
+// session. A strategy only learns values as they commit in issue order,
+// so its best lags the measurements the session already holds. Best
+// replies read this shadow instead. The point is copied, into the shadow's own array:
 // rounds and strategies may reuse their backing arrays.
 func (ss *session) noteMeasuredLocked(pt space.Point, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -551,7 +550,7 @@ func (ss *session) fetch(_, reply *proto.Message) {
 // bestOrCurrentLocked replies with the best-known configuration and
 // the converged flag set, so clients can settle on the tuned values.
 // Sessions settle on the best measured configuration: the strategy's
-// best may lag a round it has not been told about.
+// best may lag values that have not committed.
 func (ss *session) bestOrCurrentLocked(reply *proto.Message) {
 	pt := ss.measuredPt
 	if !ss.measuredOK {

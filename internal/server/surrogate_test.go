@@ -171,7 +171,7 @@ func TestSurrogateParallelPrunesWithinRunBudget(t *testing.T) {
 // every measured value.
 func TestSurrogateFallbackOnDecline(t *testing.T) {
 	sp := testSpace()
-	rec := &recordingStrategy{BatchStrategy: &scriptedBatch{rounds: [][]space.Point{
+	rec := &recordingStrategy{roundStrategy: &scriptedBatch{rounds: [][]space.Point{
 		{{5, 5}, {10, 5}, {15, 5}, {20, 5}, {25, 5}},
 		{{24, 5}, {0, 5}, {26, 5}},
 		{{24, 6}, {99, 99}, {26, 6}}, // one member undecodable

@@ -88,7 +88,7 @@ func TestExpiryLogNotUnderShardLock(t *testing.T) {
 // — so the strategy and Best are told measured values alone.
 func TestFanoutRoundPredictionSeparation(t *testing.T) {
 	sp := testSpace()
-	rec := &recordingStrategy{BatchStrategy: &scriptedBatch{rounds: [][]space.Point{{{25, 5}, {0, 0}, {24, 5}}}}}
+	rec := &recordingStrategy{roundStrategy: &scriptedBatch{rounds: [][]space.Point{{{25, 5}, {0, 0}, {24, 5}}}}}
 	ss := newTestSession(sp, rec, 0, nil)
 	roundWindow(rec)(ss)
 

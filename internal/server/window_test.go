@@ -341,9 +341,9 @@ func TestAsyncServerStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// A simplex adapts through the round-buffered Rounds view with
-	// rounds of one: with a window deeper than the round, every fill
-	// pass past the first candidate is starved.
+	// A simplex's Ask stalls after every candidate: with a window
+	// deeper than that round of one, every fill pass past the first
+	// candidate is starved.
 	sess, err := c.Register(client.Registration{
 		App: "async-stats", Space: testSpace(),
 		Strategy: proto.StrategySimplex,
@@ -375,11 +375,14 @@ func TestAsyncServerStatsCounters(t *testing.T) {
 
 // TestAsyncBestPrefersMeasuredShadow verifies best replies of an
 // async session come from genuine measurements even while the
-// round-buffered strategy has not yet seen a full round.
+// strategy, told only in issue order, has not yet heard of them.
 func TestAsyncBestPrefersMeasuredShadow(t *testing.T) {
 	strat := search.NewPRO(testSpace(), search.PROOptions{Seed: 11})
 	ss := newTestSession(testSpace(), strat, 40, pipelineWindow(strat, 4))
 
+	if head := ss.callFetch(); head.Type != proto.TypeConfig {
+		t.Fatalf("fetch reply %q", head.Type)
+	}
 	reply := ss.callFetch()
 	if reply.Type != proto.TypeConfig {
 		t.Fatalf("fetch reply %q", reply.Type)
@@ -388,8 +391,12 @@ func TestAsyncBestPrefersMeasuredShadow(t *testing.T) {
 	if r := ss.callReport(&proto.Message{Tag: reply.Tag, Perf: want}); r.Type != proto.TypeOK {
 		t.Fatalf("report reply %q", r.Type)
 	}
-	// The PRO round is not complete: the strategy itself knows nothing
-	// yet, but the session has one genuine measurement.
+	// The head has not reported, so nothing has committed: the strategy
+	// itself knows nothing yet, but the session has one genuine
+	// measurement.
+	if _, _, ok := strat.Best(); ok {
+		t.Fatal("the strategy was told a value behind an uncommitted head")
+	}
 	best := ss.callBest()
 	if best.Type != proto.TypeBestReply {
 		t.Fatalf("best reply %+v", best)
