@@ -7,10 +7,13 @@
 // each session and garbage-collects the ones every client abandoned,
 // and -report-timeout bounds how long an outstanding configuration
 // waits for straggler reports before being re-issued (at most
-// -max-reissues times) and then forfeited. -stats-interval
-// periodically applies the deadlines and dumps the operational
-// counters. On SIGINT or SIGTERM the server stops serving, writes a
-// final dump and saves the -cache file.
+// -max-reissues times) and then forfeited. A session's deadlines apply
+// on its own messages; whenever either timeout is set, harmonyd also
+// sweeps every session once per shortest timeout, which is what
+// collects a session nobody messages any more. -stats-interval
+// periodically dumps the operational counters and saves the -cache
+// file. On SIGINT or SIGTERM the server stops serving, writes a final
+// dump and saves the -cache file.
 //
 // The session table is sharded so many tenants dispatch without
 // contending on one lock, and one port speaks both wire
@@ -23,12 +26,12 @@
 //	         [-session-timeout d] [-report-timeout d] [-max-reissues n]
 //	         [-stats-interval d]
 //
-// Sessions that register with the async flag run the pipelined
-// dispatch: the server keeps a bounded window of candidates in flight
-// per session and commits results to the search strategy in issue
-// order, so concurrent clients are never parked behind a round
-// barrier. A session that chooses no window depth gets the engine's
-// default.
+// Sessions that register with the async flag get a window bounded at
+// their depth, with results committed to the search strategy in issue
+// order: a strategy that runs ahead (the ensemble) pipelines, and any
+// other strategy's round is capped at the depth, its clients still
+// waiting at the round's end. A session that chooses no window depth
+// gets the engine's default.
 package main
 
 import (
@@ -64,7 +67,7 @@ func run(args []string, listening func(net.Addr)) error {
 	sessionTimeout := fs.Duration("session-timeout", 0, "garbage-collect sessions idle for this long (0 = never)")
 	reportTimeout := fs.Duration("report-timeout", 0, "re-issue configurations whose reports are overdue by this much (0 = wait forever)")
 	maxReissues := fs.Int("max-reissues", 0, "straggler re-issues before a configuration is forfeited (0 = default)")
-	statsInterval := fs.Duration("stats-interval", 0, "dump server counters (and apply deadlines) this often (0 = only on shutdown)")
+	statsInterval := fs.Duration("stats-interval", 0, "dump server counters and save the -cache file this often (0 = only on shutdown)")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits, Parse never returns an error
 
 	s := server.New()
@@ -86,13 +89,23 @@ func run(args []string, listening func(net.Addr)) error {
 		fmt.Printf("harmonyd: evaluation cache %s (%d entries)\n", *cachePath, evalCache.Len())
 	}
 
+	// A session's own messages apply only its own deadlines, so this
+	// sweep is what collects abandoned sessions and moves rounds whose
+	// clients all went quiet. It runs once per shortest timeout.
+	sweep := *sessionTimeout
+	if r := *reportTimeout; r > 0 && (sweep <= 0 || r < sweep) {
+		sweep = r
+	}
+	if sweep > 0 {
+		go func() {
+			for range time.Tick(sweep) {
+				s.ExpireNow()
+			}
+		}()
+	}
 	if *statsInterval > 0 {
-		// Deadlines are otherwise applied lazily on client traffic;
-		// the ticker keeps abandoned sessions and stalled rounds
-		// progressing through quiet periods, then dumps the counters.
 		go func() {
 			for range time.Tick(*statsInterval) {
-				s.ExpireNow()
 				s.WriteStats(os.Stderr)
 				if evalCache != nil {
 					if err := evalCache.Save(); err != nil {

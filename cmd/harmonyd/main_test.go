@@ -3,6 +3,7 @@ package main
 import (
 	"net"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -12,25 +13,50 @@ import (
 	"harmony/internal/space"
 )
 
+// start runs harmonyd on a free local port with args and returns its
+// address and the channel run's result arrives on.
+func start(t *testing.T, args ...string) (string, chan error) {
+	t.Helper()
+	addrc := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(append([]string{"-addr", "127.0.0.1:0", "-quiet"}, args...), func(a net.Addr) { addrc <- a })
+	}()
+	select {
+	case addr := <-addrc:
+		return addr.String(), done
+	case err := <-done:
+		t.Fatalf("harmonyd did not start: %v", err)
+		return "", nil
+	}
+}
+
+// terminate stops harmonyd as a batch system does, with SIGTERM, and
+// requires a clean shutdown.
+func terminate(t *testing.T, done chan error) {
+	t.Helper()
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("harmonyd did not shut down on SIGTERM")
+	}
+}
+
 // TestSIGTERMSavesAcknowledgedReports: a batch system stops harmonyd
 // with SIGTERM. The server must catch it, and the cache it saves on the
 // way out must hold every report it acknowledged — so the listener and
 // the handlers are closed before the save, not after.
 func TestSIGTERMSavesAcknowledgedReports(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.json")
-	addrc := make(chan net.Addr, 1)
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-quiet", "-cache", path}, func(a net.Addr) { addrc <- a })
-	}()
-	var addr net.Addr
-	select {
-	case addr = <-addrc:
-	case err := <-done:
-		t.Fatalf("harmonyd did not start: %v", err)
-	}
+	addr, done := start(t, "-cache", path)
 
-	c, err := client.Dial(addr.String())
+	c, err := client.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,17 +74,7 @@ func TestSIGTERMSavesAcknowledgedReports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("shutdown: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("harmonyd did not shut down on SIGTERM")
-	}
+	terminate(t, done)
 
 	reopened, err := history.OpenEvalCache(path)
 	if err != nil {
@@ -71,4 +87,35 @@ func TestSIGTERMSavesAcknowledgedReports(t *testing.T) {
 	if v, ok := reopened.BoundNS("sigterm", "", "", sp).Lookup(pt); !ok || v != 42 {
 		t.Fatalf("reopened cache holds (%v, %v) for %v, want the reported 42", v, ok, values)
 	}
+}
+
+// TestSessionTimeoutSweepsWithoutStatsInterval: a session's own
+// messages never expire its lease, so with -session-timeout set and no
+// -stats-interval harmonyd must still sweep: a session every client
+// abandoned is collected with no traffic at all. Each check is a fetch,
+// which renews the lease if the sweep has not run, so the test waits
+// several timeouts between checks.
+func TestSessionTimeoutSweepsWithoutStatsInterval(t *testing.T) {
+	const lease = 20 * time.Millisecond
+	addr, done := start(t, "-session-timeout", lease.String())
+	defer terminate(t, done)
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sess, err := c.Register(client.Registration{App: "abandoned", Space: space.MustNew(space.IntParam("x", 0, 9, 1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 50 {
+		time.Sleep(5 * lease)
+		if _, _, err := sess.Fetch(); err != nil {
+			if !strings.Contains(err.Error(), "unknown session") {
+				t.Fatalf("fetch: %v, want the session collected", err)
+			}
+			return
+		}
+	}
+	t.Fatal("an abandoned session was never collected")
 }

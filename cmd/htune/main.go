@@ -44,9 +44,10 @@
 // killed at the deadline and counted as a failed run instead of
 // wedging the whole tuning session. -workers N launches up to N
 // benchmarking runs of distinct configurations at once (the command
-// must tolerate concurrent invocations), and -async lets pipelined
-// strategies issue up to -async-depth configurations ahead of their
-// results instead of draining each round. -metrics appends a
+// must tolerate concurrent invocations), and -async bounds the window
+// at -async-depth configurations: the ensemble issues that far ahead of
+// its results, and any other strategy still stalls at the end of its
+// round, with at most that many in flight. -metrics appends a
 // machine-readable "htune.<name> <value>" summary to stdout for
 // scripts and dashboards.
 package main
@@ -107,7 +108,7 @@ func main() {
 	flag.StringVar(&opts.cachePath, "cache", "", "persistent evaluation-cache file: repeated configurations are answered from prior sessions instead of re-run")
 	flag.StringVar(&opts.cacheNS, "cache-ns", "", "evaluation-cache namespace: campaigns in different namespaces never share measurements (empty = shared)")
 	flag.IntVar(&opts.workers, "workers", 0, "evaluations in flight: benchmarking runs launched concurrently; the command must tolerate concurrent invocations (0/1 = one at a time)")
-	flag.BoolVar(&opts.async, "async", false, "bound the window at -async-depth and let pipelined strategies issue ahead, instead of draining each round before the next")
+	flag.BoolVar(&opts.async, "async", false, "bound the window at -async-depth: the ensemble issues ahead of its results, and any other strategy's round is capped at the depth")
 	flag.IntVar(&opts.asyncDepth, "async-depth", 0, "window bound under -async: issued configurations awaiting their result (0 = default)")
 	flag.DurationVar(&opts.runTimeout, "run-timeout", 0, "kill a benchmarking run exceeding this and count it failed (0 = no limit)")
 	flag.BoolVar(&opts.metrics, "metrics", false, "append a machine-readable htune.<name> <value> summary")
@@ -152,6 +153,11 @@ func run(specPath string, cli cliOptions) error {
 	}
 	if len(spec.Command) == 0 {
 		return fmt.Errorf("spec has no command")
+	}
+	// Like an unknown field, a misspelt metric is an error: objective
+	// would otherwise time the command instead of reading its output.
+	if m := spec.Metric; m != "" && m != "time" && m != "stdout" {
+		return fmt.Errorf("spec metric %q: want \"time\" (the default) or \"stdout\"", m)
 	}
 	sp, err := proto.DecodeSpace(spec.Params)
 	if err != nil {

@@ -88,7 +88,8 @@ func TestHtuneEnvSubstitution(t *testing.T) {
 // names a want, the error must contain it. How the tuning runs is a
 // flag, so a spec that still names the former "workers" field is
 // refused naming it, instead of silently running one evaluation at a
-// time.
+// time; and a misspelt metric is refused naming the known ones,
+// instead of silently timing the command.
 func TestHtuneBadSpecs(t *testing.T) {
 	dir := t.TempDir()
 	cases := map[string]struct{ path, want string }{
@@ -103,10 +104,23 @@ func TestHtuneBadSpecs(t *testing.T) {
 			`{"workers":4,"command":["true"],"params":[{"name":"x","kind":"int","min":0,"max":1,"step":1}]}`), `"workers"`},
 		"data after the spec": {writeRaw(t, dir, "f.json",
 			`{"command":["true"],"params":[{"name":"x","kind":"int","min":0,"max":1,"step":1}]} {}`), "data after the spec"},
+		"unknown metric": {writeRaw(t, dir, "g.json",
+			`{"metric":"stdot","command":["true"],"params":[{"name":"x","kind":"int","min":0,"max":1,"step":1}]}`), `"stdot": want "time" (the default) or "stdout"`},
 	}
 	for name, c := range cases {
 		if err := run(c.path, cliOptions{}); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one containing %q", name, err, c.want)
+		}
+	}
+}
+
+// TestHtuneKnownMetricsRun: the metrics htune knows, and none (wall
+// time), all tune; any other is refused (TestHtuneBadSpecs).
+func TestHtuneKnownMetricsRun(t *testing.T) {
+	for _, metric := range []string{"", "time", "stdout"} {
+		spec := writeSpec(t, t.TempDir(), func(s *Spec) { s.Metric, s.MaxRuns = metric, 2 })
+		if err := run(spec, cliOptions{}); err != nil {
+			t.Errorf("metric %q: %v", metric, err)
 		}
 	}
 }

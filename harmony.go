@@ -158,7 +158,9 @@ type (
 	// Server is the Harmony tuning server. Its SessionTimeout,
 	// ReportTimeout and MaxReissues fields configure the fault model:
 	// leases on idle sessions and straggler deadlines on outstanding
-	// reports.
+	// reports. A session's deadlines apply on its own messages; a
+	// session nobody messages is collected only by ExpireNow, which
+	// the embedding program calls on a timer (harmonyd does).
 	Server = server.Server
 	// Client is an application-side connection to the server.
 	Client = client.Client

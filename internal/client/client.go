@@ -152,12 +152,13 @@ type Registration struct {
 	// evaluation cache; sessions in different namespaces never share
 	// measurements. Empty selects the shared namespace.
 	CacheNS string
-	// Async selects the pipelined dispatch: the same fan-out window,
-	// bounded by a depth instead of the round — the server keeps up to
-	// AsyncDepth candidates in flight and every Fetch may receive a
-	// different one, without waiting for a whole round to report. When
-	// both Async and Parallel are set, Async wins. As with Parallel,
-	// each concurrent client needs its own Session (via Attach).
+	// Async bounds the same fan-out window by a depth instead of the
+	// round: the server keeps up to AsyncDepth candidates in flight and
+	// every Fetch may receive a different one. A strategy that runs
+	// ahead of its commits (the ensemble) pipelines; any other still
+	// waits at the end of its round, capped at the depth. When both
+	// Async and Parallel are set, Async wins. As with Parallel, each
+	// concurrent client needs its own Session (via Attach).
 	Async bool
 	// AsyncDepth bounds how many candidates the server keeps in
 	// flight for an Async session; 0 selects the server's default.

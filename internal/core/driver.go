@@ -160,11 +160,11 @@ func (s *tuneScratch) tune(ctx context.Context, sp *space.Space, strat search.St
 	win.Space, win.Strategy = sp, search.Rounds(strat)
 	win.MaxRuns, win.MaxProposals = opt.MaxRuns, opt.MaxProposals
 	win.gate, win.Cache = newSurrogateGate(opt.Surrogate), opt.Cache
-	win.Depth, win.GroupMax, win.Memo = Unbounded, Unbounded, true
+	win.Depth, win.Memo = Unbounded, true
 	capacity := workers
 	if opt.Async {
 		win.Strategy = search.AsAsync(strat)
-		win.Depth, win.GroupMax = opt.AsyncDepth, 1
+		win.Depth = opt.AsyncDepth
 		if win.Depth <= 0 {
 			win.Depth = DefaultAsyncDepth
 		}

@@ -95,10 +95,11 @@ type Window[P any] struct {
 	MaxProposals int        // candidates it may issue at all: the runaway guard
 	Cache        PointCache // nil = none; the machine only looks up, drivers store
 
-	// Depth bounds the candidates awaiting their commit, GroupMax those
-	// classified — and scored by the gate — together: both Unbounded is
-	// a round (the strategy's stall is the barrier), Depth and 1 a pipeline.
-	Depth, GroupMax int
+	// Depth bounds the candidates awaiting their commit. Unbounded is a
+	// round: the strategy's stall is the barrier, and the whole round is
+	// classified — and scored by the gate — as one group. A bounded
+	// Depth is a pipeline, asked and classified one candidate at a time.
+	Depth int
 	// Memo makes a duplicate of a charged point a free Follower (off-line:
 	// re-running a benchmark run is pure cost). Off, it is measured and
 	// charged again (on-line: the running application is re-observed).
@@ -187,17 +188,21 @@ func (w *Window[P]) Open() bool {
 // that a repeat of it would be a Follower.
 func (w *Window[P]) Memoised(key string) bool { return w.leaders[key] != nil }
 
-// Refill asks the strategy for groups of up to GroupMax candidates and
-// issues them until the window is at its depth, the strategy stalls or
-// finishes, or the run budget, the proposal cap or an undecodable point
-// ends the search. It returns the newly issued candidates that need
+// Refill asks the strategy for groups of candidates (a whole round when
+// Depth is Unbounded, one candidate otherwise) and issues them until
+// the window is at its depth, the strategy stalls or finishes, or the
+// run budget, the proposal cap or an undecodable point ends the search. It returns the newly issued candidates that need
 // work from the driver, in a slice the next call reuses.
 func (w *Window[P]) Refill() []*Candidate[P] {
 	w.work = w.work[:0]
 	w.Stalled, w.Finished = false, false
+	group := 1
+	if w.Depth == Unbounded {
+		group = Unbounded
+	}
 	for w.Open() && !w.Stalled && !w.Finished && w.n < w.Depth {
 		w.pts, w.bad = w.pts[:0], w.bad[:0]
-		for len(w.pts) < w.GroupMax && w.issued+len(w.pts) < w.MaxProposals {
+		for len(w.pts) < group && w.issued+len(w.pts) < w.MaxProposals {
 			pt, ok := w.Strategy.Ask()
 			if !ok {
 				w.Finished = w.Strategy.Done()

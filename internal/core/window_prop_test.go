@@ -101,10 +101,9 @@ func propSetup(t *testing.T, w *Window[int], mk func(*space.Space, int64) search
 	sp := bowlSpace(t)
 	strat := mk(sp, seed)
 	w.Space, w.MaxRuns, w.MaxProposals = sp, 30, DefaultMaxProposals(30)
-	w.Depth, w.GroupMax, w.Memo, w.ForfeitUndecodable = depth, 1, !online, online
+	w.Depth, w.Memo, w.ForfeitUndecodable = depth, !online, online
 	tape := &tapeStrategy{AsyncStrategy: search.AsAsync(strat)}
 	if depth == Unbounded {
-		w.GroupMax = Unbounded
 		tape.AsyncStrategy = search.Rounds(strat)
 	}
 	if seed%2 == 1 {

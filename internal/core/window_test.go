@@ -73,8 +73,8 @@ func TestWindowSteadyCycleAllocatesNothing(t *testing.T) {
 			Space:    bowlSpace(t),
 			Strategy: &loopStrategy{pt: space.Point{3, 4}, depth: depth},
 			Cache:    hitCache{}, MaxProposals: Unbounded,
-			Depth: depth, GroupMax: 1,
-			gate: gate,
+			Depth: depth,
+			gate:  gate,
 		}
 		cycle := func() {
 			w.Refill()

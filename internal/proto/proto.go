@@ -115,12 +115,12 @@ type Message struct {
 	// Without it every client of a session sees the same
 	// configuration.
 	Parallel bool `json:"parallel,omitempty"`
-	// Async asks the server to drive the session through its
-	// pipelined issue/commit dispatcher instead of round barriers:
-	// concurrent fetches receive distinct candidates from a bounded
-	// in-flight window and the search strategy observes results in
-	// deterministic issue order, so a slow reporter delays only the
-	// commits behind it, not a whole round.
+	// Async bounds the session's in-flight window at AsyncDepth
+	// candidates: concurrent fetches receive distinct candidates of it
+	// and the search strategy observes results in deterministic issue
+	// order. A strategy that runs ahead of its commits (the ensemble)
+	// pipelines through the window; any other strategy still stalls at
+	// the end of its round, which the depth caps.
 	Async bool `json:"async,omitempty"`
 	// AsyncDepth bounds the in-flight candidate window of an async
 	// session; 0 selects the server's default depth.

@@ -4,9 +4,7 @@ import (
 	"bufio"
 	"io"
 	"net"
-	"runtime"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -52,14 +50,14 @@ func (p *lockProbe) after(call string) {
 }
 
 // TestServerReleasesMutexes drives every message kind, its error
-// replies, both expiry paths and the straggler ladder through one
-// shard, then a wire connection that sends a malformed line, and
+// replies, a session's own straggler expiry and the ExpireNow sweep
+// through one shard, then a wire connection that sends a malformed line, and
 // probes the server's, the shard's and every session's mutex after
 // each call.
 func TestServerReleasesMutexes(t *testing.T) {
 	clk := newFakeClock()
 	s := newFaultServer(clk)
-	s.shards = s.shards[:1] // every message sweeps the one deadline queue
+	s.shards = s.shards[:1] // every session on the one shard
 	s.SessionTimeout = time.Minute
 	s.ReportTimeout = 10 * time.Second
 	s.Cache = history.NewEvalCache()
@@ -113,8 +111,9 @@ func TestServerReleasesMutexes(t *testing.T) {
 	}
 	wantType("unknown message type", call("unknown message type", &proto.Message{Type: "bogus"}), proto.TypeError)
 
-	// Straggler ladder: the parallel session's hand-outs go overdue, and
-	// the next message's sweep re-issues them.
+	// Straggler ladder: every hand-out goes overdue. The shared
+	// session's fetch re-issues its own (the one its report-next reply
+	// carried), and ExpireNow below the parallel session's.
 	for i := 0; i < 2; i++ {
 		call("fetch (parallel)", &proto.Message{Type: proto.TypeFetch, Session: parallel})
 	}
@@ -166,84 +165,4 @@ func TestServerReleasesMutexes(t *testing.T) {
 	p.after("Serve")
 	s.Addr()
 	p.after("Addr")
-}
-
-// TestRegisterPushesLeaseUnderShardLock pins, without the race
-// detector, that register puts a session and its lease deadline into
-// the shard in one critical section, so the deadline heap changes only
-// under the shard mutex (O8).
-//
-// A push before register locks: the test takes the shard mutex after
-// register's expiry sweep has released it — register logs the expired
-// lease of an earlier session between the two, and the log hook waits
-// for the test — and then requires the heap unchanged and register
-// unreturned until it lets go. A push after register unlocks: the test
-// arranges that the first goroutine to take the mutex after register's
-// insert is a checker, which must find the lease already queued. On one
-// P, sync.Mutex's starvation mode gives that order: once a woken waiter
-// that waited over 1 ms finds the mutex taken, every Unlock hands the
-// mutex to the next waiter and yields to it, so register's Unlock runs
-// the checker before register's next statement. The checker polls until
-// it sees the session, so the order only sharpens the check.
-func TestRegisterPushesLeaseUnderShardLock(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	clk := newFakeClock()
-	s := newFaultServer(clk)
-	s.shards = s.shards[:1] // both sessions share the one shard
-	s.SessionTimeout = time.Minute
-	sh := s.shards[0]
-	reg := func() *proto.Message {
-		return &proto.Message{Type: proto.TypeRegister, Strategy: proto.StrategyRandom, Seed: 7, MaxRuns: 6, Space: proto.EncodeSpace(testSpace())}
-	}
-	first := mustRegister(t, s, reg())
-	clk.Advance(2 * time.Minute) // the next register's sweep collects first
-
-	swept, held := make(chan struct{}), make(chan struct{})
-	s.Logf = func(format string, _ ...any) {
-		if strings.Contains(format, "lease expired") {
-			swept <- struct{}{}
-			<-held
-		}
-	}
-	done := make(chan string, 1)
-	go func() { done <- s.call(reg()).Session }()
-	<-swept
-	sh.mu.Lock()
-	held <- struct{}{}
-	queued := len(sh.dq)
-	time.Sleep(5 * time.Millisecond) // register runs on to the shard mutex and waits
-	select {
-	case <-done:
-		t.Fatal("register returned while the test held its shard mutex")
-	default:
-	}
-	if len(sh.dq) != queued {
-		t.Fatal("register changed the deadline heap while the test held its shard mutex")
-	}
-
-	leased := make(chan bool, 1)
-	go func() {
-		for {
-			sh.mu.Lock()
-			for id := range sh.sessions {
-				ok := slices.ContainsFunc(sh.dq, func(e deadlineEntry) bool { return e.id == id && e.kind == leaseEntry })
-				sh.mu.Unlock()
-				leased <- ok
-				return
-			}
-			sh.mu.Unlock()
-			runtime.Gosched()
-		}
-	}()
-	time.Sleep(2 * time.Millisecond) // the checker queues behind register
-	sh.mu.Unlock()
-	sh.mu.Lock()                     // taken again before register wakes, which then finds it
-	time.Sleep(2 * time.Millisecond) // taken and starts the mutex starving
-	sh.mu.Unlock()
-	if !<-leased {
-		t.Error("the shard mutex was free with a session inserted and its lease not yet queued")
-	}
-	if id := <-done; id == "" || id == first {
-		t.Fatalf("register replied session %q", id)
-	}
 }

@@ -9,22 +9,23 @@
 // by taking the worst of its Reporters reports (a parallel application
 // moves at the speed of its slowest rank), and values commit to the
 // strategy in the order it issued them. What a registration chooses is
-// the window's depth and group, and nothing after register knows which
-// it has:
+// the window's depth, and nothing after register knows which it has:
 //
-//   - (1, 1), the default. One candidate is in flight, so every client
+//   - 1, the default. One candidate is in flight, so every client
 //     of the session (for example one per node of a parallel job) is
 //     handed the same configuration, and the search advances when all
 //     expected reports for it have arrived. The report that completes
 //     it may ask for the next configuration in its reply
 //     (proto.Message.Next),
 //     making a steady round one exchange.
-//   - (unbounded, unbounded), Parallel. One whole search round is in
-//     flight and concurrent clients receive distinct candidates of it,
-//     which is how the paper's PRO algorithm exploits many tuning
-//     clients at once.
-//   - (depth, 1), Async. The window is bounded by a depth instead, so
-//     no client waits at a round barrier.
+//   - Unbounded, Parallel. One whole search round is in flight and
+//     concurrent clients receive distinct candidates of it, which is
+//     how the paper's PRO algorithm exploits many tuning clients at
+//     once.
+//   - AsyncDepth, Async. The window is bounded by a depth instead. A
+//     strategy that runs ahead of its commits (the ensemble) keeps it
+//     full; any other still stalls at the end of its round, so its
+//     clients wait there, with at most the depth in flight.
 //
 // # Fault model
 //
@@ -36,22 +37,27 @@
 //     acknowledged and dropped, never credited to the wrong
 //     measurement.
 //   - Sessions are leased: when SessionTimeout is set, a session
-//     nobody has touched within the timeout is garbage-collected.
+//     nobody has touched within the timeout is garbage-collected by
+//     the next ExpireNow.
 //   - Outstanding work has a straggler deadline: when ReportTimeout
 //     is set, an overdue hand-out dies and its candidate is handed out
 //     again under a new tag (up to MaxReissues times), then forfeited
 //     — with the reports it has, or a +Inf penalty — so the search
 //     always advances.
 //
-// Deadlines are evaluated lazily against the injected Clock whenever
-// a message for the session arrives (or eagerly via ExpireNow), so
-// the server needs no background goroutines and tests can drive time
-// deterministically.
+// A session's deadlines apply on its own messages: a fetch, report or
+// best first retires the session's overdue hand-outs, and never
+// touches another session. A message is activity, so it never expires
+// its own lease. A session nobody messages any more is collected, and
+// its overdue work re-issued or forfeited, only by ExpireNow, the one
+// sweep, which the embedding program calls on a timer (harmonyd does
+// whenever a timeout is set). Every deadline is read from the injected
+// Clock, so the server runs no goroutine of its own and tests drive
+// time deterministically.
 package server
 
 import (
 	"bufio"
-	"container/heap"
 	"fmt"
 	"io"
 	"log"
@@ -134,7 +140,7 @@ type Server struct {
 type session struct {
 	mu    sync.Mutex
 	id    string
-	num   int64 // numeric part of id: deadline-queue tie-break, sweep order
+	num   int64 // numeric part of id: sweep order
 	space *space.Space
 
 	// Fault-tolerance plumbing, copied from the server at register
@@ -165,12 +171,6 @@ type session struct {
 	measuredPt  space.Point
 	measuredVal float64
 	measuredOK  bool
-
-	// stragglerArmed records whether a straggler deadline entry for
-	// this session is queued on its shard. Guarded by the owning
-	// shard's mutex, NOT ss.mu (it belongs to the shard's deadline
-	// queue, which session methods never touch).
-	stragglerArmed bool
 }
 
 // New constructs a server with no sessions.
@@ -344,12 +344,12 @@ func (s *Server) dispatch(msg, reply *proto.Message) {
 	}
 }
 
-// ExpireNow applies lease and straggler deadlines immediately across
-// every shard and returns the number of sessions garbage-collected.
-// Deadlines are otherwise applied incrementally per shard when a
-// message arrives (see expireDue); operators with long quiet periods
-// (harmonyd's stats ticker) and tests call this to make abandoned
-// sessions and rounds progress without client traffic. The sweep
+// ExpireNow applies lease and straggler deadlines across every shard
+// and returns the number of sessions garbage-collected. It is the only
+// code that collects a lease: a session's own messages apply only its
+// straggler deadlines, so an abandoned session, or a round whose
+// clients all went quiet, progresses only when this runs (harmonyd
+// calls it on a ticker; tests call it directly). The sweep
 // visits sessions in registration order ("s9" before "s10") across all
 // shards, not in map order, so expiry logs and counters stay
 // reproducible.
@@ -398,7 +398,7 @@ func (s *Server) expireOneShard(sh *shard, ss *session, now time.Time) (bool, ti
 		return false, 0 // collected since the snapshot
 	}
 	if s.SessionTimeout > 0 {
-		if collected, idle, _ := s.collectIdleLocked(sh, ss, now); collected {
+		if collected, idle := s.collectIdleLocked(sh, ss, now); collected {
 			return true, idle
 		}
 	}
@@ -423,19 +423,18 @@ func (s *Server) register(msg, reply *proto.Message) {
 	if reporters <= 0 {
 		reporters = 1
 	}
-	now := s.now()
 	ss := &session{
 		space: sp, reporters: reporters, maxRuns: msg.MaxRuns,
 		clock:         s.now,
 		reportTimeout: s.ReportTimeout,
 		maxReissues:   s.MaxReissues,
 		stats:         &s.stats,
-		lastActive:    now,
+		lastActive:    s.now(),
 	}
 	if s.Cache != nil {
 		ss.cache = s.Cache.BoundNS(msg.App, msg.Machine, msg.CacheNS, sp)
 	}
-	// The only place the three session kinds differ: a (depth, group) pair.
+	// The only place the three session kinds differ: the window's depth.
 	switch {
 	case msg.Async:
 		// Async wins when both are requested: the pipeline is the round
@@ -444,23 +443,19 @@ func (s *Server) register(msg, reply *proto.Message) {
 		if depth <= 0 {
 			depth = core.DefaultAsyncDepth
 		}
-		ss.openWindow(search.AsAsync(strat), depth, 1)
+		ss.openWindow(search.AsAsync(strat), depth)
 	case msg.Parallel:
-		ss.openWindow(search.Rounds(strat), core.Unbounded, core.Unbounded)
+		ss.openWindow(search.Rounds(strat), core.Unbounded)
 	default:
 		// One candidate in flight: every client is handed the same one.
-		ss.openWindow(search.AsAsync(strat), 1, 1)
+		ss.openWindow(search.AsAsync(strat), 1)
 	}
 	num := s.nextID.Add(1)
 	id := "s" + strconv.FormatInt(num, 10)
 	ss.id, ss.num = id, num
 	sh := s.shardFor(id)
-	s.expireDue(sh, now)
 	sh.mu.Lock()
 	sh.sessions[id] = ss
-	if s.SessionTimeout > 0 {
-		heap.Push(&sh.dq, deadlineEntry{at: now.Add(s.SessionTimeout), num: num, id: id, kind: leaseEntry})
-	}
 	sh.mu.Unlock()
 	s.Logf("harmony server: registered session %s app=%q strategy=%s dims=%d", id, msg.App, strat.Name(), sp.Dims())
 	setReply(reply, proto.TypeRegistered)
@@ -469,7 +464,6 @@ func (s *Server) register(msg, reply *proto.Message) {
 
 func (s *Server) withSession(msg, reply *proto.Message, fn func(ss *session, msg, reply *proto.Message)) {
 	sh := s.shardFor(msg.Session)
-	s.expireDue(sh, s.now())
 	sh.mu.Lock()
 	ss, ok := sh.sessions[msg.Session]
 	sh.mu.Unlock()
@@ -478,9 +472,6 @@ func (s *Server) withSession(msg, reply *proto.Message, fn func(ss *session, msg
 		return
 	}
 	fn(ss, msg, reply)
-	// The message may have handed out new work: make sure a straggler
-	// deadline is queued.
-	s.armStraggler(sh, ss)
 }
 
 func (s *Server) done(msg, reply *proto.Message) {
@@ -576,11 +567,15 @@ func (ss *session) report(msg, reply *proto.Message) {
 }
 
 // best answers only from genuine measurements (the shadow): never a
-// forfeit's penalty or a strategy's lagging view.
+// forfeit's penalty or a strategy's lagging view. Like fetch and
+// report, it first applies the session's own straggler deadlines, so
+// a forfeit that is due reaches the shadow before it is read.
 func (ss *session) best(_, reply *proto.Message) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	ss.lastActive = ss.now()
+	now := ss.now()
+	ss.lastActive = now
+	ss.expireStragglersLocked(now)
 	if !ss.measuredOK {
 		errorReply(reply, "best: session %s has no evaluations yet", ss.id)
 		return

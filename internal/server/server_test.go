@@ -62,19 +62,19 @@ func newTestSession(sp *space.Space, strat search.Strategy, maxRuns int, win fun
 // sharedWindow opens the window register builds for a session that is
 // neither Parallel nor Async.
 func sharedWindow(strat search.Strategy) func(*session) {
-	return func(ss *session) { ss.openWindow(search.AsAsync(strat), 1, 1) }
+	return func(ss *session) { ss.openWindow(search.AsAsync(strat), 1) }
 }
 
 // roundWindow opens the window register builds for a Parallel session.
 func roundWindow(strat search.Strategy) func(*session) {
 	return func(ss *session) {
-		ss.openWindow(search.Rounds(strat), core.Unbounded, core.Unbounded)
+		ss.openWindow(search.Rounds(strat), core.Unbounded)
 	}
 }
 
 // pipelineWindow opens the window register builds for an Async session.
 func pipelineWindow(strat search.Strategy, depth int) func(*session) {
-	return func(ss *session) { ss.openWindow(search.AsAsync(strat), depth, 1) }
+	return func(ss *session) { ss.openWindow(search.AsAsync(strat), depth) }
 }
 
 func testSpace() *space.Space {

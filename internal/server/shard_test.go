@@ -20,7 +20,7 @@ import (
 // Primarily a -race exercise of the shard locking.
 func TestConcurrentRegistersAcrossShards(t *testing.T) {
 	s := newFaultServer(newFakeClock())
-	s.SessionTimeout = time.Hour // lease entries flow through the deadline queues
+	s.SessionTimeout = time.Hour // register and every message run with a lease set
 	const n = 64
 	ids := make([]string, n)
 	var wg sync.WaitGroup
@@ -80,10 +80,10 @@ func TestConcurrentRegistersAcrossShards(t *testing.T) {
 // from several goroutines, with lease and report deadlines armed and
 // half the hand-outs left to go overdue, while another goroutine
 // advances the clock and sweeps ExpireNow. Every path that holds both
-// locks takes the shard's before the session's, and the deadline heap
+// locks takes the shard's before the session's, and the session table
 // is touched only under its shard's lock: a shard lock taken under a
 // session lock deadlocks against the sweep, which the watchdog reports,
-// and a heap push outside the shard lock is a data race under -race.
+// and a table write outside the shard lock is a data race under -race.
 func TestDispatchAndSweepShareOneShard(t *testing.T) {
 	clk := newFakeClock()
 	s := newFaultServer(clk)
@@ -349,73 +349,5 @@ func TestBinaryPeerVanishesMidFrame(t *testing.T) {
 	}
 	if _, _, err := binSess.Fetch(); err != nil {
 		t.Fatalf("binary fetch after mid-frame close: %v", err)
-	}
-}
-
-// TestDeadlineHeapTwoEntriesPerSession: however many rounds live
-// sessions run, a shard's deadline heap holds at most one lease entry
-// and one straggler entry per session. Entries are lazy: a touch moves
-// no entry, and a popped one is re-pushed at most once. Some hand-outs
-// stay outstanding over a clock advance, so straggler entries pop while
-// work is in flight and lease entries pop while their session is busy.
-func TestDeadlineHeapTwoEntriesPerSession(t *testing.T) {
-	clk := newFakeClock()
-	s := newFaultServer(clk)
-	s.SessionTimeout, s.ReportTimeout = time.Minute, 30*time.Second
-	const n, rounds = 40, 25
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = mustRegister(t, s, &proto.Message{
-			App: fmt.Sprintf("app-%d", i), Strategy: proto.StrategyRandom, Seed: int64(i),
-			MaxRuns: 10 * rounds, Space: proto.EncodeSpace(testSpace()),
-		})
-	}
-	report := func(id string, cfg *proto.Message) {
-		if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: bowl(cfg.Values)}); r.Type != proto.TypeOK {
-			t.Fatalf("report %s: %+v", id, r)
-		}
-	}
-	held := make([]*proto.Message, n) // hand-outs outstanding over the advance
-	for r := 0; r < rounds; r++ {
-		for i, id := range ids {
-			if held[i] != nil {
-				report(id, held[i])
-				held[i] = nil
-			}
-			cfg := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
-			if cfg.Type != proto.TypeConfig || cfg.Converged {
-				t.Fatalf("round %d, fetch %s: %+v", r, id, cfg)
-			}
-			if (i+r)%3 == 0 {
-				held[i] = cfg
-				continue
-			}
-			report(id, cfg)
-		}
-		clk.Advance(20 * time.Second)
-		live := 0
-		for k, sh := range s.shards {
-			sh.mu.Lock()
-			entries := map[string][2]int{}
-			for _, e := range sh.dq {
-				c := entries[e.id]
-				c[e.kind]++
-				entries[e.id] = c
-			}
-			for id, c := range entries {
-				if _, ok := sh.sessions[id]; !ok {
-					t.Errorf("round %d, shard %d: entries for %s, which is not live", r, k, id)
-				}
-				if c[leaseEntry] > 1 || c[stragglerEntry] > 1 {
-					t.Errorf("round %d, shard %d: session %s has %d lease and %d straggler entries, want at most one each",
-						r, k, id, c[leaseEntry], c[stragglerEntry])
-				}
-			}
-			live += len(sh.sessions)
-			sh.mu.Unlock()
-		}
-		if live != n {
-			t.Fatalf("round %d: %d live sessions, want %d", r, live, n)
-		}
 	}
 }

@@ -69,39 +69,115 @@ func TestSweepExpiresInRegistrationOrder(t *testing.T) {
 	}
 }
 
-// TestLeaseBoundaryOnBothPaths: the lazy per-shard sweep and ExpireNow
-// apply one lease rule. A session idle for exactly SessionTimeout is
-// collected and one a nanosecond short of it is not, whichever path
-// looks first.
-func TestLeaseBoundaryOnBothPaths(t *testing.T) {
-	reg := func() *proto.Message {
-		return &proto.Message{Space: proto.EncodeSpace(space.MustNew(space.EnumParam("alg", "a", "b")))}
-	}
-	paths := []struct {
-		name   string
-		expire func(s *Server)
-	}{
-		{"ExpireNow", func(s *Server) { s.ExpireNow() }},
-		// The next register on the session's shard sweeps it.
-		{"lazy", func(s *Server) { mustRegister(t, s, reg()) }},
-	}
+// TestExpireNowLeaseBoundary: a session idle for exactly
+// SessionTimeout is collected and one a nanosecond short of it is not.
+func TestExpireNowLeaseBoundary(t *testing.T) {
+	reg := &proto.Message{Space: proto.EncodeSpace(space.MustNew(space.EnumParam("alg", "a", "b")))}
 	idles := []struct {
 		idle time.Duration
 		want int64
 	}{{time.Minute - time.Nanosecond, 0}, {time.Minute, 1}}
-	for _, p := range paths {
-		for _, c := range idles {
-			clk := newFakeClock()
-			s := newFaultServer(clk)
-			s.shards = s.shards[:1] // one shard: the second register sweeps the first session
-			s.SessionTimeout = time.Minute
-			mustRegister(t, s, reg())
-			clk.Advance(c.idle)
-			p.expire(s)
-			if got := s.Stats().SessionsExpired; got != c.want {
-				t.Errorf("%s after %v idle on a %v lease: collected %d sessions, want %d",
-					p.name, c.idle, s.SessionTimeout, got, c.want)
-			}
+	for _, c := range idles {
+		clk := newFakeClock()
+		s := newFaultServer(clk)
+		s.SessionTimeout = time.Minute
+		mustRegister(t, s, reg)
+		clk.Advance(c.idle)
+		s.ExpireNow()
+		if got := s.Stats().SessionsExpired; got != c.want {
+			t.Errorf("after %v idle on a %v lease: collected %d sessions, want %d",
+				c.idle, s.SessionTimeout, got, c.want)
 		}
+	}
+}
+
+// TestBestAppliesOwnStragglerDeadline: best, like fetch and report,
+// first retires the session's own overdue hand-outs. A candidate of a
+// two-reporter session has one report, and its other hand-out outlives
+// the re-issue limit; best, with no other traffic, must forfeit it with
+// the partial aggregate and answer that measurement.
+func TestBestAppliesOwnStragglerDeadline(t *testing.T) {
+	clk := newFakeClock()
+	s := newFaultServer(clk)
+	s.ReportTimeout, s.MaxReissues = 10*time.Second, 1
+	id := mustRegister(t, s, &proto.Message{
+		Strategy: proto.StrategyRandom, Seed: 3, MaxRuns: 10, Reporters: 2,
+		Space: proto.EncodeSpace(testSpace()),
+	})
+	fetch := func() *proto.Message {
+		t.Helper()
+		r := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
+		if r.Type != proto.TypeConfig || r.Converged {
+			t.Fatalf("fetch: %+v", r)
+		}
+		return r
+	}
+	first := fetch()
+	fetch() // the twin nobody reports
+	if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: first.Tag, Perf: 5}); r.Type != proto.TypeOK {
+		t.Fatalf("report: %+v", r)
+	}
+	clk.Advance(11 * time.Second)
+	fetch() // retires the twin (one re-issue) and hands the candidate out again
+	clk.Advance(11 * time.Second)
+	best := s.call(&proto.Message{Type: proto.TypeBest, Session: id})
+	if best.Type != proto.TypeBestReply || best.Perf != 5 {
+		t.Fatalf("best = %+v, want the partial aggregate 5 of the forfeited candidate", best)
+	}
+	if st := s.Stats(); st.ProposalsReissued != 1 || st.ProposalsForfeited != 1 {
+		t.Errorf("reissued %d, forfeited %d: want 1 and 1", st.ProposalsReissued, st.ProposalsForfeited)
+	}
+}
+
+// TestMessageLeavesOtherSessionsDeadlines: a message applies only its
+// own session's deadlines. On one shard, a round of A after B's
+// hand-out is overdue must neither re-issue B's work nor collect B,
+// however idle; B's own next message retires the hand-out, and only
+// ExpireNow collects B's lease.
+func TestMessageLeavesOtherSessionsDeadlines(t *testing.T) {
+	clk := newFakeClock()
+	s := newFaultServer(clk)
+	s.shards = s.shards[:1] // both sessions share the one shard
+	s.SessionTimeout, s.ReportTimeout = time.Minute, 10*time.Second
+	reg := func(seed int64) string {
+		return mustRegister(t, s, &proto.Message{
+			Strategy: proto.StrategyRandom, Seed: seed, MaxRuns: 10,
+			Space: proto.EncodeSpace(testSpace()),
+		})
+	}
+	fetch := func(id string) *proto.Message {
+		t.Helper()
+		r := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
+		if r.Type != proto.TypeConfig {
+			t.Fatalf("fetch %s: %+v", id, r)
+		}
+		return r
+	}
+	// round is one fetch and report of a, which leaves it no work out.
+	a, b := reg(1), reg(2)
+	round := func() {
+		t.Helper()
+		r := fetch(a)
+		if r := s.call(&proto.Message{Type: proto.TypeReport, Session: a, Tag: r.Tag, Perf: bowl(r.Values)}); r.Type != proto.TypeOK {
+			t.Fatalf("report %s: %+v", a, r)
+		}
+	}
+	fetch(b)
+	clk.Advance(20 * time.Second)
+	round()
+	if st := s.Stats(); st.ProposalsReissued != 0 {
+		t.Fatalf("a round of %s re-issued %d of %s's hand-outs, want 0", a, st.ProposalsReissued, b)
+	}
+	fetch(b)
+	if st := s.Stats(); st.ProposalsReissued != 1 {
+		t.Fatalf("%s's own fetch re-issued %d hand-outs, want its overdue one", b, st.ProposalsReissued)
+	}
+	clk.Advance(2 * time.Minute)
+	round()
+	if st := s.Stats(); st.SessionsExpired != 0 || st.ProposalsReissued != 1 {
+		t.Fatalf("a round of %s collected %d sessions and re-issued %d hand-outs, want 0 and 1", a, st.SessionsExpired, st.ProposalsReissued)
+	}
+	if n := s.ExpireNow(); n != 1 {
+		t.Fatalf("ExpireNow collected %d sessions, want the idle %s", n, b)
 	}
 }

@@ -15,14 +15,12 @@ import (
 // Logf and Clock, may block or re-enter the server, so none may run
 // under a shard mutex. Both probe every shard lock on each call — if
 // the calling goroutine still held one, TryLock would fail. The probes
-// run through the lazy per-shard sweep (expireDue) and the eager walk
-// (ExpireNow → expireOne) of a lease expiry, and, with a report
-// deadline set, through the straggler path (armStraggler,
-// expireStragglerEntryLocked) of a hand-out nobody reports.
+// run through a session's own straggler expiry on its fetch, and
+// through ExpireNow's straggler and lease expiries (expireOne) of a
+// session nobody messages.
 func TestExpiryLogNotUnderShardLock(t *testing.T) {
 	clk := newFakeClock()
 	s := newFaultServer(clk)
-	s.shards = s.shards[:1] // one shard: any dispatch sweeps the expired session
 	s.SessionTimeout = time.Minute
 	s.ReportTimeout = 10 * time.Second
 	probe := func(callback string) {
@@ -45,39 +43,40 @@ func TestExpiryLogNotUnderShardLock(t *testing.T) {
 			logged++
 		}
 	}
-	reg := func(seed int64) *proto.Message {
-		return &proto.Message{
-			Strategy: proto.StrategyRandom, Seed: seed, MaxRuns: 10,
-			Space: proto.EncodeSpace(testSpace()),
-		}
-	}
-	fetch := func(id string) {
+	id := mustRegister(t, s, &proto.Message{
+		Strategy: proto.StrategyRandom, Seed: 7, MaxRuns: 10,
+		Space: proto.EncodeSpace(testSpace()),
+	})
+	fetch := func() {
 		if r := s.call(&proto.Message{Type: proto.TypeFetch, Session: id}); r.Type != proto.TypeConfig {
 			t.Fatalf("fetch %s: %+v", id, r)
 		}
 	}
-	first := mustRegister(t, s, reg(7))
-	fetch(first) // arms a straggler deadline nobody meets
-
-	// Lazy path: the next message on the shard pops the straggler entry,
-	// then the lease entry.
-	clk.Advance(2 * time.Minute)
-	second := mustRegister(t, s, reg(8))
-	if logged != 1 {
-		t.Fatalf("lazy expiry logged %d lease lines, want 1", logged)
+	reissued := func(want int64) {
+		t.Helper()
+		if n := s.Stats().ProposalsReissued; n != want {
+			t.Fatalf("%d hand-outs re-issued, want %d", n, want)
+		}
 	}
-	if n := s.Stats().ProposalsReissued; n != 1 {
-		t.Fatalf("%d hand-outs re-issued, want the one overdue: the straggler entry did not run", n)
-	}
+	fetch() // a hand-out nobody reports
 
-	// Eager path: ExpireNow walks every shard and logs per collection.
-	fetch(second)
+	// The session's own fetch retires its overdue hand-out.
+	clk.Advance(20 * time.Second)
+	fetch()
+	reissued(1)
+
+	// ExpireNow retires the next one, then collects the idle session.
+	clk.Advance(20 * time.Second)
+	if n := s.ExpireNow(); n != 0 {
+		t.Fatalf("ExpireNow = %d inside the lease, want 0", n)
+	}
+	reissued(2)
 	clk.Advance(2 * time.Minute)
 	if n := s.ExpireNow(); n != 1 {
-		t.Fatalf("ExpireNow = %d, want 1 (session %s)", n, second)
+		t.Fatalf("ExpireNow = %d, want 1 (session %s)", n, id)
 	}
-	if logged != 2 {
-		t.Fatalf("eager expiry logged %d lease lines in total, want 2", logged)
+	if logged != 1 {
+		t.Fatalf("expiry logged %d lease lines, want 1", logged)
 	}
 }
 

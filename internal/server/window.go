@@ -20,7 +20,7 @@ import (
 // straggler ladder re-issues and then forfeits what nobody reports.
 // Registration.Parallel makes the window a round, Registration.Async a
 // pipeline, neither a window of one candidate that every client shares
-// (openWindow's depth and group); nothing else knows which.
+// (openWindow's depth); nothing else knows which.
 //
 // The cadence is lazy: only a fetch refills the window, just in time
 // for the client that will run the work — or a report that completes a
@@ -43,7 +43,7 @@ type handState struct {
 
 // handout records one candidate handed to a client. It is live until it
 // is reported, expires or its candidate commits (cand = nil): duplicates
-// nobody reported must neither arm a straggler deadline nor hold the
+// nobody reported must neither go overdue as stragglers nor hold the
 // lease for work that is already committed, and a late report for one
 // is a stale tag — never a report on whatever the released candidate is
 // reissued as.
@@ -67,11 +67,11 @@ type window struct {
 
 // openWindow gives the session its window. It reads the session's
 // budget and cache, so those are set first.
-func (ss *session) openWindow(strat search.AsyncStrategy, depth, groupMax int) {
+func (ss *session) openWindow(strat search.AsyncStrategy, depth int) {
 	m := &core.Window[handState]{
 		Space: ss.space, Strategy: strat,
 		MaxRuns: ss.maxRuns, MaxProposals: core.DefaultMaxProposals(ss.maxRuns),
-		Depth: depth, GroupMax: groupMax, ForfeitUndecodable: true,
+		Depth: depth, ForfeitUndecodable: true,
 	}
 	if ss.cache != nil {
 		m.Cache = ss.cache

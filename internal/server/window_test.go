@@ -146,7 +146,7 @@ func TestAsyncCommitOrderIndependentOfReportOrder(t *testing.T) {
 	pts := []space.Point{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
 	rec := &asyncRecorder{points: pts}
 	strat := search.NewSystematic(sp, 4)
-	ss := newTestSession(sp, strat, 10, func(ss *session) { ss.openWindow(rec, 4, 1) })
+	ss := newTestSession(sp, strat, 10, func(ss *session) { ss.openWindow(rec, 4) })
 
 	var tags []int
 	for i := 0; i < 4; i++ {
@@ -412,9 +412,10 @@ func TestAsyncBestPrefersMeasuredShadow(t *testing.T) {
 
 // TestCommittedCandidateTagsRetired: a hand-out tag dies with its
 // candidate. A candidate handed out twice and reported once commits;
-// its unreported twin must then neither arm a straggler deadline nor
-// hold the session's lease for work that is already done, and the
-// twin's late report is acknowledged and dropped as an unknown tag.
+// its unreported twin must then neither stay live for a straggler
+// deadline nor hold the session's lease for work that is already done,
+// and the twin's late report is acknowledged and dropped as an unknown
+// tag.
 func TestCommittedCandidateTagsRetired(t *testing.T) {
 	clk := newFakeClock()
 	s := newFaultServer(clk)
@@ -440,11 +441,11 @@ func TestCommittedCandidateTagsRetired(t *testing.T) {
 	ss := sh.sessions[id]
 	sh.mu.Unlock()
 	ss.mu.Lock()
-	deadline, outstanding := ss.stragglerDeadlineLocked()
+	issued, outstanding := ss.outstandingLocked()
 	active := ss.effectiveLastActiveLocked(clk.Now().Add(2 * time.Minute))
 	ss.mu.Unlock()
 	if outstanding {
-		t.Errorf("straggler deadline %v armed by the committed candidate's unreported twin", deadline)
+		t.Errorf("the committed candidate's unreported twin, issued %v, is still live", issued)
 	}
 	if !active.Equal(clk.Now()) {
 		t.Errorf("lease measured from %v, want the report at %v: the twin's straggler window extended it", active, clk.Now())
@@ -479,7 +480,7 @@ func TestExpiryPassWithNothingOverdueAllocatesNothing(t *testing.T) {
 		}
 	}
 	now = now.Add(30 * time.Second) // four live hand-outs, all inside their deadline
-	if _, ok := ss.stragglerDeadlineLocked(); !ok {
+	if _, ok := ss.outstandingLocked(); !ok {
 		t.Fatal("no hand-out outstanding")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { ss.expireStragglersLocked(now) }); allocs != 0 {
@@ -532,7 +533,7 @@ func checkStaleOnReissued(t *testing.T, ss *session, strat *tellCounter, tag int
 func TestStaleTagAfterCandidateReuse(t *testing.T) {
 	sp := testSpace()
 	strat := &tellCounter{AsyncStrategy: search.AsAsync(search.NewRandom(sp, 5, 50))}
-	ss := newTestSession(sp, nil, 50, func(ss *session) { ss.openWindow(strat, 1, 1) })
+	ss := newTestSession(sp, nil, 50, func(ss *session) { ss.openWindow(strat, 1) })
 	a, b := ss.callFetch(), ss.callFetch()
 	if a.Type != proto.TypeConfig || b.Type != proto.TypeConfig || a.Tag == b.Tag {
 		t.Fatalf("fetches %+v and %+v, want one candidate under two tags", a, b)
@@ -560,7 +561,7 @@ func TestStaleTagAfterCandidateReuse(t *testing.T) {
 func TestStaleTagAfterCandidateReuseParallel(t *testing.T) {
 	sp := testSpace()
 	strat := &tellCounter{AsyncStrategy: search.Rounds(search.NewRandom(sp, 5, 50))}
-	ss := newTestSession(sp, nil, 50, func(ss *session) { ss.openWindow(strat, core.Unbounded, core.Unbounded) })
+	ss := newTestSession(sp, nil, 50, func(ss *session) { ss.openWindow(strat, core.Unbounded) })
 	m := ss.win.m
 	tags := []int{ss.callFetch().Tag}
 	for len(tags) < m.Len() {
