@@ -12,8 +12,9 @@
 // sweeps every session once per shortest timeout, which is what
 // collects a session nobody messages any more. -stats-interval
 // periodically dumps the operational counters and saves the -cache
-// file. On SIGINT or SIGTERM the server stops serving, writes a final
-// dump and saves the -cache file.
+// file. On SIGINT or SIGTERM the server stops serving, stops the sweep
+// and the periodic dump, writes a final dump and saves the -cache
+// file.
 //
 // The session table is sharded so many tenants dispatch without
 // contending on one lock, and one port speaks both wire
@@ -41,6 +42,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -89,6 +91,33 @@ func run(args []string, listening func(net.Addr)) error {
 		fmt.Printf("harmonyd: evaluation cache %s (%d entries)\n", *cachePath, evalCache.Len())
 	}
 
+	// every runs f once per period until stopTickers, which returns
+	// once no f is running: before the final stats dump, or when run
+	// returns early.
+	stop := make(chan struct{})
+	var tickers sync.WaitGroup
+	stopTickers := sync.OnceFunc(func() {
+		close(stop)
+		tickers.Wait()
+	})
+	defer stopTickers()
+	every := func(period time.Duration, f func()) {
+		tickers.Add(1)
+		go func() {
+			defer tickers.Done()
+			tick := time.NewTicker(period)
+			defer tick.Stop()
+			for {
+				select {
+				case <-tick.C:
+					f()
+				case <-stop:
+					return
+				}
+			}
+		}()
+	}
+
 	// A session's own messages apply only its own deadlines, so this
 	// sweep is what collects abandoned sessions and moves rounds whose
 	// clients all went quiet. It runs once per shortest timeout.
@@ -97,23 +126,17 @@ func run(args []string, listening func(net.Addr)) error {
 		sweep = r
 	}
 	if sweep > 0 {
-		go func() {
-			for range time.Tick(sweep) {
-				s.ExpireNow()
-			}
-		}()
+		every(sweep, func() { s.ExpireNow() })
 	}
 	if *statsInterval > 0 {
-		go func() {
-			for range time.Tick(*statsInterval) {
-				s.WriteStats(os.Stderr)
-				if evalCache != nil {
-					if err := evalCache.Save(); err != nil {
-						log.Printf("harmonyd: %v", err)
-					}
+		every(*statsInterval, func() {
+			s.WriteStats(os.Stderr)
+			if evalCache != nil {
+				if err := evalCache.Save(); err != nil {
+					log.Printf("harmonyd: %v", err)
 				}
 			}
-		}()
+		})
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -137,6 +160,7 @@ func run(args []string, listening func(net.Addr)) error {
 	// cache is saved.
 	s.Close()
 	<-served
+	stopTickers()
 	s.WriteStats(os.Stderr)
 	if evalCache != nil {
 		return evalCache.Save()

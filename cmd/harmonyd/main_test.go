@@ -3,6 +3,7 @@ package main
 import (
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -118,4 +119,24 @@ func TestSessionTimeoutSweepsWithoutStatsInterval(t *testing.T) {
 		}
 	}
 	t.Fatal("an abandoned session was never collected")
+}
+
+// TestTickersStopWhenRunReturns: the deadline sweeper and the
+// -stats-interval dump run on tickers that stop with the server, so
+// run leaves no goroutine of its own behind, and no sweep calls
+// ExpireNow on a closed server.
+func TestTickersStopWhenRunReturns(t *testing.T) {
+	_, done := start(t, "-session-timeout", "50ms", "-stats-interval", "1h")
+	time.Sleep(120 * time.Millisecond) // the sweeper has ticked
+	terminate(t, done)
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "harmonyd.run.func") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines started by run are still running after it returned:\n%s", stacks)
+		}
+	}
 }

@@ -51,10 +51,11 @@ func (j *evalJob) failure() error {
 }
 
 // tuneScratch is what Tune needs only while it runs: the window, with
-// its ring, Refill scratch, memo and every candidate it has made; the
-// commit log; the evaluation jobs; the speculation maps; and the worker
-// channels. Tune takes one from tuneScratchPool and puts it back reset
-// once its workers have drained and the trial log is rendered.
+// its ring, Refill scratch, memo, scored table and every candidate it
+// has made; the commit log; the evaluation jobs; the speculation maps;
+// and the worker channels. Tune takes one from tuneScratchPool and puts
+// it back reset once its workers have drained and the trial log is
+// rendered.
 type tuneScratch struct {
 	win       Window[*evalJob]
 	committed []*Candidate[*evalJob] // the candidates committed so far, in order: the trial log's rows
@@ -117,8 +118,11 @@ func (s *tuneScratch) reset() {
 // commit log, the evaluation jobs — is pooled scratch, reset and put
 // back when it returns. Per proposal, a campaign allocates only its
 // trial row, which keeps the point the strategy handed out, and what
-// the strategy allocates; a charged proposal adds its memo key, and
-// one that runs adds its decoded configuration and one goroutine.
+// the strategy allocates; a charged proposal adds its memo key, one
+// that runs adds its decoded configuration and one goroutine, and a
+// point the surrogate gate scores the first time adds its key in the
+// scored table and its decoded configuration, which a run of the point
+// reuses.
 // Result.BestConfig is decoded once, when Tune returns.
 //
 // Determinism: the issue/commit trace — and therefore every Result

@@ -14,8 +14,11 @@ import (
 // value the session reports (Best, FirstValue, the measured trial
 // log, the evaluation caches) comes from a genuine objective run.
 //
-// Predictions must be deterministic pure functions of the point: the
-// engine may score the same point repeatedly and on any goroutine.
+// Predictions must be deterministic pure functions of the point. Each
+// session asks its model at most once per point and answers a repeat
+// from the scores it keeps, which is correct only because the
+// prediction is pure; different sessions may ask on different
+// goroutines.
 type Surrogate interface {
 	// Predict returns the model's predicted objective value for the
 	// configuration, in the objective's own units (lower is better).
@@ -32,7 +35,9 @@ type Surrogate interface {
 // under Options.Async — and simulates only the fifth the model ranks
 // best (keepFraction); the rest are pruned — reported to the search strategy at
 // their predicted value, flagged Trial.Pruned, and never charged to
-// Runs, TuningCost, Best, or the evaluation caches.
+// Runs, TuningCost, Best, or the evaluation caches. A point proposed
+// again is scored from the session's table, without asking the model
+// or decoding the point.
 type SurrogateOptions struct {
 	// Model scores candidate configurations. Nil disables the layer.
 	Model Surrogate

@@ -126,8 +126,12 @@ type Window[P any] struct {
 	head, n int
 
 	leaders map[string]*Candidate[P] // charged candidates by point key (Memo)
-	issued  int                      // candidates issued, committed or in flight
-	free    []*Candidate[P]          // released candidates, reissued before any new one
+	// scored is what the gate made of every point the session has
+	// scored, by point key: each point is decoded and put to the model
+	// once. Only a gated window makes it.
+	scored map[string]gateScore
+	issued int             // candidates issued, committed or in flight
+	free   []*Candidate[P] // released candidates, reissued before any new one
 
 	// Refill scratch, reused across passes.
 	pts    []space.Point
@@ -136,7 +140,7 @@ type Window[P any] struct {
 	scores []float64 // the gate's scores of the group, then Keep's sort scratch
 	keep   []bool    // the gate's verdicts on the group
 	work   []*Candidate[P]
-	key    []byte // classify's memo key
+	key    []byte // the point key of the memo and the scored table
 }
 
 // reserve makes room for k more candidates, so that the cursor helpers
@@ -233,7 +237,9 @@ func (w *Window[P]) Refill() []*Candidate[P] {
 // whole group through unscreened. The group is cut before the first
 // charged candidate the run budget cannot cover, so in-flight work
 // never exceeds MaxRuns; the AsyncStrategy contract allows abandoning
-// what is cut. A point is decoded only to be scored or to become Work.
+// what is cut. A point is decoded only to be scored or to become Work:
+// a gated session scores each point once, and a point it has scored
+// becomes Work with the configuration decoded then.
 func (w *Window[P]) issue() {
 	var scores []float64
 	var keep []bool
@@ -246,8 +252,7 @@ func (w *Window[P]) issue() {
 		screened := true
 		for i, pt := range w.pts {
 			if screened = !w.bad[i]; screened {
-				w.cfgs = append(w.cfgs, w.Space.MustDecode(pt))
-				scores[i], screened = w.gate.Score(pt, w.cfgs[i])
+				scores[i], screened = w.score(pt)
 			}
 			if !screened {
 				break
@@ -285,6 +290,35 @@ func (w *Window[P]) issue() {
 	if w.Stalled {
 		w.At(w.n - 1).ClosesRound = true
 	}
+}
+
+// score is the gate's result for a decodable member of the group,
+// whose configuration it appends to cfgs. A point the session has
+// scored before is answered from the scored table, neither decoded nor
+// put to the model again: the Surrogate contract makes a prediction a
+// pure function of the point.
+func (w *Window[P]) score(pt space.Point) (float64, bool) {
+	w.key = pt.AppendKey(w.key[:0])
+	r, ok := w.scored[string(w.key)]
+	if !ok {
+		r.cfg = w.Space.MustDecode(pt)
+		r.v, r.ok = w.gate.Score(pt, r.cfg)
+		if w.scored == nil {
+			w.scored = make(map[string]gateScore)
+		}
+		w.scored[string(w.key)] = r
+	}
+	w.cfgs = append(w.cfgs, r.cfg)
+	return r.v, r.ok
+}
+
+// gateScore is what the gate made of one point, decoded to be scored:
+// its score, or ok false when it sends the point's group through
+// unscreened.
+type gateScore struct {
+	v   float64
+	ok  bool
+	cfg space.Config
 }
 
 // fresh returns a candidate for one asked point: a released one, reset
@@ -388,10 +422,10 @@ func (w *Window[P]) Release(c *Candidate[P]) {
 // Recycle empties the window for another session, settings included.
 // The candidates in flight and the committed ones passed in — every
 // committed candidate the driver has not released — are reset whole
-// and freed, and the memo, the ring and the Refill scratch are emptied
-// but keep their storage, so a session like the last allocates no
-// candidates. The caller must hold no pointer to any candidate
-// afterwards.
+// and freed, and the memo, the scored table, the ring and the Refill
+// scratch are emptied but keep their storage, so a session like the
+// last allocates no candidates. The caller must hold no pointer to any
+// candidate afterwards.
 func (w *Window[P]) Recycle(committed []*Candidate[P]) {
 	free := w.free
 	for i := range w.n {
@@ -402,10 +436,11 @@ func (w *Window[P]) Recycle(committed []*Candidate[P]) {
 		*c = Candidate[P]{}
 	}
 	clear(w.leaders)
+	clear(w.scored)
 	clear(w.pts[:cap(w.pts)])
 	clear(w.cfgs[:cap(w.cfgs)])
 	*w = Window[P]{
-		buf: w.buf, leaders: w.leaders, free: free,
+		buf: w.buf, leaders: w.leaders, scored: w.scored, free: free,
 		pts: w.pts[:0], cfgs: w.cfgs[:0], bad: w.bad[:0], scores: w.scores[:0], keep: w.keep[:0],
 		work: w.work[:0], key: w.key[:0],
 	}

@@ -60,6 +60,14 @@ func (propModel) Predict(pt space.Point, _ space.Config) (float64, bool) {
 	return 1e6 * propMeasured(pt), true
 }
 
+// propInverse ranks the lattice against propMeasured and declines a
+// scattered set of points: a second model of the same space.
+type propInverse struct{}
+
+func (propInverse) Predict(pt space.Point, _ space.Config) (float64, bool) {
+	return 1e6 / propMeasured(pt), (2*pt[0]+pt[1])%13 != 0
+}
+
 // propCache answers every point on one diagonal family of the lattice.
 type propCache struct{}
 
@@ -411,32 +419,48 @@ func eagerTrace(w *Window[int], tape *tapeStrategy, release bool) (string, []*Ca
 // TestWindowRecycledReplaysFresh: a recycled window is a new one. One
 // window runs every (strategy, depth, seed, policy) session in turn at
 // Tune's cadence, recycled between sessions, so each starts with the
-// candidates, memo and ring of a session with other settings — with or
-// without the gate, the cache, the memo and releases. Every session's
-// trace must equal a new window's, candidate by candidate in every
-// field: the same kinds and ClosesRound, no stale Leader, Payload or
-// Predicted, the same Charged and Fallbacks. And the recycled window
-// frees every candidate it holds exactly once, and makes only the
-// candidates its largest session needs.
+// candidates, memo, scored table and ring of a session with other
+// settings — with or without the gate, the cache, the memo and
+// releases. A gated session runs twice, under two models of one space
+// that score its points differently, so the second must not hear the
+// first's scores. Every session's trace must equal a new window's,
+// candidate by candidate in every field: the same kinds and
+// ClosesRound, no stale Leader, Payload or Predicted, the same Charged
+// and Fallbacks. And the recycled window frees every candidate it
+// holds exactly once, and makes only the candidates its largest
+// session needs.
 func TestWindowRecycledReplaysFresh(t *testing.T) {
 	recycled, most := new(Window[int]), 0
 	for _, st := range propStrategies {
 		for _, depth := range propDepths {
 			for seed := int64(1); seed <= 2; seed++ {
-				for _, online := range []bool{false, true} {
-					name := fmt.Sprintf("%s depth=%d seed=%d online=%v", st.name, depth, seed, online)
-					w, tape := propWindow(t, st.make, seed, depth, online)
-					want, kept := eagerTrace(w, tape, online)
-					w.Recycle(kept)
-					most = max(most, len(w.free))
-					rw, rtape := propSetup(t, recycled, st.make, seed, depth, online)
-					got, rkept := eagerTrace(rw, rtape, online)
-					if got != want {
-						t.Fatalf("%s: the recycled window's trace differs from a new window's\n got %s\nwant %s", name, got, want)
-					}
-					recycled.Recycle(rkept)
-					if distinct := len(candidateSet(recycled.free)); distinct != len(recycled.free) {
-						t.Fatalf("%s: %d candidates freed, %d of them distinct", name, len(recycled.free), distinct)
+				models := []Surrogate{nil} // propSetup's: the gate on odd seeds
+				if seed%2 == 1 {
+					models = append(models, propInverse{})
+				}
+				for _, model := range models {
+					for _, online := range []bool{false, true} {
+						name := fmt.Sprintf("%s depth=%d seed=%d online=%v model=%T", st.name, depth, seed, online, model)
+						setup := func(w *Window[int]) (*Window[int], *tapeStrategy) {
+							w, tape := propSetup(t, w, st.make, seed, depth, online)
+							if model != nil {
+								w.gate = newSurrogateGate(&SurrogateOptions{Model: model})
+							}
+							return w, tape
+						}
+						w, tape := setup(new(Window[int]))
+						want, kept := eagerTrace(w, tape, online)
+						w.Recycle(kept)
+						most = max(most, len(w.free))
+						rw, rtape := setup(recycled)
+						got, rkept := eagerTrace(rw, rtape, online)
+						if got != want {
+							t.Fatalf("%s: the recycled window's trace differs from a new window's\n got %s\nwant %s", name, got, want)
+						}
+						recycled.Recycle(rkept)
+						if distinct := len(candidateSet(recycled.free)); distinct != len(recycled.free) {
+							t.Fatalf("%s: %d candidates freed, %d of them distinct", name, len(recycled.free), distinct)
+						}
 					}
 				}
 			}

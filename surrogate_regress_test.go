@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sync"
 	"testing"
 
 	"harmony/internal/core"
@@ -103,6 +104,56 @@ func TestSurrogateCampaignWorkerInvariance(t *testing.T) {
 				t.Errorf("workers=1 and workers=4 disagree:\n w1 %s\n w4 %s", f1, f4)
 			}
 		})
+	}
+}
+
+// countingModel counts the predictions it is asked for, per point.
+type countingModel struct {
+	core.Surrogate
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (m *countingModel) Predict(pt space.Point, cfg space.Config) (float64, bool) {
+	m.mu.Lock()
+	m.calls[pt.Key()]++
+	m.mu.Unlock()
+	return m.Surrogate.Predict(pt, cfg)
+}
+
+// TestSurrogateAsksOncePerPoint: a screened session asks its model at
+// most once per point, because the window keeps what the gate made of
+// every point it has scored. A counting model wrapped around each
+// screened golden campaign, at one worker and at four, must see every
+// point it is asked about exactly once, and the campaign must still
+// read its golden.
+func TestSurrogateAsksOncePerPoint(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		models := map[string]*countingModel{}
+		counting := func(name string) core.Surrogate {
+			m := &countingModel{Surrogate: surrogate.For(name), calls: map[string]int{}}
+			models[name] = m
+			return m
+		}
+		for name, c := range surrogateCampaigns(counting, workers) {
+			res, err := c.Tune(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprint(res); got != surrogateGoldens[name] {
+				t.Errorf("%s workers=%d diverged:\n got %s\nwant %s", name, workers, got, surrogateGoldens[name])
+			}
+		}
+		for name, m := range models {
+			if len(m.calls) == 0 {
+				t.Errorf("workers=%d: model %s was never asked", workers, name)
+			}
+			for key, n := range m.calls {
+				if n != 1 {
+					t.Errorf("workers=%d: model %s was asked %d times for point %s, want once", workers, name, n, key)
+				}
+			}
+		}
 	}
 }
 
