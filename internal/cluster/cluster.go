@@ -12,6 +12,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -122,6 +123,19 @@ func (m *Machine) Fingerprint() string {
 	return b.String()
 }
 
+// presetName renders a preset machine's name, "<name>-<nodes>x<ppn>",
+// with strconv: presets are built among the first calls on a fresh
+// GS2 worker's stack, and fmt's deep call chain would grow it.
+func presetName(name string, nodes, ppn int) string {
+	var buf [32]byte
+	b := append(buf[:0], name...)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, int64(nodes), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(ppn), 10)
+	return string(b)
+}
+
 func uniformSpeeds(nodes int, gflops float64) []float64 {
 	s := make([]float64, nodes)
 	for i := range s {
@@ -136,7 +150,7 @@ func uniformSpeeds(nodes int, gflops float64) []float64 {
 // ≈350 MB/s per task).
 func Seaborg(nodes, ppn int) *Machine {
 	return &Machine{
-		Name:   fmt.Sprintf("seaborg-%dx%d", nodes, ppn),
+		Name:   presetName("seaborg", nodes, ppn),
 		Nodes:  nodes,
 		PPN:    ppn,
 		Gflops: uniformSpeeds(nodes, 0.55),
@@ -150,7 +164,7 @@ func Seaborg(nodes, ppn int) *Machine {
 // paper). Same processor family as Seaborg.
 func Hockney(nodes, ppn int) *Machine {
 	m := Seaborg(nodes, ppn)
-	m.Name = fmt.Sprintf("hockney-%dx%d", nodes, ppn)
+	m.Name = presetName("hockney", nodes, ppn)
 	return m
 }
 
@@ -159,7 +173,7 @@ func Hockney(nodes, ppn int) *Machine {
 // (≈8 µs latency, ≈245 MB/s).
 func MyrinetLinux(nodes, ppn int) *Machine {
 	return &Machine{
-		Name:   fmt.Sprintf("linux-%dx%d", nodes, ppn),
+		Name:   presetName("linux", nodes, ppn),
 		Nodes:  nodes,
 		PPN:    ppn,
 		Gflops: uniformSpeeds(nodes, 1.3),

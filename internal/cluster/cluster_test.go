@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -84,5 +86,27 @@ func TestStringIncludesTopology(t *testing.T) {
 	m := Seaborg(8, 16)
 	if got := m.String(); !strings.Contains(got, "8x16") {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestPresetNamesMatchFmt: the presets render their names with
+// strconv, and each reads as fmt's "<name>-%dx%d" over a spread of
+// sizes: node counts a preset can allocate speeds for, and per-node
+// counts down to zero, negative and extreme ones.
+func TestPresetNamesMatchFmt(t *testing.T) {
+	presets := []struct {
+		name  string
+		build func(nodes, ppn int) *Machine
+	}{{"seaborg", Seaborg}, {"hockney", Hockney}, {"linux", MyrinetLinux}}
+	nodeCounts := []int{0, 1, 2, 7, 8, 16, 32, 64, 100, 1024, 65536}
+	ppns := []int{0, 1, 2, 4, 16, 99, -1, math.MaxInt, math.MinInt}
+	for _, p := range presets {
+		for _, nodes := range nodeCounts {
+			for _, ppn := range ppns {
+				if got, want := p.build(nodes, ppn).Name, fmt.Sprintf("%s-%dx%d", p.name, nodes, ppn); got != want {
+					t.Errorf("%s(%d, %d).Name = %q, want %q", p.name, nodes, ppn, got, want)
+				}
+			}
+		}
 	}
 }

@@ -119,10 +119,11 @@ func (s *tuneScratch) reset() {
 // back when it returns. Per proposal, a campaign allocates only its
 // trial row, which keeps the point the strategy handed out, and what
 // the strategy allocates; a charged proposal adds its memo key, one
-// that runs adds its decoded configuration and one goroutine, and a
-// point the surrogate gate scores the first time adds its key in the
-// scored table and its decoded configuration, which a run of the point
-// reuses.
+// that runs adds one goroutine, and a point the surrogate gate scores
+// the first time adds its entry in the scored table. A decoded
+// configuration, a run's or one the gate scores, shares the strategy's
+// point and costs no copy (search.AsyncStrategy: a strategy never
+// writes a point it handed out).
 // Result.BestConfig is decoded once, when Tune returns.
 //
 // Determinism: the issue/commit trace — and therefore every Result

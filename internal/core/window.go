@@ -239,7 +239,8 @@ func (w *Window[P]) Refill() []*Candidate[P] {
 // never exceeds MaxRuns; the AsyncStrategy contract allows abandoning
 // what is cut. A point is decoded only to be scored or to become Work:
 // a gated session scores each point once, and a point it has scored
-// becomes Work with the configuration decoded then.
+// becomes Work with the configuration decoded then. A decoded
+// configuration shares its point with the candidate, uncopied.
 func (w *Window[P]) issue() {
 	var scores []float64
 	var keep []bool
@@ -282,7 +283,7 @@ func (w *Window[P]) issue() {
 			if i < len(w.cfgs) {
 				c.Cfg = w.cfgs[i] // decoded to be scored
 			} else {
-				c.Cfg = w.Space.MustDecode(pt)
+				c.Cfg = w.decode(pt)
 			}
 			w.work = append(w.work, c)
 		}
@@ -301,7 +302,7 @@ func (w *Window[P]) score(pt space.Point) (float64, bool) {
 	w.key = pt.AppendKey(w.key[:0])
 	r, ok := w.scored[string(w.key)]
 	if !ok {
-		r.cfg = w.Space.MustDecode(pt)
+		r.cfg = w.decode(pt)
 		r.v, r.ok = w.gate.Score(pt, r.cfg)
 		if w.scored == nil {
 			w.scored = make(map[string]gateScore)
@@ -310,6 +311,17 @@ func (w *Window[P]) score(pt space.Point) (float64, bool) {
 	}
 	w.cfgs = append(w.cfgs, r.cfg)
 	return r.v, r.ok
+}
+
+// decode is the configuration of a point Refill has checked, over the
+// point itself: the strategy never writes a point it has handed out
+// (search.AsyncStrategy), and the candidate's Pt shares it already.
+func (w *Window[P]) decode(pt space.Point) space.Config {
+	cfg, err := w.Space.DecodeShared(pt)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
 }
 
 // gateScore is what the gate made of one point, decoded to be scored:

@@ -52,6 +52,44 @@ type constModel float64
 
 func (m constModel) Predict(space.Point, space.Config) (float64, bool) { return float64(m), true }
 
+// TestWindowDecodesWorkWithoutCopying pins a Work candidate's
+// configuration to the asked point itself: once warm, a cycle that
+// issues a full window of Work candidates, completes them as a driver
+// would, commits and releases them allocates nothing, so the window
+// does not copy a point to decode it. (Space.Decode copies: a copy per
+// candidate would read depth allocations a cycle.)
+func TestWindowDecodesWorkWithoutCopying(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; allocation count is meaningless under -race")
+	}
+	const depth = 4
+	w := &Window[int]{
+		Space:        bowlSpace(t),
+		Strategy:     &loopStrategy{pt: space.Point{3, 4}, depth: depth},
+		MaxProposals: Unbounded,
+		Depth:        depth,
+	}
+	cycle := func() {
+		work := w.Refill()
+		if len(work) != depth {
+			t.Fatalf("a refill issued %d Work candidates, want %d", len(work), depth)
+		}
+		for _, c := range work {
+			if c.Cfg.Int("x") != 3 || c.Cfg.Int("y") != 4 {
+				t.Fatalf("a Work candidate of (3, 4) decodes as %s", c.Cfg.Format())
+			}
+			c.Complete(1)
+		}
+		for c := w.CommitHead(); c != nil; c = w.CommitHead() {
+			w.Release(c)
+		}
+	}
+	cycle() // grow the ring and the free list to the window's depth
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a steady cycle of %d Work candidates allocates %v, want 0", depth, n)
+	}
+}
+
 // TestWindowSteadyCycleAllocatesNothing pins the window's bookkeeping
 // as allocation-free: once warm, a cycle of Refill, Len, At, CommitHead
 // (Head, pop) and Release on a full window of cache-answered candidates

@@ -29,6 +29,11 @@ import "harmony/internal/space"
 //     budget or stop condition mid-flight) are simply abandoned; the
 //     strategy must not require every issue to be committed.
 //   - Done turns true only on an Ask that finds the strategy finished.
+//   - A point Ask returns belongs to the engine: the strategy never
+//     writes it again. The engine keeps it as the candidate's point,
+//     decodes the candidate's configuration over it without a copy
+//     (space.Space.DecodeShared) and logs it in the trial record;
+//     TestAskedPointsAreNeverWritten pins the rule for every strategy.
 //
 // Like Strategy, an AsyncStrategy is engine-locked: not safe for
 // concurrent use, no internal locking. The engines call
@@ -37,7 +42,8 @@ type AsyncStrategy interface {
 	// Name identifies the strategy in reports and logs.
 	Name() string
 	// Ask proposes the next candidate, or reports that none is
-	// available right now (stalled or done — check Done).
+	// available right now (stalled or done — check Done). The point
+	// belongs to the engine: the strategy never writes it again.
 	Ask() (pt space.Point, ok bool)
 	// Commit delivers the value for an issued candidate. Calls arrive
 	// in exactly the order Ask issued the candidates.

@@ -103,3 +103,44 @@ func TestSimplexSpeculateInitAndShrink(t *testing.T) {
 		pt = next
 	}
 }
+
+// TestAskedPointsAreNeverWritten pins the ownership rule of
+// AsyncStrategy.Ask: a point Ask returned belongs to the engine, and
+// the strategy never writes it again. The tuning window decodes a
+// candidate's configuration over the asked point itself, uncopied, so
+// a strategy that reused a point's storage would change a configuration
+// already handed out. Each strategy New builds is driven through
+// Ask/Commit to its end, every asked point kept beside a copy taken
+// when it was asked.
+func TestAskedPointsAreNeverWritten(t *testing.T) {
+	sp := batchTestSpace(t)
+	const limit = 5000
+	for _, name := range []string{"simplex", "coordinate", "pro", "random", "systematic", "exhaustive", "ensemble"} {
+		for seed := int64(1); seed <= 5; seed++ {
+			strat, err := New(name, sp, seed, 50, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			as := AsAsync(strat)
+			var asked, copies []space.Point
+			for len(asked) < limit {
+				round := askRound(as)
+				if len(round) == 0 {
+					break
+				}
+				for _, pt := range round {
+					asked, copies = append(asked, pt), append(copies, pt.Clone())
+					as.Commit(pt, lumpy(pt))
+				}
+			}
+			if !as.Done() {
+				t.Fatalf("%s seed %d: not done after %d proposals", name, seed, len(asked))
+			}
+			for i := range asked {
+				if !asked[i].Equal(copies[i]) {
+					t.Fatalf("%s seed %d: proposal %d was asked as %v and is now %v", name, seed, i+1, copies[i], asked[i])
+				}
+			}
+		}
+	}
+}

@@ -50,7 +50,8 @@ import (
 type Strategy interface {
 	// Name identifies the strategy in reports and logs.
 	Name() string
-	// Next proposes the next point to evaluate.
+	// Next proposes the next point to evaluate. The point belongs to
+	// the caller, as Ask's does: the strategy never writes it again.
 	Next() (pt space.Point, ok bool)
 	// Report delivers the objective value (lower is better) measured
 	// at the most recent proposal.

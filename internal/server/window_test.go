@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"harmony/internal/client"
 	"harmony/internal/core"
@@ -590,4 +591,71 @@ func TestStaleTagAfterCandidateReuseParallel(t *testing.T) {
 		t.Fatal("the next round was not issued on the committed candidates")
 	}
 	checkStaleOnReissued(t, ss, strat, b.Tag, old)
+}
+
+// TestWindowSize pins a session's engine window at 384 bytes on 64-bit
+// platforms, the top of the 384-byte size class: every session holds
+// one, so a field added to core.Window, or to handState through its
+// ring, moves every session into the 416-byte class.
+func TestWindowSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(core.Window[handState]{}); got != 384 {
+		t.Errorf("unsafe.Sizeof(core.Window[handState]{}) = %d, want 384, the top of its size class: past it, every session's window costs 416", got)
+	}
+}
+
+// TestReportOnePastNewestTagIsStale: a report whose tag is one past
+// the newest hand-out names a hand-out that was never issued. It is
+// acknowledged and counted as stale, and the live hand-out still takes
+// its own report.
+func TestReportOnePastNewestTagIsStale(t *testing.T) {
+	s := newFaultServer(newFakeClock())
+	id := mustRegister(t, s, &proto.Message{
+		Strategy: proto.StrategyRandom, Seed: 2, MaxRuns: 10,
+		Space: proto.EncodeSpace(testSpace()),
+	})
+	cfg := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
+	if cfg.Type != proto.TypeConfig {
+		t.Fatalf("fetch: %+v", cfg)
+	}
+	if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag + 1, Perf: 1}); r.Type != proto.TypeOK {
+		t.Fatalf("report under tag %d, one past the newest %d: %+v", cfg.Tag+1, cfg.Tag, r)
+	}
+	if st := s.Stats(); st.ReportsDroppedStale != 1 || st.ReportsAccepted != 0 {
+		t.Fatalf("stats = %+v, want the report dropped as stale", st)
+	}
+	s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: cfg.Tag, Perf: 4})
+	if st := s.Stats(); st.ReportsAccepted != 1 {
+		t.Errorf("ReportsAccepted = %d, want 1: the live hand-out's own report", st.ReportsAccepted)
+	}
+}
+
+// TestReportTimeoutBoundary: a hand-out is retired once it is exactly
+// ReportTimeout old. A report 1 ns before that is accepted; one at
+// that moment finds its hand-out re-issued, and is stale.
+func TestReportTimeoutBoundary(t *testing.T) {
+	const timeout = 30 * time.Second
+	clk := newFakeClock()
+	s := newFaultServer(clk)
+	s.ReportTimeout = timeout
+	id := mustRegister(t, s, &proto.Message{
+		Strategy: proto.StrategyRandom, Seed: 2, MaxRuns: 10,
+		Space: proto.EncodeSpace(testSpace()),
+	})
+	young := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
+	clk.Advance(timeout - time.Nanosecond)
+	s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: young.Tag, Perf: 4})
+	if st := s.Stats(); st.ReportsAccepted != 1 || st.ProposalsReissued != 0 {
+		t.Fatalf("a report 1 ns before the deadline: stats = %+v, want it accepted", st)
+	}
+	old := s.call(&proto.Message{Type: proto.TypeFetch, Session: id})
+	clk.Advance(timeout)
+	if r := s.call(&proto.Message{Type: proto.TypeReport, Session: id, Tag: old.Tag, Perf: 3}); r.Type != proto.TypeOK {
+		t.Fatalf("a report at the deadline: %+v", r)
+	}
+	if st := s.Stats(); st.ReportsAccepted != 1 || st.ReportsDroppedStale != 1 || st.ProposalsReissued != 1 {
+		t.Errorf("a report at the deadline: stats = %+v, want its hand-out re-issued and the report stale", st)
+	}
 }

@@ -429,12 +429,24 @@ func (s *Space) Check(pt Point) error {
 	return nil
 }
 
-// Decode converts a lattice point into a Config of concrete values.
+// Decode converts a lattice point into a Config of concrete values. The
+// Config keeps a copy of pt, so the caller may change pt afterwards.
 func (s *Space) Decode(pt Point) (Config, error) {
 	if err := s.Check(pt); err != nil {
 		return Config{}, err
 	}
 	return Config{space: s, point: pt.Clone()}, nil
+}
+
+// DecodeShared is Decode without the copy: the Config reads pt itself,
+// so the caller must never write pt again. The tuning window decodes
+// the points a strategy hands out this way, because a strategy never
+// writes a point it has handed out (search.AsyncStrategy).
+func (s *Space) DecodeShared(pt Point) (Config, error) {
+	if err := s.Check(pt); err != nil {
+		return Config{}, err
+	}
+	return Config{space: s, point: pt}, nil
 }
 
 // MustDecode is Decode, panicking on error.

@@ -347,6 +347,37 @@ func TestDecodeRejectsBadPoints(t *testing.T) {
 	}
 }
 
+// TestDecodeCopiesDecodeSharedDoesNot pins who owns a decoded point:
+// Decode's Config keeps a copy, so a caller that changes the point
+// afterwards (a speculative point, a facade user's) does not change
+// the configuration, while DecodeShared's Config reads the point
+// itself. Both check the point first.
+func TestDecodeCopiesDecodeSharedDoesNot(t *testing.T) {
+	s := testSpace(t)
+	pt := Point{1, 2, 0}
+	copied, err := s.Decode(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := s.DecodeShared(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := copied.Format()
+	pt[1] = 3
+	if got := copied.Format(); got != want {
+		t.Errorf("Decode's config changed with its point: %s, want %s", got, want)
+	}
+	if !shared.Point().Equal(pt) {
+		t.Errorf("DecodeShared's config reads %v, want the point itself, now %v", shared.Point(), pt)
+	}
+	for _, bad := range []Point{{0, 0}, {0, 5, 0}} {
+		if _, err := s.DecodeShared(bad); err == nil {
+			t.Errorf("DecodeShared(%v) read a point the space refuses", bad)
+		}
+	}
+}
+
 func TestEncodeRejectsMissingOrBad(t *testing.T) {
 	s := testSpace(t)
 	if _, err := s.Encode(map[string]string{"rows": "10", "alg": "heap"}); err == nil {

@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// Band is a symmetric sparsity pattern held as each row's reach, in
-// O(rows) memory however many entries it stores: row i stores its
+// Band is a symmetric sparsity pattern held as each row's reach, in 6
+// bytes per row however many entries it stores: row i stores its
 // diagonal, its right neighbours i+1..i+reach(i), and, by symmetry,
 // every earlier row j that reaches it (j+reach(j) ≥ i). Both Fig. 2
 // matrices have this shape — the variable band, and the 1-D chain with
@@ -14,44 +14,66 @@ import (
 // below a rank's range that reach into it are its lower ghosts, and the
 // farthest column its own rows reach bounds its upper ones.
 //
-// Build one with VariableBand or BandOf. A Band is immutable and safe
-// for concurrent use.
+// A reach is at most maxBandReach columns and a band stores at most
+// math.MaxInt32 entries: VariableBand panics past either limit, and
+// BandOf returns an error. Build one with VariableBand or BandOf. A
+// Band is immutable and safe for concurrent use.
 type Band struct {
 	N int
-	// last[i] is the last column row i stores, i+reach(i).
-	last []int32
+	// reach[i] is how far right of its diagonal row i stores: its last
+	// column is i+reach[i].
+	reach []uint16
 	// rowPtr[i] is the number of entries stored in rows before i: the
 	// RowPtr of the pattern's CSR.
-	rowPtr []int
+	rowPtr []int32
 	// maxReach is the largest reach: only the maxReach rows below a
 	// range can reach into it, and only its top maxReach rows past it.
 	maxReach int
 }
 
-// newBand builds the n-row band whose row i reaches reach(i) columns
-// right of its diagonal, in two passes and no scratch: rowPtr first
-// holds the difference array of the left-neighbour counts.
+// newBand is buildBand for reaches the caller vouches for: it panics
+// where buildBand returns an error.
 func newBand(n int, reach func(i int) int) *Band {
+	b, err := buildBand(n, reach)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// buildBand builds the n-row band whose row i reaches reach(i) columns
+// right of its diagonal, in two passes and no scratch: rowPtr first
+// holds the difference array of the left-neighbour counts. A reach
+// outside the band or past maxBandReach, or more than math.MaxInt32
+// stored entries, is an error.
+func buildBand(n int, reach func(i int) int) (*Band, error) {
 	checkSize(n)
-	b := &Band{N: n, last: make([]int32, n), rowPtr: make([]int, n+1)}
+	b := &Band{N: n, reach: make([]uint16, n), rowPtr: make([]int32, n+1)}
 	for i := 0; i < n; i++ {
 		m := reach(i)
 		if m < 0 || m > n-1-i {
-			panic(fmt.Sprintf("sparse: row %d reaches %d columns of a %d-row band", i, m, n))
+			return nil, fmt.Errorf("sparse: row %d reaches %d columns of a %d-row band", i, m, n)
 		}
-		b.last[i] = int32(i + m)
+		if m > maxBandReach {
+			return nil, fmt.Errorf("sparse: row %d reaches %d columns, past a band's limit of %d", i, m, maxBandReach)
+		}
+		b.reach[i] = uint16(m)
 		b.maxReach = max(b.maxReach, m)
 		b.rowPtr[i+1]++
 		b.rowPtr[i+1+m]--
 	}
 	left, stored := 0, 0
 	for i := 0; i < n; i++ {
-		left += b.rowPtr[i]
-		b.rowPtr[i] = stored
-		stored += left + 1 + int(b.last[i]) - i
+		left += int(b.rowPtr[i])
+		b.rowPtr[i] = int32(stored)
+		row := left + 1 + int(b.reach[i])
+		if stored > math.MaxInt32-row {
+			return nil, fmt.Errorf("sparse: rows 0..%d store more than a band's limit of %d entries", i, math.MaxInt32)
+		}
+		stored += row
 	}
-	b.rowPtr[n] = stored
-	return b
+	b.rowPtr[n] = int32(stored)
+	return b, nil
 }
 
 // VariableBand is the pattern of VariableBandLaplacian: row i couples
@@ -80,7 +102,7 @@ func BandOf(a *CSR) (*Band, error) {
 		return nil, err
 	}
 	var bad error
-	b := newBand(a.N, func(i int) int {
+	b, err := buildBand(a.N, func(i int) int {
 		row := a.Col[a.RowPtr[i]:a.RowPtr[i+1]]
 		k := 0
 		for k < len(row) && int(row[k]) < i {
@@ -99,17 +121,20 @@ func BandOf(a *CSR) (*Band, error) {
 	if bad != nil {
 		return nil, bad
 	}
+	if err != nil {
+		return nil, err
+	}
 	// Equal row lengths and every stored left column reaching its row
 	// make each row's left part exactly the rows that reach it.
 	for i := 0; i < a.N; i++ {
-		if a.RowPtr[i+1] != b.rowPtr[i+1] {
-			return nil, fmt.Errorf("sparse: row %d stores %d entries, its band %d: the pattern is not symmetric", i, a.RowPtr[i+1]-a.RowPtr[i], b.rowPtr[i+1]-b.rowPtr[i])
+		if a.RowPtr[i+1] != int(b.rowPtr[i+1]) {
+			return nil, fmt.Errorf("sparse: row %d stores %d entries, its band %d: the pattern is not symmetric", i, a.RowPtr[i+1]-a.RowPtr[i], b.RowNNZ(i, i+1))
 		}
 		for _, c := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
 			if int(c) >= i {
 				break
 			}
-			if int(b.last[c]) < i {
+			if int(c)+int(b.reach[c]) < i {
 				return nil, fmt.Errorf("sparse: row %d stores column %d, which does not reach it: the pattern is not symmetric", i, c)
 			}
 		}
@@ -118,10 +143,10 @@ func BandOf(a *CSR) (*Band, error) {
 }
 
 // NNZ returns the number of stored entries.
-func (b *Band) NNZ() int { return b.rowPtr[b.N] }
+func (b *Band) NNZ() int { return int(b.rowPtr[b.N]) }
 
 // RowNNZ returns the number of stored entries in rows [lo, hi).
-func (b *Band) RowNNZ(lo, hi int) int { return b.rowPtr[hi] - b.rowPtr[lo] }
+func (b *Band) RowNNZ(lo, hi int) int { return int(b.rowPtr[hi] - b.rowPtr[lo]) }
 
 // Pattern expands the band into a structure-only CSR (Val nil), in one
 // pass in (i, j) order: row i's left neighbours all arrive before its
@@ -131,13 +156,15 @@ func (b *Band) Pattern() *CSR {
 	a := &CSR{N: n, RowPtr: make([]int, n+1), Col: make([]int32, b.NNZ())}
 	// RowPtr[i+1] is row i's next free slot while filling, and its end
 	// afterwards.
-	copy(a.RowPtr[1:], b.rowPtr[:n])
 	next := a.RowPtr[1:]
+	for i, p := range b.rowPtr[:n] {
+		next[i] = int(p)
+	}
 	for i := 0; i < n; i++ {
 		// The left neighbours are in: the diagonal is next.
 		a.Col[next[i]] = int32(i)
 		next[i]++
-		for j := i + 1; j <= int(b.last[i]); j++ {
+		for j := i + 1; j <= i+int(b.reach[i]); j++ {
 			a.Col[next[i]] = int32(j)
 			a.Col[next[j]] = int32(i)
 			next[i]++
@@ -189,13 +216,13 @@ func (b *Band) plan(hp *HaloPlan, part Partition) error {
 			for c < part.Starts[q] {
 				q--
 			}
-			if int(b.last[c]) >= lo {
+			if c+int(b.reach[c]) >= lo {
 				from[q]++
 			}
 		}
 		top := hi - 1
-		for _, l := range b.last[max(lo, hi-b.maxReach):hi] {
-			top = max(top, int(l))
+		for i := max(lo, hi-b.maxReach); i < hi; i++ {
+			top = max(top, i+int(b.reach[i]))
 		}
 		for q := r + 1; q < p && part.Starts[q] <= top; q++ {
 			from[q] += min(top+1, part.Starts[q+1]) - part.Starts[q]

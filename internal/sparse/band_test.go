@@ -1,8 +1,11 @@
 package sparse
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -166,4 +169,88 @@ func TestReusedPlanMatchesFresh(t *testing.T) {
 	if _, err := prior.AcquirePlan(EvenPartition(prior.N+1, 2)); err == nil {
 		t.Error("AcquirePlan planned a partition of another size")
 	}
+}
+
+// TestBandReachLimit pins a band's farthest reach, maxBandReach: a row
+// reaching exactly that far is kept and read back by BandOf, and one
+// column farther VariableBand panics, newBand too, and BandOf returns
+// an error naming the limit.
+func TestBandReachLimit(t *testing.T) {
+	// Row 0 reaches every later row; no other row reaches any.
+	fan := func(n int) func(int) int {
+		return func(i int) int {
+			if i == 0 {
+				return n - 1
+			}
+			return 0
+		}
+	}
+	n := maxBandReach + 1
+	b := newBand(n, fan(n))
+	if b.maxReach != maxBandReach || b.NNZ() != n+2*maxBandReach {
+		t.Fatalf("a row reaching %d columns: maxReach %d, NNZ %d, want %d and %d", maxBandReach, b.maxReach, b.NNZ(), maxBandReach, n+2*maxBandReach)
+	}
+	if got, err := BandOf(b.Pattern()); err != nil || !reflect.DeepEqual(got, b) {
+		t.Fatalf("BandOf(Pattern) of a row reaching %d columns: err %v", maxBandReach, err)
+	}
+
+	// The same fan one row taller: row 0 reaches one column past the limit.
+	n++
+	over := &CSR{N: n, RowPtr: make([]int, n+1)}
+	for i := 0; i < n; i++ {
+		if i == 0 {
+			for j := 0; j < n; j++ {
+				over.Col = append(over.Col, int32(j))
+			}
+		} else {
+			over.Col = append(over.Col, 0, int32(i))
+		}
+		over.RowPtr[i+1] = len(over.Col)
+	}
+	if _, err := BandOf(over); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Errorf("BandOf of a row reaching %d columns: err %v, want the reach limit", n-1, err)
+	}
+	mustPanic(t, "newBand past the reach limit", func() { newBand(n, fan(n)) })
+	mustPanic(t, "VariableBand past the reach limit", func() {
+		VariableBand(2*(maxBandReach+1), 2*(maxBandReach+1), 2*(maxBandReach+1), 1)
+	})
+}
+
+// TestBandEntryLimit pins a band's entry count at math.MaxInt32, the
+// limit of its int32 row pointers: reaches that store exactly that many
+// entries build, two more (a reach adds an entry and its mirror) are an
+// error, and VariableBand panics past it. BandOf shares the check, but
+// a CSR it could refuse on this count holds over 2³⁰ columns, too many
+// for a test.
+func TestBandEntryLimit(t *testing.T) {
+	const n = 100_001
+	// Rows from the top reach as far as they may until the band stores
+	// total entries: n diagonals and twice the reaches.
+	reaching := func(total int64) func(int) int {
+		left := (total - n) / 2
+		return func(i int) int {
+			m := min(int64(maxBandReach), int64(n-1-i), left)
+			left -= m
+			return int(m)
+		}
+	}
+	b, err := buildBand(n, reaching(math.MaxInt32))
+	if err != nil || int64(b.NNZ()) != math.MaxInt32 || b.RowNNZ(0, n) != b.NNZ() {
+		t.Fatalf("a band of %d entries: err %v, NNZ %d", int64(math.MaxInt32), err, b.NNZ())
+	}
+	if _, err := buildBand(n, reaching(math.MaxInt32+2)); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Errorf("a band of %d entries: err %v, want the entry limit", int64(math.MaxInt32)+2, err)
+	}
+	mustPanic(t, "VariableBand past the entry limit", func() { VariableBand(2*maxBandReach, 2*maxBandReach, 2*maxBandReach, 1) })
+}
+
+// mustPanic fails the test unless f panics with the band limit.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "limit") {
+			t.Errorf("%s: recovered %v, want a panic naming the limit", what, r)
+		}
+	}()
+	f()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"harmony/internal/simmpi"
@@ -17,24 +18,59 @@ import (
 // catches any slide back. VariableBand allocates the band and its two
 // row arrays, its Pattern the CSR with its row pointers and columns,
 // and VariableBandLaplacian adds the values, so their ceiling is a
-// fixed handful.
+// fixed handful. VariableBand's bytes are pinned too, at 7 per row: its
+// uint16 reaches and int32 row pointers take 6 per row, and size-class
+// rounding lifts them to ~6.2 at 2000 rows, where the int32 last
+// columns and int row pointers it held before took ~12.
 func TestBuilderAllocationRegression(t *testing.T) {
+	const n = 2000
 	cases := []struct {
 		name      string
 		build     func()
 		maxAllocs float64
+		maxBytes  float64 // per build, size-class rounding included; 0 = unpinned
 	}{
-		{"Poisson2D", func() { Poisson2D(64, 64) }, 128},
-		{"DenseBlockLaplacian", func() { DenseBlockLaplacian(2000, []Block{{5, 100}, {900, 200}}) }, 128},
-		{"VariableBand", func() { VariableBand(2000, 2, 16, 4) }, 3},
-		{"VariableBand.Pattern", func() { VariableBand(2000, 2, 16, 4).Pattern() }, 6},
-		{"VariableBandLaplacian", func() { VariableBandLaplacian(2000, 2, 16, 4) }, 8},
+		{"Poisson2D", func() { Poisson2D(64, 64) }, 128, 0},
+		{"DenseBlockLaplacian", func() { DenseBlockLaplacian(n, []Block{{5, 100}, {900, 200}}) }, 128, 0},
+		{"VariableBand", func() { VariableBand(n, 2, 16, 4) }, 3, 7 * n},
+		{"VariableBand.Pattern", func() { VariableBand(n, 2, 16, 4).Pattern() }, 6, 0},
+		{"VariableBandLaplacian", func() { VariableBandLaplacian(n, 2, 16, 4) }, 8, 0},
 	}
 	for _, tc := range cases {
 		allocs := testing.AllocsPerRun(10, tc.build)
 		if allocs > tc.maxAllocs {
 			t.Errorf("%s: %v allocs per build, want <= %v (nnz-proportional allocation regression)", tc.name, allocs, tc.maxAllocs)
 		}
+		if tc.maxBytes == 0 || raceEnabled {
+			continue
+		}
+		if bytes := bytesPerRun(10, tc.build); bytes > tc.maxBytes {
+			t.Errorf("%s: %v bytes per build, want <= %v", tc.name, bytes, tc.maxBytes)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes an
+// average call of f allocates, size-class rounding included, after one
+// warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// BenchmarkVariableBand builds the Fig. 2 large case's band, whose
+// build every SLES campaign pays: B/op is the band's footprint.
+func BenchmarkVariableBand(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		VariableBand(6000, 4, 120, 2)
 	}
 }
 

@@ -26,8 +26,10 @@
 // (Val nil) plans like any other, and the numeric product (DistMatrix,
 // MulVec) refuses it.
 //
-// A Band holds a symmetric pattern as each row's reach, O(rows) memory
+// A Band holds a symmetric pattern as each row's reach, 6 bytes per row
 // whatever its stored entries: the form a cost-only application keeps.
+// A reach is at most 65 535 columns (maxBandReach) and a band stores at
+// most math.MaxInt32 entries.
 // Both Fig. 2 matrices are bands (VariableBand; BandOf of a dense-block
 // Laplacian), and a Band plans a partition from the reaches alone, with
 // no column list to read, into the plan NewHaloPlan builds from its
@@ -44,6 +46,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -67,6 +70,10 @@ func checkSize(n int) {
 		panic(fmt.Sprintf("sparse: %d rows do not fit int32 columns", n))
 	}
 }
+
+// maxBandReach is the farthest a Band row may reach right of its
+// diagonal: reaches are held as uint16, and row pointers as int32.
+const maxBandReach = math.MaxUint16
 
 // hasValues reports whether a stores a value for every entry.
 func (a *CSR) hasValues() bool { return len(a.Val) == len(a.Col) }
@@ -396,7 +403,9 @@ func FromBoundariesInto(starts []int, n int, bounds []int) Partition {
 	}
 	starts[0] = 0
 	copy(starts[1:p], bounds)
-	sort.Ints(starts[1:p])
+	// slices.Sort, not sort.Ints: through sort.Ints a 386 build lets
+	// starts escape, and with it the SLES objective's stack array.
+	slices.Sort(starts[1:p])
 	starts[p] = n
 	for i := 1; i < p; i++ {
 		b := starts[i]
