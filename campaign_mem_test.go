@@ -100,7 +100,7 @@ func TestReplayedCampaignHeapCeiling(t *testing.T) {
 	c.Options = core.Options{MaxRuns: 40, MaxProposals: 120, Workers: 2}
 	cache := history.NewEvalCache()
 	campaign := func() *core.Result {
-		c.Options.Cache = cache.Bound("fig4-pop", m.Fingerprint(), c.Space)
+		c.Options.Cache = cache.BoundNS("fig4-pop", m.Fingerprint(), "", c.Space)
 		res, err := c.Tune(context.Background())
 		if err != nil {
 			t.Fatal(err)

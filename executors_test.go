@@ -16,11 +16,11 @@ import (
 // states: no option selects the simmpi coroutine executor or the
 // numeric SLES run. Outside tests and bench/, only the SNES cavity
 // application, whose solve depends on values, calls simmpi.Run, and
-// nothing calls the numeric CG solve (ksp.CG, ksp.CGWith), which only
+// nothing calls the numeric CG solve (ksp.CG), which only
 // the SLES skeleton's differential test runs. A new caller fails here
 // until the documents and this list say why it needs values.
 func TestValuedRunsHaveOneCaller(t *testing.T) {
-	valued := map[string]bool{"simmpi.Run": true, "ksp.CG": true, "ksp.CGWith": true}
+	valued := map[string]bool{"simmpi.Run": true, "ksp.CG": true}
 	callers := map[string]bool{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {

@@ -33,42 +33,35 @@ type Analyzer struct {
 	// fixture packages under testdata/src/<name> are analyzed exactly
 	// like the real package of the same name.
 	Applies func(pkgPath string) bool
-	// Run inspects the packages the analyzer applies to and reports
+	// run inspects the packages the analyzer applies to and reports
 	// findings through the pass.
-	Run func(p *Pass)
+	run func(p *pass)
 }
 
-// Program is what every analyzer is handed: the packages named by the
-// run's patterns, the set the user asked to vet and the only one
-// findings are reported in, and the file set their positions resolve
-// in.
-type Program struct {
-	Pkgs []*Package
-	Fset *token.FileSet
-}
-
-// Pass carries one (analyzer, program) run.
-type Pass struct {
-	Analyzer *Analyzer
-	Prog     *Program
+// pass carries one analyzer's run over the packages named by the run's
+// patterns: the set the user asked to vet and the only one findings
+// are reported in.
+type pass struct {
+	analyzer *Analyzer
+	pkgs     []*Package
 	findings []Finding
 }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+// reportf records a finding at pos.
+func (p *pass) reportf(pos token.Pos, format string, args ...any) {
 	p.findings = append(p.findings, Finding{
-		Pos:      p.Prog.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
+		Pos:      fileSet.Position(pos),
+		Analyzer: p.analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
-// Packages returns the pattern packages the analyzer applies to: the
+// packages returns the pattern packages the analyzer applies to: the
 // packages it reports on.
-func (p *Pass) Packages() []*Package {
+func (p *pass) packages() []*Package {
 	var out []*Package
-	for _, pkg := range p.Prog.Pkgs {
-		if p.Analyzer.Applies == nil || p.Analyzer.Applies(pkg.Path) {
+	for _, pkg := range p.pkgs {
+		if p.analyzer.Applies == nil || p.analyzer.Applies(pkg.Path) {
 			out = append(out, pkg)
 		}
 	}
@@ -209,7 +202,6 @@ func suppressed(f Finding, sups []suppression) bool {
 // and malformed-directive findings come from those packages alone:
 // vetting one directory surfaces nothing about the packages it imports.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	prog := &Program{Pkgs: pkgs, Fset: fileSet}
 	var out []Finding
 	var sups []suppression
 	for _, pkg := range pkgs {
@@ -219,8 +211,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	}
 
 	for _, a := range analyzers {
-		p := &Pass{Analyzer: a, Prog: prog}
-		a.Run(p)
+		p := &pass{analyzer: a, pkgs: pkgs}
+		a.run(p)
 		for _, f := range p.findings {
 			if !suppressed(f, sups) {
 				out = append(out, f)

@@ -33,9 +33,9 @@ func loadFixture(t *testing.T, dir string) *Package {
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", dir))
+	pkg, err := l.loadDir(filepath.Join("testdata", "src", dir))
 	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", dir, err)
+		t.Fatalf("loadDir(%s): %v", dir, err)
 	}
 	return pkg
 }
@@ -188,7 +188,7 @@ func TestLoadersShareStdlib(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if pkgs[i], err = l.Import("encoding/json"); err != nil {
+			if pkgs[i], err = l.importPkg("encoding/json"); err != nil {
 				t.Error(err)
 			}
 		}()

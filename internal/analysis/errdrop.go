@@ -16,11 +16,11 @@ var errdropAnalyzer = &Analyzer{
 	Name:    "errdrop",
 	Doc:     "no silently discarded error results in the protocol packages",
 	Applies: baseIn("proto", "server", "client"),
-	Run: func(p *Pass) {
-		for _, pkg := range p.Packages() {
+	run: func(p *pass) {
+		for _, pkg := range p.packages() {
 			report := func(call *ast.CallExpr, how string) {
 				if callDropsError(pkg.Info, call) {
-					p.Reportf(call.Pos(), "%s from %s is discarded; handle it or assign it to _ explicitly",
+					p.reportf(call.Pos(), "%s from %s is discarded; handle it or assign it to _ explicitly",
 						how, calleeText(call))
 				}
 			}

@@ -104,10 +104,15 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Import resolves an import path during type-checking: module
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// importPkg resolves an import path during type-checking: module
 // packages load from source in the module tree, the rest delegates to
-// the stdlib source importer. Import makes *Loader a types.Importer.
-func (l *Loader) Import(path string) (*types.Package, error) {
+// the stdlib source importer.
+func (l *Loader) importPkg(path string) (*types.Package, error) {
 	if path == l.module || strings.HasPrefix(path, l.module+"/") {
 		pkg, err := l.loadPath(path)
 		if err != nil {
@@ -127,7 +132,7 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 		return pkg, nil
 	}
 	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.module), "/")
-	pkg, err := l.LoadDir(filepath.Join(l.root, filepath.FromSlash(rel)))
+	pkg, err := l.loadDir(filepath.Join(l.root, filepath.FromSlash(rel)))
 	if err != nil {
 		return nil, err
 	}
@@ -135,13 +140,13 @@ func (l *Loader) loadPath(path string) (*Package, error) {
 	return pkg, nil
 }
 
-// LoadDir parses and type-checks the non-test Go files of one
+// loadDir parses and type-checks the non-test Go files of one
 // directory. The package's import path is derived from its location
 // in the module tree, so fixture packages under testdata get paths
 // like "harmony/internal/analysis/testdata/src/simmpi" — analyzers
 // that select packages by final path element apply to them exactly as
 // they would to the real package.
-func (l *Loader) LoadDir(dir string) (*Package, error) {
+func (l *Loader) loadDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -187,7 +192,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 
 	var typeErrs []error
 	conf := types.Config{
-		Importer: l,
+		Importer: importerFunc(l.importPkg),
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	info := &types.Info{
@@ -264,7 +269,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	sort.Strings(dirs)
 	pkgs := make([]*Package, 0, len(dirs))
 	for _, dir := range dirs {
-		pkg, err := l.LoadDir(dir)
+		pkg, err := l.loadDir(dir)
 		if err != nil {
 			return nil, err
 		}

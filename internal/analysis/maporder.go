@@ -48,8 +48,8 @@ var maporderAnalyzer = &Analyzer{
 	Name:    "maporder",
 	Doc:     "no order-sensitive work inside map-range loops; iterate sorted keys",
 	Applies: everywhere,
-	Run: func(p *Pass) {
-		for _, pkg := range p.Packages() {
+	run: func(p *pass) {
+		for _, pkg := range p.packages() {
 			inspect(pkg, func(n ast.Node) bool {
 				rs, ok := n.(*ast.RangeStmt)
 				if !ok {
@@ -63,7 +63,7 @@ var maporderAnalyzer = &Analyzer{
 					return true
 				}
 				if reason := mapLoopHazard(pkg.Info, rs); reason != "" {
-					p.Reportf(rs.For, "map iteration order is random: %s; iterate sorted keys instead", reason)
+					p.reportf(rs.For, "map iteration order is random: %s; iterate sorted keys instead", reason)
 				}
 				return true
 			})

@@ -28,15 +28,15 @@ var wallclockAnalyzer = &Analyzer{
 	Applies: baseIn(
 		"simmpi", "cluster", "sparse", "pop", "gs2", "petscsim", "ksp", "snes",
 	),
-	Run: func(p *Pass) {
-		for _, pkg := range p.Packages() {
+	run: func(p *pass) {
+		for _, pkg := range p.packages() {
 			inspect(pkg, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
 				if fn := calleePkgFunc(pkg.Info, call, "time"); fn != nil && wallclockFuncs[fn.Name()] {
-					p.Reportf(call.Pos(), "time.%s reads the wall clock in a virtual-time package; derive time from the simulated World clock", fn.Name())
+					p.reportf(call.Pos(), "time.%s reads the wall clock in a virtual-time package; derive time from the simulated World clock", fn.Name())
 				}
 				return true
 			})

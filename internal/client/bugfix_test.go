@@ -53,7 +53,7 @@ func TestMuxFailureUnblocksCalls(t *testing.T) {
 	if _, _, err := sess.Fetch(); err == nil {
 		t.Fatal("Fetch on a dead mux returned success")
 	}
-	if m.Err() == nil {
+	if m.failure() == nil {
 		t.Error("mux did not latch its terminal error")
 	}
 	// Later calls fail fast with the latched error.
@@ -116,7 +116,7 @@ func TestMuxFailedCallDropsRecord(t *testing.T) {
 }
 
 // TestMuxCloseUnblocksCalls: a local Close while a call is in flight
-// delivers ErrMuxClosed instead of deadlocking.
+// delivers errMuxClosed instead of deadlocking.
 func TestMuxCloseUnblocksCalls(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
@@ -146,8 +146,8 @@ func TestMuxCloseUnblocksCalls(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if err := <-done; !errors.Is(err, ErrMuxClosed) {
-		t.Errorf("in-flight call got %v, want ErrMuxClosed", err)
+	if err := <-done; !errors.Is(err, errMuxClosed) {
+		t.Errorf("in-flight call got %v, want errMuxClosed", err)
 	}
 	_ = b.Close()
 }

@@ -50,7 +50,6 @@ func TestMuxReleasesMutex(t *testing.T) {
 		{"Best", func() error { _, _, err := sess.Best(); return err }, false},
 		{"Fetch (server error)", func() error { _, _, err := sess.Fetch(); return err }, true},
 		{"Done", func() error { return sess.Done() }, false},
-		{"Err", func() error { return m.Err() }, false},
 		{"Close", func() error { return m.Close() }, false},
 		{"Fetch (closed)", func() error { _, _, err := m.Attach("s1").Fetch(); return err }, true},
 		{"Register (closed)", func() error { _, err := m.Register(Registration{Space: testSpace()}); return err }, true},
@@ -84,10 +83,9 @@ func TestMuxReleasesMutexAfterPeerDrops(t *testing.T) {
 	// races their last hold of the mutex.
 	m.wg.Wait()
 	requireMuxUnlocked(t, m, "Fetch (peer dropped)")
-	if m.Err() == nil {
+	if m.failure() == nil {
 		t.Fatal("a failed mux reports no error")
 	}
-	requireMuxUnlocked(t, m, "Err")
 	if _, _, err := m.Attach("s1").Best(); err == nil {
 		t.Fatal("Best over a dropped peer returned success")
 	}

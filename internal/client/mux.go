@@ -17,8 +17,8 @@ import (
 	"harmony/internal/proto"
 )
 
-// ErrMuxClosed is returned by calls on a Mux that was closed locally.
-var ErrMuxClosed = errors.New("client: mux closed")
+// errMuxClosed is returned by calls on a Mux that was closed locally.
+var errMuxClosed = errors.New("client: mux closed")
 
 // muxOpQueue bounds the operations waiting for the writer goroutine.
 // When it fills, callers block in their round trip — backpressure
@@ -126,17 +126,17 @@ func (m *Mux) fail(err error) {
 	}
 }
 
-// Err returns the terminal error of a failed mux, or nil while it is
-// healthy.
-func (m *Mux) Err() error {
+// failure returns the terminal error of a failed mux, or nil while it
+// is healthy.
+func (m *Mux) failure() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.err
 }
 
-// Close shuts the mux down. In-flight calls fail with ErrMuxClosed.
+// Close shuts the mux down. In-flight calls fail with errMuxClosed.
 func (m *Mux) Close() error {
-	m.fail(ErrMuxClosed)
+	m.fail(errMuxClosed)
 	m.wg.Wait()
 	return nil
 }
@@ -252,7 +252,7 @@ func (m *Mux) roundTrip(msg proto.Message, reply *proto.Message) error {
 	select {
 	case m.ops <- c:
 	case <-m.done:
-		return m.Err()
+		return m.failure()
 	}
 	var ok bool
 	select {
@@ -265,7 +265,7 @@ func (m *Mux) roundTrip(msg proto.Message, reply *proto.Message) error {
 		}
 	}
 	if !ok {
-		return m.Err()
+		return m.failure()
 	}
 	*reply, c.reply = c.reply, *reply
 	m.mu.Lock()

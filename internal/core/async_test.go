@@ -133,7 +133,7 @@ func TestTuneAsyncEvalCacheTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := history.NewEvalCache().Bound("bowl", "m", sp)
+	cache := history.NewEvalCache().BoundNS("bowl", "m", "", sp)
 	opt.Cache = cache
 	cold, err := Tune(context.Background(), sp, mk(), parBowl, opt)
 	if err != nil {
@@ -170,7 +170,7 @@ func TestTuneAsyncSurrogatePerCandidate(t *testing.T) {
 		evals.Add(1)
 		return parBowl(ctx, cfg)
 	}
-	cache := history.NewEvalCache().Bound("bowl", "m", sp)
+	cache := history.NewEvalCache().BoundNS("bowl", "m", "", sp)
 	res, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 17}), counted,
 		Options{MaxRuns: 200, MaxProposals: 200, RunOverhead: 3, Workers: 4, Async: true,

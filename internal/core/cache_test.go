@@ -68,7 +68,7 @@ func TestTuneEvalCacheTransparent(t *testing.T) {
 		t.Fatalf("Tune (uncached): %v", err)
 	}
 
-	cache := history.NewEvalCache().Bound("bowl", "m", sp)
+	cache := history.NewEvalCache().BoundNS("bowl", "m", "", sp)
 	optCold := opt
 	optCold.Cache = cache
 	cold, err := Tune(context.Background(), sp, newStrat(), bowl, optCold)
@@ -110,7 +110,7 @@ func TestTuneParallelEvalCacheTransparent(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		cache := history.NewEvalCache().Bound("bowl", "m", sp)
+		cache := history.NewEvalCache().BoundNS("bowl", "m", "", sp)
 		copt := opt
 		copt.Cache = cache
 		copt.Workers = workers
@@ -150,7 +150,7 @@ func TestTuneCacheNeverStoresFailures(t *testing.T) {
 		}
 		return bowl(context.Background(), cfg)
 	}
-	cache := history.NewEvalCache().Bound("bowl", "m", sp)
+	cache := history.NewEvalCache().BoundNS("bowl", "m", "", sp)
 	opt := Options{MaxRuns: 30, Cache: cache}
 	first, err := Tune(context.Background(), sp, search.NewSimplex(sp, search.SimplexOptions{}), obj, opt)
 	if err != nil {

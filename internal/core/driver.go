@@ -87,7 +87,7 @@ func (s *tuneScratch) job(key string, cfg space.Config) *evalJob {
 // reset empties the scratch for the next campaign, keeping its storage:
 // nothing of the last campaign survives in it.
 func (s *tuneScratch) reset() {
-	s.win.Recycle(s.committed)
+	s.win.recycle(s.committed)
 	s.committed = s.committed[:0]
 	for _, j := range s.jobs[:s.used] {
 		*j = evalJob{}
@@ -269,7 +269,7 @@ func (s *tuneScratch) tune(ctx context.Context, sp *space.Space, strat search.St
 		var wanted []space.Point // desired and not yet prefetched, likeliest first
 		for _, pt := range speculator.Speculate(idle) {
 			key := pt.Key()
-			if desired[key] || win.Memoised(key) {
+			if desired[key] || win.memoised(key) {
 				continue
 			}
 			if opt.Cache != nil {
@@ -343,13 +343,13 @@ func (s *tuneScratch) tune(ctx context.Context, sp *space.Space, strat search.St
 		res.Proposals++
 		s.committed = append(s.committed, c)
 		switch c.Kind {
-		case Pruned:
+		case pruned:
 			// Answered with the model's prediction: logged, reported to
 			// the strategy so the search can move on, charged to no
 			// account, never eligible for Best, FirstValue or any cache.
 			res.SurrogatePruned++
 			return nil
-		case Follower:
+		case follower:
 			return nil
 		}
 		v, verr := c.Measured, c.Payload.failure()
@@ -413,7 +413,7 @@ func (s *tuneScratch) tune(ctx context.Context, sp *space.Space, strat search.St
 		res.Converged = true
 	}
 	if res.Runs == 0 {
-		return res, ErrNoEvaluations
+		return res, errNoEvaluations
 	}
 	return res, nil
 }
@@ -423,7 +423,7 @@ func (s *tuneScratch) tune(ctx context.Context, sp *space.Space, strat search.St
 // have drained, so every payload it reads is final. A row keeps its
 // candidate's point, which the strategy handed out and no one else
 // holds. Runs are numbered over the charged candidates; a Pruned trial
-// carries the model's prediction, a Follower its leader's outcome.
+// carries the model's prediction, a follower its leader's outcome.
 func logTrials(res *Result, committed []*Candidate[*evalJob]) {
 	res.Trials = make([]Trial, len(committed))
 	runs := 0
@@ -431,9 +431,9 @@ func logTrials(res *Result, committed []*Candidate[*evalJob]) {
 		t := &res.Trials[i]
 		t.Proposal, t.Point = i+1, c.Pt
 		switch c.Kind {
-		case Pruned:
+		case pruned:
 			t.Value, t.Pruned = c.Predicted, true
-		case Follower:
+		case follower:
 			t.Cached, t.Value, t.Err = true, c.Leader.Measured, c.Leader.Payload.failure()
 		default:
 			runs++

@@ -305,7 +305,7 @@ func TestTuneParallelRaceStress(t *testing.T) {
 // campaign into another shows.
 func TestConcurrentTunesShareNothing(t *testing.T) {
 	sp := parallelSpace(t)
-	cache := func() PointCache { return history.NewEvalCache().Bound("bowl", "m", sp) }
+	cache := func() PointCache { return history.NewEvalCache().BoundNS("bowl", "m", "", sp) }
 	surrogate := &SurrogateOptions{Model: perfectModel}
 	campaigns := []struct {
 		name  string

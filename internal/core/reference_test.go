@@ -108,7 +108,7 @@ func referenceTune(ctx context.Context, sp *space.Space, strat search.Strategy, 
 		strat.Report(pt, value)
 	}
 	if res.Runs == 0 {
-		return res, ErrNoEvaluations
+		return res, errNoEvaluations
 	}
 	return res, nil
 }
@@ -172,7 +172,7 @@ func TestTuneMatchesReferenceLoop(t *testing.T) {
 					opt := sc.opt
 					if sc.warm {
 						// Both sides read the same pre-filled cache.
-						opt.Cache = history.NewEvalCache().Bound("bowl", "m", sp)
+						opt.Cache = history.NewEvalCache().BoundNS("bowl", "m", "", sp)
 						if _, err := referenceTune(context.Background(), sp, st.mk(seed), sc.obj, opt); err != nil {
 							t.Fatal(err)
 						}

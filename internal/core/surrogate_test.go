@@ -374,7 +374,7 @@ func TestSurrogateClassificationOrder(t *testing.T) {
 	sp := parallelSpace(t)
 	first, rejectedCached, keptCached, last := space.Point{20, 20, 20}, space.Point{0, 0, 0}, space.Point{25, 5, 5}, space.Point{24, 5, 5}
 	ec := history.NewEvalCache()
-	cache := ec.Bound("bowl", "m", sp)
+	cache := ec.BoundNS("bowl", "m", "", sp)
 	cache.Store(rejectedCached, 7)
 	cache.Store(keptCached, 8)
 	obj, measured := measuring()
@@ -413,7 +413,7 @@ func TestSurrogatePredictionsNeverMeasured(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		ec := history.NewEvalCache()
-		cache := ec.Bound("bowl", "m", sp)
+		cache := ec.BoundNS("bowl", "m", "", sp)
 		strat := &scriptedRounds{rounds: [][]space.Point{round}}
 		res, err := Tune(context.Background(), sp, strat, parBowl,
 			Options{Workers: workers, RunOverhead: 3, Cache: cache, Surrogate: &SurrogateOptions{Model: tiny}})

@@ -13,7 +13,7 @@ import (
 
 // TestLogTrials pins how committed candidates become the trial log: runs
 // numbered over the charged ones, a Pruned row at its prediction, a
-// Follower at its leader's outcome; a row takes its candidate's point,
+// follower at its leader's outcome; a row takes its candidate's point,
 // so rendering the log allocates once, whatever its length.
 func TestLogTrials(t *testing.T) {
 	boom := errors.New("boom")
@@ -21,11 +21,11 @@ func TestLogTrials(t *testing.T) {
 	failed := &Candidate[*evalJob]{Kind: Work, Pt: space.Point{2}, Measured: math.Inf(1), Payload: &evalJob{err: boom}}
 	committed := []*Candidate[*evalJob]{
 		work,
-		{Kind: Pruned, Pt: space.Point{3}, Predicted: 0.5},
+		{Kind: pruned, Pt: space.Point{3}, Predicted: 0.5},
 		failed,
-		{Kind: Follower, Pt: space.Point{2}, Leader: failed},
+		{Kind: follower, Pt: space.Point{2}, Leader: failed},
 		{Kind: CacheHit, Pt: space.Point{4}, Measured: 7},
-		{Kind: Follower, Pt: space.Point{1}, Leader: work},
+		{Kind: follower, Pt: space.Point{1}, Leader: work},
 	}
 	res := &Result{}
 	logTrials(res, committed)

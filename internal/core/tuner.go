@@ -72,7 +72,7 @@ type Options struct {
 	// Workers is the number of objective evaluations that may run at
 	// once (0 means 1). The engine issues each round of the strategy —
 	// what its Ask hands out before it stalls: a PRO phase, a sampler's
-	// DefaultBatchStride points — as a whole, so up to Workers of its
+	// batch of points — as a whole, so up to Workers of its
 	// evaluations overlap, and with more than one worker it
 	// speculatively prefetches the follow-up candidates of a sequential
 	// simplex step. Result accounting (Runs, Trials, TuningCost,
@@ -212,6 +212,6 @@ func (r *Result) Speedup() float64 {
 	return r.FirstValue / r.BestValue
 }
 
-// ErrNoEvaluations is returned when the session ends before any
+// errNoEvaluations is returned when the session ends before any
 // configuration was evaluated.
-var ErrNoEvaluations = errors.New("core: tuning session performed no evaluations")
+var errNoEvaluations = errors.New("core: tuning session performed no evaluations")

@@ -212,8 +212,8 @@ func TestTuneNoEvaluations(t *testing.T) {
 	_ = err
 	empty := search.NewSystematic(space.MustNew(space.IntParam("x", 0, 0, 1)), 0)
 	_, err = Tune(context.Background(), sp, empty, bowl, Options{})
-	if !errors.Is(err, ErrNoEvaluations) {
-		t.Errorf("err = %v, want ErrNoEvaluations", err)
+	if !errors.Is(err, errNoEvaluations) {
+		t.Errorf("err = %v, want errNoEvaluations", err)
 	}
 }
 

@@ -35,8 +35,8 @@ const (
 	Work      CandKind = iota // the driver measures it (Complete); charged
 	CacheHit                  // answered by the evaluation cache at issue; charged
 	Forfeited                 // undecodable under the forfeit policy: charged, answered at +Inf
-	Follower                  // duplicates an earlier charged candidate (memo); free
-	Pruned                    // rejected by the surrogate gate: free, answered at the prediction
+	follower                  // duplicates an earlier charged candidate (memo); free
+	pruned                    // rejected by the surrogate gate: free, answered at the prediction
 )
 
 // Candidate is one sequence-numbered proposal of the window. Measured
@@ -50,8 +50,8 @@ type Candidate[P any] struct {
 	Pt        space.Point
 	Cfg       space.Config  // decoded for a Work candidate only
 	Measured  float64       // a charged candidate's genuine value: the driver's, the cache's, +Inf for a forfeit
-	Predicted float64       // the gate's score, if it screened the group: what a Pruned candidate is answered at
-	Leader    *Candidate[P] // the charged candidate a Follower duplicates; it commits first
+	Predicted float64       // the gate's score, if it screened the group: what a pruned candidate is answered at
+	Leader    *Candidate[P] // the charged candidate a follower duplicates; it commits first
 	Kept      bool          // charged after the gate scored it and let it through
 	// ClosesRound marks the last candidate of a group the strategy's
 	// stall closed: the strategy hears of the round when it commits.
@@ -100,7 +100,7 @@ type Window[P any] struct {
 	// classified — and scored by the gate — as one group. A bounded
 	// Depth is a pipeline, asked and classified one candidate at a time.
 	Depth int
-	// Memo makes a duplicate of a charged point a free Follower (off-line:
+	// Memo makes a duplicate of a charged point a free follower (off-line:
 	// re-running a benchmark run is pure cost). Off, it is measured and
 	// charged again (on-line: the running application is re-observed).
 	Memo bool
@@ -182,15 +182,15 @@ func (w *Window[P]) Head() *Candidate[P] {
 	return w.buf[w.head]
 }
 
-// Open reports whether a Refill may still issue candidates: no budget,
+// open reports whether a Refill may still issue candidates: no budget,
 // cap or error has ended the search.
-func (w *Window[P]) Open() bool {
+func (w *Window[P]) open() bool {
 	return !w.Exhausted && w.Err == nil && w.issued < w.MaxProposals
 }
 
-// Memoised reports whether a point with this key has been charged, so
-// that a repeat of it would be a Follower.
-func (w *Window[P]) Memoised(key string) bool { return w.leaders[key] != nil }
+// memoised reports whether a point with this key has been charged, so
+// that a repeat of it would be a follower.
+func (w *Window[P]) memoised(key string) bool { return w.leaders[key] != nil }
 
 // Refill asks the strategy for groups of candidates (a whole round when
 // Depth is Unbounded, one candidate otherwise) and issues them until
@@ -204,7 +204,7 @@ func (w *Window[P]) Refill() []*Candidate[P] {
 	if w.Depth == Unbounded {
 		group = Unbounded
 	}
-	for w.Open() && !w.Stalled && !w.Finished && w.n < w.Depth {
+	for w.open() && !w.Stalled && !w.Finished && w.n < w.Depth {
 		w.pts, w.bad = w.pts[:0], w.bad[:0]
 		for len(w.pts) < group && w.issued+len(w.pts) < w.MaxProposals {
 			pt, ok := w.Strategy.Ask()
@@ -358,12 +358,12 @@ func (w *Window[P]) classify(c *Candidate[P], i int, keep []bool) bool {
 	if w.Memo {
 		w.key = c.Pt.AppendKey(w.key[:0])
 		if lead := w.leaders[string(w.key)]; lead != nil {
-			c.Kind, c.Leader, c.Done = Follower, lead, true
+			c.Kind, c.Leader, c.Done = follower, lead, true
 			return true
 		}
 	}
 	if keep != nil && !keep[i] {
-		c.Kind, c.Done = Pruned, true
+		c.Kind, c.Done = pruned, true
 		return true
 	}
 	if w.MaxRuns > 0 && w.Charged >= w.MaxRuns {
@@ -403,9 +403,9 @@ func (w *Window[P]) CommitHead() *Candidate[P] {
 	c.Committed = true
 	v := c.Measured
 	switch c.Kind {
-	case Pruned:
+	case pruned:
 		v = c.Predicted
-	case Follower:
+	case follower:
 		v = c.Leader.Measured
 	}
 	w.Strategy.Commit(c.Pt, v)
@@ -431,14 +431,14 @@ func (w *Window[P]) Release(c *Candidate[P]) {
 	w.free = append(w.free, c)
 }
 
-// Recycle empties the window for another session, settings included.
+// recycle empties the window for another session, settings included.
 // The candidates in flight and the committed ones passed in — every
 // committed candidate the driver has not released — are reset whole
 // and freed, and the memo, the scored table, the ring and the Refill
 // scratch are emptied but keep their storage, so a session like the
 // last allocates no candidates. The caller must hold no pointer to any
 // candidate afterwards.
-func (w *Window[P]) Recycle(committed []*Candidate[P]) {
+func (w *Window[P]) recycle(committed []*Candidate[P]) {
 	free := w.free
 	for i := range w.n {
 		free = append(free, w.At(i))

@@ -258,7 +258,7 @@ func lazySchedule(t *testing.T, name string, mk func(*space.Space, int64) search
 			t.Fatalf("%s: strategy told %v at the commit of %v", name, told, c.Pt)
 		}
 		switch c.Kind {
-		case Pruned:
+		case pruned:
 			if c.Measured != 0 {
 				t.Fatalf("%s: pruned candidate %v carries %v in its measured field", name, c.Pt, c.Measured)
 			}
@@ -267,7 +267,7 @@ func lazySchedule(t *testing.T, name string, mk func(*space.Space, int64) search
 			if c.Measured >= 1e6 && !math.IsInf(c.Measured, 1) {
 				t.Fatalf("%s: charged candidate %v committed the prediction-sized %v", name, c.Pt, c.Measured)
 			}
-		case Follower:
+		case follower:
 			t.Fatalf("%s: a follower without memo", name)
 		}
 		records = append(records, fmt.Sprintf("%v cfg=%v kind=%d measured=%x predicted=%x kept=%v closes=%v payload=%d",
@@ -450,14 +450,14 @@ func TestWindowRecycledReplaysFresh(t *testing.T) {
 						}
 						w, tape := setup(new(Window[int]))
 						want, kept := eagerTrace(w, tape, online)
-						w.Recycle(kept)
+						w.recycle(kept)
 						most = max(most, len(w.free))
 						rw, rtape := setup(recycled)
 						got, rkept := eagerTrace(rw, rtape, online)
 						if got != want {
 							t.Fatalf("%s: the recycled window's trace differs from a new window's\n got %s\nwant %s", name, got, want)
 						}
-						recycled.Recycle(rkept)
+						recycled.recycle(rkept)
 						if distinct := len(candidateSet(recycled.free)); distinct != len(recycled.free) {
 							t.Fatalf("%s: %d candidates freed, %d of them distinct", name, len(recycled.free), distinct)
 						}
@@ -485,7 +485,7 @@ func candidateSet[P any](cs []*Candidate[P]) map[*Candidate[P]]bool {
 func TestReplayedTuneMakesNoCandidate(t *testing.T) {
 	sp := parallelSpace(t)
 	s := tuneScratchPool.New().(*tuneScratch)
-	opt := Options{MaxRuns: 60, Workers: 2, Cache: history.NewEvalCache().Bound("bowl", "m", sp)}
+	opt := Options{MaxRuns: 60, Workers: 2, Cache: history.NewEvalCache().BoundNS("bowl", "m", "", sp)}
 	run := func() *Result {
 		t.Helper()
 		res, err := s.tune(context.Background(), sp, search.NewSimplex(sp, search.SimplexOptions{Restarts: 2}), parBowl, opt)

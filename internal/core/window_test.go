@@ -141,7 +141,7 @@ func TestWindowSteadyCycleAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, newWindow(keeps, CacheHit)); n != 0 {
 		t.Errorf("a gated cycle of %d kept candidates of one scored point allocates %v, want 0", depth, n)
 	}
-	if n := testing.AllocsPerRun(100, newWindow(prunes, Pruned)); n != 0 {
+	if n := testing.AllocsPerRun(100, newWindow(prunes, pruned)); n != 0 {
 		t.Errorf("a gated cycle of %d pruned candidates of one scored point allocates %v, want 0", depth, n)
 	}
 	if keeps.modelBest != 1 {

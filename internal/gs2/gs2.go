@@ -78,11 +78,11 @@ const (
 	stepOverheadSeconds = 0.5
 )
 
-// Validate checks the configuration. A grid too large to count its
+// validate checks the configuration. A grid too large to count its
 // moves on even one rank is refused; Run refuses, for its machine's
 // rank count, the grids that one rank could count and p could not.
-func (c Config) Validate() error {
-	if err := c.Layout.Validate(); err != nil {
+func (c Config) validate() error {
+	if err := c.Layout.validate(); err != nil {
 		return err
 	}
 	if c.Negrid < 2 || c.Ntheta < 2 || c.Steps < 1 {
@@ -187,7 +187,7 @@ func (c Config) plans(p int) *plans {
 		}
 		pl.work = make([]float64, p)
 		for i := range pl.work {
-			pl.work[i] = float64(chunkOf(d.N(), p, i)) * elemWeight
+			pl.work[i] = float64(chunkOf(d.n(), p, i)) * elemWeight
 		}
 	})
 	return pl
@@ -208,7 +208,7 @@ const collRedistFraction = 0.12
 // production run reports ~100× the marginal step time of a 10-step
 // benchmarking run plus the same initialisation).
 func Run(m *cluster.Machine, cfg Config) (float64, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
 	if err := countable(cfg.Dims(), m.Procs()); err != nil {

@@ -14,12 +14,12 @@ import (
 
 func TestLayoutValidate(t *testing.T) {
 	for _, l := range Layouts() {
-		if err := l.Validate(); err != nil {
+		if err := l.validate(); err != nil {
 			t.Errorf("%s: %v", l, err)
 		}
 	}
 	for _, bad := range []Layout{"", "xyle", "xylee", "xylez", "xxles"} {
-		if err := bad.Validate(); err == nil {
+		if err := bad.validate(); err == nil {
 			t.Errorf("%q: expected error", bad)
 		}
 	}
@@ -72,7 +72,7 @@ func bruteMatrix(d Dims, home, target Layout, p int) [][]int {
 		return w
 	}
 	hw, tw := place(home), place(target)
-	n := d.N()
+	n := d.n()
 	mat := make([][]int, p)
 	for i := range mat {
 		mat[i] = make([]int, p)
@@ -158,7 +158,7 @@ func TestMoveMatrixConservation(t *testing.T) {
 	// row/column totals never exceed chunk sizes.
 	d := Dims{X: 13, Y: 8, L: 5, E: 6, S: 2}
 	p := 24
-	n := d.N()
+	n := d.n()
 	mat := MoveMatrix(d, "lxyes", "xyles", p)
 	for i := 0; i < p; i++ {
 		var sent int
@@ -191,8 +191,8 @@ func TestDefaultLayoutMovesEverythingAtScale(t *testing.T) {
 	if good != 0 {
 		t.Errorf("yxles moves %d elements, want 0", good)
 	}
-	if bad < d.N()/2 {
-		t.Errorf("lxyes moves only %d of %d elements", bad, d.N())
+	if bad < d.n()/2 {
+		t.Errorf("lxyes moves only %d of %d elements", bad, d.n())
 	}
 }
 

@@ -50,8 +50,8 @@ func Layouts() []Layout {
 	return []Layout{"lxyes", "xyles", "yxles", "yxels", "lyxes", "exyls"}
 }
 
-// Validate checks the layout is a permutation of "xyles".
-func (l Layout) Validate() error {
+// validate checks the layout is a permutation of "xyles".
+func (l Layout) validate() error {
 	if len(l) != 5 {
 		return fmt.Errorf("gs2: layout %q must have 5 letters", l)
 	}
@@ -84,8 +84,8 @@ type Dims struct {
 	X, Y, L, E, S int
 }
 
-// N returns the total element count.
-func (d Dims) N() int { return d.X * d.Y * d.L * d.E * d.S }
+// n returns the total element count.
+func (d Dims) n() int { return d.X * d.Y * d.L * d.E * d.S }
 
 func (d Dims) size(c byte) int {
 	return [5]int{d.X, d.Y, d.L, d.E, d.S}[strings.IndexByte("xyles", c)]
@@ -148,7 +148,7 @@ func countMoves(d Dims, home, target Layout, p int) moves {
 // countable guarantees.
 func (mv *moves) count(d Dims, home, target Layout, p int) {
 	for _, l := range [...]Layout{home, target} {
-		if err := l.Validate(); err != nil {
+		if err := l.validate(); err != nil {
 			panic(err)
 		}
 	}
@@ -157,7 +157,7 @@ func (mv *moves) count(d Dims, home, target Layout, p int) {
 	}
 	mv.start, mv.recv = zeroed(mv.start, p+1), zeroed(mv.recv, p)
 	mv.dst, mv.n = mv.dst[:0], mv.n[:0]
-	n := d.N()
+	n := d.n()
 	if n == 0 || home == target {
 		return
 	}

@@ -57,7 +57,7 @@ func TestFrontPreservesPermutation(t *testing.T) {
 		layouts := Layouts()
 		l := layouts[int(choice)%len(layouts)]
 		for _, dims := range []string{"xy", "le", "s", "xyles"} {
-			if err := l.front(dims).Validate(); err != nil {
+			if err := l.front(dims).validate(); err != nil {
 				return false
 			}
 		}
@@ -87,7 +87,7 @@ func TestFrontIdempotent(t *testing.T) {
 // the other layout (fewest owner changes per run) and transposes the
 // result when that is the target.
 func walk(d Dims, home, target Layout, p int) [][]int {
-	if d.N() == 0 || home == target {
+	if d.n() == 0 || home == target {
 		return newMatrix(p)
 	}
 	if home.strides(d)[dimIndex(target[0])] < target.strides(d)[dimIndex(home[0])] {
@@ -101,7 +101,7 @@ func walk(d Dims, home, target Layout, p int) [][]int {
 // b's base is carried by an odometer over a's other four dimensions.
 func walkRuns(d Dims, a, b Layout, p int) [][]int {
 	mat := newMatrix(p)
-	n := d.N()
+	n := d.n()
 	bs := b.strides(d)
 	runLen := d.size(a[0])
 	s2 := bs[dimIndex(a[0])]
@@ -196,17 +196,17 @@ func (l Layout) strides(d Dims) [5]int {
 // intersects each home box with every box of every candidate owner's
 // prefix.
 func countMovesRef(d Dims, home, target Layout, p int) moves {
-	if err := home.Validate(); err != nil {
+	if err := home.validate(); err != nil {
 		panic(err)
 	}
-	if err := target.Validate(); err != nil {
+	if err := target.validate(); err != nil {
 		panic(err)
 	}
 	if p <= 0 {
 		panic(fmt.Sprintf("gs2: %d ranks", p))
 	}
 	mv := moves{start: make([]int, p+1)}
-	n := d.N()
+	n := d.n()
 	if n == 0 || home == target {
 		return mv
 	}
@@ -556,7 +556,7 @@ func TestCountRefusesWhat32BitsCannotHold(t *testing.T) {
 	cfg := Config{Layout: DefaultLayout, Negrid: 32, Ntheta: 80, Steps: 1}
 	d, target := cfg.Dims(), cfg.Layout.front("xy")
 	const edge = 1310
-	if top := edge*d.N() + edge - 1; top < 1<<31 || top >= 1<<32 {
+	if top := edge*d.n() + edge - 1; top < 1<<31 || top >= 1<<32 {
 		t.Fatalf("largest numerator %d is not between 2³¹ and 2³²", top)
 	}
 	got, want := countMoves(d, cfg.Layout, target, edge), countMovesRef(d, cfg.Layout, target, edge)
@@ -574,7 +574,7 @@ func TestCountRefusesWhat32BitsCannotHold(t *testing.T) {
 	if _, err := Run(cluster.MyrinetLinux(edge+1, 1), cfg); err == nil {
 		t.Errorf("Run on %d ranks accepted a shape whose bounds overflow 32 bits", edge+1)
 	}
-	if err := (Config{Layout: DefaultLayout, Negrid: 2000, Ntheta: 2000, Steps: 1}).Validate(); err == nil {
+	if err := (Config{Layout: DefaultLayout, Negrid: 2000, Ntheta: 2000, Steps: 1}).validate(); err == nil {
 		t.Error("Validate accepted a grid of more than 2³² elements")
 	}
 }
@@ -770,7 +770,7 @@ func TestRunColdEqualsWarm(t *testing.T) {
 				t.Errorf("%+v: a cached pattern differs from its independent count", c)
 			}
 		}
-		_, st, err := simulateCoroutine(m, cfg, ref, cfg.Steps)
+		st, err := simulateCoroutine(m, cfg, ref, cfg.Steps)
 		if err != nil {
 			t.Fatal(err)
 		}

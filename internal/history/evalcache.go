@@ -133,24 +133,19 @@ func (c *EvalCache) Counters() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Bound binds the cache to one evaluation identity, yielding the
+// BoundNS binds the cache to one evaluation identity, yielding the
 // point-level view the tuning engine consumes (core.Options.Cache).
 // app names the application and its workload (include anything that
 // changes the objective: problem size, iteration counts);
 // machineFingerprint must be cluster.Machine.Fingerprint() of the
 // simulated machine, or any string that changes whenever the
-// execution environment's cost model does.
-func (c *EvalCache) Bound(app, machineFingerprint string, sp *space.Space) *BoundCache {
-	return c.BoundNS(app, machineFingerprint, "", sp)
-}
-
-// BoundNS is Bound with an additional tenant namespace folded into the
-// evaluation identity. Sessions bound with different namespaces never
-// observe each other's measurements even when app, machine, and space
-// coincide — the isolation a multi-tenant server needs when two
-// tenants run the same benchmark under conditions the space does not
-// capture (build flags, input decks). The empty namespace is the
-// shared default and is identical to Bound.
+// execution environment's cost model does. The tenant namespace is
+// folded into the identity too: sessions bound with different
+// namespaces never observe each other's measurements even when app,
+// machine, and space coincide — the isolation a multi-tenant server
+// needs when two tenants run the same benchmark under conditions the
+// space does not capture (build flags, input decks). The empty
+// namespace is the shared default.
 //
 // Every call with the same identity returns the same BoundCache, and
 // only the first allocates.

@@ -21,7 +21,7 @@ func cacheSpace() *space.Space {
 // pins call every exported method, error paths included, and require
 // the mutex to be free after each. They are the package's first tests,
 // and a leak stops the test binary with the method named: nearly every
-// later test calls Len, Bound or a lookup, and would hang on the leaked
+// later test calls Len, BoundNS or a lookup, and would hang on the leaked
 // mutex until the timeout.
 func requireUnlocked(mu *sync.Mutex, call string) {
 	if !mu.TryLock() {
@@ -47,13 +47,12 @@ func TestEvalCacheReleasesMutex(t *testing.T) {
 	a, b, fresh := space.Point{1, 2}, space.Point{3, 4}, space.Point{5, 6}
 
 	mem := NewEvalCache()
-	mb := mem.Bound("app", "m", sp)
+	mb := mem.BoundNS("app", "m", "", sp)
 	for _, step := range []struct {
 		name string
 		call func()
 	}{
 		{"Len", func() { mem.Len() }},
-		{"Bound", func() { mem.Bound("app", "m", sp) }},
 		{"BoundNS", func() { mem.BoundNS("app", "m", "tenant", sp) }},
 		{"Lookup (miss)", func() { mb.Lookup(a) }},
 		{"Store", func() { mb.Store(a, 1) }},
@@ -77,8 +76,8 @@ func TestEvalCacheReleasesMutex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.Bound("app", "m", sp).Store(a, 1)
-	src.Bound("app", "m", sp).Store(b, 2)
+	src.BoundNS("app", "m", "", sp).Store(a, 1)
+	src.BoundNS("app", "m", "", sp).Store(b, 2)
 	if err := src.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func TestEvalCacheReleasesMutex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := c.Bound("app", "m", sp)
+	cb := c.BoundNS("app", "m", "", sp)
 	for _, step := range []struct {
 		name string
 		call func()
@@ -116,7 +115,7 @@ func TestEvalCacheReleasesMutex(t *testing.T) {
 
 func TestEvalCacheRoundTrip(t *testing.T) {
 	c := NewEvalCache()
-	b := c.Bound("app", "m1", cacheSpace())
+	b := c.BoundNS("app", "m1", "", cacheSpace())
 	pt := space.Point{3, 4}
 	if _, ok := b.Lookup(pt); ok {
 		t.Fatal("lookup hit on empty cache")
@@ -143,12 +142,12 @@ func TestEvalCacheIdentityIsolation(t *testing.T) {
 	c := NewEvalCache()
 	sp := cacheSpace()
 	pt := space.Point{5, 5}
-	c.Bound("sles", "machineA", sp).Store(pt, 1.0)
+	c.BoundNS("sles", "machineA", "", sp).Store(pt, 1.0)
 
-	if _, ok := c.Bound("pop", "machineA", sp).Lookup(pt); ok {
+	if _, ok := c.BoundNS("pop", "machineA", "", sp).Lookup(pt); ok {
 		t.Error("different application shared a cache entry")
 	}
-	if _, ok := c.Bound("sles", "machineB", sp).Lookup(pt); ok {
+	if _, ok := c.BoundNS("sles", "machineB", "", sp).Lookup(pt); ok {
 		t.Error("different machine fingerprint shared a cache entry (stale timing survives model change)")
 	}
 	// Same coordinate tuple, different lattice: {5,5} decodes to a
@@ -157,26 +156,25 @@ func TestEvalCacheIdentityIsolation(t *testing.T) {
 		space.IntParam("x", 0, 20, 2),
 		space.IntParam("y", 0, 20, 2),
 	)
-	if _, ok := c.Bound("sles", "machineA", coarse).Lookup(pt); ok {
+	if _, ok := c.BoundNS("sles", "machineA", "", coarse).Lookup(pt); ok {
 		t.Error("different space shape shared a cache entry")
 	}
 	// Enum value sets participate in the fingerprint too.
 	e1 := space.MustNew(space.EnumParam("layout", "xyles", "yxles"))
 	e2 := space.MustNew(space.EnumParam("layout", "xyles", "lexys"))
-	c.Bound("gs2", "m", e1).Store(space.Point{1}, 2.0)
-	if _, ok := c.Bound("gs2", "m", e2).Lookup(space.Point{1}); ok {
+	c.BoundNS("gs2", "m", "", e1).Store(space.Point{1}, 2.0)
+	if _, ok := c.BoundNS("gs2", "m", "", e2).Lookup(space.Point{1}); ok {
 		t.Error("different enum values shared a cache entry")
 	}
 	// The matching identity still hits.
-	if v, ok := c.Bound("sles", "machineA", sp).Lookup(pt); !ok || v != 1.0 {
+	if v, ok := c.BoundNS("sles", "machineA", "", sp).Lookup(pt); !ok || v != 1.0 {
 		t.Errorf("original identity Lookup = (%v, %v), want (1, true)", v, ok)
 	}
 }
 
 // TestBoundNSTenantIsolation: namespaces partition the cache even when
 // app, machine, and space all coincide — the multi-tenant server's
-// isolation guarantee — while the empty namespace remains identical
-// to the shared Bound view.
+// isolation guarantee.
 func TestBoundNSTenantIsolation(t *testing.T) {
 	c := NewEvalCache()
 	sp := cacheSpace()
@@ -192,12 +190,6 @@ func TestBoundNSTenantIsolation(t *testing.T) {
 	if v, ok := c.BoundNS("gs2", "mcr", "tenant-a", sp).Lookup(pt); !ok || v != 7.0 {
 		t.Errorf("tenant-a Lookup = (%v, %v), want (7, true)", v, ok)
 	}
-
-	// Bound is the empty namespace: the two views share entries.
-	c.Bound("gs2", "mcr", sp).Store(pt, 9.0)
-	if v, ok := c.BoundNS("gs2", "mcr", "", sp).Lookup(pt); !ok || v != 9.0 {
-		t.Errorf("BoundNS(\"\") Lookup = (%v, %v), want Bound's 9", v, ok)
-	}
 }
 
 func TestEvalCachePersistence(t *testing.T) {
@@ -210,7 +202,7 @@ func TestEvalCachePersistence(t *testing.T) {
 		t.Fatalf("missing file opened with %d entries", c.Len())
 	}
 	sp := cacheSpace()
-	b := c.Bound("app", "m", sp)
+	b := c.BoundNS("app", "m", "", sp)
 	b.Store(space.Point{1, 2}, 3.25)
 	b.Store(space.Point{4, 5}, 6.5)
 	if err := c.Save(); err != nil {
@@ -224,7 +216,7 @@ func TestEvalCachePersistence(t *testing.T) {
 	if c2.Len() != 2 {
 		t.Errorf("reloaded Len = %d, want 2", c2.Len())
 	}
-	v, ok := c2.Bound("app", "m", sp).Lookup(space.Point{1, 2})
+	v, ok := c2.BoundNS("app", "m", "", sp).Lookup(space.Point{1, 2})
 	if !ok || v != 3.25 {
 		t.Errorf("reloaded Lookup = (%v, %v), want (3.25, true)", v, ok)
 	}
@@ -242,7 +234,7 @@ func TestOpenEvalCacheCorrupt(t *testing.T) {
 
 func TestEvalCacheInMemorySaveIsNoop(t *testing.T) {
 	c := NewEvalCache()
-	c.Bound("a", "m", cacheSpace()).Store(space.Point{0, 0}, 1)
+	c.BoundNS("a", "m", "", cacheSpace()).Store(space.Point{0, 0}, 1)
 	if err := c.Save(); err != nil {
 		t.Errorf("in-memory Save: %v", err)
 	}

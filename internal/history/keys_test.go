@@ -69,7 +69,7 @@ func TestLookupAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := opened.Bound("sles", "m1", cacheSpace())
+	b := opened.BoundNS("sles", "m1", "", cacheSpace())
 	moved := space.Point{3, 4}
 	if _, ok := b.Lookup(moved); !ok {
 		t.Fatalf("golden point %v missed", moved)
@@ -115,7 +115,7 @@ func formatFixture(c *EvalCache, visit func(b *BoundCache, pt space.Point, v flo
 	for _, app := range apps {
 		for _, ns := range []string{"", "tenant-a"} {
 			for s, sp := range spaces {
-				b := c.Bound(app.name, app.machine, sp)
+				b := c.BoundNS(app.name, app.machine, "", sp)
 				if ns != "" {
 					b = c.BoundNS(app.name, app.machine, ns, sp)
 				}

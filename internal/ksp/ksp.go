@@ -32,17 +32,12 @@ type Result struct {
 // the rank-local solution. The matrix must be symmetric positive
 // definite. Iteration stops when the residual norm falls below
 // rtol times the initial residual norm, or after maxIter iterations.
+// Every iteration's MatVec reuses a pooled workspace's staging and
+// result buffers, so the solver's hot loop allocates only its own
+// iteration vectors, once per solve.
 func CG(r *simmpi.Rank, a *sparse.DistMatrix, b []float64, rtol float64, maxIter int) ([]float64, Result) {
 	ws := a.AcquireWorkspace(r.ID())
 	defer a.ReleaseWorkspace(r.ID(), ws)
-	return CGWith(ws, r, a, b, rtol, maxIter)
-}
-
-// CGWith is CG running its operator applications through ws: every
-// iteration's MatVec reuses the workspace's staging and result
-// buffers, so the solver's hot loop allocates only its own iteration
-// vectors, once per solve.
-func CGWith(ws *sparse.Workspace, r *simmpi.Rank, a *sparse.DistMatrix, b []float64, rtol float64, maxIter int) ([]float64, Result) {
 	n := len(b)
 	x := make([]float64, n)
 	res := append([]float64(nil), b...) // r0 = b - A·0
@@ -83,12 +78,12 @@ func CGWith(ws *sparse.Workspace, r *simmpi.Rank, a *sparse.DistMatrix, b []floa
 // cgTag is the message tag of CG's operator applications.
 const cgTag = 101
 
-// CGCost is the cost skeleton of CGWith at rtol 0: it charges job the
+// CGCost is the cost skeleton of CG at rtol 0: it charges job the
 // halo exchanges, allreduces and compute of exactly iters CG
-// iterations on the partition hp describes, in CGWith's call order,
+// iterations on the partition hp describes, in CG's call order,
 // one step for all ranks at a time, and computes nothing. Every
 // virtual clock ends bit-identical to the numeric solve's provided
-// that solve runs its full budget — at rtol 0 CGWith leaves its loop
+// that solve runs its full budget — at rtol 0 CG leaves its loop
 // early only when a global reduction (rs0, p·Ap or ‖r‖²) is exactly
 // 0.0.
 func CGCost(job *simmpi.Lockstep, hp *sparse.HaloPlan, iters int) {
@@ -160,24 +155,15 @@ func growF(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// GMRES solves op(x) = b with restarted GMRES(m) from inside a
+// GMRESWith solves op(x) = b with restarted GMRES(m) from inside a
 // simulated rank, for general (non-symmetric) operators such as the
 // matrix-free Jacobian of the driven-cavity problem. The Hessenberg
 // least-squares problem is replicated on every rank from allreduced
-// inner products, so all ranks make identical decisions. The returned
-// slice is freshly allocated; callers solving repeatedly should hold
-// a GMRESWorkspace and use GMRESWith.
-func GMRES(r *simmpi.Rank, op Apply, b []float64, restart, maxIter int, rtol float64) ([]float64, Result) {
-	var ws GMRESWorkspace
-	x, out := GMRESWith(&ws, r, op, b, restart, maxIter, rtol)
-	return append([]float64(nil), x...), out
-}
-
-// GMRESWith is GMRES keeping every iteration vector in ws. The
-// returned solution aliases ws's buffers and is valid until the next
-// GMRESWith on the same workspace. op may return a slice it reuses on
-// its next application: GMRES is done with the previous result before
-// applying op again.
+// inner products, so all ranks make identical decisions. Every
+// iteration vector lives in ws: the returned solution aliases ws's
+// buffers and is valid until the next GMRESWith on the same workspace.
+// op may return a slice it reuses on its next application: GMRES is
+// done with the previous result before applying op again.
 //
 // ensure sizes ws's buffers to their high-water mark, and the Arnoldi
 // loop reuses them.

@@ -149,7 +149,8 @@ func TestCGTimeGatedBySlowestRank(t *testing.T) {
 }
 
 func gmresApply(r *simmpi.Rank, dm *sparse.DistMatrix) Apply {
-	return func(x []float64) []float64 { return dm.MatVec(r, 55, x) }
+	ws := new(sparse.Workspace)
+	return func(x []float64) []float64 { return dm.MatVecInto(ws, r, 55, x) }
 }
 
 func TestGMRESSolvesNonsymmetric(t *testing.T) {
@@ -180,7 +181,7 @@ func TestGMRESSolvesNonsymmetric(t *testing.T) {
 		x := make([]float64, a.N)
 		var res Result
 		_, err = simmpi.Run(machine(p), p, func(r *simmpi.Rank) {
-			xl, rl := GMRES(r, gmresApply(r, dm), dm.Scatter(r.ID(), b), 30, 500, 1e-10)
+			xl, rl := GMRESWith(new(GMRESWorkspace), r, gmresApply(r, dm), dm.Scatter(r.ID(), b), 30, 500, 1e-10)
 			lo, _ := part.Range(r.ID())
 			copy(x[lo:], xl)
 			if r.ID() == 0 {
@@ -206,7 +207,7 @@ func TestGMRESZeroRHS(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = simmpi.Run(machine(2), 2, func(r *simmpi.Rank) {
-		x, res := GMRES(r, gmresApply(r, dm), make([]float64, dm.LocalSize(r.ID())), 10, 100, 1e-10)
+		x, res := GMRESWith(new(GMRESWorkspace), r, gmresApply(r, dm), make([]float64, dm.LocalSize(r.ID())), 10, 100, 1e-10)
 		if !res.Converged {
 			panic("zero rhs should converge immediately")
 		}
@@ -232,7 +233,7 @@ func TestGMRESRestartStillConverges(t *testing.T) {
 	x := make([]float64, a.N)
 	var res Result
 	_, err = simmpi.Run(machine(2), 2, func(r *simmpi.Rank) {
-		xl, rl := GMRES(r, gmresApply(r, dm), dm.Scatter(r.ID(), b), 5, 3000, 1e-9) // tiny restart
+		xl, rl := GMRESWith(new(GMRESWorkspace), r, gmresApply(r, dm), dm.Scatter(r.ID(), b), 5, 3000, 1e-9) // tiny restart
 		lo, _ := sparse.EvenPartition(a.N, 2).Range(r.ID())
 		copy(x[lo:], xl)
 		if r.ID() == 0 {

@@ -12,13 +12,12 @@ package libspec
 
 import (
 	"fmt"
-	"sort"
 
 	"harmony/internal/space"
 )
 
-// Implementation is one concrete provider of a library function.
-type Implementation[T any] struct {
+// implementation is one concrete provider of a library function.
+type implementation[T any] struct {
 	// Name is the value the tuning parameter takes to select this
 	// implementation.
 	Name string
@@ -31,13 +30,13 @@ type Implementation[T any] struct {
 // Harmony tuning session or by hand.
 type Library[T any] struct {
 	name    string
-	impls   []Implementation[T]
+	impls   []implementation[T]
 	current int
 }
 
-// NewLibrary builds a library from its implementations. The first
+// newLibrary builds a library from its implementations. The first
 // implementation is the initial selection.
-func NewLibrary[T any](name string, impls ...Implementation[T]) (*Library[T], error) {
+func newLibrary[T any](name string, impls ...implementation[T]) (*Library[T], error) {
 	if len(impls) == 0 {
 		return nil, fmt.Errorf("libspec: library %q has no implementations", name)
 	}
@@ -98,11 +97,11 @@ type SortFunc func([]float64)
 // pathologies, so the best choice depends on input size and
 // distribution — a genuinely tunable decision.
 func NewSortLibrary() *Library[SortFunc] {
-	lib, err := NewLibrary("sort_algorithm",
-		Implementation[SortFunc]{Name: "heap", Fn: HeapSort},
-		Implementation[SortFunc]{Name: "quick", Fn: QuickSort},
-		Implementation[SortFunc]{Name: "merge", Fn: MergeSort},
-		Implementation[SortFunc]{Name: "insertion", Fn: InsertionSort},
+	lib, err := newLibrary("sort_algorithm",
+		implementation[SortFunc]{Name: "heap", Fn: heapSort},
+		implementation[SortFunc]{Name: "quick", Fn: quickSort},
+		implementation[SortFunc]{Name: "merge", Fn: mergeSort},
+		implementation[SortFunc]{Name: "insertion", Fn: insertionSort},
 	)
 	if err != nil {
 		panic(err) // static construction cannot fail
@@ -110,8 +109,8 @@ func NewSortLibrary() *Library[SortFunc] {
 	return lib
 }
 
-// HeapSort sorts in place with a binary max-heap.
-func HeapSort(a []float64) {
+// heapSort sorts in place with a binary max-heap.
+func heapSort(a []float64) {
 	n := len(a)
 	for i := n/2 - 1; i >= 0; i-- {
 		siftDown(a, i, n)
@@ -139,20 +138,20 @@ func siftDown(a []float64, root, end int) {
 	}
 }
 
-// QuickSort sorts in place with median-of-three pivoting and an
+// quickSort sorts in place with median-of-three pivoting and an
 // insertion-sort cutoff.
-func QuickSort(a []float64) {
+func quickSort(a []float64) {
 	for len(a) > 16 {
 		p := partition(a)
 		if p < len(a)-p {
-			QuickSort(a[:p])
+			quickSort(a[:p])
 			a = a[p+1:]
 		} else {
-			QuickSort(a[p+1:])
+			quickSort(a[p+1:])
 			a = a[:p]
 		}
 	}
-	InsertionSort(a)
+	insertionSort(a)
 }
 
 func partition(a []float64) int {
@@ -181,8 +180,8 @@ func partition(a []float64) int {
 	return i
 }
 
-// MergeSort sorts with O(n) scratch space.
-func MergeSort(a []float64) {
+// mergeSort sorts with O(n) scratch space.
+func mergeSort(a []float64) {
 	if len(a) < 2 {
 		return
 	}
@@ -192,7 +191,7 @@ func MergeSort(a []float64) {
 
 func mergeSortInto(a, scratch []float64) {
 	if len(a) < 32 {
-		InsertionSort(a)
+		insertionSort(a)
 		return
 	}
 	mid := len(a) / 2
@@ -218,9 +217,9 @@ func mergeSortInto(a, scratch []float64) {
 	}
 }
 
-// InsertionSort sorts in place; O(n²) but fastest for tiny or nearly
+// insertionSort sorts in place; O(n²) but fastest for tiny or nearly
 // sorted inputs.
-func InsertionSort(a []float64) {
+func insertionSort(a []float64) {
 	for i := 1; i < len(a); i++ {
 		v := a[i]
 		j := i - 1
@@ -230,10 +229,4 @@ func InsertionSort(a []float64) {
 		}
 		a[j+1] = v
 	}
-}
-
-// IsSorted reports whether a is ascending; exported for tests and
-// examples.
-func IsSorted(a []float64) bool {
-	return sort.Float64sAreSorted(a)
 }

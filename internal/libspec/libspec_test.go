@@ -2,6 +2,7 @@ package libspec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +11,7 @@ import (
 
 func TestAllSortsSortCorrectly(t *testing.T) {
 	algos := map[string]SortFunc{
-		"heap": HeapSort, "quick": QuickSort, "merge": MergeSort, "insertion": InsertionSort,
+		"heap": heapSort, "quick": quickSort, "merge": mergeSort, "insertion": insertionSort,
 	}
 	inputs := map[string]func(n int) []float64{
 		"random": func(n int) []float64 {
@@ -44,7 +45,7 @@ func TestAllSortsSortCorrectly(t *testing.T) {
 			for _, n := range []int{0, 1, 2, 17, 100, 1000} {
 				a := gen(n)
 				sortFn(a)
-				if !IsSorted(a) {
+				if !slices.IsSorted(a) {
 					t.Errorf("%s failed on %s input of %d", name, kind, n)
 				}
 			}
@@ -57,15 +58,15 @@ func TestSortsEquivalentProperty(t *testing.T) {
 		h := append([]float64(nil), input...)
 		q := append([]float64(nil), input...)
 		m := append([]float64(nil), input...)
-		HeapSort(h)
-		QuickSort(q)
-		MergeSort(m)
+		heapSort(h)
+		quickSort(q)
+		mergeSort(m)
 		for i := range h {
 			if h[i] != q[i] || q[i] != m[i] {
 				return false
 			}
 		}
-		return IsSorted(h)
+		return slices.IsSorted(h)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -88,7 +89,7 @@ func TestLibrarySelection(t *testing.T) {
 	}
 	a := []float64{3, 1, 2}
 	lib.Current()(a)
-	if !IsSorted(a) {
+	if !slices.IsSorted(a) {
 		t.Error("current implementation does not sort")
 	}
 }
@@ -106,16 +107,16 @@ func TestLibraryParamAndApply(t *testing.T) {
 }
 
 func TestNewLibraryValidation(t *testing.T) {
-	if _, err := NewLibrary[SortFunc]("empty"); err == nil {
+	if _, err := newLibrary[SortFunc]("empty"); err == nil {
 		t.Error("expected error for empty library")
 	}
-	if _, err := NewLibrary("dup",
-		Implementation[SortFunc]{Name: "a", Fn: HeapSort},
-		Implementation[SortFunc]{Name: "a", Fn: QuickSort}); err == nil {
+	if _, err := newLibrary("dup",
+		implementation[SortFunc]{Name: "a", Fn: heapSort},
+		implementation[SortFunc]{Name: "a", Fn: quickSort}); err == nil {
 		t.Error("expected error for duplicate names")
 	}
-	if _, err := NewLibrary("unnamed",
-		Implementation[SortFunc]{Fn: HeapSort}); err == nil {
+	if _, err := newLibrary("unnamed",
+		implementation[SortFunc]{Fn: heapSort}); err == nil {
 		t.Error("expected error for unnamed implementation")
 	}
 }

@@ -35,12 +35,8 @@ func NewCavityApp(nx, ny, px, py int) *CavityApp {
 	return &CavityApp{NX: nx, NY: ny, PX: px, PY: py, Lambda: 5.0, Newton: 3, LinearIter: 20}
 }
 
-// Points returns the total grid-point count (the paper quotes 2,500
-// and 40,000 points).
-func (app *CavityApp) Points() int { return app.NX * app.NY }
-
-// Ranks returns PX×PY.
-func (app *CavityApp) Ranks() int { return app.PX * app.PY }
+// ranks returns PX×PY.
+func (app *CavityApp) ranks() int { return app.PX * app.PY }
 
 // DefaultBounds is the default configuration: grid points divided
 // into distributed arrays of equal size.
@@ -119,7 +115,7 @@ func (d *decomp) h() int { return d.y1 - d.y0 }
 func (app *CavityApp) decompose(xb, yb []int) []decomp {
 	xs := sparse.FromBoundaries(app.NX, xb)
 	ys := sparse.FromBoundaries(app.NY, yb)
-	ds := make([]decomp, app.Ranks())
+	ds := make([]decomp, app.ranks())
 	for j := 0; j < app.PY; j++ {
 		for i := 0; i < app.PX; i++ {
 			x0, x1 := xs.Range(i)
@@ -243,17 +239,8 @@ func (app *CavityApp) residual(r *simmpi.Rank, ds []decomp, u []float64) []float
 // solve) under the given distribution boundaries and returns the
 // execution time in simulated seconds.
 func (app *CavityApp) Run(m *cluster.Machine, xb, yb []int) (float64, error) {
-	st, err := app.RunStats(m, xb, yb)
-	if err != nil {
-		return 0, err
-	}
-	return st.Time, nil
-}
-
-// RunStats is Run exposing the full simulation statistics.
-func (app *CavityApp) RunStats(m *cluster.Machine, xb, yb []int) (simmpi.Stats, error) {
 	ds := app.decompose(xb, yb)
-	return simmpi.Run(m, app.Ranks(), func(r *simmpi.Rank) {
+	st, err := simmpi.Run(m, app.ranks(), func(r *simmpi.Rank) {
 		d := &ds[r.ID()]
 		x0 := make([]float64, d.w()*d.h())
 		snes.Solve(r, func(u []float64) []float64 {
@@ -268,6 +255,10 @@ func (app *CavityApp) RunStats(m *cluster.Machine, xb, yb []int) (simmpi.Stats, 
 			MaxBacktracks: 2,
 		})
 	})
+	if err != nil {
+		return 0, err
+	}
+	return st.Time, nil
 }
 
 // Objective adapts Run to the tuning engine for the given machine.
@@ -276,26 +267,4 @@ func (app *CavityApp) Objective(m *cluster.Machine) core.Objective {
 		xb, yb := app.BoundsFor(cfg)
 		return app.Run(m, xb, yb)
 	}
-}
-
-// Solve runs the solver to actual convergence (not fixed work) and
-// returns the converged flag plus the final residual norm; used by
-// tests to validate the physics.
-func (app *CavityApp) Solve(m *cluster.Machine) (bool, float64, error) {
-	xb, yb := app.DefaultBounds()
-	ds := app.decompose(xb, yb)
-	var converged bool
-	var residual float64
-	_, err := simmpi.Run(m, app.Ranks(), func(r *simmpi.Rank) {
-		d := &ds[r.ID()]
-		x0 := make([]float64, d.w()*d.h())
-		_, res := snes.Solve(r, func(u []float64) []float64 {
-			return app.residual(r, ds, u)
-		}, x0, snes.Options{Rtol: 1e-8, MaxNewton: 30})
-		if r.ID() == 0 {
-			converged = res.Converged
-			residual = res.Residual
-		}
-	})
-	return converged, residual, err
 }

@@ -18,7 +18,7 @@ import (
 
 // runNumeric is the benchmarking run as it was before it became
 // cost-only, kept as the reference: every rank really solves its share
-// of a·x = 1 with ksp.CGWith at rtol 0 on the partition's DistMatrix,
+// of a·x = 1 with ksp.CG at rtol 0 on the partition's DistMatrix,
 // where a is the valued matrix of the generator the app's structure
 // came from. It also reports rank 0's solver result, so the caller can
 // check the solve spent its whole iteration budget.
@@ -33,9 +33,7 @@ func runNumeric(app *SLESApp, a *sparse.CSR, m *cluster.Machine, part sparse.Par
 	}
 	var res ksp.Result
 	st, err := simmpi.Run(m, app.P, func(r *simmpi.Rank) {
-		ws := dm.AcquireWorkspace(r.ID())
-		_, out := ksp.CGWith(ws, r, dm, dm.Scatter(r.ID(), ones), 0, app.Iterations)
-		dm.ReleaseWorkspace(r.ID(), ws)
+		_, out := ksp.CG(r, dm, dm.Scatter(r.ID(), ones), 0, app.Iterations)
 		if r.ID() == 0 {
 			res = out
 		}

@@ -42,7 +42,7 @@ import (
 // dependence: the halo exchanges, allreduces and compute charges of
 // the CG loop (ksp.CGCost over the partition's sparse.HaloPlan), one
 // lockstep step for all ranks at a time, not its arithmetic. Every
-// virtual clock equals the numeric ksp.CGWith(..., rtol 0, Iterations)
+// virtual clock equals the numeric ksp.CG(..., rtol 0, Iterations)
 // solve's bit for bit, given that solve spends its whole budget: at
 // rtol 0 it stops early only when a global reduction (rs0, p·Ap or
 // ‖r‖²) is exactly 0.0, which a Laplacian-family matrix with an

@@ -149,21 +149,21 @@ func NamelistStart() space.Point {
 	return pt
 }
 
-// Namelist is a resolved, validated set of parameter values.
-type Namelist struct {
+// resolvedNamelist is a resolved, validated set of parameter values.
+type resolvedNamelist struct {
 	values map[string]string
 }
 
-// defaultResolved is the empty namelist resolved once; a Namelist is
+// defaultResolved is the empty namelist resolved once; a resolved one is
 // never modified, so every run at the defaults shares it.
-var defaultResolved = &Namelist{values: DefaultNamelist()}
+var defaultResolved = &resolvedNamelist{values: DefaultNamelist()}
 
-// ResolveNamelist validates the given values against the parameter
+// resolveNamelist validates the given values against the parameter
 // specs, filling in defaults for missing entries. Unknown parameters
 // or values are errors. Of several bad entries the one reported is
 // always the same: the first bad value in documented order, else the
 // alphabetically first unknown parameter.
-func ResolveNamelist(values map[string]string) (*Namelist, error) {
+func resolveNamelist(values map[string]string) (*resolvedNamelist, error) {
 	if len(values) == 0 {
 		return defaultResolved, nil
 	}
@@ -189,11 +189,8 @@ func ResolveNamelist(values map[string]string) (*Namelist, error) {
 		}
 		return nil, fmt.Errorf("pop: unknown namelist parameter %q", slices.Min(unknown))
 	}
-	return &Namelist{values: out}, nil
+	return &resolvedNamelist{values: out}, nil
 }
-
-// Get returns the resolved value of a parameter.
-func (nl *Namelist) Get(name string) string { return nl.values[name] }
 
 // phaseCosts is the frozen cost model of one namelist.
 type phaseCosts struct {
@@ -205,7 +202,7 @@ type phaseCosts struct {
 	ioSizeMult              float64
 }
 
-func (nl *Namelist) costs() phaseCosts {
+func (nl *resolvedNamelist) costs() phaseCosts {
 	c := phaseCosts{
 		baroclinicFlopsPerPoint: baseBaroclinicFlops,
 		barotropicFlopsPerPoint: baseBarotropicFlops,

@@ -350,7 +350,7 @@ func run(m *cluster.Machine, cfg Config) (*simmpi.Lockstep, error) {
 	if err != nil {
 		return nil, err
 	}
-	nl, err := ResolveNamelist(cfg.Namelist)
+	nl, err := resolveNamelist(cfg.Namelist)
 	if err != nil {
 		return nil, err
 	}

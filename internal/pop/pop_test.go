@@ -251,12 +251,12 @@ func TestInterNodeBytesAlignmentEffect(t *testing.T) {
 }
 
 func TestNamelistDefaultsResolve(t *testing.T) {
-	nl, err := ResolveNamelist(nil)
+	nl, err := resolveNamelist(nil)
 	if err != nil {
-		t.Fatalf("ResolveNamelist: %v", err)
+		t.Fatalf("resolveNamelist: %v", err)
 	}
-	if nl.Get("hmix_momentum_choice") != "anis" {
-		t.Errorf("default hmix_momentum_choice = %q", nl.Get("hmix_momentum_choice"))
+	if nl.values["hmix_momentum_choice"] != "anis" {
+		t.Errorf("default hmix_momentum_choice = %q", nl.values["hmix_momentum_choice"])
 	}
 	if len(NamelistNames()) < 20 {
 		t.Errorf("only %d namelist parameters; the paper says about 20", len(NamelistNames()))
@@ -264,10 +264,10 @@ func TestNamelistDefaultsResolve(t *testing.T) {
 }
 
 func TestNamelistValidation(t *testing.T) {
-	if _, err := ResolveNamelist(map[string]string{"bogus": "x"}); err == nil {
+	if _, err := resolveNamelist(map[string]string{"bogus": "x"}); err == nil {
 		t.Error("expected error for unknown parameter")
 	}
-	if _, err := ResolveNamelist(map[string]string{"state_choice": "x"}); err == nil {
+	if _, err := resolveNamelist(map[string]string{"state_choice": "x"}); err == nil {
 		t.Error("expected error for unknown value")
 	}
 }
@@ -289,7 +289,7 @@ func TestNamelistErrorIsDeterministic(t *testing.T) {
 	}
 	for _, c := range cases {
 		for i := 0; i < 50; i++ {
-			_, err := ResolveNamelist(c.values)
+			_, err := resolveNamelist(c.values)
 			if err == nil || err.Error() != c.want {
 				t.Fatalf("call %d on %v: error %v, want %s", i, c.values, err, c.want)
 			}
@@ -344,7 +344,7 @@ func TestIOSecondsOptimumInterior(t *testing.T) {
 	// the maximum.
 	m := cluster.Hockney(8, 4)
 	timeFor := func(k string) float64 {
-		nl, err := ResolveNamelist(map[string]string{"num_iotasks": k})
+		nl, err := resolveNamelist(map[string]string{"num_iotasks": k})
 		if err != nil {
 			t.Fatal(err)
 		}

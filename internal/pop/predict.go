@@ -27,7 +27,7 @@ type Predictor struct {
 // machine; bx and by come from each candidate (the BlockSpace
 // parameters).
 func NewPredictor(base Config, m *cluster.Machine) *Predictor {
-	nl, err := ResolveNamelist(base.Namelist)
+	nl, err := resolveNamelist(base.Namelist)
 	if err != nil {
 		return &Predictor{base: base, m: m, err: err}
 	}

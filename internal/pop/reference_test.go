@@ -20,7 +20,7 @@ func runStatsCoroutine(m *cluster.Machine, cfg Config) (simmpi.Stats, error) {
 	if err != nil {
 		return simmpi.Stats{}, err
 	}
-	nl, err := ResolveNamelist(cfg.Namelist)
+	nl, err := resolveNamelist(cfg.Namelist)
 	if err != nil {
 		return simmpi.Stats{}, err
 	}

@@ -16,7 +16,7 @@
 // Frame layout (all integers except the length are unsigned varints,
 // strings are length-prefixed byte sequences):
 //
-//	uint32 payload length (big endian, at most MaxFrame)
+//	uint32 payload length (big endian, at most maxFrame)
 //	payload:
 //	  uvarint frame id
 //	  uvarint message count
@@ -46,12 +46,12 @@ import (
 // JSON line message.
 const BinMagic = "HRMB"
 
-// BinVersion is the only frame-format version this codec speaks.
-const BinVersion = 1
+// binVersion is the only frame-format version this codec speaks.
+const binVersion = 1
 
-// MaxFrame bounds a frame payload; a peer announcing more is treated
+// maxFrame bounds a frame payload; a peer announcing more is treated
 // as malformed rather than driving an unbounded allocation.
-const MaxFrame = 8 << 20
+const maxFrame = 8 << 20
 
 // Frame is one batch of messages plus its pipelining id.
 type Frame struct {
@@ -98,7 +98,7 @@ var fieldOfTag = func() (idx [32]byte) {
 func WriteHandshake(w io.Writer) error {
 	var buf [len(BinMagic) + 1]byte
 	copy(buf[:], BinMagic)
-	buf[len(BinMagic)] = BinVersion
+	buf[len(BinMagic)] = binVersion
 	if _, err := w.Write(buf[:]); err != nil {
 		return fmt.Errorf("proto: handshake write: %w", err)
 	}
@@ -114,7 +114,7 @@ func ReadHandshake(r io.Reader) error {
 	if string(buf[:len(BinMagic)]) != BinMagic {
 		return fmt.Errorf("proto: bad handshake magic %q", buf[:len(BinMagic)])
 	}
-	if buf[len(BinMagic)] != BinVersion {
+	if buf[len(BinMagic)] != binVersion {
 		return fmt.Errorf("proto: unsupported binary protocol version %d", buf[len(BinMagic)])
 	}
 	return nil
@@ -131,8 +131,8 @@ func AppendFrame(buf []byte, f *Frame) ([]byte, error) {
 		buf = appendMessage(buf, m)
 	}
 	payload := len(buf) - start - 4
-	if payload > MaxFrame {
-		return nil, fmt.Errorf("proto: frame payload %d exceeds MaxFrame", payload)
+	if payload > maxFrame {
+		return nil, fmt.Errorf("proto: frame payload %d exceeds the %d-byte frame limit", payload, maxFrame)
 	}
 	binary.BigEndian.PutUint32(buf[start:], uint32(payload))
 	return buf, nil
@@ -165,8 +165,8 @@ func ReadFrameInto(r *bufio.Reader, f *Frame) error {
 		return fmt.Errorf("proto: frame header: %w", unexpectedEOF(err))
 	}
 	n := binary.BigEndian.Uint32(hdr)
-	if n > MaxFrame {
-		return fmt.Errorf("proto: frame payload %d exceeds MaxFrame", n)
+	if n > maxFrame {
+		return fmt.Errorf("proto: frame payload %d exceeds the %d-byte frame limit", n, maxFrame)
 	}
 	if _, err := r.Discard(4); err != nil {
 		return fmt.Errorf("proto: frame header: %w", err)

@@ -381,7 +381,7 @@ func (c *Conn) Recv() (*Message, error) {
 // kept from messages that had none, so the caller must not keep
 // m.Values across calls. An empty values object decodes as absent,
 // which is how Send encodes it.
-// A line longer than MaxFrame is an error, as a binary frame would be:
+// A line longer than maxFrame is an error, as a binary frame would be:
 // a peer that never sends '\n' cannot grow the reader's memory without
 // bound. It returns io.EOF when the peer closed the connection
 // cleanly; after any other error m's contents are unspecified.
@@ -389,14 +389,14 @@ func (c *Conn) RecvInto(m *Message) error {
 	line, err := c.r.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		long := append([]byte(nil), line...)
-		for err == bufio.ErrBufferFull && len(long) <= MaxFrame {
+		for err == bufio.ErrBufferFull && len(long) <= maxFrame {
 			line, err = c.r.ReadSlice('\n')
 			long = append(long, line...)
 		}
 		line = long
 	}
-	if len(line) > MaxFrame {
-		return fmt.Errorf("proto: line longer than MaxFrame (%d bytes)", MaxFrame)
+	if len(line) > maxFrame {
+		return fmt.Errorf("proto: line longer than the %d-byte frame limit", maxFrame)
 	}
 	if err != nil {
 		if err == io.EOF && len(line) == 0 {

@@ -74,26 +74,26 @@ func (e *endless) Read(p []byte) (int, error) {
 }
 
 // TestRecvIntoBoundsLine: a JSON line may not outgrow a binary frame. A
-// peer that sends MaxFrame+1 bytes without a newline, or never stops,
-// is refused once MaxFrame is passed instead of growing the reader.
+// peer that sends maxFrame+1 bytes without a newline, or never stops,
+// is refused once maxFrame is passed instead of growing the reader.
 func TestRecvIntoBoundsLine(t *testing.T) {
-	tooLong := func(err error) bool { return err != nil && strings.Contains(err.Error(), "longer than MaxFrame") }
+	tooLong := func(err error) bool { return err != nil && strings.Contains(err.Error(), "line longer than the") }
 	var m Message
-	src := io.LimitReader(&endless{}, MaxFrame+1)
+	src := io.LimitReader(&endless{}, maxFrame+1)
 	if err := NewConn(rwcloser{src, io.Discard}).RecvInto(&m); !tooLong(err) {
-		t.Errorf("%d bytes without a newline: err = %v, want the line-length error", MaxFrame+1, err)
+		t.Errorf("%d bytes without a newline: err = %v, want the line-length error", maxFrame+1, err)
 	}
 	e := &endless{}
 	if err := NewConn(rwcloser{e, io.Discard}).RecvInto(&m); !tooLong(err) {
 		t.Errorf("an endless line: err = %v, want the line-length error", err)
 	}
-	if limit := MaxFrame + 2*bufio.NewReader(nil).Size(); e.n > limit {
+	if limit := maxFrame + 2*bufio.NewReader(nil).Size(); e.n > limit {
 		t.Errorf("read %d bytes of an endless line, want at most %d", e.n, limit)
 	}
-	// A line of exactly MaxFrame bytes, newline included, is still read.
-	line := `{"type":"ok","error":"` + strings.Repeat("x", MaxFrame-len(`{"type":"ok","error":""}`)-1) + "\"}\n"
-	if err := NewConn(rwcloser{strings.NewReader(line), io.Discard}).RecvInto(&m); err != nil || len(m.Error) != MaxFrame-25 {
-		t.Errorf("a MaxFrame-byte line: err = %v, error text %d bytes", err, len(m.Error))
+	// A line of exactly maxFrame bytes, newline included, is still read.
+	line := `{"type":"ok","error":"` + strings.Repeat("x", maxFrame-len(`{"type":"ok","error":""}`)-1) + "\"}\n"
+	if err := NewConn(rwcloser{strings.NewReader(line), io.Discard}).RecvInto(&m); err != nil || len(m.Error) != maxFrame-25 {
+		t.Errorf("a maxFrame-byte line: err = %v, error text %d bytes", err, len(m.Error))
 	}
 }
 

@@ -78,7 +78,7 @@ func TestPRORoundAllocatesOnlyItsPoints(t *testing.T) {
 	if n := allocsBeyondHandouts(p, 60); n != 0 {
 		t.Errorf("60 PRO phases allocate %d times beyond the points they hand out, want 0", n)
 	}
-	if p.Converged() {
+	if p.state == proDone {
 		t.Fatal("PRO converged inside the pinned rounds; the pin measured nothing")
 	}
 }
@@ -93,8 +93,8 @@ func TestSimplexIterationAllocatesOnlyItsPoints(t *testing.T) {
 	if n := allocsBeyondHandouts(s, 40); n != 0 {
 		t.Errorf("40 simplex proposals allocate %d times beyond the points they hand out, want 0", n)
 	}
-	if s.Converged() || s.Iterations() < 10 {
-		t.Fatalf("simplex converged or ran %d iterations inside the pinned proposals", s.Iterations())
+	if s.state == stDone || s.iterations < 10 {
+		t.Fatalf("simplex converged or ran %d iterations inside the pinned proposals", s.iterations)
 	}
 }
 
@@ -151,13 +151,12 @@ func (a *stubArm) Commit(space.Point, float64) {}
 func (a *stubArm) Done() bool                  { return false }
 
 // TestEnsembleIssueAllocatesNothing: the ensemble's own Ask and Commit
-// reuse the skip mask and the in-flight queue, so beyond its AllocTrace
-// history an issue allocates nothing, even while a member stalls.
+// reuse the skip mask and the in-flight queue, so an issue allocates
+// nothing, even while a member stalls.
 func TestEnsembleIssueAllocatesNothing(t *testing.T) {
 	skipUnderRace(t)
 	pt := space.Point{1, 2}
 	e := newEnsemble(&stubArm{stall: true}, &stubArm{pt: pt}, &stubArm{pt: pt})
-	e.trace = make([]int, 0, 1000)
 	round := func() {
 		for range 3 {
 			e.Ask()

@@ -16,7 +16,7 @@ import "harmony/internal/space"
 //     returns true) or it is stalled waiting for commits of
 //     already-issued candidates (Done returns false). A strategy stalls
 //     where its round ends — PRO at the end of a phase, the samplers
-//     every DefaultBatchStride points, the simplex and coordinate
+//     every defaultBatchStride points, the simplex and coordinate
 //     descent after every candidate — so everything issued between two
 //     stalls is independent and may be evaluated at once.
 //   - Commit delivers the objective value (lower is better) for an

@@ -10,7 +10,7 @@ import (
 // hands out the current round one point at a time and stalls once the
 // round is fully issued; the round stays closed until its last value
 // commits, and the next Ask opens a new one. A sampler's round is
-// DefaultBatchStride points, the simplex's one; a strategy that has
+// defaultBatchStride points, the simplex's one; a strategy that has
 // only Next/Report is given rounds of one by the adapter.
 func TestAsAsyncRoundBuffering(t *testing.T) {
 	sp := space.MustNew(space.IntParam("x", 0, 99, 1), space.IntParam("y", 0, 99, 1))
@@ -19,7 +19,7 @@ func TestAsAsyncRoundBuffering(t *testing.T) {
 		strat Strategy
 		round int
 	}{
-		{"systematic", NewSystematic(sp, 50), DefaultBatchStride},
+		{"systematic", NewSystematic(sp, 50), defaultBatchStride},
 		{"simplex", NewSimplex(sp, SimplexOptions{}), 1},
 		{"sequential", struct{ Strategy }{NewSimplex(sp, SimplexOptions{})}, 1},
 	}

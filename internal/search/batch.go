@@ -28,11 +28,11 @@ type Speculator interface {
 	Speculate(max int) []space.Point
 }
 
-// DefaultBatchStride is the round size of the sampling strategies
+// defaultBatchStride is the round size of the sampling strategies
 // (Random, Systematic, Exhaustive). Unlike PRO, whose round size is
 // fixed by the population, a sampler's "round" is an arbitrary slice
 // of its stream: samples and grid points are independent, so the
 // sample stream, the visit order and Systematic.Values are the same
 // for any stride, which only bounds how much work the engine may have
 // in flight at once.
-const DefaultBatchStride = 16
+const defaultBatchStride = 16

@@ -51,12 +51,6 @@ func NewCoordinate(sp *space.Space, opt CoordinateOptions) *Coordinate {
 // Name implements Strategy.
 func (c *Coordinate) Name() string { return "coordinate" }
 
-// Passes reports the number of completed sweeps.
-func (c *Coordinate) Passes() int { return c.passes }
-
-// Current returns the incumbent point.
-func (c *Coordinate) Current() space.Point { return c.current.Clone() }
-
 // Ask implements AsyncStrategy: the next proposal, which stalls the
 // sweep until it commits.
 func (c *Coordinate) Ask() (space.Point, bool) {

@@ -14,7 +14,7 @@ type EnsembleOptions struct {
 	Seed int64
 	// Budget bounds the sampling members: it is the Random member's
 	// sample cap and the Systematic member's grid budget. 0 selects
-	// DefaultBudget.
+	// defaultBudget.
 	Budget int
 }
 
@@ -55,7 +55,6 @@ type Ensemble struct {
 	arms   []*ensembleArm
 	issues int    // total candidates issued
 	queue  []int  // arm index per in-flight candidate, issue order
-	trace  []int  // arm index per issue, full history
 	skip   []bool // Ask's per-call mask of stalled arms
 }
 
@@ -66,7 +65,7 @@ type Ensemble struct {
 func NewEnsemble(sp *space.Space, opt EnsembleOptions) *Ensemble {
 	budget := opt.Budget
 	if budget <= 0 {
-		budget = DefaultBudget
+		budget = defaultBudget
 	}
 	return newEnsemble(
 		NewPRO(sp, PROOptions{Seed: opt.Seed}),
@@ -89,13 +88,6 @@ func newEnsemble(techs ...AsyncStrategy) *Ensemble {
 
 // Name implements Strategy.
 func (e *Ensemble) Name() string { return "ensemble" }
-
-// AllocTrace returns the arm index of every candidate issued so far,
-// in issue order. Tests pin this trace to prove the allocation is a
-// pure function of the seed and the committed values.
-func (e *Ensemble) AllocTrace() []int {
-	return append([]int(nil), e.trace...)
-}
 
 // ucb returns the arm's upper confidence bound on per-candidate
 // payoff. Unpulled arms score +Inf so every member is tried once.
@@ -131,7 +123,6 @@ func (e *Ensemble) Ask() (space.Point, bool) {
 			e.arms[best].pulls++
 			e.issues++
 			e.queue = append(e.queue, best)
-			e.trace = append(e.trace, best)
 			return pt, true
 		}
 		skip[best] = true

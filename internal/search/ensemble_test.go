@@ -24,8 +24,9 @@ func ensembleBowl(pt space.Point) float64 {
 
 // driveEnsemble runs the issue/commit loop with a pipeline of depth
 // in-flight candidates, committing in issue order — the engine's
-// interaction pattern, without the engine.
-func driveEnsemble(e *Ensemble, depth, budget int, value func(space.Point) float64) {
+// interaction pattern, without the engine. It returns the allocation
+// trace: the arm index of every candidate issued, in issue order.
+func driveEnsemble(e *Ensemble, depth, budget int, value func(space.Point) float64) (trace []int) {
 	type issued struct{ pt space.Point }
 	var window []issued
 	commits := 0
@@ -36,11 +37,9 @@ func driveEnsemble(e *Ensemble, depth, budget int, value func(space.Point) float
 				break
 			}
 			window = append(window, issued{pt})
+			trace = append(trace, e.queue[len(e.queue)-1])
 		}
 		if len(window) == 0 {
-			if e.Done() {
-				return
-			}
 			break
 		}
 		head := window[0]
@@ -48,6 +47,7 @@ func driveEnsemble(e *Ensemble, depth, budget int, value func(space.Point) float
 		e.Commit(head.pt, value(head.pt))
 		commits++
 	}
+	return trace
 }
 
 // TestEnsembleDeterministicTrace pins the bandit's determinism: the
@@ -59,16 +59,16 @@ func driveEnsemble(e *Ensemble, depth, budget int, value func(space.Point) float
 func TestEnsembleDeterministicTrace(t *testing.T) {
 	sp := ensembleSpace(t)
 	for _, depth := range []int{1, 4, 8} {
-		run := func() *Ensemble {
+		run := func() (*Ensemble, []int) {
 			e := NewEnsemble(sp, EnsembleOptions{Seed: 23, Budget: 80})
-			driveEnsemble(e, depth, 120, ensembleBowl)
-			return e
+			return e, driveEnsemble(e, depth, 120, ensembleBowl)
 		}
-		a, b := run(), run()
-		if !reflect.DeepEqual(a.AllocTrace(), b.AllocTrace()) {
-			t.Fatalf("depth %d: allocation trace not reproducible:\n%v\n%v", depth, a.AllocTrace(), b.AllocTrace())
+		a, aTrace := run()
+		b, bTrace := run()
+		if !reflect.DeepEqual(aTrace, bTrace) {
+			t.Fatalf("depth %d: allocation trace not reproducible:\n%v\n%v", depth, aTrace, bTrace)
 		}
-		if len(a.AllocTrace()) == 0 {
+		if len(aTrace) == 0 {
 			t.Fatalf("depth %d: empty allocation trace", depth)
 		}
 		ap, av, aok := a.Best()
@@ -84,14 +84,14 @@ func TestEnsembleDeterministicTrace(t *testing.T) {
 func TestEnsembleUsesEveryTechnique(t *testing.T) {
 	sp := ensembleSpace(t)
 	e := NewEnsemble(sp, EnsembleOptions{Seed: 5, Budget: 80})
-	driveEnsemble(e, 4, 60, ensembleBowl)
+	trace := driveEnsemble(e, 4, 60, ensembleBowl)
 	seen := make(map[int]bool)
-	for _, arm := range e.AllocTrace() {
+	for _, arm := range trace {
 		seen[arm] = true
 	}
 	for i, a := range e.arms {
 		if !seen[i] {
-			t.Fatalf("technique %d (%s) never issued a candidate; trace %v", i, a.name, e.AllocTrace())
+			t.Fatalf("technique %d (%s) never issued a candidate; trace %v", i, a.name, trace)
 		}
 	}
 }
@@ -159,8 +159,7 @@ func TestEnsembleBanditShiftsAwayFromFaultyTechnique(t *testing.T) {
 		}
 		return ensembleBowl(pt)
 	}
-	driveEnsemble(e, 4, 200, value)
-	trace := e.AllocTrace()
+	trace := driveEnsemble(e, 4, 200, value)
 	if len(trace) < 100 {
 		t.Fatalf("short trace: %d issues", len(trace))
 	}

@@ -48,7 +48,6 @@ type PRO struct {
 	issue   int // member of this phase Ask issues next
 	idx     int // member of this phase whose value commits next
 	state   proState
-	rounds  int
 
 	// The round state, allocated by the first round and rewritten by
 	// every later one: the reflected population, then the expanded
@@ -69,12 +68,6 @@ func NewPRO(sp *space.Space, opt PROOptions) *PRO {
 
 // Name implements Strategy.
 func (p *PRO) Name() string { return "pro" }
-
-// Rounds reports completed transformation rounds.
-func (p *PRO) Rounds() int { return p.rounds }
-
-// Converged reports whether the population collapsed to one point.
-func (p *PRO) Converged() bool { return p.state == proDone }
 
 func (p *PRO) buildPopulation(opt PROOptions) {
 	start := opt.Start
@@ -215,7 +208,6 @@ func (p *PRO) startRound() {
 		p.state = proDone
 		return
 	}
-	p.rounds++
 	p.transform(proReflectCoeff, p.reflected())
 	p.begin(proReflect)
 }

@@ -51,7 +51,7 @@ func TestRestartCountRespected(t *testing.T) {
 	sp := space.MustNew(space.IntParam("x", 0, 3, 1))
 	s := NewSimplex(sp, SimplexOptions{Restarts: 2})
 	drive(t, s, sp, func(pt space.Point) float64 { return float64(pt[0]) }, 10000)
-	if !s.Converged() {
+	if s.state != stDone {
 		t.Error("should eventually converge with finite restarts")
 	}
 	if s.restartsUsed != 2 {

@@ -7,7 +7,7 @@ import (
 )
 
 // sampler is the issue/commit cursor of the sampling strategies: it
-// hands out rounds of up to DefaultBatchStride of its total points and
+// hands out rounds of up to defaultBatchStride of its total points and
 // opens the next round only once the last has fully committed.
 type sampler struct {
 	machine
@@ -20,7 +20,7 @@ func (s *sampler) open() bool {
 		if s.committed < s.issued {
 			return false // stalled until the round commits
 		}
-		if s.end = s.issued + min(DefaultBatchStride, s.total-s.issued); s.end == s.issued {
+		if s.end = s.issued + min(defaultBatchStride, s.total-s.issued); s.end == s.issued {
 			s.finish()
 			return false
 		}

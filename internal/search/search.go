@@ -60,10 +60,10 @@ type Strategy interface {
 	Best() (pt space.Point, value float64, ok bool)
 }
 
-// DefaultBudget bounds the sampling strategies (Random, Systematic and
+// defaultBudget bounds the sampling strategies (Random, Systematic and
 // the ensemble's two sampling members) when the caller does not supply
 // an evaluation budget.
-const DefaultBudget = 100
+const defaultBudget = 100
 
 // adaptiveDims is the dimension count from which a simplex built by
 // New or as an ensemble member uses SimplexOptions.Adaptive: the fixed
@@ -78,11 +78,11 @@ const maxExhaustivePoints = 1_000_000
 // the settings every front end uses, so a specification tuned off-line
 // by htune and a session registered with harmonyd get the same search.
 // seed drives the seeded strategies, budget bounds the sampling ones
-// (<= 0 selects DefaultBudget), and seeds are prior configurations
+// (<= 0 selects defaultBudget), and seeds are prior configurations
 // offered to the simplex as initial vertices.
 func New(name string, sp *space.Space, seed int64, budget int, seeds []space.Point) (Strategy, error) {
 	if budget <= 0 {
-		budget = DefaultBudget
+		budget = defaultBudget
 	}
 	switch name {
 	case "", "simplex":

@@ -113,13 +113,6 @@ func NewSimplex(sp *space.Space, opt SimplexOptions) *Simplex {
 // Name implements Strategy.
 func (s *Simplex) Name() string { return "simplex" }
 
-// Iterations reports the number of completed simplex rounds.
-func (s *Simplex) Iterations() int { return s.iterations }
-
-// Converged reports whether the simplex has collapsed to a single
-// lattice point.
-func (s *Simplex) Converged() bool { return s.state == stDone }
-
 func (s *Simplex) buildInitialSimplex() {
 	start := s.opt.Start
 	if start == nil {
@@ -403,17 +396,6 @@ func (s *Simplex) Speculate(max int) []space.Point {
 			break
 		}
 		out = append(out, s.sp.Nearest(x))
-	}
-	return out
-}
-
-// Vertices exposes snapped copies of the current simplex vertices,
-// best first once at least one iteration has completed. Intended for
-// tests and diagnostics.
-func (s *Simplex) Vertices() []space.Point {
-	out := make([]space.Point, len(s.verts))
-	for i, v := range s.verts {
-		out[i] = s.sp.Nearest(v.x)
 	}
 	return out
 }

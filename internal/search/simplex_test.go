@@ -60,7 +60,7 @@ func TestSimplexConvergesAndStops(t *testing.T) {
 	sp := quadSpace(t)
 	s := NewSimplex(sp, SimplexOptions{})
 	evals := drive(t, s, sp, quadObjective, 100000)
-	if !s.Converged() {
+	if s.state != stDone {
 		t.Fatalf("simplex did not converge after %d evals", evals)
 	}
 	if _, ok := s.Next(); ok {
@@ -230,7 +230,7 @@ func TestSimplexBestNeverWorsens(t *testing.T) {
 func TestSimplexVerticesCount(t *testing.T) {
 	sp := quadSpace(t)
 	s := NewSimplex(sp, SimplexOptions{})
-	if got := len(s.Vertices()); got != 3 {
+	if got := len(s.verts); got != 3 {
 		t.Errorf("2-D simplex has %d vertices, want 3", got)
 	}
 }

@@ -29,8 +29,8 @@ func TestCoordinateFindsSeparableMinimum(t *testing.T) {
 	if val != 0 {
 		t.Errorf("best %v value %v after %d evals, want exact %v", pt, val, evals, target)
 	}
-	if !c.Current().Equal(target) {
-		t.Errorf("incumbent %v, want %v", c.Current(), target)
+	if !c.current.Equal(target) {
+		t.Errorf("incumbent %v, want %v", c.current, target)
 	}
 }
 
@@ -46,14 +46,14 @@ func TestCoordinateChangesOneParameterAtATime(t *testing.T) {
 		return float64(3 - pt[0] - pt[1] - pt[2]) // best at max levels
 	}
 	c := NewCoordinate(sp, CoordinateOptions{Start: space.Point{0, 0, 0}})
-	prev := c.Current()
+	prev := c.current.Clone()
 	for {
 		pt, ok := c.Next()
 		if !ok {
 			break
 		}
 		c.Report(pt, f(pt))
-		cur := c.Current()
+		cur := c.current.Clone()
 		diffs := 0
 		for i := range cur {
 			if cur[i] != prev[i] {
@@ -82,7 +82,7 @@ func TestCoordinateStopsWhenNoImprovement(t *testing.T) {
 	if evals >= 10000 {
 		t.Fatal("coordinate descent never terminated")
 	}
-	if c.Passes() < 1 {
+	if c.passes < 1 {
 		t.Error("expected at least one completed pass")
 	}
 }
@@ -164,14 +164,11 @@ func TestExhaustiveFindsGlobalOptimum(t *testing.T) {
 // TestStrategiesImplementInterface: every strategy New builds is an
 // AsyncStrategy and has one state machine. Its exported methods are
 // the two contracts' (Next/Report being the shared facade over
-// Ask/Commit), the simplex's Speculate and read-only accessors — no
-// second round interface beside Ask/Commit.
+// Ask/Commit), the simplex's Speculate and String, and the grid
+// samplers' Planned — no second round interface beside Ask/Commit.
 func TestStrategiesImplementInterface(t *testing.T) {
 	sp := space.MustNew(space.IntParam("a", 0, 9, 1))
-	allowed := map[string]bool{
-		"Speculate": true, "AllocTrace": true, "Converged": true, "Current": true, "Iterations": true,
-		"Passes": true, "Planned": true, "Rounds": true, "String": true, "Vertices": true,
-	}
+	allowed := map[string]bool{"Speculate": true, "Planned": true, "String": true}
 	for _, iface := range []reflect.Type{reflect.TypeFor[Strategy](), reflect.TypeFor[AsyncStrategy]()} {
 		for m := range iface.NumMethod() {
 			allowed[iface.Method(m).Name] = true

@@ -374,6 +374,64 @@ func TestAsyncServerStatsCounters(t *testing.T) {
 	}
 }
 
+// stalledStrategy stalls on every Ask, with nothing in flight, and
+// never finishes.
+type stalledStrategy struct{ scriptedBatch }
+
+func (*stalledStrategy) Ask() (space.Point, bool) { return nil, false }
+
+// TestQueueStarvedCountsBoundedStalls pins Stats.QueueStarved exactly: a
+// fetch counts a starved refill only when a bounded window stalled with
+// work still in it. The script is a round of six points, then a round
+// of two, each fetch answered before the next. Under depth 4 the first
+// three refills stop at the depth, not stalled (0); the next three stall
+// on the six still committing (3); the second round's two stall on
+// itself (2); the last finds the strategy done (0). A round session
+// stalls at every barrier, which is not starvation, and a strategy
+// stalled with nothing in flight leaves nothing to starve.
+func TestQueueStarvedCountsBoundedStalls(t *testing.T) {
+	script := func() *scriptedBatch {
+		var rounds [][]space.Point
+		for _, n := range []int{6, 2} {
+			var round []space.Point
+			for range n {
+				round = append(round, space.Point{int64(3 * len(rounds)), int64(len(round))})
+			}
+			rounds = append(rounds, round)
+		}
+		return &scriptedBatch{rounds: rounds}
+	}
+	starved := func(strat search.Strategy, win func(search.Strategy) func(*session)) int64 {
+		ss := newTestSession(testSpace(), strat, 0, win(strat))
+		for range 20 {
+			reply := ss.callFetch()
+			if reply.Type != proto.TypeConfig {
+				t.Fatalf("fetch reply %+v", reply)
+			}
+			if reply.Converged {
+				break
+			}
+			ss.callReport(&proto.Message{Tag: reply.Tag, Perf: 1})
+		}
+		return ss.stat().queueStarved.Load()
+	}
+	bounded := func(strat search.Strategy) func(*session) { return pipelineWindow(strat, 4) }
+	for _, c := range []struct {
+		name  string
+		strat search.Strategy
+		win   func(search.Strategy) func(*session)
+		want  int64
+	}{
+		{"bounded", script(), bounded, 5},
+		{"round", script(), roundWindow, 0},
+		{"stalled-empty", &stalledStrategy{}, bounded, 0},
+	} {
+		if got := starved(c.strat, c.win); got != c.want {
+			t.Errorf("%s: QueueStarved = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestAsyncBestPrefersMeasuredShadow verifies best replies of an
 // async session come from genuine measurements even while the
 // strategy, told only in issue order, has not yet heard of them.

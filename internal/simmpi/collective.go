@@ -278,7 +278,7 @@ func (k collKind) String() string {
 // its own slot before it can possibly arrive at the next rendezvous,
 // so the scratch below is safely reused for the whole run.
 type collective struct {
-	w *World
+	w *world
 
 	// What is in progress, recorded at the first arrival and checked
 	// at every later one. op is the reduction operator of an
@@ -300,7 +300,7 @@ type collective struct {
 	a2a  *AlltoallvScratch
 }
 
-func newCollective(w *World) *collective {
+func newCollective(w *world) *collective {
 	return &collective{
 		w:        w,
 		arrivals: make([]float64, w.n),
@@ -379,7 +379,7 @@ func (c *collective) combine() {
 
 // combineScalars folds xs under op, rank 0 upwards. The operator
 // switch is hoisted out of the element loop: one branch per call, not
-// per element. Max/Min go through math.Max/math.Min so NaN and signed-
+// per element. Max and min go through math.Max/math.Min so NaN and signed-
 // zero handling stay bit-identical to the historical per-element
 // Op.apply path.
 func combineScalars(op Op, xs []float64) float64 {
@@ -393,7 +393,7 @@ func combineScalars(op Op, xs []float64) float64 {
 		for _, x := range xs[1:] {
 			acc = math.Max(acc, x)
 		}
-	case Min:
+	case minOp:
 		for _, x := range xs[1:] {
 			acc = math.Min(acc, x)
 		}

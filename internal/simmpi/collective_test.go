@@ -183,7 +183,7 @@ var allreduceGoldens = [][4]allreduceGolden{
 }
 
 // allreduce1Goldens holds, for each machine of allreduceCases and each
-// of Sum, Max, Min in order, the float64 bits of the three results a
+// of Sum, Max, minOp in order, the float64 bits of the three results a
 // length-1 vector Allreduce returned for staggeredReduces' inputs.
 var allreduce1Goldens = [][3][3]uint64{
 	{{0x3fdb6db6db6db6db, 0xbfdb6db6db6db6db, 0x3ff2492492492492}, {0x3fdb6db6db6db6db, 0xbfdb6db6db6db6db, 0x3ff2492492492492}, {0x3fdb6db6db6db6db, 0xbfdb6db6db6db6db, 0x3ff2492492492492}},
@@ -246,7 +246,7 @@ func TestAllreduceBytesEqualsAllreduce(t *testing.T) {
 // same result bits (so the same fold order) under every operator.
 func TestAllreduce1EqualsLength1Allreduce(t *testing.T) {
 	for i, c := range allreduceCases() {
-		for j, op := range []Op{Sum, Max, Min} {
+		for j, op := range []Op{Sum, Max, minOp} {
 			var results [3]uint64
 			got, err := Run(c.m, c.n, staggeredReduces(func(r *Rank, step int) {
 				v := r.Allreduce1(op, float64((r.ID()*37+step*11)%17-8)/7)

@@ -46,7 +46,7 @@ func TestDeadlockMutualRecv(t *testing.T) {
 	err := runExpectingDeadlock(t, 1, 2, 2, func(r *Rank) {
 		peer := 1 - r.ID()
 		r.Recv(peer, 3)
-		r.Send(peer, 3, nil)
+		r.SendOwned(peer, 3, nil)
 	})
 	for _, want := range []string{
 		"rank 0 blocked in Recv(src=1, tag=3)",
@@ -109,7 +109,7 @@ func TestWorldReusableAfterDeadlock(t *testing.T) {
 	}
 	st, err := Run(m, 2, func(r *Rank) {
 		if r.ID() == 0 {
-			r.Send(1, 0, nil)
+			r.SendOwned(1, 0, nil)
 		} else {
 			r.Recv(0, 0)
 		}

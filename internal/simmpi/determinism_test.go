@@ -78,7 +78,7 @@ func TestRepeatedRunsIdenticalStats(t *testing.T) {
 		}
 		peer := (r.ID() + 1) % r.Size()
 		prev := (r.ID() + r.Size() - 1) % r.Size()
-		r.Send(peer, 0, []float64{float64(r.ID())})
+		r.SendOwned(peer, 0, []float64{float64(r.ID())})
 		data := r.Recv(prev, 0)
 		if len(data) != 1 || data[0] != float64(prev) {
 			t.Errorf("rank %d: payload %v, want [%d]", r.ID(), data, prev)

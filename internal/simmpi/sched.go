@@ -10,7 +10,7 @@ import (
 
 // The cooperative run-to-block scheduler.
 //
-// Every rank of a World is a coroutine (iter.Pull) that runs the rank
+// Every rank of a world is a coroutine (iter.Pull) that runs the rank
 // program once and returns. Run's own goroutine is the scheduler: it
 // resumes the lowest-numbered runnable rank, which executes until it
 // blocks (Recv with no matching message, collective rendezvous before
@@ -88,7 +88,7 @@ type sched struct {
 
 // newSched returns the scheduler of a fresh world running body: every
 // rank runnable, nothing blocked.
-func newSched(w *World, body func(*Rank)) *sched {
+func newSched(w *world, body func(*Rank)) *sched {
 	n := w.n
 	s := &sched{
 		resume: make([]func() (struct{}, bool), n),

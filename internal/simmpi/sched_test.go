@@ -26,9 +26,9 @@ func scheduleProgram(log *[]int) func(r *Rank) {
 		if r.ID()%2 == 1 {
 			r.Recv(prev, 0)
 			mark()
-			r.Send(next, 0, nil)
+			r.SendOwned(next, 0, nil)
 		} else {
-			r.Send(next, 0, nil)
+			r.SendOwned(next, 0, nil)
 			r.Recv(prev, 0)
 			mark()
 		}
@@ -42,7 +42,7 @@ func scheduleProgram(log *[]int) func(r *Rank) {
 				mark()
 			}
 		} else {
-			r.Send(0, 1, nil)
+			r.SendOwned(0, 1, nil)
 		}
 		row := make([]int, n)
 		row[next] = 1000 * (1 + r.ID())
@@ -53,7 +53,7 @@ func scheduleProgram(log *[]int) func(r *Rank) {
 			r.Recv(0, 2)
 			mark()
 		} else if r.ID() == 0 {
-			r.Send(n-1, 2, nil)
+			r.SendOwned(n-1, 2, nil)
 		}
 		r.Barrier()
 		mark()

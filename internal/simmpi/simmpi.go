@@ -48,7 +48,7 @@ type Op int
 const (
 	Sum Op = iota
 	Max
-	Min
+	minOp
 )
 
 // String names the operator the way a collective-mismatch report does.
@@ -58,7 +58,7 @@ func (op Op) String() string {
 		return "sum"
 	case Max:
 		return "max"
-	case Min:
+	case minOp:
 		return "min"
 	}
 	return fmt.Sprintf("op %d", int(op))
@@ -82,22 +82,6 @@ type Stats struct {
 	BytesSent int64
 	// Messages is the number of point-to-point messages.
 	Messages int64
-}
-
-// LoadImbalance returns max(compute)/mean(compute), 1.0 for perfect
-// balance. It returns 1 when no compute was recorded.
-func (s *Stats) LoadImbalance() float64 {
-	var sum, max float64
-	for _, c := range s.ComputeTime {
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	if sum == 0 {
-		return 1
-	}
-	return max * float64(len(s.ComputeTime)) / sum
 }
 
 var errAborted = errors.New("simmpi: world aborted")
@@ -145,11 +129,11 @@ func (q *msgQueue) pop() *message {
 	return m
 }
 
-// World is one simulated job: a machine plus n ranks, built by Run and
+// world is one simulated job: a machine plus n ranks, built by Run and
 // dropped when it returns. Only the currently running rank touches a
 // world's state — the cooperative scheduler serialises all access, so
 // nothing here is locked.
-type World struct {
+type world struct {
 	machine *cluster.Machine
 	n       int
 	queues  []map[streamKey]*msgQueue // per-destination (src, tag) streams
@@ -174,7 +158,7 @@ type World struct {
 	payloadFree [28][][]float64
 }
 
-func (w *World) newMessage() *message {
+func (w *world) newMessage() *message {
 	if k := len(w.msgFree); k > 0 {
 		m := w.msgFree[k-1]
 		w.msgFree = w.msgFree[:k-1]
@@ -183,7 +167,7 @@ func (w *World) newMessage() *message {
 	return new(message)
 }
 
-func (w *World) freeMessage(m *message) {
+func (w *world) freeMessage(m *message) {
 	m.payload = nil
 	w.msgFree = append(w.msgFree, m)
 }
@@ -191,7 +175,7 @@ func (w *World) freeMessage(m *message) {
 // Rank is the handle a rank program uses for all simulated
 // operations. It must only be used from within that rank's program.
 type Rank struct {
-	world *World
+	world *world
 	id    int
 	clock float64
 	comp  float64
@@ -205,12 +189,6 @@ func (r *Rank) ID() int { return r.id }
 
 // Size returns the number of ranks in the world.
 func (r *Rank) Size() int { return r.world.n }
-
-// Machine returns the machine the world runs on.
-func (r *Rank) Machine() *cluster.Machine { return r.world.machine }
-
-// Elapsed returns the rank's current virtual clock in seconds.
-func (r *Rank) Elapsed() float64 { return r.clock }
 
 // Run executes body on n simulated ranks of machine m and returns the
 // job statistics. n must not exceed m.Procs(): ranks map to
@@ -229,7 +207,7 @@ func Run(m *cluster.Machine, n int, body func(r *Rank)) (Stats, error) {
 	if n <= 0 || n > m.Procs() {
 		return Stats{}, fmt.Errorf("simmpi: %d ranks on %s (%d processors)", n, m, m.Procs())
 	}
-	w := &World{machine: m, n: n, queues: make([]map[streamKey]*msgQueue, n), ranks: make([]Rank, n)}
+	w := &world{machine: m, n: n, queues: make([]map[streamKey]*msgQueue, n), ranks: make([]Rank, n)}
 	for i := range w.ranks {
 		w.queues[i] = make(map[streamKey]*msgQueue)
 		w.ranks[i] = Rank{world: w, id: i}
@@ -281,18 +259,12 @@ func (r *Rank) Sleep(dt float64) {
 	r.clock += dt
 }
 
-// Send posts data to dst under tag. The send is eager and
+// SendOwned posts data to dst under tag. The send is eager and
 // non-blocking: the sender pays only the link injection overhead.
-// Message size is 8 bytes per element. The data slice is copied, so
-// the caller may reuse it immediately.
-func (r *Rank) Send(dst, tag int, data []float64) {
-	r.send(dst, tag, append([]float64(nil), data...), 8*len(data))
-}
-
-// SendOwned is Send without the defensive copy: ownership of data
-// transfers to the machine (and eventually to the receiver returned
-// by Recv). The caller must not touch data afterwards. Simulators on
-// the hot path use it to ship freshly built payloads allocation-free.
+// Message size is 8 bytes per element. Ownership of data transfers to
+// the machine (and eventually to the receiver returned by Recv), so
+// the caller must not touch data afterwards: simulators on the hot
+// path ship freshly built payloads allocation-free.
 func (r *Rank) SendOwned(dst, tag int, data []float64) {
 	r.send(dst, tag, data, 8*len(data))
 }
@@ -432,12 +404,4 @@ func waitUntil(clock, wait, t float64) (float64, float64) {
 		return t, wait + (t - clock)
 	}
 	return clock, wait
-}
-
-// SendRecv exchanges messages with a peer: posts the send, then
-// receives. Safe for symmetric halo exchanges because sends are
-// non-blocking.
-func (r *Rank) SendRecv(peer, tag int, data []float64) []float64 {
-	r.Send(peer, tag, data)
-	return r.Recv(peer, tag)
 }

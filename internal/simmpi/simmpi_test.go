@@ -56,8 +56,8 @@ func TestHeterogeneousSpeeds(t *testing.T) {
 	if math.Abs(st.RankClocks[0]-1.0) > 1e-12 || math.Abs(st.RankClocks[1]-2.0) > 1e-12 {
 		t.Errorf("clocks = %v, want [1 2]", st.RankClocks)
 	}
-	if got := st.LoadImbalance(); math.Abs(got-4.0/3.0) > 1e-9 {
-		t.Errorf("LoadImbalance = %v, want 4/3", got)
+	if math.Abs(st.ComputeTime[0]-1.0) > 1e-12 || math.Abs(st.ComputeTime[1]-2.0) > 1e-12 {
+		t.Errorf("compute = %v, want [1 2]", st.ComputeTime)
 	}
 }
 
@@ -65,8 +65,8 @@ func TestSendRecvTiming(t *testing.T) {
 	m := testMachine(2, 1) // ranks on different nodes -> Inter link
 	st, err := Run(m, 2, func(r *Rank) {
 		if r.ID() == 0 {
-			r.Compute(1e9)                      // depart at 1s + overhead
-			r.Send(1, 0, make([]float64, 1000)) // 8000 bytes
+			r.Compute(1e9)                           // depart at 1s + overhead
+			r.SendOwned(1, 0, make([]float64, 1000)) // 8000 bytes
 		} else {
 			r.Recv(0, 0)
 		}
@@ -91,7 +91,7 @@ func TestIntraNodeCheaperThanInterNode(t *testing.T) {
 	run := func(nodes, ppn int) float64 {
 		st, err := Run(testMachine(nodes, ppn), 2, func(r *Rank) {
 			if r.ID() == 0 {
-				r.Send(1, 0, make([]float64, 100000))
+				r.SendOwned(1, 0, make([]float64, 100000))
 			} else {
 				r.Recv(0, 0)
 			}
@@ -111,7 +111,7 @@ func TestIntraNodeCheaperThanInterNode(t *testing.T) {
 func TestMessagePayloadDelivered(t *testing.T) {
 	_, err := Run(testMachine(1, 2), 2, func(r *Rank) {
 		if r.ID() == 0 {
-			r.Send(1, 7, []float64{3.5, -1})
+			r.SendOwned(1, 7, []float64{3.5, -1})
 		} else {
 			got := r.Recv(0, 7)
 			if len(got) != 2 || got[0] != 3.5 || got[1] != -1 {
@@ -129,7 +129,7 @@ func TestFIFOPerPair(t *testing.T) {
 		const n = 50
 		if r.ID() == 0 {
 			for i := 0; i < n; i++ {
-				r.Send(1, 0, []float64{float64(i)})
+				r.SendOwned(1, 0, []float64{float64(i)})
 			}
 		} else {
 			for i := 0; i < n; i++ {
@@ -148,8 +148,8 @@ func TestFIFOPerPair(t *testing.T) {
 func TestTagsSeparateStreams(t *testing.T) {
 	_, err := Run(testMachine(1, 2), 2, func(r *Rank) {
 		if r.ID() == 0 {
-			r.Send(1, 1, []float64{1})
-			r.Send(1, 2, []float64{2})
+			r.SendOwned(1, 1, []float64{1})
+			r.SendOwned(1, 2, []float64{2})
 		} else {
 			// Receive in reverse tag order.
 			if got := r.Recv(0, 2); got[0] != 2 {
@@ -165,10 +165,13 @@ func TestTagsSeparateStreams(t *testing.T) {
 	}
 }
 
+// TestSendRecvExchange: both ranks send before they receive, which is
+// safe because a send never blocks.
 func TestSendRecvExchange(t *testing.T) {
 	_, err := Run(testMachine(1, 2), 2, func(r *Rank) {
 		peer := 1 - r.ID()
-		got := r.SendRecv(peer, 0, []float64{float64(r.ID())})
+		r.SendOwned(peer, 0, []float64{float64(r.ID())})
+		got := r.Recv(peer, 0)
 		if got[0] != float64(peer) {
 			panic("exchange wrong")
 		}
@@ -183,10 +186,10 @@ func TestMonotoneClockProperty(t *testing.T) {
 	_, err := Run(testMachine(2, 2), 4, func(r *Rank) {
 		last := 0.0
 		check := func() {
-			if r.Elapsed() < last {
+			if r.clock < last {
 				panic("clock went backwards")
 			}
-			last = r.Elapsed()
+			last = r.clock
 		}
 		for i := 0; i < 10; i++ {
 			r.Compute(float64(r.ID()+1) * 1e6)
@@ -194,7 +197,8 @@ func TestMonotoneClockProperty(t *testing.T) {
 			r.Allreduce1(Sum, 1)
 			check()
 			peer := r.ID() ^ 1
-			r.SendRecv(peer, i, []float64{1})
+			r.SendOwned(peer, i, []float64{1})
+			r.Recv(peer, i)
 			check()
 			r.Barrier()
 			check()
@@ -209,7 +213,7 @@ func TestBarrierSynchronises(t *testing.T) {
 	st, err := Run(testMachine(1, 4), 4, func(r *Rank) {
 		r.Compute(float64(r.ID()) * 1e9) // ranks finish at 0,1,2,3s
 		r.Barrier()
-		if r.Elapsed() < 3.0 {
+		if r.clock < 3.0 {
 			panic("barrier exited before slowest rank")
 		}
 	})
@@ -233,7 +237,7 @@ func TestAllreduceValues(t *testing.T) {
 		if got := r.Allreduce1(Max, float64(r.ID())); got != 3 {
 			panic("allreduce max wrong")
 		}
-		if got := r.Allreduce1(Min, float64(r.ID())); got != 0 {
+		if got := r.Allreduce1(minOp, float64(r.ID())); got != 0 {
 			panic("allreduce min wrong")
 		}
 	})
@@ -297,7 +301,7 @@ func TestDeterministicTiming(t *testing.T) {
 			r.Allreduce1(Sum, float64(i))
 			peer := (r.ID() + 1) % r.Size()
 			prev := (r.ID() + r.Size() - 1) % r.Size()
-			r.Send(peer, i, []float64{1, 2, 3})
+			r.SendOwned(peer, i, []float64{1, 2, 3})
 			r.Recv(prev, i)
 		}
 	}
@@ -343,8 +347,8 @@ func TestInvalidOperationsPanic(t *testing.T) {
 		name string
 		body func(r *Rank)
 	}{
-		{"send to self", func(r *Rank) { r.Send(r.ID(), 0, nil) }},
-		{"send out of range", func(r *Rank) { r.Send(99, 0, nil) }},
+		{"send to self", func(r *Rank) { r.SendOwned(r.ID(), 0, nil) }},
+		{"send out of range", func(r *Rank) { r.SendOwned(99, 0, nil) }},
 		{"recv out of range", func(r *Rank) { r.Recv(-1, 0) }},
 		{"negative compute", func(r *Rank) { r.Compute(-1) }},
 		{"negative sleep", func(r *Rank) { r.Sleep(-1) }},
@@ -411,7 +415,7 @@ func TestSendBytesHasNoPayload(t *testing.T) {
 			if got := r.Recv(0, 0); got != nil {
 				panic("expected nil payload")
 			}
-			if r.Elapsed() < float64(1<<20)/1e9 {
+			if r.clock < float64(1<<20)/1e9 {
 				panic("transfer time not charged")
 			}
 		}

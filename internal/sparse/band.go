@@ -128,7 +128,7 @@ func BandOf(a *CSR) (*Band, error) {
 	// make each row's left part exactly the rows that reach it.
 	for i := 0; i < a.N; i++ {
 		if a.RowPtr[i+1] != int(b.rowPtr[i+1]) {
-			return nil, fmt.Errorf("sparse: row %d stores %d entries, its band %d: the pattern is not symmetric", i, a.RowPtr[i+1]-a.RowPtr[i], b.RowNNZ(i, i+1))
+			return nil, fmt.Errorf("sparse: row %d stores %d entries, its band %d: the pattern is not symmetric", i, a.RowPtr[i+1]-a.RowPtr[i], b.rowNNZ(i, i+1))
 		}
 		for _, c := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
 			if int(c) >= i {
@@ -145,8 +145,8 @@ func BandOf(a *CSR) (*Band, error) {
 // NNZ returns the number of stored entries.
 func (b *Band) NNZ() int { return int(b.rowPtr[b.N]) }
 
-// RowNNZ returns the number of stored entries in rows [lo, hi).
-func (b *Band) RowNNZ(lo, hi int) int { return int(b.rowPtr[hi] - b.rowPtr[lo]) }
+// rowNNZ returns the number of stored entries in rows [lo, hi).
+func (b *Band) rowNNZ(lo, hi int) int { return int(b.rowPtr[hi] - b.rowPtr[lo]) }
 
 // Pattern expands the band into a structure-only CSR (Val nil), in one
 // pass in (i, j) order: row i's left neighbours all arrive before its
@@ -175,8 +175,8 @@ func (b *Band) Pattern() *CSR {
 }
 
 // HaloPlan builds the halo plan of the band under the given partition
-// into a new plan the caller keeps. It equals the plan NewHaloPlan
-// builds from the band's Pattern.
+// into a new plan the caller keeps. It equals the plan a one-off CSR
+// plan (NewDistMatrix) builds from the band's Pattern.
 func (b *Band) HaloPlan(part Partition) (*HaloPlan, error) {
 	hp := new(HaloPlan)
 	if err := b.plan(hp, part); err != nil {
@@ -211,7 +211,7 @@ func (b *Band) plan(hp *HaloPlan, part Partition) error {
 	from := hp.from
 	for r := 0; r < p; r++ {
 		lo, hi := part.Range(r)
-		hp.setNNZ(r, b.RowNNZ(lo, hi))
+		hp.setNNZ(r, b.rowNNZ(lo, hi))
 		for c, q := lo-1, r-1; c >= max(0, lo-b.maxReach); c-- {
 			for c < part.Starts[q] {
 				q--

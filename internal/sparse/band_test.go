@@ -32,7 +32,7 @@ func randomBand(rng *rand.Rand, n int) *Band {
 // TestBandPlanMatchesCSRPlan pins the plan a band builds to the one
 // the CSR walk builds: for random bands, the Fig. 2 band and the
 // dense-block chain, under the even partition, random ones, p = 1 and
-// p = N, Band.HaloPlan is deeply equal to NewHaloPlan of the band's
+// p = N, Band.HaloPlan is deeply equal to haloPlanOf the band's
 // Pattern — ranges, stored entries, every receive and send leg. A
 // partition that does not cover the band is an error.
 func TestBandPlanMatchesCSRPlan(t *testing.T) {
@@ -72,7 +72,7 @@ func TestBandPlanMatchesCSRPlan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: %v", tc.name, part.Starts, err)
 			}
-			if want, err := NewHaloPlan(a, part); err != nil || !reflect.DeepEqual(got, want) {
+			if want, err := haloPlanOf(a, part); err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %v: band plan\n%+v\nCSR plan (err %v)\n%+v", tc.name, part.Starts, got, err, want)
 			}
 		}
@@ -100,8 +100,8 @@ func TestBandOf(t *testing.T) {
 		}
 		for lo := 0; lo <= b.N; lo += 7 {
 			for hi := lo; hi <= b.N; hi += 11 {
-				if b.RowNNZ(lo, hi) != a.RowNNZ(lo, hi) {
-					t.Fatalf("%d rows: RowNNZ(%d, %d) = %d, pattern %d", b.N, lo, hi, b.RowNNZ(lo, hi), a.RowNNZ(lo, hi))
+				if b.rowNNZ(lo, hi) != a.RowNNZ(lo, hi) {
+					t.Fatalf("%d rows: RowNNZ(%d, %d) = %d, pattern %d", b.N, lo, hi, b.rowNNZ(lo, hi), a.RowNNZ(lo, hi))
 				}
 			}
 		}
@@ -235,7 +235,7 @@ func TestBandEntryLimit(t *testing.T) {
 		}
 	}
 	b, err := buildBand(n, reaching(math.MaxInt32))
-	if err != nil || int64(b.NNZ()) != math.MaxInt32 || b.RowNNZ(0, n) != b.NNZ() {
+	if err != nil || int64(b.NNZ()) != math.MaxInt32 || b.rowNNZ(0, n) != b.NNZ() {
 		t.Fatalf("a band of %d entries: err %v, NNZ %d", int64(math.MaxInt32), err, b.NNZ())
 	}
 	if _, err := buildBand(n, reaching(math.MaxInt32+2)); err == nil || !strings.Contains(err.Error(), "limit") {

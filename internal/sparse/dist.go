@@ -135,18 +135,6 @@ func (hp *HaloPlan) mirrorSends() {
 	}
 }
 
-// NewHaloPlan builds the halo plan of a under the given partition. It
-// checks a's row invariant first, O(nnz). A campaign planning many
-// partitions of a band plans each from the Band instead, into pooled
-// storage (Band.AcquirePlan).
-func NewHaloPlan(a *CSR, part Partition) (*HaloPlan, error) {
-	if err := a.checkRows(); err != nil {
-		return nil, err
-	}
-	hp, _, err := newHaloPlan(a, part, false)
-	return hp, err
-}
-
 // newHaloPlan reads, of each row of rank r's range [lo, hi), only the
 // ascending prefix of columns below lo and the suffix at or above hi —
 // the row invariant makes those exactly its off-rank references — so
@@ -189,7 +177,7 @@ func newHaloPlan(a *CSR, part Partition, wantGhosts bool) (*HaloPlan, [][]int, e
 						continue
 					}
 					stamp[c] = mark
-					from[part.OwnerOf(int(c))]++
+					from[part.ownerOf(int(c))]++
 					if wantGhosts {
 						ghosts[r] = append(ghosts[r], int(c))
 					}
@@ -209,11 +197,6 @@ func (hp *HaloPlan) LocalSize(rank int) int {
 
 // LocalNNZ returns the stored entries in rank's rows.
 func (hp *HaloPlan) LocalNNZ(rank int) int { return hp.ranks[rank].nnz }
-
-// HaloBytes returns the total bytes rank receives per MatVec.
-func (hp *HaloPlan) HaloBytes(rank int) int {
-	return 8 * hp.ranks[rank].nGhost
-}
 
 // MaxLocalNNZ returns the largest per-rank nonzero count: the load
 // gate of every synchronised solver iteration.
@@ -394,24 +377,12 @@ func (dm *DistMatrix) ReleaseWorkspace(rank int, ws *Workspace) {
 	}
 }
 
-// MatVec computes the local block of y = A·x inside a simulated rank.
-// x is the rank's local slice (rows [lo,hi)); the returned slice is
-// the local slice of y, freshly allocated — callers may retain it.
-// Ghost entries are exchanged with neighbour ranks, paying real
-// communication costs; the local product charges FlopsPerNNZ per
-// stored entry. Hot paths that call MatVec every solver iteration
-// should hold a Workspace and use MatVecInto instead.
-func (dm *DistMatrix) MatVec(r *simmpi.Rank, tag int, x []float64) []float64 {
-	ws := dm.AcquireWorkspace(r.ID())
-	y := make([]float64, dm.LocalSize(r.ID()))
-	dm.matVec(r, tag, x, ws, y)
-	dm.ReleaseWorkspace(r.ID(), ws)
-	return y
-}
-
-// MatVecInto is MatVec writing into ws: the returned slice is ws's
-// result buffer, valid until the next MatVecInto on the same
-// workspace. With a warm workspace the whole product — send staging,
+// MatVecInto computes the local block of y = A·x inside a simulated
+// rank. x is the rank's local slice (rows [lo,hi)); the returned slice
+// is the local slice of y, ws's result buffer, valid until the next
+// MatVecInto on the same workspace. Ghost entries are exchanged with
+// neighbour ranks, paying real communication costs; the local product
+// charges FlopsPerNNZ per stored entry. With a warm workspace the whole product — send staging,
 // operand packing, and the local kernel — allocates nothing: staging
 // buffers cycle through the world's payload free lists (the receiver
 // donates them back after unpacking) and the operand and result live

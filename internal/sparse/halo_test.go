@@ -15,7 +15,7 @@ import (
 // and against the DistMatrix of the same partition: for every rank
 // the distinct remote columns, grouped by owner in increasing peer
 // order, give the receive legs' counts, the mirrored send legs' peers,
-// bytes and index lists, the ghost total behind HaloBytes, and the row
+// bytes and index lists, the ghost total behind the halo bytes, and the row
 // and nnz counts. Runs on
 // uneven random partitions of the band matrix, of the dense-block
 // matrix (a cut block makes every one of its columns a ghost, many
@@ -51,9 +51,9 @@ func TestHaloPlanMatchesDistMatrix(t *testing.T) {
 			case mat.edges && trial == 2:
 				p, part = a.N, EvenPartition(a.N, a.N)
 			}
-			hp, err := NewHaloPlan(a, part)
+			hp, err := haloPlanOf(a, part)
 			if err != nil {
-				t.Fatalf("%s %v: NewHaloPlan: %v", name, part.Starts, err)
+				t.Fatalf("%s %v: haloPlanOf: %v", name, part.Starts, err)
 			}
 			dm, err := NewDistMatrix(a, part)
 			if err != nil {
@@ -71,7 +71,7 @@ func TestHaloPlanMatchesDistMatrix(t *testing.T) {
 				for _, col := range a.Col[a.RowPtr[lo]:a.RowPtr[hi]] {
 					if c := int(col); (c < lo || c >= hi) && !seen[c] {
 						seen[c] = true
-						need[r][part.OwnerOf(c)] = append(need[r][part.OwnerOf(c)], c)
+						need[r][part.ownerOf(c)] = append(need[r][part.ownerOf(c)], c)
 					}
 				}
 				for _, cols := range need[r] {
@@ -103,10 +103,10 @@ func TestHaloPlanMatchesDistMatrix(t *testing.T) {
 				if !reflect.DeepEqual(dm.plans[r].sendIdx, wantSendIdx) {
 					t.Fatalf("%s %v rank %d: send index lists %v, want %v", name, part.Starts, r, dm.plans[r].sendIdx, wantSendIdx)
 				}
-				if hp.HaloBytes(r) != 8*ghosts || hp.LocalNNZ(r) != a.RowNNZ(lo, hi) || hp.LocalSize(r) != hi-lo ||
+				if haloBytes(hp, r) != 8*ghosts || hp.LocalNNZ(r) != a.RowNNZ(lo, hi) || hp.LocalSize(r) != hi-lo ||
 					hp.NNZCounts()[r] != float64(a.RowNNZ(lo, hi)) || hp.RowCounts()[r] != float64(hi-lo) {
-					t.Fatalf("%s %v rank %d: HaloBytes %d LocalNNZ %d (%v) LocalSize %d (%v), want %d %d %d", name, part.Starts, r,
-						hp.HaloBytes(r), hp.LocalNNZ(r), hp.NNZCounts()[r], hp.LocalSize(r), hp.RowCounts()[r], 8*ghosts, a.RowNNZ(lo, hi), hi-lo)
+					t.Fatalf("%s %v rank %d: halo bytes %d LocalNNZ %d (%v) LocalSize %d (%v), want %d %d %d", name, part.Starts, r,
+						haloBytes(hp, r), hp.LocalNNZ(r), hp.NNZCounts()[r], hp.LocalSize(r), hp.RowCounts()[r], 8*ghosts, a.RowNNZ(lo, hi), hi-lo)
 				}
 			}
 		}
@@ -153,10 +153,19 @@ func randomSortedCSR(rng *rand.Rand, n int) *CSR {
 	return a
 }
 
+// haloPlanOf is the halo plan of a under part, planned from a's rows.
+func haloPlanOf(a *CSR, part Partition) (*HaloPlan, error) {
+	hp, _, err := newHaloPlan(a, part, false)
+	return hp, err
+}
+
+// haloBytes is the bytes rank receives per product under hp.
+func haloBytes(hp *HaloPlan, rank int) int { return 8 * hp.ranks[rank].nGhost }
+
 // TestRowOrderIsChecked pins the guard in front of the prefix/suffix
 // scan: a hand-built CSR with one row's columns out of order, or with
 // a duplicate column, is an error from every entry point that reads
-// rows — the one-off NewHaloPlan, NewDistMatrix, and BandOf, the way to
+// rows — NewDistMatrix, and BandOf, the way to
 // a Band's plans — never a plan. The matrix is a band, which BandOf
 // accepts before the corruption.
 func TestRowOrderIsChecked(t *testing.T) {
@@ -179,9 +188,6 @@ func TestRowOrderIsChecked(t *testing.T) {
 		}
 		tc.corrupt(a)
 		part := EvenPartition(a.N, 2)
-		if _, err := NewHaloPlan(a, part); err == nil {
-			t.Errorf("%s: NewHaloPlan planned the matrix", name)
-		}
 		if _, err := NewDistMatrix(a, part); err == nil {
 			t.Errorf("%s: NewDistMatrix planned the matrix", name)
 		}
@@ -192,9 +198,9 @@ func TestRowOrderIsChecked(t *testing.T) {
 }
 
 // TestStructureOnlyMatrix pins what a matrix without values may do. A
-// halo plan reads only structure, so NewHaloPlan plans VariableBand's
+// halo plan reads only structure, so haloPlanOf plans VariableBand's
 // Pattern, and the band plans itself, fresh or into pooled storage,
-// exactly as NewHaloPlan plans VariableBandLaplacian. The numeric
+// exactly as haloPlanOf plans VariableBandLaplacian. The numeric
 // product has nothing to multiply: NewDistMatrix refuses a matrix with
 // no values, or too few, with an error, and MulVec panics with a
 // message rather than indexing past Val.
@@ -202,12 +208,12 @@ func TestStructureOnlyMatrix(t *testing.T) {
 	band := VariableBand(300, 2, 24, 3)
 	valued, pattern := VariableBandLaplacian(300, 2, 24, 3), band.Pattern()
 	part := EvenPartition(valued.N, 4)
-	want, err := NewHaloPlan(valued, part)
+	want, err := haloPlanOf(valued, part)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := NewHaloPlan(pattern, part); err != nil || !reflect.DeepEqual(got, want) {
-		t.Errorf("NewHaloPlan of the pattern: err %v, or a different plan", err)
+	if got, err := haloPlanOf(pattern, part); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("haloPlanOf the pattern: err %v, or a different plan", err)
 	}
 	if got, err := band.HaloPlan(part); err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("HaloPlan of the band: err %v, or a different plan", err)

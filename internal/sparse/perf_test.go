@@ -93,7 +93,7 @@ func TestMatVecMatchesMulVecBitwise(t *testing.T) {
 		}
 		got := make([]float64, a.N)
 		_, err = simmpi.Run(distTestMachine(p, 1), p, func(r *simmpi.Rank) {
-			yl := dm.MatVec(r, 0, dm.Scatter(r.ID(), xg))
+			yl := dm.MatVecInto(new(Workspace), r, 0, dm.Scatter(r.ID(), xg))
 			lo, _ := part.Range(r.ID())
 			copy(got[lo:], yl)
 		})

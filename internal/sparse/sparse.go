@@ -32,7 +32,7 @@
 // most math.MaxInt32 entries.
 // Both Fig. 2 matrices are bands (VariableBand; BandOf of a dense-block
 // Laplacian), and a Band plans a partition from the reaches alone, with
-// no column list to read, into the plan NewHaloPlan builds from its
+// no column list to read, into the plan NewDistMatrix builds from its
 // Pattern; AcquirePlan builds it into pooled storage for one
 // evaluation, with no allocation once warm. VariableBandLaplacian is
 // VariableBand's Pattern plus one value pass in which each row's
@@ -431,14 +431,8 @@ func (pt Partition) Range(rank int) (lo, hi int) {
 	return pt.Starts[rank], pt.Starts[rank+1]
 }
 
-// Size returns the number of rows owned by rank.
-func (pt Partition) Size(rank int) int {
-	lo, hi := pt.Range(rank)
-	return hi - lo
-}
-
-// OwnerOf returns the rank owning the given row.
-func (pt Partition) OwnerOf(row int) int {
+// ownerOf returns the rank owning the given row.
+func (pt Partition) ownerOf(row int) int {
 	// Binary search over Starts.
 	lo, hi := 0, pt.P()
 	for lo < hi {

@@ -91,13 +91,13 @@ func TestEvenPartition(t *testing.T) {
 	}
 	total := 0
 	for r := 0; r < 3; r++ {
-		total += pt.Size(r)
+		total += rows(pt, r)
 	}
 	if total != 10 {
 		t.Errorf("sizes sum to %d, want 10", total)
 	}
-	if pt.Size(0) < 3 || pt.Size(0) > 4 {
-		t.Errorf("even partition size %d", pt.Size(0))
+	if rows(pt, 0) < 3 || rows(pt, 0) > 4 {
+		t.Errorf("even partition size %d", rows(pt, 0))
 	}
 }
 
@@ -146,7 +146,7 @@ func TestOwnerOf(t *testing.T) {
 	pt := Partition{Starts: []int{0, 4, 4 + 3, 10}}
 	wants := []int{0, 0, 0, 0, 1, 1, 1, 2, 2, 2}
 	for row, want := range wants {
-		if got := pt.OwnerOf(row); got != want {
+		if got := pt.ownerOf(row); got != want {
 			t.Errorf("OwnerOf(%d) = %d, want %d", row, got, want)
 		}
 	}
@@ -182,7 +182,7 @@ func TestDistMatVecMatchesDense(t *testing.T) {
 		got := make([]float64, a.N)
 		_, err = simmpi.Run(distTestMachine(p, 1), p, func(r *simmpi.Rank) {
 			xl := dm.Scatter(r.ID(), xg)
-			yl := dm.MatVec(r, 0, xl)
+			yl := dm.MatVecInto(new(Workspace), r, 0, xl)
 			lo, _ := part.Range(r.ID())
 			copy(got[lo:], yl) // each rank writes a disjoint range
 		})
@@ -220,7 +220,7 @@ func TestDistMatVecProperty(t *testing.T) {
 		}
 		got := make([]float64, a.N)
 		_, err = simmpi.Run(distTestMachine(p, 1), p, func(r *simmpi.Rank) {
-			yl := dm.MatVec(r, 0, dm.Scatter(r.ID(), xg))
+			yl := dm.MatVecInto(new(Workspace), r, 0, dm.Scatter(r.ID(), xg))
 			lo, _ := part.Range(r.ID())
 			copy(got[lo:], yl)
 		})
@@ -239,6 +239,12 @@ func TestDistMatVecProperty(t *testing.T) {
 	}
 }
 
+// rows is the number of rows part gives rank.
+func rows(part Partition, rank int) int {
+	lo, hi := part.Range(rank)
+	return hi - lo
+}
+
 func TestHaloBytesGrowWhenBlockSplit(t *testing.T) {
 	// Splitting a dense block across a boundary must increase halo
 	// volume versus aligning the boundary with the block edge: the
@@ -252,8 +258,8 @@ func TestHaloBytesGrowWhenBlockSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alignedHalo := aligned.HaloBytes(0) + aligned.HaloBytes(1)
-	splitHalo := split.HaloBytes(0) + split.HaloBytes(1)
+	alignedHalo := haloBytes(aligned.HaloPlan, 0) + haloBytes(aligned.HaloPlan, 1)
+	splitHalo := haloBytes(split.HaloPlan, 0) + haloBytes(split.HaloPlan, 1)
 	if splitHalo <= alignedHalo {
 		t.Errorf("split halo %d should exceed aligned halo %d", splitHalo, alignedHalo)
 	}
@@ -285,7 +291,7 @@ func TestNewDistMatrixRejectsBadPartition(t *testing.T) {
 	if _, err := NewDistMatrix(a, Partition{}); err == nil {
 		t.Error("expected error for the zero partition")
 	}
-	if _, err := NewHaloPlan(a, Partition{Starts: []int{0, 8, 8, 16}}); err == nil {
+	if _, err := haloPlanOf(a, Partition{Starts: []int{0, 8, 8, 16}}); err == nil {
 		t.Error("expected error for an empty range")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"harmony/internal/cluster"
@@ -285,7 +286,7 @@ func slesPredictByScan(app *petscsim.SLESApp, m *cluster.Machine, cfg space.Conf
 				continue
 			}
 			stamp[c] = r + 1
-			ghosts[r][part.OwnerOf(c)]++
+			ghosts[r][sort.Search(p, func(k int) bool { return part.Starts[k+1] > c })]++
 		}
 	}
 	worst := 0.0

@@ -35,15 +35,15 @@ func Summarize(values []float64) Summary {
 		Min:   s[0],
 		Max:   s[len(s)-1],
 		Mean:  sum / float64(len(s)),
-		P5:    Percentile(s, 0.05),
-		P50:   Percentile(s, 0.50),
-		P95:   Percentile(s, 0.95),
+		P5:    percentile(s, 0.05),
+		P50:   percentile(s, 0.50),
+		P95:   percentile(s, 0.95),
 	}
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 1) of an
+// percentile returns the p-th percentile (0 <= p <= 1) of an
 // ascending-sorted sample using linear interpolation.
-func Percentile(sorted []float64, p float64) float64 {
+func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		panic("trace: empty sample")
 	}

@@ -23,8 +23,8 @@ func TestPercentileInterpolates(t *testing.T) {
 		{0, 10}, {1, 40}, {0.5, 25}, {1.0 / 3, 20},
 	}
 	for _, c := range cases {
-		if got := Percentile(sorted, c.p); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+		if got := percentile(sorted, c.p); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("percentile(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
 }
@@ -42,7 +42,7 @@ func TestPercentileBoundsProperty(t *testing.T) {
 		}
 		sortFloats(s)
 		pp := math.Mod(math.Abs(p), 1)
-		v := Percentile(s, pp)
+		v := percentile(s, pp)
 		return v >= s[0] && v <= s[len(s)-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -111,7 +111,7 @@ func TestHistogramRender(t *testing.T) {
 func TestPanicsOnEmpty(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"Summarize":    func() { Summarize(nil) },
-		"Percentile":   func() { Percentile(nil, 0.5) },
+		"Percentile":   func() { percentile(nil, 0.5) },
 		"NewHistogram": func() { NewHistogram(nil, 3) },
 		"ZeroBins":     func() { NewHistogram([]float64{1}, 0) },
 	} {
