@@ -10,7 +10,7 @@ import (
 
 // A Mux method that returns holding the mutex deadlocks the next call
 // and the reader, which shows as a test hanging until the timeout.
-// These pins call every exported method, on a healthy mux, after the
+// These pins call every method that takes the mutex, on a healthy mux, after the
 // peer drops and after Close, and require the mutex to be free after
 // each, naming the method that kept it.
 
@@ -50,6 +50,7 @@ func TestMuxReleasesMutex(t *testing.T) {
 		{"Best", func() error { _, _, err := sess.Best(); return err }, false},
 		{"Fetch (server error)", func() error { _, _, err := sess.Fetch(); return err }, true},
 		{"Done", func() error { return sess.Done() }, false},
+		{"failure", func() error { return m.failure() }, false},
 		{"Close", func() error { return m.Close() }, false},
 		{"Fetch (closed)", func() error { _, _, err := m.Attach("s1").Fetch(); return err }, true},
 		{"Register (closed)", func() error { _, err := m.Register(Registration{Space: testSpace()}); return err }, true},
@@ -86,6 +87,7 @@ func TestMuxReleasesMutexAfterPeerDrops(t *testing.T) {
 	if m.failure() == nil {
 		t.Fatal("a failed mux reports no error")
 	}
+	requireMuxUnlocked(t, m, "failure")
 	if _, _, err := m.Attach("s1").Best(); err == nil {
 		t.Fatal("Best over a dropped peer returned success")
 	}

@@ -182,12 +182,6 @@ func (w *Window[P]) Head() *Candidate[P] {
 	return w.buf[w.head]
 }
 
-// open reports whether a Refill may still issue candidates: no budget,
-// cap or error has ended the search.
-func (w *Window[P]) open() bool {
-	return !w.Exhausted && w.Err == nil && w.issued < w.MaxProposals
-}
-
 // memoised reports whether a point with this key has been charged, so
 // that a repeat of it would be a follower.
 func (w *Window[P]) memoised(key string) bool { return w.leaders[key] != nil }
@@ -204,7 +198,7 @@ func (w *Window[P]) Refill() []*Candidate[P] {
 	if w.Depth == Unbounded {
 		group = Unbounded
 	}
-	for w.open() && !w.Stalled && !w.Finished && w.n < w.Depth {
+	for !w.Exhausted && w.Err == nil && !w.Stalled && !w.Finished && w.n < w.Depth {
 		w.pts, w.bad = w.pts[:0], w.bad[:0]
 		for len(w.pts) < group && w.issued+len(w.pts) < w.MaxProposals {
 			pt, ok := w.Strategy.Ask()

@@ -115,10 +115,7 @@ func formatFixture(c *EvalCache, visit func(b *BoundCache, pt space.Point, v flo
 	for _, app := range apps {
 		for _, ns := range []string{"", "tenant-a"} {
 			for s, sp := range spaces {
-				b := c.BoundNS(app.name, app.machine, "", sp)
-				if ns != "" {
-					b = c.BoundNS(app.name, app.machine, ns, sp)
-				}
+				b := c.BoundNS(app.name, app.machine, ns, sp)
 				binding++
 				for i, pt := range points[s] {
 					visit(b, pt, float64(binding)/3+float64(i)*1e3)

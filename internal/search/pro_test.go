@@ -39,6 +39,9 @@ func TestPROConvergesAndStops(t *testing.T) {
 	if _, ok := p.Next(); ok {
 		t.Error("Next should stop after convergence")
 	}
+	if evals <= len(p.verts) {
+		t.Errorf("converged after %d evals, no round completed", evals)
+	}
 }
 
 func TestPROProposalsInBox(t *testing.T) {
