@@ -17,13 +17,14 @@
 // There is one Session type. What carries its five calls is either a
 // Client — one connection speaking JSON lines, one strict request/reply
 // exchange at a time — or a Mux, which multiplexes the concurrent calls
-// of many sessions over one binary-protocol connection (mux.go). Every
-// call is one exchange, except that a Fetch after a Report is usually
-// none: a report asks for the next configuration, and the server
-// answers with it whenever that is the same answer a fetch would get
-// (a shared-configuration session whose candidate the report
-// completed). A steady round is then one exchange, as in Active
-// Harmony's own client loop.
+// of many sessions over one binary-protocol connection (mux.go): each
+// call writes its own frame, and one reader goroutine delivers the
+// replies. Every call is one exchange, except that a Fetch after a
+// Report is usually none: a report asks for the next configuration,
+// and the server answers with it whenever that is the same answer a
+// fetch would get (a shared-configuration session whose candidate the
+// report completed). A steady round is then one exchange, as in
+// Active Harmony's own client loop.
 //
 // The values map Fetch returns is the Session's own, as the target of
 // Active Harmony's harmony_request_all is the application's variable
@@ -32,9 +33,9 @@
 // Session, and a caller that wants to keep a configuration copies it.
 // The map Best returns is a copy that belongs to the caller. Everything
 // else of an exchange is reused too — a Session decodes replies into
-// messages it owns, and a Mux recycles its per-call records — so a
-// steady round allocates on the client only the value strings it
-// decodes.
+// messages it owns, and a Mux recycles its per-call records and its
+// frame buffer — so a steady round allocates on the client only the
+// value strings it decodes.
 //
 // Production deployments dial with Options to bound each protocol
 // round trip with an I/O deadline and to reconnect with exponential

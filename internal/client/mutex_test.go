@@ -80,8 +80,8 @@ func TestMuxReleasesMutexAfterPeerDrops(t *testing.T) {
 	if _, _, err := m.Attach("s1").Fetch(); err == nil {
 		t.Fatal("Fetch over a dropped peer returned success")
 	}
-	// Both loops fail the mux on their own; wait them out so no probe
-	// races their last hold of the mutex.
+	// The reader fails the mux on its own too; wait it out so no probe
+	// races its last hold of the mutex.
 	m.wg.Wait()
 	requireMuxUnlocked(t, m, "Fetch (peer dropped)")
 	if m.failure() == nil {

@@ -2,8 +2,8 @@
 // tuning sessions multiplexed over one connection with request
 // pipelining. Where the JSON line protocol costs one connection and
 // one strict request/reply round trip per session per operation, a Mux
-// batches the concurrent operations of all its sessions into shared
-// frames and correlates replies by sequence number, so a single
+// lets the concurrent operations of all its sessions share one
+// connection and correlates replies by sequence number, so a single
 // connection carries thousands of interleaved campaigns.
 package client
 
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"harmony/internal/proto"
 )
@@ -20,43 +21,37 @@ import (
 // errMuxClosed is returned by calls on a Mux that was closed locally.
 var errMuxClosed = errors.New("client: mux closed")
 
-// muxOpQueue bounds the operations waiting for the writer goroutine.
-// When it fills, callers block in their round trip — backpressure
-// that keeps a burst of sessions from buffering unbounded frames in
-// memory.
-const muxOpQueue = 256
-
-// muxMaxBatch caps the messages packed into one outgoing frame.
-const muxMaxBatch = 64
-
 // Mux is a multiplexed binary-protocol connection. Each Session
 // obtained from Register (or Attach) is used by one goroutine at a
-// time, but any number of sessions may share the Mux concurrently;
-// their operations are batched into common frames. Create with
-// DialMux or NewMuxFromConn.
+// time, but any number of sessions may share the Mux concurrently.
+// As in net/rpc's client, every call writes its own frame from the
+// caller's goroutine, and one reader goroutine hands each reply to the
+// call that carries its Seq. Create with DialMux or NewMuxFromConn.
 type Mux struct {
 	conn net.Conn
-	bw   *bufio.Writer
 	br   *bufio.Reader
 
-	ops  chan *call    // queued for the writer, which assigns each its Seq
-	done chan struct{} // closed on first failure or Close
+	wmu     sync.Mutex // held while a call writes its frame
+	writers atomic.Int32
+	bw      *bufio.Writer // under wmu, as are seq and buf
+	seq     uint64
+	buf     []byte
 
 	mu    sync.Mutex
-	calls map[uint64]*call // encoded, awaiting their reply, by Seq
+	calls map[uint64]*call // registered for their reply, by Seq
 	free  []*call          // records whose reply was delivered
 	err   error
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // the reader
 }
 
 // call is the record of one operation in flight: the request, by value,
 // the reply the reader copies in, and the signal that it did (false
 // when the mux failed instead). Records are recycled through Mux.free.
-// A record goes back only after its reply arrived, and a reply proves
-// the writer has encoded the request: the writer registers a record in
-// Mux.calls only after encoding it. A call that fails drops its record,
-// which the writer or reader may still hold.
+// A record goes back only after its reply arrived, and the reader
+// delivers a reply only after taking the record out of Mux.calls. A
+// call that fails drops its record, which only the reader can still
+// hold.
 type call struct {
 	req   proto.Message
 	reply proto.Message
@@ -80,8 +75,8 @@ func DialMux(addr string) (*Mux, error) {
 }
 
 // NewMuxFromConn negotiates the binary protocol over an existing
-// connection (tests use net.Pipe) and starts the mux goroutines. On
-// error the caller still owns the connection.
+// connection (tests use net.Pipe) and starts the reader. On error the
+// caller still owns the connection.
 func NewMuxFromConn(nc net.Conn) (*Mux, error) {
 	bw := bufio.NewWriter(nc)
 	if err := proto.WriteHandshake(bw); err != nil {
@@ -94,23 +89,15 @@ func NewMuxFromConn(nc net.Conn) (*Mux, error) {
 	if err := proto.ReadHandshake(br); err != nil {
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
-	m := &Mux{
-		conn:  nc,
-		bw:    bw,
-		br:    br,
-		ops:   make(chan *call, muxOpQueue),
-		done:  make(chan struct{}),
-		calls: make(map[uint64]*call),
-	}
-	m.wg.Add(2)
-	go m.writeLoop()
+	m := &Mux{conn: nc, bw: bw, br: br, calls: make(map[uint64]*call)}
+	m.wg.Add(1)
 	go m.readLoop()
 	return m, nil
 }
 
-// fail latches the mux's terminal error once: it stops both loops,
-// closes the transport, and fails every call awaiting a reply so no
-// caller is left waiting (a call still queued sees done closed).
+// fail latches the mux's terminal error once: it closes the transport,
+// which stops the reader and unblocks a writer, and fails every call
+// awaiting a reply so no caller is left waiting.
 func (m *Mux) fail(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -118,7 +105,6 @@ func (m *Mux) fail(err error) {
 		return
 	}
 	m.err = err
-	close(m.done)
 	_ = m.conn.Close() // the transport error already describes the failure
 	for seq, c := range m.calls {
 		delete(m.calls, seq)
@@ -141,63 +127,42 @@ func (m *Mux) Close() error {
 	return nil
 }
 
-// writeLoop packs queued operations into frames: it blocks for the
-// first message, then drains whatever else is already queued (up to
-// muxMaxBatch) into the same frame, and flushes the socket only when
-// the queue momentarily empties. It numbers the requests, encodes the
-// frame, and only then registers the calls for their replies.
-func (m *Mux) writeLoop() {
-	defer m.wg.Done()
-	var (
-		batch        []*call
-		frame        proto.Frame
-		buf          []byte
-		frameID, seq uint64
-	)
-	for {
-		select {
-		case c := <-m.ops:
-			batch = append(batch[:0], c)
-		case <-m.done:
-			return
-		}
-	drain:
-		for len(batch) < muxMaxBatch {
-			select {
-			case c := <-m.ops:
-				batch = append(batch, c)
-			default:
-				break drain
-			}
-		}
-		frameID++
-		frame.ID, frame.Msgs = frameID, frame.Msgs[:0]
-		for _, c := range batch {
-			seq++
-			c.req.Seq = seq
-			frame.Msgs = append(frame.Msgs, &c.req)
-		}
-		var err error
-		if buf, err = proto.AppendFrame(buf[:0], &frame); err != nil {
-			m.fail(fmt.Errorf("client: mux send: %w", err))
-			return
-		}
-		m.mu.Lock()
-		for _, c := range batch {
-			m.calls[c.req.Seq] = c
-		}
-		m.mu.Unlock()
-		if _, err := m.bw.Write(buf); err != nil {
-			m.fail(fmt.Errorf("client: mux send: %w", err))
-			return
-		}
-		if len(m.ops) == 0 {
-			if err := m.bw.Flush(); err != nil {
-				m.fail(fmt.Errorf("client: mux send: %w", err))
-				return
-			}
-		}
+// send writes c's request as a frame of its own. writers counts the
+// calls waiting for wmu or holding it; one that leaves another still
+// waiting leaves the flush to it, so a burst shares syscalls and its
+// last writer flushes every frame of it. A peer that stops reading
+// blocks the writer in Write or Flush.
+func (m *Mux) send(c *call) error {
+	m.writers.Add(1)
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	err := m.write(c)
+	if m.writers.Add(-1) == 0 && err == nil {
+		err = m.bw.Flush()
 	}
+	return err
+}
+
+// write numbers c's request, encodes it into the reused buffer and
+// registers c for its reply before writing: the reader may see the
+// reply before Write returns. It registers nothing on a failed mux.
+func (m *Mux) write(c *call) error {
+	m.seq++
+	c.req.Seq = m.seq
+	buf, err := proto.AppendFrame(m.buf[:0], &proto.Frame{ID: m.seq, Msgs: []*proto.Message{&c.req}})
+	if err != nil {
+		return err
+	}
+	m.buf = buf
+	m.mu.Lock()
+	if err := m.err; err != nil {
+		m.mu.Unlock()
+		return err
+	}
+	m.calls[m.seq] = c
+	m.mu.Unlock()
+	_, err = m.bw.Write(buf)
+	return err
 }
 
 // readLoop decodes every reply frame into one reused Frame and hands
@@ -228,7 +193,7 @@ func (m *Mux) readLoop() {
 	}
 }
 
-// roundTrip performs one protocol operation over the mux: it queues
+// roundTrip performs one protocol operation over the mux: it writes
 // the message and blocks until the matching reply arrives or the mux
 // fails. Concurrent round trips pipeline — none waits for another's
 // reply. It decodes into reply, which it swaps with the call record's:
@@ -249,22 +214,11 @@ func (m *Mux) roundTrip(msg proto.Message, reply *proto.Message) error {
 		c = &call{done: make(chan bool, 1)}
 	}
 	c.req = msg
-	select {
-	case m.ops <- c:
-	case <-m.done:
+	if err := m.send(c); err != nil {
+		m.fail(fmt.Errorf("client: mux send: %w", err))
 		return m.failure()
 	}
-	var ok bool
-	select {
-	case ok = <-c.done:
-	case <-m.done:
-		// A reply delivered before the failure still counts.
-		select {
-		case ok = <-c.done:
-		default:
-		}
-	}
-	if !ok {
+	if !<-c.done {
 		return m.failure()
 	}
 	*reply, c.reply = c.reply, *reply

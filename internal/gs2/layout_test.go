@@ -556,12 +556,19 @@ func TestCountRefusesWhat32BitsCannotHold(t *testing.T) {
 	cfg := Config{Layout: DefaultLayout, Negrid: 32, Ntheta: 80, Steps: 1}
 	d, target := cfg.Dims(), cfg.Layout.front("xy")
 	const edge = 1310
-	if top := edge*d.n() + edge - 1; top < 1<<31 || top >= 1<<32 {
+	top := int64(edge)*int64(d.n()) + edge - 1
+	if top < 1<<31 || top >= 1<<32 {
 		t.Fatalf("largest numerator %d is not between 2³¹ and 2³²", top)
 	}
-	got, want := countMoves(d, cfg.Layout, target, edge), countMovesRef(d, cfg.Layout, target, edge)
-	if !slices.Equal(got.start, want.start) || !slices.Equal(got.dst, want.dst) || !slices.Equal(got.n, want.n) {
-		t.Errorf("p=%d: the count differs from the reference", edge)
+	// The reference counts in int, which a 32-bit int cannot hold here:
+	// there only the refusals below are checked.
+	if top > math.MaxInt {
+		t.Logf("p=%d: the reference count needs a 64-bit int", edge)
+	} else {
+		got, want := countMoves(d, cfg.Layout, target, edge), countMovesRef(d, cfg.Layout, target, edge)
+		if !slices.Equal(got.start, want.start) || !slices.Equal(got.dst, want.dst) || !slices.Equal(got.n, want.n) {
+			t.Errorf("p=%d: the count differs from the reference", edge)
+		}
 	}
 	refused := func() (r any) {
 		defer func() { r = recover() }()

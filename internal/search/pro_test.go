@@ -44,6 +44,25 @@ func TestPROConvergesAndStops(t *testing.T) {
 	}
 }
 
+// TestPROTieBreaks: on a flat objective, the incumbent among equal
+// values is the lowest-index member (the start point), and a
+// reflection that only ties the incumbent does not beat it, so the
+// round shrinks instead of expanding.
+func TestPROTieBreaks(t *testing.T) {
+	sp := space.MustNew(space.IntParam("x", 0, 50, 1), space.IntParam("y", 0, 50, 1))
+	p := NewPRO(sp, PROOptions{Seed: 1})
+	flat := func(space.Point) float64 { return 1 }
+	drive(t, p, sp, flat, len(p.verts))
+	if p.state != proReflect || p.bestIdx != 0 {
+		t.Fatalf("after the initial population: state %d, incumbent %d; want reflecting through member 0",
+			p.state, p.bestIdx)
+	}
+	drive(t, p, sp, flat, len(p.verts)-1)
+	if p.state != proShrink {
+		t.Errorf("after a reflection that ties the incumbent: state %d, want shrinking (%d)", p.state, proShrink)
+	}
+}
+
 func TestPROProposalsInBox(t *testing.T) {
 	sp := space.MustNew(
 		space.IntParam("a", 0, 7, 1),
