@@ -12,6 +12,7 @@ import (
 	"harmony/internal/core"
 	"harmony/internal/history"
 	"harmony/internal/paper"
+	"harmony/internal/petscsim"
 	"harmony/internal/search"
 	"harmony/internal/space"
 )
@@ -127,5 +128,47 @@ func TestReplayedCampaignHeapCeiling(t *testing.T) {
 	t.Logf("replayed campaign allocates %d bytes per run (%d runs, %d proposals)", perRun, res.Runs, res.Proposals)
 	if perRun > ceiling {
 		t.Errorf("replayed campaign allocates %d bytes per run, ceiling %d", perRun, ceiling)
+	}
+}
+
+// TestSLESCampaignAllocationCeiling pins what one campaign of the Fig. 2
+// large case allocates, from building its application to its result:
+// NewBandSLESApp(6000,16,4,120,2) tuned by the adaptive simplex from
+// the even split, 80 runs on one worker. It reads ~38 KiB, ~3 KiB of it
+// the band's runs. While the band kept 6 bytes per row it read ~71 KiB,
+// and the ceiling of 48 KiB trips on that. Pooled jobs and plans are
+// warmed by one campaign first, and the pin takes the least of three;
+// the race detector, which drops pooled items at random, skips it.
+func TestSLESCampaignAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items, so pooled jobs and plans are reallocated")
+	}
+	m := cluster.Seaborg(16, 1)
+	campaign := func() int {
+		app := petscsim.NewBandSLESApp(6000, 16, 4, 120, 2)
+		sp := app.Space()
+		res, err := core.Tune(context.Background(), sp,
+			search.NewSimplex(sp, search.SimplexOptions{Start: app.EvenPoint(), StepFraction: 0.2, Adaptive: true, Restarts: 8}),
+			app.Objective(m), core.Options{MaxRuns: 80, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Runs
+	}
+	campaign()
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if runs := campaign(); runs != 80 {
+			t.Fatalf("the campaign made %d runs, want 80", runs)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	const ceiling = 48 << 10
+	t.Logf("a Fig. 2 large campaign allocates %d bytes", least)
+	if least > ceiling {
+		t.Errorf("a Fig. 2 large campaign allocates %d bytes, ceiling %d", least, ceiling)
 	}
 }

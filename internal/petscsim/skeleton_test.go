@@ -234,11 +234,12 @@ func TestSLESForeignConfigDeclined(t *testing.T) {
 }
 
 // TestBandSLESAppBytes pins what building the Fig. 2 large app costs:
-// its matrix's reaches and nothing per stored entry — 2 bytes of reach
-// and 4 of row pointer per row — with a 10 % margin and 2 KiB for the
-// app itself. Holding the columns again costs 4 bytes per stored entry,
-// 1.4 MiB here, and trips it; so do the 12 bytes per row the band took
-// before its reaches were narrowed.
+// its matrix's runs of equal reach and nothing per row or per stored
+// entry. It reads ~3.5 KiB: 260 runs of 12 bytes, and the app itself.
+// The ceiling is 8 KiB, so holding the columns again (4 bytes per
+// stored entry, 1.4 MiB here) trips it, and so do the 6 bytes per row
+// (36 KiB) the band took while it kept each row's reach and row
+// pointer.
 func TestBandSLESAppBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments what it runs")
@@ -248,7 +249,7 @@ func TestBandSLESAppBytes(t *testing.T) {
 	app := NewBandSLESApp(6000, 16, 4, 120, 2)
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	ceiling := uint64(1.1*float64(6*app.A.N)) + 2<<10
+	const ceiling = 8 << 10
 	t.Logf("NewBandSLESApp(6000,16,4,120,2) allocates %d bytes (%d entries, %d rows)", got, app.A.NNZ(), app.A.N)
 	if got > ceiling {
 		t.Errorf("building the app allocates %d bytes, ceiling %d", got, ceiling)

@@ -52,9 +52,10 @@ import (
 //
 // Build one with NewSLESApp or NewBandSLESApp.
 type SLESApp struct {
-	// A is the system matrix's pattern as each row's reach, 6 bytes
-	// per row whatever its stored entries: the run reads only what a
-	// halo plan reads, and a plan reads only reaches.
+	// A is the system matrix's pattern as its runs of rows of equal
+	// reach, 12 bytes per run whatever its rows and stored entries: the
+	// run reads only what a halo plan reads, and a plan reads only
+	// reaches.
 	A *sparse.Band
 	// P is the number of ranks (partitions).
 	P int

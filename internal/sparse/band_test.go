@@ -15,18 +15,204 @@ import (
 // row (every rank's lower ghost under p = N), row n/2 reaches nothing,
 // and the last rows reach what is left.
 func randomBand(rng *rand.Rand, n int) *Band {
-	return newBand(n, func(i int) int {
+	reach := randomReaches(rng, n)
+	return newBand(n, func(i int) int { return reach[i] })
+}
+
+// randomReaches draws randomBand's reaches, row by row.
+func randomReaches(rng *rand.Rand, n int) []int {
+	reach := make([]int, n)
+	for i := range reach {
 		switch {
 		case i == 0:
-			return n - 1
+			reach[i] = n - 1
 		case i == n/2:
-			return 0
+			reach[i] = 0
 		case rng.Intn(3) == 0:
-			return rng.Intn(n - i)
+			reach[i] = rng.Intn(n - i)
 		default:
-			return min(rng.Intn(4), n-1-i)
+			reach[i] = min(rng.Intn(4), n-1-i)
 		}
-	})
+	}
+	return reach
+}
+
+// rowNNZ returns the number of stored entries in rows [lo, hi).
+func (b *Band) rowNNZ(lo, hi int) int {
+	ptr := func(h int) int { return b.rowPtr(b.seek(0, max(0, h-b.maxReach)), h) }
+	return ptr(hi) - ptr(lo)
+}
+
+// rowBand is the per-row form a Band had before it kept runs: each
+// row's reach, and the CSR row pointers built from them in two passes.
+// It is kept here, and only here, as the reference the runs answer to.
+type rowBand struct {
+	reach    []uint16
+	rowPtr   []int32
+	maxReach int
+}
+
+// newRowBand builds the per-row band of the given reaches: rowPtr
+// first holds the difference array of the left-neighbour counts.
+func newRowBand(reach []int) *rowBand {
+	n := len(reach)
+	b := &rowBand{reach: make([]uint16, n), rowPtr: make([]int32, n+1)}
+	for i, m := range reach {
+		b.reach[i] = uint16(m)
+		b.maxReach = max(b.maxReach, m)
+		b.rowPtr[i+1]++
+		b.rowPtr[i+1+m]--
+	}
+	left, stored := 0, 0
+	for i := 0; i < n; i++ {
+		left += int(b.rowPtr[i])
+		b.rowPtr[i] = int32(stored)
+		stored += left + 1 + int(b.reach[i])
+	}
+	b.rowPtr[n] = int32(stored)
+	return b
+}
+
+func (b *rowBand) rowNNZ(lo, hi int) int { return int(b.rowPtr[hi] - b.rowPtr[lo]) }
+
+// pattern expands the rows into a structure-only CSR.
+func (b *rowBand) pattern() *CSR {
+	n := len(b.reach)
+	a := &CSR{N: n, RowPtr: make([]int, n+1), Col: make([]int32, b.rowPtr[n])}
+	next := a.RowPtr[1:]
+	for i, p := range b.rowPtr[:n] {
+		next[i] = int(p)
+	}
+	for i := 0; i < n; i++ {
+		a.Col[next[i]] = int32(i)
+		next[i]++
+		for j := i + 1; j <= i+int(b.reach[i]); j++ {
+			a.Col[next[i]] = int32(j)
+			a.Col[next[j]] = int32(i)
+			next[i]++
+			next[j]++
+		}
+	}
+	return a
+}
+
+// plan builds the halo plan row by row, O(P·maxReach).
+func (b *rowBand) plan(part Partition) *HaloPlan {
+	p := part.P()
+	hp := new(HaloPlan)
+	hp.reset(part)
+	from := hp.from
+	for r := 0; r < p; r++ {
+		lo, hi := part.Range(r)
+		hp.setNNZ(r, b.rowNNZ(lo, hi))
+		for c, q := lo-1, r-1; c >= max(0, lo-b.maxReach); c-- {
+			for c < part.Starts[q] {
+				q--
+			}
+			if c+int(b.reach[c]) >= lo {
+				from[q]++
+			}
+		}
+		top := hi - 1
+		for i := max(lo, hi-b.maxReach); i < hi; i++ {
+			top = max(top, i+int(b.reach[i]))
+		}
+		for q := r + 1; q < p && part.Starts[q] <= top; q++ {
+			from[q] += min(top+1, part.Starts[q+1]) - part.Starts[q]
+		}
+		hp.addRecvs(r)
+	}
+	hp.mirrorSends()
+	return hp
+}
+
+// TestRunBandMatchesRows pins the runs to the per-row form they
+// replaced: on random bands, VariableBand's edge specs and dense-block
+// bands, a Band's runs are maximal, so BandOf reads its Pattern back
+// deeply equal, and it agrees with the rows on NNZ, on rowNNZ(lo, hi)
+// for every 0 ≤ lo ≤ hi ≤ N (every 7th pair past 200 rows), on Pattern,
+// and on HaloPlan and AcquirePlan under even, random and one-row-per-rank
+// partitions.
+func TestRunBandMatchesRows(t *testing.T) {
+	gen := rand.New(rand.NewSource(31))
+	rng := rand.New(rand.NewSource(37))
+	type bandCase struct {
+		name  string
+		b     *Band
+		reach []int
+	}
+	var cases []bandCase
+	for _, n := range []int{1, 2, 3, 40, 97, 160} {
+		reach := randomReaches(gen, n)
+		cases = append(cases, bandCase{fmt.Sprintf("random-%d", n), newBand(n, func(i int) int { return reach[i] }), reach})
+	}
+	for _, s := range []struct{ n, minBand, maxBand, waves int }{
+		{7, 2, 3, 1}, {120, 4, 120, 2}, {121, 2, 121, 3}, {300, 2, 24, 3}, {500, 9, 9, 4},
+	} {
+		reach := make([]int, s.n)
+		for i := range reach {
+			reach[i] = min(bandAt(s.n, s.minBand, s.maxBand, s.waves, i)/2, s.n-1-i)
+		}
+		cases = append(cases, bandCase{fmt.Sprintf("variable-%d-[%d,%d]x%d", s.n, s.minBand, s.maxBand, s.waves),
+			VariableBand(s.n, s.minBand, s.maxBand, s.waves), reach})
+	}
+	for _, s := range []struct{ n, count, size int }{{240, 3, 40}, {600, 3, 60}} {
+		a := DenseBlockLaplacian(s.n, RandomBlocks(s.n, s.count, s.size, 11))
+		b, err := BandOf(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reach := make([]int, s.n)
+		for i := range reach {
+			reach[i] = int(a.Col[a.RowPtr[i+1]-1]) - i
+		}
+		cases = append(cases, bandCase{fmt.Sprintf("dense-%d", s.n), b, reach})
+	}
+	for _, tc := range cases {
+		b, ref := tc.b, newRowBand(tc.reach)
+		for k := 0; k+1 < len(b.runs); k++ {
+			r, next := b.runs[k], b.runs[k+1]
+			if r.start >= next.start || k+2 < len(b.runs) && r.reach == next.reach {
+				t.Fatalf("%s: runs %d and %d, %+v and %+v, are not maximal runs", tc.name, k, k+1, r, next)
+			}
+		}
+		if got, err := BandOf(b.Pattern()); err != nil || !reflect.DeepEqual(got, b) {
+			t.Fatalf("%s: BandOf(Pattern) = %+v (err %v), want %+v", tc.name, got, err, b)
+		}
+		if b.NNZ() != int(ref.rowPtr[b.N]) || b.maxReach != ref.maxReach {
+			t.Fatalf("%s: NNZ %d, maxReach %d; rows %d and %d", tc.name, b.NNZ(), b.maxReach, ref.rowPtr[b.N], ref.maxReach)
+		}
+		step := 1
+		if b.N > 200 {
+			step = 7
+		}
+		for lo := 0; lo <= b.N; lo += step {
+			for hi := lo; hi <= b.N; hi++ {
+				if got, want := b.rowNNZ(lo, hi), ref.rowNNZ(lo, hi); got != want {
+					t.Fatalf("%s: rowNNZ(%d, %d) = %d, rows %d", tc.name, lo, hi, got, want)
+				}
+			}
+		}
+		if got, want := b.Pattern(), ref.pattern(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Pattern differs from the rows'", tc.name)
+		}
+		parts := []Partition{EvenPartition(b.N, 1), EvenPartition(b.N, b.N), EvenPartition(b.N, min(b.N, 4)), EvenPartition(b.N, min(b.N, 16))}
+		for range 12 {
+			parts = append(parts, randomPartition(rng, b.N, 1+rng.Intn(min(b.N, 33))))
+		}
+		for _, part := range parts {
+			want := ref.plan(part)
+			got, err := b.HaloPlan(part)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %v: HaloPlan err %v\n%+v\nrows\n%+v", tc.name, part.Starts, err, got, want)
+			}
+			got, err = b.AcquirePlan(part)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %v: AcquirePlan err %v\n%+v\nrows\n%+v", tc.name, part.Starts, err, got, want)
+			}
+			got.Release()
+		}
+	}
 }
 
 // TestBandPlanMatchesCSRPlan pins the plan a band builds to the one
@@ -172,9 +358,11 @@ func TestReusedPlanMatchesFresh(t *testing.T) {
 }
 
 // TestBandReachLimit pins a band's farthest reach, maxBandReach: a row
-// reaching exactly that far is kept and read back by BandOf, and one
-// column farther VariableBand panics, newBand too, and BandOf returns
-// an error naming the limit.
+// reaching exactly that far is kept and read back by BandOf, every
+// row's entry count agrees with the per-row form on it and on the band
+// of the most entries such rows can hold, and one column farther
+// VariableBand panics, newBand too, and BandOf returns an error naming
+// the limit.
 func TestBandReachLimit(t *testing.T) {
 	// Row 0 reaches every later row; no other row reaches any.
 	fan := func(n int) func(int) int {
@@ -192,6 +380,33 @@ func TestBandReachLimit(t *testing.T) {
 	}
 	if got, err := BandOf(b.Pattern()); err != nil || !reflect.DeepEqual(got, b) {
 		t.Fatalf("BandOf(Pattern) of a row reaching %d columns: err %v", maxBandReach, err)
+	}
+	// The closed forms sum whole windows of the farthest reach: they must
+	// fit a 32-bit int, on the fan and on the band whose top rows reach
+	// as far as they may until it holds math.MaxInt32 entries.
+	wide := func(n int) func(int) int {
+		left := (math.MaxInt32 - n) / 2
+		return func(i int) int {
+			m := min(maxBandReach, n-1-i, left)
+			left -= m
+			return m
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		reach func(int) int
+	}{{"fan", n, fan(n)}, {"widest", 100_001, wide(100_001)}} {
+		reach := make([]int, tc.n)
+		for i := range reach {
+			reach[i] = tc.reach(i)
+		}
+		b, ref := newBand(tc.n, func(i int) int { return reach[i] }), newRowBand(reach)
+		for h := 0; h <= tc.n; h++ {
+			if got, want := b.rowNNZ(0, h), ref.rowNNZ(0, h); got != want {
+				t.Fatalf("%s: rowNNZ(0, %d) = %d, rows %d", tc.name, h, got, want)
+			}
+		}
 	}
 
 	// The same fan one row taller: row 0 reaches one column past the limit.

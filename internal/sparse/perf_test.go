@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -15,13 +16,14 @@ import (
 // allocations, independent of the number of nonzeros. The previous
 // map-of-maps builder allocated per row and per entry — thousands for
 // these sizes — so a ceiling two orders of magnitude below that
-// catches any slide back. VariableBand allocates the band and its two
-// row arrays, its Pattern the CSR with its row pointers and columns,
-// and VariableBandLaplacian adds the values, so their ceiling is a
-// fixed handful. VariableBand's bytes are pinned too, at 7 per row: its
-// uint16 reaches and int32 row pointers take 6 per row, and size-class
-// rounding lifts them to ~6.2 at 2000 rows, where the int32 last
-// columns and int row pointers it held before took ~12.
+// catches any slide back. VariableBand allocates the band and its
+// runs, its Pattern the CSR with its row pointers and columns, and
+// VariableBandLaplacian adds the values, so their ceiling is a fixed
+// handful. VariableBand's bytes are pinned too, at 16 per run and 64
+// for the band: a run takes 12, and size-class rounding lifts that to
+// ~12.4 for the 62 runs (816 bytes in all) at 2000 rows, where the
+// per-row reaches and row pointers it held before took 6 bytes per row
+// (12 KiB).
 func TestBuilderAllocationRegression(t *testing.T) {
 	const n = 2000
 	cases := []struct {
@@ -32,7 +34,7 @@ func TestBuilderAllocationRegression(t *testing.T) {
 	}{
 		{"Poisson2D", func() { Poisson2D(64, 64) }, 128, 0},
 		{"DenseBlockLaplacian", func() { DenseBlockLaplacian(n, []Block{{5, 100}, {900, 200}}) }, 128, 0},
-		{"VariableBand", func() { VariableBand(n, 2, 16, 4) }, 3, 7 * n},
+		{"VariableBand", func() { VariableBand(n, 2, 16, 4) }, 2, float64(16*len(VariableBand(n, 2, 16, 4).runs) + 64)},
 		{"VariableBand.Pattern", func() { VariableBand(n, 2, 16, 4).Pattern() }, 6, 0},
 		{"VariableBandLaplacian", func() { VariableBandLaplacian(n, 2, 16, 4) }, 8, 0},
 	}
@@ -71,6 +73,38 @@ func BenchmarkVariableBand(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		VariableBand(6000, 4, 120, 2)
+	}
+}
+
+// BenchmarkBandPlan builds and releases pooled plans of the Fig. 2
+// large band, as every SLES evaluation does, over a fixed spread of
+// partitions: the even ones and seeded random ones of 16 and 32 ranks.
+// ns/op is one plan; once the pool is warm it allocates nothing.
+func BenchmarkBandPlan(b *testing.B) {
+	band := VariableBand(6000, 4, 120, 2)
+	rng := rand.New(rand.NewSource(7))
+	var parts []Partition
+	for _, p := range []int{16, 32} {
+		parts = append(parts, EvenPartition(band.N, p))
+		for range 7 {
+			parts = append(parts, randomPartition(rng, band.N, p))
+		}
+	}
+	// Warm the pool with a plan of the most ranks.
+	hp, err := band.AcquirePlan(parts[len(parts)-1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	hp.Release()
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		hp, err := band.AcquirePlan(parts[i%len(parts)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		hp.Release()
+		i++
 	}
 }
 

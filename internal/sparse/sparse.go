@@ -26,15 +26,17 @@
 // (Val nil) plans like any other, and the numeric product (DistMatrix,
 // MulVec) refuses it.
 //
-// A Band holds a symmetric pattern as each row's reach, 6 bytes per row
-// whatever its stored entries: the form a cost-only application keeps.
-// A reach is at most 65 535 columns (maxBandReach) and a band stores at
-// most math.MaxInt32 entries.
+// A Band holds a symmetric pattern as its maximal runs of rows of equal
+// reach, 12 bytes per run whatever its rows and stored entries: the
+// form a cost-only application keeps (260 runs, ~3 KiB, for the Fig. 2
+// large band of 6 000 rows). A reach is at most 65 535 columns
+// (maxBandReach) and a band stores at most math.MaxInt32 entries.
 // Both Fig. 2 matrices are bands (VariableBand; BandOf of a dense-block
-// Laplacian), and a Band plans a partition from the reaches alone, with
-// no column list to read, into the plan NewDistMatrix builds from its
-// Pattern; AcquirePlan builds it into pooled storage for one
-// evaluation, with no allocation once warm. VariableBandLaplacian is
+// Laplacian), and a Band plans a partition from the runs alone, in
+// closed forms per run with no row or column list to read, into the
+// plan NewDistMatrix builds from its Pattern; AcquirePlan builds it
+// into pooled storage for one evaluation, with no allocation once
+// warm. VariableBandLaplacian is
 // VariableBand's Pattern plus one value pass in which each row's
 // diagonal accumulates its off-diagonal mass in column order, the order
 // the generator has always summed it in, so every value is the same
@@ -72,7 +74,7 @@ func checkSize(n int) {
 }
 
 // maxBandReach is the farthest a Band row may reach right of its
-// diagonal: reaches are held as uint16, and row pointers as int32.
+// diagonal: reaches are held as uint16, and their prefix sums as int32.
 const maxBandReach = math.MaxUint16
 
 // hasValues reports whether a stores a value for every entry.
