@@ -21,9 +21,9 @@ import (
 // VariableBandLaplacian adds the values, so their ceiling is a fixed
 // handful. VariableBand's bytes are pinned too, at 16 per run and 64
 // for the band: a run takes 12, and size-class rounding lifts that to
-// ~12.4 for the 62 runs (816 bytes in all) at 2000 rows, where the
-// per-row reaches and row pointers it held before took 6 bytes per row
-// (12 KiB).
+// ~12.4 for the 61 runs and sentinel (816 bytes in all) at 2000 rows,
+// where the per-row reaches and row pointers it held before took 6
+// bytes per row (12 KiB).
 func TestBuilderAllocationRegression(t *testing.T) {
 	const n = 2000
 	cases := []struct {
